@@ -667,8 +667,9 @@ impl AdaptEngine {
         let mut canary_p99 = std::time::Duration::ZERO;
         let mut control_p99 = std::time::Duration::ZERO;
         for s in 0..now.shards.len() {
-            let recv = now.shards[s].counters.received - start.shards[s].counters.received;
-            let drop = now.shards[s].counters.dropped - start.shards[s].counters.dropped;
+            let (after, before) = (now.shards[s].counters(), start.shards[s].counters());
+            let recv = after.received - before.received;
+            let drop = after.dropped - before.dropped;
             let p99 = now.shards[s].latency.quantile(0.99);
             if shards.contains(&s) {
                 canary.0 += recv;

@@ -187,8 +187,6 @@ fn phased_forest_swaps_match_single_switch_replay() {
             "{shards}-shard batched forest totals diverge from per-frame replay"
         );
         assert_eq!(snap.dropped_backpressure, 0, "blocking ingest never drops");
-        let batched_frames: u64 = snap.shards.iter().map(|s| s.batched_frames).sum();
-        assert_eq!(batched_frames, sent, "all frames took the batched path");
     }
 }
 

@@ -24,7 +24,7 @@
 //! (`--path` picks a different route, e.g. `/profile`).
 
 use p4guard::config::GuardConfig;
-use p4guard::pipeline::{TrainedGuard, TwoStagePipeline};
+use p4guard::pipeline::{TrainedGuard, TwoStagePipeline, INGEST_BATCH};
 use p4guard::{p4gen, report};
 use p4guard_gateway::GatewayConfig;
 use p4guard_packet::pcap;
@@ -46,31 +46,67 @@ const USAGE: &str = "usage:
   p4guard-cli export   --model FILE --trace FILE --out-dir DIR
   p4guard-cli stats    --trace FILE | --metrics ADDR [--events] [--path P]
   p4guard-cli serve    [--shards N] [--model FILE] [--trace FILE] [--scenario S] [--seed N]
-                       [--pps N] [--queue N] [--batch N] [--adapt]
-                       [--batched] [--batch-size N] [--tracing]
+                       [--pps N] [--queue N] [--batch N] [--adapt] [--tracing]
                        [--tenants N] [--devices N]
                        [--metrics-addr ADDR] [--hold SECS] [--sample-every N]";
 
-/// Flags that take no value.
-const BOOLEAN_FLAGS: [&str; 5] = ["fast", "events", "adapt", "batched", "tracing"];
+/// The flags `command` reads: `(value-taking, boolean)`, or `None` for an
+/// unknown command.
+fn command_flags(command: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    Some(match command {
+        "generate" => (&["scenario", "seed", "out", "pcap"], &[]),
+        "train" => (&["trace", "out", "k", "window"], &["fast"]),
+        "evaluate" => (&["model", "trace"], &[]),
+        "export" => (&["model", "trace", "out-dir"], &[]),
+        "stats" => (&["trace", "metrics", "path"], &["events"]),
+        "serve" => (
+            &[
+                "shards",
+                "model",
+                "trace",
+                "scenario",
+                "seed",
+                "pps",
+                "queue",
+                "batch",
+                "tenants",
+                "devices",
+                "metrics-addr",
+                "hold",
+                "sample-every",
+            ],
+            &["adapt", "tracing"],
+        ),
+        _ => return None,
+    })
+}
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Parses `args` against the flags its subcommand reads. A flag outside
+/// both sets is an error — never silently taken as value-bearing, which
+/// would swallow the argument after a typo.
+fn parse_flags(
+    args: &[String],
+    valued: &[&str],
+    boolean: &[&str],
+) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| format!("expected a --flag, found {:?}", args[i]))?;
-        if BOOLEAN_FLAGS.contains(&key) {
+        if boolean.contains(&key) {
             flags.insert(key.to_owned(), "true".to_owned());
             i += 1;
-            continue;
+        } else if valued.contains(&key) {
+            let value = args
+                .get(i + 1)
+                .ok_or_else(|| format!("--{key} needs a value"))?;
+            flags.insert(key.to_owned(), value.clone());
+            i += 2;
+        } else {
+            return Err(format!("unknown flag --{key}"));
         }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("--{key} needs a value"))?;
-        flags.insert(key.to_owned(), value.clone());
-        i += 2;
     }
     Ok(flags)
 }
@@ -87,7 +123,10 @@ fn run() -> Result<(), Box<dyn Error>> {
     let Some((command, rest)) = args.split_first() else {
         return Err(USAGE.into());
     };
-    let flags = parse_flags(rest).map_err(|e| format!("{e}\n{USAGE}"))?;
+    let Some((valued, boolean)) = command_flags(command) else {
+        return Err(format!("unknown command {command:?}\n{USAGE}").into());
+    };
+    let flags = parse_flags(rest, valued, boolean).map_err(|e| format!("{e}\n{USAGE}"))?;
     match command.as_str() {
         "generate" => {
             let seed: u64 = flags.get("seed").map_or(Ok(1), |v| v.parse())?;
@@ -200,12 +239,7 @@ fn run() -> Result<(), Box<dyn Error>> {
             }
             let pps: Option<f64> = flags.get("pps").map(|v| v.parse()).transpose()?;
             let seed: u64 = flags.get("seed").map_or(Ok(1), |v| v.parse())?;
-            let batched = flags.contains_key("batched");
             let tracing = flags.contains_key("tracing");
-            let ingest_batch: usize = flags.get("batch-size").map_or(Ok(128), |v| v.parse())?;
-            if ingest_batch == 0 {
-                return Err("--batch-size must be at least 1".into());
-            }
             if let Some(tenants) = flags.get("tenants") {
                 // Multi-tenant fleet: train one detector per tenant, admit
                 // the rulesets against the shared table budget, and replay
@@ -366,24 +400,15 @@ fn run() -> Result<(), Box<dyn Error>> {
                 None => None,
             };
             println!(
-                "serving {} packets through {} shards (queue {}, batch {}){}{}",
+                "serving {} packets through {} shards (queue {}, batch {}, ingest batches of {INGEST_BATCH}){}",
                 trace.len(),
                 config.shards,
                 config.queue_capacity,
                 config.batch_size,
-                if batched {
-                    format!(" on the batched path (ingest batches of {ingest_batch})")
-                } else {
-                    String::new()
-                },
                 pps.map_or(String::new(), |p| format!(" at {p} pps")),
             );
             let telemetry = observability.as_ref().map(|(t, _)| Arc::clone(t));
-            let live = if batched {
-                guard.serve_live_batched(&trace, config, pps, telemetry, ingest_batch)?
-            } else {
-                guard.serve_live_observed(&trace, config, pps, telemetry)?
-            };
+            let live = guard.serve_live(&trace, config, pps, telemetry)?;
             println!(
                 "first half : {} packets in {:?} ({:.0} pps offered)",
                 live.first_half.offered, live.first_half.elapsed, live.first_half.offered_pps
@@ -414,7 +439,7 @@ fn run() -> Result<(), Box<dyn Error>> {
             }
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}\n{USAGE}").into()),
+        _ => unreachable!("command_flags accepted {command:?}"),
     }
 }
 

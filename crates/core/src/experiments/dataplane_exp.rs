@@ -3,7 +3,7 @@
 
 use crate::config::GuardConfig;
 use crate::experiments::ExperimentContext;
-use crate::pipeline::TwoStagePipeline;
+use crate::pipeline::{TwoStagePipeline, INGEST_BATCH};
 use crate::report::{dur, TextTable};
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::compiled::CompiledTable;
@@ -32,21 +32,18 @@ pub struct ThroughputPoint {
     pub drop_fraction: f64,
 }
 
-/// Sharded-gateway throughput on the test trace: the per-frame ingest
-/// path vs the arena-batched hot path, end to end (replay + drain).
+/// Sharded-gateway throughput on the test trace, end to end (pack,
+/// replay, mid-run swap, drain). The per-frame ingest arm this used to be
+/// compared against is retired; its number lives on as ledger row
+/// `gateway.per_frame_pps`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GatewayPoint {
     /// Worker shards.
     pub shards: usize,
-    /// Frames per ingest [`FrameBatch`](p4guard_packet::arena::FrameBatch)
-    /// on the batched arm.
+    /// Frames per ingest [`FrameBatch`](p4guard_packet::arena::FrameBatch).
     pub ingest_batch: usize,
-    /// End-to-end pps through per-frame ingest.
-    pub per_frame_pps: f64,
-    /// End-to-end pps through batched ingest.
+    /// End-to-end pps.
     pub batched_pps: f64,
-    /// `batched_pps / per_frame_pps`.
-    pub speedup: f64,
 }
 
 /// Result of F4.
@@ -58,8 +55,8 @@ pub struct ThroughputReport {
     pub key_width_sweep: Vec<ThroughputPoint>,
     /// Synthetic sweep over table sizes (fixed 8-byte key).
     pub table_size_sweep: Vec<ThroughputPoint>,
-    /// Sharded gateway, per-frame vs batched ingest (absent in reports
-    /// serialized before the batched hot path existed).
+    /// Sharded gateway (absent in reports serialized before the batched
+    /// hot path existed).
     #[serde(default)]
     pub gateway: Option<GatewayPoint>,
 }
@@ -125,33 +122,19 @@ pub fn run_f4(ctx: &ExperimentContext, config: &GuardConfig) -> ThroughputReport
         .map(|&n| measure(8, n))
         .collect();
 
-    // Sharded-gateway comparison: the same trained guard serving the same
-    // test trace, once frame-by-frame and once through arena batches.
-    // Timed around the whole serve (replay, mid-run swap, drain) so both
-    // arms pay identical fixed costs.
+    // Sharded gateway: the same trained guard serving the same test
+    // trace, timed around the whole serve (pack, replay, mid-run swap,
+    // drain).
     const GATEWAY_SHARDS: usize = 4;
-    const INGEST_BATCH: usize = 256;
     let gw_config = p4guard_gateway::GatewayConfig::with_shards(GATEWAY_SHARDS);
     let t0 = Instant::now();
-    let per_frame = guard
-        .serve_live(&ctx.test, gw_config, None)
-        .expect("per-frame serve");
-    let per_frame_pps = compute_pps(per_frame.snapshot.totals.received as usize, t0.elapsed());
-    let t0 = Instant::now();
-    let batched = guard
-        .serve_live_batched(&ctx.test, gw_config, None, None, INGEST_BATCH)
-        .expect("batched serve");
-    let batched_pps = compute_pps(batched.snapshot.totals.received as usize, t0.elapsed());
+    let live = guard
+        .serve_live(&ctx.test, gw_config, None, None)
+        .expect("live serve");
     let gateway = Some(GatewayPoint {
         shards: GATEWAY_SHARDS,
         ingest_batch: INGEST_BATCH,
-        per_frame_pps,
-        batched_pps,
-        speedup: if per_frame_pps > 0.0 {
-            batched_pps / per_frame_pps
-        } else {
-            0.0
-        },
+        batched_pps: compute_pps(live.snapshot.totals.received as usize, t0.elapsed()),
     });
 
     ThroughputReport {
@@ -194,8 +177,8 @@ impl fmt::Display for ThroughputReport {
         if let Some(g) = &self.gateway {
             writeln!(
                 f,
-                "gateway ({} shards): {:.0} pps per-frame, {:.0} pps batched ({} per batch, {:.2}x)",
-                g.shards, g.per_frame_pps, g.batched_pps, g.ingest_batch, g.speedup
+                "gateway ({} shards): {:.0} pps ({} frames per ingest batch)",
+                g.shards, g.batched_pps, g.ingest_batch
             )?;
         }
         Ok(())
@@ -493,8 +476,8 @@ mod tests {
         let large = report.table_size_sweep.last().unwrap().pps;
         assert!(small > large, "small {small} vs large {large}");
         let gw = report.gateway.expect("gateway point present");
-        assert!(gw.per_frame_pps > 0.0 && gw.batched_pps > 0.0);
-        assert!(report.to_string().contains("pps batched"));
+        assert!(gw.batched_pps > 0.0);
+        assert!(report.to_string().contains("frames per ingest batch"));
         assert!(report.to_string().contains("F4"));
     }
 

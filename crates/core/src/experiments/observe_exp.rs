@@ -33,13 +33,11 @@ use std::time::{Duration, Instant};
 const WAVE_DEVICES: u64 = 4_000;
 /// Tenants in the SLO-wave fleet (tenant 0 is the attack victim).
 const WAVE_TENANTS: usize = 2;
-/// Frames per ingest batch on the traced replay.
-const INGEST_BATCH: usize = 128;
 
 /// The traced-replay half of the report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TracedReplay {
-    /// Frames replayed through the batched path.
+    /// Frames replayed.
     pub frames: u64,
     /// Sampled traces resident in the trace store afterwards.
     pub traces: usize,
@@ -120,7 +118,7 @@ impl fmt::Display for F15ObserveReport {
     }
 }
 
-/// Replays a smart-home trace through the batched gateway with tracing on
+/// Replays a smart-home trace through the gateway with tracing on
 /// and reads the swap join, the exemplar span tree, and the stage sums
 /// back out of the bundle.
 fn traced_replay(seed: u64, shards: usize) -> TracedReplay {
@@ -137,14 +135,13 @@ fn traced_replay(seed: u64, shards: usize) -> TracedReplay {
         .train(&trace)
         .expect("fast guard trains");
     let live = guard
-        .serve_live_batched(
+        .serve_live(
             &trace,
             GatewayConfig::with_shards(shards),
             None,
             Some(Arc::clone(&telemetry)),
-            INGEST_BATCH,
         )
-        .expect("batched live replay");
+        .expect("live replay");
 
     // The hot swap's audit event must join against the trace store.
     let swap_trace = telemetry

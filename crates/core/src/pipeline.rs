@@ -2,7 +2,6 @@
 //! synthesize match-action rules, deploy to a switch.
 
 use crate::config::GuardConfig;
-use bytes::Bytes;
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::control::{ControlPlane, PublishReport};
 use p4guard_dataplane::key::KeyLayout;
@@ -13,7 +12,7 @@ use p4guard_features::extract::ByteDataset;
 use p4guard_features::naming;
 use p4guard_features::select::{select_fields, FieldSelection};
 use p4guard_gateway::{
-    replay, replay_batched, Gateway, GatewayConfig, GatewaySnapshot, IngestMode, ReplayReport,
+    replay_batched, Gateway, GatewayConfig, GatewaySnapshot, ReplayMode, ReplayReport,
 };
 use p4guard_nn::activation::softmax_rows;
 use p4guard_nn::data::Standardizer;
@@ -22,7 +21,7 @@ use p4guard_nn::optim::Adam;
 use p4guard_nn::train::{train, History, TrainConfig};
 use p4guard_nn::{binary_metrics, BinaryMetrics};
 use p4guard_packet::arena::{FrameArena, FrameBatch};
-use p4guard_packet::trace::Trace;
+use p4guard_packet::trace::{Record, Trace};
 use p4guard_rules::compile::{compile_tree, CompiledRules, TooManyEntries};
 use p4guard_rules::ruleset::RuleSetDiff;
 use p4guard_rules::tree::DecisionTree;
@@ -34,6 +33,11 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Frames per ingest [`FrameBatch`] in [`TrainedGuard::serve_live`] — the
+/// one size the serving path packs to, and the size the ledger benchmark
+/// measures.
+pub const INGEST_BATCH: usize = 256;
 
 /// Errors produced by [`TwoStagePipeline::train`].
 #[derive(Debug)]
@@ -368,9 +372,19 @@ impl TrainedGuard {
     /// mid-run (no forwarding stall — workers pick it up at the next batch
     /// boundary), then replays the second half.
     ///
-    /// Ingest is lossless (blocking), so `dropped_backpressure` in the
-    /// returned snapshot is always zero; pacing to `target_pps` applies to
-    /// each half independently.
+    /// The trace is packed into arena-backed [`FrameBatch`]es of
+    /// [`INGEST_BATCH`] frames (one allocation per chunk instead of per
+    /// frame). Ingest is lossless (blocking), so `dropped_backpressure` in
+    /// the returned snapshot is always zero; pacing to `target_pps` applies
+    /// to each half independently.
+    ///
+    /// With a telemetry bundle, shard workers feed its metrics registry
+    /// and flight recorder, the mid-run publish leaves a swap audit event
+    /// carrying the ruleset diff, `p4guard_arena_*` gauges report the
+    /// packing arena's occupancy and `p4guard_batch_fill` the realized
+    /// frames-per-batch per shard; a
+    /// [`MetricsServer`](p4guard_telemetry::MetricsServer) bound to the
+    /// same bundle exposes it all live.
     ///
     /// # Errors
     ///
@@ -381,39 +395,54 @@ impl TrainedGuard {
         trace: &Trace,
         config: GatewayConfig,
         target_pps: Option<f64>,
-    ) -> Result<LiveReport, TableError> {
-        self.serve_live_observed(trace, config, target_pps, None)
-    }
-
-    /// [`TrainedGuard::serve_live`] with an optional telemetry bundle:
-    /// shard workers feed its metrics registry and flight recorder, the
-    /// mid-run publish leaves a swap audit event carrying the ruleset
-    /// diff, and a [`MetricsServer`](p4guard_telemetry::MetricsServer)
-    /// bound to the same bundle exposes it all live.
-    ///
-    /// # Errors
-    ///
-    /// Returns a table error when deployment or the mid-run reinstall
-    /// fails.
-    pub fn serve_live_observed(
-        &self,
-        trace: &Trace,
-        config: GatewayConfig,
-        target_pps: Option<f64>,
         telemetry: Option<Arc<Telemetry>>,
     ) -> Result<LiveReport, TableError> {
         let capacity = (self.compiled.ternary.len() * 2).max(64);
         let control = self.deploy(capacity)?;
-        let gateway = Gateway::start_with_telemetry(&control, config, telemetry);
+        let gateway = Gateway::start_with_telemetry(&control, config, telemetry.clone());
 
-        let frames: Vec<Bytes> = trace.iter().map(|r| r.frame.clone()).collect();
-        let mid = frames.len() / 2;
-        let first_half = replay(
-            &gateway,
-            frames[..mid].iter().cloned(),
-            target_pps,
-            IngestMode::Blocking,
-        );
+        let mut arena = FrameArena::new(p4guard_packet::arena::DEFAULT_CHUNK_CAPACITY);
+        let mut pack = |half: &[Record]| -> Vec<FrameBatch> {
+            half.chunks(INGEST_BATCH)
+                .map(|chunk| {
+                    for record in chunk {
+                        arena.push(&record.frame);
+                    }
+                    arena.seal_batch()
+                })
+                .collect()
+        };
+        let (first, second) = trace.records().split_at(trace.len() / 2);
+        let (first, second) = (pack(first), pack(second));
+        if let Some(t) = &telemetry {
+            let stats = arena.stats();
+            for (name, help, value) in [
+                (
+                    "p4guard_arena_frames",
+                    "Frames packed into the ingest arena",
+                    stats.frames,
+                ),
+                (
+                    "p4guard_arena_bytes",
+                    "Frame bytes packed into the ingest arena",
+                    stats.bytes,
+                ),
+                (
+                    "p4guard_arena_batches",
+                    "Batches sealed by the ingest arena",
+                    stats.batches,
+                ),
+                (
+                    "p4guard_arena_open_bytes",
+                    "Bytes waiting in the arena's open chunk",
+                    stats.open_bytes,
+                ),
+            ] {
+                t.registry.gauge(name, help, &[]).set(value as f64);
+            }
+        }
+
+        let first_half = replay_batched(&gateway, first, target_pps, ReplayMode::Blocking);
 
         // Compile the replacement off to the side, then swap: the shards
         // keep forwarding against the old snapshot until publish lands.
@@ -424,118 +453,7 @@ impl TrainedGuard {
         control.install_ruleset(0, &optimized, Action::Drop)?;
         let swap = control.publish_audited(Some(&diff), false);
 
-        let second_half = replay(
-            &gateway,
-            frames[mid..].iter().cloned(),
-            target_pps,
-            IngestMode::Blocking,
-        );
-        let snapshot = gateway.finish();
-        Ok(LiveReport {
-            snapshot,
-            first_half,
-            second_half,
-            swap,
-            diff,
-        })
-    }
-
-    /// [`TrainedGuard::serve_live_observed`] on the batched hot path: the
-    /// trace is packed into arena-backed [`FrameBatch`]es of `ingest_batch`
-    /// frames (one allocation per chunk instead of per frame) and replayed
-    /// through [`replay_batched`], so each shard runs the staged
-    /// parse → key-extract → [`lookup_batch`](p4guard_dataplane::compiled::CompiledTable::lookup_batch)
-    /// loop instead of the per-frame loop. Counters, verdict streams, and
-    /// the mid-run hot swap behave identically to the per-frame serve.
-    ///
-    /// With telemetry attached, `p4guard_arena_*` gauges report the
-    /// packing arena's occupancy and `p4guard_batch_fill` the realized
-    /// frames-per-batch per shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns a table error when deployment or the mid-run reinstall
-    /// fails.
-    pub fn serve_live_batched(
-        &self,
-        trace: &Trace,
-        config: GatewayConfig,
-        target_pps: Option<f64>,
-        telemetry: Option<Arc<Telemetry>>,
-        ingest_batch: usize,
-    ) -> Result<LiveReport, TableError> {
-        let capacity = (self.compiled.ternary.len() * 2).max(64);
-        let control = self.deploy(capacity)?;
-        let gateway = Gateway::start_with_telemetry(&control, config, telemetry.clone());
-
-        let ingest_batch = ingest_batch.max(1);
-        let mut arena = FrameArena::new(p4guard_packet::arena::DEFAULT_CHUNK_CAPACITY);
-        let mid = trace.len() / 2;
-        let mut halves: Vec<Vec<FrameBatch>> = Vec::with_capacity(2);
-        let mut batches: Vec<FrameBatch> = Vec::new();
-        for (i, record) in trace.iter().enumerate() {
-            if i == mid {
-                if arena.pending() > 0 {
-                    batches.push(arena.seal_batch());
-                }
-                halves.push(std::mem::take(&mut batches));
-            }
-            arena.push(&record.frame);
-            if arena.pending() >= ingest_batch {
-                batches.push(arena.seal_batch());
-            }
-        }
-        if arena.pending() > 0 {
-            batches.push(arena.seal_batch());
-        }
-        halves.push(batches);
-        let mut halves = halves.into_iter();
-        let (first, second) = (
-            halves.next().unwrap_or_default(),
-            halves.next().unwrap_or_default(),
-        );
-        if let Some(t) = &telemetry {
-            let stats = arena.stats();
-            t.registry
-                .gauge(
-                    "p4guard_arena_frames",
-                    "Frames packed into the ingest arena",
-                    &[],
-                )
-                .set(stats.frames as f64);
-            t.registry
-                .gauge(
-                    "p4guard_arena_bytes",
-                    "Frame bytes packed into the ingest arena",
-                    &[],
-                )
-                .set(stats.bytes as f64);
-            t.registry
-                .gauge(
-                    "p4guard_arena_batches",
-                    "Batches sealed by the ingest arena",
-                    &[],
-                )
-                .set(stats.batches as f64);
-            t.registry
-                .gauge(
-                    "p4guard_arena_open_bytes",
-                    "Bytes waiting in the arena's open chunk",
-                    &[],
-                )
-                .set(stats.open_bytes as f64);
-        }
-
-        let first_half = replay_batched(&gateway, first, target_pps, IngestMode::Blocking);
-
-        let mut optimized = self.compiled.ternary.clone();
-        optimized.optimize();
-        let diff = self.compiled.ternary.diff(&optimized);
-        control.clear_stage(0)?;
-        control.install_ruleset(0, &optimized, Action::Drop)?;
-        let swap = control.publish_audited(Some(&diff), false);
-
-        let second_half = replay_batched(&gateway, second, target_pps, IngestMode::Blocking);
+        let second_half = replay_batched(&gateway, second, target_pps, ReplayMode::Blocking);
         let snapshot = gateway.finish();
         Ok(LiveReport {
             snapshot,
@@ -620,7 +538,7 @@ mod tests {
     fn live_serving_replays_the_whole_trace_with_a_mid_run_swap() {
         let (guard, _, test) = trained();
         let live = guard
-            .serve_live(&test, GatewayConfig::with_shards(4), None)
+            .serve_live(&test, GatewayConfig::with_shards(4), None, None)
             .unwrap();
         assert_eq!(live.snapshot.totals.received, test.len() as u64);
         assert_eq!(
@@ -638,40 +556,10 @@ mod tests {
             .filter(|r| guard.classify_frame(&r.frame) == 1)
             .count() as u64;
         assert_eq!(live.snapshot.totals.dropped, rule_drops);
-    }
-
-    #[test]
-    fn batched_live_serving_matches_per_frame_serving() {
-        let (guard, _, test) = trained();
-        let per_frame = guard
-            .serve_live(&test, GatewayConfig::with_shards(4), None)
-            .unwrap();
-        let batched = guard
-            .serve_live_batched(&test, GatewayConfig::with_shards(4), None, None, 128)
-            .unwrap();
-        assert_eq!(batched.snapshot.totals.received, test.len() as u64);
         assert_eq!(
-            batched.snapshot.totals.received,
-            per_frame.snapshot.totals.received
+            live.snapshot.totals.forwarded,
+            test.len() as u64 - rule_drops
         );
-        assert_eq!(
-            batched.snapshot.totals.dropped,
-            per_frame.snapshot.totals.dropped
-        );
-        assert_eq!(
-            batched.snapshot.totals.forwarded,
-            per_frame.snapshot.totals.forwarded
-        );
-        assert_eq!(batched.snapshot.dropped_backpressure, 0);
-        // The swap lands mid-run while batches are in flight.
-        assert_eq!(batched.swap.version, batched.snapshot.version);
-        let batched_frames: u64 = batched
-            .snapshot
-            .shards
-            .iter()
-            .map(|s| s.batched_frames)
-            .sum();
-        assert_eq!(batched_frames, test.len() as u64);
     }
 
     #[test]

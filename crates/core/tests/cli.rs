@@ -108,4 +108,21 @@ fn bad_arguments_fail_cleanly() {
         .expect("cli runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--trace"));
+
+    // Unknown flags are rejected by name instead of being taken as
+    // value-bearing: the removed `--batched` must not swallow `--tracing`,
+    // nor a typo the boolean flag after it.
+    for (args, flag) in [
+        (["serve", "--batched", "--tracing"], "--batched"),
+        (["serve", "--trcing", "--adapt"], "--trcing"),
+        (["train", "--fsat", "--fast"], "--fsat"),
+    ] {
+        let out = cli().args(args).output().expect("cli runs");
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "{args:?}: {stderr}"
+        );
+    }
 }

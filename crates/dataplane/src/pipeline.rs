@@ -14,14 +14,13 @@
 //! replay would have produced.
 
 use crate::action::{Action, Verdict};
-use crate::compiled::{CompiledTable, LookupOutcome, Rank};
+use crate::compiled::{CompiledTable, LookupOutcome};
 use crate::parser::ParserSpec;
 use crate::switch::SwitchCounters;
 use crate::table::Table;
-use crate::vote::VoteStage;
+use crate::vote::{self, Combine, Tally, VoteStage};
 use p4guard_packet::arena::FrameSpan;
-use p4guard_rules::forest::majority;
-use p4guard_telemetry::{DropReason, NoopSink, StageKind, TelemetrySink, VerdictKind};
+use p4guard_telemetry::{NoopSink, StageKind, TelemetrySink};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -67,8 +66,9 @@ pub struct ReadPipeline {
     /// Widest stage key, fixed at build time so the hot path sizes its
     /// scratch once per packet instead of once per stage.
     max_key_width: usize,
-    /// When set, stages are parallel per-tree lookups feeding a majority
-    /// vote instead of a sequential match-action chain (see [`VoteStage`]).
+    /// The combine policy over the stages: `None` is the sequential
+    /// first-hit chain, `Some` makes them parallel per-tree lookups feeding
+    /// a majority vote (see [`vote`]).
     vote: Option<VoteStage>,
 }
 
@@ -151,15 +151,18 @@ impl ReadPipeline {
         self.max_key_width * 2
     }
 
-    /// Processes one frame to a verdict, accumulating into `counters`.
+    /// Processes one frame to a verdict, accumulating into `counters` —
+    /// the per-frame reference walker. The gateway serves through
+    /// [`ReadPipeline::process_batch_with`]; this walk is what the
+    /// differential suites compare the batched one against, and the shadow
+    /// evaluator's entry point.
     ///
     /// Semantics mirror [`Switch::process`](crate::switch::Switch::process)
     /// exactly, so per-shard counters from this path sum to the totals a
     /// single mutable switch would report for the same frames. `scratch` is
     /// a reusable buffer grown once to [`ReadPipeline::scratch_len`] (the
     /// max key width is precomputed at snapshot build) and never shrunk, so
-    /// the steady state allocates nothing and the per-stage resize of the
-    /// old scan path is gone.
+    /// the steady state allocates nothing.
     pub fn process_into(
         &self,
         frame: &[u8],
@@ -172,9 +175,7 @@ impl ReadPipeline {
     /// [`ReadPipeline::process_into`] plus telemetry: reports per-stage
     /// hit/miss, the refined drop reason, and the final verdict (with the
     /// matched `(stage, rank)`) to `sink`. With [`NoopSink`] every report
-    /// is a no-op the compiler erases, so the un-instrumented hot path is
-    /// unchanged — benchmarks compare exactly this monomorphization
-    /// against an instrumented one.
+    /// is a no-op the compiler erases.
     pub fn process_with<S: TelemetrySink>(
         &self,
         frame: &[u8],
@@ -182,124 +183,33 @@ impl ReadPipeline {
         scratch: &mut Vec<u8>,
         sink: &mut S,
     ) -> Verdict {
-        if let Some(vote) = self.vote {
-            return self.process_vote_with(vote, frame, counters, scratch, sink);
-        }
         counters.received += 1;
         if !self.parser.accepts(frame) {
-            counters.parser_rejected += 1;
-            sink.drop_frame(DropReason::ParserRejected);
-            sink.verdict(VerdictKind::ParserReject, frame, None);
-            return Verdict::ParserReject;
+            return vote::parser_reject(frame, counters, sink);
         }
         if scratch.len() < self.max_key_width * 2 {
             scratch.resize(self.max_key_width * 2, 0);
         }
         let (key_buf, probe) = scratch.split_at_mut(self.max_key_width);
-        let mut out_port = self.default_port;
-        let mut matched: Option<(usize, Rank)> = None;
+        let combine = Combine::of(self.vote);
+        let mut tally = Tally::new(self.default_port);
         for (stage, table) in self.stages.iter().enumerate() {
             let width = table.key().width();
             table.key().build_key_into(frame, &mut key_buf[..width]);
             let (action, outcome) = table.lookup_traced(&key_buf[..width], probe);
-            if let LookupOutcome::Hit(rank) = outcome {
-                sink.table_lookup(stage, true);
-                matched = Some((stage, rank));
-            } else {
-                sink.table_lookup(stage, false);
-            }
-            match action {
-                Action::Drop => {
-                    counters.dropped += 1;
-                    sink.drop_frame(match outcome {
-                        LookupOutcome::Hit(_) => DropReason::RuleDrop,
-                        LookupOutcome::Miss => DropReason::NoRule,
-                        LookupOutcome::WrongWidth => DropReason::WrongWidth,
-                    });
-                    sink.verdict(VerdictKind::Drop, frame, matched);
-                    return Verdict::Drop;
-                }
-                Action::Forward(p) => out_port = p,
-                Action::Mirror(_) => counters.mirrored += 1,
-                Action::Count(c) => {
-                    let idx = c as usize;
-                    if counters.user.len() <= idx {
-                        counters.user.resize(idx + 1, 0);
-                    }
-                    counters.user[idx] += 1;
-                }
-                Action::NoOp => {}
+            if combine.stage(stage, action, outcome, &mut tally, counters, sink) {
+                break;
             }
         }
-        counters.forwarded += 1;
-        sink.verdict(VerdictKind::Forward, frame, matched);
-        Verdict::Forward(out_port)
-    }
-
-    /// The per-frame ensemble-vote path: each stage is one tree's
-    /// compiled ruleset; a hit votes attack, a miss (or wrong-width key)
-    /// votes benign, and per-entry actions are ignored. Voting stops as
-    /// soon as the optional [`EarlyExit`](crate::vote::EarlyExit) is
-    /// satisfied; the majority decides the verdict, ties falling to
-    /// benign (forward on the default port). Attack wins only with at
-    /// least one hit, so a vote-drop always reports `RuleDrop` with a
-    /// matched `(stage, rank)`.
-    fn process_vote_with<S: TelemetrySink>(
-        &self,
-        vote: VoteStage,
-        frame: &[u8],
-        counters: &mut SwitchCounters,
-        scratch: &mut Vec<u8>,
-        sink: &mut S,
-    ) -> Verdict {
-        counters.received += 1;
-        if !self.parser.accepts(frame) {
-            counters.parser_rejected += 1;
-            sink.drop_frame(DropReason::ParserRejected);
-            sink.verdict(VerdictKind::ParserReject, frame, None);
-            return Verdict::ParserReject;
-        }
-        if scratch.len() < self.max_key_width * 2 {
-            scratch.resize(self.max_key_width * 2, 0);
-        }
-        let (key_buf, probe) = scratch.split_at_mut(self.max_key_width);
-        let (mut attack, mut benign) = (0usize, 0usize);
-        let mut matched: Option<(usize, Rank)> = None;
-        for (stage, table) in self.stages.iter().enumerate() {
-            let width = table.key().width();
-            table.key().build_key_into(frame, &mut key_buf[..width]);
-            let (_action, outcome) = table.lookup_traced(&key_buf[..width], probe);
-            if let LookupOutcome::Hit(rank) = outcome {
-                sink.table_lookup(stage, true);
-                matched = Some((stage, rank));
-                attack += 1;
-            } else {
-                sink.table_lookup(stage, false);
-                benign += 1;
-            }
-            if let Some(exit) = vote.early_exit {
-                if exit.decided(attack, benign) {
-                    break;
-                }
-            }
-        }
-        if majority(attack, benign) == 1 {
-            counters.dropped += 1;
-            sink.drop_frame(DropReason::RuleDrop);
-            sink.verdict(VerdictKind::Drop, frame, matched);
-            Verdict::Drop
-        } else {
-            counters.forwarded += 1;
-            sink.verdict(VerdictKind::Forward, frame, matched);
-            Verdict::Forward(self.default_port)
-        }
+        combine.finish(&tally, frame, counters, sink)
     }
 
     /// Processes a whole batch of frames (contiguous `data` + one
     /// [`FrameSpan`] per frame) through tight staged loops: batch parse →
     /// batch key-extract into a contiguous key matrix → batch lookup via
-    /// [`CompiledTable::lookup_batch`] — with one verdict appended to
-    /// `verdicts` per frame, in frame order.
+    /// [`CompiledTable::lookup_batch`] → combine — with one verdict
+    /// appended to `verdicts` per frame, in frame order. This is the only
+    /// hot path: every frame the gateway serves goes through it.
     ///
     /// Results are **bit-identical** to calling
     /// [`ReadPipeline::process_with`] once per frame: counters accumulate to
@@ -310,8 +220,11 @@ impl ReadPipeline {
     /// `table_lookup` reports are emitted stage-major — they are pure
     /// counts, so their totals are unchanged.
     ///
-    /// Frames that drop at stage *k* leave the alive set and cost nothing
-    /// in stages *k+1..*, exactly like the per-frame early return.
+    /// A frame leaves the alive set at stage *k* exactly when the per-frame
+    /// walk would stop there (a first-hit drop, or a decided vote — see
+    /// [`vote`]) and costs nothing in stages *k+1..*. Votes
+    /// decided with at least one stage still ahead are counted in
+    /// [`BatchScratch::vote_early_exits`].
     pub fn process_batch_with<S: TelemetrySink>(
         &self,
         data: &[u8],
@@ -321,13 +234,10 @@ impl ReadPipeline {
         verdicts: &mut Vec<Verdict>,
         sink: &mut S,
     ) {
-        if let Some(vote) = self.vote {
-            return self
-                .process_batch_vote_with(vote, data, spans, counters, scratch, verdicts, sink);
-        }
         let n = spans.len();
         counters.received += n as u64;
         scratch.reset(n, self.max_key_width, self.default_port);
+        let combine = Combine::of(self.vote);
         let frame_of = |s: &FrameSpan| &data[s.offset as usize..s.end()];
         // One clock read per stage boundary, and none at all unless the
         // sink opted into profiling.
@@ -338,12 +248,12 @@ impl ReadPipeline {
             if self.parser.accepts(frame_of(span)) {
                 scratch.alive.push(i as u32);
             } else {
-                counters.parser_rejected += 1;
-                scratch.state[i] = FrameState::ParserReject;
+                scratch.parsed[i] = false;
             }
         }
         lap(&mut stamp, sink, StageKind::Parse, None, n as u64);
 
+        let last_stage = self.stages.len().saturating_sub(1);
         for (stage, table) in self.stages.iter().enumerate() {
             if scratch.alive.is_empty() {
                 break;
@@ -384,37 +294,17 @@ impl ReadPipeline {
                 Some(stage),
                 alive_len as u64,
             );
-            // Apply actions, compacting the alive set in place.
+            // Combine, compacting the alive set in place.
             let mut kept = 0usize;
             for j in 0..alive_len {
                 let i = scratch.alive[j] as usize;
                 let (action, outcome) = scratch.lookups[j];
-                if let LookupOutcome::Hit(rank) = outcome {
-                    sink.table_lookup(stage, true);
-                    scratch.matched[i] = Some((stage, rank));
-                } else {
-                    sink.table_lookup(stage, false);
-                }
-                match action {
-                    Action::Drop => {
-                        counters.dropped += 1;
-                        scratch.state[i] = FrameState::Drop(match outcome {
-                            LookupOutcome::Hit(_) => DropReason::RuleDrop,
-                            LookupOutcome::Miss => DropReason::NoRule,
-                            LookupOutcome::WrongWidth => DropReason::WrongWidth,
-                        });
-                        continue;
+                let tally = &mut scratch.tally[i];
+                if combine.stage(stage, action, outcome, tally, counters, sink) {
+                    if stage < last_stage && !tally.is_dropped() {
+                        scratch.exited += 1;
                     }
-                    Action::Forward(p) => scratch.out_port[i] = p,
-                    Action::Mirror(_) => counters.mirrored += 1,
-                    Action::Count(c) => {
-                        let idx = c as usize;
-                        if counters.user.len() <= idx {
-                            counters.user.resize(idx + 1, 0);
-                        }
-                        counters.user[idx] += 1;
-                    }
-                    Action::NoOp => {}
+                    continue;
                 }
                 scratch.alive[kept] = i as u32;
                 kept += 1;
@@ -429,194 +319,16 @@ impl ReadPipeline {
             );
         }
 
-        for &i in &scratch.alive {
-            counters.forwarded += 1;
-            scratch.state[i as usize] = FrameState::Forward;
-        }
-
-        // Deferred frame-order pass: emit drop/verdict reports and the
-        // verdict sequence exactly as the per-frame path would have.
+        // Deferred frame-order pass: form each verdict and emit its
+        // drop/verdict reports exactly as the per-frame walk would have.
         verdicts.reserve(n);
         for (i, span) in spans.iter().enumerate() {
             let frame = frame_of(span);
-            let v = match scratch.state[i] {
-                FrameState::ParserReject => {
-                    sink.drop_frame(DropReason::ParserRejected);
-                    sink.verdict(VerdictKind::ParserReject, frame, None);
-                    Verdict::ParserReject
-                }
-                FrameState::Drop(reason) => {
-                    sink.drop_frame(reason);
-                    sink.verdict(VerdictKind::Drop, frame, scratch.matched[i]);
-                    Verdict::Drop
-                }
-                FrameState::Forward => {
-                    sink.verdict(VerdictKind::Forward, frame, scratch.matched[i]);
-                    Verdict::Forward(scratch.out_port[i])
-                }
-            };
-            verdicts.push(v);
-        }
-        lap(&mut stamp, sink, StageKind::Report, None, n as u64);
-    }
-
-    /// The batched ensemble-vote path. Semantics are bit-identical to
-    /// calling the per-frame vote path once per frame: per-tree stages run
-    /// stage-major over the alive set, a hit in stage *t* is tree *t*'s
-    /// attack vote, and a frame leaves the alive set exactly when the
-    /// [`EarlyExit`](crate::vote::EarlyExit) rule fires for it — the
-    /// point of the batched early exit is that such frames skip the
-    /// remaining per-tree table lookups entirely. Frames that exit with
-    /// at least one stage still ahead are counted in
-    /// [`BatchScratch::vote_early_exits`]; verdicts, counters and sink
-    /// reports match the per-frame sequence exactly.
-    #[allow(clippy::too_many_arguments)]
-    fn process_batch_vote_with<S: TelemetrySink>(
-        &self,
-        vote: VoteStage,
-        data: &[u8],
-        spans: &[FrameSpan],
-        counters: &mut SwitchCounters,
-        scratch: &mut BatchScratch,
-        verdicts: &mut Vec<Verdict>,
-        sink: &mut S,
-    ) {
-        let n = spans.len();
-        counters.received += n as u64;
-        scratch.reset(n, self.max_key_width, self.default_port);
-        scratch.votes_attack.clear();
-        scratch.votes_attack.resize(n, 0);
-        scratch.votes_benign.clear();
-        scratch.votes_benign.resize(n, 0);
-        let frame_of = |s: &FrameSpan| &data[s.offset as usize..s.end()];
-        let mut stamp = sink.profiling_enabled().then(Instant::now);
-
-        for (i, span) in spans.iter().enumerate() {
-            if self.parser.accepts(frame_of(span)) {
-                scratch.alive.push(i as u32);
+            verdicts.push(if scratch.parsed[i] {
+                combine.finish(&scratch.tally[i], frame, counters, sink)
             } else {
-                counters.parser_rejected += 1;
-                scratch.state[i] = FrameState::ParserReject;
-            }
-        }
-        lap(&mut stamp, sink, StageKind::Parse, None, n as u64);
-
-        let last_stage = self.stages.len().saturating_sub(1);
-        for (stage, table) in self.stages.iter().enumerate() {
-            if scratch.alive.is_empty() {
-                break;
-            }
-            let width = table.key().width();
-            let alive_len = scratch.alive.len();
-            scratch.keys.clear();
-            scratch.keys.resize(alive_len * width, 0);
-            for (j, &i) in scratch.alive.iter().enumerate() {
-                table.key().build_key_into(
-                    frame_of(&spans[i as usize]),
-                    &mut scratch.keys[j * width..(j + 1) * width],
-                );
-            }
-            lap(
-                &mut stamp,
-                sink,
-                StageKind::KeyExtract,
-                Some(stage),
-                alive_len as u64,
-            );
-            scratch.lookups.clear();
-            scratch
-                .lookups
-                .resize(alive_len, (Action::NoOp, LookupOutcome::Miss));
-            table.lookup_batch(
-                &scratch.keys,
-                width,
-                &mut scratch.probe,
-                &mut scratch.lookups,
-            );
-            lap(
-                &mut stamp,
-                sink,
-                StageKind::Lookup,
-                Some(stage),
-                alive_len as u64,
-            );
-            // Tally votes, compacting the alive set: a frame whose vote is
-            // decided stops paying for the remaining per-tree lookups.
-            let mut kept = 0usize;
-            for j in 0..alive_len {
-                let i = scratch.alive[j] as usize;
-                let (_action, outcome) = scratch.lookups[j];
-                if let LookupOutcome::Hit(rank) = outcome {
-                    sink.table_lookup(stage, true);
-                    scratch.matched[i] = Some((stage, rank));
-                    scratch.votes_attack[i] += 1;
-                } else {
-                    sink.table_lookup(stage, false);
-                    scratch.votes_benign[i] += 1;
-                }
-                if let Some(exit) = vote.early_exit {
-                    if exit.decided(
-                        scratch.votes_attack[i] as usize,
-                        scratch.votes_benign[i] as usize,
-                    ) {
-                        if stage < last_stage {
-                            scratch.exited += 1;
-                        }
-                        continue;
-                    }
-                }
-                scratch.alive[kept] = i as u32;
-                kept += 1;
-            }
-            scratch.alive.truncate(kept);
-            lap(
-                &mut stamp,
-                sink,
-                StageKind::Apply,
-                Some(stage),
-                alive_len as u64,
-            );
-        }
-
-        // The vote stage proper: every parsed frame's verdict is the
-        // majority over the votes it accumulated (full for frames that
-        // ran all stages, truncated for early exits — the same counts the
-        // per-frame stopping rule yields).
-        for (i, state) in scratch.state.iter_mut().enumerate() {
-            if matches!(state, FrameState::Forward) {
-                if majority(
-                    scratch.votes_attack[i] as usize,
-                    scratch.votes_benign[i] as usize,
-                ) == 1
-                {
-                    counters.dropped += 1;
-                    *state = FrameState::Drop(DropReason::RuleDrop);
-                } else {
-                    counters.forwarded += 1;
-                }
-            }
-        }
-
-        verdicts.reserve(n);
-        for (i, span) in spans.iter().enumerate() {
-            let frame = frame_of(span);
-            let v = match scratch.state[i] {
-                FrameState::ParserReject => {
-                    sink.drop_frame(DropReason::ParserRejected);
-                    sink.verdict(VerdictKind::ParserReject, frame, None);
-                    Verdict::ParserReject
-                }
-                FrameState::Drop(reason) => {
-                    sink.drop_frame(reason);
-                    sink.verdict(VerdictKind::Drop, frame, scratch.matched[i]);
-                    Verdict::Drop
-                }
-                FrameState::Forward => {
-                    sink.verdict(VerdictKind::Forward, frame, scratch.matched[i]);
-                    Verdict::Forward(scratch.out_port[i])
-                }
-            };
-            verdicts.push(v);
+                vote::parser_reject(frame, counters, sink)
+            });
         }
         lap(&mut stamp, sink, StageKind::Report, None, n as u64);
     }
@@ -644,18 +356,6 @@ impl ReadPipeline {
     }
 }
 
-/// Per-frame terminal state tracked by [`BatchScratch`] between the staged
-/// loops and the deferred frame-order report pass.
-#[derive(Debug, Clone, Copy)]
-enum FrameState {
-    /// Rejected by the parser.
-    ParserReject,
-    /// Dropped by a stage, with the refined reason.
-    Drop(DropReason),
-    /// Survived all stages.
-    Forward,
-}
-
 /// Reusable working memory for [`ReadPipeline::process_batch_with`].
 ///
 /// All vectors grow to the high-water batch size once and are reused across
@@ -672,16 +372,10 @@ pub struct BatchScratch {
     lookups: Vec<(Action, LookupOutcome)>,
     /// Indices of frames still flowing through the stages.
     alive: Vec<u32>,
-    /// Terminal state per frame.
-    state: Vec<FrameState>,
-    /// Egress port per frame (tracks the last `Forward` action).
-    out_port: Vec<u16>,
-    /// Winning `(stage, rank)` per frame, for verdict reports.
-    matched: Vec<Option<(usize, Rank)>>,
-    /// Per-frame attack-vote tally (vote-mode pipelines only).
-    votes_attack: Vec<u16>,
-    /// Per-frame benign-vote tally (vote-mode pipelines only).
-    votes_benign: Vec<u16>,
+    /// Whether the parser accepted each frame.
+    parsed: Vec<bool>,
+    /// What each frame accumulated through the stages.
+    tally: Vec<Tally>,
     /// Frames whose vote early-exited with at least one stage left, in
     /// the most recent batch.
     exited: u64,
@@ -704,12 +398,10 @@ impl BatchScratch {
     fn reset(&mut self, n: usize, max_key_width: usize, default_port: u16) {
         self.alive.clear();
         self.alive.reserve(n);
-        self.state.clear();
-        self.state.resize(n, FrameState::Forward);
-        self.out_port.clear();
-        self.out_port.resize(n, default_port);
-        self.matched.clear();
-        self.matched.resize(n, None);
+        self.parsed.clear();
+        self.parsed.resize(n, true);
+        self.tally.clear();
+        self.tally.resize(n, Tally::new(default_port));
         self.exited = 0;
         if self.probe.len() < max_key_width {
             self.probe.resize(max_key_width, 0);

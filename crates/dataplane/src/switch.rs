@@ -1,14 +1,22 @@
 //! The software switch: parser + match-action pipeline + counters, with a
 //! throughput harness (experiment F4).
+//!
+//! [`Switch`] is the mutable behavioural model the control plane edits and
+//! the **reference oracle** of the serving path: it scans its tables
+//! linearly, so nothing here is tuned for speed. Traffic is served by the
+//! compiled [`ReadPipeline`](crate::pipeline::ReadPipeline) snapshots taken
+//! from it; every differential proptest, conformance schedule and the
+//! ledger's fate check replay the same frames through [`Switch::process`]
+//! and require identical verdicts and counters.
 
-use crate::action::{Action, Verdict};
+use crate::action::Verdict;
+use crate::compiled::LookupOutcome;
 use crate::parser::ParserSpec;
 use crate::resources::SwitchResources;
 use crate::table::Table;
-use crate::vote::VoteStage;
+use crate::vote::{self, Combine, Tally, VoteStage};
 use p4guard_packet::trace::Trace;
-use p4guard_rules::forest::majority;
-use p4guard_telemetry::{DropReason, NoopSink, TelemetrySink, VerdictKind};
+use p4guard_telemetry::{NoopSink, TelemetrySink};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -82,7 +90,8 @@ impl fmt::Display for RunStats {
 }
 
 /// A behavioural-model switch: one parser, a pipeline of match-action
-/// stages, and a default egress port.
+/// stages, and a default egress port. See the module docs for its role as
+/// the serving path's oracle.
 #[derive(Debug, Clone)]
 pub struct Switch {
     name: String,
@@ -198,18 +207,11 @@ impl Switch {
     /// for the compiled path that does.
     pub fn process_with<S: TelemetrySink>(&mut self, frame: &[u8], sink: &mut S) -> Verdict {
         self.counters.received += 1;
-        let outcome = self.parser.parse(frame);
-        if !outcome.accepted {
-            self.counters.parser_rejected += 1;
-            sink.drop_frame(DropReason::ParserRejected);
-            sink.verdict(VerdictKind::ParserReject, frame, None);
-            return Verdict::ParserReject;
+        if !self.parser.parse(frame).accepted {
+            return vote::parser_reject(frame, &mut self.counters, sink);
         }
-        if let Some(vote) = self.vote {
-            return self.process_vote(frame, vote, sink);
-        }
-        let mut out_port = self.default_port;
-        let mut matched: Option<(usize, u32)> = None;
+        let combine = Combine::of(self.vote);
+        let mut tally = Tally::new(self.default_port);
         for (stage, (table, buf)) in self
             .stages
             .iter_mut()
@@ -218,82 +220,12 @@ impl Switch {
         {
             table.key().build_key_into(frame, buf);
             let (action, rank) = table.lookup_traced(buf);
-            sink.table_lookup(stage, rank.is_some());
-            if let Some(rank) = rank {
-                matched = Some((stage, rank));
-            }
-            match action {
-                Action::Drop => {
-                    self.counters.dropped += 1;
-                    sink.drop_frame(if rank.is_some() {
-                        DropReason::RuleDrop
-                    } else {
-                        DropReason::NoRule
-                    });
-                    sink.verdict(VerdictKind::Drop, frame, matched);
-                    return Verdict::Drop;
-                }
-                Action::Forward(p) => out_port = p,
-                Action::Mirror(_) => self.counters.mirrored += 1,
-                Action::Count(c) => {
-                    let idx = c as usize;
-                    if self.counters.user.len() <= idx {
-                        self.counters.user.resize(idx + 1, 0);
-                    }
-                    self.counters.user[idx] += 1;
-                }
-                Action::NoOp => {}
+            let outcome = rank.map_or(LookupOutcome::Miss, LookupOutcome::Hit);
+            if combine.stage(stage, action, outcome, &mut tally, &mut self.counters, sink) {
+                break;
             }
         }
-        self.counters.forwarded += 1;
-        sink.verdict(VerdictKind::Forward, frame, matched);
-        Verdict::Forward(out_port)
-    }
-
-    /// The ensemble-vote frame path: each stage is one tree's compiled
-    /// ruleset; a hit votes attack, a miss votes benign, per-entry actions
-    /// are ignored. Voting may stop early under the configured
-    /// [`EarlyExit`](crate::vote::EarlyExit); the majority decides the
-    /// verdict, ties falling to benign (forward).
-    fn process_vote<S: TelemetrySink>(
-        &mut self,
-        frame: &[u8],
-        vote: VoteStage,
-        sink: &mut S,
-    ) -> Verdict {
-        let (mut attack, mut benign) = (0usize, 0usize);
-        let mut matched: Option<(usize, u32)> = None;
-        for (stage, (table, buf)) in self
-            .stages
-            .iter_mut()
-            .zip(&mut self.key_buffers)
-            .enumerate()
-        {
-            table.key().build_key_into(frame, buf);
-            let (_action, rank) = table.lookup_traced(buf);
-            sink.table_lookup(stage, rank.is_some());
-            if let Some(rank) = rank {
-                matched = Some((stage, rank));
-                attack += 1;
-            } else {
-                benign += 1;
-            }
-            if let Some(exit) = vote.early_exit {
-                if exit.decided(attack, benign) {
-                    break;
-                }
-            }
-        }
-        if majority(attack, benign) == 1 {
-            self.counters.dropped += 1;
-            sink.drop_frame(DropReason::RuleDrop);
-            sink.verdict(VerdictKind::Drop, frame, matched);
-            Verdict::Drop
-        } else {
-            self.counters.forwarded += 1;
-            sink.verdict(VerdictKind::Forward, frame, matched);
-            Verdict::Forward(self.default_port)
-        }
+        combine.finish(&tally, frame, &mut self.counters, sink)
     }
 
     /// Replays every frame of `trace`, returning throughput stats.
@@ -389,6 +321,7 @@ impl Switch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::Action;
     use crate::key::KeyLayout;
     use crate::table::{MatchKind, MatchSpec};
 

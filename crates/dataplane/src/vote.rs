@@ -1,11 +1,15 @@
-//! The ensemble vote stage: reinterprets a pipeline's match-action stages
-//! as *parallel* per-tree lookups feeding a majority vote.
+//! The combine policy: what a stage hit means, when a frame stops walking
+//! the stages, and how its final verdict is formed — written once, for all
+//! three stage walkers (the batched and per-frame
+//! [`ReadPipeline`](crate::pipeline::ReadPipeline) paths and the mutable
+//! scan [`Switch`](crate::switch::Switch)).
 //!
-//! In the default (sequential) interpretation, stages run in order and a
-//! `Drop` action short-circuits the pipeline. Under a [`VoteStage`] the
-//! stages are one compiled ruleset per forest tree: a **hit** in stage
-//! *t* is tree *t* voting "attack", a **miss** (including a wrong-width
-//! key) is a "benign" vote, and per-entry actions are ignored. The final
+//! There are two policies. **First-hit** is the sequential match-action
+//! chain: each stage's action applies in order and a `Drop` ends the walk.
+//! **Vote** ([`VoteStage`]) reinterprets the stages as *parallel* per-tree
+//! lookups, one compiled ruleset per forest tree: a **hit** in stage *t*
+//! is tree *t* voting "attack", a **miss** (including a wrong-width key)
+//! is a "benign" vote, and per-entry actions are ignored. The final
 //! verdict is the majority — `Drop` iff strictly more attack than benign
 //! votes, ties falling to benign, matching
 //! [`p4guard_rules::forest::majority`]. An *empty* stage (a benign-only
@@ -13,17 +17,22 @@
 //! key and counts benign, which is exactly its tree's verdict — the stage
 //! must never be dropped from the pipeline.
 //!
-//! The optional [`EarlyExit`] is pForest-style certainty-based
-//! truncation and is part of the verdict *semantics*: per-frame and
-//! batched evaluation apply the identical stopping rule, so the two paths
-//! stay bit-identical; the batched hot path additionally skips whole
-//! per-tree table lookups for frames that already exited.
+//! The optional [`EarlyExit`] is pForest-style certainty-based truncation
+//! and is part of the verdict *semantics*: every walker applies the
+//! identical stopping rule through `Combine::stage`, so they stay
+//! bit-identical; the batched walker additionally skips whole per-tree
+//! table lookups for frames that already exited.
 
+use crate::action::{Action, Verdict};
+use crate::compiled::{LookupOutcome, Rank};
+use crate::switch::SwitchCounters;
+use p4guard_rules::forest::majority;
+use p4guard_telemetry::{DropReason, TelemetrySink, VerdictKind};
 use serde::{Deserialize, Serialize};
 
 pub use p4guard_rules::forest::EarlyExit;
 
-/// Configures the ensemble-vote interpretation of a switch's stages.
+/// Selects the vote combine policy for a switch's stages.
 ///
 /// Attach with [`Switch::set_vote`](crate::switch::Switch::set_vote);
 /// snapshots carry it into
@@ -48,6 +57,157 @@ impl VoteStage {
             early_exit: Some(exit),
         }
     }
+}
+
+/// The combine policy of one pipeline: how per-stage lookup results fold
+/// into a verdict.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Combine {
+    /// Sequential match-action: every stage's action applies in order and
+    /// a `Drop` ends the walk.
+    FirstHit,
+    /// Parallel per-tree stages feeding a majority vote.
+    Vote(VoteStage),
+}
+
+/// What one frame has accumulated on its way through the stages.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tally {
+    /// Egress port (the last `Forward` action under first-hit).
+    out_port: u16,
+    attack: u16,
+    benign: u16,
+    /// Set when a first-hit stage dropped the frame.
+    dropped: Option<DropReason>,
+    /// `(stage, rank)` of the last matching entry, for verdict reports.
+    matched: Option<(usize, Rank)>,
+}
+
+impl Tally {
+    pub(crate) fn new(default_port: u16) -> Self {
+        Tally {
+            out_port: default_port,
+            attack: 0,
+            benign: 0,
+            dropped: None,
+            matched: None,
+        }
+    }
+
+    /// Whether a stage dropped the frame (as opposed to it leaving the
+    /// walk with its vote decided).
+    pub(crate) fn is_dropped(&self) -> bool {
+        self.dropped.is_some()
+    }
+}
+
+impl Combine {
+    pub(crate) fn of(vote: Option<VoteStage>) -> Self {
+        vote.map_or(Combine::FirstHit, Combine::Vote)
+    }
+
+    /// Folds stage `stage`'s lookup result into `tally` and reports the
+    /// lookup to `sink`. Returns `true` when the frame is done walking:
+    /// dropped by a first-hit action, or its vote decided by the
+    /// [`EarlyExit`].
+    #[inline]
+    pub(crate) fn stage<S: TelemetrySink>(
+        self,
+        stage: usize,
+        action: Action,
+        outcome: LookupOutcome,
+        tally: &mut Tally,
+        counters: &mut SwitchCounters,
+        sink: &mut S,
+    ) -> bool {
+        let hit = if let LookupOutcome::Hit(rank) = outcome {
+            tally.matched = Some((stage, rank));
+            true
+        } else {
+            false
+        };
+        sink.table_lookup(stage, hit);
+        match self {
+            Combine::FirstHit => match action {
+                Action::Drop => {
+                    tally.dropped = Some(match outcome {
+                        LookupOutcome::Hit(_) => DropReason::RuleDrop,
+                        LookupOutcome::Miss => DropReason::NoRule,
+                        LookupOutcome::WrongWidth => DropReason::WrongWidth,
+                    });
+                    return true;
+                }
+                Action::Forward(p) => tally.out_port = p,
+                Action::Mirror(_) => counters.mirrored += 1,
+                Action::Count(c) => {
+                    let idx = c as usize;
+                    if counters.user.len() <= idx {
+                        counters.user.resize(idx + 1, 0);
+                    }
+                    counters.user[idx] += 1;
+                }
+                Action::NoOp => {}
+            },
+            Combine::Vote(vote) => {
+                if hit {
+                    tally.attack += 1;
+                } else {
+                    tally.benign += 1;
+                }
+                return vote.early_exit.is_some_and(|exit| {
+                    exit.decided(usize::from(tally.attack), usize::from(tally.benign))
+                });
+            }
+        }
+        false
+    }
+
+    /// Forms the verdict of a parsed frame from what it accumulated,
+    /// counts it and reports it to `sink`. Under a vote, attack wins only
+    /// with at least one hit, so a vote-drop always reports `RuleDrop`
+    /// with a matched `(stage, rank)`.
+    #[inline]
+    pub(crate) fn finish<S: TelemetrySink>(
+        self,
+        tally: &Tally,
+        frame: &[u8],
+        counters: &mut SwitchCounters,
+        sink: &mut S,
+    ) -> Verdict {
+        let dropped = match self {
+            Combine::FirstHit => tally.dropped,
+            Combine::Vote(_) => (majority(usize::from(tally.attack), usize::from(tally.benign))
+                == 1)
+                .then_some(DropReason::RuleDrop),
+        };
+        match dropped {
+            Some(reason) => {
+                counters.dropped += 1;
+                sink.drop_frame(reason);
+                sink.verdict(VerdictKind::Drop, frame, tally.matched);
+                Verdict::Drop
+            }
+            None => {
+                counters.forwarded += 1;
+                sink.verdict(VerdictKind::Forward, frame, tally.matched);
+                Verdict::Forward(tally.out_port)
+            }
+        }
+    }
+}
+
+/// Counts and reports a frame the parser rejected; it never reaches the
+/// stages, so no combine policy applies.
+#[inline]
+pub(crate) fn parser_reject<S: TelemetrySink>(
+    frame: &[u8],
+    counters: &mut SwitchCounters,
+    sink: &mut S,
+) -> Verdict {
+    counters.parser_rejected += 1;
+    sink.drop_frame(DropReason::ParserRejected);
+    sink.verdict(VerdictKind::ParserReject, frame, None);
+    Verdict::ParserReject
 }
 
 #[cfg(test)]

@@ -181,53 +181,64 @@ proptest! {
             .map(|f| pipeline.process_with(f, &mut per_counters, &mut scratch, &mut per_sink))
             .collect();
 
-        // Batched run, split into two batches at an arbitrary cut so the
-        // scratch-reuse path across batch boundaries is also covered.
+        // Batched runs: split into two batches at an arbitrary cut so the
+        // scratch-reuse path across batch boundaries is covered, and as
+        // one-frame batches — the shape per-frame ingest puts on the queue.
         let cut = usize::from(batch_cut) % raw_frames.len();
         let mut arena = FrameArena::new(256);
-        let mut batches = Vec::new();
+        let mut two_batches = Vec::new();
         for (i, f) in raw_frames.iter().enumerate() {
             arena.push(f);
             if i + 1 == cut {
-                batches.push(arena.seal_batch());
+                two_batches.push(arena.seal_batch());
             }
         }
-        batches.push(arena.seal_batch());
+        two_batches.push(arena.seal_batch());
+        let one_frame_batches: Vec<_> = raw_frames
+            .iter()
+            .map(|f| {
+                arena.push(f);
+                arena.seal_batch()
+            })
+            .collect();
 
-        let mut batch_counters = SwitchCounters::default();
-        let mut batch_sink = RecordingSink::with_sampler(trace_stride, trace_seed);
-        let mut batch_scratch = BatchScratch::new();
-        let mut batch_verdicts = Vec::new();
-        for batch in &batches {
-            pipeline.process_batch_with(
-                batch.data(),
-                batch.spans(),
-                &mut batch_counters,
-                &mut batch_scratch,
-                &mut batch_verdicts,
-                &mut batch_sink,
+        for batches in [&two_batches, &one_frame_batches] {
+            let mut batch_counters = SwitchCounters::default();
+            let mut batch_sink = RecordingSink::with_sampler(trace_stride, trace_seed);
+            let mut batch_scratch = BatchScratch::new();
+            let mut batch_verdicts = Vec::new();
+            for batch in batches {
+                pipeline.process_batch_with(
+                    batch.data(),
+                    batch.spans(),
+                    &mut batch_counters,
+                    &mut batch_scratch,
+                    &mut batch_verdicts,
+                    &mut batch_sink,
+                );
+            }
+
+            prop_assert_eq!(&batch_verdicts, &per_verdicts, "verdict sequence");
+            prop_assert_eq!(&batch_counters, &per_counters, "counter totals");
+            prop_assert_eq!(&batch_sink.drops, &per_sink.drops, "drop report order");
+            prop_assert_eq!(&batch_sink.verdicts, &per_sink.verdicts, "verdict report order");
+            prop_assert_eq!(
+                lookup_totals(&batch_sink.table_lookups),
+                lookup_totals(&per_sink.table_lookups),
+                "per-table hit counters"
+            );
+            // Same seed + stride → the deterministic sampler selects the
+            // same report-stream positions and mints the same trace ids
+            // on every path.
+            prop_assert_eq!(
+                &batch_sink.sampled_traces,
+                &per_sink.sampled_traces,
+                "sampled trace-id set"
             );
         }
-
-        prop_assert_eq!(&batch_verdicts, &per_verdicts, "verdict sequence");
-        prop_assert_eq!(&batch_counters, &per_counters, "counter totals");
-        prop_assert_eq!(&batch_sink.drops, &per_sink.drops, "drop report order");
-        prop_assert_eq!(&batch_sink.verdicts, &per_sink.verdicts, "verdict report order");
-        prop_assert_eq!(
-            lookup_totals(&batch_sink.table_lookups),
-            lookup_totals(&per_sink.table_lookups),
-            "per-table hit counters"
-        );
-        // Same seed + stride → the deterministic sampler selects the same
-        // report-stream positions and mints the same trace ids on both
-        // paths, and at least one frame is sampled in every run (phase
-        // guarantees a hit within the first `stride` frames... only when
-        // enough frames exist).
-        prop_assert_eq!(
-            &batch_sink.sampled_traces,
-            &per_sink.sampled_traces,
-            "sampled trace-id set"
-        );
+        // At least one frame is sampled in every run (phase guarantees a
+        // hit within the first `stride` frames... only when enough frames
+        // exist).
         if raw_frames.len() as u64 >= trace_stride {
             prop_assert!(!per_sink.sampled_traces.is_empty());
         }

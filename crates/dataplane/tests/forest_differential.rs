@@ -159,24 +159,35 @@ fn assert_paths_match_reference(pipeline: &ReadPipeline, keys: &[Vec<u8>], expec
         assert_eq!(*verdict, want, "per-frame verdict for key {key:?}");
     }
 
-    // Batched path over the same keys must be bit-identical.
-    let mut arena = FrameArena::new(keys.len().max(1) * keys[0].len());
-    for key in keys {
-        arena.push(key);
+    // Batched path over the same keys must be bit-identical, both as one
+    // whole batch and as one-frame batches (the per-frame ingest shape).
+    for batch_len in [keys.len(), 1] {
+        let mut arena = FrameArena::new(keys.len().max(1) * keys[0].len());
+        let mut batch_counters = SwitchCounters::default();
+        let mut batch_scratch = BatchScratch::new();
+        let mut batch_verdicts = Vec::new();
+        for chunk in keys.chunks(batch_len) {
+            for key in chunk {
+                arena.push(key);
+            }
+            let batch = arena.seal_batch();
+            pipeline.process_batch_into(
+                batch.data(),
+                batch.spans(),
+                &mut batch_counters,
+                &mut batch_scratch,
+                &mut batch_verdicts,
+            );
+        }
+        assert_eq!(
+            batch_verdicts, per_frame,
+            "batched vs per-frame verdicts, batches of {batch_len}"
+        );
+        assert_eq!(
+            batch_counters, counters,
+            "batched vs per-frame counters, batches of {batch_len}"
+        );
     }
-    let batch = arena.seal_batch();
-    let mut batch_counters = SwitchCounters::default();
-    let mut batch_scratch = BatchScratch::new();
-    let mut batch_verdicts = Vec::new();
-    pipeline.process_batch_into(
-        batch.data(),
-        batch.spans(),
-        &mut batch_counters,
-        &mut batch_scratch,
-        &mut batch_verdicts,
-    );
-    assert_eq!(batch_verdicts, per_frame, "batched vs per-frame verdicts");
-    assert_eq!(batch_counters, counters, "batched vs per-frame counters");
 }
 
 proptest! {

@@ -1,40 +1,37 @@
-//! The multi-tenant serving runtime: the single-tenant gateway's
-//! flow-hash shard workers, widened to hold one published pipeline per
-//! tenant.
+//! The multi-tenant serving runtime: a [`Gateway`] whose shards serve one
+//! lane per tenant.
 //!
-//! There are **no per-tenant thread pools**: the same N shard workers
-//! serve every tenant. Each worker keeps a `Vec` of cached
-//! [`ReadPipeline`](p4guard_dataplane::pipeline::ReadPipeline) snapshots
-//! (one per tenant, refreshed per batch with one atomic version load
-//! each), resolves the owning tenant per frame with the O(1)
-//! [`TenantClassifier`], and processes the frame through that tenant's
-//! pipeline into that tenant's counters. The added per-frame cost over
-//! the single-tenant gateway is the classifier lookup and one extra
-//! index — guarded at ≤3% by `bench/examples/fleet_overhead.rs`.
+//! There are **no per-tenant thread pools** and no second worker loop: the
+//! gateway's N shard workers serve every tenant. Each worker keeps one
+//! lane per tenant — a cached
+//! [`ReadPipeline`](p4guard_dataplane::pipeline::ReadPipeline) snapshot
+//! (refreshed per drain with one atomic version load), counters and a
+//! telemetry sink — regroups every batch by the O(1)
+//! [`TenantClassifier`](crate::tenant::TenantClassifier), and runs each
+//! tenant's frames through that tenant's pipeline. [`FleetGateway`] only
+//! wires a [`TenantRegistry`] into [`Gateway::start_lanes`] and reads the
+//! per-lane statistics back as per-tenant ones.
 //!
-//! Per-tenant telemetry reuses the existing counter families with a
-//! `tenant` label (`p4guard_frames_received_total{shard,tenant}`, …),
-//! flushed as counter deltas at batch boundaries so the per-frame hot
-//! path stays allocation- and atomics-free.
+//! Per-tenant telemetry is the single-tenant gateway's, with a `tenant`
+//! label on every series: the full drop taxonomy, per-stage hit/miss, the
+//! latency histogram, swaps, and — when tracing is armed — `/profile` rows
+//! and `/traces` spans.
 
-use crate::tenant::{TenantClassifier, TenantRegistry};
+use crate::tenant::TenantRegistry;
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use p4guard_dataplane::pipeline::{BatchScratch, PipelineCell};
+use p4guard_dataplane::control::ControlPlane;
+use p4guard_dataplane::pipeline::PipelineCell;
 use p4guard_dataplane::switch::SwitchCounters;
-use p4guard_dataplane::Verdict;
-use p4guard_gateway::{shard_for, GatewayConfig, Ingest, LatencyHistogram};
+use p4guard_gateway::{Gateway, GatewayConfig, GatewaySnapshot, ShardStats};
 use p4guard_packet::arena::FrameBatch;
-use p4guard_telemetry::{Counter, DropReason, Event, Gauge, Telemetry};
-use parking_lot::Mutex;
+use p4guard_telemetry::histogram::LatencyHistogram;
+use p4guard_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
 
-/// Live statistics of one fleet shard.
+/// Statistics of one fleet shard: the gateway's [`ShardStats`] with its
+/// lanes read as tenants.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FleetShardStats {
     /// Shard index.
@@ -53,12 +50,25 @@ pub struct FleetShardStats {
     pub swaps_seen: u64,
     /// Version last processed with, per tenant.
     pub tenant_versions: Vec<u64>,
-    /// Frames that arrived packed in [`FrameBatch`] messages.
-    #[serde(default)]
-    pub batched_frames: u64,
     /// [`FrameBatch`] messages processed.
     #[serde(default)]
     pub frame_batches: u64,
+}
+
+impl From<ShardStats> for FleetShardStats {
+    fn from(s: ShardStats) -> Self {
+        FleetShardStats {
+            shard: s.shard,
+            tenant_versions: s.lanes.iter().map(|l| l.ruleset_version).collect(),
+            per_tenant: s.lanes.into_iter().map(|l| l.counters).collect(),
+            unknown_tenant: s.unclassified,
+            latency: s.latency,
+            processed: s.processed,
+            batches: s.batches,
+            swaps_seen: s.swaps_seen,
+            frame_batches: s.frame_batches,
+        }
+    }
 }
 
 /// Point-in-time view of the fleet gateway.
@@ -110,45 +120,25 @@ impl fmt::Display for FleetSnapshot {
     }
 }
 
-/// Per-shard × per-tenant counter handles, resolved once at startup.
-struct TenantMetrics {
-    received: Counter,
-    forwarded: Counter,
-    rule_drop: Counter,
-    parser_rejected: Counter,
-}
-
 /// The multi-tenant gateway runtime. Start with [`FleetGateway::start`],
-/// ingest with [`FleetGateway::offer`]/[`FleetGateway::dispatch`], stop
-/// with [`FleetGateway::finish`].
+/// ingest with [`FleetGateway::dispatch_batch`] (or any other ingest
+/// method of the underlying [`FleetGateway::gateway`]), stop with
+/// [`FleetGateway::finish`].
 pub struct FleetGateway {
-    senders: Vec<Sender<Ingest>>,
-    workers: Vec<JoinHandle<()>>,
-    states: Vec<Arc<Mutex<FleetShardStats>>>,
-    ingest_drops: Vec<AtomicU64>,
+    gateway: Gateway,
     /// `cells[tenant][shard]`.
     cells: Vec<Vec<Arc<PipelineCell>>>,
-    config: GatewayConfig,
-    telemetry: Option<FleetTelemetry>,
-}
-
-struct FleetTelemetry {
-    bundle: Arc<Telemetry>,
-    backpressure: Vec<Counter>,
-    queue_depth: Vec<Gauge>,
 }
 
 impl FleetGateway {
-    /// Spawns `config.shards` workers serving every tenant in `registry`,
-    /// subscribing one pipeline cell per tenant per shard (shard s is
-    /// subscriber s of each tenant's control plane, so per-tenant
-    /// canaries via
+    /// Starts a gateway with one lane per tenant in `registry`: shard s is
+    /// subscriber s of each tenant's control plane, so per-tenant canaries
+    /// via
     /// [`ControlPlane::publish_to`](p4guard_dataplane::control::ControlPlane::publish_to)
-    /// target shards exactly as in the single-tenant gateway).
+    /// target shards exactly as in the single-tenant gateway.
     ///
-    /// With telemetry, the registry's counter families gain a `tenant`
-    /// label and the per-shard `p4guard_queue_depth` gauges are kept
-    /// fresh by [`FleetGateway::snapshot`].
+    /// With telemetry, every per-shard series gains a `tenant` label
+    /// carrying the tenant's name.
     ///
     /// # Panics
     ///
@@ -161,22 +151,7 @@ impl FleetGateway {
     ) -> FleetGateway {
         let tenants = registry.tenant_count();
         assert!(tenants > 0, "fleet gateway needs at least one tenant");
-        assert!(config.shards > 0, "fleet gateway needs at least one shard");
-        assert!(config.queue_capacity > 0, "queue capacity must be nonzero");
-        let classifier = registry.classifier();
-        // cells[tenant][shard], subscribed shard-major so each tenant's
-        // control plane sees shard 0 first.
-        let mut cells: Vec<Vec<Arc<PipelineCell>>> = (0..tenants).map(|_| Vec::new()).collect();
-        for _shard in 0..config.shards {
-            for (tenant, row) in cells.iter_mut().enumerate() {
-                let control = registry.control(tenant).expect("tenant in registry");
-                row.push(control.attach_cell());
-            }
-        }
         if let Some(t) = &telemetry {
-            t.registry
-                .gauge("p4guard_shards", "Worker shards in the gateway", &[])
-                .set(config.shards as f64);
             t.registry
                 .gauge(
                     "p4guard_tenants",
@@ -185,124 +160,31 @@ impl FleetGateway {
                 )
                 .set(tenants as f64);
         }
-        let mut senders = Vec::with_capacity(config.shards);
-        let mut workers = Vec::with_capacity(config.shards);
-        let mut states = Vec::with_capacity(config.shards);
-        let mut ingest_drops = Vec::with_capacity(config.shards);
-        for shard in 0..config.shards {
-            let (tx, rx) = bounded::<Ingest>(config.queue_capacity);
-            let state = Arc::new(Mutex::new(FleetShardStats {
-                shard,
-                per_tenant: vec![SwitchCounters::default(); tenants],
-                tenant_versions: vec![0; tenants],
-                ..FleetShardStats::default()
-            }));
-            let worker_cells: Vec<Arc<PipelineCell>> =
-                cells.iter().map(|row| Arc::clone(&row[shard])).collect();
-            let worker_state = Arc::clone(&state);
-            let worker_classifier = classifier.clone();
-            let batch = config.batch_size.max(1);
-            let metrics = telemetry.as_ref().map(|t| {
-                (0..tenants)
-                    .map(|tenant| {
-                        let shard_label = shard.to_string();
-                        let name = &registry.spec(tenant).expect("tenant in registry").name;
-                        let labels = [("shard", shard_label.as_str()), ("tenant", name.as_str())];
-                        TenantMetrics {
-                            received: t.registry.counter(
-                                "p4guard_frames_received_total",
-                                "Frames entering the pipeline",
-                                &labels,
-                            ),
-                            forwarded: t.registry.counter(
-                                "p4guard_frames_forwarded_total",
-                                "Frames forwarded",
-                                &labels,
-                            ),
-                            rule_drop: t.registry.counter(
-                                "p4guard_drops_total",
-                                "Frames dropped, by reason",
-                                &[
-                                    ("shard", shard_label.as_str()),
-                                    ("tenant", name.as_str()),
-                                    ("reason", DropReason::RuleDrop.as_str()),
-                                ],
-                            ),
-                            parser_rejected: t.registry.counter(
-                                "p4guard_drops_total",
-                                "Frames dropped, by reason",
-                                &[
-                                    ("shard", shard_label.as_str()),
-                                    ("tenant", name.as_str()),
-                                    ("reason", DropReason::ParserRejected.as_str()),
-                                ],
-                            ),
-                        }
-                    })
-                    .collect::<Vec<_>>()
-            });
-            let builder = std::thread::Builder::new().name(format!("p4guard-fleet-{shard}"));
-            let worker = builder
-                .spawn(move || {
-                    run_fleet_shard(
-                        rx,
-                        worker_cells,
-                        worker_classifier,
-                        worker_state,
-                        batch,
-                        metrics,
-                    )
-                })
-                .expect("spawn fleet shard worker");
-            workers.push(worker);
-            senders.push(tx);
-            states.push(state);
-            ingest_drops.push(AtomicU64::new(0));
-        }
-        let telemetry = telemetry.map(|bundle| FleetTelemetry {
-            backpressure: (0..config.shards)
-                .map(|shard| {
-                    bundle.registry.counter(
-                        "p4guard_drops_total",
-                        "Frames dropped, by reason",
-                        &[
-                            ("shard", &shard.to_string()),
-                            ("reason", DropReason::Backpressure.as_str()),
-                        ],
-                    )
-                })
-                .collect(),
-            queue_depth: (0..config.shards)
-                .map(|shard| {
-                    bundle.registry.gauge(
-                        "p4guard_queue_depth",
-                        "Frames waiting in a shard's ingest queue",
-                        &[("shard", &shard.to_string())],
-                    )
-                })
-                .collect(),
-            bundle,
-        });
-        FleetGateway {
-            senders,
-            workers,
-            states,
-            ingest_drops,
-            cells,
+        let lanes: Vec<(&ControlPlane, Option<&str>)> = (0..tenants)
+            .map(|t| {
+                let control = registry.control(t).expect("tenant in registry");
+                let spec = registry.spec(t).expect("tenant in registry");
+                (control, Some(spec.name.as_str()))
+            })
+            .collect();
+        let classifier = registry.classifier();
+        let gateway = Gateway::start_lanes(
+            &lanes,
+            move |frame| classifier.resolve(frame).unwrap_or(tenants),
             config,
             telemetry,
-        }
+        );
+        let cells = (0..tenants)
+            .map(|t| gateway.lane_cells(t).to_vec())
+            .collect();
+        FleetGateway { gateway, cells }
     }
 
-    /// The gateway's sizing.
-    pub fn config(&self) -> GatewayConfig {
-        self.config
-    }
-
-    /// Shard index `frame` would be dispatched to (same flow-hash as the
-    /// single-tenant gateway: tenancy never splits a flow across shards).
-    pub fn shard_of(&self, frame: &[u8]) -> usize {
-        shard_for(frame, self.config.shards)
+    /// The underlying gateway: sizing, non-blocking ingest, queue depths.
+    /// Tenancy never splits a flow across shards — dispatch is the same
+    /// flow hash as a single-tenant gateway's.
+    pub fn gateway(&self) -> &Gateway {
+        &self.gateway
     }
 
     /// The pipeline cells for `tenant`, indexed by shard.
@@ -310,266 +192,49 @@ impl FleetGateway {
         &self.cells[tenant]
     }
 
-    /// Non-blocking ingest; drops (counted) when the shard queue is full.
-    pub fn offer(&self, frame: Bytes) -> bool {
-        let shard = self.shard_of(&frame);
-        match self.senders[shard].try_send(Ingest::Frame(frame)) {
-            Ok(()) => true,
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                self.note_ingest_drops(shard, 1);
-                false
-            }
-        }
-    }
-
-    /// Blocking ingest: waits for queue space instead of dropping.
+    /// Blocking ingest of one frame.
     pub fn dispatch(&self, frame: Bytes) {
-        let shard = self.shard_of(&frame);
-        if self.senders[shard].send(Ingest::Frame(frame)).is_err() {
-            self.note_ingest_drops(shard, 1);
-        }
-    }
-
-    /// Splits `batch` by flow-hash into one sub-batch per shard (sharing
-    /// the chunk, no frame copies) — the batched analogue of routing each
-    /// frame through [`FleetGateway::shard_of`].
-    fn split_batch(&self, batch: FrameBatch) -> Vec<FrameBatch> {
-        let shards = self.config.shards;
-        if shards == 1 {
-            vec![batch]
-        } else {
-            batch.partition_by(shards, |frame| shard_for(frame, shards))
-        }
+        self.gateway.dispatch(frame);
     }
 
     /// Blocking batched ingest: splits `batch` per shard and waits for
     /// queue space on each.
     pub fn dispatch_batch(&self, batch: FrameBatch) {
-        for (shard, sub) in self.split_batch(batch).into_iter().enumerate() {
-            if sub.is_empty() {
-                continue;
-            }
-            let frames = sub.len() as u64;
-            if self.senders[shard].send(Ingest::Batch(sub)).is_err() {
-                self.note_ingest_drops(shard, frames);
-            }
-        }
+        self.gateway.dispatch_batch(batch);
     }
 
-    /// Non-blocking batched ingest; whole sub-batches are dropped
-    /// (counted per frame) when a shard queue is full. Returns the number
-    /// of frames enqueued.
-    pub fn offer_batch(&self, batch: FrameBatch) -> u64 {
-        let mut enqueued = 0u64;
-        for (shard, sub) in self.split_batch(batch).into_iter().enumerate() {
-            if sub.is_empty() {
-                continue;
-            }
-            let frames = sub.len() as u64;
-            match self.senders[shard].try_send(Ingest::Batch(sub)) {
-                Ok(()) => enqueued += frames,
-                Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                    self.note_ingest_drops(shard, frames);
-                }
-            }
-        }
-        enqueued
-    }
-
-    fn note_ingest_drops(&self, shard: usize, count: u64) {
-        let previous = self.ingest_drops[shard].fetch_add(count, Ordering::Relaxed);
-        if let Some(t) = &self.telemetry {
-            t.backpressure[shard].add(count);
-            t.queue_depth[shard].set(self.senders[shard].len() as f64);
-            if previous == 0 {
-                t.bundle.recorder.record(Event::Overload {
-                    shard,
-                    dropped: previous + count,
-                });
-            }
-        }
-    }
-
-    /// Frames currently waiting in each shard's ingest queue.
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.senders.iter().map(Sender::len).collect()
-    }
-
-    /// Aggregates a live snapshot without stopping the workers, and
-    /// refreshes the queue-depth gauges when telemetry is attached.
+    /// Aggregates a live snapshot without stopping the workers.
     pub fn snapshot(&self) -> FleetSnapshot {
-        if let Some(t) = &self.telemetry {
-            for (shard, tx) in self.senders.iter().enumerate() {
-                t.queue_depth[shard].set(tx.len() as f64);
-            }
-        }
-        let shards: Vec<FleetShardStats> = self.states.iter().map(|s| s.lock().clone()).collect();
-        let tenants = self.cells.len();
-        let mut per_tenant = vec![SwitchCounters::default(); tenants];
-        let mut totals = SwitchCounters::default();
-        let mut latency = LatencyHistogram::new();
-        let mut unknown_tenant = 0;
-        for s in &shards {
-            for (t, c) in s.per_tenant.iter().enumerate() {
-                per_tenant[t].merge(c);
-                totals.merge(c);
-            }
-            latency.merge(&s.latency);
-            unknown_tenant += s.unknown_tenant;
-        }
-        let tenant_versions: Vec<Vec<u64>> = self
-            .cells
-            .iter()
-            .map(|row| row.iter().map(|c| c.version()).collect())
-            .collect();
-        FleetSnapshot {
-            dropped_backpressure: self
-                .ingest_drops
-                .iter()
-                .map(|d| d.load(Ordering::Relaxed))
-                .sum(),
-            unknown_tenant,
-            tenant_versions,
-            per_tenant,
-            totals,
-            latency,
-            shards,
-        }
+        FleetSnapshot::derive(self.gateway.snapshot(), &self.cells)
     }
 
     /// Closes ingest, drains the queues, joins the workers and returns
     /// the final snapshot.
-    pub fn finish(mut self) -> FleetSnapshot {
-        self.senders.clear();
-        for worker in self.workers.drain(..) {
-            worker.join().expect("fleet shard worker panicked");
-        }
-        self.snapshot()
+    pub fn finish(self) -> FleetSnapshot {
+        FleetSnapshot::derive(self.gateway.finish(), &self.cells)
     }
 }
 
-/// The fleet worker loop: the single-tenant shard loop with a pipeline
-/// cache per tenant. Version checks stay one atomic load per tenant per
-/// batch; the per-frame path adds only the classifier lookup.
-fn run_fleet_shard(
-    rx: Receiver<Ingest>,
-    cells: Vec<Arc<PipelineCell>>,
-    classifier: TenantClassifier,
-    state: Arc<Mutex<FleetShardStats>>,
-    batch_size: usize,
-    metrics: Option<Vec<TenantMetrics>>,
-) {
-    let tenants = cells.len();
-    let mut pipelines: Vec<_> = cells.iter().map(|c| c.load()).collect();
-    let mut versions: Vec<u64> = pipelines.iter().map(|p| p.version()).collect();
-    {
-        let mut st = state.lock();
-        st.tenant_versions.copy_from_slice(&versions);
-    }
-    let mut scratch: Vec<u8> =
-        vec![0; pipelines.iter().map(|p| p.scratch_len()).max().unwrap_or(0)];
-    let mut batch_scratch = BatchScratch::new();
-    let mut verdicts: Vec<Verdict> = Vec::new();
-    // Last counter values flushed to the registry, per tenant, so batch
-    // boundaries publish deltas instead of re-walking frames.
-    let mut flushed: Vec<SwitchCounters> = vec![SwitchCounters::default(); tenants];
-    let mut batch: Vec<Ingest> = Vec::with_capacity(batch_size);
-    while let Ok(first) = rx.recv() {
-        let mut frames = first.frame_count();
-        batch.push(first);
-        while frames < batch_size {
-            match rx.try_recv() {
-                Ok(msg) => {
-                    frames += msg.frame_count();
-                    batch.push(msg);
-                }
-                Err(_) => break,
+impl FleetSnapshot {
+    /// Reads a gateway snapshot's lanes as tenants.
+    fn derive(snap: GatewaySnapshot, cells: &[Vec<Arc<PipelineCell>>]) -> FleetSnapshot {
+        let mut per_tenant = vec![SwitchCounters::default(); cells.len()];
+        for s in &snap.shards {
+            for (acc, lane) in per_tenant.iter_mut().zip(&s.lanes) {
+                acc.merge(&lane.counters);
             }
         }
-        let mut swapped = 0u64;
-        for (t, cell) in cells.iter().enumerate() {
-            let published = cell.version();
-            if published != versions[t] {
-                pipelines[t] = cell.load();
-                versions[t] = pipelines[t].version();
-                if scratch.len() < pipelines[t].scratch_len() {
-                    scratch.resize(pipelines[t].scratch_len(), 0);
-                }
-                swapped += 1;
-            }
-        }
-        let mut st = state.lock();
-        if swapped > 0 {
-            st.swaps_seen += swapped;
-            st.tenant_versions.copy_from_slice(&versions);
-        }
-        for msg in batch.drain(..) {
-            match msg {
-                Ingest::Frame(frame) => {
-                    let t0 = Instant::now();
-                    match classifier.resolve(&frame) {
-                        Some(tenant) => {
-                            pipelines[tenant].process_into(
-                                &frame,
-                                &mut st.per_tenant[tenant],
-                                &mut scratch,
-                            );
-                        }
-                        None => st.unknown_tenant += 1,
-                    }
-                    st.latency.record(t0.elapsed());
-                    st.processed += 1;
-                }
-                Ingest::Batch(fb) => {
-                    let n = fb.len();
-                    if n == 0 {
-                        continue;
-                    }
-                    let t0 = Instant::now();
-                    // Regroup spans by owning tenant (lane `tenants` holds
-                    // unclassified frames), sharing the chunk, then run
-                    // each tenant's frames through its own staged batch
-                    // loop into that tenant's counters.
-                    let lanes = fb.partition_by(tenants + 1, |frame| {
-                        classifier.resolve(frame).unwrap_or(tenants)
-                    });
-                    for (tenant, lane) in lanes.into_iter().enumerate() {
-                        if lane.is_empty() {
-                            continue;
-                        }
-                        if tenant == tenants {
-                            st.unknown_tenant += lane.len() as u64;
-                            continue;
-                        }
-                        verdicts.clear();
-                        pipelines[tenant].process_batch_into(
-                            lane.data(),
-                            lane.spans(),
-                            &mut st.per_tenant[tenant],
-                            &mut batch_scratch,
-                            &mut verdicts,
-                        );
-                    }
-                    let per_frame = t0.elapsed() / n as u32;
-                    st.latency.record_n(per_frame, n as u64);
-                    st.processed += n as u64;
-                    st.batched_frames += n as u64;
-                    st.frame_batches += 1;
-                }
-            }
-        }
-        st.batches += 1;
-        if let Some(metrics) = &metrics {
-            for (t, m) in metrics.iter().enumerate() {
-                let now = &st.per_tenant[t];
-                let last = &mut flushed[t];
-                m.received.add(now.received - last.received);
-                m.forwarded.add(now.forwarded - last.forwarded);
-                m.rule_drop.add(now.dropped - last.dropped);
-                m.parser_rejected
-                    .add(now.parser_rejected - last.parser_rejected);
-                *last = now.clone();
-            }
+        FleetSnapshot {
+            dropped_backpressure: snap.dropped_backpressure,
+            unknown_tenant: snap.shards.iter().map(|s| s.unclassified).sum(),
+            tenant_versions: cells
+                .iter()
+                .map(|row| row.iter().map(|c| c.version()).collect())
+                .collect(),
+            per_tenant,
+            totals: snap.totals,
+            latency: snap.latency,
+            shards: snap.shards.into_iter().map(Into::into).collect(),
         }
     }
 }

@@ -18,10 +18,11 @@
 //! - [`FleetSim`] ([`sim`]): deterministic traffic for fleets of virtual
 //!   devices — device churn, diurnal load, per-tenant attack waves —
 //!   with memory O(frames), not O(devices).
-//! - [`FleetGateway`] ([`gateway`]): the existing flow-hash shard workers
-//!   widened to one cached pipeline per tenant; tenant resolved per frame
-//!   by an O(1) source-prefix [`TenantClassifier`]. No per-tenant thread
-//!   pools, ≤3% pps overhead over the single-tenant gateway.
+//! - [`FleetGateway`] ([`gateway`]): the `p4guard-gateway` shard workers
+//!   with one lane per tenant; each batch regrouped by an O(1)
+//!   source-prefix [`TenantClassifier`]. No per-tenant thread pools and no
+//!   second worker loop; the cost over the single-tenant gateway is ledger
+//!   row `fleet.overhead_pct`.
 //!
 //! [`RuleSet`]: p4guard_rules::RuleSet
 

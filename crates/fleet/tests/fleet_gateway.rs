@@ -176,6 +176,106 @@ fn fleet_batched_ingest_matches_per_frame_ingest() {
     for t in 0..4 {
         assert_eq!(batched.per_tenant[t], per_frame.per_tenant[t], "tenant {t}");
     }
-    let batched_frames: u64 = batched.shards.iter().map(|s| s.batched_frames).sum();
-    assert_eq!(batched_frames, total, "all frames took the batched path");
+}
+
+/// Fleet tenants get the single-tenant gateway's whole telemetry surface —
+/// drop taxonomy, per-stage hit counters, latency histogram — labelled by
+/// tenant, and every shard accounts for each frame it took off its queue.
+#[test]
+fn fleet_tenants_get_the_full_telemetry_taxonomy() {
+    let mut config = FleetSimConfig::demo(2, 10_000, 9);
+    config.steps = 8;
+    config.frames_per_step = 512;
+    let layout = AclLayout::default();
+    let width = layout.offsets.len();
+    let specs: Vec<TenantSpec> = config
+        .tenants
+        .iter()
+        .map(|t| TenantSpec {
+            name: t.name.clone(),
+            share: TenantShare::flat(),
+        })
+        .collect();
+    let mut registry = TenantRegistry::new(specs, BudgetConfig::default(), layout).unwrap();
+    for t in 0..2 {
+        registry
+            .publish(t, &drop_attack_sports(width), AdmitPolicy::Reject)
+            .unwrap();
+    }
+    let telemetry = Arc::new(Telemetry::default());
+    let gw = FleetGateway::start(
+        &registry,
+        GatewayConfig::with_shards(2),
+        Some(Arc::clone(&telemetry)),
+    );
+
+    let frames = FleetSim::new(config).run();
+    let total = frames.len() as u64;
+    for f in frames {
+        gw.dispatch(f.frame);
+    }
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while gw.snapshot().totals.received < total {
+        assert!(Instant::now() < deadline, "fleet gateway failed to drain");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let snap = gw.finish();
+
+    for s in &snap.shards {
+        let served: u64 = s.per_tenant.iter().map(|c| c.received).sum();
+        assert_eq!(
+            served + s.unknown_tenant,
+            s.processed,
+            "shard {} lost track of a frame",
+            s.shard
+        );
+    }
+
+    let tenant_of = |labels: &[(String, String)]| {
+        labels
+            .iter()
+            .find(|(k, _)| k == "tenant")
+            .map(|(_, v)| v.clone())
+    };
+    for t in 0..2 {
+        let name = registry.spec(t).unwrap().name.clone();
+        for shard in ["0", "1"] {
+            assert!(
+                telemetry
+                    .registry
+                    .counter_value(
+                        "p4guard_drops_total",
+                        &[("shard", shard), ("tenant", &name), ("reason", "no_rule")],
+                    )
+                    .is_some(),
+                "tenant {name} shard {shard} has no no_rule drop series"
+            );
+        }
+        // One ACL stage whose entries all drop: hits are exactly the drops.
+        let hits: u64 = telemetry
+            .registry
+            .counter_snapshot()
+            .into_iter()
+            .filter(|(family, labels, _)| {
+                family == "p4guard_table_hits_total" && tenant_of(labels).as_ref() == Some(&name)
+            })
+            .map(|(_, _, v)| v)
+            .sum();
+        assert_eq!(hits, snap.per_tenant[t].dropped, "tenant {name} table hits");
+        assert!(hits > 0, "tenant {name} saw no attack traffic");
+        let latency_samples: u64 = telemetry
+            .registry
+            .histogram_snapshot()
+            .into_iter()
+            .filter(|(family, labels, _)| {
+                family == "p4guard_forward_latency_seconds"
+                    && tenant_of(labels).as_ref() == Some(&name)
+            })
+            .map(|(_, _, h)| h.count())
+            .sum();
+        assert_eq!(
+            latency_samples, snap.per_tenant[t].received,
+            "tenant {name} latency histogram"
+        );
+    }
 }

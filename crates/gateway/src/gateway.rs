@@ -3,16 +3,16 @@
 //! ruleset snapshot.
 
 use crate::flow::shard_for;
-use crate::histogram::LatencyHistogram;
 use crate::mirror::MirrorTap;
-use crate::shard::{run_shard, Ingest, ShardStats};
+use crate::shard::{run_shard, Lane, LaneStats, ShardStats};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use p4guard_dataplane::control::ControlPlane;
 use p4guard_dataplane::pipeline::PipelineCell;
 use p4guard_dataplane::switch::SwitchCounters;
 use p4guard_packet::arena::FrameBatch;
-use p4guard_telemetry::{Counter, DropReason, Event, Gauge, NoopSink, Telemetry};
+use p4guard_telemetry::histogram::LatencyHistogram;
+use p4guard_telemetry::{Counter, DropReason, Event, Gauge, NoopSink, Telemetry, TelemetrySink};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -53,7 +53,10 @@ impl GatewayConfig {
 }
 
 /// Point-in-time view of the whole gateway: per-shard stats plus
-/// aggregates with the same semantics as a single-switch replay.
+/// aggregates with the same semantics as a single-switch replay. The
+/// version and occupancy fields describe lane 0 — the only lane of a
+/// single-tenant gateway; a fleet reads its other lanes through
+/// [`Gateway::lane_cells`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GatewaySnapshot {
     /// Per-shard statistics, indexed by shard.
@@ -65,7 +68,7 @@ pub struct GatewaySnapshot {
     /// [`GatewaySnapshot::shard_versions`] for the per-shard truth.
     pub version: u64,
     /// Active ruleset version in each shard's publication cell, indexed by
-    /// shard. Unlike [`ShardStats::ruleset_version`] (the version the
+    /// shard. Unlike [`LaneStats::ruleset_version`] (the version the
     /// worker last *processed* with), this is what the shard will serve
     /// next — the value a canary engine compares against its candidate.
     pub shard_versions: Vec<u64>,
@@ -84,8 +87,8 @@ pub struct GatewaySnapshot {
 }
 
 impl GatewaySnapshot {
-    /// Frames whose ensemble vote early-exited on the batched path,
-    /// summed over shards (see [`ShardStats::vote_exits`]).
+    /// Frames whose ensemble vote early-exited, summed over shards (see
+    /// [`ShardStats::vote_exits`]).
     pub fn vote_exits(&self) -> u64 {
         self.shards.iter().map(|s| s.vote_exits).sum()
     }
@@ -110,7 +113,7 @@ impl fmt::Display for GatewaySnapshot {
             writeln!(
                 f,
                 "  shard {}: {} frames in {} batches, {} swaps seen (processed v{}, serving v{})",
-                s.shard, s.processed, s.batches, s.swaps_seen, s.ruleset_version, active
+                s.shard, s.processed, s.batches, s.swaps_seen, s.lanes[0].ruleset_version, active
             )?;
         }
         Ok(())
@@ -120,15 +123,16 @@ impl fmt::Display for GatewaySnapshot {
 /// The online serving runtime. See the crate docs for the architecture.
 ///
 /// Created with [`Gateway::start`]; frames enter through
-/// [`Gateway::offer`] (drop-on-full) or [`Gateway::dispatch`] (blocking);
-/// [`Gateway::finish`] drains the queues, joins the workers and returns
-/// the final [`GatewaySnapshot`].
+/// [`Gateway::offer_batch`] (drop-on-full) or [`Gateway::dispatch_batch`]
+/// (blocking); [`Gateway::finish`] drains the queues, joins the workers
+/// and returns the final [`GatewaySnapshot`].
 pub struct Gateway {
-    senders: Vec<Sender<Ingest>>,
+    senders: Vec<Sender<FrameBatch>>,
     workers: Vec<JoinHandle<()>>,
     states: Vec<Arc<Mutex<ShardStats>>>,
     ingest_drops: Vec<AtomicU64>,
-    cells: Vec<Arc<PipelineCell>>,
+    /// `cells[lane][shard]`.
+    cells: Vec<Vec<Arc<PipelineCell>>>,
     mirror: Arc<MirrorTap>,
     config: GatewayConfig,
     telemetry: Option<GatewayTelemetry>,
@@ -142,6 +146,24 @@ struct GatewayTelemetry {
     backpressure: Vec<Counter>,
     queue_depth: Vec<Gauge>,
     batch_fill: Vec<Gauge>,
+}
+
+fn spawn_shard<C, S>(
+    shard: usize,
+    rx: Receiver<FrameBatch>,
+    lanes: Vec<Lane<S>>,
+    classify: C,
+    state: Arc<Mutex<ShardStats>>,
+    batch_size: usize,
+) -> JoinHandle<()>
+where
+    C: Fn(&[u8]) -> usize + Send + 'static,
+    S: TelemetrySink + Send + 'static,
+{
+    std::thread::Builder::new()
+        .name(format!("p4guard-shard-{shard}"))
+        .spawn(move || run_shard(rx, lanes, classify, state, batch_size))
+        .expect("spawn shard worker")
 }
 
 impl Gateway {
@@ -173,25 +195,58 @@ impl Gateway {
         config: GatewayConfig,
         telemetry: Option<Arc<Telemetry>>,
     ) -> Gateway {
+        // A single-tenant gateway is a fleet of one: one lane, which the
+        // shard loop serves whole without ever classifying.
+        Self::start_lanes(&[(control, None)], |_| 0, config, telemetry)
+    }
+
+    /// Starts a gateway whose shards each serve several **lanes**: lane
+    /// *l* follows the pipelines published by `lanes[l].0` and, with
+    /// telemetry, labels its series `tenant = lanes[l].1`. Every shard
+    /// regroups its frames by `classify(frame)`; an index outside
+    /// `0..lanes.len()` counts the frame as
+    /// [unclassified](ShardStats::unclassified) instead of serving it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is empty or `config.shards` or
+    /// `config.queue_capacity` is zero.
+    pub fn start_lanes<C>(
+        lanes: &[(&ControlPlane, Option<&str>)],
+        classify: C,
+        config: GatewayConfig,
+        telemetry: Option<Arc<Telemetry>>,
+    ) -> Gateway
+    where
+        C: Fn(&[u8]) -> usize + Clone + Send + 'static,
+    {
+        assert!(!lanes.is_empty(), "gateway needs at least one lane");
         assert!(config.shards > 0, "gateway needs at least one shard");
         assert!(config.queue_capacity > 0, "queue capacity must be nonzero");
-        // One publication cell per shard, all pre-loaded with the same
-        // snapshot and subscribed in shard order — so with the gateway as
-        // the control plane's first subscriber, subscriber index equals
-        // shard index and `ControlPlane::publish_to` can canary a shard
-        // subset while the rest keep their version.
-        let initial = control.snapshot();
-        let cells: Vec<Arc<PipelineCell>> = (0..config.shards)
-            .map(|_| {
-                let cell = Arc::new(PipelineCell::new((*initial).clone()));
-                control.subscribe(Arc::clone(&cell));
-                cell
+        // One publication cell per lane per shard, each lane's pre-loaded
+        // with the same snapshot and subscribed in shard order — so with
+        // the gateway as a control plane's first subscriber, subscriber
+        // index equals shard index and `ControlPlane::publish_to` can
+        // canary a shard subset while the rest keep their version.
+        let cells: Vec<Vec<Arc<PipelineCell>>> = lanes
+            .iter()
+            .map(|(control, _)| {
+                let initial = control.snapshot();
+                (0..config.shards)
+                    .map(|_| {
+                        let cell = Arc::new(PipelineCell::new((*initial).clone()));
+                        control.subscribe(Arc::clone(&cell));
+                        cell
+                    })
+                    .collect()
             })
             .collect();
         if let Some(t) = &telemetry {
-            control.set_recorder(Arc::clone(&t.recorder));
-            if t.traces.enabled() {
-                control.set_tracer(Arc::clone(&t.traces));
+            for (control, _) in lanes {
+                control.set_recorder(Arc::clone(&t.recorder));
+                if t.traces.enabled() {
+                    control.set_tracer(Arc::clone(&t.traces));
+                }
             }
             t.registry
                 .gauge("p4guard_shards", "Worker shards in the gateway", &[])
@@ -201,26 +256,29 @@ impl Gateway {
         let mut workers = Vec::with_capacity(config.shards);
         let mut states = Vec::with_capacity(config.shards);
         let mut ingest_drops = Vec::with_capacity(config.shards);
-        for (shard, cell) in cells.iter().enumerate() {
-            let (tx, rx) = bounded::<Ingest>(config.queue_capacity);
+        for shard in 0..config.shards {
+            let (tx, rx) = bounded::<FrameBatch>(config.queue_capacity);
             let state = Arc::new(Mutex::new(ShardStats {
                 shard,
+                lanes: vec![LaneStats::default(); lanes.len()],
                 ..ShardStats::default()
             }));
-            let worker_cell = Arc::clone(cell);
-            let worker_state = Arc::clone(&state);
+            let shard_cells = cells.iter().map(|row| Arc::clone(&row[shard]));
+            let (classify, state_w) = (classify.clone(), Arc::clone(&state));
             let batch = config.batch_size.max(1);
-            let builder = std::thread::Builder::new().name(format!("p4guard-shard-{shard}"));
-            let worker = match &telemetry {
+            workers.push(match &telemetry {
                 Some(t) => {
-                    let sink = t.shard_sink(shard);
-                    builder.spawn(move || run_shard(rx, worker_cell, worker_state, batch, sink))
+                    let lanes = shard_cells
+                        .zip(lanes)
+                        .map(|(cell, (_, tenant))| Lane::new(cell, t.shard_sink(shard, *tenant)))
+                        .collect();
+                    spawn_shard(shard, rx, lanes, classify, state_w, batch)
                 }
                 None => {
-                    builder.spawn(move || run_shard(rx, worker_cell, worker_state, batch, NoopSink))
+                    let lanes = shard_cells.map(|cell| Lane::new(cell, NoopSink)).collect();
+                    spawn_shard(shard, rx, lanes, classify, state_w, batch)
                 }
-            };
-            workers.push(worker.expect("spawn shard worker"));
+            });
             senders.push(tx);
             states.push(state);
             ingest_drops.push(AtomicU64::new(0));
@@ -276,13 +334,23 @@ impl Gateway {
     }
 
     /// The per-shard publication cells the shards read from, indexed by
-    /// shard (for tests and manual publication).
+    /// shard (for tests and manual publication) — lane 0's, i.e. all of
+    /// them on a single-tenant gateway.
     pub fn cells(&self) -> &[Arc<PipelineCell>] {
-        &self.cells
+        &self.cells[0]
+    }
+
+    /// The publication cells of `lane`, indexed by shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of bounds.
+    pub fn lane_cells(&self, lane: usize) -> &[Arc<PipelineCell>] {
+        &self.cells[lane]
     }
 
     /// The ingest mirror tap feeding shadow evaluation. Closed (zero-cost
-    /// beyond one atomic load per frame) until a shadow evaluator opens
+    /// beyond one atomic load per batch) until a shadow evaluator opens
     /// it.
     pub fn mirror(&self) -> &Arc<MirrorTap> {
         &self.mirror
@@ -293,58 +361,53 @@ impl Gateway {
         shard_for(frame, self.config.shards)
     }
 
-    /// Non-blocking ingest: enqueues `frame` on its flow's shard, or drops
-    /// it (counted, reported in the snapshot) when that queue is full.
-    /// Returns `true` when the frame was enqueued.
+    /// Non-blocking ingest of one frame — [`Gateway::offer_batch`] of a
+    /// one-frame batch. Returns `true` when the frame was enqueued.
     pub fn offer(&self, frame: Bytes) -> bool {
-        self.mirror.observe(&frame);
-        let shard = self.shard_of(&frame);
-        match self.senders[shard].try_send(Ingest::Frame(frame)) {
-            Ok(()) => true,
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                self.note_ingest_drops(shard, 1);
-                false
+        self.offer_batch(FrameBatch::single(frame)) == 1
+    }
+
+    /// Blocking ingest of one frame — [`Gateway::dispatch_batch`] of a
+    /// one-frame batch.
+    pub fn dispatch(&self, frame: Bytes) {
+        self.dispatch_batch(FrameBatch::single(frame));
+    }
+
+    /// Mirrors `batch`, then hands each shard its flow-hash share of it
+    /// through `send(shard, sub_batch)`. Sub-batches share the arena chunk
+    /// — no frame bytes are copied. With one shard, or one frame, the batch
+    /// has a single owner and passes through whole.
+    fn route(&self, batch: FrameBatch, mut send: impl FnMut(usize, FrameBatch)) {
+        self.mirror.observe_batch(&batch);
+        let shards = self.config.shards;
+        if batch.is_empty() {
+            return;
+        }
+        if shards == 1 {
+            send(0, batch);
+        } else if batch.len() == 1 {
+            send(shard_for(batch.frame(0), shards), batch);
+        } else {
+            let subs = batch.partition_by(shards, |frame| shard_for(frame, shards));
+            for (shard, sub) in subs.into_iter().enumerate() {
+                if !sub.is_empty() {
+                    send(shard, sub);
+                }
             }
         }
-    }
-
-    /// Blocking ingest: waits for queue space instead of dropping. This is
-    /// the lossless path used by paced replay.
-    pub fn dispatch(&self, frame: Bytes) {
-        self.mirror.observe(&frame);
-        let shard = self.shard_of(&frame);
-        if self.senders[shard].send(Ingest::Frame(frame)).is_err() {
-            self.note_ingest_drops(shard, 1);
-        }
-    }
-
-    /// Splits `batch` into per-shard sub-batches by flow hash (sharing the
-    /// arena chunk — no frame bytes are copied) and returns them indexed by
-    /// shard. With one shard the batch passes through whole.
-    fn split_batch(&self, batch: FrameBatch) -> Vec<FrameBatch> {
-        if self.config.shards == 1 {
-            return vec![batch];
-        }
-        batch.partition_by(self.config.shards, |frame| {
-            shard_for(frame, self.config.shards)
-        })
     }
 
     /// Blocking batch ingest: mirrors the batch, splits it per shard by
-    /// flow hash, and waits for queue space on each shard. The whole batch
-    /// crosses each queue as **one** message, so the per-frame channel cost
-    /// of [`Gateway::dispatch`] is amortized over the batch.
+    /// flow hash, and waits for queue space on each shard. A shard's whole
+    /// share crosses its queue as **one** message, so the channel cost is
+    /// amortized over the batch.
     pub fn dispatch_batch(&self, batch: FrameBatch) {
-        self.mirror.observe_batch(&batch);
-        for (shard, sub) in self.split_batch(batch).into_iter().enumerate() {
-            if sub.is_empty() {
-                continue;
-            }
+        self.route(batch, |shard, sub| {
             let frames = sub.len() as u64;
-            if self.senders[shard].send(Ingest::Batch(sub)).is_err() {
+            if self.senders[shard].send(sub).is_err() {
                 self.note_ingest_drops(shard, frames);
             }
-        }
+        });
     }
 
     /// Non-blocking batch ingest: like [`Gateway::dispatch_batch`] but a
@@ -352,20 +415,14 @@ impl Gateway {
     /// backpressure drop per frame). Returns the number of frames that made
     /// it into a queue.
     pub fn offer_batch(&self, batch: FrameBatch) -> u64 {
-        self.mirror.observe_batch(&batch);
         let mut enqueued = 0u64;
-        for (shard, sub) in self.split_batch(batch).into_iter().enumerate() {
-            if sub.is_empty() {
-                continue;
-            }
+        self.route(batch, |shard, sub| {
             let frames = sub.len() as u64;
-            match self.senders[shard].try_send(Ingest::Batch(sub)) {
+            match self.senders[shard].try_send(sub) {
                 Ok(()) => enqueued += frames,
-                Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                    self.note_ingest_drops(shard, frames);
-                }
+                Err(_) => self.note_ingest_drops(shard, frames),
             }
-        }
+        });
         enqueued
     }
 
@@ -388,7 +445,7 @@ impl Gateway {
         }
     }
 
-    /// Frames currently waiting in each shard's ingest queue, indexed by
+    /// Messages currently waiting in each shard's ingest queue, indexed by
     /// shard.
     pub fn queue_depths(&self) -> Vec<usize> {
         self.senders.iter().map(Sender::len).collect()
@@ -413,14 +470,16 @@ impl Gateway {
         let mut totals = SwitchCounters::default();
         let mut latency = LatencyHistogram::new();
         for s in &shards {
-            totals.merge(&s.counters);
+            for lane in &s.lanes {
+                totals.merge(&lane.counters);
+            }
             latency.merge(&s.latency);
         }
-        let shard_versions: Vec<u64> = self.cells.iter().map(|c| c.version()).collect();
+        let shard_versions: Vec<u64> = self.cells().iter().map(|c| c.version()).collect();
         // Occupancy of the newest serving pipeline (any cell at the max
         // version serves identical bytes).
         let (pipeline_entries, pipeline_entries_minimized) = self
-            .cells
+            .cells()
             .iter()
             .max_by_key(|c| c.version())
             .map(|c| {

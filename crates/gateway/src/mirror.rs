@@ -1,8 +1,8 @@
 //! The mirror tap: a sampled, non-enforcing copy of the ingest stream for
 //! shadow evaluation. When closed (the default) the tap costs one relaxed
-//! atomic load per frame; when open, every Nth frame's `Bytes` handle is
-//! cloned (a refcount bump, no copy) and offered to a bounded channel the
-//! shadow evaluator drains. The tap never blocks ingest: when the shadow
+//! atomic load per batch; when open, every Nth frame is handed out as a
+//! zero-copy `Bytes` view into its batch's chunk (a refcount bump, no
+//! copy) and offered to a bounded channel the shadow evaluator drains. The tap never blocks ingest: when the shadow
 //! side falls behind, samples are shed and counted.
 
 use bytes::Bytes;
@@ -71,29 +71,14 @@ impl MirrorTap {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Observes one ingest frame, mirroring it when it falls on the
-    /// sampled stride position. With the tap closed this is a single
-    /// relaxed load — cheap enough to sit on the enforcement path.
-    #[inline]
-    pub fn observe(&self, frame: &Bytes) {
-        let stride = self.stride.load(Ordering::Relaxed);
-        if stride == 0 {
-            return;
-        }
-        if self.countdown.fetch_sub(1, Ordering::Relaxed) != 1 {
-            return;
-        }
-        self.countdown.store(stride, Ordering::Relaxed);
-        self.send_sample(frame.clone());
-    }
-
     /// Observes a whole ingest batch, mirroring the frames that fall on
-    /// sampled stride positions — the same positions a frame-by-frame
-    /// [`MirrorTap::observe`] walk would sample. With the tap closed this
-    /// is a single relaxed load **per batch** (the open/closed decision is
-    /// hoisted out of the frame loop; a tap opened mid-batch starts
-    /// sampling at the next batch). Sampled frames are handed out as
-    /// zero-copy `Bytes` views into the batch's shared chunk.
+    /// sampled stride positions of the ingest sequence — however that
+    /// sequence is cut into batches. With the tap closed this is a single
+    /// relaxed load **per batch**, cheap enough to sit on the enforcement
+    /// path (the open/closed decision is hoisted out of the frame loop; a
+    /// tap opened mid-batch starts sampling at the next batch). Sampled
+    /// frames are handed out as zero-copy `Bytes` views into the batch's
+    /// shared chunk.
     pub fn observe_batch(&self, batch: &FrameBatch) {
         let stride = self.stride.load(Ordering::Relaxed);
         if stride == 0 {
@@ -127,8 +112,8 @@ impl MirrorTap {
 mod tests {
     use super::*;
 
-    fn frame(i: u8) -> Bytes {
-        Bytes::from(vec![i; 4])
+    fn frame(i: u8) -> FrameBatch {
+        FrameBatch::single(Bytes::from(vec![i; 4]))
     }
 
     fn drain(rx: &Receiver<Bytes>) -> Vec<u8> {
@@ -144,7 +129,7 @@ mod tests {
         let tap = MirrorTap::new();
         assert!(!tap.is_open());
         for i in 0..10 {
-            tap.observe(&frame(i));
+            tap.observe_batch(&frame(i));
         }
         assert_eq!(tap.mirrored(), 0);
         assert_eq!(tap.shed(), 0);
@@ -155,7 +140,7 @@ mod tests {
         let tap = MirrorTap::new();
         let rx = tap.open(4, 64);
         for i in 0..16 {
-            tap.observe(&frame(i));
+            tap.observe_batch(&frame(i));
         }
         assert_eq!(tap.mirrored(), 4);
         // Positions 0, 4, 8, 12 of the post-open stream.
@@ -163,17 +148,17 @@ mod tests {
         // Re-opening restarts the stride so replays line up.
         let rx = tap.open(4, 64);
         for i in 0..8 {
-            tap.observe(&frame(i));
+            tap.observe_batch(&frame(i));
         }
         assert_eq!(drain(&rx), vec![0, 4]);
     }
 
     #[test]
-    fn observe_batch_samples_the_same_positions_as_per_frame() {
+    fn sampled_positions_do_not_depend_on_batch_boundaries() {
         let per = MirrorTap::new();
         let rx_per = per.open(3, 64);
         for i in 0..10 {
-            per.observe(&frame(i));
+            per.observe_batch(&frame(i));
         }
         let batched = MirrorTap::new();
         let rx_batched = batched.open(3, 64);
@@ -196,7 +181,7 @@ mod tests {
         let tap = MirrorTap::new();
         let _rx = tap.open(1, 2);
         for i in 0..5 {
-            tap.observe(&frame(i));
+            tap.observe_batch(&frame(i));
         }
         assert_eq!(tap.mirrored(), 2);
         assert_eq!(tap.shed(), 3);
@@ -206,10 +191,10 @@ mod tests {
     fn close_disconnects_the_receiver_after_drain() {
         let tap = MirrorTap::new();
         let rx = tap.open(1, 8);
-        tap.observe(&frame(7));
+        tap.observe_batch(&frame(7));
         tap.close();
         assert!(!tap.is_open());
-        tap.observe(&frame(8)); // ignored: tap closed
+        tap.observe_batch(&frame(8)); // ignored: tap closed
         assert_eq!(rx.recv().unwrap()[0], 7);
         assert!(rx.recv().is_err(), "sender dropped on close");
     }

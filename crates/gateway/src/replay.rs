@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 /// sleep overhead off the per-frame path.
 const PACE_CHUNK: u64 = 256;
 
-/// What a [`replay`] call pushed through the gateway's ingest side.
+/// What a [`replay_batched`] call pushed through the gateway's ingest side.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ReplayReport {
     /// Frames taken from the source.
@@ -29,78 +29,45 @@ pub struct ReplayReport {
     pub offered_pps: f64,
 }
 
-/// Ingest policy for [`replay`].
+/// Ingest policy for [`replay_batched`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum IngestMode {
+pub enum ReplayMode {
     /// Wait for queue space — lossless, rate degrades under overload.
     Blocking,
     /// Drop on full queues — lossy, rate holds under overload.
     DropOnFull,
 }
 
-/// Replays `frames` into `gateway`, pacing to `target_pps` when given.
-///
-/// Pacing is coarse: the offered rate is checked every `PACE_CHUNK` (256)
-/// frames and the loop sleeps off any accumulated lead, so short traces
-/// can overshoot slightly but sustained rates converge on the target.
+/// Replays `frames` into `gateway` one frame per message —
+/// [`replay_batched`] over one-frame batches, so the pacing check still
+/// runs every `PACE_CHUNK` (256) frames.
 pub fn replay<I>(
     gateway: &Gateway,
     frames: I,
     target_pps: Option<f64>,
-    mode: IngestMode,
+    mode: ReplayMode,
 ) -> ReplayReport
 where
     I: IntoIterator<Item = Bytes>,
 {
-    let start = Instant::now();
-    let mut offered = 0u64;
-    let mut enqueued = 0u64;
-    for frame in frames {
-        if let Some(pps) = target_pps {
-            if pps > 0.0 && offered > 0 && offered.is_multiple_of(PACE_CHUNK) {
-                let due = Duration::from_secs_f64(offered as f64 / pps);
-                let elapsed = start.elapsed();
-                if due > elapsed {
-                    std::thread::sleep(due - elapsed);
-                }
-            }
-        }
-        offered += 1;
-        match mode {
-            IngestMode::Blocking => {
-                gateway.dispatch(frame);
-                enqueued += 1;
-            }
-            IngestMode::DropOnFull => {
-                if gateway.offer(frame) {
-                    enqueued += 1;
-                }
-            }
-        }
-    }
-    let elapsed = start.elapsed();
-    ReplayReport {
-        offered,
-        enqueued,
-        dropped_backpressure: offered - enqueued,
-        elapsed,
-        offered_pps: compute_pps(offered as usize, elapsed),
-    }
+    let batches = frames.into_iter().map(FrameBatch::single);
+    replay_batched(gateway, batches, target_pps, mode)
 }
 
 /// Replays pre-built [`FrameBatch`]es into `gateway`, pacing to
-/// `target_pps` (frames per second) when given. The batched counterpart of
-/// [`replay`]: each batch enters through [`Gateway::dispatch_batch`] /
-/// [`Gateway::offer_batch`], so ingest costs one flow-hash per frame and
-/// one channel send per shard **per batch** rather than per frame.
+/// `target_pps` (frames per second) when given. Each batch enters through
+/// [`Gateway::dispatch_batch`] / [`Gateway::offer_batch`], so ingest costs
+/// one flow-hash per frame and one channel send per shard **per batch**.
 ///
-/// `offered`/`enqueued` in the report count frames, not batches, so the
-/// two replay forms are directly comparable.
+/// Pacing is coarse: the offered rate is checked every `PACE_CHUNK` (256)
+/// frames and the loop sleeps off any accumulated lead, so short traces
+/// can overshoot slightly but sustained rates converge on the target.
+/// `offered`/`enqueued` in the report count frames, not batches.
 pub fn replay_batched<I>(
     gateway: &Gateway,
     batches: I,
     target_pps: Option<f64>,
-    mode: IngestMode,
+    mode: ReplayMode,
 ) -> ReplayReport
 where
     I: IntoIterator<Item = FrameBatch>,
@@ -124,11 +91,11 @@ where
         offered += frames;
         since_pace += frames;
         match mode {
-            IngestMode::Blocking => {
+            ReplayMode::Blocking => {
                 gateway.dispatch_batch(batch);
                 enqueued += frames;
             }
-            IngestMode::DropOnFull => {
+            ReplayMode::DropOnFull => {
                 enqueued += gateway.offer_batch(batch);
             }
         }

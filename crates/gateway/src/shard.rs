@@ -1,41 +1,29 @@
-//! The per-shard worker: drains a bounded ingest queue in batches through
-//! the current [`ReadPipeline`](p4guard_dataplane::pipeline::ReadPipeline)
-//! snapshot, refreshing the snapshot between
-//! batches when the control plane has published a new version.
+//! The shard worker — the one loop every served frame goes through: drains
+//! a bounded queue of [`FrameBatch`] messages, regroups each by **lane**
+//! (one lane per tenant; a single-tenant gateway has exactly one), and runs
+//! every lane's frames through that lane's current
+//! [`ReadPipeline`] snapshot, refreshing snapshots between drains when a
+//! control plane has published a new version.
 
-use crate::histogram::LatencyHistogram;
-use bytes::Bytes;
 use crossbeam::channel::Receiver;
-use p4guard_dataplane::pipeline::{BatchScratch, PipelineCell};
+use p4guard_dataplane::pipeline::{BatchScratch, PipelineCell, ReadPipeline};
 use p4guard_dataplane::switch::SwitchCounters;
 use p4guard_dataplane::Verdict;
 use p4guard_packet::arena::FrameBatch;
+use p4guard_telemetry::histogram::LatencyHistogram;
 use p4guard_telemetry::TelemetrySink;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One message on a shard's ingest queue: either a single owned frame (the
-/// classic per-frame path, kept intact so the two paths stay directly
-/// comparable) or a whole arena-backed [`FrameBatch`] that crossed the
-/// queue with a single refcount bump.
-#[derive(Debug, Clone)]
-pub enum Ingest {
-    /// One owned frame.
-    Frame(Bytes),
-    /// A batch of frames sharing one chunk.
-    Batch(FrameBatch),
-}
-
-impl Ingest {
-    /// Frames this message carries.
-    pub fn frame_count(&self) -> usize {
-        match self {
-            Ingest::Frame(_) => 1,
-            Ingest::Batch(b) => b.len(),
-        }
-    }
+/// Live statistics of one lane of a shard.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct LaneStats {
+    /// Packet counters, same semantics as a single switch's counters.
+    pub counters: SwitchCounters,
+    /// Version of the snapshot the lane last processed with.
+    pub ruleset_version: u64,
 }
 
 /// Live statistics of one shard, readable while the shard runs.
@@ -43,28 +31,27 @@ impl Ingest {
 pub struct ShardStats {
     /// Shard index within the gateway.
     pub shard: usize,
-    /// Packet counters, same semantics as a single switch's counters.
-    pub counters: SwitchCounters,
-    /// Per-frame forwarding latency.
+    /// Per-lane statistics, indexed by lane.
+    pub lanes: Vec<LaneStats>,
+    /// Frames the classifier mapped to no lane (counted, not processed).
+    /// Always 0 on a single-lane gateway, which never classifies.
+    pub unclassified: u64,
+    /// Per-frame forwarding latency across all lanes.
     pub latency: LatencyHistogram,
-    /// Frames processed.
+    /// Frames taken off the queue:
+    /// `Σ lanes.counters.received + unclassified`.
     pub processed: u64,
-    /// Batches drained from the queue.
+    /// Queue drains (the ruleset-swap granularity).
     pub batches: u64,
-    /// Ruleset swaps this shard picked up.
+    /// Ruleset swaps this shard picked up, summed over lanes.
     pub swaps_seen: u64,
-    /// Version of the snapshot the shard last processed with.
-    pub ruleset_version: u64,
-    /// Frames that arrived packed in [`FrameBatch`] messages.
-    #[serde(default)]
-    pub batched_frames: u64,
     /// [`FrameBatch`] messages processed (feeds the
-    /// `p4guard_batch_fill` gauge: `batched_frames / frame_batches`).
+    /// `p4guard_batch_fill` gauge: `processed / frame_batches`).
     #[serde(default)]
     pub frame_batches: u64,
     /// Frames whose ensemble vote early-exited before the last per-tree
-    /// stage on the batched path, skipping the remaining table lookups.
-    /// Always 0 unless the published pipeline carries a
+    /// stage, skipping the remaining table lookups. Always 0 unless a
+    /// published pipeline carries a
     /// [`VoteStage`](p4guard_dataplane::vote::VoteStage) with an early
     /// exit.
     #[serde(default)]
@@ -72,123 +59,168 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
+    /// Packet counters summed over the shard's lanes.
+    pub fn counters(&self) -> SwitchCounters {
+        let mut total = SwitchCounters::default();
+        for lane in &self.lanes {
+            total.merge(&lane.counters);
+        }
+        total
+    }
+
     /// Mean frames per processed [`FrameBatch`] (0 before the first batch).
     pub fn batch_fill(&self) -> f64 {
         if self.frame_batches == 0 {
             0.0
         } else {
-            self.batched_frames as f64 / self.frame_batches as f64
+            self.processed as f64 / self.frame_batches as f64
         }
     }
 }
 
-/// Runs one shard to queue exhaustion: blocks for the next message, drains
-/// opportunistically up to `batch_size` frames, processes them against the
-/// cached snapshot, then checks the cell version once per drain.
-///
-/// The snapshot check is a single atomic load on the fast path, so a
-/// concurrent [`ControlPlane::publish`](p4guard_dataplane::control::ControlPlane::publish)
-/// never blocks frame processing — the new ruleset simply takes effect at
-/// the next batch boundary. A [`FrameBatch`] already in flight when a swap
-/// lands is processed entirely against one snapshot (the drain it belongs
-/// to), which is exactly the per-frame path's batch-boundary guarantee.
-///
-/// Per-frame messages go through
-/// [`process_with`](p4guard_dataplane::pipeline::ReadPipeline::process_with)
-/// with one `Instant` read per frame; [`FrameBatch`] messages go through
-/// the staged
-/// [`process_batch_with`](p4guard_dataplane::pipeline::ReadPipeline::process_batch_with)
-/// loop with one `Instant` read per batch, attributing the batch-mean cost
-/// to each frame.
-pub(crate) fn run_shard<S: TelemetrySink>(
-    rx: Receiver<Ingest>,
+/// One lane of a shard worker: the publication cell it follows, the
+/// snapshot it last loaded from it, and its telemetry sink.
+pub(crate) struct Lane<S> {
     cell: Arc<PipelineCell>,
+    pipeline: Arc<ReadPipeline>,
+    sink: S,
+}
+
+impl<S: TelemetrySink> Lane<S> {
+    pub(crate) fn new(cell: Arc<PipelineCell>, mut sink: S) -> Self {
+        let pipeline = cell.load();
+        sink.swap_seen(pipeline.version(), &pipeline.stage_names());
+        Lane {
+            cell,
+            pipeline,
+            sink,
+        }
+    }
+
+    /// Picks up the cell's current snapshot if it moved (one atomic load
+    /// when it did not). Returns whether a swap happened.
+    fn refresh(&mut self) -> bool {
+        if self.cell.version() == self.pipeline.version() {
+            return false;
+        }
+        self.pipeline = self.cell.load();
+        self.sink
+            .swap_seen(self.pipeline.version(), &self.pipeline.stage_names());
+        true
+    }
+
+    /// Runs the non-empty `batch` through the lane's snapshot into lane
+    /// `idx` of `stats`, with one `Instant` read per batch: the batch-mean
+    /// cost is attributed to each frame.
+    fn serve(
+        &mut self,
+        batch: &FrameBatch,
+        stats: &mut ShardStats,
+        idx: usize,
+        scratch: &mut BatchScratch,
+        verdicts: &mut Vec<Verdict>,
+    ) {
+        let n = batch.len() as u64;
+        let t0 = Instant::now();
+        verdicts.clear();
+        self.pipeline.process_batch_with(
+            batch.data(),
+            batch.spans(),
+            &mut stats.lanes[idx].counters,
+            scratch,
+            verdicts,
+            &mut self.sink,
+        );
+        let per_frame = t0.elapsed() / n as u32;
+        stats.latency.record_n(per_frame, n);
+        self.sink
+            .latency_n(u64::try_from(per_frame.as_nanos()).unwrap_or(u64::MAX), n);
+        stats.vote_exits += scratch.vote_early_exits();
+    }
+}
+
+/// Runs one shard to queue exhaustion: blocks for the next message, drains
+/// opportunistically up to `batch_size` frames, refreshes every lane's
+/// snapshot once per drain, then processes the drained messages.
+///
+/// The snapshot check is a single atomic load per lane on the fast path,
+/// so a concurrent
+/// [`ControlPlane::publish`](p4guard_dataplane::control::ControlPlane::publish)
+/// never blocks frame processing — the new ruleset simply takes effect at
+/// the next drain. A [`FrameBatch`] already in flight when a swap lands is
+/// processed entirely against one snapshot.
+///
+/// With one lane (a single-tenant gateway) each message is processed
+/// whole and `classify` is never called. With more, a message is
+/// regrouped by `classify(frame)` — lane indices `0..lanes.len()`, anything
+/// else counted as unclassified — sharing the chunk, and each lane's
+/// frames run through that lane's snapshot into that lane's counters and
+/// sink.
+pub(crate) fn run_shard<C, S>(
+    rx: Receiver<FrameBatch>,
+    mut lanes: Vec<Lane<S>>,
+    classify: C,
     state: Arc<Mutex<ShardStats>>,
     batch_size: usize,
-    mut sink: S,
-) {
-    let mut pipeline = cell.load();
-    let mut version = pipeline.version();
-    sink.swap_seen(version, &pipeline.stage_names());
-    {
-        let mut st = state.lock();
-        st.ruleset_version = version;
-    }
-    // Pre-sized to the snapshot's requirement so the forwarding loop never
-    // grows it; regrown only if a published ruleset widens its match keys.
-    let mut scratch: Vec<u8> = vec![0; pipeline.scratch_len()];
-    let mut batch_scratch = BatchScratch::new();
+) where
+    C: Fn(&[u8]) -> usize,
+    S: TelemetrySink,
+{
+    let note_versions = |lanes: &[Lane<S>], st: &mut ShardStats| {
+        for (lane, stats) in lanes.iter().zip(&mut st.lanes) {
+            stats.ruleset_version = lane.pipeline.version();
+        }
+    };
+    note_versions(&lanes, &mut state.lock());
+    let mut scratch = BatchScratch::new();
     let mut verdicts: Vec<Verdict> = Vec::new();
-    let mut queue: Vec<Ingest> = Vec::with_capacity(batch_size);
+    let mut queue: Vec<FrameBatch> = Vec::with_capacity(batch_size);
     while let Ok(first) = rx.recv() {
-        let mut frames = first.frame_count();
+        let mut frames = first.len();
         queue.push(first);
         while frames < batch_size {
             match rx.try_recv() {
                 Ok(msg) => {
-                    frames += msg.frame_count();
+                    frames += msg.len();
                     queue.push(msg);
                 }
                 Err(_) => break,
             }
         }
-        let published = cell.version();
-        let swapped = published != version;
-        if swapped {
-            pipeline = cell.load();
-            version = pipeline.version();
-            sink.swap_seen(version, &pipeline.stage_names());
-            if scratch.len() < pipeline.scratch_len() {
-                scratch.resize(pipeline.scratch_len(), 0);
-            }
-        }
+        let swapped = lanes
+            .iter_mut()
+            .map(|l| u64::from(l.refresh()))
+            .sum::<u64>();
         let mut st = state.lock();
-        if swapped {
-            st.swaps_seen += 1;
-            st.ruleset_version = version;
+        if swapped > 0 {
+            st.swaps_seen += swapped;
+            note_versions(&lanes, &mut st);
         }
-        for msg in queue.drain(..) {
-            match msg {
-                Ingest::Frame(frame) => {
-                    let t0 = Instant::now();
-                    pipeline.process_with(&frame, &mut st.counters, &mut scratch, &mut sink);
-                    let elapsed = t0.elapsed();
-                    st.latency.record(elapsed);
-                    sink.latency(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-                    st.processed += 1;
-                }
-                Ingest::Batch(batch) => {
-                    let n = batch.len();
-                    if n == 0 {
-                        continue;
+        for batch in queue.drain(..) {
+            if batch.is_empty() {
+                continue;
+            }
+            if let [lane] = lanes.as_mut_slice() {
+                lane.serve(&batch, &mut st, 0, &mut scratch, &mut verdicts);
+            } else {
+                let mut parts = batch.partition_by(lanes.len() + 1, &classify);
+                let unclassified = parts.pop().map_or(0, |p| p.len());
+                st.unclassified += unclassified as u64;
+                for (idx, (lane, part)) in lanes.iter_mut().zip(&parts).enumerate() {
+                    if !part.is_empty() {
+                        lane.serve(part, &mut st, idx, &mut scratch, &mut verdicts);
                     }
-                    let t0 = Instant::now();
-                    verdicts.clear();
-                    pipeline.process_batch_with(
-                        batch.data(),
-                        batch.spans(),
-                        &mut st.counters,
-                        &mut batch_scratch,
-                        &mut verdicts,
-                        &mut sink,
-                    );
-                    let per_frame = t0.elapsed() / n as u32;
-                    st.latency.record_n(per_frame, n as u64);
-                    sink.latency_n(
-                        u64::try_from(per_frame.as_nanos()).unwrap_or(u64::MAX),
-                        n as u64,
-                    );
-                    st.processed += n as u64;
-                    st.batched_frames += n as u64;
-                    st.frame_batches += 1;
-                    st.vote_exits += batch_scratch.vote_early_exits();
                 }
             }
+            st.processed += batch.len() as u64;
+            st.frame_batches += 1;
         }
         st.batches += 1;
         // Flush buffered telemetry while still holding the stats lock:
-        // any observer that sees this batch in `ShardStats` (snapshot,
+        // any observer that sees this drain in `ShardStats` (snapshot,
         // drain loops) is guaranteed to find the registry caught up too.
-        sink.batch_end();
+        for lane in &mut lanes {
+            lane.sink.batch_end();
+        }
     }
 }

@@ -8,7 +8,7 @@ use p4guard_dataplane::key::KeyLayout;
 use p4guard_dataplane::parser::ParserSpec;
 use p4guard_dataplane::switch::Switch;
 use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
-use p4guard_gateway::{replay, Gateway, GatewayConfig, IngestMode};
+use p4guard_gateway::{replay, Gateway, GatewayConfig, ReplayMode};
 
 /// Offset of the IPv4 protocol byte in an Ethernet frame.
 const PROTO_OFF: usize = 14 + 9;
@@ -159,7 +159,7 @@ fn hot_swap_mid_stream_applies_to_all_later_frames() {
     );
     for s in &snap.shards {
         if s.processed > 0 {
-            assert_eq!(s.ruleset_version, report.version);
+            assert_eq!(s.lanes[0].ruleset_version, report.version);
         }
     }
 }
@@ -179,7 +179,7 @@ fn backpressure_drops_are_counted_and_conserved() {
     );
     let frames = workload(2000);
     let offered = frames.len() as u64;
-    let report = replay(&gw, frames, None, IngestMode::DropOnFull);
+    let report = replay(&gw, frames, None, ReplayMode::DropOnFull);
     let snap = gw.finish();
 
     assert_eq!(report.offered, offered);
@@ -229,7 +229,7 @@ fn targeted_publish_diverges_then_republish_converges_shard_versions() {
     // only if they processed those frames pre-republish; either way the
     // canary shards dropped every UDP frame they saw.
     for s in [1usize, 3] {
-        assert_eq!(fin.shards[s].counters.dropped, udp_by_shard[s]);
+        assert_eq!(fin.shards[s].counters().dropped, udp_by_shard[s]);
     }
 }
 
@@ -261,7 +261,7 @@ fn paced_replay_respects_target_rate() {
     let (control, _) = build_control();
     let gw = Gateway::start(&control, GatewayConfig::with_shards(2));
     let frames = workload(32); // 512 frames
-    let report = replay(&gw, frames, Some(4096.0), IngestMode::Blocking);
+    let report = replay(&gw, frames, Some(4096.0), ReplayMode::Blocking);
     let snap = gw.finish();
 
     assert_eq!(report.offered, 512);
@@ -300,4 +300,63 @@ fn queue_depth_gauges_track_sender_occupancy() {
     );
     assert!(rendered.contains("p4guard_queue_depth{shard=\"1\"}"));
     gw.finish();
+}
+
+/// Lanes: a shard serves each frame through the pipeline of the lane its
+/// classifier names, and counts frames the classifier places nowhere.
+#[test]
+fn lanes_serve_their_own_pipelines_and_count_unclassified_frames() {
+    // Lane 0 drops UDP, lane 1 drops TCP; frames are classified by the low
+    // bits of the source address, with flows 2 (mod 4) and 3 (mod 4)
+    // belonging to no lane.
+    let (udp_control, stage) = build_control();
+    install_drop_proto(&udp_control, stage, UDP);
+    let (tcp_control, stage) = build_control();
+    install_drop_proto(&tcp_control, stage, TCP);
+    let lane_of = |frame: &[u8]| usize::from(frame[14 + 15] % 4);
+
+    let frames = workload(20);
+    let mut expect = [[0u64; 2]; 2]; // [lane][received, dropped]
+    let mut strays = 0u64;
+    for f in &frames {
+        match lane_of(f) {
+            lane @ (0 | 1) => {
+                expect[lane][0] += 1;
+                expect[lane][1] += u64::from(f[PROTO_OFF] == [UDP, TCP][lane]);
+            }
+            _ => strays += 1,
+        }
+    }
+    assert!(strays > 0 && expect[0][1] > 0 && expect[1][1] > 0);
+
+    for shards in [1usize, 3] {
+        let gw = Gateway::start_lanes(
+            &[(&udp_control, Some("udp")), (&tcp_control, Some("tcp"))],
+            lane_of,
+            GatewayConfig::with_shards(shards),
+            None,
+        );
+        let mut arena = p4guard_packet::FrameArena::new(4096);
+        for chunk in frames.chunks(24) {
+            for f in chunk {
+                arena.push(f);
+            }
+            gw.dispatch_batch(arena.seal_batch());
+        }
+        let snap = gw.finish();
+        let mut got = [[0u64; 2]; 2];
+        for s in &snap.shards {
+            assert_eq!(s.lanes.len(), 2);
+            let served: u64 = s.lanes.iter().map(|l| l.counters.received).sum();
+            assert_eq!(served + s.unclassified, s.processed, "shard {}", s.shard);
+            for (lane, stats) in s.lanes.iter().enumerate() {
+                got[lane][0] += stats.counters.received;
+                got[lane][1] += stats.counters.dropped;
+            }
+        }
+        assert_eq!(got, expect, "{shards} shard(s)");
+        let unclassified: u64 = snap.shards.iter().map(|s| s.unclassified).sum();
+        assert_eq!(unclassified, strays, "{shards} shard(s)");
+        assert_eq!(snap.totals.received + unclassified, frames.len() as u64);
+    }
 }

@@ -151,5 +151,22 @@ fn live_scrape_covers_all_required_families() {
         "no verdict samples in {events}"
     );
 
+    // A canary publish diverges the shards on purpose. The version gauge
+    // is one series per shard, so the scrape shows both versions rather
+    // than whichever shard swapped last.
+    let baseline = gw.snapshot().version;
+    let canary = control.publish_to(&[1]).unwrap().version;
+    assert_ne!(canary, baseline);
+    for i in 0..64u64 {
+        gw.dispatch(frame((i % 16) as u8, 17));
+        sent += 1;
+    }
+    drain(&gw, sent);
+    let (_, body) = http_get(&addr, "/metrics", timeout).unwrap();
+    for (shard, version) in [(0, baseline), (1, canary)] {
+        let line = format!("p4guard_ruleset_version{{shard=\"{shard}\"}} {version}");
+        assert!(body.lines().any(|l| l == line), "no {line:?} in:\n{body}");
+    }
+
     gw.finish();
 }

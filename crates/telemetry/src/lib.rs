@@ -19,11 +19,14 @@
 //! | `p4guard_frames_forwarded_total` | counter | `shard` |
 //! | `p4guard_drops_total` | counter | `shard`, `reason` |
 //! | `p4guard_table_hits_total` / `_misses_total` | counter | `shard`, `stage`, `table` |
-//! | `p4guard_ruleset_version` | gauge | — |
+//! | `p4guard_ruleset_version` | gauge | `shard` |
 //! | `p4guard_ruleset_swaps_total` | counter | `shard` |
 //! | `p4guard_forward_latency_seconds` | histogram | `shard` |
 //! | `p4guard_stage_seconds` | histogram | `shard`, `stage`, `table` |
 //! | `p4guard_slo_burn_fast` / `_slow` | gauge | `slo`, `tenant` |
+//!
+//! Every `shard`-labelled series above additionally carries `tenant` on a
+//! fleet gateway, where each shard runs one lane (and one sink) per tenant.
 //!
 //! When tracing is armed ([`TelemetryConfig::tracing`]) the bundle also
 //! carries a [`TraceStore`] of sampled span trees (`/traces`), a
@@ -129,14 +132,16 @@ impl Telemetry {
         }
     }
 
-    /// Builds a per-shard [`RegistrySink`] wired to this bundle. When the
-    /// config armed tracing, the sink also samples spans and profiles
+    /// Builds the [`RegistrySink`] of one lane of `shard`, wired to this
+    /// bundle; `tenant` labels the lane's series on a fleet gateway. When
+    /// the config armed tracing, the sink also samples spans and profiles
     /// stages.
-    pub fn shard_sink(&self, shard: usize) -> RegistrySink {
+    pub fn shard_sink(&self, shard: usize, tenant: Option<&str>) -> RegistrySink {
         let sink = RegistrySink::new(
             Arc::clone(&self.registry),
             Arc::clone(&self.recorder),
             shard,
+            tenant,
         );
         if self.traces.enabled() {
             sink.with_tracing(Arc::clone(&self.traces), Arc::clone(&self.profile))
@@ -159,7 +164,7 @@ mod tests {
     #[test]
     fn bundle_shares_one_registry() {
         let t = Telemetry::default();
-        let mut sink = t.shard_sink(0);
+        let mut sink = t.shard_sink(0, None);
         sink.verdict(VerdictKind::Forward, b"frame", None);
         sink.batch_end();
         assert_eq!(t.registry.family_sum("p4guard_frames_received_total"), 1);

@@ -109,17 +109,9 @@ pub trait TelemetrySink {
     /// the `(stage, rank)` of the last matching entry, when any matched.
     fn verdict(&mut self, _verdict: VerdictKind, _frame: &[u8], _matched: Option<(usize, u32)>) {}
 
-    /// Frame processing latency, in nanoseconds.
-    fn latency(&mut self, _nanos: u64) {}
-
     /// `count` frames that shared one measured batch, each costing `nanos`
-    /// (the batch mean). Defaults to repeated [`TelemetrySink::latency`]
-    /// calls; buffering sinks override it with an O(1) bulk record.
-    fn latency_n(&mut self, nanos: u64, count: u64) {
-        for _ in 0..count {
-            self.latency(nanos);
-        }
-    }
+    /// (the batch mean).
+    fn latency_n(&mut self, _nanos: u64, _count: u64) {}
 
     /// Whether the caller should measure per-stage wall time and report it
     /// via [`TelemetrySink::stage_time`]. Defaults to `false`, so the
@@ -162,7 +154,9 @@ pub fn frame_digest(frame: &[u8]) -> u64 {
 }
 
 /// A [`TelemetrySink`] that counts into a [`Registry`] and samples verdicts
-/// into a [`FlightRecorder`]. One instance per shard thread.
+/// into a [`FlightRecorder`]. One instance per shard lane: every series it
+/// registers carries the `shard` label, plus `tenant` when the lane serves
+/// a named tenant of a fleet.
 ///
 /// Per-frame events accumulate in plain (non-atomic) buffers and flush to
 /// the shared registry on [`TelemetrySink::batch_end`], on swaps, and on
@@ -173,6 +167,7 @@ pub struct RegistrySink {
     registry: Arc<Registry>,
     recorder: Arc<FlightRecorder>,
     shard: String,
+    tenant: Option<String>,
     shard_idx: usize,
     version: u64,
     received: Counter,
@@ -231,47 +226,68 @@ struct TraceBits {
     batch_latency: (u64, u64),
 }
 
+/// The label set of one lane's series: `shard`, `tenant` when the lane has
+/// one, then `extra`.
+fn lane_labels<'a>(
+    shard: &'a str,
+    tenant: Option<&'a str>,
+    extra: &[(&'a str, &'a str)],
+) -> Vec<(&'a str, &'a str)> {
+    let mut labels = vec![("shard", shard)];
+    labels.extend(tenant.map(|t| ("tenant", t)));
+    labels.extend_from_slice(extra);
+    labels
+}
+
 impl RegistrySink {
-    /// Builds a sink for `shard`, registering its per-shard series.
-    pub fn new(registry: Arc<Registry>, recorder: Arc<FlightRecorder>, shard: usize) -> Self {
+    /// Builds a sink for one lane of `shard`, registering its series.
+    /// `tenant` names the fleet tenant the lane serves (`None` on a
+    /// single-tenant gateway) and is appended to every series' labels.
+    pub fn new(
+        registry: Arc<Registry>,
+        recorder: Arc<FlightRecorder>,
+        shard: usize,
+        tenant: Option<&str>,
+    ) -> Self {
         let shard_label = shard.to_string();
-        let labels: &[(&str, &str)] = &[("shard", &shard_label)];
+        let labels = lane_labels(&shard_label, tenant, &[]);
         let received = registry.counter(
             "p4guard_frames_received_total",
             "Frames that reached a shard pipeline",
-            labels,
+            &labels,
         );
         let forwarded = registry.counter(
             "p4guard_frames_forwarded_total",
             "Frames forwarded out an egress port",
-            labels,
+            &labels,
         );
         let drops = DropReason::ALL.map(|reason| {
             registry.counter(
                 "p4guard_drops_total",
                 "Frames dropped, by reason",
-                &[("shard", &shard_label), ("reason", reason.as_str())],
+                &lane_labels(&shard_label, tenant, &[("reason", reason.as_str())]),
             )
         });
         let latency = registry.histogram(
             "p4guard_forward_latency_seconds",
             "Per-frame processing latency",
-            labels,
+            &labels,
         );
         let version_gauge = registry.gauge(
             "p4guard_ruleset_version",
             "Version of the pipeline snapshot this shard is serving",
-            &[],
+            &labels,
         );
         let swaps = registry.counter(
             "p4guard_ruleset_swaps_total",
             "Pipeline snapshot swaps observed",
-            labels,
+            &labels,
         );
         RegistrySink {
             registry,
             recorder,
-            shard: shard_label,
+            tenant: tenant.map(str::to_owned),
+            shard: shard_label.clone(),
             shard_idx: shard,
             version: u64::MAX,
             received,
@@ -401,16 +417,26 @@ impl RegistrySink {
                     let h = self.registry.histogram(
                         "p4guard_stage_seconds",
                         "Per-frame wall time attributed to one hot-path stage",
-                        &[
-                            ("shard", &self.shard),
-                            ("stage", stage.as_str()),
-                            ("table", table_name.unwrap_or("-")),
-                        ],
+                        &lane_labels(
+                            &self.shard,
+                            self.tenant.as_deref(),
+                            &[
+                                ("stage", stage.as_str()),
+                                ("table", table_name.unwrap_or("-")),
+                            ],
+                        ),
                     );
-                    let key = match table_name {
-                        Some(name) => format!("{}/{}/{}", self.shard, stage.as_str(), name),
-                        None => format!("{}/{}", self.shard, stage.as_str()),
-                    };
+                    // Profile rows are keyed `shard[/tenant]/stage[/table]`.
+                    let key = [
+                        Some(self.shard.as_str()),
+                        self.tenant.as_deref(),
+                        Some(stage.as_str()),
+                        table_name,
+                    ]
+                    .into_iter()
+                    .flatten()
+                    .collect::<Vec<_>>()
+                    .join("/");
                     tb.histograms.push(((stage, table), h, key));
                     tb.histograms.len() - 1
                 }
@@ -436,11 +462,17 @@ impl RegistrySink {
                 name: "frame".to_string(),
                 start_ns: now.saturating_sub(mean_latency),
                 duration_ns: mean_latency,
-                meta: vec![
-                    ("shard".to_string(), self.shard.clone()),
-                    ("version".to_string(), self.version.to_string()),
-                    ("batch_frames".to_string(), frames.to_string()),
-                ],
+                meta: lane_labels(
+                    &self.shard,
+                    self.tenant.as_deref(),
+                    &[
+                        ("version", &self.version.to_string()),
+                        ("batch_frames", &frames.to_string()),
+                    ],
+                )
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
             });
             let mut offset = now.saturating_sub(mean_latency);
             for &(stage, table, nanos, stage_frames) in &tb.stage_acc {
@@ -495,21 +527,21 @@ impl TelemetrySink for RegistrySink {
             .iter()
             .map(|(stage, name)| {
                 let stage_label = stage.to_string();
-                let labels: &[(&str, &str)] = &[
-                    ("shard", &self.shard),
-                    ("stage", &stage_label),
-                    ("table", name),
-                ];
+                let labels = lane_labels(
+                    &self.shard,
+                    self.tenant.as_deref(),
+                    &[("stage", &stage_label), ("table", name)],
+                );
                 (
                     self.registry.counter(
                         "p4guard_table_hits_total",
                         "Compiled-table lookups that matched an entry",
-                        labels,
+                        &labels,
                     ),
                     self.registry.counter(
                         "p4guard_table_misses_total",
                         "Compiled-table lookups that fell through to the default action",
-                        labels,
+                        &labels,
                     ),
                 )
             })
@@ -549,17 +581,6 @@ impl TelemetrySink for RegistrySink {
                 matched_stage: matched.map(|(s, _)| s),
                 matched_rank: matched.map(|(_, r)| r),
             });
-        }
-    }
-
-    #[inline]
-    fn latency(&mut self, nanos: u64) {
-        self.buf
-            .latency
-            .record(std::time::Duration::from_nanos(nanos));
-        if let Some(tb) = self.tracing.as_mut() {
-            tb.batch_latency.0 += nanos;
-            tb.batch_latency.1 += 1;
         }
     }
 
@@ -632,7 +653,7 @@ mod tests {
     fn sink() -> (Arc<Registry>, Arc<FlightRecorder>, RegistrySink) {
         let registry = Arc::new(Registry::new());
         let recorder = Arc::new(FlightRecorder::new(8, 1, 0));
-        let sink = RegistrySink::new(Arc::clone(&registry), Arc::clone(&recorder), 3);
+        let sink = RegistrySink::new(Arc::clone(&registry), Arc::clone(&recorder), 3, None);
         (registry, recorder, sink)
     }
 
@@ -722,7 +743,7 @@ mod tests {
         let recorder = Arc::new(FlightRecorder::new(8, 1024, 0));
         let store = Arc::new(TraceStore::new(64, 2, 0, true));
         let profile = Arc::new(ProfileBoard::new());
-        let mut sink = RegistrySink::new(Arc::clone(&registry), recorder, 0)
+        let mut sink = RegistrySink::new(Arc::clone(&registry), recorder, 0, None)
             .with_tracing(Arc::clone(&store), Arc::clone(&profile));
         assert!(sink.profiling_enabled());
         sink.swap_seen(5, &[(0, "acl".to_string())]);
@@ -775,6 +796,6 @@ mod tests {
         s.table_lookup(0, true);
         s.drop_frame(DropReason::Backpressure);
         s.verdict(VerdictKind::ParserReject, b"", None);
-        s.latency(5);
+        s.latency_n(5, 1);
     }
 }

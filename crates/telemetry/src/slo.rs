@@ -165,8 +165,7 @@ impl SloBoard {
                 entry.1 += value;
             }
         }
-        // tenant → (slow, total) latency samples. The latency family has
-        // no tenant label today, so it rolls up under the global tenant.
+        // tenant → (slow, total) latency samples.
         let mut latency: BTreeMap<String, BTreeMap<u64, (u64, u64)>> = BTreeMap::new();
         for (family, labels, histogram) in registry.histogram_snapshot() {
             if family != "p4guard_forward_latency_seconds" {
