@@ -167,7 +167,7 @@ echo "==> delta-publish smoke (fixed seed, time-boxed)"
 # one-entry diffs against a 1024-entry stage must publish >=10x faster
 # than a from-scratch recompile, the live mid-serve delta chain must
 # conserve every frame, and the lowering-time minimizer must cut entries
-# on at least one learned ruleset.
+# on at least one learned ruleset — by exactly the committed counts.
 timeout 300 target/release/reproduce f14_minimize --out "$SMOKE_DIR/results" \
   > "$SMOKE_DIR/minimize.log" 2>&1 || {
   echo "reproduce f14_minimize failed:" >&2
@@ -194,7 +194,20 @@ if [ "$MARGIN_OK" != "1" ]; then
   cat "$SMOKE_DIR/minimize.log" >&2
   exit 1
 fi
-echo "delta publish ${SPEEDUP}x >= 10x, frames conserved, minimizer margin > 0"
+# The minimizer's counts are pinned, not just "some margin": each learned
+# ruleset's source/minimized entry counts must equal the committed
+# results/f14_minimize.json (seed 2020), so a change in pairing behaviour
+# cannot land silently.
+f14_counts() {
+  awk '/"name"/ { name = $2 }
+       /"entries_source"/ { src = $2 + 0 }
+       /"entries_minimized"/ { print name, src, $2 + 0 }' "$1"
+}
+if ! diff <(f14_counts results/f14_minimize.json) <(f14_counts "$MINIMIZE_JSON") >&2; then
+  echo "minimizer entry counts differ from the committed results/f14_minimize.json (< committed, > this run)" >&2
+  exit 1
+fi
+echo "delta publish ${SPEEDUP}x >= 10x, frames conserved, minimizer counts match results/f14_minimize.json"
 
 echo "==> ensemble-inference smoke (fixed seed, time-boxed)"
 # Forest gate (reproduce f16_forest): on at least one task a compiled

@@ -118,6 +118,73 @@ fn required<'a>(flags: &'a HashMap<String, String>, key: &str) -> Result<&'a str
         .ok_or_else(|| format!("missing --{key}"))
 }
 
+/// `serve`'s observability, built the same way by all three arms: the
+/// telemetry hub and, with `--metrics-addr`, the live endpoint serving it.
+struct Observability {
+    telemetry: Arc<Telemetry>,
+    server: Option<MetricsServer>,
+    hold: u64,
+}
+
+impl Observability {
+    /// Builds the hub from `--sample-every` (default `sample_every`) and
+    /// `--tracing`, and binds `--metrics-addr` when given, announcing
+    /// `/metrics` plus the routes the arm asks for — one line per endpoint;
+    /// stdout is line-buffered, so scripts polling the log see the bound
+    /// (possibly ephemeral) port as soon as the server is up.
+    fn start(
+        flags: &HashMap<String, String>,
+        seed: u64,
+        sample_every: u64,
+        announce_events: bool,
+        announce_tracing: bool,
+    ) -> Result<Self, Box<dyn Error>> {
+        let hold: u64 = flags.get("hold").map_or(Ok(0), |v| v.parse())?;
+        let sample_every: u64 = flags
+            .get("sample-every")
+            .map_or(Ok(sample_every), |v| v.parse())?;
+        let tracing = flags.contains_key("tracing");
+        let telemetry = Arc::new(Telemetry::new(TelemetryConfig {
+            sample_every,
+            seed,
+            tracing,
+            ..TelemetryConfig::default()
+        }));
+        let server = match flags.get("metrics-addr") {
+            Some(addr) => {
+                let server = MetricsServer::serve(addr, Arc::clone(&telemetry))?;
+                let at = server.local_addr();
+                println!("metrics: listening on http://{at}/metrics");
+                if announce_events {
+                    println!("events : listening on http://{at}/events");
+                }
+                if announce_tracing && tracing {
+                    println!("tracing: listening on http://{at}/profile and /traces");
+                }
+                Some(server)
+            }
+            None => None,
+        };
+        Ok(Observability {
+            telemetry,
+            server,
+            hold,
+        })
+    }
+
+    /// Keeps the endpoint up for `--hold` seconds so scrapers can collect
+    /// the final state, then shuts it down.
+    fn hold_and_shutdown(self) {
+        if let Some(mut server) = self.server {
+            if self.hold > 0 {
+                println!("holding metrics endpoint for {}s", self.hold);
+                std::thread::sleep(Duration::from_secs(self.hold));
+            }
+            server.shutdown();
+        }
+    }
+}
+
 fn run() -> Result<(), Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
@@ -239,7 +306,6 @@ fn run() -> Result<(), Box<dyn Error>> {
             }
             let pps: Option<f64> = flags.get("pps").map(|v| v.parse()).transpose()?;
             let seed: u64 = flags.get("seed").map_or(Ok(1), |v| v.parse())?;
-            let tracing = flags.contains_key("tracing");
             if let Some(tenants) = flags.get("tenants") {
                 // Multi-tenant fleet: train one detector per tenant, admit
                 // the rulesets against the shared table budget, and replay
@@ -253,31 +319,7 @@ fn run() -> Result<(), Box<dyn Error>> {
                 if devices < tenants as u64 {
                     return Err("--devices must be at least --tenants".into());
                 }
-                let hold: u64 = flags.get("hold").map_or(Ok(0), |v| v.parse())?;
-                let sample_every: u64 = flags.get("sample-every").map_or(Ok(64), |v| v.parse())?;
-                let telemetry = Arc::new(Telemetry::new(TelemetryConfig {
-                    sample_every,
-                    seed,
-                    tracing,
-                    ..TelemetryConfig::default()
-                }));
-                let server = match flags.get("metrics-addr") {
-                    Some(addr) => {
-                        let server = MetricsServer::serve(addr, Arc::clone(&telemetry))?;
-                        println!(
-                            "metrics: listening on http://{}/metrics",
-                            server.local_addr()
-                        );
-                        if tracing {
-                            println!(
-                                "tracing: listening on http://{}/profile and /traces",
-                                server.local_addr()
-                            );
-                        }
-                        Some(server)
-                    }
-                    None => None,
-                };
+                let observability = Observability::start(&flags, seed, 64, false, true)?;
                 println!(
                     "fleet: {tenants} tenant(s), {devices} simulated devices, {} shards (seed {seed})",
                     config.shards
@@ -287,16 +329,10 @@ fn run() -> Result<(), Box<dyn Error>> {
                     devices,
                     tenants,
                     config.shards,
-                    Some(Arc::clone(&telemetry)),
+                    Some(Arc::clone(&observability.telemetry)),
                 );
                 println!("{report}");
-                if let Some(mut server) = server {
-                    if hold > 0 {
-                        println!("holding metrics endpoint for {hold}s");
-                        std::thread::sleep(Duration::from_secs(hold));
-                    }
-                    server.shutdown();
-                }
+                observability.hold_and_shutdown();
                 return Ok(());
             }
             if flags.contains_key("adapt") {
@@ -305,25 +341,7 @@ fn run() -> Result<(), Box<dyn Error>> {
                 // proposal (rollback path) on a live gateway, optionally
                 // serving the adapt_* counters and audit events while the
                 // loop runs.
-                let hold: u64 = flags.get("hold").map_or(Ok(0), |v| v.parse())?;
-                let sample_every: u64 = flags.get("sample-every").map_or(Ok(8), |v| v.parse())?;
-                let telemetry = Arc::new(Telemetry::new(TelemetryConfig {
-                    sample_every,
-                    seed,
-                    tracing,
-                    ..TelemetryConfig::default()
-                }));
-                let server = match flags.get("metrics-addr") {
-                    Some(addr) => {
-                        let server = MetricsServer::serve(addr, Arc::clone(&telemetry))?;
-                        println!(
-                            "metrics: listening on http://{}/metrics",
-                            server.local_addr()
-                        );
-                        Some(server)
-                    }
-                    None => None,
-                };
+                let observability = Observability::start(&flags, seed, 8, false, false)?;
                 println!(
                     "adaptation loop: injecting a regime shift across {} shards (seed {seed})",
                     config.shards
@@ -331,16 +349,10 @@ fn run() -> Result<(), Box<dyn Error>> {
                 let report = p4guard::experiments::adaptation::run_f12_adapt(
                     seed,
                     config.shards,
-                    Some(Arc::clone(&telemetry)),
+                    Some(Arc::clone(&observability.telemetry)),
                 );
                 println!("{report}");
-                if let Some(mut server) = server {
-                    if hold > 0 {
-                        println!("holding metrics endpoint for {hold}s");
-                        std::thread::sleep(Duration::from_secs(hold));
-                    }
-                    server.shutdown();
-                }
+                observability.hold_and_shutdown();
                 return Ok(());
             }
             let trace = match flags.get("trace") {
@@ -367,38 +379,7 @@ fn run() -> Result<(), Box<dyn Error>> {
                     TwoStagePipeline::new(GuardConfig::fast()).train(&trace)?
                 }
             };
-            let hold: u64 = flags.get("hold").map_or(Ok(0), |v| v.parse())?;
-            let sample_every: u64 = flags.get("sample-every").map_or(Ok(64), |v| v.parse())?;
-            let mut observability = match flags.get("metrics-addr") {
-                Some(addr) => {
-                    let telemetry = Arc::new(Telemetry::new(TelemetryConfig {
-                        sample_every,
-                        seed,
-                        tracing,
-                        ..TelemetryConfig::default()
-                    }));
-                    let server = MetricsServer::serve(addr, Arc::clone(&telemetry))?;
-                    // One line per endpoint; stdout is line-buffered, so
-                    // scripts polling the log see the bound (possibly
-                    // ephemeral) port as soon as the server is up.
-                    println!(
-                        "metrics: listening on http://{}/metrics",
-                        server.local_addr()
-                    );
-                    println!(
-                        "events : listening on http://{}/events",
-                        server.local_addr()
-                    );
-                    if tracing {
-                        println!(
-                            "tracing: listening on http://{}/profile and /traces",
-                            server.local_addr()
-                        );
-                    }
-                    Some((telemetry, server))
-                }
-                None => None,
-            };
+            let observability = Observability::start(&flags, seed, 64, true, true)?;
             println!(
                 "serving {} packets through {} shards (queue {}, batch {}, ingest batches of {INGEST_BATCH}){}",
                 trace.len(),
@@ -407,7 +388,11 @@ fn run() -> Result<(), Box<dyn Error>> {
                 config.batch_size,
                 pps.map_or(String::new(), |p| format!(" at {p} pps")),
             );
-            let telemetry = observability.as_ref().map(|(t, _)| Arc::clone(t));
+            // The sink seam is only paid for when an endpoint serves it.
+            let telemetry = observability
+                .server
+                .is_some()
+                .then(|| Arc::clone(&observability.telemetry));
             let live = guard.serve_live(&trace, config, pps, telemetry)?;
             println!(
                 "first half : {} packets in {:?} ({:.0} pps offered)",
@@ -430,13 +415,7 @@ fn run() -> Result<(), Box<dyn Error>> {
             if live.snapshot.dropped_backpressure == 0 {
                 println!("hot swap completed with zero packets dropped to backpressure");
             }
-            if let Some((_, server)) = observability.as_mut() {
-                if hold > 0 {
-                    println!("holding metrics endpoint for {hold}s");
-                    std::thread::sleep(Duration::from_secs(hold));
-                }
-                server.shutdown();
-            }
+            observability.hold_and_shutdown();
             Ok(())
         }
         _ => unreachable!("command_flags accepted {command:?}"),

@@ -338,11 +338,39 @@ impl TrainedGuard {
 
     /// Restores a guard from [`TrainedGuard::to_json`] output.
     ///
+    /// A model file is outside input: deserialization bypasses the
+    /// constructors, so the invariants the rest of the pipeline relies on
+    /// (rule widths, rule order, selected offsets inside the window) are
+    /// checked here rather than panicking later in `classify` or
+    /// `optimize`.
+    ///
     /// # Errors
     ///
-    /// Returns an error when the JSON does not describe a guard.
+    /// Returns an error when the JSON does not describe a guard, or
+    /// describes one whose rules and selection do not fit together.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+        let guard: TrainedGuard = serde_json::from_str(json)?;
+        let rules = &guard.compiled.ternary;
+        let offsets = &guard.selection.offsets;
+        let invalid =
+            |msg: String| Err(serde::DeError::custom(format!("invalid model: {msg}")).into());
+        if let Err(msg) = rules.validate() {
+            return invalid(format!("compiled rules: {msg}"));
+        }
+        if offsets.len() != rules.key_width() {
+            return invalid(format!(
+                "{} selected offsets for a {}-byte rule key",
+                offsets.len(),
+                rules.key_width()
+            ));
+        }
+        if let Some(&offset) = offsets.iter().find(|&&o| o >= guard.config.window) {
+            return invalid(format!(
+                "selected offset {offset} outside the {}-byte window",
+                guard.config.window
+            ));
+        }
+        Ok(guard)
     }
 
     /// Builds a gateway switch with the guard's rules installed in a

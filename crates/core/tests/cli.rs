@@ -126,3 +126,44 @@ fn bad_arguments_fail_cleanly() {
         );
     }
 }
+
+#[test]
+fn hostile_model_json_is_an_error_not_a_panic() {
+    use p4guard::config::GuardConfig;
+    use p4guard::pipeline::TwoStagePipeline;
+    use p4guard_traffic::scenario::Scenario;
+
+    let dir = workdir();
+    let trace_path = dir.join("hostile-trace.p4gt");
+    let model_path = dir.join("hostile.json");
+    let trace = Scenario::smart_home_default(5).generate().unwrap();
+    trace.save(&trace_path).unwrap();
+    let guard = TwoStagePipeline::new(GuardConfig::fast())
+        .train(&trace)
+        .unwrap();
+
+    // A well-formed model whose ruleset holds one ragged entry: a 1-byte
+    // value under a key-width mask. Serde accepts it — `RuleSet::push` and
+    // `TernaryEntry::new` never run — and classify/optimize used to panic.
+    let width = guard.compiled.ternary.key_width();
+    let rules = serde_json::to_string(&guard.compiled.ternary).unwrap();
+    let hostile_rules = format!(
+        r#"{{"key_width":{width},"entries":[{{"value":[1],"mask":{:?},"class":1,"priority":1}}],"default_class":0}}"#,
+        vec![255u8; width]
+    )
+    .replace(' ', "");
+    let json = guard.to_json();
+    assert!(json.contains(&rules), "ruleset JSON is embedded verbatim");
+    std::fs::write(&model_path, json.replace(&rules, &hostile_rules)).unwrap();
+
+    let out = cli()
+        .args(["evaluate", "--model", model_path.to_str().unwrap()])
+        .args(["--trace", trace_path.to_str().unwrap()])
+        .output()
+        .expect("cli runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "hostile model must be rejected");
+    assert!(stderr.contains("error: "), "stderr: {stderr}");
+    assert!(stderr.contains("entry 0"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}

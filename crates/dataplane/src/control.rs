@@ -451,29 +451,45 @@ impl ControlPlane {
     /// [`RuleSetDiff`] that produced this publish), whether shards were
     /// drained first, and the publish duration.
     pub fn publish_audited(&self, delta: Option<&RuleSetDiff>, drained: bool) -> PublishReport {
+        let (added, removed) = delta.map_or((0, 0), |d| (d.added.len(), d.removed.len()));
+        let cells = self.subscribers.lock();
+        self.publish_snapshot(cells.iter(), "swap", added, removed, drained)
+    }
+
+    /// The one publish body: snapshot → retain → fan out to `cells` →
+    /// report → control trace (`span`) → [`Event::Swap`] audit. The caller
+    /// holds the subscriber lock `cells` borrows from.
+    fn publish_snapshot<'a>(
+        &self,
+        cells: impl ExactSizeIterator<Item = &'a Arc<PipelineCell>>,
+        span: &str,
+        added: usize,
+        removed: usize,
+        drained: bool,
+    ) -> PublishReport {
         let start = Instant::now();
         let (snapshot, stages_recompiled, stages_shared) = self.snapshot_with_stats();
         let snapshot_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let fanout_start = Instant::now();
         self.retain(Arc::clone(&snapshot));
-        let subscribers = self.subscribers.lock();
-        for cell in subscribers.iter() {
+        let subscribers = cells.len();
+        for cell in cells {
             cell.publish(Arc::clone(&snapshot));
         }
         let fanout_ns = u64::try_from(fanout_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let report = PublishReport {
             version: snapshot.version(),
             entries: snapshot.entry_count(),
-            subscribers: subscribers.len(),
+            subscribers,
             elapsed: start.elapsed(),
             stages_recompiled,
             stages_shared,
         };
-        drop(subscribers);
+        let duration_ns = u64::try_from(report.elapsed.as_nanos()).unwrap_or(u64::MAX);
         let trace_id = self.trace_control(
-            "swap",
+            span,
             report.version,
-            u64::try_from(report.elapsed.as_nanos()).unwrap_or(u64::MAX),
+            duration_ns,
             &[("snapshot", snapshot_ns), ("fanout", fanout_ns)],
         );
         if let Some(recorder) = self.recorder.lock().as_ref() {
@@ -481,10 +497,10 @@ impl ControlPlane {
                 version: report.version,
                 entries: report.entries,
                 subscribers: report.subscribers,
-                added: delta.map_or(0, |d| d.added.len()),
-                removed: delta.map_or(0, |d| d.removed.len()),
+                added,
+                removed,
                 drained,
-                duration_ns: u64::try_from(report.elapsed.as_nanos()).unwrap_or(u64::MAX),
+                duration_ns,
                 trace_id,
             });
         }
@@ -526,50 +542,15 @@ impl ControlPlane {
     /// Returns [`PublishError::NoSuchSubscriber`] (before publishing to
     /// anyone) when any target index is out of range.
     pub fn publish_to(&self, targets: &[usize]) -> Result<PublishReport, PublishError> {
-        let start = Instant::now();
-        let subscribers = self.subscribers.lock();
-        if let Some(&index) = targets.iter().find(|&&t| t >= subscribers.len()) {
+        let cells = self.subscribers.lock();
+        if let Some(&index) = targets.iter().find(|&&t| t >= cells.len()) {
             return Err(PublishError::NoSuchSubscriber {
                 index,
-                subscribers: subscribers.len(),
+                subscribers: cells.len(),
             });
         }
-        let (snapshot, stages_recompiled, stages_shared) = self.snapshot_with_stats();
-        let snapshot_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let fanout_start = Instant::now();
-        self.retain(Arc::clone(&snapshot));
-        for &t in targets {
-            subscribers[t].publish(Arc::clone(&snapshot));
-        }
-        let fanout_ns = u64::try_from(fanout_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let report = PublishReport {
-            version: snapshot.version(),
-            entries: snapshot.entry_count(),
-            subscribers: targets.len(),
-            elapsed: start.elapsed(),
-            stages_recompiled,
-            stages_shared,
-        };
-        drop(subscribers);
-        let trace_id = self.trace_control(
-            "canary_publish",
-            report.version,
-            u64::try_from(report.elapsed.as_nanos()).unwrap_or(u64::MAX),
-            &[("snapshot", snapshot_ns), ("fanout", fanout_ns)],
-        );
-        if let Some(recorder) = self.recorder.lock().as_ref() {
-            recorder.record(Event::Swap {
-                version: report.version,
-                entries: report.entries,
-                subscribers: report.subscribers,
-                added: 0,
-                removed: 0,
-                drained: false,
-                duration_ns: u64::try_from(report.elapsed.as_nanos()).unwrap_or(u64::MAX),
-                trace_id,
-            });
-        }
-        Ok(report)
+        let targeted = targets.iter().map(|&t| &cells[t]);
+        Ok(self.publish_snapshot(targeted, "canary_publish", 0, 0, false))
     }
 
     /// Re-publishes a retained historical snapshot — exact bytes, original

@@ -22,6 +22,35 @@
 //!   same-action boxes equal on every byte but one, whose intervals on
 //!   that byte touch or overlap, are exactly their union box.
 //!
+//! # One core, two drivers
+//!
+//! Which ternary entries fold together is decided in one place,
+//! [`p4guard_rules::cube`] — the same sweep `RuleSet::optimize` runs.
+//! This module is a *driver* over it and keeps only what has no
+//! counterpart there:
+//!
+//! * the kind-generic, handle-aware driver itself ([`minimize`]): the
+//!   subsumption loop over [`spec_covers`] and the split into priority
+//!   levels, with ternary levels handed to the core labelled by
+//!   [`Action`] and sourced by entry handle;
+//! * range coalescing and exact/LPM subsumption, which the rule compiler
+//!   never needs;
+//! * [`SourceClass`], `MinimizedTable::patch_add` / `patch_remove` and
+//!   the incremental
+//!   [`CompiledTable::recompile`](crate::compiled::CompiledTable::recompile):
+//!   they *consume* the classification, they do not decide merges;
+//! * [`MINIMIZE_MAX_ENTRIES`], lowering's publish-time bound on the
+//!   quadratic subsumption pass. It lives here, not in the core, because
+//!   it is a property of publishing (the fleet budgeter must see the same
+//!   bound through [`minimized_ternary_count`]), not of the rule compiler,
+//!   whose `optimize` has no such cap.
+//!
+//! The working entry carries nothing it can derive: its order key is its
+//! smallest source, it is merged when it stands for more than one source,
+//! and it is a coverer when it is an unmerged survivor whose source the
+//! subsumption pass recorded as a shadow — so there is no flag a merge
+//! could lose.
+//!
 //! Merged entries keep the *earliest* source position (the minimum source
 //! handle) as their order key, so the minimized list replays the source
 //! table's relative order level by level. That order preservation is what
@@ -38,7 +67,9 @@
 
 use crate::action::Action;
 use crate::table::{EntryHandle, MatchKind, MatchSpec, TableEntry};
-use std::collections::BTreeMap;
+use p4guard_rules::cube::{self, Cube};
+use p4guard_rules::ternary::range_to_prefixes;
+use std::collections::BTreeSet;
 
 /// Above this source entry count minimization is skipped (the subsumption
 /// pass is quadratic); the table compiles one engine row per source entry
@@ -146,271 +177,175 @@ impl MinimizedTable {
     }
 }
 
-/// A kept entry mid-minimization.
-struct Kept {
+/// A kept entry mid-minimization, labelled `L` (the table [`Action`], or
+/// `()` when only the row count matters).
+struct Kept<L> {
     spec: MatchSpec,
-    action: Action,
+    label: L,
     priority: i32,
-    order: u64,
-    sources: Vec<EntryHandle>,
-    merged: bool,
-    covering: bool,
+    /// Source handles this entry stands for; see [`Cube::sources`].
+    sources: Vec<u64>,
+}
+
+/// What the two passes made of one table's rows.
+struct Reduced<L> {
+    /// Survivors in minimized match order.
+    kept: Vec<Kept<L>>,
+    /// Sources dropped by subsumption.
+    eliminated: Vec<u64>,
+    /// Sources of the kept rows that shadow an eliminated one.
+    shadows: BTreeSet<u64>,
+}
+
+/// Runs subsumption then per-level merging over `rows` (frozen match
+/// order, one source each). Above [`MINIMIZE_MAX_ENTRIES`] the rows come
+/// back one-to-one.
+fn reduce<L: Ord + Copy>(kind: MatchKind, rows: Vec<Kept<L>>) -> Reduced<L> {
+    let mut reduced = Reduced {
+        kept: Vec::with_capacity(rows.len()),
+        eliminated: Vec::new(),
+        shadows: BTreeSet::new(),
+    };
+    if rows.len() > MINIMIZE_MAX_ENTRIES {
+        reduced.kept = rows;
+        return reduced;
+    }
+    // Pass 1 — subsumption: an entry covered by an earlier kept entry can
+    // never be the first match, whatever either action is.
+    for row in rows {
+        match reduced
+            .kept
+            .iter()
+            .find(|k| spec_covers(&k.spec, &row.spec))
+        {
+            Some(shadow) => {
+                reduced.shadows.insert(shadow.sources[0]);
+                reduced.eliminated.extend(row.sources);
+            }
+            None => reduced.kept.push(row),
+        }
+    }
+    // Pass 2 — per-level merging for the widenable kinds.
+    let merge_level = match kind {
+        MatchKind::Ternary => merge_cube_level,
+        MatchKind::Range => merge_range_level,
+        MatchKind::Exact | MatchKind::Lpm => return reduced,
+    };
+    let mut levels = std::mem::take(&mut reduced.kept).into_iter().peekable();
+    while let Some(first) = levels.next() {
+        let mut level = vec![first];
+        while let Some(k) = levels.next_if(|k| k.priority == level[0].priority) {
+            level.push(k);
+        }
+        reduced.kept.extend(if level.len() < 2 {
+            level
+        } else {
+            merge_level(level)
+        });
+    }
+    reduced
 }
 
 /// Minimizes `entries` (in frozen match order) for a table of `kind`.
 pub fn minimize(kind: MatchKind, entries: &[TableEntry]) -> MinimizedTable {
-    let source: Vec<(EntryHandle, Action)> = entries.iter().map(|e| (e.handle, e.action)).collect();
-    if entries.len() > MINIMIZE_MAX_ENTRIES {
-        let min_entries = entries
-            .iter()
-            .map(|e| MinEntry {
-                spec: e.spec.clone(),
-                action: e.action,
-                priority: e.priority,
-                order: e.handle.0,
-            })
-            .collect();
-        let mut classes: Vec<(EntryHandle, SourceClass)> = entries
-            .iter()
-            .map(|e| (e.handle, SourceClass::Clean))
-            .collect();
-        classes.sort_unstable_by_key(|&(h, _)| h);
-        return MinimizedTable {
-            entries: min_entries,
-            source,
-            classes,
-            eliminated: 0,
-            merged_away: 0,
-        };
-    }
-
-    // Pass 1 — subsumption: an entry covered by an earlier kept entry can
-    // never be the first match, whatever either action is.
-    let mut kept: Vec<Kept> = Vec::new();
-    let mut eliminated_handles: Vec<EntryHandle> = Vec::new();
-    for e in entries {
-        match kept.iter_mut().find(|k| spec_covers(&k.spec, &e.spec)) {
-            Some(shadow) => {
-                shadow.covering = true;
-                eliminated_handles.push(e.handle);
-            }
-            None => kept.push(Kept {
-                spec: e.spec.clone(),
-                action: e.action,
-                priority: e.priority,
-                order: e.handle.0,
-                sources: vec![e.handle],
-                merged: false,
-                covering: false,
-            }),
-        }
-    }
-    let eliminated = eliminated_handles.len();
-
-    // Pass 2 — per-level merging for the widenable kinds.
-    let kept = match kind {
-        MatchKind::Ternary => merge_levels(kept, merge_ternary_level),
-        MatchKind::Range => merge_levels(kept, merge_range_level),
-        MatchKind::Exact | MatchKind::Lpm => kept,
-    };
-
-    let merged_away = kept
+    let rows = entries
         .iter()
-        .filter(|k| k.merged)
-        .map(|k| k.sources.len() - 1)
-        .sum();
+        .map(|e| Kept {
+            spec: e.spec.clone(),
+            label: e.action,
+            priority: e.priority,
+            sources: vec![e.handle.0],
+        })
+        .collect();
+    let Reduced {
+        kept,
+        eliminated,
+        shadows,
+    } = reduce(kind, rows);
+
     let mut classes: Vec<(EntryHandle, SourceClass)> = Vec::with_capacity(entries.len());
     for k in &kept {
-        let class = if k.merged {
-            SourceClass::Merged
-        } else if k.covering {
-            SourceClass::Coverer
-        } else {
-            SourceClass::Clean
+        let class = match k.sources[..] {
+            [only] if shadows.contains(&only) => SourceClass::Coverer,
+            [_] => SourceClass::Clean,
+            _ => SourceClass::Merged,
         };
-        classes.extend(k.sources.iter().map(|&h| (h, class)));
+        classes.extend(k.sources.iter().map(|&h| (EntryHandle(h), class)));
     }
     classes.extend(
-        eliminated_handles
-            .into_iter()
-            .map(|h| (h, SourceClass::Eliminated)),
+        eliminated
+            .iter()
+            .map(|&h| (EntryHandle(h), SourceClass::Eliminated)),
     );
     classes.sort_unstable_by_key(|&(h, _)| h);
 
-    let min_entries = kept
-        .into_iter()
-        .map(|k| MinEntry {
-            spec: k.spec,
-            action: k.action,
-            priority: k.priority,
-            order: k.order,
+    MinimizedTable {
+        merged_away: kept.iter().map(|k| k.sources.len() - 1).sum(),
+        entries: kept
+            .into_iter()
+            .map(|k| MinEntry {
+                order: *k.sources.iter().min().expect("a kept entry has a source"),
+                spec: k.spec,
+                action: k.label,
+                priority: k.priority,
+            })
+            .collect(),
+        source: entries.iter().map(|e| (e.handle, e.action)).collect(),
+        classes,
+        eliminated: eliminated.len(),
+    }
+}
+
+/// Hands one ternary level to the shared core ([`cube::merge_siblings`])
+/// and converts the survivors back, in order of their smallest source. A
+/// level holding anything but ternary specs is returned unmerged.
+fn merge_cube_level<L: Ord + Copy>(level: Vec<Kept<L>>) -> Vec<Kept<L>> {
+    let priority = level[0].priority;
+    let cubes: Option<Vec<Cube<L>>> = level
+        .iter()
+        .map(|k| match &k.spec {
+            MatchSpec::Ternary { value, mask } => Some(Cube {
+                value: value.clone(),
+                mask: mask.clone(),
+                label: k.label,
+                sources: k.sources.clone(),
+            }),
+            _ => None,
         })
         .collect();
-    MinimizedTable {
-        entries: min_entries,
-        source,
-        classes,
-        eliminated,
-        merged_away,
-    }
-}
-
-/// Splits `kept` (already in match order) into maximal equal-priority
-/// runs, merges each run with `merge_level`, re-sorts each run by order
-/// key and concatenates.
-fn merge_levels(kept: Vec<Kept>, merge_level: fn(Vec<Kept>) -> Vec<Kept>) -> Vec<Kept> {
-    let mut out: Vec<Kept> = Vec::with_capacity(kept.len());
-    let mut level: Vec<Kept> = Vec::new();
-    for k in kept {
-        if level.last().is_some_and(|l| l.priority != k.priority) {
-            out.extend(flush_level(std::mem::take(&mut level), merge_level));
-        }
-        level.push(k);
-    }
-    out.extend(flush_level(level, merge_level));
-    out
-}
-
-fn flush_level(level: Vec<Kept>, merge_level: fn(Vec<Kept>) -> Vec<Kept>) -> Vec<Kept> {
-    if level.len() < 2 {
-        return level;
-    }
-    let mut merged = merge_level(level);
-    merged.sort_by_key(|k| k.order);
-    merged
-}
-
-/// Returns `true` when no two entries of the level that overlap carry
-/// different actions — the condition under which relative order inside
-/// the level cannot affect any lookup's action, so union-preserving
-/// rewrites are free.
-fn level_order_free(level: &[Kept], overlaps: fn(&MatchSpec, &MatchSpec) -> bool) -> bool {
-    for (i, a) in level.iter().enumerate() {
-        for b in &level[i + 1..] {
-            if a.action != b.action && overlaps(&a.spec, &b.spec) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Merges one-bit ternary siblings within an order-free level to a
-/// fixpoint. Deterministic: entries are bucketed in ordered maps and bit
-/// positions are swept most-significant first.
-fn merge_ternary_level(level: Vec<Kept>) -> Vec<Kept> {
-    if !level_order_free(&level, ternary_overlaps) {
-        return level;
-    }
-    let priority = level[0].priority;
-    // (mask, action) → masked value → (order, sources, merged, covering).
-    // `covering` must ride along: an entry shadowing eliminated entries
-    // keeps shadowing them whether or not this pass widens it, and losing
-    // the flag would let `recompile` patch its removal without
-    // resurrecting what it shadowed.
-    type Slot = (u64, Vec<EntryHandle>, bool, bool);
-    let mut groups: BTreeMap<(Vec<u8>, Action), BTreeMap<Vec<u8>, Slot>> = BTreeMap::new();
-    for k in level {
-        let MatchSpec::Ternary { value, mask } = k.spec else {
-            // Non-ternary specs cannot appear in a ternary table; keep
-            // the entry untouched if they somehow do.
-            continue;
-        };
-        let masked: Vec<u8> = value.iter().zip(&mask).map(|(&v, &m)| v & m).collect();
-        groups
-            .entry((mask, k.action))
-            .or_default()
-            .entry(masked)
-            .and_modify(|slot| {
-                // An exact duplicate can only arise from a merge result
-                // colliding with an installed entry; fold them together.
-                slot.0 = slot.0.min(k.order);
-                slot.1.extend(k.sources.iter().copied());
-                slot.2 = true;
-                slot.3 |= k.covering;
-            })
-            .or_insert((k.order, k.sources, k.merged, k.covering));
-    }
-    loop {
-        let mut changed = false;
-        let keys: Vec<_> = groups.keys().cloned().collect();
-        for key in keys {
-            let (mask, action) = &key;
-            let width = mask.len();
-            for byte in 0..width {
-                for bit in (0..8).rev() {
-                    let bitmask = 1u8 << bit;
-                    if mask[byte] & bitmask == 0 {
-                        continue;
-                    }
-                    let Some(group) = groups.get(&key) else { break };
-                    let pairs: Vec<Vec<u8>> = group
-                        .keys()
-                        .filter(|v| v[byte] & bitmask == 0)
-                        .filter(|v| {
-                            let mut hi = (*v).clone();
-                            hi[byte] |= bitmask;
-                            group.contains_key(&hi)
-                        })
-                        .cloned()
-                        .collect();
-                    if pairs.is_empty() {
-                        continue;
-                    }
-                    changed = true;
-                    let mut wide_mask = mask.clone();
-                    wide_mask[byte] &= !bitmask;
-                    for lo in pairs {
-                        let mut hi = lo.clone();
-                        hi[byte] |= bitmask;
-                        let group = groups.get_mut(&key).expect("group present");
-                        let (ord_a, mut src_a, _, cov_a) = group.remove(&lo).expect("lo present");
-                        let (ord_b, src_b, _, cov_b) = group.remove(&hi).expect("hi present");
-                        src_a.extend(src_b);
-                        let covering = cov_a || cov_b;
-                        let wide = groups.entry((wide_mask.clone(), *action)).or_default();
-                        wide.entry(lo)
-                            .and_modify(|slot| {
-                                slot.0 = slot.0.min(ord_a.min(ord_b));
-                                slot.1.extend(src_a.iter().copied());
-                                slot.2 = true;
-                                slot.3 |= covering;
-                            })
-                            .or_insert((ord_a.min(ord_b), src_a, true, covering));
-                    }
-                }
-            }
-        }
-        groups.retain(|_, g| !g.is_empty());
-        if !changed {
-            break;
-        }
-    }
-    groups
+    let Some(cubes) = cubes else { return level };
+    cube::merge_siblings(cubes)
         .into_iter()
-        .flat_map(|((mask, action), slots)| {
-            slots
-                .into_iter()
-                .map(move |(value, (order, sources, merged, covering))| Kept {
-                    spec: MatchSpec::Ternary {
-                        value,
-                        mask: mask.clone(),
-                    },
-                    action,
-                    priority,
-                    order,
-                    sources,
-                    merged,
-                    covering,
-                })
+        .map(|c| Kept {
+            spec: MatchSpec::Ternary {
+                value: c.value,
+                mask: c.mask,
+            },
+            label: c.label,
+            priority,
+            sources: c.sources,
         })
         .collect()
 }
 
-/// Coalesces adjacent/overlapping same-action range boxes differing in a
-/// single byte dimension, within an order-free level, to a fixpoint.
-fn merge_range_level(level: Vec<Kept>) -> Vec<Kept> {
-    if !level_order_free(&level, range_overlaps) {
+/// Returns `true` when no two range boxes of the level that overlap carry
+/// different labels — the condition under which relative order inside the
+/// level cannot affect any lookup's action, so union-preserving rewrites
+/// are free.
+fn range_level_order_free<L: PartialEq>(level: &[Kept<L>]) -> bool {
+    level.iter().enumerate().all(|(i, a)| {
+        level[i + 1..]
+            .iter()
+            .all(|b| a.label == b.label || !range_overlaps(&a.spec, &b.spec))
+    })
+}
+
+/// Coalesces adjacent/overlapping same-label range boxes differing in a
+/// single byte dimension, within an order-free level, to a fixpoint. The
+/// union stays at the earlier box's position, so the level stays sorted
+/// by smallest source.
+fn merge_range_level<L: Ord + Copy>(level: Vec<Kept<L>>) -> Vec<Kept<L>> {
+    if !range_level_order_free(&level) {
         return level;
     }
     let mut items = level;
@@ -418,7 +353,7 @@ fn merge_range_level(level: Vec<Kept>) -> Vec<Kept> {
         let mut merged_any = false;
         'scan: for i in 0..items.len() {
             for j in (i + 1)..items.len() {
-                if items[i].action != items[j].action {
+                if items[i].label != items[j].label {
                     continue;
                 }
                 let (MatchSpec::Range { lo: la, hi: ha }, MatchSpec::Range { lo: lb, hi: hb }) =
@@ -436,10 +371,7 @@ fn merge_range_level(level: Vec<Kept>) -> Vec<Kept> {
                 let b = items.remove(j);
                 let a = &mut items[i];
                 a.spec = MatchSpec::Range { lo, hi };
-                a.order = a.order.min(b.order);
                 a.sources.extend(b.sources);
-                a.merged = true;
-                a.covering = a.covering || b.covering;
                 merged_any = true;
                 break 'scan;
             }
@@ -488,14 +420,7 @@ pub fn spec_covers(a: &MatchSpec, b: &MatchSpec) -> bool {
                 value: vb,
                 mask: mb,
             },
-        ) => {
-            va.len() == vb.len()
-                && va
-                    .iter()
-                    .zip(vb)
-                    .zip(ma.iter().zip(mb))
-                    .all(|((&va, &vb), (&ma, &mb))| ma & !mb == 0 && (va ^ vb) & ma == 0)
-        }
+        ) => cube::covers(va, ma, vb, mb),
         (
             MatchSpec::Lpm {
                 value: va,
@@ -526,30 +451,6 @@ pub fn spec_covers(a: &MatchSpec, b: &MatchSpec) -> bool {
     }
 }
 
-/// Ternary overlap: some key matches both specs.
-fn ternary_overlaps(a: &MatchSpec, b: &MatchSpec) -> bool {
-    match (a, b) {
-        (
-            MatchSpec::Ternary {
-                value: va,
-                mask: ma,
-            },
-            MatchSpec::Ternary {
-                value: vb,
-                mask: mb,
-            },
-        ) => {
-            va.len() == vb.len()
-                && va
-                    .iter()
-                    .zip(vb)
-                    .zip(ma.iter().zip(mb))
-                    .all(|((&va, &vb), (&ma, &mb))| (va ^ vb) & ma & mb == 0)
-        }
-        _ => false,
-    }
-}
-
 /// Range overlap: the boxes intersect on every byte.
 fn range_overlaps(a: &MatchSpec, b: &MatchSpec) -> bool {
     match (a, b) {
@@ -575,47 +476,37 @@ pub fn minimized_ternary_count<'a, I>(rules: I) -> usize
 where
     I: IntoIterator<Item = (&'a [u8], &'a [u8], i32)>,
 {
-    let mut entries: Vec<TableEntry> = rules
+    let mut rows: Vec<Kept<()>> = rules
         .into_iter()
         .enumerate()
-        .map(|(i, (value, mask, priority))| TableEntry {
-            handle: EntryHandle(i as u64 + 1),
+        .map(|(i, (value, mask, priority))| Kept {
             spec: MatchSpec::Ternary {
                 value: value.to_vec(),
                 mask: mask.to_vec(),
             },
-            action: Action::Drop,
+            label: (),
             priority,
-            hits: 0,
+            sources: vec![i as u64],
         })
         .collect();
-    entries.sort_by_key(|e| std::cmp::Reverse(e.priority));
-    minimize(MatchKind::Ternary, &entries).entries.len()
+    rows.sort_by_key(|r| std::cmp::Reverse(r.priority));
+    reduce(MatchKind::Ternary, rows).kept.len()
 }
 
 /// The number of TCAM entries an optimal prefix expansion of the
 /// per-byte range box `[lo, hi]` occupies: the product over bytes of the
 /// minimal aligned-block cover of each interval (greedy largest-aligned
 /// block, which is optimal for prefix covers).
+///
+/// # Panics
+///
+/// Panics if `lo > hi` on any byte ([`Table::insert`](crate::table::Table::insert)
+/// rejects such specs).
 pub fn range_prefix_expansion(lo: &[u8], hi: &[u8]) -> usize {
     lo.iter()
         .zip(hi)
-        .map(|(&l, &h)| byte_prefix_count(u16::from(l), u16::from(h)))
+        .map(|(&l, &h)| range_to_prefixes(l, h).len())
         .product()
-}
-
-fn byte_prefix_count(lo: u16, hi: u16) -> usize {
-    let mut count = 0usize;
-    let mut cur = lo;
-    while cur <= hi {
-        let mut size = 1u16;
-        while cur.is_multiple_of(size * 2) && cur + (size * 2 - 1) <= hi {
-            size *= 2;
-        }
-        count += 1;
-        cur += size;
-    }
-    count
 }
 
 /// TCAM entries the minimized list occupies once lowered to hardware:

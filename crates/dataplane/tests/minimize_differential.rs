@@ -17,6 +17,12 @@
 //!    yields the same `(action, priority)` verdicts as compiling the
 //!    edited table from scratch at every step — including the steps
 //!    where patching bails to a full recompile.
+//!
+//! 3. **The two drivers of the one minimizer agree with the scan.**
+//!    `RuleSet::optimize` and lowering both call `p4guard_rules::cube`;
+//!    for the same single-action ternary rules, the optimized ruleset's
+//!    `classify`, the compiled lookup of the raw-installed table and
+//!    `Table::peek` give one verdict for every key.
 
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::compiled::{CompiledTable, LookupOutcome};
@@ -309,6 +315,50 @@ proptest! {
         for b in 0u8..=255 {
             let expect = if to.classify(&[b]) == 1 { Action::Drop } else { Action::NoOp };
             prop_assert_eq!(chained.lookup(&[b], &mut probe), expect, "key {:#04x}", b);
+        }
+    }
+
+    /// Invariant 3: both consumers of the shared core against the scan,
+    /// over the full keyspace at width 1 and 2.
+    #[test]
+    fn both_minimizer_drivers_agree_with_the_scan(
+        width in 1usize..=2,
+        raw in pvec((pvec(any::<u8>(), 2usize), pvec(any::<u8>(), 2usize), 0i32..3), 0..16),
+    ) {
+        let mut rules = RuleSet::new(width, 0);
+        for (value, mask_sel, priority) in &raw {
+            let mask: Vec<u8> = mask_sel[..width]
+                .iter()
+                .map(|&m| [0x00, 0xfe, 0xf0, 0xff][m as usize % 4])
+                .collect();
+            rules.push(TernaryEntry::new(value[..width].to_vec(), mask, 1, *priority));
+        }
+        let mut table = Table::new(
+            "drivers",
+            MatchKind::Ternary,
+            KeyLayout::window(width),
+            raw.len().max(1),
+            Action::NoOp,
+        );
+        for e in rules.entries() {
+            table
+                .insert(
+                    MatchSpec::Ternary { value: e.value.clone(), mask: e.mask.clone() },
+                    Action::Drop,
+                    e.priority,
+                )
+                .unwrap();
+        }
+        let compiled = CompiledTable::compile(&table);
+        let mut optimized = rules.clone();
+        optimized.optimize();
+        let mut probe = vec![0u8; width];
+        for k in 0..(1usize << (8 * width)) {
+            let key = &[(k >> 8) as u8, k as u8][2 - width..];
+            let scan = table.peek(key);
+            prop_assert_eq!(compiled.lookup(key, &mut probe), scan, "compiled, key {:?}", key);
+            let verdict = if optimized.classify(key) == 1 { Action::Drop } else { Action::NoOp };
+            prop_assert_eq!(verdict, scan, "optimized ruleset, key {:?}", key);
         }
     }
 }

@@ -2,8 +2,18 @@
 //! sets, allocations (i) never exceed the global TCAM/SRAM budget,
 //! (ii) respect every tenant's minimum guarantee, and (iii) are a pure
 //! function of the tenant set — the same shares always split the same
-//! way, in allocation, admission and trimming alike.
+//! way, in allocation, admission and trimming alike. Admission is also
+//! *sound*: (iv) the occupancy the budgeter admits against is exactly what
+//! lowering will install.
 
+use p4guard_dataplane::action::Action;
+use p4guard_dataplane::compiled::CompiledTable;
+use p4guard_dataplane::control::ControlPlane;
+use p4guard_dataplane::key::KeyLayout;
+use p4guard_dataplane::minimize::MINIMIZE_MAX_ENTRIES;
+use p4guard_dataplane::parser::ParserSpec;
+use p4guard_dataplane::switch::Switch;
+use p4guard_dataplane::table::{MatchKind, Table};
 use p4guard_fleet::{BudgetConfig, TableBudgeter, TenantShare};
 use p4guard_rules::{RuleSet, TernaryEntry};
 use proptest::prelude::*;
@@ -39,7 +49,64 @@ fn ruleset_with(entries: usize, width: usize) -> RuleSet {
     rs
 }
 
+/// TCAM bits of the table that publishing `rs` actually produces: the
+/// ruleset installed the way tenants install it, then lowered.
+fn lowered_tcam_bits(rs: &RuleSet) -> usize {
+    let width = rs.key_width();
+    let mut sw = Switch::new("budget", ParserSpec::raw_window(width, 0), 0);
+    sw.add_stage(Table::new(
+        "acl",
+        MatchKind::Ternary,
+        KeyLayout::window(width),
+        rs.len().max(1),
+        Action::NoOp,
+    ));
+    let control = ControlPlane::new(sw);
+    control
+        .install_ruleset(0, rs, Action::Drop)
+        .expect("table sized for the ruleset");
+    control.with_switch(|sw| CompiledTable::compile(sw.stage(0)).minimized_len()) * width * 16
+}
+
+/// Above the lowering cap nothing is minimized — and the budgeter must
+/// charge the raw count too, or it would admit what lowering then
+/// installs at full size.
+#[test]
+fn admission_charges_the_raw_count_above_the_minimization_cap() {
+    let mut rs = RuleSet::new(2, 0);
+    for i in 0..=MINIMIZE_MAX_ENTRIES {
+        // Consecutive values under a full mask: maximally mergeable.
+        rs.push(TernaryEntry::new(
+            vec![(i >> 8) as u8, i as u8],
+            vec![0xff, 0xff],
+            1,
+            0,
+        ));
+    }
+    let raw_bits = (MINIMIZE_MAX_ENTRIES + 1) * 2 * 16;
+    assert_eq!(TableBudgeter::minimized_tcam_bits(&rs), raw_bits);
+    assert_eq!(lowered_tcam_bits(&rs), raw_bits);
+}
+
 proptest! {
+    /// Admission soundness: the budgeter's minimized occupancy equals the
+    /// lowered table's, for mergeable, shadowed and multi-priority sets.
+    #[test]
+    fn admitted_occupancy_is_what_lowering_installs(
+        width in 1usize..=2,
+        raw in collection::vec(
+            (collection::vec(any::<u8>(), 2usize), collection::vec(0usize..4, 2usize), 0i32..3),
+            0..24,
+        ),
+    ) {
+        let mut rs = RuleSet::new(width, 0);
+        for (value, mask_sel, priority) in &raw {
+            let mask: Vec<u8> = mask_sel[..width].iter().map(|&s| [0x00, 0xfe, 0xf0, 0xff][s]).collect();
+            rs.push(TernaryEntry::new(value[..width].to_vec(), mask, 1, *priority));
+        }
+        prop_assert_eq!(TableBudgeter::minimized_tcam_bits(&rs), lowered_tcam_bits(&rs));
+    }
+
     #[test]
     fn allocations_never_exceed_global_budget(
         raw in collection::vec((any::<u32>(), any::<usize>(), any::<usize>()), 1..24),

@@ -5,7 +5,10 @@
 //! tree paths into TCAM-installable ternary match-action rules
 //! ([`compile::compile_tree`]), via minimal range→prefix expansion
 //! ([`ternary::range_to_prefixes`]) with merge/shadow optimization
-//! ([`ruleset::RuleSet`]).
+//! ([`ruleset::RuleSet`]). The merge decision itself — which value/mask
+//! entries fold together — lives in [`cube`], the one ternary minimizer
+//! that both `RuleSet::optimize` and the data plane's lowering-time
+//! minimization call.
 //!
 //! # Examples
 //!
@@ -29,6 +32,7 @@
 #![forbid(unsafe_code)]
 
 pub mod compile;
+pub mod cube;
 pub mod forest;
 pub mod ruleset;
 pub mod ternary;

@@ -1,5 +1,6 @@
 //! Prioritized ternary rule sets with optimization passes.
 
+use crate::cube::{self, Cube};
 use crate::ternary::TernaryEntry;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -75,6 +76,35 @@ impl RuleSet {
             .map_or(self.default_class, |e| e.class)
     }
 
+    /// Checks the invariants [`RuleSet::push`] maintains, for a rule set
+    /// that arrived some other way (deserialized from a model file): every
+    /// entry's value and mask are `key_width` bytes, and entries are sorted
+    /// by descending priority.
+    ///
+    /// # Errors
+    ///
+    /// Names the first offending entry.
+    pub fn validate(&self) -> Result<(), String> {
+        for (i, e) in self.entries.iter().enumerate() {
+            if e.value.len() != self.key_width || e.mask.len() != self.key_width {
+                return Err(format!(
+                    "entry {i}: value is {} byte(s) and mask {} byte(s), key width is {}",
+                    e.value.len(),
+                    e.mask.len(),
+                    self.key_width
+                ));
+            }
+            if i > 0 && self.entries[i - 1].priority < e.priority {
+                return Err(format!(
+                    "entry {i}: priority {} follows priority {}, entries must be sorted by descending priority",
+                    e.priority,
+                    self.entries[i - 1].priority
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Total TCAM bits consumed: each entry stores value and mask, so
     /// `entries × key_bits × 2`.
     pub fn tcam_bits(&self) -> usize {
@@ -100,133 +130,50 @@ impl RuleSet {
 
     /// Merges sibling entries — same mask, same class, same priority,
     /// values differing in exactly one cared bit — into one entry with that
-    /// bit wildcarded. Runs to fixpoint per priority level. Returns the
-    /// number of merges.
+    /// bit wildcarded, and folds exact duplicates. Runs to fixpoint per
+    /// priority level. Returns the number of rows merging removed.
     ///
-    /// The pass is semantics-preserving for **arbitrary** rule sets, not
-    /// just tree-compiler output: within one priority level,
-    /// [`RuleSet::classify`] is first-match-wins, so reordering (which
-    /// merging implies) is only sound when no two entries of different
-    /// classes overlap in that level. Levels that fail this check are
-    /// passed through byte-for-byte in their original order; order-free
-    /// levels get the classic Quine–McCluskey-style bit pairing over
-    /// deterministic (`BTree`) orderings, so results are reproducible and
-    /// the pass is `O(rounds · n · key_bits · log n)` plus an `O(n²)`
-    /// per-level overlap check.
+    /// This is a driver over [`cube::merge_siblings`], which owns the
+    /// merge decision: it splits the entries into equal-priority levels,
+    /// hands each level over labelled by class, and writes the survivors
+    /// back (masked values, in the order of the earliest entry each stands
+    /// for). The pass is semantics-preserving for **arbitrary** rule sets,
+    /// not just tree-compiler output: within one priority level,
+    /// [`RuleSet::classify`] is first-match-wins, so a level where two
+    /// entries of different classes overlap is passed through byte-for-byte
+    /// in its original order.
     pub fn merge_siblings(&mut self) -> usize {
-        // Split into priority levels, preserving the (already sorted,
-        // stable) order within each level.
-        let mut levels: Vec<(i32, Vec<TernaryEntry>)> = Vec::new();
-        for e in self.entries.drain(..) {
-            match levels.last_mut() {
-                Some((p, level)) if *p == e.priority => level.push(e),
-                _ => levels.push((e.priority, vec![e])),
+        let before = self.entries.len();
+        let mut merged: Vec<TernaryEntry> = Vec::with_capacity(before);
+        let mut entries = std::mem::take(&mut self.entries).into_iter().peekable();
+        while let Some(first) = entries.next() {
+            let priority = first.priority;
+            let mut level = vec![first];
+            while let Some(e) = entries.next_if(|e| e.priority == priority) {
+                level.push(e);
             }
+            let cubes = level
+                .into_iter()
+                .enumerate()
+                .map(|(i, e)| Cube {
+                    value: e.value,
+                    mask: e.mask,
+                    label: e.class,
+                    sources: vec![i as u64],
+                })
+                .collect();
+            merged.extend(
+                cube::merge_siblings(cubes)
+                    .into_iter()
+                    .map(|c| TernaryEntry::new(c.value, c.mask, c.label, priority)),
+            );
         }
-        let mut merges = 0usize;
-        for (priority, level) in &mut levels {
-            if Self::level_is_order_free(level) {
-                merges += Self::merge_level(*priority, level);
-            }
-        }
-        self.entries = levels.into_iter().flat_map(|(_, l)| l).collect();
-        merges
+        self.entries = merged;
+        before - self.entries.len()
     }
 
-    /// Whether `a` and `b` can both match some key (their cared bits agree
-    /// wherever both care).
-    fn overlaps(a: &TernaryEntry, b: &TernaryEntry) -> bool {
-        a.value
-            .iter()
-            .zip(&a.mask)
-            .zip(b.value.iter().zip(&b.mask))
-            .all(|((&va, &ma), (&vb, &mb))| (va & ma & mb) == (vb & ma & mb))
-    }
-
-    /// Whether classification within this equal-priority level is
-    /// independent of entry order: no key can match two entries with
-    /// different classes. Merging preserves each class's matched key set
-    /// exactly (a sibling pair's union is the merged entry), so this
-    /// property also survives the merge itself.
-    fn level_is_order_free(level: &[TernaryEntry]) -> bool {
-        level.iter().enumerate().all(|(i, a)| {
-            level[i + 1..]
-                .iter()
-                .all(|b| a.class == b.class || !Self::overlaps(a, b))
-        })
-    }
-
-    /// Runs sibling merging to fixpoint over one order-free priority
-    /// level, rewriting `level` in place. Returns the number of merges.
-    fn merge_level(priority: i32, level: &mut Vec<TernaryEntry>) -> usize {
-        use std::collections::{BTreeMap, BTreeSet};
-        let mut merges = 0usize;
-        loop {
-            // Group masked values by (mask, class).
-            let mut groups: BTreeMap<(Vec<u8>, usize), BTreeSet<Vec<u8>>> = BTreeMap::new();
-            for e in level.iter() {
-                let masked: Vec<u8> = e.value.iter().zip(&e.mask).map(|(v, m)| v & m).collect();
-                groups
-                    .entry((e.mask.clone(), e.class))
-                    .or_default()
-                    .insert(masked);
-            }
-            let mut next_entries: Vec<TernaryEntry> = Vec::with_capacity(level.len());
-            let mut merged_this_round = 0usize;
-            for ((mask, class), values) in groups {
-                let mut consumed: BTreeSet<Vec<u8>> = BTreeSet::new();
-                for value in &values {
-                    if consumed.contains(value) {
-                        continue;
-                    }
-                    let mut merged = false;
-                    'bits: for (byte_idx, &m) in mask.iter().enumerate() {
-                        for bit in (0..8).rev() {
-                            let b = 1u8 << bit;
-                            if m & b == 0 {
-                                continue;
-                            }
-                            let mut partner = value.clone();
-                            partner[byte_idx] ^= b;
-                            // Pair each sibling set once: the lower value
-                            // owns the merge.
-                            if partner > *value
-                                && values.contains(&partner)
-                                && !consumed.contains(&partner)
-                            {
-                                let mut new_mask = mask.clone();
-                                new_mask[byte_idx] &= !b;
-                                let mut new_value = value.clone();
-                                new_value[byte_idx] &= new_mask[byte_idx];
-                                next_entries
-                                    .push(TernaryEntry::new(new_value, new_mask, class, priority));
-                                consumed.insert(value.clone());
-                                consumed.insert(partner);
-                                merged = true;
-                                merged_this_round += 1;
-                                break 'bits;
-                            }
-                        }
-                    }
-                    if !merged {
-                        next_entries.push(TernaryEntry::new(
-                            value.clone(),
-                            mask.clone(),
-                            class,
-                            priority,
-                        ));
-                    }
-                }
-            }
-            if merged_this_round == 0 {
-                return merges;
-            }
-            merges += merged_this_round;
-            *level = next_entries;
-        }
-    }
-
-    /// Runs all optimization passes; returns (merged, shadowed-removed).
+    /// Runs both optimization passes; returns the rows removed by
+    /// (merging, shadowing).
     pub fn optimize(&mut self) -> (usize, usize) {
         let merged = self.merge_siblings();
         let shadowed = self.remove_shadowed();
@@ -426,6 +373,46 @@ mod tests {
         rs.push(entry(0x02, 0xff, 1, 6)); // different priority
         assert_eq!(rs.merge_siblings(), 0);
         assert_eq!(rs.len(), 3);
+    }
+
+    #[test]
+    fn merge_counts_rows_removed_including_folded_duplicates() {
+        let mut rs = RuleSet::new(1, 0);
+        rs.push(entry(0x04, 0xff, 1, 5));
+        rs.push(entry(0x04, 0xff, 1, 5)); // duplicate
+        rs.push(entry(0x05, 0xff, 1, 5)); // sibling
+        assert_eq!(rs.merge_siblings(), 2);
+        assert_eq!(rs.entries(), &[entry(0x04, 0xfe, 1, 5)]);
+    }
+
+    #[test]
+    fn validate_accepts_pushed_sets_and_names_the_offending_entry() {
+        let mut rs = RuleSet::new(2, 0);
+        rs.push(TernaryEntry::new(vec![1, 2], vec![0xff, 0xff], 1, 1));
+        rs.push(TernaryEntry::new(vec![3, 4], vec![0xff, 0x00], 1, 7));
+        assert_eq!(rs.validate(), Ok(()));
+        // Deserialization bypasses `push` and `TernaryEntry::new`; build
+        // what it can produce field by field.
+        let raw = |value: Vec<u8>, mask: Vec<u8>, priority: i32| TernaryEntry {
+            value,
+            mask,
+            class: 1,
+            priority,
+        };
+        let ragged = RuleSet {
+            key_width: 2,
+            entries: vec![raw(vec![1], vec![0xff, 0xff], 1)],
+            default_class: 0,
+        };
+        let err = ragged.validate().unwrap_err();
+        assert!(err.starts_with("entry 0:"), "{err}");
+        let unsorted = RuleSet {
+            key_width: 1,
+            entries: vec![raw(vec![1], vec![0xff], 1), raw(vec![2], vec![0xff], 2)],
+            default_class: 0,
+        };
+        let err = unsorted.validate().unwrap_err();
+        assert!(err.starts_with("entry 1:"), "{err}");
     }
 
     #[test]

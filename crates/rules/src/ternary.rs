@@ -59,18 +59,7 @@ impl TernaryEntry {
     /// Returns `true` if every key matching `other` also matches `self`
     /// (i.e. `self` covers `other`).
     pub fn covers(&self, other: &TernaryEntry) -> bool {
-        if self.width() != other.width() {
-            return false;
-        }
-        self.value
-            .iter()
-            .zip(&self.mask)
-            .zip(other.value.iter().zip(&other.mask))
-            .all(|((&sv, &sm), (&ov, &om))| {
-                // Self's cared bits must be a subset of other's cared bits
-                // and agree in value there.
-                sm & om == sm && (sv & sm) == (ov & sm)
-            })
+        crate::cube::covers(&self.value, &self.mask, &other.value, &other.mask)
     }
 
     /// Number of exactly-matched (non-wildcard) bits.
