@@ -41,30 +41,41 @@ echo "==> serve smoke (fixed seed, live /metrics, time-boxed)"
 CLI=target/release/p4guard-cli
 SMOKE_DIR="$(mktemp -d)"
 SERVE_PID=""
-trap 'rm -rf "$SMOKE_DIR"; kill "$SERVE_PID" 2>/dev/null || true' EXIT
-timeout 180 "$CLI" serve --shards 2 --seed 1 \
-  --metrics-addr 127.0.0.1:0 --hold 60 > "$SMOKE_DIR/serve.log" 2>&1 &
-SERVE_PID=$!
 ADDR=""
-for _ in $(seq 1 300); do
-  # The replay must have finished (endpoint held open) before we scrape,
-  # so the counters we read are final rather than mid-flight.
-  if grep -q 'holding metrics endpoint' "$SMOKE_DIR/serve.log"; then
-    ADDR=$(sed -n 's|^metrics: listening on http://\([0-9.:]*\)/metrics$|\1|p' "$SMOKE_DIR/serve.log")
-    break
-  fi
-  if ! kill -0 "$SERVE_PID" 2>/dev/null; then
-    echo "serve exited before holding the metrics endpoint:" >&2
-    cat "$SMOKE_DIR/serve.log" >&2
+trap 'rm -rf "$SMOKE_DIR"; kill "$SERVE_PID" 2>/dev/null || true' EXIT
+
+# start_serve <log> <serve args…>: runs `p4guard-cli serve` in the
+# background with a live metrics endpoint on an ephemeral port, held open
+# after the run; waits until the log says the endpoint is being held (the
+# replay has finished, so the counters we scrape are final rather than
+# mid-flight) and sets SERVE_PID and ADDR. Bails with the log if serve
+# exits early or never gets there.
+start_serve() {
+  local log="$1"
+  shift
+  timeout 180 "$CLI" serve "$@" --metrics-addr 127.0.0.1:0 --hold 60 > "$log" 2>&1 &
+  SERVE_PID=$!
+  ADDR=""
+  for _ in $(seq 1 300); do
+    if grep -q 'holding metrics endpoint' "$log"; then
+      ADDR=$(sed -n 's|^metrics: listening on http://\([0-9.:]*\)/metrics$|\1|p' "$log")
+      break
+    fi
+    if ! kill -0 "$SERVE_PID" 2>/dev/null; then
+      echo "serve $* exited before holding the metrics endpoint:" >&2
+      cat "$log" >&2
+      exit 1
+    fi
+    sleep 0.5
+  done
+  if [ -z "$ADDR" ]; then
+    echo "serve $* never brought the metrics endpoint up:" >&2
+    cat "$log" >&2
     exit 1
   fi
-  sleep 0.5
-done
-if [ -z "$ADDR" ]; then
-  echo "never saw the metrics endpoint come up:" >&2
-  cat "$SMOKE_DIR/serve.log" >&2
-  exit 1
-fi
+}
+
+start_serve "$SMOKE_DIR/serve.log" --shards 2 --seed 1
 FRAMES=$(sed -n 's/^no --trace given; generated \([0-9]*\) packets.*/\1/p' "$SMOKE_DIR/serve.log")
 # stats --metrics exits non-zero on connection failure or any non-200.
 "$CLI" stats --metrics "$ADDR" > "$SMOKE_DIR/metrics.txt"
@@ -112,27 +123,7 @@ echo "==> fleet smoke (fixed seed, time-boxed)"
 # shared shard workers with a live /metrics endpoint. The run must report
 # every tenant within its table budget, exercise a budget rejection, and
 # export per-tenant metric series.
-timeout 180 "$CLI" serve --tenants 2 --devices 2000 --shards 2 --seed 5 \
-  --metrics-addr 127.0.0.1:0 --hold 60 > "$SMOKE_DIR/fleet.log" 2>&1 &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 300); do
-  if grep -q 'holding metrics endpoint' "$SMOKE_DIR/fleet.log"; then
-    ADDR=$(sed -n 's|^metrics: listening on http://\([0-9.:]*\)/metrics$|\1|p' "$SMOKE_DIR/fleet.log")
-    break
-  fi
-  if ! kill -0 "$SERVE_PID" 2>/dev/null; then
-    echo "fleet serve exited before holding the metrics endpoint:" >&2
-    cat "$SMOKE_DIR/fleet.log" >&2
-    exit 1
-  fi
-  sleep 0.5
-done
-if [ -z "$ADDR" ]; then
-  echo "never saw the fleet metrics endpoint come up:" >&2
-  cat "$SMOKE_DIR/fleet.log" >&2
-  exit 1
-fi
+start_serve "$SMOKE_DIR/fleet.log" --tenants 2 --devices 2000 --shards 2 --seed 5
 grep -q 'publish(es) rejected' "$SMOKE_DIR/fleet.log" && \
   ! grep -q ' 0 publish(es) rejected' "$SMOKE_DIR/fleet.log" || {
   echo "fleet smoke never exercised the budget reject path:" >&2
@@ -163,14 +154,14 @@ kill "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
 
 echo "==> delta-publish smoke (fixed seed, time-boxed)"
-# Incremental compilation + minimization gate (reproduce f14_minimize):
+# Incremental compilation + minimization gate (reproduce f20_minimize):
 # one-entry diffs against a 1024-entry stage must publish >=10x faster
 # than a from-scratch recompile, the live mid-serve delta chain must
 # conserve every frame, and the lowering-time minimizer must cut entries
 # on at least one learned ruleset — by exactly the committed counts.
-timeout 300 target/release/reproduce f14_minimize --out "$SMOKE_DIR/results" \
+timeout 300 target/release/reproduce f20_minimize --out "$SMOKE_DIR/results" \
   > "$SMOKE_DIR/minimize.log" 2>&1 || {
-  echo "reproduce f14_minimize failed:" >&2
+  echo "reproduce f20_minimize failed:" >&2
   tail -30 "$SMOKE_DIR/minimize.log" >&2
   exit 1
 }
@@ -179,7 +170,7 @@ grep -q 'conserved: yes' "$SMOKE_DIR/minimize.log" || {
   cat "$SMOKE_DIR/minimize.log" >&2
   exit 1
 }
-MINIMIZE_JSON="$SMOKE_DIR/results/f14_minimize.json"
+MINIMIZE_JSON="$SMOKE_DIR/results/f20_minimize.json"
 SPEEDUP=$(sed -n 's/.*"speedup": \([0-9.]*\).*/\1/p' "$MINIMIZE_JSON")
 if [ -z "$SPEEDUP" ] || ! awk -v s="$SPEEDUP" 'BEGIN { exit !(s >= 10) }'; then
   echo "incremental publish speedup ${SPEEDUP:-?}x below the 10x gate:" >&2
@@ -196,18 +187,18 @@ if [ "$MARGIN_OK" != "1" ]; then
 fi
 # The minimizer's counts are pinned, not just "some margin": each learned
 # ruleset's source/minimized entry counts must equal the committed
-# results/f14_minimize.json (seed 2020), so a change in pairing behaviour
+# results/f20_minimize.json (seed 2020), so a change in pairing behaviour
 # cannot land silently.
-f14_counts() {
+f20_counts() {
   awk '/"name"/ { name = $2 }
        /"entries_source"/ { src = $2 + 0 }
        /"entries_minimized"/ { print name, src, $2 + 0 }' "$1"
 }
-if ! diff <(f14_counts results/f14_minimize.json) <(f14_counts "$MINIMIZE_JSON") >&2; then
-  echo "minimizer entry counts differ from the committed results/f14_minimize.json (< committed, > this run)" >&2
+if ! diff <(f20_counts results/f20_minimize.json) <(f20_counts "$MINIMIZE_JSON") >&2; then
+  echo "minimizer entry counts differ from the committed results/f20_minimize.json (< committed, > this run)" >&2
   exit 1
 fi
-echo "delta publish ${SPEEDUP}x >= 10x, frames conserved, minimizer counts match results/f14_minimize.json"
+echo "delta publish ${SPEEDUP}x >= 10x, frames conserved, minimizer counts match results/f20_minimize.json"
 
 echo "==> ensemble-inference smoke (fixed seed, time-boxed)"
 # Forest gate (reproduce f16_forest): on at least one task a compiled
@@ -243,27 +234,7 @@ echo "==> observability smoke (traced serve, time-boxed)"
 # Traced serve: /metrics must grow the per-stage histogram and the
 # SLO burn gauges, /profile must expose stage rollups with exemplar trace
 # ids, and /traces must return sampled span trees rooted at `frame`.
-timeout 180 "$CLI" serve --tracing --shards 2 --seed 3 \
-  --metrics-addr 127.0.0.1:0 --hold 60 > "$SMOKE_DIR/traced.log" 2>&1 &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 300); do
-  if grep -q 'holding metrics endpoint' "$SMOKE_DIR/traced.log"; then
-    ADDR=$(sed -n 's|^metrics: listening on http://\([0-9.:]*\)/metrics$|\1|p' "$SMOKE_DIR/traced.log")
-    break
-  fi
-  if ! kill -0 "$SERVE_PID" 2>/dev/null; then
-    echo "traced serve exited before holding the metrics endpoint:" >&2
-    cat "$SMOKE_DIR/traced.log" >&2
-    exit 1
-  fi
-  sleep 0.5
-done
-if [ -z "$ADDR" ]; then
-  echo "never saw the traced metrics endpoint come up:" >&2
-  cat "$SMOKE_DIR/traced.log" >&2
-  exit 1
-fi
+start_serve "$SMOKE_DIR/traced.log" --tracing --shards 2 --seed 3
 grep -q '^tracing: listening on' "$SMOKE_DIR/traced.log" || {
   echo "serve --tracing never announced /profile and /traces:" >&2
   cat "$SMOKE_DIR/traced.log" >&2

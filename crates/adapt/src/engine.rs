@@ -3,9 +3,8 @@
 //!
 //! [`AdaptEngine::step`] is called at *drained checkpoints* — moments
 //! where every dispatched frame has been processed and the telemetry
-//! registry is caught up (the shard workers flush under the stats lock,
-//! so polling [`Gateway::snapshot`] for the expected `received` total is
-//! enough). Because every input the engine looks at (counter deltas,
+//! registry is caught up ([`Gateway::wait_drained`] returns at exactly
+//! such a moment). Because every input the engine looks at (counter deltas,
 //! mirror samples, scenario traces) is deterministic at such checkpoints,
 //! the whole loop is replayable: same seed, same decisions, same
 //! published versions.
@@ -13,9 +12,12 @@
 //! Rollback restores **both** halves of the dataplane state: the shards'
 //! pipeline cells (via
 //! [`ControlPlane::rollback_to`], which republishes the retained baseline
-//! snapshot) and the mutable switch tables (by reinstalling the baseline
-//! [`RuleSet`] kept in the engine's deployment history), so a later
-//! publish compiles the pre-canary rules again.
+//! snapshot) and the mutable switch tables (by swapping the baseline
+//! [`RuleSet`] kept in the engine's deployment history back in), so a
+//! later publish compiles the pre-canary rules again. Every ruleset change
+//! — baseline, canary, rollback — is one
+//! [`ControlPlane::replace_ruleset`], so the publish after it re-lowers
+//! only what changed.
 
 use crate::drift::{DriftConfig, DriftMonitor};
 use crate::retrain::{RetrainError, Retrainer};
@@ -24,11 +26,9 @@ use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::control::{ControlPlane, PublishError, PublishReport};
-use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::parser::ParserSpec;
 use p4guard_dataplane::pipeline::ReadPipeline;
-use p4guard_dataplane::switch::Switch;
-use p4guard_dataplane::table::{MatchKind, MatchSpec, Table, TableError};
+use p4guard_dataplane::table::TableError;
+use p4guard_dataplane::AclLayout;
 use p4guard_gateway::{Gateway, GatewaySnapshot};
 use p4guard_rules::RuleSet;
 use p4guard_telemetry::{control_trace_id, Counter, Event, Gauge, SpanRecord, Telemetry};
@@ -401,9 +401,8 @@ impl AdaptEngine {
     /// Propagates table errors from installing into the ACL stage.
     pub fn install_initial(&mut self, ruleset: &RuleSet) -> Result<PublishReport, AdaptError> {
         self.check_width(ruleset)?;
-        self.control.clear_stage(self.config.stage)?;
         self.control
-            .install_ruleset(self.config.stage, ruleset, Action::Drop)?;
+            .replace_ruleset(self.config.stage, ruleset, Action::Drop)?;
         let report = self.control.publish_audited(None, false);
         self.remember(report.version, ruleset.clone());
         Ok(report)
@@ -618,9 +617,8 @@ impl AdaptEngine {
             1
         };
         let shards: Vec<usize> = (0..canary_count).collect();
-        self.control.clear_stage(self.config.stage)?;
         self.control
-            .install_ruleset(self.config.stage, &candidate, Action::Drop)?;
+            .replace_ruleset(self.config.stage, &candidate, Action::Drop)?;
         let report = self.control.publish_to(&shards)?;
         let start = gateway.snapshot();
         let fallback_reference = if start.totals.received > 0 {
@@ -735,9 +733,8 @@ impl AdaptEngine {
                 .find(|(v, _)| *v == baseline_version)
                 .map(|(_, r)| r.clone())
                 .ok_or(AdaptError::NoBaseline)?;
-            self.control.clear_stage(self.config.stage)?;
             self.control
-                .install_ruleset(self.config.stage, &baseline, Action::Drop)?;
+                .replace_ruleset(self.config.stage, &baseline, Action::Drop)?;
             self.metrics.rolled_back.inc();
             self.set_phase(Phase::Stable);
             self.monitor.reset();
@@ -771,26 +768,14 @@ impl AdaptEngine {
     /// installed, shaped like the live ACL: same parser window, same key
     /// layout, one ternary stage.
     fn build_candidate_pipeline(&self, candidate: &RuleSet) -> Result<ReadPipeline, AdaptError> {
-        let parser = ParserSpec::raw_window(self.retrainer.window, 14);
-        let mut sw = Switch::new("adapt-candidate", parser, 1);
-        let stage = sw.add_stage(Table::new(
-            "acl",
-            MatchKind::Ternary,
-            KeyLayout::new(self.retrainer.offsets.clone()),
-            candidate.len().max(1),
-            Action::NoOp,
-        ));
-        for entry in candidate.entries() {
-            sw.stage_mut(stage).insert(
-                MatchSpec::Ternary {
-                    value: entry.value.clone(),
-                    mask: entry.mask.clone(),
-                },
-                Action::Drop,
-                entry.priority,
-            )?;
-        }
-        Ok(sw.read_pipeline(0))
+        let layout = AclLayout {
+            window: self.retrainer.window,
+            offsets: self.retrainer.offsets.clone(),
+            capacity: candidate.len().max(1),
+        };
+        let shadow = ControlPlane::new(layout.switch("adapt-candidate", ["acl"]));
+        shadow.install_ruleset(0, candidate, Action::Drop)?;
+        Ok(shadow.with_switch(|sw| sw.read_pipeline(0)))
     }
 
     fn check_width(&self, ruleset: &RuleSet) -> Result<(), AdaptError> {

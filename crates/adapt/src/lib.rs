@@ -29,7 +29,8 @@
 //!    watch drop-rate (and optionally latency) guardrails against the
 //!    control shards, then promote fleet-wide with `republish` — or
 //!    restore the prior version everywhere with `rollback_to` plus a
-//!    switch-table reinstall from the engine's deployment history.
+//!    switch-table swap back to the baseline kept in the engine's
+//!    deployment history.
 //!
 //! Every phase transition is observable: `adapt_*` counters in the
 //! shared registry and `drift` / `rollout` audit events in the flight

@@ -1,20 +1,19 @@
 //! Structural-sharing guarantees of the canary rollout choreography.
 //!
-//! The adaptation engine's canary path is `clear_stage` + `install_ruleset`
-//! on the learned ACL stage followed by `publish_to(canary shards)`, and
-//! promotion is `republish(candidate_version)`. With incremental
-//! compilation these steps must be cheap: only the touched ACL stage is
-//! re-lowered, every other stage's `CompiledTable` is shared by `Arc`
-//! across pipeline versions, and promotion serves the retained snapshot
-//! without compiling anything. This suite probes the `PipelineCell`
+//! The adaptation engine's canary path is `replace_ruleset` on the learned
+//! ACL stage followed by `publish_to(canary shards)`, and promotion is
+//! `republish(candidate_version)`. With incremental compilation these
+//! steps must be cheap: only the touched ACL stage is re-lowered (and not
+//! even that when the candidate holds the entries already installed),
+//! every other stage's `CompiledTable` is shared by `Arc` across pipeline
+//! versions, and promotion serves the retained snapshot without compiling
+//! anything. This suite probes the `PipelineCell`
 //! subscribers directly and pins those identities.
 
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::control::ControlPlane;
-use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::parser::ParserSpec;
-use p4guard_dataplane::switch::Switch;
-use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
+use p4guard_dataplane::table::MatchSpec;
+use p4guard_dataplane::AclLayout;
 use p4guard_rules::{RuleSet, TernaryEntry};
 use std::sync::Arc;
 
@@ -22,34 +21,18 @@ use std::sync::Arc;
 /// holds the learned ACL the engine rewrites, stage 1 a static allowlist
 /// the engine never touches.
 fn build_control() -> ControlPlane {
-    let parser = ParserSpec::raw_window(16, 0);
-    let mut sw = Switch::new("canary-sharing", parser, 1);
-    sw.add_stage(Table::new(
-        "acl",
-        MatchKind::Ternary,
-        KeyLayout::window(2),
-        1024,
-        Action::NoOp,
-    ));
-    sw.add_stage(Table::new(
-        "allowlist",
-        MatchKind::Ternary,
-        KeyLayout::window(2),
-        64,
-        Action::NoOp,
-    ));
-    let control = ControlPlane::new(sw);
+    let layout = AclLayout {
+        window: 16,
+        offsets: vec![0, 1],
+        capacity: 1024,
+    };
+    let control = ControlPlane::new(layout.switch("canary-sharing", ["acl", "allowlist"]));
+    let allowed = MatchSpec::Ternary {
+        value: vec![0xde, 0xad],
+        mask: vec![0xff, 0xff],
+    };
     control
-        .with_switch_mut(|sw| {
-            sw.stage_mut(1).insert(
-                MatchSpec::Ternary {
-                    value: vec![0xde, 0xad],
-                    mask: vec![0xff, 0xff],
-                },
-                Action::Forward(1),
-                5,
-            )
-        })
+        .with_switch_mut(|sw| sw.stage_mut(1).insert(allowed, Action::Forward(1), 5))
         .unwrap();
     control
 }
@@ -78,10 +61,18 @@ fn canary_publish_relowers_only_the_acl_stage() {
     let control_baseline = control_cell.load();
     assert!(Arc::ptr_eq(&baseline, &control_baseline));
 
+    // A candidate that is the active ruleset over again changes nothing:
+    // the canary publish shares every stage with the baseline.
+    let unchanged = control
+        .replace_ruleset(0, &ruleset(0x10), Action::Drop)
+        .unwrap();
+    assert!(unchanged.is_empty());
+    let same = control.publish_to(&[0]).unwrap();
+    assert_eq!((same.stages_recompiled, same.stages_shared), (0, 2));
+
     // The canary step rewrites stage 0 only, then publishes to shard 0.
-    control.clear_stage(0).unwrap();
     control
-        .install_ruleset(0, &ruleset(0x20), Action::Drop)
+        .replace_ruleset(0, &ruleset(0x20), Action::Drop)
         .unwrap();
     let report = control.publish_to(&[0]).unwrap();
     assert_eq!(
@@ -110,9 +101,8 @@ fn promotion_republish_serves_retained_bytes_fleet_wide() {
     let control_cell = control.attach_cell();
     control.publish();
 
-    control.clear_stage(0).unwrap();
     control
-        .install_ruleset(0, &ruleset(0x20), Action::Drop)
+        .replace_ruleset(0, &ruleset(0x20), Action::Drop)
         .unwrap();
     let canaried = control.publish_to(&[0]).unwrap();
     let candidate = canary_cell.load();
@@ -138,9 +128,8 @@ fn rollback_restores_the_exact_baseline_snapshot() {
     let first = control.publish();
     let baseline = canary_cell.load();
 
-    control.clear_stage(0).unwrap();
     control
-        .install_ruleset(0, &ruleset(0x20), Action::Drop)
+        .replace_ruleset(0, &ruleset(0x20), Action::Drop)
         .unwrap();
     control.publish_to(&[0]).unwrap();
     assert!(!Arc::ptr_eq(&canary_cell.load(), &baseline));

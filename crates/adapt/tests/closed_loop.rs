@@ -18,12 +18,8 @@ use bytes::Bytes;
 use p4guard_adapt::{
     AdaptConfig, AdaptEngine, AdaptError, DriftConfig, PhaseKind, Retrainer, StepOutcome,
 };
-use p4guard_dataplane::action::Action;
 use p4guard_dataplane::control::ControlPlane;
-use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::parser::ParserSpec;
-use p4guard_dataplane::switch::Switch;
-use p4guard_dataplane::table::{MatchKind, Table};
+use p4guard_dataplane::AclLayout;
 use p4guard_features::ByteDataset;
 use p4guard_gateway::{Gateway, GatewayConfig};
 use p4guard_packet::{AttackFamily, Trace};
@@ -31,7 +27,7 @@ use p4guard_rules::{RuleSet, TernaryEntry};
 use p4guard_telemetry::{http_get, MetricsServer, Telemetry, TelemetryConfig};
 use p4guard_traffic::{AttackEvent, Fleet, Scenario};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Byte window the ACL parser captures.
 const WINDOW: usize = 64;
@@ -69,16 +65,12 @@ fn retrainer() -> Retrainer {
 /// A control plane over a one-stage ternary ACL shaped like the
 /// retrainer's key layout.
 fn build_control() -> ControlPlane {
-    let parser = ParserSpec::raw_window(WINDOW, 14);
-    let mut sw = Switch::new("closed-loop", parser, 1);
-    sw.add_stage(Table::new(
-        "acl",
-        MatchKind::Ternary,
-        KeyLayout::new(OFFSETS.to_vec()),
-        8192,
-        Action::NoOp,
-    ));
-    ControlPlane::new(sw)
+    let layout = AclLayout {
+        window: WINDOW,
+        offsets: OFFSETS.to_vec(),
+        capacity: 8192,
+    };
+    ControlPlane::new(layout.switch("closed-loop", ["acl"]))
 }
 
 fn telemetry() -> Arc<Telemetry> {
@@ -91,22 +83,14 @@ fn telemetry() -> Arc<Telemetry> {
 }
 
 /// Dispatches `frames` and blocks until the gateway has drained them all
-/// (the shard workers flush telemetry under the stats lock, so once the
-/// received total catches up the registry is exact).
+/// (and with them the telemetry registry: see `Gateway::wait_drained`).
 fn replay_chunk(gw: &Gateway, frames: &[Bytes], expected: &mut u64) {
     for f in frames {
         gw.dispatch(f.clone());
     }
     *expected += frames.len() as u64;
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let snap = gw.snapshot();
-        if snap.totals.received + snap.dropped_backpressure >= *expected {
-            break;
-        }
-        assert!(Instant::now() < deadline, "gateway failed to drain chunk");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    gw.wait_drained(*expected, Duration::from_secs(30))
+        .expect("gateway drains the chunk");
 }
 
 fn frames_of(trace: &Trace) -> Vec<Bytes> {

@@ -3,20 +3,19 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use p4guard_dataplane::action::Action;
-use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
+use p4guard_dataplane::table::{MatchSpec, Table};
+use p4guard_dataplane::AclLayout;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn filled_table(occupancy: usize) -> Table {
     let mut rng = StdRng::seed_from_u64(p4guard_bench::BENCH_SEED);
-    let mut t = Table::new(
-        "acl",
-        MatchKind::Ternary,
-        KeyLayout::window(8),
-        occupancy + 16,
-        Action::NoOp,
-    );
+    let mut t = AclLayout {
+        window: 64,
+        offsets: (0..8).collect(),
+        capacity: occupancy + 16,
+    }
+    .table("acl");
     for _ in 0..occupancy {
         let value: Vec<u8> = (0..8).map(|_| rng.gen()).collect();
         t.insert(

@@ -1,4 +1,4 @@
-//! Bench for experiment F11-lookup: per-lookup cost of the mutable
+//! Bench for experiment F17-lookup: per-lookup cost of the mutable
 //! table's priority-ordered linear scan versus the compiled engine a
 //! published snapshot uses, as the entry count sweeps 16 → 4096 for every
 //! match kind. The compiled exact/LPM curves should stay near-flat while
@@ -16,7 +16,7 @@ const KEY_WIDTH: usize = 8;
 const KEYS: usize = 1024;
 
 /// A table of `kind` with `entries` random entries, plus a half-hit
-/// half-random probe-key stream (mirrors the reproduce-side F11 fixture).
+/// half-random probe-key stream (mirrors the reproduce-side F17 fixture).
 fn fixture(kind: MatchKind, entries: usize) -> (Table, Vec<Vec<u8>>) {
     let mut rng = StdRng::seed_from_u64(p4guard_bench::BENCH_SEED ^ 0xf11);
     let mut table = Table::new(
@@ -74,14 +74,14 @@ fn fixture(kind: MatchKind, entries: usize) -> (Table, Vec<Vec<u8>>) {
     (table, keys)
 }
 
-fn f11_lookup(c: &mut Criterion) {
+fn f17_lookup(c: &mut Criterion) {
     let kinds = [
         MatchKind::Exact,
         MatchKind::Lpm,
         MatchKind::Range,
         MatchKind::Ternary,
     ];
-    let mut group = c.benchmark_group("f11_lookup");
+    let mut group = c.benchmark_group("f17_lookup");
     group.throughput(Throughput::Elements(KEYS as u64));
     group.sample_size(10);
     for kind in kinds {
@@ -116,5 +116,5 @@ fn f11_lookup(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, f11_lookup);
+criterion_group!(benches, f17_lookup);
 criterion_main!(benches);

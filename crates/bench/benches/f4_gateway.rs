@@ -3,13 +3,11 @@
 //! as hot-swap publication latency versus rule-batch size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use p4guard_bench::standard_split;
+use p4guard::experiments::dataplane_exp::synthetic_switch;
+use p4guard_bench::{standard_split, BENCH_SEED};
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::control::ControlPlane;
-use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::parser::ParserSpec;
-use p4guard_dataplane::switch::Switch;
-use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
+use p4guard_dataplane::AclLayout;
 use p4guard_gateway::{replay, Gateway, GatewayConfig, ReplayMode};
 use p4guard_rules::ruleset::RuleSet;
 use p4guard_rules::ternary::TernaryEntry;
@@ -20,28 +18,10 @@ use std::sync::Arc;
 
 const KEY_WIDTH: usize = 8;
 
-/// A control plane over a one-stage ternary switch with `entries` random
-/// rules, mirroring the synthetic F4 setup.
-fn synthetic_control(entries: usize) -> ControlPlane {
-    let mut rng = StdRng::seed_from_u64(p4guard_bench::BENCH_SEED);
-    let mut sw = Switch::new("bench-gw", ParserSpec::raw_window(64, 14), 1);
-    let mut acl = Table::new(
-        "acl",
-        MatchKind::Ternary,
-        KeyLayout::window(KEY_WIDTH),
-        entries.max(1024),
-        Action::NoOp,
-    );
-    for _ in 0..entries {
-        let value: Vec<u8> = (0..KEY_WIDTH).map(|_| rng.gen()).collect();
-        let mask: Vec<u8> = (0..KEY_WIDTH)
-            .map(|_| if rng.gen::<bool>() { 0xff } else { 0x00 })
-            .collect();
-        acl.insert(MatchSpec::Ternary { value, mask }, Action::Drop, 1)
-            .expect("capacity");
-    }
-    sw.add_stage(acl);
-    ControlPlane::new(sw)
+/// A control plane over the synthetic F4 switch: one ternary stage with
+/// 64 random rules.
+fn synthetic_control() -> ControlPlane {
+    ControlPlane::new(synthetic_switch(KEY_WIDTH, 64, BENCH_SEED))
 }
 
 /// A random ruleset of `entries` rules for hot-swap installs.
@@ -72,7 +52,7 @@ fn f4_gateway(c: &mut Criterion) {
     for shards in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &shards| {
             b.iter(|| {
-                let control = synthetic_control(64);
+                let control = synthetic_control();
                 let gw = Gateway::start(&control, GatewayConfig::with_shards(shards));
                 let report = replay(&gw, frames.iter().cloned(), None, ReplayMode::Blocking);
                 std::hint::black_box((gw.finish(), report))
@@ -89,7 +69,7 @@ fn f4_gateway(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("noop_sink", |b| {
         b.iter(|| {
-            let control = synthetic_control(64);
+            let control = synthetic_control();
             let gw = Gateway::start(&control, GatewayConfig::with_shards(4));
             let report = replay(&gw, frames.iter().cloned(), None, ReplayMode::Blocking);
             std::hint::black_box((gw.finish(), report))
@@ -97,7 +77,7 @@ fn f4_gateway(c: &mut Criterion) {
     });
     group.bench_function("registry_sink", |b| {
         b.iter(|| {
-            let control = synthetic_control(64);
+            let control = synthetic_control();
             let telemetry = Arc::new(Telemetry::new(TelemetryConfig::default()));
             let gw = Gateway::start_with_telemetry(
                 &control,
@@ -110,19 +90,27 @@ fn f4_gateway(c: &mut Criterion) {
     });
     group.finish();
 
-    // Hot-swap update latency (clear + install + publish) versus rule-batch
-    // size, with one subscribed gateway cell — the F10 update story online.
+    // Hot-swap update latency (whole-ruleset swap + publish) versus
+    // rule-batch size, with one subscribed gateway cell — the F10 update
+    // story online. Iterations alternate between two disjoint rulesets, so
+    // every swap churns the full batch.
     let mut group = c.benchmark_group("f4_gateway_update");
     group.sample_size(10);
     for batch in [16usize, 64, 256] {
-        let control = synthetic_control(0);
+        let layout = AclLayout {
+            window: 64,
+            offsets: (0..KEY_WIDTH).collect(),
+            capacity: 1024,
+        };
+        let control = ControlPlane::new(layout.switch("bench-gw", ["acl"]));
         let _cell = control.attach_cell();
-        let ruleset = random_ruleset(batch, 7);
+        let rulesets = [random_ruleset(batch, 7), random_ruleset(batch, 8)];
+        let mut turn = 0usize;
         group.bench_with_input(BenchmarkId::new("rule_batch", batch), &batch, |b, _| {
             b.iter(|| {
-                control.clear_stage(0).expect("stage exists");
+                turn += 1;
                 control
-                    .install_ruleset(0, &ruleset, Action::Drop)
+                    .replace_ruleset(0, &rulesets[turn % 2], Action::Drop)
                     .expect("capacity");
                 std::hint::black_box(control.publish())
             })

@@ -2,36 +2,8 @@
 //! data plane as the match-key width and table size vary.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use p4guard_bench::{standard_split, trained_guard};
-use p4guard_dataplane::action::Action;
-use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::parser::ParserSpec;
-use p4guard_dataplane::switch::Switch;
-use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-fn synthetic_switch(key_width: usize, entries: usize) -> Switch {
-    let mut rng = StdRng::seed_from_u64(p4guard_bench::BENCH_SEED);
-    let mut sw = Switch::new("bench", ParserSpec::raw_window(64, 14), 1);
-    let mut acl = Table::new(
-        "acl",
-        MatchKind::Ternary,
-        KeyLayout::window(key_width),
-        entries.max(1),
-        Action::NoOp,
-    );
-    for _ in 0..entries {
-        let value: Vec<u8> = (0..key_width).map(|_| rng.gen()).collect();
-        let mask: Vec<u8> = (0..key_width)
-            .map(|_| if rng.gen::<bool>() { 0xff } else { 0x00 })
-            .collect();
-        acl.insert(MatchSpec::Ternary { value, mask }, Action::Drop, 1)
-            .expect("capacity");
-    }
-    sw.add_stage(acl);
-    sw
-}
+use p4guard::experiments::dataplane_exp::synthetic_switch;
+use p4guard_bench::{standard_split, trained_guard, BENCH_SEED};
 
 fn f4_throughput(c: &mut Criterion) {
     let (_, test) = standard_split();
@@ -41,7 +13,7 @@ fn f4_throughput(c: &mut Criterion) {
     group.throughput(Throughput::Elements(frames.len() as u64));
     group.sample_size(10);
     for key_width in [4usize, 16, 64] {
-        let mut sw = synthetic_switch(key_width, 64);
+        let mut sw = synthetic_switch(key_width, 64, BENCH_SEED);
         group.bench_with_input(
             BenchmarkId::new("key_width", key_width),
             &key_width,
@@ -55,7 +27,7 @@ fn f4_throughput(c: &mut Criterion) {
         );
     }
     for entries in [16usize, 256, 2048] {
-        let mut sw = synthetic_switch(8, entries);
+        let mut sw = synthetic_switch(8, entries, BENCH_SEED);
         group.bench_with_input(BenchmarkId::new("table_size", entries), &entries, |b, _| {
             b.iter(|| {
                 for frame in &frames {

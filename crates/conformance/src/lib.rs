@@ -17,7 +17,8 @@
 //!   The oracle compares [`p4guard_dataplane::CompiledTable`] verdicts
 //!   against the reference priority scan (`Table::peek`) on every probe
 //!   key.
-//! * **Gateway fault schedules** (`tests/gateway_faults.rs`): mid-replay
+//! * **Gateway fault schedules** (`tests/gateway_faults.rs` and its
+//!   siblings, over the shared [`schedule`] fixtures): mid-replay
 //!   hot swaps, queue-overload bursts and wrong-width ruleset installs.
 //!   The oracle demands that drained-gateway totals equal a single-switch
 //!   replay and that no frame is ever lost unaccounted.
@@ -40,6 +41,7 @@ pub mod corpus;
 pub mod gen;
 pub mod mutate;
 pub mod oracle;
+pub mod schedule;
 pub mod shrink;
 pub mod tables;
 

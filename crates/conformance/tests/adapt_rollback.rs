@@ -17,44 +17,20 @@
 
 use bytes::Bytes;
 use p4guard_adapt::{AdaptConfig, AdaptEngine, DriftConfig, PhaseKind, Retrainer, StepOutcome};
+use p4guard_conformance::schedule::{build_control, frame, PROTO_OFF};
 use p4guard_dataplane::action::Action;
-use p4guard_dataplane::control::ControlPlane;
-use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::parser::ParserSpec;
-use p4guard_dataplane::switch::Switch;
-use p4guard_dataplane::table::{MatchKind, Table};
 use p4guard_gateway::{Gateway, GatewayConfig};
 use p4guard_rules::{RuleSet, TernaryEntry};
 use p4guard_telemetry::{Telemetry, TelemetryConfig};
 use p4guard_traffic::{Fleet, Scenario};
 use rand::prelude::*;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const SEED: u64 = 0xca9a_12b4;
 
-/// Offset of the IPv4 protocol byte in an Ethernet frame.
-const PROTO_OFF: usize = 14 + 9;
-
 /// Frames dispatched between engine checkpoints.
 const CHUNK: usize = 400;
-
-/// An Ethernet+IPv4 frame for `flow` carrying protocol byte `proto`.
-fn frame(flow: u8, proto: u8, payload: u8) -> Bytes {
-    let mut f = vec![0u8; 14];
-    f[12] = 0x08; // EtherType IPv4
-    let mut ip = vec![0u8; 20];
-    ip[0] = 0x45;
-    ip[9] = proto;
-    ip[12..16].copy_from_slice(&[10, 0, 0, flow]);
-    ip[16..20].copy_from_slice(&[10, 0, 1, 1]);
-    f.extend_from_slice(&ip);
-    f.extend_from_slice(&(1000 + u16::from(flow)).to_be_bytes());
-    f.extend_from_slice(&443u16.to_be_bytes());
-    f.extend_from_slice(&[0, 9, 0, 0]);
-    f.push(payload);
-    Bytes::from(f)
-}
 
 /// A randomized workload over 16 flows and a fixed protocol palette:
 /// TCP, UDP, ICMP, GRE in equal shares. The baseline drops only GRE
@@ -70,21 +46,6 @@ fn workload<R: Rng>(rng: &mut R, n: usize) -> Vec<Bytes> {
             frame(rng.gen_range(0..16), proto, i as u8)
         })
         .collect()
-}
-
-/// A control plane over a one-stage ternary ACL keying on the IPv4
-/// protocol byte.
-fn build_control() -> ControlPlane {
-    let parser = ParserSpec::raw_window(64, 14);
-    let mut switch = Switch::new("adapt-conf", parser, 1);
-    switch.add_stage(Table::new(
-        "acl",
-        MatchKind::Ternary,
-        KeyLayout::new(vec![PROTO_OFF]),
-        64,
-        Action::NoOp,
-    ));
-    ControlPlane::new(switch)
 }
 
 /// Drops exactly the given protocol bytes.
@@ -103,11 +64,8 @@ fn replay_chunk(gw: &Gateway, frames: &[Bytes], expected: &mut u64) {
         gw.dispatch(f.clone());
     }
     *expected += frames.len() as u64;
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while gw.snapshot().totals.received < *expected {
-        assert!(Instant::now() < deadline, "gateway failed to drain chunk");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    gw.wait_drained(*expected, Duration::from_secs(30))
+        .expect("gateway drains the chunk");
 }
 
 /// A guardrail-quiet engine config: drift statistically disabled (the
@@ -186,7 +144,7 @@ fn drive_poisoned_cycle<R: Rng>(
 fn canary_guardrail_rollback_restores_exact_baseline() {
     for shards in [2usize, 4] {
         let mut rng = StdRng::seed_from_u64(SEED ^ shards as u64);
-        let control = build_control();
+        let control = build_control("adapt-conf").0;
         let telemetry = Arc::new(Telemetry::new(TelemetryConfig::default()));
         let gw = Gateway::start_with_telemetry(
             &control,
@@ -258,7 +216,7 @@ fn canary_guardrail_rollback_restores_exact_baseline() {
         replay_chunk(&gw, &probe, &mut expected);
         let snap = gw.finish();
 
-        let reference = build_control();
+        let reference = build_control("adapt-conf").0;
         reference
             .install_ruleset(0, &r0, Action::Drop)
             .expect("baseline installs into reference");

@@ -12,39 +12,13 @@
 //!   sub-batches, and offered = processed + backpressure-dropped exactly.
 
 use bytes::Bytes;
+use p4guard_conformance::schedule::{build_control, drain, frame, pack, random_ruleset};
 use p4guard_dataplane::action::Action;
-use p4guard_dataplane::control::ControlPlane;
-use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::parser::ParserSpec;
-use p4guard_dataplane::switch::Switch;
-use p4guard_dataplane::table::{MatchKind, Table};
 use p4guard_gateway::{Gateway, GatewayConfig};
-use p4guard_packet::{FrameArena, FrameBatch};
-use p4guard_rules::{RuleSet, TernaryEntry};
+use p4guard_rules::RuleSet;
 use rand::prelude::*;
-use std::time::{Duration, Instant};
 
 const SEED: u64 = 0xba7c_45ed;
-
-/// Offset of the IPv4 protocol byte in an Ethernet frame.
-const PROTO_OFF: usize = 14 + 9;
-
-/// An Ethernet+IPv4 frame for `flow` carrying protocol byte `proto`.
-fn frame(flow: u8, proto: u8, payload: u8) -> Bytes {
-    let mut f = vec![0u8; 14];
-    f[12] = 0x08;
-    let mut ip = vec![0u8; 20];
-    ip[0] = 0x45;
-    ip[9] = proto;
-    ip[12..16].copy_from_slice(&[10, 0, 0, flow]);
-    ip[16..20].copy_from_slice(&[10, 0, 1, 1]);
-    f.extend_from_slice(&ip);
-    f.extend_from_slice(&(1000 + u16::from(flow)).to_be_bytes());
-    f.extend_from_slice(&443u16.to_be_bytes());
-    f.extend_from_slice(&[0, 9, 0, 0]);
-    f.push(payload);
-    Bytes::from(f)
-}
 
 /// A randomized workload over 16 flows, with short runts mixed in so the
 /// batched parse stage exercises its reject lane too.
@@ -62,65 +36,6 @@ fn workload<R: Rng>(rng: &mut R, n: usize) -> Vec<Bytes> {
         .collect()
 }
 
-/// Packs `frames` into arena batches of `batch` frames (last one short).
-fn pack(frames: &[Bytes], batch: usize) -> Vec<FrameBatch> {
-    let mut arena = FrameArena::new(64 * 1024);
-    let mut out = Vec::new();
-    for f in frames {
-        arena.push(f);
-        if arena.pending() >= batch {
-            out.push(arena.seal_batch());
-        }
-    }
-    if arena.pending() > 0 {
-        out.push(arena.seal_batch());
-    }
-    out
-}
-
-/// A control plane over a one-stage switch keyed on the protocol byte.
-fn build_control() -> (ControlPlane, usize) {
-    let parser = ParserSpec::raw_window(64, 14);
-    let mut switch = Switch::new("conf-batch", parser, 1);
-    let acl = Table::new(
-        "acl",
-        MatchKind::Ternary,
-        KeyLayout::new(vec![PROTO_OFF]),
-        64,
-        Action::NoOp,
-    );
-    let stage = switch.add_stage(acl);
-    (ControlPlane::new(switch), stage)
-}
-
-/// A small adversarial ruleset over the protocol byte.
-fn random_ruleset<R: Rng>(rng: &mut R) -> RuleSet {
-    let mut rs = RuleSet::new(1, 0);
-    for _ in 0..rng.gen_range(1..=6) {
-        let mask = *[0xffu8, 0xff, 0xf0, 0x0f, 0x00]
-            .choose(rng)
-            .expect("mask list is non-empty");
-        rs.push(TernaryEntry::new(
-            vec![rng.gen()],
-            vec![mask],
-            1,
-            rng.gen_range(0..4),
-        ));
-    }
-    rs
-}
-
-fn drain(gw: &Gateway, expected: u64) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while gw.snapshot().totals.received < expected {
-        assert!(
-            Instant::now() < deadline,
-            "gateway failed to drain to {expected} received frames"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
 /// Phased hot-swap schedule on the batched path: for every shard count,
 /// batched gateway totals (drained at each swap point) must equal a single
 /// switch replaying the identical schedule frame by frame.
@@ -132,15 +47,14 @@ fn phased_hot_swaps_match_single_switch_on_batched_path() {
             .map(|_| (random_ruleset(&mut rng), workload(&mut rng, 400)))
             .collect();
 
-        let (control, stage) = build_control();
-        let (reference, ref_stage) = build_control();
+        let (control, stage) = build_control("conf-batch");
+        let (reference, ref_stage) = build_control("conf-batch");
         let gw = Gateway::start(&control, GatewayConfig::with_shards(shards));
 
         let mut sent = 0u64;
         for (ruleset, frames) in &phases {
-            control.clear_stage(stage).unwrap();
             control
-                .install_ruleset(stage, ruleset, Action::Drop)
+                .replace_ruleset(stage, ruleset, Action::Drop)
                 .unwrap();
             control.publish();
             reference.clear_stage(ref_stage).unwrap();
@@ -175,7 +89,7 @@ fn phased_hot_swaps_match_single_switch_on_batched_path() {
 #[test]
 fn swaps_landing_mid_batch_lose_no_frames() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x001d);
-    let (control, stage) = build_control();
+    let (control, stage) = build_control("conf-batch");
     // Tiny queues and shard batch budget force batches to straddle
     // publishes: a dequeued batch finishes on its drain's snapshot while
     // the next drain picks up the new version.
@@ -193,9 +107,8 @@ fn swaps_landing_mid_batch_lose_no_frames() {
     for (i, batch) in batches.into_iter().enumerate() {
         if i % 8 == 4 {
             let ruleset = random_ruleset(&mut rng);
-            control.clear_stage(stage).unwrap();
             control
-                .install_ruleset(stage, &ruleset, Action::Drop)
+                .replace_ruleset(stage, &ruleset, Action::Drop)
                 .unwrap();
             last_version = control.publish().version;
         }
@@ -222,7 +135,7 @@ fn swaps_landing_mid_batch_lose_no_frames() {
 #[test]
 fn batched_overload_bursts_conserve_every_frame() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 0xb00);
-    let (control, stage) = build_control();
+    let (control, stage) = build_control("conf-batch");
     let gw = Gateway::start(
         &control,
         GatewayConfig {
@@ -237,9 +150,8 @@ fn batched_overload_bursts_conserve_every_frame() {
     for (i, batch) in batches.into_iter().enumerate() {
         if i % 32 == 16 {
             let ruleset = random_ruleset(&mut rng);
-            control.clear_stage(stage).unwrap();
             control
-                .install_ruleset(stage, &ruleset, Action::Drop)
+                .replace_ruleset(stage, &ruleset, Action::Drop)
                 .unwrap();
             control.publish();
         }

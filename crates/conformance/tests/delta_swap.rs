@@ -1,7 +1,8 @@
-//! Incremental-publish conformance: long chains of delta publishes and
-//! rollbacks, applied mid-serve through `ControlPlane::apply_ruleset_diff`
-//! and compiled incrementally, must be indistinguishable from a control
-//! plane recompiling every ruleset from scratch.
+//! Incremental-publish conformance: long chains of delta publishes
+//! (`ControlPlane::apply_ruleset_diff`) and rollbacks (resynced with
+//! `ControlPlane::replace_ruleset`, the adapt engine's abort path), applied
+//! mid-serve and compiled incrementally, must be indistinguishable from a
+//! control plane recompiling every ruleset from scratch.
 //!
 //! Oracles:
 //! * **Phased equality** — with drains between publish points (per-frame
@@ -17,40 +18,14 @@
 //!   from-scratch compile.
 
 use bytes::Bytes;
+use p4guard_conformance::schedule::{build_control, drain, frame, pack};
 use p4guard_dataplane::action::Action;
-use p4guard_dataplane::control::ControlPlane;
-use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::parser::ParserSpec;
-use p4guard_dataplane::switch::Switch;
-use p4guard_dataplane::table::{MatchKind, Table};
 use p4guard_gateway::{Gateway, GatewayConfig};
-use p4guard_packet::{FrameArena, FrameBatch};
 use p4guard_rules::{RuleSet, TernaryEntry};
 use rand::prelude::*;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
 
 const SEED: u64 = 0xde17_a5a9;
-
-/// Offset of the IPv4 protocol byte in an Ethernet frame.
-const PROTO_OFF: usize = 14 + 9;
-
-/// An Ethernet+IPv4 frame carrying protocol byte `proto`.
-fn frame(flow: u8, proto: u8, payload: u8) -> Bytes {
-    let mut f = vec![0u8; 14];
-    f[12] = 0x08;
-    let mut ip = vec![0u8; 20];
-    ip[0] = 0x45;
-    ip[9] = proto;
-    ip[12..16].copy_from_slice(&[10, 0, 0, flow]);
-    ip[16..20].copy_from_slice(&[10, 0, 1, 1]);
-    f.extend_from_slice(&ip);
-    f.extend_from_slice(&(1000 + u16::from(flow)).to_be_bytes());
-    f.extend_from_slice(&443u16.to_be_bytes());
-    f.extend_from_slice(&[0, 9, 0, 0]);
-    f.push(payload);
-    Bytes::from(f)
-}
 
 fn workload<R: Rng>(rng: &mut R, n: usize) -> Vec<Bytes> {
     (0..n)
@@ -61,36 +36,6 @@ fn workload<R: Rng>(rng: &mut R, n: usize) -> Vec<Bytes> {
             frame(rng.gen_range(0..16), proto, i as u8)
         })
         .collect()
-}
-
-fn pack(frames: &[Bytes], batch: usize) -> Vec<FrameBatch> {
-    let mut arena = FrameArena::new(64 * 1024);
-    let mut out = Vec::new();
-    for f in frames {
-        arena.push(f);
-        if arena.pending() >= batch {
-            out.push(arena.seal_batch());
-        }
-    }
-    if arena.pending() > 0 {
-        out.push(arena.seal_batch());
-    }
-    out
-}
-
-/// A control plane over a one-stage switch keyed on the protocol byte.
-fn build_control() -> (ControlPlane, usize) {
-    let parser = ParserSpec::raw_window(64, 14);
-    let mut switch = Switch::new("conf-delta", parser, 1);
-    let acl = Table::new(
-        "acl",
-        MatchKind::Ternary,
-        KeyLayout::new(vec![PROTO_OFF]),
-        64,
-        Action::NoOp,
-    );
-    let stage = switch.add_stage(acl);
-    (ControlPlane::new(switch), stage)
 }
 
 /// Mutates `current` into the next ruleset of the chain: a couple of
@@ -118,17 +63,6 @@ fn evolve<R: Rng>(rng: &mut R, current: &RuleSet) -> RuleSet {
     next
 }
 
-fn drain(gw: &Gateway, expected: u64) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while gw.snapshot().totals.received < expected {
-        assert!(
-            Instant::now() < deadline,
-            "gateway failed to drain to {expected} received frames"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
 /// Drained delta chain with interleaved rollbacks, per-frame and batched
 /// ingest: gateway totals must equal a single switch replaying the same
 /// frames per phase through the unminimized scan path. Publishes after the
@@ -138,8 +72,8 @@ fn drain(gw: &Gateway, expected: u64) {
 fn drained_delta_chains_match_scan_replay() {
     for shards in [1usize, 2, 4] {
         let mut rng = StdRng::seed_from_u64(SEED ^ shards as u64);
-        let (control, stage) = build_control();
-        let (reference, ref_stage) = build_control();
+        let (control, stage) = build_control("conf-delta");
+        let (reference, ref_stage) = build_control("conf-delta");
         let gw = Gateway::start(&control, GatewayConfig::with_shards(shards));
 
         let mut current = RuleSet::new(1, 0);
@@ -157,9 +91,8 @@ fn drained_delta_chains_match_scan_replay() {
                     report.stages_recompiled, 0,
                     "rollback serves retained bytes"
                 );
-                let resync = current.diff(&baseline);
                 control
-                    .apply_ruleset_diff(stage, &resync, Action::Drop)
+                    .replace_ruleset(stage, &baseline, Action::Drop)
                     .unwrap();
                 current = baseline;
             } else {
@@ -217,7 +150,7 @@ fn drained_delta_chains_match_scan_replay() {
 #[test]
 fn undrained_delta_chains_lose_no_frames() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x17);
-    let (control, stage) = build_control();
+    let (control, stage) = build_control("conf-delta");
     let gw = Gateway::start(
         &control,
         GatewayConfig {
@@ -237,9 +170,8 @@ fn undrained_delta_chains_lose_no_frames() {
             if !history.is_empty() && i % 12 == 9 {
                 let (version, baseline) = history[rng.gen_range(0..history.len())].clone();
                 control.rollback_to(version, "mid-serve rollback").unwrap();
-                let resync = current.diff(&baseline);
                 control
-                    .apply_ruleset_diff(stage, &resync, Action::Drop)
+                    .replace_ruleset(stage, &baseline, Action::Drop)
                     .unwrap();
                 current = baseline;
                 last_version = version;
@@ -326,7 +258,7 @@ fn pinned_delta_repros_replay_identically() {
 
     for pin in pins {
         let (from, to) = parse_pin(&pin);
-        let (control, stage) = build_control();
+        let (control, stage) = build_control("conf-delta");
         control.install_ruleset(stage, &from, Action::Drop).unwrap();
         control.publish();
         let diff = from.diff(&to);
@@ -335,7 +267,7 @@ fn pinned_delta_repros_replay_identically() {
             .unwrap();
         let incremental = control.snapshot();
 
-        let (scratch_control, scratch_stage) = build_control();
+        let (scratch_control, scratch_stage) = build_control("conf-delta");
         scratch_control
             .install_ruleset(scratch_stage, &to, Action::Drop)
             .unwrap();

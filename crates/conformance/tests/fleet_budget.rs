@@ -21,7 +21,7 @@ use p4guard_fleet::{
 };
 use p4guard_gateway::GatewayConfig;
 use p4guard_rules::{RuleSet, TernaryEntry};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const SEED: u64 = 0xf1ee_12b4;
 const SHARDS: usize = 2;
@@ -93,16 +93,8 @@ fn replay(gw: &FleetGateway, frames: &[Bytes], already: u64) -> FleetSnapshot {
     for f in frames {
         gw.dispatch(f.clone());
     }
-    let expected = already + frames.len() as u64;
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let snap = gw.snapshot();
-        if snap.totals.received >= expected {
-            return snap;
-        }
-        assert!(Instant::now() < deadline, "fleet gateway failed to drain");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    gw.wait_drained(already + frames.len() as u64, Duration::from_secs(30))
+        .expect("fleet gateway drains the replay")
 }
 
 /// The timing-independent verdict fields of a counter set.
@@ -214,18 +206,12 @@ fn rejected_publish_is_invisible_to_every_tenant() {
     let publish = registry
         .publish(0, &drop_proto(width, 6, 6), AdmitPolicy::Reject)
         .expect("legitimate update fits");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let now: Vec<u64> = gw.tenant_cells(0).iter().map(|c| c.version()).collect();
-        if now.iter().all(|&v| v == publish.version) {
-            assert!(now.iter().zip(&before0).all(|(n, b)| n > b));
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "shards never saw the new version"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    // A publish stores into every subscribed cell before it returns.
+    let now: Vec<u64> = gw.tenant_cells(0).iter().map(|c| c.version()).collect();
+    assert!(
+        now.iter().all(|&v| v == publish.version),
+        "shards never saw the new version"
+    );
+    assert!(now.iter().zip(&before0).all(|(n, b)| n > b));
     gw.finish();
 }

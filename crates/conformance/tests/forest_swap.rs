@@ -13,40 +13,15 @@
 //!   version, and leave the expected stage count installed.
 
 use bytes::Bytes;
+use p4guard_conformance::schedule::{drain, frame, pack, proto_acl, random_ruleset};
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::control::ControlPlane;
-use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::parser::ParserSpec;
-use p4guard_dataplane::switch::Switch;
-use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
 use p4guard_dataplane::vote::{EarlyExit, VoteStage};
 use p4guard_gateway::{Gateway, GatewayConfig};
-use p4guard_packet::{FrameArena, FrameBatch};
-use p4guard_rules::{RuleSet, TernaryEntry};
+use p4guard_rules::RuleSet;
 use rand::prelude::*;
-use std::time::{Duration, Instant};
 
 const SEED: u64 = 0xf0e5_7ed5;
-
-/// Offset of the IPv4 protocol byte in an Ethernet frame.
-const PROTO_OFF: usize = 14 + 9;
-
-/// An Ethernet+IPv4 frame for `flow` carrying protocol byte `proto`.
-fn frame(flow: u8, proto: u8, payload: u8) -> Bytes {
-    let mut f = vec![0u8; 14];
-    f[12] = 0x08;
-    let mut ip = vec![0u8; 20];
-    ip[0] = 0x45;
-    ip[9] = proto;
-    ip[12..16].copy_from_slice(&[10, 0, 0, flow]);
-    ip[16..20].copy_from_slice(&[10, 0, 1, 1]);
-    f.extend_from_slice(&ip);
-    f.extend_from_slice(&(1000 + u16::from(flow)).to_be_bytes());
-    f.extend_from_slice(&443u16.to_be_bytes());
-    f.extend_from_slice(&[0, 9, 0, 0]);
-    f.push(payload);
-    Bytes::from(f)
-}
 
 /// A randomized workload over 16 flows, runts included so the batched
 /// parse stage exercises its reject lane under vote mode too.
@@ -64,70 +39,11 @@ fn workload<R: Rng>(rng: &mut R, n: usize) -> Vec<Bytes> {
         .collect()
 }
 
-/// Packs `frames` into arena batches of `batch` frames (last one short).
-fn pack(frames: &[Bytes], batch: usize) -> Vec<FrameBatch> {
-    let mut arena = FrameArena::new(64 * 1024);
-    let mut out = Vec::new();
-    for f in frames {
-        arena.push(f);
-        if arena.pending() >= batch {
-            out.push(arena.seal_batch());
-        }
-    }
-    if arena.pending() > 0 {
-        out.push(arena.seal_batch());
-    }
-    out
-}
-
-/// An empty per-tree stage keyed on the protocol byte.
-fn tree_stage() -> Table {
-    Table::new(
-        "tree",
-        MatchKind::Ternary,
-        KeyLayout::new(vec![PROTO_OFF]),
-        64,
-        Action::NoOp,
-    )
-}
-
 /// A control plane whose switch is a `trees`-stage vote pipeline.
 fn build_forest_control(trees: usize, vote: VoteStage) -> ControlPlane {
-    let parser = ParserSpec::raw_window(64, 14);
-    let mut switch = Switch::new("conf-forest", parser, 1);
-    for _ in 0..trees {
-        switch.add_stage(tree_stage());
-    }
+    let mut switch = proto_acl().switch("conf-forest", (0..trees).map(|_| "tree"));
     switch.set_vote(Some(vote));
     ControlPlane::new(switch)
-}
-
-/// A small adversarial per-tree ruleset over the protocol byte.
-fn random_ruleset<R: Rng>(rng: &mut R) -> RuleSet {
-    let mut rs = RuleSet::new(1, 0);
-    for _ in 0..rng.gen_range(1..=6) {
-        let mask = *[0xffu8, 0xff, 0xf0, 0x0f, 0x00]
-            .choose(rng)
-            .expect("mask list is non-empty");
-        rs.push(TernaryEntry::new(
-            vec![rng.gen()],
-            vec![mask],
-            1,
-            rng.gen_range(0..4),
-        ));
-    }
-    rs
-}
-
-fn drain(gw: &Gateway, expected: u64) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while gw.snapshot().totals.received < expected {
-        assert!(
-            Instant::now() < deadline,
-            "gateway failed to drain to {expected} received frames"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
 }
 
 /// Phased hot-swap schedule on a vote-mode pipeline: for every shard
@@ -158,9 +74,8 @@ fn phased_forest_swaps_match_single_switch_replay() {
         let mut sent = 0u64;
         for (rulesets, frames) in &phases {
             for (stage, ruleset) in rulesets.iter().enumerate() {
-                control.clear_stage(stage).unwrap();
                 control
-                    .install_ruleset(stage, ruleset, Action::Drop)
+                    .replace_ruleset(stage, ruleset, Action::Drop)
                     .unwrap();
                 reference.clear_stage(stage).unwrap();
                 reference
@@ -221,22 +136,8 @@ fn tree_add_remove_mid_serve_conserves_frames() {
             // Grow the electorate: a new tree with a fresh ruleset.
             2 => {
                 let rs = random_ruleset(&mut rng);
-                control.with_switch_mut(|sw| {
-                    let mut table = tree_stage();
-                    for e in rs.entries() {
-                        table
-                            .insert(
-                                MatchSpec::Ternary {
-                                    value: e.value.clone(),
-                                    mask: e.mask.clone(),
-                                },
-                                Action::Drop,
-                                e.priority,
-                            )
-                            .unwrap();
-                    }
-                    sw.add_stage(table);
-                });
+                let stage = control.with_switch_mut(|sw| sw.add_stage(proto_acl().table("tree")));
+                control.install_ruleset(stage, &rs, Action::Drop).unwrap();
                 expected_stages += 1;
                 last_version = control.publish().version;
             }

@@ -13,39 +13,14 @@
 //!   leaves the gateway serving the previous ruleset.
 
 use bytes::Bytes;
+use p4guard_conformance::schedule::{build_control, drain, frame, random_ruleset, PROTO_OFF};
 use p4guard_dataplane::action::Action;
-use p4guard_dataplane::control::ControlPlane;
-use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::parser::ParserSpec;
-use p4guard_dataplane::switch::Switch;
-use p4guard_dataplane::table::{MatchKind, Table, TableError};
+use p4guard_dataplane::table::TableError;
 use p4guard_gateway::{Gateway, GatewayConfig};
 use p4guard_rules::{RuleSet, TernaryEntry};
 use rand::prelude::*;
-use std::time::{Duration, Instant};
 
 const SEED: u64 = 0xfa17_5eed;
-
-/// Offset of the IPv4 protocol byte in an Ethernet frame.
-const PROTO_OFF: usize = 14 + 9;
-
-/// An Ethernet+IPv4 frame for `flow` carrying protocol byte `proto`.
-/// Distinct flows produce distinct 5-tuples (and so distinct shards).
-fn frame(flow: u8, proto: u8, payload: u8) -> Bytes {
-    let mut f = vec![0u8; 14];
-    f[12] = 0x08; // EtherType IPv4
-    let mut ip = vec![0u8; 20];
-    ip[0] = 0x45;
-    ip[9] = proto;
-    ip[12..16].copy_from_slice(&[10, 0, 0, flow]);
-    ip[16..20].copy_from_slice(&[10, 0, 1, 1]);
-    f.extend_from_slice(&ip);
-    f.extend_from_slice(&(1000 + u16::from(flow)).to_be_bytes());
-    f.extend_from_slice(&443u16.to_be_bytes());
-    f.extend_from_slice(&[0, 9, 0, 0]);
-    f.push(payload);
-    Bytes::from(f)
-}
 
 /// A randomized workload over 16 flows and a protocol mix that includes
 /// values no ruleset mentions.
@@ -60,51 +35,6 @@ fn workload<R: Rng>(rng: &mut R, n: usize) -> Vec<Bytes> {
         .collect()
 }
 
-/// A control plane over a one-stage switch whose ternary ACL keys on the
-/// IPv4 protocol byte. Starts empty (everything forwards).
-fn build_control() -> (ControlPlane, usize) {
-    let parser = ParserSpec::raw_window(64, 14);
-    let mut switch = Switch::new("conf-gw", parser, 1);
-    let acl = Table::new(
-        "acl",
-        MatchKind::Ternary,
-        KeyLayout::new(vec![PROTO_OFF]),
-        64,
-        Action::NoOp,
-    );
-    let stage = switch.add_stage(acl);
-    (ControlPlane::new(switch), stage)
-}
-
-/// A small adversarial ruleset over the protocol byte: partial masks,
-/// duplicate priorities, occasional match-alls.
-fn random_ruleset<R: Rng>(rng: &mut R) -> RuleSet {
-    let mut rs = RuleSet::new(1, 0);
-    for _ in 0..rng.gen_range(1..=6) {
-        let mask = *[0xffu8, 0xff, 0xf0, 0x0f, 0x00]
-            .choose(rng)
-            .expect("mask list is non-empty");
-        rs.push(TernaryEntry::new(
-            vec![rng.gen()],
-            vec![mask],
-            1,
-            rng.gen_range(0..4),
-        ));
-    }
-    rs
-}
-
-fn drain(gw: &Gateway, expected: u64) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while gw.snapshot().totals.received < expected {
-        assert!(
-            Instant::now() < deadline,
-            "gateway failed to drain to {expected} received frames"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
 /// Phased hot-swap schedule: for every shard count, gateway totals under a
 /// sequence of ruleset swaps (drained at each swap point) must equal a
 /// single switch replaying the identical schedule.
@@ -116,16 +46,15 @@ fn phased_hot_swaps_match_single_switch_replay() {
             .map(|_| (random_ruleset(&mut rng), workload(&mut rng, 400)))
             .collect();
 
-        let (control, stage) = build_control();
-        let (reference, ref_stage) = build_control();
+        let (control, stage) = build_control("conf-gw");
+        let (reference, ref_stage) = build_control("conf-gw");
         let gw = Gateway::start(&control, GatewayConfig::with_shards(shards));
 
         let mut sent = 0u64;
         for (ruleset, frames) in &phases {
             // Swap on the live path…
-            control.clear_stage(stage).unwrap();
             control
-                .install_ruleset(stage, ruleset, Action::Drop)
+                .replace_ruleset(stage, ruleset, Action::Drop)
                 .unwrap();
             control.publish();
             // …and identically on the reference switch.
@@ -161,16 +90,15 @@ fn phased_hot_swaps_match_single_switch_replay() {
 #[test]
 fn undrained_swaps_lose_no_frames() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 0xdead);
-    let (control, stage) = build_control();
+    let (control, stage) = build_control("conf-gw");
     let gw = Gateway::start(&control, GatewayConfig::with_shards(4));
     let frames = workload(&mut rng, 3000);
     let mut last_version = 0;
     for (i, f) in frames.iter().enumerate() {
         if i % 500 == 250 {
             let ruleset = random_ruleset(&mut rng);
-            control.clear_stage(stage).unwrap();
             control
-                .install_ruleset(stage, &ruleset, Action::Drop)
+                .replace_ruleset(stage, &ruleset, Action::Drop)
                 .unwrap();
             last_version = control.publish().version;
         }
@@ -193,7 +121,7 @@ fn undrained_swaps_lose_no_frames() {
 #[test]
 fn overload_bursts_conserve_every_frame() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 0xb00);
-    let (control, stage) = build_control();
+    let (control, stage) = build_control("conf-gw");
     let gw = Gateway::start(
         &control,
         GatewayConfig {
@@ -207,9 +135,8 @@ fn overload_bursts_conserve_every_frame() {
     for (i, f) in frames.iter().enumerate() {
         if i % 1000 == 500 {
             let ruleset = random_ruleset(&mut rng);
-            control.clear_stage(stage).unwrap();
             control
-                .install_ruleset(stage, &ruleset, Action::Drop)
+                .replace_ruleset(stage, &ruleset, Action::Drop)
                 .unwrap();
             control.publish();
         }
@@ -236,7 +163,7 @@ fn overload_bursts_conserve_every_frame() {
 #[test]
 fn wrong_width_ruleset_is_rejected_and_service_continues() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x1de);
-    let (control, stage) = build_control();
+    let (control, stage) = build_control("conf-gw");
 
     // Publish a known-good ruleset first: drop TCP.
     let mut good = RuleSet::new(1, 0);

@@ -5,39 +5,14 @@
 //! aggregate drop counts, not a parallel bookkeeping that can drift.
 
 use bytes::Bytes;
+use p4guard_conformance::schedule::{build_control, frame, random_ruleset};
 use p4guard_dataplane::action::Action;
-use p4guard_dataplane::control::ControlPlane;
-use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::parser::ParserSpec;
-use p4guard_dataplane::switch::Switch;
-use p4guard_dataplane::table::{MatchKind, Table};
 use p4guard_gateway::{Gateway, GatewayConfig};
-use p4guard_rules::{RuleSet, TernaryEntry};
 use p4guard_telemetry::{DropReason, Telemetry, TelemetryConfig};
 use rand::prelude::*;
 use std::sync::Arc;
 
 const SEED: u64 = 0x7e1e_0bed;
-
-/// Offset of the IPv4 protocol byte in an Ethernet frame.
-const PROTO_OFF: usize = 14 + 9;
-
-/// An Ethernet+IPv4 frame for `flow` carrying protocol byte `proto`.
-fn frame(flow: u8, proto: u8, payload: u8) -> Bytes {
-    let mut f = vec![0u8; 14];
-    f[12] = 0x08;
-    let mut ip = vec![0u8; 20];
-    ip[0] = 0x45;
-    ip[9] = proto;
-    ip[12..16].copy_from_slice(&[10, 0, 0, flow]);
-    ip[16..20].copy_from_slice(&[10, 0, 1, 1]);
-    f.extend_from_slice(&ip);
-    f.extend_from_slice(&(1000 + u16::from(flow)).to_be_bytes());
-    f.extend_from_slice(&443u16.to_be_bytes());
-    f.extend_from_slice(&[0, 9, 0, 0]);
-    f.push(payload);
-    Bytes::from(f)
-}
 
 /// A runt frame shorter than the parser's minimum window: always
 /// parser-rejected, never reaches a table.
@@ -62,39 +37,6 @@ fn workload<R: Rng>(rng: &mut R, n: usize) -> Vec<Bytes> {
         .collect()
 }
 
-/// A control plane over a one-stage switch whose ternary ACL keys on the
-/// IPv4 protocol byte.
-fn build_control() -> (ControlPlane, usize) {
-    let parser = ParserSpec::raw_window(64, 14);
-    let mut switch = Switch::new("conf-telemetry", parser, 1);
-    let acl = Table::new(
-        "acl",
-        MatchKind::Ternary,
-        KeyLayout::new(vec![PROTO_OFF]),
-        64,
-        Action::NoOp,
-    );
-    let stage = switch.add_stage(acl);
-    (ControlPlane::new(switch), stage)
-}
-
-/// A small adversarial ruleset over the protocol byte.
-fn random_ruleset<R: Rng>(rng: &mut R) -> RuleSet {
-    let mut rs = RuleSet::new(1, 0);
-    for _ in 0..rng.gen_range(1..=6) {
-        let mask = *[0xffu8, 0xff, 0xf0, 0x0f, 0x00]
-            .choose(rng)
-            .expect("mask list is non-empty");
-        rs.push(TernaryEntry::new(
-            vec![rng.gen()],
-            vec![mask],
-            1,
-            rng.gen_range(0..4),
-        ));
-    }
-    rs
-}
-
 /// Sum of every `p4guard_drops_total` series carrying `reason`.
 fn drops_for(telemetry: &Telemetry, reason: DropReason) -> u64 {
     telemetry
@@ -117,7 +59,7 @@ fn drops_for(telemetry: &Telemetry, reason: DropReason) -> u64 {
 #[test]
 fn drop_taxonomy_reconciles_with_legacy_totals() {
     let mut rng = StdRng::seed_from_u64(SEED);
-    let (control, stage) = build_control();
+    let (control, stage) = build_control("conf-telemetry");
     let telemetry = Arc::new(Telemetry::new(TelemetryConfig {
         sample_every: 16,
         ..TelemetryConfig::default()
@@ -137,9 +79,8 @@ fn drop_taxonomy_reconciles_with_legacy_totals() {
     for (i, f) in frames.iter().enumerate() {
         if i % 1500 == 750 {
             let ruleset = random_ruleset(&mut rng);
-            control.clear_stage(stage).unwrap();
             control
-                .install_ruleset(stage, &ruleset, Action::Drop)
+                .replace_ruleset(stage, &ruleset, Action::Drop)
                 .unwrap();
             control.publish();
         }

@@ -324,7 +324,7 @@ fn run() -> Result<(), Box<dyn Error>> {
                     "fleet: {tenants} tenant(s), {devices} simulated devices, {} shards (seed {seed})",
                     config.shards
                 );
-                let report = p4guard::experiments::fleet_exp::run_f13_fleet(
+                let report = p4guard::experiments::fleet_exp::run_f19_fleet(
                     seed,
                     devices,
                     tenants,
@@ -346,7 +346,7 @@ fn run() -> Result<(), Box<dyn Error>> {
                     "adaptation loop: injecting a regime shift across {} shards (seed {seed})",
                     config.shards
                 );
-                let report = p4guard::experiments::adaptation::run_f12_adapt(
+                let report = p4guard::experiments::adaptation::run_f18_adapt(
                     seed,
                     config.shards,
                     Some(Arc::clone(&observability.telemetry)),

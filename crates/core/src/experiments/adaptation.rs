@@ -1,4 +1,4 @@
-//! F12-adapt: detection → recovery time of the closed adaptation loop
+//! F18-adapt: detection → recovery time of the closed adaptation loop
 //! after an injected traffic shift.
 //!
 //! Two paths of the [`p4guard_adapt::AdaptEngine`] lifecycle are driven
@@ -14,12 +14,8 @@
 //!   restored to the exact prior version.
 
 use p4guard_adapt::{AdaptConfig, AdaptEngine, DriftConfig, Retrainer, StepOutcome};
-use p4guard_dataplane::action::Action;
 use p4guard_dataplane::control::ControlPlane;
-use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::parser::ParserSpec;
-use p4guard_dataplane::switch::Switch;
-use p4guard_dataplane::table::{MatchKind, Table};
+use p4guard_dataplane::AclLayout;
 use p4guard_gateway::{Gateway, GatewayConfig};
 use p4guard_packet::trace::{AttackFamily, Trace};
 use p4guard_rules::{RuleSet, TernaryEntry};
@@ -29,7 +25,7 @@ use p4guard_traffic::Fleet;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Byte window the ACL parser captures.
 const WINDOW: usize = 64;
@@ -60,7 +56,7 @@ pub struct AdaptPath {
     pub fleet_converged: bool,
 }
 
-/// The F12-adapt report: recovery behaviour on both lifecycle paths.
+/// The F18-adapt report: recovery behaviour on both lifecycle paths.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdaptRecoveryReport {
     /// Scenario seed.
@@ -75,7 +71,7 @@ impl fmt::Display for AdaptRecoveryReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "F12-adapt: closed-loop recovery after a traffic shift (seed {}, {} shards)",
+            "F18-adapt: closed-loop recovery after a traffic shift (seed {}, {} shards)",
             self.seed, self.shards
         )?;
         let mut table = crate::report::TextTable::new([
@@ -128,16 +124,12 @@ fn retrainer() -> Retrainer {
 }
 
 fn build_control() -> ControlPlane {
-    let parser = ParserSpec::raw_window(WINDOW, 14);
-    let mut sw = Switch::new("adapt-exp", parser, 1);
-    sw.add_stage(Table::new(
-        "acl",
-        MatchKind::Ternary,
-        KeyLayout::new(OFFSETS.to_vec()),
-        8192,
-        Action::NoOp,
-    ));
-    ControlPlane::new(sw)
+    let layout = AclLayout {
+        window: WINDOW,
+        offsets: OFFSETS.to_vec(),
+        capacity: 8192,
+    };
+    ControlPlane::new(layout.switch("adapt-exp", ["acl"]))
 }
 
 /// Dispatches `trace` frames in chunks, stepping `engine` at each drained
@@ -159,15 +151,8 @@ fn drive(
         }
         *expected += chunk.len() as u64;
         replayed += chunk.len() as u64;
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            let snap = gw.snapshot();
-            if snap.totals.received + snap.dropped_backpressure >= *expected {
-                break;
-            }
-            assert!(Instant::now() < deadline, "gateway failed to drain");
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        gw.wait_drained(*expected, Duration::from_secs(30))
+            .expect("gateway drains to the checkpoint");
         match engine.step(gw).expect("adaptation step") {
             StepOutcome::ShadowStarted { .. } => to_shadow = replayed,
             StepOutcome::CanaryStarted { .. } => to_canary = replayed,
@@ -184,7 +169,7 @@ fn drive(
 /// counts. The optional `telemetry` (e.g. one already served over HTTP by
 /// `p4guard-cli serve --adapt --metrics-addr ...`) collects the `adapt_*`
 /// counters and rollout audit events from both paths.
-pub fn run_f12_adapt(
+pub fn run_f18_adapt(
     seed: u64,
     shards: usize,
     telemetry: Option<Arc<Telemetry>>,
@@ -342,8 +327,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn f12_adapt_promotes_and_rolls_back() {
-        let report = run_f12_adapt(7, 4, None);
+    fn f18_adapt_promotes_and_rolls_back() {
+        let report = run_f18_adapt(7, 4, None);
         assert_eq!(report.paths.len(), 2);
         let promote = &report.paths[0];
         assert_eq!(promote.outcome, "promoted");

@@ -1,5 +1,5 @@
 //! Experiments F4 (data-plane throughput), F10 (rule-update latency) and
-//! F11-lookup (linear scan vs compiled lookup engines).
+//! F17-lookup (linear scan vs compiled lookup engines).
 
 use crate::config::GuardConfig;
 use crate::experiments::ExperimentContext;
@@ -9,9 +9,9 @@ use p4guard_dataplane::action::Action;
 use p4guard_dataplane::compiled::CompiledTable;
 use p4guard_dataplane::control::ControlPlane;
 use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::parser::ParserSpec;
 use p4guard_dataplane::switch::{compute_pps, Switch};
 use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
+use p4guard_dataplane::AclLayout;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -61,16 +61,18 @@ pub struct ThroughputReport {
     pub gateway: Option<GatewayPoint>,
 }
 
-fn synthetic_switch(key_width: usize, entries: usize, seed: u64) -> Switch {
+/// A one-stage ACL switch keyed on the first `key_width` window bytes,
+/// holding `entries` random half-wildcard drop rules — the synthetic F4
+/// setup, shared with the `f4_*` benches.
+pub fn synthetic_switch(key_width: usize, entries: usize, seed: u64) -> Switch {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut sw = Switch::new("bench", ParserSpec::raw_window(64, 14), 1);
-    let mut acl = Table::new(
-        "acl",
-        MatchKind::Ternary,
-        KeyLayout::window(key_width),
-        entries.max(1),
-        Action::NoOp,
-    );
+    let mut sw = AclLayout {
+        window: 64,
+        offsets: (0..key_width).collect(),
+        capacity: entries.max(1),
+    }
+    .switch("bench", ["acl"]);
+    let acl = sw.stage_mut(0);
     for _ in 0..entries {
         let value: Vec<u8> = (0..key_width).map(|_| rng.gen()).collect();
         // Half-wildcard masks so some traffic matches.
@@ -80,7 +82,6 @@ fn synthetic_switch(key_width: usize, entries: usize, seed: u64) -> Switch {
         acl.insert(MatchSpec::Ternary { value, mask }, Action::Drop, 1)
             .expect("within capacity");
     }
-    sw.add_stage(acl);
     sw
 }
 
@@ -209,14 +210,13 @@ pub fn run_f10(seed: u64, occupancies: &[usize]) -> UpdateLatencyReport {
     let mut points = Vec::with_capacity(occupancies.len());
     for &occupancy in occupancies {
         // A table pre-filled to `occupancy` with headroom for the probe.
-        let mut sw = Switch::new("bench", ParserSpec::raw_window(64, 14), 1);
-        let mut acl = Table::new(
-            "acl",
-            MatchKind::Ternary,
-            KeyLayout::window(8),
-            occupancy + PROBE,
-            Action::NoOp,
-        );
+        let mut sw = AclLayout {
+            window: 64,
+            offsets: (0..8).collect(),
+            capacity: occupancy + PROBE,
+        }
+        .switch("bench", ["acl"]);
+        let acl = sw.stage_mut(0);
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..occupancy {
             let value: Vec<u8> = (0..8).map(|_| rng.gen()).collect();
@@ -230,7 +230,6 @@ pub fn run_f10(seed: u64, occupancies: &[usize]) -> UpdateLatencyReport {
             )
             .expect("capacity has headroom");
         }
-        sw.add_stage(acl);
         let control = ControlPlane::new(sw);
         // Measure a probe batch of inserts, then remove them.
         let mut probe = p4guard_rules::ruleset::RuleSet::new(8, 0);
@@ -259,7 +258,7 @@ pub fn run_f10(seed: u64, occupancies: &[usize]) -> UpdateLatencyReport {
     UpdateLatencyReport { points }
 }
 
-/// One (match kind, table size) measurement of F11-lookup.
+/// One (match kind, table size) measurement of F17-lookup.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LookupPoint {
     /// Match kind of the measured table.
@@ -277,7 +276,7 @@ pub struct LookupPoint {
     pub speedup: f64,
 }
 
-/// Result of F11-lookup: scan vs compiled lookup cost as the table grows.
+/// Result of F17-lookup: scan vs compiled lookup cost as the table grows.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LookupReport {
     /// Lookups timed per measurement.
@@ -286,16 +285,16 @@ pub struct LookupReport {
     pub points: Vec<LookupPoint>,
 }
 
-/// Match-key width of the F11-lookup tables (the paper's stage-1 window).
+/// Match-key width of the F17-lookup tables (the paper's stage-1 window).
 const F11_KEY_WIDTH: usize = 8;
 /// Probe keys per measurement (half hits, half random).
 const F11_KEYS: usize = 2048;
 /// Timed passes over the probe keys.
 const F11_ROUNDS: usize = 2;
 
-/// Builds an F11 table of `kind` with `entries` random entries plus the
+/// Builds an F17 table of `kind` with `entries` random entries plus the
 /// probe-key stream used against it.
-fn f11_fixture(kind: MatchKind, entries: usize, seed: u64) -> (Table, Vec<Vec<u8>>) {
+fn f17_fixture(kind: MatchKind, entries: usize, seed: u64) -> (Table, Vec<Vec<u8>>) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xf11);
     let mut table = Table::new(
         "f11",
@@ -357,10 +356,10 @@ fn f11_fixture(kind: MatchKind, entries: usize, seed: u64) -> (Table, Vec<Vec<u8
     (table, keys)
 }
 
-/// Runs F11-lookup: per match kind, lookups/sec of the mutable table's
+/// Runs F17-lookup: per match kind, lookups/sec of the mutable table's
 /// linear scan vs the compiled engine a published snapshot uses, as the
 /// entry count sweeps `entry_counts`.
-pub fn run_f11_lookup(seed: u64, entry_counts: &[usize]) -> LookupReport {
+pub fn run_f17_lookup(seed: u64, entry_counts: &[usize]) -> LookupReport {
     let kinds = [
         MatchKind::Exact,
         MatchKind::Lpm,
@@ -370,7 +369,7 @@ pub fn run_f11_lookup(seed: u64, entry_counts: &[usize]) -> LookupReport {
     let mut points = Vec::with_capacity(kinds.len() * entry_counts.len());
     for kind in kinds {
         for &entries in entry_counts {
-            let (table, keys) = f11_fixture(kind, entries, seed);
+            let (table, keys) = f17_fixture(kind, entries, seed);
             let compiled = CompiledTable::compile(&table);
             let mut probe = vec![0u8; F11_KEY_WIDTH];
             let lookups = F11_KEYS * F11_ROUNDS;
@@ -415,7 +414,7 @@ impl fmt::Display for LookupReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "F11 — lookup cost: linear scan vs compiled engine ({} lookups/point)",
+            "F17 — lookup cost: linear scan vs compiled engine ({} lookups/point)",
             self.lookups
         )?;
         let mut table = TextTable::new([
@@ -483,7 +482,7 @@ mod tests {
 
     #[test]
     fn f11_compiled_lookup_beats_scan_at_scale() {
-        let report = run_f11_lookup(7, &[16, 1024]);
+        let report = run_f17_lookup(7, &[16, 1024]);
         assert_eq!(report.points.len(), 8); // 4 kinds × 2 sizes
         for p in &report.points {
             assert!(p.scan_pps > 0.0 && p.compiled_pps > 0.0);
@@ -495,13 +494,13 @@ mod tests {
             .expect("exact point present");
         assert_eq!(exact_large.strategy, "exact-hash");
         // Loose bound (debug builds, noisy CI): the release-mode curve in
-        // the f11_lookup bench is far steeper.
+        // the f17_lookup bench is far steeper.
         assert!(
             exact_large.speedup > 2.0,
             "expected compiled >> scan, got {:.2}x",
             exact_large.speedup
         );
-        assert!(report.to_string().contains("F11"));
+        assert!(report.to_string().contains("F17"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! F13-fleet: multi-tenant gateway at fleet scale.
+//! F19-fleet: multi-tenant gateway at fleet scale.
 //!
 //! One physical gateway serves ≥4 tenants (device classes) totalling
 //! 10⁵–10⁶ simulated IoT devices. Per tenant, a detector is trained on a
@@ -67,7 +67,7 @@ pub struct TenantReport {
     pub gateway_agrees: bool,
 }
 
-/// The F13-fleet report.
+/// The F19-fleet report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetReport {
     /// Scenario seed.
@@ -98,7 +98,7 @@ impl fmt::Display for FleetReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "F13-fleet: {} tenants, {} devices, {} shards (seed {})",
+            "F19-fleet: {} tenants, {} devices, {} shards (seed {})",
             self.tenants.len(),
             self.devices,
             self.shards,
@@ -164,6 +164,20 @@ pub(crate) fn train_tenant(sim: &FleetSim, tenant: usize, layout: &AclLayout) ->
         .ternary
 }
 
+/// One tenant per simulated device class: table share weighted by device
+/// count on top of an 8 Kbit guarantee per memory.
+pub(crate) fn tenant_specs(config: &FleetSimConfig) -> Vec<TenantSpec> {
+    let specs = config.tenants.iter().map(|t| TenantSpec {
+        name: t.name.clone(),
+        share: TenantShare {
+            weight: t.devices.max(1),
+            min_tcam_bits: 8 * 1024,
+            min_sram_bits: 8 * 1024,
+        },
+    });
+    specs.collect()
+}
+
 /// A ruleset guaranteed to overflow `tcam_bits` *after minimization*:
 /// filler entries keyed on a protocol number no device emits, at minimum
 /// priority so trimming cuts them first. Broad learned entries can shadow
@@ -194,7 +208,7 @@ fn oversized(base: &RuleSet, tcam_bits: usize) -> RuleSet {
     rs
 }
 
-/// Runs the F13-fleet experiment: `devices` simulated IoT devices split
+/// Runs the F19-fleet experiment: `devices` simulated IoT devices split
 /// across `tenants` device classes, served by `shards` shared shard
 /// workers under the default global table budget.
 ///
@@ -203,7 +217,7 @@ fn oversized(base: &RuleSet, tcam_bits: usize) -> RuleSet {
 /// Panics if a tenant's learned ruleset does not fit its fair-share
 /// allocation, if the budgeter fails to reject a deliberately oversized
 /// publish, or if the gateway fails to drain the replay.
-pub fn run_f13_fleet(
+pub fn run_f19_fleet(
     seed: u64,
     devices: u64,
     tenants: usize,
@@ -214,19 +228,7 @@ pub fn run_f13_fleet(
     let layout = AclLayout::default();
     let budget = BudgetConfig::default();
     let total_devices = config.total_devices();
-    let specs: Vec<TenantSpec> = config
-        .tenants
-        .iter()
-        .map(|t| TenantSpec {
-            name: t.name.clone(),
-            share: TenantShare {
-                weight: t.devices.max(1),
-                min_tcam_bits: 8 * 1024,
-                min_sram_bits: 8 * 1024,
-            },
-        })
-        .collect();
-    let mut registry = TenantRegistry::new(specs, budget, layout.clone())
+    let mut registry = TenantRegistry::new(tenant_specs(&config), budget, layout.clone())
         .expect("demo minimum guarantees fit the default budget");
     if let Some(t) = &telemetry {
         registry.attach_telemetry(Arc::clone(t));
@@ -307,14 +309,9 @@ pub fn run_f13_fleet(
     for f in frames {
         gateway.dispatch(f.frame);
     }
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while gateway.snapshot().totals.received < total_frames {
-        assert!(
-            Instant::now() < deadline,
-            "fleet gateway failed to drain the replay"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    gateway
+        .wait_drained(total_frames, Duration::from_secs(120))
+        .expect("fleet gateway drains the replay");
     let elapsed = started.elapsed();
     let snapshot = gateway.finish();
 
@@ -369,8 +366,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn f13_fleet_small_run_is_consistent() {
-        let report = run_f13_fleet(7, 8_000, 4, 2, None);
+    fn f19_fleet_small_run_is_consistent() {
+        let report = run_f19_fleet(7, 8_000, 4, 2, None);
         assert_eq!(report.tenants.len(), 4);
         assert_eq!(report.unknown_tenant, 0);
         assert!(report.rejected_publishes >= 1);
@@ -390,9 +387,9 @@ mod tests {
     }
 
     #[test]
-    fn f13_fleet_accuracy_is_seed_deterministic() {
-        let a = run_f13_fleet(11, 4_000, 4, 2, None);
-        let b = run_f13_fleet(11, 4_000, 4, 2, None);
+    fn f19_fleet_accuracy_is_seed_deterministic() {
+        let a = run_f19_fleet(11, 4_000, 4, 2, None);
+        let b = run_f19_fleet(11, 4_000, 4, 2, None);
         let strip = |r: &FleetReport| {
             r.tenants
                 .iter()

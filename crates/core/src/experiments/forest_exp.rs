@@ -23,11 +23,8 @@ use crate::experiments::ExperimentContext;
 use crate::pipeline::TwoStagePipeline;
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::control::ControlPlane;
-use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::parser::ParserSpec;
-use p4guard_dataplane::switch::Switch;
-use p4guard_dataplane::table::{MatchKind, Table};
 use p4guard_dataplane::vote::VoteStage;
+use p4guard_dataplane::AclLayout;
 use p4guard_features::extract::ByteDataset;
 use p4guard_fleet::{BudgetConfig, TableBudgeter, TenantShare};
 use p4guard_gateway::{Gateway, GatewayConfig};
@@ -41,7 +38,7 @@ use p4guard_traffic::scenario::Scenario;
 use p4guard_traffic::split_temporal;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 #[allow(unused_imports)] // doc link target
 use p4guard_dataplane::resources::SwitchResources;
@@ -265,30 +262,30 @@ fn point_config(trees: usize, depth: usize, base: &GuardConfig) -> ForestConfig 
 /// Builds a vote-mode switch with one ternary stage per tree, installs
 /// every per-tree ruleset, and returns the control plane. Empty stages
 /// (benign-only trees) are installed too — they vote benign by
-/// default-miss and must not be dropped.
+/// default-miss and must not be dropped. Every stage is sized for the
+/// largest tree.
 fn deploy_forest(
     window: usize,
     offsets: &[usize],
     compiled: &CompiledForest,
     exit: Option<EarlyExit>,
 ) -> ControlPlane {
-    let parser = ParserSpec::raw_window(window, 14);
-    let mut sw = Switch::new("f16-forest", parser, 1);
-    for (i, rs) in compiled.rulesets().iter().enumerate() {
-        sw.add_stage(Table::new(
-            format!("tree{i}"),
-            MatchKind::Ternary,
-            KeyLayout::new(offsets.to_vec()),
-            rs.len().max(1),
-            Action::NoOp,
-        ));
-    }
+    let rulesets = compiled.rulesets();
+    let layout = AclLayout {
+        window,
+        offsets: offsets.to_vec(),
+        capacity: rulesets.iter().map(|rs| rs.len()).max().unwrap_or(0).max(1),
+    };
+    let mut sw = layout.switch(
+        "f16-forest",
+        (0..rulesets.len()).map(|i| format!("tree{i}")),
+    );
     sw.set_vote(Some(match exit {
         Some(e) => VoteStage::with_early_exit(e),
         None => VoteStage::majority(),
     }));
     let control = ControlPlane::new(sw);
-    for (i, rs) in compiled.rulesets().iter().enumerate() {
+    for (i, rs) in rulesets.iter().enumerate() {
         control
             .install_ruleset(i, rs, Action::Drop)
             .expect("per-tree ruleset fits its own stage");
@@ -512,23 +509,16 @@ fn live_phase(
             // the edited stage and share the other trees' compiled
             // lookups unchanged.
             let edited = one_tree_edit(compiled.rulesets()[0]);
-            control.clear_stage(0).expect("stage 0 clears");
             control
-                .install_ruleset(0, &edited, Action::Drop)
+                .replace_ruleset(0, &edited, Action::Drop)
                 .expect("edited tree fits");
             let report = control.publish();
             delta_recompiled = report.stages_recompiled;
             delta_shared = report.stages_shared;
         }
     }
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while gw.snapshot().totals.received < sent {
-        assert!(
-            Instant::now() < deadline,
-            "live gateway failed to drain {sent} frames"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    gw.wait_drained(sent, Duration::from_secs(60))
+        .expect("live gateway drains");
     let snap = gw.finish();
     let conserved = snap.totals.received == sent
         && snap.totals.forwarded + snap.totals.dropped + snap.totals.parser_rejected

@@ -1,4 +1,4 @@
-//! F14-minimize: ternary minimization margin and incremental-publish
+//! F20-minimize: ternary minimization margin and incremental-publish
 //! latency.
 //!
 //! Two claims are measured. First, the lowering-time minimizer
@@ -20,17 +20,14 @@ use crate::pipeline::TwoStagePipeline;
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::compiled::LookupOutcome;
 use p4guard_dataplane::control::ControlPlane;
-use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::parser::ParserSpec;
-use p4guard_dataplane::switch::Switch;
-use p4guard_dataplane::table::{MatchKind, Table};
+use p4guard_dataplane::AclLayout;
 use p4guard_gateway::{Gateway, GatewayConfig};
 use p4guard_rules::compile::CompileConfig;
 use p4guard_rules::tree::TreeConfig;
 use p4guard_rules::{RuleSet, TernaryEntry};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One learned ruleset's minimization margin.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -60,7 +57,7 @@ pub struct LatencyStats {
     pub samples: usize,
 }
 
-/// The F14-minimize report.
+/// The F20-minimize report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MinimizeReport {
     /// Scenario seed.
@@ -90,7 +87,7 @@ pub struct MinimizeReport {
 
 impl fmt::Display for MinimizeReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "F14-minimize (seed {})", self.seed)?;
+        writeln!(f, "F20-minimize (seed {})", self.seed)?;
         let mut table = crate::report::TextTable::new([
             "ruleset",
             "entries",
@@ -183,18 +180,14 @@ fn margins(ctx: &ExperimentContext, base: &GuardConfig, depths: &[usize]) -> Vec
         .iter()
         .map(|&depth| {
             let rs = learned_ruleset(ctx, base, depth);
-            let parser = ParserSpec::raw_window(64, 0);
-            let mut sw = Switch::new("margin", parser, 1);
-            let stage = sw.add_stage(Table::new(
-                "acl",
-                MatchKind::Ternary,
-                KeyLayout::window(rs.key_width()),
-                rs.len().max(1),
-                Action::NoOp,
-            ));
-            let control = ControlPlane::new(sw);
+            let layout = AclLayout {
+                window: 64,
+                offsets: (0..rs.key_width()).collect(),
+                capacity: rs.len().max(1),
+            };
+            let control = ControlPlane::new(layout.switch("margin", ["acl"]));
             control
-                .install_ruleset(stage, &rs, Action::Drop)
+                .install_ruleset(0, &rs, Action::Drop)
                 .expect("learned ruleset fits its own table");
             let resources = control.with_switch(|sw| sw.resources());
             MarginRow {
@@ -214,16 +207,12 @@ fn margins(ctx: &ExperimentContext, base: &GuardConfig, depths: &[usize]) -> Vec
 /// A one-stage control plane keyed on three bytes of the parsed window,
 /// sized for the latency ruleset.
 fn latency_control(capacity: usize) -> (ControlPlane, usize) {
-    let parser = ParserSpec::raw_window(64, 14);
-    let mut sw = Switch::new("f14-minimize", parser, 1);
-    let stage = sw.add_stage(Table::new(
-        "acl",
-        MatchKind::Ternary,
-        KeyLayout::new(vec![23, 34, 35]),
+    let layout = AclLayout {
+        window: 64,
+        offsets: vec![23, 34, 35],
         capacity,
-        Action::NoOp,
-    ));
-    (ControlPlane::new(sw), stage)
+    };
+    (ControlPlane::new(layout.switch("f20-minimize", ["acl"])), 0)
 }
 
 /// The synthetic width-3 latency ruleset: `n` unique fully-masked entries.
@@ -284,7 +273,7 @@ fn live_frame(i: usize) -> Vec<u8> {
     f
 }
 
-/// Runs the F14-minimize experiment: margin rows for learned rulesets at
+/// Runs the F20-minimize experiment: margin rows for learned rulesets at
 /// each depth in `depths`, then the publish-latency comparison at
 /// `entries` entries over `trials` one-entry diffs, then the live-gateway
 /// delta phase.
@@ -294,7 +283,7 @@ fn live_frame(i: usize) -> Vec<u8> {
 /// Panics if an incremental publish recompiles more than the edited stage,
 /// if the patched pipeline diverges from a from-scratch compile, or if the
 /// live gateway fails to drain.
-pub fn run_f14_minimize(
+pub fn run_f20_minimize(
     ctx: &ExperimentContext,
     config: &GuardConfig,
     depths: &[usize],
@@ -317,10 +306,9 @@ pub fn run_f14_minimize(
     let mut scratch_samples = Vec::with_capacity(trials);
     for trial in 0..trials {
         let next = one_entry_edit(&current, entries + trial);
-        let diff = current.diff(&next);
         control
-            .apply_ruleset_diff(stage, &diff, Action::Drop)
-            .expect("one-entry diff applies");
+            .replace_ruleset(stage, &next, Action::Drop)
+            .expect("one-entry edit applies");
         let report = control.publish();
         assert_eq!(
             report.stages_recompiled, 1,
@@ -389,21 +377,14 @@ pub fn run_f14_minimize(
         }
         sent += per_chunk as u64;
         let next = one_entry_edit(&current, entries + trials + chunk);
-        let diff = current.diff(&next);
         control
-            .apply_ruleset_diff(stage, &diff, Action::Drop)
-            .expect("live diff applies");
+            .replace_ruleset(stage, &next, Action::Drop)
+            .expect("live edit applies");
         live_samples.push(control.publish().elapsed);
         current = next;
     }
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while gw.snapshot().totals.received < sent {
-        assert!(
-            Instant::now() < deadline,
-            "live gateway failed to drain {sent} frames"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    gw.wait_drained(sent, Duration::from_secs(60))
+        .expect("live gateway drains");
     let snap = gw.finish();
     let conserved = snap.totals.received == sent
         && snap.totals.forwarded + snap.totals.dropped + snap.totals.parser_rejected
@@ -430,10 +411,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn f14_minimize_small_run_is_consistent() {
+    fn f20_minimize_small_run_is_consistent() {
         let ctx = ExperimentContext::standard(7);
         let config = GuardConfig::fast();
-        let report = run_f14_minimize(&ctx, &config, &[4, 6], 256, 8);
+        let report = run_f20_minimize(&ctx, &config, &[4, 6], 256, 8);
         assert_eq!(report.margins.len(), 2);
         for m in &report.margins {
             assert!(m.entries_source > 0);
@@ -455,7 +436,7 @@ mod tests {
     }
 
     #[test]
-    fn f14_minimize_margins_are_seed_deterministic() {
+    fn f20_minimize_margins_are_seed_deterministic() {
         let ctx = ExperimentContext::standard(11);
         let config = GuardConfig::fast();
         let a = margins(&ctx, &config, &[4]);

@@ -19,7 +19,6 @@ use crate::config::GuardConfig;
 use crate::pipeline::TwoStagePipeline;
 use p4guard_fleet::{
     AclLayout, AdmitPolicy, BudgetConfig, FleetGateway, FleetSim, FleetSimConfig, TenantRegistry,
-    TenantShare, TenantSpec,
 };
 use p4guard_gateway::GatewayConfig;
 use p4guard_telemetry::{Event, Telemetry, TelemetryConfig};
@@ -27,7 +26,7 @@ use p4guard_traffic::scenario::Scenario;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Simulated devices in the SLO-wave fleet.
 const WAVE_DEVICES: u64 = 4_000;
@@ -199,18 +198,7 @@ fn traced_replay(seed: u64, shards: usize) -> TracedReplay {
 fn slo_wave(seed: u64, shards: usize) -> SloWave {
     let config = FleetSimConfig::demo(WAVE_TENANTS, WAVE_DEVICES, seed);
     let layout = AclLayout::default();
-    let specs: Vec<TenantSpec> = config
-        .tenants
-        .iter()
-        .map(|t| TenantSpec {
-            name: t.name.clone(),
-            share: TenantShare {
-                weight: t.devices.max(1),
-                min_tcam_bits: 8 * 1024,
-                min_sram_bits: 8 * 1024,
-            },
-        })
-        .collect();
+    let specs = super::fleet_exp::tenant_specs(&config);
     let mut registry = TenantRegistry::new(specs, BudgetConfig::default(), layout.clone())
         .expect("demo minimum guarantees fit the default budget");
     let telemetry = Arc::new(Telemetry::new(TelemetryConfig {
@@ -245,15 +233,9 @@ fn slo_wave(seed: u64, shards: usize) -> SloWave {
 
     let mut expected = 0u64;
     let drain = |expected: u64| {
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            let snap = gateway.snapshot();
-            if snap.totals.received + snap.unknown_tenant >= expected {
-                break;
-            }
-            assert!(Instant::now() < deadline, "fleet gateway failed to drain");
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        gateway
+            .wait_drained(expected, Duration::from_secs(60))
+            .expect("fleet gateway drains to the checkpoint");
     };
 
     // Quiet phase, two halves: the first tick lays the baseline point, the

@@ -12,10 +12,7 @@ use crate::pipeline::{PipelineError, TrainedGuard, TwoStagePipeline};
 use crate::report::{num3, TextTable};
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::control::ControlPlane;
-use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::parser::ParserSpec;
-use p4guard_dataplane::switch::Switch;
-use p4guard_dataplane::table::{MatchKind, Table, TableError};
+use p4guard_dataplane::table::TableError;
 use p4guard_features::extract::ByteDataset;
 use p4guard_packet::trace::{AttackFamily, Trace};
 use p4guard_rules::compile::{compile_tree, CompiledRules};
@@ -151,22 +148,17 @@ impl FamilyGuard {
     /// Returns a table error if `capacity_per_family` cannot hold a rule
     /// set.
     pub fn deploy(&self, capacity_per_family: usize) -> Result<ControlPlane, TableError> {
-        let parser = ParserSpec::raw_window(self.binary.config.window, 14);
-        let mut switch = Switch::new("p4guard-family-gateway", parser, 1);
-        let layout = KeyLayout::new(self.binary.selection.offsets.clone());
-        let mut stages = Vec::new();
-        for f in &self.families {
-            let table = Table::new(
-                format!("guard_{}", f.family),
-                MatchKind::Ternary,
-                layout.clone(),
-                capacity_per_family,
-                Action::NoOp,
-            );
-            stages.push((switch.add_stage(table), f));
-        }
+        let layout = self.binary.acl_layout(capacity_per_family);
+        let names = self.families.iter().map(|f| format!("guard_{}", f.family));
+        let mut switch = layout.switch("p4guard-family-gateway", names);
+        // Final stage: the binary guard's drop rules, sized for all of them.
+        let final_stage = switch.add_stage(
+            self.binary
+                .acl_layout(capacity_per_family * self.families.len().max(1))
+                .table("guard_acl"),
+        );
         let control = ControlPlane::new(switch);
-        for (stage, f) in stages {
+        for (stage, f) in self.families.iter().enumerate() {
             // Count first (per-family visibility), then drop: encoded as a
             // Count action on the family table plus the binary ACL drop —
             // in this model a single Drop action also stops the pipeline,
@@ -177,16 +169,6 @@ impl FamilyGuard {
                 Action::Count(u32::from(f.family.code())),
             )?;
         }
-        // Final stage: the binary guard's drop rules.
-        let final_stage = control.with_switch_mut(|sw| {
-            sw.add_stage(Table::new(
-                "guard_acl",
-                MatchKind::Ternary,
-                layout,
-                capacity_per_family * self.families.len().max(1),
-                Action::NoOp,
-            ))
-        });
         control.install_ruleset(final_stage, &self.binary.compiled.ternary, Action::Drop)?;
         Ok(control)
     }

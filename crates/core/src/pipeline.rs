@@ -4,10 +4,8 @@
 use crate::config::GuardConfig;
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::control::{ControlPlane, PublishReport};
-use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::parser::ParserSpec;
-use p4guard_dataplane::switch::Switch;
-use p4guard_dataplane::table::{MatchKind, Table, TableError};
+use p4guard_dataplane::table::TableError;
+use p4guard_dataplane::AclLayout;
 use p4guard_features::extract::ByteDataset;
 use p4guard_features::naming;
 use p4guard_features::select::{select_fields, FieldSelection};
@@ -380,25 +378,33 @@ impl TrainedGuard {
     ///
     /// Returns a table error when `capacity` cannot hold the rule set.
     pub fn deploy(&self, capacity: usize) -> Result<ControlPlane, TableError> {
-        let parser = ParserSpec::raw_window(self.config.window, 14);
-        let mut switch = Switch::new("p4guard-gateway", parser, 1);
-        let acl = Table::new(
-            "guard_acl",
-            MatchKind::Ternary,
-            KeyLayout::new(self.selection.offsets.clone()),
-            capacity,
-            Action::NoOp,
+        let control = ControlPlane::new(
+            self.acl_layout(capacity)
+                .switch("p4guard-gateway", ["guard_acl"]),
         );
-        let stage = switch.add_stage(acl);
-        let control = ControlPlane::new(switch);
-        control.install_ruleset(stage, &self.compiled.ternary, Action::Drop)?;
+        control.install_ruleset(0, &self.compiled.ternary, Action::Drop)?;
         Ok(control)
     }
 
+    /// The switch layout this guard deploys on: its parse window and
+    /// selected byte offsets, `capacity` entries per stage.
+    pub fn acl_layout(&self, capacity: usize) -> AclLayout {
+        AclLayout {
+            window: self.config.window,
+            offsets: self.selection.offsets.clone(),
+            capacity,
+        }
+    }
+
     /// Serves `trace` through a sharded gateway live: replays the first
-    /// half with the compiled rules, hot-swaps in an optimized ruleset
-    /// mid-run (no forwarding stall — workers pick it up at the next batch
-    /// boundary), then replays the second half.
+    /// half with the compiled rules, republishes mid-run (no forwarding
+    /// stall — workers pick the new version up at the next batch boundary),
+    /// then replays the second half. The republished ruleset is the
+    /// compiled one run through [`RuleSet::optimize`](p4guard_rules::RuleSet::optimize)
+    /// again; under the default [`CompileConfig`](p4guard_rules::compile::CompileConfig)
+    /// compilation already optimized it, so the swap is a zero-churn
+    /// publish that shares every compiled stage — the cheapest case of
+    /// [`ControlPlane::replace_ruleset`], and the report's `diff` says so.
     ///
     /// The trace is packed into arena-backed [`FrameBatch`]es of
     /// [`INGEST_BATCH`] frames (one allocation per chunk instead of per
@@ -416,7 +422,7 @@ impl TrainedGuard {
     ///
     /// # Errors
     ///
-    /// Returns a table error when deployment or the mid-run reinstall
+    /// Returns a table error when deployment or the mid-run swap
     /// fails.
     pub fn serve_live(
         &self,
@@ -476,9 +482,7 @@ impl TrainedGuard {
         // keep forwarding against the old snapshot until publish lands.
         let mut optimized = self.compiled.ternary.clone();
         optimized.optimize();
-        let diff = self.compiled.ternary.diff(&optimized);
-        control.clear_stage(0)?;
-        control.install_ruleset(0, &optimized, Action::Drop)?;
+        let diff = control.replace_ruleset(0, &optimized, Action::Drop)?;
         let swap = control.publish_audited(Some(&diff), false);
 
         let second_half = replay_batched(&gateway, second, target_pps, ReplayMode::Blocking);
@@ -501,11 +505,11 @@ pub struct LiveReport {
     pub snapshot: GatewaySnapshot,
     /// Replay of the first half (original ruleset).
     pub first_half: ReplayReport,
-    /// Replay of the second half (optimized ruleset).
+    /// Replay of the second half (republished ruleset).
     pub second_half: ReplayReport,
     /// The mid-run publication.
     pub swap: PublishReport,
-    /// Entry churn between the original and optimized rulesets.
+    /// Entries the mid-run swap removed from and added to the stage.
     pub diff: RuleSetDiff,
 }
 

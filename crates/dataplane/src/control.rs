@@ -5,13 +5,14 @@
 use crate::action::Action;
 use crate::pipeline::{PipelineCell, ReadPipeline};
 use crate::switch::Switch;
-use crate::table::{EntryHandle, MatchSpec, Table, TableError};
+use crate::table::{EntryHandle, MatchKind, MatchSpec, Table, TableError};
 use p4guard_rules::ruleset::{RuleSet, RuleSetDiff};
+use p4guard_rules::ternary::TernaryEntry;
 use p4guard_rules::tree::TreePath;
 use p4guard_telemetry::{control_trace_id, Event, FlightRecorder, SpanRecord, TraceStore};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -312,8 +313,16 @@ impl ControlPlane {
                 removed += 1;
             }
         }
-        let mut installed = 0usize;
-        for e in &diff.added {
+        let installed = Self::insert_ternary(table, &diff.added, on_match)?;
+        Ok((removed, installed))
+    }
+
+    fn insert_ternary(
+        table: &mut Table,
+        entries: &[TernaryEntry],
+        on_match: Action,
+    ) -> Result<usize, TableError> {
+        for e in entries {
             table.insert(
                 MatchSpec::Ternary {
                     value: e.value.clone(),
@@ -322,9 +331,113 @@ impl ControlPlane {
                 on_match,
                 e.priority,
             )?;
-            installed += 1;
         }
-        Ok((removed, installed))
+        Ok(entries.len())
+    }
+
+    /// Makes stage `stage` hold exactly `ruleset` under `on_match`,
+    /// touching only the entries that differ — the whole-ruleset swap as a
+    /// delta. What is installed is read back from the table itself (the
+    /// only record of it) as a multiset of `(value & mask, mask,
+    /// priority)`, [`RuleSet::diff`]'s normalization; an entry installed
+    /// under a different action counts as different. Stale entries are
+    /// removed, missing ones inserted, and the rest keep their handles, so
+    /// the next publish compiles incrementally: an identical ruleset
+    /// shares every stage, a few changed entries patch the previous
+    /// minimized form. As with any patched stage (see
+    /// [`CompiledTable::recompile`](crate::compiled::CompiledTable::recompile)),
+    /// the lowered engine may then hold more minimized rows than a fresh
+    /// compile of the same entries — never different verdicts.
+    ///
+    /// Returns what was removed and added, values masked, `added` in the
+    /// ruleset's order. `removed` entries carry class 0: a table stores the
+    /// action, not the compile class.
+    ///
+    /// # Errors
+    ///
+    /// All-or-nothing: a missing stage, a non-ternary stage, a key-width
+    /// mismatch, or a swap that would leave more entries than the stage's
+    /// capacity is reported before anything is mutated.
+    pub fn replace_ruleset(
+        &self,
+        stage: usize,
+        ruleset: &RuleSet,
+        on_match: Action,
+    ) -> Result<RuleSetDiff, TableError> {
+        let mut sw = self.switch.write();
+        let table = Self::stage_checked(&mut sw, stage)?;
+        if table.kind() != MatchKind::Ternary {
+            return Err(TableError::KindMismatch {
+                table: table.kind(),
+                entry: MatchKind::Ternary,
+            });
+        }
+        let width = table.key().width();
+        let widths = ruleset
+            .entries()
+            .iter()
+            .flat_map(|e| [e.value.len(), e.mask.len()]);
+        if let Some(entry) = std::iter::once(ruleset.key_width())
+            .chain(widths)
+            .find(|&w| w != width)
+        {
+            return Err(TableError::WidthMismatch {
+                table: width,
+                entry,
+            });
+        }
+        type Key = (Vec<u8>, Vec<u8>, i32);
+        let key = |value: &[u8], mask: &[u8], priority: i32| -> Key {
+            let masked = value.iter().zip(mask).map(|(v, m)| v & m).collect();
+            (masked, mask.to_vec(), priority)
+        };
+        // How many wanted entries of each key nothing accounts for yet;
+        // `claim` takes one.
+        let mut missing: BTreeMap<Key, usize> = BTreeMap::new();
+        for e in ruleset.entries() {
+            *missing
+                .entry(key(&e.value, &e.mask, e.priority))
+                .or_default() += 1;
+        }
+        let mut claim = |k: &Key| {
+            missing.get_mut(k).is_some_and(|n| {
+                let some = *n > 0;
+                *n -= usize::from(some);
+                some
+            })
+        };
+        let mut diff = RuleSetDiff::default();
+        let mut stale = Vec::new();
+        for installed in table.entries() {
+            let MatchSpec::Ternary { value, mask } = &installed.spec else {
+                unreachable!("a ternary table holds only ternary specs");
+            };
+            let k = key(value, mask, installed.priority);
+            if !(installed.action == on_match && claim(&k)) {
+                stale.push(installed.handle);
+                diff.removed.push(TernaryEntry::new(k.0, k.1, 0, k.2));
+            }
+        }
+        // What is still missing goes in in the ruleset's own order, so a
+        // swap into an empty stage installs what `install_ruleset` would
+        // (with values masked).
+        for e in ruleset.entries() {
+            let k = key(&e.value, &e.mask, e.priority);
+            if claim(&k) {
+                diff.added
+                    .push(TernaryEntry::new(k.0, k.1, e.class, e.priority));
+            }
+        }
+        if table.len() - stale.len() + diff.added.len() > table.capacity() {
+            return Err(TableError::Full {
+                capacity: table.capacity(),
+            });
+        }
+        for handle in stale {
+            table.remove(handle)?;
+        }
+        Self::insert_ternary(table, &diff.added, on_match)?;
+        Ok(diff)
     }
 
     /// Removes entries by handle, returning per-op latencies.
@@ -720,6 +833,84 @@ mod tests {
         cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
         cp.clear_stage(0).unwrap();
         cp.with_switch(|sw| assert!(sw.stage(0).is_empty()));
+    }
+
+    /// What the chain proptest in `tests/minimize_differential.rs` cannot
+    /// see: a swap into an empty stage installs what `install_ruleset`
+    /// does, surviving entries keep their handles (what delta compilation keys
+    /// on), uncared value bits do not count as a change, and the action is
+    /// part of an entry's identity.
+    #[test]
+    fn replace_ruleset_keeps_handles_and_compares_actions() {
+        let cp = control_with_table(MatchKind::Ternary, 2, 16);
+        cp.replace_ruleset(0, &ruleset(), Action::Drop).unwrap();
+        // Into an empty stage a swap is an install: same order, same handles.
+        let installed = control_with_table(MatchKind::Ternary, 2, 16);
+        installed
+            .install_ruleset(0, &ruleset(), Action::Drop)
+            .unwrap();
+        cp.with_switch(|a| installed.with_switch(|b| assert_eq!(a.stage(0), b.stage(0))));
+        cp.publish();
+        let handles = |cp: &ControlPlane| -> Vec<EntryHandle> {
+            cp.with_switch(|sw| sw.stage(0).entries().iter().map(|e| e.handle).collect())
+        };
+        let before = handles(&cp);
+
+        let mut respelled = RuleSet::new(2, 0);
+        respelled.push(TernaryEntry::new(vec![0x17, 0xaa], vec![0xff, 0x00], 1, 1));
+        respelled.push(TernaryEntry::new(vec![0xbb, 0x50], vec![0x00, 0xff], 1, 1));
+        let diff = cp.replace_ruleset(0, &respelled, Action::Drop).unwrap();
+        assert!(diff.is_empty());
+        assert_eq!(handles(&cp), before);
+        let idle = cp.publish();
+        assert_eq!((idle.stages_recompiled, idle.stages_shared), (0, 1));
+
+        let rebound = cp
+            .replace_ruleset(0, &ruleset(), Action::Mirror(9))
+            .unwrap();
+        assert_eq!((rebound.removed.len(), rebound.added.len()), (2, 2));
+        assert!(handles(&cp).iter().all(|h| !before.contains(h)));
+    }
+
+    #[test]
+    fn replace_ruleset_that_cannot_fit_leaves_the_stage_untouched() {
+        let cp = control_with_table(MatchKind::Ternary, 2, 2);
+        cp.replace_ruleset(0, &ruleset(), Action::Drop).unwrap();
+        let before = cp.with_switch(|sw| sw.stage(0).clone());
+
+        // Disjoint three-entry target: 2 - 2 + 3 exceeds the capacity of 2.
+        let mut big = RuleSet::new(2, 0);
+        for v in 1..=3u8 {
+            big.push(TernaryEntry::new(vec![v, v], vec![0xff, 0xff], 1, 1));
+        }
+        assert_eq!(
+            cp.replace_ruleset(0, &big, Action::Drop).unwrap_err(),
+            TableError::Full { capacity: 2 }
+        );
+        assert_eq!(
+            cp.replace_ruleset(0, &RuleSet::new(3, 0), Action::Drop)
+                .unwrap_err(),
+            TableError::WidthMismatch { table: 2, entry: 3 }
+        );
+        assert_eq!(
+            cp.replace_ruleset(1, &ruleset(), Action::Drop).unwrap_err(),
+            TableError::NoSuchStage {
+                stage: 1,
+                stages: 1
+            }
+        );
+        cp.with_switch(|sw| assert_eq!(*sw.stage(0), before));
+
+        let exact = control_with_table(MatchKind::Exact, 2, 16);
+        assert_eq!(
+            exact
+                .replace_ruleset(0, &ruleset(), Action::Drop)
+                .unwrap_err(),
+            TableError::KindMismatch {
+                table: MatchKind::Exact,
+                entry: MatchKind::Ternary
+            }
+        );
     }
 
     #[test]

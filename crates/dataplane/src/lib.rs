@@ -6,8 +6,10 @@
 //! capacity limits, a TCAM/SRAM [`resources`] cost model, a software
 //! [`switch::Switch`] with counters and a throughput harness, a
 //! [`control::ControlPlane`] that installs compiled rule sets and measures
-//! update latency, and a [`compiled::CompiledTable`] layer that lowers
-//! frozen tables into O(1)/O(log n) lookup engines for the read path.
+//! update latency, the [`acl::AclLayout`] builder every learned-guard
+//! deployment gets its switch from, and a [`compiled::CompiledTable`]
+//! layer that lowers frozen tables into O(1)/O(log n) lookup engines for
+//! the read path.
 //!
 //! The claims the model preserves from real hardware are the ones the
 //! paper's evaluation rests on: *expressiveness* (match keys are arbitrary
@@ -42,6 +44,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod acl;
 pub mod action;
 pub mod compiled;
 pub mod control;
@@ -54,6 +57,7 @@ pub mod switch;
 pub mod table;
 pub mod vote;
 
+pub use acl::AclLayout;
 pub use action::{Action, Verdict};
 pub use compiled::{CompiledTable, LookupOutcome, Rank};
 pub use control::{ControlPlane, InstallReport, PublishReport};

@@ -18,6 +18,10 @@
 //!    edited table from scratch at every step — including the steps
 //!    where patching bails to a full recompile.
 //!
+//!    The same holds one level up, for whole-ruleset swaps through
+//!    `ControlPlane::replace_ruleset`: the published pipeline equals a
+//!    `clear_stage` + `install_ruleset` twin and the scan.
+//!
 //! 3. **The two drivers of the one minimizer agree with the scan.**
 //!    `RuleSet::optimize` and lowering both call `p4guard_rules::cube`;
 //!    for the same single-action ternary rules, the optimized ruleset's
@@ -26,8 +30,11 @@
 
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::compiled::{CompiledTable, LookupOutcome};
+use p4guard_dataplane::control::ControlPlane;
 use p4guard_dataplane::key::KeyLayout;
+use p4guard_dataplane::switch::SwitchCounters;
 use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
+use p4guard_dataplane::AclLayout;
 use p4guard_rules::{RuleSet, TernaryEntry};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -145,6 +152,17 @@ fn probe_keys(table: &Table, extra: &[Vec<u8>]) -> Vec<Vec<u8>> {
     keys
 }
 
+/// A width-1 single-class ruleset from `(value, mask selector, priority)`
+/// triples, masks drawn from a merge-friendly pool.
+fn ruleset_from(raw: &[(u8, u8, i32)]) -> RuleSet {
+    let mut rs = RuleSet::new(1, 0);
+    for &(v, m_sel, p) in raw {
+        let m = [0xffu8, 0xfe, 0xf0][m_sel as usize % 3];
+        rs.push(TernaryEntry::new(vec![v & m], vec![m], 1, p));
+    }
+    rs
+}
+
 proptest! {
     /// Invariant 1: verdict + winner-priority equality between the
     /// minimized compiled engine and the unminimized scan, across all
@@ -258,16 +276,8 @@ proptest! {
         from_raw in pvec((any::<u8>(), any::<u8>(), 0i32..3), 0..20),
         to_raw in pvec((any::<u8>(), any::<u8>(), 0i32..3), 0..20),
     ) {
-        let build = |raw: &[(u8, u8, i32)]| {
-            let mut rs = RuleSet::new(1, 0);
-            for &(v, m_sel, p) in raw {
-                let m = [0xffu8, 0xfe, 0xf0][m_sel as usize % 3];
-                rs.push(TernaryEntry::new(vec![v & m], vec![m], 1, p));
-            }
-            rs
-        };
-        let from = build(&from_raw);
-        let to = build(&to_raw);
+        let from = ruleset_from(&from_raw);
+        let to = ruleset_from(&to_raw);
         let diff = from.diff(&to);
 
         let mut table = Table::new(
@@ -315,6 +325,86 @@ proptest! {
         for b in 0u8..=255 {
             let expect = if to.classify(&[b]) == 1 { Action::Drop } else { Action::NoOp };
             prop_assert_eq!(chained.lookup(&[b], &mut probe), expect, "key {:#04x}", b);
+        }
+    }
+
+    /// Invariant 2 through the one swap entry point: along an arbitrary
+    /// chain of whole-ruleset swaps — arbitrary targets, the empty
+    /// ruleset, the ruleset already installed, a disjoint one —
+    /// `replace_ruleset` leaves the stage multiset-equal to its target,
+    /// reports exactly the difference it applied, and publishes a pipeline
+    /// verdict-equal to a `clear_stage` + `install_ruleset` twin and to
+    /// the scan oracle over the whole keyspace; an identical ruleset
+    /// re-lowers nothing.
+    #[test]
+    fn replace_ruleset_chains_equal_clear_and_install(
+        chain in pvec((0u8..6, pvec((any::<u8>(), any::<u8>(), 0i32..3), 0..20)), 1..8),
+    ) {
+        let layout = AclLayout { window: 14, offsets: vec![0], capacity: 64 };
+        let control = ControlPlane::new(layout.switch("swap", ["acl"]));
+        let twin = ControlPlane::new(layout.switch("twin", ["acl"]));
+        let (cell, twin_cell) = (control.attach_cell(), twin.attach_cell());
+        control.publish();
+        let mut installed = RuleSet::new(1, 0);
+        for (step, (op, raw)) in chain.iter().enumerate() {
+            let target = match op {
+                0 => RuleSet::new(1, 0),
+                1 => installed.clone(),
+                2 => {
+                    // Priorities no earlier step used: shares no entry
+                    // with anything installed before.
+                    let lift = 10 * (step as i32 + 1);
+                    let raw: Vec<_> = raw.iter().map(|&(v, m, p)| (v, m, p + lift)).collect();
+                    ruleset_from(&raw)
+                }
+                _ => ruleset_from(raw),
+            };
+            let diff = control.replace_ruleset(0, &target, Action::Drop).unwrap();
+            let expect = installed.diff(&target);
+            let sorted = |entries: &[TernaryEntry]| {
+                let mut keys: Vec<_> =
+                    entries.iter().map(|e| (e.value.clone(), e.mask.clone(), e.priority)).collect();
+                keys.sort();
+                keys
+            };
+            prop_assert_eq!(sorted(&diff.added), sorted(&expect.added));
+            prop_assert_eq!(sorted(&diff.removed), sorted(&expect.removed));
+            let mut readback = RuleSet::new(1, 0);
+            control.with_switch(|sw| {
+                for e in sw.stage(0).entries() {
+                    let MatchSpec::Ternary { value, mask } = &e.spec else { unreachable!() };
+                    assert_eq!(e.action, Action::Drop);
+                    readback.push(TernaryEntry::new(value.clone(), mask.clone(), 1, e.priority));
+                }
+            });
+            prop_assert!(readback.diff(&target).is_empty(), "stage != target at step {}", step);
+
+            let report = control.publish();
+            if diff.is_empty() {
+                prop_assert_eq!(report.stages_recompiled, 0, "unchanged ruleset re-lowered");
+            }
+            twin.clear_stage(0).unwrap();
+            twin.install_ruleset(0, &target, Action::Drop).unwrap();
+            twin.publish();
+            let (swapped, scratch) = (cell.load(), twin_cell.load());
+            let mut counters = SwitchCounters::default();
+            let mut buf = Vec::new();
+            for k in 0u8..=255 {
+                let mut frame = [0u8; 14];
+                frame[0] = k;
+                let verdict = swapped.process_into(&frame, &mut counters, &mut buf);
+                prop_assert_eq!(
+                    verdict,
+                    scratch.process_into(&frame, &mut counters, &mut buf),
+                    "swap vs clear+install, key {:#04x} step {}", k, step
+                );
+                prop_assert_eq!(
+                    verdict,
+                    control.with_switch_mut(|sw| sw.process(&frame)),
+                    "swap vs scan, key {:#04x} step {}", k, step
+                );
+            }
+            installed = target;
         }
     }
 

@@ -277,17 +277,7 @@ impl TableBudgeter {
     /// [`BudgetError::OverBudget`] when it does not fit,
     /// [`BudgetError::NoSuchTenant`] for an out-of-range index.
     pub fn admit(&self, tenant: usize, ruleset: &RuleSet) -> Result<(), BudgetError> {
-        let alloc = self.allocation(tenant)?;
-        let required = Self::minimized_tcam_bits(ruleset);
-        if required > alloc.tcam_bits {
-            return Err(BudgetError::OverBudget {
-                tenant,
-                memory: MemoryKind::Tcam,
-                required_bits: required,
-                allocated_bits: alloc.tcam_bits,
-            });
-        }
-        Ok(())
+        self.admit_forest(tenant, &[ruleset])
     }
 
     /// TCAM bits `ruleset` occupies after lowering-time ternary

@@ -22,13 +22,14 @@ use bytes::Bytes;
 use p4guard_dataplane::control::ControlPlane;
 use p4guard_dataplane::pipeline::PipelineCell;
 use p4guard_dataplane::switch::SwitchCounters;
-use p4guard_gateway::{Gateway, GatewayConfig, GatewaySnapshot, ShardStats};
+use p4guard_gateway::{DrainTimeout, Gateway, GatewayConfig, GatewaySnapshot, ShardStats};
 use p4guard_packet::arena::FrameBatch;
 use p4guard_telemetry::histogram::LatencyHistogram;
 use p4guard_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Statistics of one fleet shard: the gateway's [`ShardStats`] with its
 /// lanes read as tenants.
@@ -206,6 +207,22 @@ impl FleetGateway {
     /// Aggregates a live snapshot without stopping the workers.
     pub fn snapshot(&self) -> FleetSnapshot {
         FleetSnapshot::derive(self.gateway.snapshot(), &self.cells)
+    }
+
+    /// [`Gateway::wait_drained`] read as tenants: returns once every one
+    /// of the `offered` frames was served for a tenant, counted as
+    /// `unknown_tenant`, or shed at ingest.
+    ///
+    /// # Errors
+    ///
+    /// [`DrainTimeout`] when `timeout` elapses first.
+    pub fn wait_drained(
+        &self,
+        offered: u64,
+        timeout: Duration,
+    ) -> Result<FleetSnapshot, DrainTimeout> {
+        let snap = self.gateway.wait_drained(offered, timeout)?;
+        Ok(FleetSnapshot::derive(snap, &self.cells))
     }
 
     /// Closes ingest, drains the queues, joins the workers and returns

@@ -11,17 +11,17 @@
 use crate::budget::{BudgetError, TableBudgeter, TenantShare};
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::control::ControlPlane;
-use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::parser::ParserSpec;
 use p4guard_dataplane::resources::MemoryKind;
-use p4guard_dataplane::switch::Switch;
-use p4guard_dataplane::table::{MatchKind, Table};
 use p4guard_rules::RuleSet;
 use p4guard_telemetry::{Counter, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
+
+/// Layout of every tenant's ACL stage — the data plane's own type, whose
+/// `switch` builds each tenant's switch.
+pub use p4guard_dataplane::AclLayout;
 
 /// First octet of the fleet address plan: tenants live under `10/8`.
 pub const FLEET_NET: u8 = 10;
@@ -53,7 +53,8 @@ pub fn device_ip(tenant: usize, device: u32, span: u8) -> Ipv4Addr {
 /// Source-prefix (VLAN-style) tenant resolution: an O(1) lookup of the
 /// IPv4 source address's second octet in a 256-entry table. Frames outside
 /// the fleet plan (non-IPv4, or not in `10/8`) fall back to the default
-/// tenant, if one is configured.
+/// tenant, if one is configured; a source inside `10/8` under an octet no
+/// tenant owns resolves to nobody and is counted, not served.
 #[derive(Debug, Clone)]
 pub struct TenantClassifier {
     by_octet: [u16; 256],
@@ -85,7 +86,8 @@ impl TenantClassifier {
         }
     }
 
-    /// Routes unclassifiable frames to `tenant` instead of dropping them.
+    /// Routes frames from outside the fleet address plan to `tenant`
+    /// instead of leaving them unclassified.
     pub fn with_default(mut self, tenant: usize) -> Self {
         self.default = Some(tenant);
         self
@@ -97,10 +99,7 @@ impl TenantClassifier {
         // Ethernet + IPv4 fixed header: EtherType at 12..14, source
         // address at 26..30.
         if frame.len() >= 30 && frame[12] == 0x08 && frame[13] == 0x00 && frame[26] == FLEET_NET {
-            let t = self.by_octet[usize::from(frame[27])];
-            if t != 0 {
-                return Some(usize::from(t) - 1);
-            }
+            return usize::from(self.by_octet[usize::from(frame[27])]).checked_sub(1);
         }
         self.default
     }
@@ -170,10 +169,9 @@ pub struct TenantPublish {
     pub installed: usize,
     /// Entries cut by [`AdmitPolicy::Trim`] (0 under `Reject`).
     pub trimmed: usize,
-    /// Entry-level changes applied when the publish went through the
-    /// delta path: `(removed, added)` against the previously active
-    /// ruleset. `None` for a from-scratch install (first publish).
-    pub delta: Option<(usize, usize)>,
+    /// Entry-level changes the swap applied to the tenant's stage:
+    /// `(removed, added)`; a first publish is `(0, installed)`.
+    pub delta: (usize, usize),
     /// Occupancy after the publish.
     pub occupancy: TenantOccupancy,
 }
@@ -217,30 +215,6 @@ impl From<BudgetError> for FleetError {
     }
 }
 
-/// Layout of every tenant's ACL stage: which frame bytes form the match
-/// key, and how many entries the stage can hold.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AclLayout {
-    /// Parser window in bytes.
-    pub window: usize,
-    /// Byte offsets forming the match key (the learned feature set).
-    pub offsets: Vec<usize>,
-    /// Per-tenant table capacity in entries.
-    pub capacity: usize,
-}
-
-impl Default for AclLayout {
-    fn default() -> Self {
-        // IPv4 protocol byte plus the four TCP/UDP port bytes — the
-        // feature set the headline experiments learn over.
-        AclLayout {
-            window: 64,
-            offsets: vec![23, 34, 35, 36, 37],
-            capacity: 4096,
-        }
-    }
-}
-
 struct TenantState {
     spec: TenantSpec,
     control: ControlPlane,
@@ -276,23 +250,12 @@ impl TenantRegistry {
         let budgeter = TableBudgeter::new(budget, shares)?;
         let tenants = specs
             .into_iter()
-            .map(|spec| {
-                let parser = ParserSpec::raw_window(layout.window, 14);
-                let mut switch = Switch::new(format!("tenant-{}", spec.name), parser, 1);
-                switch.add_stage(Table::new(
-                    "acl",
-                    MatchKind::Ternary,
-                    KeyLayout::new(layout.offsets.clone()),
-                    layout.capacity,
-                    Action::NoOp,
-                ));
-                TenantState {
-                    spec,
-                    control: ControlPlane::new(switch),
-                    active: None,
-                    rejected: 0,
-                    rejected_counter: None,
-                }
+            .map(|spec| TenantState {
+                control: ControlPlane::new(layout.switch(format!("tenant-{}", spec.name), ["acl"])),
+                spec,
+                active: None,
+                rejected: 0,
+                rejected_counter: None,
             })
             .collect();
         Ok(TenantRegistry {
@@ -358,7 +321,9 @@ impl TenantRegistry {
         self.tenants.get(tenant).map(|t| &t.control)
     }
 
-    /// The ruleset a tenant currently serves, if any was published.
+    /// The ruleset last admitted and published for a tenant, if any — the
+    /// record of what admission let through; what is *installed* is the
+    /// tenant's table.
     pub fn active_ruleset(&self, tenant: usize) -> Option<&RuleSet> {
         self.tenants.get(tenant).and_then(|t| t.active.as_ref())
     }
@@ -378,15 +343,19 @@ impl TenantRegistry {
     /// (or `policy` is [`AdmitPolicy::Trim`]), swaps it in through the
     /// tenant's control plane.
     ///
-    /// Admission happens strictly before any table mutation: a rejected
-    /// publish returns with the tenant's tables, pipeline cells and every
-    /// other tenant's state untouched.
+    /// Admission happens strictly before any table mutation, and the swap
+    /// itself ([`ControlPlane::replace_ruleset`]) is all-or-nothing: a
+    /// rejected or failed publish returns with the tenant's table,
+    /// pipeline cells, admitted-ruleset record and every other tenant's
+    /// state untouched. A republish applies only the entries that differ
+    /// from what the table holds, so it compiles incrementally.
     ///
     /// # Errors
     ///
     /// [`FleetError::Budget`] on rejection, [`FleetError::WidthMismatch`]
     /// for a ruleset compiled against a different key layout,
-    /// [`FleetError::Table`] if installation fails.
+    /// [`FleetError::Table`] if the admitted ruleset exceeds the stage's
+    /// entry capacity.
     pub fn publish(
         &mut self,
         tenant: usize,
@@ -418,31 +387,10 @@ impl TenantRegistry {
             AdmitPolicy::Trim => self.budgeter.trim(tenant, ruleset)?,
         };
         let state = &mut self.tenants[tenant];
-        // Republish of an active tenant applies only the entry-level diff
-        // (all entries carry the same on-match action, so equal-priority
-        // insertion-order differences against a from-scratch install are
-        // verdict-neutral); the first publish installs from scratch.
-        let delta = match &state.active {
-            Some(active) => {
-                let diff = active.diff(&admitted);
-                let applied = state
-                    .control
-                    .apply_ruleset_diff(0, &diff, Action::Drop)
-                    .map_err(|e| FleetError::Table(e.to_string()))?;
-                Some(applied)
-            }
-            None => {
-                state
-                    .control
-                    .clear_stage(0)
-                    .map_err(|e| FleetError::Table(e.to_string()))?;
-                state
-                    .control
-                    .install_ruleset(0, &admitted, Action::Drop)
-                    .map_err(|e| FleetError::Table(e.to_string()))?;
-                None
-            }
-        };
+        let diff = state
+            .control
+            .replace_ruleset(0, &admitted, Action::Drop)
+            .map_err(|e| FleetError::Table(e.to_string()))?;
         let installed = admitted.len();
         let publish = state.control.publish();
         state.active = Some(admitted);
@@ -453,7 +401,7 @@ impl TenantRegistry {
             version: publish.version,
             installed,
             trimmed,
-            delta,
+            delta: (diff.removed.len(), diff.added.len()),
             occupancy,
         })
     }
@@ -549,7 +497,12 @@ mod tests {
         // Outside the plan: no default → None, with default → Some.
         frame[26] = 192;
         assert_eq!(c.resolve(&frame), None);
-        assert_eq!(c.with_default(1).resolve(&frame), Some(1));
+        assert_eq!(c.clone().with_default(1).resolve(&frame), Some(1));
+        // Inside the plan under an octet nobody owns: unknown, default or
+        // not.
+        frame[26] = FLEET_NET;
+        frame[27] = 4 * 16;
+        assert_eq!(c.with_default(1).resolve(&frame), None);
     }
 
     #[test]
@@ -601,7 +554,7 @@ mod tests {
         let first = reg
             .publish(0, &ruleset_with(10, width), AdmitPolicy::Reject)
             .unwrap();
-        assert_eq!(first.delta, None, "first publish installs from scratch");
+        assert_eq!(first.delta, (0, 10), "first publish adds everything");
 
         // Change one entry: drop rule 9, add a new rule 10.
         let dropped = ruleset_with(10, width).entries()[0].clone(); // highest priority
@@ -618,7 +571,7 @@ mod tests {
             99,
         ));
         let second = reg.publish(0, &next, AdmitPolicy::Reject).unwrap();
-        assert_eq!(second.delta, Some((1, 1)), "one removed, one added");
+        assert_eq!(second.delta, (1, 1), "one removed, one added");
         assert_eq!(second.installed, 10);
         assert!(second.version > first.version);
 
@@ -636,6 +589,69 @@ mod tests {
             }
             assert!(sw.process(&frame).is_drop(), "added rule enforces");
         });
+    }
+
+    #[test]
+    fn a_publish_that_overflows_the_stage_changes_nothing() {
+        let layout = AclLayout {
+            capacity: 8,
+            ..AclLayout::default()
+        };
+        let width = layout.offsets.len();
+        let mut reg =
+            TenantRegistry::new(specs(1), BudgetConfig::default(), layout.clone()).unwrap();
+        reg.publish(0, &ruleset_with(8, width), AdmitPolicy::Reject)
+            .unwrap();
+        let cell = reg.control(0).unwrap().attach_cell();
+        let installed = |reg: &TenantRegistry| {
+            reg.control(0)
+                .unwrap()
+                .with_switch(|sw| sw.stage(0).entries().to_vec())
+        };
+        let (before, version) = (installed(&reg), cell.version());
+
+        // Admitted by the (roomy) budget, but one entry more than the
+        // stage holds: a typed error, and nothing moved.
+        let mut too_big = ruleset_with(8, width);
+        too_big.push(TernaryEntry::new(
+            vec![0xee; width],
+            vec![0xff; width],
+            1,
+            50,
+        ));
+        let err = reg.publish(0, &too_big, AdmitPolicy::Reject).unwrap_err();
+        assert_eq!(err, FleetError::Table("table full at 8 entries".into()));
+        assert_eq!(installed(&reg), before);
+        assert_eq!(cell.version(), version);
+        assert_eq!(reg.active_ruleset(0), Some(&ruleset_with(8, width)));
+
+        // A following publish that fits succeeds, and the patched table is
+        // verdict-equal to the same ruleset installed from scratch.
+        let mut next = ruleset_with(7, width);
+        next.push(TernaryEntry::new(
+            vec![0xee; width],
+            vec![0xff; width],
+            1,
+            50,
+        ));
+        let ok = reg.publish(0, &next, AdmitPolicy::Reject).unwrap();
+        assert_eq!(ok.delta, (1, 1));
+        assert!(cell.version() > version);
+        let fresh = ControlPlane::new(layout.switch("fresh", ["acl"]));
+        fresh.install_ruleset(0, &next, Action::Drop).unwrap();
+        for probe in 0..=255u8 {
+            let mut frame = vec![0u8; 64];
+            for &off in &layout.offsets {
+                frame[off] = probe;
+            }
+            assert_eq!(
+                reg.control(0)
+                    .unwrap()
+                    .with_switch_mut(|sw| sw.process(&frame)),
+                fresh.with_switch_mut(|sw| sw.process(&frame)),
+                "probe {probe:#04x}"
+            );
+        }
     }
 
     #[test]

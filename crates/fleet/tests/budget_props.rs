@@ -9,12 +9,8 @@
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::compiled::CompiledTable;
 use p4guard_dataplane::control::ControlPlane;
-use p4guard_dataplane::key::KeyLayout;
 use p4guard_dataplane::minimize::MINIMIZE_MAX_ENTRIES;
-use p4guard_dataplane::parser::ParserSpec;
-use p4guard_dataplane::switch::Switch;
-use p4guard_dataplane::table::{MatchKind, Table};
-use p4guard_fleet::{BudgetConfig, TableBudgeter, TenantShare};
+use p4guard_fleet::{AclLayout, BudgetConfig, TableBudgeter, TenantShare};
 use p4guard_rules::{RuleSet, TernaryEntry};
 use proptest::prelude::*;
 
@@ -53,15 +49,12 @@ fn ruleset_with(entries: usize, width: usize) -> RuleSet {
 /// ruleset installed the way tenants install it, then lowered.
 fn lowered_tcam_bits(rs: &RuleSet) -> usize {
     let width = rs.key_width();
-    let mut sw = Switch::new("budget", ParserSpec::raw_window(width, 0), 0);
-    sw.add_stage(Table::new(
-        "acl",
-        MatchKind::Ternary,
-        KeyLayout::window(width),
-        rs.len().max(1),
-        Action::NoOp,
-    ));
-    let control = ControlPlane::new(sw);
+    let layout = AclLayout {
+        window: 64,
+        offsets: (0..width).collect(),
+        capacity: rs.len().max(1),
+    };
+    let control = ControlPlane::new(layout.switch("budget", ["acl"]));
     control
         .install_ruleset(0, rs, Action::Drop)
         .expect("table sized for the ruleset");

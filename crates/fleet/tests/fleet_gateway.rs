@@ -10,7 +10,25 @@ use p4guard_gateway::GatewayConfig;
 use p4guard_rules::{RuleSet, TernaryEntry};
 use p4guard_telemetry::Telemetry;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+/// Upper bound on any drained checkpoint in this file.
+const DRAIN: Duration = Duration::from_secs(30);
+
+/// An equal-share registry for `config`'s tenants over the default ACL
+/// layout and table budget.
+fn registry(config: &FleetSimConfig) -> TenantRegistry {
+    let specs = config.tenants.iter().map(|t| TenantSpec {
+        name: t.name.clone(),
+        share: TenantShare::flat(),
+    });
+    TenantRegistry::new(
+        specs.collect(),
+        BudgetConfig::default(),
+        AclLayout::default(),
+    )
+    .unwrap()
+}
 
 /// A ruleset over the default ACL layout (proto + 4 port bytes) dropping
 /// the attack source-port band: sport high byte in `[0x04, 0x08)`.
@@ -33,15 +51,7 @@ fn fleet_verdicts_match_offline_classification() {
     config.frames_per_step = 1024;
     let layout = AclLayout::default();
     let width = layout.offsets.len();
-    let specs: Vec<TenantSpec> = config
-        .tenants
-        .iter()
-        .map(|t| TenantSpec {
-            name: t.name.clone(),
-            share: TenantShare::flat(),
-        })
-        .collect();
-    let mut registry = TenantRegistry::new(specs, BudgetConfig::default(), layout.clone()).unwrap();
+    let mut registry = registry(&config);
     let telemetry = Arc::new(Telemetry::default());
     registry.attach_telemetry(Arc::clone(&telemetry));
     // Tenants 0..3 get the drop ruleset; all within budget.
@@ -77,11 +87,7 @@ fn fleet_verdicts_match_offline_classification() {
     for f in frames {
         gw.dispatch(f.frame);
     }
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while gw.snapshot().totals.received < total {
-        assert!(Instant::now() < deadline, "fleet gateway failed to drain");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    gw.wait_drained(total, DRAIN).expect("fleet gateway drains");
     let snap = gw.finish();
 
     assert_eq!(snap.totals.received, total);
@@ -125,15 +131,7 @@ fn fleet_batched_ingest_matches_per_frame_ingest() {
     config.frames_per_step = 512;
     let layout = AclLayout::default();
     let width = layout.offsets.len();
-    let specs: Vec<TenantSpec> = config
-        .tenants
-        .iter()
-        .map(|t| TenantSpec {
-            name: t.name.clone(),
-            share: TenantShare::flat(),
-        })
-        .collect();
-    let mut registry = TenantRegistry::new(specs, BudgetConfig::default(), layout).unwrap();
+    let mut registry = registry(&config);
     for t in 0..4 {
         registry
             .publish(t, &drop_attack_sports(width), AdmitPolicy::Reject)
@@ -147,11 +145,7 @@ fn fleet_batched_ingest_matches_per_frame_ingest() {
     for f in &frames {
         gw.dispatch(f.frame.clone());
     }
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while gw.snapshot().totals.received < total {
-        assert!(Instant::now() < deadline, "per-frame run failed to drain");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    gw.wait_drained(total, DRAIN).expect("per-frame run drains");
     let per_frame = gw.finish();
 
     // Batched run: pack the same frames into arena-backed batches.
@@ -164,11 +158,7 @@ fn fleet_batched_ingest_matches_per_frame_ingest() {
         }
     }
     gw.dispatch_batch(arena.seal_batch());
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while gw.snapshot().totals.received < total {
-        assert!(Instant::now() < deadline, "batched run failed to drain");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    gw.wait_drained(total, DRAIN).expect("batched run drains");
     let batched = gw.finish();
 
     assert_eq!(batched.totals.received, per_frame.totals.received);
@@ -188,15 +178,7 @@ fn fleet_tenants_get_the_full_telemetry_taxonomy() {
     config.frames_per_step = 512;
     let layout = AclLayout::default();
     let width = layout.offsets.len();
-    let specs: Vec<TenantSpec> = config
-        .tenants
-        .iter()
-        .map(|t| TenantSpec {
-            name: t.name.clone(),
-            share: TenantShare::flat(),
-        })
-        .collect();
-    let mut registry = TenantRegistry::new(specs, BudgetConfig::default(), layout).unwrap();
+    let mut registry = registry(&config);
     for t in 0..2 {
         registry
             .publish(t, &drop_attack_sports(width), AdmitPolicy::Reject)
@@ -214,11 +196,7 @@ fn fleet_tenants_get_the_full_telemetry_taxonomy() {
     for f in frames {
         gw.dispatch(f.frame);
     }
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while gw.snapshot().totals.received < total {
-        assert!(Instant::now() < deadline, "fleet gateway failed to drain");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    gw.wait_drained(total, DRAIN).expect("fleet gateway drains");
     let snap = gw.finish();
 
     for s in &snap.shards {
@@ -278,4 +256,32 @@ fn fleet_tenants_get_the_full_telemetry_taxonomy() {
             "tenant {name} latency histogram"
         );
     }
+}
+
+/// A frame from inside the fleet address plan under a prefix no tenant
+/// owns is counted, not served — and the drained checkpoint accounts for
+/// it instead of waiting for `totals.received` to reach a number it never
+/// will.
+#[test]
+fn a_frame_no_tenant_owns_drains_as_unknown() {
+    let mut config = FleetSimConfig::demo(2, 1_000, 3);
+    config.steps = 1;
+    config.frames_per_step = 64;
+    let registry = registry(&config);
+    let gw = FleetGateway::start(&registry, GatewayConfig::with_shards(2), None);
+
+    let frames = FleetSim::new(config).run();
+    let total = frames.len() as u64;
+    let mut stray = frames[0].frame.to_vec();
+    stray[27] = 200; // 10.200/16: two tenants own 10.0/12 and 10.16/12 only
+    gw.dispatch(stray.into());
+    for f in frames {
+        gw.dispatch(f.frame);
+    }
+    let snap = gw
+        .wait_drained(total + 1, Duration::from_secs(5))
+        .expect("the stray frame is accounted for");
+    assert_eq!(snap.unknown_tenant, 1);
+    assert_eq!(snap.totals.received, total);
+    assert_eq!(gw.finish(), snap, "nothing was left in flight");
 }

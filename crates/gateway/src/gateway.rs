@@ -19,6 +19,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Gateway sizing knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -92,6 +93,12 @@ impl GatewaySnapshot {
     pub fn vote_exits(&self) -> u64 {
         self.shards.iter().map(|s| s.vote_exits).sum()
     }
+
+    /// Frames the gateway has accounted for: taken off a shard queue
+    /// (served by a lane, or counted unclassified) or shed at ingest.
+    fn accounted(&self) -> u64 {
+        self.shards.iter().map(|s| s.processed).sum::<u64>() + self.dropped_backpressure
+    }
 }
 
 impl fmt::Display for GatewaySnapshot {
@@ -120,12 +127,49 @@ impl fmt::Display for GatewaySnapshot {
     }
 }
 
+/// [`Gateway::wait_drained`] ran out of time before the gateway had
+/// accounted for every offered frame.
+#[derive(Clone, PartialEq)]
+pub struct DrainTimeout {
+    /// Frames the caller had offered.
+    pub offered: u64,
+    /// The last snapshot taken before giving up (boxed: the error path
+    /// should not make every `Result` carry a second snapshot inline).
+    pub snapshot: Box<GatewaySnapshot>,
+}
+
+impl fmt::Display for DrainTimeout {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "gateway accounted for {} of {} offered frames before the deadline \
+             ({} received, {} backpressure drops)",
+            self.snapshot.accounted(),
+            self.offered,
+            self.snapshot.totals.received,
+            self.snapshot.dropped_backpressure,
+        )
+    }
+}
+
+/// The one-line summary, not the whole snapshot: this is what an
+/// `expect` on [`Gateway::wait_drained`] prints.
+impl fmt::Debug for DrainTimeout {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "DrainTimeout({self})")
+    }
+}
+
+impl std::error::Error for DrainTimeout {}
+
 /// The online serving runtime. See the crate docs for the architecture.
 ///
 /// Created with [`Gateway::start`]; frames enter through
 /// [`Gateway::offer_batch`] (drop-on-full) or [`Gateway::dispatch_batch`]
-/// (blocking); [`Gateway::finish`] drains the queues, joins the workers
-/// and returns the final [`GatewaySnapshot`].
+/// (blocking); [`Gateway::wait_drained`] is the checkpoint between
+/// offering frames and reading what they did; [`Gateway::finish`] drains
+/// the queues, joins the workers and returns the final
+/// [`GatewaySnapshot`].
 pub struct Gateway {
     senders: Vec<Sender<FrameBatch>>,
     workers: Vec<JoinHandle<()>>,
@@ -500,6 +544,49 @@ impl Gateway {
             shards,
             pipeline_entries,
             pipeline_entries_minimized,
+        }
+    }
+
+    /// The drained checkpoint: blocks until the gateway has accounted for
+    /// `offered` frames — the caller's running total of everything it has
+    /// handed to any ingest method since start — and returns the snapshot
+    /// that showed it.
+    ///
+    /// "Accounted for" is `Σ shards.processed + dropped_backpressure`, the
+    /// two ways a frame leaves ingest: a worker took it off its queue
+    /// (served by a lane or counted unclassified) or a full queue shed it.
+    /// `totals.received` alone would never get there on a gateway that
+    /// sheds or cannot classify one frame. Workers update `processed` and
+    /// flush buffered telemetry under the same stats lock the snapshot
+    /// takes, so once this returns the counters *and* the metrics registry
+    /// reflect every offered frame — which is what makes a control loop
+    /// stepped at these checkpoints deterministic.
+    ///
+    /// This is the only polling loop in the workspace; it reads snapshots
+    /// and touches nothing on the ingest or shard path.
+    ///
+    /// # Errors
+    ///
+    /// [`DrainTimeout`] carrying the last snapshot when `timeout` elapses
+    /// first (a worker died, or `offered` overstates what was sent).
+    pub fn wait_drained(
+        &self,
+        offered: u64,
+        timeout: Duration,
+    ) -> Result<GatewaySnapshot, DrainTimeout> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let snapshot = self.snapshot();
+            if snapshot.accounted() >= offered {
+                return Ok(snapshot);
+            }
+            if Instant::now() >= deadline {
+                return Err(DrainTimeout {
+                    offered,
+                    snapshot: Box::new(snapshot),
+                });
+            }
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 

@@ -4,11 +4,10 @@
 use bytes::Bytes;
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::control::ControlPlane;
-use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::parser::ParserSpec;
-use p4guard_dataplane::switch::Switch;
-use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
+use p4guard_dataplane::table::MatchSpec;
+use p4guard_dataplane::AclLayout;
 use p4guard_gateway::{replay, Gateway, GatewayConfig, ReplayMode};
+use std::time::Duration;
 
 /// Offset of the IPv4 protocol byte in an Ethernet frame.
 const PROTO_OFF: usize = 14 + 9;
@@ -49,17 +48,12 @@ fn workload(reps: usize) -> Vec<Bytes> {
 /// A control plane over a one-stage switch whose ternary ACL keys on the
 /// IPv4 protocol byte. Starts empty (everything forwards).
 fn build_control() -> (ControlPlane, usize) {
-    let parser = ParserSpec::raw_window(64, 14);
-    let mut switch = Switch::new("gw-test", parser, 1);
-    let acl = Table::new(
-        "acl",
-        MatchKind::Ternary,
-        KeyLayout::new(vec![PROTO_OFF]),
-        64,
-        Action::NoOp,
-    );
-    let stage = switch.add_stage(acl);
-    (ControlPlane::new(switch), stage)
+    let layout = AclLayout {
+        window: 64,
+        offsets: vec![PROTO_OFF],
+        capacity: 64,
+    };
+    (ControlPlane::new(layout.switch("gw-test", ["acl"])), 0)
 }
 
 fn install_drop_proto(control: &ControlPlane, stage: usize, proto: u8) {
@@ -130,9 +124,8 @@ fn hot_swap_mid_stream_applies_to_all_later_frames() {
     // Swaps take effect at batch boundaries, so frames still queued at
     // publish time may legitimately see the new ruleset. Drain first to
     // make the pre/post split exact.
-    while gw.snapshot().totals.received < first.len() as u64 {
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
+    gw.wait_drained(first.len() as u64, Duration::from_secs(30))
+        .expect("first half drains");
     // Compile the new ruleset off to the side and publish: no worker stalls.
     install_drop_proto(&control, stage, UDP);
     let report = control.publish();
@@ -359,4 +352,48 @@ fn lanes_serve_their_own_pipelines_and_count_unclassified_frames() {
         assert_eq!(unclassified, strays, "{shards} shard(s)");
         assert_eq!(snap.totals.received + unclassified, frames.len() as u64);
     }
+}
+
+/// The drained checkpoint: returns as soon as every offered frame is
+/// accounted for — served, or shed at ingest — and reports a timeout with
+/// the last snapshot instead of hanging or panicking when `offered`
+/// overstates what was sent.
+#[test]
+fn wait_drained_is_a_bounded_checkpoint() {
+    let (control, _) = build_control();
+    let gw = Gateway::start(
+        &control,
+        GatewayConfig {
+            shards: 2,
+            queue_capacity: 1,
+            batch_size: 1,
+        },
+    );
+    // Nothing offered: nothing to wait for, even with no time to wait.
+    let idle = gw
+        .wait_drained(0, Duration::ZERO)
+        .expect("trivially drained");
+    assert_eq!(idle.totals.received, 0);
+
+    // Non-blocking ingest into one-slot queues sheds some of these; the
+    // checkpoint counts shed frames as accounted for.
+    let frames = workload(50);
+    let offered = frames.len() as u64;
+    let report = replay(&gw, frames, None, ReplayMode::DropOnFull);
+    let snap = gw
+        .wait_drained(offered, Duration::from_secs(30))
+        .expect("served + shed reaches offered");
+    assert_eq!(snap.totals.received, report.enqueued);
+    assert_eq!(snap.totals.received + snap.dropped_backpressure, offered);
+
+    // One frame more than was ever offered can never drain.
+    let timeout = gw
+        .wait_drained(offered + 1, Duration::from_millis(20))
+        .expect_err("an overstated offer times out");
+    assert_eq!(timeout.offered, offered + 1);
+    assert_eq!(*timeout.snapshot, snap, "the last snapshot rides along");
+    assert!(timeout
+        .to_string()
+        .contains(&format!("{offered} of {}", offered + 1)));
+    assert_eq!(gw.finish().totals, snap.totals);
 }

@@ -6,14 +6,12 @@
 use bytes::Bytes;
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::control::ControlPlane;
-use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::parser::ParserSpec;
-use p4guard_dataplane::switch::Switch;
-use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
+use p4guard_dataplane::table::MatchSpec;
+use p4guard_dataplane::AclLayout;
 use p4guard_gateway::{Gateway, GatewayConfig};
 use p4guard_telemetry::{http_get, MetricsServer, Telemetry, TelemetryConfig};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Offset of the IPv4 protocol byte in an Ethernet frame.
 const PROTO_OFF: usize = 14 + 9;
@@ -35,34 +33,23 @@ fn frame(flow: u8, proto: u8) -> Bytes {
 
 /// A control plane with one ternary stage dropping TCP (proto 6).
 fn build_control() -> ControlPlane {
-    let parser = ParserSpec::raw_window(64, 14);
-    let mut switch = Switch::new("metrics-e2e", parser, 1);
-    let mut acl = Table::new(
-        "acl",
-        MatchKind::Ternary,
-        KeyLayout::new(vec![PROTO_OFF]),
-        64,
-        Action::NoOp,
-    );
-    acl.insert(
-        MatchSpec::Ternary {
-            value: vec![6],
-            mask: vec![0xff],
-        },
-        Action::Drop,
-        1,
-    )
-    .unwrap();
-    switch.add_stage(acl);
+    let layout = AclLayout {
+        window: 64,
+        offsets: vec![PROTO_OFF],
+        capacity: 64,
+    };
+    let mut switch = layout.switch("metrics-e2e", ["acl"]);
+    let tcp = MatchSpec::Ternary {
+        value: vec![6],
+        mask: vec![0xff],
+    };
+    switch.stage_mut(0).insert(tcp, Action::Drop, 1).unwrap();
     ControlPlane::new(switch)
 }
 
 fn drain(gw: &Gateway, expected: u64) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while gw.snapshot().totals.received < expected {
-        assert!(Instant::now() < deadline, "gateway failed to drain");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    gw.wait_drained(expected, Duration::from_secs(30))
+        .expect("gateway drains");
 }
 
 /// Pulls the value of the first exposition sample whose line starts with
