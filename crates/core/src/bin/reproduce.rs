@@ -22,6 +22,7 @@ use p4guard::experiments::{
 use p4guard_packet::trace::AttackFamily;
 use serde::Serialize;
 use std::cell::OnceCell;
+use std::collections::HashSet;
 use std::fmt::Display;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -177,12 +178,16 @@ const EXPERIMENTS: &[Experiment] = &[
     }),
 ];
 
-fn parse_args() -> Result<(Session, Vec<&'static Experiment>), String> {
-    let mut selected = Vec::new();
+/// Parses the command line (without the program name). Experiments run
+/// in first-mention order, each at most once, however often it is named.
+fn parse_args(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(Session, Vec<&'static Experiment>), String> {
+    let mut selected: Vec<&'static Experiment> = Vec::new();
     let mut seed = 2020u64;
     let mut full = false;
     let mut out = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--seed" => {
@@ -206,7 +211,8 @@ fn parse_args() -> Result<(Session, Vec<&'static Experiment>), String> {
     if selected.is_empty() {
         selected.extend(EXPERIMENTS);
     }
-    selected.dedup_by_key(|(id, _)| *id);
+    let mut seen = HashSet::new();
+    selected.retain(|(id, _)| seen.insert(*id));
     let session = Session {
         seed,
         full,
@@ -221,16 +227,25 @@ fn parse_args() -> Result<(Session, Vec<&'static Experiment>), String> {
     Ok((session, selected))
 }
 
+/// Every experiment id, in table order.
+fn all_ids() -> Vec<&'static str> {
+    EXPERIMENTS.iter().map(|(id, _)| *id).collect()
+}
+
+/// The usage line, listing every experiment id.
+fn usage() -> String {
+    format!(
+        "usage: reproduce [{} | all] [--seed N] [--full] [--out DIR]",
+        all_ids().join(" ")
+    )
+}
+
 fn main() -> ExitCode {
-    let (session, selected) = match parse_args() {
+    let (session, selected) = match parse_args(std::env::args().skip(1)) {
         Ok(parsed) => parsed,
         Err(e) => {
-            let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
             eprintln!("error: {e}");
-            eprintln!(
-                "usage: reproduce [{} | all] [--seed N] [--full] [--out DIR]",
-                ids.join(" ")
-            );
+            eprintln!("{}", usage());
             return ExitCode::FAILURE;
         }
     };
@@ -245,4 +260,53 @@ fn main() -> ExitCode {
         println!("[{id} took {:?}]\n", started.elapsed());
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ids(args: &[&str]) -> Result<Vec<&'static str>, String> {
+        let (_, selected) = parse_args(args.iter().map(|a| a.to_string()))?;
+        Ok(selected.iter().map(|(id, _)| *id).collect())
+    }
+
+    #[test]
+    fn a_repeated_id_runs_once_in_first_mention_order() {
+        assert_eq!(ids(&["t1", "f3", "t1"]).unwrap(), ["t1", "f3"]);
+        assert_eq!(ids(&["f3", "t1", "f3", "f3"]).unwrap(), ["f3", "t1"]);
+        assert_eq!(ids(&["all", "f1"]).unwrap(), all_ids());
+        let last_first = ids(&["f20_minimize", "all"]).unwrap();
+        assert_eq!(last_first[0], "f20_minimize");
+        assert_eq!(last_first.len(), all_ids().len());
+        assert_eq!(ids(&[]).unwrap(), all_ids());
+    }
+
+    #[test]
+    fn a_bad_id_is_an_error_and_the_usage_lists_every_id() {
+        let err = ids(&["t1", "f99"]).unwrap_err();
+        assert!(err.contains("f99"), "{err}");
+        let usage = usage();
+        for id in all_ids() {
+            assert!(usage.contains(id), "{id} missing from {usage}");
+        }
+    }
+
+    /// Every experiment has a committed artifact and every committed
+    /// artifact an experiment: `reproduce all --out results` writes
+    /// exactly the files under `results/`.
+    #[test]
+    fn experiment_ids_are_the_committed_result_files() {
+        let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+        let mut stems: Vec<String> = std::fs::read_dir(results)
+            .expect("results/ is committed")
+            .map(|entry| entry.expect("readable entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+            .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+            .collect();
+        stems.sort();
+        let mut expected = all_ids();
+        expected.sort_unstable();
+        assert_eq!(stems, expected);
+    }
 }

@@ -29,7 +29,6 @@ use p4guard_features::extract::ByteDataset;
 use p4guard_fleet::{BudgetConfig, TableBudgeter, TenantShare};
 use p4guard_gateway::{Gateway, GatewayConfig};
 use p4guard_nn::binary_metrics;
-use p4guard_packet::arena::FrameArena;
 use p4guard_packet::trace::Trace;
 use p4guard_rules::forest::{CompiledForest, EarlyExit, ForestConfig, RandomForest};
 use p4guard_rules::tree::TreeConfig;
@@ -486,17 +485,7 @@ fn live_phase(
     control.publish();
     let gw = Gateway::start(&control, GatewayConfig::with_shards(2));
 
-    let mut arena = FrameArena::new(p4guard_packet::arena::DEFAULT_CHUNK_CAPACITY);
-    let mut batches = Vec::new();
-    for record in test.iter() {
-        arena.push(&record.frame);
-        if arena.pending() >= 64 {
-            batches.push(arena.seal_batch());
-        }
-    }
-    if arena.pending() > 0 {
-        batches.push(arena.seal_batch());
-    }
+    let batches = test.to_batches(64);
     let mut sent = 0u64;
     let mid = batches.len() / 2;
     let mut delta_recompiled = 0;

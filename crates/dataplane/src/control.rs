@@ -1,6 +1,6 @@
-//! The control plane: installs compiled rule sets into switch tables,
-//! supports incremental updates, and measures per-operation latency
-//! (experiment F10 — the "dynamically reconfigurable" claim).
+//! The control plane: installs compiled rule sets into switch tables and
+//! supports incremental updates (the "dynamically reconfigurable" claim;
+//! experiment F10 times these calls from outside).
 
 use crate::action::Action;
 use crate::pipeline::{PipelineCell, ReadPipeline};
@@ -22,30 +22,6 @@ use std::time::{Duration, Instant};
 /// How many published snapshots the control plane retains for
 /// [`ControlPlane::republish`] / [`ControlPlane::rollback_to`].
 const HISTORY_CAP: usize = 16;
-
-/// Outcome of a batch install.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct InstallReport {
-    /// Entries installed.
-    pub installed: usize,
-    /// Total wall-clock time of the batch.
-    pub elapsed: Duration,
-    /// Per-entry install latencies.
-    pub per_entry: Vec<Duration>,
-    /// Handles of the installed entries, in order.
-    pub handles: Vec<EntryHandle>,
-}
-
-impl InstallReport {
-    /// Mean per-entry latency.
-    pub fn mean_latency(&self) -> Duration {
-        if self.per_entry.is_empty() {
-            Duration::ZERO
-        } else {
-            self.elapsed / self.per_entry.len() as u32
-        }
-    }
-}
 
 /// Outcome of publishing a pipeline snapshot to subscribed cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -215,6 +191,7 @@ impl ControlPlane {
 
     /// Installs every entry of a compiled ternary [`RuleSet`] into stage
     /// `stage`, mapping the rule-set's compile class to `on_match`.
+    /// Returns the installed entries' handles, in the ruleset's order.
     ///
     /// # Errors
     ///
@@ -225,34 +202,14 @@ impl ControlPlane {
         stage: usize,
         ruleset: &RuleSet,
         on_match: Action,
-    ) -> Result<InstallReport, TableError> {
+    ) -> Result<Vec<EntryHandle>, TableError> {
         let mut sw = self.switch.write();
         let table = Self::stage_checked(&mut sw, stage)?;
-        let start = Instant::now();
-        let mut per_entry = Vec::with_capacity(ruleset.len());
-        let mut handles = Vec::with_capacity(ruleset.len());
-        for entry in ruleset.entries() {
-            let t0 = Instant::now();
-            let handle = table.insert(
-                MatchSpec::Ternary {
-                    value: entry.value.clone(),
-                    mask: entry.mask.clone(),
-                },
-                on_match,
-                entry.priority,
-            )?;
-            per_entry.push(t0.elapsed());
-            handles.push(handle);
-        }
-        Ok(InstallReport {
-            installed: handles.len(),
-            elapsed: start.elapsed(),
-            per_entry,
-            handles,
-        })
+        Self::insert_ternary(table, ruleset.entries(), on_match)
     }
 
     /// Installs tree paths as native range entries into stage `stage`.
+    /// Returns the installed entries' handles, in `paths` order.
     ///
     /// # Errors
     ///
@@ -262,25 +219,16 @@ impl ControlPlane {
         stage: usize,
         paths: &[TreePath],
         on_match: Action,
-    ) -> Result<InstallReport, TableError> {
+    ) -> Result<Vec<EntryHandle>, TableError> {
         let mut sw = self.switch.write();
         let table = Self::stage_checked(&mut sw, stage)?;
-        let start = Instant::now();
-        let mut per_entry = Vec::with_capacity(paths.len());
-        let mut handles = Vec::with_capacity(paths.len());
-        for path in paths {
-            let t0 = Instant::now();
-            let (lo, hi): (Vec<u8>, Vec<u8>) = path.ranges.iter().copied().unzip();
-            let handle = table.insert(MatchSpec::Range { lo, hi }, on_match, 1)?;
-            per_entry.push(t0.elapsed());
-            handles.push(handle);
-        }
-        Ok(InstallReport {
-            installed: handles.len(),
-            elapsed: start.elapsed(),
-            per_entry,
-            handles,
-        })
+        paths
+            .iter()
+            .map(|path| {
+                let (lo, hi): (Vec<u8>, Vec<u8>) = path.ranges.iter().copied().unzip();
+                table.insert(MatchSpec::Range { lo, hi }, on_match, 1)
+            })
+            .collect()
     }
 
     /// Applies a [`RuleSetDiff`] to stage `stage`: removes each `removed`
@@ -314,25 +262,28 @@ impl ControlPlane {
             }
         }
         let installed = Self::insert_ternary(table, &diff.added, on_match)?;
-        Ok((removed, installed))
+        Ok((removed, installed.len()))
     }
 
+    /// Inserts `entries` in order, returning their handles; stops at the
+    /// first table error, leaving what was inserted before it.
     fn insert_ternary(
         table: &mut Table,
         entries: &[TernaryEntry],
         on_match: Action,
-    ) -> Result<usize, TableError> {
+    ) -> Result<Vec<EntryHandle>, TableError> {
+        let mut handles = Vec::with_capacity(entries.len());
         for e in entries {
-            table.insert(
+            handles.push(table.insert(
                 MatchSpec::Ternary {
                     value: e.value.clone(),
                     mask: e.mask.clone(),
                 },
                 on_match,
                 e.priority,
-            )?;
+            )?);
         }
-        Ok(entries.len())
+        Ok(handles)
     }
 
     /// Makes stage `stage` hold exactly `ruleset` under `on_match`,
@@ -440,25 +391,18 @@ impl ControlPlane {
         Ok(diff)
     }
 
-    /// Removes entries by handle, returning per-op latencies.
+    /// Removes entries by handle.
     ///
     /// # Errors
     ///
     /// Returns the first missing-stage or unknown-handle error.
-    pub fn remove_entries(
-        &self,
-        stage: usize,
-        handles: &[EntryHandle],
-    ) -> Result<Vec<Duration>, TableError> {
+    pub fn remove_entries(&self, stage: usize, handles: &[EntryHandle]) -> Result<(), TableError> {
         let mut sw = self.switch.write();
         let table = Self::stage_checked(&mut sw, stage)?;
-        let mut latencies = Vec::with_capacity(handles.len());
         for &h in handles {
-            let t0 = Instant::now();
             table.remove(h)?;
-            latencies.push(t0.elapsed());
         }
-        Ok(latencies)
+        Ok(())
     }
 
     /// Rebinds the action of entries (e.g. drop → mirror for staged
@@ -776,10 +720,12 @@ mod tests {
     #[test]
     fn install_and_enforce() {
         let cp = control_with_table(MatchKind::Ternary, 2, 16);
-        let report = cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
-        assert_eq!(report.installed, 2);
-        assert_eq!(report.per_entry.len(), 2);
-        assert!(report.mean_latency() <= report.elapsed);
+        let handles = cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
+        // Handles come back in the ruleset's order.
+        let installed: Vec<EntryHandle> =
+            cp.with_switch(|sw| sw.stage(0).entries().iter().map(|e| e.handle).collect());
+        assert_eq!(handles, installed);
+        assert_eq!(handles.len(), 2);
         cp.with_switch_mut(|sw| {
             assert!(sw.process(&[0x17, 0x99]).is_drop());
             assert!(sw.process(&[0x99, 0x50]).is_drop());
@@ -795,8 +741,8 @@ mod tests {
             class: 1,
             samples: 5,
         }];
-        let report = cp.install_ranges(0, &paths, Action::Drop).unwrap();
-        assert_eq!(report.installed, 1);
+        let handles = cp.install_ranges(0, &paths, Action::Drop).unwrap();
+        assert_eq!(handles.len(), 1);
         cp.with_switch_mut(|sw| {
             assert!(sw.process(&[15, 3]).is_drop());
             assert!(!sw.process(&[25, 3]).is_drop());
@@ -806,15 +752,14 @@ mod tests {
     #[test]
     fn remove_and_modify() {
         let cp = control_with_table(MatchKind::Ternary, 2, 16);
-        let report = cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
-        cp.modify_entries(0, &report.handles[..1], Action::Mirror(9))
+        let handles = cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
+        cp.modify_entries(0, &handles[..1], Action::Mirror(9))
             .unwrap();
         cp.with_switch_mut(|sw| {
             assert!(!sw.process(&[0x17, 0x99]).is_drop()); // now mirrored
             assert_eq!(sw.counters().mirrored, 1);
         });
-        let latencies = cp.remove_entries(0, &report.handles).unwrap();
-        assert_eq!(latencies.len(), 2);
+        cp.remove_entries(0, &handles).unwrap();
         cp.with_switch(|sw| assert!(sw.stage(0).is_empty()));
     }
 
@@ -940,18 +885,18 @@ mod tests {
     #[test]
     fn stale_handles_error_after_removal() {
         let cp = control_with_table(MatchKind::Ternary, 2, 16);
-        let report = cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
-        cp.remove_entries(0, &report.handles).unwrap();
+        let handles = cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
+        cp.remove_entries(0, &handles).unwrap();
         // The handles are now stale: both removal and modification report
         // NoSuchEntry instead of silently succeeding.
         assert_eq!(
-            cp.remove_entries(0, &report.handles[..1]).unwrap_err(),
-            TableError::NoSuchEntry(report.handles[0])
+            cp.remove_entries(0, &handles[..1]).unwrap_err(),
+            TableError::NoSuchEntry(handles[0])
         );
         assert_eq!(
-            cp.modify_entries(0, &report.handles[..1], Action::NoOp)
+            cp.modify_entries(0, &handles[..1], Action::NoOp)
                 .unwrap_err(),
-            TableError::NoSuchEntry(report.handles[0])
+            TableError::NoSuchEntry(handles[0])
         );
     }
 
@@ -959,13 +904,12 @@ mod tests {
     fn empty_batches_are_no_ops() {
         let cp = control_with_table(MatchKind::Ternary, 2, 16);
         cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
-        assert_eq!(cp.remove_entries(0, &[]).unwrap(), Vec::new());
+        cp.remove_entries(0, &[]).unwrap();
         cp.modify_entries(0, &[], Action::Drop).unwrap();
-        let report = cp
+        let handles = cp
             .install_ruleset(0, &RuleSet::new(2, 0), Action::Drop)
             .unwrap();
-        assert_eq!(report.installed, 0);
-        assert_eq!(report.mean_latency(), Duration::ZERO);
+        assert!(handles.is_empty());
         cp.with_switch(|sw| assert_eq!(sw.stage(0).len(), 2));
     }
 
@@ -1043,10 +987,10 @@ mod tests {
         let _warm = cp.snapshot();
         // Add and remove entries so the patch path runs, then compare the
         // incremental snapshot against a from-scratch twin on every key.
-        let report = cp
+        let handles = cp
             .install_ruleset(0, &ruleset(), Action::Mirror(3))
             .unwrap();
-        cp.remove_entries(0, &report.handles[..1]).unwrap();
+        cp.remove_entries(0, &handles[..1]).unwrap();
         let incremental = cp.snapshot();
         let scratch_twin = cp.with_switch(|sw| sw.read_pipeline(999));
         let mut c1 = crate::switch::SwitchCounters::default();

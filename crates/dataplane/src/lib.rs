@@ -5,8 +5,8 @@
 //! match-action [`table::Table`]s with exact/ternary/LPM/range kinds and
 //! capacity limits, a TCAM/SRAM [`resources`] cost model, a software
 //! [`switch::Switch`] with counters and a throughput harness, a
-//! [`control::ControlPlane`] that installs compiled rule sets and measures
-//! update latency, the [`acl::AclLayout`] builder every learned-guard
+//! [`control::ControlPlane`] that installs, updates and publishes compiled
+//! rule sets, the [`acl::AclLayout`] builder every learned-guard
 //! deployment gets its switch from, and a [`compiled::CompiledTable`]
 //! layer that lowers frozen tables into O(1)/O(log n) lookup engines for
 //! the read path.
@@ -60,7 +60,7 @@ pub mod vote;
 pub use acl::AclLayout;
 pub use action::{Action, Verdict};
 pub use compiled::{CompiledTable, LookupOutcome, Rank};
-pub use control::{ControlPlane, InstallReport, PublishReport};
+pub use control::{ControlPlane, PublishReport};
 pub use key::KeyLayout;
 pub use parser::ParserSpec;
 pub use pipeline::{BatchScratch, PipelineCell, ReadPipeline};

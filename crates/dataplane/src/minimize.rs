@@ -68,7 +68,6 @@
 use crate::action::Action;
 use crate::table::{EntryHandle, MatchKind, MatchSpec, TableEntry};
 use p4guard_rules::cube::{self, Cube};
-use p4guard_rules::ternary::range_to_prefixes;
 use std::collections::BTreeSet;
 
 /// Above this source entry count minimization is skipped (the subsumption
@@ -493,35 +492,6 @@ where
     reduce(MatchKind::Ternary, rows).kept.len()
 }
 
-/// The number of TCAM entries an optimal prefix expansion of the
-/// per-byte range box `[lo, hi]` occupies: the product over bytes of the
-/// minimal aligned-block cover of each interval (greedy largest-aligned
-/// block, which is optimal for prefix covers).
-///
-/// # Panics
-///
-/// Panics if `lo > hi` on any byte ([`Table::insert`](crate::table::Table::insert)
-/// rejects such specs).
-pub fn range_prefix_expansion(lo: &[u8], hi: &[u8]) -> usize {
-    lo.iter()
-        .zip(hi)
-        .map(|(&l, &h)| range_to_prefixes(l, h).len())
-        .product()
-}
-
-/// TCAM entries the minimized list occupies once lowered to hardware:
-/// ranges expand to their optimal prefix cover, everything else is one
-/// entry per minimized row.
-pub fn tcam_entries(entries: &[MinEntry]) -> usize {
-    entries
-        .iter()
-        .map(|m| match &m.spec {
-            MatchSpec::Range { lo, hi } => range_prefix_expansion(lo, hi),
-            _ => 1,
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,17 +658,6 @@ mod tests {
         // it classify Clean and pass through one-to-one (covered by the
         // construction at the top of `minimize`).
         const { assert!(MINIMIZE_MAX_ENTRIES >= 1024) };
-    }
-
-    #[test]
-    fn range_prefix_expansion_is_optimal_per_byte() {
-        // [0, 255] is one prefix; [1, 254] needs the worst-case ladder.
-        assert_eq!(range_prefix_expansion(&[0], &[255]), 1);
-        assert_eq!(range_prefix_expansion(&[1], &[254]), 14);
-        assert_eq!(range_prefix_expansion(&[16], &[31]), 1);
-        assert_eq!(range_prefix_expansion(&[15], &[16]), 2);
-        // Multi-byte boxes multiply.
-        assert_eq!(range_prefix_expansion(&[0, 1], &[255, 254]), 14);
     }
 
     #[test]
