@@ -195,6 +195,33 @@ if ! diff <(f20_counts results/f20_minimize.json) <(f20_counts "$MINIMIZE_JSON")
 fi
 echo "delta publish ${SPEEDUP}x >= 10x, frames conserved, minimizer counts match results/f20_minimize.json"
 
+echo "==> compiled-lookup smoke (fixed seed, time-boxed)"
+# Engine gate (reproduce f17_lookup): at every table size, the engine a
+# ternary or range table compiles to must look a key up at least as fast
+# as the mutable table's linear scan it stands in for. The bound is loose
+# (measured 5-130x) so a noisy box cannot trip it; an engine that is
+# slower than the scan it replaced can.
+timeout 120 target/release/reproduce f17_lookup --out "$SMOKE_DIR/results" \
+  > "$SMOKE_DIR/lookup.log" 2>&1 || {
+  echo "reproduce f17_lookup failed:" >&2
+  tail -30 "$SMOKE_DIR/lookup.log" >&2
+  exit 1
+}
+SLOW_POINTS=$(awk '/"series"/ { split($0, quoted, "\""); series = quoted[4] }
+                   /"kind"/ { gated = /Ternary|Range/ }
+                   /"entries"/ { entries = $2 + 0 }
+                   /"speedup"/ { points += gated
+                                 if (gated && $2 + 0 < 1) print series " @ " entries ": " $2 + 0 "x" }
+                   END { if (points < 2) print "no ternary or range point in the report" }' \
+  "$SMOKE_DIR/results/f17_lookup.json")
+if [ -n "$SLOW_POINTS" ]; then
+  echo "compiled lookup slower than the linear scan it replaces:" >&2
+  echo "$SLOW_POINTS" >&2
+  cat "$SMOKE_DIR/lookup.log" >&2
+  exit 1
+fi
+echo "every ternary and range point at least as fast as the scan"
+
 echo "==> ensemble-inference smoke (fixed seed, time-boxed)"
 # Forest gate (reproduce f16_forest): on at least one task a compiled
 # multi-tree forest must match-or-beat the single-tree baseline's

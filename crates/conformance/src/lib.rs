@@ -11,9 +11,9 @@
 //!   duplication. The oracle ([`oracle::check_frame`]) demands that
 //!   [`p4guard_packet::parse`] never panics and that every layer struct it
 //!   produces is a `decode → encode → decode` fixpoint.
-//! * **Tables** ([`tables`]): adversarial rulesets — ternary mask
-//!   diversity straddling the tuple-space fallback threshold, duplicate
-//!   priorities, wide keys, overlapping LPM prefixes, degenerate ranges.
+//! * **Tables** ([`tables`]): adversarial rulesets — ternary masks from
+//!   a few shared by every entry to one per entry, duplicate priorities,
+//!   wide keys, overlapping LPM prefixes, degenerate ranges.
 //!   The oracle compares [`p4guard_dataplane::CompiledTable`] verdicts
 //!   against the reference priority scan (`Table::peek`) on every probe
 //!   key.

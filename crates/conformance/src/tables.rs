@@ -1,12 +1,11 @@
 //! Adversarial match-action tables and probe keys for differential
 //! testing of the compiled lookup engines.
 //!
-//! Generation deliberately straddles the tuple-space fallback threshold in
-//! `p4guard-dataplane`'s compiler (≥ 16 entries with more distinct masks
-//! than half the entry count falls back to a scan engine), piles up
-//! duplicate priorities, uses maximum-width keys, overlapping LPM
-//! prefixes and degenerate ranges — the shapes where a fast engine and
-//! the reference scan are most likely to disagree.
+//! Generation deliberately mixes ternary tables whose entries share a few
+//! masks with ones where every entry has its own, piles up duplicate
+//! priorities, uses maximum-width keys, overlapping LPM prefixes and
+//! degenerate ranges — the shapes where a fast engine and the reference
+//! scan are most likely to disagree.
 
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::key::KeyLayout;
@@ -113,8 +112,8 @@ fn table_with<R: Rng>(rng: &mut R, kind: MatchKind, width: usize, specs: Vec<Mat
 /// Builds the `index`-th adversarial table.
 ///
 /// The first indices are fixed archetypes that guarantee every compiled
-/// strategy (`exact-hash`, `lpm-buckets`, `range-index`, `tuple-space`,
-/// `scan`) appears in a run; later indices are fully randomized.
+/// strategy (`exact-hash`, `lpm-buckets`, `bit-vector` from both range and
+/// ternary) appears in a run; later indices are fully randomized.
 pub fn adversarial_table<R: Rng>(rng: &mut R, index: usize) -> AdversarialTable {
     let table = match index {
         // Exact, with duplicate values (first insert must win ties).
@@ -165,7 +164,7 @@ pub fn adversarial_table<R: Rng>(rng: &mut R, index: usize) -> AdversarialTable 
                 .collect();
             table_with(rng, MatchKind::Range, 2, specs)
         }
-        // 16 ternary entries over 4 masks: stays on the tuple-space engine.
+        // 16 ternary entries sharing 4 masks.
         3 => {
             let masks: Vec<Vec<u8>> = (0..4).map(|_| rand_mask(rng, 2)).collect();
             let specs = (0..16)
@@ -176,8 +175,7 @@ pub fn adversarial_table<R: Rng>(rng: &mut R, index: usize) -> AdversarialTable 
                 .collect();
             table_with(rng, MatchKind::Ternary, 2, specs)
         }
-        // 16 ternary entries with 16 distinct masks: mask diversity above
-        // half the entry count forces the scan fallback.
+        // 16 ternary entries with 16 distinct masks.
         4 => {
             let specs = (0..16u8)
                 .map(|i| MatchSpec::Ternary {
@@ -197,8 +195,8 @@ pub fn adversarial_table<R: Rng>(rng: &mut R, index: usize) -> AdversarialTable 
                 .collect();
             table_with(rng, MatchKind::Ternary, 16, specs)
         }
-        // Fully random: any kind, any width, entry count straddling the
-        // tuple-space threshold.
+        // Fully random: any kind, any width, ternary masks anywhere from
+        // one shared by all entries to one each.
         _ => {
             let width = *[1usize, 2, 4, 8]
                 .choose(rng)
@@ -261,19 +259,21 @@ mod tests {
     #[test]
     fn archetypes_cover_every_compiled_strategy() {
         let mut rng = StdRng::seed_from_u64(11);
-        let strategies: Vec<&str> = (0..6)
-            .map(|i| CompiledTable::compile(&adversarial_table(&mut rng, i).table).strategy())
+        let strategies: Vec<(MatchKind, &str)> = (0..6)
+            .map(|i| {
+                let table = adversarial_table(&mut rng, i).table;
+                (table.kind(), CompiledTable::compile(&table).strategy())
+            })
             .collect();
         for want in [
-            "exact-hash",
-            "lpm-buckets",
-            "range-index",
-            "tuple-space",
-            "scan",
+            (MatchKind::Exact, "exact-hash"),
+            (MatchKind::Lpm, "lpm-buckets"),
+            (MatchKind::Range, "bit-vector"),
+            (MatchKind::Ternary, "bit-vector"),
         ] {
             assert!(
                 strategies.contains(&want),
-                "archetypes produced {strategies:?}, missing {want}"
+                "archetypes produced {strategies:?}, missing {want:?}"
             );
         }
     }

@@ -112,15 +112,8 @@ fn compiled_tables_agree_with_reference_scan() {
         failures.len(),
         failures.join("\n")
     );
-    // The generator must actually exercise every engine, including both
-    // sides of the tuple-space fallback threshold.
-    for want in [
-        "exact-hash",
-        "lpm-buckets",
-        "range-index",
-        "tuple-space",
-        "scan",
-    ] {
+    // The generator must actually exercise every engine.
+    for want in ["exact-hash", "lpm-buckets", "bit-vector"] {
         assert!(
             strategies.contains(want),
             "strategy {want} never compiled; saw {strategies:?}"

@@ -260,9 +260,12 @@ pub fn run_f10(seed: u64, occupancies: &[usize]) -> UpdateLatencyReport {
     UpdateLatencyReport { points }
 }
 
-/// One (match kind, table size) measurement of F17-lookup.
+/// One (series, table size) measurement of F17-lookup.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LookupPoint {
+    /// The series the point belongs to: the match kind and, for ternary,
+    /// how the table draws its masks.
+    pub series: String,
     /// Match kind of the measured table.
     pub kind: MatchKind,
     /// Installed entries.
@@ -283,40 +286,52 @@ pub struct LookupPoint {
 pub struct LookupReport {
     /// Lookups timed per measurement.
     pub lookups: usize,
-    /// Points, grouped by kind in increasing entry count.
+    /// Points, grouped by series in increasing entry count.
     pub points: Vec<LookupPoint>,
 }
 
 /// Match-key width of the F17-lookup tables (the paper's stage-1 window).
-const F11_KEY_WIDTH: usize = 8;
+const F17_KEY_WIDTH: usize = 8;
 /// Probe keys per measurement (half hits, half random).
-const F11_KEYS: usize = 2048;
+const F17_KEYS: usize = 2048;
 /// Timed passes over the probe keys.
-const F11_ROUNDS: usize = 2;
+const F17_ROUNDS: usize = 2;
 
 /// Builds an F17 table of `kind` with `entries` random entries plus the
-/// probe-key stream used against it.
-fn f17_fixture(kind: MatchKind, entries: usize, seed: u64) -> (Table, Vec<Vec<u8>>) {
+/// probe-key stream used against it. A ternary table takes its masks from
+/// a pool of eight whole-byte masks, or — `mask_per_row`, the shape of a
+/// learned ruleset — draws a random bit mask for every entry.
+fn f17_fixture(
+    kind: MatchKind,
+    mask_per_row: bool,
+    entries: usize,
+    seed: u64,
+) -> (Table, Vec<Vec<u8>>) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xf11);
     let mut table = Table::new(
-        "f11",
+        "f17",
         kind,
-        KeyLayout::window(F11_KEY_WIDTH),
+        KeyLayout::window(F17_KEY_WIDTH),
         entries.max(1),
         Action::NoOp,
     );
-    // A coarse mask pool: model-compiled rulesets reuse a handful of
-    // feature masks, which is what tuple-space search exploits.
-    let masks: Vec<Vec<u8>> = (0..8)
+    let masks: Vec<Vec<u8>> = (0..if mask_per_row { entries } else { 8 })
         .map(|_| {
-            (0..F11_KEY_WIDTH)
-                .map(|_| if rng.gen::<bool>() { 0xff } else { 0x00 })
+            (0..F17_KEY_WIDTH)
+                .map(|_| {
+                    let bits: u8 = rng.gen();
+                    if mask_per_row {
+                        bits
+                    } else {
+                        0xff * (bits & 1)
+                    }
+                })
                 .collect()
         })
         .collect();
     let mut hit_keys = Vec::with_capacity(entries);
     for i in 0..entries {
-        let value: Vec<u8> = (0..F11_KEY_WIDTH).map(|_| rng.gen()).collect();
+        let value: Vec<u8> = (0..F17_KEY_WIDTH).map(|_| rng.gen()).collect();
         let spec = match kind {
             MatchKind::Exact => MatchSpec::Exact(value.clone()),
             MatchKind::Ternary => MatchSpec::Ternary {
@@ -346,38 +361,40 @@ fn f17_fixture(kind: MatchKind, entries: usize, seed: u64) -> (Table, Vec<Vec<u8
             .insert(spec, Action::Drop, rng.gen_range(0..4))
             .expect("within capacity");
     }
-    let keys = (0..F11_KEYS)
+    let keys = (0..F17_KEYS)
         .map(|i| {
             if i % 2 == 0 && !hit_keys.is_empty() {
                 hit_keys[(i / 2) % hit_keys.len()].clone()
             } else {
-                (0..F11_KEY_WIDTH).map(|_| rng.gen()).collect()
+                (0..F17_KEY_WIDTH).map(|_| rng.gen()).collect()
             }
         })
         .collect();
     (table, keys)
 }
 
-/// Runs F17-lookup: per match kind, lookups/sec of the mutable table's
-/// linear scan vs the compiled engine a published snapshot uses, as the
-/// entry count sweeps `entry_counts`.
+/// Runs F17-lookup: per series (the match kinds, ternary once per mask
+/// shape), lookups/sec of the mutable table's linear scan vs the compiled
+/// engine a published snapshot uses, as the entry count sweeps
+/// `entry_counts`.
 pub fn run_f17_lookup(seed: u64, entry_counts: &[usize]) -> LookupReport {
-    let kinds = [
-        MatchKind::Exact,
-        MatchKind::Lpm,
-        MatchKind::Range,
-        MatchKind::Ternary,
+    let series = [
+        ("exact", MatchKind::Exact, false),
+        ("lpm", MatchKind::Lpm, false),
+        ("range", MatchKind::Range, false),
+        ("ternary, 8 shared masks", MatchKind::Ternary, false),
+        ("ternary, a mask per row", MatchKind::Ternary, true),
     ];
-    let mut points = Vec::with_capacity(kinds.len() * entry_counts.len());
-    for kind in kinds {
+    let mut points = Vec::with_capacity(series.len() * entry_counts.len());
+    for (name, kind, mask_per_row) in series {
         for &entries in entry_counts {
-            let (table, keys) = f17_fixture(kind, entries, seed);
+            let (table, keys) = f17_fixture(kind, mask_per_row, entries, seed);
             let compiled = CompiledTable::compile(&table);
-            let mut probe = vec![0u8; F11_KEY_WIDTH];
-            let lookups = F11_KEYS * F11_ROUNDS;
+            let mut probe = vec![0u8; F17_KEY_WIDTH];
+            let lookups = F17_KEYS * F17_ROUNDS;
 
             let t0 = Instant::now();
-            for _ in 0..F11_ROUNDS {
+            for _ in 0..F17_ROUNDS {
                 for key in &keys {
                     black_box(table.peek(black_box(key)));
                 }
@@ -385,7 +402,7 @@ pub fn run_f17_lookup(seed: u64, entry_counts: &[usize]) -> LookupReport {
             let scan_pps = compute_pps(lookups, t0.elapsed());
 
             let t0 = Instant::now();
-            for _ in 0..F11_ROUNDS {
+            for _ in 0..F17_ROUNDS {
                 for key in &keys {
                     black_box(compiled.lookup(black_box(key), &mut probe));
                 }
@@ -393,6 +410,7 @@ pub fn run_f17_lookup(seed: u64, entry_counts: &[usize]) -> LookupReport {
             let compiled_pps = compute_pps(lookups, t0.elapsed());
 
             points.push(LookupPoint {
+                series: name.to_owned(),
                 kind,
                 entries,
                 strategy: compiled.strategy().to_owned(),
@@ -407,7 +425,7 @@ pub fn run_f17_lookup(seed: u64, entry_counts: &[usize]) -> LookupReport {
         }
     }
     LookupReport {
-        lookups: F11_KEYS * F11_ROUNDS,
+        lookups: F17_KEYS * F17_ROUNDS,
         points,
     }
 }
@@ -420,7 +438,7 @@ impl fmt::Display for LookupReport {
             self.lookups
         )?;
         let mut table = TextTable::new([
-            "kind",
+            "series",
             "entries",
             "engine",
             "scan pps",
@@ -429,7 +447,7 @@ impl fmt::Display for LookupReport {
         ]);
         for p in &self.points {
             table.row([
-                p.kind.to_string(),
+                p.series.clone(),
                 p.entries.to_string(),
                 p.strategy.clone(),
                 format!("{:.0}", p.scan_pps),
@@ -477,7 +495,7 @@ mod tests {
     #[test]
     fn f17_compiled_lookup_beats_scan_at_scale() {
         let report = run_f17_lookup(7, &[16, 1024]);
-        assert_eq!(report.points.len(), 8); // 4 kinds × 2 sizes
+        assert_eq!(report.points.len(), 10); // 5 series × 2 sizes
         for p in &report.points {
             assert!(p.scan_pps > 0.0 && p.compiled_pps > 0.0);
         }

@@ -6,18 +6,20 @@
 //! that. But snapshots taken for the read path
 //! ([`ReadPipeline`](crate::pipeline::ReadPipeline)) are immutable, so
 //! arbitrary compile work at publish time is free under the RCU scheme,
-//! and the per-packet cost stops growing with ruleset size:
+//! and the per-packet cost stops growing row by row with ruleset size:
 //!
-//! | match kind | engine                        | per-lookup cost            |
-//! |------------|-------------------------------|----------------------------|
-//! | exact      | hash index on the key bytes   | O(1)                       |
-//! | LPM        | prefix-length-bucketed hashes | O(distinct prefix lengths) |
-//! | range      | leading-byte interval index   | O(overlaps on first byte)  |
-//! | ternary    | tuple-space search            | O(distinct masks), early-exit |
+//! | match kind     | engine                        | per-lookup cost                 |
+//! |----------------|-------------------------------|---------------------------------|
+//! | exact          | hash index on the key bytes   | O(1)                            |
+//! | LPM            | prefix-length-bucketed hashes | O(distinct prefix lengths)      |
+//! | ternary, range | per-byte bit-vector intersect | O(width × ⌈n/64⌉), early-exit   |
 //!
-//! Ternary tables whose masks are almost all distinct gain nothing from
-//! tuple-space grouping (one probe per group ≈ one compare per entry), so
-//! compilation falls back to the priority scan in that regime.
+//! Ternary and range entries are both conjunctions of per-byte predicates,
+//! so one engine serves every wildcard table: each key byte selects the
+//! bitmap of entries that accept it at that position, the bitmaps are
+//! ANDed 64 entries per word — a TCAM's parallel compare done in software
+//! (Lakshman & Stiliadis, SIGCOMM '98) — and the lowest set bit is the
+//! first match in priority order.
 //!
 //! Semantics are pinned to [`Table::peek`]: the winning entry is the first
 //! match in priority order (insertion order among equal priorities), and a
@@ -63,30 +65,26 @@ struct LpmBucket {
     prefixes: HashMap<Vec<u8>, (Rank, Action)>,
 }
 
-/// The range engine: entries indexed by which leading-byte values their
-/// `[lo[0], hi[0]]` interval covers, so a lookup jumps straight to the
-/// candidates overlapping `key[0]` and only scans those (in rank order).
+/// The wildcard engine behind every ternary and range table. Per key
+/// position, the 256 byte values fall into *classes* no entry can tell
+/// apart there, and each class owns one row: a bitmap, by [`Rank`], of the
+/// entries that accept its bytes. A key selects one row per position; the
+/// AND of those rows has a bit set for exactly the entries matching the
+/// whole key, so its lowest set bit is the first match in priority order.
 #[derive(Debug, Clone)]
-struct RangeIndex {
-    /// Entries in frozen match order.
-    entries: Vec<(Vec<u8>, Vec<u8>, Action)>,
-    /// `buckets[b]` = ranks of entries whose leading range covers byte `b`,
-    /// ascending (i.e. already in match-priority order).
-    buckets: Vec<Vec<Rank>>,
-}
-
-/// One tuple-space group: all ternary entries sharing a mask, keyed by
-/// their masked value.
-#[derive(Debug, Clone)]
-struct MaskGroup {
-    mask: Vec<u8>,
-    /// Best (smallest) rank of any entry in the group; groups are probed
-    /// in ascending `min_rank` order so the search can stop as soon as the
-    /// current winner outranks every remaining group.
-    min_rank: Rank,
-    /// Masked value → (rank, action). Duplicate masked values keep the
-    /// best-ranked entry, matching first-match-wins scan semantics.
-    slots: HashMap<Vec<u8>, (Rank, Action)>,
+struct BitVector {
+    /// u64 words per row: `ceil(n / 64)` for `n` indexed entries, and one
+    /// (all zero) for an empty table, so every probe has a word to AND.
+    words: usize,
+    /// `class[pos * 256 + byte]` → word offset into `rows` of the row for
+    /// the class `byte` belongs to at key position `pos`.
+    class: Vec<u32>,
+    /// Every row of every position, back to back. Bit `r % 64` of word
+    /// `r / 64` is set when the entry of rank `r` accepts the row's class;
+    /// bits past the last rank are zero.
+    rows: Vec<u64>,
+    /// Action by rank.
+    actions: Vec<Action>,
 }
 
 #[derive(Debug, Clone)]
@@ -96,90 +94,255 @@ enum Engine {
     /// LPM: one masked hash probe per distinct prefix length, longest
     /// first, so the first hit is the longest match.
     LpmBuckets(Vec<LpmBucket>),
-    /// Range: leading-byte interval index with a bounded residual scan.
-    RangeIndex(RangeIndex),
-    /// Ternary: tuple-space search over mask groups.
-    TupleSpace(Vec<MaskGroup>),
-    /// Fallback for high mask diversity: the original priority scan.
-    Scan(ScanEngine),
+    /// Ternary and range: per-byte bit-vector intersect.
+    BitVector(BitVector),
 }
 
-/// Widest key (bytes) the scan fallback lowers to u64 words; wider keys
-/// keep the byte-wise scan (they are rare and the stack buffer for key
-/// words stays fixed-size).
-const SCAN_MAX_LOWERED_WIDTH: usize = 32;
-/// Key-word buffer length for the lowered scan.
-const SCAN_MAX_WORDS: usize = SCAN_MAX_LOWERED_WIDTH / 8;
-
-/// The ternary priority scan, plus a word-lowered form when the key is
-/// narrow enough: per entry, `value & mask` and `mask` packed into
-/// little-endian u64 words (trailing bytes zero, so pad bytes always
-/// match). One entry check then costs `ceil(width / 8)` word compares
-/// instead of a byte-wise zip — the dominant per-frame cost for scan
-/// tables collapses roughly eight-fold.
-#[derive(Debug, Clone)]
-struct ScanEngine {
-    entries: Vec<(MatchSpec, Action)>,
-    lowered: Option<LoweredScan>,
+/// The byte values one entry accepts at one key position — all the
+/// bit-vector build needs to know about a match kind.
+#[derive(Clone, Copy)]
+enum Accept {
+    /// `byte & mask == value` (`value` already masked).
+    Masked { mask: u8, value: u8 },
+    /// `lo <= byte <= hi`.
+    Between { lo: u8, hi: u8 },
 }
 
-#[derive(Debug, Clone)]
-struct LoweredScan {
-    /// u64 words per row: `ceil(width / 8)`.
-    words: usize,
-    /// Row-major pre-masked values (`value & mask`), `words` per entry.
-    value: Vec<u64>,
-    /// Row-major masks, `words` per entry.
-    mask: Vec<u64>,
-}
-
-impl ScanEngine {
-    fn new(entries: Vec<(MatchSpec, Action)>) -> ScanEngine {
-        let lowered = Self::lower(&entries);
-        ScanEngine { entries, lowered }
-    }
-
-    fn lower(entries: &[(MatchSpec, Action)]) -> Option<LoweredScan> {
-        let width = entries.first().map(|(s, _)| s.width())?;
-        if width > SCAN_MAX_LOWERED_WIDTH {
-            return None;
-        }
-        let words = width.div_ceil(8).max(1);
-        let mut value = Vec::with_capacity(entries.len() * words);
-        let mut mask = Vec::with_capacity(entries.len() * words);
-        for (spec, _) in entries {
-            let MatchSpec::Ternary { value: v, mask: m } = spec else {
-                return None;
-            };
-            if v.len() != width {
-                return None;
+impl Accept {
+    /// What `spec` accepts at key position `pos`.
+    fn at(spec: &MatchSpec, pos: usize) -> Accept {
+        match spec {
+            MatchSpec::Ternary { value, mask } => Accept::Masked {
+                mask: mask[pos],
+                value: value[pos] & mask[pos],
+            },
+            MatchSpec::Range { lo, hi } => Accept::Between {
+                lo: lo[pos],
+                hi: hi[pos],
+            },
+            MatchSpec::Exact(_) | MatchSpec::Lpm { .. } => {
+                unreachable!("only ternary and range tables lower to the bit-vector engine")
             }
-            let masked: Vec<u8> = v.iter().zip(m).map(|(&v, &m)| v & m).collect();
-            let mut vw = [0u64; SCAN_MAX_WORDS];
-            let mut mw = [0u64; SCAN_MAX_WORDS];
-            load_words(&masked, &mut vw[..words]);
-            load_words(m, &mut mw[..words]);
-            value.extend_from_slice(&vw[..words]);
-            mask.extend_from_slice(&mw[..words]);
         }
-        Some(LoweredScan { words, value, mask })
+    }
+
+    /// Distinct accept sets of one match kind have distinct ids below
+    /// `1 << 16`.
+    fn id(self) -> usize {
+        let (a, b) = match self {
+            Accept::Masked { mask, value } => (mask, value),
+            Accept::Between { lo, hi } => (lo, hi),
+        };
+        usize::from(a) << 8 | usize::from(b)
+    }
+
+    /// How many byte values are accepted.
+    fn count(self) -> usize {
+        match self {
+            Accept::Masked { mask, .. } => 1 << mask.count_zeros(),
+            Accept::Between { lo, hi } => usize::from(hi - lo) + 1,
+        }
+    }
+
+    /// Every byte value is accepted: the entry leaves this position free.
+    fn is_any(self) -> bool {
+        self.count() == 256
+    }
+
+    fn contains(self, byte: u8) -> bool {
+        match self {
+            Accept::Masked { mask, value } => byte & mask == value,
+            Accept::Between { lo, hi } => (lo..=hi).contains(&byte),
+        }
+    }
+
+    /// Calls `f` once per accepted byte value and touches no other: an
+    /// exact byte costs one call, not 256 tests.
+    fn for_each(self, mut f: impl FnMut(u8)) {
+        match self {
+            Accept::Masked { mask, value } => {
+                // Enumerate the sub-masks of the free bits.
+                let free = !mask;
+                let mut sub = free;
+                loop {
+                    f(value | sub);
+                    if sub == 0 {
+                        break;
+                    }
+                    sub = (sub - 1) & free;
+                }
+            }
+            Accept::Between { lo, hi } => (lo..=hi).for_each(f),
+        }
     }
 }
 
-/// Packs `bytes` into little-endian u64 words, zero-padding the tail.
-#[inline]
-fn load_words(bytes: &[u8], out: &mut [u64]) {
-    for (w, chunk) in bytes.chunks(8).enumerate() {
-        let mut buf = [0u8; 8];
-        buf[..chunk.len()].copy_from_slice(chunk);
-        out[w] = u64::from_le_bytes(buf);
+/// The partition of the 256 byte values at one key position into classes,
+/// refined one accept set at a time. All state is fixed-size, so a build
+/// allocates nothing per byte value or per accept set.
+struct Classes {
+    /// Class id of each byte value.
+    of: [u8; 256],
+    /// Members of each class id in use.
+    size: [u16; 256],
+    /// Class ids in use (1..=256).
+    count: usize,
+    /// Scratch for [`Classes::refine`], all zero between calls: accepted
+    /// members seen per class.
+    hits: [u16; 256],
+    /// Scratch: the classes an accept set touched.
+    touched: [u8; 256],
+    /// Scratch: where a touched class's accepted members go.
+    target: [u8; 256],
+}
+
+impl Classes {
+    /// One class holding every byte value.
+    fn new() -> Classes {
+        let mut size = [0; 256];
+        size[0] = 256;
+        Classes {
+            of: [0; 256],
+            size,
+            count: 1,
+            hits: [0; 256],
+            touched: [0; 256],
+            target: [0; 256],
+        }
+    }
+
+    /// Splits every class `accept` cuts through into the part it accepts
+    /// and the part it rejects, visiting only the bytes it accepts.
+    fn refine(&mut self, accept: Accept) {
+        let mut touched_len = 0;
+        accept.for_each(|byte| {
+            let class = self.of[usize::from(byte)];
+            if self.hits[usize::from(class)] == 0 {
+                self.touched[touched_len] = class;
+                touched_len += 1;
+            }
+            self.hits[usize::from(class)] += 1;
+        });
+        let mut split = false;
+        for &class in &self.touched[..touched_len] {
+            let c = usize::from(class);
+            let hits = std::mem::take(&mut self.hits[c]);
+            self.target[c] = class;
+            if hits < self.size[c] {
+                // A split leaves both parts non-empty, so `count <= 255`.
+                self.target[c] = self.count as u8;
+                self.size[self.count] = hits;
+                self.size[c] -= hits;
+                self.count += 1;
+                split = true;
+            }
+        }
+        if split {
+            accept.for_each(|byte| {
+                let class = &mut self.of[usize::from(byte)];
+                *class = self.target[usize::from(*class)];
+            });
+        }
     }
 }
 
-/// Ternary tables smaller than this always compile to tuple-space search
-/// (a scan over so few entries is cheap either way, but grouping keeps the
-/// engine choice useful for the common model-compiled rulesets).
-const TUPLE_SPACE_FALLBACK_MIN: usize = 16;
+impl BitVector {
+    /// Indexes `entries` (ternary or range specs over `width` key bytes).
+    ///
+    /// This runs on every delta publish, so its cost follows the work the
+    /// entries actually describe: classes come from refining over the
+    /// *distinct* accept sets of a position, and an entry's bit is set only
+    /// in the rows of classes it accepts — a position an entry leaves free
+    /// or pins to one byte value costs it one bit, not 256 tests.
+    fn build(entries: &[MinEntry], width: usize) -> BitVector {
+        let n = entries.len();
+        let words = n.div_ceil(64).max(1);
+        // Position-major copy of what each entry accepts, so the passes
+        // below run over contiguous columns instead of chasing every
+        // entry's spec once per position.
+        let mut accepts = vec![Accept::Masked { mask: 0, value: 0 }; width * n];
+        for (rank, entry) in entries.iter().enumerate() {
+            for pos in 0..width {
+                accepts[pos * n + rank] = Accept::at(&entry.spec, pos);
+            }
+        }
+        let mut class = vec![0u32; width * 256];
+        let mut rows: Vec<u64> = Vec::new();
+        // Accept-set ids already refined over at the current position.
+        let mut seen = [0u64; (1 << 16) / 64];
+        // Entries that leave the current position free, as a row.
+        let mut any = vec![0u64; words];
+        for (pos, class) in class.chunks_exact_mut(256).enumerate() {
+            let column = &accepts[pos * n..][..n];
+            let mut classes = Classes::new();
+            for &accept in column {
+                let (word, bit) = (accept.id() / 64, 1u64 << (accept.id() % 64));
+                if seen[word] & bit == 0 && !accept.is_any() {
+                    seen[word] |= bit;
+                    classes.refine(accept);
+                }
+            }
+            for &accept in column {
+                seen[accept.id() / 64] = 0;
+            }
+
+            let base = rows.len();
+            rows.resize(base + classes.count * words, 0);
+            assert!(
+                u32::try_from(rows.len()).is_ok(),
+                "bit-vector rows outgrew u32 word offsets"
+            );
+            for (slot, &of) in class.iter_mut().zip(&classes.of) {
+                *slot = (base + usize::from(of) * words) as u32;
+            }
+
+            // Each entry's bit goes into the rows of the classes it accepts
+            // — found by walking its accept set or the classes, whichever
+            // is fewer — except that an entry leaving the position free is
+            // in every row: those collect in `any`, ORed in at the end.
+            let rows = &mut rows[base..];
+            any.fill(0);
+            // One member of each class to stand for all of them, found the
+            // first time an entry walks the classes.
+            let mut members: Option<[u8; 256]> = None;
+            for (rank, &accept) in column.iter().enumerate() {
+                let (word, bit) = (rank / 64, 1u64 << (rank % 64));
+                if accept.is_any() {
+                    any[word] |= bit;
+                } else if accept.count() <= classes.count {
+                    accept.for_each(|byte| {
+                        let of = usize::from(classes.of[usize::from(byte)]);
+                        rows[of * words + word] |= bit;
+                    });
+                } else {
+                    let members = members.get_or_insert_with(|| {
+                        let mut members = [0; 256];
+                        for (byte, &of) in (0..=255).zip(&classes.of) {
+                            members[usize::from(of)] = byte;
+                        }
+                        members
+                    });
+                    for (of, &byte) in members[..classes.count].iter().enumerate() {
+                        if accept.contains(byte) {
+                            rows[of * words + word] |= bit;
+                        }
+                    }
+                }
+            }
+            for row in rows.chunks_exact_mut(words) {
+                for (word, &any) in row.iter_mut().zip(&any) {
+                    *word |= any;
+                }
+            }
+        }
+        BitVector {
+            words,
+            class,
+            rows,
+            actions: entries.iter().map(|e| e.action).collect(),
+        }
+    }
+}
 
 /// An immutable, compiled form of one [`Table`], built at snapshot time by
 /// [`CompiledTable::compile`] and queried lock-free on the read path.
@@ -201,7 +364,7 @@ impl CompiledTable {
     /// keeps reporting the source entry count.
     pub fn compile(table: &Table) -> Self {
         let min = minimize::minimize(table.kind(), table.entries());
-        let engine = Self::build_engine(table.kind(), &min.entries, table.len());
+        let engine = Self::build_engine(table.kind(), &min.entries, table.key().width());
         CompiledTable {
             name: table.name().to_owned(),
             kind: table.kind(),
@@ -283,7 +446,7 @@ impl CompiledTable {
             min.patch_add(e);
         }
         min.refresh_source(entries);
-        let engine = Self::build_engine(table.kind(), &min.entries, entries.len());
+        let engine = Self::build_engine(table.kind(), &min.entries, prev.key.width());
         Arc::new(CompiledTable {
             name: prev.name.clone(),
             kind: prev.kind,
@@ -295,12 +458,13 @@ impl CompiledTable {
         })
     }
 
-    fn build_engine(kind: MatchKind, entries: &[MinEntry], source_len: usize) -> Engine {
+    fn build_engine(kind: MatchKind, entries: &[MinEntry], width: usize) -> Engine {
         match kind {
             MatchKind::Exact => Self::compile_exact(entries),
             MatchKind::Lpm => Self::compile_lpm(entries),
-            MatchKind::Range => Self::compile_range(entries),
-            MatchKind::Ternary => Self::compile_ternary(entries, source_len),
+            MatchKind::Range | MatchKind::Ternary => {
+                Engine::BitVector(BitVector::build(entries, width))
+            }
         }
     }
 
@@ -340,57 +504,6 @@ impl CompiledTable {
         }
         buckets.sort_by_key(|b| std::cmp::Reverse(b.prefix_len));
         Engine::LpmBuckets(buckets)
-    }
-
-    fn compile_range(entries: &[MinEntry]) -> Engine {
-        let mut index = RangeIndex {
-            entries: Vec::with_capacity(entries.len()),
-            buckets: vec![Vec::new(); 256],
-        };
-        for entry in entries {
-            if let MatchSpec::Range { lo, hi } = &entry.spec {
-                let rank = index.entries.len() as Rank;
-                for b in lo[0]..=hi[0] {
-                    index.buckets[b as usize].push(rank);
-                }
-                index.entries.push((lo.clone(), hi.clone(), entry.action));
-            }
-        }
-        Engine::RangeIndex(index)
-    }
-
-    fn compile_ternary(entries: &[MinEntry], source_len: usize) -> Engine {
-        let mut groups: Vec<MaskGroup> = Vec::new();
-        for (rank, entry) in entries.iter().enumerate() {
-            let rank = rank as Rank;
-            if let MatchSpec::Ternary { value, mask } = &entry.spec {
-                let masked: Vec<u8> = value.iter().zip(mask).map(|(&v, &m)| v & m).collect();
-                match groups.iter_mut().find(|g| &g.mask == mask) {
-                    Some(group) => {
-                        group.slots.entry(masked).or_insert((rank, entry.action));
-                    }
-                    None => groups.push(MaskGroup {
-                        mask: mask.clone(),
-                        min_rank: rank,
-                        slots: HashMap::from([(masked, (rank, entry.action))]),
-                    }),
-                }
-            }
-        }
-        // One hash probe per group only pays off when entries share masks;
-        // with (almost) all-distinct masks the scan is strictly cheaper.
-        // The size gate stays on the *source* entry count (the table the
-        // operator installed), while diversity is measured on what is
-        // actually indexed — the minimized list.
-        if source_len >= TUPLE_SPACE_FALLBACK_MIN && groups.len() * 2 > source_len {
-            return Engine::Scan(ScanEngine::new(
-                entries.iter().map(|e| (e.spec.clone(), e.action)).collect(),
-            ));
-        }
-        // `min_rank` is the first-seen rank, so first-seen order is already
-        // ascending; keep the sort for clarity and future-proofing.
-        groups.sort_by_key(|g| g.min_rank);
-        Engine::TupleSpace(groups)
     }
 
     /// Table name (copied from the source table).
@@ -443,16 +556,13 @@ impl CompiledTable {
         self.default_action
     }
 
-    /// Which engine compilation chose: `"exact-hash"`, `"lpm-buckets"`,
-    /// `"range-index"`, `"tuple-space"` or `"scan"` (the ternary
-    /// high-mask-diversity fallback).
+    /// The engine behind this table's match kind: `"exact-hash"`,
+    /// `"lpm-buckets"` or `"bit-vector"` (ternary and range).
     pub fn strategy(&self) -> &'static str {
         match &self.engine {
             Engine::ExactHash(_) => "exact-hash",
             Engine::LpmBuckets(_) => "lpm-buckets",
-            Engine::RangeIndex(_) => "range-index",
-            Engine::TupleSpace(_) => "tuple-space",
-            Engine::Scan(_) => "scan",
+            Engine::BitVector(_) => "bit-vector",
         }
     }
 
@@ -491,9 +601,7 @@ impl CompiledTable {
         match &self.engine {
             Engine::ExactHash(map) => probe_exact(map, key, miss),
             Engine::LpmBuckets(buckets) => probe_lpm(buckets, key, probe, miss),
-            Engine::RangeIndex(index) => probe_range(index, key, miss),
-            Engine::TupleSpace(groups) => probe_tuple_space(groups, key, probe, width, miss),
-            Engine::Scan(entries) => probe_scan(entries, key, miss),
+            Engine::BitVector(index) => probe_bit_vector(index, key, miss),
         }
     }
 
@@ -542,35 +650,11 @@ impl CompiledTable {
                     *o = probe_lpm(buckets, key_at(j), probe, miss);
                 }
             }
-            Engine::RangeIndex(index) => {
+            Engine::BitVector(index) => {
                 for (j, o) in out.iter_mut().enumerate() {
-                    *o = probe_range(index, key_at(j), miss);
+                    *o = probe_bit_vector(index, key_at(j), miss);
                 }
             }
-            Engine::TupleSpace(groups) => {
-                for (j, o) in out.iter_mut().enumerate() {
-                    *o = probe_tuple_space(groups, key_at(j), probe, width, miss);
-                }
-            }
-            Engine::Scan(engine) => match &engine.lowered {
-                Some(lowered) => {
-                    let mut kw = [0u64; SCAN_MAX_WORDS];
-                    for (j, o) in out.iter_mut().enumerate() {
-                        load_words(key_at(j), &mut kw[..lowered.words]);
-                        *o = probe_scan_lowered(
-                            lowered,
-                            &engine.entries,
-                            &kw[..lowered.words],
-                            miss,
-                        );
-                    }
-                }
-                None => {
-                    for (j, o) in out.iter_mut().enumerate() {
-                        *o = probe_scan_bytes(&engine.entries, key_at(j), miss);
-                    }
-                }
-            },
         }
     }
 
@@ -612,104 +696,56 @@ fn probe_lpm(
     miss
 }
 
-#[inline]
-fn probe_range(
-    index: &RangeIndex,
-    key: &[u8],
-    miss: (Action, LookupOutcome),
-) -> (Action, LookupOutcome) {
-    for &rank in &index.buckets[key[0] as usize] {
-        let (lo, hi, action) = &index.entries[rank as usize];
-        if key
-            .iter()
-            .zip(lo)
-            .zip(hi)
-            .all(|((&k, &l), &h)| k >= l && k <= h)
-        {
-            return (*action, LookupOutcome::Hit(rank));
-        }
-    }
-    miss
-}
+/// Row words ANDed per step of a bit-vector probe: wide enough for the
+/// compiler to keep the step in vector registers, narrow enough that a hit
+/// among the first ranks stops early.
+const PROBE_CHUNK: usize = 4;
 
 #[inline]
-fn probe_tuple_space(
-    groups: &[MaskGroup],
+fn probe_bit_vector(
+    index: &BitVector,
     key: &[u8],
-    probe: &mut [u8],
-    width: usize,
     miss: (Action, LookupOutcome),
 ) -> (Action, LookupOutcome) {
-    let mut best: Option<(Rank, Action)> = None;
-    for group in groups {
-        if let Some((rank, _)) = best {
-            // Every entry in this and all later groups ranks worse than
-            // the current winner: stop probing.
-            if rank < group.min_rank {
-                break;
+    // A row shorter than one wide step is walked a word at a time; a
+    // table of up to 64 entries is a single narrow step.
+    if index.words < PROBE_CHUNK {
+        walk_rows::<1>(index, key, miss)
+    } else {
+        walk_rows::<PROBE_CHUNK>(index, key, miss)
+    }
+}
+
+/// The probe loop at `N` words per step (`N <= index.words`): AND words
+/// `at..at + N` of the row `key` selects at every position; the lowest bit
+/// left standing, if any, is the winner.
+#[inline(always)]
+fn walk_rows<const N: usize>(
+    index: &BitVector,
+    key: &[u8],
+    miss: (Action, LookupOutcome),
+) -> (Action, LookupOutcome) {
+    let mut at = 0;
+    loop {
+        let mut acc = [u64::MAX; N];
+        for (class, &byte) in index.class.chunks_exact(256).zip(key) {
+            let row = class[usize::from(byte)] as usize + at;
+            for (acc, &word) in acc.iter_mut().zip(&index.rows[row..row + N]) {
+                *acc &= word;
             }
         }
-        for ((slot, &k), &m) in probe[..width].iter_mut().zip(key).zip(&group.mask) {
-            *slot = k & m;
+        if let Some(word) = acc.iter().position(|&w| w != 0) {
+            let rank = (at + word) * 64 + acc[word].trailing_zeros() as usize;
+            return (index.actions[rank], LookupOutcome::Hit(rank as Rank));
         }
-        if let Some(&(rank, action)) = group.slots.get(&probe[..width]) {
-            if best.is_none_or(|(r, _)| rank < r) {
-                best = Some((rank, action));
-            }
+        if at + N >= index.words {
+            return miss;
         }
+        // The last step is pulled back to end on the last word. The words
+        // it sees again ANDed to zero the first time, so its lowest set
+        // bit is still the first match.
+        at = (at + N).min(index.words - N);
     }
-    best.map_or(miss, |(rank, action)| (action, LookupOutcome::Hit(rank)))
-}
-
-#[inline]
-fn probe_scan(
-    engine: &ScanEngine,
-    key: &[u8],
-    miss: (Action, LookupOutcome),
-) -> (Action, LookupOutcome) {
-    if let Some(lowered) = &engine.lowered {
-        let mut kw = [0u64; SCAN_MAX_WORDS];
-        load_words(key, &mut kw[..lowered.words]);
-        return probe_scan_lowered(lowered, &engine.entries, &kw[..lowered.words], miss);
-    }
-    probe_scan_bytes(&engine.entries, key, miss)
-}
-
-/// The original byte-wise priority scan (wide keys and non-ternary specs).
-#[inline]
-fn probe_scan_bytes(
-    entries: &[(MatchSpec, Action)],
-    key: &[u8],
-    miss: (Action, LookupOutcome),
-) -> (Action, LookupOutcome) {
-    entries
-        .iter()
-        .enumerate()
-        .find(|(_, (spec, _))| spec.matches(key))
-        .map_or(miss, |(rank, &(_, action))| {
-            (action, LookupOutcome::Hit(rank as Rank))
-        })
-}
-
-/// Word-level scan over the lowered rows: first match in rank order wins,
-/// identical to [`probe_scan_bytes`] on the source entries.
-#[inline]
-fn probe_scan_lowered(
-    lowered: &LoweredScan,
-    entries: &[(MatchSpec, Action)],
-    key_words: &[u64],
-    miss: (Action, LookupOutcome),
-) -> (Action, LookupOutcome) {
-    let words = lowered.words;
-    for (rank, (_, action)) in entries.iter().enumerate() {
-        let base = rank * words;
-        let hit =
-            (0..words).all(|w| key_words[w] & lowered.mask[base + w] == lowered.value[base + w]);
-        if hit {
-            return (*action, LookupOutcome::Hit(rank as Rank));
-        }
-    }
-    miss
 }
 
 /// Number of bytes a `prefix_len`-bit prefix occupies.
@@ -835,7 +871,7 @@ mod tests {
         )
         .unwrap();
         let c = CompiledTable::compile(&t);
-        assert_eq!(c.strategy(), "range-index");
+        assert_eq!(c.strategy(), "bit-vector");
         // Overlap region: the higher-priority entry wins.
         assert_eq!(c.peek(&[17, 50]), Action::Drop);
         // Covered only by the lower-priority entry (second byte too big).
@@ -869,8 +905,8 @@ mod tests {
             9,
         )
         .unwrap();
-        // Equal priority in a different mask group: insertion order breaks
-        // the tie, so the 0xf0 entry above must keep winning on 0x1_.
+        // Equal priority under a different mask: insertion order breaks the
+        // tie, so the 0xf0 entry above must keep winning on 0x1_.
         t.insert(
             MatchSpec::Ternary {
                 value: vec![0x01],
@@ -881,7 +917,6 @@ mod tests {
         )
         .unwrap();
         let c = CompiledTable::compile(&t);
-        assert_eq!(c.strategy(), "tuple-space");
         assert_eq!(c.peek(&[0x17]), Action::Drop);
         assert_eq!(c.peek(&[0x11]), Action::Forward(1));
         assert_eq!(c.peek(&[0x21]), Action::Mirror(5));
@@ -894,9 +929,9 @@ mod tests {
     fn ternary_mask_diversity_falls_back_to_scan() {
         let mut diverse = table(MatchKind::Ternary, 4, 64);
         let mut shared = table(MatchKind::Ternary, 4, 64);
-        for i in 0..TUPLE_SPACE_FALLBACK_MIN as u8 {
-            // Every entry its own mask: tuple-space degenerates to one
-            // probe per entry, so compilation keeps the scan.
+        for i in 0..16u8 {
+            // Every entry its own mask against every entry the same one:
+            // the two shapes of ternary table, one engine.
             diverse
                 .insert(
                     MatchSpec::Ternary {
@@ -918,12 +953,14 @@ mod tests {
                 )
                 .unwrap();
         }
-        let diverse = CompiledTable::compile(&diverse);
-        let shared = CompiledTable::compile(&shared);
-        assert_eq!(diverse.strategy(), "scan");
-        assert_eq!(shared.strategy(), "tuple-space");
-        assert_eq!(diverse.peek(&[3, 0, 0, 0]), Action::Drop);
-        assert_eq!(shared.peek(&[3, 0, 0, 0]), Action::Drop);
+        for t in [&diverse, &shared] {
+            let c = CompiledTable::compile(t);
+            assert_eq!(c.peek(&[3, 0, 0, 0]), Action::Drop);
+            for k in 0..=u16::MAX {
+                let [a, b] = k.to_be_bytes();
+                assert_eq!(c.peek(&[a, b, 0, 7]), t.peek(&[a, b, 0, 7]), "key {k:#06x}");
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! threads without a write lock on the hot path. [`ReadPipeline`] splits
 //! that coupling: each table is lowered into its
 //! [`CompiledTable`] engine at snapshot
-//! time (hash index, LPM buckets, range index or tuple-space search — see
+//! time (hash index, LPM buckets or bit-vector intersect — see
 //! [`compiled`](crate::compiled)), while packet counters live in a
 //! caller-owned [`SwitchCounters`]. N shards can then share one snapshot
 //! through an `Arc` and their counters sum to exactly what a single switch
@@ -519,7 +519,7 @@ mod tests {
         let sw = switch_with_acl();
         let pipeline = sw.read_pipeline(1);
         assert_eq!(pipeline.stages().len(), 1);
-        assert_eq!(pipeline.stages()[0].strategy(), "tuple-space");
+        assert_eq!(pipeline.stages()[0].strategy(), "bit-vector");
         // Key width 2 → one key half + one probe half.
         assert_eq!(pipeline.scratch_len(), 4);
         // A pre-sized scratch is never regrown by the hot path.

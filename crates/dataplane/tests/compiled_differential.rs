@@ -41,8 +41,8 @@ fn spec_for(kind: MatchKind, width: usize, raw: &RawEntry) -> MatchSpec {
         MatchKind::Exact => MatchSpec::Exact(a.to_vec()),
         MatchKind::Ternary => MatchSpec::Ternary {
             value: a.to_vec(),
-            // Draw masks from a coarse pool so groups genuinely share
-            // masks and tuple-space grouping is exercised.
+            // Draw masks from a coarse pool so entries genuinely share
+            // masks and overlap.
             mask: b
                 .iter()
                 .map(|&m| [0x00, 0x0f, 0xf0, 0xff][m as usize % 4])
