@@ -70,6 +70,20 @@ start_serve() {
   fi
 }
 
+# check_conservation <scraped /metrics>: the frame-conservation invariant
+# every shard worker checks on each drain it publishes must be on the wire
+# and must never have tripped.
+check_conservation() {
+  local violations
+  violations=$(awk '/^p4guard_conservation_violations_total/ { n++; sum += $NF }
+                    END { if (n) printf "%.0f", sum }' "$1")
+  if [ "$violations" != "0" ]; then
+    echo "p4guard_conservation_violations_total is ${violations:-missing} in $1, expected 0:" >&2
+    grep '^p4guard_conservation_violations_total' "$1" >&2 || true
+    exit 1
+  fi
+}
+
 start_serve "$SMOKE_DIR/serve.log" --shards 2 --seed 1
 FRAMES=$(sed -n 's/^no --trace given; generated \([0-9]*\) packets.*/\1/p' "$SMOKE_DIR/serve.log")
 # stats --metrics exits non-zero on connection failure or any non-200.
@@ -88,7 +102,20 @@ for family in p4guard_batch_fill p4guard_arena_frames p4guard_arena_batches; do
     exit 1
   }
 done
-echo "$RECEIVED/$FRAMES frames on /metrics"
+check_conservation "$SMOKE_DIR/metrics.txt"
+# The drop reasons partition what was not forwarded, on the wire too:
+# every pipeline reason summed (backpressure is shed before a pipeline, so
+# it is not part of `received`) equals received - forwarded.
+FORWARDED=$(awk '/^p4guard_frames_forwarded_total/ { sum += $NF } END { printf "%.0f", sum }' \
+  "$SMOKE_DIR/metrics.txt")
+PIPELINE_DROPS=$(awk '/^p4guard_drops_total/ && !/reason="backpressure"/ { sum += $NF }
+                      END { printf "%.0f", sum }' "$SMOKE_DIR/metrics.txt")
+if [ "$PIPELINE_DROPS" != "$((RECEIVED - FORWARDED))" ]; then
+  echo "drop reasons sum to $PIPELINE_DROPS, received - forwarded is $((RECEIVED - FORWARDED)):" >&2
+  grep -E '^p4guard_(drops|frames_(received|forwarded))_total' "$SMOKE_DIR/metrics.txt" >&2 || true
+  exit 1
+fi
+echo "$RECEIVED/$FRAMES frames on /metrics, $PIPELINE_DROPS not forwarded, by reason"
 kill "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
 
@@ -139,6 +166,7 @@ for family in p4guard_tenant_budget_bits p4guard_tenant_occupancy_bits \
     exit 1
   }
 done
+check_conservation "$SMOKE_DIR/fleet-metrics.txt"
 # The shared counter families must carry the tenant label.
 grep -q 'p4guard_frames_received_total{.*tenant=' "$SMOKE_DIR/fleet-metrics.txt" || {
   echo "per-tenant frame counters missing from fleet /metrics:" >&2

@@ -668,7 +668,7 @@ impl AdaptEngine {
             let (after, before) = (now.shards[s].counters(), start.shards[s].counters());
             let recv = after.received - before.received;
             let drop = after.dropped - before.dropped;
-            let p99 = now.shards[s].latency.quantile(0.99);
+            let p99 = now.shards[s].latency().quantile(0.99);
             if shards.contains(&s) {
                 canary.0 += recv;
                 canary.1 += drop;

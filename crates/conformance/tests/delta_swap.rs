@@ -18,7 +18,9 @@
 //!   from-scratch compile.
 
 use bytes::Bytes;
-use p4guard_conformance::schedule::{build_control, drain, frame, pack};
+use p4guard_conformance::schedule::{
+    build_control, finish_against, finish_conserved, mirror_ruleset, pack, serve_phase, workload,
+};
 use p4guard_dataplane::action::Action;
 use p4guard_gateway::{Gateway, GatewayConfig};
 use p4guard_rules::{RuleSet, TernaryEntry};
@@ -26,17 +28,6 @@ use rand::prelude::*;
 use std::path::PathBuf;
 
 const SEED: u64 = 0xde17_a5a9;
-
-fn workload<R: Rng>(rng: &mut R, n: usize) -> Vec<Bytes> {
-    (0..n)
-        .map(|i| {
-            let proto = *[6u8, 17, 1, 47, rng.gen()]
-                .choose(rng)
-                .expect("protocol list is non-empty");
-            frame(rng.gen_range(0..16), proto, i as u8)
-        })
-        .collect()
-}
 
 /// Mutates `current` into the next ruleset of the chain: a couple of
 /// entries leave, a couple arrive, the rest carry over — the shape of a
@@ -112,35 +103,14 @@ fn drained_delta_chains_match_scan_replay() {
                 history.push((report.version, next.clone()));
                 current = next;
             }
-            reference.clear_stage(ref_stage).unwrap();
-            reference
-                .install_ruleset(ref_stage, &current, Action::Drop)
-                .unwrap();
+            mirror_ruleset(&reference, ref_stage, &current);
 
-            let frames = workload(&mut rng, 300);
-            if phase % 2 == 0 {
-                for f in &frames {
-                    gw.dispatch(f.clone());
-                }
-            } else {
-                for batch in pack(&frames, 96) {
-                    gw.dispatch_batch(batch);
-                }
-            }
-            sent += frames.len() as u64;
-            drain(&gw, sent);
-            reference.with_switch_mut(|sw| {
-                sw.run_frames(frames.iter().map(|f| f.as_ref()));
-            });
+            let frames = workload(&mut rng, 300, false);
+            let grain = (phase % 2 == 1).then_some(96);
+            serve_phase(&gw, &reference, &frames, grain, &mut sent);
         }
 
-        let snap = gw.finish();
-        let single = reference.with_switch_mut(|sw| sw.counters().clone());
-        assert_eq!(
-            snap.totals, single,
-            "{shards}-shard delta-chain totals diverge from scan replay"
-        );
-        assert_eq!(snap.dropped_backpressure, 0, "blocking ingest never drops");
+        finish_against(gw, &reference, &format!("{shards}-shard delta-chain"));
     }
 }
 
@@ -159,7 +129,7 @@ fn undrained_delta_chains_lose_no_frames() {
             batch_size: 32,
         },
     );
-    let frames = workload(&mut rng, 3000);
+    let frames = workload(&mut rng, 3000, false);
     let batches = pack(&frames, 50);
     let mut current = RuleSet::new(1, 0);
     let mut history: Vec<(u64, RuleSet)> = Vec::new();
@@ -197,18 +167,8 @@ fn undrained_delta_chains_lose_no_frames() {
             }
         }
     }
-    let snap = gw.finish();
-    assert_eq!(snap.totals.received, frames.len() as u64);
-    assert_eq!(snap.dropped_backpressure, 0);
-    assert_eq!(
-        snap.totals.forwarded + snap.totals.dropped + snap.totals.parser_rejected,
-        snap.totals.received,
-        "every received frame must get exactly one verdict"
-    );
-    assert_eq!(snap.version, last_version);
+    finish_conserved(gw, frames.len(), last_version);
     assert!(per_frame_cursor > 0, "per-frame lane must see traffic");
-    let swaps_seen: u64 = snap.shards.iter().map(|s| s.swaps_seen).sum();
-    assert!(swaps_seen > 0, "no shard observed a swap");
 }
 
 /// One pinned schedule: `(from entries, to entries)` parsed from a

@@ -9,7 +9,8 @@
 //! * **Replay equality** — the same workload replayed before and after
 //!   the rejection produces bit-identical per-tenant counter deltas, on
 //!   every shard; and a twin registry that never saw the oversized
-//!   proposal serves bit-identical verdicts.
+//!   proposal counts bit-identical blocks (verdicts, drop reasons and
+//!   per-stage hits).
 //! * **Re-entrancy** — after the rejection the *other* tenant can still
 //!   publish a legitimate update, and every shard picks it up.
 
@@ -97,18 +98,12 @@ fn replay(gw: &FleetGateway, frames: &[Bytes], already: u64) -> FleetSnapshot {
         .expect("fleet gateway drains the replay")
 }
 
-/// The timing-independent verdict fields of a counter set.
-fn verdicts(c: &SwitchCounters) -> (u64, u64, u64, u64) {
-    (c.received, c.forwarded, c.dropped, c.parser_rejected)
-}
-
-fn delta(now: &SwitchCounters, before: &SwitchCounters) -> (u64, u64, u64, u64) {
-    (
-        now.received - before.received,
-        now.forwarded - before.forwarded,
-        now.dropped - before.dropped,
-        now.parser_rejected - before.parser_rejected,
-    )
+/// What a counter block reads after the same frames went through again:
+/// every count — verdicts, drop reasons, per-stage hits — doubled.
+fn twice(once: &SwitchCounters) -> SwitchCounters {
+    let mut twice = once.clone();
+    twice.merge(once);
+    twice
 }
 
 #[test]
@@ -132,8 +127,7 @@ fn rejected_publish_is_invisible_to_every_tenant() {
     assert_eq!(twin_snap.unknown_tenant, 0);
     for t in 0..TENANTS {
         assert_eq!(
-            verdicts(&first.per_tenant[t]),
-            verdicts(&twin_snap.per_tenant[t]),
+            first.per_tenant[t], twin_snap.per_tenant[t],
             "tenant {t} diverged from the twin"
         );
         assert!(
@@ -144,8 +138,7 @@ fn rejected_publish_is_invisible_to_every_tenant() {
     for s in 0..SHARDS {
         for t in 0..TENANTS {
             assert_eq!(
-                verdicts(&first.shards[s].per_tenant[t]),
-                verdicts(&twin_final.shards[s].per_tenant[t]),
+                first.shards[s].lanes[t].counters, twin_final.shards[s].lanes[t].counters,
                 "shard {s} tenant {t} diverged from the twin"
             );
         }
@@ -182,19 +175,16 @@ fn rejected_publish_is_invisible_to_every_tenant() {
     let second = replay(&gw, &frames, first.totals.received);
     for t in 0..TENANTS {
         assert_eq!(
-            delta(&second.per_tenant[t], &first.per_tenant[t]),
-            verdicts(&first.per_tenant[t]),
+            second.per_tenant[t],
+            twice(&first.per_tenant[t]),
             "tenant {t} verdicts changed after the rejected publish"
         );
     }
     for s in 0..SHARDS {
         for t in 0..TENANTS {
             assert_eq!(
-                delta(
-                    &second.shards[s].per_tenant[t],
-                    &first.shards[s].per_tenant[t]
-                ),
-                verdicts(&first.shards[s].per_tenant[t]),
+                second.shards[s].lanes[t].counters,
+                twice(&first.shards[s].lanes[t].counters),
                 "shard {s} tenant {t} verdicts changed after the rejected publish"
             );
         }
@@ -213,5 +203,7 @@ fn rejected_publish_is_invisible_to_every_tenant() {
         "shards never saw the new version"
     );
     assert!(now.iter().zip(&before0).all(|(n, b)| n > b));
-    gw.finish();
+    for snap in [gw.finish(), twin_final] {
+        assert!(snap.shards.iter().all(|s| s.conservation_violations == 0));
+    }
 }

@@ -13,7 +13,10 @@
 //!   version, and leave the expected stage count installed.
 
 use bytes::Bytes;
-use p4guard_conformance::schedule::{drain, frame, pack, proto_acl, random_ruleset};
+use p4guard_conformance::schedule::{
+    finish_against, finish_conserved, mirror_ruleset, pack, proto_acl, random_ruleset, serve_phase,
+    workload,
+};
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::control::ControlPlane;
 use p4guard_dataplane::vote::{EarlyExit, VoteStage};
@@ -22,22 +25,6 @@ use p4guard_rules::RuleSet;
 use rand::prelude::*;
 
 const SEED: u64 = 0xf0e5_7ed5;
-
-/// A randomized workload over 16 flows, runts included so the batched
-/// parse stage exercises its reject lane under vote mode too.
-fn workload<R: Rng>(rng: &mut R, n: usize) -> Vec<Bytes> {
-    (0..n)
-        .map(|i| {
-            if rng.gen_range(0..16u8) == 0 {
-                return Bytes::from(vec![i as u8; 4]); // parser-rejected runt
-            }
-            let proto = *[6u8, 17, 1, 47, rng.gen()]
-                .choose(rng)
-                .expect("protocol list is non-empty");
-            frame(rng.gen_range(0..16), proto, i as u8)
-        })
-        .collect()
-}
 
 /// A control plane whose switch is a `trees`-stage vote pipeline.
 fn build_forest_control(trees: usize, vote: VoteStage) -> ControlPlane {
@@ -62,7 +49,7 @@ fn phased_forest_swaps_match_single_switch_replay() {
             .map(|_| {
                 (
                     (0..TREES).map(|_| random_ruleset(&mut rng)).collect(),
-                    workload(&mut rng, 400),
+                    workload(&mut rng, 400, true),
                 )
             })
             .collect();
@@ -77,31 +64,15 @@ fn phased_forest_swaps_match_single_switch_replay() {
                 control
                     .replace_ruleset(stage, ruleset, Action::Drop)
                     .unwrap();
-                reference.clear_stage(stage).unwrap();
-                reference
-                    .install_ruleset(stage, ruleset, Action::Drop)
-                    .unwrap();
+                mirror_ruleset(&reference, stage, ruleset);
             }
             control.publish();
 
             // 96 does not divide 400, so phase tails ride in short batches.
-            for batch in pack(frames, 96) {
-                gw.dispatch_batch(batch);
-            }
-            sent += frames.len() as u64;
-            drain(&gw, sent);
-            reference.with_switch_mut(|sw| {
-                sw.run_frames(frames.iter().map(|f| f.as_ref()));
-            });
+            serve_phase(&gw, &reference, frames, Some(96), &mut sent);
         }
 
-        let snap = gw.finish();
-        let single = reference.with_switch_mut(|sw| sw.counters().clone());
-        assert_eq!(
-            snap.totals, single,
-            "{shards}-shard batched forest totals diverge from per-frame replay"
-        );
-        assert_eq!(snap.dropped_backpressure, 0, "blocking ingest never drops");
+        finish_against(gw, &reference, &format!("{shards}-shard batched forest"));
     }
 }
 
@@ -127,7 +98,7 @@ fn tree_add_remove_mid_serve_conserves_frames() {
             batch_size: 32,
         },
     );
-    let frames = workload(&mut rng, 3000);
+    let frames = workload(&mut rng, 3000, true);
     let batches = pack(&frames, 64);
     let mut last_version = 0;
     let mut expected_stages = 3usize;
@@ -153,20 +124,10 @@ fn tree_add_remove_mid_serve_conserves_frames() {
         }
         gw.dispatch_batch(batch);
     }
-    let snap = gw.finish();
-    assert_eq!(snap.totals.received, frames.len() as u64);
-    assert_eq!(snap.dropped_backpressure, 0);
-    assert_eq!(
-        snap.totals.forwarded + snap.totals.dropped + snap.totals.parser_rejected,
-        snap.totals.received,
-        "every received frame must get exactly one verdict"
-    );
-    assert_eq!(snap.version, last_version, "gateway lands on last publish");
+    finish_conserved(gw, frames.len(), last_version);
     assert_eq!(
         control.with_switch(|sw| sw.stage_count()),
         expected_stages,
         "structural swaps leave the tracked tree count installed"
     );
-    let swaps_seen: u64 = snap.shards.iter().map(|s| s.swaps_seen).sum();
-    assert!(swaps_seen > 0, "no shard observed a structural swap");
 }

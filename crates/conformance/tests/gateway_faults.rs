@@ -12,8 +12,10 @@
 //! * **Fault rejection** — a wrong-width ruleset install fails loudly and
 //!   leaves the gateway serving the previous ruleset.
 
-use bytes::Bytes;
-use p4guard_conformance::schedule::{build_control, drain, frame, random_ruleset, PROTO_OFF};
+use p4guard_conformance::schedule::{
+    build_control, finish_conserved, finish_shedding, phased_hot_swaps, random_ruleset, workload,
+    PROTO_OFF,
+};
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::table::TableError;
 use p4guard_gateway::{Gateway, GatewayConfig};
@@ -22,66 +24,12 @@ use rand::prelude::*;
 
 const SEED: u64 = 0xfa17_5eed;
 
-/// A randomized workload over 16 flows and a protocol mix that includes
-/// values no ruleset mentions.
-fn workload<R: Rng>(rng: &mut R, n: usize) -> Vec<Bytes> {
-    (0..n)
-        .map(|i| {
-            let proto = *[6u8, 17, 1, 47, rng.gen()]
-                .choose(rng)
-                .expect("protocol list is non-empty");
-            frame(rng.gen_range(0..16), proto, i as u8)
-        })
-        .collect()
-}
-
 /// Phased hot-swap schedule: for every shard count, gateway totals under a
 /// sequence of ruleset swaps (drained at each swap point) must equal a
 /// single switch replaying the identical schedule.
 #[test]
 fn phased_hot_swaps_match_single_switch_replay() {
-    for shards in [1usize, 2, 4, 8] {
-        let mut rng = StdRng::seed_from_u64(SEED ^ shards as u64);
-        let phases: Vec<(RuleSet, Vec<Bytes>)> = (0..4)
-            .map(|_| (random_ruleset(&mut rng), workload(&mut rng, 400)))
-            .collect();
-
-        let (control, stage) = build_control("conf-gw");
-        let (reference, ref_stage) = build_control("conf-gw");
-        let gw = Gateway::start(&control, GatewayConfig::with_shards(shards));
-
-        let mut sent = 0u64;
-        for (ruleset, frames) in &phases {
-            // Swap on the live path…
-            control
-                .replace_ruleset(stage, ruleset, Action::Drop)
-                .unwrap();
-            control.publish();
-            // …and identically on the reference switch.
-            reference.clear_stage(ref_stage).unwrap();
-            reference
-                .install_ruleset(ref_stage, ruleset, Action::Drop)
-                .unwrap();
-
-            for f in frames {
-                gw.dispatch(f.clone());
-            }
-            sent += frames.len() as u64;
-            // Drain so no queued frame straddles the next swap.
-            drain(&gw, sent);
-            reference.with_switch_mut(|sw| {
-                sw.run_frames(frames.iter().map(|f| f.as_ref()));
-            });
-        }
-
-        let snap = gw.finish();
-        let single = reference.with_switch_mut(|sw| sw.counters().clone());
-        assert_eq!(
-            snap.totals, single,
-            "{shards}-shard phased totals diverge from single-switch replay"
-        );
-        assert_eq!(snap.dropped_backpressure, 0, "blocking ingest never drops");
-    }
+    phased_hot_swaps("conf-gw", SEED, false, None);
 }
 
 /// Mid-replay swaps with no drain: totals can legitimately split across
@@ -92,7 +40,7 @@ fn undrained_swaps_lose_no_frames() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 0xdead);
     let (control, stage) = build_control("conf-gw");
     let gw = Gateway::start(&control, GatewayConfig::with_shards(4));
-    let frames = workload(&mut rng, 3000);
+    let frames = workload(&mut rng, 3000, false);
     let mut last_version = 0;
     for (i, f) in frames.iter().enumerate() {
         if i % 500 == 250 {
@@ -104,15 +52,7 @@ fn undrained_swaps_lose_no_frames() {
         }
         gw.dispatch(f.clone());
     }
-    let snap = gw.finish();
-    assert_eq!(snap.totals.received, frames.len() as u64);
-    assert_eq!(snap.dropped_backpressure, 0);
-    assert_eq!(
-        snap.totals.forwarded + snap.totals.dropped + snap.totals.parser_rejected,
-        snap.totals.received,
-        "every received frame must get exactly one verdict"
-    );
-    assert_eq!(snap.version, last_version);
+    finish_conserved(gw, frames.len(), last_version);
 }
 
 /// Queue-overload burst with non-blocking ingest and concurrent swaps:
@@ -130,7 +70,7 @@ fn overload_bursts_conserve_every_frame() {
             batch_size: 2,
         },
     );
-    let frames = workload(&mut rng, 4000);
+    let frames = workload(&mut rng, 4000, false);
     let mut accepted = 0u64;
     for (i, f) in frames.iter().enumerate() {
         if i % 1000 == 500 {
@@ -144,17 +84,7 @@ fn overload_bursts_conserve_every_frame() {
             accepted += 1;
         }
     }
-    let snap = gw.finish();
-    assert_eq!(snap.totals.received, accepted);
-    assert_eq!(
-        snap.totals.received + snap.dropped_backpressure,
-        frames.len() as u64,
-        "offered = processed + backpressure-dropped, nothing vanishes"
-    );
-    assert_eq!(
-        snap.totals.forwarded + snap.totals.dropped + snap.totals.parser_rejected,
-        snap.totals.received
-    );
+    finish_shedding(gw, accepted, frames.len());
 }
 
 /// A ruleset whose key width does not match the stage must be rejected
@@ -183,7 +113,7 @@ fn wrong_width_ruleset_is_rejected_and_service_continues() {
     );
 
     // The failed install must not have disturbed the live ruleset.
-    let frames = workload(&mut rng, 600);
+    let frames = workload(&mut rng, 600, false);
     let tcp = frames.iter().filter(|f| f[PROTO_OFF] == 6).count() as u64;
     for f in &frames {
         gw.dispatch(f.clone());

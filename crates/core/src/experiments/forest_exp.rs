@@ -510,8 +510,7 @@ fn live_phase(
         .expect("live gateway drains");
     let snap = gw.finish();
     let conserved = snap.totals.received == sent
-        && snap.totals.forwarded + snap.totals.dropped + snap.totals.parser_rejected
-            == snap.totals.received
+        && snap.conservation_violations() == 0
         && snap.dropped_backpressure == 0;
     LivePhase {
         trees,

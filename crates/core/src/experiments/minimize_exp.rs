@@ -387,8 +387,7 @@ pub fn run_f20_minimize(
         .expect("live gateway drains");
     let snap = gw.finish();
     let conserved = snap.totals.received == sent
-        && snap.totals.forwarded + snap.totals.dropped + snap.totals.parser_rejected
-            == snap.totals.received
+        && snap.conservation_violations() == 0
         && snap.dropped_backpressure == 0;
 
     MinimizeReport {

@@ -172,10 +172,9 @@ impl ReadPipeline {
         self.process_with(frame, counters, scratch, &mut NoopSink)
     }
 
-    /// [`ReadPipeline::process_into`] plus telemetry: reports per-stage
-    /// hit/miss, the refined drop reason, and the final verdict (with the
-    /// matched `(stage, rank)`) to `sink`. With [`NoopSink`] every report
-    /// is a no-op the compiler erases.
+    /// [`ReadPipeline::process_into`] plus the sampling stream: the final
+    /// verdict (with the matched `(stage, rank)`) is reported to `sink`.
+    /// With [`NoopSink`] the report is a no-op the compiler erases.
     pub fn process_with<S: TelemetrySink>(
         &self,
         frame: &[u8],
@@ -197,7 +196,8 @@ impl ReadPipeline {
             let width = table.key().width();
             table.key().build_key_into(frame, &mut key_buf[..width]);
             let (action, outcome) = table.lookup_traced(&key_buf[..width], probe);
-            if combine.stage(stage, action, outcome, &mut tally, counters, sink) {
+            Combine::count_lookups(counters, stage, std::iter::once(outcome));
+            if combine.stage(stage, action, outcome, &mut tally, counters) {
                 break;
             }
         }
@@ -212,13 +212,12 @@ impl ReadPipeline {
     /// hot path: every frame the gateway serves goes through it.
     ///
     /// Results are **bit-identical** to calling
-    /// [`ReadPipeline::process_with`] once per frame: counters accumulate to
-    /// the same totals, `verdicts` matches the per-frame verdict sequence,
-    /// and sink `drop_frame`/`verdict` reports are emitted in frame order
-    /// (in a deferred pass after the staged loops) so even positional
-    /// samplers like the flight recorder observe the same stream. Per-stage
-    /// `table_lookup` reports are emitted stage-major — they are pure
-    /// counts, so their totals are unchanged.
+    /// [`ReadPipeline::process_with`] once per frame: counters — drop
+    /// reasons and per-stage hits included — accumulate to the same totals,
+    /// `verdicts` matches the per-frame verdict sequence, and sink `verdict`
+    /// reports are emitted in frame order (in a deferred pass after the
+    /// staged loops) so positional samplers like the flight recorder
+    /// observe the same stream.
     ///
     /// A frame leaves the alive set at stage *k* exactly when the per-frame
     /// walk would stop there (a first-hit drop, or a decided vote — see
@@ -294,13 +293,15 @@ impl ReadPipeline {
                 Some(stage),
                 alive_len as u64,
             );
+            let outcomes = scratch.lookups.iter().map(|&(_, outcome)| outcome);
+            Combine::count_lookups(counters, stage, outcomes);
             // Combine, compacting the alive set in place.
             let mut kept = 0usize;
             for j in 0..alive_len {
                 let i = scratch.alive[j] as usize;
                 let (action, outcome) = scratch.lookups[j];
                 let tally = &mut scratch.tally[i];
-                if combine.stage(stage, action, outcome, tally, counters, sink) {
+                if combine.stage(stage, action, outcome, tally, counters) {
                     if stage < last_stage && !tally.is_dropped() {
                         scratch.exited += 1;
                     }
@@ -319,8 +320,8 @@ impl ReadPipeline {
             );
         }
 
-        // Deferred frame-order pass: form each verdict and emit its
-        // drop/verdict reports exactly as the per-frame walk would have.
+        // Deferred frame-order pass: form and count each verdict and emit
+        // its report exactly as the per-frame walk would have.
         verdicts.reserve(n);
         for (i, span) in spans.iter().enumerate() {
             let frame = frame_of(span);
@@ -457,30 +458,9 @@ impl PipelineCell {
 mod tests {
     use super::*;
     use crate::key::KeyLayout;
+    use crate::switch::tests::firewall_switch as switch_with_acl;
     use crate::switch::Switch;
     use crate::table::{MatchKind, MatchSpec};
-
-    fn switch_with_acl() -> Switch {
-        let mut sw = Switch::new("gw", ParserSpec::raw_window(8, 1), 1);
-        let mut acl = Table::new(
-            "acl",
-            MatchKind::Ternary,
-            KeyLayout::window(2),
-            64,
-            Action::NoOp,
-        );
-        acl.insert(
-            MatchSpec::Ternary {
-                value: vec![0xbb, 0x00],
-                mask: vec![0xff, 0x00],
-            },
-            Action::Drop,
-            1,
-        )
-        .unwrap();
-        sw.add_stage(acl);
-        sw
-    }
 
     #[test]
     fn read_pipeline_matches_switch_process() {

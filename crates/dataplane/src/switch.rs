@@ -16,45 +16,12 @@ use crate::resources::SwitchResources;
 use crate::table::Table;
 use crate::vote::{self, Combine, Tally, VoteStage};
 use p4guard_packet::trace::Trace;
-use p4guard_telemetry::{NoopSink, TelemetrySink};
+use p4guard_telemetry::NoopSink;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::{Duration, Instant};
 
-/// Per-switch packet counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SwitchCounters {
-    /// Frames handed to the switch.
-    pub received: u64,
-    /// Frames forwarded.
-    pub forwarded: u64,
-    /// Frames dropped by table action.
-    pub dropped: u64,
-    /// Frames rejected by the parser.
-    pub parser_rejected: u64,
-    /// Frames mirrored.
-    pub mirrored: u64,
-    /// User counters (indexed by `Action::Count` ids).
-    pub user: Vec<u64>,
-}
-
-impl SwitchCounters {
-    /// Folds another counter set into this one (shard → gateway totals).
-    /// User counters are summed index-wise, growing this set as needed.
-    pub fn merge(&mut self, other: &SwitchCounters) {
-        self.received += other.received;
-        self.forwarded += other.forwarded;
-        self.dropped += other.dropped;
-        self.parser_rejected += other.parser_rejected;
-        self.mirrored += other.mirrored;
-        if self.user.len() < other.user.len() {
-            self.user.resize(other.user.len(), 0);
-        }
-        for (acc, v) in self.user.iter_mut().zip(&other.user) {
-            *acc += v;
-        }
-    }
-}
+pub use p4guard_telemetry::SwitchCounters;
 
 /// Result of replaying a batch of frames through the switch.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -192,23 +159,16 @@ impl Switch {
         SwitchResources::of(&self.stages)
     }
 
-    /// Processes one frame to a verdict, updating counters.
+    /// Processes one frame to a verdict, updating counters — drop reason
+    /// and per-stage hits included, so `counters()` compares `==` with what
+    /// the compiled walkers count for the same frames. The behavioral model
+    /// has no compiled width check — it builds each key to its stage's
+    /// width, as the compiled walkers do — so no path counts
+    /// `wrong_width`.
     pub fn process(&mut self, frame: &[u8]) -> Verdict {
-        self.process_with(frame, &mut NoopSink)
-    }
-
-    /// [`Switch::process`] plus telemetry: per-stage hit/miss, refined
-    /// drop reason, and a final verdict report go to `sink`. With
-    /// [`NoopSink`] (what [`Switch::process`] passes) the reports compile
-    /// to nothing. The behavioral model has no compiled width check — a
-    /// wrong-width key simply misses — so the mutable path never reports
-    /// `wrong_width`; see
-    /// [`ReadPipeline::process_with`](crate::pipeline::ReadPipeline::process_with)
-    /// for the compiled path that does.
-    pub fn process_with<S: TelemetrySink>(&mut self, frame: &[u8], sink: &mut S) -> Verdict {
         self.counters.received += 1;
         if !self.parser.parse(frame).accepted {
-            return vote::parser_reject(frame, &mut self.counters, sink);
+            return vote::parser_reject(frame, &mut self.counters, &mut NoopSink);
         }
         let combine = Combine::of(self.vote);
         let mut tally = Tally::new(self.default_port);
@@ -221,47 +181,32 @@ impl Switch {
             table.key().build_key_into(frame, buf);
             let (action, rank) = table.lookup_traced(buf);
             let outcome = rank.map_or(LookupOutcome::Miss, LookupOutcome::Hit);
-            if combine.stage(stage, action, outcome, &mut tally, &mut self.counters, sink) {
+            Combine::count_lookups(&mut self.counters, stage, std::iter::once(outcome));
+            if combine.stage(stage, action, outcome, &mut tally, &mut self.counters) {
                 break;
             }
         }
-        combine.finish(&tally, frame, &mut self.counters, sink)
+        combine.finish(&tally, frame, &mut self.counters, &mut NoopSink)
     }
 
     /// Replays every frame of `trace`, returning throughput stats.
     pub fn run_trace(&mut self, trace: &Trace) -> RunStats {
-        let start = Instant::now();
-        let mut dropped = 0usize;
-        for record in trace.iter() {
-            if self.process(&record.frame).is_drop() {
-                dropped += 1;
-            }
-        }
-        let elapsed = start.elapsed();
-        let packets = trace.len();
-        RunStats {
-            packets,
-            dropped,
-            elapsed,
-            pps: compute_pps(packets, elapsed),
-        }
+        self.run_frames(trace.iter().map(|record| &record.frame[..]))
     }
 
-    /// Replays raw frames (no labels), returning throughput stats.
+    /// Replays raw frames (no labels), returning throughput stats read off
+    /// the counters the replay moved.
     pub fn run_frames<'a>(&mut self, frames: impl IntoIterator<Item = &'a [u8]>) -> RunStats {
+        let (received, forwarded) = (self.counters.received, self.counters.forwarded);
         let start = Instant::now();
-        let mut packets = 0usize;
-        let mut dropped = 0usize;
         for frame in frames {
-            packets += 1;
-            if self.process(frame).is_drop() {
-                dropped += 1;
-            }
+            self.process(frame);
         }
         let elapsed = start.elapsed();
+        let packets = (self.counters.received - received) as usize;
         RunStats {
             packets,
-            dropped,
+            dropped: packets - (self.counters.forwarded - forwarded) as usize,
             elapsed,
             pps: compute_pps(packets, elapsed),
         }
@@ -319,13 +264,14 @@ impl Switch {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::action::Action;
     use crate::key::KeyLayout;
     use crate::table::{MatchKind, MatchSpec};
 
-    fn firewall_switch() -> Switch {
+    /// An 8-byte-window switch whose one ternary stage drops `0xbb ..`.
+    pub(crate) fn firewall_switch() -> Switch {
         let mut sw = Switch::new("gw", ParserSpec::raw_window(8, 1), 1);
         let mut acl = Table::new(
             "acl",
@@ -477,70 +423,67 @@ mod tests {
             parser_rejected: 2,
             mirrored: 1,
             user: vec![3],
+            rule_drop: 1,
+            no_rule: 1,
+            wrong_width: 0,
+            stages: vec![(3, 5)],
         };
         let b = SwitchCounters {
             received: 5,
-            forwarded: 5,
-            dropped: 0,
-            parser_rejected: 0,
-            mirrored: 0,
+            forwarded: 4,
+            dropped: 1,
+            rule_drop: 1,
             user: vec![1, 7],
+            stages: vec![(1, 4), (0, 4)],
+            ..SwitchCounters::default()
         };
         a.merge(&b);
         assert_eq!(a.received, 15);
-        assert_eq!(a.forwarded, 11);
-        assert_eq!(a.dropped, 2);
+        assert_eq!(a.forwarded, 10);
+        assert_eq!(a.dropped, 3);
+        assert_eq!((a.rule_drop, a.no_rule, a.wrong_width), (2, 1, 0));
         assert_eq!(a.parser_rejected, 2);
         assert_eq!(a.mirrored, 1);
         assert_eq!(a.user, vec![4, 7]);
+        assert_eq!(a.stages, vec![(4, 9), (0, 4)]);
+        assert!(a.conserved());
         // Merging into a default is identity.
         let mut zero = SwitchCounters::default();
         zero.merge(&a);
         assert_eq!(zero, a);
+        // A cleared block merges as nothing and keeps its vectors.
+        zero.clear();
+        assert_eq!((zero.user.capacity() >= 2, zero.stages.len()), (true, 2));
+        let before = a.clone();
+        a.merge(&zero);
+        assert_eq!(a, before);
     }
 
     #[test]
-    fn process_with_reports_drop_taxonomy() {
-        use p4guard_telemetry::{DropReason, TelemetrySink, VerdictKind};
-
-        #[derive(Default)]
-        struct Probe {
-            drops: Vec<DropReason>,
-            verdicts: Vec<(VerdictKind, Option<(usize, u32)>)>,
-            lookups: Vec<(usize, bool)>,
-        }
-        impl TelemetrySink for Probe {
-            fn table_lookup(&mut self, stage: usize, hit: bool) {
-                self.lookups.push((stage, hit));
-            }
-            fn drop_frame(&mut self, reason: DropReason) {
-                self.drops.push(reason);
-            }
-            fn verdict(
-                &mut self,
-                verdict: VerdictKind,
-                _frame: &[u8],
-                matched: Option<(usize, u32)>,
-            ) {
-                self.verdicts.push((verdict, matched));
-            }
-        }
-
+    fn counters_carry_drop_reasons_and_stage_hits() {
         let mut sw = firewall_switch();
-        let mut probe = Probe::default();
-        sw.process_with(&[0xbb, 0, 0, 0], &mut probe); // rule drop, rank 0
-        sw.process_with(&[0x11, 0, 0, 0], &mut probe); // forward, no match
-        assert_eq!(probe.drops, vec![DropReason::RuleDrop]);
-        assert_eq!(probe.lookups, vec![(0, true), (0, false)]);
-        assert_eq!(
-            probe.verdicts,
-            vec![
-                (VerdictKind::Drop, Some((0, 0))),
-                (VerdictKind::Forward, None),
-            ]
-        );
-        // Telemetry and legacy counters agree.
-        assert_eq!(sw.counters().dropped, 1);
-        assert_eq!(sw.counters().forwarded, 1);
+        sw.process(&[0xbb, 0, 0, 0]); // rule drop, rank 0
+        sw.process(&[0x11, 0, 0, 0]); // forward, no match
+        let c = sw.counters();
+        assert_eq!((c.dropped, c.forwarded), (1, 1));
+        assert_eq!((c.rule_drop, c.no_rule, c.wrong_width), (1, 0, 0));
+        assert_eq!(c.stages, vec![(1, 1)]);
+        assert!(c.conserved());
+
+        // A default-drop stage: the miss is a `no_rule` drop.
+        let mut sw = Switch::new("s", ParserSpec::raw_window(8, 1), 1);
+        sw.add_stage(Table::new(
+            "deny",
+            MatchKind::Exact,
+            KeyLayout::window(1),
+            8,
+            Action::Drop,
+        ));
+        assert_eq!(sw.process(&[7]), Verdict::Drop);
+        assert_eq!(sw.process(&[]), Verdict::ParserReject);
+        let c = sw.counters();
+        assert_eq!((c.dropped, c.no_rule, c.parser_rejected), (1, 1, 1));
+        assert_eq!(c.stages, vec![(0, 1)], "a rejected frame reaches no stage");
+        assert!(c.conserved());
     }
 }

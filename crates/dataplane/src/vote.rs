@@ -25,9 +25,8 @@
 
 use crate::action::{Action, Verdict};
 use crate::compiled::{LookupOutcome, Rank};
-use crate::switch::SwitchCounters;
 use p4guard_rules::forest::majority;
-use p4guard_telemetry::{DropReason, TelemetrySink, VerdictKind};
+use p4guard_telemetry::{SwitchCounters, TelemetrySink, VerdictKind};
 use serde::{Deserialize, Serialize};
 
 pub use p4guard_rules::forest::EarlyExit;
@@ -78,7 +77,7 @@ pub(crate) struct Tally {
     attack: u16,
     benign: u16,
     /// Set when a first-hit stage dropped the frame.
-    dropped: Option<DropReason>,
+    dropped: bool,
     /// `(stage, rank)` of the last matching entry, for verdict reports.
     matched: Option<(usize, Rank)>,
 }
@@ -89,7 +88,7 @@ impl Tally {
             out_port: default_port,
             attack: 0,
             benign: 0,
-            dropped: None,
+            dropped: false,
             matched: None,
         }
     }
@@ -97,7 +96,7 @@ impl Tally {
     /// Whether a stage dropped the frame (as opposed to it leaving the
     /// walk with its vote decided).
     pub(crate) fn is_dropped(&self) -> bool {
-        self.dropped.is_some()
+        self.dropped
     }
 }
 
@@ -106,19 +105,37 @@ impl Combine {
         vote.map_or(Combine::FirstHit, Combine::Vote)
     }
 
-    /// Folds stage `stage`'s lookup result into `tally` and reports the
-    /// lookup to `sink`. Returns `true` when the frame is done walking:
-    /// dropped by a first-hit action, or its vote decided by the
+    /// Counts the lookups of stage `stage` into `counters.stages[stage]`.
+    /// Every walker reports each lookup it made exactly once: the per-frame
+    /// walkers one at a time, the batched walker a stage's whole alive set
+    /// at once — so the hits are summed here, not in its per-frame loop.
+    #[inline]
+    pub(crate) fn count_lookups(
+        counters: &mut SwitchCounters,
+        stage: usize,
+        outcomes: impl ExactSizeIterator<Item = LookupOutcome>,
+    ) {
+        let lookups = outcomes.len() as u64;
+        let hits = outcomes
+            .filter(|o| matches!(o, LookupOutcome::Hit(_)))
+            .count() as u64;
+        let slot = counters.stage(stage);
+        slot.0 += hits;
+        slot.1 += lookups - hits;
+    }
+
+    /// Folds stage `stage`'s lookup result into `tally` — and, when a
+    /// first-hit action drops the frame, counts the reason. Returns `true`
+    /// when the frame is done walking: dropped, or its vote decided by the
     /// [`EarlyExit`].
     #[inline]
-    pub(crate) fn stage<S: TelemetrySink>(
+    pub(crate) fn stage(
         self,
         stage: usize,
         action: Action,
         outcome: LookupOutcome,
         tally: &mut Tally,
         counters: &mut SwitchCounters,
-        sink: &mut S,
     ) -> bool {
         let hit = if let LookupOutcome::Hit(rank) = outcome {
             tally.matched = Some((stage, rank));
@@ -126,15 +143,15 @@ impl Combine {
         } else {
             false
         };
-        sink.table_lookup(stage, hit);
         match self {
             Combine::FirstHit => match action {
                 Action::Drop => {
-                    tally.dropped = Some(match outcome {
-                        LookupOutcome::Hit(_) => DropReason::RuleDrop,
-                        LookupOutcome::Miss => DropReason::NoRule,
-                        LookupOutcome::WrongWidth => DropReason::WrongWidth,
-                    });
+                    match outcome {
+                        LookupOutcome::Hit(_) => counters.rule_drop += 1,
+                        LookupOutcome::Miss => counters.no_rule += 1,
+                        LookupOutcome::WrongWidth => counters.wrong_width += 1,
+                    }
+                    tally.dropped = true;
                     return true;
                 }
                 Action::Forward(p) => tally.out_port = p,
@@ -164,7 +181,7 @@ impl Combine {
 
     /// Forms the verdict of a parsed frame from what it accumulated,
     /// counts it and reports it to `sink`. Under a vote, attack wins only
-    /// with at least one hit, so a vote-drop always reports `RuleDrop`
+    /// with at least one hit, so a vote-drop always counts as `rule_drop`
     /// with a matched `(stage, rank)`.
     #[inline]
     pub(crate) fn finish<S: TelemetrySink>(
@@ -176,22 +193,20 @@ impl Combine {
     ) -> Verdict {
         let dropped = match self {
             Combine::FirstHit => tally.dropped,
-            Combine::Vote(_) => (majority(usize::from(tally.attack), usize::from(tally.benign))
-                == 1)
-                .then_some(DropReason::RuleDrop),
+            Combine::Vote(_) => {
+                let attack = majority(usize::from(tally.attack), usize::from(tally.benign)) == 1;
+                counters.rule_drop += u64::from(attack);
+                attack
+            }
         };
-        match dropped {
-            Some(reason) => {
-                counters.dropped += 1;
-                sink.drop_frame(reason);
-                sink.verdict(VerdictKind::Drop, frame, tally.matched);
-                Verdict::Drop
-            }
-            None => {
-                counters.forwarded += 1;
-                sink.verdict(VerdictKind::Forward, frame, tally.matched);
-                Verdict::Forward(tally.out_port)
-            }
+        if dropped {
+            counters.dropped += 1;
+            sink.verdict(VerdictKind::Drop, frame, tally.matched);
+            Verdict::Drop
+        } else {
+            counters.forwarded += 1;
+            sink.verdict(VerdictKind::Forward, frame, tally.matched);
+            Verdict::Forward(tally.out_port)
         }
     }
 }
@@ -205,7 +220,6 @@ pub(crate) fn parser_reject<S: TelemetrySink>(
     sink: &mut S,
 ) -> Verdict {
     counters.parser_rejected += 1;
-    sink.drop_frame(DropReason::ParserRejected);
     sink.verdict(VerdictKind::ParserReject, frame, None);
     Verdict::ParserReject
 }

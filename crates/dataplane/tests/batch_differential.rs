@@ -2,9 +2,10 @@
 //! per-frame path: for randomized rulesets (all four match kinds, priority
 //! ties, multiple stages) and randomized frame batches — including
 //! parser-rejected runts — `process_batch_with` must produce the same
-//! verdict sequence, the same counter totals, the same per-reason drop
-//! counts, the same per-table hit counters, and the same frame-order
-//! verdict report stream as calling `process_with` once per frame.
+//! verdict sequence, the same counter block (totals, per-reason drop
+//! counts and per-stage hit counters are all fields of it), and the same
+//! frame-order verdict report stream as calling `process_with` once per
+//! frame.
 
 use p4guard_dataplane::action::{Action, Verdict};
 use p4guard_dataplane::key::KeyLayout;
@@ -13,7 +14,7 @@ use p4guard_dataplane::pipeline::BatchScratch;
 use p4guard_dataplane::switch::{Switch, SwitchCounters};
 use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
 use p4guard_packet::arena::FrameArena;
-use p4guard_telemetry::{DropReason, TelemetrySink, TraceSampler, VerdictKind};
+use p4guard_telemetry::{TelemetrySink, TraceSampler, VerdictKind};
 use proptest::collection;
 use proptest::prelude::*;
 
@@ -57,18 +58,14 @@ fn spec_for(kind: MatchKind, width: usize, a: &[u8], b: &[u8], plen: usize) -> M
     }
 }
 
-/// A sink that records every report verbatim, so the test can compare the
-/// exact call streams (order included for `drop_frame`/`verdict`, the
-/// frame-order reports; totals for the count-only `table_lookup`). It also
-/// ticks a deterministic trace sampler on every verdict, mirroring how the
+/// A sink that records every verdict report verbatim, so the test can
+/// compare the exact call streams, order included. It also ticks a
+/// deterministic trace sampler on every verdict, mirroring how the
 /// registry sink opens sampled traces, so the suite pins the sampled
 /// trace-id set across both paths.
 #[derive(Debug, Default)]
 struct RecordingSink {
-    table_lookups: Vec<(usize, bool)>,
-    drops: Vec<DropReason>,
     verdicts: Vec<VerdictRecord>,
-    batch_ends: usize,
     sampler: Option<TraceSampler>,
     sampled_traces: Vec<u64>,
 }
@@ -86,12 +83,6 @@ impl RecordingSink {
 type VerdictRecord = (VerdictKind, u64, Option<(usize, u32)>);
 
 impl TelemetrySink for RecordingSink {
-    fn table_lookup(&mut self, stage: usize, hit: bool) {
-        self.table_lookups.push((stage, hit));
-    }
-    fn drop_frame(&mut self, reason: DropReason) {
-        self.drops.push(reason);
-    }
     fn verdict(&mut self, verdict: VerdictKind, frame: &[u8], matched: Option<(usize, u32)>) {
         self.verdicts
             .push((verdict, p4guard_telemetry::frame_digest(frame), matched));
@@ -101,24 +92,6 @@ impl TelemetrySink for RecordingSink {
             }
         }
     }
-    fn batch_end(&mut self) {
-        self.batch_ends += 1;
-    }
-}
-
-/// Sorted copy: `table_lookup` totals must match but the batched path emits
-/// them stage-major rather than frame-major.
-fn lookup_totals(calls: &[(usize, bool)]) -> Vec<(usize, bool, usize)> {
-    let mut sorted = calls.to_vec();
-    sorted.sort_unstable();
-    let mut out: Vec<(usize, bool, usize)> = Vec::new();
-    for &(stage, hit) in &sorted {
-        match out.last_mut() {
-            Some((s, h, n)) if *s == stage && *h == hit => *n += 1,
-            _ => out.push((stage, hit, 1)),
-        }
-    }
-    out
 }
 
 proptest! {
@@ -219,14 +192,8 @@ proptest! {
             }
 
             prop_assert_eq!(&batch_verdicts, &per_verdicts, "verdict sequence");
-            prop_assert_eq!(&batch_counters, &per_counters, "counter totals");
-            prop_assert_eq!(&batch_sink.drops, &per_sink.drops, "drop report order");
+            prop_assert_eq!(&batch_counters, &per_counters, "counter block");
             prop_assert_eq!(&batch_sink.verdicts, &per_sink.verdicts, "verdict report order");
-            prop_assert_eq!(
-                lookup_totals(&batch_sink.table_lookups),
-                lookup_totals(&per_sink.table_lookups),
-                "per-table hit counters"
-            );
             // Same seed + stride → the deterministic sampler selects the
             // same report-stream positions and mints the same trace ids
             // on every path.

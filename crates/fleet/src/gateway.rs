@@ -31,52 +31,13 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Statistics of one fleet shard: the gateway's [`ShardStats`] with its
-/// lanes read as tenants.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct FleetShardStats {
-    /// Shard index.
-    pub shard: usize,
-    /// Per-tenant packet counters, indexed by tenant.
-    pub per_tenant: Vec<SwitchCounters>,
-    /// Frames whose source resolved to no tenant (counted, not processed).
-    pub unknown_tenant: u64,
-    /// Per-frame forwarding latency across all tenants.
-    pub latency: LatencyHistogram,
-    /// Frames processed.
-    pub processed: u64,
-    /// Batches drained.
-    pub batches: u64,
-    /// Pipeline swaps picked up, summed over tenants.
-    pub swaps_seen: u64,
-    /// Version last processed with, per tenant.
-    pub tenant_versions: Vec<u64>,
-    /// [`FrameBatch`] messages processed.
-    #[serde(default)]
-    pub frame_batches: u64,
-}
-
-impl From<ShardStats> for FleetShardStats {
-    fn from(s: ShardStats) -> Self {
-        FleetShardStats {
-            shard: s.shard,
-            tenant_versions: s.lanes.iter().map(|l| l.ruleset_version).collect(),
-            per_tenant: s.lanes.into_iter().map(|l| l.counters).collect(),
-            unknown_tenant: s.unclassified,
-            latency: s.latency,
-            processed: s.processed,
-            batches: s.batches,
-            swaps_seen: s.swaps_seen,
-            frame_batches: s.frame_batches,
-        }
-    }
-}
-
 /// Point-in-time view of the fleet gateway.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetSnapshot {
-    /// Per-shard statistics, indexed by shard.
-    pub shards: Vec<FleetShardStats>,
+    /// Per-shard statistics, indexed by shard — the gateway's own, read
+    /// with `lanes[t]` as tenant `t` and `unclassified` as the frames no
+    /// tenant owns.
+    pub shards: Vec<ShardStats>,
     /// Frames dropped at ingest because a shard queue was full.
     pub dropped_backpressure: u64,
     /// Frames that resolved to no tenant, summed over shards.
@@ -96,12 +57,10 @@ impl fmt::Display for FleetSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "fleet: {} shards × {} tenants, {} received / {} forwarded / {} dropped, {} backpressure, {} unclassified",
+            "fleet: {} shards × {} tenants, {}, {} backpressure, {} unclassified",
             self.shards.len(),
             self.per_tenant.len(),
-            self.totals.received,
-            self.totals.forwarded,
-            self.totals.dropped,
+            self.totals,
             self.dropped_backpressure,
             self.unknown_tenant,
         )?;
@@ -109,11 +68,7 @@ impl fmt::Display for FleetSnapshot {
             let versions = &self.tenant_versions[t];
             writeln!(
                 f,
-                "  tenant {}: {} received / {} forwarded / {} dropped (serving v{})",
-                t,
-                c.received,
-                c.forwarded,
-                c.dropped,
+                "  tenant {t}: {c} (serving v{})",
                 versions.iter().copied().max().unwrap_or(0),
             )?;
         }
@@ -251,7 +206,7 @@ impl FleetSnapshot {
             per_tenant,
             totals: snap.totals,
             latency: snap.latency,
-            shards: snap.shards.into_iter().map(Into::into).collect(),
+            shards: snap.shards,
         }
     }
 }

@@ -36,7 +36,7 @@ pub mod tenant;
 pub use budget::{
     BudgetConfig, BudgetError, ForestAdmission, TableBudgeter, TenantAllocation, TenantShare,
 };
-pub use gateway::{FleetGateway, FleetShardStats, FleetSnapshot};
+pub use gateway::{FleetGateway, FleetSnapshot};
 pub use sim::{AttackWave, FleetSim, FleetSimConfig, SimFrame, TenantSimStats, TenantTraffic};
 pub use tenant::{
     device_ip, AclLayout, AdmitPolicy, FleetError, TenantClassifier, TenantOccupancy,

@@ -171,6 +171,9 @@ fn fleet_batched_ingest_matches_per_frame_ingest() {
 /// Fleet tenants get the single-tenant gateway's whole telemetry surface —
 /// drop taxonomy, per-stage hit counters, latency histogram — labelled by
 /// tenant, and every shard accounts for each frame it took off its queue.
+/// Backpressure alone is shed before any tenant's lane sees the frame, so
+/// it stays a per-shard series: no `{tenant, reason="backpressure"}` series
+/// exists to sit at 0 forever.
 #[test]
 fn fleet_tenants_get_the_full_telemetry_taxonomy() {
     let mut config = FleetSimConfig::demo(2, 10_000, 9);
@@ -185,25 +188,39 @@ fn fleet_tenants_get_the_full_telemetry_taxonomy() {
             .unwrap();
     }
     let telemetry = Arc::new(Telemetry::default());
-    let gw = FleetGateway::start(
-        &registry,
-        GatewayConfig::with_shards(2),
-        Some(Arc::clone(&telemetry)),
-    );
+    let tiny = GatewayConfig {
+        shards: 2,
+        queue_capacity: 1,
+        batch_size: 1,
+    };
+    let gw = FleetGateway::start(&registry, tiny, Some(Arc::clone(&telemetry)));
 
+    // Every frame once through blocking ingest, then again as a burst of
+    // non-blocking offers the one-slot queues cannot absorb: some shed.
     let frames = FleetSim::new(config).run();
-    let total = frames.len() as u64;
-    for f in frames {
-        gw.dispatch(f.frame);
+    for f in &frames {
+        gw.dispatch(f.frame.clone());
     }
-    gw.wait_drained(total, DRAIN).expect("fleet gateway drains");
+    for f in &frames {
+        gw.gateway().offer(f.frame.clone());
+    }
+    gw.wait_drained(2 * frames.len() as u64, DRAIN)
+        .expect("fleet gateway drains");
     let snap = gw.finish();
+    assert!(snap.dropped_backpressure > 0, "nothing was shed");
+    let mut shed = 0;
+    for (family, labels, value) in telemetry.registry.counter_snapshot() {
+        let has = |key: &str, want: &str| labels.iter().any(|(k, v)| k == key && v == want);
+        if family == "p4guard_drops_total" && has("reason", "backpressure") {
+            assert!(labels.iter().all(|(k, _)| k != "tenant"), "{labels:?}");
+            shed += value;
+        }
+    }
+    assert_eq!(shed, snap.dropped_backpressure);
 
     for s in &snap.shards {
-        let served: u64 = s.per_tenant.iter().map(|c| c.received).sum();
         assert_eq!(
-            served + s.unknown_tenant,
-            s.processed,
+            s.conservation_violations, 0,
             "shard {} lost track of a frame",
             s.shard
         );

@@ -94,6 +94,12 @@ impl GatewaySnapshot {
         self.shards.iter().map(|s| s.vote_exits).sum()
     }
 
+    /// Conservation identities found broken, summed over shards (see
+    /// [`ShardStats::conservation_violations`]); 0 on a healthy gateway.
+    pub fn conservation_violations(&self) -> u64 {
+        self.shards.iter().map(|s| s.conservation_violations).sum()
+    }
+
     /// Frames the gateway has accounted for: taken off a shard queue
     /// (served by a lane, or counted unclassified) or shed at ingest.
     fn accounted(&self) -> u64 {
@@ -105,13 +111,10 @@ impl fmt::Display for GatewaySnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "gateway: {} shards, ruleset v{}, {} received / {} forwarded / {} dropped ({} parser-rejected), {} backpressure drops",
+            "gateway: {} shards, ruleset v{}, {}, {} backpressure drops",
             self.shards.len(),
             self.version,
-            self.totals.received,
-            self.totals.forwarded,
-            self.totals.dropped,
-            self.totals.parser_rejected,
+            self.totals,
             self.dropped_backpressure,
         )?;
         writeln!(f, "latency: {}", self.latency)?;
@@ -199,6 +202,7 @@ fn spawn_shard<C, S>(
     classify: C,
     state: Arc<Mutex<ShardStats>>,
     batch_size: usize,
+    violations: Option<Counter>,
 ) -> JoinHandle<()>
 where
     C: Fn(&[u8]) -> usize + Send + 'static,
@@ -206,7 +210,7 @@ where
 {
     std::thread::Builder::new()
         .name(format!("p4guard-shard-{shard}"))
-        .spawn(move || run_shard(rx, lanes, classify, state, batch_size))
+        .spawn(move || run_shard(rx, lanes, classify, state, batch_size, violations))
         .expect("spawn shard worker")
 }
 
@@ -316,49 +320,52 @@ impl Gateway {
                         .zip(lanes)
                         .map(|(cell, (_, tenant))| Lane::new(cell, t.shard_sink(shard, *tenant)))
                         .collect();
-                    spawn_shard(shard, rx, lanes, classify, state_w, batch)
+                    let violations = t.registry.counter(
+                        "p4guard_conservation_violations_total",
+                        "Frame-conservation identities found broken when a drain was published",
+                        &[("shard", &shard.to_string())],
+                    );
+                    spawn_shard(shard, rx, lanes, classify, state_w, batch, Some(violations))
                 }
                 None => {
                     let lanes = shard_cells.map(|cell| Lane::new(cell, NoopSink)).collect();
-                    spawn_shard(shard, rx, lanes, classify, state_w, batch)
+                    spawn_shard(shard, rx, lanes, classify, state_w, batch, None)
                 }
             });
             senders.push(tx);
             states.push(state);
             ingest_drops.push(AtomicU64::new(0));
         }
-        let telemetry = telemetry.map(|bundle| GatewayTelemetry {
-            backpressure: (0..config.shards)
-                .map(|shard| {
-                    bundle.registry.counter(
-                        "p4guard_drops_total",
-                        "Frames dropped, by reason",
-                        &[
-                            ("shard", &shard.to_string()),
-                            ("reason", DropReason::Backpressure.as_str()),
-                        ],
-                    )
-                })
-                .collect(),
-            queue_depth: (0..config.shards)
-                .map(|shard| {
-                    bundle.registry.gauge(
-                        "p4guard_queue_depth",
-                        "Frames waiting in a shard's ingest queue",
-                        &[("shard", &shard.to_string())],
-                    )
-                })
-                .collect(),
-            batch_fill: (0..config.shards)
-                .map(|shard| {
-                    bundle.registry.gauge(
-                        "p4guard_batch_fill",
-                        "Mean frames per processed FrameBatch on a shard",
-                        &[("shard", &shard.to_string())],
-                    )
-                })
-                .collect(),
-            bundle,
+        let telemetry = telemetry.map(|bundle| {
+            let shards = || (0..config.shards).map(|shard| shard.to_string());
+            let gauge = |name, help| {
+                shards()
+                    .map(|shard| bundle.registry.gauge(name, help, &[("shard", &shard)]))
+                    .collect()
+            };
+            GatewayTelemetry {
+                backpressure: shards()
+                    .map(|shard| {
+                        bundle.registry.counter(
+                            "p4guard_drops_total",
+                            "Frames dropped, by reason",
+                            &[
+                                ("shard", &shard),
+                                ("reason", DropReason::Backpressure.as_str()),
+                            ],
+                        )
+                    })
+                    .collect(),
+                queue_depth: gauge(
+                    "p4guard_queue_depth",
+                    "Frames waiting in a shard's ingest queue",
+                ),
+                batch_fill: gauge(
+                    "p4guard_batch_fill",
+                    "Mean frames per processed FrameBatch on a shard",
+                ),
+                bundle,
+            }
         });
         Gateway {
             senders,
@@ -500,24 +507,18 @@ impl Gateway {
     /// `p4guard_queue_depth{shard}` gauges — diurnal overload shows up on
     /// `/metrics` whenever anything observes the gateway.
     pub fn snapshot(&self) -> GatewaySnapshot {
-        if let Some(t) = &self.telemetry {
-            for (shard, tx) in self.senders.iter().enumerate() {
-                t.queue_depth[shard].set(tx.len() as f64);
-            }
-        }
         let shards: Vec<ShardStats> = self.states.iter().map(|s| s.lock().clone()).collect();
         if let Some(t) = &self.telemetry {
-            for s in &shards {
+            for (s, tx) in shards.iter().zip(&self.senders) {
+                t.queue_depth[s.shard].set(tx.len() as f64);
                 t.batch_fill[s.shard].set(s.batch_fill());
             }
         }
         let mut totals = SwitchCounters::default();
         let mut latency = LatencyHistogram::new();
-        for s in &shards {
-            for lane in &s.lanes {
-                totals.merge(&lane.counters);
-            }
-            latency.merge(&s.latency);
+        for lane in shards.iter().flat_map(|s| &s.lanes) {
+            totals.merge(&lane.counters);
+            latency.merge(&lane.latency);
         }
         let shard_versions: Vec<u64> = self.cells().iter().map(|c| c.version()).collect();
         // Occupancy of the newest serving pipeline (any cell at the max
@@ -556,11 +557,12 @@ impl Gateway {
     /// two ways a frame leaves ingest: a worker took it off its queue
     /// (served by a lane or counted unclassified) or a full queue shed it.
     /// `totals.received` alone would never get there on a gateway that
-    /// sheds or cannot classify one frame. Workers update `processed` and
-    /// flush buffered telemetry under the same stats lock the snapshot
-    /// takes, so once this returns the counters *and* the metrics registry
-    /// reflect every offered frame — which is what makes a control loop
-    /// stepped at these checkpoints deterministic.
+    /// sheds or cannot classify one frame. A worker publishes a drain to
+    /// the metrics registry *before* it adds it to the stats the snapshot
+    /// reads (both once per drain, the second under the stats lock), so
+    /// once this returns the counters *and* the registry reflect every
+    /// offered frame — which is what makes a control loop stepped at these
+    /// checkpoints deterministic.
     ///
     /// This is the only polling loop in the workspace; it reads snapshots
     /// and touches nothing on the ingest or shard path.

@@ -4,6 +4,11 @@
 //! every lane's frames through that lane's current
 //! [`ReadPipeline`] snapshot, refreshing snapshots between drains when a
 //! control plane has published a new version.
+//!
+//! The worker counts into a [`ShardStats`] block it owns — no lock is held
+//! while frames are served — and publishes that block once per drain: each
+//! lane's part goes to the lane's sink, then the whole block is added to
+//! the shared stats under the mutex.
 
 use crossbeam::channel::Receiver;
 use p4guard_dataplane::pipeline::{BatchScratch, PipelineCell, ReadPipeline};
@@ -11,9 +16,10 @@ use p4guard_dataplane::switch::SwitchCounters;
 use p4guard_dataplane::Verdict;
 use p4guard_packet::arena::FrameBatch;
 use p4guard_telemetry::histogram::LatencyHistogram;
-use p4guard_telemetry::TelemetrySink;
+use p4guard_telemetry::{Counter, TelemetrySink};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::mem::take;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -24,6 +30,9 @@ pub struct LaneStats {
     pub counters: SwitchCounters,
     /// Version of the snapshot the lane last processed with.
     pub ruleset_version: u64,
+    /// Per-frame forwarding latency of the lane's frames.
+    #[serde(default)]
+    pub latency: LatencyHistogram,
 }
 
 /// Live statistics of one shard, readable while the shard runs.
@@ -36,8 +45,6 @@ pub struct ShardStats {
     /// Frames the classifier mapped to no lane (counted, not processed).
     /// Always 0 on a single-lane gateway, which never classifies.
     pub unclassified: u64,
-    /// Per-frame forwarding latency across all lanes.
-    pub latency: LatencyHistogram,
     /// Frames taken off the queue:
     /// `Σ lanes.counters.received + unclassified`.
     pub processed: u64,
@@ -56,6 +63,14 @@ pub struct ShardStats {
     /// exit.
     #[serde(default)]
     pub vote_exits: u64,
+    /// Conservation identities found broken when a drain was published:
+    /// per lane `received == forwarded + dropped + parser_rejected` and
+    /// `dropped ==` its reason split
+    /// ([`SwitchCounters::conserved`]), per shard
+    /// `processed == Σ lanes.received + unclassified`. Anything but 0 is a
+    /// miscount in the serving path.
+    #[serde(default)]
+    pub conservation_violations: u64,
 }
 
 impl ShardStats {
@@ -66,6 +81,42 @@ impl ShardStats {
             total.merge(&lane.counters);
         }
         total
+    }
+
+    /// Per-frame forwarding latency across all lanes.
+    pub fn latency(&self) -> LatencyHistogram {
+        let mut total = LatencyHistogram::new();
+        for lane in &self.lanes {
+            total.merge(&lane.latency);
+        }
+        total
+    }
+
+    /// Conservation identities `self`, read as one drain's counts, breaks.
+    fn conservation_breaches(&self) -> u64 {
+        let lanes = self.lanes.iter().filter(|l| !l.counters.conserved());
+        let received: u64 = self.lanes.iter().map(|l| l.counters.received).sum();
+        lanes.count() as u64 + u64::from(self.processed != received + self.unclassified)
+    }
+
+    /// Moves this drain block's counts into the running `totals` (the
+    /// lanes' versions are taken over, not added), leaving the block zeroed
+    /// in place — every vector keeps its allocation for the next drain.
+    fn drain_into(&mut self, totals: &mut ShardStats) {
+        for (total, lane) in totals.lanes.iter_mut().zip(&mut self.lanes) {
+            total.counters.merge(&lane.counters);
+            total.latency.merge(&lane.latency);
+            total.ruleset_version = lane.ruleset_version;
+            lane.counters.clear();
+            lane.latency.clear();
+        }
+        totals.unclassified += take(&mut self.unclassified);
+        totals.processed += take(&mut self.processed);
+        totals.batches += take(&mut self.batches);
+        totals.swaps_seen += take(&mut self.swaps_seen);
+        totals.frame_batches += take(&mut self.frame_batches);
+        totals.vote_exits += take(&mut self.vote_exits);
+        totals.conservation_violations += take(&mut self.conservation_violations);
     }
 
     /// Mean frames per processed [`FrameBatch`] (0 before the first batch).
@@ -98,20 +149,22 @@ impl<S: TelemetrySink> Lane<S> {
     }
 
     /// Picks up the cell's current snapshot if it moved (one atomic load
-    /// when it did not). Returns whether a swap happened.
-    fn refresh(&mut self) -> bool {
-        if self.cell.version() == self.pipeline.version() {
-            return false;
+    /// when it did not) and notes the version served in `stats`. Returns
+    /// whether a swap happened.
+    fn refresh(&mut self, stats: &mut LaneStats) -> bool {
+        let moved = self.cell.version() != self.pipeline.version();
+        if moved {
+            self.pipeline = self.cell.load();
+            self.sink
+                .swap_seen(self.pipeline.version(), &self.pipeline.stage_names());
         }
-        self.pipeline = self.cell.load();
-        self.sink
-            .swap_seen(self.pipeline.version(), &self.pipeline.stage_names());
-        true
+        stats.ruleset_version = self.pipeline.version();
+        moved
     }
 
     /// Runs the non-empty `batch` through the lane's snapshot into lane
-    /// `idx` of `stats`, with one `Instant` read per batch: the batch-mean
-    /// cost is attributed to each frame.
+    /// `idx` of `stats` (the worker's own drain block), with one `Instant`
+    /// read per batch: the batch-mean cost is attributed to each frame.
     fn serve(
         &mut self,
         batch: &FrameBatch,
@@ -131,17 +184,17 @@ impl<S: TelemetrySink> Lane<S> {
             verdicts,
             &mut self.sink,
         );
-        let per_frame = t0.elapsed() / n as u32;
-        stats.latency.record_n(per_frame, n);
-        self.sink
-            .latency_n(u64::try_from(per_frame.as_nanos()).unwrap_or(u64::MAX), n);
+        stats.lanes[idx]
+            .latency
+            .record_n(t0.elapsed() / n as u32, n);
         stats.vote_exits += scratch.vote_early_exits();
     }
 }
 
 /// Runs one shard to queue exhaustion: blocks for the next message, drains
 /// opportunistically up to `batch_size` frames, refreshes every lane's
-/// snapshot once per drain, then processes the drained messages.
+/// snapshot once per drain, processes the drained messages, then publishes
+/// what the drain counted.
 ///
 /// The snapshot check is a single atomic load per lane on the fast path,
 /// so a concurrent
@@ -154,24 +207,38 @@ impl<S: TelemetrySink> Lane<S> {
 /// whole and `classify` is never called. With more, a message is
 /// regrouped by `classify(frame)` — lane indices `0..lanes.len()`, anything
 /// else counted as unclassified — sharing the chunk, and each lane's
-/// frames run through that lane's snapshot into that lane's counters and
-/// sink.
+/// frames run through that lane's snapshot into that lane's counters.
+///
+/// A drain is counted into a block this worker owns, so `state` is never
+/// locked while frames are classified or served. It is published in two
+/// steps, sinks first: each lane's sink adds the lane's counts to the
+/// metrics registry, then the block is added to `state` under its mutex.
+/// An observer that finds a drain in `state` therefore finds the registry
+/// caught up too. Conservation is checked on the block on the way;
+/// breaches are counted in [`ShardStats::conservation_violations`] and,
+/// when given, `violations`.
 pub(crate) fn run_shard<C, S>(
     rx: Receiver<FrameBatch>,
     mut lanes: Vec<Lane<S>>,
     classify: C,
     state: Arc<Mutex<ShardStats>>,
     batch_size: usize,
+    violations: Option<Counter>,
 ) where
     C: Fn(&[u8]) -> usize,
     S: TelemetrySink,
 {
-    let note_versions = |lanes: &[Lane<S>], st: &mut ShardStats| {
-        for (lane, stats) in lanes.iter().zip(&mut st.lanes) {
-            stats.ruleset_version = lane.pipeline.version();
-        }
+    let mut drain = ShardStats {
+        lanes: vec![LaneStats::default(); lanes.len()],
+        ..ShardStats::default()
     };
-    note_versions(&lanes, &mut state.lock());
+    // Refreshes every lane, counting the swaps into the drain block.
+    let refresh = |lanes: &mut [Lane<S>], drain: &mut ShardStats| {
+        let swaps = lanes.iter_mut().zip(&mut drain.lanes);
+        drain.swaps_seen = swaps.map(|(l, stats)| u64::from(l.refresh(stats))).sum();
+    };
+    refresh(&mut lanes, &mut drain);
+    drain.drain_into(&mut state.lock());
     let mut scratch = BatchScratch::new();
     let mut verdicts: Vec<Verdict> = Vec::new();
     let mut queue: Vec<FrameBatch> = Vec::with_capacity(batch_size);
@@ -187,40 +254,36 @@ pub(crate) fn run_shard<C, S>(
                 Err(_) => break,
             }
         }
-        let swapped = lanes
-            .iter_mut()
-            .map(|l| u64::from(l.refresh()))
-            .sum::<u64>();
-        let mut st = state.lock();
-        if swapped > 0 {
-            st.swaps_seen += swapped;
-            note_versions(&lanes, &mut st);
-        }
+        refresh(&mut lanes, &mut drain);
         for batch in queue.drain(..) {
             if batch.is_empty() {
                 continue;
             }
             if let [lane] = lanes.as_mut_slice() {
-                lane.serve(&batch, &mut st, 0, &mut scratch, &mut verdicts);
+                lane.serve(&batch, &mut drain, 0, &mut scratch, &mut verdicts);
             } else {
                 let mut parts = batch.partition_by(lanes.len() + 1, &classify);
                 let unclassified = parts.pop().map_or(0, |p| p.len());
-                st.unclassified += unclassified as u64;
+                drain.unclassified += unclassified as u64;
                 for (idx, (lane, part)) in lanes.iter_mut().zip(&parts).enumerate() {
                     if !part.is_empty() {
-                        lane.serve(part, &mut st, idx, &mut scratch, &mut verdicts);
+                        lane.serve(part, &mut drain, idx, &mut scratch, &mut verdicts);
                     }
                 }
             }
-            st.processed += batch.len() as u64;
-            st.frame_batches += 1;
+            drain.processed += batch.len() as u64;
+            drain.frame_batches += 1;
         }
-        st.batches += 1;
-        // Flush buffered telemetry while still holding the stats lock:
-        // any observer that sees this drain in `ShardStats` (snapshot,
-        // drain loops) is guaranteed to find the registry caught up too.
-        for lane in &mut lanes {
-            lane.sink.batch_end();
+        drain.batches = 1;
+        drain.conservation_violations = drain.conservation_breaches();
+        for (lane, stats) in lanes.iter_mut().zip(&drain.lanes) {
+            lane.sink.batch_end(&stats.counters, &stats.latency);
         }
+        if drain.conservation_violations > 0 {
+            if let Some(counter) = &violations {
+                counter.add(drain.conservation_violations);
+            }
+        }
+        drain.drain_into(&mut state.lock());
     }
 }

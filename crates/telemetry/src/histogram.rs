@@ -81,6 +81,14 @@ impl LatencyHistogram {
         self.max_nanos = self.max_nanos.max(other.max_nanos);
     }
 
+    /// Empties the histogram in place, keeping its bucket allocation.
+    pub fn clear(&mut self) {
+        self.buckets.fill(0);
+        self.count = 0;
+        self.sum_nanos = 0;
+        self.max_nanos = 0;
+    }
+
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.count

@@ -10,13 +10,14 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How long the accept loop sleeps between polls of the nonblocking
 /// listener. Bounds shutdown latency without needing a self-connect.
 const POLL_INTERVAL: Duration = Duration::from_millis(5);
 
-/// Per-connection read/write timeout: a stalled client cannot wedge the
+/// Per-connection budget, once for reading the whole request head and
+/// once per response write: a stalled or trickling client cannot wedge the
 /// single-threaded responder for long.
 const IO_TIMEOUT: Duration = Duration::from_millis(500);
 
@@ -120,7 +121,6 @@ fn accept_loop(listener: TcpListener, telemetry: Arc<Telemetry>, stop: Arc<Atomi
 }
 
 fn handle_connection(mut stream: TcpStream, telemetry: &Telemetry) -> io::Result<()> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     stream.set_nonblocking(false)?;
     let path = match read_request_path(&mut stream) {
@@ -140,19 +140,43 @@ fn handle_connection(mut stream: TcpStream, telemetry: &Telemetry) -> io::Result
     write_response(&mut stream, status, reason, content_type, &body)
 }
 
+/// Sets `stream`'s read timeout to what is left until `deadline`, so a
+/// loop of reads shares one overall deadline — a peer that trickles a byte
+/// per read cannot reset it the way a fixed per-read timeout would let it.
+fn arm_read_deadline(stream: &TcpStream, deadline: Instant) -> io::Result<()> {
+    let remaining = deadline
+        .checked_duration_since(Instant::now())
+        .filter(|d| !d.is_zero())
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::TimedOut,
+                "peer did not finish within the deadline",
+            )
+        })?;
+    stream.set_read_timeout(Some(remaining))
+}
+
 /// Reads the request head and returns the path of a GET request (`None`
 /// for other methods). Reads until the blank line that ends the header
-/// block so the client does not see a reset before our response.
+/// block so the client does not see a reset before our response, for at
+/// most [`IO_TIMEOUT`] in total.
 fn read_request_path(stream: &mut TcpStream) -> io::Result<Option<String>> {
+    let deadline = Instant::now() + IO_TIMEOUT;
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 256];
     loop {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            break;
-        }
+        arm_read_deadline(stream, deadline)?;
+        let n = match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        // Scan the new bytes only, plus the three before them the
+        // terminator may straddle.
+        let scan_from = buf.len().saturating_sub(3);
         buf.extend_from_slice(&chunk[..n]);
-        if buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.len() > 8192 {
+        if buf[scan_from..].windows(4).any(|w| w == b"\r\n\r\n") || buf.len() > 8192 {
             break;
         }
     }
@@ -243,7 +267,7 @@ fn write_response(
 /// the client past it (per-read socket timeouts alone would reset on
 /// every byte).
 pub fn http_get(addr: &str, path: &str, timeout: Duration) -> io::Result<(u16, String)> {
-    let deadline = std::time::Instant::now() + timeout;
+    let deadline = Instant::now() + timeout;
     let sock_addr = addr
         .to_socket_addrs()?
         .next()
@@ -255,16 +279,7 @@ pub fn http_get(addr: &str, path: &str, timeout: Duration) -> io::Result<(u16, S
     let mut bytes = Vec::new();
     let mut chunk = [0u8; 4096];
     loop {
-        let remaining = deadline
-            .checked_duration_since(std::time::Instant::now())
-            .filter(|d| !d.is_zero())
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "response did not complete within the deadline",
-                )
-            })?;
-        stream.set_read_timeout(Some(remaining))?;
+        arm_read_deadline(&stream, deadline)?;
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => bytes.extend_from_slice(&chunk[..n]),
@@ -394,7 +409,7 @@ mod tests {
                 thread::sleep(Duration::from_millis(50));
             }
         });
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let err = http_get(&addr, "/metrics", Duration::from_millis(300))
             .expect_err("trickling server must not complete");
         assert!(
@@ -410,6 +425,35 @@ mod tests {
             started.elapsed()
         );
         drop(trickler); // detach: it exits once its writes fail
+    }
+
+    #[test]
+    fn a_trickling_client_cannot_hold_the_endpoint() {
+        // One client sends its request a byte at a time, each byte well
+        // inside the per-read timeout; a second must still be answered
+        // promptly, because the request read has one overall deadline.
+        let (server, _telemetry) = server();
+        let addr = server.local_addr();
+        let mut slow = TcpStream::connect(addr).unwrap();
+        slow.write_all(b"G").unwrap();
+        let trickler = thread::spawn(move || {
+            for _ in 0..40 {
+                thread::sleep(Duration::from_millis(100));
+                if slow.write_all(b"E").is_err() {
+                    break; // the server gave up on us
+                }
+            }
+        });
+        let started = Instant::now();
+        let (status, body) =
+            http_get(&addr.to_string(), "/healthz", Duration::from_secs(3)).unwrap();
+        assert_eq!((status, body.as_str()), (200, "ok\n"));
+        assert!(
+            started.elapsed() < Duration::from_millis(1500),
+            "healthz waited {:?} behind a trickling client",
+            started.elapsed()
+        );
+        trickler.join().unwrap();
     }
 
     #[test]

@@ -7,9 +7,15 @@
 //!
 //! The crate is dependency-free beyond the workspace's vendored
 //! `parking_lot`/`serde` shims: no tokio, no hyper, no prometheus client.
-//! The dataplane reports through the [`TelemetrySink`] trait, whose
-//! [`NoopSink`] default keeps the un-instrumented hot path byte-identical
-//! to the pre-telemetry code.
+//!
+//! Frames are counted in one place: the dataplane's stage walkers fill a
+//! [`SwitchCounters`] block per lane (the type lives here, below the
+//! dataplane, so a sink can take it as it is), and the shard loop hands
+//! that block to [`TelemetrySink::batch_end`] once per drain. A sink keeps
+//! no counts of its own — [`RegistrySink`] adds the block to the series
+//! below — and per frame sees only the [`TelemetrySink::verdict`] sampling
+//! stream; with the [`NoopSink`] default the hot path is the
+//! un-instrumented code.
 //!
 //! Metric name schema (see DESIGN.md "Telemetry" for the full table):
 //!
@@ -22,11 +28,14 @@
 //! | `p4guard_ruleset_version` | gauge | `shard` |
 //! | `p4guard_ruleset_swaps_total` | counter | `shard` |
 //! | `p4guard_forward_latency_seconds` | histogram | `shard` |
+//! | `p4guard_conservation_violations_total` | counter | `shard` |
 //! | `p4guard_stage_seconds` | histogram | `shard`, `stage`, `table` |
 //! | `p4guard_slo_burn_fast` / `_slow` | gauge | `slo`, `tenant` |
 //!
 //! Every `shard`-labelled series above additionally carries `tenant` on a
-//! fleet gateway, where each shard runs one lane (and one sink) per tenant.
+//! fleet gateway, where each shard runs one lane (and one sink) per tenant
+//! — except `reason="backpressure"` drops and the conservation check, which
+//! the gateway counts per shard, outside any lane.
 //!
 //! When tracing is armed ([`TelemetryConfig::tracing`]) the bundle also
 //! carries a [`TraceStore`] of sampled span trees (`/traces`), a
@@ -35,6 +44,7 @@
 
 #![warn(missing_docs)]
 
+pub mod counters;
 pub mod histogram;
 pub mod http;
 pub mod rates;
@@ -44,6 +54,7 @@ pub mod sink;
 pub mod slo;
 pub mod trace;
 
+pub use counters::SwitchCounters;
 pub use histogram::LatencyHistogram;
 pub use http::{http_get, MetricsServer};
 pub use rates::RateWindows;
@@ -165,8 +176,12 @@ mod tests {
     fn bundle_shares_one_registry() {
         let t = Telemetry::default();
         let mut sink = t.shard_sink(0, None);
-        sink.verdict(VerdictKind::Forward, b"frame", None);
-        sink.batch_end();
+        let drain = SwitchCounters {
+            received: 1,
+            forwarded: 1,
+            ..SwitchCounters::default()
+        };
+        sink.batch_end(&drain, &LatencyHistogram::new());
         assert_eq!(t.registry.family_sum("p4guard_frames_received_total"), 1);
         assert_eq!(t.recorder.capacity(), 1024);
         assert_eq!(t.recorder.sample_every(), 64);

@@ -199,6 +199,14 @@ impl FlightRecorder {
         (position.wrapping_add(self.phase)).is_multiple_of(self.sample_every)
     }
 
+    /// The first stream position [`FlightRecorder::samples_at`] accepts;
+    /// every `sample_every`-th after it is the next. A caller that counts
+    /// down from here visits the sampled positions without a division per
+    /// event.
+    pub fn first_sample(&self) -> u64 {
+        (self.sample_every - self.phase) % self.sample_every
+    }
+
     /// Snapshot of the retained events, oldest first.
     pub fn events(&self) -> Vec<RecordedEvent> {
         self.ring.lock().iter().cloned().collect()

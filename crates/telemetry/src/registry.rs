@@ -93,12 +93,6 @@ impl Histogram {
         self.0.lock().record(d);
     }
 
-    /// Records a raw nanosecond sample.
-    #[inline]
-    pub fn observe_nanos(&self, nanos: u64) {
-        self.0.lock().record(Duration::from_nanos(nanos));
-    }
-
     /// Records `count` samples of `nanos` each in O(1) under one lock —
     /// the bulk path batch-profiling sinks fold stage means through.
     #[inline]

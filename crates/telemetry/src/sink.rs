@@ -1,20 +1,27 @@
 //! The instrumentation seam between the packet hot path and the metrics
-//! layer: a [`TelemetrySink`] trait the dataplane calls into, a zero-cost
-//! [`NoopSink`] (the default — benchmarks and un-instrumented callers
-//! monomorphize to exactly the pre-telemetry code), and a [`RegistrySink`]
-//! that feeds a [`Registry`] and [`FlightRecorder`].
+//! layer: a [`TelemetrySink`] trait the dataplane and the shard loop call
+//! into, a zero-cost [`NoopSink`] (the default — benchmarks and
+//! un-instrumented callers monomorphize to the un-instrumented code), and
+//! a [`RegistrySink`] that feeds a [`Registry`] and [`FlightRecorder`].
+//!
+//! A sink **counts nothing per frame**. Frames are counted once, by the
+//! stage walkers, into the lane's [`SwitchCounters`] block; the shard hands
+//! that block to [`TelemetrySink::batch_end`] once per drain and the sink
+//! adds it to the registry series it holds. What a sink sees per frame is
+//! the frame-order [`TelemetrySink::verdict`] stream, which exists for
+//! positional *sampling* (flight recorder, trace ids) only.
 
+use crate::counters::SwitchCounters;
+use crate::histogram::LatencyHistogram;
 use crate::recorder::{Event, FlightRecorder};
 use crate::registry::{Counter, Gauge, Histogram, Registry};
 use crate::trace::{ProfileBoard, SpanRecord, StageKind, TraceSampler, TraceStore};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Why a frame was not forwarded. The taxonomy refines the legacy
-/// `SwitchCounters { dropped, parser_rejected }` pair: `ParserRejected`
-/// corresponds to the old `parser_rejected` total, and the remaining
-/// reasons partition the old `dropped` total (plus `Backpressure`, which
-/// is counted before a frame ever reaches a pipeline).
+/// Why a frame was not forwarded. [`SwitchCounters`] stores one count per
+/// reason a pipeline can give ([`DropReason::LANE`]); `Backpressure` is
+/// counted by the gateway, before a frame ever reaches a pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DropReason {
     /// The parser could not extract the configured key fields.
@@ -30,13 +37,13 @@ pub enum DropReason {
 }
 
 impl DropReason {
-    /// Every reason, in rendering order.
-    pub const ALL: [DropReason; 5] = [
+    /// The reasons a lane's pipeline can give — every one but
+    /// `Backpressure` — in rendering order.
+    pub const LANE: [DropReason; 4] = [
         DropReason::ParserRejected,
         DropReason::RuleDrop,
         DropReason::NoRule,
         DropReason::WrongWidth,
-        DropReason::Backpressure,
     ];
 
     /// The `reason` label value.
@@ -47,16 +54,6 @@ impl DropReason {
             DropReason::NoRule => "no_rule",
             DropReason::WrongWidth => "wrong_width",
             DropReason::Backpressure => "backpressure",
-        }
-    }
-
-    fn index(&self) -> usize {
-        match self {
-            DropReason::ParserRejected => 0,
-            DropReason::RuleDrop => 1,
-            DropReason::NoRule => 2,
-            DropReason::WrongWidth => 3,
-            DropReason::Backpressure => 4,
         }
     }
 }
@@ -84,7 +81,7 @@ impl VerdictKind {
     }
 }
 
-/// Observer for per-frame dataplane activity. Every method has a no-op
+/// Observer of a lane's dataplane activity. Every method has a no-op
 /// default, so the hot path stays free of branches when compiled against
 /// [`NoopSink`] — the compiler erases the calls entirely.
 ///
@@ -97,21 +94,13 @@ pub trait TelemetrySink {
     /// series.
     fn swap_seen(&mut self, _version: u64, _tables: &[(usize, String)]) {}
 
-    /// One compiled-table lookup finished: `hit` is whether an entry
-    /// matched (a miss means the default action applied).
-    fn table_lookup(&mut self, _stage: usize, _hit: bool) {}
-
-    /// A frame was dropped for `reason`.
-    fn drop_frame(&mut self, _reason: DropReason) {}
-
-    /// A frame finished processing. `frame` is the raw bytes (digested
-    /// only when the flight recorder samples this event) and `matched` is
-    /// the `(stage, rank)` of the last matching entry, when any matched.
+    /// A frame finished processing — called once per frame, in frame
+    /// order, so a positional sampler sees the same stream on every
+    /// walker. `frame` is the raw bytes (digested only when the flight
+    /// recorder samples this event) and `matched` is the `(stage, rank)`
+    /// of the last matching entry, when any matched. Not a counting hook:
+    /// the frame is already in the lane's [`SwitchCounters`].
     fn verdict(&mut self, _verdict: VerdictKind, _frame: &[u8], _matched: Option<(usize, u32)>) {}
-
-    /// `count` frames that shared one measured batch, each costing `nanos`
-    /// (the batch mean).
-    fn latency_n(&mut self, _nanos: u64, _count: u64) {}
 
     /// Whether the caller should measure per-stage wall time and report it
     /// via [`TelemetrySink::stage_time`]. Defaults to `false`, so the
@@ -125,14 +114,15 @@ pub trait TelemetrySink {
     /// Only called when [`TelemetrySink::profiling_enabled`] returns true.
     fn stage_time(&mut self, _stage: StageKind, _table: Option<usize>, _nanos: u64, _frames: u64) {}
 
-    /// The shard finished a batch of frames. Buffering sinks flush their
-    /// locally accumulated counts to shared state here, so the per-frame
-    /// path stays free of atomics and locks.
-    fn batch_end(&mut self) {}
+    /// The shard finished a drain. `counts` is everything the lane counted
+    /// during it and `latency` its per-frame latency samples — the drain's
+    /// own numbers, not running totals, so a sink *adds* them to shared
+    /// state and two gateways on one registry stay monotone.
+    fn batch_end(&mut self, _counts: &SwitchCounters, _latency: &LatencyHistogram) {}
 }
 
-/// The do-nothing sink. `process_with::<NoopSink>` compiles to the same
-/// machine code as the un-instrumented path.
+/// The do-nothing sink: a walker instantiated with it compiles to the
+/// un-instrumented path.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopSink;
 
@@ -153,16 +143,14 @@ pub fn frame_digest(frame: &[u8]) -> u64 {
     h.wrapping_mul(PRIME)
 }
 
-/// A [`TelemetrySink`] that counts into a [`Registry`] and samples verdicts
-/// into a [`FlightRecorder`]. One instance per shard lane: every series it
-/// registers carries the `shard` label, plus `tenant` when the lane serves
-/// a named tenant of a fleet.
+/// A [`TelemetrySink`] that publishes a lane's counts into a [`Registry`]
+/// and samples verdicts into a [`FlightRecorder`]. One instance per shard
+/// lane: every series it registers carries the `shard` label, plus
+/// `tenant` when the lane serves a named tenant of a fleet.
 ///
-/// Per-frame events accumulate in plain (non-atomic) buffers and flush to
-/// the shared registry on [`TelemetrySink::batch_end`], on swaps, and on
-/// drop — so the hot path costs a handful of local adds per frame while
-/// scrapers still see totals at most one batch stale (and exact once the
-/// shard drains or exits).
+/// It holds no counts of its own: [`TelemetrySink::batch_end`] adds the
+/// drain's [`SwitchCounters`] block to the registered handles, so scrapers
+/// see totals at most one drain stale and exact once the shard drains.
 pub struct RegistrySink {
     registry: Arc<Registry>,
     recorder: Arc<FlightRecorder>,
@@ -172,40 +160,32 @@ pub struct RegistrySink {
     version: u64,
     received: Counter,
     forwarded: Counter,
-    drops: [Counter; 5],
+    /// One series per [`DropReason::LANE`] reason, in that order.
+    drops: [Counter; 4],
     stage_hits: Vec<(Counter, Counter)>,
     latency: Histogram,
     version_gauge: Gauge,
     swaps: Counter,
-    buf: SinkBuffer,
-    /// Local stream position feeding the recorder's residue-class check,
-    /// so sampling needs no shared opportunity counter.
-    sample_position: u64,
+    /// Verdicts left before the next one the recorder samples: a local
+    /// countdown over this lane's stream, so the per-frame path is one
+    /// decrement — no shared opportunity counter, no division.
+    until_sample: u64,
     tracing: Option<TraceBits>,
-}
-
-/// The per-batch accumulation state of a [`RegistrySink`].
-#[derive(Default)]
-struct SinkBuffer {
-    received: u64,
-    forwarded: u64,
-    drops: [u64; 5],
-    stage_hits: Vec<(u64, u64)>,
-    latency: crate::histogram::LatencyHistogram,
 }
 
 /// Every `PROFILE_STRIDE`-th batch on a tracing-armed sink is profiled:
 /// its stages are wall-timed, folded into the stage histograms and the
 /// profile board, and its sampled frames get full span trees. The other
-/// batches pay only one bulk sampler advance at flush, keeping the
-/// tracing overhead a small fraction of the registry sink's own cost.
+/// batches pay only one bulk sampler advance at the end of the drain,
+/// keeping the tracing overhead a small fraction of the registry sink's
+/// own cost.
 const PROFILE_STRIDE: u64 = 32;
 
 /// Span-sampling and stage-profiling state, armed by
 /// [`RegistrySink::with_tracing`]. Tracing adds no per-frame work at all:
-/// the positional sampler advances in bulk at each flush, and spans and
-/// histogram folds happen at the end of each profiled
-/// ([`PROFILE_STRIDE`]) batch.
+/// the positional sampler advances in bulk at each
+/// [`TelemetrySink::batch_end`], and spans and histogram folds happen at
+/// the end of each profiled ([`PROFILE_STRIDE`]) batch.
 struct TraceBits {
     store: Arc<TraceStore>,
     profile: Arc<ProfileBoard>,
@@ -222,8 +202,6 @@ struct TraceBits {
     histograms: Vec<((StageKind, Option<usize>), Histogram, String)>,
     /// `(stage, table name)` pairs from the last swap, for labels.
     tables: Vec<(usize, String)>,
-    /// Total measured frame-latency nanos and frame count this batch.
-    batch_latency: (u64, u64),
 }
 
 /// The label set of one lane's series: `shard`, `tenant` when the lane has
@@ -251,17 +229,22 @@ impl RegistrySink {
     ) -> Self {
         let shard_label = shard.to_string();
         let labels = lane_labels(&shard_label, tenant, &[]);
-        let received = registry.counter(
+        let counter = |name, help| registry.counter(name, help, &labels);
+        let received = counter(
             "p4guard_frames_received_total",
             "Frames that reached a shard pipeline",
-            &labels,
         );
-        let forwarded = registry.counter(
+        let forwarded = counter(
             "p4guard_frames_forwarded_total",
             "Frames forwarded out an egress port",
-            &labels,
         );
-        let drops = DropReason::ALL.map(|reason| {
+        let swaps = counter(
+            "p4guard_ruleset_swaps_total",
+            "Pipeline snapshot swaps observed",
+        );
+        // Only the reasons a lane can give: backpressure is shed before
+        // any lane sees the frame and is the gateway's series, per shard.
+        let drops = DropReason::LANE.map(|reason| {
             registry.counter(
                 "p4guard_drops_total",
                 "Frames dropped, by reason",
@@ -278,13 +261,9 @@ impl RegistrySink {
             "Version of the pipeline snapshot this shard is serving",
             &labels,
         );
-        let swaps = registry.counter(
-            "p4guard_ruleset_swaps_total",
-            "Pipeline snapshot swaps observed",
-            &labels,
-        );
         RegistrySink {
             registry,
+            until_sample: recorder.first_sample(),
             recorder,
             tenant: tenant.map(str::to_owned),
             shard: shard_label.clone(),
@@ -297,8 +276,6 @@ impl RegistrySink {
             latency,
             version_gauge,
             swaps,
-            buf: SinkBuffer::default(),
-            sample_position: 0,
             tracing: None,
         }
     }
@@ -319,80 +296,77 @@ impl RegistrySink {
             stage_acc: Vec::new(),
             histograms: Vec::new(),
             tables: Vec::new(),
-            batch_latency: (0, 0),
         });
         self
     }
 
-    /// The shard index this sink instruments.
-    pub fn shard(&self) -> usize {
-        self.shard_idx
-    }
-
-    /// Pushes every buffered count into the shared registry. Cheap when
-    /// nothing accumulated (all-zero adds are skipped).
+    /// Adds one drain's counts to the shared registry (all-zero adds are
+    /// skipped: an idle lane touches no shared cache line).
     ///
     /// This is also where the trace sampler advances: trace ids are
-    /// positional, so one bulk [`TraceSampler::advance`] over the batch's
-    /// verdict count yields exactly the ids per-frame ticks would have —
+    /// positional, so one bulk [`TraceSampler::advance`] over the drain's
+    /// frame count yields exactly the ids per-frame ticks would have —
     /// without any per-frame tracing work in [`RegistrySink::verdict`].
-    fn flush(&mut self) {
-        if self.buf.received > 0 {
-            if let Some(tb) = self.tracing.as_mut() {
-                let TraceBits {
-                    sampler,
-                    pending,
-                    batch_idx,
-                    ..
-                } = tb;
-                if *batch_idx % PROFILE_STRIDE == 0 {
-                    sampler.advance(self.buf.received, |ctx| pending.push(ctx.trace_id));
-                } else {
-                    // Unprofiled batch: keep the position stream exact but
-                    // drop the ids — only profiled batches have the stage
-                    // laps a span tree needs.
-                    sampler.advance(self.buf.received, |_| {});
+    fn publish(&mut self, counts: &SwitchCounters, latency: &LatencyHistogram) {
+        if let Some(tb) = self.tracing.as_mut() {
+            // An unprofiled batch keeps the position stream exact but drops
+            // the ids: only profiled batches have the stage laps a span
+            // tree needs.
+            let (profiled, pending) = (tb.batch_idx % PROFILE_STRIDE == 0, &mut tb.pending);
+            tb.sampler.advance(counts.received, |ctx| {
+                if profiled {
+                    pending.push(ctx.trace_id);
                 }
+            });
+        }
+        let add = |counter: &Counter, n: u64| {
+            if n > 0 {
+                counter.add(n);
             }
-            self.received.add(self.buf.received);
-            self.buf.received = 0;
+        };
+        add(&self.received, counts.received);
+        add(&self.forwarded, counts.forwarded);
+        for (counter, n) in self.drops.iter().zip(counts.drops()) {
+            add(counter, n);
         }
-        if self.buf.forwarded > 0 {
-            self.forwarded.add(self.buf.forwarded);
-            self.buf.forwarded = 0;
+        for ((hits, misses), (h, m)) in self.stage_hits.iter().zip(&counts.stages) {
+            add(hits, *h);
+            add(misses, *m);
         }
-        for (counter, buffered) in self.drops.iter().zip(self.buf.drops.iter_mut()) {
-            if *buffered > 0 {
-                counter.add(*buffered);
-                *buffered = 0;
-            }
+        if latency.count() > 0 {
+            self.latency.merge(latency);
         }
-        for ((hits, misses), (h, m)) in self.stage_hits.iter().zip(self.buf.stage_hits.iter_mut()) {
-            if *h > 0 {
-                hits.add(*h);
-                *h = 0;
-            }
-            if *m > 0 {
-                misses.add(*m);
-                *m = 0;
-            }
-        }
-        if self.buf.latency.count() > 0 {
-            self.latency.merge(&self.buf.latency);
-            self.buf.latency = crate::histogram::LatencyHistogram::new();
-        }
+    }
+
+    /// The sampled 1-in-N path of [`RegistrySink::verdict`].
+    #[cold]
+    fn record_verdict(
+        &mut self,
+        verdict: VerdictKind,
+        frame: &[u8],
+        matched: Option<(usize, u32)>,
+    ) {
+        self.recorder.record(Event::Verdict {
+            verdict: verdict.as_str().to_string(),
+            digest: frame_digest(frame),
+            len: frame.len(),
+            shard: self.shard_idx,
+            version: self.version,
+            matched_stage: matched.map(|(s, _)| s),
+            matched_rank: matched.map(|(_, r)| r),
+        });
     }
 
     /// Ends a profiled batch: emits its sampled span trees, folds stage
     /// timings into the stage histograms and the profile board, then
     /// resets the per-batch tracing state. `flush_nanos` is the measured
-    /// cost of the counter flush that just ran, attributed as the `flush`
-    /// stage.
-    fn trace_batch_end(&mut self, flush_nanos: u64) {
+    /// cost of the counter publish that just ran, attributed as the
+    /// `flush` stage; `latency` is the drain's frame latency.
+    fn trace_batch_end(&mut self, flush_nanos: u64, latency: &LatencyHistogram) {
         let Some(tb) = self.tracing.as_mut() else {
             return;
         };
-        let (latency_total, frames) = tb.batch_latency;
+        let (latency_total, frames) = (latency.sum_nanos(), latency.count());
         if frames > 0 {
             tb.stage_acc
                 .push((StageKind::Flush, None, flush_nanos, frames));
@@ -496,9 +470,6 @@ impl RegistrySink {
                 offset += duration;
             }
         }
-        tb.pending.clear();
-        tb.stage_acc.clear();
-        tb.batch_latency = (0, 0);
     }
 }
 
@@ -507,9 +478,6 @@ impl TelemetrySink for RegistrySink {
         if self.version == version {
             return;
         }
-        // Flush before re-targeting, so buffered lookups still land on the
-        // table series they belong to.
-        self.flush();
         let first = self.version == u64::MAX;
         self.version = version;
         self.version_gauge.set(version as f64);
@@ -522,7 +490,6 @@ impl TelemetrySink for RegistrySink {
             // against the new snapshot.
             tb.histograms.clear();
         }
-        self.buf.stage_hits = vec![(0, 0); tables.len()];
         self.stage_hits = tables
             .iter()
             .map(|(stage, name)| {
@@ -549,49 +516,12 @@ impl TelemetrySink for RegistrySink {
     }
 
     #[inline]
-    fn table_lookup(&mut self, stage: usize, hit: bool) {
-        if let Some((hits, misses)) = self.buf.stage_hits.get_mut(stage) {
-            if hit {
-                *hits += 1;
-            } else {
-                *misses += 1;
-            }
-        }
-    }
-
-    #[inline]
-    fn drop_frame(&mut self, reason: DropReason) {
-        self.buf.drops[reason.index()] += 1;
-    }
-
     fn verdict(&mut self, verdict: VerdictKind, frame: &[u8], matched: Option<(usize, u32)>) {
-        self.buf.received += 1;
-        if verdict == VerdictKind::Forward {
-            self.buf.forwarded += 1;
-        }
-        let position = self.sample_position;
-        self.sample_position += 1;
-        if self.recorder.samples_at(position) {
-            self.recorder.record(Event::Verdict {
-                verdict: verdict.as_str().to_string(),
-                digest: frame_digest(frame),
-                len: frame.len(),
-                shard: self.shard_idx,
-                version: self.version,
-                matched_stage: matched.map(|(s, _)| s),
-                matched_rank: matched.map(|(_, r)| r),
-            });
-        }
-    }
-
-    #[inline]
-    fn latency_n(&mut self, nanos: u64, count: u64) {
-        self.buf
-            .latency
-            .record_n(std::time::Duration::from_nanos(nanos), count);
-        if let Some(tb) = self.tracing.as_mut() {
-            tb.batch_latency.0 += nanos.saturating_mul(count);
-            tb.batch_latency.1 += count;
+        if self.until_sample > 0 {
+            self.until_sample -= 1;
+        } else {
+            self.until_sample = self.recorder.sample_every() - 1;
+            self.record_verdict(verdict, frame, matched);
         }
     }
 
@@ -618,30 +548,23 @@ impl TelemetrySink for RegistrySink {
         }
     }
 
-    fn batch_end(&mut self) {
-        // `flush` keys the sampler's pending-id collection off `batch_idx`,
-        // so the index advances only after the batch fully settles.
+    fn batch_end(&mut self, counts: &SwitchCounters, latency: &LatencyHistogram) {
+        // `publish` keys the sampler's pending-id collection off
+        // `batch_idx`, so the index advances only after the batch fully
+        // settles.
         if self.profiling_enabled() {
             let flush_start = Instant::now();
-            self.flush();
+            self.publish(counts, latency);
             let flush_nanos = u64::try_from(flush_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.trace_batch_end(flush_nanos);
+            self.trace_batch_end(flush_nanos, latency);
         } else {
-            self.flush();
+            self.publish(counts, latency);
         }
         if let Some(tb) = self.tracing.as_mut() {
             tb.pending.clear();
             tb.stage_acc.clear();
-            tb.batch_latency = (0, 0);
             tb.batch_idx = tb.batch_idx.wrapping_add(1);
         }
-    }
-}
-
-impl Drop for RegistrySink {
-    /// A shard exiting mid-batch still publishes its final counts.
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -658,46 +581,51 @@ mod tests {
     }
 
     #[test]
-    fn verdicts_count_received_and_forwarded() {
+    fn batch_end_adds_the_drain_block_and_verdicts_only_sample() {
         let (registry, recorder, mut sink) = sink();
         sink.swap_seen(7, &[(0, "acl".to_string())]);
         sink.verdict(VerdictKind::Forward, b"abc", Some((0, 2)));
         sink.verdict(VerdictKind::Drop, b"xyz", None);
-        sink.drop_frame(DropReason::NoRule);
-        // Counts are batch-buffered: invisible until a flush point.
-        assert_eq!(
-            registry.counter_value("p4guard_frames_received_total", &[("shard", "3")]),
-            Some(0)
-        );
-        sink.batch_end();
-        assert_eq!(
-            registry.counter_value("p4guard_frames_received_total", &[("shard", "3")]),
-            Some(2)
-        );
-        assert_eq!(
-            registry.counter_value("p4guard_frames_forwarded_total", &[("shard", "3")]),
-            Some(1)
-        );
-        assert_eq!(
-            registry.counter_value(
-                "p4guard_drops_total",
-                &[("reason", "no_rule"), ("shard", "3")]
-            ),
-            Some(1)
-        );
-        // sample_every=1 records every verdict.
+        // sample_every=1 records every verdict — and that is all a verdict
+        // does: an empty drain publishes nothing.
         assert_eq!(recorder.len(), 2);
+        sink.batch_end(&SwitchCounters::default(), &LatencyHistogram::new());
+        let received =
+            || registry.counter_value("p4guard_frames_received_total", &[("shard", "3")]);
+        assert_eq!(received(), Some(0));
+        let drain = SwitchCounters {
+            received: 2,
+            forwarded: 1,
+            dropped: 1,
+            no_rule: 1,
+            ..SwitchCounters::default()
+        };
+        let mut latency = LatencyHistogram::new();
+        latency.record_n(std::time::Duration::from_nanos(500), 2);
+        sink.batch_end(&drain, &latency);
+        assert_eq!(received(), Some(2));
+        let drops = |reason| {
+            registry.counter_value("p4guard_drops_total", &[("reason", reason), ("shard", "3")])
+        };
+        assert_eq!(drops("no_rule"), Some(1));
+        // A lane cannot shed: that series is the gateway's to register.
+        assert_eq!(drops("backpressure"), None);
+        // The block is a drain's worth, added — not a running total stored.
+        sink.batch_end(&drain, &latency);
+        assert_eq!(received(), Some(4));
+        assert_eq!(registry.histogram_snapshot()[0].2.count(), 4);
     }
 
     #[test]
     fn table_lookups_track_per_stage_series() {
         let (registry, _recorder, mut sink) = sink();
         sink.swap_seen(1, &[(0, "acl".to_string()), (1, "nat".to_string())]);
-        sink.table_lookup(0, true);
-        sink.table_lookup(0, true);
-        sink.table_lookup(1, false);
-        sink.table_lookup(9, true); // unknown stage: ignored, not a panic
-        sink.batch_end();
+        let drain = SwitchCounters {
+            // A third slot left over from a wider pipeline: no series, ignored.
+            stages: vec![(2, 0), (0, 1), (9, 9)],
+            ..SwitchCounters::default()
+        };
+        sink.batch_end(&drain, &LatencyHistogram::new());
         assert_eq!(
             registry.counter_value(
                 "p4guard_table_hits_total",
@@ -712,6 +640,26 @@ mod tests {
             ),
             Some(1)
         );
+        assert_eq!(registry.family_sum("p4guard_table_hits_total"), 2);
+    }
+
+    #[test]
+    fn verdict_countdown_visits_the_recorders_sampled_positions() {
+        for (every, seed) in [(1, 0), (5, 3), (64, 2020)] {
+            let recorder = Arc::new(FlightRecorder::new(256, every, seed));
+            let registry = Arc::new(Registry::new());
+            let mut sink = RegistrySink::new(registry, Arc::clone(&recorder), 0, None);
+            // The frame's length is its stream position.
+            for position in 0..200usize {
+                sink.verdict(VerdictKind::Forward, &vec![0u8; position], None);
+            }
+            let sampled = recorder.events().into_iter().map(|e| match e.event {
+                Event::Verdict { len, .. } => len,
+                other => panic!("unexpected event {other:?}"),
+            });
+            let expected = (0..200).filter(|&p| recorder.samples_at(p as u64));
+            assert!(sampled.eq(expected), "every {every}, seed {seed}");
+        }
     }
 
     #[test]
@@ -747,15 +695,18 @@ mod tests {
             .with_tracing(Arc::clone(&store), Arc::clone(&profile));
         assert!(sink.profiling_enabled());
         sink.swap_seen(5, &[(0, "acl".to_string())]);
-        for _ in 0..4 {
-            sink.verdict(VerdictKind::Forward, b"pkt", None);
-        }
         sink.stage_time(StageKind::Parse, None, 4_000, 4);
         sink.stage_time(StageKind::Lookup, Some(0), 8_000, 4);
-        sink.latency_n(3_000, 4);
-        sink.batch_end();
+        let drain = SwitchCounters {
+            received: 4,
+            forwarded: 4,
+            ..SwitchCounters::default()
+        };
+        let mut latency = LatencyHistogram::new();
+        latency.record_n(std::time::Duration::from_nanos(3_000), 4);
+        sink.batch_end(&drain, &latency);
 
-        // 1-in-2 sampling over four verdicts → two sampled traces, each a
+        // 1-in-2 sampling over four frames → two sampled traces, each a
         // `frame` root with per-stage children (including `flush`).
         let ids = store.recent_trace_ids(10);
         assert_eq!(ids.len(), 2, "spans: {:?}", store.recent(100));
@@ -793,9 +744,7 @@ mod tests {
     fn noop_sink_accepts_everything() {
         let mut s = NoopSink;
         s.swap_seen(1, &[]);
-        s.table_lookup(0, true);
-        s.drop_frame(DropReason::Backpressure);
         s.verdict(VerdictKind::ParserReject, b"", None);
-        s.latency_n(5, 1);
+        s.batch_end(&SwitchCounters::default(), &LatencyHistogram::new());
     }
 }
