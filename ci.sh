@@ -304,13 +304,28 @@ grep -q '/lookup' "$SMOKE_DIR/profile.json" && grep -q 'exemplar_trace' "$SMOKE_
   cat "$SMOKE_DIR/profile.json" >&2
   exit 1
 }
-"$CLI" stats --metrics "$ADDR" --path '/traces?recent=4' > "$SMOKE_DIR/traces.json"
-grep -q '"name":"frame"' "$SMOKE_DIR/traces.json" || {
-  echo "/traces?recent=4 returned no frame-rooted span trees:" >&2
+"$CLI" stats --metrics "$ADDR" --path '/traces?recent=8' > "$SMOKE_DIR/traces.json"
+FRAME_ROOTS=$({ grep -o '{"trace_id":[0-9]*,"span_id":[0-9]*,"parent_id":null,"name":"frame"' \
+  "$SMOKE_DIR/traces.json" || true; } | sed 's/{"trace_id":\([0-9]*\),.*/\1/')
+if [ -z "$FRAME_ROOTS" ]; then
+  echo "/traces?recent=8 returned no frame-rooted span trees:" >&2
   cat "$SMOKE_DIR/traces.json" >&2
   exit 1
-}
-echo "traced serve: stage histograms, burn gauges, /profile and /traces live"
+fi
+# The join, on the wire: the id a sampled frame's span tree is rooted at
+# names exactly one verdict entry of /events, and no other tree.
+"$CLI" stats --metrics "$ADDR" --path /events > "$SMOKE_DIR/events.json"
+for id in $FRAME_ROOTS; do
+  VERDICTS=$({ grep -o "\"Verdict\":{[^}]*\"trace_id\":$id}" "$SMOKE_DIR/events.json" || true; } | wc -l)
+  ROOTS=$("$CLI" stats --metrics "$ADDR" --path "/traces?id=$id" |
+    { grep -o '"parent_id":null' || true; } | wc -l)
+  if [ "$VERDICTS" != "1" ] || [ "$ROOTS" != "1" ]; then
+    echo "trace $id joins $VERDICTS verdict event(s) and $ROOTS root span(s), expected 1 and 1:" >&2
+    cat "$SMOKE_DIR/events.json" >&2
+    exit 1
+  fi
+done
+echo "traced serve: stage histograms, burn gauges, /profile live, $(echo "$FRAME_ROOTS" | wc -l) frame traces join /events"
 kill "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
 

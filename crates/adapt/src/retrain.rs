@@ -154,11 +154,12 @@ impl Retrainer {
         }
         let dataset = ByteDataset::from_trace(window, self.window);
         let projected = dataset.project(&self.offsets);
-        let mut flat = Vec::with_capacity(projected.len() * self.offsets.len());
-        for i in 0..projected.len() {
-            flat.extend_from_slice(projected.sample(i));
-        }
-        let tree = DecisionTree::fit(self.offsets.len(), &flat, projected.labels(), self.tree);
+        let tree = DecisionTree::fit(
+            self.offsets.len(),
+            projected.data(),
+            projected.labels(),
+            self.tree,
+        );
         let compiled = compile_tree(&tree, &self.compile)?;
         Ok(compiled.ternary)
     }
@@ -168,7 +169,7 @@ impl Retrainer {
 mod tests {
     use super::*;
     use p4guard_packet::AttackFamily;
-    use p4guard_telemetry::FlightRecorder;
+    use p4guard_telemetry::{FlightRecorder, VerdictKind};
     use p4guard_traffic::{AttackEvent, Fleet, Scenario};
 
     fn scenario(family: AttackFamily, seed: u64) -> Scenario {
@@ -237,28 +238,30 @@ mod tests {
     fn assemble_window_counts_recorder_overlap() {
         let sc = scenario(AttackFamily::MiraiScan, 21);
         let trace = sc.generate().unwrap();
-        let recorder = FlightRecorder::new(64, 1, 0);
+        let recorder = FlightRecorder::new(64);
         // Record verdicts for a handful of real window frames plus one
         // frame that is not in the window.
         for r in trace.iter().take(5) {
             recorder.record(Event::Verdict {
-                verdict: "forward".to_string(),
+                verdict: VerdictKind::Forward,
                 digest: frame_digest(&r.frame),
                 len: r.frame.len(),
                 shard: 0,
                 version: 1,
                 matched_stage: None,
                 matched_rank: None,
+                trace_id: 1,
             });
         }
         recorder.record(Event::Verdict {
-            verdict: "drop".to_string(),
+            verdict: VerdictKind::Drop,
             digest: 0xdead_beef,
             len: 60,
             shard: 0,
             version: 1,
             matched_stage: None,
             matched_rank: None,
+            trace_id: 2,
         });
         let window = retrainer().assemble_window(&sc, &recorder).unwrap();
         assert_eq!(window.trace.len(), trace.len());

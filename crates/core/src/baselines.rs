@@ -205,10 +205,7 @@ impl AllBytesTree {
     pub fn train(trace: &Trace, window: usize, tree_config: TreeConfig) -> Self {
         let t0 = Instant::now();
         let bytes = ByteDataset::from_trace(trace, window);
-        let flat: Vec<u8> = (0..bytes.len())
-            .flat_map(|i| bytes.sample(i).to_vec())
-            .collect();
-        let tree = DecisionTree::fit(window, &flat, bytes.labels(), tree_config);
+        let tree = DecisionTree::fit(window, bytes.data(), bytes.labels(), tree_config);
         // Compile with a generous budget; an over-budget expansion is
         // itself a result (the method does not fit).
         let compile = compile_tree(
@@ -296,7 +293,6 @@ impl FullDnn {
                 epochs,
                 batch_size: 64,
                 seed: seed ^ 7,
-                early_stop_loss: None,
             },
         );
         FullDnn {
@@ -362,7 +358,6 @@ impl LogisticBaseline {
                 epochs,
                 batch_size: 64,
                 seed: seed ^ 9,
-                early_stop_loss: None,
             },
         );
         LogisticBaseline {

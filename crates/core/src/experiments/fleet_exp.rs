@@ -150,12 +150,9 @@ impl fmt::Display for FleetReport {
 pub(crate) fn train_tenant(sim: &FleetSim, tenant: usize, layout: &AclLayout) -> RuleSet {
     let trace = sim.training_trace(tenant, TRAIN_FRAMES);
     let dataset = ByteDataset::from_trace(&trace, layout.window).project(&layout.offsets);
-    let flat: Vec<u8> = (0..dataset.len())
-        .flat_map(|i| dataset.sample(i).to_vec())
-        .collect();
     let tree = DecisionTree::fit(
         layout.offsets.len(),
-        &flat,
+        dataset.data(),
         dataset.labels(),
         TreeConfig::default(),
     );

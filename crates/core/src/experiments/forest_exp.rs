@@ -201,31 +201,6 @@ impl fmt::Display for ForestReport {
     }
 }
 
-/// Selected-byte features of a trace, flattened row-major, with labels.
-struct TaskData {
-    flat: Vec<u8>,
-    labels: Vec<usize>,
-    k: usize,
-}
-
-impl TaskData {
-    fn from_trace(trace: &Trace, window: usize, offsets: &[usize]) -> TaskData {
-        let bytes = ByteDataset::from_trace(trace, window).project(offsets);
-        let flat: Vec<u8> = (0..bytes.len())
-            .flat_map(|i| bytes.sample(i).to_vec())
-            .collect();
-        TaskData {
-            flat,
-            labels: bytes.labels().to_vec(),
-            k: offsets.len(),
-        }
-    }
-
-    fn rows(&self) -> impl Iterator<Item = &[u8]> {
-        self.flat.chunks_exact(self.k)
-    }
-}
-
 /// The forest configuration for one frontier point. `trees == 1` turns
 /// bagging off and keeps the base tree parameters, making the point
 /// exactly the plain CART baseline. Multi-tree points bag bootstrap
@@ -297,14 +272,14 @@ fn measure_point(
     trees: usize,
     depth: usize,
     base: &GuardConfig,
-    train: &TaskData,
-    test: &TaskData,
+    train: &ByteDataset,
+    test: &ByteDataset,
     offsets: &[usize],
 ) -> (ForestPoint, RandomForest, CompiledForest) {
     let forest = RandomForest::fit(
-        train.k,
-        &train.flat,
-        &train.labels,
+        train.window(),
+        train.data(),
+        train.labels(),
         point_config(trees, depth, base),
     );
     let compiled = forest
@@ -312,8 +287,10 @@ fn measure_point(
         .expect("forest compiles within the entry budget");
     let control = deploy_forest(base.window, offsets, &compiled, None);
     let resources = control.with_switch(|sw| sw.resources());
-    let predicted: Vec<usize> = test.rows().map(|row| compiled.classify(row)).collect();
-    let metrics = binary_metrics(&predicted, &test.labels);
+    let predicted: Vec<usize> = (0..test.len())
+        .map(|i| compiled.classify(test.sample(i)))
+        .collect();
+    let metrics = binary_metrics(&predicted, test.labels());
     (
         ForestPoint {
             trees,
@@ -346,8 +323,8 @@ fn task_frontier(
         .train(train)
         .expect("guard trains on the task scenario");
     let offsets = guard.selection.offsets.clone();
-    let train_data = TaskData::from_trace(train, config.window, &offsets);
-    let test_data = TaskData::from_trace(test, config.window, &offsets);
+    let train_data = ByteDataset::from_trace(train, config.window).project(&offsets);
+    let test_data = ByteDataset::from_trace(test, config.window).project(&offsets);
 
     let mut points = Vec::new();
     let mut compiled_forests = Vec::new();
@@ -402,9 +379,9 @@ fn task_frontier(
         let p = &points[idx];
         (
             RandomForest::fit(
-                train_data.k,
-                &train_data.flat,
-                &train_data.labels,
+                train_data.window(),
+                train_data.data(),
+                train_data.labels(),
                 point_config(p.trees, p.depth, config),
             ),
             p.clone(),

@@ -167,11 +167,11 @@ fn traced_replay(seed: u64, shards: usize) -> TracedReplay {
         .high_latency_exemplar()
         .expect("sampled replay leaves a latency exemplar");
     let spans = telemetry.traces.by_trace(exemplar_trace);
-    let root = spans
-        .iter()
-        .find(|s| s.parent_id.is_none() && s.name == "frame")
-        .expect("exemplar resolves to a frame root span")
-        .clone();
+    let mut roots = spans.iter().filter(|s| s.parent_id.is_none());
+    let root = match (roots.next(), roots.next()) {
+        (Some(root), None) if root.name == "frame" => root.clone(),
+        _ => panic!("exemplar must resolve to exactly one frame root span: {spans:?}"),
+    };
     let children: Vec<_> = spans
         .iter()
         .filter(|s| s.parent_id == Some(root.span_id))
@@ -290,7 +290,8 @@ fn slo_wave(seed: u64, shards: usize) -> SloWave {
 /// # Panics
 ///
 /// Panics if the gateways fail to drain, if no attack frames exist to
-/// script the wave, or if the sampled replay leaves no latency exemplar.
+/// script the wave, or if the sampled replay leaves no latency exemplar or
+/// one whose id does not resolve to exactly one `frame` root span.
 pub fn run_f15_observe(seed: u64, shards: usize) -> F15ObserveReport {
     let replay = traced_replay(seed, shards);
     let wave = slo_wave(seed, shards);
@@ -313,6 +314,8 @@ mod tests {
         assert!(r.frames > 0);
         assert!(r.traces > 0, "sampled replay must leave traces");
         assert!(r.swap_trace_joined, "swap audit event must join the store");
+        // One root is `traced_replay`'s own check: it panics on an exemplar
+        // id that two lanes share.
         assert!(
             r.exemplar_spans >= 2,
             "exemplar tree needs a root and at least one stage child"

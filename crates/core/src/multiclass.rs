@@ -53,9 +53,6 @@ impl FamilyGuard {
         let binary = TwoStagePipeline::new(config.clone()).train(trace)?;
         let bytes = ByteDataset::from_trace(trace, config.window);
         let selected = bytes.project(&binary.selection.offsets);
-        let flat: Vec<u8> = (0..selected.len())
-            .flat_map(|i| selected.sample(i).to_vec())
-            .collect();
         let mut families = Vec::new();
         for family in AttackFamily::ALL {
             let labels: Vec<usize> = trace
@@ -66,7 +63,7 @@ impl FamilyGuard {
             if positives == 0 {
                 continue;
             }
-            let tree = DecisionTree::fit(config.k, &flat, &labels, config.tree);
+            let tree = DecisionTree::fit(config.k, selected.data(), &labels, config.tree);
             let compiled = compile_tree(&tree, &config.compile)?;
             families.push(FamilyRules {
                 family,

@@ -160,7 +160,6 @@ impl TwoStagePipeline {
                 epochs: cfg.stage1.epochs,
                 batch_size: cfg.stage1.batch_size,
                 seed: cfg.seed ^ 1,
-                early_stop_loss: None,
             },
         );
         let stage1_train = t0.elapsed();
@@ -204,7 +203,6 @@ impl TwoStagePipeline {
                 epochs: cfg.stage2.epochs,
                 batch_size: cfg.stage2.batch_size,
                 seed: cfg.seed ^ 4,
-                early_stop_loss: None,
             },
         );
         let stage2_train = t0.elapsed();
@@ -217,10 +215,7 @@ impl TwoStagePipeline {
         } else {
             selected_bytes.labels().to_vec()
         };
-        let flat: Vec<u8> = (0..selected_bytes.len())
-            .flat_map(|i| selected_bytes.sample(i).to_vec())
-            .collect();
-        let tree = DecisionTree::fit(cfg.k, &flat, &tree_labels, cfg.tree);
+        let tree = DecisionTree::fit(cfg.k, selected_bytes.data(), &tree_labels, cfg.tree);
         let tree_fit = t0.elapsed();
 
         // Compile to ternary rules.

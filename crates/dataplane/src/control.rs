@@ -8,7 +8,6 @@ use crate::switch::Switch;
 use crate::table::{EntryHandle, MatchKind, MatchSpec, Table, TableError};
 use p4guard_rules::ruleset::{RuleSet, RuleSetDiff};
 use p4guard_rules::ternary::TernaryEntry;
-use p4guard_rules::tree::TreePath;
 use p4guard_telemetry::{control_trace_id, Event, FlightRecorder, SpanRecord, TraceStore};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
@@ -206,29 +205,6 @@ impl ControlPlane {
         let mut sw = self.switch.write();
         let table = Self::stage_checked(&mut sw, stage)?;
         Self::insert_ternary(table, ruleset.entries(), on_match)
-    }
-
-    /// Installs tree paths as native range entries into stage `stage`.
-    /// Returns the installed entries' handles, in `paths` order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first table error encountered.
-    pub fn install_ranges(
-        &self,
-        stage: usize,
-        paths: &[TreePath],
-        on_match: Action,
-    ) -> Result<Vec<EntryHandle>, TableError> {
-        let mut sw = self.switch.write();
-        let table = Self::stage_checked(&mut sw, stage)?;
-        paths
-            .iter()
-            .map(|path| {
-                let (lo, hi): (Vec<u8>, Vec<u8>) = path.ranges.iter().copied().unzip();
-                table.insert(MatchSpec::Range { lo, hi }, on_match, 1)
-            })
-            .collect()
     }
 
     /// Applies a [`RuleSetDiff`] to stage `stage`: removes each `removed`
@@ -734,22 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn install_ranges_works() {
-        let cp = control_with_table(MatchKind::Range, 2, 16);
-        let paths = vec![TreePath {
-            ranges: vec![(10, 20), (0, 255)],
-            class: 1,
-            samples: 5,
-        }];
-        let handles = cp.install_ranges(0, &paths, Action::Drop).unwrap();
-        assert_eq!(handles.len(), 1);
-        cp.with_switch_mut(|sw| {
-            assert!(sw.process(&[15, 3]).is_drop());
-            assert!(!sw.process(&[25, 3]).is_drop());
-        });
-    }
-
-    #[test]
     fn remove_and_modify() {
         let cp = control_with_table(MatchKind::Ternary, 2, 16);
         let handles = cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
@@ -1055,7 +1015,7 @@ mod tests {
     #[test]
     fn republish_and_rollback_restore_a_retained_version() {
         let cp = control_with_table(MatchKind::Ternary, 2, 16);
-        let recorder = Arc::new(FlightRecorder::new(16, 1, 0));
+        let recorder = Arc::new(FlightRecorder::new(16));
         cp.set_recorder(Arc::clone(&recorder));
         let cell = cp.attach_cell();
 
@@ -1127,7 +1087,7 @@ mod tests {
     #[test]
     fn audited_publish_records_swap_events() {
         let cp = control_with_table(MatchKind::Ternary, 2, 16);
-        let recorder = Arc::new(FlightRecorder::new(16, 1, 0));
+        let recorder = Arc::new(FlightRecorder::new(16));
         cp.set_recorder(Arc::clone(&recorder));
         cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
 
@@ -1178,8 +1138,8 @@ mod tests {
         use p4guard_telemetry::TraceStore;
 
         let cp = control_with_table(MatchKind::Ternary, 2, 16);
-        let recorder = Arc::new(FlightRecorder::new(16, 1, 0));
-        let tracer = Arc::new(TraceStore::new(64, 1, 0, true));
+        let recorder = Arc::new(FlightRecorder::new(16));
+        let tracer = Arc::new(TraceStore::new(64, true));
         cp.set_recorder(Arc::clone(&recorder));
         cp.set_tracer(Arc::clone(&tracer));
         cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
@@ -1228,7 +1188,7 @@ mod tests {
     #[test]
     fn untraced_publishes_leave_no_trace_ids() {
         let cp = control_with_table(MatchKind::Ternary, 2, 16);
-        let recorder = Arc::new(FlightRecorder::new(16, 1, 0));
+        let recorder = Arc::new(FlightRecorder::new(16));
         cp.set_recorder(Arc::clone(&recorder));
         cp.publish_audited(None, false);
         match &recorder.events()[0].event {

@@ -172,12 +172,7 @@ impl Switch {
         }
         let combine = Combine::of(self.vote);
         let mut tally = Tally::new(self.default_port);
-        for (stage, (table, buf)) in self
-            .stages
-            .iter_mut()
-            .zip(&mut self.key_buffers)
-            .enumerate()
-        {
+        for (stage, (table, buf)) in self.stages.iter().zip(&mut self.key_buffers).enumerate() {
             table.key().build_key_into(frame, buf);
             let (action, rank) = table.lookup_traced(buf);
             let outcome = rank.map_or(LookupOutcome::Miss, LookupOutcome::Hit);

@@ -1,5 +1,6 @@
 //! Match-action tables: exact, ternary, LPM and range match kinds, entry
-//! lifecycle with handles, capacity enforcement, and hit counters.
+//! lifecycle with handles, and capacity enforcement. A table counts
+//! nothing: hits and misses are tallied per stage in `SwitchCounters`.
 
 use crate::action::Action;
 use crate::key::KeyLayout;
@@ -173,8 +174,6 @@ pub struct TableEntry {
     pub action: Action,
     /// Priority; higher wins (for LPM the prefix length is used instead).
     pub priority: i32,
-    /// Hit counter.
-    pub hits: u64,
 }
 
 /// Errors returned by table operations.
@@ -246,7 +245,6 @@ pub struct Table {
     default_action: Action,
     entries: Vec<TableEntry>,
     next_handle: u64,
-    misses: u64,
 }
 
 impl Table {
@@ -266,7 +264,6 @@ impl Table {
             default_action,
             entries: Vec::new(),
             next_handle: 1,
-            misses: 0,
         }
     }
 
@@ -310,16 +307,6 @@ impl Table {
         self.default_action
     }
 
-    /// Replaces the default action.
-    pub fn set_default_action(&mut self, action: Action) {
-        self.default_action = action;
-    }
-
-    /// Miss-counter value.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Installs an entry, returning its handle.
     ///
     /// # Errors
@@ -357,7 +344,6 @@ impl Table {
             spec,
             action,
             priority: effective_priority,
-            hits: 0,
         };
         let at = self
             .entries
@@ -439,41 +425,21 @@ impl Table {
         self.entries.clear();
     }
 
-    /// Looks up `key`, bumping hit/miss counters, and returns the selected
-    /// action (the default on miss).
-    pub fn lookup(&mut self, key: &[u8]) -> Action {
+    /// Looks up `key` and returns the selected action (the default on
+    /// miss).
+    pub fn peek(&self, key: &[u8]) -> Action {
         self.lookup_traced(key).0
     }
 
-    /// [`Table::lookup`] plus the matched entry's rank (its index in the
+    /// [`Table::peek`] plus the matched entry's rank (its index in the
     /// frozen match order, the same identifier
     /// [`CompiledTable::lookup_traced`](crate::compiled::CompiledTable::lookup_traced)
-    /// reports), or `None` on a miss. Counter side effects are identical
-    /// to [`Table::lookup`].
-    pub fn lookup_traced(&mut self, key: &[u8]) -> (Action, Option<u32>) {
-        match self
-            .entries
-            .iter_mut()
-            .enumerate()
-            .find(|(_, e)| e.spec.matches(key))
-        {
-            Some((rank, entry)) => {
-                entry.hits += 1;
-                (entry.action, Some(rank as u32))
-            }
-            None => {
-                self.misses += 1;
-                (self.default_action, None)
-            }
+    /// reports), or `None` on a miss.
+    pub fn lookup_traced(&self, key: &[u8]) -> (Action, Option<u32>) {
+        match self.entries.iter().position(|e| e.spec.matches(key)) {
+            Some(rank) => (self.entries[rank].action, Some(rank as u32)),
+            None => (self.default_action, None),
         }
-    }
-
-    /// Lookup without counter side effects (read-only path).
-    pub fn peek(&self, key: &[u8]) -> Action {
-        self.entries
-            .iter()
-            .find(|e| e.spec.matches(key))
-            .map_or(self.default_action, |e| e.action)
     }
 }
 
@@ -486,17 +452,15 @@ mod tests {
     }
 
     #[test]
-    fn exact_match_and_counters() {
+    fn exact_match_and_removal() {
         let mut t = table(MatchKind::Exact, 2);
         let h = t
             .insert(MatchSpec::Exact(vec![1, 2]), Action::Drop, 0)
             .unwrap();
-        assert_eq!(t.lookup(&[1, 2]), Action::Drop);
-        assert_eq!(t.lookup(&[1, 3]), Action::NoOp);
-        assert_eq!(t.entries()[0].hits, 1);
-        assert_eq!(t.misses(), 1);
+        assert_eq!(t.lookup_traced(&[1, 2]), (Action::Drop, Some(0)));
+        assert_eq!(t.lookup_traced(&[1, 3]), (Action::NoOp, None));
         t.remove(h).unwrap();
-        assert_eq!(t.lookup(&[1, 2]), Action::NoOp);
+        assert_eq!(t.peek(&[1, 2]), Action::NoOp);
     }
 
     #[test]
@@ -520,8 +484,8 @@ mod tests {
             9,
         )
         .unwrap();
-        assert_eq!(t.lookup(&[0x17]), Action::Drop);
-        assert_eq!(t.lookup(&[0x11]), Action::Forward(1));
+        assert_eq!(t.peek(&[0x17]), Action::Drop);
+        assert_eq!(t.peek(&[0x11]), Action::Forward(1));
     }
 
     #[test]
@@ -572,9 +536,9 @@ mod tests {
             0,
         )
         .unwrap();
-        assert_eq!(t.lookup(&[0xc0, 0xa8]), Action::Forward(2));
-        assert_eq!(t.lookup(&[0xc0, 0x01]), Action::Forward(1));
-        assert_eq!(t.lookup(&[0xd0, 0x01]), Action::NoOp);
+        assert_eq!(t.peek(&[0xc0, 0xa8]), Action::Forward(2));
+        assert_eq!(t.peek(&[0xc0, 0x01]), Action::Forward(1));
+        assert_eq!(t.peek(&[0xd0, 0x01]), Action::NoOp);
     }
 
     #[test]
@@ -589,8 +553,8 @@ mod tests {
             0,
         )
         .unwrap();
-        assert_eq!(t.lookup(&[0b1011_1111]), Action::Drop);
-        assert_eq!(t.lookup(&[0b1000_0000]), Action::NoOp);
+        assert_eq!(t.peek(&[0b1011_1111]), Action::Drop);
+        assert_eq!(t.peek(&[0b1000_0000]), Action::NoOp);
     }
 
     #[test]
@@ -605,9 +569,9 @@ mod tests {
             0,
         )
         .unwrap();
-        assert_eq!(t.lookup(&[15, 100]), Action::Drop);
-        assert_eq!(t.lookup(&[21, 100]), Action::NoOp);
-        assert_eq!(t.lookup(&[9, 0]), Action::NoOp);
+        assert_eq!(t.peek(&[15, 100]), Action::Drop);
+        assert_eq!(t.peek(&[21, 100]), Action::NoOp);
+        assert_eq!(t.peek(&[9, 0]), Action::NoOp);
     }
 
     #[test]
@@ -677,7 +641,7 @@ mod tests {
             .insert(MatchSpec::Exact(vec![7]), Action::Drop, 0)
             .unwrap();
         t.modify(h, Action::Forward(4)).unwrap();
-        assert_eq!(t.lookup(&[7]), Action::Forward(4));
+        assert_eq!(t.peek(&[7]), Action::Forward(4));
         t.clear();
         assert!(t.is_empty());
         assert_eq!(t.modify(h, Action::Drop), Err(TableError::NoSuchEntry(h)));
@@ -714,16 +678,5 @@ mod tests {
         let exact = MatchSpec::Exact(vec![1, 2]);
         assert!(!exact.matches(&[1]));
         assert!(!exact.matches(&[1, 2, 3]));
-    }
-
-    #[test]
-    fn peek_has_no_side_effects() {
-        let mut t = table(MatchKind::Exact, 1);
-        t.insert(MatchSpec::Exact(vec![7]), Action::Drop, 0)
-            .unwrap();
-        assert_eq!(t.peek(&[7]), Action::Drop);
-        assert_eq!(t.peek(&[8]), Action::NoOp);
-        assert_eq!(t.entries()[0].hits, 0);
-        assert_eq!(t.misses(), 0);
     }
 }

@@ -14,7 +14,7 @@ use p4guard_dataplane::pipeline::BatchScratch;
 use p4guard_dataplane::switch::{Switch, SwitchCounters};
 use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
 use p4guard_packet::arena::FrameArena;
-use p4guard_telemetry::{TelemetrySink, TraceSampler, VerdictKind};
+use p4guard_telemetry::{FrameSampler, TelemetrySink, VerdictKind};
 use proptest::collection;
 use proptest::prelude::*;
 
@@ -59,21 +59,21 @@ fn spec_for(kind: MatchKind, width: usize, a: &[u8], b: &[u8], plen: usize) -> M
 }
 
 /// A sink that records every verdict report verbatim, so the test can
-/// compare the exact call streams, order included. It also ticks a
-/// deterministic trace sampler on every verdict, mirroring how the
-/// registry sink opens sampled traces, so the suite pins the sampled
-/// trace-id set across both paths.
+/// compare the exact call streams, order included. It also ticks the
+/// deterministic frame sampler on every verdict, exactly as the registry
+/// sink does, so the suite pins the sampled trace-id set across both
+/// paths.
 #[derive(Debug, Default)]
 struct RecordingSink {
     verdicts: Vec<VerdictRecord>,
-    sampler: Option<TraceSampler>,
+    sampler: Option<FrameSampler>,
     sampled_traces: Vec<u64>,
 }
 
 impl RecordingSink {
     fn with_sampler(sample_every: u64, seed: u64) -> Self {
         RecordingSink {
-            sampler: Some(TraceSampler::new(sample_every, seed)),
+            sampler: Some(FrameSampler::new(sample_every, seed, 0, None)),
             ..RecordingSink::default()
         }
     }
@@ -87,9 +87,7 @@ impl TelemetrySink for RecordingSink {
         self.verdicts
             .push((verdict, p4guard_telemetry::frame_digest(frame), matched));
         if let Some(sampler) = self.sampler.as_mut() {
-            if let Some(ctx) = sampler.tick() {
-                self.sampled_traces.push(ctx.trace_id);
-            }
+            self.sampled_traces.extend(sampler.tick());
         }
     }
 }

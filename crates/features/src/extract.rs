@@ -90,6 +90,12 @@ impl ByteDataset {
         &self.data[i * self.window..(i + 1) * self.window]
     }
 
+    /// Borrows every sample back to back, row-major: `len() × window()`
+    /// bytes, the layout the tree fitters take.
+    pub fn data(&self) -> &[u8] {
+        &self.data
+    }
+
     /// Borrows the labels (0 = benign, 1 = attack).
     pub fn labels(&self) -> &[usize] {
         &self.labels

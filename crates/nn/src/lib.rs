@@ -2,7 +2,7 @@
 //!
 //! A from-scratch, CPU-only neural-network library sized for the small MLPs
 //! the `p4guard` pipeline trains over packet-header bytes: dense layers with
-//! backprop, SGD/Momentum/Adam optimizers, dropout, a minibatch trainer with
+//! backprop, the Adam optimizer, dropout, a minibatch trainer with
 //! per-epoch history, classification metrics (including ROC/AUC), and
 //! saliency attribution for learned feature selection.
 //!
@@ -51,5 +51,5 @@ pub use data::{Dataset, Standardizer};
 pub use matrix::Matrix;
 pub use metrics::{binary_metrics, BinaryMetrics, Confusion};
 pub use network::{logistic_regression, Mlp, MlpConfig};
-pub use optim::{Adam, Momentum, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer};
 pub use train::{train, History, TrainConfig};

@@ -1,9 +1,9 @@
 //! Gradient-descent optimizers.
 //!
 //! Optimizers are addressed through parameter *slots*: each parameter tensor
-//! (one weight matrix or bias vector) has a stable integer id, which lets
-//! stateful optimizers (momentum, Adam) keep per-tensor state without the
-//! layers knowing about it.
+//! (one weight matrix or bias vector) has a stable integer id, which lets a
+//! stateful optimizer (Adam) keep per-tensor state without the layers
+//! knowing about it.
 
 use std::collections::HashMap;
 
@@ -14,62 +14,6 @@ pub trait Optimizer {
 
     /// Advances the global step counter (called once per minibatch).
     fn next_step(&mut self) {}
-}
-
-/// Plain stochastic gradient descent.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub learning_rate: f32,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate.
-    pub fn new(learning_rate: f32) -> Self {
-        Sgd { learning_rate }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, _slot: usize, param: &mut [f32], grad: &[f32]) {
-        for (p, &g) in param.iter_mut().zip(grad) {
-            *p -= self.learning_rate * g;
-        }
-    }
-}
-
-/// SGD with classical momentum.
-#[derive(Debug, Clone)]
-pub struct Momentum {
-    /// Learning rate.
-    pub learning_rate: f32,
-    /// Momentum coefficient (typically 0.9).
-    pub beta: f32,
-    velocity: HashMap<usize, Vec<f32>>,
-}
-
-impl Momentum {
-    /// Creates momentum SGD.
-    pub fn new(learning_rate: f32, beta: f32) -> Self {
-        Momentum {
-            learning_rate,
-            beta,
-            velocity: HashMap::new(),
-        }
-    }
-}
-
-impl Optimizer for Momentum {
-    fn step(&mut self, slot: usize, param: &mut [f32], grad: &[f32]) {
-        let v = self
-            .velocity
-            .entry(slot)
-            .or_insert_with(|| vec![0.0; param.len()]);
-        for ((p, &g), v) in param.iter_mut().zip(grad).zip(v.iter_mut()) {
-            *v = self.beta * *v + g;
-            *p -= self.learning_rate * *v;
-        }
-    }
 }
 
 /// The Adam optimizer (Kingma & Ba, 2015).
@@ -133,7 +77,7 @@ impl Optimizer for Adam {
 mod tests {
     use super::*;
 
-    /// Minimize f(x) = (x - 3)² with each optimizer; all must converge.
+    /// Minimize f(x) = (x - 3)²; the optimizer must converge.
     fn minimize(opt: &mut dyn Optimizer, iters: usize) -> f32 {
         let mut x = [0.0f32];
         for _ in 0..iters {
@@ -145,18 +89,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges() {
-        let mut opt = Sgd::new(0.1);
-        assert!((minimize(&mut opt, 100) - 3.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn momentum_converges() {
-        let mut opt = Momentum::new(0.02, 0.9);
-        assert!((minimize(&mut opt, 200) - 3.0).abs() < 1e-2);
-    }
-
-    #[test]
     fn adam_converges() {
         let mut opt = Adam::new(0.1);
         assert!((minimize(&mut opt, 400) - 3.0).abs() < 1e-2);
@@ -164,12 +96,12 @@ mod tests {
 
     #[test]
     fn slots_are_independent() {
-        let mut opt = Momentum::new(0.1, 0.9);
+        let mut opt = Adam::new(0.1);
         let mut a = [0.0f32];
         let mut b = [0.0f32];
         opt.step(0, &mut a, &[1.0]);
         opt.step(1, &mut b, &[-1.0]);
-        // Each slot's velocity is its own; the updates must be symmetric.
+        // Each slot's moments are its own; the updates must be symmetric.
         assert!((a[0] + b[0]).abs() < 1e-7);
     }
 

@@ -19,9 +19,6 @@ pub struct TrainConfig {
     pub batch_size: usize,
     /// RNG seed for epoch shuffles.
     pub seed: u64,
-    /// Stop early once the epoch loss drops below this value (`None`
-    /// disables early stopping).
-    pub early_stop_loss: Option<f32>,
 }
 
 impl Default for TrainConfig {
@@ -30,7 +27,6 @@ impl Default for TrainConfig {
             epochs: 30,
             batch_size: 64,
             seed: 17,
-            early_stop_loss: None,
         }
     }
 }
@@ -104,9 +100,6 @@ pub fn train(
             loss,
             train_accuracy,
         });
-        if config.early_stop_loss.is_some_and(|t| loss < t) {
-            break;
-        }
     }
     history
 }
@@ -179,40 +172,12 @@ mod tests {
                 epochs: 60,
                 batch_size: 32,
                 seed: 1,
-                early_stop_loss: None,
             },
         );
         assert_eq!(history.epochs.len(), 60);
         assert!(history.final_accuracy().unwrap() > 0.98);
         // Loss must broadly decrease.
         assert!(history.epochs[0].loss > history.final_loss().unwrap());
-    }
-
-    #[test]
-    fn early_stopping_truncates_history() {
-        let data = xor_dataset();
-        let mut model = Mlp::new(MlpConfig {
-            input_dim: 2,
-            hidden: vec![16],
-            num_classes: 2,
-            activation: Activation::Tanh,
-            dropout: 0.0,
-            seed: 5,
-        });
-        let mut opt = Adam::new(0.02);
-        let history = train(
-            &mut model,
-            &data,
-            &mut opt,
-            &TrainConfig {
-                epochs: 500,
-                batch_size: 32,
-                seed: 1,
-                early_stop_loss: Some(0.05),
-            },
-        );
-        assert!(history.epochs.len() < 500);
-        assert!(history.final_loss().unwrap() < 0.05);
     }
 
     #[test]

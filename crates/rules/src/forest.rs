@@ -364,11 +364,6 @@ impl CompiledForest {
         self.stages.iter().map(|s| &s.ternary).collect()
     }
 
-    /// Total installed ternary entries across all stages.
-    pub fn total_entries(&self) -> usize {
-        self.stages.iter().map(|s| s.ternary.len()).sum()
-    }
-
     /// Majority-vote classification through the *compiled* stages: each
     /// stage votes attack iff its ternary ruleset matches `key` with
     /// class 1 (a miss is a benign vote — see [`CompiledForest::stages`]).

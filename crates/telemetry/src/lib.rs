@@ -17,6 +17,13 @@
 //! stream; with the [`NoopSink`] default the hot path is the
 //! un-instrumented code.
 //!
+//! A sampled frame is picked in one place too: each lane's sink owns one
+//! [`FrameSampler`], built from [`TelemetryConfig`]'s stride and seed, whose
+//! 1-in-N branch names the frame. The [`FlightRecorder`]'s verdict event
+//! carries that id, and with tracing armed the frame's span tree in the
+//! [`TraceStore`] is rooted at it, so `/events` joins against
+//! `/traces?id=`; recorder and store are rings with no sampling state.
+//!
 //! Metric name schema (see DESIGN.md "Telemetry" for the full table):
 //!
 //! | Metric | Kind | Labels |
@@ -62,10 +69,7 @@ pub use recorder::{Event, FlightRecorder, RecordedEvent};
 pub use registry::{Counter, Gauge, Histogram, Labels, MetricKind, Registry};
 pub use sink::{frame_digest, DropReason, NoopSink, RegistrySink, TelemetrySink, VerdictKind};
 pub use slo::{SloBoard, SloKind, SloSpec, GLOBAL_TENANT};
-pub use trace::{
-    control_trace_id, frame_trace_id, ProfileBoard, SpanRecord, StageKind, TraceCtx, TraceSampler,
-    TraceStore,
-};
+pub use trace::{control_trace_id, FrameSampler, ProfileBoard, SpanRecord, StageKind, TraceStore};
 
 use std::sync::Arc;
 
@@ -115,42 +119,40 @@ pub struct Telemetry {
     pub profile: Arc<ProfileBoard>,
     /// Burn-rate evaluation of the default SLOs over the registry.
     pub slo: Arc<SloBoard>,
+    /// The config's stride and seed, kept for the one place they are used:
+    /// the [`FrameSampler`] of each lane [`Telemetry::shard_sink`] builds.
+    sample_every: u64,
+    seed: u64,
 }
 
 impl Telemetry {
     /// Builds a telemetry bundle from `config`.
     pub fn new(config: TelemetryConfig) -> Self {
         let registry = Arc::new(Registry::new());
-        let recorder = Arc::new(FlightRecorder::new(
-            config.events_capacity,
-            config.sample_every,
-            config.seed,
-        ));
         let rates = Arc::new(RateWindows::new(Arc::clone(&registry)));
-        let traces = Arc::new(TraceStore::new(
-            config.trace_capacity,
-            config.sample_every,
-            config.seed,
-            config.tracing,
-        ));
         Telemetry {
             registry,
-            recorder,
+            recorder: Arc::new(FlightRecorder::new(config.events_capacity)),
             rates,
-            traces,
+            traces: Arc::new(TraceStore::new(config.trace_capacity, config.tracing)),
             profile: Arc::new(ProfileBoard::new()),
             slo: Arc::new(SloBoard::new(SloSpec::defaults())),
+            sample_every: config.sample_every,
+            seed: config.seed,
         }
     }
 
     /// Builds the [`RegistrySink`] of one lane of `shard`, wired to this
-    /// bundle; `tenant` labels the lane's series on a fleet gateway. When
-    /// the config armed tracing, the sink also samples spans and profiles
-    /// stages.
+    /// bundle; `tenant` labels the lane's series on a fleet gateway. The
+    /// sink samples verdicts at the config's stride and seed; when the
+    /// config armed tracing, it also gives the sampled frames of profiled
+    /// batches span trees and profiles stages.
     pub fn shard_sink(&self, shard: usize, tenant: Option<&str>) -> RegistrySink {
         let sink = RegistrySink::new(
             Arc::clone(&self.registry),
             Arc::clone(&self.recorder),
+            self.sample_every,
+            self.seed,
             shard,
             tenant,
         );
@@ -184,6 +186,10 @@ mod tests {
         sink.batch_end(&drain, &LatencyHistogram::new());
         assert_eq!(t.registry.family_sum("p4guard_frames_received_total"), 1);
         assert_eq!(t.recorder.capacity(), 1024);
-        assert_eq!(t.recorder.sample_every(), 64);
+        // The config's stride reaches the lane's sampler: 1 verdict in 64.
+        for _ in 0..128 {
+            sink.verdict(VerdictKind::Forward, b"frame", None);
+        }
+        assert_eq!(t.recorder.len(), 2);
     }
 }

@@ -1,8 +1,11 @@
 //! The flight recorder: a fixed-capacity ring buffer of recent structured
 //! events — sampled verdicts, ruleset swaps, overload onsets — dumpable as
 //! JSON on demand. The "what just happened" tool for conformance failures
-//! and live incidents.
+//! and live incidents. It is a ring and nothing else: which verdicts are
+//! sampled into it is the lane's [`FrameSampler`](crate::trace::FrameSampler)'s
+//! decision, and the id that sampler gave the frame rides in the event.
 
+use crate::sink::VerdictKind;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -14,8 +17,8 @@ use std::time::Instant;
 pub enum Event {
     /// A sampled per-frame disposition.
     Verdict {
-        /// `forward` / `drop` / `parser_reject`.
-        verdict: String,
+        /// `forward` / `drop` / `parser_reject` on the wire.
+        verdict: VerdictKind,
         /// FNV-1a digest of the frame prefix (see `sink::frame_digest`).
         digest: u64,
         /// Frame length in bytes.
@@ -28,6 +31,10 @@ pub enum Event {
         matched_stage: Option<usize>,
         /// Rank (install order) of the matching entry within its table.
         matched_rank: Option<u32>,
+        /// The id the lane's sampler gave the frame when it picked it. On a
+        /// profiled drain the frame's span tree carries the same id, so the
+        /// entry joins against `/traces?id=`.
+        trace_id: u64,
     },
     /// A ruleset publish/swap audit record.
     Swap {
@@ -113,35 +120,23 @@ pub struct RecordedEvent {
     pub event: Event,
 }
 
-/// Fixed-capacity ring of [`RecordedEvent`]s with deterministic, seedable
-/// 1-in-N sampling for the high-rate verdict stream. Swap and overload
-/// events are recorded unconditionally via [`FlightRecorder::record`];
-/// verdicts go through [`FlightRecorder::sample`].
+/// Fixed-capacity ring of [`RecordedEvent`]s. It records what it is handed:
+/// which verdicts reach it is the lane's
+/// [`FrameSampler`](crate::trace::FrameSampler)'s decision, swap and
+/// overload events arrive unconditionally.
 #[derive(Debug)]
 pub struct FlightRecorder {
     capacity: usize,
-    sample_every: u64,
-    phase: u64,
-    counter: AtomicU64,
     seq: AtomicU64,
     start: Instant,
     ring: Mutex<VecDeque<RecordedEvent>>,
 }
 
 impl FlightRecorder {
-    /// Creates a recorder holding at most `capacity` events, sampling one
-    /// in `sample_every` calls to [`FlightRecorder::sample`] (clamped to at
-    /// least 1). `seed` offsets which call in each stride fires, so two
-    /// recorders with different seeds sample different packets from the
-    /// same stream while each remains fully deterministic.
-    pub fn new(capacity: usize, sample_every: u64, seed: u64) -> Self {
-        let sample_every = sample_every.max(1);
+    /// Creates a recorder holding at most `capacity` events (at least 1).
+    pub fn new(capacity: usize) -> Self {
         FlightRecorder {
             capacity: capacity.max(1),
-            sample_every,
-            // Mix the seed so nearby seeds land on different phases.
-            phase: seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) % sample_every,
-            counter: AtomicU64::new(0),
             seq: AtomicU64::new(0),
             start: Instant::now(),
             ring: Mutex::new(VecDeque::new()),
@@ -151,11 +146,6 @@ impl FlightRecorder {
     /// Maximum number of retained events.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The sampling stride N (one verdict in N is kept).
-    pub fn sample_every(&self) -> u64 {
-        self.sample_every
     }
 
     /// Number of events currently retained (≤ capacity).
@@ -168,7 +158,7 @@ impl FlightRecorder {
         self.ring.lock().is_empty()
     }
 
-    /// Unconditionally appends an event, evicting the oldest when full.
+    /// Appends an event, evicting the oldest when full.
     pub fn record(&self, event: Event) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let at_ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -177,34 +167,6 @@ impl FlightRecorder {
             ring.pop_front();
         }
         ring.push_back(RecordedEvent { seq, at_ns, event });
-    }
-
-    /// Counts one sampling opportunity; on every Nth (deterministically,
-    /// offset by the seed phase) builds the event with `make` and records
-    /// it. The closure runs only when sampled, so callers can defer any
-    /// per-event cost (packet digests) to the 1-in-N path.
-    #[inline]
-    pub fn sample<F: FnOnce() -> Event>(&self, make: F) {
-        let n = self.counter.fetch_add(1, Ordering::Relaxed);
-        if self.samples_at(n) {
-            self.record(make());
-        }
-    }
-
-    /// Whether stream position `position` falls on the sampled residue
-    /// class. Lets callers that already track their own stream position
-    /// (per-shard sinks) skip the shared opportunity counter entirely.
-    #[inline]
-    pub fn samples_at(&self, position: u64) -> bool {
-        (position.wrapping_add(self.phase)).is_multiple_of(self.sample_every)
-    }
-
-    /// The first stream position [`FlightRecorder::samples_at`] accepts;
-    /// every `sample_every`-th after it is the next. A caller that counts
-    /// down from here visits the sampled positions without a division per
-    /// event.
-    pub fn first_sample(&self) -> u64 {
-        (self.sample_every - self.phase) % self.sample_every
     }
 
     /// Snapshot of the retained events, oldest first.
@@ -224,19 +186,20 @@ mod tests {
 
     fn verdict(shard: usize) -> Event {
         Event::Verdict {
-            verdict: "forward".to_string(),
+            verdict: VerdictKind::Forward,
             digest: 1,
             len: 64,
             shard,
             version: 1,
             matched_stage: Some(0),
             matched_rank: Some(0),
+            trace_id: 9,
         }
     }
 
     #[test]
     fn ring_evicts_oldest() {
-        let r = FlightRecorder::new(3, 1, 0);
+        let r = FlightRecorder::new(3);
         for i in 0..5 {
             r.record(verdict(i));
         }
@@ -248,57 +211,8 @@ mod tests {
     }
 
     #[test]
-    fn sampling_is_one_in_n_and_deterministic() {
-        let r = FlightRecorder::new(1000, 8, 42);
-        let mut made = 0u32;
-        for _ in 0..64 {
-            r.sample(|| {
-                made += 1;
-                verdict(0)
-            });
-        }
-        assert_eq!(made, 8, "exactly one in eight opportunities sampled");
-        assert_eq!(r.len(), 8);
-
-        // Same seed → same sampled positions.
-        let a = FlightRecorder::new(1000, 8, 7);
-        let b = FlightRecorder::new(1000, 8, 7);
-        for i in 0..64usize {
-            a.sample(|| verdict(i));
-            b.sample(|| verdict(i));
-        }
-        let shards = |r: &FlightRecorder| -> Vec<usize> {
-            r.events()
-                .iter()
-                .map(|e| match &e.event {
-                    Event::Verdict { shard, .. } => *shard,
-                    _ => unreachable!(),
-                })
-                .collect()
-        };
-        assert_eq!(shards(&a), shards(&b));
-    }
-
-    #[test]
-    fn different_seeds_shift_the_phase() {
-        let a = FlightRecorder::new(10, 16, 1);
-        let b = FlightRecorder::new(10, 16, 2);
-        for i in 0..16usize {
-            a.sample(|| verdict(i));
-            b.sample(|| verdict(i));
-        }
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
-        let picked = |r: &FlightRecorder| match r.events()[0].event {
-            Event::Verdict { shard, .. } => shard,
-            _ => unreachable!(),
-        };
-        assert_ne!(picked(&a), picked(&b));
-    }
-
-    #[test]
     fn json_dump_parses_and_tags_kinds() {
-        let r = FlightRecorder::new(4, 1, 0);
+        let r = FlightRecorder::new(4);
         r.record(verdict(0));
         r.record(Event::Swap {
             version: 2,
@@ -337,6 +251,12 @@ mod tests {
         let json = r.to_json();
         let v = serde_json::parse_value_str(&json).unwrap();
         assert_eq!(v.as_seq().unwrap().len(), 4);
+        // The wire spelling of a verdict entry: the kind by its label, the
+        // frame's id beside it.
+        assert!(
+            json.contains(r#""verdict":"forward""#) && json.contains(r#""trace_id":9"#),
+            "{json}"
+        );
         // Round-trip through the typed model.
         let back: Vec<RecordedEvent> = serde_json::from_str(&json).unwrap();
         assert_eq!(back, r.events());

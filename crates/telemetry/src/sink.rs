@@ -9,13 +9,16 @@
 //! that block to [`TelemetrySink::batch_end`] once per drain and the sink
 //! adds it to the registry series it holds. What a sink sees per frame is
 //! the frame-order [`TelemetrySink::verdict`] stream, which exists for
-//! positional *sampling* (flight recorder, trace ids) only.
+//! positional *sampling* only: the lane's one [`FrameSampler`] picks 1 frame
+//! in N from it and names the frame, and the flight-recorder event and the
+//! span tree both hang off that pick.
 
 use crate::counters::SwitchCounters;
 use crate::histogram::LatencyHistogram;
 use crate::recorder::{Event, FlightRecorder};
 use crate::registry::{Counter, Gauge, Histogram, Registry};
-use crate::trace::{ProfileBoard, SpanRecord, StageKind, TraceSampler, TraceStore};
+use crate::trace::{FrameSampler, ProfileBoard, SpanRecord, StageKind, TraceStore};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -78,6 +81,26 @@ impl VerdictKind {
             VerdictKind::Drop => "drop",
             VerdictKind::ParserReject => "parser_reject",
         }
+    }
+}
+
+/// On the wire a verdict is its [`VerdictKind::as_str`] label.
+impl Serialize for VerdictKind {
+    fn to_value(&self) -> Value {
+        Value::Str(self.as_str().to_string())
+    }
+}
+
+impl Deserialize for VerdictKind {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        [
+            VerdictKind::Forward,
+            VerdictKind::Drop,
+            VerdictKind::ParserReject,
+        ]
+        .into_iter()
+        .find(|kind| v.as_str() == Some(kind.as_str()))
+        .ok_or_else(|| DeError::expected("a verdict label", v))
     }
 }
 
@@ -166,33 +189,31 @@ pub struct RegistrySink {
     latency: Histogram,
     version_gauge: Gauge,
     swaps: Counter,
-    /// Verdicts left before the next one the recorder samples: a local
-    /// countdown over this lane's stream, so the per-frame path is one
-    /// decrement — no shared opportunity counter, no division.
-    until_sample: u64,
+    /// The lane's one pick over its verdict stream: an unsampled frame
+    /// costs its countdown's decrement and branch, nothing else.
+    sampler: FrameSampler,
     tracing: Option<TraceBits>,
 }
 
 /// Every `PROFILE_STRIDE`-th batch on a tracing-armed sink is profiled:
 /// its stages are wall-timed, folded into the stage histograms and the
 /// profile board, and its sampled frames get full span trees. The other
-/// batches pay only one bulk sampler advance at the end of the drain,
-/// keeping the tracing overhead a small fraction of the registry sink's
-/// own cost.
+/// batches pay nothing for tracing, keeping its overhead a small fraction
+/// of the registry sink's own cost.
 const PROFILE_STRIDE: u64 = 32;
 
-/// Span-sampling and stage-profiling state, armed by
-/// [`RegistrySink::with_tracing`]. Tracing adds no per-frame work at all:
-/// the positional sampler advances in bulk at each
-/// [`TelemetrySink::batch_end`], and spans and histogram folds happen at
-/// the end of each profiled ([`PROFILE_STRIDE`]) batch.
+/// Span and stage-profiling state, armed by [`RegistrySink::with_tracing`].
+/// Tracing adds no per-frame work at all: it has no sampler of its own —
+/// the frames a profiled batch gives span trees to are the ones the lane's
+/// [`FrameSampler`] picked for the flight recorder — and spans and
+/// histogram folds happen at the end of each profiled ([`PROFILE_STRIDE`])
+/// batch.
 struct TraceBits {
     store: Arc<TraceStore>,
     profile: Arc<ProfileBoard>,
-    sampler: TraceSampler,
     /// Batches finished so far; selects the profiled stride.
     batch_idx: u64,
-    /// Trace ids the sampler selected from this batch's report stream.
+    /// Ids of the frames picked from this batch, when it is profiled.
     pending: Vec<u64>,
     /// `(stage, table stage index, nanos, frames)` accumulated this batch.
     stage_acc: Vec<(StageKind, Option<usize>, u64, u64)>,
@@ -202,6 +223,13 @@ struct TraceBits {
     histograms: Vec<((StageKind, Option<usize>), Histogram, String)>,
     /// `(stage, table name)` pairs from the last swap, for labels.
     tables: Vec<(usize, String)>,
+}
+
+impl TraceBits {
+    /// Whether the batch in progress is a profiled one.
+    fn profiled(&self) -> bool {
+        self.batch_idx.is_multiple_of(PROFILE_STRIDE)
+    }
 }
 
 /// The label set of one lane's series: `shard`, `tenant` when the lane has
@@ -221,9 +249,12 @@ impl RegistrySink {
     /// Builds a sink for one lane of `shard`, registering its series.
     /// `tenant` names the fleet tenant the lane serves (`None` on a
     /// single-tenant gateway) and is appended to every series' labels.
+    /// One verdict in `sample_every`, offset by `seed`, reaches `recorder`.
     pub fn new(
         registry: Arc<Registry>,
         recorder: Arc<FlightRecorder>,
+        sample_every: u64,
+        seed: u64,
         shard: usize,
         tenant: Option<&str>,
     ) -> Self {
@@ -263,8 +294,8 @@ impl RegistrySink {
         );
         RegistrySink {
             registry,
-            until_sample: recorder.first_sample(),
             recorder,
+            sampler: FrameSampler::new(sample_every, seed, shard, tenant),
             tenant: tenant.map(str::to_owned),
             shard: shard_label.clone(),
             shard_idx: shard,
@@ -280,17 +311,14 @@ impl RegistrySink {
         }
     }
 
-    /// Arms span sampling and stage profiling: the sampler minted from
-    /// `store` selects 1-in-N frames from the verdict stream, and every
-    /// `PROFILE_STRIDE`-th (32) batch emits its sampled span trees into
-    /// `store`, folds stage timings into `p4guard_stage_seconds`
-    /// histograms, and updates `profile`.
+    /// Arms span trees and stage profiling: every `PROFILE_STRIDE`-th (32)
+    /// batch emits a span tree into `store` for each frame the lane's
+    /// sampler picked from it, folds stage timings into
+    /// `p4guard_stage_seconds` histograms, and updates `profile`.
     pub fn with_tracing(mut self, store: Arc<TraceStore>, profile: Arc<ProfileBoard>) -> Self {
-        let sampler = store.sampler();
         self.tracing = Some(TraceBits {
             store,
             profile,
-            sampler,
             batch_idx: 0,
             pending: Vec::new(),
             stage_acc: Vec::new(),
@@ -302,23 +330,7 @@ impl RegistrySink {
 
     /// Adds one drain's counts to the shared registry (all-zero adds are
     /// skipped: an idle lane touches no shared cache line).
-    ///
-    /// This is also where the trace sampler advances: trace ids are
-    /// positional, so one bulk [`TraceSampler::advance`] over the drain's
-    /// frame count yields exactly the ids per-frame ticks would have —
-    /// without any per-frame tracing work in [`RegistrySink::verdict`].
     fn publish(&mut self, counts: &SwitchCounters, latency: &LatencyHistogram) {
-        if let Some(tb) = self.tracing.as_mut() {
-            // An unprofiled batch keeps the position stream exact but drops
-            // the ids: only profiled batches have the stage laps a span
-            // tree needs.
-            let (profiled, pending) = (tb.batch_idx % PROFILE_STRIDE == 0, &mut tb.pending);
-            tb.sampler.advance(counts.received, |ctx| {
-                if profiled {
-                    pending.push(ctx.trace_id);
-                }
-            });
-        }
         let add = |counter: &Counter, n: u64| {
             if n > 0 {
                 counter.add(n);
@@ -338,22 +350,30 @@ impl RegistrySink {
         }
     }
 
-    /// The sampled 1-in-N path of [`RegistrySink::verdict`].
+    /// The sampled 1-in-N path of [`RegistrySink::verdict`]: `trace_id` is
+    /// what the sampler named the frame. The event always carries it; a
+    /// profiled batch also roots the frame's span tree at it.
     #[cold]
     fn record_verdict(
         &mut self,
+        trace_id: u64,
         verdict: VerdictKind,
         frame: &[u8],
         matched: Option<(usize, u32)>,
     ) {
+        // Only profiled batches have the stage laps a span tree needs.
+        if let Some(tb) = self.tracing.as_mut().filter(|tb| tb.profiled()) {
+            tb.pending.push(trace_id);
+        }
         self.recorder.record(Event::Verdict {
-            verdict: verdict.as_str().to_string(),
+            verdict,
             digest: frame_digest(frame),
             len: frame.len(),
             shard: self.shard_idx,
             version: self.version,
             matched_stage: matched.map(|(s, _)| s),
             matched_rank: matched.map(|(_, r)| r),
+            trace_id,
         });
     }
 
@@ -517,19 +537,14 @@ impl TelemetrySink for RegistrySink {
 
     #[inline]
     fn verdict(&mut self, verdict: VerdictKind, frame: &[u8], matched: Option<(usize, u32)>) {
-        if self.until_sample > 0 {
-            self.until_sample -= 1;
-        } else {
-            self.until_sample = self.recorder.sample_every() - 1;
-            self.record_verdict(verdict, frame, matched);
+        if let Some(trace_id) = self.sampler.tick() {
+            self.record_verdict(trace_id, verdict, frame, matched);
         }
     }
 
     #[inline]
     fn profiling_enabled(&self) -> bool {
-        self.tracing
-            .as_ref()
-            .is_some_and(|tb| tb.batch_idx % PROFILE_STRIDE == 0)
+        self.tracing.as_ref().is_some_and(TraceBits::profiled)
     }
 
     fn stage_time(&mut self, stage: StageKind, table: Option<usize>, nanos: u64, frames: u64) {
@@ -549,9 +564,8 @@ impl TelemetrySink for RegistrySink {
     }
 
     fn batch_end(&mut self, counts: &SwitchCounters, latency: &LatencyHistogram) {
-        // `publish` keys the sampler's pending-id collection off
-        // `batch_idx`, so the index advances only after the batch fully
-        // settles.
+        // The verdict path keys its pending-id collection off `batch_idx`,
+        // so the index advances only after the batch fully settles.
         if self.profiling_enabled() {
             let flush_start = Instant::now();
             self.publish(counts, latency);
@@ -575,8 +589,8 @@ mod tests {
 
     fn sink() -> (Arc<Registry>, Arc<FlightRecorder>, RegistrySink) {
         let registry = Arc::new(Registry::new());
-        let recorder = Arc::new(FlightRecorder::new(8, 1, 0));
-        let sink = RegistrySink::new(Arc::clone(&registry), Arc::clone(&recorder), 3, None);
+        let recorder = Arc::new(FlightRecorder::new(8));
+        let sink = RegistrySink::new(Arc::clone(&registry), Arc::clone(&recorder), 1, 0, 3, None);
         (registry, recorder, sink)
     }
 
@@ -645,19 +659,24 @@ mod tests {
 
     #[test]
     fn verdict_countdown_visits_the_recorders_sampled_positions() {
-        for (every, seed) in [(1, 0), (5, 3), (64, 2020)] {
-            let recorder = Arc::new(FlightRecorder::new(256, every, seed));
+        for (every, seed) in [(1u64, 0u64), (5, 3), (64, 2020)] {
+            let recorder = Arc::new(FlightRecorder::new(256));
             let registry = Arc::new(Registry::new());
-            let mut sink = RegistrySink::new(registry, Arc::clone(&recorder), 0, None);
+            let mut sink = RegistrySink::new(registry, Arc::clone(&recorder), every, seed, 0, None);
             // The frame's length is its stream position.
             for position in 0..200usize {
                 sink.verdict(VerdictKind::Forward, &vec![0u8; position], None);
             }
             let sampled = recorder.events().into_iter().map(|e| match e.event {
-                Event::Verdict { len, .. } => len,
+                Event::Verdict { len, .. } => len as u64,
                 other => panic!("unexpected event {other:?}"),
             });
-            let expected = (0..200).filter(|&p| recorder.samples_at(p as u64));
+            // The residue class written out, not asked of the sampler: which
+            // positions a (stride, seed) picks is a contract the adaptation
+            // loop and the conformance schedules replay against.
+            let mixed = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let phase = mixed % every;
+            let expected = (0..200u64).filter(|p| (p + phase) % every == 0);
             assert!(sampled.eq(expected), "every {every}, seed {seed}");
         }
     }
@@ -688,13 +707,16 @@ mod tests {
     #[test]
     fn tracing_sink_emits_spans_and_stage_rollups() {
         let registry = Arc::new(Registry::new());
-        let recorder = Arc::new(FlightRecorder::new(8, 1024, 0));
-        let store = Arc::new(TraceStore::new(64, 2, 0, true));
+        let recorder = Arc::new(FlightRecorder::new(8));
+        let store = Arc::new(TraceStore::new(64, true));
         let profile = Arc::new(ProfileBoard::new());
-        let mut sink = RegistrySink::new(Arc::clone(&registry), recorder, 0, None)
+        let mut sink = RegistrySink::new(Arc::clone(&registry), recorder, 2, 0, 0, None)
             .with_tracing(Arc::clone(&store), Arc::clone(&profile));
         assert!(sink.profiling_enabled());
         sink.swap_seen(5, &[(0, "acl".to_string())]);
+        for _ in 0..4 {
+            sink.verdict(VerdictKind::Forward, b"frame", None);
+        }
         sink.stage_time(StageKind::Parse, None, 4_000, 4);
         sink.stage_time(StageKind::Lookup, Some(0), 8_000, 4);
         let drain = SwitchCounters {
@@ -738,6 +760,105 @@ mod tests {
             .iter()
             .any(|(k, p)| k == "0/parse" && p.exemplar_trace.is_some()));
         assert!(profile.high_latency_exemplar().is_some());
+    }
+
+    /// Verdict events in `recorder`, as `(trace_id, shard)`.
+    fn verdict_ids(recorder: &FlightRecorder) -> Vec<(u64, usize)> {
+        recorder
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.event {
+                Event::Verdict {
+                    trace_id, shard, ..
+                } => Some((trace_id, shard)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_sampled_verdict_and_its_span_tree_share_one_id_across_lanes() {
+        // 2 shards x 2 tenants on one bundle: same stride, same seed, so
+        // every lane picks the same positions — and must name them apart.
+        let telemetry = crate::Telemetry::new(crate::TelemetryConfig {
+            sample_every: 8,
+            tracing: true,
+            ..crate::TelemetryConfig::default()
+        });
+        let drain = SwitchCounters {
+            received: 16,
+            forwarded: 16,
+            ..SwitchCounters::default()
+        };
+        let mut latency = LatencyHistogram::new();
+        latency.record_n(std::time::Duration::from_nanos(900), 16);
+        for shard in 0..2 {
+            for tenant in ["a", "b"] {
+                let mut sink = telemetry.shard_sink(shard, Some(tenant));
+                sink.swap_seen(1, &[(0, "acl".to_string())]);
+                for _ in 0..16 {
+                    sink.verdict(VerdictKind::Drop, b"frame", Some((0, 0)));
+                }
+                sink.stage_time(StageKind::Lookup, Some(0), 1_600, 16);
+                sink.batch_end(&drain, &latency);
+            }
+        }
+        let verdicts = verdict_ids(&telemetry.recorder);
+        assert_eq!(verdicts.len(), 8, "two picks a lane: {verdicts:?}");
+        for (i, &(id, shard)) in verdicts.iter().enumerate() {
+            assert_ne!(id, 0);
+            assert!(
+                verdicts[..i].iter().all(|&(other, _)| other != id),
+                "id {id:#x} names two frames: {verdicts:?}"
+            );
+            let tree = telemetry.traces.by_trace(id);
+            let roots: Vec<_> = tree.iter().filter(|s| s.parent_id.is_none()).collect();
+            assert_eq!(roots.len(), 1, "trace {id:#x}: {tree:?}");
+            assert_eq!(roots[0].name, "frame");
+            assert!(
+                roots[0]
+                    .meta
+                    .contains(&("shard".to_string(), shard.to_string())),
+                "the root is the event's shard's: {:?}",
+                roots[0]
+            );
+        }
+    }
+
+    #[test]
+    fn an_untraced_or_unprofiled_verdict_still_carries_its_id() {
+        // Tracing off: events are named, the store stays empty.
+        let off = crate::Telemetry::new(crate::TelemetryConfig {
+            sample_every: 4,
+            ..crate::TelemetryConfig::default()
+        });
+        let mut sink = off.shard_sink(0, None);
+        for _ in 0..8 {
+            sink.verdict(VerdictKind::Forward, b"frame", None);
+        }
+        sink.batch_end(&SwitchCounters::default(), &LatencyHistogram::new());
+        let ids = verdict_ids(&off.recorder);
+        assert_eq!(ids.len(), 2);
+        assert!(ids.iter().all(|&(id, _)| id != 0) && ids[0].0 != ids[1].0);
+        assert!(off.traces.is_empty());
+
+        // Tracing on: only a profiled batch (the first of every
+        // PROFILE_STRIDE) turns its picks into span trees.
+        let on = crate::Telemetry::new(crate::TelemetryConfig {
+            sample_every: 4,
+            tracing: true,
+            ..crate::TelemetryConfig::default()
+        });
+        let mut sink = on.shard_sink(0, None);
+        for _ in 0..2 {
+            for _ in 0..4 {
+                sink.verdict(VerdictKind::Forward, b"frame", None);
+            }
+            sink.batch_end(&SwitchCounters::default(), &LatencyHistogram::new());
+        }
+        let ids = verdict_ids(&on.recorder);
+        assert_eq!(ids.len(), 2);
+        assert_eq!(on.traces.recent_trace_ids(8), vec![ids[0].0]);
     }
 
     #[test]

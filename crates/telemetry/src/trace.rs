@@ -1,16 +1,17 @@
-//! Sampled structured tracing: deterministic 1-in-N span sampling on the
-//! frame hot path, span storage in a bounded ring, and the per-stage
-//! profile board that `/profile` renders.
+//! Sampled structured tracing: the one positional 1-in-N [`FrameSampler`]
+//! that picks a frame and names it, span storage in a bounded ring, and the
+//! per-stage profile board that `/profile` renders.
 //!
-//! A trace is a set of [`SpanRecord`]s sharing a `trace_id`. Frame traces
-//! are opened by the shard sink when the deterministic sampler (seeded
-//! like the flight recorder, so the sampled set is identical across the
-//! per-frame and batched paths) selects a report-stream position; control
-//! plane traces (publish / republish / rollback and adaptation
+//! A trace is a set of [`SpanRecord`]s sharing a `trace_id`. A frame's id is
+//! minted once, by its lane's [`FrameSampler`], when the frame is picked;
+//! the flight recorder's verdict event and (on a profiled drain) the span
+//! tree both carry that id, so `/events` joins against `/traces?id=`.
+//! Control plane traces (publish / republish / rollback and adaptation
 //! transitions) use ids derived from the ruleset version with the top bit
 //! set, so the two id spaces never collide and a swap's spans can be
 //! joined from its audit event.
 
+use crate::sink::frame_digest;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::VecDeque;
@@ -20,13 +21,6 @@ use std::time::Instant;
 /// Bit marking control-plane trace ids, keeping them disjoint from the
 /// splitmix-mixed frame ids (whose top bit is cleared).
 const CONTROL_TRACE_BIT: u64 = 1 << 63;
-
-/// The active trace a hot-path or control-plane operation runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceCtx {
-    /// Identifier shared by every span of this trace.
-    pub trace_id: u64,
-}
 
 /// One completed span of a trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -47,83 +41,79 @@ pub struct SpanRecord {
     pub meta: Vec<(String, String)>,
 }
 
-/// The deterministic 1-in-N trace sampler: a residue-class check over a
-/// local stream position, with the residue derived from the seed exactly
-/// like the flight recorder's, so per-frame and batched replays of the
-/// same report stream sample the same positions — and
-/// [`TraceSampler::tick`] mints the same trace ids for them.
+/// The deterministic 1-in-N pick over one lane's frame-order verdict
+/// stream, and the only place a frame trace id is minted. It samples every
+/// stream position `p` with `(p + phase) % N == 0`, `phase` derived from
+/// the seed, so any walker that reports the same stream picks the same
+/// frames; the lane (`shard`, `tenant`) enters only the *id*, never the
+/// positions, so every lane of a bundle samples alike and no two name a
+/// frame the same.
 #[derive(Debug, Clone)]
-pub struct TraceSampler {
+pub struct FrameSampler {
     sample_every: u64,
-    seed: u64,
-    position: u64,
-    /// Ticks remaining until the next sampled position — a countdown so
-    /// the per-frame check is a branch and a decrement, not a division.
+    /// Seed and lane mixed together: the id space of this lane.
+    lane_key: u64,
+    /// Ticks left before the next pick — a countdown, so an unsampled tick
+    /// is a branch and a decrement, not a division.
     until_next: u64,
+    /// Stream position of the next pick. Stepped by the stride when a pick
+    /// is taken; the stream itself is never counted per frame.
+    next_position: u64,
 }
 
-impl TraceSampler {
-    /// Builds a sampler; `sample_every == 0` behaves like 1 (sample all).
-    pub fn new(sample_every: u64, seed: u64) -> Self {
+impl FrameSampler {
+    /// Builds the sampler of one lane: one frame in `sample_every` (0
+    /// behaves like 1, sample all), offset by `seed`; `shard` and `tenant`
+    /// identify the lane whose ids it mints.
+    pub fn new(sample_every: u64, seed: u64, shard: usize, tenant: Option<&str>) -> Self {
         let sample_every = sample_every.max(1);
+        // Mix the seed so nearby seeds land on different phases.
         let phase = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) % sample_every;
-        TraceSampler {
+        // The first position p with (p + phase) % sample_every == 0.
+        let first = (sample_every - phase) % sample_every;
+        let tenant = tenant.map_or(0, |t| frame_digest(t.as_bytes()));
+        FrameSampler {
             sample_every,
-            seed,
-            position: 0,
-            // The first position p with (p + phase) % sample_every == 0.
-            until_next: (sample_every - phase) % sample_every,
+            // Two mixes, so for one seed the key differs between shards
+            // whatever the tenant, and between tenants of a shard unless
+            // their name digests collide.
+            lane_key: splitmix64(splitmix64(seed ^ shard as u64) ^ tenant),
+            until_next: first,
+            next_position: first,
         }
     }
 
-    /// Advances the stream position; returns the position's trace context
-    /// when it falls in the sampled residue class (every position `p` with
-    /// `(p + phase) % sample_every == 0`, `phase` derived from the seed).
+    /// Advances the stream by one frame; returns the frame's trace id when
+    /// it is picked.
     #[inline]
-    pub fn tick(&mut self) -> Option<TraceCtx> {
-        let position = self.position;
-        self.position += 1;
-        if self.until_next == 0 {
-            self.until_next = self.sample_every - 1;
-            Some(TraceCtx {
-                trace_id: frame_trace_id(self.seed, position),
-            })
-        } else {
+    pub fn tick(&mut self) -> Option<u64> {
+        if self.until_next > 0 {
             self.until_next -= 1;
             None
+        } else {
+            Some(self.pick())
         }
     }
 
-    /// Advances the position by `n` in one step, invoking `f` with the
-    /// context of every sampled position crossed — exactly the contexts
-    /// `n` successive [`TraceSampler::tick`] calls would return, in the
-    /// same order. Batch sinks use this to keep the per-frame path free
-    /// of sampler work entirely.
-    pub fn advance<F: FnMut(TraceCtx)>(&mut self, n: u64, mut f: F) {
-        let mut remaining = n;
-        while remaining > self.until_next {
-            let sampled = self.position + self.until_next;
-            f(TraceCtx {
-                trace_id: frame_trace_id(self.seed, sampled),
-            });
-            let consumed = self.until_next + 1;
-            self.position += consumed;
-            remaining -= consumed;
-            self.until_next = self.sample_every - 1;
-        }
-        self.position += remaining;
-        self.until_next -= remaining;
+    /// The sampled 1-in-N branch: re-arms the countdown and names the frame
+    /// at this position — a splitmix64 mix of (seed, lane, position) with
+    /// the control bit cleared, and never 0.
+    #[cold]
+    fn pick(&mut self) -> u64 {
+        self.until_next = self.sample_every - 1;
+        let position = self.next_position;
+        self.next_position += self.sample_every;
+        let id = splitmix64(self.lane_key ^ position.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        (id & !CONTROL_TRACE_BIT).max(1)
     }
 }
 
-/// Deterministic trace id for the frame at report-stream `position`:
-/// a splitmix64 mix of the seed and position, top bit cleared so frame
-/// ids never collide with control-plane ids.
-pub fn frame_trace_id(seed: u64, position: u64) -> u64 {
-    let mut z = seed ^ position.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+/// The splitmix64 finalizer: a bijection on `u64`, so distinct inputs stay
+/// distinct.
+fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    (z ^ (z >> 31)) & !CONTROL_TRACE_BIT
+    z ^ (z >> 31)
 }
 
 /// Trace id of the control-plane operation that produced ruleset
@@ -141,8 +131,6 @@ struct TraceInner {
 pub struct TraceStore {
     enabled: bool,
     capacity: usize,
-    sample_every: u64,
-    seed: u64,
     epoch: Instant,
     next_span: AtomicU64,
     inner: Mutex<TraceInner>,
@@ -150,14 +138,11 @@ pub struct TraceStore {
 
 impl TraceStore {
     /// Builds a store holding at most `capacity` spans. When `enabled` is
-    /// false the store accepts nothing and samplers built from it never
-    /// fire, keeping the hot path untraced.
-    pub fn new(capacity: usize, sample_every: u64, seed: u64, enabled: bool) -> Self {
+    /// false the store accepts nothing, keeping the hot path untraced.
+    pub fn new(capacity: usize, enabled: bool) -> Self {
         TraceStore {
             enabled,
             capacity: capacity.max(1),
-            sample_every: sample_every.max(1),
-            seed,
             epoch: Instant::now(),
             next_span: AtomicU64::new(1),
             inner: Mutex::new(TraceInner {
@@ -169,16 +154,6 @@ impl TraceStore {
     /// Whether tracing is armed.
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Sampling stride shared with the per-shard samplers.
-    pub fn sample_every(&self) -> u64 {
-        self.sample_every
-    }
-
-    /// A sampler over this store's stride and seed.
-    pub fn sampler(&self) -> TraceSampler {
-        TraceSampler::new(self.sample_every, self.seed)
     }
 
     /// Nanoseconds since the store's epoch — span timestamps.
@@ -277,7 +252,6 @@ impl std::fmt::Debug for TraceStore {
         f.debug_struct("TraceStore")
             .field("enabled", &self.enabled)
             .field("capacity", &self.capacity)
-            .field("sample_every", &self.sample_every)
             .field("len", &self.len())
             .finish()
     }
@@ -446,42 +420,47 @@ impl ProfileBoard {
 mod tests {
     use super::*;
 
-    #[test]
-    fn sampler_is_deterministic_and_strided() {
-        let mut a = TraceSampler::new(8, 42);
-        let mut b = TraceSampler::new(8, 42);
-        let ids_a: Vec<Option<TraceCtx>> = (0..64).map(|_| a.tick()).collect();
-        let ids_b: Vec<Option<TraceCtx>> = (0..64).map(|_| b.tick()).collect();
-        assert_eq!(ids_a, ids_b);
-        assert_eq!(ids_a.iter().flatten().count(), 8);
-        // Different seeds shift the residue class and the minted ids.
-        let mut c = TraceSampler::new(8, 43);
-        let ids_c: Vec<Option<TraceCtx>> = (0..64).map(|_| c.tick()).collect();
-        assert_ne!(ids_a, ids_c);
+    fn ids(sampler: &mut FrameSampler, ticks: usize) -> Vec<Option<u64>> {
+        (0..ticks).map(|_| sampler.tick()).collect()
     }
 
     #[test]
-    fn advance_matches_tick_sequence() {
-        // Any chunking of the stream through `advance` must surface the
-        // same ids, in the same order, as per-frame ticks.
-        let mut ticked = TraceSampler::new(8, 42);
-        let tick_ids: Vec<u64> = (0..1000)
-            .filter_map(|_| ticked.tick().map(|c| c.trace_id))
+    fn sampler_is_deterministic_and_strided() {
+        let ids_a = ids(&mut FrameSampler::new(8, 42, 0, None), 64);
+        let ids_b = ids(&mut FrameSampler::new(8, 42, 0, None), 64);
+        assert_eq!(ids_a, ids_b);
+        assert_eq!(ids_a.iter().flatten().count(), 8);
+        // A different seed shifts the residue class, not just the ids.
+        let ids_c = ids(&mut FrameSampler::new(8, 43, 0, None), 64);
+        let first = |ids: &[Option<u64>]| ids.iter().position(Option::is_some);
+        assert_ne!(first(&ids_a), first(&ids_c));
+    }
+
+    #[test]
+    fn lanes_pick_the_same_positions_under_different_ids() {
+        let lanes = [(0, None), (1, None), (0, Some("a")), (0, Some("b"))];
+        let picked: Vec<Vec<Option<u64>>> = lanes
+            .iter()
+            .map(|&(shard, tenant)| ids(&mut FrameSampler::new(8, 0, shard, tenant), 64))
             .collect();
-        for chunks in [vec![1000], vec![3, 997], vec![8; 125], vec![1; 1000]] {
-            let mut bulk = TraceSampler::new(8, 42);
-            let mut bulk_ids = Vec::new();
-            for n in chunks {
-                bulk.advance(n, |ctx| bulk_ids.push(ctx.trace_id));
-            }
-            assert_eq!(bulk_ids, tick_ids);
+        let positions = |ids: &[Option<u64>]| ids.iter().map(Option::is_some).collect::<Vec<_>>();
+        for other in &picked[1..] {
+            assert_eq!(positions(other), positions(&picked[0]));
         }
+        let mut all: Vec<u64> = picked.iter().flatten().flatten().copied().collect();
+        assert_eq!(all.len(), 32);
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), 32, "an id names one frame of one lane");
     }
 
     #[test]
     fn frame_and_control_id_spaces_are_disjoint() {
-        for pos in 0..1000 {
-            assert_eq!(frame_trace_id(7, pos) & CONTROL_TRACE_BIT, 0);
+        // Seed 0 on shard 0 at position 0 is where an unmixed id would be 0.
+        for id in ids(&mut FrameSampler::new(1, 0, 0, None), 1000) {
+            let id = id.expect("stride 1 picks every frame");
+            assert_eq!(id & CONTROL_TRACE_BIT, 0);
+            assert_ne!(id, 0);
         }
         assert_ne!(control_trace_id(1) & CONTROL_TRACE_BIT, 0);
         assert_ne!(control_trace_id(1), control_trace_id(2));
@@ -489,7 +468,7 @@ mod tests {
 
     #[test]
     fn store_rings_and_queries_by_trace() {
-        let store = TraceStore::new(4, 1, 0, true);
+        let store = TraceStore::new(4, true);
         for i in 0..6u64 {
             store.record(SpanRecord {
                 trace_id: i % 2,
@@ -512,7 +491,7 @@ mod tests {
 
     #[test]
     fn disabled_store_records_nothing() {
-        let store = TraceStore::new(8, 1, 0, false);
+        let store = TraceStore::new(8, false);
         store.record(SpanRecord {
             trace_id: 1,
             span_id: 1,

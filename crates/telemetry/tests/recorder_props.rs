@@ -1,9 +1,9 @@
-//! Property suite for the flight recorder ring: the ring never exceeds
-//! its capacity, always keeps the newest events in order, and 1-in-N
-//! sampling fires exactly the deterministic phase-shifted residue class
-//! regardless of capacity or seed.
+//! Property suite for the flight recorder ring and the sampler that feeds
+//! it: the ring never exceeds its capacity and always keeps the newest
+//! events in order, and the 1-in-N [`FrameSampler`] fires exactly the
+//! deterministic phase-shifted residue class regardless of seed or lane.
 
-use p4guard_telemetry::{Event, FlightRecorder};
+use p4guard_telemetry::{Event, FlightRecorder, FrameSampler};
 use proptest::prelude::*;
 
 /// The `shard` field doubles as the stream position so properties can
@@ -24,7 +24,7 @@ proptest! {
         capacity in 1usize..48,
         total in 0usize..200,
     ) {
-        let recorder = FlightRecorder::new(capacity, 1, 0);
+        let recorder = FlightRecorder::new(capacity);
         for i in 0..total {
             recorder.record(tagged(i));
         }
@@ -54,13 +54,14 @@ proptest! {
         seed in any::<u64>(),
         total in 0usize..200,
     ) {
-        let recorder = FlightRecorder::new(capacity, sample_every, seed);
+        let recorder = FlightRecorder::new(capacity);
+        let mut sampler = FrameSampler::new(sample_every, seed, 0, None);
         let mut sampled = Vec::new();
         for i in 0..total {
-            recorder.sample(|| {
+            if sampler.tick().is_some() {
                 sampled.push(i);
-                tagged(i)
-            });
+                recorder.record(tagged(i));
+            }
         }
         // Exactly one residue class fires.
         let expected: Vec<usize> = (0..total)
@@ -79,21 +80,18 @@ proptest! {
         prop_assert_eq!(events.len(), sampled.len().min(capacity));
     }
 
-    /// Two recorders with the same seed sample identical positions; the
-    /// phase is a pure function of (seed, sample_every).
+    /// Two samplers with the same seed sample identical positions, whatever
+    /// lane they serve: the phase is a pure function of (seed,
+    /// sample_every), and the lane only names the picks.
     #[test]
     fn sampling_is_deterministic_per_seed(
         sample_every in 1u64..16,
         seed in any::<u64>(),
     ) {
-        let a = FlightRecorder::new(256, sample_every, seed);
-        let b = FlightRecorder::new(256, sample_every, seed);
-        let mut hits_a = Vec::new();
-        let mut hits_b = Vec::new();
-        for i in 0..100usize {
-            a.sample(|| { hits_a.push(i); tagged(i) });
-            b.sample(|| { hits_b.push(i); tagged(i) });
-        }
+        let mut a = FrameSampler::new(sample_every, seed, 0, None);
+        let mut b = FrameSampler::new(sample_every, seed, 3, Some("tenant"));
+        let hits_a: Vec<usize> = (0..100).filter(|_| a.tick().is_some()).collect();
+        let hits_b: Vec<usize> = (0..100).filter(|_| b.tick().is_some()).collect();
         prop_assert_eq!(hits_a, hits_b);
     }
 }

@@ -4,11 +4,10 @@
 use p4guard::config::GuardConfig;
 use p4guard::pipeline::TwoStagePipeline;
 use p4guard_dataplane::action::Action;
-use p4guard_dataplane::control::ControlPlane;
 use p4guard_dataplane::key::KeyLayout;
 use p4guard_dataplane::parser::ParserSpec;
 use p4guard_dataplane::switch::Switch;
-use p4guard_dataplane::table::{MatchKind, Table};
+use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
 use p4guard_rules::compile::{compile_tree, find_disagreement, CompileConfig};
 use p4guard_rules::tree::{DecisionTree, TreeConfig};
 use p4guard_traffic::scenario::Scenario;
@@ -62,32 +61,30 @@ fn range_and_ternary_deployments_agree() {
     // Ternary deployment via the normal path.
     let ternary_control = guard.deploy(200_000).unwrap();
 
-    // Range deployment: same key layout, native range entries.
-    let parser = ParserSpec::raw_window(64, 14);
-    let mut sw = Switch::new("range-gw", parser, 1);
-    let acl = Table::new(
+    // Range deployment: same key layout, one native range entry per path.
+    let mut acl = Table::new(
         "guard_acl_range",
         MatchKind::Range,
         KeyLayout::new(guard.selection.offsets.clone()),
         10_000,
         Action::NoOp,
     );
-    let stage = sw.add_stage(acl);
-    let range_control = ControlPlane::new(sw);
-    range_control
-        .install_ranges(stage, &guard.compiled.range_paths, Action::Drop)
-        .unwrap();
+    for path in &guard.compiled.range_paths {
+        let (lo, hi) = path.ranges.iter().copied().unzip();
+        acl.insert(MatchSpec::Range { lo, hi }, Action::Drop, 1)
+            .unwrap();
+    }
+    let mut rsw = Switch::new("range-gw", ParserSpec::raw_window(64, 14), 1);
+    rsw.add_stage(acl);
 
     ternary_control.with_switch_mut(|tsw| {
-        range_control.with_switch_mut(|rsw| {
-            for r in test.iter() {
-                assert_eq!(
-                    tsw.process(&r.frame).is_drop(),
-                    rsw.process(&r.frame).is_drop(),
-                    "encodings disagreed"
-                );
-            }
-        });
+        for r in test.iter() {
+            assert_eq!(
+                tsw.process(&r.frame).is_drop(),
+                rsw.process(&r.frame).is_drop(),
+                "encodings disagreed"
+            );
+        }
     });
 
     // Range encoding uses one entry per attack path — never more than the

@@ -300,7 +300,7 @@ proptest! {
             .max_by(|(ia, (_, _, pa)), (ib, (_, _, pb))| pa.cmp(pb).then(ib.cmp(ia)))
             .map(|(i, _)| Action::Forward(i as u16))
             .unwrap_or(Action::NoOp);
-        prop_assert_eq!(table.lookup(&[probe]), expected);
+        prop_assert_eq!(table.peek(&[probe]), expected);
     }
 
     #[test]
@@ -340,7 +340,7 @@ proptest! {
             .max_by_key(|(_, (_, len))| *len)
             .map(|(i, _)| Action::Forward(i as u16))
             .unwrap_or(Action::NoOp);
-        prop_assert_eq!(table.lookup(&[probe]), expected);
+        prop_assert_eq!(table.peek(&[probe]), expected);
     }
 
     #[test]
