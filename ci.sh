@@ -176,28 +176,34 @@ grep -q 'p4guard_frames_received_total{.*tenant=' "$SMOKE_DIR/fleet-metrics.txt"
 kill "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
 
-echo "==> delta-publish smoke (fixed seed, time-boxed)"
-# Incremental compilation + minimization gate (reproduce f20_minimize):
-# one-entry diffs against a 1024-entry stage must publish >=10x faster
-# than a from-scratch recompile, the live mid-serve delta chain must
-# conserve every frame, and the lowering-time minimizer must cut entries
-# on at least one learned ruleset — by exactly the committed counts.
-timeout 300 target/release/reproduce f20_minimize --out "$SMOKE_DIR/results" \
-  > "$SMOKE_DIR/minimize.log" 2>&1 || {
-  echo "reproduce f20_minimize failed:" >&2
-  tail -30 "$SMOKE_DIR/minimize.log" >&2
+echo "==> gated experiments (one reproduce run, fixed seed, time-boxed)"
+# The three experiments the gates below read, in one process so they share
+# the lab (the mixed scenario and its trained guards). A report that could
+# not be written fails the run, so no gate reads a stale file.
+GATED_LOG="$SMOKE_DIR/gated.log"
+timeout 600 target/release/reproduce f16_forest f17_lookup f20_minimize \
+  --out "$SMOKE_DIR/results" > "$GATED_LOG" 2>&1 || {
+  echo "reproduce f16_forest f17_lookup f20_minimize failed:" >&2
+  tail -30 "$GATED_LOG" >&2
   exit 1
 }
-grep -q 'conserved: yes' "$SMOKE_DIR/minimize.log" || {
-  echo "delta-publish smoke lost frames mid-serve:" >&2
-  cat "$SMOKE_DIR/minimize.log" >&2
-  exit 1
-}
+
+echo "==> delta-publish smoke"
+# Incremental compilation + minimization gate (f20_minimize): one-entry
+# diffs against a 1024-entry stage must publish >=10x faster than a
+# from-scratch recompile, the live mid-serve delta chain must conserve
+# every frame, and the lowering-time minimizer must cut entries on at
+# least one learned ruleset — by exactly the committed counts.
 MINIMIZE_JSON="$SMOKE_DIR/results/f20_minimize.json"
+grep -q '"conserved": true' "$MINIMIZE_JSON" || {
+  echo "delta-publish smoke lost frames mid-serve:" >&2
+  cat "$GATED_LOG" >&2
+  exit 1
+}
 SPEEDUP=$(sed -n 's/.*"speedup": \([0-9.]*\).*/\1/p' "$MINIMIZE_JSON")
 if [ -z "$SPEEDUP" ] || ! awk -v s="$SPEEDUP" 'BEGIN { exit !(s >= 10) }'; then
   echo "incremental publish speedup ${SPEEDUP:-?}x below the 10x gate:" >&2
-  grep 'speedup' "$SMOKE_DIR/minimize.log" >&2 || true
+  grep 'speedup' "$GATED_LOG" >&2 || true
   exit 1
 fi
 MARGIN_OK=$(awk '/"entries_source"/ { src = $2 + 0 }
@@ -205,7 +211,7 @@ MARGIN_OK=$(awk '/"entries_source"/ { src = $2 + 0 }
                  END { print ok + 0 }' "$MINIMIZE_JSON")
 if [ "$MARGIN_OK" != "1" ]; then
   echo "minimizer cut no entries on any learned ruleset:" >&2
-  cat "$SMOKE_DIR/minimize.log" >&2
+  cat "$GATED_LOG" >&2
   exit 1
 fi
 # The minimizer's counts are pinned, not just "some margin": each learned
@@ -223,18 +229,12 @@ if ! diff <(f20_counts results/f20_minimize.json) <(f20_counts "$MINIMIZE_JSON")
 fi
 echo "delta publish ${SPEEDUP}x >= 10x, frames conserved, minimizer counts match results/f20_minimize.json"
 
-echo "==> compiled-lookup smoke (fixed seed, time-boxed)"
-# Engine gate (reproduce f17_lookup): at every table size, the engine a
-# ternary or range table compiles to must look a key up at least as fast
-# as the mutable table's linear scan it stands in for. The bound is loose
+echo "==> compiled-lookup smoke"
+# Engine gate (f17_lookup): at every table size, the engine a ternary or
+# range table compiles to must look a key up at least as fast as the
+# mutable table's linear scan it stands in for. The bound is loose
 # (measured 5-130x) so a noisy box cannot trip it; an engine that is
 # slower than the scan it replaced can.
-timeout 120 target/release/reproduce f17_lookup --out "$SMOKE_DIR/results" \
-  > "$SMOKE_DIR/lookup.log" 2>&1 || {
-  echo "reproduce f17_lookup failed:" >&2
-  tail -30 "$SMOKE_DIR/lookup.log" >&2
-  exit 1
-}
 SLOW_POINTS=$(awk '/"series"/ { split($0, quoted, "\""); series = quoted[4] }
                    /"kind"/ { gated = /Ternary|Range/ }
                    /"entries"/ { entries = $2 + 0 }
@@ -245,37 +245,30 @@ SLOW_POINTS=$(awk '/"series"/ { split($0, quoted, "\""); series = quoted[4] }
 if [ -n "$SLOW_POINTS" ]; then
   echo "compiled lookup slower than the linear scan it replaces:" >&2
   echo "$SLOW_POINTS" >&2
-  cat "$SMOKE_DIR/lookup.log" >&2
+  cat "$GATED_LOG" >&2
   exit 1
 fi
 echo "every ternary and range point at least as fast as the scan"
 
-echo "==> ensemble-inference smoke (fixed seed, time-boxed)"
-# Forest gate (reproduce f16_forest): on at least one task a compiled
-# multi-tree forest must match-or-beat the single-tree baseline's
-# accuracy, the best forest must be admitted by the budgeter against the
-# minimized-entry budget, and the live vote-mode gateway phase must
-# conserve every frame.
-timeout 300 target/release/reproduce f16_forest --out "$SMOKE_DIR/results" \
-  > "$SMOKE_DIR/forest.log" 2>&1 || {
-  echo "reproduce f16_forest failed:" >&2
-  tail -30 "$SMOKE_DIR/forest.log" >&2
-  exit 1
-}
-grep -q 'conserved: yes' "$SMOKE_DIR/forest.log" || {
-  echo "forest smoke lost frames in the live vote-mode phase:" >&2
-  cat "$SMOKE_DIR/forest.log" >&2
-  exit 1
-}
+echo "==> ensemble-inference smoke"
+# Forest gate (f16_forest): on at least one task a compiled multi-tree
+# forest must match-or-beat the single-tree baseline's accuracy, the best
+# forest must be admitted by the budgeter against the minimized-entry
+# budget, and the live vote-mode gateway phase must conserve every frame.
 FOREST_JSON="$SMOKE_DIR/results/f16_forest.json"
+grep -q '"conserved": true' "$FOREST_JSON" || {
+  echo "forest smoke lost frames in the live vote-mode phase:" >&2
+  cat "$GATED_LOG" >&2
+  exit 1
+}
 grep -q '"gate_matches_baseline": true' "$FOREST_JSON" || {
   echo "no forest matched the single-tree baseline accuracy on any task:" >&2
-  cat "$SMOKE_DIR/forest.log" >&2
+  cat "$GATED_LOG" >&2
   exit 1
 }
 grep -q '"gate_within_budget": true' "$FOREST_JSON" || {
   echo "no best forest was admitted within the minimized table budget:" >&2
-  cat "$SMOKE_DIR/forest.log" >&2
+  cat "$GATED_LOG" >&2
   exit 1
 }
 echo "forest frontier: baseline matched, budget admitted, live phase conserved"
@@ -348,8 +341,12 @@ tail -5 "$SMOKE_DIR/ledger.log"
 git diff --exit-code -- ledger BENCHMARK.json
 
 # Informational: non-blank, non-comment Rust lines, the one size every PR
-# quotes (ROADMAP item 6d).
-echo "rust lines: $(find crates tests examples -name '*.rs' -print0 | xargs -0 cat |
-  grep -v '^\s*$' | grep -v '^\s*//' | wc -l)"
+# quotes (ROADMAP item 6d), and the experiment harness's share of it
+# (ROADMAP item 7).
+rust_lines() {
+  find "$@" -name '*.rs' -print0 | xargs -0 cat | grep -v '^\s*$' | grep -v '^\s*//' | wc -l
+}
+echo "rust lines: $(rust_lines crates tests examples)"
+echo "experiments lines: $(rust_lines crates/core/src/experiments)"
 
 echo "==> OK"

@@ -13,10 +13,13 @@
 //!   benign traffic; the canary drop-rate guardrail trips and the fleet is
 //!   restored to the exact prior version.
 
+use crate::experiments::live::Live;
+use crate::report::{yes_no, TextTable};
 use p4guard_adapt::{AdaptConfig, AdaptEngine, DriftConfig, Retrainer, StepOutcome};
 use p4guard_dataplane::control::ControlPlane;
 use p4guard_dataplane::AclLayout;
 use p4guard_gateway::{Gateway, GatewayConfig};
+use p4guard_packet::arena::FrameBatch;
 use p4guard_packet::trace::{AttackFamily, Trace};
 use p4guard_rules::{RuleSet, TernaryEntry};
 use p4guard_telemetry::{Telemetry, TelemetryConfig};
@@ -24,8 +27,8 @@ use p4guard_traffic::scenario::{AttackEvent, Scenario};
 use p4guard_traffic::Fleet;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Byte window the ACL parser captures.
 const WINDOW: usize = 64;
@@ -74,28 +77,19 @@ impl fmt::Display for AdaptRecoveryReport {
             "F18-adapt: closed-loop recovery after a traffic shift (seed {}, {} shards)",
             self.seed, self.shards
         )?;
-        let mut table = crate::report::TextTable::new([
-            "path",
-            "baseline",
-            "to shadow",
-            "to canary",
-            "to outcome",
-            "outcome",
-            "final",
-            "converged",
-        ]);
-        for p in &self.paths {
-            table.row([
-                p.path.as_str(),
-                &format!("v{}", p.baseline_version),
-                &format!("{} frames", p.frames_to_shadow),
-                &format!("{} frames", p.frames_to_canary),
-                &format!("{} frames", p.frames_to_outcome),
-                p.outcome.as_str(),
-                &format!("v{}", p.final_version),
-                if p.fleet_converged { "yes" } else { "no" },
-            ]);
-        }
+        let table = TextTable::of(
+            &self.paths,
+            &[
+                ("path", |p| p.path.clone()),
+                ("baseline", |p| format!("v{}", p.baseline_version)),
+                ("to shadow", |p| format!("{} frames", p.frames_to_shadow)),
+                ("to canary", |p| format!("{} frames", p.frames_to_canary)),
+                ("to outcome", |p| format!("{} frames", p.frames_to_outcome)),
+                ("outcome", |p| p.outcome.clone()),
+                ("final", |p| format!("v{}", p.final_version)),
+                ("converged", |p| yes_no(p.fleet_converged)),
+            ],
+        );
         write!(f, "{table}")
     }
 }
@@ -132,37 +126,103 @@ fn build_control() -> ControlPlane {
     ControlPlane::new(layout.switch("adapt-exp", ["acl"]))
 }
 
-/// Dispatches `trace` frames in chunks, stepping `engine` at each drained
-/// checkpoint, and returns the frames-to-milestone counters plus the
-/// terminal outcome (if reached).
+/// Feeds `trace` in chunks, stepping `engine` at each drained checkpoint,
+/// and returns the frames-to-milestone counters plus the terminal outcome
+/// (if reached).
 fn drive(
-    gw: &Gateway,
+    live: &mut Live<Gateway>,
     engine: &mut AdaptEngine,
     trace: &Trace,
-    expected: &mut u64,
 ) -> (u64, u64, u64, Option<StepOutcome>) {
-    let frames: Vec<_> = trace.iter().map(|r| r.frame.clone()).collect();
-    let mut replayed = 0u64;
+    let frames: Vec<_> = trace
+        .iter()
+        .map(|r| FrameBatch::single(r.frame.clone()))
+        .collect();
+    let before = live.sent;
     let mut to_shadow = 0u64;
     let mut to_canary = 0u64;
-    for chunk in frames.chunks(CHUNK) {
-        for f in chunk {
-            gw.dispatch(f.clone());
-        }
-        *expected += chunk.len() as u64;
-        replayed += chunk.len() as u64;
-        gw.wait_drained(*expected, Duration::from_secs(30))
-            .expect("gateway drains to the checkpoint");
-        match engine.step(gw).expect("adaptation step") {
-            StepOutcome::ShadowStarted { .. } => to_shadow = replayed,
-            StepOutcome::CanaryStarted { .. } => to_canary = replayed,
-            done @ (StepOutcome::Promoted { .. } | StepOutcome::RolledBack { .. }) => {
-                return (to_shadow, to_canary, replayed, Some(done));
+    let mut outcome = None;
+    live.feed(
+        frames.chunks(CHUNK).map(|c| c.iter().cloned()),
+        true,
+        |live| {
+            let replayed = live.sent - before;
+            match engine.step(&live.gateway).expect("adaptation step") {
+                StepOutcome::ShadowStarted { .. } => to_shadow = replayed,
+                StepOutcome::CanaryStarted { .. } => to_canary = replayed,
+                done @ (StepOutcome::Promoted { .. } | StepOutcome::RolledBack { .. }) => {
+                    outcome = Some(done);
+                    return ControlFlow::Break(());
+                }
+                _ => {}
             }
-            _ => {}
-        }
+            ControlFlow::Continue(())
+        },
+    );
+    (to_shadow, to_canary, live.sent - before, outcome)
+}
+
+/// Drives one lifecycle path against a fresh gateway: a SYN-flood
+/// baseline is installed, then `regime` traffic is served under `config`
+/// until the engine reaches a terminal outcome. Without a `proposal` the
+/// drift baseline is first warmed on the pre-shift regime, so the engine
+/// has to notice the shift itself; with one, the candidate is put to the
+/// engine directly and enters shadow immediately.
+fn run_path(
+    path: &str,
+    seed: u64,
+    (gw_config, tel): (GatewayConfig, &Arc<Telemetry>),
+    regime: Scenario,
+    config: AdaptConfig,
+    proposal: Option<RuleSet>,
+) -> AdaptPath {
+    let baseline_trace = scenario(Some(AttackFamily::SynFlood), 16.0, seed)
+        .generate()
+        .expect("baseline generates");
+    let regime_trace = regime.generate().expect("regime generates");
+    let control = build_control();
+    let mut live = Live::<Gateway>::start(&control, gw_config, Some(Arc::clone(tel)));
+    let r0 = retrainer()
+        .retrain(&baseline_trace)
+        .expect("baseline trains");
+    let mut engine = AdaptEngine::new(
+        control.clone(),
+        Arc::clone(tel),
+        retrainer(),
+        regime,
+        config,
+    );
+    let initial = engine.install_initial(&r0).expect("baseline publishes");
+    let proposed = proposal.is_some();
+    if let Some(candidate) = proposal {
+        engine
+            .propose(&live.gateway, candidate, "f12-poisoned")
+            .expect("proposal accepted");
+    } else {
+        drive(&mut live, &mut engine, &baseline_trace);
     }
-    (to_shadow, to_canary, replayed, None)
+    let (to_shadow, to_canary, replayed, outcome) = drive(&mut live, &mut engine, &regime_trace);
+    let (snap, _) = live.end();
+    // A rollback must also put the exact baseline ruleset back.
+    let restored = || {
+        let active = engine.active_ruleset();
+        active.is_some_and(|r| r.diff(&r0).is_empty())
+    };
+    AdaptPath {
+        path: path.to_string(),
+        baseline_version: initial.version,
+        frames_to_shadow: if proposed { 0 } else { to_shadow },
+        frames_to_canary: to_canary,
+        frames_to_outcome: replayed,
+        outcome: match outcome {
+            Some(StepOutcome::Promoted { .. }) => "promoted".to_string(),
+            Some(StepOutcome::RolledBack { .. }) => "rolled_back".to_string(),
+            other => format!("{other:?}"),
+        },
+        final_version: snap.version,
+        fleet_converged: snap.shard_versions.iter().all(|v| *v == snap.version)
+            && (!proposed || restored()),
+    }
 }
 
 /// Runs both adaptation paths and reports detection → recovery frame
@@ -187,138 +247,60 @@ pub fn run_f18_adapt(
         queue_capacity: 8192,
         batch_size: 32,
     };
-    let mut paths = Vec::new();
+    let drift = |ph_lambda, chi_threshold| DriftConfig {
+        warmup_checks: 2,
+        min_frames: 250,
+        ph_delta: 0.01,
+        ph_lambda,
+        chi_threshold,
+    };
 
-    // Path 1 — promote: SYN-flood baseline shifts to a UDP flood.
-    {
-        let baseline_sc = scenario(Some(AttackFamily::SynFlood), 16.0, seed);
-        let shift_sc = scenario(Some(AttackFamily::UdpFlood), 16.0, seed.wrapping_add(2));
-        let baseline_trace = baseline_sc.generate().expect("baseline generates");
-        let shift_trace = shift_sc.generate().expect("shift generates");
-
-        let control = build_control();
-        let gw = Gateway::start_with_telemetry(&control, gw_config, Some(Arc::clone(&tel)));
-        let r0 = retrainer()
-            .retrain(&baseline_trace)
-            .expect("baseline trains");
-        let config = AdaptConfig {
-            drift: DriftConfig {
-                warmup_checks: 2,
-                min_frames: 250,
-                ph_delta: 0.01,
-                ph_lambda: 10.0,
-                chi_threshold: 60.0,
-            },
+    // Promote: the SYN-flood baseline shifts to a UDP flood.
+    let promote = run_path(
+        "promote",
+        seed,
+        (gw_config, &tel),
+        scenario(Some(AttackFamily::UdpFlood), 16.0, seed.wrapping_add(2)),
+        AdaptConfig {
+            drift: drift(10.0, 60.0),
             canary_shards: gw_config.shards / 2,
             min_canary_frames: 120,
             shadow_max_drop_rate: 0.8,
             guardrail_max_drop_increase: 0.7,
             ..AdaptConfig::default()
-        };
-        let mut engine = AdaptEngine::new(
-            control.clone(),
-            Arc::clone(&tel),
-            retrainer(),
-            shift_sc.clone(),
-            config,
-        );
-        let initial = engine.install_initial(&r0).expect("baseline publishes");
-        let mut expected = 0u64;
-        // Warm the drift baseline on the pre-shift regime.
-        drive(&gw, &mut engine, &baseline_trace, &mut expected);
-        // Inject the shift and drive to the terminal outcome.
-        let (to_shadow, to_canary, replayed, outcome) =
-            drive(&gw, &mut engine, &shift_trace, &mut expected);
-        let snap = gw.snapshot();
-        paths.push(AdaptPath {
-            path: "promote".to_string(),
-            baseline_version: initial.version,
-            frames_to_shadow: to_shadow,
-            frames_to_canary: to_canary,
-            frames_to_outcome: replayed,
-            outcome: match outcome {
-                Some(StepOutcome::Promoted { .. }) => "promoted".to_string(),
-                other => format!("{other:?}"),
-            },
-            final_version: snap.version,
-            fleet_converged: snap.shard_versions.iter().all(|v| *v == snap.version),
-        });
+        },
+        None,
+    );
+
+    // Rollback: a poisoned candidate (drops all TCP/UDP) on benign traffic.
+    let mut poisoned = RuleSet::new(OFFSETS.len(), 0);
+    for proto in [6u8, 17u8] {
+        poisoned.push(TernaryEntry::new(
+            vec![proto, 0, 0, 0, 0],
+            vec![0xff, 0, 0, 0, 0],
+            1,
+            5,
+        ));
     }
-
-    // Path 2 — rollback: a poisoned candidate on benign traffic.
-    {
-        let benign_sc = scenario(None, 32.0, seed.wrapping_add(5));
-        let benign_trace = benign_sc.generate().expect("benign generates");
-        let baseline_trace = scenario(Some(AttackFamily::SynFlood), 16.0, seed)
-            .generate()
-            .expect("baseline generates");
-
-        let control = build_control();
-        let gw = Gateway::start_with_telemetry(&control, gw_config, Some(Arc::clone(&tel)));
-        let r0 = retrainer()
-            .retrain(&baseline_trace)
-            .expect("baseline trains");
-        let config = AdaptConfig {
-            drift: DriftConfig {
-                warmup_checks: 2,
-                min_frames: 250,
-                ph_delta: 0.01,
-                ph_lambda: 50.0,
-                chi_threshold: 1e9,
-            },
+    let rollback = run_path(
+        "rollback",
+        seed,
+        (gw_config, &tel),
+        scenario(None, 32.0, seed.wrapping_add(5)),
+        AdaptConfig {
+            drift: drift(50.0, 1e9),
             min_canary_frames: 100,
             shadow_max_drop_rate: 0.95,
             guardrail_max_drop_increase: 0.2,
             ..AdaptConfig::default()
-        };
-        let mut engine = AdaptEngine::new(
-            control.clone(),
-            Arc::clone(&tel),
-            retrainer(),
-            benign_sc.clone(),
-            config,
-        );
-        let initial = engine.install_initial(&r0).expect("baseline publishes");
-        let mut poisoned = RuleSet::new(OFFSETS.len(), 0);
-        for proto in [6u8, 17u8] {
-            poisoned.push(TernaryEntry::new(
-                vec![proto, 0, 0, 0, 0],
-                vec![0xff, 0, 0, 0, 0],
-                1,
-                5,
-            ));
-        }
-        let mut expected = 0u64;
-        engine
-            .propose(&gw, poisoned, "f12-poisoned")
-            .expect("proposal accepted");
-        let (_, to_canary, replayed, outcome) =
-            drive(&gw, &mut engine, &benign_trace, &mut expected);
-        let snap = gw.snapshot();
-        let exact_restore = engine
-            .active_ruleset()
-            .map(|r| r.diff(&r0).is_empty())
-            .unwrap_or(false);
-        paths.push(AdaptPath {
-            path: "rollback".to_string(),
-            baseline_version: initial.version,
-            frames_to_shadow: 0, // proposal enters shadow immediately
-            frames_to_canary: to_canary,
-            frames_to_outcome: replayed,
-            outcome: match outcome {
-                Some(StepOutcome::RolledBack { .. }) => "rolled_back".to_string(),
-                other => format!("{other:?}"),
-            },
-            final_version: snap.version,
-            fleet_converged: snap.shard_versions.iter().all(|v| *v == snap.version)
-                && exact_restore,
-        });
-    }
+        },
+        Some(poisoned),
+    );
 
     AdaptRecoveryReport {
         seed,
         shards: gw_config.shards,
-        paths,
+        paths: vec![promote, rollback],
     }
 }
 

@@ -1,9 +1,7 @@
 //! Experiment F5 — training convergence of the stage-1 and stage-2
 //! networks.
 
-use crate::config::GuardConfig;
 use crate::experiments::ExperimentContext;
-use crate::pipeline::TwoStagePipeline;
 use crate::report::{num3, TextTable};
 use p4guard_nn::train::History;
 use serde::{Deserialize, Serialize};
@@ -18,43 +16,42 @@ pub struct ConvergenceReport {
     pub stage2: History,
 }
 
-/// Runs F5 on the context.
+/// Runs F5 on the lab's guard.
 ///
 /// # Panics
 ///
 /// Panics if the pipeline fails on the standard scenario.
-pub fn run_f5(ctx: &ExperimentContext, config: &GuardConfig) -> ConvergenceReport {
-    let guard = TwoStagePipeline::new(config.clone())
-        .train(&ctx.train)
-        .expect("pipeline trains");
+pub fn run_f5(lab: &ExperimentContext) -> ConvergenceReport {
+    let detector = lab.guard(&lab.config);
     ConvergenceReport {
-        stage1: guard.stage1_history,
-        stage2: guard.stage2_history,
+        stage1: detector.guard().stage1_history.clone(),
+        stage2: detector.guard().stage2_history.clone(),
     }
 }
 
 impl fmt::Display for ConvergenceReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "F5 — training convergence (loss & accuracy per epoch)")?;
-        let mut table = TextTable::new([
-            "epoch",
-            "stage-1 loss",
-            "stage-1 acc",
-            "stage-2 loss",
-            "stage-2 acc",
-        ]);
-        let rows = self.stage1.epochs.len().max(self.stage2.epochs.len());
-        for i in 0..rows {
-            let s1 = self.stage1.epochs.get(i);
-            let s2 = self.stage2.epochs.get(i);
-            table.row([
-                i.to_string(),
-                s1.map_or(String::new(), |e| num3(f64::from(e.loss))),
-                s1.map_or(String::new(), |e| num3(f64::from(e.train_accuracy))),
-                s2.map_or(String::new(), |e| num3(f64::from(e.loss))),
-                s2.map_or(String::new(), |e| num3(f64::from(e.train_accuracy))),
-            ]);
-        }
+        let epochs = self.stage1.epochs.len().max(self.stage2.epochs.len());
+        let rows = (0..epochs).map(|i| (i, self.stage1.epochs.get(i), self.stage2.epochs.get(i)));
+        let table = TextTable::of(
+            rows,
+            &[
+                ("epoch", |(i, _, _)| i.to_string()),
+                ("stage-1 loss", |(_, s1, _)| {
+                    s1.map_or(String::new(), |e| num3(f64::from(e.loss)))
+                }),
+                ("stage-1 acc", |(_, s1, _)| {
+                    s1.map_or(String::new(), |e| num3(f64::from(e.train_accuracy)))
+                }),
+                ("stage-2 loss", |(_, _, s2)| {
+                    s2.map_or(String::new(), |e| num3(f64::from(e.loss)))
+                }),
+                ("stage-2 acc", |(_, _, s2)| {
+                    s2.map_or(String::new(), |e| num3(f64::from(e.train_accuracy)))
+                }),
+            ],
+        );
         write!(f, "{table}")
     }
 }
@@ -65,8 +62,7 @@ mod tests {
 
     #[test]
     fn f5_losses_decrease() {
-        let ctx = ExperimentContext::standard(74);
-        let report = run_f5(&ctx, &GuardConfig::fast());
+        let report = run_f5(crate::experiments::tests::lab());
         let s1 = &report.stage1.epochs;
         assert!(s1.len() >= 2);
         assert!(

@@ -1,15 +1,14 @@
 //! Experiments F4 (data-plane throughput), F10 (rule-update latency) and
 //! F17-lookup (linear scan vs compiled lookup engines).
 
-use crate::config::GuardConfig;
 use crate::experiments::ExperimentContext;
-use crate::pipeline::{TwoStagePipeline, INGEST_BATCH};
+use crate::pipeline::INGEST_BATCH;
 use crate::report::{dur, TextTable};
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::compiled::CompiledTable;
 use p4guard_dataplane::control::ControlPlane;
 use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::switch::{compute_pps, Switch};
+use p4guard_dataplane::switch::{compute_pps, RunStats, Switch};
 use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
 use p4guard_dataplane::AclLayout;
 use rand::rngs::StdRng;
@@ -85,34 +84,27 @@ pub fn synthetic_switch(key_width: usize, entries: usize, seed: u64) -> Switch {
     sw
 }
 
-/// Runs F4 on the context.
+/// Runs F4 on the lab's guard and test trace.
 ///
 /// # Panics
 ///
 /// Panics if the pipeline fails on the standard scenario.
-pub fn run_f4(ctx: &ExperimentContext, config: &GuardConfig) -> ThroughputReport {
+pub fn run_f4(lab: &ExperimentContext) -> ThroughputReport {
     // Deployed-guard throughput on the real test trace.
-    let guard = TwoStagePipeline::new(config.clone())
-        .train(&ctx.train)
-        .expect("pipeline trains");
+    let detector = lab.guard(&lab.config);
+    let guard = detector.guard();
     let control = guard.deploy(200_000).expect("rules fit");
-    let guard_stats = control.with_switch_mut(|sw| sw.run_trace(&ctx.test));
-    let guard_point = ThroughputPoint {
-        key_width: config.k,
-        entries: guard.compiled.stats.entries,
-        pps: guard_stats.pps,
-        drop_fraction: guard_stats.dropped as f64 / guard_stats.packets.max(1) as f64,
+    let point = |key_width: usize, entries: usize, stats: RunStats| ThroughputPoint {
+        key_width,
+        entries,
+        pps: stats.pps,
+        drop_fraction: stats.dropped as f64 / stats.packets.max(1) as f64,
     };
-
+    let guard_stats = control.with_switch_mut(|sw| sw.run_trace(&lab.test));
+    let guard_point = point(lab.config.k, guard.compiled.stats.entries, guard_stats);
     let measure = |key_width: usize, entries: usize| {
-        let mut sw = synthetic_switch(key_width, entries, ctx.seed);
-        let stats = sw.run_trace(&ctx.test);
-        ThroughputPoint {
-            key_width,
-            entries,
-            pps: stats.pps,
-            drop_fraction: stats.dropped as f64 / stats.packets.max(1) as f64,
-        }
+        let mut sw = synthetic_switch(key_width, entries, lab.seed);
+        point(key_width, entries, sw.run_trace(&lab.test))
     };
     let key_width_sweep = [2usize, 4, 8, 16, 32, 64]
         .iter()
@@ -130,7 +122,7 @@ pub fn run_f4(ctx: &ExperimentContext, config: &GuardConfig) -> ThroughputReport
     let gw_config = p4guard_gateway::GatewayConfig::with_shards(GATEWAY_SHARDS);
     let t0 = Instant::now();
     let live = guard
-        .serve_live(&ctx.test, gw_config, None, None)
+        .serve_live(&lab.test, gw_config, None, None)
         .expect("live serve");
     let gateway = Some(GatewayPoint {
         shards: GATEWAY_SHARDS,
@@ -157,23 +149,17 @@ impl fmt::Display for ThroughputReport {
             self.guard_point.pps,
             self.guard_point.drop_fraction * 100.0
         )?;
-        let mut table = TextTable::new(["sweep", "key bytes", "entries", "pps"]);
-        for p in &self.key_width_sweep {
-            table.row([
-                "key-width".to_owned(),
-                p.key_width.to_string(),
-                p.entries.to_string(),
-                format!("{:.0}", p.pps),
-            ]);
-        }
-        for p in &self.table_size_sweep {
-            table.row([
-                "table-size".to_owned(),
-                p.key_width.to_string(),
-                p.entries.to_string(),
-                format!("{:.0}", p.pps),
-            ]);
-        }
+        let key_width = self.key_width_sweep.iter().map(|p| ("key-width", p));
+        let table_size = self.table_size_sweep.iter().map(|p| ("table-size", p));
+        let table = TextTable::of(
+            key_width.chain(table_size),
+            &[
+                ("sweep", |(sweep, _)| sweep.to_string()),
+                ("key bytes", |(_, p)| p.key_width.to_string()),
+                ("entries", |(_, p)| p.entries.to_string()),
+                ("pps", |(_, p)| format!("{:.0}", p.pps)),
+            ],
+        );
         write!(f, "{table}")?;
         if let Some(g) = &self.gateway {
             writeln!(
@@ -437,24 +423,17 @@ impl fmt::Display for LookupReport {
             "F17 — lookup cost: linear scan vs compiled engine ({} lookups/point)",
             self.lookups
         )?;
-        let mut table = TextTable::new([
-            "series",
-            "entries",
-            "engine",
-            "scan pps",
-            "compiled pps",
-            "speedup",
-        ]);
-        for p in &self.points {
-            table.row([
-                p.series.clone(),
-                p.entries.to_string(),
-                p.strategy.clone(),
-                format!("{:.0}", p.scan_pps),
-                format!("{:.0}", p.compiled_pps),
-                format!("{:.1}x", p.speedup),
-            ]);
-        }
+        let table = TextTable::of(
+            &self.points,
+            &[
+                ("series", |p| p.series.clone()),
+                ("entries", |p| p.entries.to_string()),
+                ("engine", |p| p.strategy.clone()),
+                ("scan pps", |p| format!("{:.0}", p.scan_pps)),
+                ("compiled pps", |p| format!("{:.0}", p.compiled_pps)),
+                ("speedup", |p| format!("{:.1}x", p.speedup)),
+            ],
+        );
         write!(f, "{table}")
     }
 }
@@ -462,10 +441,14 @@ impl fmt::Display for LookupReport {
 impl fmt::Display for UpdateLatencyReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "F10 — rule-update latency vs table occupancy")?;
-        let mut table = TextTable::new(["occupancy", "insert (mean)", "remove (mean)"]);
-        for p in &self.points {
-            table.row([p.occupancy.to_string(), dur(p.insert), dur(p.remove)]);
-        }
+        let table = TextTable::of(
+            &self.points,
+            &[
+                ("occupancy", |p| p.occupancy.to_string()),
+                ("insert (mean)", |p| dur(p.insert)),
+                ("remove (mean)", |p| dur(p.remove)),
+            ],
+        );
         write!(f, "{table}")
     }
 }
@@ -476,8 +459,7 @@ mod tests {
 
     #[test]
     fn f4_reports_positive_throughput() {
-        let ctx = ExperimentContext::standard(73);
-        let report = run_f4(&ctx, &GuardConfig::fast());
+        let report = run_f4(crate::experiments::tests::lab());
         assert!(report.guard_point.pps > 1000.0);
         assert!(report.guard_point.drop_fraction > 0.05);
         assert_eq!(report.key_width_sweep.len(), 6);

@@ -38,24 +38,21 @@ pub fn run(seed: u64) -> DatasetSummary {
 impl fmt::Display for DatasetSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "T1 — dataset summary")?;
-        let mut table = TextTable::new([
-            "scenario",
-            "packets",
-            "flows",
-            "duration",
-            "protocols",
-            "attack %",
-        ]);
-        for (name, stats) in &self.scenarios {
-            table.row([
-                name.clone(),
-                stats.total.to_string(),
-                stats.flows.to_string(),
-                format!("{:.0} s", stats.duration_s),
-                stats.protocols_present().len().to_string(),
-                pct(stats.attack_fraction()),
-            ]);
-        }
+        let table = TextTable::of(
+            &self.scenarios,
+            &[
+                ("scenario", |(name, _)| name.clone()),
+                ("packets", |(_, stats)| stats.total.to_string()),
+                ("flows", |(_, stats)| stats.flows.to_string()),
+                ("duration", |(_, stats)| {
+                    format!("{:.0} s", stats.duration_s)
+                }),
+                ("protocols", |(_, stats)| {
+                    stats.protocols_present().len().to_string()
+                }),
+                ("attack %", |(_, stats)| pct(stats.attack_fraction())),
+            ],
+        );
         write!(f, "{table}")?;
         for (name, stats) in &self.scenarios {
             writeln!(f, "\n[{name}]")?;

@@ -1,16 +1,11 @@
 //! Experiments T2 (detection quality vs baselines), T3 (training and
 //! rule-generation cost), F7 (ROC curves) and F9 (per-attack recall).
 
-use crate::baselines::{
-    AllBytesTree, AutoencoderBaseline, DataPlaneCost, Detector, FiveTupleFirewall, FullDnn,
-    GuardDetector, LogisticBaseline,
-};
-use crate::config::GuardConfig;
+use crate::baselines::{DataPlaneCost, Detector};
 use crate::experiments::ExperimentContext;
-use crate::report::{dur, num3, TextTable};
+use crate::report::{dur, num3, yes_no, TextTable};
 use p4guard_nn::metrics::{auc, roc_curve, BinaryMetrics, RocPoint};
 use p4guard_packet::trace::AttackFamily;
-use p4guard_rules::tree::TreeConfig;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
@@ -50,79 +45,48 @@ impl DetectionComparison {
     }
 }
 
-/// Runs T2: trains every method on the context's training split and
-/// evaluates on the test split.
+/// Runs T2: every method trained on the lab's training split, evaluated on
+/// its test split.
 ///
 /// # Panics
 ///
 /// Panics if the two-stage pipeline fails on the standard scenario.
-pub fn run_t2(ctx: &ExperimentContext, config: &GuardConfig) -> DetectionComparison {
-    let mut rows = Vec::new();
-    let mut push = |d: &dyn Detector| {
-        rows.push(MethodReport {
-            name: d.name().to_owned(),
-            metrics: d.evaluate(&ctx.test),
-            cost: d.data_plane_cost(),
-            train_time: d.train_time(),
-        });
-    };
-    let guard = GuardDetector::train(config.clone(), &ctx.train).expect("pipeline trains");
-    push(&guard);
-    push(&FullDnn::train(
-        &ctx.train,
-        config.window,
-        config.stage1.epochs,
-        ctx.seed,
-    ));
-    push(&AllBytesTree::train(
-        &ctx.train,
-        config.window,
-        TreeConfig::default(),
-    ));
-    push(&LogisticBaseline::train(
-        &ctx.train,
-        config.window,
-        config.stage1.epochs,
-        ctx.seed,
-    ));
-    push(&FiveTupleFirewall::train(&ctx.train));
-    push(&AutoencoderBaseline::train(
-        &ctx.train,
-        config.window,
-        config.stage1.epochs.min(8),
-        0.98,
-        ctx.seed,
-    ));
-    DetectionComparison { rows }
+pub fn run_t2(lab: &ExperimentContext) -> DetectionComparison {
+    let guard = lab.guard(&lab.config);
+    let methods: [&dyn Detector; 6] = [
+        &*guard,
+        lab.full_dnn(),
+        lab.all_bytes_tree(),
+        lab.logistic(),
+        lab.five_tuple(),
+        lab.autoencoder(),
+    ];
+    let rows = methods.map(|d| MethodReport {
+        name: d.name().to_owned(),
+        metrics: d.evaluate(&lab.test),
+        cost: d.data_plane_cost(),
+        train_time: d.train_time(),
+    });
+    DetectionComparison { rows: rows.into() }
 }
 
 impl fmt::Display for DetectionComparison {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "T2 — detection quality vs baselines (test split)")?;
-        let mut table = TextTable::new([
-            "method",
-            "accuracy",
-            "precision",
-            "recall",
-            "F1",
-            "FPR",
-            "deployable",
-            "entries",
-            "key bits",
-        ]);
-        for r in &self.rows {
-            table.row([
-                r.name.clone(),
-                num3(r.metrics.accuracy),
-                num3(r.metrics.precision),
-                num3(r.metrics.recall),
-                num3(r.metrics.f1),
-                num3(r.metrics.false_positive_rate),
-                if r.cost.deployable { "yes" } else { "no" }.to_owned(),
-                r.cost.entries.to_string(),
-                r.cost.key_bits.to_string(),
-            ]);
-        }
+        let table = TextTable::of(
+            &self.rows,
+            &[
+                ("method", |r| r.name.clone()),
+                ("accuracy", |r| num3(r.metrics.accuracy)),
+                ("precision", |r| num3(r.metrics.precision)),
+                ("recall", |r| num3(r.metrics.recall)),
+                ("F1", |r| num3(r.metrics.f1)),
+                ("FPR", |r| num3(r.metrics.false_positive_rate)),
+                ("deployable", |r| yes_no(r.cost.deployable)),
+                ("entries", |r| r.cost.entries.to_string()),
+                ("key bits", |r| r.cost.key_bits.to_string()),
+            ],
+        );
         write!(f, "{table}")
     }
 }
@@ -138,15 +102,14 @@ pub struct CostReport {
     pub rules_per_sec: f64,
 }
 
-/// Runs T3 on the context.
+/// Runs T3 on the lab's guard.
 ///
 /// # Panics
 ///
 /// Panics if the pipeline fails on the standard scenario.
-pub fn run_t3(ctx: &ExperimentContext, config: &GuardConfig) -> CostReport {
-    let guard = crate::pipeline::TwoStagePipeline::new(config.clone())
-        .train(&ctx.train)
-        .expect("pipeline trains");
+pub fn run_t3(lab: &ExperimentContext) -> CostReport {
+    let detector = lab.guard(&lab.config);
+    let guard = detector.guard();
     let t = &guard.timings;
     let total = t.total().as_secs_f64().max(1e-12);
     CostReport {
@@ -166,10 +129,13 @@ pub fn run_t3(ctx: &ExperimentContext, config: &GuardConfig) -> CostReport {
 impl fmt::Display for CostReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "T3 — training & rule-generation cost")?;
-        let mut table = TextTable::new(["phase", "time"]);
-        for (phase, d) in &self.phases {
-            table.row([phase.clone(), dur(*d)]);
-        }
+        let table = TextTable::of(
+            &self.phases,
+            &[
+                ("phase", |(phase, _)| phase.clone()),
+                ("time", |(_, d)| dur(*d)),
+            ],
+        );
         write!(f, "{table}")?;
         writeln!(
             f,
@@ -197,60 +163,59 @@ pub struct RocComparison {
     pub curves: Vec<RocReport>,
 }
 
-/// Runs F7: ROC of the stage-2 network vs full DNN vs logistic regression.
+/// Runs F7: ROC of the stage-2 network vs full DNN vs logistic regression
+/// vs the autoencoder.
 ///
 /// # Panics
 ///
 /// Panics if the pipeline fails on the standard scenario.
-pub fn run_f7(ctx: &ExperimentContext, config: &GuardConfig) -> RocComparison {
-    let actual: Vec<usize> = ctx.test.iter().map(|r| r.label.class()).collect();
-    let mut curves = Vec::new();
-    let mut push = |name: &str, scores: Vec<f32>| {
+pub fn run_f7(lab: &ExperimentContext) -> RocComparison {
+    let actual: Vec<usize> = lab.test.iter().map(|r| r.label.class()).collect();
+    let scored = [
+        (
+            "two-stage (stage-2 NN)",
+            lab.guard(&lab.config).guard().scores(&lab.test),
+        ),
+        ("full DNN", lab.full_dnn().scores(&lab.test)),
+        ("logistic regression", lab.logistic().scores(&lab.test)),
+        (
+            "autoencoder (unsupervised)",
+            lab.autoencoder().scores(&lab.test),
+        ),
+    ];
+    let curves = scored.map(|(name, scores)| {
         let curve = roc_curve(&scores, &actual);
-        curves.push(RocReport {
+        RocReport {
             name: name.to_owned(),
             auc: auc(&curve),
             curve,
-        });
-    };
-    let guard = crate::pipeline::TwoStagePipeline::new(config.clone())
-        .train(&ctx.train)
-        .expect("pipeline trains");
-    push("two-stage (stage-2 NN)", guard.scores(&ctx.test));
-    let dnn = FullDnn::train(&ctx.train, config.window, config.stage1.epochs, ctx.seed);
-    push("full DNN", dnn.scores(&ctx.test));
-    let lr = LogisticBaseline::train(&ctx.train, config.window, config.stage1.epochs, ctx.seed);
-    push("logistic regression", lr.scores(&ctx.test));
-    let ae = AutoencoderBaseline::train(
-        &ctx.train,
-        config.window,
-        config.stage1.epochs.min(8),
-        0.98,
-        ctx.seed,
-    );
-    push("autoencoder (unsupervised)", ae.scores(&ctx.test));
-    RocComparison { curves }
+        }
+    });
+    RocComparison {
+        curves: curves.into(),
+    }
+}
+
+impl RocReport {
+    /// Best true-positive rate at a false-positive rate of at most `cap`.
+    fn tpr_at(&self, cap: f64) -> f64 {
+        let under_cap = self.curve.iter().filter(|p| p.fpr <= cap);
+        under_cap.map(|p| p.tpr).fold(0.0, f64::max)
+    }
 }
 
 impl fmt::Display for RocComparison {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "F7 — ROC (threshold sweep), test split")?;
-        let mut table = TextTable::new(["method", "AUC", "TPR@FPR=1%", "TPR@FPR=5%"]);
-        for c in &self.curves {
-            let tpr_at = |fpr_cap: f64| {
-                c.curve
-                    .iter()
-                    .filter(|p| p.fpr <= fpr_cap)
-                    .map(|p| p.tpr)
-                    .fold(0.0f64, f64::max)
-            };
-            table.row([
-                c.name.clone(),
-                num3(c.auc),
-                num3(tpr_at(0.01)),
-                num3(tpr_at(0.05)),
-            ]);
-        }
+        let table = TextTable::of(
+            &self.curves,
+            &[
+                ("method", |c| c.name.clone()),
+                ("AUC", |c| num3(c.auc)),
+                ("TPR@FPR=1%", |c| num3(c.tpr_at(0.01))),
+                ("TPR@FPR=5%", |c| num3(c.tpr_at(0.05))),
+            ],
+        );
         write!(f, "{table}")
     }
 }
@@ -264,28 +229,23 @@ pub struct PerAttackReport {
     pub benign_fpr: f64,
 }
 
-/// Runs F9 on the context.
+/// Runs F9 on the lab's guard.
 ///
 /// # Panics
 ///
 /// Panics if the pipeline fails on the standard scenario.
-pub fn run_f9(ctx: &ExperimentContext, config: &GuardConfig) -> PerAttackReport {
-    let guard = crate::pipeline::TwoStagePipeline::new(config.clone())
-        .train(&ctx.train)
-        .expect("pipeline trains");
-    let mut per_family: Vec<(String, usize, usize)> = AttackFamily::ALL
-        .iter()
-        .map(|f| (f.to_string(), 0usize, 0usize))
-        .collect();
+pub fn run_f9(lab: &ExperimentContext) -> PerAttackReport {
+    let detector = lab.guard(&lab.config);
+    let mut per_family = AttackFamily::ALL.map(|family| (family, 0usize, 0usize));
     let mut benign_total = 0usize;
     let mut benign_flagged = 0usize;
-    for record in ctx.test.iter() {
-        let predicted = guard.classify_frame(&record.frame);
+    for record in lab.test.iter() {
+        let predicted = detector.guard().classify_frame(&record.frame);
         match record.label.family() {
             Some(fam) => {
                 let row = per_family
                     .iter_mut()
-                    .find(|(name, _, _)| *name == fam.to_string())
+                    .find(|(family, _, _)| *family == fam)
                     .expect("family row exists");
                 row.1 += 1;
                 row.2 += predicted;
@@ -300,7 +260,7 @@ pub fn run_f9(ctx: &ExperimentContext, config: &GuardConfig) -> PerAttackReport 
         rows: per_family
             .into_iter()
             .filter(|(_, total, _)| *total > 0)
-            .map(|(name, total, hit)| (name, total, hit as f64 / total as f64))
+            .map(|(family, total, hit)| (family.to_string(), total, hit as f64 / total as f64))
             .collect(),
         benign_fpr: if benign_total == 0 {
             0.0
@@ -316,10 +276,14 @@ impl fmt::Display for PerAttackReport {
             f,
             "F9 — per-attack-family recall (compiled rules, test split)"
         )?;
-        let mut table = TextTable::new(["attack family", "test packets", "recall"]);
-        for (name, total, recall) in &self.rows {
-            table.row([name.clone(), total.to_string(), num3(*recall)]);
-        }
+        let table = TextTable::of(
+            &self.rows,
+            &[
+                ("attack family", |(name, _, _)| name.clone()),
+                ("test packets", |(_, total, _)| total.to_string()),
+                ("recall", |(_, _, recall)| num3(*recall)),
+            ],
+        );
         write!(f, "{table}")?;
         writeln!(f, "benign FPR: {}", num3(self.benign_fpr))
     }
@@ -328,15 +292,11 @@ impl fmt::Display for PerAttackReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ctx() -> ExperimentContext {
-        ExperimentContext::standard(71)
-    }
+    use crate::experiments::tests::lab;
 
     #[test]
     fn t2_shape_holds() {
-        let ctx = ctx();
-        let cmp = run_t2(&ctx, &GuardConfig::fast());
+        let cmp = run_t2(lab());
         assert_eq!(cmp.rows.len(), 6);
         let two_stage = cmp.two_stage();
         let five_tuple = cmp.method("5-tuple").unwrap();
@@ -357,8 +317,7 @@ mod tests {
 
     #[test]
     fn t3_reports_phases() {
-        let ctx = ctx();
-        let cost = run_t3(&ctx, &GuardConfig::fast());
+        let cost = run_t3(lab());
         assert_eq!(cost.phases.len(), 6);
         assert!(cost.rules_per_sec > 0.0);
         assert!(cost.to_string().contains("stage-1 training"));
@@ -366,8 +325,7 @@ mod tests {
 
     #[test]
     fn f7_aucs_are_high_for_learned_methods() {
-        let ctx = ctx();
-        let roc = run_f7(&ctx, &GuardConfig::fast());
+        let roc = run_f7(lab());
         assert_eq!(roc.curves.len(), 4);
         let two_stage = &roc.curves[0];
         assert!(two_stage.auc > 0.9, "auc = {}", two_stage.auc);
@@ -376,8 +334,7 @@ mod tests {
 
     #[test]
     fn f9_covers_all_injected_families() {
-        let ctx = ctx();
-        let report = run_f9(&ctx, &GuardConfig::fast());
+        let report = run_f9(lab());
         assert!(!report.rows.is_empty());
         assert!(report.benign_fpr < 0.2, "fpr = {}", report.benign_fpr);
         let mean_recall: f64 =

@@ -1,13 +1,11 @@
 //! Experiments F1 (accuracy vs k), F2 (rule count vs accuracy), F3
 //! (data-plane resource usage) and F8 (selection-strategy ablation).
 
-use crate::baselines::{AllBytesTree, Detector, FiveTupleFirewall, GuardDetector};
+use crate::baselines::Detector;
 use crate::config::GuardConfig;
 use crate::experiments::ExperimentContext;
-use crate::pipeline::TwoStagePipeline;
-use crate::report::{num3, TextTable};
+use crate::report::{num3, yes_no, TextTable};
 use p4guard_features::select::SelectionStrategy;
-use p4guard_rules::tree::TreeConfig;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -33,74 +31,51 @@ pub struct KSweep {
     pub points: Vec<KPoint>,
 }
 
-/// Runs F1 over `ks`. Points are computed in parallel (one thread per k);
-/// results are deterministic regardless of scheduling.
+/// Runs F1 over `ks`: a learned- and a random-selection guard per k, each
+/// selection's sweep trained in parallel.
 ///
 /// # Panics
 ///
 /// Panics if the pipeline fails on the standard scenario.
-pub fn run_f1(ctx: &ExperimentContext, base: &GuardConfig, ks: &[usize]) -> KSweep {
-    let points = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = ks
-            .iter()
-            .map(|&k| {
-                scope.spawn(move |_| {
-                    let learned_cfg = GuardConfig {
-                        k,
-                        strategy: SelectionStrategy::Saliency,
-                        ..base.clone()
-                    };
-                    let learned = TwoStagePipeline::new(learned_cfg)
-                        .train(&ctx.train)
-                        .expect("learned pipeline trains");
-                    let lm = learned.evaluate_rules(&ctx.test);
-                    let random_cfg = GuardConfig {
-                        k,
-                        strategy: SelectionStrategy::Random,
-                        ..base.clone()
-                    };
-                    let random = TwoStagePipeline::new(random_cfg)
-                        .train(&ctx.train)
-                        .expect("random pipeline trains");
-                    let rm = random.evaluate_rules(&ctx.test);
-                    KPoint {
-                        k,
-                        f1_learned: lm.f1,
-                        accuracy_learned: lm.accuracy,
-                        f1_random: rm.f1,
-                        entries_learned: learned.compiled.stats.entries,
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep thread completes"))
-            .collect()
-    })
-    .expect("sweep scope completes");
-    KSweep { points }
+pub fn run_f1(lab: &ExperimentContext, ks: &[usize]) -> KSweep {
+    let sweep_with = |strategy| {
+        let at = |&k| GuardConfig {
+            k,
+            strategy,
+            ..lab.config.clone()
+        };
+        lab.guards(&ks.iter().map(at).collect::<Vec<_>>())
+    };
+    let learned = sweep_with(SelectionStrategy::Saliency);
+    let random = sweep_with(SelectionStrategy::Random);
+    let points = ks.iter().zip(&learned).zip(&random).map(|((&k, l), r)| {
+        let lm = l.evaluate(&lab.test);
+        KPoint {
+            k,
+            f1_learned: lm.f1,
+            accuracy_learned: lm.accuracy,
+            f1_random: r.evaluate(&lab.test).f1,
+            entries_learned: l.guard().compiled.stats.entries,
+        }
+    });
+    KSweep {
+        points: points.collect(),
+    }
 }
 
 impl fmt::Display for KSweep {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "F1 — accuracy vs number of selected fields k")?;
-        let mut table = TextTable::new([
-            "k",
-            "F1 (learned)",
-            "acc (learned)",
-            "F1 (random)",
-            "entries",
-        ]);
-        for p in &self.points {
-            table.row([
-                p.k.to_string(),
-                num3(p.f1_learned),
-                num3(p.accuracy_learned),
-                num3(p.f1_random),
-                p.entries_learned.to_string(),
-            ]);
-        }
+        let table = TextTable::of(
+            &self.points,
+            &[
+                ("k", |p| p.k.to_string()),
+                ("F1 (learned)", |p| num3(p.f1_learned)),
+                ("acc (learned)", |p| num3(p.accuracy_learned)),
+                ("F1 (random)", |p| num3(p.f1_random)),
+                ("entries", |p| p.entries_learned.to_string()),
+            ],
+        );
         write!(f, "{table}")
     }
 }
@@ -130,27 +105,17 @@ pub struct RulesTradeoff {
 /// # Panics
 ///
 /// Panics if the pipeline fails on the standard scenario.
-pub fn run_f2(ctx: &ExperimentContext, base: &GuardConfig, depths: &[usize]) -> RulesTradeoff {
-    let mut points = Vec::with_capacity(depths.len());
-    for &max_depth in depths {
-        let cfg = GuardConfig {
-            tree: TreeConfig {
-                max_depth,
-                ..base.tree
-            },
-            ..base.clone()
-        };
-        let guard = TwoStagePipeline::new(cfg)
-            .train(&ctx.train)
-            .expect("pipeline trains");
-        let m = guard.evaluate_rules(&ctx.test);
-        points.push(DepthPoint {
+pub fn run_f2(lab: &ExperimentContext, depths: &[usize]) -> RulesTradeoff {
+    let points = lab.sweep_rows(
+        depths,
+        |&max_depth| lab.config_at_depth(max_depth),
+        |&max_depth, g| DepthPoint {
             max_depth,
-            entries: guard.compiled.stats.entries,
-            leaves: guard.tree.leaf_count(),
-            f1: m.f1,
-        });
-    }
+            entries: g.guard().compiled.stats.entries,
+            leaves: g.guard().tree.leaf_count(),
+            f1: g.evaluate(&lab.test).f1,
+        },
+    );
     RulesTradeoff { points }
 }
 
@@ -160,15 +125,15 @@ impl fmt::Display for RulesTradeoff {
             f,
             "F2 — rule count vs accuracy trade-off (tree depth sweep)"
         )?;
-        let mut table = TextTable::new(["max depth", "leaves", "entries", "F1"]);
-        for p in &self.points {
-            table.row([
-                p.max_depth.to_string(),
-                p.leaves.to_string(),
-                p.entries.to_string(),
-                num3(p.f1),
-            ]);
-        }
+        let table = TextTable::of(
+            &self.points,
+            &[
+                ("max depth", |p| p.max_depth.to_string()),
+                ("leaves", |p| p.leaves.to_string()),
+                ("entries", |p| p.entries.to_string()),
+                ("F1", |p| num3(p.f1)),
+            ],
+        );
         write!(f, "{table}")
     }
 }
@@ -202,8 +167,8 @@ pub struct ResourceComparison {
 /// # Panics
 ///
 /// Panics if the pipeline fails on the standard scenario.
-pub fn run_f3(ctx: &ExperimentContext, config: &GuardConfig) -> ResourceComparison {
-    fn row_of(d: &dyn Detector, test: &p4guard_packet::trace::Trace) -> ResourceRow {
+pub fn run_f3(lab: &ExperimentContext) -> ResourceComparison {
+    let row_of = |d: &dyn Detector| {
         let cost = d.data_plane_cost();
         ResourceRow {
             name: d.name().to_owned(),
@@ -211,52 +176,47 @@ pub fn run_f3(ctx: &ExperimentContext, config: &GuardConfig) -> ResourceComparis
             entries: cost.entries,
             key_bits: cost.key_bits,
             memory_bits: cost.memory_bits,
-            f1: d.evaluate(test).f1,
+            f1: d.evaluate(&lab.test).f1,
         }
-    }
-    let guard = GuardDetector::train(config.clone(), &ctx.train).expect("pipeline trains");
-    let mut rows = vec![row_of(&guard, &ctx.test)];
+    };
+    let guard = lab.guard(&lab.config);
+    let two_stage = row_of(&*guard);
     // The same guard deployed on a range-capable table: one entry per
     // attack tree path instead of a prefix expansion.
-    let inner = guard.guard();
-    rows.push(ResourceRow {
+    let compiled = &guard.guard().compiled;
+    let range_table = ResourceRow {
         name: "two-stage (range table)".into(),
         deployable: true,
-        entries: inner.compiled.range_paths.len(),
-        key_bits: inner.compiled.stats.key_width * 8,
+        entries: compiled.range_paths.len(),
+        key_bits: compiled.stats.key_width * 8,
         // Range entries store low and high bounds: 2 × key bits each.
-        memory_bits: inner.compiled.range_paths.len() * inner.compiled.stats.key_width * 8 * 2,
-        f1: rows[0].f1,
-    });
-    rows.push(row_of(
-        &AllBytesTree::train(&ctx.train, config.window, config.tree),
-        &ctx.test,
-    ));
-    rows.push(row_of(&FiveTupleFirewall::train(&ctx.train), &ctx.test));
-    ResourceComparison { rows }
+        memory_bits: compiled.range_paths.len() * compiled.stats.key_width * 8 * 2,
+        f1: two_stage.f1,
+    };
+    ResourceComparison {
+        rows: vec![
+            two_stage,
+            range_table,
+            row_of(lab.all_bytes_tree()),
+            row_of(lab.five_tuple()),
+        ],
+    }
 }
 
 impl fmt::Display for ResourceComparison {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "F3 — data-plane resource usage")?;
-        let mut table = TextTable::new([
-            "method",
-            "deployable",
-            "entries",
-            "key bits",
-            "memory bits",
-            "F1",
-        ]);
-        for r in &self.rows {
-            table.row([
-                r.name.clone(),
-                if r.deployable { "yes" } else { "no" }.to_owned(),
-                r.entries.to_string(),
-                r.key_bits.to_string(),
-                r.memory_bits.to_string(),
-                num3(r.f1),
-            ]);
-        }
+        let table = TextTable::of(
+            &self.rows,
+            &[
+                ("method", |r| r.name.clone()),
+                ("deployable", |r| yes_no(r.deployable)),
+                ("entries", |r| r.entries.to_string()),
+                ("key bits", |r| r.key_bits.to_string()),
+                ("memory bits", |r| r.memory_bits.to_string()),
+                ("F1", |r| num3(r.f1)),
+            ],
+        );
         write!(f, "{table}")
     }
 }
@@ -283,55 +243,43 @@ pub struct SelectionAblation {
     pub rows: Vec<AblationRow>,
 }
 
-/// Runs F8: every selection strategy at fixed `k`.
+/// Runs F8: every selection strategy at the profile's `k`.
 ///
 /// # Panics
 ///
 /// Panics if the pipeline fails on the standard scenario.
-pub fn run_f8(ctx: &ExperimentContext, base: &GuardConfig) -> SelectionAblation {
-    let rows = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = SelectionStrategy::ALL
-            .into_iter()
-            .map(|strategy| {
-                scope.spawn(move |_| {
-                    let cfg = GuardConfig {
-                        strategy,
-                        ..base.clone()
-                    };
-                    let guard = TwoStagePipeline::new(cfg)
-                        .train(&ctx.train)
-                        .expect("pipeline trains");
-                    let m = guard.evaluate_rules(&ctx.test);
-                    AblationRow {
-                        strategy: strategy.to_string(),
-                        f1: m.f1,
-                        accuracy: m.accuracy,
-                        entries: guard.compiled.stats.entries,
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("ablation thread completes"))
-            .collect()
-    })
-    .expect("ablation scope completes");
-    SelectionAblation { k: base.k, rows }
+pub fn run_f8(lab: &ExperimentContext) -> SelectionAblation {
+    let with = |&strategy: &SelectionStrategy| GuardConfig {
+        strategy,
+        ..lab.config.clone()
+    };
+    let rows = lab.sweep_rows(&SelectionStrategy::ALL, with, |strategy, g| {
+        let m = g.evaluate(&lab.test);
+        AblationRow {
+            strategy: strategy.to_string(),
+            f1: m.f1,
+            accuracy: m.accuracy,
+            entries: g.guard().compiled.stats.entries,
+        }
+    });
+    SelectionAblation {
+        k: lab.config.k,
+        rows,
+    }
 }
 
 impl fmt::Display for SelectionAblation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "F8 — selection-strategy ablation at k = {}", self.k)?;
-        let mut table = TextTable::new(["strategy", "F1", "accuracy", "entries"]);
-        for r in &self.rows {
-            table.row([
-                r.strategy.clone(),
-                num3(r.f1),
-                num3(r.accuracy),
-                r.entries.to_string(),
-            ]);
-        }
+        let table = TextTable::of(
+            &self.rows,
+            &[
+                ("strategy", |r| r.strategy.clone()),
+                ("F1", |r| num3(r.f1)),
+                ("accuracy", |r| num3(r.accuracy)),
+                ("entries", |r| r.entries.to_string()),
+            ],
+        );
         write!(f, "{table}")
     }
 }
@@ -339,15 +287,11 @@ impl fmt::Display for SelectionAblation {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ctx() -> ExperimentContext {
-        ExperimentContext::standard(72)
-    }
+    use crate::experiments::tests::lab;
 
     #[test]
     fn f1_learned_beats_random_at_small_k() {
-        let ctx = ctx();
-        let sweep = run_f1(&ctx, &GuardConfig::fast(), &[2, 8]);
+        let sweep = run_f1(lab(), &[2, 8]);
         assert_eq!(sweep.points.len(), 2);
         let small_k = &sweep.points[0];
         assert!(
@@ -363,16 +307,14 @@ mod tests {
 
     #[test]
     fn f2_entries_grow_with_depth() {
-        let ctx = ctx();
-        let sweep = run_f2(&ctx, &GuardConfig::fast(), &[1, 6]);
+        let sweep = run_f2(lab(), &[1, 6]);
         assert!(sweep.points[1].leaves >= sweep.points[0].leaves);
         assert!(sweep.points[1].f1 >= sweep.points[0].f1 - 0.05);
     }
 
     #[test]
     fn f3_two_stage_uses_fewest_key_bits() {
-        let ctx = ctx();
-        let cmp = run_f3(&ctx, &GuardConfig::fast());
+        let cmp = run_f3(lab());
         let two_stage = &cmp.rows[0];
         let range = &cmp.rows[1];
         assert!(range.entries <= two_stage.entries);
@@ -384,8 +326,7 @@ mod tests {
 
     #[test]
     fn f8_covers_all_strategies() {
-        let ctx = ctx();
-        let ablation = run_f8(&ctx, &GuardConfig::fast());
+        let ablation = run_f8(lab());
         assert_eq!(ablation.rows.len(), SelectionStrategy::ALL.len());
         let saliency = &ablation.rows[0];
         let random = ablation

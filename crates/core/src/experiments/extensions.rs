@@ -3,10 +3,11 @@
 //! F12 — robustness to frame corruption (channel noise / capture loss), and
 //! F14 — online adaptation under attack drift (periodic retraining).
 
+use crate::baselines::Detector;
 use crate::config::GuardConfig;
 use crate::experiments::ExperimentContext;
 use crate::pipeline::TwoStagePipeline;
-use crate::report::{num3, TextTable};
+use crate::report::{num3, yes_no, TextTable};
 use p4guard_traffic::corruption::Corruption;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -39,38 +40,23 @@ pub struct DesignAblation {
 /// # Panics
 ///
 /// Panics if the pipeline fails on the standard scenario.
-pub fn run_f11(ctx: &ExperimentContext, base: &GuardConfig) -> DesignAblation {
-    let rows = crossbeam::thread::scope(|scope| {
-        let combos = [(true, true), (true, false), (false, true), (false, false)];
-        let handles: Vec<_> = combos
-            .into_iter()
-            .map(|(distill, balance)| {
-                scope.spawn(move |_| {
-                    let cfg = GuardConfig {
-                        distill,
-                        balance,
-                        ..base.clone()
-                    };
-                    let guard = TwoStagePipeline::new(cfg)
-                        .train(&ctx.train)
-                        .expect("pipeline trains");
-                    let m = guard.evaluate_rules(&ctx.test);
-                    DesignRow {
-                        distill,
-                        balance,
-                        f1: m.f1,
-                        fpr: m.false_positive_rate,
-                        entries: guard.compiled.stats.entries,
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("ablation thread completes"))
-            .collect()
-    })
-    .expect("ablation scope completes");
+pub fn run_f11(lab: &ExperimentContext) -> DesignAblation {
+    let combos = [(true, true), (true, false), (false, true), (false, false)];
+    let with = |&(distill, balance): &(bool, bool)| GuardConfig {
+        distill,
+        balance,
+        ..lab.config.clone()
+    };
+    let rows = lab.sweep_rows(&combos, with, |&(distill, balance), g| {
+        let m = g.evaluate(&lab.test);
+        DesignRow {
+            distill,
+            balance,
+            f1: m.f1,
+            fpr: m.false_positive_rate,
+            entries: g.guard().compiled.stats.entries,
+        }
+    });
     DesignAblation { rows }
 }
 
@@ -80,16 +66,16 @@ impl fmt::Display for DesignAblation {
             f,
             "F11 — pipeline-design ablation (distillation × balancing)"
         )?;
-        let mut table = TextTable::new(["distill", "balance", "F1", "FPR", "entries"]);
-        for r in &self.rows {
-            table.row([
-                if r.distill { "yes" } else { "no" }.to_owned(),
-                if r.balance { "yes" } else { "no" }.to_owned(),
-                num3(r.f1),
-                num3(r.fpr),
-                r.entries.to_string(),
-            ]);
-        }
+        let table = TextTable::of(
+            &self.rows,
+            &[
+                ("distill", |r| yes_no(r.distill)),
+                ("balance", |r| yes_no(r.balance)),
+                ("F1", |r| num3(r.f1)),
+                ("FPR", |r| num3(r.fpr)),
+                ("entries", |r| r.entries.to_string()),
+            ],
+        );
         write!(f, "{table}")
     }
 }
@@ -114,20 +100,14 @@ pub struct RobustnessReport {
     pub points: Vec<RobustnessPoint>,
 }
 
-/// Runs F12: the guard is trained on clean traffic and evaluated on test
+/// Runs F12: the lab's guard, trained on clean traffic, evaluated on test
 /// splits with increasing corruption.
 ///
 /// # Panics
 ///
 /// Panics if the pipeline fails on the standard scenario.
-pub fn run_f12(
-    ctx: &ExperimentContext,
-    config: &GuardConfig,
-    fractions: &[f64],
-) -> RobustnessReport {
-    let guard = TwoStagePipeline::new(config.clone())
-        .train(&ctx.train)
-        .expect("pipeline trains");
+pub fn run_f12(lab: &ExperimentContext, fractions: &[f64]) -> RobustnessReport {
+    let guard = lab.guard(&lab.config);
     let points = fractions
         .iter()
         .map(|&fraction| {
@@ -136,8 +116,8 @@ pub fn run_f12(
                 bit_flips: 4,
                 truncate_prob: 0.1,
             }
-            .apply(&ctx.test, ctx.seed ^ 0xf12);
-            let m = guard.evaluate_rules(&corrupted);
+            .apply(&lab.test, lab.seed ^ 0xf12);
+            let m = guard.evaluate(&corrupted);
             RobustnessPoint {
                 corrupt_fraction: fraction,
                 f1: m.f1,
@@ -152,15 +132,17 @@ pub fn run_f12(
 impl fmt::Display for RobustnessReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "F12 — robustness to frame corruption (trained clean)")?;
-        let mut table = TextTable::new(["corrupt fraction", "F1", "recall", "FPR"]);
-        for p in &self.points {
-            table.row([
-                format!("{:.0}%", p.corrupt_fraction * 100.0),
-                num3(p.f1),
-                num3(p.recall),
-                num3(p.fpr),
-            ]);
-        }
+        let table = TextTable::of(
+            &self.points,
+            &[
+                ("corrupt fraction", |p| {
+                    format!("{:.0}%", p.corrupt_fraction * 100.0)
+                }),
+                ("F1", |p| num3(p.f1)),
+                ("recall", |p| num3(p.recall)),
+                ("FPR", |p| num3(p.fpr)),
+            ],
+        );
         write!(f, "{table}")
     }
 }
@@ -168,11 +150,11 @@ impl fmt::Display for RobustnessReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::tests::lab;
 
     #[test]
     fn f11_all_variants_work() {
-        let ctx = ExperimentContext::standard(76);
-        let ablation = run_f11(&ctx, &GuardConfig::fast());
+        let ablation = run_f11(lab());
         assert_eq!(ablation.rows.len(), 4);
         for r in &ablation.rows {
             assert!(
@@ -188,8 +170,7 @@ mod tests {
 
     #[test]
     fn f12_degrades_gracefully() {
-        let ctx = ExperimentContext::standard(77);
-        let report = run_f12(&ctx, &GuardConfig::fast(), &[0.0, 0.5]);
+        let report = run_f12(lab(), &[0.0, 0.5]);
         assert_eq!(report.points.len(), 2);
         let clean = report.points[0];
         let noisy = report.points[1];
@@ -237,11 +218,11 @@ pub struct OnlineReport {
 /// # Panics
 ///
 /// Panics if the drift scenario fails to generate or train.
-pub fn run_f14(seed: u64, config: &GuardConfig, intervals_s: &[Option<f64>]) -> OnlineReport {
+pub fn run_f14(lab: &ExperimentContext, intervals_s: &[Option<f64>]) -> OnlineReport {
     use p4guard_packet::trace::AttackFamily;
     use p4guard_traffic::scenario::{AttackEvent, Scenario};
 
-    let mut scenario = Scenario::benign_only(p4guard_traffic::Fleet::mixed(), 240.0, seed);
+    let mut scenario = Scenario::benign_only(p4guard_traffic::Fleet::mixed(), 240.0, lab.seed);
     scenario.benign_intensity = 1.5;
     scenario.attacks = vec![
         AttackEvent {
@@ -266,9 +247,8 @@ pub fn run_f14(seed: u64, config: &GuardConfig, intervals_s: &[Option<f64>]) -> 
             let mut guard: Option<crate::pipeline::TrainedGuard> = None;
             let mut retrains = 0usize;
             let mut next_retrain_us = warmup_us;
-            let mut novel = (0usize, 0usize); // (caught, total)
-            let mut known = (0usize, 0usize);
-            let mut benign = (0usize, 0usize); // (flagged, total)
+            // (flagged, total) of the novel attack, the known one, benign.
+            let mut tallies = [(0usize, 0usize); 3];
             for (i, record) in trace.iter().enumerate() {
                 if record.timestamp_us >= next_retrain_us && (guard.is_none() || interval.is_some())
                 {
@@ -277,7 +257,7 @@ pub fn run_f14(seed: u64, config: &GuardConfig, intervals_s: &[Option<f64>]) -> 
                         trace.records()[..i].iter().cloned().collect();
                     if past.attack_count() > 0 && past.attack_count() < past.len() {
                         guard = Some(
-                            TwoStagePipeline::new(config.clone())
+                            TwoStagePipeline::new(lab.config.clone())
                                 .train(&past)
                                 .expect("online retrain"),
                         );
@@ -295,37 +275,30 @@ pub fn run_f14(seed: u64, config: &GuardConfig, intervals_s: &[Option<f64>]) -> 
                 if record.timestamp_us < warmup_us {
                     continue;
                 }
-                match record.label.family() {
-                    Some(p4guard_packet::trace::AttackFamily::DnsTunnel) => {
-                        novel.1 += 1;
-                        novel.0 += predicted;
-                    }
-                    Some(_) => {
-                        known.1 += 1;
-                        known.0 += predicted;
-                    }
-                    None => {
-                        benign.1 += 1;
-                        benign.0 += predicted;
-                    }
-                }
+                let tally = &mut tallies[match record.label.family() {
+                    Some(AttackFamily::DnsTunnel) => 0,
+                    Some(_) => 1,
+                    None => 2,
+                }];
+                tally.0 += predicted;
+                tally.1 += 1;
             }
-            let ratio = |n: (usize, usize)| {
-                if n.1 == 0 {
+            let [novel, known, benign] = tallies.map(|(flagged, total)| {
+                if total == 0 {
                     0.0
                 } else {
-                    n.0 as f64 / n.1 as f64
+                    flagged as f64 / total as f64
                 }
-            };
+            });
             OnlineRow {
                 strategy: match interval {
                     None => "static (train once)".to_owned(),
                     Some(s) => format!("retrain every {s:.0} s"),
                 },
                 retrains,
-                recall_novel: ratio(novel),
-                recall_known: ratio(known),
-                fpr: ratio(benign),
+                recall_novel: novel,
+                recall_known: known,
+                fpr: benign,
             }
         })
         .collect();
@@ -338,22 +311,16 @@ impl fmt::Display for OnlineReport {
             f,
             "F14 — online adaptation under drift (DNS tunnel first appears at t = 120 s)"
         )?;
-        let mut table = TextTable::new([
-            "strategy",
-            "retrains",
-            "recall (novel attack)",
-            "recall (known attack)",
-            "FPR",
-        ]);
-        for r in &self.rows {
-            table.row([
-                r.strategy.clone(),
-                r.retrains.to_string(),
-                num3(r.recall_novel),
-                num3(r.recall_known),
-                num3(r.fpr),
-            ]);
-        }
+        let table = TextTable::of(
+            &self.rows,
+            &[
+                ("strategy", |r| r.strategy.clone()),
+                ("retrains", |r| r.retrains.to_string()),
+                ("recall (novel attack)", |r| num3(r.recall_novel)),
+                ("recall (known attack)", |r| num3(r.recall_known)),
+                ("FPR", |r| num3(r.fpr)),
+            ],
+        );
         write!(f, "{table}")
     }
 }
@@ -364,7 +331,8 @@ mod online_tests {
 
     #[test]
     fn f14_adaptive_catches_the_novel_attack() {
-        let report = run_f14(78, &GuardConfig::fast(), &[None, Some(30.0)]);
+        let lab = crate::experiments::tests::lab();
+        let report = run_f14(lab, &[None, Some(30.0)]);
         assert_eq!(report.rows.len(), 2);
         let static_row = &report.rows[0];
         let adaptive = &report.rows[1];

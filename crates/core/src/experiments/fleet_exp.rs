@@ -11,20 +11,24 @@
 //! offline replay of the same ruleset. The budgeter's two enforcement
 //! paths — reject and trim — are both exercised along the way.
 
+use crate::experiments::live::Live;
+use crate::report::{num3, TextTable};
 use p4guard_features::extract::ByteDataset;
 use p4guard_fleet::{
     AclLayout, AdmitPolicy, BudgetConfig, FleetError, FleetGateway, FleetSim, FleetSimConfig,
     TableBudgeter, TenantRegistry, TenantShare, TenantSpec,
 };
 use p4guard_gateway::GatewayConfig;
+use p4guard_packet::arena::FrameBatch;
 use p4guard_rules::compile::{compile_tree, CompileConfig};
 use p4guard_rules::tree::{DecisionTree, TreeConfig};
 use p4guard_rules::{RuleSet, TernaryEntry};
 use p4guard_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Training frames drawn per tenant.
 const TRAIN_FRAMES: usize = 12_000;
@@ -104,32 +108,23 @@ impl fmt::Display for FleetReport {
             self.shards,
             self.seed
         )?;
-        let mut table = crate::report::TextTable::new([
-            "tenant",
-            "devices",
-            "frames",
-            "accuracy",
-            "recall",
-            "FPR",
-            "entries",
-            "tcam bits",
-            "allocated",
-            "in budget",
-        ]);
-        for t in &self.tenants {
-            table.row([
-                t.name.as_str(),
-                &t.devices.to_string(),
-                &t.frames.to_string(),
-                &crate::report::num3(t.accuracy),
-                &crate::report::num3(t.recall),
-                &crate::report::num3(t.false_positive_rate),
-                &t.entries.to_string(),
-                &t.occupancy_tcam_bits.to_string(),
-                &t.allocated_tcam_bits.to_string(),
-                if t.within_budget { "yes" } else { "NO" },
-            ]);
-        }
+        let table = TextTable::of(
+            &self.tenants,
+            &[
+                ("tenant", |t| t.name.clone()),
+                ("devices", |t| t.devices.to_string()),
+                ("frames", |t| t.frames.to_string()),
+                ("accuracy", |t| num3(t.accuracy)),
+                ("recall", |t| num3(t.recall)),
+                ("FPR", |t| num3(t.false_positive_rate)),
+                ("entries", |t| t.entries.to_string()),
+                ("tcam bits", |t| t.occupancy_tcam_bits.to_string()),
+                ("allocated", |t| t.allocated_tcam_bits.to_string()),
+                ("in budget", |t| {
+                    if t.within_budget { "yes" } else { "NO" }.to_owned()
+                }),
+            ],
+        );
         write!(f, "{table}")?;
         writeln!(
             f,
@@ -232,16 +227,15 @@ pub fn run_f19_fleet(
     }
 
     let mut sim = FleetSim::new(config.clone());
-    let mut versions = vec![0u64; tenants];
-    let mut entries = vec![0usize; tenants];
-    for tenant in 0..tenants {
-        let ruleset = train_tenant(&sim, tenant, &layout);
-        let publish = registry
-            .publish(tenant, &ruleset, AdmitPolicy::Reject)
-            .expect("learned ruleset fits the tenant's fair share");
-        versions[tenant] = publish.version;
-        entries[tenant] = publish.installed;
-    }
+    let mut entries: Vec<usize> = (0..tenants)
+        .map(|tenant| {
+            let ruleset = train_tenant(&sim, tenant, &layout);
+            let publish = registry
+                .publish(tenant, &ruleset, AdmitPolicy::Reject)
+                .expect("learned ruleset fits the tenant's fair share");
+            publish.installed
+        })
+        .collect();
 
     // Exercise the reject path: tenant 0 proposes a ruleset larger than
     // the *global* TCAM budget. The budgeter must refuse it and leave the
@@ -270,13 +264,12 @@ pub fn run_f19_fleet(
         .publish(0, &padded, AdmitPolicy::Trim)
         .expect("trim publish always fits");
     let trimmed_entries = trim_publish.trimmed;
-    versions[0] = trim_publish.version;
     entries[0] = trim_publish.installed;
     assert!(trimmed_entries > 0, "trim path must cut filler entries");
     assert!(trim_publish.occupancy.within_budget());
 
     // Replay the fleet through the shared shard workers.
-    let gateway = FleetGateway::start(
+    let mut live = Live::<FleetGateway>::start(
         &registry,
         GatewayConfig::with_shards(shards),
         telemetry.clone(),
@@ -285,39 +278,27 @@ pub fn run_f19_fleet(
     let total_frames = frames.len() as u64;
 
     // Offline expectation: per-tenant confusion matrix of the *served*
-    // ruleset against the simulator's ground-truth labels.
-    let mut tp = vec![0u64; tenants];
-    let mut tn = vec![0u64; tenants];
-    let mut fp = vec![0u64; tenants];
-    let mut fn_ = vec![0u64; tenants];
+    // ruleset against the simulator's ground-truth labels, indexed
+    // `[tenant][attack?][dropped?]`.
+    let mut confusion = vec![[[0u64; 2]; 2]; tenants];
     for f in &frames {
         let key: Vec<u8> = layout.offsets.iter().map(|&o| f.frame[o]).collect();
         let ruleset = registry.active_ruleset(f.tenant).expect("tenant published");
-        let drop = ruleset.classify(&key) == 1;
-        match (f.label.class() == 1, drop) {
-            (true, true) => tp[f.tenant] += 1,
-            (true, false) => fn_[f.tenant] += 1,
-            (false, true) => fp[f.tenant] += 1,
-            (false, false) => tn[f.tenant] += 1,
-        }
+        confusion[f.tenant][f.label.class()][ruleset.classify(&key)] += 1;
     }
 
     let started = Instant::now();
-    for f in frames {
-        gateway.dispatch(f.frame);
-    }
-    gateway
-        .wait_drained(total_frames, Duration::from_secs(120))
-        .expect("fleet gateway drains the replay");
+    let replay = frames.into_iter().map(|f| FrameBatch::single(f.frame));
+    live.feed([replay], true, |_| ControlFlow::Continue(()));
     let elapsed = started.elapsed();
-    let snapshot = gateway.finish();
+    let (snapshot, _) = live.end();
 
     let occupancies = registry.occupancies();
     let rows: Vec<TenantReport> = (0..tenants)
         .map(|t| {
-            let frames_t = tp[t] + tn[t] + fp[t] + fn_[t];
-            let attack = tp[t] + fn_[t];
-            let benign = tn[t] + fp[t];
+            let [[tn, fp], [fn_, tp]] = confusion[t];
+            let (attack, benign) = (tp + fn_, tn + fp);
+            let frames_t = attack + benign;
             let counters = &snapshot.per_tenant[t];
             let occ = &occupancies[t];
             TenantReport {
@@ -326,9 +307,9 @@ pub fn run_f19_fleet(
                 devices: u64::from(config.tenants[t].devices),
                 frames: frames_t,
                 attack_frames: attack,
-                accuracy: (tp[t] + tn[t]) as f64 / frames_t.max(1) as f64,
-                recall: tp[t] as f64 / attack.max(1) as f64,
-                false_positive_rate: fp[t] as f64 / benign.max(1) as f64,
+                accuracy: (tp + tn) as f64 / frames_t.max(1) as f64,
+                recall: tp as f64 / attack.max(1) as f64,
+                false_positive_rate: fp as f64 / benign.max(1) as f64,
                 entries: entries[t],
                 occupancy_tcam_bits: occ.tcam_bits,
                 allocated_tcam_bits: occ.allocated_tcam_bits,
@@ -338,7 +319,7 @@ pub fn run_f19_fleet(
                     .copied()
                     .max()
                     .unwrap_or(0),
-                gateway_agrees: counters.received == frames_t && counters.dropped == tp[t] + fp[t],
+                gateway_agrees: counters.received == frames_t && counters.dropped == tp + fp,
             }
         })
         .collect();

@@ -18,9 +18,11 @@
 //! counted, verdicts provably unchanged) and lands a one-tree delta
 //! republish mid-serve, which must re-lower exactly the edited stage.
 
+use crate::baselines::GuardDetector;
 use crate::config::GuardConfig;
+use crate::experiments::live::Live;
 use crate::experiments::ExperimentContext;
-use crate::pipeline::TwoStagePipeline;
+use crate::report::{yes_no, TextTable};
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::control::ControlPlane;
 use p4guard_dataplane::vote::VoteStage;
@@ -37,7 +39,7 @@ use p4guard_traffic::scenario::Scenario;
 use p4guard_traffic::split_temporal;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::time::Duration;
+use std::ops::ControlFlow;
 
 #[allow(unused_imports)] // doc link target
 use p4guard_dataplane::resources::SwitchResources;
@@ -145,32 +147,24 @@ pub struct ForestReport {
 impl fmt::Display for ForestReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "F16-forest (seed {})", self.seed)?;
-        let mut table = crate::report::TextTable::new([
-            "task",
-            "trees",
-            "depth",
-            "accuracy",
-            "f1",
-            "entries",
-            "minimized",
-            "tcam bits",
-            "admitted",
-        ]);
-        for t in &self.tasks {
-            for p in &t.points {
-                table.row([
-                    t.task.as_str(),
-                    &p.trees.to_string(),
-                    &p.depth.to_string(),
-                    &format!("{:.4}", p.accuracy),
-                    &format!("{:.4}", p.f1),
-                    &p.entries.to_string(),
-                    &p.entries_minimized.to_string(),
-                    &p.tcam_bits_minimized.to_string(),
-                    if p.admitted { "yes" } else { "no" },
-                ]);
-            }
-        }
+        let points = self
+            .tasks
+            .iter()
+            .flat_map(|t| t.points.iter().map(move |p| (t, p)));
+        let table = TextTable::of(
+            points,
+            &[
+                ("task", |(t, _)| t.task.clone()),
+                ("trees", |(_, p)| p.trees.to_string()),
+                ("depth", |(_, p)| p.depth.to_string()),
+                ("accuracy", |(_, p)| format!("{:.4}", p.accuracy)),
+                ("f1", |(_, p)| format!("{:.4}", p.f1)),
+                ("entries", |(_, p)| p.entries.to_string()),
+                ("minimized", |(_, p)| p.entries_minimized.to_string()),
+                ("tcam bits", |(_, p)| p.tcam_bits_minimized.to_string()),
+                ("admitted", |(_, p)| yes_no(p.admitted)),
+            ],
+        );
         write!(f, "{table}")?;
         for t in &self.tasks {
             writeln!(
@@ -182,8 +176,8 @@ impl fmt::Display for ForestReport {
                 t.trim.submitted,
                 t.trim.kept,
                 t.trim.dropped,
-                if t.gate_beats_baseline { "yes" } else { "no" },
-                if t.gate_within_budget { "yes" } else { "no" }
+                yes_no(t.gate_beats_baseline),
+                yes_no(t.gate_within_budget)
             )?;
         }
         writeln!(
@@ -307,50 +301,34 @@ fn measure_point(
     )
 }
 
-/// Runs one task's frontier and budgeter phase.
+/// Runs one task's frontier and budgeter phase over the byte `offsets` the
+/// task's guard selected, and returns the frontier with its most accurate
+/// multi-tree forest.
 fn task_frontier(
     task: &str,
-    train: &Trace,
-    test: &Trace,
+    (train, test): (&Trace, &Trace),
+    offsets: &[usize],
     config: &GuardConfig,
     sizes: &[usize],
     depths: &[usize],
-) -> (TaskFrontier, RandomForest, Vec<usize>) {
-    // One guard training per task fixes the byte selection; forests are
-    // then fitted on the selected bytes with ground-truth labels, so the
-    // frontier isolates the ensemble effect from the NN stages.
-    let guard = TwoStagePipeline::new(config.clone())
-        .train(train)
-        .expect("guard trains on the task scenario");
-    let offsets = guard.selection.offsets.clone();
-    let train_data = ByteDataset::from_trace(train, config.window).project(&offsets);
-    let test_data = ByteDataset::from_trace(test, config.window).project(&offsets);
-
-    let mut points = Vec::new();
-    let mut compiled_forests = Vec::new();
-    let mut best_forest: Option<(RandomForest, ForestPoint)> = None;
-    for &depth in depths {
-        for &trees in sizes {
-            let (point, forest, compiled) =
-                measure_point(trees, depth, config, &train_data, &test_data, &offsets);
-            if trees > 1
-                && best_forest
-                    .as_ref()
-                    .is_none_or(|(_, b)| point.accuracy > b.accuracy)
-            {
-                best_forest = Some((forest, point.clone()));
-            }
-            points.push(point);
-            compiled_forests.push(compiled);
-        }
-    }
+) -> (TaskFrontier, RandomForest) {
+    // The guard's training fixed the byte selection; forests are fitted on
+    // the selected bytes with ground-truth labels, so the frontier
+    // isolates the ensemble effect from the NN stages.
+    let train_data = ByteDataset::from_trace(train, config.window).project(offsets);
+    let test_data = ByteDataset::from_trace(test, config.window).project(offsets);
+    let grid = depths
+        .iter()
+        .flat_map(|&depth| sizes.iter().map(move |&trees| (trees, depth)));
+    let mut measured: Vec<(ForestPoint, RandomForest, CompiledForest)> = grid
+        .map(|(trees, depth)| measure_point(trees, depth, config, &train_data, &test_data, offsets))
+        .collect();
 
     // Budget: 3× the largest single-tree baseline's minimized bits — the
     // acceptance bar for "a forest is worth its table space".
-    let budget_bits = 3 * points
-        .iter()
-        .filter(|p| p.trees == 1)
-        .map(|p| p.tcam_bits_minimized)
+    let baselines = measured.iter().filter(|(p, ..)| p.trees == 1);
+    let budget_bits = 3 * baselines
+        .map(|(p, ..)| p.tcam_bits_minimized)
         .max()
         .unwrap_or(1)
         .max(1);
@@ -362,88 +340,68 @@ fn task_frontier(
         vec![TenantShare::flat()],
     )
     .expect("single-tenant budget is feasible");
-    for (point, compiled) in points.iter_mut().zip(&compiled_forests) {
+    for (point, _, compiled) in &mut measured {
         point.admitted = budgeter.admit_forest(0, &compiled.rulesets()).is_ok();
     }
 
     // Trim demo: squeeze the largest forest through the budget, dropping
     // whole lowest-importance trees.
-    let (largest_forest, largest_point) = {
-        let idx = points
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.trees > 1)
-            .max_by_key(|(_, p)| p.tcam_bits_minimized)
-            .map(|(i, _)| i)
-            .expect("sizes contains a multi-tree forest");
-        let p = &points[idx];
-        (
-            RandomForest::fit(
-                train_data.window(),
-                train_data.data(),
-                train_data.labels(),
-                point_config(p.trees, p.depth, config),
-            ),
-            p.clone(),
-        )
-    };
-    let trim = match budgeter.trim_forest(
+    let multi_tree = || measured.iter().filter(|(p, ..)| p.trees > 1);
+    let (largest, largest_forest, largest_compiled) = multi_tree()
+        .max_by_key(|(p, ..)| p.tcam_bits_minimized)
+        .expect("sizes contains a multi-tree forest");
+    let trimmed = budgeter.trim_forest(
         0,
-        &largest_forest
-            .compile(&config.compile)
-            .expect("compiles")
-            .rulesets(),
+        &largest_compiled.rulesets(),
         largest_forest.tree_importance(),
-    ) {
+    );
+    let trim = match trimmed {
         Ok(adm) => TrimDemo {
-            submitted: largest_point.trees,
+            submitted: largest.trees,
             kept: adm.kept.len(),
             dropped: adm.dropped.len(),
             required_bits: adm.required_bits,
         },
         Err(_) => TrimDemo {
-            submitted: largest_point.trees,
+            submitted: largest.trees,
             kept: 0,
-            dropped: largest_point.trees,
+            dropped: largest.trees,
             required_bits: 0,
         },
     };
 
+    // The most accurate multi-tree forest, the first one on a tie.
+    let (best, best_forest, _) = multi_tree()
+        .reduce(|best, m| {
+            if m.0.accuracy > best.0.accuracy {
+                m
+            } else {
+                best
+            }
+        })
+        .expect("sizes contains a multi-tree forest");
     let baseline = |depth: usize| {
+        let mut points = measured.iter().map(|(p, ..)| p);
         points
-            .iter()
             .find(|p| p.trees == 1 && p.depth == depth)
-            .cloned()
             .expect("every depth has its 1-tree baseline")
     };
-    let gate_beats_baseline = points.iter().any(|p| {
+    let gate_beats_baseline = multi_tree().any(|(p, ..)| {
         let b = baseline(p.depth);
-        p.trees > 1 && p.accuracy > b.accuracy && p.entries_minimized <= 3 * b.entries_minimized
+        p.accuracy > b.accuracy && p.entries_minimized <= 3 * b.entries_minimized
     });
-    let gate_matches_baseline = points
-        .iter()
-        .any(|p| p.trees > 1 && p.accuracy >= baseline(p.depth).accuracy);
-    let gate_within_budget = best_forest.as_ref().is_some_and(|(_, p)| {
-        points
-            .iter()
-            .find(|q| q.trees == p.trees && q.depth == p.depth)
-            .is_some_and(|q| q.admitted)
-    });
-
-    let (best_forest, _) = best_forest.expect("sizes contains a multi-tree forest");
-    (
-        TaskFrontier {
-            task: task.to_string(),
-            points,
-            budget_bits,
-            trim,
-            gate_beats_baseline,
-            gate_matches_baseline,
-            gate_within_budget,
-        },
-        best_forest,
-        offsets,
-    )
+    let gate_matches_baseline =
+        multi_tree().any(|(p, ..)| p.accuracy >= baseline(p.depth).accuracy);
+    let frontier = TaskFrontier {
+        task: task.to_string(),
+        points: measured.iter().map(|(p, ..)| p.clone()).collect(),
+        budget_bits,
+        trim,
+        gate_beats_baseline,
+        gate_matches_baseline,
+        gate_within_budget: best.admitted,
+    };
+    (frontier, best_forest.clone())
 }
 
 /// Serves the mixed task's best forest through a 2-shard gateway on the
@@ -460,17 +418,16 @@ fn live_phase(
     let exit = EarlyExit::sound_majority(trees);
     let control = deploy_forest(config.window, offsets, &compiled, Some(exit));
     control.publish();
-    let gw = Gateway::start(&control, GatewayConfig::with_shards(2));
+    let mut live = Live::<Gateway>::start(&control, GatewayConfig::with_shards(2), None);
 
     let batches = test.to_batches(64);
-    let mut sent = 0u64;
     let mid = batches.len() / 2;
+    let mut served = 0;
     let mut delta_recompiled = 0;
     let mut delta_shared = 0;
-    for (i, batch) in batches.into_iter().enumerate() {
-        sent += batch.len() as u64;
-        gw.dispatch_batch(batch);
-        if i + 1 == mid {
+    live.feed(batches.into_iter().map(|batch| [batch]), false, |_| {
+        served += 1;
+        if served == mid {
             // One-tree edit mid-serve: republish must re-lower exactly
             // the edited stage and share the other trees' compiled
             // lookups unchanged.
@@ -482,17 +439,14 @@ fn live_phase(
             delta_recompiled = report.stages_recompiled;
             delta_shared = report.stages_shared;
         }
-    }
-    gw.wait_drained(sent, Duration::from_secs(60))
-        .expect("live gateway drains");
-    let snap = gw.finish();
-    let conserved = snap.totals.received == sent
-        && snap.conservation_violations() == 0
-        && snap.dropped_backpressure == 0;
+        ControlFlow::Continue(())
+    });
+    let frames = live.sent;
+    let (snap, conserved) = live.end();
     LivePhase {
         trees,
         depth: forest.config().tree.max_depth,
-        frames: sent,
+        frames,
         vote_exits: snap.vote_exits(),
         delta_recompiled,
         delta_shared,
@@ -519,7 +473,7 @@ fn one_tree_edit(stage: &RuleSet) -> RuleSet {
     edited
 }
 
-/// Runs the F16-forest experiment over the mixed (from `ctx`) and
+/// Runs the F16-forest experiment over the mixed (the lab's) and
 /// smart-home scenarios: the (sizes × depths) frontier per task, the
 /// budgeter phase, and the live batched early-exit phase on the mixed
 /// task's best forest.
@@ -529,12 +483,7 @@ fn one_tree_edit(stage: &RuleSet) -> RuleSet {
 /// Panics if a scenario fails to generate, a guard fails to train, a
 /// forest blows the per-stage entry budget, or the live gateway fails to
 /// drain.
-pub fn run_f16_forest(
-    ctx: &ExperimentContext,
-    config: &GuardConfig,
-    sizes: &[usize],
-    depths: &[usize],
-) -> ForestReport {
+pub fn run_f16_forest(lab: &ExperimentContext, sizes: &[usize], depths: &[usize]) -> ForestReport {
     assert!(
         sizes.contains(&1),
         "sizes must include the single-tree baseline"
@@ -543,19 +492,35 @@ pub fn run_f16_forest(
         sizes.iter().any(|&s| s > 1),
         "sizes must include a multi-tree forest"
     );
-    let (mixed, best_forest, offsets) =
-        task_frontier("mixed", &ctx.train, &ctx.test, config, sizes, depths);
-    let sh_trace = Scenario::smart_home_default(ctx.seed ^ 0x5a)
+    let config = &lab.config;
+    let offsets = lab.guard(config).guard().selection.offsets.clone();
+    let (mixed, best_forest) = task_frontier(
+        "mixed",
+        (&lab.train, &lab.test),
+        &offsets,
+        config,
+        sizes,
+        depths,
+    );
+    let sh_trace = Scenario::smart_home_default(lab.seed ^ 0x5a)
         .generate()
         .expect("smart-home scenario generates");
     let (sh_train, sh_test) = split_temporal(&sh_trace, 0.6);
-    let (smart_home, _, _) =
-        task_frontier("smart-home", &sh_train, &sh_test, config, sizes, depths);
+    let sh_guard = GuardDetector::train(config.clone(), &sh_train)
+        .expect("guard trains on the smart-home scenario");
+    let (smart_home, _) = task_frontier(
+        "smart-home",
+        (&sh_train, &sh_test),
+        &sh_guard.guard().selection.offsets,
+        config,
+        sizes,
+        depths,
+    );
 
-    let live = live_phase(config, &best_forest, &offsets, &ctx.test);
+    let live = live_phase(config, &best_forest, &offsets, &lab.test);
     let tasks = vec![mixed, smart_home];
     ForestReport {
-        seed: ctx.seed,
+        seed: lab.seed,
         gate_beats_baseline: tasks.iter().any(|t| t.gate_beats_baseline),
         gate_matches_baseline: tasks.iter().any(|t| t.gate_matches_baseline),
         gate_within_budget: tasks.iter().any(|t| t.gate_within_budget),
@@ -567,12 +532,11 @@ pub fn run_f16_forest(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::tests::lab;
 
     #[test]
     fn f16_forest_small_run_is_consistent() {
-        let ctx = ExperimentContext::standard(7);
-        let config = GuardConfig::fast();
-        let report = run_f16_forest(&ctx, &config, &[1, 3, 5], &[8]);
+        let report = run_f16_forest(lab(), &[1, 3, 5], &[8]);
         assert_eq!(report.tasks.len(), 2);
         for t in &report.tasks {
             assert_eq!(t.points.len(), 3);
@@ -608,10 +572,12 @@ mod tests {
 
     #[test]
     fn f16_forest_points_are_seed_deterministic() {
-        let ctx = ExperimentContext::standard(11);
-        let config = GuardConfig::fast();
-        let (a, _, _) = task_frontier("mixed", &ctx.train, &ctx.test, &config, &[1, 3], &[3]);
-        let (b, _, _) = task_frontier("mixed", &ctx.train, &ctx.test, &config, &[1, 3], &[3]);
-        assert_eq!(a, b);
+        let lab = lab();
+        let offsets = &lab.guard(&lab.config).guard().selection.offsets.clone();
+        let frontier = || {
+            let split = (&lab.train, &lab.test);
+            task_frontier("mixed", split, offsets, &lab.config, &[1, 3], &[3]).0
+        };
+        assert_eq!(frontier(), frontier());
     }
 }

@@ -15,18 +15,20 @@
 //! mid-serve and checks frame conservation.
 
 use crate::config::GuardConfig;
+use crate::experiments::live::Live;
 use crate::experiments::ExperimentContext;
-use crate::pipeline::TwoStagePipeline;
+use crate::report::TextTable;
 use p4guard_dataplane::action::Action;
-use p4guard_dataplane::compiled::LookupOutcome;
+use p4guard_dataplane::compiled::{CompiledTable, LookupOutcome};
 use p4guard_dataplane::control::ControlPlane;
 use p4guard_dataplane::AclLayout;
 use p4guard_gateway::{Gateway, GatewayConfig};
+use p4guard_packet::arena::FrameBatch;
 use p4guard_rules::compile::CompileConfig;
-use p4guard_rules::tree::TreeConfig;
 use p4guard_rules::{RuleSet, TernaryEntry};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::ControlFlow;
 use std::time::Duration;
 
 /// One learned ruleset's minimization margin.
@@ -88,24 +90,17 @@ pub struct MinimizeReport {
 impl fmt::Display for MinimizeReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "F20-minimize (seed {})", self.seed)?;
-        let mut table = crate::report::TextTable::new([
-            "ruleset",
-            "entries",
-            "minimized",
-            "tcam bits",
-            "minimized bits",
-            "margin",
-        ]);
-        for m in &self.margins {
-            table.row([
-                m.name.as_str(),
-                &m.entries_source.to_string(),
-                &m.entries_minimized.to_string(),
-                &m.tcam_bits.to_string(),
-                &m.tcam_bits_minimized.to_string(),
-                &format!("{:.1}%", 100.0 * m.margin),
-            ]);
-        }
+        let table = TextTable::of(
+            &self.margins,
+            &[
+                ("ruleset", |m| m.name.clone()),
+                ("entries", |m| m.entries_source.to_string()),
+                ("minimized", |m| m.entries_minimized.to_string()),
+                ("tcam bits", |m| m.tcam_bits.to_string()),
+                ("minimized bits", |m| m.tcam_bits_minimized.to_string()),
+                ("margin", |m| format!("{:.1}%", 100.0 * m.margin)),
+            ],
+        );
         write!(f, "{table}")?;
         writeln!(
             f,
@@ -148,71 +143,57 @@ fn stats(samples: &[Duration]) -> LatencyStats {
     }
 }
 
-/// Trains the two-stage detector on the standard mixed scenario at one
-/// tree-depth limit and compiles it to the *raw* per-leaf ternary
-/// expansion. Compile-time merging is off: that keeps installed entries
+/// Measures minimization margins of learned rulesets at each depth limit
+/// through the `SwitchResources` accounting. Each ruleset is the lab's
+/// two-stage detector at that depth compiled to the *raw* per-leaf ternary
+/// expansion: compile-time merging is off, which keeps installed entries
 /// aligned with tree leaves (what the delta path diffs against) and
 /// leaves the redundancy for the lowering-time minimizer to recover —
-/// which is exactly the margin this experiment measures.
-fn learned_ruleset(ctx: &ExperimentContext, base: &GuardConfig, max_depth: usize) -> RuleSet {
-    let config = GuardConfig {
-        tree: TreeConfig {
-            max_depth,
-            ..base.tree
-        },
+/// exactly the margin this experiment measures.
+fn margins(lab: &ExperimentContext, depths: &[usize]) -> Vec<MarginRow> {
+    let raw_at = |&max_depth: &usize| GuardConfig {
         compile: CompileConfig {
             optimize: false,
-            ..base.compile
+            ..lab.config.compile
         },
-        ..base.clone()
+        ..lab.config_at_depth(max_depth)
     };
-    TwoStagePipeline::new(config)
-        .train(&ctx.train)
-        .expect("detector pipeline trains")
-        .compiled
-        .ternary
+    lab.sweep_rows(depths, raw_at, |depth, detector| {
+        let rs = &detector.guard().compiled.ternary;
+        let layout = AclLayout {
+            window: 64,
+            offsets: (0..rs.key_width()).collect(),
+            capacity: rs.len().max(1),
+        };
+        let control = ControlPlane::new(layout.switch("margin", ["acl"]));
+        control
+            .install_ruleset(0, rs, Action::Drop)
+            .expect("learned ruleset fits its own table");
+        let resources = control.with_switch(|sw| sw.resources());
+        MarginRow {
+            name: format!("depth-{depth}"),
+            entries_source: resources.tcam_entries,
+            entries_minimized: resources.tcam_entries_minimized,
+            tcam_bits: resources.tcam_bits,
+            tcam_bits_minimized: resources.tcam_bits_minimized,
+            margin: 1.0
+                - resources.tcam_entries_minimized as f64 / resources.tcam_entries.max(1) as f64,
+        }
+    })
 }
 
-/// Measures minimization margins of learned rulesets at each depth limit
-/// through the `SwitchResources` accounting.
-fn margins(ctx: &ExperimentContext, base: &GuardConfig, depths: &[usize]) -> Vec<MarginRow> {
-    depths
-        .iter()
-        .map(|&depth| {
-            let rs = learned_ruleset(ctx, base, depth);
-            let layout = AclLayout {
-                window: 64,
-                offsets: (0..rs.key_width()).collect(),
-                capacity: rs.len().max(1),
-            };
-            let control = ControlPlane::new(layout.switch("margin", ["acl"]));
-            control
-                .install_ruleset(0, &rs, Action::Drop)
-                .expect("learned ruleset fits its own table");
-            let resources = control.with_switch(|sw| sw.resources());
-            MarginRow {
-                name: format!("depth-{depth}"),
-                entries_source: resources.tcam_entries,
-                entries_minimized: resources.tcam_entries_minimized,
-                tcam_bits: resources.tcam_bits,
-                tcam_bits_minimized: resources.tcam_bits_minimized,
-                margin: 1.0
-                    - resources.tcam_entries_minimized as f64
-                        / resources.tcam_entries.max(1) as f64,
-            }
-        })
-        .collect()
-}
+/// The one stage of a [`latency_control`] switch.
+const STAGE: usize = 0;
 
 /// A one-stage control plane keyed on three bytes of the parsed window,
 /// sized for the latency ruleset.
-fn latency_control(capacity: usize) -> (ControlPlane, usize) {
+fn latency_control(capacity: usize) -> ControlPlane {
     let layout = AclLayout {
         window: 64,
         offsets: vec![23, 34, 35],
         capacity,
     };
-    (ControlPlane::new(layout.switch("f20-minimize", ["acl"])), 0)
+    ControlPlane::new(layout.switch("f20-minimize", ["acl"]))
 }
 
 /// The synthetic width-3 latency ruleset: `n` unique fully-masked entries.
@@ -284,21 +265,20 @@ fn live_frame(i: usize) -> Vec<u8> {
 /// if the patched pipeline diverges from a from-scratch compile, or if the
 /// live gateway fails to drain.
 pub fn run_f20_minimize(
-    ctx: &ExperimentContext,
-    config: &GuardConfig,
+    lab: &ExperimentContext,
     depths: &[usize],
     entries: usize,
     trials: usize,
 ) -> MinimizeReport {
-    let margins = margins(ctx, config, depths);
-    let seed = ctx.seed;
+    let margins = margins(lab, depths);
+    let seed = lab.seed;
 
     // --- Incremental vs from-scratch publish latency. ---
-    let (control, stage) = latency_control(entries + trials + 1);
-    let (scratch_control, scratch_stage) = latency_control(entries + trials + 1);
+    let control = latency_control(entries + trials + 1);
+    let scratch_control = latency_control(entries + trials + 1);
     let mut current = latency_ruleset(entries);
     control
-        .install_ruleset(stage, &current, Action::Drop)
+        .install_ruleset(STAGE, &current, Action::Drop)
         .expect("latency ruleset fits");
     control.publish();
 
@@ -307,7 +287,7 @@ pub fn run_f20_minimize(
     for trial in 0..trials {
         let next = one_entry_edit(&current, entries + trial);
         control
-            .replace_ruleset(stage, &next, Action::Drop)
+            .replace_ruleset(STAGE, &next, Action::Drop)
             .expect("one-entry edit applies");
         let report = control.publish();
         assert_eq!(
@@ -317,10 +297,10 @@ pub fn run_f20_minimize(
         incremental_samples.push(report.elapsed);
 
         scratch_control
-            .clear_stage(scratch_stage)
+            .clear_stage(STAGE)
             .expect("scratch stage clears");
         scratch_control
-            .install_ruleset(scratch_stage, &next, Action::Drop)
+            .install_ruleset(STAGE, &next, Action::Drop)
             .expect("scratch install fits");
         scratch_samples.push(scratch_control.publish().elapsed);
         current = next;
@@ -334,61 +314,48 @@ pub fn run_f20_minimize(
     // near-miss neighbour), including the winning priority.
     let inc_pipeline = control.snapshot();
     let ref_pipeline = scratch_control.snapshot();
-    let inc_stage = &inc_pipeline.stages()[stage];
-    let ref_stage = &ref_pipeline.stages()[scratch_stage];
+    let winner = |table: &CompiledTable, key: &[u8]| {
+        let (action, outcome) = table.lookup_traced(key, &mut [0u8; 3]);
+        let priority = match outcome {
+            LookupOutcome::Hit(rank) => table.rank_priority(rank),
+            _ => None,
+        };
+        (action, priority)
+    };
     let mut probes = 0usize;
-    let mut inc_trace = [0u8; 3];
-    let mut ref_trace = [0u8; 3];
     for e in current.entries() {
-        for key in [e.value.clone(), {
-            let mut k = e.value.clone();
-            k[2] ^= 0x01;
-            k
-        }] {
-            let (inc_action, inc_outcome) = inc_stage.lookup_traced(&key, &mut inc_trace);
-            let (ref_action, ref_outcome) = ref_stage.lookup_traced(&key, &mut ref_trace);
-            assert_eq!(inc_action, ref_action, "verdict diverges at key {key:02x?}");
-            let rank_of = |o: &LookupOutcome| match o {
-                LookupOutcome::Hit(r) => inc_stage.rank_priority(*r),
-                _ => None,
-            };
-            let ref_rank_of = |o: &LookupOutcome| match o {
-                LookupOutcome::Hit(r) => ref_stage.rank_priority(*r),
-                _ => None,
-            };
+        let mut near_miss = e.value.clone();
+        near_miss[2] ^= 0x01;
+        for key in [&e.value, &near_miss] {
             assert_eq!(
-                rank_of(&inc_outcome),
-                ref_rank_of(&ref_outcome),
-                "winner priority diverges at key {key:02x?}"
+                winner(&inc_pipeline.stages()[STAGE], key),
+                winner(&ref_pipeline.stages()[STAGE], key),
+                "verdict or winner priority diverges at key {key:02x?}"
             );
             probes += 1;
         }
     }
 
     // --- Live gateway: deltas land mid-serve, frames are conserved. ---
-    let gw = Gateway::start(&control, GatewayConfig::with_shards(2));
+    let mut live = Live::<Gateway>::start(&control, GatewayConfig::with_shards(2), None);
     let chunks = 6usize;
     let per_chunk = 500usize;
     let mut live_samples = Vec::with_capacity(chunks);
-    let mut sent = 0u64;
-    for chunk in 0..chunks {
-        for i in 0..per_chunk {
-            gw.dispatch(bytes::Bytes::from(live_frame(chunk * per_chunk + i)));
-        }
-        sent += per_chunk as u64;
-        let next = one_entry_edit(&current, entries + trials + chunk);
+    let frames = |chunk: usize| {
+        let ids = chunk * per_chunk..(chunk + 1) * per_chunk;
+        ids.map(|i| FrameBatch::single(live_frame(i).into()))
+    };
+    live.feed((0..chunks).map(frames), false, |_| {
+        let next = one_entry_edit(&current, entries + trials + live_samples.len());
         control
-            .replace_ruleset(stage, &next, Action::Drop)
+            .replace_ruleset(STAGE, &next, Action::Drop)
             .expect("live edit applies");
         live_samples.push(control.publish().elapsed);
         current = next;
-    }
-    gw.wait_drained(sent, Duration::from_secs(60))
-        .expect("live gateway drains");
-    let snap = gw.finish();
-    let conserved = snap.totals.received == sent
-        && snap.conservation_violations() == 0
-        && snap.dropped_backpressure == 0;
+        ControlFlow::Continue(())
+    });
+    let sent = live.sent;
+    let (_, conserved) = live.end();
 
     MinimizeReport {
         seed,
@@ -408,12 +375,11 @@ pub fn run_f20_minimize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::tests::lab;
 
     #[test]
     fn f20_minimize_small_run_is_consistent() {
-        let ctx = ExperimentContext::standard(7);
-        let config = GuardConfig::fast();
-        let report = run_f20_minimize(&ctx, &config, &[4, 6], 256, 8);
+        let report = run_f20_minimize(lab(), &[4, 6], 256, 8);
         assert_eq!(report.margins.len(), 2);
         for m in &report.margins {
             assert!(m.entries_source > 0);
@@ -436,10 +402,6 @@ mod tests {
 
     #[test]
     fn f20_minimize_margins_are_seed_deterministic() {
-        let ctx = ExperimentContext::standard(11);
-        let config = GuardConfig::fast();
-        let a = margins(&ctx, &config, &[4]);
-        let b = margins(&ctx, &config, &[4]);
-        assert_eq!(a, b);
+        assert_eq!(margins(lab(), &[4]), margins(lab(), &[4]));
     }
 }

@@ -1,7 +1,11 @@
 //! Experiment drivers: one function per table/figure of the reconstructed
-//! evaluation (see DESIGN.md's experiment index). Each returns a
-//! serializable result struct whose `Display` prints the table/series the
-//! paper reports.
+//! evaluation (see DESIGN.md's experiment index), and the harness they
+//! share. Each driver returns a serializable result struct whose `Display`
+//! prints the table/series the paper reports; [`EXPERIMENTS`] lists them
+//! all, [`ExperimentContext`] is the lab that trains each guard and
+//! baseline once per session, [`crate::report::TextTable::of`] renders
+//! every table, and `live` is the one serve-and-conserve phase of the
+//! experiments that drive a gateway.
 
 pub mod adaptation;
 pub mod convergence;
@@ -12,38 +16,226 @@ pub mod efficiency;
 pub mod extensions;
 pub mod fleet_exp;
 pub mod forest_exp;
+mod lab;
+mod live;
 pub mod minimize_exp;
 pub mod observe_exp;
 pub mod universality;
 
-use p4guard_packet::trace::Trace;
-use p4guard_traffic::scenario::Scenario;
-use p4guard_traffic::split_temporal;
+pub use lab::ExperimentContext;
 
-/// The shared setup most experiments start from: the mixed-protocol
-/// scenario split temporally 60/40.
-#[derive(Debug, Clone)]
-pub struct ExperimentContext {
-    /// Scenario seed.
-    pub seed: u64,
-    /// Training trace (the temporal prefix).
-    pub train: Trace,
-    /// Test trace (the temporal suffix).
-    pub test: Trace,
+use crate::multiclass::FamilyGuard;
+use p4guard_packet::trace::AttackFamily;
+use serde::Serialize;
+use std::fmt::Display;
+
+/// What one experiment hands back: the console rendering of its report and
+/// the JSON artifact `reproduce --out` writes.
+#[derive(Debug)]
+pub struct Emitted {
+    /// The report as `reproduce` prints it.
+    pub text: String,
+    /// The report as pretty-printed JSON.
+    pub json: Result<String, serde_json::Error>,
 }
 
-impl ExperimentContext {
-    /// Builds the standard context for `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the built-in scenario fails to generate (cannot happen for
-    /// the shipped fleets).
-    pub fn standard(seed: u64) -> Self {
-        let trace = Scenario::mixed_default(seed)
-            .generate()
-            .expect("mixed scenario generates");
-        let (train, test) = split_temporal(&trace, 0.6);
-        ExperimentContext { seed, train, test }
+impl Emitted {
+    fn of<T: Display + Serialize>(report: &T) -> Emitted {
+        Emitted {
+            text: report.to_string(),
+            json: serde_json::to_string_pretty(report),
+        }
+    }
+}
+
+/// Runs one experiment in the session's lab.
+pub type Run = fn(&ExperimentContext) -> Emitted;
+
+/// Every experiment with its sweep axes, in the order `reproduce all` runs
+/// them: the one list the `reproduce` argument parser and usage line, the
+/// `results/` currency test and ci.sh read. The wider axes are the
+/// paper-scale profile's ([`ExperimentContext::full`]).
+pub const EXPERIMENTS: &[(&str, Run)] = &[
+    ("t1", |lab| Emitted::of(&dataset::run(lab.seed))),
+    ("t2", |lab| Emitted::of(&detection::run_t2(lab))),
+    ("t3", |lab| Emitted::of(&detection::run_t3(lab))),
+    ("f1", |lab| {
+        let ks = [1, 2, 4, 6, 8, 12, 16, 24, 32];
+        Emitted::of(&efficiency::run_f1(lab, &ks))
+    }),
+    ("f2", |lab| {
+        let depths = [1, 2, 3, 4, 6, 8, 10, 12];
+        Emitted::of(&efficiency::run_f2(lab, &depths))
+    }),
+    ("f3", |lab| Emitted::of(&efficiency::run_f3(lab))),
+    ("f4", |lab| Emitted::of(&dataplane_exp::run_f4(lab))),
+    ("f5", |lab| Emitted::of(&convergence::run_f5(lab))),
+    ("f6", |lab| {
+        Emitted::of(&universality::run_f6(lab, &AttackFamily::ALL))
+    }),
+    ("f7", |lab| Emitted::of(&detection::run_f7(lab))),
+    ("f8", |lab| Emitted::of(&efficiency::run_f8(lab))),
+    ("f9", |lab| Emitted::of(&detection::run_f9(lab))),
+    ("f10", |lab| {
+        let occupancies = [0, 64, 256, 1024, 4096];
+        Emitted::of(&dataplane_exp::run_f10(lab.seed, &occupancies))
+    }),
+    ("f11", |lab| Emitted::of(&extensions::run_f11(lab))),
+    ("f12", |lab| {
+        let rates = [0.0, 0.05, 0.1, 0.2, 0.35, 0.5];
+        Emitted::of(&extensions::run_f12(lab, &rates))
+    }),
+    ("f13", |lab| {
+        let guard =
+            FamilyGuard::train(lab.config.clone(), &lab.train).expect("family guard trains");
+        let mut emitted = Emitted::of(&guard.evaluate(&lab.test));
+        let total = guard.total_rules();
+        emitted.text += &format!("\ntotal rules across family tables: {total}");
+        emitted
+    }),
+    ("f14", |lab| {
+        let retrain_every = [None, Some(60.0), Some(30.0)];
+        Emitted::of(&extensions::run_f14(lab, &retrain_every))
+    }),
+    ("f15_observe", |lab| {
+        Emitted::of(&observe_exp::run_f15_observe(lab.seed, 4))
+    }),
+    ("f16_forest", |lab| {
+        // Accuracy-vs-table-entries frontier of compiled forests against
+        // the single-tree baseline; the full profile adds the 9-tree
+        // column and two more depths.
+        let (sizes, depths): (&[usize], &[usize]) = if lab.full {
+            (&[1, 3, 5, 9], &[4, 5, 6, 8])
+        } else {
+            (&[1, 3, 5], &[6, 8])
+        };
+        Emitted::of(&forest_exp::run_f16_forest(lab, sizes, depths))
+    }),
+    ("f17_lookup", |lab| {
+        let entry_counts = [16, 64, 256, 1024, 4096];
+        Emitted::of(&dataplane_exp::run_f17_lookup(lab.seed, &entry_counts))
+    }),
+    ("f18_adapt", |lab| {
+        Emitted::of(&adaptation::run_f18_adapt(lab.seed, 4, None))
+    }),
+    ("f19_fleet", |lab| {
+        // ≥10⁵ devices across 4 tenants; the full profile runs the
+        // million-device fleet.
+        let devices = if lab.full { 1_000_000 } else { 100_000 };
+        Emitted::of(&fleet_exp::run_f19_fleet(lab.seed, devices, 4, 4, None))
+    }),
+    ("f20_minimize", |lab| {
+        // 1-entry diffs against a 1024-entry stage; the full profile
+        // quadruples the trial count for tighter tails.
+        let trials = if lab.full { 128 } else { 32 };
+        Emitted::of(&minimize_exp::run_f20_minimize(
+            lab,
+            &[2, 4, 6, 8],
+            1024,
+            trials,
+        ))
+    }),
+];
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use serde_json::Value;
+    use std::sync::OnceLock;
+
+    /// The lab the module tests share: the committed results' seed and
+    /// profile, so whichever test asks first for a guard trains it for the
+    /// currency test too.
+    pub(crate) fn lab() -> &'static ExperimentContext {
+        static LAB: OnceLock<ExperimentContext> = OnceLock::new();
+        LAB.get_or_init(|| ExperimentContext::standard(2020, false))
+    }
+
+    /// `(id, key, why)`: the keys of `results/<id>.json` that two runs of
+    /// the same code at the same seed do not agree on, and the clock or
+    /// scheduler each comes from. Everything else in `results/` is a
+    /// function of the code and the seed, and [`results_are_current`]
+    /// holds it to that.
+    const VOLATILE: &[(&str, &str, &str)] = &[
+        ("t2", "rows.[].train_time", "wall clock of each training"),
+        ("t3", "phases.[].1", "wall clock of each pipeline phase"),
+        ("t3", "rules_per_sec", "entries over that wall clock"),
+        ("f4", "guard_point.pps", "timed replay"),
+        ("f4", "key_width_sweep.[].pps", "timed replay"),
+        ("f4", "table_size_sweep.[].pps", "timed replay"),
+        ("f4", "gateway.batched_pps", "timed live serve"),
+        ("f10", "points.[].insert", "timed control-plane inserts"),
+        ("f10", "points.[].remove", "timed control-plane removes"),
+        ("f15_observe", "replay.exemplar_trace", "the slowest frame"),
+        ("f15_observe", "replay.slow_stage", "its slowest stage"),
+        ("f15_observe", "replay.stage_sum_ratio", "its timed laps"),
+        ("f17_lookup", "points.[].scan_pps", "timed lookups"),
+        ("f17_lookup", "points.[].compiled_pps", "timed lookups"),
+        ("f17_lookup", "points.[].speedup", "ratio of the two rates"),
+        ("f19_fleet", "elapsed_s", "wall clock of the replay"),
+        ("f19_fleet", "pps", "frames over that wall clock"),
+        ("f20_minimize", "incremental.p50_us", "timed publishes"),
+        ("f20_minimize", "incremental.p99_us", "timed publishes"),
+        ("f20_minimize", "scratch.p50_us", "timed publishes"),
+        ("f20_minimize", "scratch.p99_us", "timed publishes"),
+        ("f20_minimize", "live_publish.p50_us", "timed publishes"),
+        ("f20_minimize", "live_publish.p99_us", "timed publishes"),
+        ("f20_minimize", "speedup", "ratio of two timed medians"),
+    ];
+
+    /// Blanks what `path` names in `value`: `.`-separated map keys and
+    /// tuple indices, `[]` for every element of a sequence. A path that
+    /// names nothing (a file written under an older schema) blanks
+    /// nothing, and the comparison then reports the file.
+    fn blank(value: &mut Value, path: &[&str]) {
+        let Some((head, rest)) = path.split_first() else {
+            *value = Value::Null;
+            return;
+        };
+        let named: Vec<&mut Value> = match value {
+            Value::Seq(items) if *head == "[]" => items.iter_mut().collect(),
+            Value::Seq(items) => head
+                .parse()
+                .ok()
+                .and_then(|i: usize| items.get_mut(i))
+                .into_iter()
+                .collect(),
+            Value::Map(entries) => entries
+                .iter_mut()
+                .filter(|(key, _)| key == head)
+                .map(|(_, v)| v)
+                .collect(),
+            _ => Vec::new(),
+        };
+        named.into_iter().for_each(|v| blank(v, rest));
+    }
+
+    fn stable(id: &str, json: &str) -> Value {
+        let mut value = serde_json::parse_value_str(json).expect("report is JSON");
+        for (_, key, _) in VOLATILE.iter().filter(|(of, _, _)| *of == id) {
+            blank(&mut value, &key.split('.').collect::<Vec<_>>());
+        }
+        value
+    }
+
+    /// `results/` is an output of this code: every experiment, rerun at
+    /// seed 2020 in the default profile (`reproduce all --out results`),
+    /// reproduces its committed JSON outside the [`VOLATILE`] keys.
+    #[test]
+    fn results_are_current() {
+        let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+        let mut stale = Vec::new();
+        for (id, run) in EXPERIMENTS {
+            let committed = std::fs::read_to_string(format!("{results}/{id}.json"))
+                .unwrap_or_else(|e| panic!("results/{id}.json is committed: {e}"));
+            let rerun = run(lab()).json.expect("report serializes");
+            if stable(id, &rerun) != stable(id, &committed) {
+                stale.push(*id);
+            }
+        }
+        assert!(
+            stale.is_empty(),
+            "{stale:?} differ from results/; regenerate with `reproduce all --out results`"
+        );
     }
 }

@@ -16,17 +16,20 @@
 //!   the victim's burn.
 
 use crate::config::GuardConfig;
+use crate::experiments::live::Live;
 use crate::pipeline::TwoStagePipeline;
 use p4guard_fleet::{
-    AclLayout, AdmitPolicy, BudgetConfig, FleetGateway, FleetSim, FleetSimConfig, TenantRegistry,
+    AclLayout, AdmitPolicy, BudgetConfig, FleetGateway, FleetSim, FleetSimConfig, SimFrame,
+    TenantRegistry,
 };
 use p4guard_gateway::GatewayConfig;
+use p4guard_packet::arena::FrameBatch;
 use p4guard_telemetry::{Event, Telemetry, TelemetryConfig};
 use p4guard_traffic::scenario::Scenario;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Simulated devices in the SLO-wave fleet.
 const WAVE_DEVICES: u64 = 4_000;
@@ -218,62 +221,40 @@ fn slo_wave(seed: u64, shards: usize) -> SloWave {
     let victim = registry.spec(0).expect("tenant 0 exists").name.clone();
     let neighbour = registry.spec(1).expect("tenant 1 exists").name.clone();
 
-    let gateway = FleetGateway::start(
+    let mut live = Live::<FleetGateway>::start(
         &registry,
         GatewayConfig::with_shards(shards),
         Some(Arc::clone(&telemetry)),
     );
     let frames = sim.run();
-    let benign: Vec<_> = frames.iter().filter(|f| f.label.class() == 0).collect();
-    let attack: Vec<_> = frames
-        .iter()
-        .filter(|f| f.tenant == 0 && f.label.class() == 1)
-        .collect();
+    let single = |f: &SimFrame| FrameBatch::single(f.frame.clone());
+    let is_benign = |f: &&SimFrame| f.label.class() == 0;
+    let hits_victim = |f: &&SimFrame| f.tenant == 0 && f.label.class() == 1;
+    let benign: Vec<_> = frames.iter().filter(is_benign).map(single).collect();
+    let attack: Vec<_> = frames.iter().filter(hits_victim).map(single).collect();
     assert!(!attack.is_empty(), "the wave needs attack frames to send");
 
-    let mut expected = 0u64;
-    let drain = |expected: u64| {
-        gateway
-            .wait_drained(expected, Duration::from_secs(60))
-            .expect("fleet gateway drains to the checkpoint");
+    // Quiet phase in two halves — the first tick lays the baseline point,
+    // the second measures the benign-only burn — then the attack wave on
+    // tenant 0. The board ticks at each drained checkpoint.
+    let (quiet_a, quiet_b) = benign.split_at(benign.len() / 2);
+    let burn = |tenant: &str| {
+        let fast = telemetry.slo.burn_fast("drop-rate", tenant);
+        fast.unwrap_or_default()
     };
-
-    // Quiet phase, two halves: the first tick lays the baseline point, the
-    // second measures the benign-only burn.
-    let mid = benign.len() / 2;
-    for f in &benign[..mid] {
-        gateway.dispatch(f.frame.clone());
-    }
-    expected += mid as u64;
-    drain(expected);
-    telemetry.slo.tick(&telemetry.registry);
-    for f in &benign[mid..] {
-        gateway.dispatch(f.frame.clone());
-    }
-    expected += (benign.len() - mid) as u64;
-    drain(expected);
-    telemetry.slo.tick(&telemetry.registry);
-    let quiet_burn = telemetry
-        .slo
-        .burn_fast("drop-rate", &victim)
-        .unwrap_or_default();
-
-    // Attack wave on tenant 0.
-    for f in &attack {
-        gateway.dispatch(f.frame.clone());
-    }
-    expected += attack.len() as u64;
-    drain(expected);
-    telemetry.slo.tick(&telemetry.registry);
-    let attack_burn = telemetry
-        .slo
-        .burn_fast("drop-rate", &victim)
-        .unwrap_or_default();
-    let neighbour_burn = telemetry
-        .slo
-        .burn_fast("drop-rate", &neighbour)
-        .unwrap_or_default();
-    gateway.finish();
+    let mut victim_burn = Vec::with_capacity(3);
+    live.feed(
+        [quiet_a, quiet_b, &attack].map(|c| c.iter().cloned()),
+        true,
+        |_| {
+            telemetry.slo.tick(&telemetry.registry);
+            victim_burn.push(burn(&victim));
+            ControlFlow::Continue(())
+        },
+    );
+    let (quiet_burn, attack_burn) = (victim_burn[1], victim_burn[2]);
+    let neighbour_burn = burn(&neighbour);
+    live.end();
 
     SloWave {
         victim,

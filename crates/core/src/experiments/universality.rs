@@ -3,7 +3,8 @@
 //! while the fixed-field baseline degrades or is structurally blind.
 
 use crate::baselines::{Detector, FiveTupleFirewall, FullDnn, GuardDetector};
-use crate::config::GuardConfig;
+use crate::experiments::lab::sweep;
+use crate::experiments::ExperimentContext;
 use crate::report::{num3, TextTable};
 use p4guard_packet::trace::AttackFamily;
 use p4guard_traffic::scenario::Scenario;
@@ -62,42 +63,31 @@ impl UniversalityReport {
 }
 
 /// Runs F6 over the given families (pass [`AttackFamily::ALL`] for the full
-/// figure).
+/// figure), one thread per family: each trains on its own single-attack
+/// scenario, so nothing here comes from the lab's cache.
 ///
 /// # Panics
 ///
 /// Panics if a single-attack scenario fails to generate or train.
-pub fn run_f6(seed: u64, config: &GuardConfig, families: &[AttackFamily]) -> UniversalityReport {
-    let rows = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = families
-            .iter()
-            .map(|&family| {
-                scope.spawn(move |_| {
-                    let trace = Scenario::single_attack(family, seed ^ u64::from(family.code()))
-                        .generate()
-                        .expect("single-attack scenario generates");
-                    let (train_t, test_t) = split_temporal(&trace, 0.6);
-                    let guard =
-                        GuardDetector::train(config.clone(), &train_t).expect("pipeline trains");
-                    let five_tuple = FiveTupleFirewall::train(&train_t);
-                    let dnn = FullDnn::train(&train_t, config.window, config.stage1.epochs, seed);
-                    UniversalityRow {
-                        family: family.to_string(),
-                        protocol: protocol_of(family).to_owned(),
-                        f1_two_stage: guard.evaluate(&test_t).f1,
-                        f1_five_tuple: five_tuple.evaluate(&test_t).f1,
-                        f1_full_dnn: dnn.evaluate(&test_t).f1,
-                        selected_fields: guard.guard().describe_fields(&train_t),
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("universality thread completes"))
-            .collect()
-    })
-    .expect("universality scope completes");
+pub fn run_f6(lab: &ExperimentContext, families: &[AttackFamily]) -> UniversalityReport {
+    let (seed, config) = (lab.seed, &lab.config);
+    let rows = sweep(families, |&family| {
+        let trace = Scenario::single_attack(family, seed ^ u64::from(family.code()))
+            .generate()
+            .expect("single-attack scenario generates");
+        let (train_t, test_t) = split_temporal(&trace, 0.6);
+        let guard = GuardDetector::train(config.clone(), &train_t).expect("pipeline trains");
+        let five_tuple = FiveTupleFirewall::train(&train_t);
+        let dnn = FullDnn::train(&train_t, config.window, config.stage1.epochs, seed);
+        UniversalityRow {
+            family: family.to_string(),
+            protocol: protocol_of(family).to_owned(),
+            f1_two_stage: guard.evaluate(&test_t).f1,
+            f1_five_tuple: five_tuple.evaluate(&test_t).f1,
+            f1_full_dnn: dnn.evaluate(&test_t).f1,
+            selected_fields: guard.guard().describe_fields(&train_t),
+        }
+    });
     UniversalityReport { rows }
 }
 
@@ -107,22 +97,16 @@ impl fmt::Display for UniversalityReport {
             f,
             "F6 — universality across protocols (F1 per attack family)"
         )?;
-        let mut table = TextTable::new([
-            "attack family",
-            "protocol",
-            "two-stage",
-            "5-tuple",
-            "full DNN",
-        ]);
-        for r in &self.rows {
-            table.row([
-                r.family.clone(),
-                r.protocol.clone(),
-                num3(r.f1_two_stage),
-                num3(r.f1_five_tuple),
-                num3(r.f1_full_dnn),
-            ]);
-        }
+        let table = TextTable::of(
+            &self.rows,
+            &[
+                ("attack family", |r| r.family.clone()),
+                ("protocol", |r| r.protocol.clone()),
+                ("two-stage", |r| num3(r.f1_two_stage)),
+                ("5-tuple", |r| num3(r.f1_five_tuple)),
+                ("full DNN", |r| num3(r.f1_full_dnn)),
+            ],
+        );
         write!(f, "{table}")?;
         writeln!(
             f,
@@ -143,11 +127,8 @@ mod tests {
 
     #[test]
     fn f6_two_stage_works_on_non_ip_where_five_tuple_cannot() {
-        let report = run_f6(
-            75,
-            &GuardConfig::fast(),
-            &[AttackFamily::ZWireHijack, AttackFamily::SynFlood],
-        );
+        let lab = crate::experiments::tests::lab();
+        let report = run_f6(lab, &[AttackFamily::ZWireHijack, AttackFamily::SynFlood]);
         assert_eq!(report.rows.len(), 2);
         let zwire = &report.rows[0];
         assert_eq!(zwire.protocol, "zwire (non-IP)");

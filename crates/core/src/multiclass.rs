@@ -234,24 +234,17 @@ impl fmt::Display for IdentificationReport {
             f,
             "F13 — attack-family identification (one table per family)"
         )?;
-        let mut table = TextTable::new([
-            "family",
-            "packets",
-            "identified",
-            "confused",
-            "recall",
-            "rules",
-        ]);
-        for r in &self.rows {
-            table.row([
-                r.family.clone(),
-                r.actual.to_string(),
-                r.identified.to_string(),
-                r.misidentified.to_string(),
-                num3(r.recall()),
-                r.rules.to_string(),
-            ]);
-        }
+        let table = TextTable::of(
+            &self.rows,
+            &[
+                ("family", |r| r.family.clone()),
+                ("packets", |r| r.actual.to_string()),
+                ("identified", |r| r.identified.to_string()),
+                ("confused", |r| r.misidentified.to_string()),
+                ("recall", |r| num3(r.recall())),
+                ("rules", |r| r.rules.to_string()),
+            ],
+        );
         write!(f, "{table}")?;
         writeln!(
             f,

@@ -2,6 +2,9 @@
 
 use std::fmt;
 
+/// One column of a report table: its header and how a row fills its cell.
+pub type Column<R> = (&'static str, fn(&R) -> String);
+
 /// A simple aligned text table.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TextTable {
@@ -16,6 +19,17 @@ impl TextTable {
             headers: headers.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
         }
+    }
+
+    /// Renders `rows` through `columns`: one line per row, one cell per
+    /// column, so a header and its cell are written side by side and cannot
+    /// drift apart.
+    pub fn of<R>(rows: impl IntoIterator<Item = R>, columns: &[Column<R>]) -> Self {
+        let mut table = TextTable::new(columns.iter().map(|(header, _)| *header));
+        for row in rows {
+            table.row(columns.iter().map(|(_, cell)| cell(&row)));
+        }
+        table
     }
 
     /// Appends a row; short rows are padded with empty cells.
@@ -66,6 +80,11 @@ impl fmt::Display for TextTable {
     }
 }
 
+/// Formats a flag as `yes` / `no`.
+pub fn yes_no(flag: bool) -> String {
+    if flag { "yes" } else { "no" }.to_owned()
+}
+
 /// Formats a ratio as a percentage with one decimal.
 pub fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
@@ -108,6 +127,22 @@ mod tests {
     }
 
     #[test]
+    fn column_list_renders_like_hand_built_rows() {
+        let rows = [("two-stage", 0.98), ("5-tuple", 0.41)];
+        let by_columns = TextTable::of(
+            &rows,
+            &[
+                ("method", |(name, _)| name.to_string()),
+                ("f1", |(_, f1)| format!("{f1:.2}")),
+            ],
+        );
+        let mut by_hand = TextTable::new(["method", "f1"]);
+        by_hand.row(["two-stage", "0.98"]);
+        by_hand.row(["5-tuple", "0.41"]);
+        assert_eq!(by_columns, by_hand);
+    }
+
+    #[test]
     fn short_rows_are_padded() {
         let mut t = TextTable::new(["a", "b", "c"]);
         t.row(["x"]);
@@ -117,6 +152,7 @@ mod tests {
     #[test]
     fn formatters() {
         assert_eq!(pct(0.1234), "12.3%");
+        assert_eq!((yes_no(true), yes_no(false)), ("yes".into(), "no".into()));
         assert_eq!(num3(0.98765), "0.988");
         assert_eq!(dur(Duration::from_micros(500)), "500 µs");
         assert_eq!(dur(Duration::from_micros(2500)), "2.50 ms");

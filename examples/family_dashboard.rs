@@ -5,7 +5,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p p4guard-examples --example family_dashboard
+//! cargo run --release -p p4guard --example family_dashboard
 //! ```
 
 use p4guard::config::GuardConfig;

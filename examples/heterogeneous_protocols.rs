@@ -7,7 +7,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p p4guard-examples --example heterogeneous_protocols
+//! cargo run --release -p p4guard --example heterogeneous_protocols
 //! ```
 
 use p4guard::baselines::{Detector, FiveTupleFirewall, GuardDetector};

@@ -6,7 +6,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p p4guard-examples --example mirai_gateway
+//! cargo run --release -p p4guard --example mirai_gateway
 //! ```
 
 use p4guard::config::GuardConfig;

@@ -5,7 +5,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p p4guard-examples --example quickstart
+//! cargo run --release -p p4guard --example quickstart
 //! ```
 
 use p4guard::config::GuardConfig;

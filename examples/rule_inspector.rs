@@ -5,7 +5,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release -p p4guard-examples --example rule_inspector
+//! cargo run --release -p p4guard --example rule_inspector
 //! ```
 
 use p4guard::config::GuardConfig;
