@@ -54,18 +54,7 @@ pub fn workload<R: Rng>(rng: &mut R, n: usize, runts: bool) -> Vec<Bytes> {
 
 /// Packs `frames` into arena batches of `batch` frames (last one short).
 pub fn pack(frames: &[Bytes], batch: usize) -> Vec<FrameBatch> {
-    let mut arena = FrameArena::new(64 * 1024);
-    let mut out = Vec::new();
-    for f in frames {
-        arena.push(f);
-        if arena.pending() >= batch {
-            out.push(arena.seal_batch());
-        }
-    }
-    if arena.pending() > 0 {
-        out.push(arena.seal_batch());
-    }
-    out
+    FrameArena::new(64 * 1024).pack(frames.iter().map(|f| &f[..]), batch)
 }
 
 /// 64-entry ternary stages keyed on the protocol byte.

@@ -78,13 +78,7 @@ impl FamilyGuard {
     /// checked in training order; the first hit wins (families are
     /// near-disjoint by construction).
     pub fn identify_frame(&self, frame: &[u8]) -> Option<AttackFamily> {
-        let key: Vec<u8> = self
-            .binary
-            .selection
-            .offsets
-            .iter()
-            .map(|&o| frame.get(o).copied().unwrap_or(0))
-            .collect();
+        let key = self.binary.key_layout().build_key(frame);
         self.families
             .iter()
             .find(|f| f.compiled.ternary.classify(&key) == 1)
@@ -312,13 +306,7 @@ mod tests {
         for r in test.iter().take(500) {
             if let Some(family) = guard.identify_frame(&r.frame) {
                 // The identified family's ruleset must actually match.
-                let key: Vec<u8> = guard
-                    .binary
-                    .selection
-                    .offsets
-                    .iter()
-                    .map(|&o| r.frame.get(o).copied().unwrap_or(0))
-                    .collect();
+                let key = guard.binary.key_layout().build_key(&r.frame);
                 let rules = guard
                     .families
                     .iter()

@@ -5,7 +5,7 @@ use crate::config::GuardConfig;
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::control::{ControlPlane, PublishReport};
 use p4guard_dataplane::table::TableError;
-use p4guard_dataplane::AclLayout;
+use p4guard_dataplane::{AclLayout, KeyLayout};
 use p4guard_features::extract::ByteDataset;
 use p4guard_features::naming;
 use p4guard_features::select::{select_fields, FieldSelection};
@@ -13,7 +13,7 @@ use p4guard_gateway::{
     replay_batched, Gateway, GatewayConfig, GatewaySnapshot, ReplayMode, ReplayReport,
 };
 use p4guard_nn::activation::softmax_rows;
-use p4guard_nn::data::Standardizer;
+use p4guard_nn::data::{Dataset, Standardizer};
 use p4guard_nn::network::{Mlp, MlpConfig};
 use p4guard_nn::optim::Adam;
 use p4guard_nn::train::{train, History, TrainConfig};
@@ -277,13 +277,15 @@ pub struct TrainedGuard {
 impl TrainedGuard {
     /// Classifies one frame with the compiled rules (1 = attack/drop).
     pub fn classify_frame(&self, frame: &[u8]) -> usize {
-        let key: Vec<u8> = self
-            .selection
-            .offsets
-            .iter()
-            .map(|&o| frame.get(o).copied().unwrap_or(0))
-            .collect();
+        let key = self.key_layout().build_key(frame);
         self.compiled.ternary.classify(&key)
+    }
+
+    /// The match key of the selected bytes — the layout the deployed ACL
+    /// stages are keyed on, so offline classification and the data plane
+    /// read a frame (short ones included) through one definition.
+    pub(crate) fn key_layout(&self) -> KeyLayout {
+        KeyLayout::new(self.selection.offsets.clone())
     }
 
     /// Evaluates the compiled rules against a labelled trace — the number
@@ -299,24 +301,25 @@ impl TrainedGuard {
 
     /// Evaluates the stage-2 network (pre-distillation accuracy).
     pub fn evaluate_stage2(&self, trace: &Trace) -> BinaryMetrics {
-        let bytes = ByteDataset::from_trace(trace, self.config.window);
-        let selected = bytes.project(&self.selection.offsets);
-        let view = self
-            .standardizer2
-            .transform_dataset(&selected.to_nn_dataset());
+        let view = self.stage2_view(trace);
         let predicted = self.stage2.predict(view.features());
         binary_metrics(&predicted, view.labels())
     }
 
     /// Attack-probability scores from the stage-2 network (for ROC).
     pub fn scores(&self, trace: &Trace) -> Vec<f32> {
-        let bytes = ByteDataset::from_trace(trace, self.config.window);
-        let selected = bytes.project(&self.selection.offsets);
-        let view = self
-            .standardizer2
-            .transform_dataset(&selected.to_nn_dataset());
+        let view = self.stage2_view(trace);
         let probs = softmax_rows(&self.stage2.logits(view.features()));
         (0..probs.rows()).map(|r| probs.get(r, 1)).collect()
+    }
+
+    /// `trace` as the stage-2 network sees it: the selected bytes of each
+    /// frame's window, standardized.
+    fn stage2_view(&self, trace: &Trace) -> Dataset {
+        let bytes = ByteDataset::from_trace(trace, self.config.window);
+        let selected = bytes.project(&self.selection.offsets);
+        self.standardizer2
+            .transform_dataset(&selected.to_nn_dataset())
     }
 
     /// Human names of the selected fields, inferred over `trace`.
@@ -333,7 +336,7 @@ impl TrainedGuard {
     ///
     /// A model file is outside input: deserialization bypasses the
     /// constructors, so the invariants the rest of the pipeline relies on
-    /// (rule widths, rule order, selected offsets inside the window) are
+    /// (rule widths, rule order, a non-empty selection inside the window) are
     /// checked here rather than panicking later in `classify` or
     /// `optimize`.
     ///
@@ -349,6 +352,9 @@ impl TrainedGuard {
             |msg: String| Err(serde::DeError::custom(format!("invalid model: {msg}")).into());
         if let Err(msg) = rules.validate() {
             return invalid(format!("compiled rules: {msg}"));
+        }
+        if offsets.is_empty() {
+            return invalid("no selected offsets: a guard matches at least one byte".into());
         }
         if offsets.len() != rules.key_width() {
             return invalid(format!(
@@ -432,14 +438,7 @@ impl TrainedGuard {
 
         let mut arena = FrameArena::new(p4guard_packet::arena::DEFAULT_CHUNK_CAPACITY);
         let mut pack = |half: &[Record]| -> Vec<FrameBatch> {
-            half.chunks(INGEST_BATCH)
-                .map(|chunk| {
-                    for record in chunk {
-                        arena.push(&record.frame);
-                    }
-                    arena.seal_batch()
-                })
-                .collect()
+            arena.pack(half.iter().map(|r| &r.frame[..]), INGEST_BATCH)
         };
         let (first, second) = trace.records().split_at(trace.len() / 2);
         let (first, second) = (pack(first), pack(second));
@@ -547,18 +546,39 @@ mod tests {
     fn deployed_switch_enforces_the_rules() {
         let (guard, _, test) = trained();
         let control = guard.deploy(100_000).unwrap();
+        // Whole frames, and the same frames cut short inside the selected
+        // offsets (still past the Ethernet header the parser asks for):
+        // the offline key and the stage key zero-pad alike.
+        let deepest = *guard.selection.offsets.iter().max().unwrap();
         let mut agree = 0usize;
-        let total = test.len();
         control.with_switch_mut(|sw| {
             for r in test.iter() {
-                let verdict_drop = sw.process(&r.frame).is_drop();
-                let rule_drop = guard.classify_frame(&r.frame) == 1;
-                if verdict_drop == rule_drop {
-                    agree += 1;
+                for frame in [&r.frame[..], &r.frame[..r.frame.len().min(deepest.max(14))]] {
+                    let verdict_drop = sw.process(frame).is_drop();
+                    let rule_drop = guard.classify_frame(frame) == 1;
+                    agree += usize::from(verdict_drop == rule_drop);
                 }
             }
         });
-        assert_eq!(agree, total, "switch and ruleset must agree exactly");
+        assert_eq!(
+            agree,
+            2 * test.len(),
+            "switch and ruleset must agree exactly"
+        );
+    }
+
+    #[test]
+    fn model_json_with_an_empty_selection_is_rejected() {
+        // Widths agree (0 == 0) and no offset is outside the window, so
+        // only the emptiness check stands between this file and the
+        // `KeyLayout::new` panic in `deploy`.
+        let (mut guard, _, _) = trained();
+        guard.selection.offsets.clear();
+        guard.compiled.ternary = p4guard_rules::RuleSet::new(0, 0);
+        let err = TrainedGuard::from_json(&guard.to_json()).unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("invalid model: no selected offsets"));
     }
 
     #[test]

@@ -57,10 +57,9 @@ impl KeyLayout {
 
     /// Builds the match key for `frame`.
     pub fn build_key(&self, frame: &[u8]) -> Vec<u8> {
-        self.offsets
-            .iter()
-            .map(|&o| frame.get(o).copied().unwrap_or(0))
-            .collect()
+        let mut key = vec![0u8; self.width()];
+        self.build_key_into(frame, &mut key);
+        key
     }
 
     /// Builds the key into a caller-provided buffer (hot path, no

@@ -1,7 +1,8 @@
 //! # p4guard-dataplane
 //!
 //! A P4-style behavioural model standing in for the paper's programmable
-//! switch: a programmable [`parser::ParserSpec`] (parse-graph VM),
+//! switch: the raw-window [`parser::ParserSpec`] the generated P4 program
+//! deploys (protocol-agnostic by the paper's design — no parse graph),
 //! match-action [`table::Table`]s with exact/ternary/LPM/range kinds and
 //! capacity limits, a TCAM/SRAM [`resources`] cost model, a software
 //! [`switch::Switch`] with counters and a throughput harness, a

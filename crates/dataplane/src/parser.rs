@@ -1,418 +1,56 @@
-//! A programmable parser in the style of a P4 parse graph.
+//! The parser the pipeline deploys: a raw byte window.
 //!
-//! States extract a fixed number of bytes and branch on a selector field
-//! within the bytes extracted so far. The canonical specs model (a) the
-//! raw-window program the pipeline deploys and (b) a conventional
-//! Ethernet/IPv4/transport parse graph, demonstrating that the model can
-//! express protocol-aware parsing when wanted.
+//! The paper's stage 1 treats the first `W` bytes of a packet as features
+//! "with no protocol knowledge", and the program `core::p4gen` emits is
+//! `pkt.extract(hdr.window); transition accept`. [`ParserSpec`] is that
+//! program: a window width and the shortest frame it accepts. There is no
+//! parse graph — protocol structure is what the learned byte offsets in a
+//! [`KeyLayout`](crate::key::KeyLayout) recover, not something the parser
+//! is told.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
-/// Where a transition lands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StateTarget {
-    /// Continue in another state.
-    State(usize),
-    /// Accept the packet.
-    Accept,
-    /// Reject the packet (parser drop).
-    Reject,
-}
-
-/// A selector: a field within the bytes extracted so far.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Selector {
-    /// Byte offset into the extracted prefix.
-    pub offset: usize,
-    /// Field width in bytes (1, 2 or 4).
-    pub width: usize,
-    /// Value → target transitions.
-    pub cases: Vec<(u64, StateTarget)>,
-    /// Target when no case matches.
-    pub default: StateTarget,
-}
-
-/// One parser state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ParserState {
-    /// State name (for diagnostics).
-    pub name: String,
-    /// Bytes this state extracts from the input cursor.
-    pub extract: usize,
-    /// Branch decision; `None` means unconditional `Accept`.
-    pub select: Option<Selector>,
-}
-
-/// The result of a parse.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ParseOutcome {
-    /// Whether the packet was accepted.
-    pub accepted: bool,
-    /// Total bytes extracted.
-    pub extracted: usize,
-    /// Names of states visited, in order.
-    pub path: Vec<String>,
-}
-
-/// A parse graph.
+/// The window program: extract the first `window` bytes (or the frame, if
+/// shorter — bytes past its end read as zero in every key) and accept any
+/// frame of at least `min_len` bytes.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ParserSpec {
-    states: Vec<ParserState>,
+    window: usize,
     min_len: usize,
 }
 
 impl ParserSpec {
-    /// Creates a spec from states; state 0 is the start state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states` is empty or a transition targets a missing state.
-    pub fn new(states: Vec<ParserState>) -> Self {
-        assert!(!states.is_empty(), "parser needs at least one state");
-        let n = states.len();
-        let check = |t: &StateTarget| {
-            if let StateTarget::State(i) = t {
-                assert!(*i < n, "transition to missing state {i}");
-            }
-        };
-        for s in &states {
-            if let Some(sel) = &s.select {
-                check(&sel.default);
-                for (_, t) in &sel.cases {
-                    check(t);
-                }
-            }
-        }
-        ParserSpec { states, min_len: 0 }
-    }
-
-    /// The trivial raw-window program: accept anything with at least
-    /// `min_len` bytes, extracting `window` bytes (or the frame, if
-    /// shorter). This is the program the two-stage pipeline installs — no
-    /// protocol knowledge, pure byte extraction.
+    /// A `window`-byte raw window accepting frames of at least `min_len`
+    /// bytes — no protocol knowledge, pure byte extraction.
     pub fn raw_window(window: usize, min_len: usize) -> Self {
-        ParserSpec {
-            states: vec![ParserState {
-                name: format!("window[{min_len}..{window}]"),
-                extract: window,
-                select: None,
-            }],
-            min_len,
-        }
+        ParserSpec { window, min_len }
     }
 
-    /// A conventional Ethernet → {ARP, IPv4 → {TCP, UDP, ICMP}, ZWire}
-    /// parse graph.
-    pub fn ethernet_ipv4() -> Self {
-        let states = vec![
-            ParserState {
-                name: "ethernet".into(),
-                extract: 14,
-                select: Some(Selector {
-                    offset: 12,
-                    width: 2,
-                    cases: vec![
-                        (0x0800, StateTarget::State(1)),
-                        (0x0806, StateTarget::State(2)),
-                        (0x88b5, StateTarget::State(3)),
-                    ],
-                    default: StateTarget::Reject,
-                }),
-            },
-            ParserState {
-                name: "ipv4".into(),
-                extract: 20,
-                select: Some(Selector {
-                    offset: 14 + 9,
-                    width: 1,
-                    cases: vec![
-                        (6, StateTarget::State(4)),
-                        (17, StateTarget::State(5)),
-                        (1, StateTarget::State(6)),
-                    ],
-                    default: StateTarget::Accept,
-                }),
-            },
-            ParserState {
-                name: "arp".into(),
-                extract: 28,
-                select: None,
-            },
-            ParserState {
-                name: "zwire".into(),
-                extract: 11,
-                select: None,
-            },
-            ParserState {
-                name: "tcp".into(),
-                extract: 20,
-                select: None,
-            },
-            ParserState {
-                name: "udp".into(),
-                extract: 8,
-                select: None,
-            },
-            ParserState {
-                name: "icmp".into(),
-                extract: 8,
-                select: None,
-            },
-        ];
-        ParserSpec::new(states)
-    }
-
-    /// Runs the parse graph over `frame`.
-    pub fn parse(&self, frame: &[u8]) -> ParseOutcome {
-        let mut path = Vec::new();
-        if frame.len() < self.min_len {
-            return ParseOutcome {
-                accepted: false,
-                extracted: 0,
-                path,
-            };
-        }
-        let mut cursor = 0usize;
-        let mut state_idx = 0usize;
-        let mut visited = HashMap::new();
-        loop {
-            // Defensive: a malformed graph could loop; each state may be
-            // visited at most once per packet (parse graphs are DAGs).
-            if *visited
-                .entry(state_idx)
-                .and_modify(|v| *v += 1)
-                .or_insert(1)
-                > 1
-            {
-                return ParseOutcome {
-                    accepted: false,
-                    extracted: cursor,
-                    path,
-                };
-            }
-            let state = &self.states[state_idx];
-            path.push(state.name.clone());
-            cursor = (cursor + state.extract).min(frame.len());
-            match &state.select {
-                None => {
-                    return ParseOutcome {
-                        accepted: true,
-                        extracted: cursor,
-                        path,
-                    }
-                }
-                Some(sel) => {
-                    let end = sel.offset + sel.width;
-                    if end > cursor {
-                        return ParseOutcome {
-                            accepted: false,
-                            extracted: cursor,
-                            path,
-                        };
-                    }
-                    let mut value = 0u64;
-                    for &b in &frame[sel.offset..end] {
-                        value = (value << 8) | u64::from(b);
-                    }
-                    let target = sel
-                        .cases
-                        .iter()
-                        .find(|(v, _)| *v == value)
-                        .map(|(_, t)| *t)
-                        .unwrap_or(sel.default);
-                    match target {
-                        StateTarget::State(i) => state_idx = i,
-                        StateTarget::Accept => {
-                            return ParseOutcome {
-                                accepted: true,
-                                extracted: cursor,
-                                path,
-                            }
-                        }
-                        StateTarget::Reject => {
-                            return ParseOutcome {
-                                accepted: false,
-                                extracted: cursor,
-                                path,
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl ParserSpec {
-    /// Minimum frame length accepted (0 for protocol graphs).
+    /// Minimum frame length accepted.
     pub fn min_len(&self) -> usize {
         self.min_len
     }
 
-    /// Whether `frame` parses to accept — the hot-path form of
-    /// [`ParserSpec::parse`]: the identical accept/reject decision with no
-    /// path vector, state-name clones, or visited map. The forwarding
-    /// loops call this once per frame; `parse` stays for diagnostics and
-    /// tests that want the walked path.
+    /// Whether the parser accepts `frame` — the one parse decision, shared
+    /// by [`Switch::process`](crate::switch::Switch::process) and both
+    /// [`ReadPipeline`](crate::pipeline::ReadPipeline) walkers.
     #[inline]
     pub fn accepts(&self, frame: &[u8]) -> bool {
-        if frame.len() < self.min_len {
-            return false;
-        }
-        let mut cursor = 0usize;
-        let mut state_idx = 0usize;
-        let mut steps = 0usize;
-        loop {
-            // Cycle guard without a visited map: walking more states than
-            // exist means some state repeated (pigeonhole), which is
-            // exactly when `parse` rejects a malformed graph.
-            steps += 1;
-            if steps > self.states.len() {
-                return false;
-            }
-            let state = &self.states[state_idx];
-            cursor = (cursor + state.extract).min(frame.len());
-            match &state.select {
-                None => return true,
-                Some(sel) => {
-                    let end = sel.offset + sel.width;
-                    if end > cursor {
-                        return false;
-                    }
-                    let mut value = 0u64;
-                    for &b in &frame[sel.offset..end] {
-                        value = (value << 8) | u64::from(b);
-                    }
-                    let target = sel
-                        .cases
-                        .iter()
-                        .find(|(v, _)| *v == value)
-                        .map(|(_, t)| *t)
-                        .unwrap_or(sel.default);
-                    match target {
-                        StateTarget::State(i) => state_idx = i,
-                        StateTarget::Accept => return true,
-                        StateTarget::Reject => return false,
-                    }
-                }
-            }
-        }
+        frame.len() >= self.min_len
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p4guard_packet::addr::MacAddr;
-    use p4guard_packet::tcp::{TcpFlags, TcpHeader};
-    use p4guard_packet::PacketBuilder;
-    use std::net::Ipv4Addr;
 
     #[test]
     fn raw_window_accepts_long_enough_frames() {
         let spec = ParserSpec::raw_window(64, 20);
-        let out = spec.parse(&[0u8; 100]);
-        assert!(out.accepted);
-        assert_eq!(out.extracted, 64);
-        let short = spec.parse(&[0u8; 10]);
-        assert!(!short.accepted);
-    }
-
-    #[test]
-    fn ethernet_graph_walks_tcp_path() {
-        let b = PacketBuilder::new(MacAddr::from_id(1), MacAddr::from_id(2));
-        let frame = b.tcp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(10, 0, 0, 2),
-            TcpHeader::new(1, 2, 0, 0, TcpFlags::SYN),
-            &[],
-        );
-        let out = ParserSpec::ethernet_ipv4().parse(&frame);
-        assert!(out.accepted);
-        assert_eq!(out.path, vec!["ethernet", "ipv4", "tcp"]);
-        assert_eq!(out.extracted, 54);
-    }
-
-    #[test]
-    fn ethernet_graph_rejects_unknown_ethertype() {
-        let mut frame = vec![0u8; 64];
-        frame[12] = 0x12;
-        frame[13] = 0x34;
-        let out = ParserSpec::ethernet_ipv4().parse(&frame);
-        assert!(!out.accepted);
-        assert_eq!(out.path, vec!["ethernet"]);
-    }
-
-    #[test]
-    fn zwire_path_is_parsed() {
-        let mut frame = vec![0u8; 40];
-        frame[12] = 0x88;
-        frame[13] = 0xb5;
-        let out = ParserSpec::ethernet_ipv4().parse(&frame);
-        assert!(out.accepted);
-        assert_eq!(out.path.last().unwrap(), "zwire");
-    }
-
-    #[test]
-    fn truncated_selector_rejects() {
-        let spec = ParserSpec::ethernet_ipv4();
-        let out = spec.parse(&[0u8; 10]);
-        assert!(!out.accepted);
-    }
-
-    #[test]
-    fn accepts_agrees_with_parse_on_every_frame_family() {
-        let specs = [
-            ParserSpec::raw_window(64, 20),
-            ParserSpec::raw_window(8, 1),
-            ParserSpec::ethernet_ipv4(),
-        ];
-        let b = PacketBuilder::new(MacAddr::from_id(1), MacAddr::from_id(2));
-        let tcp = b.tcp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(10, 0, 0, 2),
-            TcpHeader::new(1, 2, 0, 0, TcpFlags::SYN),
-            &[],
-        );
-        let mut unknown = vec![0u8; 64];
-        unknown[12] = 0x12;
-        unknown[13] = 0x34;
-        let mut zwire = vec![0u8; 40];
-        zwire[12] = 0x88;
-        zwire[13] = 0xb5;
-        let frames: Vec<Vec<u8>> = vec![
-            vec![],
-            vec![0u8; 10],
-            vec![0u8; 100],
-            tcp.to_vec(),
-            unknown,
-            zwire,
-        ];
-        for spec in &specs {
-            for frame in &frames {
-                assert_eq!(
-                    spec.accepts(frame),
-                    spec.parse(frame).accepted,
-                    "accepts() must match parse() on a {}-byte frame",
-                    frame.len()
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "missing state")]
-    fn dangling_transition_panics() {
-        let _ = ParserSpec::new(vec![ParserState {
-            name: "s".into(),
-            extract: 1,
-            select: Some(Selector {
-                offset: 0,
-                width: 1,
-                cases: vec![(0, StateTarget::State(9))],
-                default: StateTarget::Accept,
-            }),
-        }]);
+        assert_eq!(spec.min_len(), 20);
+        assert!(spec.accepts(&[0u8; 100]));
+        assert!(spec.accepts(&[0u8; 20]));
+        assert!(!spec.accepts(&[0u8; 19]));
+        assert!(!spec.accepts(&[]));
     }
 }

@@ -167,7 +167,7 @@ impl Switch {
     /// `wrong_width`.
     pub fn process(&mut self, frame: &[u8]) -> Verdict {
         self.counters.received += 1;
-        if !self.parser.parse(frame).accepted {
+        if !self.parser.accepts(frame) {
             return vote::parser_reject(frame, &mut self.counters, &mut NoopSink);
         }
         let combine = Combine::of(self.vote);

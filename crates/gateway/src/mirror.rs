@@ -6,7 +6,7 @@
 //! side falls behind, samples are shed and counted.
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use p4guard_packet::arena::FrameBatch;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,16 +16,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// a replayed trace mirrors exactly the same frames every run.
 #[derive(Default)]
 pub struct MirrorTap {
-    /// Sampling stride; 0 means the tap is closed.
+    /// Sampling stride; 0 means the tap is closed. Read without the lock
+    /// so a closed tap costs ingest one relaxed load per batch.
     stride: AtomicU64,
-    /// Frames remaining until the next sample. A countdown instead of a
-    /// position counter keeps the per-frame open-tap cost to one
-    /// `fetch_sub` — no integer division against a dynamic stride on the
-    /// dispatch path.
-    countdown: AtomicU64,
     mirrored: AtomicU64,
     shed: AtomicU64,
-    tx: Mutex<Option<Sender<Bytes>>>,
+    open: Mutex<Option<OpenTap>>,
+}
+
+/// The open tap's channel and its place in the stride, under one lock so a
+/// batch's samples are one critical section however many threads dispatch.
+struct OpenTap {
+    tx: Sender<Bytes>,
+    stride: u64,
+    /// Frames to pass over before the next sample.
+    skip: u64,
 }
 
 impl MirrorTap {
@@ -37,15 +42,18 @@ impl MirrorTap {
     /// Opens the tap: one ingest frame in `stride` is mirrored into a new
     /// bounded channel of `capacity` samples, whose receiver is returned.
     /// Re-opening replaces the previous channel (its receiver disconnects)
-    /// and restarts the stride counter so runs stay reproducible.
+    /// and restarts the stride at position 0 — the first observed frame is
+    /// sampled — so runs stay reproducible.
     pub fn open(&self, stride: u64, capacity: usize) -> Receiver<Bytes> {
         let (tx, rx) = bounded(capacity.max(1));
-        let mut guard = self.tx.lock();
-        *guard = Some(tx);
-        // The first observed frame is sampled (countdown of 1), matching
-        // a stride sequence starting at position 0.
-        self.countdown.store(1, Ordering::Relaxed);
-        self.stride.store(stride.max(1), Ordering::Relaxed);
+        let stride = stride.max(1);
+        let mut guard = self.open.lock();
+        *guard = Some(OpenTap {
+            tx,
+            stride,
+            skip: 0,
+        });
+        self.stride.store(stride, Ordering::Relaxed);
         rx
     }
 
@@ -53,7 +61,7 @@ impl MirrorTap {
     /// drained the samples already queued.
     pub fn close(&self) {
         self.stride.store(0, Ordering::Relaxed);
-        *self.tx.lock() = None;
+        *self.open.lock() = None;
     }
 
     /// Whether the tap is currently open.
@@ -75,36 +83,34 @@ impl MirrorTap {
     /// sampled stride positions of the ingest sequence — however that
     /// sequence is cut into batches. With the tap closed this is a single
     /// relaxed load **per batch**, cheap enough to sit on the enforcement
-    /// path (the open/closed decision is hoisted out of the frame loop; a
-    /// tap opened mid-batch starts sampling at the next batch). Sampled
-    /// frames are handed out as zero-copy `Bytes` views into the batch's
-    /// shared chunk.
+    /// path (a tap opened mid-batch starts sampling at the next batch).
+    /// Open, the batch's sampled indices are arithmetic on the frames left
+    /// to skip: one lock and one update of each counter per batch, nothing
+    /// per unsampled frame. Sampled frames are handed out as zero-copy
+    /// `Bytes` views into the batch's shared chunk.
     pub fn observe_batch(&self, batch: &FrameBatch) {
-        let stride = self.stride.load(Ordering::Relaxed);
-        if stride == 0 {
+        if !self.is_open() {
             return;
         }
-        for i in 0..batch.len() {
-            if self.countdown.fetch_sub(1, Ordering::Relaxed) != 1 {
-                continue;
+        let mut guard = self.open.lock();
+        let Some(tap) = guard.as_mut() else {
+            return;
+        };
+        let len = batch.len() as u64;
+        let (mut mirrored, mut shed) = (0u64, 0u64);
+        let mut next = tap.skip;
+        while next < len {
+            match tap.tx.try_send(batch.frame_bytes(next as usize)) {
+                Ok(()) => mirrored += 1,
+                // Full or disconnected: the shadow side is behind or gone.
+                Err(_) => shed += 1,
             }
-            self.countdown.store(stride, Ordering::Relaxed);
-            self.send_sample(batch.frame_bytes(i));
+            next = next.saturating_add(tap.stride);
         }
-    }
-
-    fn send_sample(&self, sample: Bytes) {
-        let guard = self.tx.lock();
-        if let Some(tx) = guard.as_ref() {
-            match tx.try_send(sample) {
-                Ok(()) => {
-                    self.mirrored.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                    self.shed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
+        tap.skip = next - len;
+        drop(guard);
+        self.mirrored.fetch_add(mirrored, Ordering::Relaxed);
+        self.shed.fetch_add(shed, Ordering::Relaxed);
     }
 }
 
@@ -185,6 +191,24 @@ mod tests {
         }
         assert_eq!(tap.mirrored(), 2);
         assert_eq!(tap.shed(), 3);
+    }
+
+    #[test]
+    fn mirrored_plus_shed_counts_every_sampled_position() {
+        // Strides below, at and above the batch size, against a channel
+        // that fills: each sampled position is counted once, one way or
+        // the other, and the stride carries across batch boundaries.
+        for (stride, positions) in [(1u64, 23u64), (4, 6), (5, 5), (9, 3), (64, 1)] {
+            let tap = MirrorTap::new();
+            let _rx = tap.open(stride, 2);
+            let mut arena = p4guard_packet::arena::FrameArena::new(128);
+            let frames: Vec<[u8; 4]> = (0..23u8).map(|i| [i; 4]).collect();
+            for batch in arena.pack(frames.iter().map(|f| &f[..]), 5) {
+                tap.observe_batch(&batch);
+            }
+            assert_eq!(tap.mirrored(), positions.min(2), "stride {stride}");
+            assert_eq!(tap.mirrored() + tap.shed(), positions, "stride {stride}");
+        }
     }
 
     #[test]

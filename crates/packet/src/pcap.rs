@@ -80,12 +80,14 @@ pub fn read_pcap<R: Read>(mut reader: R) -> Result<Trace, TraceIoError> {
     }
     let mut trace = Trace::new();
     loop {
+        // Only zero bytes at a record boundary are a clean end; a file cut
+        // inside the header is truncated, like one cut inside a body.
         let mut rec_header = [0u8; 16];
-        match reader.read_exact(&mut rec_header) {
-            Ok(()) => {}
+        match reader.read_exact(&mut rec_header[..1]) {
             Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(e.into()),
+            first => first?,
         }
+        reader.read_exact(&mut rec_header[1..])?;
         let secs = read_u32([rec_header[0], rec_header[1], rec_header[2], rec_header[3]]);
         let usecs = read_u32([rec_header[4], rec_header[5], rec_header[6], rec_header[7]]);
         let captured = read_u32([rec_header[8], rec_header[9], rec_header[10], rec_header[11]]);
@@ -220,6 +222,21 @@ mod tests {
         write_pcap(&t, &mut buf).unwrap();
         buf.truncate(buf.len() - 5);
         assert!(read_pcap(buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn file_cut_inside_a_record_header_is_an_error() {
+        let t = trace();
+        let mut buf = Vec::new();
+        write_pcap(&t, &mut buf).unwrap();
+        let last = t.records().last().unwrap().frame.len();
+        // Leave 1..=15 bytes of the last record's 16-byte header.
+        for kept in [1, 7, 15] {
+            let cut = &buf[..buf.len() - last - 16 + kept];
+            assert!(read_pcap(cut).is_err(), "{kept} header bytes kept");
+        }
+        let whole = &buf[..buf.len() - last - 16];
+        assert_eq!(read_pcap(whole).unwrap().len(), t.len() - 1);
     }
 
     #[test]

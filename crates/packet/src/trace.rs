@@ -271,20 +271,62 @@ impl Trace {
     /// one contiguous chunk, so downstream consumers move a whole batch with
     /// a single refcount bump instead of one `Bytes` clone per frame.
     pub fn to_batches(&self, batch_size: usize) -> Vec<FrameBatch> {
-        let batch_size = batch_size.max(1);
-        let mut arena = FrameArena::default();
-        let mut out = Vec::with_capacity(self.records.len().div_ceil(batch_size));
-        for r in &self.records {
-            arena.push(&r.frame);
-            if arena.pending() >= batch_size {
-                out.push(arena.seal_batch());
-            }
-        }
-        if arena.pending() > 0 {
-            out.push(arena.seal_batch());
-        }
-        out
+        FrameArena::default().pack(self.records.iter().map(|r| &r.frame[..]), batch_size)
     }
+}
+
+/// The fixed 21-byte head of a `P4GT` record.
+struct RecordHead {
+    timestamp_us: u64,
+    flow_id: u64,
+    label: Label,
+    /// Frame length, already held to [`MAX_FRAME_LEN`].
+    len: usize,
+}
+
+/// Decodes a record head — the one place the label byte is validated and
+/// the untrusted length prefix is capped, for both readers below.
+fn read_head<R: Read>(reader: &mut R) -> Result<RecordHead, TraceIoError> {
+    let (mut ts, mut flow, mut tail) = ([0u8; 8], [0u8; 8], [0u8; 5]);
+    reader.read_exact(&mut ts)?;
+    reader.read_exact(&mut flow)?;
+    reader.read_exact(&mut tail)?;
+    let [code, len @ ..] = tail;
+    let label = if code == 0 {
+        Label::Benign
+    } else {
+        Label::Attack(
+            AttackFamily::from_code(code)
+                .ok_or_else(|| TraceIoError::Format(format!("unknown attack code {code}")))?,
+        )
+    };
+    let len = u32::from_le_bytes(len);
+    if len > MAX_FRAME_LEN {
+        return Err(TraceIoError::Format(format!(
+            "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap (corrupt length prefix)"
+        )));
+    }
+    Ok(RecordHead {
+        timestamp_us: u64::from_le_bytes(ts),
+        flow_id: u64::from_le_bytes(flow),
+        label,
+        len: len as usize,
+    })
+}
+
+/// Fills `frame` with a record's body; a stream that ends inside it is a
+/// truncated record, not a bare I/O error.
+fn read_body<R: Read>(reader: &mut R, frame: &mut [u8]) -> Result<(), TraceIoError> {
+    let len = frame.len();
+    reader.read_exact(frame).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            TraceIoError::Format(format!(
+                "record truncated: frame claims {len} bytes but the stream ended early"
+            ))
+        } else {
+            TraceIoError::Io(e)
+        }
+    })
 }
 
 /// A streaming reader over the `P4GT` format: yields one [`Record`] at a
@@ -356,41 +398,13 @@ impl<R: Read> TraceReader<R> {
     }
 
     fn read_record(&mut self) -> Result<Record, TraceIoError> {
-        let mut ts = [0u8; 8];
-        self.reader.read_exact(&mut ts)?;
-        let mut flow = [0u8; 8];
-        self.reader.read_exact(&mut flow)?;
-        let mut label_code = [0u8; 1];
-        self.reader.read_exact(&mut label_code)?;
-        let label = if label_code[0] == 0 {
-            Label::Benign
-        } else {
-            Label::Attack(AttackFamily::from_code(label_code[0]).ok_or_else(|| {
-                TraceIoError::Format(format!("unknown attack code {}", label_code[0]))
-            })?)
-        };
-        let mut len = [0u8; 4];
-        self.reader.read_exact(&mut len)?;
-        let len = u32::from_le_bytes(len);
-        if len > MAX_FRAME_LEN {
-            return Err(TraceIoError::Format(format!(
-                "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap (corrupt length prefix)"
-            )));
-        }
-        let mut frame = vec![0u8; len as usize];
-        self.reader.read_exact(&mut frame).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                TraceIoError::Format(format!(
-                    "record truncated: frame claims {len} bytes but the stream ended early"
-                ))
-            } else {
-                TraceIoError::Io(e)
-            }
-        })?;
+        let head = read_head(&mut self.reader)?;
+        let mut frame = vec![0u8; head.len];
+        read_body(&mut self.reader, &mut frame)?;
         Ok(Record {
-            timestamp_us: u64::from_le_bytes(ts),
-            flow_id: u64::from_le_bytes(flow),
-            label,
+            timestamp_us: head.timestamp_us,
+            flow_id: head.flow_id,
+            label: head.label,
             frame: Bytes::from(frame),
         })
     }
@@ -492,35 +506,10 @@ impl<R: Read> TraceBatchReader<R> {
     }
 
     fn read_frame_into_arena(&mut self) -> Result<(), TraceIoError> {
-        // Skip ts(8) + flow(8), validate the label byte, then splice the
-        // frame straight into the open arena chunk.
-        let mut head = [0u8; 17];
-        self.reader.read_exact(&mut head)?;
-        let label_code = head[16];
-        if label_code != 0 && AttackFamily::from_code(label_code).is_none() {
-            return Err(TraceIoError::Format(format!(
-                "unknown attack code {label_code}"
-            )));
-        }
-        let mut len = [0u8; 4];
-        self.reader.read_exact(&mut len)?;
-        let len = u32::from_le_bytes(len);
-        if len > MAX_FRAME_LEN {
-            return Err(TraceIoError::Format(format!(
-                "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap (corrupt length prefix)"
-            )));
-        }
-        let tail = self.arena.push_uninit(len as usize);
-        self.reader.read_exact(tail).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                TraceIoError::Format(format!(
-                    "record truncated: frame claims {len} bytes but the stream ended early"
-                ))
-            } else {
-                TraceIoError::Io(e)
-            }
-        })?;
-        Ok(())
+        // Timestamp, flow and label are validated and dropped; the frame is
+        // spliced straight into the open arena chunk.
+        let head = read_head(&mut self.reader)?;
+        read_body(&mut self.reader, self.arena.push_uninit(head.len))
     }
 }
 
@@ -769,6 +758,37 @@ mod tests {
         let mut reader = TraceBatchReader::new(buf.as_slice(), 16).unwrap();
         assert!(reader.next().unwrap().is_err());
         assert!(reader.next().is_none(), "stream fuses after an error");
+    }
+
+    #[test]
+    fn both_readers_refuse_hostile_records_alike() {
+        let t: Trace = (0..4).map(|i| record(i, Label::Benign)).collect();
+        let mut good = Vec::new();
+        t.write_to(&mut good).unwrap();
+        // The first record starts at 13: ts(8) flow(8) label(1) len(4) body.
+        let mut bad_label = good.clone();
+        bad_label[29] = 200;
+        let mut huge_len = good.clone();
+        huge_len[30..34].copy_from_slice(&u32::MAX.to_le_bytes());
+        let cut_body = good[..good.len() - 1].to_vec();
+        let cut_head = good[..13 + 20].to_vec();
+        for (hostile, want) in [
+            (bad_label, "unknown attack code 200"),
+            (huge_len, "exceeds the 16777216-byte cap"),
+            (cut_body, "record truncated: frame claims"),
+            (cut_head, "trace i/o error"),
+        ] {
+            let by_record = TraceReader::new(hostile.as_slice())
+                .unwrap()
+                .find_map(Result::err)
+                .expect("record reader refuses the file");
+            let by_batch = TraceBatchReader::new(hostile.as_slice(), 2)
+                .unwrap()
+                .find_map(Result::err)
+                .expect("batch reader refuses the file");
+            assert!(by_record.to_string().contains(want), "{by_record}");
+            assert_eq!(by_batch.to_string(), by_record.to_string());
+        }
     }
 
     #[test]

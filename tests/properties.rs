@@ -267,8 +267,94 @@ proptest! {
     #[test]
     fn parser_vm_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..120)) {
         use p4guard_dataplane::parser::ParserSpec;
-        let _ = ParserSpec::ethernet_ipv4().parse(&bytes);
-        let _ = ParserSpec::raw_window(64, 14).parse(&bytes);
+        prop_assert_eq!(ParserSpec::raw_window(64, 14).accepts(&bytes), bytes.len() >= 14);
+    }
+
+    /// The seam between the trainer and the data plane. Around every
+    /// length where a frame's fate or key can change — the parser's
+    /// `min_len`, the deepest selected offset, the window edge — the oracle
+    /// and both compiled walkers agree on verdicts and on the whole counter
+    /// block, and the key a stage matches is the row the trainer learned
+    /// from (`KeyLayout` and `ByteDataset` zero-pad alike).
+    #[test]
+    fn one_window_onto_the_frame(
+        window in 16usize..48,
+        min_len in 1usize..=14,
+        raw_offsets in proptest::collection::vec(any::<usize>(), 1..5),
+        rules in proptest::collection::vec(
+            (any::<[u8; 4]>(), proptest::collection::vec(0usize..4, 4), any::<bool>()),
+            0..6,
+        ),
+        bytes in proptest::collection::vec(any::<u8>(), 64),
+        random_lens in proptest::collection::vec(0usize..64, 0..8),
+    ) {
+        use p4guard_dataplane::action::{Action, Verdict};
+        use p4guard_dataplane::parser::ParserSpec;
+        use p4guard_dataplane::pipeline::BatchScratch;
+        use p4guard_dataplane::switch::{Switch, SwitchCounters};
+        use p4guard_dataplane::table::MatchSpec;
+        use p4guard_dataplane::AclLayout;
+        use p4guard_packet::arena::FrameArena;
+        use p4guard_telemetry::NoopSink;
+
+        let offsets: Vec<usize> = raw_offsets.iter().map(|o| o % window).collect();
+        let width = offsets.len();
+        let deepest = offsets.iter().copied().max().unwrap_or(0);
+        let frames: Vec<&[u8]> = [min_len - 1, min_len, deepest, window - 1, window, window + 1]
+            .iter()
+            .chain(&random_lens)
+            .map(|&n| &bytes[..n])
+            .collect();
+        let mut acl = AclLayout { window, offsets: offsets.clone(), capacity: 16 }.table("acl");
+        for (priority, (value, masks, drop)) in rules.iter().enumerate() {
+            let mask = masks[..width].iter().map(|&m| [0x00, 0x0f, 0xf0, 0xff][m]).collect();
+            let action = if *drop { Action::Drop } else { Action::Forward(7) };
+            acl.insert(MatchSpec::Ternary { value: value[..width].to_vec(), mask }, action, priority as i32)
+                .expect("generated ternary specs are valid");
+        }
+        let mut sw = Switch::new("seam", ParserSpec::raw_window(window, min_len), 1);
+        sw.add_stage(acl);
+        let pipeline = sw.read_pipeline(1);
+
+        let oracle: Vec<Verdict> = frames.iter().map(|f| sw.process(f)).collect();
+        let mut per_counters = SwitchCounters::default();
+        let mut scratch = Vec::new();
+        let per_frame: Vec<Verdict> = frames
+            .iter()
+            .map(|f| pipeline.process_with(f, &mut per_counters, &mut scratch, &mut NoopSink))
+            .collect();
+        let batch = FrameArena::default().pack(frames.iter().copied(), frames.len()).remove(0);
+        let mut batch_counters = SwitchCounters::default();
+        let mut batched = Vec::new();
+        pipeline.process_batch_with(
+            batch.data(),
+            batch.spans(),
+            &mut batch_counters,
+            &mut BatchScratch::new(),
+            &mut batched,
+            &mut NoopSink,
+        );
+        prop_assert_eq!(&per_frame, &oracle);
+        prop_assert_eq!(&batched, &oracle);
+        prop_assert_eq!(&per_counters, sw.counters());
+        prop_assert_eq!(&batch_counters, sw.counters());
+        let rejected = frames.iter().filter(|f| f.len() < min_len).count() as u64;
+        prop_assert_eq!(sw.counters().parser_rejected, rejected);
+
+        let trace: Trace = frames
+            .iter()
+            .map(|f| Record {
+                timestamp_us: 0,
+                frame: Bytes::from(f.to_vec()),
+                label: Label::Benign,
+                flow_id: 0,
+            })
+            .collect();
+        let learned = ByteDataset::from_trace(&trace, window).project(&offsets);
+        let key = KeyLayout::new(offsets);
+        for (i, frame) in frames.iter().enumerate() {
+            prop_assert_eq!(key.build_key(frame), learned.sample(i), "{}-byte frame", frame.len());
+        }
     }
 
     #[test]
