@@ -11,6 +11,7 @@ use p4guard_dataplane::key::KeyLayout;
 use p4guard_dataplane::switch::{compute_pps, RunStats, Switch};
 use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
 use p4guard_dataplane::AclLayout;
+use p4guard_rules::ternary::{range_to_prefixes, BytePrefix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -283,16 +284,64 @@ const F17_KEYS: usize = 2048;
 /// Timed passes over the probe keys.
 const F17_ROUNDS: usize = 2;
 
+/// How an F17 ternary table draws its rows (the other match kinds have
+/// one shape each).
+#[derive(Clone, Copy, PartialEq)]
+enum Masks {
+    /// Every row takes one of eight whole-byte masks.
+    Shared,
+    /// A random bit mask for every row: no two rows line up, the worst
+    /// case for an index — nothing to share and nothing to skip.
+    PerRow,
+    /// The shape of a learned ruleset: a few leaf boxes (a byte range at
+    /// some positions, the rest free), each lowered to the cross product
+    /// of its per-byte prefix covers — the expansion
+    /// `p4guard_rules::compile` applies to a tree path — at one priority,
+    /// so a box's rows are contiguous in match order.
+    LeafBoxes,
+}
+
+/// Rows of [`Masks::LeafBoxes`]: `(value, mask)` pairs, box after box,
+/// cut off at `entries`.
+fn leaf_box_rows(rng: &mut StdRng, entries: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut rows = Vec::with_capacity(entries);
+    while rows.len() < entries {
+        // A leaf constrains the few bytes its path split on, to intervals
+        // as narrow as the range series draws.
+        let covers: Vec<Vec<BytePrefix>> = (0..F17_KEY_WIDTH)
+            .map(|_| {
+                if rng.gen_range(0..8) < 3 {
+                    let lo: u8 = rng.gen();
+                    range_to_prefixes(lo, lo.saturating_add(rng.gen_range(0..=32)))
+                } else {
+                    range_to_prefixes(0, 255)
+                }
+            })
+            .collect();
+        let mut product = vec![(Vec::new(), Vec::new())];
+        for cover in &covers {
+            product = product
+                .iter()
+                .flat_map(|(value, mask): &(Vec<u8>, Vec<u8>)| {
+                    cover.iter().map(move |prefix| {
+                        let (mut value, mut mask) = (value.clone(), mask.clone());
+                        value.push(prefix.value & prefix.mask);
+                        mask.push(prefix.mask);
+                        (value, mask)
+                    })
+                })
+                .take(entries - rows.len())
+                .collect();
+        }
+        rows.append(&mut product);
+    }
+    rows
+}
+
 /// Builds an F17 table of `kind` with `entries` random entries plus the
-/// probe-key stream used against it. A ternary table takes its masks from
-/// a pool of eight whole-byte masks, or — `mask_per_row`, the shape of a
-/// learned ruleset — draws a random bit mask for every entry.
-fn f17_fixture(
-    kind: MatchKind,
-    mask_per_row: bool,
-    entries: usize,
-    seed: u64,
-) -> (Table, Vec<Vec<u8>>) {
+/// probe-key stream used against it; a ternary table draws its rows as
+/// `masks` says.
+fn f17_fixture(kind: MatchKind, masks: Masks, entries: usize, seed: u64) -> (Table, Vec<Vec<u8>>) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xf11);
     let mut table = Table::new(
         "f17",
@@ -301,7 +350,13 @@ fn f17_fixture(
         entries.max(1),
         Action::NoOp,
     );
-    let masks: Vec<Vec<u8>> = (0..if mask_per_row { entries } else { 8 })
+    let leaf_rows = if masks == Masks::LeafBoxes {
+        leaf_box_rows(&mut rng, entries)
+    } else {
+        Vec::new()
+    };
+    let mask_per_row = masks == Masks::PerRow;
+    let pool: Vec<Vec<u8>> = (0..if mask_per_row { entries } else { 8 })
         .map(|_| {
             (0..F17_KEY_WIDTH)
                 .map(|_| {
@@ -317,13 +372,25 @@ fn f17_fixture(
         .collect();
     let mut hit_keys = Vec::with_capacity(entries);
     for i in 0..entries {
-        let value: Vec<u8> = (0..F17_KEY_WIDTH).map(|_| rng.gen()).collect();
+        let mut value: Vec<u8> = (0..F17_KEY_WIDTH).map(|_| rng.gen()).collect();
         let spec = match kind {
             MatchKind::Exact => MatchSpec::Exact(value.clone()),
-            MatchKind::Ternary => MatchSpec::Ternary {
-                value: value.clone(),
-                mask: masks[i % masks.len()].clone(),
-            },
+            MatchKind::Ternary => {
+                let mask = match leaf_rows.get(i) {
+                    // The hit key is a random point of the row's cube.
+                    Some((corner, mask)) => {
+                        for ((byte, corner), mask) in value.iter_mut().zip(corner).zip(mask) {
+                            *byte = corner | *byte & !mask;
+                        }
+                        mask.clone()
+                    }
+                    None => pool[i % pool.len()].clone(),
+                };
+                MatchSpec::Ternary {
+                    value: value.clone(),
+                    mask,
+                }
+            }
             // Prefix lengths from a small pool, like compiler-emitted
             // tables (one length per feature split), not one bucket per
             // possible length.
@@ -343,8 +410,14 @@ fn f17_fixture(
             }
         };
         hit_keys.push(value);
+        // A learned ruleset sits at one priority (its leaves are disjoint).
+        let priority = if leaf_rows.is_empty() {
+            rng.gen_range(0..4)
+        } else {
+            1
+        };
         table
-            .insert(spec, Action::Drop, rng.gen_range(0..4))
+            .insert(spec, Action::Drop, priority)
             .expect("within capacity");
     }
     let keys = (0..F17_KEYS)
@@ -365,16 +438,21 @@ fn f17_fixture(
 /// `entry_counts`.
 pub fn run_f17_lookup(seed: u64, entry_counts: &[usize]) -> LookupReport {
     let series = [
-        ("exact", MatchKind::Exact, false),
-        ("lpm", MatchKind::Lpm, false),
-        ("range", MatchKind::Range, false),
-        ("ternary, 8 shared masks", MatchKind::Ternary, false),
-        ("ternary, a mask per row", MatchKind::Ternary, true),
+        ("exact", MatchKind::Exact, Masks::Shared),
+        ("lpm", MatchKind::Lpm, Masks::Shared),
+        ("range", MatchKind::Range, Masks::Shared),
+        ("ternary, 8 shared masks", MatchKind::Ternary, Masks::Shared),
+        ("ternary, a mask per row", MatchKind::Ternary, Masks::PerRow),
+        (
+            "ternary, leaf cross products",
+            MatchKind::Ternary,
+            Masks::LeafBoxes,
+        ),
     ];
     let mut points = Vec::with_capacity(series.len() * entry_counts.len());
-    for (name, kind, mask_per_row) in series {
+    for (name, kind, masks) in series {
         for &entries in entry_counts {
-            let (table, keys) = f17_fixture(kind, mask_per_row, entries, seed);
+            let (table, keys) = f17_fixture(kind, masks, entries, seed);
             let compiled = CompiledTable::compile(&table);
             let mut probe = vec![0u8; F17_KEY_WIDTH];
             let lookups = F17_KEYS * F17_ROUNDS;
@@ -477,7 +555,7 @@ mod tests {
     #[test]
     fn f17_compiled_lookup_beats_scan_at_scale() {
         let report = run_f17_lookup(7, &[16, 1024]);
-        assert_eq!(report.points.len(), 10); // 5 series × 2 sizes
+        assert_eq!(report.points.len(), 12); // 6 series × 2 sizes
         for p in &report.points {
             assert!(p.scan_pps > 0.0 && p.compiled_pps > 0.0);
         }

@@ -8,18 +8,21 @@
 //! arbitrary compile work at publish time is free under the RCU scheme,
 //! and the per-packet cost stops growing row by row with ruleset size:
 //!
-//! | match kind     | engine                        | per-lookup cost                 |
-//! |----------------|-------------------------------|---------------------------------|
-//! | exact          | hash index on the key bytes   | O(1)                            |
-//! | LPM            | prefix-length-bucketed hashes | O(distinct prefix lengths)      |
-//! | ternary, range | per-byte bit-vector intersect | O(width × ⌈n/64⌉), early-exit   |
+//! | match kind     | engine                        | per-lookup cost                    |
+//! |----------------|-------------------------------|------------------------------------|
+//! | exact          | hash index on the key bytes   | O(1)                               |
+//! | LPM            | prefix-length-bucketed hashes | O(distinct prefix lengths)         |
+//! | ternary, range | per-byte bit-vector intersect | O(width × live steps), early-exit  |
 //!
 //! Ternary and range entries are both conjunctions of per-byte predicates,
 //! so one engine serves every wildcard table: each key byte selects the
 //! bitmap of entries that accept it at that position, the bitmaps are
 //! ANDed 64 entries per word — a TCAM's parallel compare done in software
 //! (Lakshman & Stiliadis, SIGCOMM '98) — and the lowest set bit is the
-//! first match in priority order.
+//! first match in priority order. A bitmap longer than one probe step
+//! carries a summary of which steps hold any bit at all, and the probe
+//! ANDs the summaries first and visits only the steps left standing
+//! (Baboescu & Varghese's aggregated bit vector, SIGCOMM '01).
 //!
 //! Semantics are pinned to [`Table::peek`]: the winning entry is the first
 //! match in priority order (insertion order among equal priorities), and a
@@ -73,15 +76,29 @@ struct LpmBucket {
 /// whole key, so its lowest set bit is the first match in priority order.
 #[derive(Debug, Clone)]
 struct BitVector {
-    /// u64 words per row: `ceil(n / 64)` for `n` indexed entries, and one
-    /// (all zero) for an empty table, so every probe has a word to AND.
+    /// u64 words of entry bits per row: `ceil(n / 64)` for `n` indexed
+    /// entries, and one (all zero) for an empty table, so every probe has
+    /// a word to AND.
     words: usize,
-    /// `class[pos * 256 + byte]` → word offset into `rows` of the row for
-    /// the class `byte` belongs to at key position `pos`.
+    /// u64 summary words at the head of every row: one bit per
+    /// [`PROBE_CHUNK`]-word step of the row's entry bits, and none at all
+    /// when the row is a single step — there is nothing to skip.
+    summary: usize,
+    /// `class[pos * 256 + byte]` → the row in `rows` for the class `byte`
+    /// belongs to at key position `pos`: its word offset when rows carry
+    /// no summary (at most 256 rows of 4 words a position — the probe adds
+    /// to it and nothing else), its index in rows of `summary + words`
+    /// words when they do (at most 256 rows a position whatever the entry
+    /// count, where a word offset outgrows `u32` on a table large enough;
+    /// the probe scales it in `usize`). Either fits `u32` by construction
+    /// (a key of 2²² bytes would be the first to need more).
     class: Vec<u32>,
-    /// Every row of every position, back to back. Bit `r % 64` of word
+    /// Every row of every position, back to back: `summary` summary words,
+    /// then `words` words of entry bits. Bit `r % 64` of entry word
     /// `r / 64` is set when the entry of rank `r` accepts the row's class;
-    /// bits past the last rank are zero.
+    /// bits past the last rank are zero. Bit `k % 64` of summary word
+    /// `k / 64` is set when any of the row's entry words `k * PROBE_CHUNK`
+    /// to `k * PROBE_CHUNK + PROBE_CHUNK - 1` is non-zero.
     rows: Vec<u64>,
     /// Action by rank.
     actions: Vec<Action>,
@@ -257,6 +274,9 @@ impl BitVector {
     fn build(entries: &[MinEntry], width: usize) -> BitVector {
         let n = entries.len();
         let words = n.div_ceil(64).max(1);
+        let steps = words.div_ceil(PROBE_CHUNK);
+        let summary = if steps > 1 { steps.div_ceil(64) } else { 0 };
+        let stride = summary + words;
         // Position-major copy of what each entry accepts, so the passes
         // below run over contiguous columns instead of chasing every
         // entry's spec once per position.
@@ -266,13 +286,13 @@ impl BitVector {
                 accepts[pos * n + rank] = Accept::at(&entry.spec, pos);
             }
         }
-        let mut class = vec![0u32; width * 256];
+        let mut class = Vec::with_capacity(width * 256);
         let mut rows: Vec<u64> = Vec::new();
         // Accept-set ids already refined over at the current position.
         let mut seen = [0u64; (1 << 16) / 64];
         // Entries that leave the current position free, as a row.
         let mut any = vec![0u64; words];
-        for (pos, class) in class.chunks_exact_mut(256).enumerate() {
+        for pos in 0..width {
             let column = &accepts[pos * n..][..n];
             let mut classes = Classes::new();
             for &accept in column {
@@ -287,14 +307,19 @@ impl BitVector {
             }
 
             let base = rows.len();
-            rows.resize(base + classes.count * words, 0);
-            assert!(
-                u32::try_from(rows.len()).is_ok(),
-                "bit-vector rows outgrew u32 word offsets"
+            rows.resize(base + classes.count * stride, 0);
+            // Word offsets for summary-less rows, row indices otherwise.
+            let (first, scale) = if summary == 0 {
+                (base, stride)
+            } else {
+                (base / stride, 1)
+            };
+            class.extend(
+                classes
+                    .of
+                    .iter()
+                    .map(|&of| (first + usize::from(of) * scale) as u32),
             );
-            for (slot, &of) in class.iter_mut().zip(&classes.of) {
-                *slot = (base + usize::from(of) * words) as u32;
-            }
 
             // Each entry's bit goes into the rows of the classes it accepts
             // — found by walking its accept set or the classes, whichever
@@ -312,7 +337,7 @@ impl BitVector {
                 } else if accept.count() <= classes.count {
                     accept.for_each(|byte| {
                         let of = usize::from(classes.of[usize::from(byte)]);
-                        rows[of * words + word] |= bit;
+                        rows[of * stride + summary + word] |= bit;
                     });
                 } else {
                     let members = members.get_or_insert_with(|| {
@@ -324,19 +349,28 @@ impl BitVector {
                     });
                     for (of, &byte) in members[..classes.count].iter().enumerate() {
                         if accept.contains(byte) {
-                            rows[of * words + word] |= bit;
+                            rows[of * stride + summary + word] |= bit;
                         }
                     }
                 }
             }
-            for row in rows.chunks_exact_mut(words) {
-                for (word, &any) in row.iter_mut().zip(&any) {
+            // The same pass summarises each finished row, one summary word
+            // (64 steps) at a time; a single-step row has none to fill.
+            for row in rows.chunks_exact_mut(stride) {
+                let (head, bits) = row.split_at_mut(summary);
+                for (word, &any) in bits.iter_mut().zip(&any) {
                     *word |= any;
+                }
+                for (head, span) in head.iter_mut().zip(bits.chunks(64 * PROBE_CHUNK)) {
+                    for (k, step) in span.chunks(PROBE_CHUNK).enumerate() {
+                        *head |= u64::from(step.iter().any(|&w| w != 0)) << k;
+                    }
                 }
             }
         }
         BitVector {
             words,
+            summary,
             class,
             rows,
             actions: entries.iter().map(|e| e.action).collect(),
@@ -650,11 +684,7 @@ impl CompiledTable {
                     *o = probe_lpm(buckets, key_at(j), probe, miss);
                 }
             }
-            Engine::BitVector(index) => {
-                for (j, o) in out.iter_mut().enumerate() {
-                    *o = probe_bit_vector(index, key_at(j), miss);
-                }
-            }
+            Engine::BitVector(index) => probe_batch(index, keys, stride, miss, out),
         }
     }
 
@@ -701,51 +731,95 @@ fn probe_lpm(
 /// among the first ranks stops early.
 const PROBE_CHUNK: usize = 4;
 
-#[inline]
+/// The batched bit-vector probe: `out.len()` keys of the matrix through
+/// [`probe_bit_vector`]. A function of its own rather than an arm of
+/// [`CompiledTable::lookup_batch`]: inlined beside the hash engines' loops,
+/// the probe's three shapes spill registers in the per-key loop, which a
+/// 13-row table pays for with a third of its lookup time.
+#[inline(never)]
+fn probe_batch(
+    index: &BitVector,
+    keys: &[u8],
+    width: usize,
+    miss: (Action, LookupOutcome),
+    out: &mut [(Action, LookupOutcome)],
+) {
+    for (key, o) in keys.chunks_exact(width).zip(out) {
+        *o = probe_bit_vector(index, key, miss);
+    }
+}
+
+// Forced inline: the batched loop resolves `index`'s shape once per batch
+// only if the probe is part of its body (out of line it is a call per key).
+#[inline(always)]
 fn probe_bit_vector(
     index: &BitVector,
     key: &[u8],
     miss: (Action, LookupOutcome),
 ) -> (Action, LookupOutcome) {
-    // A row shorter than one wide step is walked a word at a time; a
-    // table of up to 64 entries is a single narrow step.
     if index.words < PROBE_CHUNK {
-        walk_rows::<1>(index, key, miss)
+        // A row shorter than one wide step is walked a word at a time; a
+        // table of up to 64 entries is a single narrow step.
+        for step in 0..index.words {
+            if let Some(hit) = walk_rows::<1>(index, key, 1, step) {
+                return hit;
+            }
+        }
+    } else if index.summary == 0 {
+        if let Some(hit) = walk_rows::<PROBE_CHUNK>(index, key, 1, 0) {
+            return hit;
+        }
     } else {
-        walk_rows::<PROBE_CHUNK>(index, key, miss)
+        // A match can only sit in a step where every selected row holds a
+        // bit: AND the summaries, one word (64 steps) at a time and only
+        // as far as the probe gets, and walk the steps left standing,
+        // lowest first.
+        let stride = index.summary + index.words;
+        for word in 0..index.summary {
+            let mut live = u64::MAX;
+            for (class, &byte) in index.class.chunks_exact(256).zip(key) {
+                live &= index.rows[class[usize::from(byte)] as usize * stride + word];
+            }
+            while live != 0 {
+                let step = word * 64 + live.trailing_zeros() as usize;
+                if let Some(hit) = walk_rows::<PROBE_CHUNK>(index, key, stride, step) {
+                    return hit;
+                }
+                live &= live - 1;
+            }
+        }
     }
+    miss
 }
 
-/// The probe loop at `N` words per step (`N <= index.words`): AND words
-/// `at..at + N` of the row `key` selects at every position; the lowest bit
-/// left standing, if any, is the winner.
+/// One step of the probe, `N` words wide (`N <= index.words`): AND entry
+/// words `step * N..` `+ N` of the row `key` selects at every position —
+/// the class map's entry times `scale` words into `rows`: 1 when the map
+/// holds offsets, the row length when it holds indices. The lowest bit
+/// left standing, if any, is the winner — provided every earlier step came
+/// up empty or was ruled out by the summaries.
 #[inline(always)]
 fn walk_rows<const N: usize>(
     index: &BitVector,
     key: &[u8],
-    miss: (Action, LookupOutcome),
-) -> (Action, LookupOutcome) {
-    let mut at = 0;
-    loop {
-        let mut acc = [u64::MAX; N];
-        for (class, &byte) in index.class.chunks_exact(256).zip(key) {
-            let row = class[usize::from(byte)] as usize + at;
-            for (acc, &word) in acc.iter_mut().zip(&index.rows[row..row + N]) {
-                *acc &= word;
-            }
+    scale: usize,
+    step: usize,
+) -> Option<(Action, LookupOutcome)> {
+    // The last step is pulled back to end on the last word. The words it
+    // sees again belong to the step before, which either was walked and
+    // ANDed to zero or was ruled out because some selected row is all zero
+    // there, so the lowest set bit is still the first match.
+    let at = (step * N).min(index.words - N);
+    let mut acc = [u64::MAX; N];
+    for (class, &byte) in index.class.chunks_exact(256).zip(key) {
+        let row = class[usize::from(byte)] as usize * scale + index.summary + at;
+        for (acc, &word) in acc.iter_mut().zip(&index.rows[row..row + N]) {
+            *acc &= word;
         }
-        if let Some(word) = acc.iter().position(|&w| w != 0) {
-            let rank = (at + word) * 64 + acc[word].trailing_zeros() as usize;
-            return (index.actions[rank], LookupOutcome::Hit(rank as Rank));
-        }
-        if at + N >= index.words {
-            return miss;
-        }
-        // The last step is pulled back to end on the last word. The words
-        // it sees again ANDed to zero the first time, so its lowest set
-        // bit is still the first match.
-        at = (at + N).min(index.words - N);
     }
+    let word = acc.iter().position(|&w| w != 0)?;
+    let rank = (at + word) * 64 + acc[word].trailing_zeros() as usize;
+    Some((index.actions[rank], LookupOutcome::Hit(rank as Rank)))
 }
 
 /// Number of bytes a `prefix_len`-bit prefix occupies.

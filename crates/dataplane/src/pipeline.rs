@@ -66,6 +66,10 @@ pub struct ReadPipeline {
     /// Widest stage key, fixed at build time so the hot path sizes its
     /// scratch once per packet instead of once per stage.
     max_key_width: usize,
+    /// Per stage, whether its [`KeyLayout`](crate::key::KeyLayout) equals
+    /// the previous stage's — the trees of a forest match on the same
+    /// selected bytes — so the key that stage gathered is this stage's too.
+    key_shared: Vec<bool>,
     /// The combine policy over the stages: `None` is the sequential
     /// first-hit chain, `Some` makes them parallel per-tree lookups feeding
     /// a majority vote (see [`vote`]).
@@ -98,14 +102,25 @@ impl ReadPipeline {
         vote: Option<VoteStage>,
     ) -> Self {
         let max_key_width = stages.iter().map(|s| s.key().width()).max().unwrap_or(0);
+        let key_shared = (0..stages.len())
+            .map(|i| i > 0 && stages[i].key() == stages[i - 1].key())
+            .collect();
         ReadPipeline {
             parser,
             stages,
             default_port,
             version,
             max_key_width,
+            key_shared,
             vote,
         }
+    }
+
+    /// Whether stage `stage` exists and reads the key the stage before it
+    /// gathered: both compiled walkers gather once per run of stages with
+    /// equal layouts.
+    fn reuses_key(&self, stage: usize) -> bool {
+        self.key_shared.get(stage) == Some(&true)
     }
 
     /// The ensemble vote configuration this snapshot was built with
@@ -194,7 +209,9 @@ impl ReadPipeline {
         let mut tally = Tally::new(self.default_port);
         for (stage, table) in self.stages.iter().enumerate() {
             let width = table.key().width();
-            table.key().build_key_into(frame, &mut key_buf[..width]);
+            if !self.reuses_key(stage) {
+                table.key().build_key_into(frame, &mut key_buf[..width]);
+            }
             let (action, outcome) = table.lookup_traced(&key_buf[..width], probe);
             Combine::count_lookups(counters, stage, std::iter::once(outcome));
             if combine.stage(stage, action, outcome, &mut tally, counters) {
@@ -206,10 +223,12 @@ impl ReadPipeline {
 
     /// Processes a whole batch of frames (contiguous `data` + one
     /// [`FrameSpan`] per frame) through tight staged loops: batch parse →
-    /// batch key-extract into a contiguous key matrix → batch lookup via
-    /// [`CompiledTable::lookup_batch`] → combine — with one verdict
-    /// appended to `verdicts` per frame, in frame order. This is the only
-    /// hot path: every frame the gateway serves goes through it.
+    /// batch key-extract into a contiguous key matrix (once per run of
+    /// stages with equal key layouts — see [`BatchScratch::keys_built`]) →
+    /// batch lookup via [`CompiledTable::lookup_batch`] → combine — with
+    /// one verdict appended to `verdicts` per frame, in frame order. This
+    /// is the only hot path: every frame the gateway serves goes through
+    /// it.
     ///
     /// Results are **bit-identical** to calling
     /// [`ReadPipeline::process_with`] once per frame: counters — drop
@@ -261,21 +280,26 @@ impl ReadPipeline {
             let alive_len = scratch.alive.len();
             // Batch key extraction: one contiguous row per alive frame, so
             // the extraction loop touches the key matrix strictly forward.
-            scratch.keys.clear();
-            scratch.keys.resize(alive_len * width, 0);
-            for (j, &i) in scratch.alive.iter().enumerate() {
-                table.key().build_key_into(
-                    frame_of(&spans[i as usize]),
-                    &mut scratch.keys[j * width..(j + 1) * width],
+            // A stage sharing the previous stage's layout finds its rows
+            // already there, compacted beside the alive set.
+            if !self.reuses_key(stage) {
+                scratch.keys.clear();
+                scratch.keys.resize(alive_len * width, 0);
+                for (j, &i) in scratch.alive.iter().enumerate() {
+                    table.key().build_key_into(
+                        frame_of(&spans[i as usize]),
+                        &mut scratch.keys[j * width..(j + 1) * width],
+                    );
+                }
+                scratch.keys_built += alive_len as u64;
+                lap(
+                    &mut stamp,
+                    sink,
+                    StageKind::KeyExtract,
+                    Some(stage),
+                    alive_len as u64,
                 );
             }
-            lap(
-                &mut stamp,
-                sink,
-                StageKind::KeyExtract,
-                Some(stage),
-                alive_len as u64,
-            );
             scratch.lookups.clear();
             scratch
                 .lookups
@@ -295,7 +319,9 @@ impl ReadPipeline {
             );
             let outcomes = scratch.lookups.iter().map(|&(_, outcome)| outcome);
             Combine::count_lookups(counters, stage, outcomes);
-            // Combine, compacting the alive set in place.
+            // Combine, compacting the alive set in place — and the key
+            // rows with it, when the next stage will read them.
+            let keep_keys = self.reuses_key(stage + 1);
             let mut kept = 0usize;
             for j in 0..alive_len {
                 let i = scratch.alive[j] as usize;
@@ -308,6 +334,11 @@ impl ReadPipeline {
                     continue;
                 }
                 scratch.alive[kept] = i as u32;
+                if keep_keys && kept != j {
+                    scratch
+                        .keys
+                        .copy_within(j * width..(j + 1) * width, kept * width);
+                }
                 kept += 1;
             }
             scratch.alive.truncate(kept);
@@ -364,8 +395,8 @@ impl ReadPipeline {
 /// scratch belongs to one worker; it carries no state across batches.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
-    /// Contiguous key matrix: `alive.len()` rows of the current stage's
-    /// key width.
+    /// Contiguous key matrix: a row of the current stage's key width per
+    /// alive frame (rows past `alive.len()` are stale).
     keys: Vec<u8>,
     /// Masked-probe buffer shared by all lookups (max key width).
     probe: Vec<u8>,
@@ -380,6 +411,8 @@ pub struct BatchScratch {
     /// Frames whose vote early-exited with at least one stage left, in
     /// the most recent batch.
     exited: u64,
+    /// Key rows gathered from frames in the most recent batch.
+    keys_built: u64,
 }
 
 impl BatchScratch {
@@ -396,6 +429,14 @@ impl BatchScratch {
         self.exited
     }
 
+    /// Keys gathered from frame bytes in the most recent batch: one per
+    /// frame alive at the first stage of each run of stages with equal
+    /// key layouts — a forest whose trees share the selected bytes
+    /// gathers one key per parsed frame, however many trees vote.
+    pub fn keys_built(&self) -> u64 {
+        self.keys_built
+    }
+
     fn reset(&mut self, n: usize, max_key_width: usize, default_port: u16) {
         self.alive.clear();
         self.alive.reserve(n);
@@ -404,6 +445,7 @@ impl BatchScratch {
         self.tally.clear();
         self.tally.resize(n, Tally::new(default_port));
         self.exited = 0;
+        self.keys_built = 0;
         if self.probe.len() < max_key_width {
             self.probe.resize(max_key_width, 0);
         }

@@ -5,7 +5,9 @@
 //! verdict sequence, the same counter block (totals, per-reason drop
 //! counts and per-stage hit counters are all fields of it), and the same
 //! frame-order verdict report stream as calling `process_with` once per
-//! frame.
+//! frame. A fixed case beside it walks stages whose key layouts repeat —
+//! the two compiled walkers gather a key once per run of equal layouts —
+//! against the mutable switch, which gathers at every stage.
 
 use p4guard_dataplane::action::{Action, Verdict};
 use p4guard_dataplane::key::KeyLayout;
@@ -13,6 +15,7 @@ use p4guard_dataplane::parser::ParserSpec;
 use p4guard_dataplane::pipeline::BatchScratch;
 use p4guard_dataplane::switch::{Switch, SwitchCounters};
 use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
+use p4guard_dataplane::vote::{EarlyExit, VoteStage};
 use p4guard_packet::arena::FrameArena;
 use p4guard_telemetry::{FrameSampler, TelemetrySink, VerdictKind};
 use proptest::collection;
@@ -206,6 +209,131 @@ proptest! {
         // exist).
         if raw_frames.len() as u64 >= trace_stride {
             prop_assert!(!per_sink.sampled_traces.is_empty());
+        }
+    }
+}
+
+/// Stage layouts (A, A, B, A), A and B equally wide over different bytes:
+/// stage 1 reads the key stage 0 gathered — compacted beside the alive
+/// set when a first-hit drop took frames out at stage 0 — and stages 2
+/// and 3 gather afresh.
+/// Under first-hit, a full vote and an early-exit vote, over frames that
+/// include parser rejects and frames too short for every key byte, the
+/// batched walker, the per-frame walker and `Switch::process` (which
+/// gathers at every stage) agree on every verdict and on the counter
+/// block, and `keys_built` counts one key per lookup of stages 0, 2 and 3.
+#[test]
+fn runs_of_equal_layouts_gather_one_key() {
+    let a = KeyLayout::new(vec![0, 2]);
+    let b = KeyLayout::new(vec![1, 3]);
+    // Per stage: layout and `(value, mask, action)` rows over its two bytes.
+    type Row = ([u8; 2], [u8; 2], Action);
+    let stages: [(&KeyLayout, &[Row]); 4] = [
+        (
+            &a,
+            &[
+                ([0x80, 0], [0x80, 0], Action::Drop),
+                ([0x40, 0], [0x40, 0], Action::Forward(3)),
+            ],
+        ),
+        (
+            &a,
+            &[
+                ([0, 0x01], [0, 0x01], Action::Drop),
+                ([0x10, 0], [0x10, 0], Action::Count(1)),
+            ],
+        ),
+        (
+            &b,
+            &[
+                ([0x80, 0], [0x80, 0], Action::Drop),
+                ([0, 0x04], [0, 0x04], Action::Forward(5)),
+            ],
+        ),
+        (
+            &a,
+            &[
+                ([0x20, 0], [0x20, 0], Action::Drop),
+                ([0, 0x02], [0, 0x02], Action::Mirror(2)),
+            ],
+        ),
+    ];
+    let frames: Vec<Vec<u8>> = (0..600usize)
+        .map(|i| {
+            let full = [i * 37, i * 11, i * 5, i * 3].map(|v| v as u8);
+            // Length 1 is a parser reject; 2 and 3 zero-pad key bytes.
+            full[..[4, 4, 4, 3, 2, 4, 1][i % 7]].to_vec()
+        })
+        .collect();
+    let exit = EarlyExit {
+        min_votes: 2,
+        margin: 2,
+    };
+    for vote in [
+        None,
+        Some(VoteStage::majority()),
+        Some(VoteStage::with_early_exit(exit)),
+    ] {
+        let mut sw = Switch::new("runs", ParserSpec::raw_window(4, 2), 9);
+        for (layout, rows) in stages {
+            let mut table = Table::new("t", MatchKind::Ternary, layout.clone(), 8, Action::NoOp);
+            for (priority, (value, mask, action)) in rows.iter().enumerate() {
+                let spec = MatchSpec::Ternary {
+                    value: value.to_vec(),
+                    mask: mask.to_vec(),
+                };
+                table.insert(spec, *action, priority as i32).unwrap();
+            }
+            sw.add_stage(table);
+        }
+        sw.set_vote(vote);
+        let pipeline = sw.read_pipeline(1);
+        let oracle: Vec<Verdict> = frames.iter().map(|f| sw.process(f)).collect();
+
+        let mut per_counters = SwitchCounters::default();
+        let mut scratch = Vec::new();
+        let per_frame: Vec<Verdict> = frames
+            .iter()
+            .map(|f| pipeline.process_into(f, &mut per_counters, &mut scratch))
+            .collect();
+        assert_eq!(per_frame, oracle, "per-frame walker, vote {vote:?}");
+        assert_eq!(&per_counters, sw.counters(), "vote {vote:?}");
+
+        let mut arena = FrameArena::new(4096);
+        for f in &frames {
+            arena.push(f);
+        }
+        let batch = arena.seal_batch();
+        let mut batch_counters = SwitchCounters::default();
+        let mut batch_scratch = BatchScratch::new();
+        let mut batched = Vec::new();
+        pipeline.process_batch_into(
+            batch.data(),
+            batch.spans(),
+            &mut batch_counters,
+            &mut batch_scratch,
+            &mut batched,
+        );
+        assert_eq!(batched, oracle, "batched walker, vote {vote:?}");
+        assert_eq!(&batch_counters, sw.counters(), "vote {vote:?}");
+
+        let lookups = |stage: usize| {
+            let (hits, misses) = batch_counters.stages[stage];
+            hits + misses
+        };
+        match vote {
+            None => assert!(lookups(1) < lookups(0), "drops compact stage 1's keys"),
+            Some(VoteStage { early_exit: None }) => assert_eq!(lookups(3), lookups(0)),
+            Some(_) => assert!(lookups(3) < lookups(0), "decided votes leave early"),
+        }
+        assert_eq!(
+            batch_scratch.keys_built(),
+            lookups(0) + lookups(2) + lookups(3),
+            "one gather per run of equal layouts, vote {vote:?}"
+        );
+        if vote == Some(VoteStage::majority()) {
+            let parsed = batch_counters.received - batch_counters.parser_rejected;
+            assert_eq!(batch_scratch.keys_built(), parsed * 3);
         }
     }
 }

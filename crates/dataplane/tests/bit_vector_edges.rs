@@ -1,19 +1,23 @@
 //! Edge cases of the bit-vector engine behind every ternary and range
 //! `CompiledTable`, drawn from where its layout can break: the padding
 //! bits of a row's last word, `rank = word * 64 + trailing_zeros`, the
-//! probe loop's pulled-back last step, a position with all 256 classes,
-//! masks that are neither prefixes nor whole bytes, and keys wider than a
-//! machine word. Every case checks the winning `(action, priority)`
-//! against the mutable table's scan — the full key space at width 1–2,
-//! sampled keys above — on the single-key and the batched path.
+//! probe loop's pulled-back last step, the summary that picks the steps a
+//! probe walks (its first size, its second word, steps it rules out next
+//! to steps it cannot), a position with all 256 classes, masks that are
+//! neither prefixes nor whole bytes, and keys wider than a machine word.
+//! Every case checks the winning `(action, priority)` against the mutable
+//! table's scan — the full key space at width 1–2, sampled keys above —
+//! on the single-key and the batched path.
 
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::compiled::{CompiledTable, LookupOutcome};
 use p4guard_dataplane::key::KeyLayout;
 use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
+use p4guard_rules::ternary::range_to_prefixes;
+use std::sync::Arc;
 
 fn table(kind: MatchKind, width: usize) -> Table {
-    Table::new("edges", kind, KeyLayout::window(width), 4096, Action::NoOp)
+    Table::new("edges", kind, KeyLayout::window(width), 32768, Action::NoOp)
 }
 
 fn ternary(value: &[u8], mask: &[u8]) -> MatchSpec {
@@ -35,11 +39,17 @@ fn all_keys() -> Vec<Vec<u8>> {
     (0..=u16::MAX).map(|k| k.to_be_bytes().to_vec()).collect()
 }
 
-/// Compiles `table` and checks every key's winner — action and effective
-/// priority, `None` on a miss — against the first matching entry of the
-/// source table in match order, on both lookup paths.
+/// Compiles `table` and checks it with [`agrees`].
 fn check(table: &Table, keys: &[Vec<u8>]) -> CompiledTable {
     let compiled = CompiledTable::compile(table);
+    agrees(&compiled, table, keys);
+    compiled
+}
+
+/// Checks every key's winner in `compiled` — action and effective
+/// priority, `None` on a miss — against the first matching entry of the
+/// source table in match order, on both lookup paths.
+fn agrees(compiled: &CompiledTable, table: &Table, keys: &[Vec<u8>]) {
     assert_eq!(compiled.strategy(), "bit-vector");
     let width = table.key().width();
     let mut probe = vec![0u8; width];
@@ -62,17 +72,19 @@ fn check(table: &Table, keys: &[Vec<u8>]) -> CompiledTable {
             table.len()
         );
     }
-    compiled
 }
 
 /// Row-length edges: `n` disjoint exact entries with distinct actions (so
 /// minimization keeps all `n` and a rank that is off by one shows as the
 /// wrong action), priorities cycling so rank order is not insertion order.
-/// 64 and 256 are the word and wide-step sizes; 300 and 513 end on a
-/// pulled-back last step.
+/// 64 and 256 are the word and wide-step sizes; 257 (five words) is the
+/// first size whose rows carry a summary, and the empty table and 256 the
+/// last two that do not; 300 and 513 end on a pulled-back last step.
 #[test]
 fn row_lengths_around_word_and_step_boundaries() {
-    for n in [0usize, 1, 63, 64, 65, 255, 256, 257, 300, 511, 512, 513] {
+    for n in [
+        0usize, 1, 63, 64, 65, 255, 256, 257, 300, 320, 321, 511, 512, 513,
+    ] {
         let mut t = table(MatchKind::Ternary, 2);
         for i in 0..n {
             let value = ((i * 127) as u16).to_be_bytes();
@@ -211,4 +223,130 @@ fn range_points_full_intervals_and_adjacent_neighbours() {
     assert_eq!(compiled.peek(&[1, 19]), Action::Forward(1));
     assert_eq!(compiled.peek(&[1, 20]), Action::Forward(2));
     assert_eq!(compiled.peek(&[1, 31]), Action::Forward(5));
+}
+
+/// Six words — two steps, the second pulled back over words 2–3 — laid out
+/// so the summary decides alone: the first key byte names the word an
+/// entry sits in, the second its bit. A key whose only match is in words
+/// 2–3 is found in step 0 and never reaches the step that sees those
+/// words again; a key matching in words 4–5 skips step 0 and walks the
+/// pulled-back step over words 2–3 of rows that hold other entries' bits
+/// there, which must AND to nothing; a first byte past the last word
+/// selects an all-zero row and misses without a step.
+#[test]
+fn the_only_match_inside_and_past_the_pulled_back_overlap() {
+    let mut t = table(MatchKind::Ternary, 2);
+    for rank in 0..6 * 64u16 {
+        let value = [(rank / 64) as u8, (rank % 64) as u8];
+        t.insert(ternary(&value, &[0xff, 0xff]), Action::Forward(rank), 1)
+            .unwrap();
+    }
+    let keys: Vec<Vec<u8>> = (0..8u8)
+        .flat_map(|word| (0..=70u8).map(move |bit| vec![word, bit]))
+        .collect();
+    let compiled = check(&t, &keys);
+    assert_eq!(compiled.minimized_len(), 6 * 64);
+    assert_eq!(compiled.peek(&[2, 0]), Action::Forward(128));
+    assert_eq!(compiled.peek(&[3, 63]), Action::Forward(255));
+    assert_eq!(compiled.peek(&[5, 63]), Action::Forward(383));
+}
+
+/// More than 64 steps: the summary grows a second word, and a hit past
+/// rank 16,384 is found through it — after the first word came up empty.
+#[test]
+fn a_table_wide_enough_for_a_second_summary_word() {
+    let n = 64 * 4 * 64 + 200u16;
+    let mut t = table(MatchKind::Ternary, 2);
+    for i in 0..n {
+        t.insert(
+            ternary(&i.to_be_bytes(), &[0xff, 0xff]),
+            Action::Forward(i),
+            1,
+        )
+        .unwrap();
+    }
+    // Either end of every summary word's span, and misses past the table.
+    let keys: Vec<Vec<u8>> = [0, 1, 255, 256, 8191, 16383, 16384, 16385, n - 1, n, n + 1]
+        .iter()
+        .flat_map(|&k: &u16| [k, k.wrapping_add(0x4000)])
+        .map(|k| k.to_be_bytes().to_vec())
+        .collect();
+    let compiled = check(&t, &keys);
+    assert_eq!(compiled.minimized_len(), usize::from(n));
+    assert_eq!(
+        compiled.peek(&(n - 1).to_be_bytes()),
+        Action::Forward(n - 1)
+    );
+}
+
+/// The learned shape: sixteen leaf boxes, each lowered to the cross
+/// product of its per-byte prefix covers, contiguous in match order — a
+/// few boxes to a step, so a key's boxes are all the summary lets the
+/// probe walk. Hits in every box (the first, the middle and the last
+/// among them), keys a whole position rules out, and keys that pass the
+/// summary and match no row: the first byte is accepted by one box's
+/// entries and the second only by its neighbours' — other rows of the
+/// same step.
+#[test]
+fn leaf_boxes_as_prefix_cross_products() {
+    let mut t = table(MatchKind::Ternary, 2);
+    let mut rank = 0u16;
+    for j in 0..16u8 {
+        // Even and odd boxes take opposite halves of the second byte.
+        let second = if j % 2 == 0 { (1, 126) } else { (129, 254) };
+        for a in range_to_prefixes(15 * j + 1, 15 * j + 13) {
+            for b in range_to_prefixes(second.0, second.1) {
+                t.insert(
+                    ternary(&[a.value, b.value], &[a.mask, b.mask]),
+                    Action::Forward(rank),
+                    1,
+                )
+                .unwrap();
+                rank += 1;
+            }
+        }
+    }
+    assert!(rank > 512, "{rank} entries: more than two steps");
+    let keys: Vec<Vec<u8>> = (0..=255u8)
+        .flat_map(|first| [0, 1, 64, 126, 127, 128, 129, 200, 254, 255].map(|b| vec![first, b]))
+        .collect();
+    let compiled = check(&t, &keys);
+    assert_eq!(compiled.minimized_len(), usize::from(rank));
+    // Box 0 and box 1 share step 0; neither holds this key.
+    assert_eq!(compiled.peek(&[5, 200]), Action::NoOp);
+    assert_ne!(compiled.peek(&[5, 64]), Action::NoOp);
+    assert_ne!(compiled.peek(&[20, 200]), Action::NoOp);
+}
+
+/// `CompiledTable::recompile`'s patch path rebuilds the engine over the
+/// patched entry list: an addition that starts a new last word changes
+/// the row length, the step count and every row's summary.
+#[test]
+fn a_patched_in_entry_that_starts_a_new_last_word() {
+    let mut t = table(MatchKind::Ternary, 2);
+    for i in 0..320u16 {
+        t.insert(
+            ternary(&(i * 127).to_be_bytes(), &[0xff, 0xff]),
+            Action::Forward(i),
+            1,
+        )
+        .unwrap();
+    }
+    let keys: Vec<Vec<u8>> = (0..321u16)
+        .flat_map(|i| [i * 127, i * 127 + 1])
+        .map(|k| k.to_be_bytes().to_vec())
+        .collect();
+    let prev = Arc::new(check(&t, &keys));
+    // Lowest priority: the addition is rank 320, bit 0 of a sixth word.
+    t.insert(
+        ternary(&(320u16 * 127).to_be_bytes(), &[0xff, 0xff]),
+        Action::Drop,
+        0,
+    )
+    .unwrap();
+    let patched = CompiledTable::recompile(&prev, &t);
+    assert_eq!(patched.minimized_len(), 321);
+    agrees(&patched, &t, &keys);
+    assert_eq!(patched.peek(&(320u16 * 127).to_be_bytes()), Action::Drop);
+    assert_eq!(prev.peek(&(320u16 * 127).to_be_bytes()), Action::NoOp);
 }

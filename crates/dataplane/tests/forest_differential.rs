@@ -248,3 +248,44 @@ proptest! {
         assert_paths_match_reference(&pipeline, &keys, &expect);
     }
 }
+
+/// A forest's trees match on the same selected bytes, so the batched
+/// walker gathers one key per parsed frame however many trees vote: five
+/// trees under the sound early exit look a frame up three to five times
+/// and build its key once.
+#[test]
+fn a_shared_layout_forest_gathers_one_key_per_frame() {
+    let rows: RawRows = (0..=255u8)
+        .map(|b| (vec![b, b.wrapping_mul(89)], b % 3 == 0 || b > 200))
+        .collect();
+    let forest = fit_forest(2, &rows, 5, 4, true, 1, 11);
+    assert_eq!(forest.trees().len(), 5);
+    let pipeline = deploy(2, &forest, Some(EarlyExit::sound_majority(5)));
+    let keys = probe_keys(2, &rows);
+    let expect: Vec<usize> = keys.iter().map(|k| forest.predict(k)).collect();
+    assert_paths_match_reference(&pipeline, &keys, &expect);
+
+    let mut arena = FrameArena::new(keys.len() * 2);
+    for key in &keys {
+        arena.push(key);
+    }
+    let batch = arena.seal_batch();
+    let mut counters = SwitchCounters::default();
+    let mut scratch = BatchScratch::new();
+    let mut verdicts = Vec::new();
+    pipeline.process_batch_into(
+        batch.data(),
+        batch.spans(),
+        &mut counters,
+        &mut scratch,
+        &mut verdicts,
+    );
+    let frames = keys.len() as u64;
+    let lookups: u64 = counters.stages.iter().map(|(hit, miss)| hit + miss).sum();
+    assert!(
+        lookups >= 3 * frames,
+        "{lookups} lookups of {frames} frames"
+    );
+    assert_eq!(counters.parser_rejected, 0);
+    assert_eq!(scratch.keys_built(), frames);
+}
