@@ -368,7 +368,10 @@ git diff --exit-code -- ledger BENCHMARK.json
 rust_lines() {
   find "$@" -name '*.rs' -print0 | xargs -0 cat | grep -v '^\s*$' | grep -v '^\s*//' | wc -l
 }
-echo "rust lines: $(rust_lines crates tests examples)"
+# The "was" figures are the parent commit's (f00eeca), committed by the PR
+# that moved them so the log reads before -> after; the next PR to move
+# either count replaces them with this PR's.
+echo "rust lines: $(rust_lines crates tests examples) (was 35627)"
 echo "experiments lines: $(rust_lines crates/core/src/experiments)"
 
 # Gated: calls that can abort the process in the crates that face traffic
@@ -378,11 +381,11 @@ echo "experiments lines: $(rust_lines crates/core/src/experiments)"
 # without saying in CHANGES.md what the new site guards. (ROADMAP's 55 at
 # its anchor counted four doc-example lines too; this count leaves `//`
 # lines out, as `rust lines` does: 51 there.)
-PANIC_SITES_MAX=48
+PANIC_SITES_MAX=47
 PANIC_SITES=$(find crates/{dataplane,packet,telemetry,gateway,fleet,adapt}/src -name '*.rs' -print0 |
   xargs -0 awk 'FNR == 1 { live = 1 } /#\[cfg\(test\)\]/ { live = 0 } live && !/^[[:space:]]*\/\//' |
   { grep -cE '\.unwrap\(\)|\.expect\(|panic!|unreachable!|assert!|assert_eq!' || true; })
-echo "panic sites: $PANIC_SITES"
+echo "panic sites: $PANIC_SITES (was 48)"
 if [ "$PANIC_SITES" -gt "$PANIC_SITES_MAX" ]; then
   echo "panic sites rose above the committed $PANIC_SITES_MAX" >&2
   exit 1
@@ -395,6 +398,17 @@ if grep -rnE "ParserState|StateTarget|ParseOutcome|ethernet_ipv4" crates tests e
    grep -rn "\.parse(frame" crates/dataplane/src ||
    grep -n "unwrap_or(0)" crates/core/src/pipeline.rs crates/core/src/multiclass.rs; then
   echo "a second parser walker or a hand-rolled key gather is back (lines above)" >&2
+  exit 1
+fi
+
+echo "==> one verb for rules, one fan-out (acceptance greps)"
+# ControlPlane's rule writers are replace_ruleset(s) plus the reference-only
+# apply_ruleset_diff: the four deleted verbs do not come back as methods,
+# wrappers or test helpers, and control.rs publishes to cells in one loop.
+FANOUTS=$(grep -c 'cell\.publish(' crates/dataplane/src/control.rs)
+if grep -rnE "fn (install_ruleset|clear_stage|remove_entries|modify_entries)" crates tests examples ||
+   [ "$FANOUTS" != "1" ]; then
+  echo "a deleted rule writer is back (lines above), or control.rs has $FANOUTS cell.publish( loops, expected 1" >&2
   exit 1
 fi
 

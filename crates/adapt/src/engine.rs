@@ -774,7 +774,7 @@ impl AdaptEngine {
             capacity: candidate.len().max(1),
         };
         let shadow = ControlPlane::new(layout.switch("adapt-candidate", ["acl"]));
-        shadow.install_ruleset(0, candidate, Action::Drop)?;
+        shadow.replace_ruleset(0, candidate, Action::Drop)?;
         Ok(shadow.with_switch(|sw| sw.read_pipeline(0)))
     }
 

@@ -49,7 +49,7 @@ fn ruleset(seed: u8) -> RuleSet {
 fn canary_publish_relowers_only_the_acl_stage() {
     let control = build_control();
     control
-        .install_ruleset(0, &ruleset(0x10), Action::Drop)
+        .replace_ruleset(0, &ruleset(0x10), Action::Drop)
         .unwrap();
     // Two subscriber cells model a two-shard gateway: shard 0 is the
     // canary, shard 1 the control group.
@@ -95,7 +95,7 @@ fn canary_publish_relowers_only_the_acl_stage() {
 fn promotion_republish_serves_retained_bytes_fleet_wide() {
     let control = build_control();
     control
-        .install_ruleset(0, &ruleset(0x10), Action::Drop)
+        .replace_ruleset(0, &ruleset(0x10), Action::Drop)
         .unwrap();
     let canary_cell = control.attach_cell();
     let control_cell = control.attach_cell();
@@ -121,7 +121,7 @@ fn promotion_republish_serves_retained_bytes_fleet_wide() {
 fn rollback_restores_the_exact_baseline_snapshot() {
     let control = build_control();
     control
-        .install_ruleset(0, &ruleset(0x10), Action::Drop)
+        .replace_ruleset(0, &ruleset(0x10), Action::Drop)
         .unwrap();
     let canary_cell = control.attach_cell();
     let control_cell = control.attach_cell();

@@ -6,6 +6,7 @@
 use bytes::Bytes;
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::control::ControlPlane;
+use p4guard_dataplane::table::MatchSpec;
 use p4guard_dataplane::AclLayout;
 use p4guard_gateway::{Gateway, GatewayConfig, GatewaySnapshot};
 use p4guard_packet::{FrameArena, FrameBatch};
@@ -104,12 +105,21 @@ pub fn drain(gw: &Gateway, offered: u64) {
 }
 
 /// Makes `ruleset` the whole content of the `reference` switch's `stage`,
-/// the way the schedules keep their oracle in step with a live swap.
+/// the way the schedules keep their oracle in step with a live swap —
+/// from scratch, out of the table primitives, so the oracle does not run
+/// the verb under test (`ControlPlane::replace_ruleset`).
 pub fn mirror_ruleset(reference: &ControlPlane, stage: usize, ruleset: &RuleSet) {
-    reference.clear_stage(stage).unwrap();
-    reference
-        .install_ruleset(stage, ruleset, Action::Drop)
-        .unwrap();
+    reference.with_switch_mut(|sw| {
+        let table = sw.stage_mut(stage);
+        table.clear();
+        for e in ruleset.entries() {
+            let spec = MatchSpec::Ternary {
+                value: e.value.clone(),
+                mask: e.mask.clone(),
+            };
+            table.insert(spec, Action::Drop, e.priority).unwrap();
+        }
+    });
 }
 
 /// One drained phase of a differential schedule: `frames` go through `gw`

@@ -218,7 +218,7 @@ fn canary_guardrail_rollback_restores_exact_baseline() {
 
         let reference = build_control("adapt-conf").0;
         reference
-            .install_ruleset(0, &r0, Action::Drop)
+            .replace_ruleset(0, &r0, Action::Drop)
             .expect("baseline installs into reference");
         let single = reference.with_switch_mut(|sw| {
             sw.run_frames(probe.iter().map(|f| f.as_ref()));

@@ -219,7 +219,7 @@ fn pinned_delta_repros_replay_identically() {
     for pin in pins {
         let (from, to) = parse_pin(&pin);
         let (control, stage) = build_control("conf-delta");
-        control.install_ruleset(stage, &from, Action::Drop).unwrap();
+        control.replace_ruleset(stage, &from, Action::Drop).unwrap();
         control.publish();
         let diff = from.diff(&to);
         control
@@ -229,7 +229,7 @@ fn pinned_delta_repros_replay_identically() {
 
         let (scratch_control, scratch_stage) = build_control("conf-delta");
         scratch_control
-            .install_ruleset(scratch_stage, &to, Action::Drop)
+            .replace_ruleset(scratch_stage, &to, Action::Drop)
             .unwrap();
         let scratch = scratch_control.snapshot();
 

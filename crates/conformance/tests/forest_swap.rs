@@ -60,10 +60,13 @@ fn phased_forest_swaps_match_single_switch_replay() {
 
         let mut sent = 0u64;
         for (rulesets, frames) in &phases {
+            // The whole forest in one swap: all trees or none.
+            let forest: Vec<_> = (0..)
+                .zip(rulesets)
+                .map(|(i, rs)| (i, rs, Action::Drop))
+                .collect();
+            control.replace_rulesets(&forest).unwrap();
             for (stage, ruleset) in rulesets.iter().enumerate() {
-                control
-                    .replace_ruleset(stage, ruleset, Action::Drop)
-                    .unwrap();
                 mirror_ruleset(&reference, stage, ruleset);
             }
             control.publish();
@@ -84,10 +87,12 @@ fn phased_forest_swaps_match_single_switch_replay() {
 fn tree_add_remove_mid_serve_conserves_frames() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x001d);
     let control = build_forest_control(3, VoteStage::majority());
-    for stage in 0..3 {
-        let rs = random_ruleset(&mut rng);
-        control.install_ruleset(stage, &rs, Action::Drop).unwrap();
-    }
+    let trees: Vec<_> = (0..3).map(|_| random_ruleset(&mut rng)).collect();
+    let forest: Vec<_> = (0..)
+        .zip(&trees)
+        .map(|(i, rs)| (i, rs, Action::Drop))
+        .collect();
+    control.replace_rulesets(&forest).unwrap();
     // Tiny queues and shard batch budget force batches to straddle the
     // structural publishes.
     let gw = Gateway::start(
@@ -108,7 +113,7 @@ fn tree_add_remove_mid_serve_conserves_frames() {
             2 => {
                 let rs = random_ruleset(&mut rng);
                 let stage = control.with_switch_mut(|sw| sw.add_stage(proto_acl().table("tree")));
-                control.install_ruleset(stage, &rs, Action::Drop).unwrap();
+                control.replace_ruleset(stage, &rs, Action::Drop).unwrap();
                 expected_stages += 1;
                 last_version = control.publish().version;
             }

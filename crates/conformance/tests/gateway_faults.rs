@@ -98,14 +98,14 @@ fn wrong_width_ruleset_is_rejected_and_service_continues() {
     // Publish a known-good ruleset first: drop TCP.
     let mut good = RuleSet::new(1, 0);
     good.push(TernaryEntry::new(vec![6], vec![0xff], 1, 1));
-    control.install_ruleset(stage, &good, Action::Drop).unwrap();
+    control.replace_ruleset(stage, &good, Action::Drop).unwrap();
     let gw = Gateway::start(&control, GatewayConfig::with_shards(2));
 
     // A two-byte-wide ruleset cannot install into the one-byte stage.
     let mut wide = RuleSet::new(2, 0);
     wide.push(TernaryEntry::new(vec![0xaa, 0xbb], vec![0xff, 0xff], 1, 1));
     let err = control
-        .install_ruleset(stage, &wide, Action::Drop)
+        .replace_ruleset(stage, &wide, Action::Drop)
         .expect_err("wrong-width install must fail");
     assert!(
         matches!(err, TableError::WidthMismatch { table: 1, entry: 2 }),

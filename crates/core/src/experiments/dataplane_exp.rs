@@ -6,7 +6,6 @@ use crate::pipeline::INGEST_BATCH;
 use crate::report::{dur, TextTable};
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::compiled::CompiledTable;
-use p4guard_dataplane::control::ControlPlane;
 use p4guard_dataplane::key::KeyLayout;
 use p4guard_dataplane::switch::{compute_pps, RunStats, Switch};
 use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
@@ -197,13 +196,12 @@ pub fn run_f10(seed: u64, occupancies: &[usize]) -> UpdateLatencyReport {
     let mut points = Vec::with_capacity(occupancies.len());
     for &occupancy in occupancies {
         // A table pre-filled to `occupancy` with headroom for the probe.
-        let mut sw = AclLayout {
+        let mut acl = AclLayout {
             window: 64,
             offsets: (0..8).collect(),
             capacity: occupancy + PROBE,
         }
-        .switch("bench", ["acl"]);
-        let acl = sw.stage_mut(0);
+        .table("acl");
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..occupancy {
             let value: Vec<u8> = (0..8).map(|_| rng.gen()).collect();
@@ -217,26 +215,26 @@ pub fn run_f10(seed: u64, occupancies: &[usize]) -> UpdateLatencyReport {
             )
             .expect("capacity has headroom");
         }
-        let control = ControlPlane::new(sw);
-        // Measure a probe batch of inserts, then remove them.
-        let mut probe = p4guard_rules::ruleset::RuleSet::new(8, 0);
+        // Measure a probe batch of table inserts, then remove them.
         let mut probe_rng = StdRng::seed_from_u64(seed ^ 0xf10);
-        for _ in 0..PROBE {
-            let value: Vec<u8> = (0..8).map(|_| probe_rng.gen()).collect();
-            probe.push(p4guard_rules::ternary::TernaryEntry::new(
-                value,
-                vec![0xff; 8],
-                1,
-                1,
-            ));
-        }
+        let probe: Vec<MatchSpec> = (0..PROBE)
+            .map(|_| MatchSpec::Ternary {
+                value: (0..8).map(|_| probe_rng.gen()).collect(),
+                mask: vec![0xff; 8],
+            })
+            .collect();
         let started = Instant::now();
-        let handles = control
-            .install_ruleset(0, &probe, Action::Drop)
+        let insert = |spec| acl.insert(spec, Action::Drop, 1);
+        let handles: Vec<_> = probe
+            .into_iter()
+            .map(insert)
+            .collect::<Result<_, _>>()
             .expect("probe fits within headroom");
         let insert = started.elapsed() / PROBE as u32;
         let started = Instant::now();
-        control.remove_entries(0, &handles).expect("handles valid");
+        for handle in handles {
+            acl.remove(handle).expect("handles valid");
+        }
         let remove = started.elapsed() / PROBE as u32;
         points.push(UpdatePoint {
             occupancy,

@@ -253,11 +253,13 @@ fn deploy_forest(
         None => VoteStage::majority(),
     }));
     let control = ControlPlane::new(sw);
-    for (i, rs) in rulesets.iter().enumerate() {
-        control
-            .install_ruleset(i, rs, Action::Drop)
-            .expect("per-tree ruleset fits its own stage");
-    }
+    let trees: Vec<_> = (0..)
+        .zip(rulesets)
+        .map(|(i, rs)| (i, rs, Action::Drop))
+        .collect();
+    control
+        .replace_rulesets(&trees)
+        .expect("per-tree ruleset fits its own stage");
     control
 }
 

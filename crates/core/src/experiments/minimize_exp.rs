@@ -167,7 +167,7 @@ fn margins(lab: &ExperimentContext, depths: &[usize]) -> Vec<MarginRow> {
         };
         let control = ControlPlane::new(layout.switch("margin", ["acl"]));
         control
-            .install_ruleset(0, rs, Action::Drop)
+            .replace_ruleset(0, rs, Action::Drop)
             .expect("learned ruleset fits its own table");
         let resources = control.with_switch(|sw| sw.resources());
         MarginRow {
@@ -275,10 +275,20 @@ pub fn run_f20_minimize(
 
     // --- Incremental vs from-scratch publish latency. ---
     let control = latency_control(entries + trials + 1);
-    let scratch_control = latency_control(entries + trials + 1);
+    // The from-scratch series: a fresh control plane per ruleset, so its
+    // first publish has no previous snapshot to patch or share.
+    let compile_fresh = |ruleset: &RuleSet| {
+        let fresh = latency_control(entries + trials + 1);
+        fresh
+            .replace_ruleset(STAGE, ruleset, Action::Drop)
+            .expect("scratch install fits");
+        let report = fresh.publish();
+        assert_eq!(report.stages_shared, 0, "scratch compiles in full");
+        (fresh, report.elapsed)
+    };
     let mut current = latency_ruleset(entries);
     control
-        .install_ruleset(STAGE, &current, Action::Drop)
+        .replace_ruleset(STAGE, &current, Action::Drop)
         .expect("latency ruleset fits");
     control.publish();
 
@@ -295,14 +305,8 @@ pub fn run_f20_minimize(
             "a one-entry diff re-lowers exactly the edited stage"
         );
         incremental_samples.push(report.elapsed);
-
-        scratch_control
-            .clear_stage(STAGE)
-            .expect("scratch stage clears");
-        scratch_control
-            .install_ruleset(STAGE, &next, Action::Drop)
-            .expect("scratch install fits");
-        scratch_samples.push(scratch_control.publish().elapsed);
+        let (_, full_compile) = compile_fresh(&next);
+        scratch_samples.push(full_compile);
         current = next;
     }
     let incremental = stats(&incremental_samples);
@@ -313,6 +317,7 @@ pub fn run_f20_minimize(
     // with the from-scratch twin on every surviving entry's key (and a
     // near-miss neighbour), including the winning priority.
     let inc_pipeline = control.snapshot();
+    let (scratch_control, _) = compile_fresh(&current);
     let ref_pipeline = scratch_control.snapshot();
     let winner = |table: &CompiledTable, key: &[u8]| {
         let (action, outcome) = table.lookup_traced(key, &mut [0u8; 3]);

@@ -164,8 +164,8 @@ pub(crate) mod tests {
         ("f4", "key_width_sweep.[].pps", "timed replay"),
         ("f4", "table_size_sweep.[].pps", "timed replay"),
         ("f4", "gateway.batched_pps", "timed live serve"),
-        ("f10", "points.[].insert", "timed control-plane inserts"),
-        ("f10", "points.[].remove", "timed control-plane removes"),
+        ("f10", "points.[].insert", "timed table inserts"),
+        ("f10", "points.[].remove", "timed table removes"),
         ("f15_observe", "replay.exemplar_trace", "the slowest frame"),
         ("f15_observe", "replay.slow_stage", "its slowest stage"),
         ("f15_observe", "replay.stage_sum_ratio", "its timed laps"),

@@ -149,18 +149,22 @@ impl FamilyGuard {
                 .table("guard_acl"),
         );
         let control = ControlPlane::new(switch);
-        for (stage, f) in self.families.iter().enumerate() {
-            // Count first (per-family visibility), then drop: encoded as a
-            // Count action on the family table plus the binary ACL drop —
-            // in this model a single Drop action also stops the pipeline,
-            // so we install Count and rely on a final binary drop table.
-            control.install_ruleset(
-                stage,
-                &f.compiled.ternary,
-                Action::Count(u32::from(f.family.code())),
-            )?;
-        }
-        control.install_ruleset(final_stage, &self.binary.compiled.ternary, Action::Drop)?;
+        // Count first (per-family visibility), then drop: encoded as a
+        // Count action on the family table plus the binary ACL drop — in
+        // this model a single Drop action also stops the pipeline, so we
+        // install Count and rely on a final binary drop table. One swap:
+        // every table goes in or none does.
+        let mut tables: Vec<_> = self
+            .families
+            .iter()
+            .enumerate()
+            .map(|(stage, f)| {
+                let count = Action::Count(u32::from(f.family.code()));
+                (stage, &f.compiled.ternary, count)
+            })
+            .collect();
+        tables.push((final_stage, &self.binary.compiled.ternary, Action::Drop));
+        control.replace_rulesets(&tables)?;
         Ok(control)
     }
 }

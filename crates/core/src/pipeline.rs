@@ -383,7 +383,7 @@ impl TrainedGuard {
             self.acl_layout(capacity)
                 .switch("p4guard-gateway", ["guard_acl"]),
         );
-        control.install_ruleset(0, &self.compiled.ternary, Action::Drop)?;
+        control.replace_ruleset(0, &self.compiled.ternary, Action::Drop)?;
         Ok(control)
     }
 

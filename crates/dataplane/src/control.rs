@@ -1,17 +1,24 @@
-//! The control plane: installs compiled rule sets into switch tables and
-//! supports incremental updates (the "dynamically reconfigurable" claim;
-//! experiment F10 times these calls from outside).
+//! The control plane: swaps compiled rule sets into switch tables and
+//! publishes the result (the "dynamically reconfigurable" claim). One verb
+//! writes rules — [`ControlPlane::replace_rulesets`], whose one-stage call
+//! is [`ControlPlane::replace_ruleset`] — and one body,
+//! `publish_snapshot`, fans a snapshot out to the subscribed cells.
+//! [`ControlPlane::apply_ruleset_diff`] is kept as a reference-only path
+//! for the ledger and the `delta_swap` oracle; experiment F10 times the
+//! table primitives underneath (`Table::insert` / `Table::remove`), not
+//! this API.
 
 use crate::action::Action;
 use crate::pipeline::{PipelineCell, ReadPipeline};
 use crate::switch::Switch;
-use crate::table::{EntryHandle, MatchKind, MatchSpec, Table, TableError};
+use crate::table::{MatchKind, MatchSpec, Table, TableError};
 use p4guard_rules::ruleset::{RuleSet, RuleSetDiff};
 use p4guard_rules::ternary::TernaryEntry;
 use p4guard_telemetry::{control_trace_id, Event, FlightRecorder, SpanRecord, TraceStore};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -182,38 +189,26 @@ impl ControlPlane {
         f(&self.switch.read())
     }
 
-    /// Runs `f` with exclusive access to the switch (e.g. to process
-    /// traffic).
+    /// Runs `f` with exclusive access to the switch: to process traffic,
+    /// to add or remove stages, or to edit a table entry by entry (what a
+    /// from-scratch test oracle does; rules go in through
+    /// [`ControlPlane::replace_ruleset`]).
     pub fn with_switch_mut<R>(&self, f: impl FnOnce(&mut Switch) -> R) -> R {
         f(&mut self.switch.write())
     }
 
-    /// Installs every entry of a compiled ternary [`RuleSet`] into stage
-    /// `stage`, mapping the rule-set's compile class to `on_match`.
-    /// Returns the installed entries' handles, in the ruleset's order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first table error (missing stage, capacity, width,
-    /// kind); entries installed before the failure remain installed.
-    pub fn install_ruleset(
-        &self,
-        stage: usize,
-        ruleset: &RuleSet,
-        on_match: Action,
-    ) -> Result<Vec<EntryHandle>, TableError> {
-        let mut sw = self.switch.write();
-        let table = Self::stage_checked(&mut sw, stage)?;
-        Self::insert_ternary(table, ruleset.entries(), on_match)
-    }
-
     /// Applies a [`RuleSetDiff`] to stage `stage`: removes each `removed`
     /// entry by spec + priority, then installs each `added` entry with
-    /// `on_match` — the O(changed entries) alternative to clearing and
-    /// re-installing a whole ruleset. Removals run first so capacity they
-    /// free is available to the inserts. Returns `(removed, installed)`
-    /// counts; a `removed` entry that is not present in the table is
-    /// skipped, not an error (the diff may predate other edits).
+    /// `on_match`. Removals run first so capacity they free is available
+    /// to the inserts. Returns `(removed, installed)` counts; a `removed`
+    /// entry that is not present in the table is skipped, not an error
+    /// (the diff may predate other edits).
+    ///
+    /// Reference-only: the ledger's churn loop and conformance's
+    /// `delta_swap` oracle are its callers. It is not all-or-nothing and
+    /// takes the caller's word for what is installed; production swaps go
+    /// through [`ControlPlane::replace_ruleset`], which computes the same
+    /// delta from the table itself.
     ///
     /// # Errors
     ///
@@ -237,80 +232,111 @@ impl ControlPlane {
                 removed += 1;
             }
         }
-        let installed = Self::insert_ternary(table, &diff.added, on_match)?;
-        Ok((removed, installed.len()))
+        Self::insert_ternary(table, &diff.added, on_match)?;
+        Ok((removed, diff.added.len()))
     }
 
-    /// Inserts `entries` in order, returning their handles; stops at the
-    /// first table error, leaving what was inserted before it.
+    /// Inserts `entries` in order; stops at the first table error, leaving
+    /// what was inserted before it.
     fn insert_ternary(
         table: &mut Table,
         entries: &[TernaryEntry],
         on_match: Action,
-    ) -> Result<Vec<EntryHandle>, TableError> {
-        let mut handles = Vec::with_capacity(entries.len());
+    ) -> Result<(), TableError> {
         for e in entries {
-            handles.push(table.insert(
-                MatchSpec::Ternary {
-                    value: e.value.clone(),
-                    mask: e.mask.clone(),
-                },
-                on_match,
-                e.priority,
-            )?);
+            let spec = MatchSpec::Ternary {
+                value: e.value.clone(),
+                mask: e.mask.clone(),
+            };
+            table.insert(spec, on_match, e.priority)?;
         }
-        Ok(handles)
+        Ok(())
     }
 
-    /// Makes stage `stage` hold exactly `ruleset` under `on_match`,
-    /// touching only the entries that differ — the whole-ruleset swap as a
-    /// delta. What is installed is read back from the table itself (the
-    /// only record of it) as a multiset of `(value & mask, mask,
-    /// priority)`, [`RuleSet::diff`]'s normalization; an entry installed
-    /// under a different action counts as different. Stale entries are
-    /// removed, missing ones inserted, and the rest keep their handles, so
-    /// the next publish compiles incrementally: an identical ruleset
-    /// shares every stage, a few changed entries patch the previous
-    /// minimized form. As with any patched stage (see
-    /// [`CompiledTable::recompile`](crate::compiled::CompiledTable::recompile)),
-    /// the lowered engine may then hold more minimized rows than a fresh
-    /// compile of the same entries — never different verdicts.
-    ///
-    /// Returns what was removed and added, values masked, `added` in the
-    /// ruleset's order. `removed` entries carry class 0: a table stores the
-    /// action, not the compile class.
+    /// Makes stage `stage` hold exactly `ruleset` under `on_match`: the
+    /// one-stage call of [`ControlPlane::replace_rulesets`], the control
+    /// plane's one rule writer.
     ///
     /// # Errors
     ///
-    /// All-or-nothing: a missing stage, a non-ternary stage, a key-width
-    /// mismatch, or a swap that would leave more entries than the stage's
-    /// capacity is reported before anything is mutated.
+    /// As [`ControlPlane::replace_rulesets`]: all-or-nothing.
     pub fn replace_ruleset(
         &self,
         stage: usize,
         ruleset: &RuleSet,
         on_match: Action,
     ) -> Result<RuleSetDiff, TableError> {
+        let mut diffs = self.replace_rulesets(&[(stage, ruleset, on_match)])?;
+        Ok(diffs.pop().unwrap_or_default())
+    }
+
+    /// Makes each listed stage hold exactly its ruleset under its action,
+    /// touching only the entries that differ — install, update, rebind and
+    /// clear are all this one swap (into an empty stage it installs the
+    /// ruleset in order; to the empty ruleset it clears). What is installed
+    /// is read back from the table itself (the only record of it) as a
+    /// multiset of `(value & mask, mask, priority)`, [`RuleSet::diff`]'s
+    /// normalization; an entry installed under a different action counts
+    /// as different. Stale entries are removed, missing ones inserted, and
+    /// the rest keep their handles, so the next publish compiles
+    /// incrementally: an identical ruleset shares every stage, a few
+    /// changed entries patch the previous minimized form. As with any
+    /// patched stage (see
+    /// [`CompiledTable::recompile`](crate::compiled::CompiledTable::recompile)),
+    /// the lowered engine may then hold more minimized rows than a fresh
+    /// compile of the same entries — never different verdicts.
+    ///
+    /// Returns, per listed swap, what was removed and added, values masked,
+    /// `added` in the ruleset's order. `removed` entries carry class 0: a
+    /// table stores the action, not the compile class.
+    ///
+    /// # Errors
+    ///
+    /// All stages or none, under one write lock: each swap runs on a copy
+    /// of its stage and the copies replace the stages only once every swap
+    /// has succeeded, so a missing stage, a non-ternary stage, a key-width
+    /// mismatch or a ruleset that overflows a stage's capacity leaves every
+    /// table as it was — a forest never serves with a tree missing.
+    pub fn replace_rulesets(
+        &self,
+        swaps: &[(usize, &RuleSet, Action)],
+    ) -> Result<Vec<RuleSetDiff>, TableError> {
         let mut sw = self.switch.write();
-        let table = Self::stage_checked(&mut sw, stage)?;
-        if table.kind() != MatchKind::Ternary {
-            return Err(TableError::KindMismatch {
-                table: table.kind(),
-                entry: MatchKind::Ternary,
-            });
+        let mut staged: BTreeMap<usize, Table> = BTreeMap::new();
+        let mut diffs = Vec::with_capacity(swaps.len());
+        for &(stage, ruleset, on_match) in swaps {
+            // A stage listed again is swapped on top of its own copy.
+            let table = match staged.entry(stage) {
+                Entry::Occupied(copy) => copy.into_mut(),
+                Entry::Vacant(slot) => slot.insert(Self::stage_checked(&mut sw, stage)?.clone()),
+            };
+            diffs.push(Self::swap_table(table, ruleset, on_match)?);
         }
-        let width = table.key().width();
-        let widths = ruleset
-            .entries()
-            .iter()
-            .flat_map(|e| [e.value.len(), e.mask.len()]);
-        if let Some(entry) = std::iter::once(ruleset.key_width())
-            .chain(widths)
-            .find(|&w| w != width)
-        {
+        for (stage, table) in staged {
+            *sw.stage_mut(stage) = table;
+        }
+        Ok(diffs)
+    }
+
+    /// One stage's swap, in place; an error can leave `table` half-edited,
+    /// which is why [`ControlPlane::replace_rulesets`] hands it a copy.
+    /// Entry widths and capacity are [`Table::insert`]'s checks.
+    fn swap_table(
+        table: &mut Table,
+        ruleset: &RuleSet,
+        on_match: Action,
+    ) -> Result<RuleSetDiff, TableError> {
+        let kind_mismatch = |entry: MatchKind| TableError::KindMismatch {
+            table: table.kind(),
+            entry,
+        };
+        if table.kind() != MatchKind::Ternary {
+            return Err(kind_mismatch(MatchKind::Ternary));
+        }
+        if ruleset.key_width() != table.key().width() {
             return Err(TableError::WidthMismatch {
-                table: width,
-                entry,
+                table: table.key().width(),
+                entry: ruleset.key_width(),
             });
         }
         type Key = (Vec<u8>, Vec<u8>, i32);
@@ -337,7 +363,7 @@ impl ControlPlane {
         let mut stale = Vec::new();
         for installed in table.entries() {
             let MatchSpec::Ternary { value, mask } = &installed.spec else {
-                unreachable!("a ternary table holds only ternary specs");
+                return Err(kind_mismatch(installed.spec.kind()));
             };
             let k = key(value, mask, installed.priority);
             if !(installed.action == on_match && claim(&k)) {
@@ -346,8 +372,7 @@ impl ControlPlane {
             }
         }
         // What is still missing goes in in the ruleset's own order, so a
-        // swap into an empty stage installs what `install_ruleset` would
-        // (with values masked).
+        // swap into an empty stage is an in-order install (values masked).
         for e in ruleset.entries() {
             let k = key(&e.value, &e.mask, e.priority);
             if claim(&k) {
@@ -355,61 +380,11 @@ impl ControlPlane {
                     .push(TernaryEntry::new(k.0, k.1, e.class, e.priority));
             }
         }
-        if table.len() - stale.len() + diff.added.len() > table.capacity() {
-            return Err(TableError::Full {
-                capacity: table.capacity(),
-            });
-        }
         for handle in stale {
             table.remove(handle)?;
         }
         Self::insert_ternary(table, &diff.added, on_match)?;
         Ok(diff)
-    }
-
-    /// Removes entries by handle.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first missing-stage or unknown-handle error.
-    pub fn remove_entries(&self, stage: usize, handles: &[EntryHandle]) -> Result<(), TableError> {
-        let mut sw = self.switch.write();
-        let table = Self::stage_checked(&mut sw, stage)?;
-        for &h in handles {
-            table.remove(h)?;
-        }
-        Ok(())
-    }
-
-    /// Rebinds the action of entries (e.g. drop → mirror for staged
-    /// rollout).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first missing-stage or unknown-handle error.
-    pub fn modify_entries(
-        &self,
-        stage: usize,
-        handles: &[EntryHandle],
-        action: Action,
-    ) -> Result<(), TableError> {
-        let mut sw = self.switch.write();
-        let table = Self::stage_checked(&mut sw, stage)?;
-        for &h in handles {
-            table.modify(h, action)?;
-        }
-        Ok(())
-    }
-
-    /// Clears a stage.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TableError::NoSuchStage`] for an out-of-range stage.
-    pub fn clear_stage(&self, stage: usize) -> Result<(), TableError> {
-        let mut sw = self.switch.write();
-        Self::stage_checked(&mut sw, stage)?.clear();
-        Ok(())
     }
 
     /// Registers a pipeline cell to receive future [`ControlPlane::publish`]
@@ -486,30 +461,45 @@ impl ControlPlane {
     pub fn publish_audited(&self, delta: Option<&RuleSetDiff>, drained: bool) -> PublishReport {
         let (added, removed) = delta.map_or((0, 0), |d| (d.added.len(), d.removed.len()));
         let cells = self.subscribers.lock();
-        self.publish_snapshot(cells.iter(), "swap", added, removed, drained)
+        self.publish_snapshot(cells.iter(), "swap", None, added, removed, drained)
     }
 
-    /// The one publish body: snapshot → retain → fan out to `cells` →
-    /// report → control trace (`span`) → [`Event::Swap`] audit. The caller
-    /// holds the subscriber lock `cells` borrows from.
+    /// The one publish body: obtain the snapshot → fan out to `cells` →
+    /// report → control trace (`span`). With `retained: None` the snapshot
+    /// is compiled now, kept in the history and audited as an
+    /// [`Event::Swap`]; a `retained` one is history's exact bytes, so
+    /// nothing is compiled, retained again or audited as a swap. The
+    /// caller holds the subscriber lock `cells` borrows from.
     fn publish_snapshot<'a>(
         &self,
         cells: impl ExactSizeIterator<Item = &'a Arc<PipelineCell>>,
         span: &str,
+        retained: Option<Arc<ReadPipeline>>,
         added: usize,
         removed: usize,
         drained: bool,
     ) -> PublishReport {
+        let elapsed_ns =
+            |since: Instant| u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let start = Instant::now();
-        let (snapshot, stages_recompiled, stages_shared) = self.snapshot_with_stats();
-        let snapshot_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let fresh = retained.is_none();
+        let (snapshot, stages_recompiled, stages_shared) = match retained {
+            Some(snapshot) => {
+                let stages = snapshot.stages().len();
+                (snapshot, 0, stages)
+            }
+            None => self.snapshot_with_stats(),
+        };
+        let snapshot_ns = elapsed_ns(start);
         let fanout_start = Instant::now();
-        self.retain(Arc::clone(&snapshot));
+        if fresh {
+            self.retain(Arc::clone(&snapshot));
+        }
         let subscribers = cells.len();
         for cell in cells {
             cell.publish(Arc::clone(&snapshot));
         }
-        let fanout_ns = u64::try_from(fanout_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let fanout_ns = elapsed_ns(fanout_start);
         let report = PublishReport {
             version: snapshot.version(),
             entries: snapshot.entry_count(),
@@ -519,12 +509,15 @@ impl ControlPlane {
             stages_shared,
         };
         let duration_ns = u64::try_from(report.elapsed.as_nanos()).unwrap_or(u64::MAX);
-        let trace_id = self.trace_control(
-            span,
-            report.version,
-            duration_ns,
-            &[("snapshot", snapshot_ns), ("fanout", fanout_ns)],
-        );
+        let children: &[_] = if fresh {
+            &[("snapshot", snapshot_ns), ("fanout", fanout_ns)]
+        } else {
+            &[("fanout", fanout_ns)]
+        };
+        let trace_id = self.trace_control(span, report.version, duration_ns, children);
+        if !fresh {
+            return report;
+        }
         if let Some(recorder) = self.recorder.lock().as_ref() {
             recorder.record(Event::Swap {
                 version: report.version,
@@ -576,6 +569,8 @@ impl ControlPlane {
     /// anyone) when any target index is out of range.
     pub fn publish_to(&self, targets: &[usize]) -> Result<PublishReport, PublishError> {
         let cells = self.subscribers.lock();
+        // Targets are a set: a repeated index is one cell, published once.
+        let targets: BTreeSet<usize> = targets.iter().copied().collect();
         if let Some(&index) = targets.iter().find(|&&t| t >= cells.len()) {
             return Err(PublishError::NoSuchSubscriber {
                 index,
@@ -583,19 +578,19 @@ impl ControlPlane {
             });
         }
         let targeted = targets.iter().map(|&t| &cells[t]);
-        Ok(self.publish_snapshot(targeted, "canary_publish", 0, 0, false))
+        Ok(self.publish_snapshot(targeted, "canary_publish", None, 0, 0, false))
     }
 
     /// Re-publishes a retained historical snapshot — exact bytes, original
     /// version number — to every subscribed cell. Promotion uses this to
-    /// take a canaried version fleet-wide without recompiling.
+    /// take a canaried version fleet-wide without recompiling; it is not a
+    /// new swap, so it leaves no [`Event::Swap`] and the history as it was.
     ///
     /// # Errors
     ///
     /// Returns [`PublishError::UnknownVersion`] when `version` has been
     /// evicted from (or never entered) the bounded history.
     pub fn republish(&self, version: u64) -> Result<PublishReport, PublishError> {
-        let start = Instant::now();
         let snapshot = {
             let history = self.history.lock();
             history
@@ -607,28 +602,8 @@ impl ControlPlane {
                     retained: history.iter().map(|p| p.version()).collect(),
                 })?
         };
-        let subscribers = self.subscribers.lock();
-        for cell in subscribers.iter() {
-            cell.publish(Arc::clone(&snapshot));
-        }
-        let report = PublishReport {
-            version: snapshot.version(),
-            entries: snapshot.entry_count(),
-            subscribers: subscribers.len(),
-            elapsed: start.elapsed(),
-            // Republish serves retained bytes: nothing is compiled at all.
-            stages_recompiled: 0,
-            stages_shared: snapshot.stages().len(),
-        };
-        drop(subscribers);
-        let fanout_ns = u64::try_from(report.elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.trace_control(
-            "republish",
-            report.version,
-            fanout_ns,
-            &[("fanout", fanout_ns)],
-        );
-        Ok(report)
+        let cells = self.subscribers.lock();
+        Ok(self.publish_snapshot(cells.iter(), "republish", Some(snapshot), 0, 0, false))
     }
 
     /// Rolls every subscriber back to a retained prior `version` and leaves
@@ -671,18 +646,20 @@ mod tests {
     use super::*;
     use crate::key::KeyLayout;
     use crate::parser::ParserSpec;
-    use crate::table::{MatchKind, Table};
-    use p4guard_rules::ternary::TernaryEntry;
+    use crate::table::EntryHandle;
 
-    fn control_with_table(kind: MatchKind, width: usize, capacity: usize) -> ControlPlane {
+    /// A switch with one `kind` stage per listed capacity.
+    fn control_with_stages(kind: MatchKind, width: usize, capacities: &[usize]) -> ControlPlane {
         let mut sw = Switch::new("gw", ParserSpec::raw_window(width, 1), 0);
-        sw.add_stage(Table::new(
-            "acl",
-            kind,
-            KeyLayout::window(width),
-            capacity,
-            Action::NoOp,
-        ));
+        for &capacity in capacities {
+            sw.add_stage(Table::new(
+                "acl",
+                kind,
+                KeyLayout::window(width),
+                capacity,
+                Action::NoOp,
+            ));
+        }
         ControlPlane::new(sw)
     }
 
@@ -693,15 +670,17 @@ mod tests {
         rs
     }
 
+    fn handles(cp: &ControlPlane, stage: usize) -> Vec<EntryHandle> {
+        cp.with_switch(|sw| sw.stage(stage).entries().iter().map(|e| e.handle).collect())
+    }
+
     #[test]
     fn install_and_enforce() {
-        let cp = control_with_table(MatchKind::Ternary, 2, 16);
-        let handles = cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
-        // Handles come back in the ruleset's order.
-        let installed: Vec<EntryHandle> =
-            cp.with_switch(|sw| sw.stage(0).entries().iter().map(|e| e.handle).collect());
-        assert_eq!(handles, installed);
-        assert_eq!(handles.len(), 2);
+        let cp = control_with_stages(MatchKind::Ternary, 2, &[16]);
+        let diff = cp.replace_ruleset(0, &ruleset(), Action::Drop).unwrap();
+        // Into an empty stage everything is added, in the ruleset's order.
+        assert!(diff.removed.is_empty());
+        assert_eq!(diff.added, ruleset().entries());
         cp.with_switch_mut(|sw| {
             assert!(sw.process(&[0x17, 0x99]).is_drop());
             assert!(sw.process(&[0x99, 0x50]).is_drop());
@@ -709,64 +688,58 @@ mod tests {
         });
     }
 
+    /// The staged rollout of `examples/mirai_gateway.rs`: the action is part
+    /// of an entry's identity, so observe-only → enforce is the same ruleset
+    /// swapped in under another action, and every entry is re-installed.
     #[test]
-    fn remove_and_modify() {
-        let cp = control_with_table(MatchKind::Ternary, 2, 16);
-        let handles = cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
-        cp.modify_entries(0, &handles[..1], Action::Mirror(9))
+    fn swap_under_a_different_action_reinstalls_every_entry() {
+        let cp = control_with_stages(MatchKind::Ternary, 2, &[16]);
+        cp.replace_ruleset(0, &ruleset(), Action::Mirror(99))
             .unwrap();
+        cp.with_switch_mut(|sw| assert!(!sw.process(&[0x17, 0x99]).is_drop()));
+        let diff = cp.replace_ruleset(0, &ruleset(), Action::Drop).unwrap();
+        assert_eq!((diff.removed.len(), diff.added.len()), (2, 2));
         cp.with_switch_mut(|sw| {
-            assert!(!sw.process(&[0x17, 0x99]).is_drop()); // now mirrored
+            assert!(sw.process(&[0x17, 0x99]).is_drop());
             assert_eq!(sw.counters().mirrored, 1);
         });
-        cp.remove_entries(0, &handles).unwrap();
-        cp.with_switch(|sw| assert!(sw.stage(0).is_empty()));
     }
 
     #[test]
     fn capacity_error_propagates() {
-        let cp = control_with_table(MatchKind::Ternary, 2, 1);
-        let err = cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap_err();
+        let cp = control_with_stages(MatchKind::Ternary, 2, &[1]);
+        let err = cp.replace_ruleset(0, &ruleset(), Action::Drop).unwrap_err();
         assert!(matches!(err, TableError::Full { capacity: 1 }));
-        // The first entry made it in before the failure.
-        cp.with_switch(|sw| assert_eq!(sw.stage(0).len(), 1));
-    }
-
-    #[test]
-    fn clear_stage_empties_table() {
-        let cp = control_with_table(MatchKind::Ternary, 2, 16);
-        cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
-        cp.clear_stage(0).unwrap();
+        // All or nothing: not even the entry that would have fit went in.
         cp.with_switch(|sw| assert!(sw.stage(0).is_empty()));
     }
 
     /// What the chain proptest in `tests/minimize_differential.rs` cannot
-    /// see: a swap into an empty stage installs what `install_ruleset`
-    /// does, surviving entries keep their handles (what delta compilation keys
-    /// on), uncared value bits do not count as a change, and the action is
-    /// part of an entry's identity.
+    /// see: a swap into an empty stage equals the reference path's in-order
+    /// insert, surviving entries keep their handles (what delta compilation
+    /// keys on), uncared value bits do not count as a change, and the action
+    /// is part of an entry's identity.
     #[test]
     fn replace_ruleset_keeps_handles_and_compares_actions() {
-        let cp = control_with_table(MatchKind::Ternary, 2, 16);
+        let cp = control_with_stages(MatchKind::Ternary, 2, &[16]);
         cp.replace_ruleset(0, &ruleset(), Action::Drop).unwrap();
         // Into an empty stage a swap is an install: same order, same handles.
-        let installed = control_with_table(MatchKind::Ternary, 2, 16);
-        installed
-            .install_ruleset(0, &ruleset(), Action::Drop)
-            .unwrap();
+        let installed = control_with_stages(MatchKind::Ternary, 2, &[16]);
+        let all = RuleSetDiff {
+            added: ruleset().entries().to_vec(),
+            removed: Vec::new(),
+        };
+        installed.apply_ruleset_diff(0, &all, Action::Drop).unwrap();
         cp.with_switch(|a| installed.with_switch(|b| assert_eq!(a.stage(0), b.stage(0))));
         cp.publish();
-        let handles = |cp: &ControlPlane| -> Vec<EntryHandle> {
-            cp.with_switch(|sw| sw.stage(0).entries().iter().map(|e| e.handle).collect())
-        };
-        let before = handles(&cp);
+        let before = handles(&cp, 0);
 
         let mut respelled = RuleSet::new(2, 0);
         respelled.push(TernaryEntry::new(vec![0x17, 0xaa], vec![0xff, 0x00], 1, 1));
         respelled.push(TernaryEntry::new(vec![0xbb, 0x50], vec![0x00, 0xff], 1, 1));
         let diff = cp.replace_ruleset(0, &respelled, Action::Drop).unwrap();
         assert!(diff.is_empty());
-        assert_eq!(handles(&cp), before);
+        assert_eq!(handles(&cp, 0), before);
         let idle = cp.publish();
         assert_eq!((idle.stages_recompiled, idle.stages_shared), (0, 1));
 
@@ -774,12 +747,12 @@ mod tests {
             .replace_ruleset(0, &ruleset(), Action::Mirror(9))
             .unwrap();
         assert_eq!((rebound.removed.len(), rebound.added.len()), (2, 2));
-        assert!(handles(&cp).iter().all(|h| !before.contains(h)));
+        assert!(handles(&cp, 0).iter().all(|h| !before.contains(h)));
     }
 
     #[test]
     fn replace_ruleset_that_cannot_fit_leaves_the_stage_untouched() {
-        let cp = control_with_table(MatchKind::Ternary, 2, 2);
+        let cp = control_with_stages(MatchKind::Ternary, 2, &[2]);
         cp.replace_ruleset(0, &ruleset(), Action::Drop).unwrap();
         let before = cp.with_switch(|sw| sw.stage(0).clone());
 
@@ -806,7 +779,7 @@ mod tests {
         );
         cp.with_switch(|sw| assert_eq!(*sw.stage(0), before));
 
-        let exact = control_with_table(MatchKind::Exact, 2, 16);
+        let exact = control_with_stages(MatchKind::Exact, 2, &[16]);
         assert_eq!(
             exact
                 .replace_ruleset(0, &ruleset(), Action::Drop)
@@ -818,67 +791,79 @@ mod tests {
         );
     }
 
+    /// A forest with a tree missing is a different classifier, not a
+    /// degraded one: a five-tree deploy whose stage 3 cannot hold its tree
+    /// leaves stages 0–2 (validated first), every subscribed cell and the
+    /// version counter exactly as they were.
+    #[test]
+    fn multi_stage_swap_is_all_stages_or_none() {
+        let cp = control_with_stages(MatchKind::Ternary, 2, &[16, 16, 16, 1, 16]);
+        let cell = cp.attach_cell();
+        let served = cp.publish();
+        let tree = ruleset();
+        let mut forest: Vec<_> = (0..5).map(|stage| (stage, &tree, Action::Drop)).collect();
+        assert_eq!(
+            cp.replace_rulesets(&forest).unwrap_err(),
+            TableError::Full { capacity: 1 }
+        );
+        cp.with_switch(|sw| assert!((0..5).all(|stage| sw.stage(stage).is_empty())));
+        assert_eq!(cell.version(), served.version);
+        assert_eq!(cp.publish().version, served.version + 1);
+
+        // The four trees that fit go in together, one diff per listed stage.
+        forest.remove(3);
+        let diffs = cp.replace_rulesets(&forest).unwrap();
+        assert!(diffs.len() == 4 && diffs.iter().all(|d| d.added.len() == 2));
+        // A stage listed twice is swapped twice, the later on the earlier.
+        let twice = [forest[0], (0, &tree, Action::Mirror(9))];
+        let rebound = &cp.replace_rulesets(&twice).unwrap()[1];
+        assert_eq!((rebound.removed.len(), rebound.added.len()), (2, 2));
+    }
+
     #[test]
     fn missing_stage_is_an_error_not_a_panic() {
-        let cp = control_with_table(MatchKind::Ternary, 2, 16);
+        let cp = control_with_stages(MatchKind::Ternary, 2, &[16]);
+        let tree = ruleset();
         let missing = TableError::NoSuchStage {
             stage: 3,
             stages: 1,
         };
+        // Also behind a stage that exists, which is then not touched.
+        for swaps in [
+            &[(3, &tree, Action::Drop)][..],
+            &[(0, &tree, Action::Drop), (3, &tree, Action::Drop)],
+        ] {
+            assert_eq!(cp.replace_rulesets(swaps).unwrap_err(), missing);
+        }
+        cp.with_switch(|sw| assert!(sw.stage(0).is_empty()));
+        let nothing = RuleSetDiff::default();
         assert_eq!(
-            cp.install_ruleset(3, &ruleset(), Action::Drop).unwrap_err(),
-            missing
-        );
-        assert_eq!(
-            cp.remove_entries(3, &[EntryHandle(1)]).unwrap_err(),
-            missing
-        );
-        assert_eq!(
-            cp.modify_entries(3, &[EntryHandle(1)], Action::Drop)
+            cp.apply_ruleset_diff(3, &nothing, Action::Drop)
                 .unwrap_err(),
             missing
         );
-        assert_eq!(cp.clear_stage(3).unwrap_err(), missing);
         assert!(missing.to_string().contains("no stage 3"));
     }
 
     #[test]
-    fn stale_handles_error_after_removal() {
-        let cp = control_with_table(MatchKind::Ternary, 2, 16);
-        let handles = cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
-        cp.remove_entries(0, &handles).unwrap();
-        // The handles are now stale: both removal and modification report
-        // NoSuchEntry instead of silently succeeding.
-        assert_eq!(
-            cp.remove_entries(0, &handles[..1]).unwrap_err(),
-            TableError::NoSuchEntry(handles[0])
-        );
-        assert_eq!(
-            cp.modify_entries(0, &handles[..1], Action::NoOp)
-                .unwrap_err(),
-            TableError::NoSuchEntry(handles[0])
-        );
-    }
-
-    #[test]
     fn empty_batches_are_no_ops() {
-        let cp = control_with_table(MatchKind::Ternary, 2, 16);
-        cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
-        cp.remove_entries(0, &[]).unwrap();
-        cp.modify_entries(0, &[], Action::Drop).unwrap();
-        let handles = cp
-            .install_ruleset(0, &RuleSet::new(2, 0), Action::Drop)
-            .unwrap();
-        assert!(handles.is_empty());
-        cp.with_switch(|sw| assert_eq!(sw.stage(0).len(), 2));
+        let cp = control_with_stages(MatchKind::Ternary, 2, &[16]);
+        cp.replace_ruleset(0, &ruleset(), Action::Drop).unwrap();
+        let before = handles(&cp, 0);
+        assert!(cp.replace_rulesets(&[]).unwrap().is_empty());
+        let nothing = RuleSetDiff::default();
+        assert_eq!(cp.apply_ruleset_diff(0, &nothing, Action::Drop), Ok((0, 0)));
+        let same = cp.replace_ruleset(0, &ruleset(), Action::Drop).unwrap();
+        assert!(same.is_empty());
+        assert_eq!(handles(&cp, 0), before);
     }
 
     #[test]
     fn publish_pushes_snapshots_to_subscribed_cells() {
-        let cp = control_with_table(MatchKind::Ternary, 2, 16);
+        let cp = control_with_stages(MatchKind::Ternary, 2, &[16]);
         let cell = cp.attach_cell();
         assert!(cell.load().entry_count() == 0);
-        cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
+        cp.replace_ruleset(0, &ruleset(), Action::Drop).unwrap();
         // Not yet published: the cell still serves the old snapshot.
         assert_eq!(cell.load().entry_count(), 0);
         let report = cp.publish();
@@ -896,18 +881,8 @@ mod tests {
     fn snapshots_share_unchanged_stages_and_recompile_changed_ones() {
         // Two stages; touching only stage 1 must leave stage 0 shared by
         // pointer identity across snapshots.
-        let mut sw = Switch::new("gw", ParserSpec::raw_window(2, 1), 0);
-        for name in ["acl", "policy"] {
-            sw.add_stage(Table::new(
-                name,
-                MatchKind::Ternary,
-                KeyLayout::window(2),
-                16,
-                Action::NoOp,
-            ));
-        }
-        let cp = ControlPlane::new(sw);
-        cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
+        let cp = control_with_stages(MatchKind::Ternary, 2, &[16, 16]);
+        cp.replace_ruleset(0, &ruleset(), Action::Drop).unwrap();
         let first = cp.publish();
         assert_eq!(
             (first.stages_recompiled, first.stages_shared),
@@ -916,7 +891,7 @@ mod tests {
         );
         let s1 = cp.snapshot();
 
-        cp.install_ruleset(1, &ruleset(), Action::Mirror(7))
+        cp.replace_ruleset(1, &ruleset(), Action::Mirror(7))
             .unwrap();
         let s2 = cp.snapshot();
         assert!(
@@ -942,15 +917,17 @@ mod tests {
 
     #[test]
     fn incremental_snapshot_matches_scratch_after_entry_churn() {
-        let cp = control_with_table(MatchKind::Ternary, 2, 64);
-        cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
+        let cp = control_with_stages(MatchKind::Ternary, 2, &[64]);
+        cp.replace_ruleset(0, &ruleset(), Action::Drop).unwrap();
         let _warm = cp.snapshot();
         // Add and remove entries so the patch path runs, then compare the
         // incremental snapshot against a from-scratch twin on every key.
-        let handles = cp
-            .install_ruleset(0, &ruleset(), Action::Mirror(3))
-            .unwrap();
-        cp.remove_entries(0, &handles[..1]).unwrap();
+        let mut churned = RuleSet::new(2, 0);
+        churned.push(ruleset().entries()[1].clone());
+        churned.push(TernaryEntry::new(vec![0x17, 0x00], vec![0xff, 0x00], 1, 2));
+        churned.push(TernaryEntry::new(vec![0x20, 0x50], vec![0xf0, 0xff], 1, 0));
+        let diff = cp.replace_ruleset(0, &churned, Action::Drop).unwrap();
+        assert_eq!((diff.removed.len(), diff.added.len()), (1, 2));
         let incremental = cp.snapshot();
         let scratch_twin = cp.with_switch(|sw| sw.read_pipeline(999));
         let mut c1 = crate::switch::SwitchCounters::default();
@@ -970,20 +947,20 @@ mod tests {
 
     #[test]
     fn control_plane_clones_share_the_switch() {
-        let cp = control_with_table(MatchKind::Ternary, 2, 16);
+        let cp = control_with_stages(MatchKind::Ternary, 2, &[16]);
         let cp2 = cp.clone();
-        cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
+        cp.replace_ruleset(0, &ruleset(), Action::Drop).unwrap();
         cp2.with_switch(|sw| assert_eq!(sw.stage(0).len(), 2));
     }
 
     #[test]
     fn publish_to_targets_a_subset_of_cells() {
-        let cp = control_with_table(MatchKind::Ternary, 2, 16);
+        let cp = control_with_stages(MatchKind::Ternary, 2, &[16]);
         let canary = cp.attach_cell();
         let steady = cp.attach_cell();
         assert_eq!(cp.subscriber_count(), 2);
         let baseline = cp.publish();
-        cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
+        cp.replace_ruleset(0, &ruleset(), Action::Drop).unwrap();
         let report = cp.publish_to(&[0]).unwrap();
         assert_eq!(report.subscribers, 1);
         assert_eq!(report.entries, 2);
@@ -996,7 +973,7 @@ mod tests {
 
     #[test]
     fn publish_to_rejects_bad_indices_before_publishing() {
-        let cp = control_with_table(MatchKind::Ternary, 2, 16);
+        let cp = control_with_stages(MatchKind::Ternary, 2, &[16]);
         let cell = cp.attach_cell();
         let before = cell.version();
         let err = cp.publish_to(&[0, 3]).unwrap_err();
@@ -1013,14 +990,26 @@ mod tests {
     }
 
     #[test]
+    fn publish_to_treats_its_targets_as_a_set() {
+        let cp = control_with_stages(MatchKind::Ternary, 2, &[16]);
+        let (canary, steady) = (cp.attach_cell(), cp.attach_cell());
+        let baseline = steady.version();
+        let report = cp.publish_to(&[0, 0]).unwrap();
+        // One cell, published once and counted once.
+        assert_eq!(report.subscribers, 1);
+        assert_eq!(canary.version(), report.version);
+        assert_eq!(steady.version(), baseline);
+    }
+
+    #[test]
     fn republish_and_rollback_restore_a_retained_version() {
-        let cp = control_with_table(MatchKind::Ternary, 2, 16);
+        let cp = control_with_stages(MatchKind::Ternary, 2, &[16]);
         let recorder = Arc::new(FlightRecorder::new(16));
         cp.set_recorder(Arc::clone(&recorder));
         let cell = cp.attach_cell();
 
         let empty = cp.publish(); // baseline: no entries
-        cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
+        cp.replace_ruleset(0, &ruleset(), Action::Drop).unwrap();
         let full = cp.publish(); // candidate: two entries
         assert_eq!(cp.retained_versions(), vec![empty.version, full.version]);
         assert_eq!(cell.load().entry_count(), 2);
@@ -1035,6 +1024,10 @@ mod tests {
         let fwd = cp.republish(full.version).unwrap();
         assert_eq!(fwd.version, full.version);
         assert_eq!(cell.load().entry_count(), 2);
+        // Serving retained bytes again is not a swap: nothing is compiled,
+        // audited as one, or added to the history (pins the one fan-out).
+        assert_eq!((fwd.stages_recompiled, fwd.stages_shared), (0, 1));
+        assert_eq!(cp.retained_versions(), vec![empty.version, full.version]);
 
         let rollouts: Vec<_> = recorder
             .events()
@@ -1042,6 +1035,7 @@ mod tests {
             .filter(|e| e.event.kind() == "rollout")
             .collect();
         assert_eq!(rollouts.len(), 1);
+        assert_eq!(recorder.events().len(), 3, "and a swap per publish only");
         match &rollouts[0].event {
             Event::Rollout {
                 phase,
@@ -1061,7 +1055,7 @@ mod tests {
 
     #[test]
     fn history_is_bounded_and_unknown_versions_error() {
-        let cp = control_with_table(MatchKind::Ternary, 2, 16);
+        let cp = control_with_stages(MatchKind::Ternary, 2, &[16]);
         let first = cp.publish();
         for _ in 0..HISTORY_CAP {
             cp.publish();
@@ -1086,10 +1080,10 @@ mod tests {
 
     #[test]
     fn audited_publish_records_swap_events() {
-        let cp = control_with_table(MatchKind::Ternary, 2, 16);
+        let cp = control_with_stages(MatchKind::Ternary, 2, &[16]);
         let recorder = Arc::new(FlightRecorder::new(16));
         cp.set_recorder(Arc::clone(&recorder));
-        cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
+        cp.replace_ruleset(0, &ruleset(), Action::Drop).unwrap();
 
         let old = RuleSet::new(2, 0);
         let diff = old.diff(&ruleset());
@@ -1135,14 +1129,12 @@ mod tests {
 
     #[test]
     fn swap_audit_events_join_against_the_trace_store() {
-        use p4guard_telemetry::TraceStore;
-
-        let cp = control_with_table(MatchKind::Ternary, 2, 16);
+        let cp = control_with_stages(MatchKind::Ternary, 2, &[16]);
         let recorder = Arc::new(FlightRecorder::new(16));
         let tracer = Arc::new(TraceStore::new(64, true));
         cp.set_recorder(Arc::clone(&recorder));
         cp.set_tracer(Arc::clone(&tracer));
-        cp.install_ruleset(0, &ruleset(), Action::Drop).unwrap();
+        cp.replace_ruleset(0, &ruleset(), Action::Drop).unwrap();
 
         let report = cp.publish_audited(None, false);
 
@@ -1187,7 +1179,7 @@ mod tests {
 
     #[test]
     fn untraced_publishes_leave_no_trace_ids() {
-        let cp = control_with_table(MatchKind::Ternary, 2, 16);
+        let cp = control_with_stages(MatchKind::Ternary, 2, &[16]);
         let recorder = Arc::new(FlightRecorder::new(16));
         cp.set_recorder(Arc::clone(&recorder));
         cp.publish_audited(None, false);

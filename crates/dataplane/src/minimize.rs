@@ -466,7 +466,7 @@ fn range_overlaps(a: &MatchSpec, b: &MatchSpec) -> bool {
 }
 
 /// Minimized entry count for a pure ternary rule list installed with one
-/// uniform action — the form `ControlPlane::install_ruleset` lowers a
+/// uniform action — the form `ControlPlane::replace_ruleset` lowers a
 /// `RuleSet` into, and what the fleet budgeter admits against. Entries
 /// arrive as `(value, mask, priority)`; order among equal priorities is
 /// verdict-neutral under a uniform action, so callers may pass any stable

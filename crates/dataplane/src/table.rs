@@ -461,6 +461,8 @@ mod tests {
         assert_eq!(t.lookup_traced(&[1, 3]), (Action::NoOp, None));
         t.remove(h).unwrap();
         assert_eq!(t.peek(&[1, 2]), Action::NoOp);
+        // The handle is now stale: a second removal says so.
+        assert_eq!(t.remove(h).unwrap_err(), TableError::NoSuchEntry(h));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!
 //!    The same holds one level up, for whole-ruleset swaps through
 //!    `ControlPlane::replace_ruleset`: the published pipeline equals a
-//!    `clear_stage` + `install_ruleset` twin and the scan.
+//!    fresh control plane compiling the target in full, and the scan.
 //!
 //! 3. **The two drivers of the one minimizer agree with the scan.**
 //!    `RuleSet::optimize` and lowering both call `p4guard_rules::cube`;
@@ -333,17 +333,16 @@ proptest! {
     /// ruleset, the ruleset already installed, a disjoint one —
     /// `replace_ruleset` leaves the stage multiset-equal to its target,
     /// reports exactly the difference it applied, and publishes a pipeline
-    /// verdict-equal to a `clear_stage` + `install_ruleset` twin and to
-    /// the scan oracle over the whole keyspace; an identical ruleset
-    /// re-lowers nothing.
+    /// verdict-equal to a fresh twin's first (full) compile of the target
+    /// and to the scan oracle over the whole keyspace; an identical
+    /// ruleset re-lowers nothing.
     #[test]
     fn replace_ruleset_chains_equal_clear_and_install(
         chain in pvec((0u8..6, pvec((any::<u8>(), any::<u8>(), 0i32..3), 0..20)), 1..8),
     ) {
         let layout = AclLayout { window: 14, offsets: vec![0], capacity: 64 };
         let control = ControlPlane::new(layout.switch("swap", ["acl"]));
-        let twin = ControlPlane::new(layout.switch("twin", ["acl"]));
-        let (cell, twin_cell) = (control.attach_cell(), twin.attach_cell());
+        let cell = control.attach_cell();
         control.publish();
         let mut installed = RuleSet::new(1, 0);
         for (step, (op, raw)) in chain.iter().enumerate() {
@@ -383,10 +382,12 @@ proptest! {
             if diff.is_empty() {
                 prop_assert_eq!(report.stages_recompiled, 0, "unchanged ruleset re-lowered");
             }
-            twin.clear_stage(0).unwrap();
-            twin.install_ruleset(0, &target, Action::Drop).unwrap();
-            twin.publish();
-            let (swapped, scratch) = (cell.load(), twin_cell.load());
+            // A fresh twin per step: its first snapshot has nothing to
+            // patch or share, so it cannot silently turn incremental.
+            let twin = ControlPlane::new(layout.switch("twin", ["acl"]));
+            twin.replace_ruleset(0, &target, Action::Drop).unwrap();
+            prop_assert_eq!(twin.publish().stages_shared, 0);
+            let (swapped, scratch) = (cell.load(), twin.snapshot());
             let mut counters = SwitchCounters::default();
             let mut buf = Vec::new();
             for k in 0u8..=255 {

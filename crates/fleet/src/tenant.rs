@@ -638,7 +638,7 @@ mod tests {
         assert_eq!(ok.delta, (1, 1));
         assert!(cell.version() > version);
         let fresh = ControlPlane::new(layout.switch("fresh", ["acl"]));
-        fresh.install_ruleset(0, &next, Action::Drop).unwrap();
+        fresh.replace_ruleset(0, &next, Action::Drop).unwrap();
         for probe in 0..=255u8 {
             let mut frame = vec![0u8; 64];
             for &off in &layout.offsets {

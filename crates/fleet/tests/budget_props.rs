@@ -56,7 +56,7 @@ fn lowered_tcam_bits(rs: &RuleSet) -> usize {
     };
     let control = ControlPlane::new(layout.switch("budget", ["acl"]));
     control
-        .install_ruleset(0, rs, Action::Drop)
+        .replace_ruleset(0, rs, Action::Drop)
         .expect("table sized for the ruleset");
     control.with_switch(|sw| CompiledTable::compile(sw.stage(0)).minimized_len()) * width * 16
 }

@@ -61,9 +61,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Deploy in observe-only (mirror) mode first — the staged rollout a
     // real operator would use.
     let control = guard.deploy(10_000)?;
-    let handles: Vec<_> =
-        control.with_switch(|sw| sw.stage(0).entries().iter().map(|e| e.handle).collect());
-    control.modify_entries(0, &handles, Action::Mirror(99))?;
+    control.replace_ruleset(0, &guard.compiled.ternary, Action::Mirror(99))?;
     println!("\nphase 1: observe-only (mirror to port 99)");
     let (mirror_window, enforce_window) = split_temporal(&live, 0.3);
     let stats = control.with_switch_mut(|sw| sw.run_trace(&mirror_window));
@@ -72,7 +70,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("  {mirrored} suspicious packets mirrored, 0 dropped — operator reviews and approves");
 
     // Flip to enforcement.
-    control.modify_entries(0, &handles, Action::Drop)?;
+    control.replace_ruleset(0, &guard.compiled.ternary, Action::Drop)?;
     control.with_switch_mut(|sw| sw.reset_counters());
     println!("\nphase 2: enforcing");
     let stats = control.with_switch_mut(|sw| sw.run_trace(&enforce_window));
