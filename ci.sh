@@ -357,6 +357,23 @@ timeout 600 cargo run --release --offline --quiet --manifest-path ledger/Cargo.t
   exit 1
 }
 tail -5 "$SMOKE_DIR/ledger.log"
+# The smoke pass trains both profiles (loop_churn: GuardConfig::default, the
+# paper-scale network — 1436 entries, T2's row — the others the fast one),
+# and training is bit-for-bit deterministic (DESIGN.md "Bit-identical
+# training"): every workload's entry count and F1 are pinned, so a kernel
+# that reorders one add fails here, not in a reviewer's diff.
+SMOKE_PINNED="gw_forest 2245 0.9981
+gw_small 12 0.6040
+gw_tree 1110 0.9834
+loop_churn 1436 0.9952"
+SMOKE_READ=$(awk '/^== / { w = $2 } $1 == "tcam_entries" { e[w] = $2 + 0 } $1 == "detect_f1" { f[w] = $2 }
+                  END { for (w in e) print w, e[w], f[w] }' "$SMOKE_DIR/ledger.log" | sort)
+if [ "$SMOKE_READ" != "$SMOKE_PINNED" ]; then
+  echo "ledger --smoke entries / F1 moved (< pinned, > this run):" >&2
+  diff <(echo "$SMOKE_PINNED") <(echo "$SMOKE_READ") >&2
+  exit 1
+fi
+echo "ledger --smoke entries and F1 match the pins on all four workloads"
 # The ledger runs without --locked: a manifest edit that changes what it
 # links makes cargo rewrite ledger/Cargo.lock, and the benchmark's files
 # are not this repository's to change.
@@ -368,10 +385,11 @@ git diff --exit-code -- ledger BENCHMARK.json
 rust_lines() {
   find "$@" -name '*.rs' -print0 | xargs -0 cat | grep -v '^\s*$' | grep -v '^\s*//' | wc -l
 }
-# The "was" figures are the parent commit's (f00eeca), committed by the PR
-# that moved them so the log reads before -> after; the next PR to move
-# either count replaces them with this PR's.
-echo "rust lines: $(rust_lines crates tests examples) (was 35627)"
+# The "was" figures are the parent commit's (rust lines: 0f23287, panic
+# sites: f00eeca), committed by the PR that moved them so the log reads
+# before -> after; the next PR to move either count replaces them with its
+# parent's.
+echo "rust lines: $(rust_lines crates tests examples) (was 35618)"
 echo "experiments lines: $(rust_lines crates/core/src/experiments)"
 
 # Gated: calls that can abort the process in the crates that face traffic

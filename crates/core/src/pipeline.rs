@@ -170,7 +170,7 @@ impl TwoStagePipeline {
             cfg.strategy,
             &bytes,
             Some(&full_view),
-            Some(&mut stage1),
+            Some(&stage1),
             cfg.k,
             cfg.seed ^ 2,
         );
@@ -336,9 +336,10 @@ impl TrainedGuard {
     ///
     /// A model file is outside input: deserialization bypasses the
     /// constructors, so the invariants the rest of the pipeline relies on
-    /// (rule widths, rule order, a non-empty selection inside the window) are
-    /// checked here rather than panicking later in `classify` or
-    /// `optimize`.
+    /// (rule widths, rule order, `k` selected offsets inside the window, two
+    /// networks and standardizers shaped for their stages — see
+    /// [`Mlp::validate`]) are checked here rather than panicking later in
+    /// `classify`, `optimize` or a network's first product.
     ///
     /// # Errors
     ///
@@ -363,11 +364,39 @@ impl TrainedGuard {
                 rules.key_width()
             ));
         }
-        if let Some(&offset) = offsets.iter().find(|&&o| o >= guard.config.window) {
+        let (window, k) = (guard.config.window, guard.config.k);
+        if let Some(&offset) = offsets.iter().find(|&&o| o >= window) {
             return invalid(format!(
-                "selected offset {offset} outside the {}-byte window",
-                guard.config.window
+                "selected offset {offset} outside the {window}-byte window"
             ));
+        }
+        if offsets.len() != k {
+            return invalid(format!("{} selected offsets for k = {k}", offsets.len()));
+        }
+        // The networks and standardizers are read from the file too: a
+        // shape that does not fit would panic at first use, or — in a
+        // kernel reading rows as slice windows — compute garbage.
+        for (stage, model, inputs) in [
+            ("stage-1", &guard.stage1, window),
+            ("stage-2", &guard.stage2, k),
+        ] {
+            if let Err(msg) = model.validate() {
+                return invalid(format!("{stage} network: {msg}"));
+            }
+            if model.config().input_dim != inputs {
+                return invalid(format!(
+                    "{stage} network reads {} inputs, its stage has {inputs}",
+                    model.config().input_dim
+                ));
+            }
+        }
+        for (stage, standardizer, inputs) in [
+            ("stage-1", &guard.standardizer1, window),
+            ("stage-2", &guard.standardizer2, k),
+        ] {
+            if let Err(msg) = standardizer.check_width(inputs) {
+                return invalid(format!("{stage} standardizer: {msg}"));
+            }
         }
         Ok(guard)
     }
@@ -579,6 +608,80 @@ mod tests {
         assert!(err
             .to_string()
             .contains("invalid model: no selected offsets"));
+    }
+
+    /// `TrainedGuard::from_json` of `json`, as the error it must be.
+    fn rejection(json: &str) -> String {
+        TrainedGuard::from_json(json)
+            .expect_err("a misshapen guard must not load")
+            .to_string()
+    }
+
+    #[test]
+    fn model_json_whose_stage2_weights_do_not_fill_their_shape_is_rejected() {
+        // The reproduced file: stage 2's first weight matrix declares 8x16
+        // and holds one value. It used to load, then panic in
+        // `evaluate_stage2`.
+        let (guard, _, _) = trained();
+        let json = guard.to_json();
+        let stage2 = json.find("\"stage2\":{\"layers\"").expect("stage-2 model");
+        let data = stage2 + json[stage2..].find("\"data\":[").expect("weights") + 8;
+        let end = data + json[data..].find(']').expect("array end");
+        let hostile = format!("{}0.5{}", &json[..data], &json[end..]);
+        let err = rejection(&hostile);
+        assert!(
+            err.contains("invalid model: stage-2 network: layer 0: 1 weights for a 8x16 matrix"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn model_json_with_fewer_offsets_than_k_is_rejected() {
+        // Rules and offsets agree with each other (7 == 7), not with the
+        // stage-2 network and standardizer (k = 8): `evaluate_stage2`
+        // panicked on the width mismatch.
+        let (mut guard, _, _) = trained();
+        guard.selection.offsets.pop();
+        guard.compiled.ternary = p4guard_rules::RuleSet::new(guard.config.k - 1, 0);
+        assert!(rejection(&guard.to_json()).contains("invalid model: 7 selected offsets for k = 8"));
+    }
+
+    #[test]
+    fn model_json_with_a_stage1_network_off_the_window_is_rejected() {
+        let (mut guard, _, _) = trained();
+        guard.stage1 = Mlp::new(MlpConfig {
+            input_dim: guard.config.window + 1,
+            ..guard.stage1.config().clone()
+        });
+        assert!(rejection(&guard.to_json())
+            .contains("invalid model: stage-1 network reads 65 inputs, its stage has 64"));
+    }
+
+    #[test]
+    fn model_json_with_a_stage2_network_off_the_selection_is_rejected() {
+        let (mut guard, _, _) = trained();
+        guard.stage2 = Mlp::new(MlpConfig {
+            input_dim: guard.config.k - 1,
+            ..guard.stage2.config().clone()
+        });
+        assert!(rejection(&guard.to_json())
+            .contains("invalid model: stage-2 network reads 7 inputs, its stage has 8"));
+    }
+
+    #[test]
+    fn model_json_with_a_misfit_standardizer_is_rejected() {
+        let (guard, _, _) = trained();
+        let misfit = |width| Standardizer::fit(&p4guard_nn::Matrix::zeros(1, width));
+        let mut one = guard.clone();
+        one.standardizer1 = misfit(guard.config.window - 1);
+        assert!(rejection(&one.to_json()).contains(
+            "invalid model: stage-1 standardizer: 63 means and 63 deviations for 64 features"
+        ));
+        let mut two = guard;
+        two.standardizer2 = misfit(two.config.k + 1);
+        assert!(rejection(&two.to_json()).contains(
+            "invalid model: stage-2 standardizer: 9 means and 9 deviations for 8 features"
+        ));
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub fn select_fields(
     strategy: SelectionStrategy,
     bytes: &ByteDataset,
     nn_view: Option<&Dataset>,
-    model: Option<&mut Mlp>,
+    model: Option<&Mlp>,
     k: usize,
     seed: u64,
 ) -> FieldSelection {
@@ -344,7 +344,7 @@ mod tests {
             SelectionStrategy::Saliency,
             &bytes,
             Some(&nn_view),
-            Some(&mut model),
+            Some(&model),
             2,
             0,
         );

@@ -60,6 +60,24 @@ impl Standardizer {
         self.mean.len()
     }
 
+    /// Checks a standardizer read from outside: one mean and one standard
+    /// deviation for each of `width` features.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the mismatch.
+    pub fn check_width(&self, width: usize) -> Result<(), String> {
+        if self.mean.len() == width && self.std.len() == width {
+            Ok(())
+        } else {
+            Err(format!(
+                "{} means and {} deviations for {width} features",
+                self.mean.len(),
+                self.std.len()
+            ))
+        }
+    }
+
     /// Returns a standardized copy of `features`.
     ///
     /// # Panics

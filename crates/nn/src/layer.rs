@@ -4,13 +4,14 @@ use crate::activation::Activation;
 use crate::matrix::Matrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A dense (fully-connected) layer: `a = act(x·W + b)`.
 ///
 /// Weights are `input_dim × output_dim`; inputs are row vectors stacked into
-/// a batch matrix. The layer caches what backprop needs during
-/// [`Dense::forward_train`]; inference via [`Dense::forward`] caches
-/// nothing.
+/// a batch matrix. [`Dense::forward_train`] keeps its output (and dropout
+/// mask) for [`Dense::backward`], in buffers the layer reuses from step to
+/// step; inference via [`Dense::forward`] keeps nothing.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Dense {
     weights: Matrix,
@@ -20,22 +21,35 @@ pub struct Dense {
     /// zero disables dropout.
     dropout: f32,
     #[serde(skip)]
-    cache: Option<Cache>,
-    #[serde(skip)]
-    grads: Option<Grads>,
+    state: TrainState,
 }
 
-#[derive(Debug, Clone)]
-struct Cache {
-    input: Matrix,
+/// What a training step leaves in a layer. Every buffer is reshaped and
+/// overwritten in place, so a step allocates nothing once the first one
+/// has sized them.
+#[derive(Debug, Clone, Default)]
+struct TrainState {
+    /// `output` and `mask` hold a [`Dense::forward_train`].
+    forwarded: bool,
+    /// Post-activation, post-dropout output of the last forward.
     output: Matrix,
-    dropout_mask: Option<Matrix>,
-}
-
-#[derive(Debug, Clone)]
-struct Grads {
-    weights: Matrix,
-    bias: Vec<f32>,
+    /// Inverted-dropout mask of the last forward (unused without dropout).
+    mask: Matrix,
+    /// Sigmoid/Tanh under dropout: `output` with the mask divided back out.
+    undone: Matrix,
+    /// `inputᵀ` of the last backward.
+    input_t: Matrix,
+    /// `weightsᵀ`, refreshed by each backward that returns an input gradient.
+    weights_t: Matrix,
+    /// Gradient w.r.t. the input, from the last backward that asked for it.
+    grad_input: Matrix,
+    /// `grad_weights` / `grad_bias` hold gradients awaiting `apply_grads`.
+    pending: bool,
+    grad_weights: Matrix,
+    grad_bias: Vec<f32>,
+    /// The latest backward's parameter gradients before they are pending.
+    step_weights: Matrix,
+    step_bias: Vec<f32>,
 }
 
 impl Dense {
@@ -55,8 +69,7 @@ impl Dense {
             bias: vec![0.0; output_dim],
             activation,
             dropout: 0.0,
-            cache: None,
-            grads: None,
+            state: TrainState::default(),
         }
     }
 
@@ -85,6 +98,11 @@ impl Dense {
         &self.weights
     }
 
+    /// Borrows the bias vector.
+    pub fn bias(&self) -> &[f32] {
+        &self.bias
+    }
+
     /// The layer's activation.
     pub fn activation(&self) -> Activation {
         self.activation
@@ -95,100 +113,140 @@ impl Dense {
         self.weights.rows() * self.weights.cols() + self.bias.len()
     }
 
-    fn affine(&self, x: &Matrix) -> Matrix {
-        let mut z = x.matmul(&self.weights);
-        z.add_row_broadcast(&self.bias);
-        self.activation.apply(&mut z);
-        z
+    /// Checks what deserialization cannot: the weights fill their declared
+    /// shape and the bias has one entry per output.
+    pub(crate) fn check_shape(&self) -> Result<(), String> {
+        let (rows, cols) = (self.weights.rows(), self.weights.cols());
+        if self.weights.data().len() != rows * cols {
+            return Err(format!(
+                "{} weights for a {rows}x{cols} matrix",
+                self.weights.data().len()
+            ));
+        }
+        if self.bias.len() != cols {
+            return Err(format!("{} biases for {cols} outputs", self.bias.len()));
+        }
+        Ok(())
+    }
+
+    /// `out = act(x[rows]·W + b)`.
+    fn affine_into(&self, x: &Matrix, rows: Range<usize>, out: &mut Matrix) {
+        x.matmul_rows_into(rows, &self.weights, out);
+        out.add_row_broadcast(&self.bias);
+        self.activation.apply(out);
     }
 
     /// Inference forward pass (no caching, no dropout).
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        self.affine(x)
+        self.forward_rows(x, 0..x.rows())
     }
 
-    /// Training forward pass: caches activations and applies inverted
-    /// dropout when enabled.
-    pub fn forward_train(&mut self, x: &Matrix, rng: &mut impl Rng) -> Matrix {
-        let mut a = self.affine(x);
-        let dropout_mask = if self.dropout > 0.0 {
+    /// [`Dense::forward`] of a window of consecutive rows of `x`, read in
+    /// place.
+    pub(crate) fn forward_rows(&self, x: &Matrix, rows: Range<usize>) -> Matrix {
+        let mut out = Matrix::default();
+        self.affine_into(x, rows, &mut out);
+        out
+    }
+
+    /// Training forward pass: applies inverted dropout when enabled and
+    /// keeps the output for [`Dense::backward`].
+    pub fn forward_train(&mut self, x: &Matrix, rng: &mut impl Rng) -> &Matrix {
+        let mut a = std::mem::take(&mut self.state.output);
+        self.affine_into(x, 0..x.rows(), &mut a);
+        if self.dropout > 0.0 {
             let keep = 1.0 - self.dropout;
-            let mask = Matrix::from_fn(a.rows(), a.cols(), |_, _| {
-                if rng.gen::<f32>() < keep {
+            let mask = &mut self.state.mask;
+            mask.reset(a.rows(), a.cols());
+            for m in mask.data_mut() {
+                *m = if rng.gen::<f32>() < keep {
                     1.0 / keep
                 } else {
                     0.0
-                }
-            });
-            a.hadamard_inplace(&mask);
-            Some(mask)
-        } else {
-            None
-        };
-        self.cache = Some(Cache {
-            input: x.clone(),
-            output: a.clone(),
-            dropout_mask,
-        });
-        a
+                };
+            }
+            a.hadamard_inplace(mask);
+        }
+        self.state.output = a;
+        self.state.forwarded = true;
+        &self.state.output
     }
 
-    /// Backward pass: consumes the gradient w.r.t. this layer's output and
-    /// returns the gradient w.r.t. its input, accumulating parameter
-    /// gradients internally.
+    /// The output of the last [`Dense::forward_train`].
+    pub(crate) fn output(&self) -> &Matrix {
+        &self.state.output
+    }
+
+    /// The input gradient of the last [`Dense::backward`] that computed one;
+    /// the layer below backpropagates it in place.
+    pub(crate) fn grad_input_mut(&mut self) -> &mut Matrix {
+        &mut self.state.grad_input
+    }
+
+    /// Backward pass over the last [`Dense::forward_train`], whose input
+    /// was `input`: turns `grad_output` (w.r.t. this layer's output) in
+    /// place into the gradient w.r.t. its pre-activation, accumulates the
+    /// parameter gradients, and — only when `input_gradient` is set, since
+    /// the first layer's is never read — computes the gradient w.r.t. the
+    /// input into a buffer the layer below backpropagates in place.
     ///
     /// # Panics
     ///
-    /// Panics if called without a preceding [`Dense::forward_train`].
-    pub fn backward(&mut self, mut grad_output: Matrix) -> Matrix {
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("backward requires a prior forward_train");
-        if let Some(mask) = &cache.dropout_mask {
-            grad_output.hadamard_inplace(mask);
-            // Undo the mask on the cached output before the activation
-            // derivative: the derivative must see pre-dropout activations.
-        }
-        // The cached output includes dropout scaling; for the activation
-        // derivative we need pre-dropout activations. Since the mask is
-        // either 0 (gradient already zeroed) or 1/keep (sign-preserving and,
-        // for ReLU, zero-preserving), using the cached output is safe for
-        // ReLU/Linear; for Sigmoid/Tanh dropout layers we recompute.
-        let act_ref = match (&cache.dropout_mask, self.activation) {
-            (Some(_), Activation::Sigmoid | Activation::Tanh) => {
-                let mut undone = cache.output.clone();
-                let mask = cache.dropout_mask.as_ref().expect("mask present");
-                for (v, &m) in undone.data_mut().iter_mut().zip(mask.data()) {
+    /// Panics if called without a preceding [`Dense::forward_train`], or on
+    /// an `input` or `grad_output` shaped differently from that forward's.
+    pub fn backward(&mut self, input: &Matrix, grad_output: &mut Matrix, input_gradient: bool) {
+        let s = &mut self.state;
+        assert!(s.forwarded, "backward requires a prior forward_train");
+        // The derivative is evaluated on the kept output, which carries the
+        // dropout scaling. The mask is 0 (gradient zeroed here anyway) or
+        // 1/keep (sign- and zero-preserving), so ReLU/Linear read it as is;
+        // Sigmoid/Tanh need the pre-dropout activations back.
+        let activations = if self.dropout > 0.0 {
+            grad_output.hadamard_inplace(&s.mask);
+            if matches!(self.activation, Activation::Sigmoid | Activation::Tanh) {
+                s.undone.copy_from(&s.output);
+                for (v, &m) in s.undone.data_mut().iter_mut().zip(s.mask.data()) {
                     if m > 0.0 {
                         *v /= m;
                     }
                 }
-                undone
+                &s.undone
+            } else {
+                &s.output
             }
-            _ => cache.output.clone(),
+        } else {
+            &s.output
         };
-        self.activation.backprop(&mut grad_output, &act_ref);
-        let grad_weights = cache.input.matmul_at_b(&grad_output);
-        let grad_bias = grad_output.column_sums();
-        let grad_input = grad_output.matmul_a_bt(&self.weights);
-        match &mut self.grads {
-            Some(g) => {
-                for (a, b) in g.weights.data_mut().iter_mut().zip(grad_weights.data()) {
-                    *a += b;
-                }
-                for (a, b) in g.bias.iter_mut().zip(&grad_bias) {
-                    *a += b;
-                }
-            }
-            None => {
-                self.grads = Some(Grads {
-                    weights: grad_weights,
-                    bias: grad_bias,
-                });
-            }
+        self.activation.backprop(grad_output, activations);
+        // dW = inputᵀ · grad, as the product of a kept transpose.
+        input.transpose_into(&mut s.input_t);
+        let rows = 0..s.input_t.rows();
+        s.input_t
+            .matmul_rows_into(rows, grad_output, &mut s.step_weights);
+        grad_output.column_sums_into(&mut s.step_bias);
+        if input_gradient {
+            self.weights.transpose_into(&mut s.weights_t);
+            grad_output.matmul_a_bt_into(&s.weights_t, &mut s.grad_input);
         }
-        grad_input
+        // A second backward before `apply_grads` adds its gradients to the
+        // pending ones elementwise, after its own sums are complete.
+        if s.pending {
+            for (a, b) in s
+                .grad_weights
+                .data_mut()
+                .iter_mut()
+                .zip(s.step_weights.data())
+            {
+                *a += b;
+            }
+            for (a, b) in s.grad_bias.iter_mut().zip(&s.step_bias) {
+                *a += b;
+            }
+        } else {
+            std::mem::swap(&mut s.grad_weights, &mut s.step_weights);
+            std::mem::swap(&mut s.grad_bias, &mut s.step_bias);
+            s.pending = true;
+        }
     }
 
     /// Applies accumulated gradients via `step` (called once per parameter
@@ -199,16 +257,12 @@ impl Dense {
         base_slot: usize,
         mut step: impl FnMut(usize, &mut [f32], &[f32]),
     ) {
-        if let Some(grads) = self.grads.take() {
-            step(base_slot, self.weights.data_mut(), grads.weights.data());
-            step(base_slot + 1, &mut self.bias, &grads.bias);
+        let s = &mut self.state;
+        if s.pending {
+            step(base_slot, self.weights.data_mut(), s.grad_weights.data());
+            step(base_slot + 1, &mut self.bias, &s.grad_bias);
+            s.pending = false;
         }
-    }
-
-    /// Discards cached activations and gradients.
-    pub fn clear_state(&mut self) {
-        self.cache = None;
-        self.grads = None;
     }
 }
 
@@ -239,8 +293,8 @@ mod tests {
         let mut layer = Dense::new(3, 2, Activation::Tanh, &mut r);
         let x = Matrix::from_vec(2, 3, vec![0.1, -0.2, 0.3, 0.5, 0.0, -0.4]);
         let out = layer.forward_train(&x, &mut r);
-        let ones = Matrix::from_vec(out.rows(), out.cols(), vec![1.0; out.rows() * out.cols()]);
-        layer.backward(ones);
+        let mut ones = Matrix::from_vec(out.rows(), out.cols(), vec![1.0; out.rows() * out.cols()]);
+        layer.backward(&x, &mut ones, false);
         let mut analytic = None;
         layer.apply_grads(0, |slot, _param, grad| {
             if slot == 0 {
@@ -270,8 +324,9 @@ mod tests {
         let mut layer = Dense::new(3, 2, Activation::Sigmoid, &mut r);
         let x = Matrix::from_vec(1, 3, vec![0.3, -0.1, 0.7]);
         let out = layer.forward_train(&x, &mut r);
-        let ones = Matrix::from_vec(out.rows(), out.cols(), vec![1.0; 2]);
-        let grad_input = layer.backward(ones);
+        let mut ones = Matrix::from_vec(out.rows(), out.cols(), vec![1.0; 2]);
+        layer.backward(&x, &mut ones, true);
+        let grad_input = layer.state.grad_input.clone();
         let eps = 1e-3f32;
         for idx in 0..3 {
             let mut xp = x.clone();
@@ -297,7 +352,7 @@ mod tests {
         // Force deterministic weights: all ones, zero bias.
         layer.weights = Matrix::from_vec(1, 1000, vec![1.0; 1000]);
         let x = Matrix::from_vec(1, 1, vec![1.0]);
-        let out = layer.forward_train(&x, &mut r);
+        let out = layer.forward_train(&x, &mut r).clone();
         let zeros = out.data().iter().filter(|v| **v == 0.0).count();
         let nonzero: Vec<f32> = out.data().iter().copied().filter(|v| *v != 0.0).collect();
         // Roughly half dropped.
@@ -316,7 +371,7 @@ mod tests {
     fn backward_without_forward_panics() {
         let mut r = rng();
         let mut layer = Dense::new(2, 2, Activation::Relu, &mut r);
-        let _ = layer.backward(Matrix::zeros(1, 2));
+        layer.backward(&Matrix::zeros(1, 2), &mut Matrix::zeros(1, 2), true);
     }
 
     #[test]
@@ -326,8 +381,8 @@ mod tests {
         let x = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
         for _ in 0..2 {
             let out = layer.forward_train(&x, &mut r);
-            let g = Matrix::from_vec(out.rows(), out.cols(), vec![1.0]);
-            layer.backward(g);
+            let mut g = Matrix::from_vec(out.rows(), out.cols(), vec![1.0]);
+            layer.backward(&x, &mut g, false);
         }
         let mut seen = Vec::new();
         layer.apply_grads(0, |slot, _p, g| {

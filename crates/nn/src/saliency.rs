@@ -14,38 +14,8 @@ use crate::network::Mlp;
 ///
 /// Panics if `class` is out of range for the model or the dataset feature
 /// dimension does not match the model.
-pub fn gradient_input_scores(model: &mut Mlp, dataset: &Dataset, class: usize) -> Vec<f32> {
-    assert_eq!(
-        dataset.feature_dim(),
-        model.config().input_dim,
-        "dataset feature dimension does not match the model"
-    );
-    let dim = dataset.feature_dim();
-    let mut scores = vec![0.0f32; dim];
-    if dataset.is_empty() {
-        return scores;
-    }
-    let batch = 512usize;
-    let mut start = 0;
-    while start < dataset.len() {
-        let end = (start + batch).min(dataset.len());
-        let indices: Vec<usize> = (start..end).collect();
-        let x = dataset.features().select_rows(&indices);
-        let grad = model.input_gradient(&x, class);
-        for r in 0..x.rows() {
-            let g = grad.row(r);
-            let v = x.row(r);
-            for ((s, &gi), &vi) in scores.iter_mut().zip(g).zip(v) {
-                *s += (gi * vi).abs();
-            }
-        }
-        start = end;
-    }
-    let n = dataset.len() as f32;
-    for s in &mut scores {
-        *s /= n;
-    }
-    scores
+pub fn gradient_input_scores(model: &Mlp, dataset: &Dataset, class: usize) -> Vec<f32> {
+    mean_attribution(model, dataset, class, |g, v| (g * v).abs())
 }
 
 /// Pure-gradient saliency (mean `|gradient|`), which also credits features
@@ -54,7 +24,18 @@ pub fn gradient_input_scores(model: &mut Mlp, dataset: &Dataset, class: usize) -
 /// # Panics
 ///
 /// Panics on a feature-dimension mismatch.
-pub fn gradient_scores(model: &mut Mlp, dataset: &Dataset, class: usize) -> Vec<f32> {
+pub fn gradient_scores(model: &Mlp, dataset: &Dataset, class: usize) -> Vec<f32> {
+    mean_attribution(model, dataset, class, |g, _| g.abs())
+}
+
+/// Mean over the samples of `score(gradient, value)` per feature, with the
+/// gradient of `class`'s logit taken 512 samples at a time.
+fn mean_attribution(
+    model: &Mlp,
+    dataset: &Dataset,
+    class: usize,
+    score: impl Fn(f32, f32) -> f32,
+) -> Vec<f32> {
     assert_eq!(
         dataset.feature_dim(),
         model.config().input_dim,
@@ -73,8 +54,8 @@ pub fn gradient_scores(model: &mut Mlp, dataset: &Dataset, class: usize) -> Vec<
         let x = dataset.features().select_rows(&indices);
         let grad = model.input_gradient(&x, class);
         for r in 0..x.rows() {
-            for (s, &gi) in scores.iter_mut().zip(grad.row(r)) {
-                *s += gi.abs();
+            for ((s, &g), &v) in scores.iter_mut().zip(grad.row(r)).zip(x.row(r)) {
+                *s += score(g, v);
             }
         }
         start = end;
@@ -139,16 +120,16 @@ mod tests {
 
     #[test]
     fn gradient_input_finds_informative_feature() {
-        let (mut model, data) = trained_model_on_feature_two();
-        let scores = gradient_input_scores(&mut model, &data, 1);
+        let (model, data) = trained_model_on_feature_two();
+        let scores = gradient_input_scores(&model, &data, 1);
         let top = top_k(&scores, 1);
         assert_eq!(top, vec![2], "scores = {scores:?}");
     }
 
     #[test]
     fn gradient_scores_find_informative_feature() {
-        let (mut model, data) = trained_model_on_feature_two();
-        let scores = gradient_scores(&mut model, &data, 1);
+        let (model, data) = trained_model_on_feature_two();
+        let scores = gradient_scores(&model, &data, 1);
         assert_eq!(top_k(&scores, 1), vec![2]);
     }
 
@@ -170,8 +151,8 @@ mod tests {
 
     #[test]
     fn empty_dataset_gives_zero_scores() {
-        let mut model = Mlp::new(MlpConfig::classifier(4, 2));
+        let model = Mlp::new(MlpConfig::classifier(4, 2));
         let data = Dataset::new(Matrix::zeros(0, 4), vec![]);
-        assert_eq!(gradient_input_scores(&mut model, &data, 1), vec![0.0; 4]);
+        assert_eq!(gradient_input_scores(&model, &data, 1), vec![0.0; 4]);
     }
 }

@@ -83,13 +83,17 @@ pub fn train(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut history = History::default();
     let mut order: Vec<usize> = (0..dataset.len()).collect();
+    // One minibatch buffer for the whole run, refilled in place.
+    let mut x = Matrix::default();
+    let mut y: Vec<usize> = Vec::with_capacity(config.batch_size);
     for epoch in 0..config.epochs {
         order.shuffle(&mut rng);
         let mut loss_sum = 0.0;
         let mut batches = 0usize;
         for chunk in order.chunks(config.batch_size) {
-            let x = dataset.features().select_rows(chunk);
-            let y: Vec<usize> = chunk.iter().map(|&i| dataset.labels()[i]).collect();
+            dataset.features().select_rows_into(chunk, &mut x);
+            y.clear();
+            y.extend(chunk.iter().map(|&i| dataset.labels()[i]));
             loss_sum += model.train_batch(&x, &y, optimizer);
             batches += 1;
         }
@@ -118,15 +122,14 @@ pub fn evaluate_accuracy(model: &Mlp, dataset: &Dataset) -> f32 {
     correct as f32 / dataset.len() as f32
 }
 
-/// Predicts labels in fixed-size batches to bound peak memory.
+/// Predicts labels in fixed-size windows of consecutive rows (read in
+/// place) to bound peak memory.
 pub fn predict_in_batches(model: &Mlp, features: &Matrix, batch: usize) -> Vec<usize> {
     let mut out = Vec::with_capacity(features.rows());
     let mut start = 0;
     while start < features.rows() {
         let end = (start + batch).min(features.rows());
-        let indices: Vec<usize> = (start..end).collect();
-        let x = features.select_rows(&indices);
-        out.extend(model.predict(&x));
+        out.extend(model.predict_rows(features, start..end));
         start = end;
     }
     out
