@@ -412,8 +412,11 @@ impl ControlPlane {
     /// Compilation is incremental: stages unchanged since the last
     /// snapshot are shared (`Arc` clones) rather than re-lowered, and pure
     /// entry additions/removals patch the previous minimized form (see
-    /// [`Switch::read_pipeline_incremental`]), so republishing after a
-    /// small diff costs O(changed entries), not O(ruleset).
+    /// [`Switch::read_pipeline_incremental`]). A changed stage still costs
+    /// O(its entries): a walk over them, a pointer copy per kept minimized
+    /// entry, and its lookup engine rebuilt over entries × key width — no
+    /// minimization, so about 0.15 ms for a 1 % delta to a 2,196-entry
+    /// stage where a full compile takes 19 ms.
     pub fn snapshot(&self) -> Arc<ReadPipeline> {
         self.snapshot_with_stats().0
     }
@@ -943,6 +946,89 @@ mod tests {
             );
         }
         assert_eq!(c1, c2);
+    }
+
+    /// A stage replaced wholesale by a new table of the same name, kind
+    /// and key is compiled afresh. Its handles restart at 1, so its
+    /// `(handle, action)` fingerprint can equal the old table's: only the
+    /// table's identity tells the two apart.
+    #[test]
+    fn a_stage_replaced_by_a_new_table_is_not_served_stale() {
+        let acl = |byte: u8| {
+            let mut t = Table::new(
+                "acl",
+                MatchKind::Ternary,
+                KeyLayout::window(1),
+                16,
+                Action::NoOp,
+            );
+            let spec = MatchSpec::Ternary {
+                value: vec![byte],
+                mask: vec![0xff],
+            };
+            t.insert(spec, Action::Drop, 1).unwrap();
+            t
+        };
+        let mut sw = Switch::new("gw", ParserSpec::raw_window(1, 1), 1);
+        sw.add_stage(acl(0xaa));
+        let cp = ControlPlane::new(sw);
+        let cell = cp.attach_cell();
+        cp.with_switch_mut(|sw| *sw.stage_mut(0) = acl(0xbb));
+        let report = cp.publish();
+        assert_eq!((report.stages_recompiled, report.stages_shared), (1, 0));
+        let mut counters = crate::switch::SwitchCounters::default();
+        let mut scratch = Vec::new();
+        for byte in [0xaa, 0xbb] {
+            let served = cell
+                .load()
+                .process_into(&[byte], &mut counters, &mut scratch);
+            assert_eq!(served.is_drop(), byte == 0xbb);
+            assert_eq!(served, cp.with_switch_mut(|sw| sw.process(&[byte])));
+        }
+    }
+
+    /// A delta publish copies pointers: after a one-entry addition, and
+    /// again after its removal, every minimized entry of the stage but the
+    /// changed one is the previous snapshot's own.
+    #[test]
+    fn a_delta_publish_shares_every_unchanged_minimized_entry() {
+        // The entry's address, whether the list holds it or a pointer to it.
+        fn addr(entry: &crate::minimize::MinEntry) -> *const crate::minimize::MinEntry {
+            entry
+        }
+        let cp = control_with_stages(MatchKind::Ternary, 2, &[64]);
+        // One disjoint exact row per priority: nothing merges or shadows.
+        let mut rs = RuleSet::new(2, 0);
+        for v in 0..32u8 {
+            rs.push(TernaryEntry::new(vec![v, v], vec![0xff; 2], 1, v.into()));
+        }
+        cp.replace_ruleset(0, &rs, Action::Drop).unwrap();
+        let one = TernaryEntry::new(vec![0x99, 0x99], vec![0xff; 2], 1, 7);
+        let add = RuleSetDiff {
+            added: vec![one.clone()],
+            removed: Vec::new(),
+        };
+        let remove = RuleSetDiff {
+            added: Vec::new(),
+            removed: vec![one],
+        };
+        let mut prev = cp.snapshot();
+        for (diff, grows) in [(add, true), (remove, false)] {
+            cp.apply_ruleset_diff(0, &diff, Action::Drop).unwrap();
+            assert_eq!(cp.publish().stages_recompiled, 1);
+            let next = cp.snapshot();
+            let (old, new) = (
+                &prev.stages()[0].minimized().entries,
+                &next.stages()[0].minimized().entries,
+            );
+            let shared = new
+                .iter()
+                .filter(|m| old.iter().any(|o| addr(o) == addr(m)))
+                .count();
+            assert_eq!(shared, old.len() - usize::from(!grows));
+            assert_eq!(new.len(), shared + usize::from(grows));
+            prev = next;
+        }
     }
 
     #[test]

@@ -35,8 +35,7 @@
 //!   [`Action`] and sourced by entry handle;
 //! * range coalescing and exact/LPM subsumption, which the rule compiler
 //!   never needs;
-//! * [`SourceClass`], `MinimizedTable::patch_add` / `patch_remove` and
-//!   the incremental
+//! * [`SourceClass`], `MinimizedTable::patch` and the incremental
 //!   [`CompiledTable::recompile`](crate::compiled::CompiledTable::recompile):
 //!   they *consume* the classification, they do not decide merges;
 //! * [`MINIMIZE_MAX_ENTRIES`], lowering's publish-time bound on the
@@ -69,6 +68,7 @@ use crate::action::Action;
 use crate::table::{EntryHandle, MatchKind, MatchSpec, TableEntry};
 use p4guard_rules::cube::{self, Cube};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Above this source entry count minimization is skipped (the subsumption
 /// pass is quadratic); the table compiles one engine row per source entry
@@ -105,14 +105,29 @@ pub struct MinEntry {
     pub order: u64,
 }
 
+impl MinEntry {
+    /// A source entry kept as it is.
+    fn verbatim(entry: &TableEntry) -> MinEntry {
+        MinEntry {
+            spec: entry.spec.clone(),
+            action: entry.action,
+            priority: entry.priority,
+            order: entry.handle.0,
+        }
+    }
+}
+
 /// The minimized form of one table's entry list plus the bookkeeping the
 /// incremental compiler needs: the source `(handle, action)` fingerprint
 /// (specs and priorities are immutable per handle, so this detects every
-/// possible table edit) and a per-handle [`SourceClass`].
+/// possible edit of one [`Table`](crate::table::Table)) and a per-handle
+/// [`SourceClass`].
 #[derive(Debug, Clone)]
 pub struct MinimizedTable {
     /// Minimized entries sorted by (priority descending, order ascending).
-    pub entries: Vec<MinEntry>,
+    /// An entry is shared by every version patched from the one that made
+    /// it, so a patch copies pointers, not specs.
+    pub entries: Vec<Arc<MinEntry>>,
     /// `(handle, action)` per source entry, in source match order.
     pub source: Vec<(EntryHandle, Action)>,
     /// Per-handle classification, sorted by handle for binary search.
@@ -133,46 +148,93 @@ impl MinimizedTable {
             .map(|i| self.classes[i].1)
     }
 
-    /// Removes `handle` from the bookkeeping and, for a clean handle, its
-    /// minimized entry. The caller must have verified the class is
-    /// [`SourceClass::Clean`] or [`SourceClass::Eliminated`].
-    pub(crate) fn patch_remove(&mut self, handle: EntryHandle) {
-        if let Ok(i) = self.classes.binary_search_by_key(&handle, |&(h, _)| h) {
-            let (_, class) = self.classes.remove(i);
-            match class {
-                SourceClass::Clean => self.entries.retain(|m| m.order != handle.0),
-                SourceClass::Eliminated => self.eliminated -= 1,
-                // Guarded by the caller; keep the list untouched so the
-                // engine rebuild stays conservative even on misuse.
-                SourceClass::Merged | SourceClass::Coverer => {}
+    /// The minimized form of `entries` — the same table's entries now, in
+    /// match order — patched from this one without re-minimizing, or
+    /// `None` where a patch would be unsound and only a full minimization
+    /// will do: an action modified in place, or a removed handle that was
+    /// merged or covers an eliminated one.
+    ///
+    /// One walk over this form's source and `entries` tells survivors,
+    /// removals and additions apart. It relies on three facts and returns
+    /// `None` where it finds one broken: both lists are in match order,
+    /// surviving entries keep their relative order, and a handle added
+    /// since exceeds every handle this form knows — so an addition lands
+    /// at the end of its priority level here as in the table. Kept entries
+    /// are shared, removed clean entries dropped in one pass and added
+    /// ones inserted verbatim: O(entries + changes × log entries).
+    pub(crate) fn patch(&self, entries: &[TableEntry]) -> Option<MinimizedTable> {
+        let newest = self.classes.last().map_or(0, |&(h, _)| h.0);
+        let mut old = self.source.iter();
+        let mut removed = Vec::new();
+        let mut added = Vec::new();
+        for e in entries {
+            if e.handle.0 > newest {
+                added.push(e);
+                continue;
+            }
+            // A surviving handle: every source entry ahead of it is gone.
+            loop {
+                let &(handle, action) = old.next()?;
+                if handle == e.handle {
+                    if action != e.action {
+                        return None;
+                    }
+                    break;
+                }
+                removed.push(handle);
             }
         }
-    }
+        removed.extend(old.map(|&(h, _)| h));
 
-    /// Inserts a source entry verbatim (no re-minimization) at its sorted
-    /// position — the end of its priority level, since fresh handles
-    /// exceed every handle the table has ever issued.
-    pub(crate) fn patch_add(&mut self, entry: &TableEntry) {
-        let at = self.entries.partition_point(|m| {
-            m.priority > entry.priority
-                || (m.priority == entry.priority && m.order < entry.handle.0)
-        });
-        self.entries.insert(
-            at,
-            MinEntry {
-                spec: entry.spec.clone(),
-                action: entry.action,
-                priority: entry.priority,
-                order: entry.handle.0,
-            },
+        // Removed clean entries, in source order — which is also their
+        // order in the minimized list, since each carries its own handle
+        // as its order key at its own priority.
+        let mut dropped = Vec::new();
+        let mut eliminated = self.eliminated;
+        for &h in &removed {
+            match self.class_of(h)? {
+                SourceClass::Clean => dropped.push(h.0),
+                SourceClass::Eliminated => eliminated -= 1,
+                SourceClass::Merged | SourceClass::Coverer => return None,
+            }
+        }
+
+        let mut kept = Vec::with_capacity(self.entries.len() + added.len());
+        let mut dropped = dropped.into_iter().peekable();
+        let mut fresh = added.iter().peekable();
+        for m in &self.entries {
+            if dropped.next_if_eq(&m.order).is_some() {
+                continue;
+            }
+            while let Some(e) = fresh.next_if(|e| e.priority > m.priority) {
+                kept.push(Arc::new(MinEntry::verbatim(e)));
+            }
+            kept.push(Arc::clone(m));
+        }
+        kept.extend(fresh.map(|e| Arc::new(MinEntry::verbatim(e))));
+        if dropped.next().is_some() {
+            return None;
+        }
+
+        removed.sort_unstable();
+        let mut gone = removed.iter().peekable();
+        let mut classes = Vec::with_capacity(self.classes.len() + added.len());
+        classes.extend(
+            self.classes
+                .iter()
+                .filter(|&&(h, _)| gone.next_if_eq(&&h).is_none()),
         );
-        let ci = self.classes.partition_point(|&(h, _)| h < entry.handle);
-        self.classes.insert(ci, (entry.handle, SourceClass::Clean));
-    }
+        let tail = classes.len();
+        classes.extend(added.iter().map(|e| (e.handle, SourceClass::Clean)));
+        classes[tail..].sort_unstable_by_key(|&(h, _)| h);
 
-    /// Rebuilds the source fingerprint from the table's current entries.
-    pub(crate) fn refresh_source(&mut self, entries: &[TableEntry]) {
-        self.source = entries.iter().map(|e| (e.handle, e.action)).collect();
+        Some(MinimizedTable {
+            entries: kept,
+            source: entries.iter().map(|e| (e.handle, e.action)).collect(),
+            classes,
+            eliminated,
+            merged_away: self.merged_away,
+        })
     }
 }
 
@@ -282,11 +344,13 @@ pub fn minimize(kind: MatchKind, entries: &[TableEntry]) -> MinimizedTable {
         merged_away: kept.iter().map(|k| k.sources.len() - 1).sum(),
         entries: kept
             .into_iter()
-            .map(|k| MinEntry {
-                order: *k.sources.iter().min().expect("a kept entry has a source"),
-                spec: k.spec,
-                action: k.label,
-                priority: k.priority,
+            .map(|k| {
+                Arc::new(MinEntry {
+                    order: *k.sources.iter().min().expect("a kept entry has a source"),
+                    spec: k.spec,
+                    action: k.label,
+                    priority: k.priority,
+                })
             })
             .collect(),
         source: entries.iter().map(|e| (e.handle, e.action)).collect(),

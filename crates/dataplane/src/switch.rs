@@ -227,9 +227,13 @@ impl Switch {
     /// `prev` was built ([`CompiledTable::recompile`](crate::compiled::CompiledTable::recompile));
     /// unchanged stages are shared as `Arc` clones, and pure entry
     /// additions/removals patch the previous minimized form instead of
-    /// re-running the O(n²) minimizer. Falls back to a from-scratch build
-    /// when `prev` is absent or its stage count differs (stages were added
-    /// or removed). The parser, default port and vote configuration are
+    /// re-running the O(n²) minimizer: a walk over the stage's entries,
+    /// pointer copies of the minimized entries it keeps, and an engine
+    /// rebuild over entries × key width. A stage replaced by another table
+    /// (one [`Table::new`](crate::table::Table::new) made, not a clone of
+    /// the old one) compiles from scratch, and so does every stage when
+    /// `prev` is absent or its stage count differs (stages were added or
+    /// removed). The parser, default port and vote configuration are
     /// always taken fresh, so the snapshot never serves a stale program.
     pub fn read_pipeline_incremental(
         &self,

@@ -7,6 +7,7 @@ use crate::key::KeyLayout;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Match kinds supported by a table, mirroring P4 `match_kind`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -159,9 +160,24 @@ impl MatchSpec {
     }
 }
 
-/// Stable handle to an installed entry.
+/// Stable handle to an installed entry, unique within one table and its
+/// clones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct EntryHandle(pub u64);
+
+/// Identity of one table and its clones: [`Table::new`] (and a table read
+/// back from its serialized form) takes a fresh one, `Clone` keeps it.
+/// Handles restart at 1 in every new table, so an [`EntryHandle`] names an
+/// entry only together with its table's identity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct TableId(u64);
+
+impl TableId {
+    fn fresh() -> TableId {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        TableId(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
 
 /// One installed entry.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -236,8 +252,10 @@ impl fmt::Display for TableError {
 impl Error for TableError {}
 
 /// A match-action table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table {
+    #[serde(skip, default = "TableId::fresh")]
+    id: TableId,
     name: String,
     kind: MatchKind,
     key: KeyLayout,
@@ -257,6 +275,7 @@ impl Table {
         default_action: Action,
     ) -> Self {
         Table {
+            id: TableId::fresh(),
             name: name.into(),
             kind,
             key,
@@ -265,6 +284,11 @@ impl Table {
             entries: Vec::new(),
             next_handle: 1,
         }
+    }
+
+    /// This table's identity (see [`TableId`]).
+    pub(crate) fn id(&self) -> TableId {
+        self.id
     }
 
     /// Table name.
@@ -440,6 +464,30 @@ impl Table {
             Some(rank) => (self.entries[rank].action, Some(rank as u32)),
             None => (self.default_action, None),
         }
+    }
+}
+
+/// Tables compare by content: two built alike are equal whatever their
+/// identities.
+impl PartialEq for Table {
+    fn eq(&self, other: &Table) -> bool {
+        let Table {
+            id: _,
+            name,
+            kind,
+            key,
+            capacity,
+            default_action,
+            entries,
+            next_handle,
+        } = self;
+        *name == other.name
+            && *kind == other.kind
+            && *key == other.key
+            && *capacity == other.capacity
+            && *default_action == other.default_action
+            && *entries == other.entries
+            && *next_handle == other.next_handle
     }
 }
 

@@ -13,10 +13,11 @@
 //!
 //! 2. **Incremental recompilation equals from-scratch compilation.**
 //!    Chaining `CompiledTable::recompile` across a random edit sequence
-//!    (inserts, spec-keyed removals, in-place action modifications)
-//!    yields the same `(action, priority)` verdicts as compiling the
-//!    edited table from scratch at every step — including the steps
-//!    where patching bails to a full recompile.
+//!    (inserts, spec-keyed removals, in-place action modifications, a new
+//!    table swapped in under the same name) yields the same `(action,
+//!    priority)` verdicts as compiling the edited table from scratch at
+//!    every step — including the steps where patching bails to a full
+//!    recompile.
 //!
 //!    The same holds one level up, for whole-ruleset swaps through
 //!    `ControlPlane::replace_ruleset`: the published pipeline equals a
@@ -204,7 +205,8 @@ proptest! {
     }
 
     /// Invariant 2: a `recompile` chain over a random edit sequence
-    /// (insert / remove-by-spec / modify-action) agrees with from-scratch
+    /// (insert / remove-by-spec / modify-action / a new table under the
+    /// same name) agrees with from-scratch
     /// compilation after every edit.
     #[test]
     fn incremental_recompile_equals_scratch_across_edits(
@@ -239,7 +241,7 @@ proptest! {
         let mut chained = Arc::new(CompiledTable::compile(&table));
         for ((op, plen), a, b, (priority, action_sel)) in &edits {
             let raw = (a.clone(), b.clone(), (*priority, *action_sel), *plen);
-            match op % 3 {
+            match op % 4 {
                 0 => {
                     let spec = spec_for(kind, 1, &raw);
                     table.insert(spec, action_for(*action_sel), *priority).unwrap();
@@ -251,10 +253,21 @@ proptest! {
                     // also handle (fingerprint-equal fast path).
                     table.remove_matching(&spec, *priority);
                 }
-                _ => {
+                2 => {
                     if let Some(handle) = table.entries().first().map(|e| e.handle) {
                         table.modify(handle, action_for(*action_sel)).unwrap();
                     }
+                }
+                _ => {
+                    // A new table under the same name, with the same
+                    // actions and priorities over another spec: its handles
+                    // restart at 1, so its fingerprint can equal the old
+                    // table's.
+                    let mut fresh = Table::new("edits", kind, KeyLayout::window(1), 64, Action::NoOp);
+                    for e in table.entries() {
+                        fresh.insert(spec_for(kind, 1, &raw), e.action, e.priority).unwrap();
+                    }
+                    table = fresh;
                 }
             }
             chained = CompiledTable::recompile(&chained, &table);
