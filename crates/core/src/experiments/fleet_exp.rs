@@ -13,6 +13,7 @@
 
 use crate::experiments::live::Live;
 use crate::report::{num3, TextTable};
+use p4guard_dataplane::key::KeyLayout;
 use p4guard_features::extract::ByteDataset;
 use p4guard_fleet::{
     AclLayout, AdmitPolicy, BudgetConfig, FleetError, FleetGateway, FleetSim, FleetSimConfig,
@@ -281,8 +282,9 @@ pub fn run_f19_fleet(
     // ruleset against the simulator's ground-truth labels, indexed
     // `[tenant][attack?][dropped?]`.
     let mut confusion = vec![[[0u64; 2]; 2]; tenants];
+    let key_layout = KeyLayout::new(layout.offsets.clone());
     for f in &frames {
-        let key: Vec<u8> = layout.offsets.iter().map(|&o| f.frame[o]).collect();
+        let key = key_layout.build_key(&f.frame);
         let ruleset = registry.active_ruleset(f.tenant).expect("tenant published");
         confusion[f.tenant][f.label.class()][ruleset.classify(&key)] += 1;
     }

@@ -74,8 +74,17 @@ struct LpmBucket {
 /// entries that accept its bytes. A key selects one row per position; the
 /// AND of those rows has a bit set for exactly the entries matching the
 /// whole key, so its lowest set bit is the first match in priority order.
+///
+/// A position every entry leaves free has one class, whose row holds every
+/// entry: ANDing it changes nothing, so it gets no row and the probe never
+/// reads its key byte. Only the positions some entry constrains are kept.
 #[derive(Debug, Clone)]
 struct BitVector {
+    /// The key positions that have rows, ascending: those where some
+    /// entry constrains the byte, or the last position alone when no entry
+    /// constrains any (an empty table must still miss and a match-all one
+    /// still hit, so the probe always has a row to AND).
+    positions: Vec<usize>,
     /// u64 words of entry bits per row: `ceil(n / 64)` for `n` indexed
     /// entries, and one (all zero) for an empty table, so every probe has
     /// a word to AND.
@@ -84,17 +93,17 @@ struct BitVector {
     /// [`PROBE_CHUNK`]-word step of the row's entry bits, and none at all
     /// when the row is a single step — there is nothing to skip.
     summary: usize,
-    /// `class[pos * 256 + byte]` → the row in `rows` for the class `byte`
-    /// belongs to at key position `pos`: its word offset when rows carry
-    /// no summary (at most 256 rows of 4 words a position — the probe adds
-    /// to it and nothing else), its index in rows of `summary + words`
-    /// words when they do (at most 256 rows a position whatever the entry
-    /// count, where a word offset outgrows `u32` on a table large enough;
-    /// the probe scales it in `usize`). Either fits `u32` by construction
-    /// (a key of 2²² bytes would be the first to need more).
+    /// `class[i * 256 + byte]` → the row in `rows` for the class `byte`
+    /// belongs to at key position `positions[i]`: its word offset when
+    /// rows carry no summary (at most 256 rows of 4 words a position — the
+    /// probe adds to it and nothing else), its index in rows of `summary +
+    /// words` words when they do (at most 256 rows a position whatever the
+    /// entry count, where a word offset outgrows `u32` on a table large
+    /// enough; the probe scales it in `usize`). Either fits `u32` by
+    /// construction (a key of 2²² bytes would be the first to need more).
     class: Vec<u32>,
-    /// Every row of every position, back to back: `summary` summary words,
-    /// then `words` words of entry bits. Bit `r % 64` of entry word
+    /// Every row of every kept position, back to back: `summary` summary
+    /// words, then `words` words of entry bits. Bit `r % 64` of entry word
     /// `r / 64` is set when the entry of rank `r` accepts the row's class;
     /// bits past the last rank are zero. Bit `k % 64` of summary word
     /// `k / 64` is set when any of the row's entry words `k * PROBE_CHUNK`
@@ -331,7 +340,8 @@ impl BitVector {
     /// entries' sets are numbered, classes come from refining over the
     /// sets, each set's classes are found once, and the fill gathers, 64
     /// ranks at a time, one word of entry bits per set and ORs it into the
-    /// rows of that set's classes.
+    /// rows of that set's classes. A position left with one class gets no
+    /// rows (see [`BitVector::positions`]).
     fn build(entries: &[Arc<MinEntry>], width: usize) -> BitVector {
         let n = entries.len();
         let words = n.div_ceil(64).max(1);
@@ -358,6 +368,7 @@ impl BitVector {
         let mut acc: Vec<u64> = Vec::new();
         let mut live: Vec<u16> = Vec::new();
         let mut column = AcceptSets::new();
+        let mut positions = Vec::new();
         for pos in 0..width {
             column.number(&accepts[pos * n..][..n]);
             let mut classes = Classes::new();
@@ -366,6 +377,10 @@ impl BitVector {
                     classes.refine(accept);
                 }
             }
+            if classes.count == 1 && (pos + 1 < width || !positions.is_empty()) {
+                continue;
+            }
+            positions.push(pos);
 
             let base = rows.len();
             rows.resize(base + classes.count * stride, 0);
@@ -454,6 +469,7 @@ impl BitVector {
             }
         }
         BitVector {
+            positions,
             words,
             summary,
             class,
@@ -708,7 +724,11 @@ impl CompiledTable {
         match &self.engine {
             Engine::ExactHash(map) => probe_exact(map, key, miss),
             Engine::LpmBuckets(buckets) => probe_lpm(buckets, key, probe, miss),
-            Engine::BitVector(index) => probe_bit_vector(index, key, miss),
+            Engine::BitVector(index) => {
+                let mut out = [miss];
+                probe_batch(index, key, width, probe, miss, &mut out);
+                out[0]
+            }
         }
     }
 
@@ -757,7 +777,7 @@ impl CompiledTable {
                     *o = probe_lpm(buckets, key_at(j), probe, miss);
                 }
             }
-            Engine::BitVector(index) => probe_batch(index, keys, stride, miss, out),
+            Engine::BitVector(index) => probe_batch(index, keys, stride, probe, miss, out),
         }
     }
 
@@ -804,13 +824,41 @@ fn probe_lpm(
 /// among the first ranks stops early.
 const PROBE_CHUNK: usize = 4;
 
-/// The batched bit-vector probe: `out.len()` keys of the matrix through
-/// [`probe_bit_vector`]. A function of its own rather than an arm of
-/// [`CompiledTable::lookup_batch`]: inlined beside the hash engines' loops,
-/// the probe's three shapes spill registers in the per-key loop, which a
-/// 13-row table pays for with a third of its lookup time.
-#[inline(never)]
+/// The bit-vector probe of `out.len()` keys of the matrix through
+/// [`probe_bit_vector`] — of one key, too, for the single-key lookup.
+///
+/// The loop shape is chosen once per call. The probe reads the first
+/// `positions.len()` bytes of the key it is given, so when the kept
+/// positions are a prefix of the key — every position, on a table no entry
+/// leaves a byte free — each key is probed in place; otherwise each key's
+/// bytes at the kept positions are first copied into `selected` (the
+/// caller's probe buffer), and the probe reads those. Indexing the key
+/// through the position list inside the probe instead would put that
+/// indirection on every table's every row load.
+#[inline]
 fn probe_batch(
+    index: &BitVector,
+    keys: &[u8],
+    width: usize,
+    selected: &mut [u8],
+    miss: (Action, LookupOutcome),
+    out: &mut [(Action, LookupOutcome)],
+) {
+    if index.positions.iter().enumerate().all(|(i, &pos)| i == pos) {
+        probe_in_place(index, keys, width, miss, out);
+    } else {
+        probe_selected(index, keys, width, selected, miss, out);
+    }
+}
+
+/// [`probe_batch`] of keys whose kept positions lead. Each loop shape is a
+/// function of its own, out of line: inlined beside the hash engines'
+/// loops, or beside the other shape, the probe's three shapes spill
+/// registers in the per-key loop: a 13-row table paid a third of its
+/// lookup time for it beside the hash engines, and 2 ns a key (+28 %)
+/// beside the other shape.
+#[inline(never)]
+fn probe_in_place(
     index: &BitVector,
     keys: &[u8],
     width: usize,
@@ -819,6 +867,26 @@ fn probe_batch(
 ) {
     for (key, o) in keys.chunks_exact(width).zip(out) {
         *o = probe_bit_vector(index, key, miss);
+    }
+}
+
+/// [`probe_batch`] of keys whose kept positions are scattered: each key's
+/// kept bytes are copied into `selected` and probed there.
+#[inline(never)]
+fn probe_selected(
+    index: &BitVector,
+    keys: &[u8],
+    width: usize,
+    selected: &mut [u8],
+    miss: (Action, LookupOutcome),
+    out: &mut [(Action, LookupOutcome)],
+) {
+    let selected = &mut selected[..index.positions.len()];
+    for (key, o) in keys.chunks_exact(width).zip(out) {
+        for (byte, &pos) in selected.iter_mut().zip(&index.positions) {
+            *byte = key[pos];
+        }
+        *o = probe_bit_vector(index, selected, miss);
     }
 }
 
@@ -866,7 +934,8 @@ fn probe_bit_vector(
 }
 
 /// One step of the probe, `N` words wide (`N <= index.words`): AND entry
-/// words `step * N..` `+ N` of the row `key` selects at every position —
+/// words `step * N..` `+ N` of the row `key` selects at every kept
+/// position (`key` starts with the bytes at `index.positions`) —
 /// the class map's entry times `scale` words into `rows`: 1 when the map
 /// holds offsets, the row length when it holds indices. The lowest bit
 /// left standing, if any, is the winner — provided every earlier step came
@@ -1291,7 +1360,8 @@ mod tests {
     /// The fill `BitVector::build` replaced, kept as its reference: every
     /// entry's bit set row by row, through its accepted bytes or the
     /// classes, whichever is fewer, and the entries that leave a position
-    /// free ORed into every row at the end.
+    /// free ORed into every row at the end — at the positions some entry
+    /// constrains, or at the last one when none is.
     fn per_entry_fill(entries: &[Arc<MinEntry>], width: usize) -> BitVector {
         let n = entries.len();
         let words = n.div_ceil(64).max(1);
@@ -1313,7 +1383,13 @@ mod tests {
         let mut seen = [0u64; (1 << 16) / 64];
         // Entries that leave the current position free, as a row.
         let mut any = vec![0u64; words];
-        for pos in 0..width {
+        let mut positions: Vec<usize> = (0..width)
+            .filter(|&pos| accepts[pos * n..][..n].iter().any(|a| !a.is_any()))
+            .collect();
+        if positions.is_empty() {
+            positions.extend(width.checked_sub(1));
+        }
+        for &pos in &positions {
             let column = &accepts[pos * n..][..n];
             let mut classes = Classes::new();
             for &accept in column {
@@ -1390,6 +1466,7 @@ mod tests {
             }
         }
         BitVector {
+            positions,
             words,
             summary,
             class,
@@ -1413,13 +1490,16 @@ mod tests {
     }
 
     proptest! {
-        /// The fill over distinct accept sets builds the very rows, class
-        /// map and summaries the per-entry fill did, on random ternary and
-        /// range tables of up to ~600 rows (past the summary threshold).
+        /// The fill over distinct accept sets builds the very positions,
+        /// rows, class map and summaries the per-entry fill did, on random
+        /// ternary and range tables of up to ~600 rows (past the summary
+        /// threshold) in which every entry leaves a random set of the
+        /// positions free (none, some or all).
         #[test]
         fn build_matches_the_per_entry_fill(
             ranges in any::<bool>(),
             width in 1usize..=4,
+            free in pvec(any::<bool>(), 4),
             rows in pvec(
                 (pvec(any::<u8>(), 4), pvec(any::<u8>(), 4), pvec(0u8..6, 4), 0u16..4),
                 0..600,
@@ -1430,7 +1510,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, (a, b, sel, port))| {
                     let (x, y): (Vec<u8>, Vec<u8>) = (0..width)
-                        .map(|p| accepts(ranges, a[p], b[p], sel[p]))
+                        .map(|p| accepts(ranges, a[p], b[p], if free[p] { 0 } else { sel[p] }))
                         .unzip();
                     let spec = if ranges {
                         MatchSpec::Range { lo: x, hi: y }
@@ -1443,6 +1523,7 @@ mod tests {
                 .collect();
             let built = BitVector::build(&entries, width);
             let reference = per_entry_fill(&entries, width);
+            prop_assert_eq!(&built.positions, &reference.positions);
             prop_assert_eq!(built.words, reference.words);
             prop_assert_eq!(built.summary, reference.summary);
             prop_assert_eq!(&built.class, &reference.class);

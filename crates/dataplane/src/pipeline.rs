@@ -281,16 +281,15 @@ impl ReadPipeline {
             // Batch key extraction: one contiguous row per alive frame, so
             // the extraction loop touches the key matrix strictly forward.
             // A stage sharing the previous stage's layout finds its rows
-            // already there, compacted beside the alive set.
+            // already there, compacted beside the alive set. The matrix
+            // and the lookup buffer only grow: every row and slot a stage
+            // reads is written first.
             if !self.reuses_key(stage) {
-                scratch.keys.clear();
-                scratch.keys.resize(alive_len * width, 0);
-                for (j, &i) in scratch.alive.iter().enumerate() {
-                    table.key().build_key_into(
-                        frame_of(&spans[i as usize]),
-                        &mut scratch.keys[j * width..(j + 1) * width],
-                    );
-                }
+                grow(&mut scratch.keys, alive_len * width, 0);
+                table.key().gather_into(
+                    scratch.alive.iter().map(|&i| frame_of(&spans[i as usize])),
+                    &mut scratch.keys[..alive_len * width],
+                );
                 scratch.keys_built += alive_len as u64;
                 lap(
                     &mut stamp,
@@ -300,16 +299,13 @@ impl ReadPipeline {
                     alive_len as u64,
                 );
             }
-            scratch.lookups.clear();
-            scratch
-                .lookups
-                .resize(alive_len, (Action::NoOp, LookupOutcome::Miss));
-            table.lookup_batch(
-                &scratch.keys,
-                width,
-                &mut scratch.probe,
+            grow(
                 &mut scratch.lookups,
+                alive_len,
+                (Action::NoOp, LookupOutcome::Miss),
             );
+            let lookups = &mut scratch.lookups[..alive_len];
+            table.lookup_batch(&scratch.keys, width, &mut scratch.probe, lookups);
             lap(
                 &mut stamp,
                 sink,
@@ -317,15 +313,14 @@ impl ReadPipeline {
                 Some(stage),
                 alive_len as u64,
             );
-            let outcomes = scratch.lookups.iter().map(|&(_, outcome)| outcome);
+            let outcomes = lookups.iter().map(|&(_, outcome)| outcome);
             Combine::count_lookups(counters, stage, outcomes);
             // Combine, compacting the alive set in place — and the key
             // rows with it, when the next stage will read them.
             let keep_keys = self.reuses_key(stage + 1);
             let mut kept = 0usize;
-            for j in 0..alive_len {
+            for (j, &(action, outcome)) in lookups.iter().enumerate() {
                 let i = scratch.alive[j] as usize;
-                let (action, outcome) = scratch.lookups[j];
                 let tally = &mut scratch.tally[i];
                 if combine.stage(stage, action, outcome, tally, counters) {
                     if stage < last_stage && !tally.is_dropped() {
@@ -388,6 +383,13 @@ impl ReadPipeline {
     }
 }
 
+/// Lengthens `buf` to at least `len` with `fill`, never shortening it.
+fn grow<T: Clone>(buf: &mut Vec<T>, len: usize, fill: T) {
+    if buf.len() < len {
+        buf.resize(len, fill);
+    }
+}
+
 /// Reusable working memory for [`ReadPipeline::process_batch_with`].
 ///
 /// All vectors grow to the high-water batch size once and are reused across
@@ -400,7 +402,8 @@ pub struct BatchScratch {
     keys: Vec<u8>,
     /// Masked-probe buffer shared by all lookups (max key width).
     probe: Vec<u8>,
-    /// Per-alive-frame lookup results for the current stage.
+    /// Per-alive-frame lookup results for the current stage (slots past
+    /// the stage's alive count are stale).
     lookups: Vec<(Action, LookupOutcome)>,
     /// Indices of frames still flowing through the stages.
     alive: Vec<u32>,
@@ -446,9 +449,7 @@ impl BatchScratch {
         self.tally.resize(n, Tally::new(default_port));
         self.exited = 0;
         self.keys_built = 0;
-        if self.probe.len() < max_key_width {
-            self.probe.resize(max_key_width, 0);
-        }
+        grow(&mut self.probe, max_key_width, 0);
     }
 }
 

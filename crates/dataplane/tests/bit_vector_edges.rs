@@ -7,13 +7,16 @@
 //! neither prefixes nor whole bytes, and keys wider than a machine word.
 //! Every case checks the winning `(action, priority)` against the mutable
 //! table's scan — the full key space at width 1–2, sampled keys above —
-//! on the single-key and the batched path.
+//! on the single-key and the batched path. A proptest covers positions
+//! every entry leaves free, which get no rows and are never read.
 
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::compiled::{CompiledTable, LookupOutcome};
 use p4guard_dataplane::key::KeyLayout;
 use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
 use p4guard_rules::ternary::range_to_prefixes;
+use proptest::collection::vec as pvec;
+use proptest::prelude::*;
 use std::sync::Arc;
 
 fn table(kind: MatchKind, width: usize) -> Table {
@@ -349,4 +352,89 @@ fn a_patched_in_entry_that_starts_a_new_last_word() {
     agrees(&patched, &t, &keys);
     assert_eq!(patched.peek(&(320u16 * 127).to_be_bytes()), Action::Drop);
     assert_eq!(prev.peek(&(320u16 * 127).to_be_bytes()), Action::NoOp);
+}
+
+/// What one entry accepts at one position: free when the position is one
+/// every entry leaves free or `sel` says so, else a byte, a prefix or a
+/// scattered mask (ternary) or a point or an interval (range).
+fn position_spec(ranges: bool, free: bool, a: u8, b: u8, sel: u8) -> (u8, u8) {
+    match (ranges, if free { 0 } else { sel % 4 }) {
+        (false, sel) => {
+            let mask = [0x00, 0xff, 0xf0, 0x5a][usize::from(sel)];
+            (a & mask, mask)
+        }
+        (true, 0) => (0, 255),
+        (true, 1) => (a, a),
+        (true, _) => (a.min(b), a.max(b)),
+    }
+}
+
+proptest! {
+    /// Ternary and range tables over 1–6 key bytes in which every entry
+    /// leaves a random set of positions free (none, some or all of them),
+    /// plus the empty table and tables of match-alls only: the batched
+    /// lookup, the single-key lookup and `Table::peek` agree on the action,
+    /// the two lookups on the rank, and the rank's priority is the scan
+    /// winner's. Keys are each entry's own, the same with every free byte
+    /// rewritten, and random ones.
+    #[test]
+    fn positions_every_entry_leaves_free_change_no_winner(
+        ranges in any::<bool>(),
+        width in 1usize..=6,
+        free in pvec(any::<bool>(), 6),
+        shape in 0u8..4,
+        rows in pvec(
+            (pvec(any::<u8>(), 6), pvec(any::<u8>(), 6), pvec(any::<u8>(), 6), 0i32..3),
+            0..300,
+        ),
+        noise in pvec(pvec(any::<u8>(), 6), 1..32),
+    ) {
+        let kind = if ranges { MatchKind::Range } else { MatchKind::Ternary };
+        let mut t = table(kind, width);
+        let mut keys: Vec<Vec<u8>> = noise.iter().map(|k| k[..width].to_vec()).collect();
+        // Shape 1 is the empty table; shape 2 holds match-alls only, and
+        // shape 3 puts one behind the drawn rows.
+        let drawn = if shape == 1 || shape == 2 { &rows[..0] } else { &rows[..] };
+        for (i, (a, b, sel, priority)) in drawn.iter().enumerate() {
+            let (x, y): (Vec<u8>, Vec<u8>) = (0..width)
+                .map(|p| position_spec(ranges, free[p], a[p], b[p], sel[p]))
+                .unzip();
+            let spec = if ranges { range(&x, &y) } else { ternary(&x, &y) };
+            t.insert(spec, Action::Forward(i as u16), *priority).unwrap();
+            keys.push(x.clone());
+            let mut rewritten = x;
+            for (p, byte) in rewritten.iter_mut().enumerate() {
+                if free[p] {
+                    *byte = !*byte ^ b[p];
+                }
+            }
+            keys.push(rewritten);
+        }
+        if shape >= 2 {
+            for (port, priority) in [(1, -1), (2, -2)].into_iter().take(usize::from(shape) - 1) {
+                let spec = if ranges {
+                    range(&vec![0; width], &vec![255; width])
+                } else {
+                    ternary(&vec![0; width], &vec![0; width])
+                };
+                t.insert(spec, Action::Mirror(port), priority).unwrap();
+            }
+        }
+        let compiled = check(&t, &keys);
+        for key in &keys {
+            prop_assert_eq!(compiled.peek(key), t.peek(key), "key {:02x?}", key);
+        }
+        if shape == 1 {
+            prop_assert!(keys.iter().all(|k| compiled.peek(k) == Action::NoOp));
+        }
+        if shape == 2 {
+            let mut probe = vec![0u8; width];
+            for key in &keys {
+                prop_assert_eq!(
+                    compiled.lookup_traced(key, &mut probe),
+                    (Action::Mirror(1), LookupOutcome::Hit(0))
+                );
+            }
+        }
+    }
 }

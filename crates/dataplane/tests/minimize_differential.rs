@@ -280,6 +280,74 @@ proptest! {
         }
     }
 
+    /// Invariant 2 where the wildcard engine's rows move: a patch adds the
+    /// first entry to constrain a position every other entry leaves free
+    /// (the position gains rows), and the next patch removes it again (the
+    /// position loses them). Each link of the `recompile` chain agrees with
+    /// a from-scratch compile and the scan, over keys that vary that byte.
+    #[test]
+    fn a_patch_that_constrains_a_free_position_then_frees_it(
+        ranges in any::<bool>(),
+        free_pos in 0usize..3,
+        seeds in pvec(
+            (pvec(any::<u8>(), 3usize), pvec(any::<u8>(), 3usize), (0i32..3, any::<u8>())),
+            0..24,
+        ),
+        added in (pvec(any::<u8>(), 3usize), pvec(any::<u8>(), 3usize), (0i32..4, any::<u8>())),
+        raw_keys in pvec(pvec(any::<u8>(), 3usize), 0..16),
+    ) {
+        let kind = if ranges { MatchKind::Range } else { MatchKind::Ternary };
+        let mut table = Table::new("free", kind, KeyLayout::window(3), 64, Action::NoOp);
+        for (a, b, (priority, action_sel)) in &seeds {
+            let mut spec = spec_for(kind, 3, &(a.clone(), b.clone(), (0, 0), 0));
+            match &mut spec {
+                MatchSpec::Ternary { mask, .. } => mask[free_pos] = 0,
+                MatchSpec::Range { lo, hi } => (lo[free_pos], hi[free_pos]) = (0, 255),
+                _ => unreachable!(),
+            }
+            table.insert(spec, action_for(*action_sel), *priority).unwrap();
+        }
+        let (a, b, (priority, action_sel)) = &added;
+        let mut spec = spec_for(kind, 3, &(a.clone(), b.clone(), (0, 0), 0));
+        match &mut spec {
+            MatchSpec::Ternary { value, mask } => {
+                mask[free_pos] = 0xf0;
+                value[free_pos] = a[free_pos] & 0xf0;
+            }
+            MatchSpec::Range { lo, hi } => (lo[free_pos], hi[free_pos]) = (a[free_pos], a[free_pos]),
+            _ => unreachable!(),
+        }
+        let mut keys = probe_keys(&table, &raw_keys);
+        keys.push(hit_key_for(&spec));
+        keys = keys
+            .iter()
+            .flat_map(|k| {
+                [0, 0x7f, 0xff, a[free_pos], a[free_pos] ^ 0x10].map(|byte| {
+                    let mut k = k.clone();
+                    if let Some(slot) = k.get_mut(free_pos) {
+                        *slot = byte;
+                    }
+                    k
+                })
+            })
+            .collect();
+
+        let before = Arc::new(CompiledTable::compile(&table));
+        let handle = table.insert(spec, action_for(*action_sel), *priority).unwrap();
+        let constrained = CompiledTable::recompile(&before, &table);
+        let with_added = table.clone();
+        table.remove(handle).unwrap();
+        let freed = CompiledTable::recompile(&constrained, &table);
+        for (chained, source) in [(&constrained, &with_added), (&freed, &table)] {
+            let scratch = CompiledTable::compile(source);
+            prop_assert_eq!(chained.len(), scratch.len());
+            for key in &keys {
+                assert_winner_eq(chained, source, key);
+                assert_winner_eq(&scratch, source, key);
+            }
+        }
+    }
+
     /// Invariant 2 at the control-plane grain: applying `RuleSet::diff`
     /// output (removals then inserts, as the tenant delta path does) and
     /// recompiling incrementally equals compiling the target ruleset from

@@ -2,6 +2,7 @@
 //! shared shard workers must produce, per tenant, exactly the verdicts
 //! the tenant's own ruleset computes offline.
 
+use p4guard_dataplane::key::KeyLayout;
 use p4guard_fleet::{
     AclLayout, AdmitPolicy, BudgetConfig, FleetGateway, FleetSim, FleetSimConfig, TenantRegistry,
     TenantShare, TenantSpec,
@@ -74,8 +75,9 @@ fn fleet_verdicts_match_offline_classification() {
     // tenant's active ruleset.
     let mut expected_drops = [0u64; 4];
     let mut expected_frames = [0u64; 4];
+    let key_layout = KeyLayout::new(layout.offsets.clone());
     for f in &frames {
-        let key: Vec<u8> = layout.offsets.iter().map(|&o| f.frame[o]).collect();
+        let key = key_layout.build_key(&f.frame);
         let rs = registry.active_ruleset(f.tenant).unwrap();
         expected_frames[f.tenant] += 1;
         if rs.classify(&key) == 1 {

@@ -7,12 +7,15 @@
 //! second those fixed costs dominate the actual match work.
 //!
 //! This module amortizes them. A [`FrameArena`] accumulates raw frame bytes
-//! into one large contiguous chunk and seals the chunk into a [`FrameBatch`]:
+//! into one contiguous chunk and seals the chunk into a [`FrameBatch`]:
 //! a single refcounted [`Bytes`] buffer plus a vector of [`FrameSpan`]
 //! offsets. A batch crosses a thread boundary with **one** `Arc` clone no
 //! matter how many frames it carries, and consumers borrow each frame as a
 //! plain `&[u8]` view into the shared chunk — no per-frame allocation, no
-//! per-frame refcount traffic.
+//! per-frame refcount traffic. Sealing costs three allocations: the
+//! `Bytes` handle, and the next chunk and span list, both sized to the
+//! largest batch the arena has sealed so far, so neither regrows while a
+//! batch of that size is packed.
 //!
 //! # Lifetime rules
 //!
@@ -137,22 +140,33 @@ impl FrameBatch {
     }
 
     /// Splits the batch into per-lane sub-batches, where `lane(frame)` maps
-    /// each frame view to a lane index below `lanes`. Sub-batches share the
-    /// chunk (refcount bump only); empty lanes come back as empty batches.
+    /// each frame view to a lane index below `lanes` (called once per
+    /// frame, in frame order). Sub-batches share the chunk (refcount bump
+    /// only); empty lanes come back as empty batches. Each non-empty lane's
+    /// span list is allocated once, at its final size.
     pub fn partition_by<F: FnMut(&[u8]) -> usize>(
         &self,
         lanes: usize,
         mut lane: F,
     ) -> Vec<FrameBatch> {
-        let mut out: Vec<FrameBatch> = (0..lanes)
-            .map(|_| FrameBatch {
-                data: self.data.clone(),
-                spans: Vec::new(),
+        let mut sizes = vec![0usize; lanes];
+        let lane_of: Vec<usize> = self
+            .spans
+            .iter()
+            .map(|s| {
+                let idx = lane(&self.data[s.offset as usize..s.end()]).min(lanes.saturating_sub(1));
+                sizes[idx] += 1;
+                idx
             })
             .collect();
-        for s in &self.spans {
-            let view = &self.data[s.offset as usize..s.end()];
-            let idx = lane(view).min(lanes.saturating_sub(1));
+        let mut out: Vec<FrameBatch> = sizes
+            .into_iter()
+            .map(|size| FrameBatch {
+                data: self.data.clone(),
+                spans: Vec::with_capacity(size),
+            })
+            .collect();
+        for (s, idx) in self.spans.iter().zip(lane_of) {
             out[idx].spans.push(*s);
         }
         out
@@ -187,7 +201,9 @@ impl ArenaStats {
 }
 
 /// Default chunk capacity: large enough that a 256-frame batch of full-size
-/// Ethernet frames fits without reallocating.
+/// Ethernet frames fits without reallocating. It is the size of an arena's
+/// first chunk and the most any later chunk is allocated with up front;
+/// later chunks are sized to the largest batch sealed so far.
 pub const DEFAULT_CHUNK_CAPACITY: usize = 512 * 1024;
 
 /// An append-only frame accumulator that seals contiguous chunks into
@@ -195,14 +211,21 @@ pub const DEFAULT_CHUNK_CAPACITY: usize = 512 * 1024;
 ///
 /// The arena owns exactly one open chunk at a time. Pushing copies frame
 /// bytes to the chunk tail (the only copy the batched path ever makes);
-/// sealing freezes the chunk into a `Bytes` and starts a fresh one with the
-/// same capacity. Allocation cost is therefore one `Vec` per *batch*, not
-/// per frame.
+/// sealing freezes the chunk into a `Bytes` and starts a fresh chunk and
+/// span list, each sized to the high-water mark of the batches sealed so
+/// far (the chunk at most `chunk_capacity` bytes). Allocation cost is
+/// therefore three allocations per *batch*, not per frame, and a chunk is
+/// about as large as what it holds (a 256-frame batch of 64 B frames is
+/// 16 KiB). A batch above the mark grows its chunk or span list as a `Vec`
+/// does and raises the mark.
 #[derive(Debug)]
 pub struct FrameArena {
     chunk_capacity: usize,
     chunk: Vec<u8>,
     spans: Vec<FrameSpan>,
+    /// The most bytes and frames any batch sealed so far held.
+    high_bytes: usize,
+    high_frames: usize,
     stats: ArenaStats,
 }
 
@@ -219,6 +242,8 @@ impl FrameArena {
             chunk_capacity: chunk_capacity.max(64),
             chunk: Vec::with_capacity(chunk_capacity.max(64)),
             spans: Vec::new(),
+            high_bytes: 0,
+            high_frames: 0,
             stats: ArenaStats::default(),
         }
     }
@@ -259,14 +284,18 @@ impl FrameArena {
         self.spans.len()
     }
 
-    /// Seals the open chunk into a batch and starts a new chunk. Returns an
-    /// empty batch when nothing is pending.
+    /// Seals the open chunk into a batch and starts a new chunk and span
+    /// list sized to the largest batch sealed so far. Returns an empty
+    /// batch when nothing is pending.
     pub fn seal_batch(&mut self) -> FrameBatch {
         if self.spans.is_empty() {
             return FrameBatch::default();
         }
-        let chunk = std::mem::replace(&mut self.chunk, Vec::with_capacity(self.chunk_capacity));
-        let spans = std::mem::take(&mut self.spans);
+        self.high_bytes = self.high_bytes.max(self.chunk.len());
+        self.high_frames = self.high_frames.max(self.spans.len());
+        let next_chunk = Vec::with_capacity(self.high_bytes.min(self.chunk_capacity));
+        let chunk = std::mem::replace(&mut self.chunk, next_chunk);
+        let spans = std::mem::replace(&mut self.spans, Vec::with_capacity(self.high_frames));
         self.stats.batches += 1;
         self.stats.open_frames = 0;
         self.stats.open_bytes = 0;
@@ -415,6 +444,92 @@ mod tests {
         assert_eq!(lanes[0].frame(1), b"a2");
         assert_eq!(lanes[1].frame(0), b"b1");
         assert_eq!(lanes[0].data().as_ptr(), batch.data().as_ptr());
+    }
+
+    #[test]
+    fn partition_by_classifies_each_frame_once_into_exact_lanes() {
+        let mut arena = FrameArena::new(64);
+        let frames: Vec<[u8; 1]> = (0..10u8).map(|i| [i]).collect();
+        let batch = arena.pack(frames.iter().map(|f| &f[..]), 10).remove(0);
+        let mut seen = Vec::new();
+        // Lane 3 is past the last lane and folds into it; lane 1 stays empty.
+        let lanes = batch.partition_by(3, |f| {
+            seen.push(f[0]);
+            [0, 2, 3][usize::from(f[0] % 3)]
+        });
+        assert_eq!(seen, (0..10).collect::<Vec<u8>>());
+        let firsts: Vec<Vec<u8>> = lanes
+            .iter()
+            .map(|l| l.iter().map(|f| f[0]).collect())
+            .collect();
+        assert_eq!(firsts, [vec![0, 3, 6, 9], vec![], vec![1, 2, 4, 5, 7, 8]]);
+        for lane in &lanes {
+            assert_eq!(lane.spans.capacity(), lane.len());
+        }
+    }
+
+    #[test]
+    fn chunks_and_span_lists_follow_the_high_water_batch() {
+        let mut arena = FrameArena::new(1024);
+        let capacities = |a: &FrameArena| (a.chunk.capacity(), a.spans.capacity());
+        assert_eq!(
+            arena.chunk.capacity(),
+            1024,
+            "the first chunk is the configured size"
+        );
+        for _ in 0..3 {
+            arena.push(&[1; 100]);
+        }
+        let first = arena.seal_batch();
+        assert_eq!(capacities(&arena), (300, 3));
+        // A smaller batch leaves the mark where it was.
+        arena.push(&[2; 10]);
+        arena.seal_batch();
+        assert_eq!(capacities(&arena), (300, 3));
+        // A batch above the mark grows while it is packed and raises it.
+        for _ in 0..5 {
+            arena.push(&[3; 100]);
+        }
+        let big = arena.seal_batch();
+        assert_eq!(big.frame_bytes_total(), 500);
+        assert_eq!(capacities(&arena), (500, 5));
+        // The configured capacity caps the chunk allocated up front, not
+        // what a batch may hold.
+        for _ in 0..3 {
+            arena.push(&[4; 400]);
+        }
+        assert_eq!(arena.seal_batch().frame(2), &[4; 400]);
+        assert_eq!(capacities(&arena), (1024, 5));
+        assert_eq!(first.frame(0), &[1; 100]);
+        assert_eq!(arena.stats().batches, 4);
+    }
+
+    #[test]
+    fn a_first_batch_larger_than_the_chunk_capacity() {
+        let mut arena = FrameArena::new(64);
+        let frames: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 50]).collect();
+        let batches = arena.pack(frames.iter().map(Vec::as_slice), 4);
+        assert_eq!(batches.len(), 1);
+        assert_eq!(batches[0].iter().collect::<Vec<_>>(), frames);
+        assert_eq!(arena.chunk.capacity(), 64);
+        assert_eq!(arena.spans.capacity(), 4);
+    }
+
+    #[test]
+    fn a_sealed_batch_outlives_the_batches_packed_after_it() {
+        let mut arena = FrameArena::new(64);
+        arena.push(b"first");
+        arena.push(b"batch");
+        let held = arena.seal_batch();
+        let ptr = held.data().as_ptr();
+        for round in 0..50u8 {
+            let later = arena.pack([&[round; 7][..], &[round; 3]], 2);
+            assert_eq!(later[0].frame(0), &[round; 7]);
+            assert_eq!(later[0].frame(1), &[round; 3]);
+        }
+        assert_eq!(held.iter().collect::<Vec<_>>(), [b"first", b"batch"]);
+        assert_eq!(held.data().as_ptr(), ptr);
+        assert_eq!(held.data().len(), 10);
     }
 
     #[test]

@@ -69,4 +69,4 @@ pub use addr::MacAddr;
 pub use arena::{ArenaStats, FrameArena, FrameBatch, FrameSpan};
 pub use error::ParseError;
 pub use packet::{parse, Application, PacketBuilder, ParsedPacket, ProtocolTag, Transport};
-pub use trace::{AttackFamily, Label, Record, Trace, TraceBatchReader, TraceReader};
+pub use trace::{AttackFamily, Label, Record, Trace, TraceReader};

@@ -275,60 +275,6 @@ impl Trace {
     }
 }
 
-/// The fixed 21-byte head of a `P4GT` record.
-struct RecordHead {
-    timestamp_us: u64,
-    flow_id: u64,
-    label: Label,
-    /// Frame length, already held to [`MAX_FRAME_LEN`].
-    len: usize,
-}
-
-/// Decodes a record head — the one place the label byte is validated and
-/// the untrusted length prefix is capped, for both readers below.
-fn read_head<R: Read>(reader: &mut R) -> Result<RecordHead, TraceIoError> {
-    let (mut ts, mut flow, mut tail) = ([0u8; 8], [0u8; 8], [0u8; 5]);
-    reader.read_exact(&mut ts)?;
-    reader.read_exact(&mut flow)?;
-    reader.read_exact(&mut tail)?;
-    let [code, len @ ..] = tail;
-    let label = if code == 0 {
-        Label::Benign
-    } else {
-        Label::Attack(
-            AttackFamily::from_code(code)
-                .ok_or_else(|| TraceIoError::Format(format!("unknown attack code {code}")))?,
-        )
-    };
-    let len = u32::from_le_bytes(len);
-    if len > MAX_FRAME_LEN {
-        return Err(TraceIoError::Format(format!(
-            "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap (corrupt length prefix)"
-        )));
-    }
-    Ok(RecordHead {
-        timestamp_us: u64::from_le_bytes(ts),
-        flow_id: u64::from_le_bytes(flow),
-        label,
-        len: len as usize,
-    })
-}
-
-/// Fills `frame` with a record's body; a stream that ends inside it is a
-/// truncated record, not a bare I/O error.
-fn read_body<R: Read>(reader: &mut R, frame: &mut [u8]) -> Result<(), TraceIoError> {
-    let len = frame.len();
-    reader.read_exact(frame).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            TraceIoError::Format(format!(
-                "record truncated: frame claims {len} bytes but the stream ended early"
-            ))
-        } else {
-            TraceIoError::Io(e)
-        }
-    })
-}
-
 /// A streaming reader over the `P4GT` format: yields one [`Record`] at a
 /// time instead of slurping the whole trace into memory. This is the
 /// ingestion path for serving runtimes that replay multi-gigabyte traces.
@@ -397,14 +343,45 @@ impl<R: Read> TraceReader<R> {
         self.remaining
     }
 
+    /// Decodes one record: the fixed 21-byte head (timestamp, flow, label
+    /// byte, length prefix), then the frame. The label byte is validated
+    /// and the untrusted length prefix capped before anything is
+    /// allocated; a stream that ends inside the frame is a truncated
+    /// record, not a bare I/O error.
     fn read_record(&mut self) -> Result<Record, TraceIoError> {
-        let head = read_head(&mut self.reader)?;
-        let mut frame = vec![0u8; head.len];
-        read_body(&mut self.reader, &mut frame)?;
+        let (mut ts, mut flow, mut tail) = ([0u8; 8], [0u8; 8], [0u8; 5]);
+        self.reader.read_exact(&mut ts)?;
+        self.reader.read_exact(&mut flow)?;
+        self.reader.read_exact(&mut tail)?;
+        let [code, len @ ..] = tail;
+        let label = if code == 0 {
+            Label::Benign
+        } else {
+            Label::Attack(
+                AttackFamily::from_code(code)
+                    .ok_or_else(|| TraceIoError::Format(format!("unknown attack code {code}")))?,
+            )
+        };
+        let len = u32::from_le_bytes(len);
+        if len > MAX_FRAME_LEN {
+            return Err(TraceIoError::Format(format!(
+                "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap (corrupt length prefix)"
+            )));
+        }
+        let mut frame = vec![0u8; len as usize];
+        self.reader.read_exact(&mut frame).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                TraceIoError::Format(format!(
+                    "record truncated: frame claims {len} bytes but the stream ended early"
+                ))
+            } else {
+                TraceIoError::Io(e)
+            }
+        })?;
         Ok(Record {
-            timestamp_us: head.timestamp_us,
-            flow_id: head.flow_id,
-            label: head.label,
+            timestamp_us: u64::from_le_bytes(ts),
+            flow_id: u64::from_le_bytes(flow),
+            label,
             frame: Bytes::from(frame),
         })
     }
@@ -435,103 +412,6 @@ impl<R: Read> Iterator for TraceReader<R> {
         // The header-declared count is an upper bound; a truncated file
         // yields fewer records.
         (0, usize::try_from(self.remaining).ok())
-    }
-}
-
-/// A streaming batch reader over the `P4GT` format: the zero-copy ingestion
-/// path for batched serving.
-///
-/// Where [`TraceReader`] allocates one `Bytes` per record, this reader
-/// decodes frame payloads **directly into a [`FrameArena`] chunk** (labels
-/// and timestamps are skipped — serving does not need ground truth) and
-/// yields sealed [`FrameBatch`]es of up to `batch_size` frames. The only
-/// copy is the unavoidable `read()` from the underlying stream into the
-/// chunk tail; after that every consumer borrows `&[u8]` views.
-#[derive(Debug)]
-pub struct TraceBatchReader<R> {
-    reader: R,
-    remaining: u64,
-    total: u64,
-    batch_size: usize,
-    arena: FrameArena,
-}
-
-impl TraceBatchReader<std::io::BufReader<std::fs::File>> {
-    /// Opens a trace file for streaming batch reads.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the file cannot be opened or the header is
-    /// malformed.
-    pub fn open(path: impl AsRef<Path>, batch_size: usize) -> Result<Self, TraceIoError> {
-        let file = std::fs::File::open(path)?;
-        Self::new(std::io::BufReader::new(file), batch_size)
-    }
-}
-
-impl<R: Read> TraceBatchReader<R> {
-    /// Wraps a reader, consuming and validating the `P4GT` header.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on I/O failure, bad magic, or an unsupported
-    /// format version.
-    pub fn new(reader: R, batch_size: usize) -> Result<Self, TraceIoError> {
-        // Reuse the record reader's header validation, then take the
-        // underlying stream back.
-        let inner = TraceReader::new(reader)?;
-        let total = inner.total();
-        Ok(TraceBatchReader {
-            reader: inner.reader,
-            remaining: total,
-            total,
-            batch_size: batch_size.max(1),
-            arena: FrameArena::default(),
-        })
-    }
-
-    /// Records declared by the header.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Records not yet yielded in a sealed batch.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
-    /// Arena statistics (batch fill, chunk bytes) accumulated so far.
-    pub fn arena_stats(&self) -> crate::arena::ArenaStats {
-        self.arena.stats()
-    }
-
-    fn read_frame_into_arena(&mut self) -> Result<(), TraceIoError> {
-        // Timestamp, flow and label are validated and dropped; the frame is
-        // spliced straight into the open arena chunk.
-        let head = read_head(&mut self.reader)?;
-        read_body(&mut self.reader, self.arena.push_uninit(head.len))
-    }
-}
-
-impl<R: Read> Iterator for TraceBatchReader<R> {
-    type Item = Result<FrameBatch, TraceIoError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 {
-            return None;
-        }
-        while self.arena.pending() < self.batch_size
-            && (self.arena.pending() as u64) < self.remaining
-        {
-            if let Err(e) = self.read_frame_into_arena() {
-                // A decode error poisons the stream, matching TraceReader.
-                self.remaining = 0;
-                return Some(Err(e));
-            }
-        }
-        let batch = self.arena.seal_batch();
-        self.remaining -= batch.len() as u64;
-        Some(Ok(batch))
     }
 }
 
@@ -713,55 +593,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_reader_matches_record_reader() {
-        let mut t = Trace::new();
-        for i in 0..23 {
-            let label = if i % 4 == 0 {
-                Label::Attack(AttackFamily::SynFlood)
-            } else {
-                Label::Benign
-            };
-            t.push(Record {
-                timestamp_us: i,
-                frame: Bytes::from(vec![i as u8; (i as usize % 7) + 1]),
-                label,
-                flow_id: i,
-            });
-        }
-        let mut buf = Vec::new();
-        t.write_to(&mut buf).unwrap();
-        let mut reader = TraceBatchReader::new(buf.as_slice(), 8).unwrap();
-        assert_eq!(reader.total(), 23);
-        let mut frames = Vec::new();
-        let mut sizes = Vec::new();
-        for batch in &mut reader {
-            let batch = batch.unwrap();
-            sizes.push(batch.len());
-            frames.extend(batch.iter().map(|f| f.to_vec()));
-        }
-        assert_eq!(sizes, [8, 8, 7]);
-        let expected: Vec<Vec<u8>> = t.iter().map(|r| r.frame.to_vec()).collect();
-        assert_eq!(frames, expected);
-        assert_eq!(reader.remaining(), 0);
-        assert_eq!(reader.arena_stats().batches, 3);
-        assert!((reader.arena_stats().avg_batch_fill() - 23.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn batch_reader_rejects_corrupt_label_and_fuses() {
-        let mut t = Trace::new();
-        t.push(record(1, Label::Benign));
-        t.push(record(2, Label::Benign));
-        let mut buf = Vec::new();
-        t.write_to(&mut buf).unwrap();
-        buf[29] = 200; // corrupt the first record's label byte
-        let mut reader = TraceBatchReader::new(buf.as_slice(), 16).unwrap();
-        assert!(reader.next().unwrap().is_err());
-        assert!(reader.next().is_none(), "stream fuses after an error");
-    }
-
-    #[test]
-    fn both_readers_refuse_hostile_records_alike() {
+    fn reader_refuses_hostile_records() {
         let t: Trace = (0..4).map(|i| record(i, Label::Benign)).collect();
         let mut good = Vec::new();
         t.write_to(&mut good).unwrap();
@@ -778,16 +610,11 @@ mod tests {
             (cut_body, "record truncated: frame claims"),
             (cut_head, "trace i/o error"),
         ] {
-            let by_record = TraceReader::new(hostile.as_slice())
+            let err = TraceReader::new(hostile.as_slice())
                 .unwrap()
                 .find_map(Result::err)
-                .expect("record reader refuses the file");
-            let by_batch = TraceBatchReader::new(hostile.as_slice(), 2)
-                .unwrap()
-                .find_map(Result::err)
-                .expect("batch reader refuses the file");
-            assert!(by_record.to_string().contains(want), "{by_record}");
-            assert_eq!(by_batch.to_string(), by_record.to_string());
+                .expect("the reader refuses the file");
+            assert!(err.to_string().contains(want), "{err}");
         }
     }
 
