@@ -177,57 +177,32 @@ kill "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
 
 echo "==> gated experiments (one reproduce run, fixed seed, time-boxed)"
-# The three experiments the gates below read, in one process so they share
-# the lab (the mixed scenario and its trained guards). A report that could
-# not be written fails the run, so no gate reads a stale file.
+# The two experiments whose timing gates below need a fresh release run, in
+# one process so they share the lab. Every other claim about them, and about
+# every other experiment (conservation, the minimizer's margins and counts,
+# the forest gates), is a row of the claims table that the tier-1
+# `results_are_current` test checks on its own rerun (DESIGN.md "Testing
+# strategy"). A report that could not be written fails the run, so no gate
+# reads a stale file.
 GATED_LOG="$SMOKE_DIR/gated.log"
-timeout 600 target/release/reproduce f16_forest f17_lookup f20_minimize \
+timeout 600 target/release/reproduce f17_lookup f20_minimize \
   --out "$SMOKE_DIR/results" > "$GATED_LOG" 2>&1 || {
-  echo "reproduce f16_forest f17_lookup f20_minimize failed:" >&2
+  echo "reproduce f17_lookup f20_minimize failed:" >&2
   tail -30 "$GATED_LOG" >&2
   exit 1
 }
 
 echo "==> delta-publish smoke"
-# Incremental compilation + minimization gate (f20_minimize): one-entry
-# diffs against a 1024-entry stage must publish >=10x faster than a
-# from-scratch recompile, the live mid-serve delta chain must conserve
-# every frame, and the lowering-time minimizer must cut entries on at
-# least one learned ruleset — by exactly the committed counts.
+# Incremental compilation gate (f20_minimize): one-entry diffs against a
+# 1024-entry stage must publish >=10x faster than a from-scratch recompile.
 MINIMIZE_JSON="$SMOKE_DIR/results/f20_minimize.json"
-grep -q '"conserved": true' "$MINIMIZE_JSON" || {
-  echo "delta-publish smoke lost frames mid-serve:" >&2
-  cat "$GATED_LOG" >&2
-  exit 1
-}
 SPEEDUP=$(sed -n 's/.*"speedup": \([0-9.]*\).*/\1/p' "$MINIMIZE_JSON")
 if [ -z "$SPEEDUP" ] || ! awk -v s="$SPEEDUP" 'BEGIN { exit !(s >= 10) }'; then
   echo "incremental publish speedup ${SPEEDUP:-?}x below the 10x gate:" >&2
   grep 'speedup' "$GATED_LOG" >&2 || true
   exit 1
 fi
-MARGIN_OK=$(awk '/"entries_source"/ { src = $2 + 0 }
-                 /"entries_minimized"/ { if ($2 + 0 < src) ok = 1 }
-                 END { print ok + 0 }' "$MINIMIZE_JSON")
-if [ "$MARGIN_OK" != "1" ]; then
-  echo "minimizer cut no entries on any learned ruleset:" >&2
-  cat "$GATED_LOG" >&2
-  exit 1
-fi
-# The minimizer's counts are pinned, not just "some margin": each learned
-# ruleset's source/minimized entry counts must equal the committed
-# results/f20_minimize.json (seed 2020), so a change in pairing behaviour
-# cannot land silently.
-f20_counts() {
-  awk '/"name"/ { name = $2 }
-       /"entries_source"/ { src = $2 + 0 }
-       /"entries_minimized"/ { print name, src, $2 + 0 }' "$1"
-}
-if ! diff <(f20_counts results/f20_minimize.json) <(f20_counts "$MINIMIZE_JSON") >&2; then
-  echo "minimizer entry counts differ from the committed results/f20_minimize.json (< committed, > this run)" >&2
-  exit 1
-fi
-echo "delta publish ${SPEEDUP}x >= 10x, frames conserved, minimizer counts match results/f20_minimize.json"
+echo "delta publish ${SPEEDUP}x >= 10x"
 
 echo "==> compiled-lookup smoke"
 # Engine gate (f17_lookup): at every table size, the engine a ternary or
@@ -271,29 +246,6 @@ if [ -n "$UNPRUNED" ]; then
   exit 1
 fi
 echo "leaf cross products at least as fast as a mask per row at every size >= 1024"
-
-echo "==> ensemble-inference smoke"
-# Forest gate (f16_forest): on at least one task a compiled multi-tree
-# forest must match-or-beat the single-tree baseline's accuracy, the best
-# forest must be admitted by the budgeter against the minimized-entry
-# budget, and the live vote-mode gateway phase must conserve every frame.
-FOREST_JSON="$SMOKE_DIR/results/f16_forest.json"
-grep -q '"conserved": true' "$FOREST_JSON" || {
-  echo "forest smoke lost frames in the live vote-mode phase:" >&2
-  cat "$GATED_LOG" >&2
-  exit 1
-}
-grep -q '"gate_matches_baseline": true' "$FOREST_JSON" || {
-  echo "no forest matched the single-tree baseline accuracy on any task:" >&2
-  cat "$GATED_LOG" >&2
-  exit 1
-}
-grep -q '"gate_within_budget": true' "$FOREST_JSON" || {
-  echo "no best forest was admitted within the minimized table budget:" >&2
-  cat "$GATED_LOG" >&2
-  exit 1
-}
-echo "forest frontier: baseline matched, budget admitted, live phase conserved"
 
 echo "==> observability smoke (traced serve, time-boxed)"
 # Traced serve: /metrics must grow the per-stage histogram and the
@@ -413,17 +365,25 @@ echo "gw_small ingest allocations per 1k frames <= 16 (runs:" $ALLOCS ")"
 # are not this repository's to change.
 git diff --exit-code -- ledger BENCHMARK.json
 
-# Informational: non-blank, non-comment Rust lines, the one size every PR
-# quotes (ROADMAP item 6d), and the experiment harness's share of it
-# (ROADMAP item 7).
+# Non-blank, non-comment Rust lines: the one size every PR quotes (ROADMAP
+# item 6d, informational), and the experiment harness's share of it (ROADMAP
+# item 7), gated like panic sites below so the harness cannot regrow
+# unnoticed: lower EXPERIMENTS_LINES_MAX when a PR shrinks it, and never
+# raise it without saying in CHANGES.md what the new lines are for.
 rust_lines() {
   find "$@" -name '*.rs' -print0 | xargs -0 cat | grep -v '^\s*$' | grep -v '^\s*//' | wc -l
 }
-# The "was" figures are the parent commit's (both: b73be8c), committed by
-# the change that moved them so the log reads before -> after; the next
-# change to move either count replaces them with its parent's.
-echo "rust lines: $(rust_lines crates tests examples) (was 36500)"
-echo "experiments lines: $(rust_lines crates/core/src/experiments)"
+# The "was" figures are the parent commit's (09a0545), committed by the
+# change that moved them so the log reads before -> after; the next change
+# to move a count replaces its figure with its parent's.
+echo "rust lines: $(rust_lines crates tests examples) (was 36756)"
+EXPERIMENTS_LINES_MAX=3196
+EXPERIMENTS_LINES=$(rust_lines crates/core/src/experiments)
+echo "experiments lines: $EXPERIMENTS_LINES (was 3496)"
+if [ "$EXPERIMENTS_LINES" -gt "$EXPERIMENTS_LINES_MAX" ]; then
+  echo "experiments lines rose above the committed $EXPERIMENTS_LINES_MAX" >&2
+  exit 1
+fi
 
 # Gated: calls that can abort the process in the crates that face traffic
 # (ROADMAP item 4c) — unwrap/expect/panic!/unreachable!/assert!/assert_eq!

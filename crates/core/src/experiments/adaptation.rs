@@ -303,30 +303,3 @@ pub fn run_f18_adapt(
         paths: vec![promote, rollback],
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn f18_adapt_promotes_and_rolls_back() {
-        let report = run_f18_adapt(7, 4, None);
-        assert_eq!(report.paths.len(), 2);
-        let promote = &report.paths[0];
-        assert_eq!(promote.outcome, "promoted");
-        assert!(promote.fleet_converged);
-        assert_eq!(promote.final_version, promote.baseline_version + 1);
-        assert!(promote.frames_to_shadow > 0);
-        assert!(promote.frames_to_shadow <= promote.frames_to_canary);
-        assert!(promote.frames_to_canary <= promote.frames_to_outcome);
-        let rollback = &report.paths[1];
-        assert_eq!(rollback.outcome, "rolled_back");
-        assert!(
-            rollback.fleet_converged,
-            "exact baseline restored fleet-wide"
-        );
-        assert_eq!(rollback.final_version, rollback.baseline_version);
-        let text = report.to_string();
-        assert!(text.contains("promoted") && text.contains("rolled_back"));
-    }
-}

@@ -55,22 +55,3 @@ impl fmt::Display for ConvergenceReport {
         write!(f, "{table}")
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn f5_losses_decrease() {
-        let report = run_f5(crate::experiments::tests::lab());
-        let s1 = &report.stage1.epochs;
-        assert!(s1.len() >= 2);
-        assert!(
-            s1.last().unwrap().loss < s1.first().unwrap().loss,
-            "stage-1 loss did not decrease"
-        );
-        assert!(report.stage1.final_accuracy().unwrap() > 0.85);
-        assert!(report.stage2.final_accuracy().unwrap() > 0.85);
-        assert!(report.to_string().contains("epoch"));
-    }
-}

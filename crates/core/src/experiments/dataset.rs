@@ -61,21 +61,3 @@ impl fmt::Display for DatasetSummary {
         Ok(())
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn t1_covers_three_scenarios() {
-        let summary = run(3);
-        assert_eq!(summary.scenarios.len(), 3);
-        for (name, stats) in &summary.scenarios {
-            assert!(stats.total > 1000, "{name} too small");
-            assert!(stats.attack_fraction() > 0.05, "{name} has no attacks");
-        }
-        let text = summary.to_string();
-        assert!(text.contains("T1"));
-        assert!(text.contains("smart-home"));
-    }
-}

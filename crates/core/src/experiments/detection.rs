@@ -288,57 +288,3 @@ impl fmt::Display for PerAttackReport {
         writeln!(f, "benign FPR: {}", num3(self.benign_fpr))
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::experiments::tests::lab;
-
-    #[test]
-    fn t2_shape_holds() {
-        let cmp = run_t2(lab());
-        assert_eq!(cmp.rows.len(), 6);
-        let two_stage = cmp.two_stage();
-        let five_tuple = cmp.method("5-tuple").unwrap();
-        let dnn = cmp.method("full DNN").unwrap();
-        // The paper's headline: two-stage ≈ full DNN ≫ fixed-field firewall.
-        assert!(two_stage.metrics.f1 > 0.8, "{:?}", two_stage.metrics);
-        assert!(
-            two_stage.metrics.f1 > five_tuple.metrics.f1 + 0.15,
-            "two-stage {:?} vs 5-tuple {:?}",
-            two_stage.metrics,
-            five_tuple.metrics
-        );
-        assert!(dnn.metrics.f1 > 0.85);
-        assert!(two_stage.cost.deployable);
-        assert!(!dnn.cost.deployable);
-        assert!(cmp.to_string().contains("T2"));
-    }
-
-    #[test]
-    fn t3_reports_phases() {
-        let cost = run_t3(lab());
-        assert_eq!(cost.phases.len(), 6);
-        assert!(cost.rules_per_sec > 0.0);
-        assert!(cost.to_string().contains("stage-1 training"));
-    }
-
-    #[test]
-    fn f7_aucs_are_high_for_learned_methods() {
-        let roc = run_f7(lab());
-        assert_eq!(roc.curves.len(), 4);
-        let two_stage = &roc.curves[0];
-        assert!(two_stage.auc > 0.9, "auc = {}", two_stage.auc);
-        assert!(roc.to_string().contains("AUC"));
-    }
-
-    #[test]
-    fn f9_covers_all_injected_families() {
-        let report = run_f9(lab());
-        assert!(!report.rows.is_empty());
-        assert!(report.benign_fpr < 0.2, "fpr = {}", report.benign_fpr);
-        let mean_recall: f64 =
-            report.rows.iter().map(|(_, _, r)| r).sum::<f64>() / report.rows.len() as f64;
-        assert!(mean_recall > 0.6, "mean recall {mean_recall}");
-    }
-}

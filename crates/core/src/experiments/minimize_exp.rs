@@ -376,37 +376,3 @@ pub fn run_f20_minimize(
         conserved,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::experiments::tests::lab;
-
-    #[test]
-    fn f20_minimize_small_run_is_consistent() {
-        let report = run_f20_minimize(lab(), &[4, 6], 256, 8);
-        assert_eq!(report.margins.len(), 2);
-        for m in &report.margins {
-            assert!(m.entries_source > 0);
-            assert!(m.entries_minimized <= m.entries_source);
-            assert!(m.tcam_bits_minimized <= m.tcam_bits);
-        }
-        assert!(
-            report.margins.iter().any(|m| m.margin > 0.0),
-            "at least one learned ruleset must minimize"
-        );
-        assert!(report.equality_probes > 0);
-        assert!(report.conserved, "live gateway must conserve frames");
-        assert_eq!(report.live_publishes, 6);
-        assert!(
-            report.speedup > 1.0,
-            "incremental publish must beat from-scratch (got {:.2}x)",
-            report.speedup
-        );
-    }
-
-    #[test]
-    fn f20_minimize_margins_are_seed_deterministic() {
-        assert_eq!(margins(lab(), &[4]), margins(lab(), &[4]));
-    }
-}

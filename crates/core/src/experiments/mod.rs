@@ -8,6 +8,8 @@
 //! experiments that drive a gateway.
 
 pub mod adaptation;
+#[cfg(test)]
+mod claims;
 pub mod convergence;
 pub mod dataplane_exp;
 pub mod dataset;
@@ -138,18 +140,10 @@ pub const EXPERIMENTS: &[(&str, Run)] = &[
 ];
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
+    use super::claims::CLAIMS;
     use super::*;
     use serde_json::Value;
-    use std::sync::OnceLock;
-
-    /// The lab the module tests share: the committed results' seed and
-    /// profile, so whichever test asks first for a guard trains it for the
-    /// currency test too.
-    pub(crate) fn lab() -> &'static ExperimentContext {
-        static LAB: OnceLock<ExperimentContext> = OnceLock::new();
-        LAB.get_or_init(|| ExperimentContext::standard(2020, false))
-    }
 
     /// `(id, key, why)`: the keys of `results/<id>.json` that two runs of
     /// the same code at the same seed do not agree on, and the clock or
@@ -210,29 +204,48 @@ pub(crate) mod tests {
         named.into_iter().for_each(|v| blank(v, rest));
     }
 
-    fn stable(id: &str, json: &str) -> Value {
-        let mut value = serde_json::parse_value_str(json).expect("report is JSON");
+    fn stable(id: &str, mut value: Value) -> Value {
         for (_, key, _) in VOLATILE.iter().filter(|(of, _, _)| *of == id) {
             blank(&mut value, &key.split('.').collect::<Vec<_>>());
         }
         value
     }
 
-    /// `results/` is an output of this code: every experiment, rerun at
-    /// seed 2020 in the default profile (`reproduce all --out results`),
-    /// reproduces its committed JSON outside the [`VOLATILE`] keys.
+    /// `results/` is an output of this code, and it shows what the
+    /// evaluation claims: every experiment, rerun at seed 2020 in the
+    /// default profile (`reproduce all --out results`), reproduces its
+    /// committed JSON outside the [`VOLATILE`] keys, its report holds each
+    /// of its [`CLAIMS`] (read before blanking, so timing claims see their
+    /// numbers), and its text is headed by its figure (`F15` for
+    /// `f15_observe`).
     #[test]
     fn results_are_current() {
         let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
-        let mut stale = Vec::new();
+        let lab = ExperimentContext::standard(2020, false);
+        let (mut stale, mut broken, mut checked) = (Vec::new(), Vec::new(), 0);
         for (id, run) in EXPERIMENTS {
             let committed = std::fs::read_to_string(format!("{results}/{id}.json"))
                 .unwrap_or_else(|e| panic!("results/{id}.json is committed: {e}"));
-            let rerun = run(lab()).json.expect("report serializes");
-            if stable(id, &rerun) != stable(id, &committed) {
+            let committed = serde_json::parse_value_str(&committed).expect("committed JSON");
+            let emitted = run(&lab);
+            let rerun = emitted.json.expect("report serializes");
+            let report = serde_json::parse_value_str(&rerun).expect("report is JSON");
+            for (_, claim, holds) in CLAIMS.iter().filter(|(of, _, _)| of == id) {
+                checked += 1;
+                if !holds(&report) {
+                    broken.push(format!("{id}: {claim}"));
+                }
+            }
+            let figure = id.split('_').next().unwrap_or(id).to_uppercase();
+            if emitted.text.split([' ', '-']).next() != Some(figure.as_str()) {
+                broken.push(format!("{id}: its text is headed {figure}"));
+            }
+            if stable(id, report) != stable(id, committed) {
                 stale.push(*id);
             }
         }
+        assert_eq!(checked, CLAIMS.len(), "a claim names no experiment");
+        assert!(broken.is_empty(), "claims that do not hold: {broken:#?}");
         assert!(
             stale.is_empty(),
             "{stale:?} differ from results/; regenerate with `reproduce all --out results`"

@@ -283,37 +283,3 @@ pub fn run_f15_observe(seed: u64, shards: usize) -> F15ObserveReport {
         wave,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn f15_observe_joins_traces_and_trips_the_burn_gauge() {
-        let report = run_f15_observe(7, 2);
-        let r = &report.replay;
-        assert!(r.frames > 0);
-        assert!(r.traces > 0, "sampled replay must leave traces");
-        assert!(r.swap_trace_joined, "swap audit event must join the store");
-        // One root is `traced_replay`'s own check: it panics on an exemplar
-        // id that two lanes share.
-        assert!(
-            r.exemplar_spans >= 2,
-            "exemplar tree needs a root and at least one stage child"
-        );
-        assert!(!r.slow_stage.is_empty());
-        assert!(
-            r.stage_sum_ratio > 0.1 && r.stage_sum_ratio < 3.0,
-            "stage spans must sum to the frame span within slack, got {}",
-            r.stage_sum_ratio
-        );
-        let w = &report.wave;
-        assert!(w.tripped, "attack burn {} must trip", w.attack_burn);
-        assert!(
-            w.attack_burn > w.quiet_burn,
-            "attack burn {} must exceed quiet burn {}",
-            w.attack_burn,
-            w.quiet_burn
-        );
-    }
-}

@@ -120,34 +120,3 @@ impl fmt::Display for UniversalityReport {
         Ok(())
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn f6_two_stage_works_on_non_ip_where_five_tuple_cannot() {
-        let lab = crate::experiments::tests::lab();
-        let report = run_f6(lab, &[AttackFamily::ZWireHijack, AttackFamily::SynFlood]);
-        assert_eq!(report.rows.len(), 2);
-        let zwire = &report.rows[0];
-        assert_eq!(zwire.protocol, "zwire (non-IP)");
-        assert!(
-            zwire.f1_two_stage > 0.8,
-            "two-stage on zwire: {}",
-            zwire.f1_two_stage
-        );
-        // A fixed-field firewall reads garbage offsets on non-IP frames and
-        // cannot generalize; it must be far below the two-stage method.
-        assert!(
-            zwire.f1_two_stage > zwire.f1_five_tuple + 0.2,
-            "two-stage {} vs 5-tuple {}",
-            zwire.f1_two_stage,
-            zwire.f1_five_tuple
-        );
-        let syn = &report.rows[1];
-        // Spoofed-source floods also defeat exact 5-tuple matching.
-        assert!(syn.f1_two_stage > syn.f1_five_tuple);
-        assert!(report.to_string().contains("F6"));
-    }
-}

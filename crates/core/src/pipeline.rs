@@ -610,6 +610,25 @@ mod tests {
             .contains("invalid model: no selected offsets"));
     }
 
+    #[test]
+    fn model_json_still_carrying_range_paths_loads() {
+        // Model files written before `CompiledRules::range_paths` was
+        // deleted carry the attack paths a second time; the loader ignores
+        // the key and restores the same guard.
+        let (guard, _, test) = trained();
+        let json = guard.to_json();
+        let paths = serde_json::to_string(&guard.tree.paths()).expect("paths serialize");
+        let old = json.replacen(
+            "\"compiled\":{",
+            &format!("\"compiled\":{{\"range_paths\":{paths},"),
+            1,
+        );
+        assert!(old.len() > json.len(), "the old key was spliced in");
+        let loaded = TrainedGuard::from_json(&old).expect("an old model file loads");
+        assert_eq!(loaded.compiled, guard.compiled);
+        assert_eq!(loaded.evaluate_rules(&test), guard.evaluate_rules(&test));
+    }
+
     /// `TrainedGuard::from_json` of `json`, as the error it must be.
     fn rejection(json: &str) -> String {
         TrainedGuard::from_json(json)

@@ -50,5 +50,5 @@ pub mod shard;
 pub use flow::{flow_hash, shard_for};
 pub use gateway::{DrainTimeout, Gateway, GatewayConfig, GatewaySnapshot};
 pub use mirror::MirrorTap;
-pub use replay::{replay, replay_batched, ReplayMode, ReplayReport};
+pub use replay::{replay_batched, ReplayMode, ReplayReport};
 pub use shard::{LaneStats, ShardStats};

@@ -3,7 +3,6 @@
 //! into the shard queues.
 
 use crate::gateway::Gateway;
-use bytes::Bytes;
 use p4guard_dataplane::switch::compute_pps;
 use p4guard_packet::arena::FrameBatch;
 use serde::{Deserialize, Serialize};
@@ -36,22 +35,6 @@ pub enum ReplayMode {
     Blocking,
     /// Drop on full queues — lossy, rate holds under overload.
     DropOnFull,
-}
-
-/// Replays `frames` into `gateway` one frame per message —
-/// [`replay_batched`] over one-frame batches, so the pacing check still
-/// runs every `PACE_CHUNK` (256) frames.
-pub fn replay<I>(
-    gateway: &Gateway,
-    frames: I,
-    target_pps: Option<f64>,
-    mode: ReplayMode,
-) -> ReplayReport
-where
-    I: IntoIterator<Item = Bytes>,
-{
-    let batches = frames.into_iter().map(FrameBatch::single);
-    replay_batched(gateway, batches, target_pps, mode)
 }
 
 /// Replays pre-built [`FrameBatch`]es into `gateway`, pacing to

@@ -6,7 +6,8 @@ use p4guard_dataplane::action::Action;
 use p4guard_dataplane::control::ControlPlane;
 use p4guard_dataplane::table::MatchSpec;
 use p4guard_dataplane::AclLayout;
-use p4guard_gateway::{replay, Gateway, GatewayConfig, ReplayMode};
+use p4guard_gateway::{replay_batched, Gateway, GatewayConfig, ReplayMode};
+use p4guard_packet::arena::FrameBatch;
 use std::time::Duration;
 
 /// Offset of the IPv4 protocol byte in an Ethernet frame.
@@ -172,7 +173,8 @@ fn backpressure_drops_are_counted_and_conserved() {
     );
     let frames = workload(2000);
     let offered = frames.len() as u64;
-    let report = replay(&gw, frames, None, ReplayMode::DropOnFull);
+    let batches = frames.into_iter().map(FrameBatch::single);
+    let report = replay_batched(&gw, batches, None, ReplayMode::DropOnFull);
     let snap = gw.finish();
 
     assert_eq!(report.offered, offered);
@@ -254,7 +256,8 @@ fn paced_replay_respects_target_rate() {
     let (control, _) = build_control();
     let gw = Gateway::start(&control, GatewayConfig::with_shards(2));
     let frames = workload(32); // 512 frames
-    let report = replay(&gw, frames, Some(4096.0), ReplayMode::Blocking);
+    let batches = frames.into_iter().map(FrameBatch::single);
+    let report = replay_batched(&gw, batches, Some(4096.0), ReplayMode::Blocking);
     let snap = gw.finish();
 
     assert_eq!(report.offered, 512);
@@ -423,7 +426,8 @@ fn wait_drained_is_a_bounded_checkpoint() {
     // checkpoint counts shed frames as accounted for.
     let frames = workload(50);
     let offered = frames.len() as u64;
-    let report = replay(&gw, frames, None, ReplayMode::DropOnFull);
+    let batches = frames.into_iter().map(FrameBatch::single);
+    let report = replay_batched(&gw, batches, None, ReplayMode::DropOnFull);
     let snap = gw
         .wait_drained(offered, Duration::from_secs(30))
         .expect("served + shed reaches offered");

@@ -262,23 +262,6 @@ impl FrameArena {
         self.stats.open_bytes += frame.len() as u64;
     }
 
-    /// Extends the open chunk by `len` zero bytes and returns the span's
-    /// mutable tail, so callers can decode straight into the arena without
-    /// an intermediate buffer. The span is recorded as a pushed frame.
-    pub fn push_uninit(&mut self, len: usize) -> &mut [u8] {
-        let offset = self.chunk.len();
-        self.chunk.resize(offset + len, 0);
-        self.spans.push(FrameSpan {
-            offset: offset as u32,
-            len: len as u32,
-        });
-        self.stats.frames += 1;
-        self.stats.bytes += len as u64;
-        self.stats.open_frames += 1;
-        self.stats.open_bytes += len as u64;
-        &mut self.chunk[offset..]
-    }
-
     /// Frames currently buffered in the open chunk.
     pub fn pending(&self) -> usize {
         self.spans.len()
@@ -398,14 +381,6 @@ mod tests {
         let batch = arena.seal_batch();
         assert!(batch.is_empty());
         assert_eq!(arena.stats().batches, 0);
-    }
-
-    #[test]
-    fn push_uninit_exposes_writable_tail() {
-        let mut arena = FrameArena::new(64);
-        arena.push_uninit(4).copy_from_slice(&[9, 8, 7, 6]);
-        let batch = arena.seal_batch();
-        assert_eq!(batch.frame(0), &[9, 8, 7, 6]);
     }
 
     #[test]

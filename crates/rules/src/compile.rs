@@ -74,15 +74,13 @@ pub struct CompileStats {
     pub tcam_bits: usize,
 }
 
-/// The output of compilation: the installable ternary rule set plus the
-/// range-form paths (for switches with native range matching) and stats.
+/// The output of compilation: the installable ternary rule set and its
+/// stats. A range-capable table needs no second copy: its entries are the
+/// source tree's [`DecisionTree::paths`] of the compile class.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompiledRules {
     /// Prefix-expanded ternary rules.
     pub ternary: RuleSet,
-    /// The attack paths in range form (one per leaf), for range-capable
-    /// tables.
-    pub range_paths: Vec<TreePath>,
     /// Compilation statistics.
     pub stats: CompileStats,
 }
@@ -135,7 +133,6 @@ pub fn compile_tree(
     };
     Ok(CompiledRules {
         ternary: ruleset,
-        range_paths: attack_paths,
         stats,
     })
 }
@@ -303,12 +300,5 @@ mod tests {
             find_disagreement(&tree, &compiled, keys.iter().map(|k| k.as_slice())),
             None
         );
-    }
-
-    #[test]
-    fn range_paths_are_only_attack_paths() {
-        let tree = threshold_tree();
-        let compiled = compile_tree(&tree, &CompileConfig::default()).unwrap();
-        assert!(compiled.range_paths.iter().all(|p| p.class == 1));
     }
 }

@@ -69,7 +69,14 @@ fn range_and_ternary_deployments_agree() {
         10_000,
         Action::NoOp,
     );
-    for path in &guard.compiled.range_paths {
+    let attack = guard.config.compile.compile_class;
+    let paths: Vec<_> = guard
+        .tree
+        .paths()
+        .into_iter()
+        .filter(|p| p.class == attack)
+        .collect();
+    for path in &paths {
         let (lo, hi) = path.ranges.iter().copied().unzip();
         acl.insert(MatchSpec::Range { lo, hi }, Action::Drop, 1)
             .unwrap();
@@ -89,7 +96,7 @@ fn range_and_ternary_deployments_agree() {
 
     // Range encoding uses one entry per attack path — never more than the
     // ternary expansion.
-    assert!(guard.compiled.range_paths.len() <= guard.compiled.ternary.len().max(1));
+    assert!(paths.len() <= guard.compiled.ternary.len().max(1));
 }
 
 /// Drop counters must add up across a replay.
