@@ -32,8 +32,8 @@
 
 use crate::action::Action;
 use crate::key::KeyLayout;
-use crate::minimize::{self, MinEntry, MinimizedTable};
-use crate::table::{MatchKind, MatchSpec, Table, TableId};
+use crate::minimize::{self, Edit, MinEntry, MinimizedTable};
+use crate::table::{MatchKind, MatchSpec, Revision, Table, TableId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -111,6 +111,35 @@ struct BitVector {
     rows: Vec<u64>,
     /// Action by rank.
     actions: Vec<Action>,
+    /// Per kept position, its classes: row `r` there is class `r`'s. A
+    /// splice refines them further instead of starting from one class.
+    partitions: Vec<Partition>,
+    /// Per row — position by position, in row order — the byte values of
+    /// its class.
+    members: Vec<Members>,
+}
+
+/// A set of byte values: bit `b % 64` of word `b / 64` holds byte `b`.
+type Members = [u64; 4];
+
+/// How one kept position's byte values fall into classes.
+#[derive(Debug, Clone, PartialEq)]
+struct Partition {
+    /// The class of each byte value: its row's index among the position's.
+    of: [u8; 256],
+    /// Classes (rows) at the position.
+    count: usize,
+}
+
+/// The smallest byte value in `set` (0 for the empty set, which no class
+/// is).
+fn first_member(set: &Members) -> u8 {
+    set.iter()
+        .enumerate()
+        .find(|&(_, &word)| word != 0)
+        .map_or(0, |(i, word)| {
+            (i * 64 + word.trailing_zeros() as usize) as u8
+        })
 }
 
 #[derive(Debug, Clone)]
@@ -204,15 +233,19 @@ impl Accept {
 }
 
 /// The partition of the 256 byte values at one key position into classes,
-/// refined one accept set at a time. All state is fixed-size, so a build
-/// allocates nothing per byte value or per accept set.
+/// refined one accept set at a time. Beside the class of each byte it keeps
+/// each class's byte values as a set, so a member can stand for its class
+/// and neither a refinement nor a splice scans the 256 bytes. One value
+/// serves every position of a build or a splice, so refining allocates
+/// nothing per byte value or per accept set once the first position has
+/// grown the member list.
 struct Classes {
     /// Class id of each byte value.
     of: [u8; 256],
     /// Members of each class id in use.
     size: [u16; 256],
-    /// Class ids in use (1..=256).
-    count: usize,
+    /// The byte values of each class id in use (1..=256 of them).
+    members: Vec<Members>,
     /// Scratch for [`Classes::refine`], all zero between calls: accepted
     /// members seen per class.
     hits: [u16; 256],
@@ -225,15 +258,39 @@ struct Classes {
 impl Classes {
     /// One class holding every byte value.
     fn new() -> Classes {
-        let mut size = [0; 256];
-        size[0] = 256;
-        Classes {
+        let mut classes = Classes {
             of: [0; 256],
-            size,
-            count: 1,
+            size: [0; 256],
+            members: Vec::new(),
             hits: [0; 256],
             touched: [0; 256],
             target: [0; 256],
+        };
+        classes.reset();
+        classes
+    }
+
+    /// Class ids in use.
+    fn count(&self) -> usize {
+        self.members.len()
+    }
+
+    /// Back to one class holding every byte value.
+    fn reset(&mut self) {
+        self.of = [0; 256];
+        self.size[0] = 256;
+        self.members.clear();
+        self.members.push([u64::MAX; 4]);
+    }
+
+    /// The classes whose byte values are `members`, `of` telling each
+    /// byte's: a kept position's, to refine further.
+    fn load(&mut self, of: &[u8; 256], members: &[Members]) {
+        self.of = *of;
+        self.members.clear();
+        self.members.extend_from_slice(members);
+        for (size, set) in self.size.iter_mut().zip(members) {
+            *size = set.iter().map(|word| word.count_ones() as u16).sum();
         }
     }
 
@@ -255,19 +312,34 @@ impl Classes {
             let hits = std::mem::take(&mut self.hits[c]);
             self.target[c] = class;
             if hits < self.size[c] {
-                // A split leaves both parts non-empty, so `count <= 255`.
-                self.target[c] = self.count as u8;
-                self.size[self.count] = hits;
+                // A split leaves both parts non-empty, so `id <= 255`.
+                let id = self.count();
+                self.target[c] = id as u8;
+                self.size[id] = hits;
                 self.size[c] -= hits;
-                self.count += 1;
+                self.members.push([0; 4]);
                 split = true;
             }
         }
         if split {
+            let mut accepted: Members = [0; 4];
             accept.for_each(|byte| {
+                accepted[usize::from(byte / 64)] |= 1 << (byte % 64);
                 let class = &mut self.of[usize::from(byte)];
                 *class = self.target[usize::from(*class)];
             });
+            for &class in &self.touched[..touched_len] {
+                let (from, to) = (
+                    usize::from(class),
+                    usize::from(self.target[usize::from(class)]),
+                );
+                if to != from {
+                    for (i, word) in accepted.iter().enumerate() {
+                        self.members[to][i] = self.members[from][i] & word;
+                        self.members[from][i] &= !word;
+                    }
+                }
+            }
         }
     }
 }
@@ -332,151 +404,416 @@ impl AcceptSets {
     }
 }
 
-impl BitVector {
-    /// Indexes `entries` (ternary or range specs over `width` key bytes).
-    ///
-    /// This runs on every delta publish, so its cost follows the *distinct*
-    /// accept sets of each position rather than entries × classes: the
-    /// entries' sets are numbered, classes come from refining over the
-    /// sets, each set's classes are found once, and the fill gathers, 64
-    /// ranks at a time, one word of entry bits per set and ORs it into the
-    /// rows of that set's classes. A position left with one class gets no
-    /// rows (see [`BitVector::positions`]).
-    fn build(entries: &[Arc<MinEntry>], width: usize) -> BitVector {
-        let n = entries.len();
-        let words = n.div_ceil(64).max(1);
-        let steps = words.div_ceil(PROBE_CHUNK);
-        let summary = if steps > 1 { steps.div_ceil(64) } else { 0 };
-        let stride = summary + words;
-        // Position-major copy of what each entry accepts, so the passes
-        // below run over contiguous columns instead of chasing every
-        // entry's spec once per position.
-        let mut accepts = vec![Accept::Masked { mask: 0, value: 0 }; width * n];
-        for (rank, entry) in entries.iter().enumerate() {
-            for pos in 0..width {
-                accepts[pos * n + rank] = Accept::at(&entry.spec, pos);
+/// What each of `entries` accepts at each of `width` key positions,
+/// position-major (`[pos * n + i]` for the `i`-th of `n` entries), so the
+/// passes over one position run over a contiguous column instead of
+/// chasing every entry's spec once per position.
+fn columns<'a>(entries: impl ExactSizeIterator<Item = &'a MinEntry>, width: usize) -> Vec<Accept> {
+    let n = entries.len();
+    let mut accepts = vec![Accept::Masked { mask: 0, value: 0 }; width * n];
+    for (i, entry) in entries.enumerate() {
+        for pos in 0..width {
+            accepts[pos * n + i] = Accept::at(&entry.spec, pos);
+        }
+    }
+    accepts
+}
+
+/// ORs bits `from..from + len` of `src` into `dst`, from bit `to` on.
+fn or_bits(src: &[u64], from: usize, dst: &mut [u64], to: usize, len: usize) {
+    if len > 0 && from % 64 == to % 64 {
+        // Both ends sit alike in their words: a word-for-word OR, the run's
+        // first and last words masked to it.
+        let words = (to % 64 + len).div_ceil(64);
+        let dst = &mut dst[to / 64..][..words];
+        let src = &src[from / 64..][..words];
+        let head = u64::MAX << (to % 64);
+        let tail = u64::MAX >> ((64 - (to + len) % 64) % 64);
+        if words == 1 {
+            dst[0] |= src[0] & head & tail;
+            return;
+        }
+        dst[0] |= src[0] & head;
+        dst[words - 1] |= src[words - 1] & tail;
+        for (d, &s) in dst[1..words - 1].iter_mut().zip(&src[1..words - 1]) {
+            *d |= s;
+        }
+        return;
+    }
+    let mut done = 0;
+    while done < len {
+        let (s, d) = (from + done, to + done);
+        // As many bits as are left, up to the end of `dst`'s word.
+        let take = (64 - d % 64).min(len - done);
+        let mut bits = src[s / 64] >> (s % 64);
+        if s % 64 + take > 64 {
+            bits |= src[s / 64 + 1] << (64 - s % 64);
+        }
+        if take < 64 {
+            bits &= (1 << take) - 1;
+        }
+        dst[d / 64] |= bits << (d % 64);
+        done += take;
+    }
+}
+
+/// The entry-bit fill of one key position, shared by [`BitVector::build`]
+/// and [`BitVector::splice`]: each accept set's classes are found once, and
+/// 64 ranks at a time each set's word of entry bits is ORed into the rows
+/// of its classes. All scratch, reused across positions.
+struct Fill {
+    /// The classes of set `s` are `held[starts[s]..starts[s + 1]]`.
+    held: Vec<u8>,
+    starts: Vec<usize>,
+    seen: [bool; 256],
+    /// Per set, its entry bits in the current word; `live` lists the sets
+    /// with any.
+    acc: Vec<u64>,
+    live: Vec<u16>,
+}
+
+impl Fill {
+    fn new() -> Fill {
+        Fill {
+            held: Vec::new(),
+            starts: Vec::new(),
+            seen: [false; 256],
+            acc: Vec::new(),
+            live: Vec::new(),
+        }
+    }
+
+    /// Sets each entry's bit in the rows of the classes its set holds
+    /// among `classes`, the last position pushed onto `index`, whose rows
+    /// start at `base`. `words` yields the entries one word of ranks at a
+    /// time, ascending: the word, and each entry's bit in it with its set
+    /// as `column` numbers them.
+    fn run<I: Iterator<Item = (usize, u16)>>(
+        &mut self,
+        index: &mut BitVector,
+        base: usize,
+        column: &AcceptSets,
+        classes: &Classes,
+        words: impl Iterator<Item = (usize, I)>,
+    ) {
+        let Fill {
+            held,
+            starts,
+            seen,
+            acc,
+            live,
+        } = self;
+        // Each set's classes: all of them for a set that leaves the
+        // position free, else found by walking its accepted bytes or one
+        // member of each class, whichever is fewer.
+        held.clear();
+        starts.clear();
+        starts.push(0);
+        // One member of each class to stand for all of them, found the
+        // first time a set walks the classes.
+        let mut firsts: Option<[u8; 256]> = None;
+        for &accept in &column.sets {
+            let from = held.len();
+            if accept.is_any() {
+                held.extend((0..=255).take(classes.count()));
+            } else if accept.count() <= classes.count() {
+                accept.for_each(|byte| {
+                    let of = classes.of[usize::from(byte)];
+                    if !std::mem::replace(&mut seen[usize::from(of)], true) {
+                        held.push(of);
+                    }
+                });
+                for &of in &held[from..] {
+                    seen[usize::from(of)] = false;
+                }
+            } else {
+                let firsts = firsts.get_or_insert_with(|| {
+                    let mut firsts = [0; 256];
+                    for (first, set) in firsts.iter_mut().zip(&classes.members) {
+                        *first = first_member(set);
+                    }
+                    firsts
+                });
+                held.extend(
+                    (0..=255)
+                        .zip(&firsts[..classes.count()])
+                        .filter(|&(_, &byte)| accept.contains(byte))
+                        .map(|(of, _)| of),
+                );
+            }
+            starts.push(held.len());
+        }
+
+        let (summary, stride) = (index.summary, index.stride());
+        let rows = &mut index.rows[base..];
+        acc.clear();
+        acc.resize(column.sets.len(), 0);
+        for (word, entries) in words {
+            for (bit, set) in entries {
+                let acc = &mut acc[usize::from(set)];
+                if *acc == 0 {
+                    live.push(set);
+                }
+                *acc |= 1 << bit;
+            }
+            for set in live.drain(..) {
+                let set = usize::from(set);
+                let bits = std::mem::take(&mut acc[set]);
+                for &of in &held[starts[set]..starts[set + 1]] {
+                    rows[usize::from(of) * stride + summary + word] |= bits;
+                }
             }
         }
-        let mut class = Vec::with_capacity(width * 256);
-        let mut rows: Vec<u64> = Vec::new();
-        // The classes of set `s` are `held[starts[s]..starts[s + 1]]`.
-        let mut held: Vec<u8> = Vec::new();
-        let mut starts: Vec<usize> = Vec::new();
-        let mut seen = [false; 256];
-        // Per set, its entry bits in the current word; `live` lists the
-        // sets with any.
-        let mut acc: Vec<u64> = Vec::new();
-        let mut live: Vec<u16> = Vec::new();
+    }
+}
+
+/// Sets a row's summary words (its first `summary`) from its entry words,
+/// one summary word (64 steps) at a time; a single-step row has none.
+fn summarise_row(row: &mut [u64], summary: usize) {
+    let (head, bits) = row.split_at_mut(summary);
+    for (head, span) in head.iter_mut().zip(bits.chunks(64 * PROBE_CHUNK)) {
+        for (k, step) in span.chunks(PROBE_CHUNK).enumerate() {
+            *head |= u64::from(step.iter().any(|&w| w != 0)) << k;
+        }
+    }
+}
+
+thread_local! {
+    /// Full engine builds run on this thread: the unit tests read it to
+    /// pin that a patchable delta never takes that path.
+    static BUILDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+impl BitVector {
+    /// An engine over one rank per action in `actions` and a key of
+    /// `width` bytes, with no key position yet.
+    fn empty(actions: Vec<Action>, width: usize) -> BitVector {
+        let words = actions.len().div_ceil(64).max(1);
+        let steps = words.div_ceil(PROBE_CHUNK);
+        BitVector {
+            positions: Vec::with_capacity(width),
+            words,
+            summary: if steps > 1 { steps.div_ceil(64) } else { 0 },
+            class: Vec::with_capacity(width * 256),
+            rows: Vec::new(),
+            actions,
+            partitions: Vec::with_capacity(width),
+            members: Vec::new(),
+        }
+    }
+
+    /// Words per row: the summary, then the entry bits.
+    fn stride(&self) -> usize {
+        self.summary + self.words
+    }
+
+    /// Appends key position `pos`, split into `classes`: a zeroed row per
+    /// class, its class map and its classes. Returns where its rows start
+    /// in `rows`.
+    fn push_position(&mut self, pos: usize, classes: &Classes) -> usize {
+        let stride = self.stride();
+        let base = self.rows.len();
+        self.rows.resize(base + classes.count() * stride, 0);
+        // Word offsets for summary-less rows, row indices otherwise.
+        let (first, scale) = if self.summary == 0 {
+            (base, stride)
+        } else {
+            (base / stride, 1)
+        };
+        self.class.extend(
+            classes
+                .of
+                .iter()
+                .map(|&of| (first + usize::from(of) * scale) as u32),
+        );
+        self.partitions.push(Partition {
+            of: classes.of,
+            count: classes.count(),
+        });
+        self.members.extend_from_slice(&classes.members);
+        self.positions.push(pos);
+        base
+    }
+
+    /// Takes back the last position pushed, whose rows start at `base`.
+    fn pop_position(&mut self, base: usize) {
+        self.rows.truncate(base);
+        self.class.truncate(self.class.len() - 256);
+        if let Some(partition) = self.partitions.pop() {
+            self.members.truncate(self.members.len() - partition.count);
+        }
+        self.positions.pop();
+    }
+
+    /// Fills in the summary words of every row from `base` on.
+    fn summarise(&mut self, base: usize) {
+        let (summary, stride) = (self.summary, self.stride());
+        for row in self.rows[base..].chunks_exact_mut(stride) {
+            summarise_row(row, summary);
+        }
+    }
+
+    /// The entry words of a row holding every rank.
+    fn every_rank(&self) -> Vec<u64> {
+        (0..self.words)
+            .map(|w| match self.actions.len().saturating_sub(w * 64) {
+                left if left >= 64 => u64::MAX,
+                left => (1 << left) - 1,
+            })
+            .collect()
+    }
+
+    /// Indexes `entries` (ternary or range specs over `width` key bytes):
+    /// the full compile's constructor.
+    ///
+    /// Its cost follows the *distinct* accept sets of each position rather
+    /// than entries × classes: the entries' sets are numbered, classes come
+    /// from refining over the sets, and [`Fill`] sets the entry bits. A
+    /// position left with one class gets no rows (see
+    /// [`BitVector::positions`]).
+    fn build(entries: &[Arc<MinEntry>], width: usize) -> BitVector {
+        BUILDS.with(|builds| builds.set(builds.get() + 1));
+        let n = entries.len();
+        let mut index = BitVector::empty(entries.iter().map(|e| e.action).collect(), width);
+        let accepts = columns(entries.iter().map(|e| &**e), width);
         let mut column = AcceptSets::new();
-        let mut positions = Vec::new();
+        let mut fill = Fill::new();
+        let mut classes = Classes::new();
         for pos in 0..width {
             column.number(&accepts[pos * n..][..n]);
-            let mut classes = Classes::new();
+            classes.reset();
             for &accept in &column.sets {
                 if !accept.is_any() {
                     classes.refine(accept);
                 }
             }
-            if classes.count == 1 && (pos + 1 < width || !positions.is_empty()) {
+            if classes.count() == 1 && (pos + 1 < width || !index.positions.is_empty()) {
                 continue;
             }
-            positions.push(pos);
-
-            let base = rows.len();
-            rows.resize(base + classes.count * stride, 0);
-            // Word offsets for summary-less rows, row indices otherwise.
-            let (first, scale) = if summary == 0 {
-                (base, stride)
-            } else {
-                (base / stride, 1)
-            };
-            class.extend(
-                classes
-                    .of
-                    .iter()
-                    .map(|&of| (first + usize::from(of) * scale) as u32),
-            );
-
-            // Each set's classes: all of them for a set that leaves the
-            // position free, else found by walking its accepted bytes or
-            // the classes, whichever is fewer.
-            held.clear();
-            starts.clear();
-            starts.push(0);
-            // One member of each class to stand for all of them, found the
-            // first time a set walks the classes.
-            let mut members: Option<[u8; 256]> = None;
-            for &accept in &column.sets {
-                let from = held.len();
-                if accept.is_any() {
-                    held.extend((0..=255).take(classes.count));
-                } else if accept.count() <= classes.count {
-                    accept.for_each(|byte| {
-                        let of = classes.of[usize::from(byte)];
-                        if !std::mem::replace(&mut seen[usize::from(of)], true) {
-                            held.push(of);
-                        }
-                    });
-                    for &of in &held[from..] {
-                        seen[usize::from(of)] = false;
-                    }
-                } else {
-                    let members = members.get_or_insert_with(|| {
-                        let mut members = [0; 256];
-                        for (byte, &of) in (0..=255).zip(&classes.of) {
-                            members[usize::from(of)] = byte;
-                        }
-                        members
-                    });
-                    held.extend(
-                        (0..=255)
-                            .zip(&members[..classes.count])
-                            .filter(|&(_, &byte)| accept.contains(byte))
-                            .map(|(of, _)| of),
-                    );
-                }
-                starts.push(held.len());
-            }
-
-            let rows = &mut rows[base..];
-            acc.clear();
-            acc.resize(column.sets.len(), 0);
-            for (word, ranks) in column.of.chunks(64).enumerate() {
-                for (bit, &set) in ranks.iter().enumerate() {
-                    let acc = &mut acc[usize::from(set)];
-                    if *acc == 0 {
-                        live.push(set);
-                    }
-                    *acc |= 1 << bit;
-                }
-                for set in live.drain(..) {
-                    let set = usize::from(set);
-                    let bits = std::mem::take(&mut acc[set]);
-                    for &of in &held[starts[set]..starts[set + 1]] {
-                        rows[usize::from(of) * stride + summary + word] |= bits;
-                    }
-                }
-            }
-            // Summarise each finished row, one summary word (64 steps) at a
-            // time; a single-step row has none to fill.
-            for row in rows.chunks_exact_mut(stride) {
-                let (head, bits) = row.split_at_mut(summary);
-                for (head, span) in head.iter_mut().zip(bits.chunks(64 * PROBE_CHUNK)) {
-                    for (k, step) in span.chunks(PROBE_CHUNK).enumerate() {
-                        *head |= u64::from(step.iter().any(|&w| w != 0)) << k;
-                    }
-                }
-            }
+            let base = index.push_position(pos, &classes);
+            let words = column.of.chunks(64).enumerate();
+            let words = words.map(|(word, sets)| (word, sets.iter().copied().enumerate()));
+            fill.run(&mut index, base, &column, &classes, words);
+            index.summarise(base);
         }
-        BitVector {
-            positions,
-            words,
-            summary,
-            class,
-            rows,
-            actions: entries.iter().map(|e| e.action).collect(),
-        }
+        index
     }
+
+    /// The engine over `entries` — the minimized list `edit` made from the
+    /// one this engine indexes — derived from this one instead of built.
+    ///
+    /// Each position starts from its classes here (one class holding every
+    /// byte where no entry constrained it), cut further by the fresh
+    /// entries' accept sets. Each row starts as its class's row here, with
+    /// the kept ranks' bits moved to their new ranks (a class a fresh entry
+    /// split off copies its parent's row; one class of a position no entry
+    /// constrained holds every kept rank), and [`Fill`] then sets the fresh
+    /// entries' bits. A position where no fresh entry constrains and every
+    /// row holds every rank is dropped, as the build would; the summaries
+    /// and the class map are recomputed. One difference from a build: a
+    /// removal never merges classes that no remaining entry tells apart,
+    /// so a position may keep more rows than a build would give it — at
+    /// most 256, and the probe reads one a position whatever their count.
+    fn splice(&self, entries: &[Arc<MinEntry>], width: usize, edit: &Edit) -> BitVector {
+        // Every rank is a kept entry's or a fresh one's; a kept entry's
+        // action is read here, not through its `Arc`.
+        let mut actions = vec![Action::NoOp; entries.len()];
+        for &(from, to, len) in &edit.runs {
+            actions[to..to + len].copy_from_slice(&self.actions[from..from + len]);
+        }
+        for &rank in &edit.fresh {
+            actions[rank] = entries[rank].action;
+        }
+        let mut index = BitVector::empty(actions, width);
+        let (stride, summary) = (index.stride(), index.summary);
+        index.rows.reserve(self.members.len() * stride);
+        let old_stride = self.stride();
+        let fresh = edit.fresh.len();
+        let accepts = columns(edit.fresh.iter().map(|&rank| &*entries[rank]), width);
+        // The row of a position no entry constrained holds every old rank.
+        let every_old = self.every_rank();
+        let every = index.every_rank();
+        let mut column = AcceptSets::new();
+        let mut fill = Fill::new();
+        let mut classes = Classes::new();
+        let mut old = self.positions.iter().zip(&self.partitions).peekable();
+        // Where the next old position's rows and member sets start.
+        let (mut old_base, mut old_row) = (0, 0);
+        for pos in 0..width {
+            column.number(&accepts[pos * fresh..][..fresh]);
+            let constrained = column.sets.iter().any(|accept| !accept.is_any());
+            let parent = old.next_if(|&(&at, _)| at == pos).map(|(_, partition)| {
+                let (at, row) = (old_base, old_row);
+                old_base += partition.count * old_stride;
+                old_row += partition.count;
+                (at, partition, &self.members[row..old_row])
+            });
+            match parent {
+                Some((_, partition, members)) => classes.load(&partition.of, members),
+                None if !constrained && (pos + 1 < width || !index.positions.is_empty()) => {
+                    continue;
+                }
+                None => classes.reset(),
+            }
+            let (parents, before) = (classes.count(), classes.of);
+            for &accept in &column.sets {
+                if !accept.is_any() {
+                    classes.refine(accept);
+                }
+            }
+            let base = index.push_position(pos, &classes);
+            let new_rows = index.rows[base..].chunks_exact_mut(stride);
+            for (id, (row, set)) in new_rows.zip(&classes.members).enumerate() {
+                let origin = if id < parents {
+                    id
+                } else {
+                    usize::from(before[usize::from(first_member(set))])
+                };
+                let src = match parent {
+                    Some((at, _, _)) => &self.rows[at + origin * old_stride + self.summary..],
+                    None => &every_old[..],
+                };
+                for &(from, to, len) in &edit.runs {
+                    or_bits(src, from, &mut row[summary..], to, len);
+                }
+            }
+            // The fresh entries by word of ranks, each with its set.
+            let mut sets = &column.of[..];
+            let words = edit.fresh.chunk_by(|a, b| a / 64 == b / 64).map(|ranks| {
+                let (these, rest) = sets.split_at(ranks.len());
+                sets = rest;
+                let bits = ranks.iter().map(|rank| rank % 64);
+                (ranks[0] / 64, bits.zip(these.iter().copied()))
+            });
+            fill.run(&mut index, base, &column, &classes, words);
+            index.summarise(base);
+            let free = !constrained
+                && index.rows[base..]
+                    .chunks_exact(stride)
+                    .all(|row| row[summary..] == every[..]);
+            if free && (pos + 1 < width || index.positions.len() > 1) {
+                index.pop_position(base);
+            }
+        }
+        index
+    }
+}
+
+/// What a wildcard engine answers, whatever its classes and row layout:
+/// two engines over the same minimized entries have equal forms exactly
+/// when every key reads the same bits from them. For differential tests
+/// (see [`CompiledTable::wildcard_form`]).
+#[doc(hidden)]
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WildcardForm {
+    /// The key positions the engine keeps rows for.
+    pub positions: Vec<usize>,
+    /// `rows[pos * 256 + byte]`: the row `byte` selects at key position
+    /// `pos` — its summary words, then its entry words — and at a position
+    /// without rows, the row holding every rank.
+    pub rows: Vec<Vec<u64>>,
+    /// Action by rank.
+    pub actions: Vec<Action>,
 }
 
 /// An immutable, compiled form of one [`Table`], built at snapshot time by
@@ -485,6 +822,8 @@ impl BitVector {
 pub struct CompiledTable {
     /// Identity of the table this was compiled from.
     table: TableId,
+    /// Its revision when this was compiled from it.
+    revision: Revision,
     name: String,
     kind: MatchKind,
     key: KeyLayout,
@@ -504,6 +843,7 @@ impl CompiledTable {
         let engine = Self::build_engine(table.kind(), &min.entries, table.key().width());
         CompiledTable {
             table: table.id(),
+            revision: table.revision(),
             name: table.name().to_owned(),
             kind: table.kind(),
             key: table.key().clone(),
@@ -518,17 +858,19 @@ impl CompiledTable {
     /// form. Three outcomes, cheapest first:
     ///
     /// 1. the same table (the one `prev` was compiled from, or a clone of
-    ///    it) with an unchanged `(handle, action)` fingerprint — the
-    ///    previous `Arc` is returned as-is (structural sharing across
-    ///    pipeline versions);
+    ///    it) at the revision `prev` was compiled at, or since edited back
+    ///    to an unchanged `(handle, action)` fingerprint — the previous
+    ///    `Arc` is returned as-is (structural sharing across pipeline
+    ///    versions);
     /// 2. the same table, changed by additions plus removals of handles
     ///    the last full minimization classified
     ///    [`SourceClass::Clean`](minimize::SourceClass::Clean) or
     ///    [`SourceClass::Eliminated`](minimize::SourceClass::Eliminated) —
     ///    the minimized list is patched (added entries verbatim at the end
     ///    of their priority level, which is where they sit in source match
-    ///    order too) and only the engine is rebuilt, skipping the
-    ///    quadratic minimization passes;
+    ///    order too), skipping the quadratic minimization passes, and a
+    ///    wildcard engine is spliced from the previous one by the same
+    ///    edit rather than built;
     /// 3. anything else (action modified in place, a merged/covering
     ///    entry removed, or another table — handles restart in every new
     ///    one, so only identity tells two tables apart) — a full
@@ -536,13 +878,15 @@ impl CompiledTable {
     ///
     /// What a patch costs: one walk over the source entries, one pointer
     /// copy per kept minimized entry (the entries themselves are shared
-    /// with `prev`), and the engine rebuilt over all entries × key width.
-    /// On the 2,196-entry, 8-byte `loop_churn` stage (2-vCPU Xeon, timers
-    /// in an instrumented build, mean per 1 % delta publish) that is
-    /// 34 µs for the walk and patch and 119 µs for the engine, where a
-    /// handle map (84 µs), a deep copy of the minimized list (94 µs), the
-    /// patch itself (22 µs) and the per-entry engine fill (200 µs) cost
-    /// 400 µs before.
+    /// with `prev`), and the engine's rows copied with the kept ranks'
+    /// bits moved, the fresh entries' bits set and the summaries and
+    /// class map recomputed — no kept entry's spec is read. On the
+    /// 2,196-entry, 8-byte `loop_churn` stage (2-vCPU Xeon, timers in an
+    /// instrumented build of the ledger's churn, medians per 1 % delta
+    /// publish, on caches the serving loop has just filled) that is
+    /// ≈ 75 µs for the walk and patch, 45 µs of it the pointer copies,
+    /// and 24 µs (removal) to 35 µs (re-add) for the engine, which a
+    /// build over the same entries took ≈ 260 µs to make.
     ///
     /// Patched-in entries are not re-minimized, so an incrementally
     /// patched table can carry more entries than a fresh compile would —
@@ -553,6 +897,9 @@ impl CompiledTable {
         // `Table::new`, so its identity vouches for them.
         if prev.table != table.id() {
             return Arc::new(Self::compile(table));
+        }
+        if prev.revision == table.revision() {
+            return Arc::clone(prev);
         }
         let entries = table.entries();
         if prev.min.source.len() == entries.len()
@@ -565,12 +912,19 @@ impl CompiledTable {
         {
             return Arc::clone(prev);
         }
-        let Some(min) = prev.min.patch(entries) else {
+        let Some((min, edit)) = prev.min.patch(entries) else {
             return Arc::new(Self::compile(table));
         };
-        let engine = Self::build_engine(prev.kind, &min.entries, prev.key.width());
+        let width = prev.key.width();
+        let engine = match &prev.engine {
+            Engine::BitVector(index) => Engine::BitVector(index.splice(&min.entries, width, &edit)),
+            Engine::ExactHash(_) | Engine::LpmBuckets(_) => {
+                Self::build_engine(prev.kind, &min.entries, width)
+            }
+        };
         Arc::new(CompiledTable {
             table: prev.table,
+            revision: table.revision(),
             name: prev.name.clone(),
             kind: prev.kind,
             key: prev.key.clone(),
@@ -677,6 +1031,45 @@ impl CompiledTable {
     /// The default action on miss.
     pub fn default_action(&self) -> Action {
         self.default_action
+    }
+
+    /// The wildcard engine's [`WildcardForm`]; `None` for an exact or LPM
+    /// table.
+    #[doc(hidden)]
+    pub fn wildcard_form(&self) -> Option<WildcardForm> {
+        let Engine::BitVector(index) = &self.engine else {
+            return None;
+        };
+        let stride = index.stride();
+        let mut every = vec![0; index.summary];
+        every.extend(index.every_rank());
+        summarise_row(&mut every, index.summary);
+        let mut rows = Vec::with_capacity(self.key.width() * 256);
+        for pos in 0..self.key.width() {
+            match index.positions.iter().position(|&at| at == pos) {
+                Some(i) => rows.extend(index.class[i * 256..][..256].iter().map(|&of| {
+                    let at = of as usize * if index.summary == 0 { 1 } else { stride };
+                    index.rows[at..at + stride].to_vec()
+                })),
+                None => rows.extend(std::iter::repeat_n(&every, 256).cloned()),
+            }
+        }
+        Some(WildcardForm {
+            positions: index.positions.clone(),
+            rows,
+            actions: index.actions.clone(),
+        })
+    }
+
+    /// This table with its engine built in full over its own minimized
+    /// entries: what the engine [`CompiledTable::recompile`] splices must
+    /// equal in [`WildcardForm`].
+    #[doc(hidden)]
+    pub fn rebuilt(&self) -> CompiledTable {
+        CompiledTable {
+            engine: Self::build_engine(self.kind, &self.min.entries, self.key.width()),
+            ..self.clone()
+        }
     }
 
     /// The engine behind this table's match kind: `"exact-hash"`,
@@ -997,6 +1390,7 @@ fn mask_last_byte(bytes: &mut [u8], prefix_len: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::EntryHandle;
     use proptest::collection::vec as pvec;
     use proptest::prelude::*;
 
@@ -1357,6 +1751,240 @@ mod tests {
         assert_eq!(c.lookup_traced(&[15], &mut probe).1, LookupOutcome::Hit(0));
     }
 
+    /// Full engine builds on this thread so far.
+    fn builds() -> u64 {
+        BUILDS.with(std::cell::Cell::get)
+    }
+
+    fn bit_vector(compiled: &CompiledTable) -> &BitVector {
+        match &compiled.engine {
+            Engine::BitVector(index) => index,
+            _ => panic!("{} is not a wildcard engine", compiled.strategy()),
+        }
+    }
+
+    /// `table` recompiled against `prev` through the patch path: no build,
+    /// and an engine equal to a build over the same minimized entries.
+    fn spliced(prev: &Arc<CompiledTable>, table: &Table) -> Arc<CompiledTable> {
+        let before = builds();
+        let next = CompiledTable::recompile(prev, table);
+        assert_eq!(builds(), before, "a patchable delta built the engine");
+        assert!(!Arc::ptr_eq(&next, prev), "the delta was not applied");
+        assert_eq!(next.wildcard_form(), next.rebuilt().wildcard_form());
+        for e in table.entries() {
+            let key = match &e.spec {
+                MatchSpec::Ternary { value, .. } => value.clone(),
+                MatchSpec::Range { lo, .. } => lo.clone(),
+                _ => unreachable!("wildcard tables only"),
+            };
+            assert_eq!(next.peek(&key), table.peek(&key), "key {key:02x?}");
+        }
+        next
+    }
+
+    /// A learned stage's shape: leaf boxes over 8 key bytes, each lowered
+    /// to the cross product of its per-byte prefix covers, ≈ 2k entries
+    /// over six of the positions. The boxes are disjoint on byte 0 and
+    /// each has an action of its own, so nothing merges or shadows.
+    fn learned_stage() -> Table {
+        use p4guard_rules::ternary::range_to_prefixes;
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 32) as u8
+        };
+        let mut t = table(MatchKind::Ternary, 8, 4096);
+        for leaf in 0..42u8 {
+            let mut boxes = vec![(vec![0u8; 8], vec![0u8; 8])];
+            for pos in 0..6 {
+                let (lo, hi) = match pos {
+                    0 => (leaf * 6, leaf * 6 + 5),
+                    _ if next() % 3 == 0 => continue,
+                    _ => {
+                        let (a, b) = (next(), next());
+                        (a.min(b), a.max(b))
+                    }
+                };
+                let covers = range_to_prefixes(lo, hi);
+                if boxes.len() * covers.len() > 96 {
+                    continue;
+                }
+                boxes = boxes
+                    .iter()
+                    .flat_map(|(value, mask)| {
+                        covers.iter().map(move |p| {
+                            let (mut value, mut mask) = (value.clone(), mask.clone());
+                            (value[pos], mask[pos]) = (p.value, p.mask);
+                            (value, mask)
+                        })
+                    })
+                    .collect();
+            }
+            for (value, mask) in boxes {
+                t.insert(
+                    MatchSpec::Ternary { value, mask },
+                    Action::Forward(leaf.into()),
+                    1,
+                )
+                .unwrap();
+            }
+        }
+        t
+    }
+
+    /// The ledger's churn: the last 1 % of a learned stage removed and
+    /// re-added, ten times, each publish spliced.
+    #[test]
+    fn a_one_percent_churn_never_builds() {
+        let mut t = learned_stage();
+        assert!((1500..2500).contains(&t.len()), "{} entries", t.len());
+        let mut prev = Arc::new(CompiledTable::compile(&t));
+        assert_eq!(prev.minimized_len(), t.len(), "nothing merges or shadows");
+        let take = t.len() / 100;
+        let mut delta: Vec<_> = t.entries()[t.len() - take..].to_vec();
+        for _ in 0..10 {
+            for e in &delta {
+                t.remove(e.handle).unwrap();
+            }
+            prev = spliced(&prev, &t);
+            for e in &mut delta {
+                e.handle = t.insert(e.spec.clone(), e.action, e.priority).unwrap();
+            }
+            prev = spliced(&prev, &t);
+            assert_eq!(prev.minimized_len(), t.len());
+        }
+    }
+
+    /// An added entry that accepts part of a class splits it; the class
+    /// count at the position grows, and each part keeps its old entries.
+    #[test]
+    fn a_class_cutting_add_never_builds() {
+        for ranges in [false, true] {
+            let kind = if ranges {
+                MatchKind::Range
+            } else {
+                MatchKind::Ternary
+            };
+            let spec = |lo: [u8; 2], hi: [u8; 2]| {
+                if ranges {
+                    MatchSpec::Range {
+                        lo: lo.to_vec(),
+                        hi: hi.to_vec(),
+                    }
+                } else {
+                    // Only aligned blocks are asked for as masks.
+                    let mask = [!(hi[0] - lo[0]), !(hi[1] - lo[1])];
+                    MatchSpec::Ternary {
+                        value: lo.to_vec(),
+                        mask: mask.to_vec(),
+                    }
+                }
+            };
+            let mut t = table(kind, 2, 64);
+            t.insert(spec([0x00, 0x00], [0x3f, 0xff]), Action::Forward(1), 2)
+                .unwrap();
+            t.insert(spec([0x40, 0x10], [0x7f, 0x1f]), Action::Forward(2), 1)
+                .unwrap();
+            let prev = Arc::new(CompiledTable::compile(&t));
+            // 0x20..=0x2f lies inside the first entry's class at byte 0.
+            t.insert(spec([0x20, 0x00], [0x2f, 0xff]), Action::Drop, 1)
+                .unwrap();
+            let next = spliced(&prev, &t);
+            let rows = |c: &CompiledTable| bit_vector(c).partitions[0].count;
+            assert!(rows(&next) > rows(&prev), "no class was cut");
+            assert_eq!(next.peek(&[0x21, 0x00]), Action::Forward(1));
+            assert_eq!(next.peek(&[0x90, 0x00]), Action::NoOp);
+        }
+    }
+
+    /// Removing the one entry that constrains a position drops the
+    /// position, and adding one back brings it back, neither by a build.
+    #[test]
+    fn a_position_freeing_removal_never_builds() {
+        let mut t = table(MatchKind::Ternary, 3, 64);
+        for i in 0..8u8 {
+            t.insert(
+                MatchSpec::Ternary {
+                    value: vec![i, i * 3, 0],
+                    mask: vec![0xff, 0xf0, 0],
+                },
+                Action::Forward(i.into()),
+                1,
+            )
+            .unwrap();
+        }
+        let last = MatchSpec::Ternary {
+            value: vec![9, 0, 0x42],
+            mask: vec![0xff, 0, 0xff],
+        };
+        let handle = t.insert(last.clone(), Action::Drop, 0).unwrap();
+        let mut prev = Arc::new(CompiledTable::compile(&t));
+        assert_eq!(bit_vector(&prev).positions, [0, 1, 2]);
+        t.remove(handle).unwrap();
+        prev = spliced(&prev, &t);
+        assert_eq!(bit_vector(&prev).positions, [0, 1]);
+        t.insert(last, Action::Drop, 0).unwrap();
+        prev = spliced(&prev, &t);
+        assert_eq!(bit_vector(&prev).positions, [0, 1, 2]);
+        t.clear();
+        prev = spliced(&prev, &t);
+        assert_eq!(bit_vector(&prev).positions, [2]);
+        assert_eq!(prev.peek(&[9, 0, 0x42]), Action::NoOp);
+    }
+
+    /// A table untouched since its compile, or a clone of it, comes back as
+    /// the very same `Arc`; two clones edited apart never do, whichever one
+    /// was compiled.
+    #[test]
+    fn only_an_untouched_table_comes_back_shared() {
+        let mut t = table(MatchKind::Ternary, 1, 16);
+        fn spec(value: u8) -> MatchSpec {
+            MatchSpec::Ternary {
+                value: vec![value],
+                mask: vec![0xf0],
+            }
+        }
+        let first = t.insert(spec(0x10), Action::Forward(1), 1).unwrap();
+        t.insert(spec(0x20), Action::Forward(2), 1).unwrap();
+        let prev = Arc::new(CompiledTable::compile(&t));
+        assert!(Arc::ptr_eq(&CompiledTable::recompile(&prev, &t), &prev));
+        assert!(Arc::ptr_eq(
+            &CompiledTable::recompile(&prev, &t.clone()),
+            &prev
+        ));
+        let edits: [fn(&mut Table, EntryHandle); 4] = [
+            |t, h| t.modify(h, Action::Drop).unwrap(),
+            |t, h| t.modify(h, Action::Mirror(3)).unwrap(),
+            |t, h| {
+                t.remove(h).unwrap();
+            },
+            |t, _| {
+                t.insert(spec(0x30), Action::Drop, 2).unwrap();
+            },
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            for other in &edits[i + 1..] {
+                let (mut a, mut b) = (t.clone(), t.clone());
+                edit(&mut a, first);
+                other(&mut b, first);
+                assert_ne!(a.revision(), b.revision());
+                for (from, to) in [(&a, &b), (&b, &a)] {
+                    let compiled = Arc::new(CompiledTable::compile(from));
+                    let next = CompiledTable::recompile(&compiled, to);
+                    assert!(
+                        !Arc::ptr_eq(&next, &compiled),
+                        "an edited clone looked unchanged"
+                    );
+                    for key in 0..=255u8 {
+                        assert_eq!(next.peek(&[key]), to.peek(&[key]), "key {key:#x}");
+                    }
+                }
+            }
+        }
+    }
+
     /// The fill `BitVector::build` replaced, kept as its reference: every
     /// entry's bit set row by row, through its accepted bytes or the
     /// classes, whichever is fewer, and the entries that leave a position
@@ -1383,6 +2011,7 @@ mod tests {
         let mut seen = [0u64; (1 << 16) / 64];
         // Entries that leave the current position free, as a row.
         let mut any = vec![0u64; words];
+        let (mut partitions, mut member_sets) = (Vec::new(), Vec::new());
         let mut positions: Vec<usize> = (0..width)
             .filter(|&pos| accepts[pos * n..][..n].iter().any(|a| !a.is_any()))
             .collect();
@@ -1404,7 +2033,7 @@ mod tests {
             }
 
             let base = rows.len();
-            rows.resize(base + classes.count * stride, 0);
+            rows.resize(base + classes.count() * stride, 0);
             // Word offsets for summary-less rows, row indices otherwise.
             let (first, scale) = if summary == 0 {
                 (base, stride)
@@ -1431,7 +2060,7 @@ mod tests {
                 let (word, bit) = (rank / 64, 1u64 << (rank % 64));
                 if accept.is_any() {
                     any[word] |= bit;
-                } else if accept.count() <= classes.count {
+                } else if accept.count() <= classes.count() {
                     accept.for_each(|byte| {
                         let of = usize::from(classes.of[usize::from(byte)]);
                         rows[of * stride + summary + word] |= bit;
@@ -1444,7 +2073,7 @@ mod tests {
                         }
                         members
                     });
-                    for (of, &byte) in members[..classes.count].iter().enumerate() {
+                    for (of, &byte) in members[..classes.count()].iter().enumerate() {
                         if accept.contains(byte) {
                             rows[of * stride + summary + word] |= bit;
                         }
@@ -1464,6 +2093,11 @@ mod tests {
                     }
                 }
             }
+            partitions.push(Partition {
+                of: classes.of,
+                count: classes.count(),
+            });
+            member_sets.extend_from_slice(&classes.members);
         }
         BitVector {
             positions,
@@ -1472,6 +2106,8 @@ mod tests {
             class,
             rows,
             actions: entries.iter().map(|e| e.action).collect(),
+            partitions,
+            members: member_sets,
         }
     }
 
@@ -1529,6 +2165,8 @@ mod tests {
             prop_assert_eq!(&built.class, &reference.class);
             prop_assert_eq!(&built.rows, &reference.rows);
             prop_assert_eq!(&built.actions, &reference.actions);
+            prop_assert_eq!(&built.partitions, &reference.partitions);
+            prop_assert_eq!(&built.members, &reference.members);
         }
     }
 }

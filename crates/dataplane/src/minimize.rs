@@ -161,8 +161,10 @@ impl MinimizedTable {
     /// since exceeds every handle this form knows — so an addition lands
     /// at the end of its priority level here as in the table. Kept entries
     /// are shared, removed clean entries dropped in one pass and added
-    /// ones inserted verbatim: O(entries + changes × log entries).
-    pub(crate) fn patch(&self, entries: &[TableEntry]) -> Option<MinimizedTable> {
+    /// ones inserted verbatim: O(entries + changes × log entries). The
+    /// [`Edit`] beside the patched form says where every minimized entry
+    /// went, so the engine can be patched the same way.
+    pub(crate) fn patch(&self, entries: &[TableEntry]) -> Option<(MinimizedTable, Edit)> {
         let newest = self.classes.last().map_or(0, |&(h, _)| h.0);
         let mut old = self.source.iter();
         let mut removed = Vec::new();
@@ -200,18 +202,24 @@ impl MinimizedTable {
         }
 
         let mut kept = Vec::with_capacity(self.entries.len() + added.len());
+        let mut edit = Edit::default();
         let mut dropped = dropped.into_iter().peekable();
         let mut fresh = added.iter().peekable();
-        for m in &self.entries {
+        for (rank, m) in self.entries.iter().enumerate() {
             if dropped.next_if_eq(&m.order).is_some() {
                 continue;
             }
             while let Some(e) = fresh.next_if(|e| e.priority > m.priority) {
+                edit.fresh.push(kept.len());
                 kept.push(Arc::new(MinEntry::verbatim(e)));
             }
+            edit.keep(rank, kept.len());
             kept.push(Arc::clone(m));
         }
-        kept.extend(fresh.map(|e| Arc::new(MinEntry::verbatim(e))));
+        for e in fresh {
+            edit.fresh.push(kept.len());
+            kept.push(Arc::new(MinEntry::verbatim(e)));
+        }
         if dropped.next().is_some() {
             return None;
         }
@@ -228,13 +236,35 @@ impl MinimizedTable {
         classes.extend(added.iter().map(|e| (e.handle, SourceClass::Clean)));
         classes[tail..].sort_unstable_by_key(|&(h, _)| h);
 
-        Some(MinimizedTable {
+        let patched = MinimizedTable {
             entries: kept,
             source: entries.iter().map(|e| (e.handle, e.action)).collect(),
             classes,
             eliminated,
             merged_away: self.merged_away,
-        })
+        };
+        Some((patched, edit))
+    }
+}
+
+/// Where [`MinimizedTable::patch`] moved the minimized entries, by rank:
+/// the kept ones in runs, the fresh ones one by one. A rank in neither was
+/// removed (old side) or does not exist (new side).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Edit {
+    /// Kept entries as `(old rank, new rank, length)` runs, ascending.
+    pub(crate) runs: Vec<(usize, usize, usize)>,
+    /// The new rank of each entry patched in, ascending.
+    pub(crate) fresh: Vec<usize>,
+}
+
+impl Edit {
+    /// Records the entry of rank `old` kept at rank `new`.
+    fn keep(&mut self, old: usize, new: usize) {
+        match self.runs.last_mut() {
+            Some((from, to, len)) if *from + *len == old && *to + *len == new => *len += 1,
+            _ => self.runs.push((old, new, 1)),
+        }
     }
 }
 

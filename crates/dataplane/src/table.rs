@@ -179,6 +179,22 @@ impl TableId {
     }
 }
 
+/// A table's revision: [`Table::new`] (and a table read back from its
+/// serialized form) takes a fresh one, every edit takes another, and
+/// `Clone` keeps it. Revisions come from one process-wide counter, so two
+/// tables — clones of one edited apart included — never share one after
+/// either is edited, and a table whose revision is the one it was compiled
+/// at is unchanged since.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct Revision(u64);
+
+impl Revision {
+    fn fresh() -> Revision {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        Revision(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
 /// One installed entry.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TableEntry {
@@ -256,6 +272,8 @@ impl Error for TableError {}
 pub struct Table {
     #[serde(skip, default = "TableId::fresh")]
     id: TableId,
+    #[serde(skip, default = "Revision::fresh")]
+    revision: Revision,
     name: String,
     kind: MatchKind,
     key: KeyLayout,
@@ -276,6 +294,7 @@ impl Table {
     ) -> Self {
         Table {
             id: TableId::fresh(),
+            revision: Revision::fresh(),
             name: name.into(),
             kind,
             key,
@@ -289,6 +308,11 @@ impl Table {
     /// This table's identity (see [`TableId`]).
     pub(crate) fn id(&self) -> TableId {
         self.id
+    }
+
+    /// This table's revision (see [`Revision`]).
+    pub(crate) fn revision(&self) -> Revision {
+        self.revision
     }
 
     /// Table name.
@@ -373,6 +397,7 @@ impl Table {
             .entries
             .partition_point(|e| e.priority >= effective_priority);
         self.entries.insert(at, entry);
+        self.revision = Revision::fresh();
         Ok(handle)
     }
 
@@ -387,6 +412,7 @@ impl Table {
             .iter()
             .position(|e| e.handle == handle)
             .ok_or(TableError::NoSuchEntry(handle))?;
+        self.revision = Revision::fresh();
         Ok(self.entries.remove(idx))
     }
 
@@ -426,6 +452,7 @@ impl Table {
             .entries
             .iter()
             .position(|e| e.priority == effective_priority && same_spec(&e.spec))?;
+        self.revision = Revision::fresh();
         Some(self.entries.remove(idx).handle)
     }
 
@@ -441,12 +468,14 @@ impl Table {
             .find(|e| e.handle == handle)
             .ok_or(TableError::NoSuchEntry(handle))?;
         entry.action = action;
+        self.revision = Revision::fresh();
         Ok(())
     }
 
     /// Removes every entry.
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.revision = Revision::fresh();
     }
 
     /// Looks up `key` and returns the selected action (the default on
@@ -468,11 +497,12 @@ impl Table {
 }
 
 /// Tables compare by content: two built alike are equal whatever their
-/// identities.
+/// identities and revisions.
 impl PartialEq for Table {
     fn eq(&self, other: &Table) -> bool {
         let Table {
             id: _,
+            revision: _,
             name,
             kind,
             key,
@@ -695,6 +725,40 @@ mod tests {
         t.clear();
         assert!(t.is_empty());
         assert_eq!(t.modify(h, Action::Drop), Err(TableError::NoSuchEntry(h)));
+    }
+
+    #[test]
+    fn every_edit_takes_a_fresh_revision_and_a_clone_keeps_it() {
+        let mut t = table(MatchKind::Exact, 1);
+        let spec = |b: u8| MatchSpec::Exact(vec![b]);
+        let mut seen = vec![t.revision()];
+        let h = t.insert(spec(1), Action::Drop, 0).unwrap();
+        seen.push(t.revision());
+        t.insert(spec(2), Action::Drop, 0).unwrap();
+        seen.push(t.revision());
+        t.modify(h, Action::Forward(1)).unwrap();
+        seen.push(t.revision());
+        assert_eq!(t.remove_matching(&spec(9), 0), None);
+        assert_eq!(t.revision(), seen[seen.len() - 1], "a miss edits nothing");
+        t.remove_matching(&spec(2), 0).unwrap();
+        seen.push(t.revision());
+        t.remove(h).unwrap();
+        seen.push(t.revision());
+        t.clear();
+        seen.push(t.revision());
+        let mut distinct = seen.clone();
+        distinct.dedup();
+        assert_eq!(distinct, seen, "every edit took a fresh revision");
+        // Failed edits leave the revision alone.
+        assert!(t.remove(h).is_err() && t.modify(h, Action::Drop).is_err());
+        assert_eq!(t.revision(), seen[seen.len() - 1]);
+
+        let copy = t.clone();
+        assert_eq!(copy.revision(), t.revision());
+        let json = serde_json::to_string(&t).unwrap();
+        let back: Table = serde_json::from_str(&json).unwrap();
+        assert_ne!(back.revision(), t.revision());
+        assert_eq!(back, t, "equality ignores the revision");
     }
 
     #[test]

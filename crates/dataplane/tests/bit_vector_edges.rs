@@ -8,7 +8,9 @@
 //! Every case checks the winning `(action, priority)` against the mutable
 //! table's scan — the full key space at width 1–2, sampled keys above —
 //! on the single-key and the batched path. A proptest covers positions
-//! every entry leaves free, which get no rows and are never read.
+//! every entry leaves free, which get no rows and are never read, and
+//! another the engine a delta publish splices from the previous one,
+//! which must equal an engine built over the same entries.
 
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::compiled::{CompiledTable, LookupOutcome};
@@ -321,7 +323,7 @@ fn leaf_boxes_as_prefix_cross_products() {
     assert_ne!(compiled.peek(&[20, 200]), Action::NoOp);
 }
 
-/// `CompiledTable::recompile`'s patch path rebuilds the engine over the
+/// `CompiledTable::recompile`'s patch path splices the engine for the
 /// patched entry list: an addition that starts a new last word changes
 /// the row length, the step count and every row's summary.
 #[test]
@@ -435,6 +437,153 @@ proptest! {
                     (Action::Mirror(1), LookupOutcome::Hit(0))
                 );
             }
+        }
+    }
+}
+
+/// The spec that accepts `byte` at `pos` and every byte elsewhere.
+fn one_byte(ranges: bool, width: usize, pos: usize, byte: u8) -> MatchSpec {
+    let (mut x, mut y) = (vec![0; width], vec![if ranges { 255 } else { 0 }; width]);
+    (x[pos], y[pos]) = if ranges { (byte, byte) } else { (byte, 0xff) };
+    if ranges {
+        range(&x, &y)
+    } else {
+        ternary(&x, &y)
+    }
+}
+
+/// Whether `spec` accepts fewer than every byte at `pos`.
+fn constrains(spec: &MatchSpec, pos: usize) -> bool {
+    match spec {
+        MatchSpec::Ternary { mask, .. } => mask[pos] != 0,
+        MatchSpec::Range { lo, hi } => (lo[pos], hi[pos]) != (0, 255),
+        _ => unreachable!("wildcard tables only"),
+    }
+}
+
+proptest! {
+    /// `CompiledTable::recompile` derives a wildcard engine from the
+    /// previous one. Along a chain of deltas over ternary and range tables
+    /// of 0–300 entries in 1–3 priority levels and 1–9 key bytes — sized
+    /// at random or next to 64 or 256 entries, so that chains cross a
+    /// second row word and a summary both ways — every link's engine
+    /// equals one built in full over the same minimized entries: per key
+    /// position and byte value, the row it selects (summary and entry
+    /// words), the kept positions and the actions by rank. The two agree
+    /// on the rank for each entry's own key and random keys, and with the
+    /// scan on the winner. A delta is one to three edits, each of which
+    /// removes the entry at any rank; adds one at the end of any level;
+    /// adds one that accepts a single byte at one position, cutting that
+    /// byte's class; adds the first to constrain a position the seeds
+    /// leave free; removes every entry that constrains a position, the
+    /// last of them included; or removes everything.
+    #[test]
+    fn a_splice_equals_a_build_along_any_delta_chain(
+        ranges in any::<bool>(),
+        shape in (1usize..=9, 1i32..=3, pvec(any::<bool>(), 9), (0u8..3, 0usize..301)),
+        rows in pvec(
+            (pvec(any::<u8>(), 9), pvec(any::<u8>(), 9), pvec(any::<u8>(), 9), any::<i32>()),
+            300,
+        ),
+        deltas in pvec(
+            pvec(
+                ((0u8..16, any::<usize>()), (any::<u8>(), any::<i32>()), (pvec(any::<u8>(), 9), pvec(any::<u8>(), 9), pvec(any::<u8>(), 9))),
+                1..4,
+            ),
+            1..8,
+        ),
+        noise in pvec(pvec(any::<u8>(), 9), 8),
+    ) {
+        let (width, levels, free, (size, n)) = shape;
+        let rows = &rows[..[n, 60 + n % 8, 252 + n % 8][usize::from(size)]];
+        // A table sized next to a boundary keeps every seed: each is exact
+        // on key bytes 0–1, at a value of its own, so none covers another.
+        let width = if size == 0 { width } else { width.max(2) };
+        let free: Vec<bool> = (0..9).map(|p| free[p] && (size == 0 || p >= 2)).collect();
+        let kind = if ranges { MatchKind::Range } else { MatchKind::Ternary };
+        let draw = |a: &[u8], b: &[u8], sel: &[u8]| {
+            let (x, y): (Vec<u8>, Vec<u8>) = (0..width)
+                .map(|p| position_spec(ranges, free[p], a[p], b[p], sel[p]))
+                .unzip();
+            if ranges { range(&x, &y) } else { ternary(&x, &y) }
+        };
+        let mut t = table(kind, width);
+        // An action per entry: nothing merges, so most removals patch.
+        let mut port = 0u16;
+        for (a, b, sel, level) in rows {
+            let mut spec = draw(a, b, sel);
+            if size > 0 {
+                let own = port.to_be_bytes();
+                match &mut spec {
+                    MatchSpec::Ternary { value, mask } => {
+                        value[..2].copy_from_slice(&own);
+                        mask[..2].fill(0xff);
+                    }
+                    MatchSpec::Range { lo, hi } => {
+                        lo[..2].copy_from_slice(&own);
+                        hi[..2].copy_from_slice(&own);
+                    }
+                    _ => unreachable!(),
+                }
+            }
+            t.insert(spec, Action::Forward(port), level.rem_euclid(levels)).unwrap();
+            port += 1;
+        }
+        let mut compiled = Arc::new(CompiledTable::compile(&t));
+        for delta in &deltas {
+            for ((op, at), (byte, level), (a, b, sel)) in delta {
+                let level = level.rem_euclid(levels);
+                match op {
+                    0..=5 if !t.is_empty() => {
+                        let handle = t.entries()[at % t.len()].handle;
+                        t.remove(handle).unwrap();
+                    }
+                    6..=11 => {
+                        t.insert(draw(a, b, sel), Action::Forward(port), level).unwrap();
+                    }
+                    12 | 13 => {
+                        let spec = one_byte(ranges, width, at % width, *byte);
+                        t.insert(spec, Action::Forward(port), level).unwrap();
+                    }
+                    14 => {
+                        let pos = (0..width).find(|&p| free[p]).unwrap_or(width - 1);
+                        let spec = one_byte(ranges, width, pos, *byte);
+                        t.insert(spec, Action::Forward(port), level).unwrap();
+                    }
+                    15 if at % 2 == 0 => {
+                        let pos = at % width;
+                        let gone: Vec<_> = t
+                            .entries()
+                            .iter()
+                            .filter(|e| constrains(&e.spec, pos))
+                            .map(|e| e.handle)
+                            .collect();
+                        for handle in gone {
+                            t.remove(handle).unwrap();
+                        }
+                    }
+                    15 => t.clear(),
+                    _ => {}
+                }
+                port += 1;
+            }
+            compiled = CompiledTable::recompile(&compiled, &t);
+            let built = compiled.rebuilt();
+            prop_assert_eq!(compiled.wildcard_form(), built.wildcard_form());
+            let mut keys: Vec<Vec<u8>> = noise.iter().map(|k| k[..width].to_vec()).collect();
+            keys.extend(t.entries().iter().map(|e| match &e.spec {
+                MatchSpec::Ternary { value, .. } | MatchSpec::Range { lo: value, .. } => value.clone(),
+                _ => unreachable!(),
+            }));
+            let mut probe = vec![0u8; width];
+            for key in &keys {
+                prop_assert_eq!(
+                    compiled.lookup_traced(key, &mut probe),
+                    built.lookup_traced(key, &mut probe),
+                    "key {:02x?}", key
+                );
+            }
+            agrees(&compiled, &t, &keys);
         }
     }
 }

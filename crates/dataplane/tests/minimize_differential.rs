@@ -207,10 +207,13 @@ proptest! {
     /// Invariant 2: a `recompile` chain over a random edit sequence
     /// (insert / remove-by-spec / modify-action / a new table under the
     /// same name) agrees with from-scratch
-    /// compilation after every edit.
+    /// compilation after every edit — from a table of a dozen entries, or
+    /// of 60–80 or 250–300, past the wildcard engine's one-word rows and
+    /// its summary-less ones.
     #[test]
     fn incremental_recompile_equals_scratch_across_edits(
         kind_sel in 0usize..4,
+        size in (0usize..3, 0usize..12),
         seed_entries in pvec(
             (
                 pvec(any::<u8>(), 1usize),
@@ -218,7 +221,7 @@ proptest! {
                 (0i32..3, any::<u8>()),
                 0usize..=8,
             ),
-            0..12,
+            300,
         ),
         // Each edit: (op selector, prefix-length seed), plus raw
         // material for an insert.
@@ -233,8 +236,9 @@ proptest! {
         ),
     ) {
         let kind = KINDS[kind_sel];
-        let mut table = Table::new("edits", kind, KeyLayout::window(1), 64, Action::NoOp);
-        for raw in &seed_entries {
+        let mut table = Table::new("edits", kind, KeyLayout::window(1), 512, Action::NoOp);
+        let seeds = [size.1, 60 + 2 * size.1, 250 + 4 * size.1][size.0];
+        for raw in &seed_entries[..seeds] {
             let spec = spec_for(kind, 1, raw);
             table.insert(spec, action_for(raw.2 .1), raw.2 .0).unwrap();
         }
@@ -263,7 +267,7 @@ proptest! {
                     // actions and priorities over another spec: its handles
                     // restart at 1, so its fingerprint can equal the old
                     // table's.
-                    let mut fresh = Table::new("edits", kind, KeyLayout::window(1), 64, Action::NoOp);
+                    let mut fresh = Table::new("edits", kind, KeyLayout::window(1), 512, Action::NoOp);
                     for e in table.entries() {
                         fresh.insert(spec_for(kind, 1, &raw), e.action, e.priority).unwrap();
                     }
