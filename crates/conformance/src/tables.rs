@@ -111,9 +111,9 @@ fn table_with<R: Rng>(rng: &mut R, kind: MatchKind, width: usize, specs: Vec<Mat
 
 /// Builds the `index`-th adversarial table.
 ///
-/// The first indices are fixed archetypes that guarantee every compiled
-/// strategy (`exact-hash`, `lpm-buckets`, `bit-vector` from both range and
-/// ternary) appears in a run; later indices are fully randomized.
+/// The first indices are fixed archetypes that guarantee every match kind
+/// and so every compiled strategy (`exact-hash`, `bit-vector` from range,
+/// ternary and LPM) appears in a run; later indices are fully randomized.
 pub fn adversarial_table<R: Rng>(rng: &mut R, index: usize) -> AdversarialTable {
     let table = match index {
         // Exact, with duplicate values (first insert must win ties).
@@ -267,7 +267,7 @@ mod tests {
             .collect();
         for want in [
             (MatchKind::Exact, "exact-hash"),
-            (MatchKind::Lpm, "lpm-buckets"),
+            (MatchKind::Lpm, "bit-vector"),
             (MatchKind::Range, "bit-vector"),
             (MatchKind::Ternary, "bit-vector"),
         ] {

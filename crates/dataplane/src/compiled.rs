@@ -8,14 +8,15 @@
 //! arbitrary compile work at publish time is free under the RCU scheme,
 //! and the per-packet cost stops growing row by row with ruleset size:
 //!
-//! | match kind     | engine                        | per-lookup cost                    |
-//! |----------------|-------------------------------|------------------------------------|
-//! | exact          | hash index on the key bytes   | O(1)                               |
-//! | LPM            | prefix-length-bucketed hashes | O(distinct prefix lengths)         |
-//! | ternary, range | per-byte bit-vector intersect | O(width × live steps), early-exit  |
+//! | match kind          | engine                        | per-lookup cost                   |
+//! |---------------------|-------------------------------|-----------------------------------|
+//! | exact               | hash index on the key bytes   | O(1)                              |
+//! | ternary, range, LPM | per-byte bit-vector intersect | O(width × live steps), early-exit |
 //!
-//! Ternary and range entries are both conjunctions of per-byte predicates,
-//! so one engine serves every wildcard table: each key byte selects the
+//! Ternary, range and LPM entries are all conjunctions of per-byte
+//! predicates — a prefix fixes the leading bits of the bytes it covers, and
+//! its priority is its length, so longest-first is the match order — and
+//! one engine serves every wildcard table: each key byte selects the
 //! bitmap of entries that accept it at that position, the bitmaps are
 //! ANDed 64 entries per word — a TCAM's parallel compare done in software
 //! (Lakshman & Stiliadis, SIGCOMM '98) — and the lowest set bit is the
@@ -33,7 +34,7 @@
 use crate::action::Action;
 use crate::key::KeyLayout;
 use crate::minimize::{self, Edit, MinEntry, MinimizedTable};
-use crate::table::{MatchKind, MatchSpec, Revision, Table, TableId};
+use crate::table::{prefix_mask, MatchKind, MatchSpec, Revision, Table, TableId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -58,17 +59,7 @@ pub enum LookupOutcome {
     WrongWidth,
 }
 
-/// One hash bucket of the LPM engine: every installed prefix of one
-/// length, keyed by the masked prefix bytes.
-#[derive(Debug, Clone)]
-struct LpmBucket {
-    /// Prefix length in bits.
-    prefix_len: usize,
-    /// Masked prefix bytes (`ceil(prefix_len / 8)` of them) → entry.
-    prefixes: HashMap<Vec<u8>, (Rank, Action)>,
-}
-
-/// The wildcard engine behind every ternary and range table. Per key
+/// The wildcard engine behind every ternary, range and LPM table. Per key
 /// position, the 256 byte values fall into *classes* no entry can tell
 /// apart there, and each class owns one row: a bitmap, by [`Rank`], of the
 /// entries that accept its bytes. A key selects one row per position; the
@@ -146,10 +137,7 @@ fn first_member(set: &Members) -> u8 {
 enum Engine {
     /// Exact: one hash probe on the raw key bytes.
     ExactHash(HashMap<Vec<u8>, (Rank, Action)>),
-    /// LPM: one masked hash probe per distinct prefix length, longest
-    /// first, so the first hit is the longest match.
-    LpmBuckets(Vec<LpmBucket>),
-    /// Ternary and range: per-byte bit-vector intersect.
+    /// Ternary, range and LPM: per-byte bit-vector intersect.
     BitVector(BitVector),
 }
 
@@ -164,7 +152,8 @@ enum Accept {
 }
 
 impl Accept {
-    /// What `spec` accepts at key position `pos`.
+    /// What `spec` accepts at key position `pos`: an exact byte is a whole
+    /// mask, and a prefix masks the bits [`prefix_mask`] says it fixes there.
     fn at(spec: &MatchSpec, pos: usize) -> Accept {
         match spec {
             MatchSpec::Ternary { value, mask } => Accept::Masked {
@@ -175,8 +164,16 @@ impl Accept {
                 lo: lo[pos],
                 hi: hi[pos],
             },
-            MatchSpec::Exact(_) | MatchSpec::Lpm { .. } => {
-                unreachable!("only ternary and range tables lower to the bit-vector engine")
+            MatchSpec::Exact(value) => Accept::Masked {
+                mask: 0xff,
+                value: value[pos],
+            },
+            MatchSpec::Lpm { value, prefix_len } => {
+                let mask = prefix_mask(*prefix_len, pos);
+                Accept::Masked {
+                    mask,
+                    value: value[pos] & mask,
+                }
             }
         }
     }
@@ -663,7 +660,7 @@ impl BitVector {
             .collect()
     }
 
-    /// Indexes `entries` (ternary or range specs over `width` key bytes):
+    /// Indexes `entries` (ternary, range or LPM specs over `width` key bytes):
     /// the full compile's constructor.
     ///
     /// Its cost follows the *distinct* accept sets of each position rather
@@ -918,9 +915,7 @@ impl CompiledTable {
         let width = prev.key.width();
         let engine = match &prev.engine {
             Engine::BitVector(index) => Engine::BitVector(index.splice(&min.entries, width, &edit)),
-            Engine::ExactHash(_) | Engine::LpmBuckets(_) => {
-                Self::build_engine(prev.kind, &min.entries, width)
-            }
+            Engine::ExactHash(_) => Self::compile_exact(&min.entries),
         };
         Arc::new(CompiledTable {
             table: prev.table,
@@ -938,8 +933,7 @@ impl CompiledTable {
     fn build_engine(kind: MatchKind, entries: &[Arc<MinEntry>], width: usize) -> Engine {
         match kind {
             MatchKind::Exact => Self::compile_exact(entries),
-            MatchKind::Lpm => Self::compile_lpm(entries),
-            MatchKind::Range | MatchKind::Ternary => {
+            MatchKind::Lpm | MatchKind::Range | MatchKind::Ternary => {
                 Engine::BitVector(BitVector::build(entries, width))
             }
         }
@@ -955,32 +949,6 @@ impl CompiledTable {
             }
         }
         Engine::ExactHash(map)
-    }
-
-    fn compile_lpm(entries: &[Arc<MinEntry>]) -> Engine {
-        // Entries arrive sorted by prefix length (the LPM priority),
-        // longest first; group them into one hash bucket per length.
-        let mut buckets: Vec<LpmBucket> = Vec::new();
-        for (rank, entry) in entries.iter().enumerate() {
-            let rank = rank as Rank;
-            if let MatchSpec::Lpm { value, prefix_len } = &entry.spec {
-                let masked = masked_prefix(value, *prefix_len);
-                match buckets.iter_mut().find(|b| b.prefix_len == *prefix_len) {
-                    Some(bucket) => {
-                        bucket
-                            .prefixes
-                            .entry(masked)
-                            .or_insert((rank, entry.action));
-                    }
-                    None => buckets.push(LpmBucket {
-                        prefix_len: *prefix_len,
-                        prefixes: HashMap::from([(masked, (rank, entry.action))]),
-                    }),
-                }
-            }
-        }
-        buckets.sort_by_key(|b| std::cmp::Reverse(b.prefix_len));
-        Engine::LpmBuckets(buckets)
     }
 
     /// Table name (copied from the source table).
@@ -1033,8 +1001,7 @@ impl CompiledTable {
         self.default_action
     }
 
-    /// The wildcard engine's [`WildcardForm`]; `None` for an exact or LPM
-    /// table.
+    /// The wildcard engine's [`WildcardForm`]; `None` for an exact table.
     #[doc(hidden)]
     pub fn wildcard_form(&self) -> Option<WildcardForm> {
         let Engine::BitVector(index) = &self.engine else {
@@ -1072,20 +1039,20 @@ impl CompiledTable {
         }
     }
 
-    /// The engine behind this table's match kind: `"exact-hash"`,
-    /// `"lpm-buckets"` or `"bit-vector"` (ternary and range).
+    /// The engine behind this table's match kind: `"exact-hash"` or
+    /// `"bit-vector"` (ternary, range and LPM).
     pub fn strategy(&self) -> &'static str {
         match &self.engine {
             Engine::ExactHash(_) => "exact-hash",
-            Engine::LpmBuckets(_) => "lpm-buckets",
             Engine::BitVector(_) => "bit-vector",
         }
     }
 
     /// Looks up `key`, returning the selected action (the default on miss).
     ///
-    /// `probe` is a caller-owned scratch buffer for masked probe keys; it
-    /// must be at least as long as the key width. Semantics are identical
+    /// `probe` is a caller-owned scratch buffer the bit-vector engine
+    /// copies a key's constrained bytes into; it must be at least as long
+    /// as the key width. Semantics are identical
     /// to [`Table::peek`] on the source table, including wrong-width keys
     /// missing to the default action.
     ///
@@ -1116,7 +1083,6 @@ impl CompiledTable {
         let miss = (self.default_action, LookupOutcome::Miss);
         match &self.engine {
             Engine::ExactHash(map) => probe_exact(map, key, miss),
-            Engine::LpmBuckets(buckets) => probe_lpm(buckets, key, probe, miss),
             Engine::BitVector(index) => {
                 let mut out = [miss];
                 probe_batch(index, key, width, probe, miss, &mut out);
@@ -1165,11 +1131,6 @@ impl CompiledTable {
                     *o = probe_exact(map, key_at(j), miss);
                 }
             }
-            Engine::LpmBuckets(buckets) => {
-                for (j, o) in out.iter_mut().enumerate() {
-                    *o = probe_lpm(buckets, key_at(j), probe, miss);
-                }
-            }
             Engine::BitVector(index) => probe_batch(index, keys, stride, probe, miss, out),
         }
     }
@@ -1193,23 +1154,6 @@ fn probe_exact(
 ) -> (Action, LookupOutcome) {
     map.get(key)
         .map_or(miss, |&(rank, action)| (action, LookupOutcome::Hit(rank)))
-}
-
-#[inline]
-fn probe_lpm(
-    buckets: &[LpmBucket],
-    key: &[u8],
-    probe: &mut [u8],
-    miss: (Action, LookupOutcome),
-) -> (Action, LookupOutcome) {
-    for bucket in buckets {
-        let nbytes = prefix_bytes(bucket.prefix_len);
-        mask_prefix_into(key, bucket.prefix_len, &mut probe[..nbytes]);
-        if let Some(&(rank, action)) = bucket.prefixes.get(&probe[..nbytes]) {
-            return (action, LookupOutcome::Hit(rank));
-        }
-    }
-    miss
 }
 
 /// Row words ANDed per step of a bit-vector probe: wide enough for the
@@ -1245,10 +1189,10 @@ fn probe_batch(
 }
 
 /// [`probe_batch`] of keys whose kept positions lead. Each loop shape is a
-/// function of its own, out of line: inlined beside the hash engines'
-/// loops, or beside the other shape, the probe's three shapes spill
+/// function of its own, out of line: inlined beside the hash engine's
+/// loop, or beside the other shape, the probe's three shapes spill
 /// registers in the per-key loop: a 13-row table paid a third of its
-/// lookup time for it beside the hash engines, and 2 ns a key (+28 %)
+/// lookup time for it beside the hash loops, and 2 ns a key (+28 %)
 /// beside the other shape.
 #[inline(never)]
 fn probe_in_place(
@@ -1357,36 +1301,6 @@ fn walk_rows<const N: usize>(
     Some((index.actions[rank], LookupOutcome::Hit(rank as Rank)))
 }
 
-/// Number of bytes a `prefix_len`-bit prefix occupies.
-fn prefix_bytes(prefix_len: usize) -> usize {
-    prefix_len.div_ceil(8)
-}
-
-/// The masked prefix bytes of `value` (trailing bits of the last byte
-/// zeroed).
-fn masked_prefix(value: &[u8], prefix_len: usize) -> Vec<u8> {
-    let nbytes = prefix_bytes(prefix_len);
-    let mut out = value[..nbytes].to_vec();
-    mask_last_byte(&mut out, prefix_len);
-    out
-}
-
-/// Writes the masked prefix of `key` into `out` (`out.len()` must be the
-/// prefix byte count).
-fn mask_prefix_into(key: &[u8], prefix_len: usize, out: &mut [u8]) {
-    out.copy_from_slice(&key[..out.len()]);
-    mask_last_byte(out, prefix_len);
-}
-
-fn mask_last_byte(bytes: &mut [u8], prefix_len: usize) {
-    let rem = prefix_len % 8;
-    if rem != 0 {
-        if let Some(last) = bytes.last_mut() {
-            *last &= 0xffu8 << (8 - rem);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1419,7 +1333,7 @@ mod tests {
     }
 
     #[test]
-    fn lpm_buckets_probe_longest_prefix_first() {
+    fn lpm_longest_prefix_first() {
         let mut t = table(MatchKind::Lpm, 2, 16);
         t.insert(
             MatchSpec::Lpm {
@@ -1449,7 +1363,7 @@ mod tests {
         )
         .unwrap();
         let c = CompiledTable::compile(&t);
-        assert_eq!(c.strategy(), "lpm-buckets");
+        assert_eq!(c.strategy(), "bit-vector");
         // Longest prefix wins, partial-byte prefixes mask correctly.
         assert_eq!(c.peek(&[0xc0, 0xa8]), Action::Forward(2));
         assert_eq!(c.peek(&[0xc0, 0x01]), Action::Forward(1));
@@ -1724,7 +1638,7 @@ mod tests {
 
     #[test]
     fn traced_rank_matches_across_engines() {
-        // Exact, LPM, and range engines report the frozen match-order rank.
+        // Both engines report the frozen match-order rank.
         let mut exact = table(MatchKind::Exact, 1, 8);
         exact
             .insert(MatchSpec::Exact(vec![7]), Action::Drop, 0)

@@ -65,7 +65,7 @@
 //! recompile for anything entangled in a merge or covering relation.
 
 use crate::action::Action;
-use crate::table::{EntryHandle, MatchKind, MatchSpec, TableEntry};
+use crate::table::{prefix_mask, EntryHandle, MatchKind, MatchSpec, TableEntry};
 use p4guard_rules::cube::{self, Cube};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -524,16 +524,12 @@ pub fn spec_covers(a: &MatchSpec, b: &MatchSpec) -> bool {
                 prefix_len: pb,
             },
         ) => {
-            va.len() == vb.len() && pa <= pb && {
-                let full = pa / 8;
-                va[..full] == vb[..full] && {
-                    let rem = pa % 8;
-                    rem == 0 || {
-                        let m = 0xffu8 << (8 - rem);
-                        va[full] & m == vb[full] & m
-                    }
-                }
-            }
+            va.len() == vb.len()
+                && pa <= pb
+                && va.iter().zip(vb).enumerate().all(|(pos, (&a, &b))| {
+                    let m = prefix_mask(*pa, pos);
+                    a & m == b & m
+                })
         }
         (MatchSpec::Range { lo: la, hi: ha }, MatchSpec::Range { lo: lb, hi: hb }) => {
             la.len() == lb.len()

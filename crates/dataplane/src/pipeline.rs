@@ -7,7 +7,7 @@
 //! threads without a write lock on the hot path. [`ReadPipeline`] splits
 //! that coupling: each table is lowered into its
 //! [`CompiledTable`] engine at snapshot
-//! time (hash index, LPM buckets or bit-vector intersect — see
+//! time (hash index or bit-vector intersect — see
 //! [`compiled`](crate::compiled)), while packet counters live in a
 //! caller-owned [`SwitchCounters`]. N shards can then share one snapshot
 //! through an `Arc` and their counters sum to exactly what a single switch
@@ -159,9 +159,9 @@ impl ReadPipeline {
     }
 
     /// The scratch length [`ReadPipeline::process_into`] needs: key plus
-    /// masked-probe halves, both sized to the widest stage key. Callers may
-    /// pre-size their scratch to this to avoid even the first-packet
-    /// resize.
+    /// probe halves (the probe holds a key's constrained bytes), both sized
+    /// to the widest stage key. Callers may pre-size their scratch to this
+    /// to avoid even the first-packet resize.
     pub fn scratch_len(&self) -> usize {
         self.max_key_width * 2
     }
@@ -400,7 +400,8 @@ pub struct BatchScratch {
     /// Contiguous key matrix: a row of the current stage's key width per
     /// alive frame (rows past `alive.len()` are stale).
     keys: Vec<u8>,
-    /// Masked-probe buffer shared by all lookups (max key width).
+    /// Probe buffer shared by all lookups (max key width): where the
+    /// bit-vector engine copies a key's constrained bytes.
     probe: Vec<u8>,
     /// Per-alive-frame lookup results for the current stage (slots past
     /// the stage's alive count are stale).

@@ -160,6 +160,13 @@ impl MatchSpec {
     }
 }
 
+/// The bits of key byte `pos` a `prefix_len`-bit prefix fixes: all of a
+/// byte the prefix covers, its leading `prefix_len % 8` bits on the byte
+/// it ends in, none past it.
+pub(crate) fn prefix_mask(prefix_len: usize, pos: usize) -> u8 {
+    (0xff00u16 >> prefix_len.saturating_sub(8 * pos).min(8)) as u8
+}
+
 /// Stable handle to an installed entry, unique within one table and its
 /// clones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]

@@ -1,4 +1,4 @@
-//! Edge cases of the bit-vector engine behind every ternary and range
+//! Edge cases of the bit-vector engine behind every ternary, range and LPM
 //! `CompiledTable`, drawn from where its layout can break: the padding
 //! bits of a row's last word, `rank = word * 64 + trailing_zeros`, the
 //! probe loop's pulled-back last step, the summary that picks the steps a
@@ -358,16 +358,39 @@ fn a_patched_in_entry_that_starts_a_new_last_word() {
 
 /// What one entry accepts at one position: free when the position is one
 /// every entry leaves free or `sel` says so, else a byte, a prefix or a
-/// scattered mask (ternary) or a point or an interval (range).
-fn position_spec(ranges: bool, free: bool, a: u8, b: u8, sel: u8) -> (u8, u8) {
-    match (ranges, if free { 0 } else { sel % 4 }) {
-        (false, sel) => {
+/// scattered mask (ternary), a point or an interval (range), or a whole
+/// byte or its leading bits (LPM, whose prefix [`spec`] ends at the first
+/// byte that is not whole).
+fn position_spec(kind: MatchKind, free: bool, a: u8, b: u8, sel: u8) -> (u8, u8) {
+    match (kind, if free { 0 } else { sel % 4 }) {
+        (MatchKind::Range, 0) => (0, 255),
+        (MatchKind::Range, 1) => (a, a),
+        (MatchKind::Range, _) => (a.min(b), a.max(b)),
+        (MatchKind::Lpm, sel) => {
+            let mask = [0x00, 0xff, 0xff, 0xff << (b % 8)][usize::from(sel)];
+            (a & mask, mask)
+        }
+        (_, sel) => {
             let mask = [0x00, 0xff, 0xf0, 0x5a][usize::from(sel)];
             (a & mask, mask)
         }
-        (true, 0) => (0, 255),
-        (true, 1) => (a, a),
-        (true, _) => (a.min(b), a.max(b)),
+    }
+}
+
+/// The entry of `kind` that per-position pairs from [`position_spec`]
+/// describe: a ternary value and mask, a range's bounds, or the prefix the
+/// LPM masks spell, which stops at the first byte that is not whole.
+fn spec(kind: MatchKind, x: &[u8], y: &[u8]) -> MatchSpec {
+    match kind {
+        MatchKind::Range => range(x, y),
+        MatchKind::Lpm => {
+            let whole = y.iter().take_while(|&&m| m == 0xff).count();
+            MatchSpec::Lpm {
+                value: x.to_vec(),
+                prefix_len: 8 * whole + y.get(whole).map_or(0, |m| m.leading_ones() as usize),
+            }
+        }
+        _ => ternary(x, y),
     }
 }
 
@@ -399,7 +422,7 @@ proptest! {
         let drawn = if shape == 1 || shape == 2 { &rows[..0] } else { &rows[..] };
         for (i, (a, b, sel, priority)) in drawn.iter().enumerate() {
             let (x, y): (Vec<u8>, Vec<u8>) = (0..width)
-                .map(|p| position_spec(ranges, free[p], a[p], b[p], sel[p]))
+                .map(|p| position_spec(kind, free[p], a[p], b[p], sel[p]))
                 .unzip();
             let spec = if ranges { range(&x, &y) } else { ternary(&x, &y) };
             t.insert(spec, Action::Forward(i as u16), *priority).unwrap();
@@ -441,15 +464,17 @@ proptest! {
     }
 }
 
-/// The spec that accepts `byte` at `pos` and every byte elsewhere.
-fn one_byte(ranges: bool, width: usize, pos: usize, byte: u8) -> MatchSpec {
+/// The spec that accepts `byte` at `pos` and every byte elsewhere — for
+/// LPM, which fixes every byte its prefix covers, the prefix through `pos`
+/// with zeros before `byte`.
+fn one_byte(kind: MatchKind, width: usize, pos: usize, byte: u8) -> MatchSpec {
+    let ranges = kind == MatchKind::Range;
     let (mut x, mut y) = (vec![0; width], vec![if ranges { 255 } else { 0 }; width]);
     (x[pos], y[pos]) = if ranges { (byte, byte) } else { (byte, 0xff) };
-    if ranges {
-        range(&x, &y)
-    } else {
-        ternary(&x, &y)
+    if kind == MatchKind::Lpm {
+        y[..pos].fill(0xff);
     }
+    spec(kind, &x, &y)
 }
 
 /// Whether `spec` accepts fewer than every byte at `pos`.
@@ -457,14 +482,15 @@ fn constrains(spec: &MatchSpec, pos: usize) -> bool {
     match spec {
         MatchSpec::Ternary { mask, .. } => mask[pos] != 0,
         MatchSpec::Range { lo, hi } => (lo[pos], hi[pos]) != (0, 255),
-        _ => unreachable!("wildcard tables only"),
+        MatchSpec::Lpm { prefix_len, .. } => *prefix_len > 8 * pos,
+        MatchSpec::Exact(_) => unreachable!("wildcard tables only"),
     }
 }
 
 proptest! {
     /// `CompiledTable::recompile` derives a wildcard engine from the
-    /// previous one. Along a chain of deltas over ternary and range tables
-    /// of 0–300 entries in 1–3 priority levels and 1–9 key bytes — sized
+    /// previous one. Along a chain of deltas over ternary, range and LPM
+    /// tables of 0–300 entries in 1–3 priority levels and 1–9 key bytes — sized
     /// at random or next to 64 or 256 entries, so that chains cross a
     /// second row word and a summary both ways — every link's engine
     /// equals one built in full over the same minimized entries: per key
@@ -473,13 +499,13 @@ proptest! {
     /// on the rank for each entry's own key and random keys, and with the
     /// scan on the winner. A delta is one to three edits, each of which
     /// removes the entry at any rank; adds one at the end of any level;
-    /// adds one that accepts a single byte at one position, cutting that
-    /// byte's class; adds the first to constrain a position the seeds
-    /// leave free; removes every entry that constrains a position, the
+    /// adds one that accepts a single byte at one position (for LPM, the
+    /// prefix through it), cutting that byte's class; adds the first to
+    /// constrain a position the seeds leave free; removes every entry that constrains a position, the
     /// last of them included; or removes everything.
     #[test]
     fn a_splice_equals_a_build_along_any_delta_chain(
-        ranges in any::<bool>(),
+        kind in 0usize..3,
         shape in (1usize..=9, 1i32..=3, pvec(any::<bool>(), 9), (0u8..3, 0usize..301)),
         rows in pvec(
             (pvec(any::<u8>(), 9), pvec(any::<u8>(), 9), pvec(any::<u8>(), 9), any::<i32>()),
@@ -495,17 +521,17 @@ proptest! {
         noise in pvec(pvec(any::<u8>(), 9), 8),
     ) {
         let (width, levels, free, (size, n)) = shape;
+        let kind = [MatchKind::Ternary, MatchKind::Range, MatchKind::Lpm][kind];
         let rows = &rows[..[n, 60 + n % 8, 252 + n % 8][usize::from(size)]];
         // A table sized next to a boundary keeps every seed: each is exact
         // on key bytes 0–1, at a value of its own, so none covers another.
         let width = if size == 0 { width } else { width.max(2) };
         let free: Vec<bool> = (0..9).map(|p| free[p] && (size == 0 || p >= 2)).collect();
-        let kind = if ranges { MatchKind::Range } else { MatchKind::Ternary };
         let draw = |a: &[u8], b: &[u8], sel: &[u8]| {
             let (x, y): (Vec<u8>, Vec<u8>) = (0..width)
-                .map(|p| position_spec(ranges, free[p], a[p], b[p], sel[p]))
+                .map(|p| position_spec(kind, free[p], a[p], b[p], sel[p]))
                 .unzip();
-            if ranges { range(&x, &y) } else { ternary(&x, &y) }
+            spec(kind, &x, &y)
         };
         let mut t = table(kind, width);
         // An action per entry: nothing merges, so most removals patch.
@@ -522,6 +548,10 @@ proptest! {
                     MatchSpec::Range { lo, hi } => {
                         lo[..2].copy_from_slice(&own);
                         hi[..2].copy_from_slice(&own);
+                    }
+                    MatchSpec::Lpm { value, prefix_len } => {
+                        value[..2].copy_from_slice(&own);
+                        *prefix_len = (*prefix_len).max(16);
                     }
                     _ => unreachable!(),
                 }
@@ -542,12 +572,12 @@ proptest! {
                         t.insert(draw(a, b, sel), Action::Forward(port), level).unwrap();
                     }
                     12 | 13 => {
-                        let spec = one_byte(ranges, width, at % width, *byte);
+                        let spec = one_byte(kind, width, at % width, *byte);
                         t.insert(spec, Action::Forward(port), level).unwrap();
                     }
                     14 => {
                         let pos = (0..width).find(|&p| free[p]).unwrap_or(width - 1);
-                        let spec = one_byte(ranges, width, pos, *byte);
+                        let spec = one_byte(kind, width, pos, *byte);
                         t.insert(spec, Action::Forward(port), level).unwrap();
                     }
                     15 if at % 2 == 0 => {
@@ -572,7 +602,9 @@ proptest! {
             prop_assert_eq!(compiled.wildcard_form(), built.wildcard_form());
             let mut keys: Vec<Vec<u8>> = noise.iter().map(|k| k[..width].to_vec()).collect();
             keys.extend(t.entries().iter().map(|e| match &e.spec {
-                MatchSpec::Ternary { value, .. } | MatchSpec::Range { lo: value, .. } => value.clone(),
+                MatchSpec::Ternary { value, .. }
+                | MatchSpec::Range { lo: value, .. }
+                | MatchSpec::Lpm { value, .. } => value.clone(),
                 _ => unreachable!(),
             }));
             let mut probe = vec![0u8; width];
