@@ -13,7 +13,7 @@
 //! pipeline cells (via
 //! [`ControlPlane::rollback_to`], which republishes the retained baseline
 //! snapshot) and the mutable switch tables (by swapping the baseline
-//! [`RuleSet`] kept in the engine's deployment history back in), so a
+//! [`RuleSet`] the engine keeps as its active ruleset back in), so a
 //! later publish compiles the pre-canary rules again. Every ruleset change
 //! — baseline, canary, rollback — is one
 //! [`ControlPlane::replace_ruleset`], so the publish after it re-lowers
@@ -38,10 +38,6 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Rulesets (with their published versions) the engine remembers for
-/// rollback; matches the control plane's snapshot history depth.
-const DEPLOY_HISTORY_CAP: usize = 16;
-
 /// Tuning for the whole adaptation loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptConfig {
@@ -62,16 +58,11 @@ pub struct AdaptConfig {
     /// than one).
     pub canary_shards: usize,
     /// Frames the canary (and control) shards must each process before
-    /// the guardrails decide.
+    /// the guardrail decides.
     pub min_canary_frames: u64,
     /// Roll back when the canary shards' drop rate exceeds the control
     /// shards' by more than this.
     pub guardrail_max_drop_increase: f64,
-    /// Optional latency guardrail: roll back when the canary shards' p99
-    /// exceeds the control shards' p99 by more than this factor.
-    /// Histograms are cumulative since gateway start, so this is a
-    /// coarse sanity bound, not a precise delta test.
-    pub guardrail_max_p99_factor: Option<f64>,
 }
 
 impl Default for AdaptConfig {
@@ -86,7 +77,6 @@ impl Default for AdaptConfig {
             canary_shards: 1,
             min_canary_frames: 256,
             guardrail_max_drop_increase: 0.25,
-            guardrail_max_p99_factor: None,
         }
     }
 }
@@ -210,7 +200,7 @@ pub enum PhaseKind {
     Stable,
     /// Scoring a candidate on mirrored traffic.
     Shadowing,
-    /// Candidate live on a shard subset, guardrails watching.
+    /// Candidate live on a shard subset, the guardrail watching.
     Canarying,
 }
 
@@ -248,7 +238,9 @@ enum Phase {
         candidate_version: u64,
         baseline_version: u64,
         shards: Vec<usize>,
-        start: GatewaySnapshot,
+        /// The gateway at canary start (boxed: inline it would size every
+        /// phase).
+        start: Box<GatewaySnapshot>,
         /// Pre-canary fleet drop rate, used as the guardrail reference
         /// when every shard is canaried (no live control group).
         fallback_reference: f64,
@@ -331,9 +323,11 @@ pub struct AdaptEngine {
     window_source: Scenario,
     monitor: DriftMonitor,
     phase: Phase,
-    /// `(published version, ruleset)` of every baseline/promotion, newest
-    /// last.
-    deployed: Vec<(u64, RuleSet)>,
+    /// `(published version, ruleset)` of the initial baseline or the
+    /// newest promotion: what a canary is judged against and what a
+    /// rollback puts back. No promotion lands before a canary's verdict,
+    /// so it is always the rollout's baseline.
+    active: Option<(u64, RuleSet)>,
     metrics: AdaptMetrics,
     /// When the engine entered its current phase; transition spans cover
     /// the phase being left.
@@ -361,7 +355,7 @@ impl AdaptEngine {
             retrainer,
             window_source,
             phase: Phase::Stable,
-            deployed: Vec::new(),
+            active: None,
             metrics,
             phase_entered: Instant::now(),
         }
@@ -384,27 +378,32 @@ impl AdaptEngine {
 
     /// Version of the newest promoted (or initial) ruleset.
     pub fn active_version(&self) -> Option<u64> {
-        self.deployed.last().map(|(v, _)| *v)
+        self.active.as_ref().map(|(v, _)| *v)
     }
 
     /// The newest promoted (or initial) ruleset.
     pub fn active_ruleset(&self) -> Option<&RuleSet> {
-        self.deployed.last().map(|(_, r)| r)
+        self.active.as_ref().map(|(_, r)| r)
     }
 
-    /// Installs and publishes the first baseline ruleset fleet-wide,
-    /// seeding the deployment history. Call once, after the gateway has
+    /// Installs and publishes the first baseline ruleset fleet-wide and
+    /// makes it the active one. Call once, after the gateway has
     /// subscribed its cells.
     ///
     /// # Errors
     ///
-    /// Propagates table errors from installing into the ACL stage.
+    /// [`AdaptError::NotStable`] while a rollout is in flight (it is judged
+    /// against the active ruleset); otherwise propagates table errors from
+    /// installing into the ACL stage.
     pub fn install_initial(&mut self, ruleset: &RuleSet) -> Result<PublishReport, AdaptError> {
+        if !matches!(self.phase, Phase::Stable) {
+            return Err(AdaptError::NotStable(self.phase.kind().name()));
+        }
         self.check_width(ruleset)?;
         self.control
             .replace_ruleset(self.config.stage, ruleset, Action::Drop)?;
         let report = self.control.publish_audited(None, false);
-        self.remember(report.version, ruleset.clone());
+        self.active = Some((report.version, ruleset.clone()));
         Ok(report)
     }
 
@@ -427,7 +426,7 @@ impl AdaptEngine {
             return Err(AdaptError::NotStable(self.phase.kind().name()));
         }
         self.check_width(&candidate)?;
-        if self.deployed.is_empty() {
+        if self.active.is_none() {
             return Err(AdaptError::NoBaseline);
         }
         self.enter_shadow(gateway, candidate, format!("proposed:{reason}"))
@@ -442,7 +441,7 @@ impl AdaptEngine {
     /// [`AdaptError::NoBaseline`] before [`AdaptEngine::install_initial`];
     /// otherwise propagates table/publish/retrain failures.
     pub fn step(&mut self, gateway: &Gateway) -> Result<StepOutcome, AdaptError> {
-        if self.deployed.is_empty() {
+        if self.active.is_none() {
             return Err(AdaptError::NoBaseline);
         }
         match std::mem::replace(&mut self.phase, Phase::Stable) {
@@ -620,7 +619,7 @@ impl AdaptEngine {
         self.control
             .replace_ruleset(self.config.stage, &candidate, Action::Drop)?;
         let report = self.control.publish_to(&shards)?;
-        let start = gateway.snapshot();
+        let start = Box::new(gateway.snapshot());
         let fallback_reference = if start.totals.received > 0 {
             start.totals.dropped as f64 / start.totals.received as f64
         } else {
@@ -656,27 +655,22 @@ impl AdaptEngine {
         candidate_version: u64,
         baseline_version: u64,
         shards: Vec<usize>,
-        start: GatewaySnapshot,
+        start: Box<GatewaySnapshot>,
         fallback_reference: f64,
     ) -> Result<StepOutcome, AdaptError> {
         let now = gateway.snapshot();
         let mut canary = (0u64, 0u64); // (received, dropped) deltas
         let mut control = (0u64, 0u64);
-        let mut canary_p99 = std::time::Duration::ZERO;
-        let mut control_p99 = std::time::Duration::ZERO;
         for s in 0..now.shards.len() {
             let (after, before) = (now.shards[s].counters(), start.shards[s].counters());
             let recv = after.received - before.received;
             let drop = after.dropped - before.dropped;
-            let p99 = now.shards[s].latency().quantile(0.99);
             if shards.contains(&s) {
                 canary.0 += recv;
                 canary.1 += drop;
-                canary_p99 = canary_p99.max(p99);
             } else {
                 control.0 += recv;
                 control.1 += drop;
-                control_p99 = control_p99.max(p99);
             }
         }
         let has_control = now.shards.len() > shards.len();
@@ -703,38 +697,19 @@ impl AdaptEngine {
         } else {
             fallback_reference
         };
-        let mut tripped: Option<String> = None;
         if canary_rate > reference_rate + self.config.guardrail_max_drop_increase {
-            tripped = Some(format!(
+            let reason = format!(
                 "canary drop rate {canary_rate:.3} exceeds reference {reference_rate:.3} by more than {:.3}",
                 self.config.guardrail_max_drop_increase
-            ));
-        } else if let Some(factor) = self.config.guardrail_max_p99_factor {
-            if has_control
-                && control_p99 > std::time::Duration::ZERO
-                && canary_p99.as_secs_f64() > control_p99.as_secs_f64() * factor
-            {
-                tripped = Some(format!(
-                    "canary p99 {canary_p99:?} exceeds control p99 {control_p99:?} by more than {factor:.1}x"
-                ));
-            }
-        }
-
-        if let Some(reason) = tripped {
+            );
             // Restore the shards' cells to the retained baseline snapshot
             // (records the `rolled_back` audit event) ...
             self.control.rollback_to(baseline_version, &reason)?;
             // ... and the mutable switch tables to the baseline rules, so
             // the next publish compiles the pre-canary state.
-            let baseline = self
-                .deployed
-                .iter()
-                .rev()
-                .find(|(v, _)| *v == baseline_version)
-                .map(|(_, r)| r.clone())
-                .ok_or(AdaptError::NoBaseline)?;
+            let (_, baseline) = self.active.as_ref().ok_or(AdaptError::NoBaseline)?;
             self.control
-                .replace_ruleset(self.config.stage, &baseline, Action::Drop)?;
+                .replace_ruleset(self.config.stage, baseline, Action::Drop)?;
             self.metrics.rolled_back.inc();
             self.set_phase(Phase::Stable);
             self.monitor.reset();
@@ -755,7 +730,7 @@ impl AdaptEngine {
             ),
             trace_id: self.rollout_trace_id(candidate_version, baseline_version),
         });
-        self.remember(candidate_version, candidate);
+        self.active = Some((candidate_version, candidate));
         self.metrics.promoted.inc();
         self.set_phase(Phase::Stable);
         self.monitor.reset();
@@ -786,13 +761,6 @@ impl AdaptEngine {
             });
         }
         Ok(())
-    }
-
-    fn remember(&mut self, version: u64, ruleset: RuleSet) {
-        self.deployed.push((version, ruleset));
-        if self.deployed.len() > DEPLOY_HISTORY_CAP {
-            self.deployed.remove(0);
-        }
     }
 
     fn set_phase(&mut self, phase: Phase) {

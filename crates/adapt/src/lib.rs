@@ -26,11 +26,10 @@
 //! 4. **Canary rollout** ([`engine`]): publish the candidate to a shard
 //!    subset with
 //!    [`ControlPlane::publish_to`](p4guard_dataplane::control::ControlPlane::publish_to),
-//!    watch drop-rate (and optionally latency) guardrails against the
-//!    control shards, then promote fleet-wide with `republish` — or
-//!    restore the prior version everywhere with `rollback_to` plus a
-//!    switch-table swap back to the baseline kept in the engine's
-//!    deployment history.
+//!    watch a drop-rate guardrail against the control shards, then
+//!    promote fleet-wide with `republish` — or restore the prior version
+//!    everywhere with `rollback_to` plus a switch-table swap back to the
+//!    baseline the engine keeps as its active ruleset.
 //!
 //! Every phase transition is observable: `adapt_*` counters in the
 //! shared registry and `drift` / `rollout` audit events in the flight

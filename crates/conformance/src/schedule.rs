@@ -1,7 +1,9 @@
 //! Fixtures shared by the gateway fault schedules under `tests/`: frames
 //! over a handful of flows, a one-stage ACL keyed on the IPv4 protocol
-//! byte, adversarial rulesets over that byte, and the drained checkpoint
-//! between a schedule's phases.
+//! byte, adversarial rulesets over that byte, the drained checkpoint
+//! between a schedule's phases, and the checks that end a schedule. None
+//! of them takes a frame count: the gateway counts what it was offered
+//! ([`GatewaySnapshot::offered`]), and every check reads that.
 
 use bytes::Bytes;
 use p4guard_dataplane::action::Action;
@@ -91,15 +93,15 @@ pub fn random_ruleset<R: Rng>(rng: &mut R) -> RuleSet {
     rs
 }
 
-/// Blocks until `gw` has accounted for `offered` frames.
+/// Blocks until `gw` has accounted for every frame offered to it so far.
 ///
 /// # Panics
 ///
 /// Panics if it has not within 30 seconds, or if a shard has published a
 /// drain that broke frame conservation.
-pub fn drain(gw: &Gateway, offered: u64) {
+pub fn drain(gw: &Gateway) {
     let snap = gw
-        .wait_drained(offered, Duration::from_secs(30))
+        .wait_drained(Duration::from_secs(30))
         .expect("gateway drains to the checkpoint");
     assert_eq!(snap.conservation_violations(), 0, "{snap}");
 }
@@ -124,23 +126,16 @@ pub fn mirror_ruleset(reference: &ControlPlane, stage: usize, ruleset: &RuleSet)
 
 /// One drained phase of a differential schedule: `frames` go through `gw`
 /// — frame by frame with `batch: None`, else packed `batch` at a time —
-/// and, once the gateway has accounted for them (`sent` is the schedule's
-/// running total), through the `reference` switch.
-pub fn serve_phase(
-    gw: &Gateway,
-    reference: &ControlPlane,
-    frames: &[Bytes],
-    batch: Option<usize>,
-    sent: &mut u64,
-) {
+/// and, once the gateway has accounted for them, through the `reference`
+/// switch.
+pub fn serve_phase(gw: &Gateway, reference: &ControlPlane, frames: &[Bytes], batch: Option<usize>) {
     match batch {
         None => frames.iter().for_each(|f| gw.dispatch(f.clone())),
         Some(n) => pack(frames, n)
             .into_iter()
             .for_each(|b| gw.dispatch_batch(b)),
     }
-    *sent += frames.len() as u64;
-    drain(gw, *sent);
+    drain(gw);
     reference.with_switch_mut(|sw| sw.run_frames(frames.iter().map(|f| f.as_ref())));
 }
 
@@ -162,17 +157,17 @@ pub fn finish_against(gw: Gateway, reference: &ControlPlane, what: &str) {
 }
 
 /// Ends an undrained schedule (swaps landed with frames in flight, so
-/// totals split across versions): every one of the `frames` sent through
-/// blocking ingest got exactly one verdict, some shard picked a swap up
-/// mid-serve, and the gateway serves `last_version`.
+/// totals split across versions): every frame the gateway was offered
+/// through blocking ingest got exactly one verdict, some shard picked a
+/// swap up mid-serve, and the gateway serves `last_version`.
 ///
 /// # Panics
 ///
 /// Panics if a frame was lost or shed, no swap was seen, or another
 /// version is live.
-pub fn finish_conserved(gw: Gateway, frames: usize, last_version: u64) -> GatewaySnapshot {
+pub fn finish_conserved(gw: Gateway, last_version: u64) -> GatewaySnapshot {
     let snap = gw.finish();
-    assert_eq!(snap.totals.received, frames as u64);
+    assert_eq!(snap.totals.received, snap.offered);
     assert_eq!(snap.dropped_backpressure, 0);
     assert_eq!(
         snap.conservation_violations(),
@@ -185,19 +180,18 @@ pub fn finish_conserved(gw: Gateway, frames: usize, last_version: u64) -> Gatewa
     snap
 }
 
-/// Ends a shedding schedule (non-blocking ingest against small queues): of
-/// the `offered` frames, exactly the `accepted` ones were served, each to
-/// one verdict, and the rest are counted as backpressure drops.
+/// Ends a shedding schedule (non-blocking ingest against small queues):
+/// every frame the gateway was offered was either served, to one verdict,
+/// or counted as a backpressure drop.
 ///
 /// # Panics
 ///
 /// Panics if a frame vanished or was served twice.
-pub fn finish_shedding(gw: Gateway, accepted: u64, offered: usize) -> GatewaySnapshot {
+pub fn finish_shedding(gw: Gateway) -> GatewaySnapshot {
     let snap = gw.finish();
-    assert_eq!(snap.totals.received, accepted);
     assert_eq!(
         snap.totals.received + snap.dropped_backpressure,
-        offered as u64,
+        snap.offered,
         "offered = processed + backpressure-dropped, nothing vanishes"
     );
     assert_eq!(snap.conservation_violations(), 0);
@@ -218,7 +212,6 @@ pub fn phased_hot_swaps(name: &str, seed: u64, runts: bool, batch: Option<usize>
         let (control, stage) = build_control(name);
         let (reference, ref_stage) = build_control(name);
         let gw = Gateway::start(&control, GatewayConfig::with_shards(shards));
-        let mut sent = 0u64;
         for (ruleset, frames) in &phases {
             // Swap on the live path, and identically on the reference.
             control
@@ -226,7 +219,7 @@ pub fn phased_hot_swaps(name: &str, seed: u64, runts: bool, batch: Option<usize>
                 .unwrap();
             control.publish();
             mirror_ruleset(&reference, ref_stage, ruleset);
-            serve_phase(&gw, &reference, frames, batch, &mut sent);
+            serve_phase(&gw, &reference, frames, batch);
         }
         finish_against(gw, &reference, &format!("{shards}-shard {name}"));
     }

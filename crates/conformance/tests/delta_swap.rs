@@ -69,7 +69,6 @@ fn drained_delta_chains_match_scan_replay() {
 
         let mut current = RuleSet::new(1, 0);
         let mut history: Vec<(u64, RuleSet)> = Vec::new();
-        let mut sent = 0u64;
         for phase in 0..12 {
             if phase > 0 && phase % 5 == 4 {
                 // Rollback to a random retained version, then resync the
@@ -107,7 +106,7 @@ fn drained_delta_chains_match_scan_replay() {
 
             let frames = workload(&mut rng, 300, false);
             let grain = (phase % 2 == 1).then_some(96);
-            serve_phase(&gw, &reference, &frames, grain, &mut sent);
+            serve_phase(&gw, &reference, &frames, grain);
         }
 
         finish_against(gw, &reference, &format!("{shards}-shard delta-chain"));
@@ -167,7 +166,7 @@ fn undrained_delta_chains_lose_no_frames() {
             }
         }
     }
-    finish_conserved(gw, frames.len(), last_version);
+    finish_conserved(gw, last_version);
     assert!(per_frame_cursor > 0, "per-frame lane must see traffic");
 }
 

@@ -58,7 +58,6 @@ fn phased_forest_swaps_match_single_switch_replay() {
         let reference = build_forest_control(TREES, vote);
         let gw = Gateway::start(&control, GatewayConfig::with_shards(shards));
 
-        let mut sent = 0u64;
         for (rulesets, frames) in &phases {
             // The whole forest in one swap: all trees or none.
             let forest: Vec<_> = (0..)
@@ -72,7 +71,7 @@ fn phased_forest_swaps_match_single_switch_replay() {
             control.publish();
 
             // 96 does not divide 400, so phase tails ride in short batches.
-            serve_phase(&gw, &reference, frames, Some(96), &mut sent);
+            serve_phase(&gw, &reference, frames, Some(96));
         }
 
         finish_against(gw, &reference, &format!("{shards}-shard batched forest"));
@@ -129,7 +128,7 @@ fn tree_add_remove_mid_serve_conserves_frames() {
         }
         gw.dispatch_batch(batch);
     }
-    finish_conserved(gw, frames.len(), last_version);
+    finish_conserved(gw, last_version);
     assert_eq!(
         control.with_switch(|sw| sw.stage_count()),
         expected_stages,

@@ -13,7 +13,7 @@
 //!   benign traffic; the canary drop-rate guardrail trips and the fleet is
 //!   restored to the exact prior version.
 
-use crate::experiments::live::Live;
+use crate::experiments::live;
 use crate::report::{yes_no, TextTable};
 use p4guard_adapt::{AdaptConfig, AdaptEngine, DriftConfig, Retrainer, StepOutcome};
 use p4guard_dataplane::control::ControlPlane;
@@ -130,7 +130,7 @@ fn build_control() -> ControlPlane {
 /// and returns the frames-to-milestone counters plus the terminal outcome
 /// (if reached).
 fn drive(
-    live: &mut Live<Gateway>,
+    gateway: &Gateway,
     engine: &mut AdaptEngine,
     trace: &Trace,
 ) -> (u64, u64, u64, Option<StepOutcome>) {
@@ -138,16 +138,18 @@ fn drive(
         .iter()
         .map(|r| FrameBatch::single(r.frame.clone()))
         .collect();
-    let before = live.sent;
+    let before = gateway.snapshot().offered;
+    let replayed = || gateway.snapshot().offered - before;
     let mut to_shadow = 0u64;
     let mut to_canary = 0u64;
     let mut outcome = None;
-    live.feed(
+    live::feed(
+        gateway,
         frames.chunks(CHUNK).map(|c| c.iter().cloned()),
         true,
-        |live| {
-            let replayed = live.sent - before;
-            match engine.step(&live.gateway).expect("adaptation step") {
+        || {
+            let replayed = replayed();
+            match engine.step(gateway).expect("adaptation step") {
                 StepOutcome::ShadowStarted { .. } => to_shadow = replayed,
                 StepOutcome::CanaryStarted { .. } => to_canary = replayed,
                 done @ (StepOutcome::Promoted { .. } | StepOutcome::RolledBack { .. }) => {
@@ -159,7 +161,7 @@ fn drive(
             ControlFlow::Continue(())
         },
     );
-    (to_shadow, to_canary, live.sent - before, outcome)
+    (to_shadow, to_canary, replayed(), outcome)
 }
 
 /// Drives one lifecycle path against a fresh gateway: a SYN-flood
@@ -181,7 +183,7 @@ fn run_path(
         .expect("baseline generates");
     let regime_trace = regime.generate().expect("regime generates");
     let control = build_control();
-    let mut live = Live::<Gateway>::start(&control, gw_config, Some(Arc::clone(tel)));
+    let gw = Gateway::start_with_telemetry(&control, gw_config, Some(Arc::clone(tel)));
     let r0 = retrainer()
         .retrain(&baseline_trace)
         .expect("baseline trains");
@@ -196,13 +198,13 @@ fn run_path(
     let proposed = proposal.is_some();
     if let Some(candidate) = proposal {
         engine
-            .propose(&live.gateway, candidate, "f12-poisoned")
+            .propose(&gw, candidate, "f12-poisoned")
             .expect("proposal accepted");
     } else {
-        drive(&mut live, &mut engine, &baseline_trace);
+        drive(&gw, &mut engine, &baseline_trace);
     }
-    let (to_shadow, to_canary, replayed, outcome) = drive(&mut live, &mut engine, &regime_trace);
-    let (snap, _) = live.end();
+    let (to_shadow, to_canary, replayed, outcome) = drive(&gw, &mut engine, &regime_trace);
+    let snap = gw.finish();
     // A rollback must also put the exact baseline ruleset back.
     let restored = || {
         let active = engine.active_ruleset();

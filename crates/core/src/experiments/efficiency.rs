@@ -6,6 +6,7 @@ use crate::config::GuardConfig;
 use crate::experiments::ExperimentContext;
 use crate::report::{num3, yes_no, TextTable};
 use p4guard_features::select::SelectionStrategy;
+use p4guard_rules::compile::COMPILE_CLASS;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -184,8 +185,12 @@ pub fn run_f3(lab: &ExperimentContext) -> ResourceComparison {
     // The same guard deployed on a range-capable table: one entry per
     // attack tree path instead of a prefix expansion.
     let g = guard.guard();
-    let attack = g.config.compile.compile_class;
-    let paths = g.tree.paths().iter().filter(|p| p.class == attack).count();
+    let paths = g
+        .tree
+        .paths()
+        .iter()
+        .filter(|p| p.class == COMPILE_CLASS)
+        .count();
     let key_bits = g.compiled.stats.key_width * 8;
     let range_table = ResourceRow {
         name: "two-stage (range table)".into(),

@@ -11,7 +11,7 @@
 //! offline replay of the same ruleset. The budgeter's two enforcement
 //! paths — reject and trim — are both exercised along the way.
 
-use crate::experiments::live::Live;
+use crate::experiments::live;
 use crate::report::{num3, TextTable};
 use p4guard_dataplane::key::KeyLayout;
 use p4guard_features::extract::ByteDataset;
@@ -270,7 +270,7 @@ pub fn run_f19_fleet(
     assert!(trim_publish.occupancy.within_budget());
 
     // Replay the fleet through the shared shard workers.
-    let mut live = Live::<FleetGateway>::start(
+    let gw = FleetGateway::start(
         &registry,
         GatewayConfig::with_shards(shards),
         telemetry.clone(),
@@ -291,9 +291,9 @@ pub fn run_f19_fleet(
 
     let started = Instant::now();
     let replay = frames.into_iter().map(|f| FrameBatch::single(f.frame));
-    live.feed([replay], true, |_| ControlFlow::Continue(()));
+    live::feed(gw.gateway(), [replay], true, || ControlFlow::Continue(()));
     let elapsed = started.elapsed();
-    let (snapshot, _) = live.end();
+    let snapshot = gw.finish();
 
     let occupancies = registry.occupancies();
     let rows: Vec<TenantReport> = (0..tenants)

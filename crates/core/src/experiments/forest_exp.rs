@@ -20,7 +20,7 @@
 
 use crate::baselines::GuardDetector;
 use crate::config::GuardConfig;
-use crate::experiments::live::Live;
+use crate::experiments::live;
 use crate::experiments::ExperimentContext;
 use crate::report::{yes_no, TextTable};
 use p4guard_dataplane::action::Action;
@@ -416,14 +416,14 @@ fn live_phase(
     let exit = EarlyExit::sound_majority(trees);
     let control = deploy_forest(config.window, offsets, &compiled, Some(exit));
     control.publish();
-    let mut live = Live::<Gateway>::start(&control, GatewayConfig::with_shards(2), None);
+    let gw = Gateway::start(&control, GatewayConfig::with_shards(2));
 
     let batches = test.to_batches(64);
     let mid = batches.len() / 2;
     let mut served = 0;
     let mut delta_recompiled = 0;
     let mut delta_shared = 0;
-    live.feed(batches.into_iter().map(|batch| [batch]), false, |_| {
+    live::feed(&gw, batches.into_iter().map(|batch| [batch]), false, || {
         served += 1;
         if served == mid {
             // One-tree edit mid-serve: republish must re-lower exactly
@@ -439,16 +439,15 @@ fn live_phase(
         }
         ControlFlow::Continue(())
     });
-    let frames = live.sent;
-    let (snap, conserved) = live.end();
+    let snap = gw.finish();
     LivePhase {
         trees,
         depth: forest.config().tree.max_depth,
-        frames,
+        frames: snap.offered,
         vote_exits: snap.vote_exits(),
         delta_recompiled,
         delta_shared,
-        conserved,
+        conserved: live::conserved(&snap),
     }
 }
 

@@ -15,7 +15,7 @@
 //! mid-serve and checks frame conservation.
 
 use crate::config::GuardConfig;
-use crate::experiments::live::Live;
+use crate::experiments::live;
 use crate::experiments::ExperimentContext;
 use crate::report::TextTable;
 use p4guard_dataplane::action::Action;
@@ -342,7 +342,7 @@ pub fn run_f20_minimize(
     }
 
     // --- Live gateway: deltas land mid-serve, frames are conserved. ---
-    let mut live = Live::<Gateway>::start(&control, GatewayConfig::with_shards(2), None);
+    let gw = Gateway::start(&control, GatewayConfig::with_shards(2));
     let chunks = 6usize;
     let per_chunk = 500usize;
     let mut live_samples = Vec::with_capacity(chunks);
@@ -350,7 +350,7 @@ pub fn run_f20_minimize(
         let ids = chunk * per_chunk..(chunk + 1) * per_chunk;
         ids.map(|i| FrameBatch::single(live_frame(i).into()))
     };
-    live.feed((0..chunks).map(frames), false, |_| {
+    live::feed(&gw, (0..chunks).map(frames), false, || {
         let next = one_entry_edit(&current, entries + trials + live_samples.len());
         control
             .replace_ruleset(STAGE, &next, Action::Drop)
@@ -359,8 +359,7 @@ pub fn run_f20_minimize(
         current = next;
         ControlFlow::Continue(())
     });
-    let sent = live.sent;
-    let (_, conserved) = live.end();
+    let finished = gw.finish();
 
     MinimizeReport {
         seed,
@@ -370,9 +369,9 @@ pub fn run_f20_minimize(
         scratch,
         speedup,
         equality_probes: probes,
-        live_frames: sent,
+        live_frames: finished.offered,
         live_publishes: live_samples.len(),
         live_publish: stats(&live_samples),
-        conserved,
+        conserved: live::conserved(&finished),
     }
 }

@@ -16,7 +16,7 @@
 //!   the victim's burn.
 
 use crate::config::GuardConfig;
-use crate::experiments::live::Live;
+use crate::experiments::live;
 use crate::pipeline::TwoStagePipeline;
 use p4guard_fleet::{
     AclLayout, AdmitPolicy, BudgetConfig, FleetGateway, FleetSim, FleetSimConfig, SimFrame,
@@ -221,7 +221,7 @@ fn slo_wave(seed: u64, shards: usize) -> SloWave {
     let victim = registry.spec(0).expect("tenant 0 exists").name.clone();
     let neighbour = registry.spec(1).expect("tenant 1 exists").name.clone();
 
-    let mut live = Live::<FleetGateway>::start(
+    let gw = FleetGateway::start(
         &registry,
         GatewayConfig::with_shards(shards),
         Some(Arc::clone(&telemetry)),
@@ -243,10 +243,11 @@ fn slo_wave(seed: u64, shards: usize) -> SloWave {
         fast.unwrap_or_default()
     };
     let mut victim_burn = Vec::with_capacity(3);
-    live.feed(
+    live::feed(
+        gw.gateway(),
         [quiet_a, quiet_b, &attack].map(|c| c.iter().cloned()),
         true,
-        |_| {
+        || {
             telemetry.slo.tick(&telemetry.registry);
             victim_burn.push(burn(&victim));
             ControlFlow::Continue(())
@@ -254,7 +255,7 @@ fn slo_wave(seed: u64, shards: usize) -> SloWave {
     );
     let (quiet_burn, attack_burn) = (victim_burn[1], victim_burn[2]);
     let neighbour_burn = burn(&neighbour);
-    live.end();
+    gw.finish();
 
     SloWave {
         victim,

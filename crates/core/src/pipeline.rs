@@ -613,17 +613,23 @@ mod tests {
     #[test]
     fn model_json_still_carrying_range_paths_loads() {
         // Model files written before `CompiledRules::range_paths` was
-        // deleted carry the attack paths a second time; the loader ignores
-        // the key and restores the same guard.
+        // deleted carry the attack paths a second time, and those written
+        // before `CompileConfig::compile_class` became a constant carry it;
+        // the loader ignores both keys and restores the same guard.
         let (guard, _, test) = trained();
         let json = guard.to_json();
         let paths = serde_json::to_string(&guard.tree.paths()).expect("paths serialize");
-        let old = json.replacen(
-            "\"compiled\":{",
-            &format!("\"compiled\":{{\"range_paths\":{paths},"),
-            1,
+        let old = json
+            .replacen(
+                "\"compiled\":{",
+                &format!("\"compiled\":{{\"range_paths\":{paths},"),
+                1,
+            )
+            .replacen("\"compile\":{", "\"compile\":{\"compile_class\":1,", 1);
+        assert!(
+            old.len() > json.len() + paths.len() + "\"compile_class\":1,".len(),
+            "both old keys were spliced in"
         );
-        assert!(old.len() > json.len(), "the old key was spliced in");
         let loaded = TrainedGuard::from_json(&old).expect("an old model file loads");
         assert_eq!(loaded.compiled, guard.compiled);
         assert_eq!(loaded.evaluate_rules(&test), guard.evaluate_rules(&test));

@@ -164,19 +164,15 @@ impl FleetGateway {
         FleetSnapshot::derive(self.gateway.snapshot(), &self.cells)
     }
 
-    /// [`Gateway::wait_drained`] read as tenants: returns once every one
-    /// of the `offered` frames was served for a tenant, counted as
+    /// [`Gateway::wait_drained`] read as tenants: returns once every frame
+    /// offered before the call was served for a tenant, counted as
     /// `unknown_tenant`, or shed at ingest.
     ///
     /// # Errors
     ///
     /// [`DrainTimeout`] when `timeout` elapses first.
-    pub fn wait_drained(
-        &self,
-        offered: u64,
-        timeout: Duration,
-    ) -> Result<FleetSnapshot, DrainTimeout> {
-        let snap = self.gateway.wait_drained(offered, timeout)?;
+    pub fn wait_drained(&self, timeout: Duration) -> Result<FleetSnapshot, DrainTimeout> {
+        let snap = self.gateway.wait_drained(timeout)?;
         Ok(FleetSnapshot::derive(snap, &self.cells))
     }
 

@@ -62,6 +62,12 @@ impl GatewayConfig {
 pub struct GatewaySnapshot {
     /// Per-shard statistics, indexed by shard.
     pub shards: Vec<ShardStats>,
+    /// Frames handed to any ingest method since start, counted before
+    /// they are mirrored or routed. Read after the shard stats, so every
+    /// frame a shard shows as processed is counted here too; once the
+    /// gateway is drained,
+    /// `Σ shards.processed + dropped_backpressure == offered`.
+    pub offered: u64,
     /// Frames dropped at ingest because a shard queue was full.
     pub dropped_backpressure: u64,
     /// Newest ruleset version published to any shard. During a canary
@@ -131,10 +137,10 @@ impl fmt::Display for GatewaySnapshot {
 }
 
 /// [`Gateway::wait_drained`] ran out of time before the gateway had
-/// accounted for every offered frame.
+/// accounted for every frame offered before the call.
 #[derive(Clone, PartialEq)]
 pub struct DrainTimeout {
-    /// Frames the caller had offered.
+    /// Frames the gateway had been offered when the wait began.
     pub offered: u64,
     /// The last snapshot taken before giving up (boxed: the error path
     /// should not make every `Result` carry a second snapshot inline).
@@ -169,14 +175,19 @@ impl std::error::Error for DrainTimeout {}
 ///
 /// Created with [`Gateway::start`]; frames enter through
 /// [`Gateway::offer_batch`] (drop-on-full) or [`Gateway::dispatch_batch`]
-/// (blocking); [`Gateway::wait_drained`] is the checkpoint between
-/// offering frames and reading what they did; [`Gateway::finish`] drains
-/// the queues, joins the workers and returns the final
-/// [`GatewaySnapshot`].
+/// (blocking), and the gateway counts every one it is offered
+/// ([`GatewaySnapshot::offered`]), so no caller keeps a total;
+/// [`Gateway::wait_drained`] is the checkpoint between offering frames
+/// and reading what they did; [`Gateway::finish`] drains the queues, joins
+/// the workers and returns the final [`GatewaySnapshot`], whose
+/// `Σ shards.processed + dropped_backpressure` equals `offered`.
 pub struct Gateway {
     senders: Vec<Sender<FrameBatch>>,
     workers: Vec<JoinHandle<()>>,
     states: Vec<Arc<Mutex<ShardStats>>>,
+    /// Frames handed to any ingest method, one add per batch in
+    /// [`Gateway::route`].
+    offered: AtomicU64,
     ingest_drops: Vec<AtomicU64>,
     /// `cells[lane][shard]`.
     cells: Vec<Vec<Arc<PipelineCell>>>,
@@ -371,6 +382,7 @@ impl Gateway {
             senders,
             workers,
             states,
+            offered: AtomicU64::new(0),
             ingest_drops,
             cells,
             mirror: Arc::new(MirrorTap::new()),
@@ -424,11 +436,13 @@ impl Gateway {
         self.dispatch_batch(FrameBatch::single(frame));
     }
 
-    /// Mirrors `batch`, then hands each shard its flow-hash share of it
-    /// through `send(shard, sub_batch)`. Sub-batches share the arena chunk
-    /// — no frame bytes are copied. With one shard, or one frame, the batch
-    /// has a single owner and passes through whole.
+    /// Counts `batch` as offered, mirrors it, then hands each shard its
+    /// flow-hash share of it through `send(shard, sub_batch)`. Sub-batches
+    /// share the arena chunk — no frame bytes are copied. With one shard,
+    /// or one frame, the batch has a single owner and passes through whole.
     fn route(&self, batch: FrameBatch, mut send: impl FnMut(usize, FrameBatch)) {
+        self.offered
+            .fetch_add(batch.len() as u64, Ordering::Relaxed);
         self.mirror.observe_batch(&batch);
         let shards = self.config.shards;
         if batch.is_empty() {
@@ -532,12 +546,16 @@ impl Gateway {
                 (p.entry_count(), p.minimized_entry_count())
             })
             .unwrap_or((0, 0));
+        let dropped_backpressure = self
+            .ingest_drops
+            .iter()
+            .map(|d| d.load(Ordering::Relaxed))
+            .sum();
         GatewaySnapshot {
-            dropped_backpressure: self
-                .ingest_drops
-                .iter()
-                .map(|d| d.load(Ordering::Relaxed))
-                .sum(),
+            // Last: a frame is counted before it is sent, so a frame in the
+            // shard stats read above is in this load too.
+            offered: self.offered.load(Ordering::Relaxed),
+            dropped_backpressure,
             version: shard_versions.iter().copied().max().unwrap_or(0),
             shard_versions,
             totals,
@@ -549,20 +567,21 @@ impl Gateway {
     }
 
     /// The drained checkpoint: blocks until the gateway has accounted for
-    /// `offered` frames — the caller's running total of everything it has
-    /// handed to any ingest method since start — and returns the snapshot
+    /// every frame offered to it before the call, and returns the snapshot
     /// that showed it.
     ///
     /// "Accounted for" is `Σ shards.processed + dropped_backpressure`, the
     /// two ways a frame leaves ingest: a worker took it off its queue
     /// (served by a lane or counted unclassified) or a full queue shed it.
     /// `totals.received` alone would never get there on a gateway that
-    /// sheds or cannot classify one frame. A worker publishes a drain to
-    /// the metrics registry *before* it adds it to the stats the snapshot
-    /// reads (both once per drain, the second under the stats lock), so
-    /// once this returns the counters *and* the registry reflect every
-    /// offered frame — which is what makes a control loop stepped at these
-    /// checkpoints deterministic.
+    /// sheds or cannot classify one frame. The target is
+    /// [`GatewaySnapshot::offered`] as it stands when the call begins;
+    /// frames another thread offers meanwhile may or may not be included.
+    /// A worker publishes a drain to the metrics registry *before* it adds
+    /// it to the stats the snapshot reads (both once per drain, the second
+    /// under the stats lock), so once this returns the counters *and* the
+    /// registry reflect every frame offered before the call — which is what
+    /// makes a control loop stepped at these checkpoints deterministic.
     ///
     /// This is the only polling loop in the workspace; it reads snapshots
     /// and touches nothing on the ingest or shard path.
@@ -570,13 +589,10 @@ impl Gateway {
     /// # Errors
     ///
     /// [`DrainTimeout`] carrying the last snapshot when `timeout` elapses
-    /// first (a worker died, or `offered` overstates what was sent).
-    pub fn wait_drained(
-        &self,
-        offered: u64,
-        timeout: Duration,
-    ) -> Result<GatewaySnapshot, DrainTimeout> {
+    /// first (a worker died or is stuck inside a batch).
+    pub fn wait_drained(&self, timeout: Duration) -> Result<GatewaySnapshot, DrainTimeout> {
         let deadline = Instant::now() + timeout;
+        let offered = self.offered.load(Ordering::Relaxed);
         loop {
             let snapshot = self.snapshot();
             if snapshot.accounted() >= offered {

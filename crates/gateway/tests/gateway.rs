@@ -125,7 +125,7 @@ fn hot_swap_mid_stream_applies_to_all_later_frames() {
     // Swaps take effect at batch boundaries, so frames still queued at
     // publish time may legitimately see the new ruleset. Drain first to
     // make the pre/post split exact.
-    gw.wait_drained(first.len() as u64, Duration::from_secs(30))
+    gw.wait_drained(Duration::from_secs(30))
         .expect("first half drains");
     // Compile the new ruleset off to the side and publish: no worker stalls.
     install_drop_proto(&control, stage, UDP);
@@ -185,6 +185,14 @@ fn backpressure_drops_are_counted_and_conserved() {
         "every offered frame is either processed or counted as dropped"
     );
     assert_eq!(snap.totals.received, report.enqueued);
+    assert_eq!(
+        snap.offered, offered,
+        "the gateway counts what it was offered"
+    );
+    assert_eq!(
+        snap.shards.iter().map(|s| s.processed).sum::<u64>() + snap.dropped_backpressure,
+        snap.offered
+    );
 }
 
 /// Canary primitive: a targeted publish moves only the listed shards'
@@ -353,6 +361,12 @@ fn lanes_serve_their_own_pipelines_and_count_unclassified_frames() {
         let unclassified: u64 = snap.shards.iter().map(|s| s.unclassified).sum();
         assert_eq!(unclassified, strays, "{shards} shard(s)");
         assert_eq!(snap.totals.received + unclassified, frames.len() as u64);
+        assert_eq!(snap.offered, frames.len() as u64, "{shards} shard(s)");
+        assert_eq!(
+            snap.shards.iter().map(|s| s.processed).sum::<u64>() + snap.dropped_backpressure,
+            snap.offered,
+            "{shards} shard(s): unclassified frames are processed too"
+        );
     }
 }
 
@@ -401,10 +415,10 @@ fn snapshot_returns_while_a_shard_is_stuck_inside_a_batch() {
     assert_eq!(gw.finish().totals.received, 1);
 }
 
-/// The drained checkpoint: returns as soon as every offered frame is
-/// accounted for — served, or shed at ingest — and reports a timeout with
-/// the last snapshot instead of hanging or panicking when `offered`
-/// overstates what was sent.
+/// The drained checkpoint: returns as soon as every frame offered before
+/// the call is accounted for — served, or shed at ingest — and reports a
+/// timeout with the last snapshot instead of hanging or panicking when a
+/// worker cannot get there in time.
 #[test]
 fn wait_drained_is_a_bounded_checkpoint() {
     let (control, _) = build_control();
@@ -417,10 +431,9 @@ fn wait_drained_is_a_bounded_checkpoint() {
         },
     );
     // Nothing offered: nothing to wait for, even with no time to wait.
-    let idle = gw
-        .wait_drained(0, Duration::ZERO)
-        .expect("trivially drained");
+    let idle = gw.wait_drained(Duration::ZERO).expect("trivially drained");
     assert_eq!(idle.totals.received, 0);
+    assert_eq!(idle.offered, 0);
 
     // Non-blocking ingest into one-slot queues sheds some of these; the
     // checkpoint counts shed frames as accounted for.
@@ -429,19 +442,44 @@ fn wait_drained_is_a_bounded_checkpoint() {
     let batches = frames.into_iter().map(FrameBatch::single);
     let report = replay_batched(&gw, batches, None, ReplayMode::DropOnFull);
     let snap = gw
-        .wait_drained(offered, Duration::from_secs(30))
+        .wait_drained(Duration::from_secs(30))
         .expect("served + shed reaches offered");
     assert_eq!(snap.totals.received, report.enqueued);
     assert_eq!(snap.totals.received + snap.dropped_backpressure, offered);
-
-    // One frame more than was ever offered can never drain.
-    let timeout = gw
-        .wait_drained(offered + 1, Duration::from_millis(20))
-        .expect_err("an overstated offer times out");
-    assert_eq!(timeout.offered, offered + 1);
-    assert_eq!(*timeout.snapshot, snap, "the last snapshot rides along");
-    assert!(timeout
-        .to_string()
-        .contains(&format!("{offered} of {}", offered + 1)));
+    assert_eq!(snap.offered, offered);
     assert_eq!(gw.finish().totals, snap.totals);
+
+    // A worker parked inside a batch (here: in the lane classifier) cannot
+    // account for its frame before the deadline.
+    use crossbeam::channel::bounded;
+    let (lane_a, _) = build_control();
+    let (lane_b, _) = build_control();
+    let (entered_tx, entered_rx) = bounded::<()>(1);
+    let (release_tx, release_rx) = bounded::<()>(0);
+    let classify = move |_: &[u8]| {
+        let _ = entered_tx.try_send(());
+        let _ = release_rx.recv();
+        0
+    };
+    let gw = Gateway::start_lanes(
+        &[(&lane_a, None), (&lane_b, None)],
+        classify,
+        GatewayConfig::with_shards(1),
+        None,
+    );
+    gw.dispatch(frame(1, UDP, 0));
+    entered_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the shard reached the classifier");
+    let timeout = gw.wait_drained(Duration::from_millis(20));
+    // Release the worker whatever happened, so a checkpoint that did
+    // return fails the test instead of hanging it.
+    drop(release_tx);
+    let timeout = timeout.expect_err("a parked worker times the checkpoint out");
+    assert_eq!(timeout.offered, 1);
+    assert_eq!(timeout.snapshot.totals.received, 0);
+    assert!(timeout.to_string().contains("0 of 1 offered"), "{timeout}");
+    let done = gw.finish();
+    assert_eq!(done.totals.received, 1);
+    assert_eq!(done.offered, 1);
 }

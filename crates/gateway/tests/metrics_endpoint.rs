@@ -47,8 +47,8 @@ fn build_control() -> ControlPlane {
     ControlPlane::new(switch)
 }
 
-fn drain(gw: &Gateway, expected: u64) {
-    gw.wait_drained(expected, Duration::from_secs(30))
+fn drain(gw: &Gateway) {
+    gw.wait_drained(Duration::from_secs(30))
         .expect("gateway drains");
 }
 
@@ -80,13 +80,11 @@ fn live_scrape_covers_all_required_families() {
 
     // 100 UDP frames forward, 60 TCP frames hit the drop rule, and one
     // audited republish records a swap event.
-    let mut sent = 0u64;
     for i in 0..160u64 {
         let proto = if i % 8 < 3 { 6 } else { 17 };
         gw.dispatch(frame((i % 16) as u8, proto));
-        sent += 1;
     }
-    drain(&gw, sent);
+    drain(&gw);
     control.publish_audited(None, true);
 
     let (status, body) = http_get(&addr, "/metrics", timeout).unwrap();
@@ -146,9 +144,8 @@ fn live_scrape_covers_all_required_families() {
     assert_ne!(canary, baseline);
     for i in 0..64u64 {
         gw.dispatch(frame((i % 16) as u8, 17));
-        sent += 1;
     }
-    drain(&gw, sent);
+    drain(&gw);
     let (_, body) = http_get(&addr, "/metrics", timeout).unwrap();
     for (shard, version) in [(0, baseline), (1, canary)] {
         let line = format!("p4guard_ruleset_version{{shard=\"{shard}\"}} {version}");

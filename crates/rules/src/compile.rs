@@ -13,11 +13,13 @@ use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
+/// The class that receives explicit entries: attack (drop). Every other
+/// class is the table's default miss, class 0.
+pub const COMPILE_CLASS: usize = 1;
+
 /// Compilation options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CompileConfig {
-    /// The class that receives explicit entries (1 = attack/drop).
-    pub compile_class: usize,
     /// Abort if expansion would exceed this many entries.
     pub max_entries: usize,
     /// Run merge/shadow optimization after expansion.
@@ -27,7 +29,6 @@ pub struct CompileConfig {
 impl Default for CompileConfig {
     fn default() -> Self {
         CompileConfig {
-            compile_class: 1,
             max_entries: 100_000,
             optimize: true,
         }
@@ -87,7 +88,7 @@ pub struct CompiledRules {
 
 /// Compiles a fitted tree into ternary match-action rules.
 ///
-/// Only leaves predicting `config.compile_class` (the attack class)
+/// Only leaves predicting [`COMPILE_CLASS`] (the attack class)
 /// produce entries; every other class is the table's default miss. A
 /// **benign-only tree** — no leaf predicts the compile class — therefore
 /// compiles to an *empty* ruleset, and that is a valid, meaningful
@@ -106,12 +107,11 @@ pub fn compile_tree(
     config: &CompileConfig,
 ) -> Result<CompiledRules, TooManyEntries> {
     let key_width = tree.num_features();
-    let default_class = if config.compile_class == 1 { 0 } else { 1 };
-    let mut ruleset = RuleSet::new(key_width, default_class);
+    let mut ruleset = RuleSet::new(key_width, 0);
     let attack_paths: Vec<TreePath> = tree
         .paths()
         .into_iter()
-        .filter(|p| p.class == config.compile_class)
+        .filter(|p| p.class == COMPILE_CLASS)
         .collect();
     let mut entries_raw = 0usize;
     for path in &attack_paths {
@@ -163,12 +163,7 @@ fn expand_path(
                     reached: *entries_raw,
                 });
             }
-            ruleset.push(TernaryEntry::new(
-                value,
-                mask,
-                config.compile_class,
-                priority,
-            ));
+            ruleset.push(TernaryEntry::new(value, mask, COMPILE_CLASS, priority));
             continue;
         }
         for prefix in &per_field[field] {

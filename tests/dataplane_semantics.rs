@@ -8,7 +8,7 @@ use p4guard_dataplane::key::KeyLayout;
 use p4guard_dataplane::parser::ParserSpec;
 use p4guard_dataplane::switch::Switch;
 use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
-use p4guard_rules::compile::{compile_tree, find_disagreement, CompileConfig};
+use p4guard_rules::compile::{compile_tree, find_disagreement, CompileConfig, COMPILE_CLASS};
 use p4guard_rules::tree::{DecisionTree, TreeConfig};
 use p4guard_traffic::scenario::Scenario;
 use p4guard_traffic::split_temporal;
@@ -69,12 +69,11 @@ fn range_and_ternary_deployments_agree() {
         10_000,
         Action::NoOp,
     );
-    let attack = guard.config.compile.compile_class;
     let paths: Vec<_> = guard
         .tree
         .paths()
         .into_iter()
-        .filter(|p| p.class == attack)
+        .filter(|p| p.class == COMPILE_CLASS)
         .collect();
     for path in &paths {
         let (lo, hi) = path.ranges.iter().copied().unzip();
