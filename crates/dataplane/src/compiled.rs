@@ -33,7 +33,7 @@
 
 use crate::action::Action;
 use crate::key::KeyLayout;
-use crate::minimize::{self, Edit, MinEntry, MinimizedTable};
+use crate::minimize::{self, Edit, MinEntries, MinEntry, MinimizedTable};
 use crate::table::{prefix_mask, MatchKind, MatchSpec, Revision, Table, TableId};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -401,12 +401,11 @@ impl AcceptSets {
     }
 }
 
-/// What each of `entries` accepts at each of `width` key positions,
-/// position-major (`[pos * n + i]` for the `i`-th of `n` entries), so the
+/// What each of the `n` `entries` accepts at each of `width` key
+/// positions, position-major (`[pos * n + i]` for the `i`-th entry), so the
 /// passes over one position run over a contiguous column instead of
 /// chasing every entry's spec once per position.
-fn columns<'a>(entries: impl ExactSizeIterator<Item = &'a MinEntry>, width: usize) -> Vec<Accept> {
-    let n = entries.len();
+fn columns<'a>(entries: impl Iterator<Item = &'a MinEntry>, n: usize, width: usize) -> Vec<Accept> {
     let mut accepts = vec![Accept::Masked { mask: 0, value: 0 }; width * n];
     for (i, entry) in entries.enumerate() {
         for pos in 0..width {
@@ -668,11 +667,11 @@ impl BitVector {
     /// from refining over the sets, and [`Fill`] sets the entry bits. A
     /// position left with one class gets no rows (see
     /// [`BitVector::positions`]).
-    fn build(entries: &[Arc<MinEntry>], width: usize) -> BitVector {
+    fn build(entries: &MinEntries, width: usize) -> BitVector {
         BUILDS.with(|builds| builds.set(builds.get() + 1));
         let n = entries.len();
         let mut index = BitVector::empty(entries.iter().map(|e| e.action).collect(), width);
-        let accepts = columns(entries.iter().map(|e| &**e), width);
+        let accepts = columns(entries.iter(), n, width);
         let mut column = AcceptSets::new();
         let mut fill = Fill::new();
         let mut classes = Classes::new();
@@ -711,9 +710,9 @@ impl BitVector {
     /// removal never merges classes that no remaining entry tells apart,
     /// so a position may keep more rows than a build would give it — at
     /// most 256, and the probe reads one a position whatever their count.
-    fn splice(&self, entries: &[Arc<MinEntry>], width: usize, edit: &Edit) -> BitVector {
+    fn splice(&self, entries: &MinEntries, width: usize, edit: &Edit) -> BitVector {
         // Every rank is a kept entry's or a fresh one's; a kept entry's
-        // action is read here, not through its `Arc`.
+        // action is read here, not from its chunk.
         let mut actions = vec![Action::NoOp; entries.len()];
         for &(from, to, len) in &edit.runs {
             actions[to..to + len].copy_from_slice(&self.actions[from..from + len]);
@@ -726,7 +725,7 @@ impl BitVector {
         index.rows.reserve(self.members.len() * stride);
         let old_stride = self.stride();
         let fresh = edit.fresh.len();
-        let accepts = columns(edit.fresh.iter().map(|&rank| &*entries[rank]), width);
+        let accepts = columns(edit.fresh.iter().map(|&rank| &entries[rank]), fresh, width);
         // The row of a position no entry constrained holds every old rank.
         let every_old = self.every_rank();
         let every = index.every_rank();
@@ -873,17 +872,18 @@ impl CompiledTable {
     ///    one, so only identity tells two tables apart) — a full
     ///    from-scratch compile.
     ///
-    /// What a patch costs: one walk over the source entries, one pointer
-    /// copy per kept minimized entry (the entries themselves are shared
-    /// with `prev`), and the engine's rows copied with the kept ranks'
-    /// bits moved, the fresh entries' bits set and the summaries and
-    /// class map recomputed — no kept entry's spec is read. On the
-    /// 2,196-entry, 8-byte `loop_churn` stage (2-vCPU Xeon, timers in an
-    /// instrumented build of the ledger's churn, medians per 1 % delta
-    /// publish, on caches the serving loop has just filled) that is
-    /// ≈ 75 µs for the walk and patch, 45 µs of it the pointer copies,
-    /// and 24 µs (removal) to 35 µs (re-add) for the engine, which a
-    /// build over the same entries took ≈ 260 µs to make.
+    /// What a patch costs: one walk over the source entries, one over the
+    /// minimized list's flat priorities and order keys, a reference count
+    /// per piece of that list (the entries themselves stay in chunks
+    /// shared with `prev`, see [`MinEntries`]), and the engine's rows
+    /// copied with the kept ranks' bits moved, the fresh entries' bits set
+    /// and the summaries and class map recomputed — no kept entry is read.
+    /// On the 2,196-entry, 8-byte `loop_churn` stage (2-vCPU Xeon, timers
+    /// in an instrumented build of the ledger's churn, medians per 1 %
+    /// delta publish, on caches the serving loop has just filled) that is
+    /// ≈ 50 µs for the walks and the patch, half of it the walk over the
+    /// source entries, and 25 µs (removal) to 39 µs (re-add) for the
+    /// engine, which a build over the same entries took ≈ 260 µs to make.
     ///
     /// Patched-in entries are not re-minimized, so an incrementally
     /// patched table can carry more entries than a fresh compile would —
@@ -930,7 +930,7 @@ impl CompiledTable {
         })
     }
 
-    fn build_engine(kind: MatchKind, entries: &[Arc<MinEntry>], width: usize) -> Engine {
+    fn build_engine(kind: MatchKind, entries: &MinEntries, width: usize) -> Engine {
         match kind {
             MatchKind::Exact => Self::compile_exact(entries),
             MatchKind::Lpm | MatchKind::Range | MatchKind::Ternary => {
@@ -939,7 +939,7 @@ impl CompiledTable {
         }
     }
 
-    fn compile_exact(entries: &[Arc<MinEntry>]) -> Engine {
+    fn compile_exact(entries: &MinEntries) -> Engine {
         let mut map = HashMap::with_capacity(entries.len());
         for (rank, entry) in entries.iter().enumerate() {
             if let MatchSpec::Exact(value) = &entry.spec {
@@ -993,7 +993,7 @@ impl CompiledTable {
     /// and incremental patching may renumber ranks but never change the
     /// winning `(action, priority)`.
     pub fn rank_priority(&self, rank: Rank) -> Option<i32> {
-        self.min.entries.get(rank as usize).map(|m| m.priority)
+        self.min.entries.priority(rank as usize)
     }
 
     /// The default action on miss.
@@ -1904,7 +1904,7 @@ mod tests {
     /// classes, whichever is fewer, and the entries that leave a position
     /// free ORed into every row at the end — at the positions some entry
     /// constrains, or at the last one when none is.
-    fn per_entry_fill(entries: &[Arc<MinEntry>], width: usize) -> BitVector {
+    fn per_entry_fill(entries: &[MinEntry], width: usize) -> BitVector {
         let n = entries.len();
         let words = n.div_ceil(64).max(1);
         let steps = words.div_ceil(PROBE_CHUNK);
@@ -2055,7 +2055,7 @@ mod tests {
                 0..600,
             ),
         ) {
-            let entries: Vec<Arc<MinEntry>> = rows
+            let entries: Vec<MinEntry> = rows
                 .iter()
                 .enumerate()
                 .map(|(i, (a, b, sel, port))| {
@@ -2068,10 +2068,10 @@ mod tests {
                         MatchSpec::Ternary { value: x, mask: y }
                     };
                     let action = Action::Forward(*port);
-                    Arc::new(MinEntry { spec, action, priority: 0, order: i as u64 })
+                    MinEntry { spec, action, priority: 0, order: i as u64 }
                 })
                 .collect();
-            let built = BitVector::build(&entries, width);
+            let built = BitVector::build(&MinEntries::new(entries.clone()), width);
             let reference = per_entry_fill(&entries, width);
             prop_assert_eq!(&built.positions, &reference.positions);
             prop_assert_eq!(built.words, reference.words);

@@ -68,6 +68,7 @@ use crate::action::Action;
 use crate::table::{prefix_mask, EntryHandle, MatchKind, MatchSpec, TableEntry};
 use p4guard_rules::cube::{self, Cube};
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Above this source entry count minimization is skipped (the subsumption
@@ -117,6 +118,212 @@ impl MinEntry {
     }
 }
 
+/// Entries per chunk: a full minimization packs its list into chunks this
+/// long, and a patch packs the entries it adds the same way.
+const CHUNK: usize = 64;
+
+/// The minimized entries of one table, in minimized match order.
+///
+/// The entries live in chunks of up to 64, each behind one `Arc`, and the
+/// list is a sequence of pieces, each a range of one chunk. A patch never
+/// copies a kept entry: a piece it keeps whole is shared as it is, a piece
+/// a removal or an insertion cuts becomes the pieces of the same chunk on
+/// either side of the cut, and the entries it adds go into new chunks. So
+/// a patch, and the drop of a version, touch one reference count per
+/// piece, not per entry. Beside the pieces, flat by rank, each entry's
+/// priority and order key: all the patch walk reads.
+///
+/// A piece keeps its whole chunk alive. Cuts add pieces, so a list that
+/// would hold more than [`MinEntries::max_pieces`] is packed afresh
+/// instead, into new chunks: that bounds both the pieces a patch copies
+/// and the removed entries the chunks keep.
+#[derive(Debug, Clone, Default)]
+pub struct MinEntries {
+    pieces: Vec<Piece>,
+    /// Each rank's [`MinEntry::priority`].
+    priorities: Vec<i32>,
+    /// Each rank's [`MinEntry::order`].
+    orders: Vec<u64>,
+}
+
+/// Consecutive entries of one chunk.
+#[derive(Debug, Clone)]
+struct Piece {
+    chunk: Arc<[MinEntry]>,
+    range: Range<usize>,
+    /// The rank of the piece's first entry in its list.
+    start: usize,
+}
+
+impl Piece {
+    fn entries(&self) -> &[MinEntry] {
+        &self.chunk[self.range.clone()]
+    }
+}
+
+impl MinEntries {
+    /// `entries`, already in minimized match order, packed into chunks.
+    pub(crate) fn new(entries: Vec<MinEntry>) -> MinEntries {
+        let (priorities, orders) = entries.iter().map(|e| (e.priority, e.order)).unzip();
+        let mut packer = Packer::new(MinEntries {
+            pieces: Vec::with_capacity(entries.len().div_ceil(CHUNK)),
+            priorities,
+            orders,
+        });
+        let mut entries = entries.into_iter();
+        while entries.len() > 0 {
+            packer.push(entries.by_ref().take(CHUNK).collect());
+        }
+        packer.list
+    }
+
+    /// Entry count.
+    pub fn len(&self) -> usize {
+        self.orders.len()
+    }
+
+    /// Returns `true` when the list holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.orders.is_empty()
+    }
+
+    /// The entries in minimized match order, by rank.
+    pub fn iter(&self) -> impl Iterator<Item = &MinEntry> {
+        self.pieces.iter().flat_map(Piece::entries)
+    }
+
+    /// The priority of the entry of `rank`, read without touching the
+    /// entry.
+    pub fn priority(&self, rank: usize) -> Option<i32> {
+        self.priorities.get(rank).copied()
+    }
+
+    /// The pieces in order, each as its chunk and the range of the chunk
+    /// it covers: for tests of what a patch shares.
+    #[doc(hidden)]
+    pub fn pieces(&self) -> impl Iterator<Item = (&Arc<[MinEntry]>, Range<usize>)> {
+        self.pieces.iter().map(|p| (&p.chunk, p.range.clone()))
+    }
+
+    /// The most pieces a list of `len` entries holds: a sixteenth of its
+    /// length, plus four.
+    #[doc(hidden)]
+    pub fn max_pieces(len: usize) -> usize {
+        4 + len / 16
+    }
+
+    /// The index of the piece holding `rank`.
+    fn piece_of(&self, rank: usize) -> usize {
+        self.pieces.partition_point(|p| p.start <= rank) - 1
+    }
+
+    /// This list with `edit` applied, `fresh` being the entries patched in
+    /// at `edit.fresh`'s ranks, in rank order: each run of kept entries is
+    /// the pieces it spans, cut to it; each stretch of fresh entries is
+    /// packed into new chunks; a piece cut from a chunk merges with the
+    /// piece before it where the two meet in that chunk again. Past
+    /// [`MinEntries::max_pieces`], the result is packed afresh.
+    fn edited(&self, edit: &Edit, fresh: &[&TableEntry]) -> MinEntries {
+        let len = edit.runs.iter().map(|&(_, _, run)| run).sum::<usize>() + edit.fresh.len();
+        let mut packer = Packer::new(MinEntries {
+            pieces: Vec::with_capacity(self.pieces.len() + 2),
+            priorities: Vec::with_capacity(len),
+            orders: Vec::with_capacity(len),
+        });
+        // `fresh[added..]` are still to come.
+        let mut added = 0;
+        for &(from, to, run) in &edit.runs {
+            let before = edit.fresh[added..].partition_point(|&rank| rank < to);
+            packer.add(&fresh[added..added + before]);
+            added += before;
+            let kept = from..from + run;
+            let list = &mut packer.list;
+            list.priorities
+                .extend_from_slice(&self.priorities[kept.clone()]);
+            list.orders.extend_from_slice(&self.orders[kept.clone()]);
+            for piece in &self.pieces[self.piece_of(from)..] {
+                if piece.start >= kept.end {
+                    break;
+                }
+                // The kept ranks this piece holds, as indices into its chunk.
+                let (lo, hi) = (
+                    kept.start.max(piece.start),
+                    kept.end.min(piece.start + piece.range.len()),
+                );
+                let at = piece.range.start;
+                packer.share(&piece.chunk, lo - piece.start + at..hi - piece.start + at);
+            }
+        }
+        packer.add(&fresh[added..]);
+        let list = packer.list;
+        if list.pieces.len() > MinEntries::max_pieces(len) {
+            return MinEntries::new(list.iter().cloned().collect());
+        }
+        list
+    }
+}
+
+impl std::ops::Index<usize> for MinEntries {
+    type Output = MinEntry;
+
+    /// The entry of `rank`; past the end it panics, as a slice does.
+    fn index(&self, rank: usize) -> &MinEntry {
+        let piece = &self.pieces[self.piece_of(rank)];
+        &piece.entries()[rank - piece.start]
+    }
+}
+
+/// A list in the making, its pieces appended in order; the caller fills
+/// its flat arrays for the entries it shares.
+struct Packer {
+    list: MinEntries,
+    /// Entries in `list.pieces`.
+    len: usize,
+}
+
+impl Packer {
+    fn new(list: MinEntries) -> Packer {
+        Packer { list, len: 0 }
+    }
+
+    /// Appends `chunk` whole.
+    fn push(&mut self, chunk: Arc<[MinEntry]>) {
+        let (range, start) = (0..chunk.len(), self.len);
+        self.len += chunk.len();
+        self.list.pieces.push(Piece {
+            chunk,
+            range,
+            start,
+        });
+    }
+
+    /// Appends `entries` verbatim, packed into new chunks of [`CHUNK`].
+    fn add(&mut self, entries: &[&TableEntry]) {
+        for part in entries.chunks(CHUNK) {
+            let list = &mut self.list;
+            list.priorities.extend(part.iter().map(|e| e.priority));
+            list.orders.extend(part.iter().map(|e| e.handle.0));
+            self.push(part.iter().map(|e| MinEntry::verbatim(e)).collect());
+        }
+    }
+
+    /// Appends `range` of `chunk`, merged into the last piece where that
+    /// one ends in the same chunk just where `range` starts.
+    fn share(&mut self, chunk: &Arc<[MinEntry]>, range: Range<usize>) {
+        self.len += range.len();
+        match self.list.pieces.last_mut() {
+            Some(last) if Arc::ptr_eq(&last.chunk, chunk) && last.range.end == range.start => {
+                last.range.end = range.end;
+            }
+            _ => self.list.pieces.push(Piece {
+                chunk: Arc::clone(chunk),
+                start: self.len - range.len(),
+                range,
+            }),
+        }
+    }
+}
+
 /// The minimized form of one table's entry list plus the bookkeeping the
 /// incremental compiler needs: the source `(handle, action)` fingerprint
 /// (specs and priorities are immutable per handle, so this detects every
@@ -124,10 +331,10 @@ impl MinEntry {
 /// [`SourceClass`].
 #[derive(Debug, Clone)]
 pub struct MinimizedTable {
-    /// Minimized entries sorted by (priority descending, order ascending).
-    /// An entry is shared by every version patched from the one that made
-    /// it, so a patch copies pointers, not specs.
-    pub entries: Vec<Arc<MinEntry>>,
+    /// Minimized entries sorted by (priority descending, order ascending),
+    /// in chunks shared by every version patched from the one that made
+    /// them.
+    pub entries: MinEntries,
     /// `(handle, action)` per source entry, in source match order.
     pub source: Vec<(EntryHandle, Action)>,
     /// Per-handle classification, sorted by handle for binary search.
@@ -155,21 +362,27 @@ impl MinimizedTable {
     /// merged or covers an eliminated one.
     ///
     /// One walk over this form's source and `entries` tells survivors,
-    /// removals and additions apart. It relies on three facts and returns
+    /// removals and additions apart, and makes the new source. It relies on three facts and returns
     /// `None` where it finds one broken: both lists are in match order,
     /// surviving entries keep their relative order, and a handle added
     /// since exceeds every handle this form knows — so an addition lands
-    /// at the end of its priority level here as in the table. Kept entries
-    /// are shared, removed clean entries dropped in one pass and added
-    /// ones inserted verbatim: O(entries + changes × log entries). The
-    /// [`Edit`] beside the patched form says where every minimized entry
-    /// went, so the engine can be patched the same way.
-    pub(crate) fn patch(&self, entries: &[TableEntry]) -> Option<(MinimizedTable, Edit)> {
+    /// at the end of its priority level here as in the table. A second
+    /// walk, over the minimized entries' flat priorities and order keys
+    /// (never the entries), drops the removed clean entries and places the
+    /// added ones: O(entries + changes × log entries). The [`Edit`] beside
+    /// the patched form says where every minimized entry went, so the
+    /// engine can be patched the same way, and the patched list keeps the
+    /// chunks of this one, cut where the edit cuts them (see
+    /// [`MinEntries`]).
+    #[doc(hidden)]
+    pub fn patch(&self, entries: &[TableEntry]) -> Option<(MinimizedTable, Edit)> {
         let newest = self.classes.last().map_or(0, |&(h, _)| h.0);
         let mut old = self.source.iter();
+        let mut source = Vec::with_capacity(entries.len());
         let mut removed = Vec::new();
         let mut added = Vec::new();
         for e in entries {
+            source.push((e.handle, e.action));
             if e.handle.0 > newest {
                 added.push(e);
                 continue;
@@ -201,44 +414,73 @@ impl MinimizedTable {
             }
         }
 
-        let mut kept = Vec::with_capacity(self.entries.len() + added.len());
+        // From change to change over the flat order keys and priorities: a
+        // dropped entry is found by its order key, and an added one goes
+        // before the first entry of lower priority (at a dropped one, after
+        // it). Between two changes, one run of kept entries: a drop moves
+        // the old rank on alone and an addition the new one, so no run
+        // continues the one before it.
+        let (orders, priorities) = (&self.entries.orders, &self.entries.priorities);
+        let n = orders.len();
+        let find = |from: usize, order: u64| {
+            let at = orders[from..].iter().position(|&o| o == order)?;
+            Some(from + at)
+        };
+        let place = |from: usize, priority: i32| {
+            from + priorities[from..]
+                .iter()
+                .position(|&p| p < priority)
+                .unwrap_or(n - from)
+        };
+        let mut dropped = dropped.into_iter();
+        let mut fresh = added.iter();
+        let mut next_drop = match dropped.next() {
+            Some(order) => Some(find(0, order)?),
+            None => None,
+        };
+        let mut next_fresh = fresh.next().map(|e| place(0, e.priority));
         let mut edit = Edit::default();
-        let mut dropped = dropped.into_iter().peekable();
-        let mut fresh = added.iter().peekable();
-        for (rank, m) in self.entries.iter().enumerate() {
-            if dropped.next_if_eq(&m.order).is_some() {
-                continue;
+        let (mut rank, mut len) = (0, 0);
+        loop {
+            let stop = next_drop
+                .unwrap_or(n)
+                .min(next_fresh.map_or(n, |at| at.max(rank)));
+            if stop > rank {
+                edit.runs.push((rank, len, stop - rank));
             }
-            while let Some(e) = fresh.next_if(|e| e.priority > m.priority) {
-                edit.fresh.push(kept.len());
-                kept.push(Arc::new(MinEntry::verbatim(e)));
+            len += stop - rank;
+            rank = stop;
+            if next_drop == Some(rank) {
+                rank += 1;
+                next_drop = match dropped.next() {
+                    Some(order) => Some(find(rank, order)?),
+                    None => None,
+                };
+            } else if next_fresh.is_some_and(|at| at <= rank) {
+                edit.fresh.push(len);
+                len += 1;
+                next_fresh = fresh.next().map(|e| place(rank, e.priority));
+            } else {
+                break;
             }
-            edit.keep(rank, kept.len());
-            kept.push(Arc::clone(m));
-        }
-        for e in fresh {
-            edit.fresh.push(kept.len());
-            kept.push(Arc::new(MinEntry::verbatim(e)));
-        }
-        if dropped.next().is_some() {
-            return None;
         }
 
         removed.sort_unstable();
-        let mut gone = removed.iter().peekable();
         let mut classes = Vec::with_capacity(self.classes.len() + added.len());
-        classes.extend(
-            self.classes
-                .iter()
-                .filter(|&&(h, _)| gone.next_if_eq(&&h).is_none()),
-        );
+        let mut from = 0;
+        for h in &removed {
+            let at = self.classes.binary_search_by_key(h, |&(h, _)| h).ok()?;
+            classes.extend_from_slice(&self.classes[from..at]);
+            from = at + 1;
+        }
+        classes.extend_from_slice(&self.classes[from..]);
         let tail = classes.len();
         classes.extend(added.iter().map(|e| (e.handle, SourceClass::Clean)));
         classes[tail..].sort_unstable_by_key(|&(h, _)| h);
 
         let patched = MinimizedTable {
-            entries: kept,
-            source: entries.iter().map(|e| (e.handle, e.action)).collect(),
+            entries: self.entries.edited(&edit, &added),
+            source,
             classes,
             eliminated,
             merged_away: self.merged_away,
@@ -250,22 +492,13 @@ impl MinimizedTable {
 /// Where [`MinimizedTable::patch`] moved the minimized entries, by rank:
 /// the kept ones in runs, the fresh ones one by one. A rank in neither was
 /// removed (old side) or does not exist (new side).
+#[doc(hidden)]
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct Edit {
+pub struct Edit {
     /// Kept entries as `(old rank, new rank, length)` runs, ascending.
-    pub(crate) runs: Vec<(usize, usize, usize)>,
+    pub runs: Vec<(usize, usize, usize)>,
     /// The new rank of each entry patched in, ascending.
-    pub(crate) fresh: Vec<usize>,
-}
-
-impl Edit {
-    /// Records the entry of rank `old` kept at rank `new`.
-    fn keep(&mut self, old: usize, new: usize) {
-        match self.runs.last_mut() {
-            Some((from, to, len)) if *from + *len == old && *to + *len == new => *len += 1,
-            _ => self.runs.push((old, new, 1)),
-        }
-    }
+    pub fresh: Vec<usize>,
 }
 
 /// A kept entry mid-minimization, labelled `L` (the table [`Action`], or
@@ -372,17 +605,16 @@ pub fn minimize(kind: MatchKind, entries: &[TableEntry]) -> MinimizedTable {
 
     MinimizedTable {
         merged_away: kept.iter().map(|k| k.sources.len() - 1).sum(),
-        entries: kept
-            .into_iter()
-            .map(|k| {
-                Arc::new(MinEntry {
+        entries: MinEntries::new(
+            kept.into_iter()
+                .map(|k| MinEntry {
                     order: *k.sources.iter().min().expect("a kept entry has a source"),
                     spec: k.spec,
                     action: k.label,
                     priority: k.priority,
                 })
-            })
-            .collect(),
+                .collect(),
+        ),
         source: entries.iter().map(|e| (e.handle, e.action)).collect(),
         classes,
         eliminated: eliminated.len(),

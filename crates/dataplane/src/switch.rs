@@ -228,8 +228,8 @@ impl Switch {
     /// unchanged stages are shared as `Arc` clones, and pure entry
     /// additions/removals patch the previous minimized form instead of
     /// re-running the O(n²) minimizer: a walk over the stage's entries,
-    /// pointer copies of the minimized entries it keeps, and the previous
-    /// engine spliced by the same edit. A stage replaced by another table
+    /// the minimized list shared by the chunk, and the previous engine
+    /// spliced by the same edit. A stage replaced by another table
     /// (one [`Table::new`](crate::table::Table::new) made, not a clone of
     /// the old one) compiles from scratch, and so does every stage when
     /// `prev` is absent or its stage count differs (stages were added or

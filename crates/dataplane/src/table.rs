@@ -463,6 +463,91 @@ impl Table {
         Some(self.entries.remove(idx).handle)
     }
 
+    /// Removes, in one pass, the ternary entries `rules` name as
+    /// `(value, mask, priority)`, compared as [`Table::remove_matching`]
+    /// compares a ternary spec: where `k` rules share a
+    /// `(value & mask, mask, priority)`, the first `k` entries with it go,
+    /// as `k` calls of `remove_matching` would take them. A rule no entry
+    /// matches is skipped. Returns how many entries went.
+    pub fn remove_ternary<'a, I>(&mut self, rules: I) -> usize
+    where
+        I: IntoIterator<Item = (&'a [u8], &'a [u8], i32)>,
+    {
+        // `(priority, mask, value & mask)` of one spec against another's,
+        // the values masked as they are read.
+        fn cmp(a: (i32, &[u8], &[u8]), b: (i32, &[u8], &[u8])) -> std::cmp::Ordering {
+            let a_masked = a.2.iter().zip(a.1).map(|(v, m)| v & m);
+            let b_masked = b.2.iter().zip(b.1).map(|(v, m)| v & m);
+            a.0.cmp(&b.0)
+                .then_with(|| a.1.cmp(b.1))
+                .then_with(|| a_masked.cmp(b_masked))
+        }
+        // Each rule as `(priority, mask, value)`, sorted, with how many
+        // entries it still takes. An installed value is as wide as its
+        // mask, so no entry matches a rule whose value is not.
+        let mut wanted: Vec<_> = rules
+            .into_iter()
+            .filter(|(value, mask, _)| value.len() == mask.len())
+            .map(|(value, mask, priority)| ((priority, mask, value), 1))
+            .collect();
+        if wanted.is_empty() {
+            return 0;
+        }
+        wanted.sort_unstable_by(|a, b| cmp(a.0, b.0));
+        wanted.dedup_by(|later, kept| {
+            let same = cmp(later.0, kept.0).is_eq();
+            kept.1 += usize::from(same);
+            same
+        });
+        self.remove_where(|e| {
+            let MatchSpec::Ternary { value, mask } = &e.spec else {
+                return false;
+            };
+            let found = wanted.binary_search_by(|&(rule, _)| cmp(rule, (e.priority, mask, value)));
+            found.is_ok_and(|at| {
+                let left = &mut wanted[at].1;
+                let take = *left > 0;
+                *left -= usize::from(take);
+                take
+            })
+        })
+    }
+
+    /// Removes the entries of `handles`, in one pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TableError::NoSuchEntry`] for a handle no entry has (the
+    /// smallest, if several); the entries of the others are removed.
+    pub fn remove_all(&mut self, handles: &[EntryHandle]) -> Result<(), TableError> {
+        let mut wanted = handles.to_vec();
+        wanted.sort_unstable();
+        let mut found = vec![false; wanted.len()];
+        self.remove_where(|e| {
+            wanted.binary_search(&e.handle).is_ok_and(|at| {
+                found[at] = true;
+                true
+            })
+        });
+        match wanted.iter().zip(&found).find(|&(_, &found)| !found) {
+            Some((&missing, _)) => Err(TableError::NoSuchEntry(missing)),
+            None => Ok(()),
+        }
+    }
+
+    /// Removes every entry `pick` selects, in one pass over the entries in
+    /// match order (`pick` sees each once, first to last); returns how many
+    /// went.
+    fn remove_where(&mut self, mut pick: impl FnMut(&TableEntry) -> bool) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|e| !pick(e));
+        let removed = before - self.entries.len();
+        if removed > 0 {
+            self.revision = Revision::fresh();
+        }
+        removed
+    }
+
     /// Replaces the action of an existing entry.
     ///
     /// # Errors
@@ -600,6 +685,88 @@ mod tests {
         // finds the installed entry.
         assert_eq!(t.remove_matching(&probe(0x52, 0xf0), 3), Some(h));
         assert!(t.is_empty());
+    }
+
+    /// One pass removes what one `remove_matching` call per rule would:
+    /// two rules with one `(value & mask, mask, priority)` take the first
+    /// two entries with it, whatever their uncared bits, and leave the
+    /// third; a rule nothing matches is skipped.
+    #[test]
+    fn remove_ternary_takes_the_first_matches_of_duplicate_rules() {
+        let mut t = table(MatchKind::Ternary, 1);
+        let mut insert = |value: u8, mask: u8, priority: i32| {
+            let spec = MatchSpec::Ternary {
+                value: vec![value],
+                mask: vec![mask],
+            };
+            t.insert(spec, Action::Drop, priority).unwrap()
+        };
+        insert(0x5f, 0xf0, 3);
+        let other = insert(0x50, 0xff, 3);
+        insert(0x51, 0xf0, 3);
+        let third = insert(0x50, 0xf0, 3);
+        let rules: [(&[u8], &[u8], i32); 3] = [
+            (&[0x52], &[0xf0], 3),
+            (&[0x50], &[0xf0], 3),
+            (&[0x50], &[0xf0], 2),
+        ];
+        assert_eq!(t.remove_ternary(rules), 2);
+        let left: Vec<_> = t.entries().iter().map(|e| e.handle).collect();
+        assert_eq!(left, [other, third]);
+    }
+
+    proptest::proptest! {
+        /// One `remove_ternary` pass leaves the table one
+        /// `remove_matching` call per rule would, on random tables and rule
+        /// lists full of duplicates and differently encoded uncared bits.
+        #[test]
+        fn remove_ternary_equals_one_remove_matching_per_rule(
+            installed in proptest::collection::vec((0u8..8, 0u8..3, 0i32..2), 0..16),
+            rules in proptest::collection::vec((0u8..8, 0u8..3, 0i32..2), 0..12),
+        ) {
+            let mask_of = |sel: u8| [0xff, 0xfe, 0xfc][usize::from(sel)];
+            let mut one_pass = table(MatchKind::Ternary, 1);
+            for &(value, mask, priority) in &installed {
+                let spec = MatchSpec::Ternary { value: vec![value], mask: vec![mask_of(mask)] };
+                one_pass.insert(spec, Action::Drop, priority).unwrap();
+            }
+            let mut per_rule = one_pass.clone();
+            let rules: Vec<_> = rules
+                .iter()
+                .map(|&(value, mask, priority)| ([value], [mask_of(mask)], priority))
+                .collect();
+            let removed =
+                one_pass.remove_ternary(rules.iter().map(|(v, m, p)| (&v[..], &m[..], *p)));
+            let taken = rules
+                .iter()
+                .filter(|(v, m, p)| {
+                    let spec = MatchSpec::Ternary { value: v.to_vec(), mask: m.to_vec() };
+                    per_rule.remove_matching(&spec, *p).is_some()
+                })
+                .count();
+            proptest::prop_assert_eq!(removed, taken);
+            proptest::prop_assert_eq!(one_pass.entries(), per_rule.entries());
+        }
+    }
+
+    /// Every found handle goes; the first missing one is the error.
+    #[test]
+    fn remove_all_reports_a_missing_handle() {
+        let mut t = table(MatchKind::Exact, 1);
+        let handles: Vec<_> = (0..4u8)
+            .map(|v| {
+                t.insert(MatchSpec::Exact(vec![v]), Action::Drop, 0)
+                    .unwrap()
+            })
+            .collect();
+        t.remove_all(&[handles[2], handles[0]]).unwrap();
+        let gone = handles[0];
+        assert_eq!(
+            t.remove_all(&[handles[3], gone]),
+            Err(TableError::NoSuchEntry(gone))
+        );
+        let left: Vec<_> = t.entries().iter().map(|e| e.handle).collect();
+        assert_eq!(left, [handles[1]]);
     }
 
     #[test]

@@ -23,6 +23,11 @@
 //!    `ControlPlane::replace_ruleset`: the published pipeline equals a
 //!    fresh control plane compiling the target in full, and the scan.
 //!
+//!    A patch itself is pinned against the per-entry walk it replaced:
+//!    along a chain of patches, the chunked list holds the very entries,
+//!    in order, and reports the very `Edit` the walk would, shares every
+//!    chunk the patch left whole and never copies or counts a kept entry.
+//!
 //! 3. **The two drivers of the one minimizer agree with the scan.**
 //!    `RuleSet::optimize` and lowering both call `p4guard_rules::cube`;
 //!    for the same single-action ternary rules, the optimized ruleset's
@@ -33,12 +38,14 @@ use p4guard_dataplane::action::Action;
 use p4guard_dataplane::compiled::{CompiledTable, LookupOutcome};
 use p4guard_dataplane::control::ControlPlane;
 use p4guard_dataplane::key::KeyLayout;
+use p4guard_dataplane::minimize::{minimize, Edit, MinEntries, MinEntry, MinimizedTable};
 use p4guard_dataplane::switch::SwitchCounters;
-use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
+use p4guard_dataplane::table::{MatchKind, MatchSpec, Table, TableEntry};
 use p4guard_dataplane::AclLayout;
 use p4guard_rules::{RuleSet, TernaryEntry};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 const KINDS: [MatchKind; 4] = [
@@ -164,7 +171,203 @@ fn ruleset_from(raw: &[(u8, u8, i32)]) -> RuleSet {
     rs
 }
 
+/// The `i`-th of a set of ternary rows no two of which merge or shadow:
+/// exact on four bytes, two apart in at least two bits.
+fn clean_row(i: u16) -> MatchSpec {
+    let [hi, lo] = i.to_be_bytes();
+    MatchSpec::Ternary {
+        value: vec![hi, lo, !hi, !lo],
+        mask: vec![0xff; 4],
+    }
+}
+
+/// The patch as the per-entry walk made it, the reference for the chunked
+/// one: every minimized entry of `parent` visited in turn, the removed ones
+/// skipped, each added one (in table order) put before the first kept
+/// entry of lower priority, and each kept one recorded in the run it
+/// continues.
+fn per_entry_patch(
+    parent: &MinEntries,
+    removed: &HashSet<u64>,
+    added: &[&TableEntry],
+) -> (Vec<MinEntry>, Edit) {
+    let verbatim = |e: &TableEntry| MinEntry {
+        spec: e.spec.clone(),
+        action: e.action,
+        priority: e.priority,
+        order: e.handle.0,
+    };
+    let mut kept: Vec<MinEntry> = Vec::new();
+    let mut edit = Edit::default();
+    let mut fresh = added.iter().peekable();
+    for (rank, m) in parent.iter().enumerate() {
+        if removed.contains(&m.order) {
+            continue;
+        }
+        while let Some(e) = fresh.next_if(|e| e.priority > m.priority) {
+            edit.fresh.push(kept.len());
+            kept.push(verbatim(e));
+        }
+        match edit.runs.last_mut() {
+            Some((from, to, len)) if *from + *len == rank && *to + *len == kept.len() => *len += 1,
+            _ => edit.runs.push((rank, kept.len(), 1)),
+        }
+        kept.push(m.clone());
+    }
+    for e in fresh {
+        edit.fresh.push(kept.len());
+        kept.push(verbatim(e));
+    }
+    (kept, edit)
+}
+
+/// The chunks of `list` with how many of its pieces each holds.
+fn piece_counts(list: &MinEntries) -> Vec<(Arc<[MinEntry]>, usize)> {
+    let mut counts: Vec<(Arc<[MinEntry]>, usize)> = Vec::new();
+    for (chunk, _) in list.pieces() {
+        match counts.iter_mut().find(|(c, _)| Arc::ptr_eq(c, chunk)) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((Arc::clone(chunk), 1)),
+        }
+    }
+    counts
+}
+
+/// One link of a patch chain, checked against the per-entry walk.
+fn check_link(parent: &MinimizedTable, table: &Table, removed: &HashSet<u64>) -> MinimizedTable {
+    let known: HashSet<_> = parent.source.iter().map(|&(h, _)| h).collect();
+    let added: Vec<&TableEntry> = table
+        .entries()
+        .iter()
+        .filter(|e| !known.contains(&e.handle))
+        .collect();
+    let (old, counts) = (&parent.entries, piece_counts(&parent.entries));
+    // What holds each chunk before the patch: the parent's pieces, and the
+    // list of counts just taken.
+    let before: Vec<usize> = counts.iter().map(|(c, _)| Arc::strong_count(c)).collect();
+
+    let (child, edit) = parent.patch(table.entries()).expect("clean edits patch");
+    let (reference, reference_edit) = per_entry_patch(old, removed, &added);
+    let new = &child.entries;
+    assert_eq!(new.iter().cloned().collect::<Vec<_>>(), reference);
+    assert_eq!(edit, reference_edit);
+    assert!(new.pieces().count() <= MinEntries::max_pieces(new.len()));
+    let pieces: Vec<_> = new.pieces().collect();
+    for pair in pieces.windows(2) {
+        let ((a, left), (b, right)) = (&pair[0], &pair[1]);
+        assert!(
+            !(Arc::ptr_eq(a, b) && left.end == right.start),
+            "two pieces meet in a chunk"
+        );
+    }
+
+    let kept: usize = edit.runs.iter().map(|&(_, _, len)| len).sum();
+    let shares = |chunk: &Arc<[MinEntry]>| new.pieces().any(|(c, _)| Arc::ptr_eq(c, chunk));
+    if kept > 0 && !counts.iter().any(|(c, _)| shares(c)) {
+        // Packed afresh: only where the cuts could have passed the bound.
+        let cuts = removed.len() + 2 * added.len();
+        assert!(old.pieces().count() + cuts > MinEntries::max_pieces(new.len()));
+        return child;
+    }
+    // Every kept entry is the parent's own, where it was.
+    for &(from, to, len) in &edit.runs {
+        for i in 0..len {
+            assert!(
+                std::ptr::eq(&old[from + i], &new[to + i]),
+                "rank {} copied",
+                from + i
+            );
+        }
+    }
+    // A piece inside one kept run is shared whole.
+    let mut start = 0;
+    for (chunk, range) in old.pieces() {
+        let ranks = start..start + range.len();
+        start = ranks.end;
+        if edit
+            .runs
+            .iter()
+            .any(|&(from, _, len)| from <= ranks.start && ranks.end <= from + len)
+        {
+            let whole = new.pieces().any(|(c, r)| {
+                Arc::ptr_eq(c, chunk) && r.start <= range.start && range.end <= r.end
+            });
+            assert!(whole, "untouched ranks {ranks:?} not shared");
+        }
+    }
+    // A chunk's count rose by the child's pieces over it: one count per
+    // piece, none per entry.
+    let child_counts = piece_counts(new);
+    for ((chunk, _), before) in counts.iter().zip(before) {
+        let pieces = child_counts
+            .iter()
+            .find(|(c, _)| Arc::ptr_eq(c, chunk))
+            .map_or(0, |&(_, n)| n);
+        // `child_counts` itself holds one more of each chunk it names.
+        let held = usize::from(pieces > 0);
+        assert_eq!(Arc::strong_count(chunk), before + pieces + held);
+    }
+    child
+}
+
 proptest! {
+    /// The chunked patch against the per-entry walk, link by link along
+    /// chains of removals (a piece's first or last rank, or any) and
+    /// additions (at the end of a priority level, possibly a new one),
+    /// over lists of 0, 1, 63, 64, 65 and 200–260 entries: as many pieces
+    /// as the chain cuts, until the list is packed afresh.
+    #[test]
+    fn a_chunked_patch_equals_the_per_entry_walk(
+        size in (0usize..6, 0usize..60),
+        priorities in pvec(0i32..3, 260),
+        chain in pvec((pvec(any::<u16>(), 0..6), pvec(0i32..4, 0..6)), 1..10),
+    ) {
+        let len = [0, 1, 63, 64, 65, 200 + size.1][size.0];
+        let layout = KeyLayout::window(4);
+        let mut table = Table::new("chunks", MatchKind::Ternary, layout, 1024, Action::Drop);
+        let mut next = 0u16;
+        let mut insert = |table: &mut Table, priority: i32| {
+            next += 1;
+            table.insert(clean_row(next), Action::Drop, priority).unwrap();
+        };
+        for &priority in &priorities[..len] {
+            insert(&mut table, priority);
+        }
+        let mut parent = minimize(MatchKind::Ternary, table.entries());
+        prop_assert_eq!(parent.entries.len(), len, "nothing merges or shadows");
+        for (picks, added) in &chain {
+            let list = &parent.entries;
+            let ends: Vec<usize> = list
+                .pieces()
+                .scan(0, |start, (_, range)| {
+                    let first = *start;
+                    *start += range.len();
+                    Some([first, *start - 1])
+                })
+                .flatten()
+                .collect();
+            let mut removed = HashSet::new();
+            for &pick in picks {
+                if list.is_empty() {
+                    break;
+                }
+                let pick = usize::from(pick);
+                let rank = match pick % 3 {
+                    0 => ends[pick / 3 % ends.len()],
+                    _ => pick / 3 % list.len(),
+                };
+                removed.insert(list[rank].order);
+            }
+            for &handle in &removed {
+                table.remove(p4guard_dataplane::EntryHandle(handle)).unwrap();
+            }
+            for &priority in added {
+                insert(&mut table, priority);
+            }
+            parent = check_link(&parent, &table, &removed);
+        }
+    }
+
     /// Invariant 1: verdict + winner-priority equality between the
     /// minimized compiled engine and the unminimized scan, across all
     /// match kinds, widths, priority ties and merge-heavy mask pools.
