@@ -32,7 +32,8 @@ echo "==> serve smoke (fixed seed, live /metrics, time-boxed)"
 # ephemeral port and scrape it once with the CLI's built-in client (no curl
 # in the image). The serving path must process the whole trace — /metrics
 # frame totals equal to the generated packet count — with the batch-fill
-# and arena occupancy gauges on the wire.
+# and arena occupancy gauges on the wire, and a rolling-rate gauge the
+# sampler thread set in the registry (the registry writes the rates).
 CLI=target/release/p4guard-cli
 SMOKE_DIR="$(mktemp -d)"
 SERVE_PID=""
@@ -95,7 +96,8 @@ if [ -z "$FRAMES" ] || [ "$RECEIVED" != "$FRAMES" ]; then
   grep '^p4guard_frames_received_total' "$SMOKE_DIR/metrics.txt" >&2 || true
   exit 1
 fi
-for family in p4guard_batch_fill p4guard_arena_frames p4guard_arena_batches; do
+for family in p4guard_batch_fill p4guard_arena_frames p4guard_arena_batches \
+  p4guard_frames_received:rate_1s; do
   grep -q "^$family" "$SMOKE_DIR/metrics.txt" || {
     echo "$family missing from /metrics:" >&2
     head -50 "$SMOKE_DIR/metrics.txt" >&2
@@ -381,7 +383,7 @@ rust_lines() {
 # Each "was" figure is the parent commit's, committed by the change that
 # last moved it so the log reads before -> after; the next change to move a
 # count replaces its figure with its parent's.
-echo "rust lines: $(rust_lines crates tests examples) (was 36973)"
+echo "rust lines: $(rust_lines crates tests examples) (was 37424)"
 EXPERIMENTS_LINES_MAX=3142
 EXPERIMENTS_LINES=$(rust_lines crates/core/src/experiments)
 echo "experiments lines: $EXPERIMENTS_LINES (was 3196)"
@@ -464,6 +466,23 @@ echo "==> a patch copies chunks, not entries (acceptance greps)"
 # of per-entry pointers comes back under dataplane.
 if grep -rnF "Vec<Arc<MinEntry>>" crates/dataplane/src; then
   echo "a per-entry Arc list of minimized entries is back (lines above)" >&2
+  exit 1
+fi
+
+echo "==> one windowed view of the registry (acceptance greps)"
+# Rolling rates and SLO burns come from one sampler and reach the wire
+# through the registry's one exposition writer: one counter_snapshot() call
+# in the telemetry crate outside the registry, render_prometheus defined in
+# registry.rs only, no second window rule, and one tick call each in the
+# metrics server and in F15.
+SNAPSHOTS=$({ grep -rn 'counter_snapshot()' crates/telemetry/src --exclude=registry.rs || true; } | wc -l)
+WRITERS=$(grep -rl 'fn render_prometheus' crates/telemetry/src)
+HTTP_TICKS=$({ grep -n 'tick()' crates/telemetry/src/http.rs || true; } | wc -l)
+F15_TICKS=$({ grep -n 'tick()' crates/core/src/experiments/observe_exp.rs || true; } | wc -l)
+if grep -rnE 'SloSeries|oldest_in_window|MIN_TICK' crates/telemetry/src ||
+   [ "$SNAPSHOTS" != "1" ] || [ "$WRITERS" != "crates/telemetry/src/registry.rs" ] ||
+   [ "$HTTP_TICKS" != "1" ] || [ "$F15_TICKS" != "1" ]; then
+  echo "a second window is back (lines above), or: $SNAPSHOTS counter_snapshot() calls outside registry.rs (expected 1), render_prometheus in '$WRITERS' (expected registry.rs), $HTTP_TICKS tick calls in http.rs and $F15_TICKS in observe_exp.rs (expected 1 each)" >&2
   exit 1
 fi
 

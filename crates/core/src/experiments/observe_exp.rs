@@ -234,9 +234,9 @@ fn slo_wave(seed: u64, shards: usize) -> SloWave {
     let attack: Vec<_> = frames.iter().filter(hits_victim).map(single).collect();
     assert!(!attack.is_empty(), "the wave needs attack frames to send");
 
-    // Quiet phase in two halves — the first tick lays the baseline point,
+    // Quiet phase in two halves — the first tick lays the baseline sample,
     // the second measures the benign-only burn — then the attack wave on
-    // tenant 0. The board ticks at each drained checkpoint.
+    // tenant 0. The bundle ticks at each drained checkpoint.
     let (quiet_a, quiet_b) = benign.split_at(benign.len() / 2);
     let burn = |tenant: &str| {
         let fast = telemetry.slo.burn_fast("drop-rate", tenant);
@@ -248,7 +248,7 @@ fn slo_wave(seed: u64, shards: usize) -> SloWave {
         [quiet_a, quiet_b, &attack].map(|c| c.iter().cloned()),
         true,
         || {
-            telemetry.slo.tick(&telemetry.registry);
+            telemetry.tick();
             victim_burn.push(burn(&victim));
             ControlFlow::Continue(())
         },

@@ -9,9 +9,7 @@ use p4guard_dataplane::{AclLayout, KeyLayout};
 use p4guard_features::extract::ByteDataset;
 use p4guard_features::naming;
 use p4guard_features::select::{select_fields, FieldSelection};
-use p4guard_gateway::{
-    replay_batched, Gateway, GatewayConfig, GatewaySnapshot, ReplayMode, ReplayReport,
-};
+use p4guard_gateway::{replay_batched, Gateway, GatewayConfig, GatewaySnapshot, ReplayReport};
 use p4guard_nn::activation::softmax_rows;
 use p4guard_nn::data::{Dataset, Standardizer};
 use p4guard_nn::network::{Mlp, MlpConfig};
@@ -499,7 +497,7 @@ impl TrainedGuard {
             }
         }
 
-        let first_half = replay_batched(&gateway, first, target_pps, ReplayMode::Blocking);
+        let first_half = replay_batched(&gateway, first, target_pps);
 
         // Compile the replacement off to the side, then swap: the shards
         // keep forwarding against the old snapshot until publish lands.
@@ -508,7 +506,7 @@ impl TrainedGuard {
         let diff = control.replace_ruleset(0, &optimized, Action::Drop)?;
         let swap = control.publish_audited(Some(&diff), false);
 
-        let second_half = replay_batched(&gateway, second, target_pps, ReplayMode::Blocking);
+        let second_half = replay_batched(&gateway, second, target_pps);
         let snapshot = gateway.finish();
         Ok(LiveReport {
             snapshot,

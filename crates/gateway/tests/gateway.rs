@@ -6,7 +6,7 @@ use p4guard_dataplane::action::Action;
 use p4guard_dataplane::control::ControlPlane;
 use p4guard_dataplane::table::MatchSpec;
 use p4guard_dataplane::AclLayout;
-use p4guard_gateway::{replay_batched, Gateway, GatewayConfig, ReplayMode};
+use p4guard_gateway::{replay_batched, Gateway, GatewayConfig};
 use p4guard_packet::arena::FrameBatch;
 use std::time::Duration;
 
@@ -173,18 +173,19 @@ fn backpressure_drops_are_counted_and_conserved() {
     );
     let frames = workload(2000);
     let offered = frames.len() as u64;
-    let batches = frames.into_iter().map(FrameBatch::single);
-    let report = replay_batched(&gw, batches, None, ReplayMode::DropOnFull);
+    let mut enqueued = 0;
+    for frame in frames {
+        enqueued += gw.offer_batch(FrameBatch::single(frame));
+    }
     let snap = gw.finish();
 
-    assert_eq!(report.offered, offered);
-    assert_eq!(report.dropped_backpressure, snap.dropped_backpressure);
+    assert_eq!(offered - enqueued, snap.dropped_backpressure);
     assert_eq!(
         snap.totals.received + snap.dropped_backpressure,
         offered,
         "every offered frame is either processed or counted as dropped"
     );
-    assert_eq!(snap.totals.received, report.enqueued);
+    assert_eq!(snap.totals.received, enqueued);
     assert_eq!(
         snap.offered, offered,
         "the gateway counts what it was offered"
@@ -265,11 +266,11 @@ fn paced_replay_respects_target_rate() {
     let gw = Gateway::start(&control, GatewayConfig::with_shards(2));
     let frames = workload(32); // 512 frames
     let batches = frames.into_iter().map(FrameBatch::single);
-    let report = replay_batched(&gw, batches, Some(4096.0), ReplayMode::Blocking);
+    let report = replay_batched(&gw, batches, Some(4096.0));
     let snap = gw.finish();
 
     assert_eq!(report.offered, 512);
-    assert_eq!(report.dropped_backpressure, 0);
+    assert_eq!(snap.dropped_backpressure, 0);
     assert_eq!(snap.totals.received, 512);
     // 512 frames at 4096 pps is 125ms; coarse pacing must keep us in the
     // right order of magnitude (no sleep would finish in microseconds).
@@ -439,12 +440,14 @@ fn wait_drained_is_a_bounded_checkpoint() {
     // checkpoint counts shed frames as accounted for.
     let frames = workload(50);
     let offered = frames.len() as u64;
-    let batches = frames.into_iter().map(FrameBatch::single);
-    let report = replay_batched(&gw, batches, None, ReplayMode::DropOnFull);
+    let mut enqueued = 0;
+    for frame in frames {
+        enqueued += gw.offer_batch(FrameBatch::single(frame));
+    }
     let snap = gw
         .wait_drained(Duration::from_secs(30))
         .expect("served + shed reaches offered");
-    assert_eq!(snap.totals.received, report.enqueued);
+    assert_eq!(snap.totals.received, enqueued);
     assert_eq!(snap.totals.received + snap.dropped_backpressure, offered);
     assert_eq!(snap.offered, offered);
     assert_eq!(gw.finish().totals, snap.totals);

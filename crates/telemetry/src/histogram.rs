@@ -2,8 +2,9 @@
 //! keep recording to a couple of integer ops, and shard histograms merge
 //! losslessly into a gateway-wide aggregate.
 //!
-//! Moved here from `p4guard-gateway` so the metrics [`Registry`](crate::registry::Registry) can expose histograms without depending on the
-//! gateway; the gateway re-exports this type for compatibility.
+//! It lives here, below the gateway, so the metrics
+//! [`Registry`](crate::registry::Registry) can expose histograms without
+//! depending on the gateway; the gateway and shards import it from here.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

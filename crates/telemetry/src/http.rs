@@ -28,7 +28,7 @@ const IO_TIMEOUT: Duration = Duration::from_millis(500);
 ///
 /// | Path            | Response                                        |
 /// |-----------------|-------------------------------------------------|
-/// | `/metrics`      | Prometheus text exposition + rolling rate series |
+/// | `/metrics`      | The registry in Prometheus text exposition      |
 /// | `/metrics.json` | The registry rendered as JSON                   |
 /// | `/events`       | Flight-recorder dump (JSON array, oldest first) |
 /// | `/profile`      | Per-stage timing rollups with trace exemplars   |
@@ -41,17 +41,16 @@ pub struct MetricsServer {
     sampler: Option<JoinHandle<()>>,
 }
 
-/// How often the background sampler snapshots counters for the rolling
-/// rate windows. Frequent enough that a one-shot scrape sees fresh 1s
-/// rates; [`RateWindows::tick`]'s own rate limit bounds the history size.
+/// How often the background sampler ticks the bundle ([`Telemetry::tick`]):
+/// the rate and burn gauges a scrape reads are at most this old.
 const SAMPLE_INTERVAL: Duration = Duration::from_millis(200);
 
 impl MetricsServer {
     /// Binds `addr` (use port 0 for an ephemeral port — see
     /// [`MetricsServer::local_addr`]) and serves `telemetry` until
-    /// shutdown. Also starts a sampler thread feeding the bundle's
-    /// [`RateWindows`](crate::RateWindows) every 200ms so rate series are
-    /// populated even for a client's very first scrape.
+    /// shutdown. Also starts a sampler thread that calls
+    /// [`Telemetry::tick`] every 200 ms, so the registry's rate and SLO
+    /// burn gauges stay current between scrapes.
     pub fn serve(addr: &str, telemetry: Arc<Telemetry>) -> io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -67,8 +66,7 @@ impl MetricsServer {
             .name("p4guard-metrics-sampler".to_string())
             .spawn(move || {
                 while !sampler_stop.load(Ordering::Acquire) {
-                    telemetry.rates.tick();
-                    telemetry.slo.tick(&telemetry.registry);
+                    telemetry.tick();
                     thread::sleep(SAMPLE_INTERVAL);
                 }
             })?;
@@ -196,13 +194,12 @@ fn route(telemetry: &Telemetry, path: &str) -> (u16, &'static str, &'static str,
         None => (path, ""),
     };
     match path {
-        "/metrics" => {
-            telemetry.rates.tick();
-            telemetry.slo.tick(&telemetry.registry);
-            let mut body = telemetry.registry.render_prometheus();
-            body.push_str(&telemetry.rates.render_prometheus());
-            (200, "OK", "text/plain; version=0.0.4; charset=utf-8", body)
-        }
+        "/metrics" => (
+            200,
+            "OK",
+            "text/plain; version=0.0.4; charset=utf-8",
+            telemetry.registry.render_prometheus(),
+        ),
         "/metrics.json" => (
             200,
             "OK",

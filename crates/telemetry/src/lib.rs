@@ -1,9 +1,10 @@
 //! Observability layer for p4guard: a metrics [`Registry`]
 //! (counters/gauges/latency histograms with labels, Prometheus text and
 //! JSON exposition), a [`FlightRecorder`] ring of recent structured
-//! events, rolling [`RateWindows`] computed from counter deltas, and a
-//! hand-rolled blocking HTTP responder ([`MetricsServer`]) that serves
-//! `GET /metrics` and `GET /events` on a background thread.
+//! events, one sampler ([`RateWindows`]) that turns counter deltas into
+//! rolling-rate and SLO burn gauges in the registry, and a hand-rolled
+//! blocking HTTP responder ([`MetricsServer`]) that serves `GET /metrics`
+//! and `GET /events` on a background thread.
 //!
 //! The crate is dependency-free beyond the workspace's vendored
 //! `parking_lot`/`serde` shims: no tokio, no hyper, no prometheus client.
@@ -38,6 +39,7 @@
 //! | `p4guard_conservation_violations_total` | counter | `shard` |
 //! | `p4guard_stage_seconds` | histogram | `shard`, `stage`, `table` |
 //! | `p4guard_slo_burn_fast` / `_slow` | gauge | `slo`, `tenant` |
+//! | `<counter without _total>:rate_1s` / `:rate_10s` | gauge | the counter's |
 //!
 //! Every `shard`-labelled series above additionally carries `tenant` on a
 //! fleet gateway, where each shard runs one lane (and one sink) per tenant
@@ -46,8 +48,9 @@
 //!
 //! When tracing is armed ([`TelemetryConfig::tracing`]) the bundle also
 //! carries a [`TraceStore`] of sampled span trees (`/traces`), a
-//! [`ProfileBoard`] of per-stage timings (`/profile`), and an [`SloBoard`]
-//! evaluating burn rates; all three stay inert on the default config.
+//! [`ProfileBoard`] of per-stage timings (`/profile`); both stay inert on
+//! the default config. Every bundle evaluates the default SLOs on an
+//! [`SloBoard`] at each [`Telemetry::tick`].
 
 #![warn(missing_docs)]
 
@@ -87,8 +90,6 @@ pub struct TelemetryConfig {
     /// default: the trace store stays empty and shard sinks skip all
     /// stage timing.
     pub tracing: bool,
-    /// Span ring capacity when tracing is armed.
-    pub trace_capacity: usize,
 }
 
 impl Default for TelemetryConfig {
@@ -98,27 +99,26 @@ impl Default for TelemetryConfig {
             sample_every: 64,
             seed: 0,
             tracing: false,
-            trace_capacity: 4096,
         }
     }
 }
 
 /// The bundle a process shares between its dataplane shards, publisher,
-/// and metrics endpoint: one registry, one flight recorder, one rate
-/// tracker.
+/// and metrics endpoint: one registry, one flight recorder, one sampler
+/// over the registry.
 pub struct Telemetry {
     /// Metric families (counters, gauges, histograms).
     pub registry: Arc<Registry>,
     /// Recent structured events.
     pub recorder: Arc<FlightRecorder>,
-    /// Rolling 1s/10s rates over the registry's counters.
-    pub rates: Arc<RateWindows>,
     /// Ring of sampled spans (empty and inert unless tracing is armed).
     pub traces: Arc<TraceStore>,
     /// Per-stage timing rollups behind `/profile`.
     pub profile: Arc<ProfileBoard>,
     /// Burn-rate evaluation of the default SLOs over the registry.
-    pub slo: Arc<SloBoard>,
+    pub slo: SloBoard,
+    /// The sample ring [`Telemetry::tick`] feeds.
+    rates: RateWindows,
     /// The config's stride and seed, kept for the one place they are used:
     /// the [`FrameSampler`] of each lane [`Telemetry::shard_sink`] builds.
     sample_every: u64,
@@ -129,17 +129,24 @@ impl Telemetry {
     /// Builds a telemetry bundle from `config`.
     pub fn new(config: TelemetryConfig) -> Self {
         let registry = Arc::new(Registry::new());
-        let rates = Arc::new(RateWindows::new(Arc::clone(&registry)));
         Telemetry {
+            rates: RateWindows::new(Arc::clone(&registry)),
             registry,
             recorder: Arc::new(FlightRecorder::new(config.events_capacity)),
-            rates,
-            traces: Arc::new(TraceStore::new(config.trace_capacity, config.tracing)),
+            traces: Arc::new(TraceStore::new(trace::TRACE_CAPACITY, config.tracing)),
             profile: Arc::new(ProfileBoard::new()),
-            slo: Arc::new(SloBoard::new(SloSpec::defaults())),
+            slo: SloBoard::new(SloSpec::defaults()),
             sample_every: config.sample_every,
             seed: config.seed,
         }
+    }
+
+    /// Samples the registry once and sets every `<base>:rate_1s`/`_10s`
+    /// gauge and every SLO burn gauge from that sample (see
+    /// [`RateWindows::tick`]). The metrics server's sampler thread calls
+    /// it every 200 ms.
+    pub fn tick(&self) {
+        self.rates.tick(&self.slo);
     }
 
     /// Builds the [`RegistrySink`] of one lane of `shard`, wired to this

@@ -1,47 +1,90 @@
-//! Rolling-window rates derived from counter deltas: a sampler keeps a
-//! short history of full counter snapshots and renders 1s/10s per-second
-//! rates (pps in/out, drop rate per reason) as synthetic gauge series.
+//! The one windowed view of the registry: a ring of samples, each one
+//! counter snapshot plus the forward-latency buckets per tenant. Every
+//! [`RateWindows::tick`] takes a sample and, from it and one base sample
+//! per window, sets the `<base>:rate_1s`/`_10s` gauges and the SLO burn
+//! gauges in the registry itself, so the registry's own exposition
+//! (`/metrics`, `/metrics.json`) carries them.
+//!
+//! A window's base is the newest sample at or before `now − window`, else
+//! the oldest retained one: once history covers the window, a rate or a
+//! burn spans at least the window (at most one sampler interval more).
 
+use crate::histogram::LatencyHistogram;
 use crate::registry::{Labels, Registry};
+use crate::slo::{tenant_of, SloBoard};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::fmt::Write as _;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The two windows rendered for every counter family.
-pub const WINDOWS: [(Duration, &str); 2] = [
-    (Duration::from_secs(1), "1s"),
-    (Duration::from_secs(10), "10s"),
+/// The two windows: span, rate-gauge suffix (`<base>:rate_1s`), and the
+/// SLO burn gauge with its help text.
+pub(crate) const WINDOWS: [(Duration, &str, &str, &str); 2] = [
+    (
+        Duration::from_secs(1),
+        "1s",
+        "p4guard_slo_burn_fast",
+        "Error-budget burn rate over the fast (1s) window",
+    ),
+    (
+        Duration::from_secs(10),
+        "10s",
+        "p4guard_slo_burn_slow",
+        "Error-budget burn rate over the slow (10s) window",
+    ),
 ];
 
-/// Retain a little more than the longest window so a rate can always span
-/// the full window once enough history exists.
+/// Samples older than this are dropped (keeping at least one besides the
+/// newest): a little more than the longest window, so its base is kept.
 const RETAIN: Duration = Duration::from_secs(15);
 
-/// Minimum spacing between retained snapshots; calling
-/// [`RateWindows::tick`] faster than this is a no-op, so render paths can
-/// tick opportunistically without flooding the history.
-const MIN_TICK: Duration = Duration::from_millis(50);
+/// At most this many samples are kept however often [`RateWindows::tick`]
+/// is called; the 200 ms sampler thread fills 75 of them over [`RETAIN`].
+const MAX_SAMPLES: usize = 128;
 
-struct Sample {
+/// One tick's view of the registry.
+pub(crate) struct Sample {
     at: Instant,
-    values: Vec<(String, Labels, u64)>,
+    /// `(family, labels, value)` of every counter series, in the registry's
+    /// (sorted) order.
+    pub(crate) counters: Vec<(String, Labels, u64)>,
+    /// `p4guard_forward_latency_seconds` merged per tenant.
+    pub(crate) latency: BTreeMap<String, LatencyHistogram>,
 }
 
-/// Computes rolling per-second rates for every counter in a [`Registry`].
-///
-/// Feed it with [`RateWindows::tick`] (a background sampler thread, plus
-/// opportunistic ticks before rendering); read rates with
-/// [`RateWindows::rate`] or render them all with
-/// [`RateWindows::render_prometheus`].
+impl Sample {
+    fn take(registry: &Registry) -> Sample {
+        let mut latency: BTreeMap<String, LatencyHistogram> = BTreeMap::new();
+        for (family, labels, histogram) in registry.histogram_snapshot() {
+            if family == "p4guard_forward_latency_seconds" {
+                let merged = latency.entry(tenant_of(&labels)).or_default();
+                merged.merge(&histogram);
+            }
+        }
+        Sample {
+            at: Instant::now(),
+            counters: registry.counter_snapshot(),
+            latency,
+        }
+    }
+
+    /// One counter series' value; 0 for a series registered after this
+    /// sample was taken.
+    fn counter(&self, name: &str, labels: &Labels) -> u64 {
+        self.counters
+            .binary_search_by(|(n, l, _)| (n.as_str(), l).cmp(&(name, labels)))
+            .map_or(0, |i| self.counters[i].2)
+    }
+}
+
+/// The sample ring over one [`Registry`]; see the module docs.
 pub struct RateWindows {
     registry: Arc<Registry>,
     samples: Mutex<VecDeque<Sample>>,
 }
 
 impl RateWindows {
-    /// Creates an empty window tracker over `registry`.
+    /// Creates an empty ring over `registry`.
     pub fn new(registry: Arc<Registry>) -> Self {
         RateWindows {
             registry,
@@ -49,148 +92,80 @@ impl RateWindows {
         }
     }
 
-    /// Takes a counter snapshot now (rate-limited to one per 50ms) and
-    /// prunes history beyond the retention horizon.
-    pub fn tick(&self) {
-        let now = Instant::now();
+    /// Takes one sample and, for each window, differences it against the
+    /// window's base: every counter's per-second rate lands in the gauge
+    /// `<family without _total>:rate_<window>` (once two samples exist),
+    /// and `slo`'s burns over the same pair in its burn gauge.
+    pub fn tick(&self, slo: &SloBoard) {
+        // Sampled under the lock, so the ring stays in time order.
         let mut samples = self.samples.lock();
-        if let Some(last) = samples.back() {
-            if now.duration_since(last.at) < MIN_TICK {
-                return;
-            }
+        let sample = Sample::take(&self.registry);
+        let now = sample.at;
+        samples.push_back(sample);
+        while samples.len() > MAX_SAMPLES
+            || (samples.len() > 2
+                && samples
+                    .front()
+                    .is_some_and(|s| now.duration_since(s.at) > RETAIN))
+        {
+            samples.pop_front();
         }
-        samples.push_back(Sample {
-            at: now,
-            values: self.registry.counter_snapshot(),
-        });
-        while let Some(front) = samples.front() {
-            if now.duration_since(front.at) > RETAIN && samples.len() > 2 {
-                samples.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Per-second rate of one counter series over (up to) `window`: the
-    /// delta between the newest snapshot and the oldest snapshot inside
-    /// the window, divided by the actual elapsed span. `None` until two
-    /// snapshots exist.
-    pub fn rate(&self, name: &str, labels: &[(&str, &str)], window: Duration) -> Option<f64> {
-        let want: Labels = {
-            let mut l: Labels = labels
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect();
-            l.sort();
-            l
+        let (Some(newest), Some(oldest)) = (samples.back(), samples.front()) else {
+            return;
         };
-        let samples = self.samples.lock();
-        let newest = samples.back()?;
-        let oldest = oldest_in_window(&samples, newest.at, window)?;
-        let span = newest.at.duration_since(oldest.at).as_secs_f64();
-        if span <= 0.0 {
-            return None;
-        }
-        let find = |s: &Sample| {
-            s.values
-                .iter()
-                .find(|(n, l, _)| n == name && *l == want)
-                .map(|(_, _, v)| *v)
-        };
-        let new = find(newest)?;
-        let old = find(oldest).unwrap_or(0);
-        Some(new.saturating_sub(old) as f64 / span)
-    }
-
-    /// Renders every counter family's 1s and 10s rates as gauge series
-    /// named `<family without _total>:rate_<window>` (recording-rule-style
-    /// names), appended after the registry's own exposition text.
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        let samples = self.samples.lock();
-        let Some(newest) = samples.back() else {
-            return out;
-        };
-        for (window, suffix) in WINDOWS {
-            let Some(oldest) = oldest_in_window(&samples, newest.at, window) else {
-                continue;
-            };
-            let span = newest.at.duration_since(oldest.at).as_secs_f64();
-            if span <= 0.0 {
-                continue;
-            }
-            let mut last_family = String::new();
-            for (name, labels, new) in &newest.values {
-                let base = name.strip_suffix("_total").unwrap_or(name);
-                let rate_name = format!("{base}:rate_{suffix}");
-                if rate_name != last_family {
-                    let _ = writeln!(
-                        out,
-                        "# HELP {rate_name} Per-second rate of {name} over the trailing {suffix}"
-                    );
-                    let _ = writeln!(out, "# TYPE {rate_name} gauge");
-                    last_family = rate_name.clone();
-                }
-                let old = oldest
-                    .values
-                    .iter()
-                    .find(|(n, l, _)| n == name && l == labels)
-                    .map_or(0, |(_, _, v)| *v);
-                let rate = new.saturating_sub(old) as f64 / span;
-                let label_text = if labels.is_empty() {
-                    String::new()
-                } else {
-                    // Escape exactly like the registry renderer: a raw `"`
-                    // or newline in a label value would corrupt the whole
-                    // combined /metrics body.
-                    let parts: Vec<String> = labels
+        for (w, (window, suffix, ..)) in WINDOWS.iter().enumerate() {
+            let base = newest
+                .at
+                .checked_sub(*window)
+                .and_then(|start| samples.iter().rev().find(|s| s.at <= start))
+                .unwrap_or(oldest);
+            let span = newest.at.duration_since(base.at).as_secs_f64();
+            if span > 0.0 {
+                for (name, labels, value) in &newest.counters {
+                    let rate = value.saturating_sub(base.counter(name, labels)) as f64 / span;
+                    let family = name.strip_suffix("_total").unwrap_or(name);
+                    let labels: Vec<(&str, &str)> = labels
                         .iter()
-                        .map(|(k, v)| format!("{k}=\"{}\"", crate::registry::escape_label(v)))
+                        .map(|(k, v)| (k.as_str(), v.as_str()))
                         .collect();
-                    format!("{{{}}}", parts.join(","))
-                };
-                let _ = writeln!(out, "{rate_name}{label_text} {rate}");
+                    self.registry
+                        .gauge(
+                            &format!("{family}:rate_{suffix}"),
+                            &format!("Per-second rate of {name} over the trailing {suffix}"),
+                            &labels,
+                        )
+                        .set(rate);
+                }
             }
+            slo.evaluate(&self.registry, w, base, newest);
         }
-        out
     }
-}
-
-/// The oldest retained sample no older than `window` before `newest_at`
-/// (falling back to the oldest overall sample inside the window). Returns
-/// `None` when the only sample is the newest one.
-fn oldest_in_window(
-    samples: &VecDeque<Sample>,
-    newest_at: Instant,
-    window: Duration,
-) -> Option<&Sample> {
-    samples
-        .iter()
-        .find(|s| newest_at.duration_since(s.at) <= window && s.at != newest_at)
-        .filter(|s| s.at != newest_at)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slo::{SloSpec, GLOBAL_TENANT};
     use std::thread;
+
+    /// Ticks `rates` with no SLOs to evaluate.
+    fn tick(rates: &RateWindows) {
+        rates.tick(&SloBoard::new(Vec::new()));
+    }
 
     #[test]
     fn rate_reflects_counter_deltas() {
         let registry = Arc::new(Registry::new());
         let c = registry.counter("pkts_total", "", &[("shard", "0")]);
         let rates = RateWindows::new(Arc::clone(&registry));
-        rates.tick();
+        tick(&rates);
         c.add(100);
         thread::sleep(Duration::from_millis(60));
-        rates.tick();
-        let r = rates
-            .rate("pkts_total", &[("shard", "0")], Duration::from_secs(1))
-            .expect("two snapshots exist");
+        tick(&rates);
+        let r = registry.gauge("pkts:rate_1s", "", &[("shard", "0")]).get();
         // 100 packets over ≥60ms: a positive, finite rate well above zero.
         assert!(r > 0.0 && r.is_finite(), "rate was {r}");
-        let text = rates.render_prometheus();
+        let text = registry.render_prometheus();
         assert!(text.contains("pkts:rate_1s{shard=\"0\"}"), "{text}");
         assert!(text.contains("# TYPE pkts:rate_1s gauge"));
     }
@@ -200,23 +175,41 @@ mod tests {
         let registry = Arc::new(Registry::new());
         registry.counter("x_total", "", &[]);
         let rates = RateWindows::new(Arc::clone(&registry));
-        assert!(rates.rate("x_total", &[], Duration::from_secs(1)).is_none());
-        rates.tick();
+        tick(&rates);
         assert!(
-            rates.rate("x_total", &[], Duration::from_secs(1)).is_none(),
+            !registry.render_prometheus().contains(":rate_"),
             "a single snapshot has no delta"
         );
-        assert_eq!(rates.render_prometheus(), "");
     }
 
     #[test]
-    fn ticks_are_rate_limited() {
+    fn tight_ticks_stay_within_the_ring_cap() {
         let registry = Arc::new(Registry::new());
+        registry.counter("x_total", "", &[]).inc();
         let rates = RateWindows::new(registry);
-        for _ in 0..100 {
-            rates.tick();
+        for _ in 0..1000 {
+            tick(&rates);
         }
-        assert_eq!(rates.samples.lock().len(), 1);
+        assert!(rates.samples.lock().len() <= MAX_SAMPLES);
+    }
+
+    /// The base is the newest sample at or before `now − window`: with
+    /// ticks at 0, ≥0.9 s and ≥1.2 s, the 1 s rate reaches back to the first
+    /// tick (the only counts are between it and the second), over a span of
+    /// at least the window.
+    #[test]
+    fn a_window_reaches_back_to_its_full_length() {
+        let registry = Arc::new(Registry::new());
+        let c = registry.counter("span_total", "", &[]);
+        let rates = RateWindows::new(Arc::clone(&registry));
+        tick(&rates);
+        c.add(1000);
+        thread::sleep(Duration::from_millis(900));
+        tick(&rates);
+        thread::sleep(Duration::from_millis(300));
+        tick(&rates);
+        let r = registry.gauge("span:rate_1s", "", &[]).get();
+        assert!(r > 0.0 && r <= 1000.0, "rate was {r}");
     }
 
     #[test]
@@ -224,11 +217,11 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let c = registry.counter("esc_total", "", &[("path", "a\\b\"c\nd")]);
         let rates = RateWindows::new(Arc::clone(&registry));
-        rates.tick();
+        tick(&rates);
         c.add(5);
         thread::sleep(Duration::from_millis(60));
-        rates.tick();
-        let text = rates.render_prometheus();
+        tick(&rates);
+        let text = registry.render_prometheus();
         assert!(
             text.contains("esc:rate_1s{path=\"a\\\\b\\\"c\\nd\"}"),
             "rate labels must escape like the registry: {text}"
@@ -239,14 +232,54 @@ mod tests {
     fn series_appearing_later_count_from_zero() {
         let registry = Arc::new(Registry::new());
         let rates = RateWindows::new(Arc::clone(&registry));
-        rates.tick();
+        tick(&rates);
         thread::sleep(Duration::from_millis(60));
         // Counter registered after the first snapshot: old value treated as 0.
         registry.counter("late_total", "", &[]).add(10);
-        rates.tick();
-        let r = rates
-            .rate("late_total", &[], Duration::from_secs(1))
-            .unwrap();
-        assert!(r > 0.0);
+        tick(&rates);
+        let g = registry.gauge("late:rate_1s", "", &[]);
+        assert!(g.get() > 0.0);
+    }
+
+    /// A burn and the rates it is read against come from the same pair of
+    /// samples: burn × budget is Δdrops / Δ(received + shed), read back from
+    /// the `:rate_1s` gauges.
+    #[test]
+    fn burns_and_rates_share_one_window() {
+        let registry = Arc::new(Registry::new());
+        let received = registry.counter("p4guard_frames_received_total", "", &[("shard", "0")]);
+        let drops = |reason| {
+            let labels = [("shard", "0"), ("reason", reason)];
+            registry.counter("p4guard_drops_total", "", &labels)
+        };
+        let (rule, shed) = (drops("rule_drop"), drops("backpressure"));
+        let board = SloBoard::new(SloSpec::defaults());
+        let rates = RateWindows::new(Arc::clone(&registry));
+        for (r, d, s) in [(500, 5, 0), (1000, 40, 250), (700, 100, 30)] {
+            received.add(r);
+            rule.add(d);
+            shed.add(s);
+            rates.tick(&board);
+            thread::sleep(Duration::from_millis(20));
+        }
+        let gauge = |name: &str, labels: &[(&str, &str)]| registry.gauge(name, "", labels).get();
+        let drop_rate = |reason| {
+            gauge(
+                "p4guard_drops:rate_1s",
+                &[("shard", "0"), ("reason", reason)],
+            )
+        };
+        let shed_rate = drop_rate("backpressure");
+        let bad = drop_rate("rule_drop") + shed_rate;
+        let total = gauge("p4guard_frames_received:rate_1s", &[("shard", "0")]) + shed_rate;
+        let burn = gauge(
+            "p4guard_slo_burn_fast",
+            &[("slo", "drop-rate"), ("tenant", GLOBAL_TENANT)],
+        );
+        assert!(total > 0.0);
+        assert!(
+            (burn * 0.05 - bad / total).abs() < 1e-9,
+            "burn {burn} vs rates {bad} / {total}"
+        );
     }
 }

@@ -418,9 +418,8 @@ fn escape_help(help: &str) -> String {
 }
 
 /// Escapes a label value for the text exposition format (`\` → `\\`,
-/// `"` → `\"`, newline → `\n`). Shared with the rate renderer so every
-/// label value on the combined `/metrics` body escapes identically.
-pub(crate) fn escape_label(value: &str) -> String {
+/// `"` → `\"`, newline → `\n`).
+fn escape_label(value: &str) -> String {
     value
         .replace('\\', "\\\\")
         .replace('"', "\\\"")

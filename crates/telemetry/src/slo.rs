@@ -1,37 +1,31 @@
-//! Declarative SLOs evaluated from the metrics registry into multi-window
-//! burn-rate gauges.
+//! Declarative SLOs evaluated into multi-window burn-rate gauges.
 //!
 //! An [`SloSpec`] names a bad-event fraction and its error budget; the
-//! [`SloBoard`] snapshots the registry's counters (and latency
-//! histograms), groups them by `tenant` label, and maintains a short ring
-//! of cumulative `(bad, total)` points per `(slo, tenant)`. Each
-//! [`SloBoard::tick`] recomputes the burn rate over a fast (~1 s) and a
-//! slow (~10 s) window — `burn = (Δbad/Δtotal) / budget`, so burn > 1
-//! means the tenant is consuming error budget faster than it accrues —
-//! and publishes them as `p4guard_slo_burn_fast` / `p4guard_slo_burn_slow`
-//! gauges labelled `{slo, tenant}`.
+//! [`SloBoard`] holds the specs and the last burns. The registry's one
+//! sampler ([`RateWindows::tick`](crate::RateWindows::tick)) hands it the
+//! same pair of samples each window's rate gauges come from; the board
+//! groups both samples' counters (and latency buckets) by `tenant` label
+//! and publishes `burn = (Δbad/Δtotal) / budget` over the fast (1 s) and
+//! slow (10 s) window as `p4guard_slo_burn_fast` / `p4guard_slo_burn_slow`
+//! gauges labelled `{slo, tenant}`. Burn > 1 means the tenant is
+//! consuming error budget faster than it accrues.
 
-use crate::registry::Registry;
+use crate::rates::{Sample, WINDOWS};
+use crate::registry::{Labels, Registry};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
-
-/// The fast burn window.
-pub const FAST_WINDOW: Duration = Duration::from_secs(1);
-/// The slow burn window.
-pub const SLOW_WINDOW: Duration = Duration::from_secs(10);
-/// How long `(bad, total)` points are retained.
-const RETAIN: Duration = Duration::from_secs(15);
 
 /// Tenant label assigned to series that carry no `tenant` label (the
-/// single-tenant gateway).
+/// single-tenant gateway, and frames shed at ingest).
 pub const GLOBAL_TENANT: &str = "_all";
 
 /// What counts as a bad event for an SLO.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SloKind {
     /// Bad = dropped frames (`p4guard_drops_total`), total = received
-    /// frames. `budget` is the tolerated drop fraction.
+    /// frames plus frames shed at ingest (`reason="backpressure"`, which
+    /// never reach `p4guard_frames_received_total`), so every bad event
+    /// is also a total event. `budget` is the tolerated drop fraction.
     DropRate {
         /// Tolerated fraction of dropped frames.
         budget: f64,
@@ -74,56 +68,65 @@ impl SloSpec {
             },
         ]
     }
-}
 
-/// Cumulative observation points for one `(slo, tenant)` pair.
-#[derive(Debug, Default)]
-struct SloSeries {
-    points: Vec<(Instant, u64, u64)>,
-}
-
-impl SloSeries {
-    fn push(&mut self, now: Instant, bad: u64, total: u64) {
-        self.points.push((now, bad, total));
-        if let Some(cutoff) = now.checked_sub(RETAIN) {
-            self.points.retain(|(at, _, _)| *at >= cutoff);
+    fn budget(&self) -> f64 {
+        match self.kind {
+            SloKind::DropRate { budget } | SloKind::LatencyAbove { budget, .. } => budget,
         }
     }
 
-    /// Burn over `window`: the bad fraction of the delta between the
-    /// newest point and the oldest point inside the window, over `budget`.
-    fn burn(&self, window: Duration, budget: f64) -> f64 {
-        let Some(&(newest_at, newest_bad, newest_total)) = self.points.last() else {
-            return 0.0;
-        };
-        let start = newest_at.checked_sub(window);
-        let base = start
-            .and_then(|start| {
-                self.points
-                    .iter()
-                    .take_while(|(at, _, _)| *at <= start)
-                    .last()
-            })
-            .or_else(|| self.points.first())
-            .copied();
-        let Some((_, base_bad, base_total)) = base else {
-            return 0.0;
-        };
-        let d_total = newest_total.saturating_sub(base_total);
-        if d_total == 0 || budget <= 0.0 {
-            return 0.0;
+    /// Cumulative `(bad, total)` events per tenant in `sample`.
+    fn events(&self, sample: &Sample) -> BTreeMap<String, (u64, u64)> {
+        let mut out: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+        match self.kind {
+            SloKind::DropRate { .. } => {
+                for (family, labels, value) in &sample.counters {
+                    let (bad, total) = match family.as_str() {
+                        "p4guard_frames_received_total" => (0, *value),
+                        "p4guard_drops_total" => {
+                            let shed = labels
+                                .iter()
+                                .any(|(k, v)| k == "reason" && v == "backpressure");
+                            (*value, if shed { *value } else { 0 })
+                        }
+                        _ => continue,
+                    };
+                    let entry = out.entry(tenant_of(labels)).or_default();
+                    entry.0 += bad;
+                    entry.1 += total;
+                }
+            }
+            SloKind::LatencyAbove {
+                threshold_nanos, ..
+            } => {
+                for (tenant, histogram) in &sample.latency {
+                    let bad = histogram
+                        .buckets()
+                        .filter(|(bound, _)| *bound > threshold_nanos)
+                        .map(|(_, n)| n)
+                        .sum();
+                    out.insert(tenant.clone(), (bad, histogram.count()));
+                }
+            }
         }
-        let d_bad = newest_bad.saturating_sub(base_bad);
-        (d_bad as f64 / d_total as f64) / budget
+        out
     }
 }
 
-/// Evaluates a set of [`SloSpec`]s against a [`Registry`] and publishes
-/// burn-rate gauges back into it.
+/// A series' `tenant` label, or [`GLOBAL_TENANT`] when it has none.
+pub(crate) fn tenant_of(labels: &Labels) -> String {
+    labels
+        .iter()
+        .find(|(k, _)| k == "tenant")
+        .map_or_else(|| GLOBAL_TENANT.to_string(), |(_, v)| v.clone())
+}
+
+/// A set of [`SloSpec`]s and the burns the last tick computed for them.
 #[derive(Debug)]
 pub struct SloBoard {
     specs: Vec<SloSpec>,
-    inner: Mutex<BTreeMap<(usize, String), SloSeries>>,
+    /// `(slo, tenant)` → burn per window (fast, slow).
+    burns: Mutex<BTreeMap<(String, String), [f64; 2]>>,
 }
 
 impl SloBoard {
@@ -131,133 +134,58 @@ impl SloBoard {
     pub fn new(specs: Vec<SloSpec>) -> Self {
         SloBoard {
             specs,
-            inner: Mutex::new(BTreeMap::new()),
+            burns: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// The evaluated specs.
-    pub fn specs(&self) -> &[SloSpec] {
-        &self.specs
-    }
-
-    /// Snapshots the registry, appends one observation point per
-    /// `(slo, tenant)`, and refreshes the burn gauges.
-    pub fn tick(&self, registry: &Registry) {
-        let now = Instant::now();
-        let counters = registry.counter_snapshot();
-        // tenant → (received, dropped) from the counter families.
-        let mut frames: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-        for (family, labels, value) in &counters {
-            let is_received = family == "p4guard_frames_received_total";
-            let is_dropped = family == "p4guard_drops_total";
-            if !is_received && !is_dropped {
-                continue;
-            }
-            let tenant = labels
-                .iter()
-                .find(|(k, _)| k == "tenant")
-                .map(|(_, v)| v.clone())
-                .unwrap_or_else(|| GLOBAL_TENANT.to_string());
-            let entry = frames.entry(tenant).or_default();
-            if is_received {
-                entry.0 += value;
-            } else {
-                entry.1 += value;
-            }
-        }
-        // tenant → (slow, total) latency samples.
-        let mut latency: BTreeMap<String, BTreeMap<u64, (u64, u64)>> = BTreeMap::new();
-        for (family, labels, histogram) in registry.histogram_snapshot() {
-            if family != "p4guard_forward_latency_seconds" {
-                continue;
-            }
-            let tenant = labels
-                .iter()
-                .find(|(k, _)| k == "tenant")
-                .map(|(_, v)| v.clone())
-                .unwrap_or_else(|| GLOBAL_TENANT.to_string());
-            let buckets = latency.entry(tenant).or_default();
-            for (bound, count) in histogram.buckets() {
-                let b = buckets.entry(bound).or_default();
-                b.1 += count;
-            }
-        }
-
-        let mut inner = self.inner.lock();
-        for (spec_idx, spec) in self.specs.iter().enumerate() {
-            let observations: Vec<(String, u64, u64, f64)> = match &spec.kind {
-                SloKind::DropRate { budget } => frames
-                    .iter()
-                    .map(|(tenant, (received, dropped))| {
-                        (tenant.clone(), *dropped, *received, *budget)
-                    })
-                    .collect(),
-                SloKind::LatencyAbove {
-                    threshold_nanos,
-                    budget,
-                } => latency
-                    .iter()
-                    .map(|(tenant, buckets)| {
-                        let total: u64 = buckets.values().map(|(_, n)| n).sum();
-                        let bad: u64 = buckets
-                            .iter()
-                            .filter(|(bound, _)| **bound > *threshold_nanos)
-                            .map(|(_, (_, n))| n)
-                            .sum();
-                        (tenant.clone(), bad, total, *budget)
-                    })
-                    .collect(),
-            };
-            for (tenant, bad, total, budget) in observations {
-                let series = inner.entry((spec_idx, tenant.clone())).or_default();
-                series.push(now, bad, total);
-                let fast = series.burn(FAST_WINDOW, budget);
-                let slow = series.burn(SLOW_WINDOW, budget);
-                let labels: &[(&str, &str)] = &[("slo", &spec.name), ("tenant", &tenant)];
+    /// Sets every `(slo, tenant)`'s burn over window `w` (an index into
+    /// [`WINDOWS`]) from the events between `base` and `newest`, and its
+    /// burn gauge in `registry`.
+    pub(crate) fn evaluate(&self, registry: &Registry, w: usize, base: &Sample, newest: &Sample) {
+        let (_, _, gauge, help) = WINDOWS[w];
+        let mut burns = self.burns.lock();
+        for spec in &self.specs {
+            let budget = spec.budget();
+            let before = spec.events(base);
+            for (tenant, (bad, total)) in spec.events(newest) {
+                let (base_bad, base_total) = before.get(&tenant).copied().unwrap_or_default();
+                let d_total = total.saturating_sub(base_total);
+                let burn = if d_total == 0 || budget <= 0.0 {
+                    0.0
+                } else {
+                    let d_bad = bad.saturating_sub(base_bad);
+                    (d_bad as f64 / d_total as f64) / budget
+                };
                 registry
-                    .gauge(
-                        "p4guard_slo_burn_fast",
-                        "Error-budget burn rate over the fast (1s) window",
-                        labels,
-                    )
-                    .set(fast);
-                registry
-                    .gauge(
-                        "p4guard_slo_burn_slow",
-                        "Error-budget burn rate over the slow (10s) window",
-                        labels,
-                    )
-                    .set(slow);
+                    .gauge(gauge, help, &[("slo", &spec.name), ("tenant", &tenant)])
+                    .set(burn);
+                burns.entry((spec.name.clone(), tenant)).or_default()[w] = burn;
             }
         }
     }
 
     /// The most recent fast-window burn for `(slo, tenant)`, if observed.
     pub fn burn_fast(&self, slo: &str, tenant: &str) -> Option<f64> {
-        self.burn(slo, tenant, FAST_WINDOW)
+        self.burn(slo, tenant, 0)
     }
 
     /// The most recent slow-window burn for `(slo, tenant)`, if observed.
     pub fn burn_slow(&self, slo: &str, tenant: &str) -> Option<f64> {
-        self.burn(slo, tenant, SLOW_WINDOW)
+        self.burn(slo, tenant, 1)
     }
 
-    fn burn(&self, slo: &str, tenant: &str, window: Duration) -> Option<f64> {
-        let (spec_idx, spec) = self.specs.iter().enumerate().find(|(_, s)| s.name == slo)?;
-        let budget = match &spec.kind {
-            SloKind::DropRate { budget } => *budget,
-            SloKind::LatencyAbove { budget, .. } => *budget,
-        };
-        let inner = self.inner.lock();
-        let series = inner.get(&(spec_idx, tenant.to_string()))?;
-        Some(series.burn(window, budget))
+    fn burn(&self, slo: &str, tenant: &str, w: usize) -> Option<f64> {
+        let key = (slo.to_string(), tenant.to_string());
+        self.burns.lock().get(&key).map(|b| b[w])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RateWindows;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn drop_rate_board() -> SloBoard {
         SloBoard::new(vec![SloSpec {
@@ -276,18 +204,19 @@ mod tests {
             &[("tenant", "cams"), ("reason", "rule_drop")],
         );
         let board = drop_rate_board();
+        let rates = RateWindows::new(Arc::clone(&registry));
         received.add(1000);
-        board.tick(&registry);
+        rates.tick(&board);
         // Quiet phase: 1% drops against a 5% budget → burn < 1.
         received.add(1000);
         dropped.add(10);
-        board.tick(&registry);
+        rates.tick(&board);
         let quiet = board.burn_fast("drop-rate", "cams").unwrap();
         assert!(quiet < 1.0, "quiet burn {quiet}");
         // Attack wave: 50% drops → burn 10.
         received.add(1000);
         dropped.add(500);
-        board.tick(&registry);
+        rates.tick(&board);
         let hot = board.burn_fast("drop-rate", "cams").unwrap();
         assert!(hot > 1.0, "attack burn {hot}");
         // Gauges landed in the registry with slo/tenant labels.
@@ -310,8 +239,9 @@ mod tests {
             )
             .add(100);
         let board = drop_rate_board();
-        board.tick(&registry);
-        board.tick(&registry);
+        let rates = RateWindows::new(Arc::clone(&registry));
+        rates.tick(&board);
+        rates.tick(&board);
         // Cumulative baseline from the first tick; no new traffic since →
         // burn 0, but the series exists under "_all".
         assert!(board.burn_fast("drop-rate", GLOBAL_TENANT).is_some());
@@ -328,16 +258,41 @@ mod tests {
                 budget: 0.01,
             },
         }]);
-        board.tick(&registry);
+        let rates = RateWindows::new(Arc::clone(&registry));
+        rates.tick(&board);
         for _ in 0..50 {
             h.observe(Duration::from_micros(10));
         }
         for _ in 0..50 {
             h.observe(Duration::from_millis(20));
         }
-        board.tick(&registry);
+        rates.tick(&board);
         let burn = board.burn_fast("p99-latency", GLOBAL_TENANT).unwrap();
         // Half the samples above 1ms against a 1% budget: burn ≈ 50.
         assert!(burn > 1.0, "latency burn {burn}");
+    }
+
+    #[test]
+    fn shed_frames_count_in_the_drop_rate_total() {
+        let registry = Arc::new(Registry::new());
+        let board = drop_rate_board();
+        let rates = RateWindows::new(Arc::clone(&registry));
+        let received = registry.counter("p4guard_frames_received_total", "", &[("shard", "0")]);
+        let shed = registry.counter(
+            "p4guard_drops_total",
+            "",
+            &[("shard", "0"), ("reason", "backpressure")],
+        );
+        rates.tick(&board);
+        received.add(100);
+        shed.add(300);
+        rates.tick(&board);
+        // 300 bad of 400 offered, not 300 bad of 100 received.
+        let burn = board.burn_fast("drop-rate", GLOBAL_TENANT).unwrap();
+        assert!(
+            (burn * 0.05 - 0.75).abs() < 1e-12,
+            "drop fraction {}",
+            burn * 0.05
+        );
     }
 }

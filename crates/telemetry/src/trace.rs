@@ -126,6 +126,10 @@ struct TraceInner {
     spans: VecDeque<SpanRecord>,
 }
 
+/// Span capacity of the [`TraceStore`] every [`Telemetry`](crate::Telemetry)
+/// bundle carries.
+pub const TRACE_CAPACITY: usize = 4096;
+
 /// Bounded ring of completed spans shared by the shard sinks, the control
 /// plane, and the `/traces` endpoint.
 pub struct TraceStore {
