@@ -11,7 +11,7 @@
 //! | match kind          | engine                        | per-lookup cost                   |
 //! |---------------------|-------------------------------|-----------------------------------|
 //! | exact               | hash index on the key bytes   | O(1)                              |
-//! | ternary, range, LPM | per-byte bit-vector intersect | O(width × live steps), early-exit |
+//! | ternary, range, LPM | per-byte bit-vector intersect | O(kept × live words), early-exit  |
 //!
 //! Ternary, range and LPM entries are all conjunctions of per-byte
 //! predicates — a prefix fixes the leading bits of the bytes it covers, and
@@ -20,10 +20,12 @@
 //! bitmap of entries that accept it at that position, the bitmaps are
 //! ANDed 64 entries per word — a TCAM's parallel compare done in software
 //! (Lakshman & Stiliadis, SIGCOMM '98) — and the lowest set bit is the
-//! first match in priority order. A bitmap longer than one probe step
-//! carries a summary of which steps hold any bit at all, and the probe
-//! ANDs the summaries first and visits only the steps left standing
-//! (Baboescu & Varghese's aggregated bit vector, SIGCOMM '01).
+//! first match in priority order. A key reads each position's class once,
+//! into the offsets of the rows it selects. A bitmap of more than four
+//! words (256 entries) carries a summary, one bit per word telling
+//! whether it holds any bit at all, and the probe ANDs the summaries first
+//! and visits only the words left standing (Baboescu & Varghese's
+//! aggregated bit vector, SIGCOMM '01).
 //!
 //! Semantics are pinned to [`Table::peek`]: the winning entry is the first
 //! match in priority order (insertion order among equal priorities), and a
@@ -80,25 +82,19 @@ struct BitVector {
     /// entries, and one (all zero) for an empty table, so every probe has
     /// a word to AND.
     words: usize,
-    /// u64 summary words at the head of every row: one bit per
-    /// [`PROBE_CHUNK`]-word step of the row's entry bits, and none at all
-    /// when the row is a single step — there is nothing to skip.
+    /// u64 summary words at the head of every row: one bit per entry word,
+    /// `ceil(words / 64)` of them, and none at all when the row has at
+    /// most [`UNSUMMARISED`] entry words — the probe walks those all.
     summary: usize,
-    /// `class[i * 256 + byte]` → the row in `rows` for the class `byte`
-    /// belongs to at key position `positions[i]`: its word offset when
-    /// rows carry no summary (at most 256 rows of 4 words a position — the
-    /// probe adds to it and nothing else), its index in rows of `summary +
-    /// words` words when they do (at most 256 rows a position whatever the
-    /// entry count, where a word offset outgrows `u32` on a table large
-    /// enough; the probe scales it in `usize`). Either fits `u32` by
-    /// construction (a key of 2²² bytes would be the first to need more).
+    /// `class[i * 256 + byte]` → the word offset in `rows` of the row for
+    /// the class `byte` belongs to at key position `positions[i]`. A probe
+    /// reads it once per key and kept position and adds the word it wants.
     class: Vec<u32>,
     /// Every row of every kept position, back to back: `summary` summary
     /// words, then `words` words of entry bits. Bit `r % 64` of entry word
     /// `r / 64` is set when the entry of rank `r` accepts the row's class;
-    /// bits past the last rank are zero. Bit `k % 64` of summary word
-    /// `k / 64` is set when any of the row's entry words `k * PROBE_CHUNK`
-    /// to `k * PROBE_CHUNK + PROBE_CHUNK - 1` is non-zero.
+    /// bits past the last rank are zero. Bit `w % 64` of summary word
+    /// `w / 64` is set when entry word `w` is non-zero.
     rows: Vec<u64>,
     /// Action by rank.
     actions: Vec<Action>,
@@ -564,12 +560,13 @@ impl Fill {
 }
 
 /// Sets a row's summary words (its first `summary`) from its entry words,
-/// one summary word (64 steps) at a time; a single-step row has none.
+/// one bit per entry word; a row of at most [`UNSUMMARISED`] words has
+/// none.
 fn summarise_row(row: &mut [u64], summary: usize) {
     let (head, bits) = row.split_at_mut(summary);
-    for (head, span) in head.iter_mut().zip(bits.chunks(64 * PROBE_CHUNK)) {
-        for (k, step) in span.chunks(PROBE_CHUNK).enumerate() {
-            *head |= u64::from(step.iter().any(|&w| w != 0)) << k;
+    for (head, span) in head.iter_mut().zip(bits.chunks(64)) {
+        for (k, &word) in span.iter().enumerate() {
+            *head |= u64::from(word != 0) << k;
         }
     }
 }
@@ -585,11 +582,14 @@ impl BitVector {
     /// `width` bytes, with no key position yet.
     fn empty(actions: Vec<Action>, width: usize) -> BitVector {
         let words = actions.len().div_ceil(64).max(1);
-        let steps = words.div_ceil(PROBE_CHUNK);
         BitVector {
             positions: Vec::with_capacity(width),
             words,
-            summary: if steps > 1 { steps.div_ceil(64) } else { 0 },
+            summary: if words > UNSUMMARISED {
+                words.div_ceil(64)
+            } else {
+                0
+            },
             class: Vec::with_capacity(width * 256),
             rows: Vec::new(),
             actions,
@@ -610,18 +610,10 @@ impl BitVector {
         let stride = self.stride();
         let base = self.rows.len();
         self.rows.resize(base + classes.count() * stride, 0);
-        // Word offsets for summary-less rows, row indices otherwise.
-        let (first, scale) = if self.summary == 0 {
-            (base, stride)
-        } else {
-            (base / stride, 1)
-        };
-        self.class.extend(
-            classes
-                .of
-                .iter()
-                .map(|&of| (first + usize::from(of) * scale) as u32),
-        );
+        // Every word offset fits `u32` while the rows do (2^32 words).
+        u32::try_from(self.rows.len()).expect("rows under 2^32 words");
+        let offset = |of: &u8| (base + usize::from(*of) * stride) as u32;
+        self.class.extend(classes.of.iter().map(offset));
         self.partitions.push(Partition {
             of: classes.of,
             count: classes.count(),
@@ -1014,10 +1006,11 @@ impl CompiledTable {
         let mut rows = Vec::with_capacity(self.key.width() * 256);
         for pos in 0..self.key.width() {
             match index.positions.iter().position(|&at| at == pos) {
-                Some(i) => rows.extend(index.class[i * 256..][..256].iter().map(|&of| {
-                    let at = of as usize * if index.summary == 0 { 1 } else { stride };
-                    index.rows[at..at + stride].to_vec()
-                })),
+                Some(i) => rows.extend(
+                    index.class[i * 256..][..256]
+                        .iter()
+                        .map(|&at| index.rows[at as usize..at as usize + stride].to_vec()),
+                ),
                 None => rows.extend(std::iter::repeat_n(&every, 256).cloned()),
             }
         }
@@ -1050,42 +1043,33 @@ impl CompiledTable {
 
     /// Looks up `key`, returning the selected action (the default on miss).
     ///
-    /// `probe` is a caller-owned scratch buffer the bit-vector engine
-    /// copies a key's constrained bytes into; it must be at least as long
-    /// as the key width. Semantics are identical
-    /// to [`Table::peek`] on the source table, including wrong-width keys
-    /// missing to the default action.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `probe` is shorter than the key width.
+    /// Semantics are identical to [`Table::peek`] on the source table,
+    /// including wrong-width keys missing to the default action. `_probe`
+    /// is not read: a probe keeps its per-key state on the stack, and the
+    /// parameter stays so callers that hold a probe buffer compile as
+    /// they are.
     #[inline]
-    pub fn lookup(&self, key: &[u8], probe: &mut [u8]) -> Action {
-        self.lookup_traced(key, probe).0
+    pub fn lookup(&self, key: &[u8], _probe: &mut [u8]) -> Action {
+        self.lookup_traced(key, &mut []).0
     }
 
     /// [`CompiledTable::lookup`] plus a [`LookupOutcome`] telling telemetry
     /// whether an entry matched (and its [`Rank`]), the lookup missed to
     /// the default, or the key width was wrong. The action returned is
     /// identical to the untraced lookup; the outcome is dead code the
-    /// optimizer erases when a caller ignores it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `probe` is shorter than the key width.
+    /// optimizer erases when a caller ignores it. `_probe` is not read.
     #[inline]
-    pub fn lookup_traced(&self, key: &[u8], probe: &mut [u8]) -> (Action, LookupOutcome) {
+    pub fn lookup_traced(&self, key: &[u8], _probe: &mut [u8]) -> (Action, LookupOutcome) {
         let width = self.key.width();
         if key.len() != width {
             return (self.default_action, LookupOutcome::WrongWidth);
         }
-        assert!(probe.len() >= width, "probe buffer shorter than key");
         let miss = (self.default_action, LookupOutcome::Miss);
         match &self.engine {
             Engine::ExactHash(map) => probe_exact(map, key, miss),
             Engine::BitVector(index) => {
                 let mut out = [miss];
-                probe_batch(index, key, width, probe, miss, &mut out);
+                probe_batch(index, key, width, miss, &mut out);
                 out[0]
             }
         }
@@ -1100,17 +1084,16 @@ impl CompiledTable {
     ///
     /// A `stride` different from the compiled key width reports
     /// [`LookupOutcome::WrongWidth`] for every key, mirroring the
-    /// wrong-width miss of the single-key path.
+    /// wrong-width miss of the single-key path. `_probe` is not read.
     ///
     /// # Panics
     ///
-    /// Panics if `keys` is shorter than `out.len() * stride` or `probe` is
-    /// shorter than the key width.
+    /// Panics if `keys` is shorter than `out.len() * stride`.
     pub fn lookup_batch(
         &self,
         keys: &[u8],
         stride: usize,
-        probe: &mut [u8],
+        _probe: &mut [u8],
         out: &mut [(Action, LookupOutcome)],
     ) {
         let width = self.key.width();
@@ -1122,16 +1105,14 @@ impl CompiledTable {
             out.fill((self.default_action, LookupOutcome::WrongWidth));
             return;
         }
-        assert!(probe.len() >= width, "probe buffer shorter than key");
         let miss = (self.default_action, LookupOutcome::Miss);
-        let key_at = |j: usize| &keys[j * stride..j * stride + width];
         match &self.engine {
             Engine::ExactHash(map) => {
                 for (j, o) in out.iter_mut().enumerate() {
-                    *o = probe_exact(map, key_at(j), miss);
+                    *o = probe_exact(map, &keys[j * stride..][..width], miss);
                 }
             }
-            Engine::BitVector(index) => probe_batch(index, keys, stride, probe, miss, out),
+            Engine::BitVector(index) => probe_batch(index, keys, width, miss, out),
         }
     }
 
@@ -1147,158 +1128,174 @@ impl CompiledTable {
 // batched lookup paths so their semantics cannot drift apart.
 
 #[inline]
-fn probe_exact(
-    map: &HashMap<Vec<u8>, (Rank, Action)>,
-    key: &[u8],
-    miss: (Action, LookupOutcome),
-) -> (Action, LookupOutcome) {
+fn probe_exact(map: &HashMap<Vec<u8>, (Rank, Action)>, key: &[u8], miss: Probed) -> Probed {
     map.get(key)
         .map_or(miss, |&(rank, action)| (action, LookupOutcome::Hit(rank)))
 }
 
-/// Row words ANDed per step of a bit-vector probe: wide enough for the
-/// compiler to keep the step in vector registers, narrow enough that a hit
-/// among the first ranks stops early.
-const PROBE_CHUNK: usize = 4;
+/// Entry words a row may have and carry no summary: a table of up to 256
+/// ranks, whose probe walks its words in turn, as many as it takes.
+const UNSUMMARISED: usize = 4;
 
-/// The bit-vector probe of `out.len()` keys of the matrix through
-/// [`probe_bit_vector`] — of one key, too, for the single-key lookup.
-///
-/// The loop shape is chosen once per call. The probe reads the first
-/// `positions.len()` bytes of the key it is given, so when the kept
-/// positions are a prefix of the key — every position, on a table no entry
-/// leaves a byte free — each key is probed in place; otherwise each key's
-/// bytes at the kept positions are first copied into `selected` (the
-/// caller's probe buffer), and the probe reads those. Indexing the key
-/// through the position list inside the probe instead would put that
-/// indirection on every table's every row load.
-#[inline]
-fn probe_batch(
-    index: &BitVector,
-    keys: &[u8],
-    width: usize,
-    selected: &mut [u8],
-    miss: (Action, LookupOutcome),
-    out: &mut [(Action, LookupOutcome)],
-) {
-    if index.positions.iter().enumerate().all(|(i, &pos)| i == pos) {
-        probe_in_place(index, keys, width, miss, out);
-    } else {
-        probe_selected(index, keys, width, selected, miss, out);
-    }
-}
+/// Kept positions whose row offsets a probe holds on the stack. A key
+/// keeping more (none here: learned keys keep 5 or 6 of their 8 bytes)
+/// walks with the first `HELD`, and ANDs in the rest, read from the class
+/// map, only where it checks an entry word for a match (see
+/// [`BitVector::rest`]); summary words only prune, so they skip them.
+const HELD: usize = 64;
 
-/// [`probe_batch`] of keys whose kept positions lead. Each loop shape is a
-/// function of its own, out of line: inlined beside the hash engine's
-/// loop, or beside the other shape, the probe's three shapes spill
-/// registers in the per-key loop: a 13-row table paid a third of its
-/// lookup time for it beside the hash loops, and 2 ns a key (+28 %)
-/// beside the other shape.
+/// What one key's lookup answers.
+type Probed = (Action, LookupOutcome);
+
+/// The bit-vector probe of every key of the matrix, `width` bytes apart —
+/// of one key, too, for the single-key lookup. A key's byte at each kept
+/// position is read in place when the kept positions are one run of the
+/// key (see [`BitVector::run`]), through the position list otherwise: one
+/// probe loop, compiled once per way of reading, because the position list
+/// read per key costs a table that keeps every byte (`gw_small`'s) an
+/// eighth of its lookup time.
 #[inline(never)]
-fn probe_in_place(
-    index: &BitVector,
-    keys: &[u8],
-    width: usize,
-    miss: (Action, LookupOutcome),
-    out: &mut [(Action, LookupOutcome)],
-) {
-    for (key, o) in keys.chunks_exact(width).zip(out) {
-        *o = probe_bit_vector(index, key, miss);
+fn probe_batch(index: &BitVector, keys: &[u8], width: usize, miss: Probed, out: &mut [Probed]) {
+    let kept = index.positions.len().min(HELD);
+    match index.run() {
+        Some(first) => probe_keys(index, keys, width, miss, out, |key| {
+            key[first..first + kept].iter().copied()
+        }),
+        None => probe_keys(index, keys, width, miss, out, |key| {
+            index.positions.iter().map(move |&pos| key[pos])
+        }),
     }
 }
 
-/// [`probe_batch`] of keys whose kept positions are scattered: each key's
-/// kept bytes are copied into `selected` and probed there.
+/// [`probe_key`] of every key, `bytes` giving each key's bytes at its
+/// first [`HELD`] kept positions. Out of line: inlined beside the hash
+/// engine's loop, the probe spills registers in the per-key loop (a
+/// 13-row table paid a third of its lookup time for it).
 #[inline(never)]
-fn probe_selected(
+fn probe_keys<'k, I: Iterator<Item = u8>>(
     index: &BitVector,
-    keys: &[u8],
+    keys: &'k [u8],
     width: usize,
-    selected: &mut [u8],
-    miss: (Action, LookupOutcome),
-    out: &mut [(Action, LookupOutcome)],
+    miss: Probed,
+    out: &mut [Probed],
+    bytes: impl Fn(&'k [u8]) -> I,
 ) {
-    let selected = &mut selected[..index.positions.len()];
+    let mut at = [0; HELD];
     for (key, o) in keys.chunks_exact(width).zip(out) {
-        for (byte, &pos) in selected.iter_mut().zip(&index.positions) {
-            *byte = key[pos];
-        }
-        *o = probe_bit_vector(index, selected, miss);
+        *o = probe_key(index, key, bytes(key), &mut at, miss);
     }
 }
 
-// Forced inline: the batched loop resolves `index`'s shape once per batch
+/// The probe of one key. Each kept position's class is read once, into the
+/// word offset of the row the key selects there, while word 0 of every
+/// selected row is ANDed; the rest of the walk reuses the offsets. A row of
+/// at most [`UNSUMMARISED`] words is walked word by word, as far as it
+/// takes. Otherwise word 0 is the first summary word, and only the entry
+/// words whose bit survives the AND of the selected rows' summaries are
+/// walked, lowest first (a word whose bit is clear is all zero in some
+/// selected row, so nothing there can match), a second summary word only
+/// once the first one's words all came up empty. The first non-zero AND of
+/// entry words ends the walk: `rank = word * 64 + trailing_zeros` is the
+/// first match in priority order, since rank *is* the frozen match order.
+// Forced inline: the per-key loop resolves `index`'s shape once per batch
 // only if the probe is part of its body (out of line it is a call per key).
 #[inline(always)]
-fn probe_bit_vector(
+fn probe_key(
     index: &BitVector,
     key: &[u8],
-    miss: (Action, LookupOutcome),
-) -> (Action, LookupOutcome) {
-    if index.words < PROBE_CHUNK {
-        // A row shorter than one wide step is walked a word at a time; a
-        // table of up to 64 entries is a single narrow step.
-        for step in 0..index.words {
-            if let Some(hit) = walk_rows::<1>(index, key, 1, step) {
-                return hit;
+    bytes: impl Iterator<Item = u8>,
+    at: &mut [usize; HELD],
+    miss: Probed,
+) -> Probed {
+    let summary = index.summary;
+    let mut live = select(index, bytes, at);
+    if summary == 0 {
+        for word in 0..index.words {
+            if word > 0 {
+                live = walk_rows(index, at, word);
+            }
+            let bits = live & index.rest(key, word);
+            if bits != 0 {
+                return index.hit(word, bits);
             }
         }
-    } else if index.summary == 0 {
-        if let Some(hit) = walk_rows::<PROBE_CHUNK>(index, key, 1, 0) {
-            return hit;
+        return miss;
+    }
+    for head in 0..summary {
+        if head > 0 {
+            live = walk_rows(index, at, head);
         }
-    } else {
-        // A match can only sit in a step where every selected row holds a
-        // bit: AND the summaries, one word (64 steps) at a time and only
-        // as far as the probe gets, and walk the steps left standing,
-        // lowest first.
-        let stride = index.summary + index.words;
-        for word in 0..index.summary {
-            let mut live = u64::MAX;
-            for (class, &byte) in index.class.chunks_exact(256).zip(key) {
-                live &= index.rows[class[usize::from(byte)] as usize * stride + word];
+        while live != 0 {
+            let word = head * 64 + live.trailing_zeros() as usize;
+            let bits = walk_rows(index, at, summary + word) & index.rest(key, summary + word);
+            if bits != 0 {
+                return index.hit(word, bits);
             }
-            while live != 0 {
-                let step = word * 64 + live.trailing_zeros() as usize;
-                if let Some(hit) = walk_rows::<PROBE_CHUNK>(index, key, stride, step) {
-                    return hit;
-                }
-                live &= live - 1;
-            }
+            live &= live - 1;
         }
     }
     miss
 }
 
-/// One step of the probe, `N` words wide (`N <= index.words`): AND entry
-/// words `step * N..` `+ N` of the row `key` selects at every kept
-/// position (`key` starts with the bytes at `index.positions`) —
-/// the class map's entry times `scale` words into `rows`: 1 when the map
-/// holds offsets, the row length when it holds indices. The lowest bit
-/// left standing, if any, is the winner — provided every earlier step came
-/// up empty or was ruled out by the summaries.
+/// Reads the class of each of `bytes` — a key's bytes at its first
+/// [`HELD`] kept positions — into the word offset in `at` of the row it
+/// selects, and returns word 0 of those rows, ANDed.
 #[inline(always)]
-fn walk_rows<const N: usize>(
-    index: &BitVector,
-    key: &[u8],
-    scale: usize,
-    step: usize,
-) -> Option<(Action, LookupOutcome)> {
-    // The last step is pulled back to end on the last word. The words it
-    // sees again belong to the step before, which either was walked and
-    // ANDed to zero or was ruled out because some selected row is all zero
-    // there, so the lowest set bit is still the first match.
-    let at = (step * N).min(index.words - N);
-    let mut acc = [u64::MAX; N];
-    for (class, &byte) in index.class.chunks_exact(256).zip(key) {
-        let row = class[usize::from(byte)] as usize * scale + index.summary + at;
-        for (acc, &word) in acc.iter_mut().zip(&index.rows[row..row + N]) {
-            *acc &= word;
+fn select(index: &BitVector, bytes: impl Iterator<Item = u8>, at: &mut [usize; HELD]) -> u64 {
+    let mut acc = u64::MAX;
+    for ((at, byte), class) in at.iter_mut().zip(bytes).zip(index.class.chunks_exact(256)) {
+        let row = class[usize::from(byte)] as usize;
+        // Rows of one word and no summary are never read again.
+        if index.stride() > 1 {
+            *at = row;
         }
+        acc &= index.rows[row];
     }
-    let word = acc.iter().position(|&w| w != 0)?;
-    let rank = (at + word) * 64 + acc[word].trailing_zeros() as usize;
-    Some((index.actions[rank], LookupOutcome::Hit(rank as Rank)))
+    acc
+}
+
+/// One step of the probe: word `word` of the rows the key selects at its
+/// first [`HELD`] kept positions, ANDed — a summary word or an entry word,
+/// by where `word` falls in the row — through their offsets in `at`.
+#[inline(always)]
+fn walk_rows(index: &BitVector, at: &[usize; HELD], word: usize) -> u64 {
+    let held = &at[..index.positions.len().min(HELD)];
+    held.iter()
+        .fold(u64::MAX, |acc, &row| acc & index.rows[row + word])
+}
+
+impl BitVector {
+    /// The first kept position when the kept positions are one run of the
+    /// key — every position, on a table no entry leaves a byte free, or
+    /// positions 0–4 of a learned tree's eight — and `None` when they are
+    /// scattered.
+    fn run(&self) -> Option<usize> {
+        let (&first, &last) = (self.positions.first()?, self.positions.last()?);
+        (last - first + 1 == self.positions.len()).then_some(first)
+    }
+
+    /// The first match in entry word `word`, whose bits the probe left
+    /// standing are `bits` (not zero).
+    #[inline(always)]
+    fn hit(&self, word: usize, bits: u64) -> Probed {
+        let rank = word * 64 + bits.trailing_zeros() as usize;
+        (self.actions[rank], LookupOutcome::Hit(rank as Rank))
+    }
+
+    /// Word `word` of the rows `key` selects at the kept positions past the
+    /// first [`HELD`], ANDed (all ones when there are none): read from the
+    /// class map, for each entry word a probe checks for a match.
+    #[inline(always)]
+    fn rest(&self, key: &[u8], word: usize) -> u64 {
+        let mut acc = u64::MAX;
+        if self.positions.len() > HELD {
+            let classes = self.class[HELD * 256..].chunks_exact(256);
+            for (&pos, class) in self.positions[HELD..].iter().zip(classes) {
+                acc &= self.rows[class[usize::from(key[pos])] as usize + word];
+            }
+        }
+        acc
+    }
 }
 
 #[cfg(test)]
@@ -1907,8 +1904,7 @@ mod tests {
     fn per_entry_fill(entries: &[MinEntry], width: usize) -> BitVector {
         let n = entries.len();
         let words = n.div_ceil(64).max(1);
-        let steps = words.div_ceil(PROBE_CHUNK);
-        let summary = if steps > 1 { steps.div_ceil(64) } else { 0 };
+        let summary = if words > 4 { words.div_ceil(64) } else { 0 };
         let stride = summary + words;
         // Position-major copy of what each entry accepts, so the passes
         // below run over contiguous columns instead of chasing every
@@ -1948,17 +1944,11 @@ mod tests {
 
             let base = rows.len();
             rows.resize(base + classes.count() * stride, 0);
-            // Word offsets for summary-less rows, row indices otherwise.
-            let (first, scale) = if summary == 0 {
-                (base, stride)
-            } else {
-                (base / stride, 1)
-            };
             class.extend(
                 classes
                     .of
                     .iter()
-                    .map(|&of| (first + usize::from(of) * scale) as u32),
+                    .map(|&of| (base + usize::from(of) * stride) as u32),
             );
 
             // Each entry's bit goes into the rows of the classes it accepts
@@ -1994,16 +1984,16 @@ mod tests {
                     }
                 }
             }
-            // The same pass summarises each finished row, one summary word
-            // (64 steps) at a time; a single-step row has none to fill.
+            // The same pass summarises each finished row, one bit per entry
+            // word; a row of at most four words has none to fill.
             for row in rows.chunks_exact_mut(stride) {
                 let (head, bits) = row.split_at_mut(summary);
                 for (word, &any) in bits.iter_mut().zip(&any) {
                     *word |= any;
                 }
-                for (head, span) in head.iter_mut().zip(bits.chunks(64 * PROBE_CHUNK)) {
-                    for (k, step) in span.chunks(PROBE_CHUNK).enumerate() {
-                        *head |= u64::from(step.iter().any(|&w| w != 0)) << k;
+                for (w, &word) in bits.iter().enumerate() {
+                    if word != 0 && summary > 0 {
+                        head[w / 64] |= 1 << (w % 64);
                     }
                 }
             }

@@ -158,12 +158,12 @@ impl ReadPipeline {
         &self.stages
     }
 
-    /// The scratch length [`ReadPipeline::process_into`] needs: key plus
-    /// probe halves (the probe holds a key's constrained bytes), both sized
-    /// to the widest stage key. Callers may pre-size their scratch to this
-    /// to avoid even the first-packet resize.
+    /// The scratch length [`ReadPipeline::process_into`] needs: one key of
+    /// the widest stage's width (a lookup keeps its probe state on the
+    /// stack). Callers may pre-size their scratch to this to avoid even the
+    /// first-packet resize.
     pub fn scratch_len(&self) -> usize {
-        self.max_key_width * 2
+        self.max_key_width
     }
 
     /// Processes one frame to a verdict, accumulating into `counters` —
@@ -201,18 +201,17 @@ impl ReadPipeline {
         if !self.parser.accepts(frame) {
             return vote::parser_reject(frame, counters, sink);
         }
-        if scratch.len() < self.max_key_width * 2 {
-            scratch.resize(self.max_key_width * 2, 0);
+        if scratch.len() < self.max_key_width {
+            scratch.resize(self.max_key_width, 0);
         }
-        let (key_buf, probe) = scratch.split_at_mut(self.max_key_width);
         let combine = Combine::of(self.vote);
         let mut tally = Tally::new(self.default_port);
         for (stage, table) in self.stages.iter().enumerate() {
             let width = table.key().width();
             if !self.reuses_key(stage) {
-                table.key().build_key_into(frame, &mut key_buf[..width]);
+                table.key().build_key_into(frame, &mut scratch[..width]);
             }
-            let (action, outcome) = table.lookup_traced(&key_buf[..width], probe);
+            let (action, outcome) = table.lookup_traced(&scratch[..width], &mut []);
             Combine::count_lookups(counters, stage, std::iter::once(outcome));
             if combine.stage(stage, action, outcome, &mut tally, counters) {
                 break;
@@ -254,7 +253,7 @@ impl ReadPipeline {
     ) {
         let n = spans.len();
         counters.received += n as u64;
-        scratch.reset(n, self.max_key_width, self.default_port);
+        scratch.reset(n, self.default_port);
         let combine = Combine::of(self.vote);
         let frame_of = |s: &FrameSpan| &data[s.offset as usize..s.end()];
         // One clock read per stage boundary, and none at all unless the
@@ -305,7 +304,7 @@ impl ReadPipeline {
                 (Action::NoOp, LookupOutcome::Miss),
             );
             let lookups = &mut scratch.lookups[..alive_len];
-            table.lookup_batch(&scratch.keys, width, &mut scratch.probe, lookups);
+            table.lookup_batch(&scratch.keys, width, &mut [], lookups);
             lap(
                 &mut stamp,
                 sink,
@@ -400,9 +399,6 @@ pub struct BatchScratch {
     /// Contiguous key matrix: a row of the current stage's key width per
     /// alive frame (rows past `alive.len()` are stale).
     keys: Vec<u8>,
-    /// Probe buffer shared by all lookups (max key width): where the
-    /// bit-vector engine copies a key's constrained bytes.
-    probe: Vec<u8>,
     /// Per-alive-frame lookup results for the current stage (slots past
     /// the stage's alive count are stale).
     lookups: Vec<(Action, LookupOutcome)>,
@@ -441,7 +437,7 @@ impl BatchScratch {
         self.keys_built
     }
 
-    fn reset(&mut self, n: usize, max_key_width: usize, default_port: u16) {
+    fn reset(&mut self, n: usize, default_port: u16) {
         self.alive.clear();
         self.alive.reserve(n);
         self.parsed.clear();
@@ -450,7 +446,6 @@ impl BatchScratch {
         self.tally.resize(n, Tally::new(default_port));
         self.exited = 0;
         self.keys_built = 0;
-        grow(&mut self.probe, max_key_width, 0);
     }
 }
 
@@ -544,8 +539,8 @@ mod tests {
         let pipeline = sw.read_pipeline(1);
         assert_eq!(pipeline.stages().len(), 1);
         assert_eq!(pipeline.stages()[0].strategy(), "bit-vector");
-        // Key width 2 → one key half + one probe half.
-        assert_eq!(pipeline.scratch_len(), 4);
+        // Key width 2 → one key of two bytes.
+        assert_eq!(pipeline.scratch_len(), 2);
         // A pre-sized scratch is never regrown by the hot path.
         let mut counters = SwitchCounters::default();
         let mut scratch = vec![0u8; pipeline.scratch_len()];

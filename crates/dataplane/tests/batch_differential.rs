@@ -7,7 +7,8 @@
 //! frame-order verdict report stream as calling `process_with` once per
 //! frame. A fixed case beside it walks stages whose key layouts repeat —
 //! the two compiled walkers gather a key once per run of equal layouts —
-//! against the mutable switch, which gathers at every stage.
+//! against the mutable switch, which gathers at every stage, and another
+//! walks stages at a learned guard's scale, whose rows carry a summary.
 
 use p4guard_dataplane::action::{Action, Verdict};
 use p4guard_dataplane::key::KeyLayout;
@@ -17,6 +18,7 @@ use p4guard_dataplane::switch::{Switch, SwitchCounters};
 use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
 use p4guard_dataplane::vote::{EarlyExit, VoteStage};
 use p4guard_packet::arena::FrameArena;
+use p4guard_rules::ternary::range_to_prefixes;
 use p4guard_telemetry::{FrameSampler, TelemetrySink, VerdictKind};
 use proptest::collection;
 use proptest::prelude::*;
@@ -334,6 +336,231 @@ fn runs_of_equal_layouts_gather_one_key() {
         if vote == Some(VoteStage::majority()) {
             let parsed = batch_counters.received - batch_counters.parser_rejected;
             assert_eq!(batch_scratch.keys_built(), parsed * 3);
+        }
+    }
+}
+
+/// Deterministic byte stream (xorshift), so failures reproduce.
+fn stream(mut state: u64) -> impl FnMut() -> u8 {
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 24) as u8
+    }
+}
+
+/// Leaf boxes of a decision tree over the key bytes at `kept`: the byte
+/// space is cut `depth` times, level by level, each level on the next kept
+/// position at a multiple of 32 drawn from `next` (every kept position is
+/// cut somewhere, no other ever is). A box is, per kept position, the
+/// inclusive byte range it spans.
+fn leaf_boxes(kept: &[usize], depth: usize, next: &mut impl FnMut() -> u8) -> Vec<Vec<(u8, u8)>> {
+    let mut boxes = vec![vec![(0u8, 255u8); kept.len()]];
+    for level in 0..depth {
+        let at = level % kept.len();
+        boxes = boxes
+            .into_iter()
+            .flat_map(|leaf| {
+                let (lo, hi) = leaf[at];
+                let cuts: Vec<u8> = (1..8u8)
+                    .map(|k| k * 32)
+                    .filter(|&c| c > lo && c <= hi)
+                    .collect();
+                if cuts.is_empty() {
+                    return vec![leaf];
+                }
+                let cut = cuts[usize::from(next()) % cuts.len()];
+                let (mut low, mut high) = (leaf.clone(), leaf);
+                low[at].1 = cut - 1;
+                high[at].0 = cut;
+                vec![low, high]
+            })
+            .collect();
+    }
+    boxes
+}
+
+/// Installs `boxes` into a ternary table over an 8-byte window, each box
+/// lowered to the cross product of its per-position prefix covers under a
+/// priority of its own (so no two boxes' rows merge, and minimization,
+/// over disjoint boxes, keeps every row in match order). `action` picks a
+/// box's action, `None` leaves it out.
+fn stage_of(
+    kept: &[usize],
+    boxes: &[Vec<(u8, u8)>],
+    action: impl Fn(usize) -> Option<Action>,
+) -> Table {
+    let mut table = Table::new(
+        "learned",
+        MatchKind::Ternary,
+        KeyLayout::window(8),
+        1 << 16,
+        Action::NoOp,
+    );
+    for (j, leaf) in boxes.iter().enumerate() {
+        let Some(action) = action(j) else { continue };
+        let mut rows = vec![(vec![0u8; 8], vec![0u8; 8])];
+        for (&pos, &(lo, hi)) in kept.iter().zip(leaf) {
+            rows = rows
+                .iter()
+                .flat_map(|(value, mask)| {
+                    range_to_prefixes(lo, hi).into_iter().map(move |p| {
+                        let (mut value, mut mask) = (value.clone(), mask.clone());
+                        (value[pos], mask[pos]) = (p.value, p.mask);
+                        (value, mask)
+                    })
+                })
+                .collect();
+        }
+        for (value, mask) in rows {
+            table
+                .insert(MatchSpec::Ternary { value, mask }, action, -(j as i32))
+                .unwrap();
+        }
+    }
+    table
+}
+
+/// The `(stage, rank)` the walkers report for `frame`, re-derived from the
+/// mutable switch's own scans: the last stage that hit before the walk
+/// stopped — at a drop under first-hit, once the vote is decided under a
+/// vote.
+fn scan_matched(sw: &Switch, frame: &[u8], vote: Option<VoteStage>) -> Option<(usize, u32)> {
+    if frame.len() < 8 {
+        return None;
+    }
+    let (mut attack, mut benign, mut matched) = (0, 0, None);
+    for stage in 0..sw.stage_count() {
+        let table = sw.stage(stage);
+        let (action, rank) = table.lookup_traced(&table.key().build_key(frame));
+        match rank {
+            Some(rank) => (attack, matched) = (attack + 1, Some((stage, rank))),
+            None => benign += 1,
+        }
+        let stop = match vote {
+            None => action == Action::Drop,
+            Some(v) => v.early_exit.is_some_and(|e| e.decided(attack, benign)),
+        };
+        if stop {
+            break;
+        }
+    }
+    matched
+}
+
+/// Stages at a learned guard's scale: leaf boxes lowered to prefix cross
+/// products over an 8-byte key, several hundred rows a stage, so every
+/// table's rows carry a summary and a key walks only the words its boxes
+/// sit in. A first-hit pipeline of two stages (drops, counts, forwards and
+/// no-ops) and a five-stage vote under `EarlyExit::sound_majority(5)`
+/// (trees that hold only their attack leaves, so a miss is a benign vote),
+/// each with the kept positions a prefix of the key and scattered as
+/// `loop_churn`'s are: the batched walker, the per-frame walker and
+/// `Switch::process` agree on every verdict, on the counter block and on
+/// the `(stage, rank)` each frame matched.
+#[test]
+fn learned_scale_stages_on_the_batched_and_vote_paths() {
+    for kept in [&[0, 1, 2, 3, 4][..], &[0, 1, 2, 3, 4, 6]] {
+        let mut next = stream(0x9e37_79b9_7f4a_7c15 ^ kept.len() as u64);
+        for vote in [
+            None,
+            Some(VoteStage::with_early_exit(EarlyExit::sound_majority(5))),
+        ] {
+            let mut sw = Switch::new("learned", ParserSpec::raw_window(8, 8), 9);
+            let mut frames: Vec<Vec<u8>> = Vec::new();
+            for _ in 0..if vote.is_some() { 5 } else { 2 } {
+                let boxes = leaf_boxes(kept, 7, &mut next);
+                let table = stage_of(kept, &boxes, |j| match (vote, j % 5) {
+                    (None, 0 | 3) => Some(Action::Drop),
+                    (None, 1) => Some(Action::Count(j as u32 % 3)),
+                    (None, 2) => Some(Action::Forward(j as u16)),
+                    (None, _) => Some(Action::NoOp),
+                    (Some(_), k) => (k % 2 == 0).then_some(Action::Drop),
+                });
+                assert!(table.len() > 256, "{} rows", table.len());
+                // Each box's corners, the other bytes drawn at random.
+                for leaf in &boxes {
+                    for corner in [0, 1] {
+                        let mut frame: Vec<u8> = (0..8).map(|_| next()).collect();
+                        for (&pos, &(lo, hi)) in kept.iter().zip(leaf) {
+                            frame[pos] = if corner == 0 { lo } else { hi };
+                        }
+                        frames.push(frame);
+                    }
+                }
+                sw.add_stage(table);
+            }
+            frames.extend((0..300).map(|i| {
+                (0..8 - usize::from(i % 50 == 0) * 3)
+                    .map(|_| next())
+                    .collect()
+            }));
+            sw.set_vote(vote);
+            let pipeline = sw.read_pipeline(1);
+            for stage in pipeline.stages() {
+                let form = stage.wildcard_form().unwrap();
+                assert_eq!(
+                    form.positions, kept,
+                    "the kept positions are the boxes' own"
+                );
+                assert_eq!(
+                    stage.minimized_len(),
+                    stage.len(),
+                    "every row kept, ranks in match order"
+                );
+            }
+            let matched: Vec<Option<(usize, u32)>> =
+                frames.iter().map(|f| scan_matched(&sw, f, vote)).collect();
+            let oracle: Vec<Verdict> = frames.iter().map(|f| sw.process(f)).collect();
+            assert!(oracle.contains(&Verdict::Drop));
+            assert!(oracle.iter().any(|v| matches!(v, Verdict::Forward(_))));
+
+            let mut per_counters = SwitchCounters::default();
+            let mut per_sink = RecordingSink::default();
+            let mut scratch = Vec::new();
+            let per_frame: Vec<Verdict> = frames
+                .iter()
+                .map(|f| pipeline.process_with(f, &mut per_counters, &mut scratch, &mut per_sink))
+                .collect();
+
+            let mut arena = FrameArena::new(1 << 16);
+            let mut batch_counters = SwitchCounters::default();
+            let mut batch_sink = RecordingSink::default();
+            let mut batch_scratch = BatchScratch::new();
+            let mut batched = Vec::new();
+            for chunk in frames.chunks(256) {
+                for f in chunk {
+                    arena.push(f);
+                }
+                let batch = arena.seal_batch();
+                pipeline.process_batch_with(
+                    batch.data(),
+                    batch.spans(),
+                    &mut batch_counters,
+                    &mut batch_scratch,
+                    &mut batched,
+                    &mut batch_sink,
+                );
+            }
+            let case = format!("kept {kept:?}, vote {vote:?}");
+            assert_eq!(per_frame, oracle, "per-frame walker, {case}");
+            assert_eq!(batched, oracle, "batched walker, {case}");
+            assert_eq!(&per_counters, sw.counters(), "per-frame counters, {case}");
+            assert_eq!(&batch_counters, sw.counters(), "batched counters, {case}");
+            let reported = |sink: &RecordingSink| -> Vec<Option<(usize, u32)>> {
+                sink.verdicts.iter().map(|&(_, _, m)| m).collect()
+            };
+            assert_eq!(
+                reported(&per_sink),
+                matched,
+                "per-frame (stage, rank), {case}"
+            );
+            assert_eq!(
+                reported(&batch_sink),
+                matched,
+                "batched (stage, rank), {case}"
+            );
         }
     }
 }

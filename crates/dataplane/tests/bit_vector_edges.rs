@@ -1,10 +1,12 @@
 //! Edge cases of the bit-vector engine behind every ternary, range and LPM
 //! `CompiledTable`, drawn from where its layout can break: the padding
 //! bits of a row's last word, `rank = word * 64 + trailing_zeros`, the
-//! probe loop's pulled-back last step, the summary that picks the steps a
-//! probe walks (its first size, its second word, steps it rules out next
-//! to steps it cannot), a position with all 256 classes, masks that are
-//! neither prefixes nor whole bytes, and keys wider than a machine word.
+//! summary that picks the words a probe walks, one bit per entry word (the
+//! first table that has one at 257 rows, its second word at 4,097, words
+//! it rules out next to words it cannot, a live word whose AND comes up
+//! empty before the one that holds the match), a position with all 256
+//! classes, masks that are neither prefixes nor whole bytes, and keys
+//! wider than a machine word or than the row offsets a probe holds.
 //! Every case checks the winning `(action, priority)` against the mutable
 //! table's scan — the full key space at width 1–2, sampled keys above —
 //! on the single-key and the batched path. A proptest covers positions
@@ -79,12 +81,20 @@ fn agrees(compiled: &CompiledTable, table: &Table, keys: &[Vec<u8>]) {
     }
 }
 
+/// Words per row `wildcard_form` reports for a table: summary words, then
+/// entry words.
+fn row_words(compiled: &CompiledTable) -> usize {
+    compiled.wildcard_form().expect("a wildcard table").rows[0].len()
+}
+
 /// Row-length edges: `n` disjoint exact entries with distinct actions (so
 /// minimization keeps all `n` and a rank that is off by one shows as the
 /// wrong action), priorities cycling so rank order is not insertion order.
-/// 64 and 256 are the word and wide-step sizes; 257 (five words) is the
-/// first size whose rows carry a summary, and the empty table and 256 the
-/// last two that do not; 300 and 513 end on a pulled-back last step.
+/// 64 is the word size; 257 (five words) is the first size whose rows
+/// carry a summary, and the empty table and 256 (four words) the last two
+/// that do not; 300, 320 and 513 end in a part-filled word behind it. The
+/// row layout — summary words, then entry words — is checked at every
+/// size.
 #[test]
 fn row_lengths_around_word_and_step_boundaries() {
     for n in [
@@ -112,6 +122,10 @@ fn row_lengths_around_word_and_step_boundaries() {
         };
         let compiled = check(&t, &keys);
         assert_eq!(compiled.minimized_len(), n, "every entry is indexed");
+        // A summary word per 64 entry words once a row passes four words.
+        let words = n.div_ceil(64).max(1);
+        let summary = if words > 4 { words.div_ceil(64) } else { 0 };
+        assert_eq!(row_words(&compiled), summary + words, "{n} rows");
     }
 }
 
@@ -230,16 +244,15 @@ fn range_points_full_intervals_and_adjacent_neighbours() {
     assert_eq!(compiled.peek(&[1, 31]), Action::Forward(5));
 }
 
-/// Six words — two steps, the second pulled back over words 2–3 — laid out
-/// so the summary decides alone: the first key byte names the word an
-/// entry sits in, the second its bit. A key whose only match is in words
-/// 2–3 is found in step 0 and never reaches the step that sees those
-/// words again; a key matching in words 4–5 skips step 0 and walks the
-/// pulled-back step over words 2–3 of rows that hold other entries' bits
-/// there, which must AND to nothing; a first byte past the last word
-/// selects an all-zero row and misses without a step.
+/// Six words, one summary bit each, laid out so the summary decides alone:
+/// the first key byte names the word an entry sits in, the second its
+/// bit. Every key's rows share exactly one live word, the one its match
+/// sits in, however far into the row; the rows of other first bytes hold
+/// bits in every other word, which the probe must never AND; a first
+/// byte past the last word selects an all-zero row and misses without
+/// walking a word.
 #[test]
-fn the_only_match_inside_and_past_the_pulled_back_overlap() {
+fn the_summary_picks_the_one_word_that_holds_the_match() {
     let mut t = table(MatchKind::Ternary, 2);
     for rank in 0..6 * 64u16 {
         let value = [(rank / 64) as u8, (rank % 64) as u8];
@@ -256,42 +269,127 @@ fn the_only_match_inside_and_past_the_pulled_back_overlap() {
     assert_eq!(compiled.peek(&[5, 63]), Action::Forward(383));
 }
 
-/// More than 64 steps: the summary grows a second word, and a hit past
-/// rank 16,384 is found through it — after the first word came up empty.
+/// Past 64 entry words (4,096 ranks) the summary grows a second word, and
+/// a hit past rank 4,096 is found through it — after every word the first
+/// one left live came up empty. 4,096 rows are 64 words behind one summary
+/// word; 4,097 are 65 behind two.
 #[test]
 fn a_table_wide_enough_for_a_second_summary_word() {
-    let n = 64 * 4 * 64 + 200u16;
-    let mut t = table(MatchKind::Ternary, 2);
-    for i in 0..n {
-        t.insert(
-            ternary(&i.to_be_bytes(), &[0xff, 0xff]),
-            Action::Forward(i),
+    for (n, words) in [(4096u16, 1 + 64), (4097, 2 + 65), (4096 + 200, 2 + 68)] {
+        let mut t = table(MatchKind::Ternary, 2);
+        for i in 0..n {
+            t.insert(
+                ternary(&i.to_be_bytes(), &[0xff, 0xff]),
+                Action::Forward(i),
+                1,
+            )
+            .unwrap();
+        }
+        // Either end of each summary word's span, and misses past the
+        // table.
+        let keys: Vec<Vec<u8>> = [
+            0,
             1,
-        )
-        .unwrap();
-    }
-    // Either end of every summary word's span, and misses past the table.
-    let keys: Vec<Vec<u8>> = [0, 1, 255, 256, 8191, 16383, 16384, 16385, n - 1, n, n + 1]
+            63,
+            64,
+            255,
+            256,
+            4031,
+            4032,
+            4095,
+            4096,
+            n - 1,
+            n,
+            n + 1,
+        ]
         .iter()
         .flat_map(|&k: &u16| [k, k.wrapping_add(0x4000)])
         .map(|k| k.to_be_bytes().to_vec())
         .collect();
+        let compiled = check(&t, &keys);
+        assert_eq!(compiled.minimized_len(), usize::from(n));
+        assert_eq!(row_words(&compiled), words, "{n} rows");
+        assert_eq!(
+            compiled.peek(&(n - 1).to_be_bytes()),
+            Action::Forward(n - 1)
+        );
+    }
+}
+
+/// A live word whose AND is empty: the key's two rows each hold a bit in
+/// word 5 — an entry that accepts the first byte but not the second, and
+/// one the other way round — so the summaries leave word 5 live, the walk
+/// ANDs it to nothing, and the match sits in word 7, the next live one.
+/// Fillers, exact on first bytes the key under test does not have, make
+/// the rows long.
+#[test]
+fn a_key_whose_first_live_word_is_a_false_positive() {
+    let mut t = table(MatchKind::Ternary, 2);
+    let (x, y) = (0x12u8, 0x34u8);
+    for rank in 0..8 * 64u16 {
+        let (value, mask): ([u8; 2], [u8; 2]) = match rank {
+            // Word 5: each accepts one of the key's bytes.
+            320 => ([x, 0xaa], [0xff, 0xff]),
+            321 => ([0xbb, y], [0xff, 0xff]),
+            // Word 7: the match, behind more fillers.
+            470 => ([x, y], [0xff, 0xff]),
+            _ => ([0xe0 | (rank >> 8) as u8, rank as u8], [0xff, 0xff]),
+        };
+        t.insert(ternary(&value, &mask), Action::Forward(rank), 1)
+            .unwrap();
+    }
+    let keys = vec![
+        vec![x, y],
+        vec![x, 0xaa],
+        vec![0xbb, y],
+        vec![x, y ^ 1],
+        vec![0xe0, 7],
+    ];
     let compiled = check(&t, &keys);
-    assert_eq!(compiled.minimized_len(), usize::from(n));
-    assert_eq!(
-        compiled.peek(&(n - 1).to_be_bytes()),
-        Action::Forward(n - 1)
-    );
+    assert_eq!(compiled.minimized_len(), 8 * 64);
+    assert_eq!(compiled.peek(&[x, y]), Action::Forward(470));
+    assert_eq!(compiled.peek(&[x, y ^ 1]), Action::NoOp);
+}
+
+/// A key keeping more positions than a probe holds row offsets for: 80
+/// bytes, every one constrained by some entry, entries past a few hundred
+/// so the rows carry a summary. The positions past the held ones are read
+/// for every entry word checked, so an entry that differs from the key
+/// only in its last byte must not match.
+#[test]
+fn a_key_keeping_more_positions_than_the_probe_holds() {
+    let width = 80;
+    let mut t = table(MatchKind::Ternary, width);
+    let mut keys = Vec::new();
+    for i in 0..300usize {
+        let value: Vec<u8> = (0..width).map(|p| ((i + p) % 7) as u8).collect();
+        let mut mask = vec![0u8; width];
+        // Every entry fixes its own byte, a byte near the end and the last.
+        mask[i % width] = 0xff;
+        mask[width - 2 - i % 5] = 0xff;
+        mask[width - 1] = 0xff;
+        let mut miss = value.clone();
+        miss[width - 1] ^= 0x80;
+        keys.extend([value.clone(), miss]);
+        t.insert(
+            ternary(&value, &mask),
+            Action::Forward(i as u16),
+            (i % 3) as i32,
+        )
+        .unwrap();
+    }
+    let compiled = check(&t, &keys);
+    assert_eq!(compiled.wildcard_form().unwrap().positions.len(), width);
 }
 
 /// The learned shape: sixteen leaf boxes, each lowered to the cross
 /// product of its per-byte prefix covers, contiguous in match order — a
-/// few boxes to a step, so a key's boxes are all the summary lets the
+/// box or two to a word, so a key's boxes are all the summary lets the
 /// probe walk. Hits in every box (the first, the middle and the last
 /// among them), keys a whole position rules out, and keys that pass the
 /// summary and match no row: the first byte is accepted by one box's
-/// entries and the second only by its neighbours' — other rows of the
-/// same step.
+/// entries and the second only by its neighbour's — other rows of the
+/// same word.
 #[test]
 fn leaf_boxes_as_prefix_cross_products() {
     let mut t = table(MatchKind::Ternary, 2);
@@ -311,13 +409,13 @@ fn leaf_boxes_as_prefix_cross_products() {
             }
         }
     }
-    assert!(rank > 512, "{rank} entries: more than two steps");
+    assert!(rank > 512, "{rank} entries: more than eight words");
     let keys: Vec<Vec<u8>> = (0..=255u8)
         .flat_map(|first| [0, 1, 64, 126, 127, 128, 129, 200, 254, 255].map(|b| vec![first, b]))
         .collect();
     let compiled = check(&t, &keys);
     assert_eq!(compiled.minimized_len(), usize::from(rank));
-    // Box 0 and box 1 share step 0; neither holds this key.
+    // Box 0 and box 1 share word 0; neither holds this key.
     assert_eq!(compiled.peek(&[5, 200]), Action::NoOp);
     assert_ne!(compiled.peek(&[5, 64]), Action::NoOp);
     assert_ne!(compiled.peek(&[20, 200]), Action::NoOp);
@@ -325,7 +423,7 @@ fn leaf_boxes_as_prefix_cross_products() {
 
 /// `CompiledTable::recompile`'s patch path splices the engine for the
 /// patched entry list: an addition that starts a new last word changes
-/// the row length, the step count and every row's summary.
+/// the row length and every row's summary.
 #[test]
 fn a_patched_in_entry_that_starts_a_new_last_word() {
     let mut t = table(MatchKind::Ternary, 2);
