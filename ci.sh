@@ -317,14 +317,17 @@ timeout 600 cargo run --release --offline --quiet --manifest-path ledger/Cargo.t
 }
 tail -5 "$SMOKE_DIR/ledger.log"
 # The smoke pass trains both profiles (loop_churn: GuardConfig::default, the
-# paper-scale network — 1436 entries, T2's row — the others the fast one),
-# and training is bit-for-bit deterministic (DESIGN.md "Bit-identical
+# paper-scale network — 1436 ternary entries, T2's row — the others the fast
+# one), and training is bit-for-bit deterministic (DESIGN.md "Bit-identical
 # training"): every workload's entry count and F1 are pinned, so a kernel
-# that reorders one add fails here, not in a reviewer's diff.
-SMOKE_PINNED="gw_forest 2245 0.9981
-gw_small 12 0.6040
-gw_tree 1110 0.9834
-loop_churn 1436 0.9952"
+# that reorders one add fails here, not in a reviewer's diff. The count is
+# `tcam_entries`, the rows the engine indexes once lowering has folded the
+# ternary entries into boxes (DESIGN.md "Incremental compilation &
+# minimization"): 2245 / 12 / 1110 / 1436 ternary entries fold to these.
+SMOKE_PINNED="gw_forest 23 0.9981
+gw_small 7 0.6040
+gw_tree 10 0.9834
+loop_churn 7 0.9952"
 SMOKE_READ=$(awk '/^== / { w = $2 } $1 == "tcam_entries" { e[w] = $2 + 0 } $1 == "detect_f1" { f[w] = $2 }
                   END { for (w in e) print w, e[w], f[w] }' "$SMOKE_DIR/ledger.log" | sort)
 if [ "$SMOKE_READ" != "$SMOKE_PINNED" ]; then
@@ -383,7 +386,7 @@ rust_lines() {
 # Each "was" figure is the parent commit's, committed by the change that
 # last moved it so the log reads before -> after; the next change to move a
 # count replaces its figure with its parent's.
-echo "rust lines: $(rust_lines crates tests examples) (was 37387)"
+echo "rust lines: $(rust_lines crates tests examples) (was 37640)"
 EXPERIMENTS_LINES_MAX=3142
 EXPERIMENTS_LINES=$(rust_lines crates/core/src/experiments)
 echo "experiments lines: $EXPERIMENTS_LINES (was 3196)"

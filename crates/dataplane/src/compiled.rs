@@ -34,9 +34,10 @@
 //! all four kinds.
 
 use crate::action::Action;
+use crate::byteset::{ByteSet, ByteSetMap};
 use crate::key::KeyLayout;
 use crate::minimize::{self, Edit, MinEntries, MinEntry, MinimizedTable};
-use crate::table::{prefix_mask, MatchKind, MatchSpec, Revision, Table, TableId};
+use crate::table::{MatchKind, Revision, Table, TableId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -103,11 +104,8 @@ struct BitVector {
     partitions: Vec<Partition>,
     /// Per row — position by position, in row order — the byte values of
     /// its class.
-    members: Vec<Members>,
+    members: Vec<ByteSet>,
 }
-
-/// A set of byte values: bit `b % 64` of word `b / 64` holds byte `b`.
-type Members = [u64; 4];
 
 /// How one kept position's byte values fall into classes.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,17 +116,6 @@ struct Partition {
     count: usize,
 }
 
-/// The smallest byte value in `set` (0 for the empty set, which no class
-/// is).
-fn first_member(set: &Members) -> u8 {
-    set.iter()
-        .enumerate()
-        .find(|&(_, &word)| word != 0)
-        .map_or(0, |(i, word)| {
-            (i * 64 + word.trailing_zeros() as usize) as u8
-        })
-}
-
 #[derive(Debug, Clone)]
 enum Engine {
     /// Exact: one hash probe on the raw key bytes.
@@ -137,96 +124,8 @@ enum Engine {
     BitVector(BitVector),
 }
 
-/// The byte values one entry accepts at one key position — all the
-/// bit-vector build needs to know about a match kind.
-#[derive(Clone, Copy)]
-enum Accept {
-    /// `byte & mask == value` (`value` already masked).
-    Masked { mask: u8, value: u8 },
-    /// `lo <= byte <= hi`.
-    Between { lo: u8, hi: u8 },
-}
-
-impl Accept {
-    /// What `spec` accepts at key position `pos`: an exact byte is a whole
-    /// mask, and a prefix masks the bits [`prefix_mask`] says it fixes there.
-    fn at(spec: &MatchSpec, pos: usize) -> Accept {
-        match spec {
-            MatchSpec::Ternary { value, mask } => Accept::Masked {
-                mask: mask[pos],
-                value: value[pos] & mask[pos],
-            },
-            MatchSpec::Range { lo, hi } => Accept::Between {
-                lo: lo[pos],
-                hi: hi[pos],
-            },
-            MatchSpec::Exact(value) => Accept::Masked {
-                mask: 0xff,
-                value: value[pos],
-            },
-            MatchSpec::Lpm { value, prefix_len } => {
-                let mask = prefix_mask(*prefix_len, pos);
-                Accept::Masked {
-                    mask,
-                    value: value[pos] & mask,
-                }
-            }
-        }
-    }
-
-    /// Distinct accept sets of one match kind have distinct ids below
-    /// `1 << 16`.
-    fn id(self) -> usize {
-        let (a, b) = match self {
-            Accept::Masked { mask, value } => (mask, value),
-            Accept::Between { lo, hi } => (lo, hi),
-        };
-        usize::from(a) << 8 | usize::from(b)
-    }
-
-    /// How many byte values are accepted.
-    fn count(self) -> usize {
-        match self {
-            Accept::Masked { mask, .. } => 1 << mask.count_zeros(),
-            Accept::Between { lo, hi } => usize::from(hi - lo) + 1,
-        }
-    }
-
-    /// Every byte value is accepted: the entry leaves this position free.
-    fn is_any(self) -> bool {
-        self.count() == 256
-    }
-
-    fn contains(self, byte: u8) -> bool {
-        match self {
-            Accept::Masked { mask, value } => byte & mask == value,
-            Accept::Between { lo, hi } => (lo..=hi).contains(&byte),
-        }
-    }
-
-    /// Calls `f` once per accepted byte value and touches no other: an
-    /// exact byte costs one call, not 256 tests.
-    fn for_each(self, mut f: impl FnMut(u8)) {
-        match self {
-            Accept::Masked { mask, value } => {
-                // Enumerate the sub-masks of the free bits.
-                let free = !mask;
-                let mut sub = free;
-                loop {
-                    f(value | sub);
-                    if sub == 0 {
-                        break;
-                    }
-                    sub = (sub - 1) & free;
-                }
-            }
-            Accept::Between { lo, hi } => (lo..=hi).for_each(f),
-        }
-    }
-}
-
 /// The partition of the 256 byte values at one key position into classes,
-/// refined one accept set at a time. Beside the class of each byte it keeps
+/// refined one accepted set at a time. Beside the class of each byte it keeps
 /// each class's byte values as a set, so a member can stand for its class
 /// and neither a refinement nor a splice scans the 256 bytes. One value
 /// serves every position of a build or a splice, so refining allocates
@@ -238,11 +137,11 @@ struct Classes {
     /// Members of each class id in use.
     size: [u16; 256],
     /// The byte values of each class id in use (1..=256 of them).
-    members: Vec<Members>,
+    members: Vec<ByteSet>,
     /// Scratch for [`Classes::refine`], all zero between calls: accepted
     /// members seen per class.
     hits: [u16; 256],
-    /// Scratch: the classes an accept set touched.
+    /// Scratch: the classes an accepted set touched.
     touched: [u8; 256],
     /// Scratch: where a touched class's accepted members go.
     target: [u8; 256],
@@ -273,32 +172,32 @@ impl Classes {
         self.of = [0; 256];
         self.size[0] = 256;
         self.members.clear();
-        self.members.push([u64::MAX; 4]);
+        self.members.push(ByteSet::ANY);
     }
 
     /// The classes whose byte values are `members`, `of` telling each
     /// byte's: a kept position's, to refine further.
-    fn load(&mut self, of: &[u8; 256], members: &[Members]) {
+    fn load(&mut self, of: &[u8; 256], members: &[ByteSet]) {
         self.of = *of;
         self.members.clear();
         self.members.extend_from_slice(members);
         for (size, set) in self.size.iter_mut().zip(members) {
-            *size = set.iter().map(|word| word.count_ones() as u16).sum();
+            *size = set.len() as u16;
         }
     }
 
     /// Splits every class `accept` cuts through into the part it accepts
     /// and the part it rejects, visiting only the bytes it accepts.
-    fn refine(&mut self, accept: Accept) {
+    fn refine(&mut self, accept: ByteSet) {
         let mut touched_len = 0;
-        accept.for_each(|byte| {
+        for byte in accept.bytes() {
             let class = self.of[usize::from(byte)];
             if self.hits[usize::from(class)] == 0 {
                 self.touched[touched_len] = class;
                 touched_len += 1;
             }
             self.hits[usize::from(class)] += 1;
-        });
+        }
         let mut split = false;
         for &class in &self.touched[..touched_len] {
             let c = usize::from(class);
@@ -310,89 +209,58 @@ impl Classes {
                 self.target[c] = id as u8;
                 self.size[id] = hits;
                 self.size[c] -= hits;
-                self.members.push([0; 4]);
+                self.members.push(ByteSet([0; 4]));
                 split = true;
             }
         }
         if split {
-            let mut accepted: Members = [0; 4];
-            accept.for_each(|byte| {
-                accepted[usize::from(byte / 64)] |= 1 << (byte % 64);
+            for byte in accept.bytes() {
                 let class = &mut self.of[usize::from(byte)];
                 *class = self.target[usize::from(*class)];
-            });
+            }
             for &class in &self.touched[..touched_len] {
                 let (from, to) = (
                     usize::from(class),
                     usize::from(self.target[usize::from(class)]),
                 );
                 if to != from {
-                    for (i, word) in accepted.iter().enumerate() {
-                        self.members[to][i] = self.members[from][i] & word;
-                        self.members[from][i] &= !word;
-                    }
+                    let parent = self.members[from];
+                    self.members[to] = parent.intersection(accept);
+                    self.members[from] = parent.difference(accept);
                 }
             }
         }
     }
 }
 
-/// The distinct accept sets of one key position, numbered in the order
+/// The distinct accepted sets of one key position, numbered in the order
 /// entries (by rank) first use them, and the number of each entry's set.
+/// A set is numbered by its bytes, so two entries share a number exactly
+/// when they accept the same bytes, whatever match kind or fold made them.
 /// One value serves every position of a build in turn.
+#[derive(Default)]
 struct AcceptSets {
-    /// Distinct accept sets, first use first.
-    sets: Vec<Accept>,
+    /// Distinct accepted sets, first use first.
+    sets: Vec<ByteSet>,
     /// Set number by rank.
-    of: Vec<u16>,
-    /// Set number + 1 by accept id, 0 for a set not seen yet: the id's
-    /// high byte picks a block in `first` (block number + 1, 0 for none
-    /// yet) and its low byte the slot in that block, so memory follows the
-    /// high bytes in use, not the 2¹⁶ ids. One match kind has fewer than
-    /// 2¹⁶ − 1 accept sets (3⁸ masked, 256 · 257 / 2 intervals), so every
-    /// number fits. Numbering a position first clears just the slots the
-    /// previous one set, so a position costs its entries and sets only.
-    first: [u16; 256],
-    blocks: Vec<[u16; 256]>,
+    of: Vec<u32>,
+    /// Set number by set, for the position being numbered.
+    numbers: ByteSetMap<u32>,
 }
 
 impl AcceptSets {
-    fn new() -> AcceptSets {
-        AcceptSets {
-            sets: Vec::new(),
-            of: Vec::new(),
-            first: [0; 256],
-            blocks: Vec::new(),
-        }
-    }
-
     /// Numbers the sets of `column`, what each entry accepts by rank.
-    fn number(&mut self, column: &[Accept]) {
-        for accept in &self.sets {
-            let id = accept.id();
-            self.blocks[usize::from(self.first[id >> 8]) - 1][id & 0xff] = 0;
-        }
-        for accept in self.sets.drain(..) {
-            self.first[accept.id() >> 8] = 0;
-        }
+    fn number(&mut self, column: &[ByteSet]) {
+        self.sets.clear();
         self.of.clear();
-        let mut used = 0;
-        for &accept in column {
-            let id = accept.id();
-            let block = &mut self.first[id >> 8];
-            if *block == 0 {
-                if used == self.blocks.len() {
-                    self.blocks.push([0; 256]);
-                }
-                used += 1;
-                *block = used as u16;
+        self.numbers.clear();
+        for &set in column {
+            let next = self.sets.len() as u32;
+            let number = *self.numbers.entry(set).or_insert(next);
+            if number == next {
+                self.sets.push(set);
             }
-            let slot = &mut self.blocks[usize::from(*block) - 1][id & 0xff];
-            if *slot == 0 {
-                self.sets.push(accept);
-                *slot = self.sets.len() as u16;
-            }
-            self.of.push(*slot - 1);
+            self.of.push(number);
         }
     }
 }
@@ -400,12 +268,16 @@ impl AcceptSets {
 /// What each of the `n` `entries` accepts at each of `width` key
 /// positions, position-major (`[pos * n + i]` for the `i`-th entry), so the
 /// passes over one position run over a contiguous column instead of
-/// chasing every entry's spec once per position.
-fn columns<'a>(entries: impl Iterator<Item = &'a MinEntry>, n: usize, width: usize) -> Vec<Accept> {
-    let mut accepts = vec![Accept::Masked { mask: 0, value: 0 }; width * n];
+/// chasing every entry's sets once per position.
+fn columns<'a>(
+    entries: impl Iterator<Item = &'a MinEntry>,
+    n: usize,
+    width: usize,
+) -> Vec<ByteSet> {
+    let mut accepts = vec![ByteSet::ANY; width * n];
     for (i, entry) in entries.enumerate() {
-        for pos in 0..width {
-            accepts[pos * n + i] = Accept::at(&entry.spec, pos);
+        for (pos, &set) in entry.sets.iter().enumerate() {
+            accepts[pos * n + i] = set;
         }
     }
     accepts
@@ -450,7 +322,7 @@ fn or_bits(src: &[u64], from: usize, dst: &mut [u64], to: usize, len: usize) {
 }
 
 /// The entry-bit fill of one key position, shared by [`BitVector::build`]
-/// and [`BitVector::splice`]: each accept set's classes are found once, and
+/// and [`BitVector::splice`]: each accepted set's classes are found once, and
 /// 64 ranks at a time each set's word of entry bits is ORed into the rows
 /// of its classes. All scratch, reused across positions.
 struct Fill {
@@ -461,7 +333,7 @@ struct Fill {
     /// Per set, its entry bits in the current word; `live` lists the sets
     /// with any.
     acc: Vec<u64>,
-    live: Vec<u16>,
+    live: Vec<u32>,
 }
 
 impl Fill {
@@ -480,7 +352,7 @@ impl Fill {
     /// start at `base`. `words` yields the entries one word of ranks at a
     /// time, ascending: the word, and each entry's bit in it with its set
     /// as `column` numbers them.
-    fn run<I: Iterator<Item = (usize, u16)>>(
+    fn run<I: Iterator<Item = (usize, u32)>>(
         &mut self,
         index: &mut BitVector,
         base: usize,
@@ -508,13 +380,13 @@ impl Fill {
             let from = held.len();
             if accept.is_any() {
                 held.extend((0..=255).take(classes.count()));
-            } else if accept.count() <= classes.count() {
-                accept.for_each(|byte| {
+            } else if accept.len() <= classes.count() {
+                for byte in accept.bytes() {
                     let of = classes.of[usize::from(byte)];
                     if !std::mem::replace(&mut seen[usize::from(of)], true) {
                         held.push(of);
                     }
-                });
+                }
                 for &of in &held[from..] {
                     seen[usize::from(of)] = false;
                 }
@@ -522,7 +394,7 @@ impl Fill {
                 let firsts = firsts.get_or_insert_with(|| {
                     let mut firsts = [0; 256];
                     for (first, set) in firsts.iter_mut().zip(&classes.members) {
-                        *first = first_member(set);
+                        *first = set.first();
                     }
                     firsts
                 });
@@ -542,14 +414,14 @@ impl Fill {
         acc.resize(column.sets.len(), 0);
         for (word, entries) in words {
             for (bit, set) in entries {
-                let acc = &mut acc[usize::from(set)];
+                let acc = &mut acc[set as usize];
                 if *acc == 0 {
                     live.push(set);
                 }
                 *acc |= 1 << bit;
             }
             for set in live.drain(..) {
-                let set = usize::from(set);
+                let set = set as usize;
                 let bits = std::mem::take(&mut acc[set]);
                 for &of in &held[starts[set]..starts[set + 1]] {
                     rows[usize::from(of) * stride + summary + word] |= bits;
@@ -664,7 +536,7 @@ impl BitVector {
         let n = entries.len();
         let mut index = BitVector::empty(entries.iter().map(|e| e.action).collect(), width);
         let accepts = columns(entries.iter(), n, width);
-        let mut column = AcceptSets::new();
+        let mut column = AcceptSets::default();
         let mut fill = Fill::new();
         let mut classes = Classes::new();
         for pos in 0..width {
@@ -721,7 +593,7 @@ impl BitVector {
         // The row of a position no entry constrained holds every old rank.
         let every_old = self.every_rank();
         let every = index.every_rank();
-        let mut column = AcceptSets::new();
+        let mut column = AcceptSets::default();
         let mut fill = Fill::new();
         let mut classes = Classes::new();
         let mut old = self.positions.iter().zip(&self.partitions).peekable();
@@ -755,7 +627,7 @@ impl BitVector {
                 let origin = if id < parents {
                     id
                 } else {
-                    usize::from(before[usize::from(first_member(set))])
+                    usize::from(before[usize::from(set.first())])
                 };
                 let src = match parent {
                     Some((at, _, _)) => &self.rows[at + origin * old_stride + self.summary..],
@@ -856,13 +728,14 @@ impl CompiledTable {
     ///    [`SourceClass::Eliminated`](minimize::SourceClass::Eliminated) —
     ///    the minimized list is patched (added entries verbatim at the end
     ///    of their priority level, which is where they sit in source match
-    ///    order too), skipping the quadratic minimization passes, and a
-    ///    wildcard engine is spliced from the previous one by the same
-    ///    edit rather than built;
-    /// 3. anything else (action modified in place, a merged/covering
-    ///    entry removed, or another table — handles restart in every new
-    ///    one, so only identity tells two tables apart) — a full
-    ///    from-scratch compile.
+    ///    order too, each a box of its own, not folded), skipping the fold
+    ///    and the quadratic subsumption pass, and a wildcard engine is
+    ///    spliced from the previous one by the same edit rather than
+    ///    built;
+    /// 3. anything else (action modified in place, a folded or covering
+    ///    entry removed — on a folded learned stage, nearly any source —
+    ///    or another table: handles restart in every new one, so only
+    ///    identity tells two tables apart) — a full from-scratch compile.
     ///
     /// What a patch costs: one walk over the source entries, one over the
     /// minimized list's flat priorities and order keys, a reference count
@@ -870,9 +743,10 @@ impl CompiledTable {
     /// shared with `prev`, see [`MinEntries`]), and the engine's rows
     /// copied with the kept ranks' bits moved, the fresh entries' bits set
     /// and the summaries and class map recomputed — no kept entry is read.
-    /// On the 2,196-entry, 8-byte `loop_churn` stage (2-vCPU Xeon, timers
-    /// in an instrumented build of the ledger's churn, medians per 1 %
-    /// delta publish, on caches the serving loop has just filled) that is
+    /// On the 2,196-entry, 8-byte `loop_churn` stage before the fold, when
+    /// its 2,196 rows were all clean (2-vCPU Xeon, timers in an
+    /// instrumented build of the ledger's churn, medians per 1 % delta
+    /// publish, on caches the serving loop has just filled), that was
     /// ≈ 50 µs for the walks and the patch, half of it the walk over the
     /// source entries, and 25 µs (removal) to 39 µs (re-add) for the
     /// engine, which a build over the same entries took ≈ 260 µs to make.
@@ -934,11 +808,10 @@ impl CompiledTable {
     fn compile_exact(entries: &MinEntries) -> Engine {
         let mut map = HashMap::with_capacity(entries.len());
         for (rank, entry) in entries.iter().enumerate() {
-            if let MatchSpec::Exact(value) = &entry.spec {
-                // First occurrence in match order wins duplicates.
-                map.entry(value.clone())
-                    .or_insert((rank as Rank, entry.action));
-            }
+            // An exact key accepts one byte at each position. First
+            // occurrence in match order wins duplicates.
+            let key = entry.sets.iter().map(ByteSet::first).collect();
+            map.entry(key).or_insert((rank as Rank, entry.action));
         }
         Engine::ExactHash(map)
     }
@@ -1301,7 +1174,8 @@ impl BitVector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::EntryHandle;
+    use crate::minimize::SourceClass;
+    use crate::table::{EntryHandle, MatchSpec};
     use proptest::collection::vec as pvec;
     use proptest::prelude::*;
 
@@ -1695,9 +1569,11 @@ mod tests {
 
     /// A learned stage's shape: leaf boxes over 8 key bytes, each lowered
     /// to the cross product of its per-byte prefix covers, ≈ 2k entries
-    /// over six of the positions. The boxes are disjoint on byte 0 and
-    /// each has an action of its own, so nothing merges or shadows.
-    fn learned_stage() -> Table {
+    /// over six of the positions, the `i`-th at `priority(i)`. The boxes
+    /// are disjoint on byte 0 and each has an action of its own, so
+    /// nothing shadows; at one priority each leaf folds back into its box,
+    /// and with a priority per entry nothing folds.
+    fn learned_stage(priority: impl Fn(usize) -> i32) -> Table {
         use p4guard_rules::ternary::range_to_prefixes;
         let mut state = 0x2545_f491_4f6c_dd1du64;
         let mut next = move || {
@@ -1734,10 +1610,11 @@ mod tests {
                     .collect();
             }
             for (value, mask) in boxes {
+                let i = t.len();
                 t.insert(
                     MatchSpec::Ternary { value, mask },
                     Action::Forward(leaf.into()),
-                    1,
+                    priority(i),
                 )
                 .unwrap();
             }
@@ -1745,14 +1622,15 @@ mod tests {
         t
     }
 
-    /// The ledger's churn: the last 1 % of a learned stage removed and
-    /// re-added, ten times, each publish spliced.
+    /// The ledger's churn on a stage whose entries stay clean: the last
+    /// 1 % of an unfolded learned stage removed and re-added, ten times,
+    /// each publish spliced.
     #[test]
     fn a_one_percent_churn_never_builds() {
-        let mut t = learned_stage();
+        let mut t = learned_stage(|i| -(i as i32));
         assert!((1500..2500).contains(&t.len()), "{} entries", t.len());
         let mut prev = Arc::new(CompiledTable::compile(&t));
-        assert_eq!(prev.minimized_len(), t.len(), "nothing merges or shadows");
+        assert_eq!(prev.minimized_len(), t.len(), "nothing folds or shadows");
         let take = t.len() / 100;
         let mut delta: Vec<_> = t.entries()[t.len() - take..].to_vec();
         for _ in 0..10 {
@@ -1766,6 +1644,38 @@ mod tests {
             prev = spliced(&prev, &t);
             assert_eq!(prev.minimized_len(), t.len());
         }
+    }
+
+    /// Removing a source the fold merged takes the full compile, once;
+    /// adding it back is patched in verbatim beside the folded boxes, and
+    /// removing that patched-in entry again is spliced.
+    #[test]
+    fn removing_a_folded_source_takes_the_full_compile() {
+        let mut t = learned_stage(|_| 1);
+        let prev = Arc::new(CompiledTable::compile(&t));
+        assert!(
+            prev.minimized_len() <= 42 * 4,
+            "{} rows",
+            prev.minimized_len()
+        );
+        let last = t.entries()[t.len() - 1].clone();
+        let class = prev.minimized().class_of(last.handle);
+        assert_eq!(class, Some(SourceClass::Merged));
+        t.remove(last.handle).unwrap();
+        let before = builds();
+        let next = CompiledTable::recompile(&prev, &t);
+        assert_eq!(
+            builds(),
+            before + 1,
+            "a folded source's removal was patched"
+        );
+        assert_eq!(next.wildcard_form(), next.rebuilt().wildcard_form());
+        let folded = next.minimized_len();
+        let handle = t.insert(last.spec.clone(), last.action, 1).unwrap();
+        let next = spliced(&next, &t);
+        assert_eq!(next.minimized_len(), folded + 1);
+        t.remove(handle).unwrap();
+        spliced(&next, &t);
     }
 
     /// An added entry that accepts part of a class splits it; the class
@@ -1909,16 +1819,16 @@ mod tests {
         // Position-major copy of what each entry accepts, so the passes
         // below run over contiguous columns instead of chasing every
         // entry's spec once per position.
-        let mut accepts = vec![Accept::Masked { mask: 0, value: 0 }; width * n];
+        let mut accepts = vec![ByteSet::ANY; width * n];
         for (rank, entry) in entries.iter().enumerate() {
             for pos in 0..width {
-                accepts[pos * n + rank] = Accept::at(&entry.spec, pos);
+                accepts[pos * n + rank] = entry.sets[pos];
             }
         }
         let mut class = Vec::with_capacity(width * 256);
         let mut rows: Vec<u64> = Vec::new();
-        // Accept-set ids already refined over at the current position.
-        let mut seen = [0u64; (1 << 16) / 64];
+        // Sets already refined over at the current position.
+        let mut seen = std::collections::HashSet::new();
         // Entries that leave the current position free, as a row.
         let mut any = vec![0u64; words];
         let (mut partitions, mut member_sets) = (Vec::new(), Vec::new());
@@ -1932,15 +1842,11 @@ mod tests {
             let column = &accepts[pos * n..][..n];
             let mut classes = Classes::new();
             for &accept in column {
-                let (word, bit) = (accept.id() / 64, 1u64 << (accept.id() % 64));
-                if seen[word] & bit == 0 && !accept.is_any() {
-                    seen[word] |= bit;
+                if !accept.is_any() && seen.insert(accept) {
                     classes.refine(accept);
                 }
             }
-            for &accept in column {
-                seen[accept.id() / 64] = 0;
-            }
+            seen.clear();
 
             let base = rows.len();
             rows.resize(base + classes.count() * stride, 0);
@@ -1964,11 +1870,11 @@ mod tests {
                 let (word, bit) = (rank / 64, 1u64 << (rank % 64));
                 if accept.is_any() {
                     any[word] |= bit;
-                } else if accept.count() <= classes.count() {
-                    accept.for_each(|byte| {
+                } else if accept.len() <= classes.count() {
+                    for byte in accept.bytes() {
                         let of = usize::from(classes.of[usize::from(byte)]);
                         rows[of * stride + summary + word] |= bit;
-                    });
+                    }
                 } else {
                     let members = members.get_or_insert_with(|| {
                         let mut members = [0; 256];
@@ -2015,33 +1921,36 @@ mod tests {
         }
     }
 
-    /// A per-byte accept pool with free, exact, prefix and scattered masks
-    /// (ternary) or with the full, a point and arbitrary intervals (range).
-    fn accepts(ranges: bool, a: u8, b: u8, sel: u8) -> (u8, u8) {
-        match (ranges, sel % 6) {
-            (false, sel) => {
-                let mask = [0x00, 0xff, 0xf0, 0xfe, 0x5a, 0x80][usize::from(sel)];
-                (a & mask, mask)
-            }
-            (true, 0) => (0, 255),
-            (true, 1) => (a, a),
-            (true, _) => (a.min(b), a.max(b)),
+    /// A per-byte pool of accepted sets: free, exact, prefix and scattered
+    /// masks, a point, an arbitrary interval, and a union no mask or
+    /// interval makes — as a fold leaves it. An exact byte and a point
+    /// are one set, made two ways.
+    fn accepts(a: u8, b: u8, sel: u8) -> ByteSet {
+        match sel % 9 {
+            0 => ByteSet::ANY,
+            1 => ByteSet::masked(0xff, a),
+            2 => ByteSet::masked(0xf0, a),
+            3 => ByteSet::masked(0xfe, a),
+            4 => ByteSet::masked(0x5a, a),
+            5 => ByteSet::masked(0x80, a),
+            6 => ByteSet::between(a, a),
+            7 => ByteSet::between(a.min(b), a.max(b)),
+            _ => ByteSet::between(a.min(b), a.max(b)).union(ByteSet::masked(0x5a, b)),
         }
     }
 
     proptest! {
-        /// The fill over distinct accept sets builds the very positions,
+        /// The fill over distinct accepted sets builds the very positions,
         /// rows, class map and summaries the per-entry fill did, on random
-        /// ternary and range tables of up to ~600 rows (past the summary
-        /// threshold) in which every entry leaves a random set of the
-        /// positions free (none, some or all).
+        /// tables of up to ~600 rows (past the summary threshold) mixing
+        /// masks, intervals and folded unions, in which every entry leaves
+        /// a random set of the positions free (none, some or all).
         #[test]
         fn build_matches_the_per_entry_fill(
-            ranges in any::<bool>(),
             width in 1usize..=4,
             free in pvec(any::<bool>(), 4),
             rows in pvec(
-                (pvec(any::<u8>(), 4), pvec(any::<u8>(), 4), pvec(0u8..6, 4), 0u16..4),
+                (pvec(any::<u8>(), 4), pvec(any::<u8>(), 4), pvec(0u8..9, 4), 0u16..4),
                 0..600,
             ),
         ) {
@@ -2049,16 +1958,11 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(i, (a, b, sel, port))| {
-                    let (x, y): (Vec<u8>, Vec<u8>) = (0..width)
-                        .map(|p| accepts(ranges, a[p], b[p], if free[p] { 0 } else { sel[p] }))
-                        .unzip();
-                    let spec = if ranges {
-                        MatchSpec::Range { lo: x, hi: y }
-                    } else {
-                        MatchSpec::Ternary { value: x, mask: y }
-                    };
+                    let sets = (0..width)
+                        .map(|p| accepts(a[p], b[p], if free[p] { 0 } else { sel[p] }))
+                        .collect();
                     let action = Action::Forward(*port);
-                    MinEntry { spec, action, priority: 0, order: i as u64 }
+                    MinEntry { sets, action, priority: 0, order: i as u64 }
                 })
                 .collect();
             let built = BitVector::build(&MinEntries::new(entries.clone()), width);

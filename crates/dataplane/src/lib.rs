@@ -48,6 +48,7 @@
 
 pub mod acl;
 pub mod action;
+pub mod byteset;
 pub mod compiled;
 pub mod control;
 pub mod key;

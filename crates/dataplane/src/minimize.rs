@@ -1,7 +1,8 @@
-//! Lowering-time table minimization: subsumed-entry elimination, ternary
-//! sibling merging and range coalescing, applied when a frozen
-//! [`Table`](crate::table::Table) is compiled into a
-//! [`CompiledTable`](crate::compiled::CompiledTable).
+//! Lowering-time table minimization: every entry becomes a box — one
+//! [`ByteSet`] per key position — each order-free priority level of a
+//! ternary, range or LPM table is folded, and subsumed entries are
+//! eliminated, when a frozen [`Table`](crate::table::Table) is compiled
+//! into a [`CompiledTable`](crate::compiled::CompiledTable).
 //!
 //! The reference semantics are [`Table::peek`](crate::table::Table::peek):
 //! the winner is the first
@@ -9,40 +10,32 @@
 //! order breaking ties). Minimization rewrites the entry list without
 //! changing any lookup's `(action, winning priority)`:
 //!
-//! * **Subsumption** (all kinds): an entry whose match set is contained in
-//!   an earlier kept entry's match set can never be the first match, so it
-//!   is dropped — regardless of either action, a shadowed entry is dead.
-//! * **Sibling merging** (ternary): within one priority level that is
+//! * **Fold** (wildcard kinds): within one priority level that is
 //!   *order-free* (no two overlapping entries carry different actions),
-//!   two entries with the same mask and action whose values differ in a
-//!   single cared bit are exactly the union of a one-bit-wider wildcard,
-//!   so they collapse into it. Runs to a fixpoint, so whole subtrees of
-//!   adjacent decision-tree leaves fold together.
-//! * **Interval coalescing** (range): within an order-free level, two
-//!   same-action boxes equal on every byte but one, whose intervals on
-//!   that byte touch or overlap, are exactly their union box.
+//!   same-action boxes equal at every position but one are exactly the
+//!   box whose set there is the union of theirs, so they collapse into it.
+//!   Position by position to a fixpoint, so a decision-tree leaf that
+//!   prefix expansion cut into its range → prefix cross product folds back
+//!   into its box, and adjacent leaves join where they line up. A one-bit
+//!   sibling merge and an interval coalescing are both special cases.
+//! * **Subsumption** (all kinds): an entry whose match set is contained in
+//!   an earlier kept entry's — per position set inclusion, which for exact
+//!   keys is equality — can never be the first match, so it is dropped,
+//!   regardless of either action: a shadowed entry is dead. It runs over
+//!   the folded entries and is quadratic, so above
+//!   [`MINIMIZE_MAX_ENTRIES`] folded entries it is skipped.
 //!
-//! # One core, two drivers
+//! # The TCAM count is not the engine's rows
 //!
-//! Which ternary entries fold together is decided in one place,
-//! [`p4guard_rules::cube`] — the same sweep `RuleSet::optimize` runs.
-//! This module is a *driver* over it and keeps only what has no
-//! counterpart there:
+//! A folded box is a row of the bit-vector engine, not a TCAM entry: a
+//! switch still holds the ternary form. What a table costs in TCAM
+//! ([`TableUsage`](crate::resources::TableUsage), and the fleet budgeter
+//! through [`minimized_ternary_count`]) is counted by [`ternary_rows`]:
+//! subsumption, then [`p4guard_rules::cube`]'s one-bit sibling merge per
+//! level — the same sweep `RuleSet::optimize` runs — under the same cap.
+//! It is a count; nothing is lowered from it.
 //!
-//! * the kind-generic, handle-aware driver itself ([`minimize`]): the
-//!   subsumption loop over [`spec_covers`] and the split into priority
-//!   levels, with ternary levels handed to the core labelled by
-//!   [`Action`] and sourced by entry handle;
-//! * range coalescing and exact/LPM subsumption, which the rule compiler
-//!   never needs;
-//! * [`SourceClass`], `MinimizedTable::patch` and the incremental
-//!   [`CompiledTable::recompile`](crate::compiled::CompiledTable::recompile):
-//!   they *consume* the classification, they do not decide merges;
-//! * [`MINIMIZE_MAX_ENTRIES`], lowering's publish-time bound on the
-//!   quadratic subsumption pass. It lives here, not in the core, because
-//!   it is a property of publishing (the fleet budgeter must see the same
-//!   bound through [`minimized_ternary_count`]), not of the rule compiler,
-//!   whose `optimize` has no such cap.
+//! # Bookkeeping
 //!
 //! The working entry carries nothing it can derive: its order key is its
 //! smallest source, it is merged when it stands for more than one source,
@@ -56,24 +49,27 @@
 //! makes incremental patching
 //! ([`CompiledTable::recompile`](crate::compiled::CompiledTable::recompile))
 //! sound: an added entry always lands at the end of its priority level in
-//! both the source table and the minimized list.
+//! both the source table and the minimized list, verbatim — a box of its
+//! own, not folded.
 //!
 //! Every source handle is classified ([`SourceClass`]) by how the last
 //! full minimization treated it; the incremental compiler patches entry
 //! additions and removals of [`SourceClass::Clean`]/
 //! [`SourceClass::Eliminated`] handles in place and falls back to a full
-//! recompile for anything entangled in a merge or covering relation.
+//! recompile for anything entangled in a fold or covering relation.
 
 use crate::action::Action;
-use crate::table::{prefix_mask, EntryHandle, MatchKind, MatchSpec, TableEntry};
+use crate::byteset::{ByteSet, ByteSetMap};
+use crate::table::{EntryHandle, MatchKind, MatchSpec, TableEntry};
 use p4guard_rules::cube::{self, Cube};
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Above this source entry count minimization is skipped (the subsumption
-/// pass is quadratic); the table compiles one engine row per source entry
-/// and every handle classifies as [`SourceClass::Clean`].
+/// Above this many folded entries subsumption is skipped (the pass is
+/// quadratic), and so is the overlap test that tells whether a level with
+/// more than one action is order-free; the TCAM count above this many
+/// source entries is the raw count.
 pub const MINIMIZE_MAX_ENTRIES: usize = 3072;
 
 /// How the last full minimization treated one source handle.
@@ -82,7 +78,7 @@ pub enum SourceClass {
     /// Kept one-to-one: not merged, and covering no eliminated entry.
     /// Removing it just deletes its minimized entry.
     Clean,
-    /// Folded into a wider merged entry with at least one sibling.
+    /// Folded into a wider entry with at least one other source.
     Merged,
     /// Dropped because an earlier kept entry covers it; removing it is a
     /// no-op on the minimized list.
@@ -92,11 +88,30 @@ pub enum SourceClass {
     Coverer,
 }
 
+/// `spec` as a box: per key position, the byte values it accepts (an
+/// exact key's are single bytes).
+fn box_of(spec: &MatchSpec) -> Vec<ByteSet> {
+    (0..spec.width())
+        .map(|pos| ByteSet::of(spec, pos))
+        .collect()
+}
+
+/// Every key matching box `b` also matches box `a`.
+fn covers(a: &[ByteSet], b: &[ByteSet]) -> bool {
+    a.len() == b.len() && b.iter().zip(a).all(|(b, a)| b.is_subset(a))
+}
+
+/// Some key matches both boxes.
+fn overlaps(a: &[ByteSet], b: &[ByteSet]) -> bool {
+    a.iter().zip(b).all(|(a, b)| !a.intersection(*b).is_empty())
+}
+
 /// One minimized entry, in minimized match order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MinEntry {
-    /// The (possibly widened) match spec.
-    pub spec: MatchSpec,
+    /// What the entry matches: per key position, the byte values it
+    /// accepts — one each for an exact key, a union where entries folded.
+    pub sets: Vec<ByteSet>,
     /// Action on hit.
     pub action: Action,
     /// Effective priority (identical to every source it stands for).
@@ -107,10 +122,10 @@ pub struct MinEntry {
 }
 
 impl MinEntry {
-    /// A source entry kept as it is.
-    fn verbatim(entry: &TableEntry) -> MinEntry {
+    /// A source entry kept as it is: what a patch adds.
+    pub fn verbatim(entry: &TableEntry) -> MinEntry {
         MinEntry {
-            spec: entry.spec.clone(),
+            sets: box_of(&entry.spec),
             action: entry.action,
             priority: entry.priority,
             order: entry.handle.0,
@@ -341,7 +356,7 @@ pub struct MinimizedTable {
     classes: Vec<(EntryHandle, SourceClass)>,
     /// Source entries dropped by subsumption.
     pub eliminated: usize,
-    /// Source entries folded away by merging (sources minus survivors).
+    /// Source entries folded away (sources minus survivors).
     pub merged_away: usize,
 }
 
@@ -501,17 +516,28 @@ pub struct Edit {
     pub fresh: Vec<usize>,
 }
 
-/// A kept entry mid-minimization, labelled `L` (the table [`Action`], or
-/// `()` when only the row count matters).
+/// An entry mid-minimization, labelled `L` (the table [`Action`], or `()`
+/// when only the row count matters).
 struct Kept<L> {
-    spec: MatchSpec,
+    sets: Vec<ByteSet>,
     label: L,
     priority: i32,
     /// Source handles this entry stands for; see [`Cube::sources`].
     sources: Vec<u64>,
 }
 
-/// What the two passes made of one table's rows.
+impl<L> Kept<L> {
+    /// The smallest source: where the entry sits in its level.
+    fn order(&self) -> u64 {
+        *self
+            .sources
+            .iter()
+            .min()
+            .expect("a kept entry has a source")
+    }
+}
+
+/// What subsumption made of one table's rows.
 struct Reduced<L> {
     /// Survivors in minimized match order.
     kept: Vec<Kept<L>>,
@@ -521,10 +547,10 @@ struct Reduced<L> {
     shadows: BTreeSet<u64>,
 }
 
-/// Runs subsumption then per-level merging over `rows` (frozen match
-/// order, one source each). Above [`MINIMIZE_MAX_ENTRIES`] the rows come
-/// back one-to-one.
-fn reduce<L: Ord + Copy>(kind: MatchKind, rows: Vec<Kept<L>>) -> Reduced<L> {
+/// Drops every row (frozen match order) covered by an earlier kept one:
+/// it can never be the first match, whatever either action is. Above
+/// [`MINIMIZE_MAX_ENTRIES`] rows the rows come back as they are.
+fn subsume<L>(rows: Vec<Kept<L>>) -> Reduced<L> {
     let mut reduced = Reduced {
         kept: Vec::with_capacity(rows.len()),
         eliminated: Vec::new(),
@@ -534,14 +560,8 @@ fn reduce<L: Ord + Copy>(kind: MatchKind, rows: Vec<Kept<L>>) -> Reduced<L> {
         reduced.kept = rows;
         return reduced;
     }
-    // Pass 1 — subsumption: an entry covered by an earlier kept entry can
-    // never be the first match, whatever either action is.
     for row in rows {
-        match reduced
-            .kept
-            .iter()
-            .find(|k| spec_covers(&k.spec, &row.spec))
-        {
+        match reduced.kept.iter().find(|k| covers(&k.sets, &row.sets)) {
             Some(shadow) => {
                 reduced.shadows.insert(shadow.sources[0]);
                 reduced.eliminated.extend(row.sources);
@@ -549,43 +569,145 @@ fn reduce<L: Ord + Copy>(kind: MatchKind, rows: Vec<Kept<L>>) -> Reduced<L> {
             None => reduced.kept.push(row),
         }
     }
-    // Pass 2 — per-level merging for the widenable kinds.
-    let merge_level = match kind {
-        MatchKind::Ternary => merge_cube_level,
-        MatchKind::Range => merge_range_level,
-        MatchKind::Exact | MatchKind::Lpm => return reduced,
-    };
-    let mut levels = std::mem::take(&mut reduced.kept).into_iter().peekable();
-    while let Some(first) = levels.next() {
-        let mut level = vec![first];
-        while let Some(k) = levels.next_if(|k| k.priority == level[0].priority) {
-            level.push(k);
-        }
-        reduced.kept.extend(if level.len() < 2 {
-            level
-        } else {
-            merge_level(level)
-        });
-    }
     reduced
 }
 
-/// Minimizes `entries` (in frozen match order) for a table of `kind`.
-pub fn minimize(kind: MatchKind, entries: &[TableEntry]) -> MinimizedTable {
-    let rows = entries
-        .iter()
-        .map(|e| Kept {
-            spec: e.spec.clone(),
-            label: e.action,
-            priority: e.priority,
-            sources: vec![e.handle.0],
+/// Whether matching within one level is independent of entry order: no
+/// two overlapping boxes (`width` sets each, back to back, one per entry
+/// of `level`) carry different actions. A one-action level is, by
+/// inspection; otherwise every pair is tested, up to
+/// [`MINIMIZE_MAX_ENTRIES`] entries.
+fn order_free(level: &[TableEntry], boxes: &[ByteSet], width: usize) -> bool {
+    let action = |i: usize| level[i].action;
+    if level.iter().all(|e| e.action == action(0)) {
+        return true;
+    }
+    let of = |i: usize| &boxes[i * width..][..width];
+    level.len() <= MINIMIZE_MAX_ENTRIES
+        && (0..level.len()).all(|i| {
+            (i + 1..level.len()).all(|j| action(i) == action(j) || !overlaps(of(i), of(j)))
         })
+}
+
+/// Folds each order-free priority level of `entries` (frozen match order,
+/// a ternary, range or LPM table) to a fixpoint: at each key position in
+/// turn, the boxes of one action that are equal at every other position
+/// become one box whose set there is the union of theirs — exactly the
+/// keys they matched, so in an order-free level no lookup changes. The
+/// positions go round until a whole round folds nothing. Each distinct
+/// set of each position has an id, and a pass sorts the level's rows by
+/// action and their ids at the other positions, so the boxes, ids and
+/// source chains live in flat arrays and a fold moves none of them: a row
+/// is the index of its first entry. The rows come back in match order.
+fn fold(entries: &[TableEntry]) -> Vec<Kept<Action>> {
+    let n = entries.len();
+    let width = entries.first().map_or(0, |e| e.spec.width());
+    // Every entry's box, back to back; a row's box is its first entry's.
+    let mut sets: Vec<ByteSet> = Vec::with_capacity(n * width);
+    for e in entries {
+        sets.extend((0..width).map(|pos| ByteSet::of(&e.spec, pos)));
+    }
+    let mut numbers: Vec<ByteSetMap<u32>> = vec![ByteSetMap::default(); width];
+    let mut intern = |pos: usize, set: ByteSet| {
+        let next = numbers[pos].len() as u32;
+        *numbers[pos].entry(set).or_insert(next)
+    };
+    let mut ids: Vec<u32> = (0..n * width)
+        .map(|at| intern(at % width, sets[at]))
         .collect();
+    // The entries of a row as a chain from its first: each entry's next
+    // one (`n` ends the chain), and each row's last.
+    let (mut next, mut last): (Vec<usize>, Vec<usize>) =
+        ((0..n).map(|_| n).collect(), (0..n).collect());
+    let mut rows = Vec::with_capacity(n);
+    let mut start = 0;
+    while start < n {
+        let priority = entries[start].priority;
+        let end = start + entries[start..].partition_point(|e| e.priority == priority);
+        let mut live: Vec<usize> = (start..end).collect();
+        let free = order_free(
+            &entries[start..end],
+            &sets[start * width..end * width],
+            width,
+        );
+        let (mut pos, mut quiet) = (0, 0);
+        while free && live.len() > 1 && quiet < width {
+            let key = |&i: &usize| {
+                let row = &ids[i * width..][..width];
+                (entries[i].action, &row[..pos], &row[pos + 1..])
+            };
+            live.sort_by(|a, b| key(a).cmp(&key(b)).then(a.cmp(b)));
+            let groups: Vec<usize> = live
+                .chunk_by(|a, b| key(a) == key(b))
+                .map(<[usize]>::len)
+                .collect();
+            let mut heads = Vec::with_capacity(groups.len());
+            let mut rest = &live[..];
+            for len in groups {
+                let (group, after) = rest.split_at(len);
+                rest = after;
+                let head = group[0];
+                for &other in &group[1..] {
+                    sets[head * width + pos] =
+                        sets[head * width + pos].union(sets[other * width + pos]);
+                    next[last[head]] = other;
+                    last[head] = last[other];
+                }
+                if len > 1 {
+                    ids[head * width + pos] = intern(pos, sets[head * width + pos]);
+                }
+                heads.push(head);
+            }
+            quiet = if heads.len() < live.len() {
+                1
+            } else {
+                quiet + 1
+            };
+            live = heads;
+            pos = (pos + 1) % width;
+        }
+        live.sort_unstable();
+        rows.extend(live.into_iter().map(|head| {
+            let mut sources = Vec::new();
+            let mut at = head;
+            while at < n {
+                sources.push(entries[at].handle.0);
+                at = next[at];
+            }
+            Kept {
+                sets: sets[head * width..][..width].to_vec(),
+                label: entries[head].action,
+                priority,
+                sources,
+            }
+        }));
+        start = end;
+    }
+    rows
+}
+
+/// Minimizes `entries` (in frozen match order) for a table of `kind`:
+/// each priority level of a wildcard kind folded, then subsumption over
+/// the folded entries. An exact table's keys do not fold: its engine
+/// hashes one key per entry.
+pub fn minimize(kind: MatchKind, entries: &[TableEntry]) -> MinimizedTable {
+    let rows = match kind {
+        MatchKind::Exact => entries
+            .iter()
+            .map(|e| Kept {
+                sets: box_of(&e.spec),
+                label: e.action,
+                priority: e.priority,
+                sources: vec![e.handle.0],
+            })
+            .collect(),
+        _ => fold(entries),
+    };
     let Reduced {
         kept,
         eliminated,
         shadows,
-    } = reduce(kind, rows);
+    } = subsume(rows);
 
     let mut classes: Vec<(EntryHandle, SourceClass)> = Vec::with_capacity(entries.len());
     for k in &kept {
@@ -608,8 +730,8 @@ pub fn minimize(kind: MatchKind, entries: &[TableEntry]) -> MinimizedTable {
         entries: MinEntries::new(
             kept.into_iter()
                 .map(|k| MinEntry {
-                    order: *k.sources.iter().min().expect("a kept entry has a source"),
-                    spec: k.spec,
+                    order: k.order(),
+                    sets: k.sets,
                     action: k.label,
                     priority: k.priority,
                 })
@@ -621,197 +743,74 @@ pub fn minimize(kind: MatchKind, entries: &[TableEntry]) -> MinimizedTable {
     }
 }
 
-/// Hands one ternary level to the shared core ([`cube::merge_siblings`])
-/// and converts the survivors back, in order of their smallest source. A
-/// level holding anything but ternary specs is returned unmerged.
-fn merge_cube_level<L: Ord + Copy>(level: Vec<Kept<L>>) -> Vec<Kept<L>> {
-    let priority = level[0].priority;
-    let cubes: Option<Vec<Cube<L>>> = level
+/// TCAM rows of the ternary form of `entries` (frozen match order,
+/// labelled): subsumed entries dropped, then within each priority level
+/// of ternary entries one-bit siblings merged by [`cube::merge_siblings`].
+/// Nothing folds. Above [`MINIMIZE_MAX_ENTRIES`] entries, the raw count.
+fn ternary_form<L: Ord + Copy>(entries: &[(&MatchSpec, L, i32)]) -> usize {
+    if entries.len() > MINIMIZE_MAX_ENTRIES {
+        return entries.len();
+    }
+    let rows = entries
         .iter()
-        .map(|k| match &k.spec {
-            MatchSpec::Ternary { value, mask } => Some(Cube {
-                value: value.clone(),
-                mask: mask.clone(),
-                label: k.label,
-                sources: k.sources.clone(),
-            }),
-            _ => None,
-        })
-        .collect();
-    let Some(cubes) = cubes else { return level };
-    cube::merge_siblings(cubes)
-        .into_iter()
-        .map(|c| Kept {
-            spec: MatchSpec::Ternary {
-                value: c.value,
-                mask: c.mask,
-            },
-            label: c.label,
+        .enumerate()
+        .map(|(i, &(spec, label, priority))| Kept {
+            sets: box_of(spec),
+            label,
             priority,
-            sources: c.sources,
-        })
-        .collect()
-}
-
-/// Returns `true` when no two range boxes of the level that overlap carry
-/// different labels — the condition under which relative order inside the
-/// level cannot affect any lookup's action, so union-preserving rewrites
-/// are free.
-fn range_level_order_free<L: PartialEq>(level: &[Kept<L>]) -> bool {
-    level.iter().enumerate().all(|(i, a)| {
-        level[i + 1..]
-            .iter()
-            .all(|b| a.label == b.label || !range_overlaps(&a.spec, &b.spec))
-    })
-}
-
-/// Coalesces adjacent/overlapping same-label range boxes differing in a
-/// single byte dimension, within an order-free level, to a fixpoint. The
-/// union stays at the earlier box's position, so the level stays sorted
-/// by smallest source.
-fn merge_range_level<L: Ord + Copy>(level: Vec<Kept<L>>) -> Vec<Kept<L>> {
-    if !range_level_order_free(&level) {
-        return level;
-    }
-    let mut items = level;
-    loop {
-        let mut merged_any = false;
-        'scan: for i in 0..items.len() {
-            for j in (i + 1)..items.len() {
-                if items[i].label != items[j].label {
-                    continue;
-                }
-                let (MatchSpec::Range { lo: la, hi: ha }, MatchSpec::Range { lo: lb, hi: hb }) =
-                    (&items[i].spec, &items[j].spec)
-                else {
-                    continue;
-                };
-                let Some(dim) = coalescable_dim(la, ha, lb, hb) else {
-                    continue;
-                };
-                let mut lo = la.clone();
-                let mut hi = ha.clone();
-                lo[dim] = lo[dim].min(lb[dim]);
-                hi[dim] = hi[dim].max(hb[dim]);
-                let b = items.remove(j);
-                let a = &mut items[i];
-                a.spec = MatchSpec::Range { lo, hi };
-                a.sources.extend(b.sources);
-                merged_any = true;
-                break 'scan;
-            }
-        }
-        if !merged_any {
-            break;
-        }
-    }
-    items
-}
-
-/// If boxes `a` and `b` are equal on every byte except one where their
-/// intervals touch or overlap, returns that dimension.
-fn coalescable_dim(la: &[u8], ha: &[u8], lb: &[u8], hb: &[u8]) -> Option<usize> {
-    let mut dim = None;
-    for i in 0..la.len() {
-        if la[i] == lb[i] && ha[i] == hb[i] {
-            continue;
-        }
-        if dim.is_some() {
-            return None;
-        }
-        // Touching or overlapping on this byte (u16 math avoids overflow
-        // at 255 + 1).
-        let lo = u16::from(la[i].max(lb[i]));
-        let hi = u16::from(ha[i].min(hb[i]));
-        if lo > hi + 1 {
-            return None;
-        }
-        dim = Some(i);
-    }
-    dim
-}
-
-/// Match-set containment: every key matching `b` also matches `a`. Only
-/// defined within one match kind (tables are single-kind).
-pub fn spec_covers(a: &MatchSpec, b: &MatchSpec) -> bool {
-    match (a, b) {
-        (MatchSpec::Exact(va), MatchSpec::Exact(vb)) => va == vb,
-        (
-            MatchSpec::Ternary {
-                value: va,
-                mask: ma,
-            },
-            MatchSpec::Ternary {
-                value: vb,
-                mask: mb,
-            },
-        ) => cube::covers(va, ma, vb, mb),
-        (
-            MatchSpec::Lpm {
-                value: va,
-                prefix_len: pa,
-            },
-            MatchSpec::Lpm {
-                value: vb,
-                prefix_len: pb,
-            },
-        ) => {
-            va.len() == vb.len()
-                && pa <= pb
-                && va.iter().zip(vb).enumerate().all(|(pos, (&a, &b))| {
-                    let m = prefix_mask(*pa, pos);
-                    a & m == b & m
+            sources: vec![i as u64],
+        });
+    let kept = subsume(rows.collect()).kept;
+    kept.chunk_by(|a, b| a.priority == b.priority)
+        .map(|level| {
+            let cubes: Option<Vec<Cube<L>>> = level
+                .iter()
+                .map(|k| match entries[k.sources[0] as usize].0 {
+                    MatchSpec::Ternary { value, mask } => Some(Cube {
+                        value: value.clone(),
+                        mask: mask.clone(),
+                        label: k.label,
+                        sources: k.sources.clone(),
+                    }),
+                    _ => None,
                 })
-        }
-        (MatchSpec::Range { lo: la, hi: ha }, MatchSpec::Range { lo: lb, hi: hb }) => {
-            la.len() == lb.len()
-                && la.iter().zip(lb).all(|(&a, &b)| a <= b)
-                && ha.iter().zip(hb).all(|(&a, &b)| a >= b)
-        }
-        _ => false,
-    }
+                .collect();
+            cubes.map_or(level.len(), |cubes| cube::merge_siblings(cubes).len())
+        })
+        .sum()
 }
 
-/// Range overlap: the boxes intersect on every byte.
-fn range_overlaps(a: &MatchSpec, b: &MatchSpec) -> bool {
-    match (a, b) {
-        (MatchSpec::Range { lo: la, hi: ha }, MatchSpec::Range { lo: lb, hi: hb }) => {
-            la.len() == lb.len()
-                && la
-                    .iter()
-                    .zip(ha)
-                    .zip(lb.iter().zip(hb))
-                    .all(|((&la, &ha), (&lb, &hb))| la.max(lb) <= ha.min(hb))
-        }
-        _ => false,
-    }
+/// TCAM rows the ternary form of a table's `entries` (in match order)
+/// occupies: what [`TableUsage`](crate::resources::TableUsage) prices. Not
+/// the engine's rows, which fold further.
+pub fn ternary_rows(entries: &[TableEntry]) -> usize {
+    let labelled: Vec<_> = entries
+        .iter()
+        .map(|e| (&e.spec, e.action, e.priority))
+        .collect();
+    ternary_form(&labelled)
 }
 
-/// Minimized entry count for a pure ternary rule list installed with one
-/// uniform action — the form `ControlPlane::replace_ruleset` lowers a
-/// `RuleSet` into, and what the fleet budgeter admits against. Entries
-/// arrive as `(value, mask, priority)`; order among equal priorities is
-/// verdict-neutral under a uniform action, so callers may pass any stable
-/// order.
+/// TCAM rows of a pure ternary rule list installed with one uniform
+/// action — the form `ControlPlane::replace_ruleset` lowers a `RuleSet`
+/// into, and what the fleet budgeter admits against; the same count as
+/// [`ternary_rows`]. Entries arrive as `(value, mask, priority)`; order
+/// among equal priorities is verdict-neutral under a uniform action, so
+/// callers may pass any stable order.
 pub fn minimized_ternary_count<'a, I>(rules: I) -> usize
 where
     I: IntoIterator<Item = (&'a [u8], &'a [u8], i32)>,
 {
-    let mut rows: Vec<Kept<()>> = rules
+    let mut specs: Vec<(MatchSpec, i32)> = rules
         .into_iter()
-        .enumerate()
-        .map(|(i, (value, mask, priority))| Kept {
-            spec: MatchSpec::Ternary {
-                value: value.to_vec(),
-                mask: mask.to_vec(),
-            },
-            label: (),
-            priority,
-            sources: vec![i as u64],
+        .map(|(value, mask, priority)| {
+            let (value, mask) = (value.to_vec(), mask.to_vec());
+            (MatchSpec::Ternary { value, mask }, priority)
         })
         .collect();
-    rows.sort_by_key(|r| std::cmp::Reverse(r.priority));
-    reduce(MatchKind::Ternary, rows).kept.len()
+    specs.sort_by_key(|&(_, priority)| std::cmp::Reverse(priority));
+    let labelled: Vec<_> = specs.iter().map(|(spec, p)| (spec, (), *p)).collect();
+    ternary_form(&labelled)
 }
 
 #[cfg(test)]
@@ -825,7 +824,16 @@ mod tests {
     }
 
     fn build(kind: MatchKind, width: usize, rows: &[(MatchSpec, Action, i32)]) -> Table {
-        let mut t = Table::new("m", kind, KeyLayout::window(width), 256, Action::NoOp);
+        build_with_capacity(kind, width, rows, 256)
+    }
+
+    fn build_with_capacity(
+        kind: MatchKind,
+        width: usize,
+        rows: &[(MatchSpec, Action, i32)],
+        capacity: usize,
+    ) -> Table {
+        let mut t = Table::new("m", kind, KeyLayout::window(width), capacity, Action::NoOp);
         for (spec, action, priority) in rows {
             t.insert(spec.clone(), *action, *priority).unwrap();
         }
@@ -835,14 +843,14 @@ mod tests {
     #[test]
     fn siblings_fold_to_a_single_wildcard() {
         // Four values over two low bits, same mask/action/priority: the
-        // whole block folds into one entry with the two bits wildcarded.
+        // whole block folds into one entry accepting the four bytes.
         let rows: Vec<_> = (0..4u8)
             .map(|v| (ternary(vec![v], vec![0xff]), Action::Drop, 1))
             .collect();
         let t = build(MatchKind::Ternary, 1, &rows);
         let min = minimize(MatchKind::Ternary, t.entries());
         assert_eq!(min.entries.len(), 1);
-        assert_eq!(min.entries[0].spec, ternary(vec![0], vec![0xfc]));
+        assert_eq!(min.entries[0].sets, [ByteSet::between(0, 3)]);
         assert_eq!(min.entries[0].order, 1);
         assert_eq!(min.merged_away, 3);
         for e in t.entries() {
@@ -896,7 +904,7 @@ mod tests {
         let t = build(MatchKind::Ternary, 1, &rows);
         let min = minimize(MatchKind::Ternary, t.entries());
         assert_eq!(min.entries.len(), 2);
-        assert_eq!(min.entries[0].spec, ternary(vec![0x02], vec![0xfe]));
+        assert_eq!(min.entries[0].sets, [ByteSet::masked(0xfe, 0x02)]);
         assert_eq!(min.entries[0].order, 1);
         assert_eq!(min.entries[1].action, Action::Forward(1));
     }
@@ -913,7 +921,10 @@ mod tests {
         let t = build(MatchKind::Range, 2, &rows);
         let min = minimize(MatchKind::Range, t.entries());
         assert_eq!(min.entries.len(), 2);
-        assert_eq!(min.entries[0].spec, range(vec![10, 0], vec![30, 50]));
+        assert_eq!(
+            min.entries[0].sets,
+            [ByteSet::between(10, 30), ByteSet::between(0, 50)]
+        );
         assert_eq!(min.merged_away, 1);
     }
 
@@ -950,36 +961,54 @@ mod tests {
 
     #[test]
     fn coverer_class_survives_the_ternary_merge_pass() {
-        // h1 (c0/f0 @1) shadows h3 (c0/f0 @0) across priority levels; the
-        // p=1 level has a second entry so the merge pass rebuilds it.
-        // Regression: the rebuild used to drop the covering flag, letting
-        // the incremental compiler patch h1's removal without
-        // resurrecting h3.
+        // h1 shadows h4 (the same box one level down). Its level also
+        // holds two boxes that fold together (h2, h3: equal on byte 1,
+        // adjacent on byte 0), so the fold rebuilds it; h1 lines up with
+        // neither and comes back standing for itself alone. Regression:
+        // a rebuild used to drop the covering flag, letting the
+        // incremental compiler patch h1's removal without resurrecting h4.
         let rows = [
-            (ternary(vec![0xc0], vec![0xf0]), Action::Drop, 1),
-            (ternary(vec![0x02], vec![0xfe]), Action::Drop, 1),
-            (ternary(vec![0xc0], vec![0xf0]), Action::Drop, 0),
+            (ternary(vec![0xc0, 0x00], vec![0xf0, 0xff]), Action::Drop, 1),
+            (ternary(vec![0x02, 0x11], vec![0xff, 0xff]), Action::Drop, 1),
+            (ternary(vec![0x03, 0x11], vec![0xff, 0xff]), Action::Drop, 1),
+            (ternary(vec![0xc0, 0x00], vec![0xf0, 0xff]), Action::Drop, 0),
         ];
-        let t = build(MatchKind::Ternary, 1, &rows);
+        let t = build(MatchKind::Ternary, 2, &rows);
         let min = minimize(MatchKind::Ternary, t.entries());
         let handles: Vec<_> = t.entries().iter().map(|e| e.handle).collect();
+        assert_eq!(min.entries.len(), 2);
         assert_eq!(min.class_of(handles[0]), Some(SourceClass::Coverer));
-        assert_eq!(min.class_of(handles[2]), Some(SourceClass::Eliminated));
+        assert_eq!(min.class_of(handles[1]), Some(SourceClass::Merged));
+        assert_eq!(min.class_of(handles[2]), Some(SourceClass::Merged));
+        assert_eq!(min.class_of(handles[3]), Some(SourceClass::Eliminated));
     }
 
     #[test]
-    fn oversized_tables_skip_minimization() {
-        let rows: Vec<_> = (0..8u8)
-            .map(|v| (ternary(vec![v], vec![0xff]), Action::Drop, 1))
+    fn the_cap_bounds_the_count_not_the_fold() {
+        // One past the cap, consecutive 16-bit values under a full mask:
+        // the TCAM count stays raw, while the fold makes two boxes of them.
+        // Byte 0 folds first: low byte 0 under high bytes 0..=12, each
+        // other low byte under 0..=11; then those join on byte 1.
+        let rows: Vec<_> = (0..=MINIMIZE_MAX_ENTRIES as u16)
+            .map(|i| {
+                (
+                    ternary(i.to_be_bytes().to_vec(), vec![0xff; 2]),
+                    Action::Drop,
+                    1,
+                )
+            })
             .collect();
-        let t = build(MatchKind::Ternary, 1, &rows);
-        // Simulate the cap by checking the identity path directly.
+        let t = build_with_capacity(MatchKind::Ternary, 2, &rows, rows.len());
+        assert_eq!(ternary_rows(t.entries()), rows.len());
         let min = minimize(MatchKind::Ternary, t.entries());
-        assert_eq!(min.entries.len(), 1, "under the cap the block folds");
-        // The public cap constant is what compile consults; entries past
-        // it classify Clean and pass through one-to-one (covered by the
-        // construction at the top of `minimize`).
-        const { assert!(MINIMIZE_MAX_ENTRIES >= 1024) };
+        let sets: Vec<_> = min.entries.iter().map(|e| e.sets.clone()).collect();
+        assert_eq!(
+            sets,
+            [
+                vec![ByteSet::between(0, 12), ByteSet::between(0, 0)],
+                vec![ByteSet::between(0, 11), ByteSet::between(1, 255)],
+            ]
+        );
     }
 
     #[test]
@@ -992,5 +1021,13 @@ mod tests {
                 .map(|(v, m, p)| (v.as_slice(), m.as_slice(), *p)),
         );
         assert_eq!(n, 1);
+        let rows: Vec<_> = values
+            .iter()
+            .map(|(v, m, p)| (ternary(v.clone(), m.clone()), Action::Drop, *p))
+            .collect();
+        assert_eq!(
+            ternary_rows(build(MatchKind::Ternary, 1, &rows).entries()),
+            n
+        );
     }
 }

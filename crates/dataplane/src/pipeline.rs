@@ -145,8 +145,9 @@ impl ReadPipeline {
         self.stages.iter().map(|s| s.len()).sum()
     }
 
-    /// Total entries across all stages after ternary minimization — what
-    /// the lowered engines actually hold.
+    /// Total rows the lowered engines index across all stages: entries
+    /// after minimization, folded into boxes — not the ternary form's TCAM
+    /// entries, which `TableUsage` counts.
     pub fn minimized_entry_count(&self) -> usize {
         self.stages.iter().map(|s| s.minimized_len()).sum()
     }

@@ -62,10 +62,11 @@ pub struct TableUsage {
     pub bits_per_entry: usize,
     /// Total bits consumed.
     pub total_bits: usize,
-    /// Entries the lowered table holds after ternary minimization
-    /// (subsumed-entry elimination + adjacent merging; see
-    /// [`minimize`](crate::minimize)). Equals `entries` for kinds the
-    /// minimizer leaves alone.
+    /// Entries the table's ternary form holds after subsumed-entry
+    /// elimination and one-bit sibling merging
+    /// ([`ternary_rows`](crate::minimize::ternary_rows)): what a switch's
+    /// memory holds, not the rows the compiled engine indexes, which fold
+    /// further.
     #[serde(default)]
     pub minimized_entries: usize,
     /// Bits the minimized form consumes; `<= total_bits`.
@@ -78,9 +79,7 @@ impl TableUsage {
     pub fn of(table: &Table) -> Self {
         let key_bits = table.key().bits();
         let bits_per_entry = key_bits * bits_per_key_bit(table.kind());
-        let minimized_entries = crate::minimize::minimize(table.kind(), table.entries())
-            .entries
-            .len();
+        let minimized_entries = crate::minimize::ternary_rows(table.entries());
         TableUsage {
             name: table.name().to_owned(),
             kind: table.kind(),
@@ -123,8 +122,8 @@ pub struct SwitchResources {
     pub tcam_entries: usize,
     /// Installed entries across SRAM tables.
     pub sram_entries: usize,
-    /// TCAM bits after ternary minimization — what the lowered engines
-    /// actually occupy; `<= tcam_bits`.
+    /// TCAM bits after ternary minimization — what the tables' ternary
+    /// forms occupy in a switch; `<= tcam_bits`.
     #[serde(default)]
     pub tcam_bits_minimized: usize,
     /// TCAM entries after ternary minimization.

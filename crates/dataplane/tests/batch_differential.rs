@@ -383,9 +383,9 @@ fn leaf_boxes(kept: &[usize], depth: usize, next: &mut impl FnMut() -> u8) -> Ve
 
 /// Installs `boxes` into a ternary table over an 8-byte window, each box
 /// lowered to the cross product of its per-position prefix covers under a
-/// priority of its own (so no two boxes' rows merge, and minimization,
-/// over disjoint boxes, keeps every row in match order). `action` picks a
-/// box's action, `None` leaves it out.
+/// priority of its own (so no two boxes' rows fold together, and
+/// minimization, over disjoint boxes, folds each box back into one row).
+/// `action` picks a box's action, `None` leaves it out.
 fn stage_of(
     kept: &[usize],
     boxes: &[Vec<(u8, u8)>],
@@ -458,7 +458,9 @@ fn scan_matched(sw: &Switch, frame: &[u8], vote: Option<VoteStage>) -> Option<(u
 /// each with the kept positions a prefix of the key and scattered as
 /// `loop_churn`'s are: the batched walker, the per-frame walker and
 /// `Switch::process` agree on every verdict, on the counter block and on
-/// the `(stage, rank)` each frame matched.
+/// the `(stage, rank)` each frame matched — a compiled rank names a folded
+/// box, a scanned one a row of its cross product, so both are compared as
+/// the `(stage, priority, action)` they name, a priority being one box's.
 #[test]
 fn learned_scale_stages_on_the_batched_and_vote_paths() {
     for kept in [&[0, 1, 2, 3, 4][..], &[0, 1, 2, 3, 4, 6]] {
@@ -504,14 +506,30 @@ fn learned_scale_stages_on_the_batched_and_vote_paths() {
                     form.positions, kept,
                     "the kept positions are the boxes' own"
                 );
-                assert_eq!(
-                    stage.minimized_len(),
-                    stage.len(),
-                    "every row kept, ranks in match order"
-                );
             }
-            let matched: Vec<Option<(usize, u32)>> =
-                frames.iter().map(|f| scan_matched(&sw, f, vote)).collect();
+            for (stage, compiled) in pipeline.stages().iter().enumerate() {
+                let mut boxes: Vec<i32> = sw
+                    .stage(stage)
+                    .entries()
+                    .iter()
+                    .map(|e| e.priority)
+                    .collect();
+                boxes.dedup();
+                assert_eq!(compiled.minimized_len(), boxes.len(), "one row a box");
+            }
+            let scanned = |(stage, rank): (usize, u32)| {
+                let entry = &sw.stage(stage).entries()[rank as usize];
+                (stage, Some(entry.priority), entry.action)
+            };
+            let compiled = |(stage, rank): (usize, u32)| {
+                let table = &pipeline.stages()[stage];
+                let action = table.minimized().entries[rank as usize].action;
+                (stage, table.rank_priority(rank), action)
+            };
+            let matched: Vec<_> = frames
+                .iter()
+                .map(|f| scan_matched(&sw, f, vote).map(scanned))
+                .collect();
             let oracle: Vec<Verdict> = frames.iter().map(|f| sw.process(f)).collect();
             assert!(oracle.contains(&Verdict::Drop));
             assert!(oracle.iter().any(|v| matches!(v, Verdict::Forward(_))));
@@ -548,8 +566,11 @@ fn learned_scale_stages_on_the_batched_and_vote_paths() {
             assert_eq!(batched, oracle, "batched walker, {case}");
             assert_eq!(&per_counters, sw.counters(), "per-frame counters, {case}");
             assert_eq!(&batch_counters, sw.counters(), "batched counters, {case}");
-            let reported = |sink: &RecordingSink| -> Vec<Option<(usize, u32)>> {
-                sink.verdicts.iter().map(|&(_, _, m)| m).collect()
+            let reported = |sink: &RecordingSink| -> Vec<_> {
+                sink.verdicts
+                    .iter()
+                    .map(|&(_, _, m)| m.map(compiled))
+                    .collect()
             };
             assert_eq!(
                 reported(&per_sink),

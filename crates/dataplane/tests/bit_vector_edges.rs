@@ -454,6 +454,33 @@ fn a_patched_in_entry_that_starts_a_new_last_word() {
     assert_eq!(prev.peek(&(320u16 * 127).to_be_bytes()), Action::NoOp);
 }
 
+/// A verbatim row patched in beside a folded one, in one column: at byte 0
+/// the fold left byte 0 alone (four rows folded together on byte 1), and
+/// the new row leaves byte 0 free — two sets that an id built from a
+/// set's form (`mask 0, value 0` against `lo 0, hi 0`) would have told
+/// apart only by that form. Each set is numbered by its bytes, so the
+/// spliced engine equals a build, and a key only the new row accepts hits
+/// it.
+#[test]
+fn a_verbatim_row_beside_a_folded_one_keeps_its_own_set() {
+    let mut t = table(MatchKind::Ternary, 2);
+    for low in 0..4u8 {
+        t.insert(ternary(&[0x00, low], &[0xff, 0xff]), Action::Drop, 1)
+            .unwrap();
+    }
+    let keys = all_keys();
+    let prev = Arc::new(check(&t, &keys));
+    assert_eq!(prev.minimized_len(), 1, "the four rows fold into one box");
+    t.insert(ternary(&[0x00, 0x10], &[0x00, 0xff]), Action::Forward(2), 1)
+        .unwrap();
+    let next = CompiledTable::recompile(&prev, &t);
+    assert_eq!(next.minimized_len(), 2, "patched in verbatim, not refolded");
+    assert_eq!(next.wildcard_form(), next.rebuilt().wildcard_form());
+    agrees(&next, &t, &keys);
+    assert_eq!(next.peek(&[0x05, 0x10]), Action::Forward(2));
+    assert_eq!(next.peek(&[0x05, 0x00]), Action::NoOp);
+}
+
 /// What one entry accepts at one position: free when the position is one
 /// every entry leaves free or `sel` says so, else a byte, a prefix or a
 /// scattered mask (ternary), a point or an interval (range), or a whole

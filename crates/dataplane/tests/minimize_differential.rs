@@ -28,11 +28,19 @@
 //!    in order, and reports the very `Edit` the walk would, shares every
 //!    chunk the patch left whole and never copies or counts a kept entry.
 //!
-//! 3. **The two drivers of the one minimizer agree with the scan.**
-//!    `RuleSet::optimize` and lowering both call `p4guard_rules::cube`;
+//! 3. **The two minimizers agree with the scan.** `RuleSet::optimize`
+//!    (the ternary form, `p4guard_rules::cube`) and lowering (the fold):
 //!    for the same single-action ternary rules, the optimized ruleset's
 //!    `classify`, the compiled lookup of the raw-installed table and
 //!    `Table::peek` give one verdict for every key.
+//!
+//! 4. **The fold keeps every winner.** Leaf boxes lowered to their prefix
+//!    cross products, beside strided and scattered masks, over one to
+//!    three actions and priority levels, fold back into boxes without
+//!    changing any key's `(action, winning priority)` — at every box's
+//!    corners and just outside them — and a `recompile` chain of removals
+//!    and verbatim additions over the folded table equals the
+//!    from-scratch compile.
 
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::compiled::{CompiledTable, LookupOutcome};
@@ -42,6 +50,7 @@ use p4guard_dataplane::minimize::{minimize, Edit, MinEntries, MinEntry, Minimize
 use p4guard_dataplane::switch::SwitchCounters;
 use p4guard_dataplane::table::{MatchKind, MatchSpec, Table, TableEntry};
 use p4guard_dataplane::AclLayout;
+use p4guard_rules::ternary::range_to_prefixes;
 use p4guard_rules::{RuleSet, TernaryEntry};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -191,12 +200,7 @@ fn per_entry_patch(
     removed: &HashSet<u64>,
     added: &[&TableEntry],
 ) -> (Vec<MinEntry>, Edit) {
-    let verbatim = |e: &TableEntry| MinEntry {
-        spec: e.spec.clone(),
-        action: e.action,
-        priority: e.priority,
-        order: e.handle.0,
-    };
+    let verbatim = |e: &TableEntry| MinEntry::verbatim(e);
     let mut kept: Vec<MinEntry> = Vec::new();
     let mut edit = Edit::default();
     let mut fresh = added.iter().peekable();
@@ -738,6 +742,109 @@ proptest! {
             prop_assert_eq!(compiled.lookup(key, &mut probe), scan, "compiled, key {:?}", key);
             let verdict = if optimized.classify(key) == 1 { Action::Drop } else { Action::NoOp };
             prop_assert_eq!(verdict, scan, "optimized ruleset, key {:?}", key);
+        }
+    }
+
+    /// Invariant 4: leaf boxes (each position free or an interval) lowered
+    /// to their prefix cross products — a position is left free where the
+    /// product would pass 256 rows — and entries under strided (`0x03`:
+    /// bytes four apart), scattered (`0x5a`) and prefix masks, one to
+    /// three actions over one to three priority levels. The folded compile
+    /// agrees with the scan on random keys, on every box's corners and on
+    /// the bytes just outside them; then a chain of removals and verbatim
+    /// additions (copies of installed rows, some under another action)
+    /// recompiled link by link agrees with it and with the from-scratch
+    /// compile.
+    #[test]
+    fn the_fold_keeps_every_winner_of_leaf_boxes(
+        width in 1usize..=3,
+        actions in 1u8..=3,
+        levels in 1i32..=3,
+        boxes in pvec((pvec((any::<u8>(), any::<u8>(), 0u8..4), 3usize), any::<u8>(), any::<i32>()), 1..8),
+        masked in pvec((pvec(any::<u8>(), 3usize), pvec(0u8..5, 3usize), any::<u8>(), any::<i32>()), 0..16),
+        raw_keys in pvec(pvec(any::<u8>(), 3usize), 0..24),
+        edits in pvec((any::<u16>(), 0u8..3), 0..10),
+    ) {
+        let level = |p: i32| p.rem_euclid(levels);
+        let action = |a: u8| action_for(a % actions);
+        let mut table = Table::new("fold", MatchKind::Ternary, KeyLayout::window(width), 4096, Action::NoOp);
+        let mut keys: Vec<Vec<u8>> = raw_keys.iter().map(|k| k[..width].to_vec()).collect();
+        let filler = raw_keys.first().cloned().unwrap_or_else(|| vec![0x5c; 3]);
+        for (ranges, a, p) in &boxes {
+            let mut rows = vec![(vec![0u8; width], vec![0u8; width])];
+            let mut bounds = Vec::new();
+            for (pos, &(x, y, sel)) in ranges[..width].iter().enumerate() {
+                let covers = range_to_prefixes(x.min(y), x.max(y));
+                if sel == 0 || rows.len() * covers.len() > 256 {
+                    continue;
+                }
+                bounds.push((pos, x.min(y), x.max(y)));
+                rows = rows
+                    .iter()
+                    .flat_map(|(value, mask)| {
+                        covers.iter().map(move |c| {
+                            let (mut value, mut mask) = (value.clone(), mask.clone());
+                            (value[pos], mask[pos]) = (c.value, c.mask);
+                            (value, mask)
+                        })
+                    })
+                    .collect();
+            }
+            for (value, mask) in rows {
+                table.insert(MatchSpec::Ternary { value, mask }, action(*a), level(*p)).unwrap();
+            }
+            for corner in 0..1u32 << bounds.len() {
+                let mut key = filler[..width].to_vec();
+                for (i, &(pos, lo, hi)) in bounds.iter().enumerate() {
+                    key[pos] = if corner >> i & 1 == 1 { hi } else { lo };
+                }
+                for &(pos, lo, hi) in &bounds {
+                    for byte in [lo.wrapping_sub(1), hi.wrapping_add(1)] {
+                        let mut outside = key.clone();
+                        outside[pos] = byte;
+                        keys.push(outside);
+                    }
+                }
+                keys.push(key);
+            }
+        }
+        for (value, sel, a, p) in &masked {
+            let mask: Vec<u8> = sel[..width].iter().map(|&m| [0x00, 0xff, 0x03, 0x5a, 0xf0][usize::from(m)]).collect();
+            let value = value[..width].to_vec();
+            keys.push(value.clone());
+            table.insert(MatchSpec::Ternary { value, mask }, action(*a), level(*p)).unwrap();
+        }
+        keys.extend(probe_keys(&table, &[]));
+
+        let compiled = CompiledTable::compile(&table);
+        prop_assert!(compiled.minimized_len() <= compiled.len());
+        for key in &keys {
+            assert_winner_eq(&compiled, &table, key);
+        }
+        let mut chained = Arc::new(compiled);
+        for &(pick, op) in &edits {
+            let entries = table.entries();
+            if entries.is_empty() {
+                break;
+            }
+            let e = entries[usize::from(pick) % entries.len()].clone();
+            match op {
+                0 => {
+                    table.remove(e.handle).unwrap();
+                }
+                1 => {
+                    table.insert(e.spec, e.action, e.priority).unwrap();
+                }
+                _ => {
+                    table.insert(e.spec, action((pick >> 8) as u8), e.priority).unwrap();
+                }
+            }
+            chained = CompiledTable::recompile(&chained, &table);
+            let scratch = CompiledTable::compile(&table);
+            for key in &keys {
+                assert_winner_eq(&chained, &table, key);
+                assert_winner_eq(&scratch, &table, key);
+            }
         }
     }
 }

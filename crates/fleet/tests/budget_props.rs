@@ -3,8 +3,9 @@
 //! (ii) respect every tenant's minimum guarantee, and (iii) are a pure
 //! function of the tenant set — the same shares always split the same
 //! way, in allocation, admission and trimming alike. Admission is also
-//! *sound*: (iv) the occupancy the budgeter admits against is exactly what
-//! lowering will install.
+//! *sound*: (iv) the occupancy the budgeter admits against is exactly the
+//! ternary form `TableUsage` prices the installed table at, and the
+//! engine lowering builds never indexes more rows than that.
 
 use p4guard_dataplane::action::Action;
 use p4guard_dataplane::compiled::CompiledTable;
@@ -45,9 +46,10 @@ fn ruleset_with(entries: usize, width: usize) -> RuleSet {
     rs
 }
 
-/// TCAM bits of the table that publishing `rs` actually produces: the
-/// ruleset installed the way tenants install it, then lowered.
-fn lowered_tcam_bits(rs: &RuleSet) -> usize {
+/// The table publishing `rs` produces, the ruleset installed the way
+/// tenants install it: its TCAM bits as `TableUsage` prices them, and the
+/// rows its lowered engine indexes, priced as TCAM entries.
+fn installed_tcam_bits(rs: &RuleSet) -> (usize, usize) {
     let width = rs.key_width();
     let layout = AclLayout {
         window: 64,
@@ -58,12 +60,15 @@ fn lowered_tcam_bits(rs: &RuleSet) -> usize {
     control
         .replace_ruleset(0, rs, Action::Drop)
         .expect("table sized for the ruleset");
-    control.with_switch(|sw| CompiledTable::compile(sw.stage(0)).minimized_len()) * width * 16
+    control.with_switch(|sw| {
+        let engine_rows = CompiledTable::compile(sw.stage(0)).minimized_len();
+        (sw.resources().tcam_bits_minimized, engine_rows * width * 16)
+    })
 }
 
-/// Above the lowering cap nothing is minimized — and the budgeter must
-/// charge the raw count too, or it would admit what lowering then
-/// installs at full size.
+/// Above the cap the ternary form is not minimized — and the budgeter
+/// must charge the raw count too, as `TableUsage` prices it. The engine
+/// still folds the consecutive values into a few boxes.
 #[test]
 fn admission_charges_the_raw_count_above_the_minimization_cap() {
     let mut rs = RuleSet::new(2, 0);
@@ -78,12 +83,16 @@ fn admission_charges_the_raw_count_above_the_minimization_cap() {
     }
     let raw_bits = (MINIMIZE_MAX_ENTRIES + 1) * 2 * 16;
     assert_eq!(TableBudgeter::minimized_tcam_bits(&rs), raw_bits);
-    assert_eq!(lowered_tcam_bits(&rs), raw_bits);
+    let (priced, engine) = installed_tcam_bits(&rs);
+    assert_eq!(priced, raw_bits);
+    assert!(engine <= 2 * 2 * 16, "{engine} engine bits");
 }
 
 proptest! {
-    /// Admission soundness: the budgeter's minimized occupancy equals the
-    /// lowered table's, for mergeable, shadowed and multi-priority sets.
+    /// Admission soundness: the budgeter's minimized occupancy equals what
+    /// `TableUsage` prices the installed table at, and the lowered engine
+    /// indexes no more rows, for mergeable, shadowed and multi-priority
+    /// sets.
     #[test]
     fn admitted_occupancy_is_what_lowering_installs(
         width in 1usize..=2,
@@ -97,7 +106,10 @@ proptest! {
             let mask: Vec<u8> = mask_sel[..width].iter().map(|&s| [0x00, 0xfe, 0xf0, 0xff][s]).collect();
             rs.push(TernaryEntry::new(value[..width].to_vec(), mask, 1, *priority));
         }
-        prop_assert_eq!(TableBudgeter::minimized_tcam_bits(&rs), lowered_tcam_bits(&rs));
+        let charged = TableBudgeter::minimized_tcam_bits(&rs);
+        let (priced, engine) = installed_tcam_bits(&rs);
+        prop_assert_eq!(charged, priced);
+        prop_assert!(engine <= charged, "engine {} bits over the {} charged", engine, charged);
     }
 
     #[test]

@@ -87,8 +87,8 @@ pub struct GatewaySnapshot {
     /// before minimization), summed over its stages.
     #[serde(default)]
     pub pipeline_entries: usize,
-    /// Entries the newest serving pipeline's lowered engines actually hold
-    /// after ternary minimization; `<= pipeline_entries`.
+    /// Rows the newest serving pipeline's lowered engines index after
+    /// minimization (entries folded into boxes); `<= pipeline_entries`.
     #[serde(default)]
     pub pipeline_entries_minimized: usize,
 }

@@ -7,14 +7,16 @@
 //!
 //! * [`RuleSet::optimize`](crate::ruleset::RuleSet::optimize) labels cubes
 //!   with the entry `class` and reports how many rows each pass removed;
-//! * `p4guard_dataplane::minimize` labels cubes with the table `Action`,
-//!   uses the entry handles as sources, and classifies every source by
-//!   what happened to it so the incremental compiler can patch in place.
+//! * `p4guard_dataplane::minimize::ternary_rows` labels cubes with the
+//!   table `Action` and counts the rows a table's ternary form occupies in
+//!   TCAM — what `TableUsage` and the fleet budgeter charge. It lowers
+//!   nothing: the engine's rows come from that module's fold.
 //!
 //! Both split their entries into equal-priority levels, hand each level
-//! to [`merge_siblings`], and run their own shadow-elimination loop over
-//! [`covers`]. What this module owns: the predicates, the order-free test
-//! and the sibling sweep.
+//! to [`merge_siblings`], and run their own shadow-elimination loop
+//! (`optimize` over [`covers`], the count over the same containment as
+//! per-byte sets). What this module owns: the predicates, the order-free
+//! test and the sibling sweep.
 
 use std::collections::BTreeMap;
 

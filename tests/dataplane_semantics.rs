@@ -2,14 +2,18 @@
 //! and the deployed switch must agree packet-for-packet.
 
 use p4guard::config::GuardConfig;
+use p4guard::experiments::ExperimentContext;
 use p4guard::pipeline::TwoStagePipeline;
 use p4guard_dataplane::action::Action;
+use p4guard_dataplane::control::ControlPlane;
 use p4guard_dataplane::key::KeyLayout;
 use p4guard_dataplane::parser::ParserSpec;
 use p4guard_dataplane::switch::Switch;
 use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
+use p4guard_dataplane::AclLayout;
 use p4guard_rules::compile::{compile_tree, find_disagreement, CompileConfig, COMPILE_CLASS};
 use p4guard_rules::tree::{DecisionTree, TreeConfig};
+use p4guard_rules::{RuleSet, TernaryEntry};
 use p4guard_traffic::scenario::Scenario;
 use p4guard_traffic::split_temporal;
 use rand::rngs::StdRng;
@@ -114,4 +118,100 @@ fn switch_counters_are_consistent() {
         assert!(c.conserved(), "counters must partition received: {c}");
         assert_eq!(stats.dropped as u64, c.dropped + c.parser_rejected);
     });
+}
+
+/// The ledger's fixtures — the mixed scenario at eight times its traffic,
+/// its first 60 % trained on — under the fast and the default profile at
+/// seeds 2020 and 31 (default/31 expands to 12,002 ternary entries): the
+/// deployed stage's engine, the cross product folded back into boxes,
+/// agrees with `DecisionTree::predict` on every train and test frame's
+/// key, and indexes at most twice the tree's attack leaves.
+#[test]
+fn folded_learned_stages_equal_the_tree_on_every_fixture_key() {
+    for seed in [2020, 31] {
+        let mut scenario = Scenario::mixed_default(seed);
+        scenario.benign_intensity *= 8.0;
+        for attack in &mut scenario.attacks {
+            attack.intensity *= 8.0;
+        }
+        let trace = scenario.generate().unwrap();
+        let (train, test) = split_temporal(&trace, 0.6);
+        for config in [GuardConfig::fast(), GuardConfig::default()] {
+            let guard = TwoStagePipeline::new(config).train(&train).unwrap();
+            let control = guard.deploy(1 << 16).unwrap();
+            control.publish();
+            let pipeline = control.snapshot();
+            let stage = &pipeline.stages()[0];
+            let leaves = guard
+                .tree
+                .paths()
+                .iter()
+                .filter(|p| p.class == COMPILE_CLASS)
+                .count();
+            let case = format!("seed {seed}, {} entries", stage.len());
+            assert!(
+                stage.minimized_len() <= 2 * leaves,
+                "{case}: {} rows for {leaves} attack leaves",
+                stage.minimized_len()
+            );
+            for record in train.iter().chain(test.iter()) {
+                let key = stage.key().build_key(&record.frame);
+                assert_eq!(
+                    stage.peek(&key) == Action::Drop,
+                    guard.tree.predict(&key) == COMPILE_CLASS,
+                    "{case}: key {key:02x?}"
+                );
+            }
+        }
+    }
+}
+
+/// The fold never leaves more rows than the ternary form's count (subsumed
+/// entries dropped, one-bit siblings merged: what `TableUsage` prices) on
+/// F20's shapes: its latency ruleset, whose priority levels hold byte-0
+/// values four apart, and its four learned margin rulesets (the lab's
+/// guard at depth 2, 4, 6 and 8, compiled without optimization).
+#[test]
+fn the_fold_leaves_no_more_rows_than_the_sibling_merge_on_f20s_rulesets() {
+    let installed = |rs: &RuleSet| {
+        let layout = AclLayout {
+            window: 64,
+            offsets: (0..rs.key_width()).collect(),
+            capacity: rs.len().max(1),
+        };
+        let control = ControlPlane::new(layout.switch("fold", ["acl"]));
+        control.replace_ruleset(0, rs, Action::Drop).unwrap();
+        control.publish();
+        let priced = control.with_switch(|sw| sw.resources().tcam_entries_minimized);
+        (control.snapshot().stages()[0].minimized_len(), priced)
+    };
+    let mut latency = RuleSet::new(3, 0);
+    for i in 0..1024usize {
+        latency.push(TernaryEntry::new(
+            vec![(i % 256) as u8, (i / 256) as u8, 0xaa],
+            vec![0xff; 3],
+            1,
+            (i % 4) as i32,
+        ));
+    }
+    let (rows, priced) = installed(&latency);
+    assert!(
+        rows <= priced,
+        "latency ruleset: {rows} rows, {priced} priced"
+    );
+    let lab = ExperimentContext::standard(2020, false);
+    for depth in [2, 4, 6, 8] {
+        let config = GuardConfig {
+            compile: CompileConfig {
+                optimize: false,
+                ..lab.config.compile
+            },
+            ..lab.config_at_depth(depth)
+        };
+        let (rows, priced) = installed(&lab.guard(&config).guard().compiled.ternary);
+        assert!(
+            rows <= priced,
+            "depth {depth}: {rows} rows, {priced} priced"
+        );
+    }
 }
