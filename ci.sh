@@ -386,7 +386,7 @@ rust_lines() {
 # Each "was" figure is the parent commit's, committed by the change that
 # last moved it so the log reads before -> after; the next change to move a
 # count replaces its figure with its parent's.
-echo "rust lines: $(rust_lines crates tests examples) (was 37640)"
+echo "rust lines: $(rust_lines crates tests examples) (was 37954)"
 EXPERIMENTS_LINES_MAX=3142
 EXPERIMENTS_LINES=$(rust_lines crates/core/src/experiments)
 echo "experiments lines: $EXPERIMENTS_LINES (was 3196)"
@@ -471,6 +471,20 @@ echo "==> a patch copies chunks, not entries (acceptance greps)"
 # of per-entry pointers comes back under dataplane.
 if grep -rnF "Vec<Arc<MinEntry>>" crates/dataplane/src; then
   echo "a per-entry Arc list of minimized entries is back (lines above)" >&2
+  exit 1
+fi
+
+echo "==> a removal subtracts, it does not refold (acceptance greps)"
+# A delta publish cuts a removed folded source's box out of the rows it
+# meets and folds only the added entries: MinimizedTable::patch neither
+# re-minimizes nor folds the whole table, and dataplane has one
+# box-difference helper.
+PATCH_BODY=$(awk '/^    pub fn patch\(/ { live = 1 } live { print } live && /^    }$/ { exit }' crates/dataplane/src/minimize.rs)
+DIFFERENCES=$({ grep -rnE 'fn [a-z_]*(subtract|minus)[(<]' crates/dataplane/src || true; } | wc -l)
+if [ -z "$PATCH_BODY" ] ||
+   echo "$PATCH_BODY" | grep -nE 'minimize\(|fold\((&?entries|&entries\[\.\.\])\)' ||
+   [ "$DIFFERENCES" != "1" ]; then
+  echo "MinimizedTable::patch re-minimizes or folds the whole table (lines above), or is missing, or crates/dataplane/src has $DIFFERENCES box-difference helpers, expected 1" >&2
   exit 1
 fi
 

@@ -70,13 +70,44 @@ impl ByteSet {
     ///
     /// Panics if `pos` is past the spec's width.
     pub fn of(spec: &MatchSpec, pos: usize) -> ByteSet {
+        let range = matches!(spec, MatchSpec::Range { .. });
+        ByteSet::of_pair(ByteSet::pair(spec, pos), range)
+    }
+
+    /// What `spec` accepts at key position `pos`, in two bytes: a range's
+    /// ends, or the mask and value of every other kind.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is past the spec's width.
+    pub(crate) fn pair(spec: &MatchSpec, pos: usize) -> [u8; 2] {
         match spec {
-            MatchSpec::Ternary { value, mask } => ByteSet::masked(mask[pos], value[pos]),
-            MatchSpec::Range { lo, hi } => ByteSet::between(lo[pos], hi[pos]),
-            MatchSpec::Exact(value) => ByteSet::masked(0xff, value[pos]),
-            MatchSpec::Lpm { value, prefix_len } => {
-                ByteSet::masked(prefix_mask(*prefix_len, pos), value[pos])
-            }
+            MatchSpec::Ternary { value, mask } => [mask[pos], value[pos]],
+            MatchSpec::Range { lo, hi } => [lo[pos], hi[pos]],
+            MatchSpec::Exact(value) => [0xff, value[pos]],
+            MatchSpec::Lpm { value, prefix_len } => [prefix_mask(*prefix_len, pos), value[pos]],
+        }
+    }
+
+    /// The set [`ByteSet::pair`] gave two bytes for: `lo..=hi` from a
+    /// range, the masked bytes otherwise.
+    pub(crate) fn of_pair([a, b]: [u8; 2], range: bool) -> ByteSet {
+        if range {
+            ByteSet::between(a, b)
+        } else {
+            ByteSet::masked(a, b)
+        }
+    }
+
+    /// How many bytes the set [`ByteSet::of_pair`] makes of `pair` holds,
+    /// counted without making it.
+    pub(crate) fn pair_len([a, b]: [u8; 2], range: bool) -> usize {
+        if !range {
+            1 << a.count_zeros()
+        } else if a <= b {
+            usize::from(b - a) + 1
+        } else {
+            0
         }
     }
 
@@ -204,6 +235,17 @@ mod tests {
             let set = ByteSet::between(lo, hi);
             assert!(set.bytes().eq(lo..=hi), "{lo}..={hi}");
             assert_eq!(set.first(), lo);
+        }
+        for (pair, range) in [
+            ([0xf0, 0x5a], false),
+            ([0, 0], false),
+            ([3, 200], true),
+            ([9, 2], true),
+        ] {
+            assert_eq!(
+                ByteSet::pair_len(pair, range),
+                ByteSet::of_pair(pair, range).len()
+            );
         }
         assert!(ByteSet::masked(0, 0).is_any());
         assert!(ByteSet::between(3, 4).is_subset(&ByteSet::between(0, 9)));

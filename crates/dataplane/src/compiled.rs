@@ -444,9 +444,15 @@ fn summarise_row(row: &mut [u64], summary: usize) {
 }
 
 thread_local! {
-    /// Full engine builds run on this thread: the unit tests read it to
-    /// pin that a patchable delta never takes that path.
+    /// Full engine builds run on this thread: see [`engine_builds`].
     static BUILDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Full wildcard-engine builds this thread has run so far: what tests read
+/// to pin that a patchable delta never takes that path.
+#[doc(hidden)]
+pub fn engine_builds() -> u64 {
+    BUILDS.with(std::cell::Cell::get)
 }
 
 impl BitVector {
@@ -722,37 +728,44 @@ impl CompiledTable {
     ///    to an unchanged `(handle, action)` fingerprint — the previous
     ///    `Arc` is returned as-is (structural sharing across pipeline
     ///    versions);
-    /// 2. the same table, changed by additions plus removals of handles
-    ///    the last full minimization classified
-    ///    [`SourceClass::Clean`](minimize::SourceClass::Clean) or
-    ///    [`SourceClass::Eliminated`](minimize::SourceClass::Eliminated) —
-    ///    the minimized list is patched (added entries verbatim at the end
-    ///    of their priority level, which is where they sit in source match
-    ///    order too, each a box of its own, not folded), skipping the fold
-    ///    and the quadratic subsumption pass, and a wildcard engine is
-    ///    spliced from the previous one by the same edit rather than
-    ///    built;
-    /// 3. anything else (action modified in place, a folded or covering
-    ///    entry removed — on a folded learned stage, nearly any source —
-    ///    or another table: handles restart in every new one, so only
-    ///    identity tells two tables apart) — a full from-scratch compile.
+    /// 2. the same table, changed by additions and removals — the
+    ///    minimized list is patched ([`MinimizedTable::patch`]) and a
+    ///    wildcard engine is spliced from the previous one by the same
+    ///    edit rather than built. A removed
+    ///    [`SourceClass::Clean`](minimize::SourceClass::Clean) entry is
+    ///    dropped, a removed
+    ///    [`SourceClass::Eliminated`](minimize::SourceClass::Eliminated)
+    ///    one changes nothing, and a removed
+    ///    [`SourceClass::Merged`](minimize::SourceClass::Merged) source's
+    ///    box is subtracted from the rows of its level it meets, leaving at
+    ///    most one piece per key position in each. The added entries fold
+    ///    among themselves and land at the end of their priority level,
+    ///    which is where they sit in source match order too. No
+    ///    subsumption runs;
+    /// 3. a full from-scratch compile wherever a patch could not be exact:
+    ///    an action modified in place; a removed source whose row shadows
+    ///    an eliminated entry
+    ///    ([`SourceClass::Coverer`](minimize::SourceClass::Coverer),
+    ///    merged or not); a removed folded source in a level not known to
+    ///    be disjoint (`gw_small`'s random-mask ACL is one), or whose
+    ///    pieces would outnumber the level's remaining sources; or another
+    ///    table — handles restart in every new one, so only identity tells
+    ///    two tables apart.
     ///
     /// What a patch costs: one walk over the source entries, one over the
-    /// minimized list's flat priorities and order keys, a reference count
-    /// per piece of that list (the entries themselves stay in chunks
-    /// shared with `prev`, see [`MinEntries`]), and the engine's rows
-    /// copied with the kept ranks' bits moved, the fresh entries' bits set
-    /// and the summaries and class map recomputed — no kept entry is read.
-    /// On the 2,196-entry, 8-byte `loop_churn` stage before the fold, when
-    /// its 2,196 rows were all clean (2-vCPU Xeon, timers in an
-    /// instrumented build of the ledger's churn, medians per 1 % delta
-    /// publish, on caches the serving loop has just filled), that was
-    /// ≈ 50 µs for the walks and the patch, half of it the walk over the
-    /// source entries, and 25 µs (removal) to 39 µs (re-add) for the
-    /// engine, which a build over the same entries took ≈ 260 µs to make.
+    /// minimized list's flat priorities and order keys, a subtraction per
+    /// row a removed folded box meets, a fold of the added entries alone,
+    /// a reference count per piece of that list (the entries themselves
+    /// stay in chunks shared with `prev`, see [`MinEntries`]), and the
+    /// engine's rows copied with the kept ranks' bits moved, the fresh
+    /// entries' bits set and the summaries and class map recomputed — no
+    /// kept entry is read. On `loop_churn`'s folded 2,196-entry stage
+    /// (6 rows), the first 1 % removal of a trial cuts one leaf's row into
+    /// 4–6 pieces instead of compiling the stage afresh (≈ 1 ms, the fold
+    /// of 2,196 entries).
     ///
-    /// Patched-in entries are not re-minimized, so an incrementally
-    /// patched table can carry more entries than a fresh compile would —
+    /// Added entries are folded among themselves but never subsumed, so a
+    /// patched table can carry more rows than a fresh compile would —
     /// never different verdicts. Verdict+priority equality with the
     /// from-scratch compile is pinned by the differential suite.
     pub fn recompile(prev: &Arc<CompiledTable>, table: &Table) -> Arc<CompiledTable> {
@@ -942,7 +955,13 @@ impl CompiledTable {
             Engine::ExactHash(map) => probe_exact(map, key, miss),
             Engine::BitVector(index) => {
                 let mut out = [miss];
-                probe_batch(index, key, width, miss, &mut out);
+                // One word a row is read once: a one-key probe of such a
+                // table holds no row offsets, so it zeroes none.
+                if index.stride() == 1 {
+                    probe_batch::<0>(index, key, width, miss, &mut out);
+                } else {
+                    probe_batch::<HELD>(index, key, width, miss, &mut out);
+                }
                 out[0]
             }
         }
@@ -985,7 +1004,7 @@ impl CompiledTable {
                     *o = probe_exact(map, &keys[j * stride..][..width], miss);
                 }
             }
-            Engine::BitVector(index) => probe_batch(index, keys, width, miss, out),
+            Engine::BitVector(index) => probe_batch::<HELD>(index, keys, width, miss, out),
         }
     }
 
@@ -1027,14 +1046,24 @@ type Probed = (Action, LookupOutcome);
 /// probe loop, compiled once per way of reading, because the position list
 /// read per key costs a table that keeps every byte (`gw_small`'s) an
 /// eighth of its lookup time.
+///
+/// The probe holds the row offsets of the first `N` kept positions: `HELD`,
+/// or 0 for a table whose rows are one word ([`select`]'s only read of
+/// them), which then zeroes no offsets per call.
 #[inline(never)]
-fn probe_batch(index: &BitVector, keys: &[u8], width: usize, miss: Probed, out: &mut [Probed]) {
+fn probe_batch<const N: usize>(
+    index: &BitVector,
+    keys: &[u8],
+    width: usize,
+    miss: Probed,
+    out: &mut [Probed],
+) {
     let kept = index.positions.len().min(HELD);
     match index.run() {
-        Some(first) => probe_keys(index, keys, width, miss, out, |key| {
+        Some(first) => probe_keys::<N, _>(index, keys, width, miss, out, |key| {
             key[first..first + kept].iter().copied()
         }),
-        None => probe_keys(index, keys, width, miss, out, |key| {
+        None => probe_keys::<N, _>(index, keys, width, miss, out, |key| {
             index.positions.iter().map(move |&pos| key[pos])
         }),
     }
@@ -1045,7 +1074,7 @@ fn probe_batch(index: &BitVector, keys: &[u8], width: usize, miss: Probed, out: 
 /// engine's loop, the probe spills registers in the per-key loop (a
 /// 13-row table paid a third of its lookup time for it).
 #[inline(never)]
-fn probe_keys<'k, I: Iterator<Item = u8>>(
+fn probe_keys<'k, const N: usize, I: Iterator<Item = u8>>(
     index: &BitVector,
     keys: &'k [u8],
     width: usize,
@@ -1053,7 +1082,7 @@ fn probe_keys<'k, I: Iterator<Item = u8>>(
     out: &mut [Probed],
     bytes: impl Fn(&'k [u8]) -> I,
 ) {
-    let mut at = [0; HELD];
+    let mut at = [0; N];
     for (key, o) in keys.chunks_exact(width).zip(out) {
         *o = probe_key(index, key, bytes(key), &mut at, miss);
     }
@@ -1073,11 +1102,11 @@ fn probe_keys<'k, I: Iterator<Item = u8>>(
 // Forced inline: the per-key loop resolves `index`'s shape once per batch
 // only if the probe is part of its body (out of line it is a call per key).
 #[inline(always)]
-fn probe_key(
+fn probe_key<const N: usize>(
     index: &BitVector,
     key: &[u8],
     bytes: impl Iterator<Item = u8>,
-    at: &mut [usize; HELD],
+    at: &mut [usize; N],
     miss: Probed,
 ) -> Probed {
     let summary = index.summary;
@@ -1112,10 +1141,21 @@ fn probe_key(
 
 /// Reads the class of each of `bytes` — a key's bytes at its first
 /// [`HELD`] kept positions — into the word offset in `at` of the row it
-/// selects, and returns word 0 of those rows, ANDed.
+/// selects, and returns word 0 of those rows, ANDed. With no offsets to
+/// hold (`N` is 0: rows of one word), it ANDs the rows of all of `bytes`.
 #[inline(always)]
-fn select(index: &BitVector, bytes: impl Iterator<Item = u8>, at: &mut [usize; HELD]) -> u64 {
+fn select<const N: usize>(
+    index: &BitVector,
+    bytes: impl Iterator<Item = u8>,
+    at: &mut [usize; N],
+) -> u64 {
     let mut acc = u64::MAX;
+    if N == 0 {
+        for (byte, class) in bytes.zip(index.class.chunks_exact(256)) {
+            acc &= index.rows[class[usize::from(byte)] as usize];
+        }
+        return acc;
+    }
     for ((at, byte), class) in at.iter_mut().zip(bytes).zip(index.class.chunks_exact(256)) {
         let row = class[usize::from(byte)] as usize;
         // Rows of one word and no summary are never read again.
@@ -1131,7 +1171,7 @@ fn select(index: &BitVector, bytes: impl Iterator<Item = u8>, at: &mut [usize; H
 /// first [`HELD`] kept positions, ANDed — a summary word or an entry word,
 /// by where `word` falls in the row — through their offsets in `at`.
 #[inline(always)]
-fn walk_rows(index: &BitVector, at: &[usize; HELD], word: usize) -> u64 {
+fn walk_rows<const N: usize>(index: &BitVector, at: &[usize; N], word: usize) -> u64 {
     let held = &at[..index.positions.len().min(HELD)];
     held.iter()
         .fold(u64::MAX, |acc, &row| acc & index.rows[row + word])
@@ -1536,9 +1576,8 @@ mod tests {
         assert_eq!(c.lookup_traced(&[15], &mut probe).1, LookupOutcome::Hit(0));
     }
 
-    /// Full engine builds on this thread so far.
     fn builds() -> u64 {
-        BUILDS.with(std::cell::Cell::get)
+        engine_builds()
     }
 
     fn bit_vector(compiled: &CompiledTable) -> &BitVector {
@@ -1551,20 +1590,41 @@ mod tests {
     /// `table` recompiled against `prev` through the patch path: no build,
     /// and an engine equal to a build over the same minimized entries.
     fn spliced(prev: &Arc<CompiledTable>, table: &Table) -> Arc<CompiledTable> {
+        recompiled(prev, table, 0)
+    }
+
+    /// `table` recompiled against `prev` by a full compile, once.
+    fn fell_back(prev: &Arc<CompiledTable>, table: &Table) -> Arc<CompiledTable> {
+        recompiled(prev, table, 1)
+    }
+
+    /// `table` recompiled against `prev` with `built` engine builds, its
+    /// engine equal to a build over its own minimized entries, and every
+    /// entry's key — every key, on a one-byte table — answered as the
+    /// table answers it.
+    fn recompiled(prev: &Arc<CompiledTable>, table: &Table, built: u64) -> Arc<CompiledTable> {
         let before = builds();
         let next = CompiledTable::recompile(prev, table);
-        assert_eq!(builds(), before, "a patchable delta built the engine");
+        assert_eq!(builds() - before, built, "engine builds of this delta");
         assert!(!Arc::ptr_eq(&next, prev), "the delta was not applied");
         assert_eq!(next.wildcard_form(), next.rebuilt().wildcard_form());
-        for e in table.entries() {
-            let key = match &e.spec {
-                MatchSpec::Ternary { value, .. } => value.clone(),
-                MatchSpec::Range { lo, .. } => lo.clone(),
-                _ => unreachable!("wildcard tables only"),
-            };
+        let mut keys: Vec<Vec<u8>> = table.entries().iter().map(|e| key_of(&e.spec)).collect();
+        if table.key().width() == 1 {
+            keys.extend((0..=255u8).map(|b| vec![b]));
+        }
+        for key in keys {
             assert_eq!(next.peek(&key), table.peek(&key), "key {key:02x?}");
         }
         next
+    }
+
+    /// A key `spec` matches: a ternary value, a range's low end.
+    fn key_of(spec: &MatchSpec) -> Vec<u8> {
+        match spec {
+            MatchSpec::Ternary { value, .. } => value.clone(),
+            MatchSpec::Range { lo, .. } => lo.clone(),
+            _ => unreachable!("wildcard tables only"),
+        }
     }
 
     /// A learned stage's shape: leaf boxes over 8 key bytes, each lowered
@@ -1646,36 +1706,141 @@ mod tests {
         }
     }
 
-    /// Removing a source the fold merged takes the full compile, once;
-    /// adding it back is patched in verbatim beside the folded boxes, and
-    /// removing that patched-in entry again is spliced.
+    /// The ledger's churn on a folded stage: the last 1 % of a learned
+    /// stage at one priority removed and re-added, ten times, each publish
+    /// spliced. The first removal cuts the leaf's row into pieces, each
+    /// re-add folds the delta into rows of its own, and each later removal
+    /// takes those rows away whole, so the rows stay as many round after
+    /// round.
     #[test]
-    fn removing_a_folded_source_takes_the_full_compile() {
+    fn a_one_percent_churn_on_a_folded_stage_never_builds() {
         let mut t = learned_stage(|_| 1);
-        let prev = Arc::new(CompiledTable::compile(&t));
+        let mut prev = Arc::new(CompiledTable::compile(&t));
+        let take = t.len() / 100;
+        let mut delta: Vec<_> = t.entries()[t.len() - take..].to_vec();
+        let mut steady = None;
+        for _ in 0..10 {
+            for e in &delta {
+                t.remove(e.handle).unwrap();
+            }
+            prev = spliced(&prev, &t);
+            for e in &delta {
+                assert_eq!(prev.peek(&key_of(&e.spec)), t.peek(&key_of(&e.spec)));
+            }
+            for e in &mut delta {
+                e.handle = t.insert(e.spec.clone(), e.action, e.priority).unwrap();
+            }
+            prev = spliced(&prev, &t);
+            assert_eq!(
+                *steady.get_or_insert(prev.minimized_len()),
+                prev.minimized_len()
+            );
+        }
+        let fresh = CompiledTable::compile(&t).minimized_len();
         assert!(
-            prev.minimized_len() <= 42 * 4,
+            prev.minimized_len() <= fresh + 8,
             "{} rows",
             prev.minimized_len()
         );
+    }
+
+    /// Removing a source the fold merged subtracts its box from its leaf's
+    /// row, which gives way to at most one piece per key position; adding
+    /// it back folds it into a row of its own at the end of the level, and
+    /// removing that again takes the row away. No step builds.
+    #[test]
+    fn removing_a_folded_source_subtracts_its_box() {
+        let mut t = learned_stage(|_| 1);
+        let prev = Arc::new(CompiledTable::compile(&t));
+        let rows = prev.minimized_len();
+        assert!(rows <= 42 * 4, "{rows} rows");
         let last = t.entries()[t.len() - 1].clone();
         let class = prev.minimized().class_of(last.handle);
         assert_eq!(class, Some(SourceClass::Merged));
         t.remove(last.handle).unwrap();
-        let before = builds();
-        let next = CompiledTable::recompile(&prev, &t);
-        assert_eq!(
-            builds(),
-            before + 1,
-            "a folded source's removal was patched"
-        );
-        assert_eq!(next.wildcard_form(), next.rebuilt().wildcard_form());
-        let folded = next.minimized_len();
+        let next = spliced(&prev, &t);
+        let cut = next.minimized_len();
+        assert!((rows..rows + 8).contains(&cut), "{rows} rows, {cut} cut");
+        let key = key_of(&last.spec);
+        assert_eq!(next.peek(&key), t.peek(&key));
         let handle = t.insert(last.spec.clone(), last.action, 1).unwrap();
         let next = spliced(&next, &t);
-        assert_eq!(next.minimized_len(), folded + 1);
+        assert_eq!(next.minimized_len(), cut + 1);
         t.remove(handle).unwrap();
-        spliced(&next, &t);
+        let next = spliced(&next, &t);
+        assert_eq!(next.minimized_len(), cut);
+    }
+
+    /// Boxes that fold while their sources overlap: `{0, 1}`, `{1}` and
+    /// `{2}` make one row of three keys for four keys of sources, so the
+    /// level is not known to be disjoint, and removing `{1}` — whose key
+    /// `{0, 1}` still matches — takes the full compile.
+    #[test]
+    fn removing_an_overlapping_folded_source_takes_the_full_compile() {
+        let mut t = table(MatchKind::Ternary, 1, 16);
+        let spec = |value, mask| MatchSpec::Ternary {
+            value: vec![value],
+            mask: vec![mask],
+        };
+        t.insert(spec(0x00, 0xfe), Action::Drop, 1).unwrap();
+        let one = t.insert(spec(0x01, 0xff), Action::Drop, 1).unwrap();
+        t.insert(spec(0x02, 0xff), Action::Drop, 1).unwrap();
+        let prev = Arc::new(CompiledTable::compile(&t));
+        assert_eq!(prev.minimized_len(), 1);
+        assert_eq!(prev.minimized().class_of(one), Some(SourceClass::Merged));
+        t.remove(one).unwrap();
+        let next = fell_back(&prev, &t);
+        assert_eq!(next.peek(&[0x01]), Action::Drop);
+    }
+
+    /// A folded row that shadows an eliminated entry: removing any of its
+    /// sources could bring the shadowed one back, so it takes the full
+    /// compile, and the key of the part removed falls through to it.
+    #[test]
+    fn removing_a_source_of_a_folded_coverer_takes_the_full_compile() {
+        let mut t = table(MatchKind::Ternary, 1, 16);
+        let spec = |value, mask| MatchSpec::Ternary {
+            value: vec![value],
+            mask: vec![mask],
+        };
+        let low = t.insert(spec(0x00, 0xf0), Action::Drop, 2).unwrap();
+        t.insert(spec(0x10, 0xf0), Action::Drop, 2).unwrap();
+        t.insert(spec(0x05, 0xff), Action::Forward(1), 1).unwrap();
+        let prev = Arc::new(CompiledTable::compile(&t));
+        assert_eq!(prev.minimized_len(), 1);
+        assert_eq!(prev.minimized().class_of(low), Some(SourceClass::Coverer));
+        t.remove(low).unwrap();
+        let next = fell_back(&prev, &t);
+        assert_eq!(next.peek(&[0x05]), Action::Forward(1));
+    }
+
+    /// An action modified in place on a folded stage takes the full
+    /// compile.
+    #[test]
+    fn an_action_change_takes_the_full_compile() {
+        let mut t = learned_stage(|_| 1);
+        let prev = Arc::new(CompiledTable::compile(&t));
+        let last = t.entries()[t.len() - 1].handle;
+        t.modify(last, Action::Drop).unwrap();
+        fell_back(&prev, &t);
+    }
+
+    /// Every entry removed and inserted again, through `recompile`: the
+    /// level's rows go without a subtraction, the added entries fold, and
+    /// the stage ends as folded as a fresh compile leaves it.
+    #[test]
+    fn a_wholesale_reinstall_folds_as_a_fresh_compile() {
+        let mut t = learned_stage(|_| 1);
+        let prev = Arc::new(CompiledTable::compile(&t));
+        let entries = t.entries().to_vec();
+        t.clear();
+        for e in &entries {
+            t.insert(e.spec.clone(), e.action, e.priority).unwrap();
+        }
+        let next = spliced(&prev, &t);
+        let fresh = CompiledTable::compile(&t);
+        assert_eq!(next.minimized_len(), fresh.minimized_len());
+        assert_eq!(next.minimized_len(), prev.minimized_len());
     }
 
     /// An added entry that accepts part of a class splits it; the class

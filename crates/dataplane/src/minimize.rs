@@ -39,8 +39,8 @@
 //!
 //! The working entry carries nothing it can derive: its order key is its
 //! smallest source, it is merged when it stands for more than one source,
-//! and it is a coverer when it is an unmerged survivor whose source the
-//! subsumption pass recorded as a shadow — so there is no flag a merge
+//! and it is a coverer when the subsumption pass recorded it — merged or
+//! not — as the shadow of an eliminated entry, so there is no flag a merge
 //! could lose.
 //!
 //! Merged entries keep the *earliest* source position (the minimum source
@@ -49,20 +49,26 @@
 //! makes incremental patching
 //! ([`CompiledTable::recompile`](crate::compiled::CompiledTable::recompile))
 //! sound: an added entry always lands at the end of its priority level in
-//! both the source table and the minimized list, verbatim — a box of its
-//! own, not folded.
+//! both the source table and the minimized list. The added entries fold
+//! among themselves, never into the entries already there.
 //!
-//! Every source handle is classified ([`SourceClass`]) by how the last
-//! full minimization treated it; the incremental compiler patches entry
-//! additions and removals of [`SourceClass::Clean`]/
-//! [`SourceClass::Eliminated`] handles in place and falls back to a full
-//! recompile for anything entangled in a fold or covering relation.
+//! Every source handle is classified ([`SourceClass`]). A patch drops a
+//! removed [`SourceClass::Clean`] handle's entry, ignores a removed
+//! [`SourceClass::Eliminated`] one, and subtracts a removed
+//! [`SourceClass::Merged`] one's box from the entries of its level it
+//! meets — exact while the level's sources are pairwise disjoint, which a
+//! full minimization checks for every level that holds a folded entry and
+//! a patch re-checks on every addition (see [`MinimizedTable::patch`]). A
+//! removed [`SourceClass::Coverer`] handle, or a folded one in a level not
+//! known to be disjoint, takes the full minimization again. To subtract a
+//! box the table no longer holds, the boxes of the folded sources are kept
+//! beside the list, two bytes per key position.
 
 use crate::action::Action;
 use crate::byteset::{ByteSet, ByteSetMap};
 use crate::table::{EntryHandle, MatchKind, MatchSpec, TableEntry};
 use p4guard_rules::cube::{self, Cube};
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -72,19 +78,25 @@ use std::sync::Arc;
 /// source entries is the raw count.
 pub const MINIMIZE_MAX_ENTRIES: usize = 3072;
 
-/// How the last full minimization treated one source handle.
+/// How the minimization — the last full one, or the patch that added the
+/// handle — treated one source handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SourceClass {
     /// Kept one-to-one: not merged, and covering no eliminated entry.
     /// Removing it just deletes its minimized entry.
     Clean,
-    /// Folded into a wider entry with at least one other source.
+    /// Folded into a wider entry with at least one other source, an entry
+    /// that shadows nothing. Removing it subtracts its box from the
+    /// entries of its priority level it meets, where the level's sources
+    /// are known to be pairwise disjoint; elsewhere it takes the full
+    /// minimization.
     Merged,
     /// Dropped because an earlier kept entry covers it; removing it is a
     /// no-op on the minimized list.
     Eliminated,
-    /// Kept, and the recorded shadow of at least one eliminated entry;
-    /// removing it could resurrect what it shadowed.
+    /// Kept, in an entry — merged or not — that is the recorded shadow of
+    /// at least one eliminated entry; removing it could resurrect what
+    /// that entry shadowed.
     Coverer,
 }
 
@@ -106,6 +118,177 @@ fn overlaps(a: &[ByteSet], b: &[ByteSet]) -> bool {
     a.iter().zip(b).all(|(a, b)| !a.intersection(*b).is_empty())
 }
 
+/// The keys a box matches whose sets hold `sizes` bytes, `None` from 2¹²⁰
+/// on (a set holds at most 2⁸ bytes, so below that a product cannot
+/// overflow).
+fn volume(sizes: impl IntoIterator<Item = usize>) -> Option<u128> {
+    (sizes.into_iter()).try_fold(1u128, |keys, size| {
+        (keys < 1 << 120).then(|| keys * size as u128)
+    })
+}
+
+/// Box `a` minus box `b`, appended to `out`: one box per position where
+/// `b` leaves part of `a` out, at most one per key position. The box of
+/// position `p` takes `a ∩ b` before `p`, `a \ b` at `p` and `a` after it,
+/// so the boxes are pairwise disjoint and match exactly the keys of `a`
+/// that `b` does not.
+fn subtract(a: &[ByteSet], b: &[ByteSet], out: &mut Vec<Vec<ByteSet>>) {
+    let mut inside = a.to_vec();
+    for (pos, (&a, &b)) in a.iter().zip(b).enumerate() {
+        let outside = a.difference(b);
+        if !outside.is_empty() {
+            let mut piece = inside.clone();
+            piece[pos] = outside;
+            out.push(piece);
+        }
+        inside[pos] = a.intersection(b);
+    }
+}
+
+/// Whether one level's entries stay pairwise disjoint with `new` ones
+/// among them, each `new` one standing for sources whose box volumes sum
+/// to its second field: each new box meets no `known` one (already
+/// disjoint among themselves) and no new one before it, and is as large as
+/// that sum — a union of boxes is exactly as large as their sum when no
+/// two of them meet. Then the level's sources are pairwise disjoint too.
+/// Past [`MINIMIZE_MAX_ENTRIES`] entries (the test is quadratic), or
+/// where a volume overflows, not known.
+fn disjoint(known: &[&[ByteSet]], new: &[(&[ByteSet], Option<u128>)]) -> bool {
+    known.len() + new.len() <= MINIMIZE_MAX_ENTRIES
+        && new.iter().enumerate().all(|(i, &(row, sum))| {
+            sum.is_some()
+                && volume(row.iter().map(ByteSet::len)) == sum
+                && known.iter().all(|&other| !overlaps(row, other))
+                && new[..i].iter().all(|&(other, _)| !overlaps(row, other))
+        })
+}
+
+/// One priority level of a minimized list, as a patch needs it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Level {
+    priority: i32,
+    /// Sources its entries stand for: all of the level's but the
+    /// eliminated ones.
+    live: usize,
+    /// Its sources are known to be pairwise disjoint, and its entries
+    /// match exactly their keys: each entry a union of sources, or a piece
+    /// a subtraction left of one. Checked only for a level that holds a
+    /// folded entry, or is about to.
+    disjoint: bool,
+}
+
+/// The level of `priority` in `levels` (highest priority first).
+fn level_mut(levels: &mut [Level], priority: i32) -> Option<&mut Level> {
+    let at = levels
+        .binary_search_by_key(&Reverse(priority), |l| Reverse(l.priority))
+        .ok()?;
+    Some(&mut levels[at])
+}
+
+/// Segments [`Folded`] holds before a patch repacks them.
+const SEGMENTS: usize = 32;
+
+/// The boxes of the folded ([`SourceClass::Merged`]) sources, by handle:
+/// what a removal subtracts, since the table no longer holds it. In
+/// segments of ascending handles, each above every handle of the segments
+/// before it and shared by every version patched since it was made: a
+/// full minimization makes the first, and a patch whose added entries
+/// fold appends one for their sources, so no patch copies what the
+/// segments hold. Removed sources stay until a patch finds more than
+/// [`SEGMENTS`] segments, or twice as many sources in them as the table
+/// has, and repacks the ones still folded into one.
+#[derive(Debug, Clone, Default)]
+struct Folded(Vec<Arc<Segment>>);
+
+/// Folded sources' boxes, two bytes per key position ([`ByteSet::pair`]):
+/// 2,196 sources of an eight-byte key take 60 KB with their handles and
+/// priorities, where their sets alone would take 560 KB.
+#[derive(Debug, Default)]
+struct Segment {
+    /// Ascending.
+    handles: Vec<u64>,
+    priorities: Vec<i32>,
+    /// Key positions per source.
+    width: usize,
+    /// The pairs are a range's ends, not a mask and a value.
+    range: bool,
+    /// `width` pairs per source, in handle order.
+    pairs: Vec<[u8; 2]>,
+}
+
+impl Segment {
+    /// The boxes of `entries`, sorted here by handle.
+    fn of<'a>(entries: impl Iterator<Item = &'a TableEntry>) -> Segment {
+        let mut entries: Vec<&TableEntry> = entries.collect();
+        entries.sort_unstable_by_key(|e| e.handle);
+        let width = entries.first().map_or(0, |e| e.spec.width());
+        let mut segment = Segment {
+            handles: entries.iter().map(|e| e.handle.0).collect(),
+            priorities: entries.iter().map(|e| e.priority).collect(),
+            width,
+            range: matches!(entries.first(), Some(e) if matches!(e.spec, MatchSpec::Range { .. })),
+            pairs: Vec::with_capacity(entries.len() * width),
+        };
+        for e in &entries {
+            let pairs = (0..width).map(|pos| ByteSet::pair(&e.spec, pos));
+            segment.pairs.extend(pairs);
+        }
+        segment
+    }
+}
+
+impl Folded {
+    /// The priority of folded source `handle`, its box appended to `sets`.
+    fn get(&self, handle: u64, sets: &mut Vec<ByteSet>) -> Option<i32> {
+        let after = self.0.partition_point(|s| s.handles[0] <= handle);
+        let segment = &self.0[after.checked_sub(1)?];
+        let i = segment.handles.binary_search(&handle).ok()?;
+        let pairs = &segment.pairs[i * segment.width..][..segment.width];
+        sets.extend(pairs.iter().map(|&p| ByteSet::of_pair(p, segment.range)));
+        Some(segment.priorities[i])
+    }
+
+    /// These boxes and those of `added` (handles above all of these),
+    /// repacked to the sources `table` calls folded where they hold too
+    /// many.
+    fn with(&self, added: Segment, table: &MinimizedTable) -> Folded {
+        let mut folded = self.clone();
+        if !added.handles.is_empty() {
+            folded.0.push(Arc::new(added));
+        }
+        let held: usize = folded.0.iter().map(|s| s.handles.len()).sum();
+        if folded.0.len() <= SEGMENTS && held <= 2 * table.source.len() {
+            return folded;
+        }
+        let mut packed = Segment {
+            width: folded.0[0].width,
+            range: folded.0[0].range,
+            ..Segment::default()
+        };
+        let mut live: Vec<u64> = (table.source.iter().zip(&table.classes))
+            .filter(|&(_, &class)| class == SourceClass::Merged)
+            .map(|(&(handle, _), _)| handle.0)
+            .collect();
+        live.sort_unstable();
+        for segment in &folded.0 {
+            for (i, &handle) in segment.handles.iter().enumerate() {
+                if live.binary_search(&handle).is_ok() {
+                    packed.handles.push(handle);
+                    packed.priorities.push(segment.priorities[i]);
+                    packed
+                        .pairs
+                        .extend_from_slice(&segment.pairs[i * packed.width..][..packed.width]);
+                }
+            }
+        }
+        Folded(if packed.handles.is_empty() {
+            Vec::new()
+        } else {
+            vec![Arc::new(packed)]
+        })
+    }
+}
+
 /// One minimized entry, in minimized match order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MinEntry {
@@ -122,7 +305,8 @@ pub struct MinEntry {
 }
 
 impl MinEntry {
-    /// A source entry kept as it is: what a patch adds.
+    /// A source entry as a box of its own: what an added entry that folds
+    /// with no other becomes.
     pub fn verbatim(entry: &TableEntry) -> MinEntry {
         MinEntry {
             sets: box_of(&entry.spec),
@@ -238,18 +422,18 @@ impl MinEntries {
     /// packed into new chunks; a piece cut from a chunk merges with the
     /// piece before it where the two meet in that chunk again. Past
     /// [`MinEntries::max_pieces`], the result is packed afresh.
-    fn edited(&self, edit: &Edit, fresh: &[&TableEntry]) -> MinEntries {
+    fn edited(&self, edit: &Edit, fresh: Vec<MinEntry>) -> MinEntries {
         let len = edit.runs.iter().map(|&(_, _, run)| run).sum::<usize>() + edit.fresh.len();
         let mut packer = Packer::new(MinEntries {
             pieces: Vec::with_capacity(self.pieces.len() + 2),
             priorities: Vec::with_capacity(len),
             orders: Vec::with_capacity(len),
         });
-        // `fresh[added..]` are still to come.
-        let mut added = 0;
+        // `edit.fresh[added..]` are still to come, in `fresh`.
+        let (mut added, mut fresh) = (0, fresh.into_iter());
         for &(from, to, run) in &edit.runs {
             let before = edit.fresh[added..].partition_point(|&rank| rank < to);
-            packer.add(&fresh[added..added + before]);
+            packer.add(&mut fresh, before);
             added += before;
             let kept = from..from + run;
             let list = &mut packer.list;
@@ -269,7 +453,8 @@ impl MinEntries {
                 packer.share(&piece.chunk, lo - piece.start + at..hi - piece.start + at);
             }
         }
-        packer.add(&fresh[added..]);
+        let rest = fresh.len();
+        packer.add(&mut fresh, rest);
         let list = packer.list;
         if list.pieces.len() > MinEntries::max_pieces(len) {
             return MinEntries::new(list.iter().cloned().collect());
@@ -312,13 +497,16 @@ impl Packer {
         });
     }
 
-    /// Appends `entries` verbatim, packed into new chunks of [`CHUNK`].
-    fn add(&mut self, entries: &[&TableEntry]) {
-        for part in entries.chunks(CHUNK) {
+    /// Appends the next `count` of `entries`, packed into new chunks of
+    /// [`CHUNK`].
+    fn add(&mut self, entries: &mut std::vec::IntoIter<MinEntry>, count: usize) {
+        for part in 0..count.div_ceil(CHUNK) {
+            let take = (count - part * CHUNK).min(CHUNK);
+            let part: Arc<[MinEntry]> = entries.by_ref().take(take).collect();
             let list = &mut self.list;
             list.priorities.extend(part.iter().map(|e| e.priority));
-            list.orders.extend(part.iter().map(|e| e.handle.0));
-            self.push(part.iter().map(|e| MinEntry::verbatim(e)).collect());
+            list.orders.extend(part.iter().map(|e| e.order));
+            self.push(part);
         }
     }
 
@@ -342,8 +530,9 @@ impl Packer {
 /// The minimized form of one table's entry list plus the bookkeeping the
 /// incremental compiler needs: the source `(handle, action)` fingerprint
 /// (specs and priorities are immutable per handle, so this detects every
-/// possible edit of one [`Table`](crate::table::Table)) and a per-handle
-/// [`SourceClass`].
+/// possible edit of one [`Table`](crate::table::Table)), a per-handle
+/// [`SourceClass`], what each priority level is known to be, and the
+/// boxes of the folded sources.
 #[derive(Debug, Clone)]
 pub struct MinimizedTable {
     /// Minimized entries sorted by (priority descending, order ascending),
@@ -352,154 +541,322 @@ pub struct MinimizedTable {
     pub entries: MinEntries,
     /// `(handle, action)` per source entry, in source match order.
     pub source: Vec<(EntryHandle, Action)>,
-    /// Per-handle classification, sorted by handle for binary search.
-    classes: Vec<(EntryHandle, SourceClass)>,
-    /// Source entries dropped by subsumption.
-    pub eliminated: usize,
-    /// Source entries folded away (sources minus survivors).
-    pub merged_away: usize,
+    /// Each source entry's class, in source match order.
+    classes: Vec<SourceClass>,
+    /// The largest handle this form has known.
+    newest: u64,
+    /// The priority levels that have a live source, highest first.
+    levels: Vec<Level>,
+    /// The boxes of the [`SourceClass::Merged`] sources.
+    folded: Folded,
 }
 
 impl MinimizedTable {
-    /// The classification of `handle` from the last full minimization
-    /// (patched-in entries classify as [`SourceClass::Clean`]).
+    /// The classification of `handle`: by the last full minimization, or
+    /// by the patch that added it ([`SourceClass::Clean`], or
+    /// [`SourceClass::Merged`] where the added entries folded).
     pub fn class_of(&self, handle: EntryHandle) -> Option<SourceClass> {
-        self.classes
-            .binary_search_by_key(&handle, |&(h, _)| h)
-            .ok()
-            .map(|i| self.classes[i].1)
+        let at = self.source.iter().position(|&(h, _)| h == handle)?;
+        Some(self.classes[at])
+    }
+
+    /// The ranks of the minimized entries of priority `priority`.
+    fn level_ranks(&self, priority: i32) -> Range<usize> {
+        let priorities = &self.entries.priorities;
+        priorities.partition_point(|&p| p > priority)
+            ..priorities.partition_point(|&p| p >= priority)
     }
 
     /// The minimized form of `entries` — the same table's entries now, in
     /// match order — patched from this one without re-minimizing, or
     /// `None` where a patch would be unsound and only a full minimization
-    /// will do: an action modified in place, or a removed handle that was
-    /// merged or covers an eliminated one.
+    /// will do: an action modified in place, a removed handle whose entry
+    /// shadows an eliminated one ([`SourceClass::Coverer`]), or a removed
+    /// folded one in a level not known to be disjoint.
     ///
     /// One walk over this form's source and `entries` tells survivors,
-    /// removals and additions apart, and makes the new source. It relies on three facts and returns
-    /// `None` where it finds one broken: both lists are in match order,
-    /// surviving entries keep their relative order, and a handle added
-    /// since exceeds every handle this form knows — so an addition lands
-    /// at the end of its priority level here as in the table. A second
-    /// walk, over the minimized entries' flat priorities and order keys
-    /// (never the entries), drops the removed clean entries and places the
-    /// added ones: O(entries + changes × log entries). The [`Edit`] beside
-    /// the patched form says where every minimized entry went, so the
-    /// engine can be patched the same way, and the patched list keeps the
-    /// chunks of this one, cut where the edit cuts them (see
-    /// [`MinEntries`]).
+    /// removals and additions apart, and makes the new source. It relies
+    /// on three facts and returns `None` where it finds one broken: both
+    /// lists are in match order, surviving entries keep their relative
+    /// order, and a handle added since exceeds every handle this form
+    /// knows — so an addition lands at the end of its priority level here
+    /// as in the table. Then:
+    ///
+    /// * a removed clean entry is found by its order key, walking the
+    ///   flat order keys (never the entries) in source order;
+    /// * a removed folded source's box, kept beside the list, is
+    ///   subtracted from every entry of its level it meets. Each
+    ///   subtraction leaves at most one box per key position, and the
+    ///   pieces take the entry's place and order key. That is exact while
+    ///   the level's sources are pairwise disjoint — then the removed box
+    ///   lies in the level's entries and meets no other source. A level
+    ///   whose sources are all removed loses its entries without a
+    ///   subtraction; where the pieces would outnumber the level's
+    ///   remaining sources, the full minimization folds it afresh;
+    /// * the added entries are folded among themselves, run by run of the
+    ///   table, and each row goes before the first entry of lower
+    ///   priority. Where the level was known disjoint (or empty), it stays
+    ///   so only if the rows meet none of its entries nor each other, and
+    ///   each is as large as its sources together.
+    ///
+    /// The [`Edit`] beside the patched form says where every minimized
+    /// entry went, so the engine can be patched the same way, and the
+    /// patched list keeps the chunks of this one, cut where the edit cuts
+    /// them (see [`MinEntries`]).
     #[doc(hidden)]
     pub fn patch(&self, entries: &[TableEntry]) -> Option<(MinimizedTable, Edit)> {
-        let newest = self.classes.last().map_or(0, |&(h, _)| h.0);
-        let mut old = self.source.iter();
         let mut source = Vec::with_capacity(entries.len());
-        let mut removed = Vec::new();
-        let mut added = Vec::new();
-        for e in entries {
-            source.push((e.handle, e.action));
-            if e.handle.0 > newest {
-                added.push(e);
+        let mut classes = Vec::with_capacity(entries.len());
+        // Removed handles with their classes, and the indices into
+        // `entries` of the added ones.
+        let (mut removed, mut added) = (Vec::new(), Vec::new());
+        // The next old source entry, and where the run of survivors that
+        // ends before it began: survivors are copied a run at a time.
+        let (mut next, mut run) = (0, 0);
+        for (i, e) in entries.iter().enumerate() {
+            if self.source.get(next) == Some(&(e.handle, e.action)) {
+                next += 1;
+                continue;
+            }
+            source.extend_from_slice(&self.source[run..next]);
+            classes.extend_from_slice(&self.classes[run..next]);
+            if e.handle.0 > self.newest {
+                added.push(i);
+                source.push((e.handle, e.action));
+                classes.push(SourceClass::Clean);
+                run = next;
                 continue;
             }
             // A surviving handle: every source entry ahead of it is gone.
             loop {
-                let &(handle, action) = old.next()?;
+                let &(handle, action) = self.source.get(next)?;
                 if handle == e.handle {
                     if action != e.action {
                         return None;
                     }
                     break;
                 }
-                removed.push(handle);
+                removed.push((handle, self.classes[next]));
+                next += 1;
             }
+            run = next;
+            next += 1;
         }
-        removed.extend(old.map(|&(h, _)| h));
+        source.extend_from_slice(&self.source[run..next]);
+        classes.extend_from_slice(&self.classes[run..next]);
+        let gone = self.source[next..].iter().zip(&self.classes[next..]);
+        removed.extend(gone.map(|(&(handle, _), &class)| (handle, class)));
 
-        // Removed clean entries, in source order — which is also their
-        // order in the minimized list, since each carries its own handle
-        // as its order key at its own priority.
-        let mut dropped = Vec::new();
-        let mut eliminated = self.eliminated;
-        for &h in &removed {
-            match self.class_of(h)? {
-                SourceClass::Clean => dropped.push(h.0),
-                SourceClass::Eliminated => eliminated -= 1,
-                SourceClass::Merged | SourceClass::Coverer => return None,
-            }
-        }
-
-        // From change to change over the flat order keys and priorities: a
-        // dropped entry is found by its order key, and an added one goes
-        // before the first entry of lower priority (at a dropped one, after
-        // it). Between two changes, one run of kept entries: a drop moves
-        // the old rank on alone and an addition the new one, so no run
-        // continues the one before it.
+        // Removed clean entries come in source order, which is also their
+        // order in the minimized list: each carries its own handle as its
+        // order key at its own priority. `drops` are old ranks.
         let (orders, priorities) = (&self.entries.orders, &self.entries.priorities);
+        let mut levels = self.levels.clone();
+        let mut drops = Vec::new();
+        // Removed folded sources: each one's priority and where its box
+        // starts in `boxes`.
+        let (mut cuts, mut boxes) = (Vec::new(), Vec::new());
+        let mut from = 0;
+        for &(h, class) in &removed {
+            let priority = match class {
+                SourceClass::Clean => {
+                    let at = from + orders[from..].iter().position(|&o| o == h.0)?;
+                    drops.push(at);
+                    from = at + 1;
+                    priorities[at]
+                }
+                SourceClass::Merged => {
+                    let start = boxes.len();
+                    let priority = self.folded.get(h.0, &mut boxes)?;
+                    cuts.push((priority, start));
+                    priority
+                }
+                SourceClass::Eliminated => continue,
+                SourceClass::Coverer => return None,
+            };
+            let level = level_mut(&mut levels, priority)?;
+            level.live = level.live.checked_sub(1)?;
+        }
+
+        // Made entries, each with the old rank it goes before.
+        let mut made: Vec<(usize, MinEntry)> = Vec::new();
+        let width = boxes.len() / cuts.len().max(1);
+        cuts.sort_by_key(|&(priority, _)| Reverse(priority));
+        for cut in cuts.chunk_by(|a, b| a.0 == b.0) {
+            let level = *level_mut(&mut levels, cut[0].0)?;
+            let ranks = self.level_ranks(level.priority);
+            if level.live == 0 {
+                drops.extend(ranks);
+                continue;
+            }
+            if !level.disjoint {
+                return None;
+            }
+            let cut: Vec<&[ByteSet]> = cut.iter().map(|&(_, at)| &boxes[at..at + width]).collect();
+            // Per position, every byte some removed box holds: a row that
+            // meets none of them meets no removed box.
+            let reach: Vec<ByteSet> = (0..width)
+                .map(|pos| cut.iter().fold(ByteSet([0; 4]), |all, b| all.union(b[pos])))
+                .collect();
+            // The level's rows once this cut is made.
+            let mut left = ranks.len() - drops.iter().filter(|&d| ranks.contains(d)).count();
+            for rank in ranks {
+                let entry = &self.entries[rank];
+                if !overlaps(&entry.sets, &reach) {
+                    continue;
+                }
+                let mut met = cut.iter().filter(|b| overlaps(&entry.sets, b)).peekable();
+                if met.peek().is_none() {
+                    continue;
+                }
+                drops.push(rank);
+                left -= 1;
+                // The removed sources are disjoint: where the keys they
+                // take from the row add up to all of it, it goes whole.
+                let taken = met.try_fold(0u128, |sum, b| {
+                    let shared = (entry.sets.iter().zip(*b)).map(|(a, b)| a.intersection(*b).len());
+                    sum.checked_add(volume(shared)?)
+                });
+                if taken.is_some() && taken == volume(entry.sets.iter().map(ByteSet::len)) {
+                    continue;
+                }
+                let mut pieces = vec![entry.sets.clone()];
+                for b in &cut {
+                    let mut rest = Vec::with_capacity(pieces.len());
+                    for piece in pieces {
+                        if overlaps(&piece, b) {
+                            subtract(&piece, b, &mut rest);
+                        } else {
+                            rest.push(piece);
+                        }
+                    }
+                    pieces = rest;
+                }
+                left += pieces.len();
+                made.extend(pieces.into_iter().map(|sets| {
+                    let (action, priority, order) = (entry.action, entry.priority, entry.order);
+                    let piece = MinEntry {
+                        sets,
+                        action,
+                        priority,
+                        order,
+                    };
+                    (rank, piece)
+                }));
+            }
+            if left > level.live {
+                return None;
+            }
+        }
+        drops.sort_unstable();
+        drops.dedup();
+
+        // The added entries, folded run by run; each level they land in
+        // keeps its disjointness only where they keep it.
+        let mut rows = Vec::new();
+        for run in added.chunk_by(|a, b| a + 1 == *b) {
+            rows.extend(
+                fold(&entries[run[0]..run[0] + run.len()])
+                    .into_iter()
+                    .map(|mut k| {
+                        k.sources.iter_mut().for_each(|at| *at += run[0]);
+                        k
+                    }),
+            );
+        }
+        let mut folded_now = Vec::new();
+        for level_rows in rows.chunk_by(|a, b| a.priority == b.priority) {
+            let priority = level_rows[0].priority;
+            let at = levels
+                .binary_search_by_key(&Reverse(priority), |l| Reverse(l.priority))
+                .unwrap_or_else(|at| {
+                    let empty = Level {
+                        priority,
+                        live: 0,
+                        disjoint: false,
+                    };
+                    levels.insert(at, empty);
+                    at
+                });
+            let level = &mut levels[at];
+            let merged = level_rows.iter().any(|k| k.sources.len() > 1);
+            let check = if level.live == 0 {
+                merged
+            } else {
+                level.disjoint
+            };
+            level.disjoint = check && {
+                let ranks = self.level_ranks(priority);
+                let kept = ranks.filter(|rank| drops.binary_search(rank).is_err());
+                let kept = kept.map(|rank| &self.entries[rank].sets[..]);
+                let pieces = made.iter().filter(|(_, e)| e.priority == priority);
+                let known: Vec<&[ByteSet]> = kept.chain(pieces.map(|(_, e)| &e.sets[..])).collect();
+                let new: Vec<_> = level_rows.iter().map(|k| (&k.sets[..], k.volume)).collect();
+                disjoint(&known, &new)
+            };
+            level.live += level_rows.iter().map(|k| k.sources.len()).sum::<usize>();
+            for k in level_rows.iter().filter(|k| k.sources.len() > 1) {
+                for &at in &k.sources {
+                    classes[at] = SourceClass::Merged;
+                    folded_now.push(&entries[at]);
+                }
+            }
+        }
+        levels.retain(|level| level.live > 0);
+        for k in rows {
+            let place = priorities.partition_point(|&p| p >= k.priority);
+            let entry = MinEntry {
+                order: k.order(entries),
+                sets: k.sets,
+                action: k.label,
+                priority: k.priority,
+            };
+            made.push((place, entry));
+        }
+        // Where a level's pieces and the next level's additions meet, the
+        // higher priority goes first.
+        made.sort_by_key(|(at, e)| (*at, Reverse(e.priority)));
+
+        // From change to change: a drop moves the old rank on alone and a
+        // made entry the new one, so no run continues the one before it.
         let n = orders.len();
-        let find = |from: usize, order: u64| {
-            let at = orders[from..].iter().position(|&o| o == order)?;
-            Some(from + at)
-        };
-        let place = |from: usize, priority: i32| {
-            from + priorities[from..]
-                .iter()
-                .position(|&p| p < priority)
-                .unwrap_or(n - from)
-        };
-        let mut dropped = dropped.into_iter();
-        let mut fresh = added.iter();
-        let mut next_drop = match dropped.next() {
-            Some(order) => Some(find(0, order)?),
-            None => None,
-        };
-        let mut next_fresh = fresh.next().map(|e| place(0, e.priority));
         let mut edit = Edit::default();
-        let (mut rank, mut len) = (0, 0);
+        let (mut rank, mut len, mut dropped, mut placed) = (0, 0, 0, 0);
         loop {
-            let stop = next_drop
-                .unwrap_or(n)
-                .min(next_fresh.map_or(n, |at| at.max(rank)));
+            let next_drop = drops.get(dropped).copied().unwrap_or(n);
+            let next_made = made.get(placed).map_or(n, |&(at, _)| at);
+            let stop = next_drop.min(next_made);
             if stop > rank {
                 edit.runs.push((rank, len, stop - rank));
+                len += stop - rank;
+                rank = stop;
             }
-            len += stop - rank;
-            rank = stop;
-            if next_drop == Some(rank) {
-                rank += 1;
-                next_drop = match dropped.next() {
-                    Some(order) => Some(find(rank, order)?),
-                    None => None,
-                };
-            } else if next_fresh.is_some_and(|at| at <= rank) {
+            if placed < made.len() && next_made <= rank {
                 edit.fresh.push(len);
                 len += 1;
-                next_fresh = fresh.next().map(|e| place(rank, e.priority));
+                placed += 1;
+            } else if dropped < drops.len() && next_drop == rank {
+                rank += 1;
+                dropped += 1;
             } else {
                 break;
             }
         }
 
-        removed.sort_unstable();
-        let mut classes = Vec::with_capacity(self.classes.len() + added.len());
-        let mut from = 0;
-        for h in &removed {
-            let at = self.classes.binary_search_by_key(h, |&(h, _)| h).ok()?;
-            classes.extend_from_slice(&self.classes[from..at]);
-            from = at + 1;
-        }
-        classes.extend_from_slice(&self.classes[from..]);
-        let tail = classes.len();
-        classes.extend(added.iter().map(|e| (e.handle, SourceClass::Clean)));
-        classes[tail..].sort_unstable_by_key(|&(h, _)| h);
-
-        let patched = MinimizedTable {
-            entries: self.entries.edited(&edit, &added),
+        let fresh = made.into_iter().map(|(_, entry)| entry).collect();
+        let mut patched = MinimizedTable {
+            entries: self.entries.edited(&edit, fresh),
             source,
             classes,
-            eliminated,
-            merged_away: self.merged_away,
+            newest: added
+                .iter()
+                .fold(self.newest, |newest, &at| newest.max(entries[at].handle.0)),
+            levels,
+            folded: Folded::default(),
         };
+        patched.folded = self
+            .folded
+            .with(Segment::of(folded_now.into_iter()), &patched);
         Some((patched, edit))
     }
 }
@@ -522,18 +879,24 @@ struct Kept<L> {
     sets: Vec<ByteSet>,
     label: L,
     priority: i32,
-    /// Source handles this entry stands for; see [`Cube::sources`].
-    sources: Vec<u64>,
+    /// The indices of the source entries this entry stands for, in the
+    /// entries minimized.
+    sources: Vec<usize>,
+    /// The sum of its sources' box volumes, where the fold knows it and
+    /// it fits.
+    volume: Option<u128>,
 }
 
 impl<L> Kept<L> {
-    /// The smallest source: where the entry sits in its level.
-    fn order(&self) -> u64 {
-        *self
+    /// The handle of its first source, of `entries`: where the entry sits
+    /// in its level.
+    fn order(&self, entries: &[TableEntry]) -> u64 {
+        let first = self
             .sources
             .iter()
             .min()
-            .expect("a kept entry has a source")
+            .expect("a kept entry has a source");
+        entries[*first].handle.0
     }
 }
 
@@ -541,10 +904,8 @@ impl<L> Kept<L> {
 struct Reduced<L> {
     /// Survivors in minimized match order.
     kept: Vec<Kept<L>>,
-    /// Sources dropped by subsumption.
-    eliminated: Vec<u64>,
-    /// Sources of the kept rows that shadow an eliminated one.
-    shadows: BTreeSet<u64>,
+    /// Per kept row: it is the recorded shadow of an eliminated one.
+    covering: Vec<bool>,
 }
 
 /// Drops every row (frozen match order) covered by an earlier kept one:
@@ -553,20 +914,20 @@ struct Reduced<L> {
 fn subsume<L>(rows: Vec<Kept<L>>) -> Reduced<L> {
     let mut reduced = Reduced {
         kept: Vec::with_capacity(rows.len()),
-        eliminated: Vec::new(),
-        shadows: BTreeSet::new(),
+        covering: Vec::with_capacity(rows.len()),
     };
     if rows.len() > MINIMIZE_MAX_ENTRIES {
+        reduced.covering = vec![false; rows.len()];
         reduced.kept = rows;
         return reduced;
     }
     for row in rows {
-        match reduced.kept.iter().find(|k| covers(&k.sets, &row.sets)) {
-            Some(shadow) => {
-                reduced.shadows.insert(shadow.sources[0]);
-                reduced.eliminated.extend(row.sources);
+        match reduced.kept.iter().position(|k| covers(&k.sets, &row.sets)) {
+            Some(shadow) => reduced.covering[shadow] = true,
+            None => {
+                reduced.kept.push(row);
+                reduced.covering.push(false);
             }
-            None => reduced.kept.push(row),
         }
     }
     reduced
@@ -598,23 +959,40 @@ fn order_free(level: &[TableEntry], boxes: &[ByteSet], width: usize) -> bool {
 /// set of each position has an id, and a pass sorts the level's rows by
 /// action and their ids at the other positions, so the boxes, ids and
 /// source chains live in flat arrays and a fold moves none of them: a row
-/// is the index of its first entry. The rows come back in match order.
+/// is the index of its first entry. A pass at a position where every row
+/// has the same set is skipped: there it could fold only rows equal at
+/// every position, which the pass of any other position folds too. The
+/// rows come back in match order.
 fn fold(entries: &[TableEntry]) -> Vec<Kept<Action>> {
     let n = entries.len();
     let width = entries.first().map_or(0, |e| e.spec.width());
     // Every entry's box, back to back; a row's box is its first entry's.
-    let mut sets: Vec<ByteSet> = Vec::with_capacity(n * width);
-    for e in entries {
-        sets.extend((0..width).map(|pos| ByteSet::of(&e.spec, pos)));
-    }
-    let mut numbers: Vec<ByteSetMap<u32>> = vec![ByteSetMap::default(); width];
-    let mut intern = |pos: usize, set: ByteSet| {
-        let next = numbers[pos].len() as u32;
-        *numbers[pos].entry(set).or_insert(next)
+    // Each distinct set has an id, one numbering for every position (a
+    // pass compares a position's ids only with the same position's). An
+    // entry of a cross product shares most of its bytes with the one
+    // before it, and takes the set and id of each byte pair it shares.
+    let range = matches!(entries.first(), Some(e) if matches!(e.spec, MatchSpec::Range { .. }));
+    let mut numbers: ByteSetMap<u32> =
+        ByteSetMap::with_capacity_and_hasher(n.min(1024), Default::default());
+    let mut intern = |set: ByteSet| {
+        let next = numbers.len() as u32;
+        *numbers.entry(set).or_insert(next)
     };
-    let mut ids: Vec<u32> = (0..n * width)
-        .map(|at| intern(at % width, sets[at]))
-        .collect();
+    let (mut sets, mut ids) = (Vec::with_capacity(n * width), Vec::with_capacity(n * width));
+    for (i, e) in entries.iter().enumerate() {
+        for pos in 0..width {
+            let pair = ByteSet::pair(&e.spec, pos);
+            if i > 0 && ByteSet::pair(&entries[i - 1].spec, pos) == pair {
+                let (set, id) = (sets[sets.len() - width], ids[ids.len() - width]);
+                sets.push(set);
+                ids.push(id);
+            } else {
+                let set = ByteSet::of_pair(pair, range);
+                sets.push(set);
+                ids.push(intern(set));
+            }
+        }
+    }
     // The entries of a row as a chain from its first: each entry's next
     // one (`n` ends the chain), and each row's last.
     let (mut next, mut last): (Vec<usize>, Vec<usize>) =
@@ -631,19 +1009,28 @@ fn fold(entries: &[TableEntry]) -> Vec<Kept<Action>> {
             width,
         );
         let (mut pos, mut quiet) = (0, 0);
+        // Each pass's group lengths and heads, in buffers kept across passes.
+        let (mut groups, mut heads) = (Vec::new(), Vec::with_capacity(live.len()));
         while free && live.len() > 1 && quiet < width {
+            let shared = |p: usize| {
+                let first = ids[live[0] * width + p];
+                live.iter().all(|&i| ids[i * width + p] == first)
+            };
+            if shared(pos) && !(0..width).all(shared) {
+                quiet += 1;
+                pos = (pos + 1) % width;
+                continue;
+            }
             let key = |&i: &usize| {
                 let row = &ids[i * width..][..width];
                 (entries[i].action, &row[..pos], &row[pos + 1..])
             };
-            live.sort_by(|a, b| key(a).cmp(&key(b)).then(a.cmp(b)));
-            let groups: Vec<usize> = live
-                .chunk_by(|a, b| key(a) == key(b))
-                .map(<[usize]>::len)
-                .collect();
-            let mut heads = Vec::with_capacity(groups.len());
+            live.sort_unstable_by(|a, b| key(a).cmp(&key(b)).then(a.cmp(b)));
+            groups.clear();
+            groups.extend(live.chunk_by(|a, b| key(a) == key(b)).map(<[usize]>::len));
+            heads.clear();
             let mut rest = &live[..];
-            for len in groups {
+            for &len in &groups {
                 let (group, after) = rest.split_at(len);
                 rest = after;
                 let head = group[0];
@@ -654,7 +1041,7 @@ fn fold(entries: &[TableEntry]) -> Vec<Kept<Action>> {
                     last[head] = last[other];
                 }
                 if len > 1 {
-                    ids[head * width + pos] = intern(pos, sets[head * width + pos]);
+                    ids[head * width + pos] = intern(sets[head * width + pos]);
                 }
                 heads.push(head);
             }
@@ -663,7 +1050,7 @@ fn fold(entries: &[TableEntry]) -> Vec<Kept<Action>> {
             } else {
                 quiet + 1
             };
-            live = heads;
+            std::mem::swap(&mut live, &mut heads);
             pos = (pos + 1) % width;
         }
         live.sort_unstable();
@@ -671,14 +1058,22 @@ fn fold(entries: &[TableEntry]) -> Vec<Kept<Action>> {
             let mut sources = Vec::new();
             let mut at = head;
             while at < n {
-                sources.push(entries[at].handle.0);
+                sources.push(at);
                 at = next[at];
             }
+            // The sum of the sources' volumes, counted from their bytes.
+            let volume = sources.iter().try_fold(0u128, |sum, &at| {
+                let spec = &entries[at].spec;
+                let sizes =
+                    (0..width).map(|pos| ByteSet::pair_len(ByteSet::pair(spec, pos), range));
+                sum.checked_add(volume(sizes)?)
+            });
             Kept {
                 sets: sets[head * width..][..width].to_vec(),
                 label: entries[head].action,
                 priority,
                 sources,
+                volume,
             }
         }));
         start = end;
@@ -689,48 +1084,61 @@ fn fold(entries: &[TableEntry]) -> Vec<Kept<Action>> {
 /// Minimizes `entries` (in frozen match order) for a table of `kind`:
 /// each priority level of a wildcard kind folded, then subsumption over
 /// the folded entries. An exact table's keys do not fold: its engine
-/// hashes one key per entry.
+/// hashes one key per entry. Each level that holds a folded entry is
+/// checked for disjoint sources, and the folded sources' boxes are kept,
+/// for a patch to subtract (see [`MinimizedTable::patch`]).
 pub fn minimize(kind: MatchKind, entries: &[TableEntry]) -> MinimizedTable {
     let rows = match kind {
         MatchKind::Exact => entries
             .iter()
-            .map(|e| Kept {
+            .enumerate()
+            .map(|(i, e)| Kept {
                 sets: box_of(&e.spec),
                 label: e.action,
                 priority: e.priority,
-                sources: vec![e.handle.0],
+                sources: vec![i],
+                volume: None,
             })
             .collect(),
         _ => fold(entries),
     };
-    let Reduced {
-        kept,
-        eliminated,
-        shadows,
-    } = subsume(rows);
+    let Reduced { kept, covering } = subsume(rows);
 
-    let mut classes: Vec<(EntryHandle, SourceClass)> = Vec::with_capacity(entries.len());
-    for k in &kept {
-        let class = match k.sources[..] {
-            [only] if shadows.contains(&only) => SourceClass::Coverer,
-            [_] => SourceClass::Clean,
+    // A source no kept entry stands for was eliminated.
+    let mut classes = vec![SourceClass::Eliminated; entries.len()];
+    for (k, &shadow) in kept.iter().zip(&covering) {
+        let class = match k.sources.len() {
+            _ if shadow => SourceClass::Coverer,
+            1 => SourceClass::Clean,
             _ => SourceClass::Merged,
         };
-        classes.extend(k.sources.iter().map(|&h| (EntryHandle(h), class)));
+        for &at in &k.sources {
+            classes[at] = class;
+        }
     }
-    classes.extend(
-        eliminated
-            .iter()
-            .map(|&h| (EntryHandle(h), SourceClass::Eliminated)),
-    );
-    classes.sort_unstable_by_key(|&(h, _)| h);
 
-    MinimizedTable {
-        merged_away: kept.iter().map(|k| k.sources.len() - 1).sum(),
+    let levels = kept
+        .chunk_by(|a, b| a.priority == b.priority)
+        .map(|level| {
+            let merged = level.iter().any(|k| k.sources.len() > 1);
+            let rows = || -> Vec<_> { level.iter().map(|k| (&k.sets[..], k.volume)).collect() };
+            Level {
+                priority: level[0].priority,
+                live: level.iter().map(|k| k.sources.len()).sum(),
+                disjoint: merged && disjoint(&[], &rows()),
+            }
+        })
+        .collect();
+    let folded = (entries.iter().zip(&classes))
+        .filter(|&(_, &class)| class == SourceClass::Merged)
+        .map(|(e, _)| e);
+    let folded = Segment::of(folded);
+
+    let mut min = MinimizedTable {
         entries: MinEntries::new(
             kept.into_iter()
                 .map(|k| MinEntry {
-                    order: k.order(),
+                    order: k.order(entries),
                     sets: k.sets,
                     action: k.label,
                     priority: k.priority,
@@ -739,8 +1147,12 @@ pub fn minimize(kind: MatchKind, entries: &[TableEntry]) -> MinimizedTable {
         ),
         source: entries.iter().map(|e| (e.handle, e.action)).collect(),
         classes,
-        eliminated: eliminated.len(),
-    }
+        newest: entries.iter().map(|e| e.handle.0).max().unwrap_or(0),
+        levels,
+        folded: Folded::default(),
+    };
+    min.folded = min.folded.with(folded, &min);
+    min
 }
 
 /// TCAM rows of the ternary form of `entries` (frozen match order,
@@ -758,19 +1170,20 @@ fn ternary_form<L: Ord + Copy>(entries: &[(&MatchSpec, L, i32)]) -> usize {
             sets: box_of(spec),
             label,
             priority,
-            sources: vec![i as u64],
+            sources: vec![i],
+            volume: None,
         });
     let kept = subsume(rows.collect()).kept;
     kept.chunk_by(|a, b| a.priority == b.priority)
         .map(|level| {
             let cubes: Option<Vec<Cube<L>>> = level
                 .iter()
-                .map(|k| match entries[k.sources[0] as usize].0 {
+                .map(|k| match entries[k.sources[0]].0 {
                     MatchSpec::Ternary { value, mask } => Some(Cube {
                         value: value.clone(),
                         mask: mask.clone(),
                         label: k.label,
-                        sources: k.sources.clone(),
+                        sources: k.sources.iter().map(|&i| i as u64).collect(),
                     }),
                     _ => None,
                 })
@@ -852,7 +1265,6 @@ mod tests {
         assert_eq!(min.entries.len(), 1);
         assert_eq!(min.entries[0].sets, [ByteSet::between(0, 3)]);
         assert_eq!(min.entries[0].order, 1);
-        assert_eq!(min.merged_away, 3);
         for e in t.entries() {
             assert_eq!(min.class_of(e.handle), Some(SourceClass::Merged));
         }
@@ -870,7 +1282,9 @@ mod tests {
         let t = build(MatchKind::Ternary, 1, &rows);
         let min = minimize(MatchKind::Ternary, t.entries());
         assert_eq!(min.entries.len(), 3);
-        assert_eq!(min.merged_away, 0);
+        for e in t.entries() {
+            assert_eq!(min.class_of(e.handle), Some(SourceClass::Clean));
+        }
     }
 
     #[test]
@@ -884,7 +1298,6 @@ mod tests {
         let t = build(MatchKind::Ternary, 1, &rows);
         let min = minimize(MatchKind::Ternary, t.entries());
         assert_eq!(min.entries.len(), 2);
-        assert_eq!(min.eliminated, 1);
         let h = |i: usize| t.entries()[i].handle;
         // Match order: priority 5 first.
         assert_eq!(min.class_of(h(0)), Some(SourceClass::Coverer));
@@ -925,7 +1338,9 @@ mod tests {
             min.entries[0].sets,
             [ByteSet::between(10, 30), ByteSet::between(0, 50)]
         );
-        assert_eq!(min.merged_away, 1);
+        let classes: Vec<_> = t.entries().iter().map(|e| min.class_of(e.handle)).collect();
+        let (merged, clean) = (Some(SourceClass::Merged), Some(SourceClass::Clean));
+        assert_eq!(classes, [merged, merged, clean]);
     }
 
     #[test]
@@ -941,7 +1356,8 @@ mod tests {
         );
         let min = minimize(MatchKind::Exact, t.entries());
         assert_eq!(min.entries.len(), 2);
-        assert_eq!(min.eliminated, 1);
+        let eliminated = Some(SourceClass::Eliminated);
+        assert_eq!(min.class_of(t.entries()[1].handle), eliminated);
 
         let lpm = |value: Vec<u8>, prefix_len: usize| MatchSpec::Lpm { value, prefix_len };
         let t = build(
@@ -956,7 +1372,7 @@ mod tests {
         );
         let min = minimize(MatchKind::Lpm, t.entries());
         assert_eq!(min.entries.len(), 2);
-        assert_eq!(min.eliminated, 1);
+        assert_eq!(min.class_of(t.entries()[1].handle), eliminated);
     }
 
     #[test]
@@ -981,6 +1397,54 @@ mod tests {
         assert_eq!(min.class_of(handles[1]), Some(SourceClass::Merged));
         assert_eq!(min.class_of(handles[2]), Some(SourceClass::Merged));
         assert_eq!(min.class_of(handles[3]), Some(SourceClass::Eliminated));
+    }
+
+    #[test]
+    fn a_folded_coverer_classifies_every_source_it_stands_for() {
+        // h1 and h2 fold into 0x00..=0x1f, which shadows h3 one level down:
+        // removing either could resurrect h3, so neither is merely merged.
+        let rows = [
+            (ternary(vec![0x00], vec![0xf0]), Action::Drop, 2),
+            (ternary(vec![0x10], vec![0xf0]), Action::Drop, 2),
+            (ternary(vec![0x05], vec![0xff]), Action::Forward(1), 1),
+        ];
+        let t = build(MatchKind::Ternary, 1, &rows);
+        let min = minimize(MatchKind::Ternary, t.entries());
+        assert_eq!(min.entries.len(), 1);
+        let classes: Vec<_> = t.entries().iter().map(|e| min.class_of(e.handle)).collect();
+        let (coverer, eliminated) = (Some(SourceClass::Coverer), Some(SourceClass::Eliminated));
+        assert_eq!(classes, [coverer, coverer, eliminated]);
+    }
+
+    #[test]
+    fn a_subtraction_leaves_disjoint_boxes_of_exactly_the_difference() {
+        let cases = [
+            (
+                [ByteSet::between(0, 99), ByteSet::between(10, 200)],
+                [ByteSet::between(50, 60), ByteSet::between(0, 20)],
+            ),
+            (
+                [ByteSet::masked(0xf0, 0x30), ByteSet::ANY],
+                [ByteSet::masked(0xff, 0x37), ByteSet::masked(0x01, 0x01)],
+            ),
+            (
+                [ByteSet::between(5, 9), ByteSet::between(5, 9)],
+                [ByteSet::between(0, 255), ByteSet::between(7, 7)],
+            ),
+        ];
+        for (a, b) in cases {
+            let mut pieces = Vec::new();
+            subtract(&a, &b, &mut pieces);
+            assert!(pieces.len() <= 2, "{} pieces", pieces.len());
+            for k0 in 0..=255u8 {
+                for k1 in 0..=255u8 {
+                    let within = |x: &[ByteSet]| x[0].contains(k0) && x[1].contains(k1);
+                    let hits = pieces.iter().filter(|p| within(p)).count();
+                    let expected = usize::from(within(&a) && !within(&b));
+                    assert_eq!(hits, expected, "{a:?} - {b:?} at [{k0}, {k1}]");
+                }
+            }
+        }
     }
 
     #[test]

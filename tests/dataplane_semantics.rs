@@ -5,12 +5,14 @@ use p4guard::config::GuardConfig;
 use p4guard::experiments::ExperimentContext;
 use p4guard::pipeline::TwoStagePipeline;
 use p4guard_dataplane::action::Action;
+use p4guard_dataplane::compiled::engine_builds;
 use p4guard_dataplane::control::ControlPlane;
 use p4guard_dataplane::key::KeyLayout;
 use p4guard_dataplane::parser::ParserSpec;
 use p4guard_dataplane::switch::Switch;
 use p4guard_dataplane::table::{MatchKind, MatchSpec, Table};
 use p4guard_dataplane::AclLayout;
+use p4guard_dataplane::{CompiledTable, LookupOutcome};
 use p4guard_rules::compile::{compile_tree, find_disagreement, CompileConfig, COMPILE_CLASS};
 use p4guard_rules::tree::{DecisionTree, TreeConfig};
 use p4guard_rules::{RuleSet, TernaryEntry};
@@ -18,6 +20,7 @@ use p4guard_traffic::scenario::Scenario;
 use p4guard_traffic::split_temporal;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Fit a small random tree-shaped problem and verify the compiled rules
 /// agree with the tree on dense random sampling.
@@ -125,7 +128,11 @@ fn switch_counters_are_consistent() {
 /// seeds 2020 and 31 (default/31 expands to 12,002 ternary entries): the
 /// deployed stage's engine, the cross product folded back into boxes,
 /// agrees with `DecisionTree::predict` on every train and test frame's
-/// key, and indexes at most twice the tree's attack leaves.
+/// key, and indexes at most twice the tree's attack leaves. Then the
+/// ledger's churn: the stage's last 1 % removed through
+/// `CompiledTable::recompile`, which subtracts the removed boxes, and
+/// re-added, which folds them — neither step builds an engine, and at
+/// each every key is answered as the table and a fresh compile answer it.
 #[test]
 fn folded_learned_stages_equal_the_tree_on_every_fixture_key() {
     for seed in [2020, 31] {
@@ -154,16 +161,68 @@ fn folded_learned_stages_equal_the_tree_on_every_fixture_key() {
                 "{case}: {} rows for {leaves} attack leaves",
                 stage.minimized_len()
             );
-            for record in train.iter().chain(test.iter()) {
-                let key = stage.key().build_key(&record.frame);
+            let keys: Vec<Vec<u8>> = train
+                .iter()
+                .chain(test.iter())
+                .map(|record| stage.key().build_key(&record.frame))
+                .collect();
+            for key in &keys {
                 assert_eq!(
-                    stage.peek(&key) == Action::Drop,
-                    guard.tree.predict(&key) == COMPILE_CLASS,
+                    stage.peek(key) == Action::Drop,
+                    guard.tree.predict(key) == COMPILE_CLASS,
                     "{case}: key {key:02x?}"
                 );
             }
+
+            let mut table = control.with_switch(|sw| sw.stage(0).clone());
+            let take = table.len() / 100;
+            let mut delta = table.entries()[table.len() - take..].to_vec();
+            for e in &delta {
+                table.remove(e.handle).unwrap();
+            }
+            let removed = patched(stage, &table, &keys, &format!("{case}, 1 % removed"));
+            for e in &mut delta {
+                e.handle = table.insert(e.spec.clone(), e.action, e.priority).unwrap();
+            }
+            patched(&removed, &table, &keys, &format!("{case}, 1 % re-added"));
         }
     }
+}
+
+/// `table` recompiled against `prev` without an engine build, every key
+/// answered as `Table::peek` answers it, with the `(action, priority)` of
+/// a fresh compile's winner.
+fn patched(
+    prev: &Arc<CompiledTable>,
+    table: &Table,
+    keys: &[Vec<u8>],
+    case: &str,
+) -> Arc<CompiledTable> {
+    let builds = engine_builds();
+    let next = CompiledTable::recompile(prev, table);
+    assert_eq!(
+        engine_builds(),
+        builds,
+        "{case}: the delta built the engine"
+    );
+    let fresh = CompiledTable::compile(table);
+    let winner = |stage: &CompiledTable, key: &[u8]| {
+        let (action, outcome) = stage.lookup_traced(key, &mut []);
+        let priority = match outcome {
+            LookupOutcome::Hit(rank) => stage.rank_priority(rank),
+            _ => None,
+        };
+        (action, priority)
+    };
+    for key in keys {
+        assert_eq!(next.peek(key), table.peek(key), "{case}: key {key:02x?}");
+        assert_eq!(
+            winner(&next, key),
+            winner(&fresh, key),
+            "{case}: key {key:02x?}"
+        );
+    }
+    next
 }
 
 /// The fold never leaves more rows than the ternary form's count (subsumed
