@@ -477,12 +477,12 @@ fi
 echo "==> a removal subtracts, it does not refold (acceptance greps)"
 # A delta publish cuts a removed folded source's box out of the rows it
 # meets and folds only the added entries: MinimizedTable::patch neither
-# re-minimizes nor folds the whole table, and dataplane has one
-# box-difference helper.
+# re-minimizes nor folds the whole table (directly or through rows_of),
+# and dataplane has one box-difference helper.
 PATCH_BODY=$(awk '/^    pub fn patch\(/ { live = 1 } live { print } live && /^    }$/ { exit }' crates/dataplane/src/minimize.rs)
 DIFFERENCES=$({ grep -rnE 'fn [a-z_]*(subtract|minus)[(<]' crates/dataplane/src || true; } | wc -l)
 if [ -z "$PATCH_BODY" ] ||
-   echo "$PATCH_BODY" | grep -nE 'minimize\(|fold\((&?entries|&entries\[\.\.\])\)' ||
+   echo "$PATCH_BODY" | grep -nE 'minimize\(|(fold|rows_of)\(([a-z.]+, )?(&?entries|&entries\[\.\.\])\)' ||
    [ "$DIFFERENCES" != "1" ]; then
   echo "MinimizedTable::patch re-minimizes or folds the whole table (lines above), or is missing, or crates/dataplane/src has $DIFFERENCES box-difference helpers, expected 1" >&2
   exit 1

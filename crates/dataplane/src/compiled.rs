@@ -1618,12 +1618,12 @@ mod tests {
         next
     }
 
-    /// A key `spec` matches: a ternary value, a range's low end.
+    /// A key `spec` matches: an exact or ternary value, a range's low end.
     fn key_of(spec: &MatchSpec) -> Vec<u8> {
         match spec {
-            MatchSpec::Ternary { value, .. } => value.clone(),
+            MatchSpec::Exact(value) | MatchSpec::Ternary { value, .. } => value.clone(),
             MatchSpec::Range { lo, .. } => lo.clone(),
-            _ => unreachable!("wildcard tables only"),
+            MatchSpec::Lpm { .. } => unreachable!("no LPM table here"),
         }
     }
 
@@ -1769,6 +1769,39 @@ mod tests {
         t.remove(handle).unwrap();
         let next = spliced(&next, &t);
         assert_eq!(next.minimized_len(), cut);
+    }
+
+    /// Exact keys of one action and priority added in one publish stay
+    /// one row each, as a fresh compile keeps them: the hash engine keys a
+    /// row by one byte per position, so a row folded from `[5]` and `[6]`
+    /// would lose `[6]` to the default. Removing one of them again drops
+    /// its row alone.
+    #[test]
+    fn exact_keys_added_together_stay_a_row_each() {
+        let mut t = table(MatchKind::Exact, 1, 16);
+        t.insert(MatchSpec::Exact(vec![1]), Action::Drop, 1)
+            .unwrap();
+        let prev = Arc::new(CompiledTable::compile(&t));
+        let added: Vec<_> = (5..9u8)
+            .map(|key| {
+                t.insert(MatchSpec::Exact(vec![key]), Action::Drop, 1)
+                    .unwrap()
+            })
+            .collect();
+        let next = spliced(&prev, &t);
+        let fresh = CompiledTable::compile(&t);
+        assert_eq!(next.minimized_len(), fresh.minimized_len());
+        assert_eq!(next.minimized_len(), 5);
+        for key in 0..=255u8 {
+            assert_eq!(next.peek(&[key]), fresh.peek(&[key]), "key {key}");
+        }
+        for &handle in &added {
+            assert_eq!(next.minimized().class_of(handle), Some(SourceClass::Clean));
+        }
+        t.remove(added[1]).unwrap();
+        let next = spliced(&next, &t);
+        assert_eq!(next.minimized_len(), 4);
+        assert_eq!(next.peek(&[6]), Action::NoOp);
     }
 
     /// Boxes that fold while their sources overlap: `{0, 1}`, `{1}` and

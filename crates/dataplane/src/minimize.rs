@@ -61,8 +61,8 @@
 //! a patch re-checks on every addition (see [`MinimizedTable::patch`]). A
 //! removed [`SourceClass::Coverer`] handle, or a folded one in a level not
 //! known to be disjoint, takes the full minimization again. To subtract a
-//! box the table no longer holds, the boxes of the folded sources are kept
-//! beside the list, two bytes per key position.
+//! box the table no longer holds, every source's box and priority are kept
+//! beside the list in source order, two bytes per key position.
 
 use crate::action::Action;
 use crate::byteset::{ByteSet, ByteSetMap};
@@ -183,110 +183,6 @@ fn level_mut(levels: &mut [Level], priority: i32) -> Option<&mut Level> {
         .binary_search_by_key(&Reverse(priority), |l| Reverse(l.priority))
         .ok()?;
     Some(&mut levels[at])
-}
-
-/// Segments [`Folded`] holds before a patch repacks them.
-const SEGMENTS: usize = 32;
-
-/// The boxes of the folded ([`SourceClass::Merged`]) sources, by handle:
-/// what a removal subtracts, since the table no longer holds it. In
-/// segments of ascending handles, each above every handle of the segments
-/// before it and shared by every version patched since it was made: a
-/// full minimization makes the first, and a patch whose added entries
-/// fold appends one for their sources, so no patch copies what the
-/// segments hold. Removed sources stay until a patch finds more than
-/// [`SEGMENTS`] segments, or twice as many sources in them as the table
-/// has, and repacks the ones still folded into one.
-#[derive(Debug, Clone, Default)]
-struct Folded(Vec<Arc<Segment>>);
-
-/// Folded sources' boxes, two bytes per key position ([`ByteSet::pair`]):
-/// 2,196 sources of an eight-byte key take 60 KB with their handles and
-/// priorities, where their sets alone would take 560 KB.
-#[derive(Debug, Default)]
-struct Segment {
-    /// Ascending.
-    handles: Vec<u64>,
-    priorities: Vec<i32>,
-    /// Key positions per source.
-    width: usize,
-    /// The pairs are a range's ends, not a mask and a value.
-    range: bool,
-    /// `width` pairs per source, in handle order.
-    pairs: Vec<[u8; 2]>,
-}
-
-impl Segment {
-    /// The boxes of `entries`, sorted here by handle.
-    fn of<'a>(entries: impl Iterator<Item = &'a TableEntry>) -> Segment {
-        let mut entries: Vec<&TableEntry> = entries.collect();
-        entries.sort_unstable_by_key(|e| e.handle);
-        let width = entries.first().map_or(0, |e| e.spec.width());
-        let mut segment = Segment {
-            handles: entries.iter().map(|e| e.handle.0).collect(),
-            priorities: entries.iter().map(|e| e.priority).collect(),
-            width,
-            range: matches!(entries.first(), Some(e) if matches!(e.spec, MatchSpec::Range { .. })),
-            pairs: Vec::with_capacity(entries.len() * width),
-        };
-        for e in &entries {
-            let pairs = (0..width).map(|pos| ByteSet::pair(&e.spec, pos));
-            segment.pairs.extend(pairs);
-        }
-        segment
-    }
-}
-
-impl Folded {
-    /// The priority of folded source `handle`, its box appended to `sets`.
-    fn get(&self, handle: u64, sets: &mut Vec<ByteSet>) -> Option<i32> {
-        let after = self.0.partition_point(|s| s.handles[0] <= handle);
-        let segment = &self.0[after.checked_sub(1)?];
-        let i = segment.handles.binary_search(&handle).ok()?;
-        let pairs = &segment.pairs[i * segment.width..][..segment.width];
-        sets.extend(pairs.iter().map(|&p| ByteSet::of_pair(p, segment.range)));
-        Some(segment.priorities[i])
-    }
-
-    /// These boxes and those of `added` (handles above all of these),
-    /// repacked to the sources `table` calls folded where they hold too
-    /// many.
-    fn with(&self, added: Segment, table: &MinimizedTable) -> Folded {
-        let mut folded = self.clone();
-        if !added.handles.is_empty() {
-            folded.0.push(Arc::new(added));
-        }
-        let held: usize = folded.0.iter().map(|s| s.handles.len()).sum();
-        if folded.0.len() <= SEGMENTS && held <= 2 * table.source.len() {
-            return folded;
-        }
-        let mut packed = Segment {
-            width: folded.0[0].width,
-            range: folded.0[0].range,
-            ..Segment::default()
-        };
-        let mut live: Vec<u64> = (table.source.iter().zip(&table.classes))
-            .filter(|&(_, &class)| class == SourceClass::Merged)
-            .map(|(&(handle, _), _)| handle.0)
-            .collect();
-        live.sort_unstable();
-        for segment in &folded.0 {
-            for (i, &handle) in segment.handles.iter().enumerate() {
-                if live.binary_search(&handle).is_ok() {
-                    packed.handles.push(handle);
-                    packed.priorities.push(segment.priorities[i]);
-                    packed
-                        .pairs
-                        .extend_from_slice(&segment.pairs[i * packed.width..][..packed.width]);
-                }
-            }
-        }
-        Folded(if packed.handles.is_empty() {
-            Vec::new()
-        } else {
-            vec![Arc::new(packed)]
-        })
-    }
 }
 
 /// One minimized entry, in minimized match order.
@@ -530,9 +426,9 @@ impl Packer {
 /// The minimized form of one table's entry list plus the bookkeeping the
 /// incremental compiler needs: the source `(handle, action)` fingerprint
 /// (specs and priorities are immutable per handle, so this detects every
-/// possible edit of one [`Table`](crate::table::Table)), a per-handle
-/// [`SourceClass`], what each priority level is known to be, and the
-/// boxes of the folded sources.
+/// possible edit of one [`Table`](crate::table::Table)), each source
+/// entry's [`SourceClass`], priority and box, and what each priority level
+/// is known to be.
 #[derive(Debug, Clone)]
 pub struct MinimizedTable {
     /// Minimized entries sorted by (priority descending, order ascending),
@@ -543,15 +439,64 @@ pub struct MinimizedTable {
     pub source: Vec<(EntryHandle, Action)>,
     /// Each source entry's class, in source match order.
     classes: Vec<SourceClass>,
+    /// Each source entry's priority, in source match order.
+    priorities: Vec<i32>,
+    /// Each source entry's box, one [`ByteSet::pair`] per key position, in
+    /// source match order: what removing a [`SourceClass::Merged`] one
+    /// subtracts, since the table no longer holds it. 2,196 sources of an
+    /// eight-byte key take 35 KB, where their sets would take 560 KB.
+    boxes: Vec<[u8; 2]>,
+    /// The table's match kind: an exact table's entries never fold.
+    kind: MatchKind,
     /// The largest handle this form has known.
     newest: u64,
     /// The priority levels that have a live source, highest first.
     levels: Vec<Level>,
-    /// The boxes of the [`SourceClass::Merged`] sources.
-    folded: Folded,
 }
 
 impl MinimizedTable {
+    /// A form of no entries for a table of `kind`, with room for the
+    /// source entries `entries`.
+    fn empty(kind: MatchKind, entries: &[TableEntry]) -> MinimizedTable {
+        let (sources, width) = (entries.len(), entries.first().map_or(0, |e| e.spec.width()));
+        MinimizedTable {
+            entries: MinEntries::default(),
+            source: Vec::with_capacity(sources),
+            classes: Vec::with_capacity(sources),
+            priorities: Vec::with_capacity(sources),
+            boxes: Vec::with_capacity(sources * width),
+            kind,
+            newest: 0,
+            levels: Vec::new(),
+        }
+    }
+
+    /// Appends source entry `e`, of class `class`.
+    fn push_source(&mut self, e: &TableEntry, class: SourceClass) {
+        self.source.push((e.handle, e.action));
+        self.classes.push(class);
+        self.priorities.push(e.priority);
+        let pairs = (0..e.spec.width()).map(|pos| ByteSet::pair(&e.spec, pos));
+        self.boxes.extend(pairs);
+        self.newest = self.newest.max(e.handle.0);
+    }
+
+    /// Key positions per source entry.
+    fn width(&self) -> usize {
+        self.boxes.len() / self.source.len().max(1)
+    }
+
+    /// Appends this form's source entries `at` to `to`'s.
+    fn copy_sources(&self, at: Range<usize>, to: &mut MinimizedTable) {
+        let width = self.width();
+        to.source.extend_from_slice(&self.source[at.clone()]);
+        to.classes.extend_from_slice(&self.classes[at.clone()]);
+        to.priorities
+            .extend_from_slice(&self.priorities[at.clone()]);
+        to.boxes
+            .extend_from_slice(&self.boxes[at.start * width..at.end * width]);
+    }
+
     /// The classification of `handle`: by the last full minimization, or
     /// by the patch that added it ([`SourceClass::Clean`], or
     /// [`SourceClass::Merged`] where the added entries folded).
@@ -584,7 +529,7 @@ impl MinimizedTable {
     ///
     /// * a removed clean entry is found by its order key, walking the
     ///   flat order keys (never the entries) in source order;
-    /// * a removed folded source's box, kept beside the list, is
+    /// * a removed folded source's box, kept beside the source list, is
     ///   subtracted from every entry of its level it meets. Each
     ///   subtraction leaves at most one box per key position, and the
     ///   pieces take the entry's place and order key. That is exact while
@@ -594,7 +539,8 @@ impl MinimizedTable {
     ///   subtraction; where the pieces would outnumber the level's
     ///   remaining sources, the full minimization folds it afresh;
     /// * the added entries are folded among themselves, run by run of the
-    ///   table, and each row goes before the first entry of lower
+    ///   table (an exact table's stay a row each, as [`minimize`] keeps
+    ///   them), and each row goes before the first entry of lower
     ///   priority. Where the level was known disjoint (or empty), it stays
     ///   so only if the rows meet none of its entries nor each other, and
     ///   each is as large as its sources together.
@@ -605,10 +551,11 @@ impl MinimizedTable {
     /// them (see [`MinEntries`]).
     #[doc(hidden)]
     pub fn patch(&self, entries: &[TableEntry]) -> Option<(MinimizedTable, Edit)> {
-        let mut source = Vec::with_capacity(entries.len());
-        let mut classes = Vec::with_capacity(entries.len());
-        // Removed handles with their classes, and the indices into
-        // `entries` of the added ones.
+        let mut patched = MinimizedTable::empty(self.kind, entries);
+        patched.newest = self.newest;
+        patched.levels = self.levels.clone();
+        // The old indices of the removed source entries, and the indices
+        // into `entries` of the added ones.
         let (mut removed, mut added) = (Vec::new(), Vec::new());
         // The next old source entry, and where the run of survivors that
         // ends before it began: survivors are copied a run at a time.
@@ -618,12 +565,10 @@ impl MinimizedTable {
                 next += 1;
                 continue;
             }
-            source.extend_from_slice(&self.source[run..next]);
-            classes.extend_from_slice(&self.classes[run..next]);
+            self.copy_sources(run..next, &mut patched);
             if e.handle.0 > self.newest {
                 added.push(i);
-                source.push((e.handle, e.action));
-                classes.push(SourceClass::Clean);
+                patched.push_source(e, SourceClass::Clean);
                 run = next;
                 continue;
             }
@@ -636,54 +581,51 @@ impl MinimizedTable {
                     }
                     break;
                 }
-                removed.push((handle, self.classes[next]));
+                removed.push(next);
                 next += 1;
             }
             run = next;
             next += 1;
         }
-        source.extend_from_slice(&self.source[run..next]);
-        classes.extend_from_slice(&self.classes[run..next]);
-        let gone = self.source[next..].iter().zip(&self.classes[next..]);
-        removed.extend(gone.map(|(&(handle, _), &class)| (handle, class)));
+        self.copy_sources(run..next, &mut patched);
+        removed.extend(next..self.source.len());
 
         // Removed clean entries come in source order, which is also their
         // order in the minimized list: each carries its own handle as its
         // order key at its own priority. `drops` are old ranks.
         let (orders, priorities) = (&self.entries.orders, &self.entries.priorities);
-        let mut levels = self.levels.clone();
         let mut drops = Vec::new();
         // Removed folded sources: each one's priority and where its box
         // starts in `boxes`.
         let (mut cuts, mut boxes) = (Vec::new(), Vec::new());
+        let (width, range) = (self.width(), self.kind == MatchKind::Range);
         let mut from = 0;
-        for &(h, class) in &removed {
-            let priority = match class {
+        for &at in &removed {
+            let priority = self.priorities[at];
+            match self.classes[at] {
                 SourceClass::Clean => {
-                    let at = from + orders[from..].iter().position(|&o| o == h.0)?;
-                    drops.push(at);
-                    from = at + 1;
-                    priorities[at]
+                    let handle = self.source[at].0 .0;
+                    let rank = from + orders[from..].iter().position(|&o| o == handle)?;
+                    drops.push(rank);
+                    from = rank + 1;
                 }
                 SourceClass::Merged => {
-                    let start = boxes.len();
-                    let priority = self.folded.get(h.0, &mut boxes)?;
-                    cuts.push((priority, start));
-                    priority
+                    cuts.push((priority, boxes.len()));
+                    let pairs = &self.boxes[at * width..][..width];
+                    boxes.extend(pairs.iter().map(|&pair| ByteSet::of_pair(pair, range)));
                 }
                 SourceClass::Eliminated => continue,
                 SourceClass::Coverer => return None,
-            };
-            let level = level_mut(&mut levels, priority)?;
+            }
+            let level = level_mut(&mut patched.levels, priority)?;
             level.live = level.live.checked_sub(1)?;
         }
 
         // Made entries, each with the old rank it goes before.
         let mut made: Vec<(usize, MinEntry)> = Vec::new();
-        let width = boxes.len() / cuts.len().max(1);
         cuts.sort_by_key(|&(priority, _)| Reverse(priority));
         for cut in cuts.chunk_by(|a, b| a.0 == b.0) {
-            let level = *level_mut(&mut levels, cut[0].0)?;
+            let level = *level_mut(&mut patched.levels, cut[0].0)?;
             let ranks = self.level_ranks(level.priority);
             if level.live == 0 {
                 drops.extend(ranks);
@@ -755,16 +697,14 @@ impl MinimizedTable {
         // keeps its disjointness only where they keep it.
         let mut rows = Vec::new();
         for run in added.chunk_by(|a, b| a + 1 == *b) {
-            rows.extend(
-                fold(&entries[run[0]..run[0] + run.len()])
-                    .into_iter()
-                    .map(|mut k| {
-                        k.sources.iter_mut().for_each(|at| *at += run[0]);
-                        k
-                    }),
-            );
+            let run = run[0]..run[0] + run.len();
+            let folded = rows_of(self.kind, &entries[run.clone()]);
+            rows.extend(folded.into_iter().map(|mut k| {
+                k.sources.iter_mut().for_each(|at| *at += run.start);
+                k
+            }));
         }
-        let mut folded_now = Vec::new();
+        let levels = &mut patched.levels;
         for level_rows in rows.chunk_by(|a, b| a.priority == b.priority) {
             let priority = level_rows[0].priority;
             let at = levels
@@ -797,8 +737,7 @@ impl MinimizedTable {
             level.live += level_rows.iter().map(|k| k.sources.len()).sum::<usize>();
             for k in level_rows.iter().filter(|k| k.sources.len() > 1) {
                 for &at in &k.sources {
-                    classes[at] = SourceClass::Merged;
-                    folded_now.push(&entries[at]);
+                    patched.classes[at] = SourceClass::Merged;
                 }
             }
         }
@@ -844,19 +783,7 @@ impl MinimizedTable {
         }
 
         let fresh = made.into_iter().map(|(_, entry)| entry).collect();
-        let mut patched = MinimizedTable {
-            entries: self.entries.edited(&edit, fresh),
-            source,
-            classes,
-            newest: added
-                .iter()
-                .fold(self.newest, |newest, &at| newest.max(entries[at].handle.0)),
-            levels,
-            folded: Folded::default(),
-        };
-        patched.folded = self
-            .folded
-            .with(Segment::of(folded_now.into_iter()), &patched);
+        patched.entries = self.entries.edited(&edit, fresh);
         Some((patched, edit))
     }
 }
@@ -1081,14 +1008,11 @@ fn fold(entries: &[TableEntry]) -> Vec<Kept<Action>> {
     rows
 }
 
-/// Minimizes `entries` (in frozen match order) for a table of `kind`:
-/// each priority level of a wildcard kind folded, then subsumption over
-/// the folded entries. An exact table's keys do not fold: its engine
-/// hashes one key per entry. Each level that holds a folded entry is
-/// checked for disjoint sources, and the folded sources' boxes are kept,
-/// for a patch to subtract (see [`MinimizedTable::patch`]).
-pub fn minimize(kind: MatchKind, entries: &[TableEntry]) -> MinimizedTable {
-    let rows = match kind {
+/// `entries` (frozen match order) as rows for a table of `kind`: each
+/// priority level of a wildcard kind folded, an exact table's entries one
+/// row each, since its engine hashes one key per row.
+fn rows_of(kind: MatchKind, entries: &[TableEntry]) -> Vec<Kept<Action>> {
+    match kind {
         MatchKind::Exact => entries
             .iter()
             .enumerate()
@@ -1101,11 +1025,22 @@ pub fn minimize(kind: MatchKind, entries: &[TableEntry]) -> MinimizedTable {
             })
             .collect(),
         _ => fold(entries),
-    };
-    let Reduced { kept, covering } = subsume(rows);
+    }
+}
 
+/// Minimizes `entries` (in frozen match order) for a table of `kind`:
+/// each priority level of a wildcard kind folded, then subsumption over
+/// the folded entries. An exact table's keys do not fold: its engine
+/// hashes one key per entry. Each level that holds a folded entry is
+/// checked for disjoint sources, and every source's box is kept, for a
+/// patch to subtract (see [`MinimizedTable::patch`]).
+pub fn minimize(kind: MatchKind, entries: &[TableEntry]) -> MinimizedTable {
+    let Reduced { kept, covering } = subsume(rows_of(kind, entries));
+    let mut min = MinimizedTable::empty(kind, entries);
     // A source no kept entry stands for was eliminated.
-    let mut classes = vec![SourceClass::Eliminated; entries.len()];
+    for e in entries {
+        min.push_source(e, SourceClass::Eliminated);
+    }
     for (k, &shadow) in kept.iter().zip(&covering) {
         let class = match k.sources.len() {
             _ if shadow => SourceClass::Coverer,
@@ -1113,11 +1048,10 @@ pub fn minimize(kind: MatchKind, entries: &[TableEntry]) -> MinimizedTable {
             _ => SourceClass::Merged,
         };
         for &at in &k.sources {
-            classes[at] = class;
+            min.classes[at] = class;
         }
     }
-
-    let levels = kept
+    min.levels = kept
         .chunk_by(|a, b| a.priority == b.priority)
         .map(|level| {
             let merged = level.iter().any(|k| k.sources.len() > 1);
@@ -1129,29 +1063,13 @@ pub fn minimize(kind: MatchKind, entries: &[TableEntry]) -> MinimizedTable {
             }
         })
         .collect();
-    let folded = (entries.iter().zip(&classes))
-        .filter(|&(_, &class)| class == SourceClass::Merged)
-        .map(|(e, _)| e);
-    let folded = Segment::of(folded);
-
-    let mut min = MinimizedTable {
-        entries: MinEntries::new(
-            kept.into_iter()
-                .map(|k| MinEntry {
-                    order: k.order(entries),
-                    sets: k.sets,
-                    action: k.label,
-                    priority: k.priority,
-                })
-                .collect(),
-        ),
-        source: entries.iter().map(|e| (e.handle, e.action)).collect(),
-        classes,
-        newest: entries.iter().map(|e| e.handle.0).max().unwrap_or(0),
-        levels,
-        folded: Folded::default(),
-    };
-    min.folded = min.folded.with(folded, &min);
+    let kept = kept.into_iter().map(|k| MinEntry {
+        order: k.order(entries),
+        sets: k.sets,
+        action: k.label,
+        priority: k.priority,
+    });
+    min.entries = MinEntries::new(kept.collect());
     min
 }
 
