@@ -1010,22 +1010,23 @@ fn fold(entries: &[TableEntry]) -> Vec<Kept<Action>> {
 
 /// `entries` (frozen match order) as rows for a table of `kind`: each
 /// priority level of a wildcard kind folded, an exact table's entries one
-/// row each, since its engine hashes one key per row.
+/// row each, since its engine hashes one key per row. A lone entry is a
+/// row of its own either way, as the fold would leave it.
 fn rows_of(kind: MatchKind, entries: &[TableEntry]) -> Vec<Kept<Action>> {
-    match kind {
-        MatchKind::Exact => entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| Kept {
-                sets: box_of(&e.spec),
-                label: e.action,
-                priority: e.priority,
-                sources: vec![i],
-                volume: None,
-            })
-            .collect(),
-        _ => fold(entries),
+    if kind != MatchKind::Exact && entries.len() > 1 {
+        return fold(entries);
     }
+    let rows = entries.iter().enumerate().map(|(i, e)| {
+        let sets = box_of(&e.spec);
+        Kept {
+            volume: volume(sets.iter().map(ByteSet::len)),
+            sets,
+            label: e.action,
+            priority: e.priority,
+            sources: vec![i],
+        }
+    });
+    rows.collect()
 }
 
 /// Minimizes `entries` (in frozen match order) for a table of `kind`:
