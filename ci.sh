@@ -386,12 +386,21 @@ rust_lines() {
 # Each "was" figure is the parent commit's, committed by the change that
 # last moved it so the log reads before -> after; the next change to move a
 # count replaces its figure with its parent's.
-echo "rust lines: $(rust_lines crates tests examples) (was 37954)"
-EXPERIMENTS_LINES_MAX=3142
+echo "rust lines: $(rust_lines crates tests examples) (was 38445)"
+EXPERIMENTS_LINES_MAX=3143
 EXPERIMENTS_LINES=$(rust_lines crates/core/src/experiments)
-echo "experiments lines: $EXPERIMENTS_LINES (was 3196)"
+echo "experiments lines: $EXPERIMENTS_LINES (was 3142)"
 if [ "$EXPERIMENTS_LINES" -gt "$EXPERIMENTS_LINES_MAX" ]; then
   echo "experiments lines rose above the committed $EXPERIMENTS_LINES_MAX" >&2
+  exit 1
+fi
+# DESIGN.md states each mechanism once, as it is now, and leaves the
+# measurement history to CHANGES.md (ROADMAP item 6f): gated the same way.
+DESIGN_LINES_MAX=1776
+DESIGN_LINES=$(wc -l < DESIGN.md)
+echo "DESIGN.md lines: $DESIGN_LINES (was 1829)"
+if [ "$DESIGN_LINES" -gt "$DESIGN_LINES_MAX" ]; then
+  echo "DESIGN.md lines rose above the committed $DESIGN_LINES_MAX" >&2
   exit 1
 fi
 
@@ -465,12 +474,13 @@ if grep -rnE 'wait_drained\([^)]*,' crates tests examples | grep -vF "$SIGNATURE
   exit 1
 fi
 
-echo "==> a patch copies chunks, not entries (acceptance greps)"
-# The minimized list is shared between versions by the chunk: a patch and a
-# dropped version touch a reference count per piece of the list, so no list
-# of per-entry pointers comes back under dataplane.
-if grep -rnF "Vec<Arc<MinEntry>>" crates/dataplane/src; then
-  echo "a per-entry Arc list of minimized entries is back (lines above)" >&2
+echo "==> the minimized list is a plain Vec (acceptance greps)"
+# Learned stages fold to 6-25 rows, so the minimized list is a
+# Vec<MinEntry> whose rows share their boxes between versions: neither the
+# chunked list (pieces of Arc'd chunks, its packer and piece bound) nor a
+# list of per-entry pointers comes back under dataplane.
+if grep -rnE 'struct Piece|Packer|max_pieces|Arc<\[MinEntry\]>|Vec<Arc<MinEntry>>' crates/dataplane; then
+  echo "a chunked or per-entry Arc list of minimized entries is back (lines above)" >&2
   exit 1
 fi
 

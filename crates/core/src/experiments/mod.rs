@@ -177,14 +177,14 @@ mod tests {
         ("f20_minimize", "speedup", "ratio of two timed medians"),
     ];
 
-    /// Blanks what `path` names in `value`: `.`-separated map keys and
-    /// tuple indices, `[]` for every element of a sequence. A path that
-    /// names nothing (a file written under an older schema) blanks
-    /// nothing, and the comparison then reports the file.
-    fn blank(value: &mut Value, path: &[&str]) {
+    /// Blanks what `path` names in `value`, appending it to `taken`:
+    /// `.`-separated map keys and tuple indices, `[]` for every element of
+    /// a sequence. A path that names nothing (a file written under an
+    /// older schema) blanks nothing, and the comparison then reports the
+    /// file.
+    fn blank(value: &mut Value, path: &[&str], taken: &mut Vec<Value>) {
         let Some((head, rest)) = path.split_first() else {
-            *value = Value::Null;
-            return;
+            return taken.push(std::mem::replace(value, Value::Null));
         };
         let named: Vec<&mut Value> = match value {
             Value::Seq(items) if *head == "[]" => items.iter_mut().collect(),
@@ -201,14 +201,19 @@ mod tests {
                 .collect(),
             _ => Vec::new(),
         };
-        named.into_iter().for_each(|v| blank(v, rest));
+        named.into_iter().for_each(|v| blank(v, rest, taken));
     }
 
-    fn stable(id: &str, mut value: Value) -> Value {
+    /// `value` with `id`'s [`VOLATILE`] keys blanked, and what they held,
+    /// each key before its values: the figures a load-sensitive claim is
+    /// read from.
+    fn stable(id: &str, mut value: Value) -> (Value, Vec<Value>) {
+        let mut taken = Vec::new();
         for (_, key, _) in VOLATILE.iter().filter(|(of, _, _)| *of == id) {
-            blank(&mut value, &key.split('.').collect::<Vec<_>>());
+            taken.push(Value::Str(key.to_string()));
+            blank(&mut value, &key.split('.').collect::<Vec<_>>(), &mut taken);
         }
-        value
+        (value, taken)
     }
 
     /// `results/` is an output of this code, and it shows what the
@@ -233,14 +238,14 @@ mod tests {
             for (_, claim, holds) in CLAIMS.iter().filter(|(of, _, _)| of == id) {
                 checked += 1;
                 if !holds(&report) {
-                    broken.push(format!("{id}: {claim}"));
+                    broken.push(format!("{id}: {claim}; {:?}", stable(id, report.clone()).1));
                 }
             }
             let figure = id.split('_').next().unwrap_or(id).to_uppercase();
             if emitted.text.split([' ', '-']).next() != Some(figure.as_str()) {
                 broken.push(format!("{id}: its text is headed {figure}"));
             }
-            if stable(id, report) != stable(id, committed) {
+            if stable(id, report).0 != stable(id, committed).0 {
                 stale.push(*id);
             }
         }

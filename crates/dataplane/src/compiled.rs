@@ -36,7 +36,7 @@
 use crate::action::Action;
 use crate::byteset::{ByteSet, ByteSetMap};
 use crate::key::KeyLayout;
-use crate::minimize::{self, Edit, MinEntries, MinEntry, MinimizedTable};
+use crate::minimize::{self, Edit, MinEntry, MinimizedTable};
 use crate::table::{MatchKind, Revision, Table, TableId};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -537,7 +537,7 @@ impl BitVector {
     /// from refining over the sets, and [`Fill`] sets the entry bits. A
     /// position left with one class gets no rows (see
     /// [`BitVector::positions`]).
-    fn build(entries: &MinEntries, width: usize) -> BitVector {
+    fn build(entries: &[MinEntry], width: usize) -> BitVector {
         BUILDS.with(|builds| builds.set(builds.get() + 1));
         let n = entries.len();
         let mut index = BitVector::empty(entries.iter().map(|e| e.action).collect(), width);
@@ -580,9 +580,9 @@ impl BitVector {
     /// removal never merges classes that no remaining entry tells apart,
     /// so a position may keep more rows than a build would give it — at
     /// most 256, and the probe reads one a position whatever their count.
-    fn splice(&self, entries: &MinEntries, width: usize, edit: &Edit) -> BitVector {
+    fn splice(&self, entries: &[MinEntry], width: usize, edit: &Edit) -> BitVector {
         // Every rank is a kept entry's or a fresh one's; a kept entry's
-        // action is read here, not from its chunk.
+        // action is read here, not from the entry.
         let mut actions = vec![Action::NoOp; entries.len()];
         for &(from, to, len) in &edit.runs {
             actions[to..to + len].copy_from_slice(&self.actions[from..from + len]);
@@ -753,16 +753,15 @@ impl CompiledTable {
     ///    two tables apart.
     ///
     /// What a patch costs: one walk over the source entries, one over the
-    /// minimized list's flat priorities and order keys, a subtraction per
-    /// row a removed folded box meets, a fold of the added entries alone,
-    /// a reference count per piece of that list (the entries themselves
-    /// stay in chunks shared with `prev`, see [`MinEntries`]), and the
-    /// engine's rows copied with the kept ranks' bits moved, the fresh
-    /// entries' bits set and the summaries and class map recomputed — no
-    /// kept entry is read. On `loop_churn`'s folded 2,196-entry stage
-    /// (6 rows), the first 1 % removal of a trial cuts one leaf's row into
-    /// 4–6 pieces instead of compiling the stage afresh (≈ 1 ms, the fold
-    /// of 2,196 entries).
+    /// minimized list's priorities and order keys, a subtraction per row a
+    /// removed folded box meets, a fold of the added entries alone, a
+    /// pointer copied per kept row (its box stays shared with `prev`), and
+    /// the engine's rows copied with the kept ranks' bits moved, the fresh
+    /// entries' bits set and the summaries and class map recomputed (the
+    /// splice reads no kept entry). On `loop_churn`'s folded 2,196-entry
+    /// stage (6 rows), the first 1 % removal of a trial cuts one leaf's row
+    /// into 4–6 pieces instead of compiling the stage afresh (≈ 1 ms, the
+    /// fold of 2,196 entries).
     ///
     /// Added entries are folded among themselves but never subsumed, so a
     /// patched table can carry more rows than a fresh compile would —
@@ -809,7 +808,7 @@ impl CompiledTable {
         })
     }
 
-    fn build_engine(kind: MatchKind, entries: &MinEntries, width: usize) -> Engine {
+    fn build_engine(kind: MatchKind, entries: &[MinEntry], width: usize) -> Engine {
         match kind {
             MatchKind::Exact => Self::compile_exact(entries),
             MatchKind::Lpm | MatchKind::Range | MatchKind::Ternary => {
@@ -818,7 +817,7 @@ impl CompiledTable {
         }
     }
 
-    fn compile_exact(entries: &MinEntries) -> Engine {
+    fn compile_exact(entries: &[MinEntry]) -> Engine {
         let mut map = HashMap::with_capacity(entries.len());
         for (rank, entry) in entries.iter().enumerate() {
             // An exact key accepts one byte at each position. First
@@ -871,7 +870,7 @@ impl CompiledTable {
     /// and incremental patching may renumber ranks but never change the
     /// winning `(action, priority)`.
     pub fn rank_priority(&self, rank: Rank) -> Option<i32> {
-        self.min.entries.priority(rank as usize)
+        self.min.entries.get(rank as usize).map(|e| e.priority)
     }
 
     /// The default action on miss.
@@ -2163,7 +2162,7 @@ mod tests {
                     MinEntry { sets, action, priority: 0, order: i as u64 }
                 })
                 .collect();
-            let built = BitVector::build(&MinEntries::new(entries.clone()), width);
+            let built = BitVector::build(&entries, width);
             let reference = per_entry_fill(&entries, width);
             prop_assert_eq!(&built.positions, &reference.positions);
             prop_assert_eq!(built.words, reference.words);

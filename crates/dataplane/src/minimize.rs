@@ -190,7 +190,8 @@ fn level_mut(levels: &mut [Level], priority: i32) -> Option<&mut Level> {
 pub struct MinEntry {
     /// What the entry matches: per key position, the byte values it
     /// accepts — one each for an exact key, a union where entries folded.
-    pub sets: Vec<ByteSet>,
+    /// Shared by every version a patch keeps the entry in.
+    pub sets: Arc<[ByteSet]>,
     /// Action on hit.
     pub action: Action,
     /// Effective priority (identical to every source it stands for).
@@ -205,220 +206,10 @@ impl MinEntry {
     /// with no other becomes.
     pub fn verbatim(entry: &TableEntry) -> MinEntry {
         MinEntry {
-            sets: box_of(&entry.spec),
+            sets: box_of(&entry.spec).into(),
             action: entry.action,
             priority: entry.priority,
             order: entry.handle.0,
-        }
-    }
-}
-
-/// Entries per chunk: a full minimization packs its list into chunks this
-/// long, and a patch packs the entries it adds the same way.
-const CHUNK: usize = 64;
-
-/// The minimized entries of one table, in minimized match order.
-///
-/// The entries live in chunks of up to 64, each behind one `Arc`, and the
-/// list is a sequence of pieces, each a range of one chunk. A patch never
-/// copies a kept entry: a piece it keeps whole is shared as it is, a piece
-/// a removal or an insertion cuts becomes the pieces of the same chunk on
-/// either side of the cut, and the entries it adds go into new chunks. So
-/// a patch, and the drop of a version, touch one reference count per
-/// piece, not per entry. Beside the pieces, flat by rank, each entry's
-/// priority and order key: all the patch walk reads.
-///
-/// A piece keeps its whole chunk alive. Cuts add pieces, so a list that
-/// would hold more than [`MinEntries::max_pieces`] is packed afresh
-/// instead, into new chunks: that bounds both the pieces a patch copies
-/// and the removed entries the chunks keep.
-#[derive(Debug, Clone, Default)]
-pub struct MinEntries {
-    pieces: Vec<Piece>,
-    /// Each rank's [`MinEntry::priority`].
-    priorities: Vec<i32>,
-    /// Each rank's [`MinEntry::order`].
-    orders: Vec<u64>,
-}
-
-/// Consecutive entries of one chunk.
-#[derive(Debug, Clone)]
-struct Piece {
-    chunk: Arc<[MinEntry]>,
-    range: Range<usize>,
-    /// The rank of the piece's first entry in its list.
-    start: usize,
-}
-
-impl Piece {
-    fn entries(&self) -> &[MinEntry] {
-        &self.chunk[self.range.clone()]
-    }
-}
-
-impl MinEntries {
-    /// `entries`, already in minimized match order, packed into chunks.
-    pub(crate) fn new(entries: Vec<MinEntry>) -> MinEntries {
-        let (priorities, orders) = entries.iter().map(|e| (e.priority, e.order)).unzip();
-        let mut packer = Packer::new(MinEntries {
-            pieces: Vec::with_capacity(entries.len().div_ceil(CHUNK)),
-            priorities,
-            orders,
-        });
-        let mut entries = entries.into_iter();
-        while entries.len() > 0 {
-            packer.push(entries.by_ref().take(CHUNK).collect());
-        }
-        packer.list
-    }
-
-    /// Entry count.
-    pub fn len(&self) -> usize {
-        self.orders.len()
-    }
-
-    /// Returns `true` when the list holds no entry.
-    pub fn is_empty(&self) -> bool {
-        self.orders.is_empty()
-    }
-
-    /// The entries in minimized match order, by rank.
-    pub fn iter(&self) -> impl Iterator<Item = &MinEntry> {
-        self.pieces.iter().flat_map(Piece::entries)
-    }
-
-    /// The priority of the entry of `rank`, read without touching the
-    /// entry.
-    pub fn priority(&self, rank: usize) -> Option<i32> {
-        self.priorities.get(rank).copied()
-    }
-
-    /// The pieces in order, each as its chunk and the range of the chunk
-    /// it covers: for tests of what a patch shares.
-    #[doc(hidden)]
-    pub fn pieces(&self) -> impl Iterator<Item = (&Arc<[MinEntry]>, Range<usize>)> {
-        self.pieces.iter().map(|p| (&p.chunk, p.range.clone()))
-    }
-
-    /// The most pieces a list of `len` entries holds: a sixteenth of its
-    /// length, plus four.
-    #[doc(hidden)]
-    pub fn max_pieces(len: usize) -> usize {
-        4 + len / 16
-    }
-
-    /// The index of the piece holding `rank`.
-    fn piece_of(&self, rank: usize) -> usize {
-        self.pieces.partition_point(|p| p.start <= rank) - 1
-    }
-
-    /// This list with `edit` applied, `fresh` being the entries patched in
-    /// at `edit.fresh`'s ranks, in rank order: each run of kept entries is
-    /// the pieces it spans, cut to it; each stretch of fresh entries is
-    /// packed into new chunks; a piece cut from a chunk merges with the
-    /// piece before it where the two meet in that chunk again. Past
-    /// [`MinEntries::max_pieces`], the result is packed afresh.
-    fn edited(&self, edit: &Edit, fresh: Vec<MinEntry>) -> MinEntries {
-        let len = edit.runs.iter().map(|&(_, _, run)| run).sum::<usize>() + edit.fresh.len();
-        let mut packer = Packer::new(MinEntries {
-            pieces: Vec::with_capacity(self.pieces.len() + 2),
-            priorities: Vec::with_capacity(len),
-            orders: Vec::with_capacity(len),
-        });
-        // `edit.fresh[added..]` are still to come, in `fresh`.
-        let (mut added, mut fresh) = (0, fresh.into_iter());
-        for &(from, to, run) in &edit.runs {
-            let before = edit.fresh[added..].partition_point(|&rank| rank < to);
-            packer.add(&mut fresh, before);
-            added += before;
-            let kept = from..from + run;
-            let list = &mut packer.list;
-            list.priorities
-                .extend_from_slice(&self.priorities[kept.clone()]);
-            list.orders.extend_from_slice(&self.orders[kept.clone()]);
-            for piece in &self.pieces[self.piece_of(from)..] {
-                if piece.start >= kept.end {
-                    break;
-                }
-                // The kept ranks this piece holds, as indices into its chunk.
-                let (lo, hi) = (
-                    kept.start.max(piece.start),
-                    kept.end.min(piece.start + piece.range.len()),
-                );
-                let at = piece.range.start;
-                packer.share(&piece.chunk, lo - piece.start + at..hi - piece.start + at);
-            }
-        }
-        let rest = fresh.len();
-        packer.add(&mut fresh, rest);
-        let list = packer.list;
-        if list.pieces.len() > MinEntries::max_pieces(len) {
-            return MinEntries::new(list.iter().cloned().collect());
-        }
-        list
-    }
-}
-
-impl std::ops::Index<usize> for MinEntries {
-    type Output = MinEntry;
-
-    /// The entry of `rank`; past the end it panics, as a slice does.
-    fn index(&self, rank: usize) -> &MinEntry {
-        let piece = &self.pieces[self.piece_of(rank)];
-        &piece.entries()[rank - piece.start]
-    }
-}
-
-/// A list in the making, its pieces appended in order; the caller fills
-/// its flat arrays for the entries it shares.
-struct Packer {
-    list: MinEntries,
-    /// Entries in `list.pieces`.
-    len: usize,
-}
-
-impl Packer {
-    fn new(list: MinEntries) -> Packer {
-        Packer { list, len: 0 }
-    }
-
-    /// Appends `chunk` whole.
-    fn push(&mut self, chunk: Arc<[MinEntry]>) {
-        let (range, start) = (0..chunk.len(), self.len);
-        self.len += chunk.len();
-        self.list.pieces.push(Piece {
-            chunk,
-            range,
-            start,
-        });
-    }
-
-    /// Appends the next `count` of `entries`, packed into new chunks of
-    /// [`CHUNK`].
-    fn add(&mut self, entries: &mut std::vec::IntoIter<MinEntry>, count: usize) {
-        for part in 0..count.div_ceil(CHUNK) {
-            let take = (count - part * CHUNK).min(CHUNK);
-            let part: Arc<[MinEntry]> = entries.by_ref().take(take).collect();
-            let list = &mut self.list;
-            list.priorities.extend(part.iter().map(|e| e.priority));
-            list.orders.extend(part.iter().map(|e| e.order));
-            self.push(part);
-        }
-    }
-
-    /// Appends `range` of `chunk`, merged into the last piece where that
-    /// one ends in the same chunk just where `range` starts.
-    fn share(&mut self, chunk: &Arc<[MinEntry]>, range: Range<usize>) {
-        self.len += range.len();
-        match self.list.pieces.last_mut() {
-            Some(last) if Arc::ptr_eq(&last.chunk, chunk) && last.range.end == range.start => {
-                last.range.end = range.end;
-            }
-            _ => self.list.pieces.push(Piece {
-                chunk: Arc::clone(chunk),
-                start: self.len - range.len(),
-                range,
-            }),
         }
     }
 }
@@ -431,10 +222,8 @@ impl Packer {
 /// is known to be.
 #[derive(Debug, Clone)]
 pub struct MinimizedTable {
-    /// Minimized entries sorted by (priority descending, order ascending),
-    /// in chunks shared by every version patched from the one that made
-    /// them.
-    pub entries: MinEntries,
+    /// Minimized entries sorted by (priority descending, order ascending).
+    pub entries: Vec<MinEntry>,
     /// `(handle, action)` per source entry, in source match order.
     pub source: Vec<(EntryHandle, Action)>,
     /// Each source entry's class, in source match order.
@@ -460,7 +249,7 @@ impl MinimizedTable {
     fn empty(kind: MatchKind, entries: &[TableEntry]) -> MinimizedTable {
         let (sources, width) = (entries.len(), entries.first().map_or(0, |e| e.spec.width()));
         MinimizedTable {
-            entries: MinEntries::default(),
+            entries: Vec::new(),
             source: Vec::with_capacity(sources),
             classes: Vec::with_capacity(sources),
             priorities: Vec::with_capacity(sources),
@@ -507,9 +296,9 @@ impl MinimizedTable {
 
     /// The ranks of the minimized entries of priority `priority`.
     fn level_ranks(&self, priority: i32) -> Range<usize> {
-        let priorities = &self.entries.priorities;
-        priorities.partition_point(|&p| p > priority)
-            ..priorities.partition_point(|&p| p >= priority)
+        let entries = &self.entries;
+        entries.partition_point(|e| e.priority > priority)
+            ..entries.partition_point(|e| e.priority >= priority)
     }
 
     /// The minimized form of `entries` — the same table's entries now, in
@@ -528,7 +317,7 @@ impl MinimizedTable {
     /// as in the table. Then:
     ///
     /// * a removed clean entry is found by its order key, walking the
-    ///   flat order keys (never the entries) in source order;
+    ///   minimized entries in source order;
     /// * a removed folded source's box, kept beside the source list, is
     ///   subtracted from every entry of its level it meets. Each
     ///   subtraction leaves at most one box per key position, and the
@@ -546,9 +335,9 @@ impl MinimizedTable {
     ///   each is as large as its sources together.
     ///
     /// The [`Edit`] beside the patched form says where every minimized
-    /// entry went, so the engine can be patched the same way, and the
-    /// patched list keeps the chunks of this one, cut where the edit cuts
-    /// them (see [`MinEntries`]).
+    /// entry went, so the engine can be patched the same way. A kept entry
+    /// shares its box with this form: the patched list copies one pointer
+    /// per kept row.
     #[doc(hidden)]
     pub fn patch(&self, entries: &[TableEntry]) -> Option<(MinimizedTable, Edit)> {
         let mut patched = MinimizedTable::empty(self.kind, entries);
@@ -593,7 +382,6 @@ impl MinimizedTable {
         // Removed clean entries come in source order, which is also their
         // order in the minimized list: each carries its own handle as its
         // order key at its own priority. `drops` are old ranks.
-        let (orders, priorities) = (&self.entries.orders, &self.entries.priorities);
         let mut drops = Vec::new();
         // Removed folded sources: each one's priority and where its box
         // starts in `boxes`.
@@ -605,7 +393,10 @@ impl MinimizedTable {
             match self.classes[at] {
                 SourceClass::Clean => {
                     let handle = self.source[at].0 .0;
-                    let rank = from + orders[from..].iter().position(|&o| o == handle)?;
+                    let rank = from
+                        + self.entries[from..]
+                            .iter()
+                            .position(|e| e.order == handle)?;
                     drops.push(rank);
                     from = rank + 1;
                 }
@@ -662,7 +453,7 @@ impl MinimizedTable {
                 if taken.is_some() && taken == volume(entry.sets.iter().map(ByteSet::len)) {
                     continue;
                 }
-                let mut pieces = vec![entry.sets.clone()];
+                let mut pieces = vec![entry.sets.to_vec()];
                 for b in &cut {
                     let mut rest = Vec::with_capacity(pieces.len());
                     for piece in pieces {
@@ -678,7 +469,7 @@ impl MinimizedTable {
                 made.extend(pieces.into_iter().map(|sets| {
                     let (action, priority, order) = (entry.action, entry.priority, entry.order);
                     let piece = MinEntry {
-                        sets,
+                        sets: sets.into(),
                         action,
                         priority,
                         order,
@@ -743,10 +534,10 @@ impl MinimizedTable {
         }
         levels.retain(|level| level.live > 0);
         for k in rows {
-            let place = priorities.partition_point(|&p| p >= k.priority);
+            let place = self.entries.partition_point(|e| e.priority >= k.priority);
             let entry = MinEntry {
                 order: k.order(entries),
-                sets: k.sets,
+                sets: k.sets.into(),
                 action: k.label,
                 priority: k.priority,
             };
@@ -758,22 +549,24 @@ impl MinimizedTable {
 
         // From change to change: a drop moves the old rank on alone and a
         // made entry the new one, so no run continues the one before it.
-        let n = orders.len();
+        let n = self.entries.len();
         let mut edit = Edit::default();
-        let (mut rank, mut len, mut dropped, mut placed) = (0, 0, 0, 0);
+        let list = &mut patched.entries;
+        list.reserve(n - drops.len() + made.len());
+        let mut made = made.into_iter().peekable();
+        let (mut rank, mut dropped) = (0, 0);
         loop {
             let next_drop = drops.get(dropped).copied().unwrap_or(n);
-            let next_made = made.get(placed).map_or(n, |&(at, _)| at);
+            let next_made = made.peek().map_or(n, |&(at, _)| at);
             let stop = next_drop.min(next_made);
             if stop > rank {
-                edit.runs.push((rank, len, stop - rank));
-                len += stop - rank;
+                edit.runs.push((rank, list.len(), stop - rank));
+                list.extend_from_slice(&self.entries[rank..stop]);
                 rank = stop;
             }
-            if placed < made.len() && next_made <= rank {
-                edit.fresh.push(len);
-                len += 1;
-                placed += 1;
+            if let Some((_, entry)) = made.next_if(|&(at, _)| at <= rank) {
+                edit.fresh.push(list.len());
+                list.push(entry);
             } else if dropped < drops.len() && next_drop == rank {
                 rank += 1;
                 dropped += 1;
@@ -781,9 +574,6 @@ impl MinimizedTable {
                 break;
             }
         }
-
-        let fresh = made.into_iter().map(|(_, entry)| entry).collect();
-        patched.entries = self.entries.edited(&edit, fresh);
         Some((patched, edit))
     }
 }
@@ -1066,11 +856,11 @@ pub fn minimize(kind: MatchKind, entries: &[TableEntry]) -> MinimizedTable {
         .collect();
     let kept = kept.into_iter().map(|k| MinEntry {
         order: k.order(entries),
-        sets: k.sets,
+        sets: k.sets.into(),
         action: k.label,
         priority: k.priority,
     });
-    min.entries = MinEntries::new(kept.collect());
+    min.entries = kept.collect();
     min
 }
 
@@ -1182,7 +972,7 @@ mod tests {
         let t = build(MatchKind::Ternary, 1, &rows);
         let min = minimize(MatchKind::Ternary, t.entries());
         assert_eq!(min.entries.len(), 1);
-        assert_eq!(min.entries[0].sets, [ByteSet::between(0, 3)]);
+        assert_eq!(min.entries[0].sets[..], [ByteSet::between(0, 3)]);
         assert_eq!(min.entries[0].order, 1);
         for e in t.entries() {
             assert_eq!(min.class_of(e.handle), Some(SourceClass::Merged));
@@ -1236,7 +1026,7 @@ mod tests {
         let t = build(MatchKind::Ternary, 1, &rows);
         let min = minimize(MatchKind::Ternary, t.entries());
         assert_eq!(min.entries.len(), 2);
-        assert_eq!(min.entries[0].sets, [ByteSet::masked(0xfe, 0x02)]);
+        assert_eq!(min.entries[0].sets[..], [ByteSet::masked(0xfe, 0x02)]);
         assert_eq!(min.entries[0].order, 1);
         assert_eq!(min.entries[1].action, Action::Forward(1));
     }
@@ -1254,7 +1044,7 @@ mod tests {
         let min = minimize(MatchKind::Range, t.entries());
         assert_eq!(min.entries.len(), 2);
         assert_eq!(
-            min.entries[0].sets,
+            min.entries[0].sets[..],
             [ByteSet::between(10, 30), ByteSet::between(0, 50)]
         );
         let classes: Vec<_> = t.entries().iter().map(|e| min.class_of(e.handle)).collect();
@@ -1384,7 +1174,7 @@ mod tests {
         let t = build_with_capacity(MatchKind::Ternary, 2, &rows, rows.len());
         assert_eq!(ternary_rows(t.entries()), rows.len());
         let min = minimize(MatchKind::Ternary, t.entries());
-        let sets: Vec<_> = min.entries.iter().map(|e| e.sets.clone()).collect();
+        let sets: Vec<_> = min.entries.iter().map(|e| e.sets.to_vec()).collect();
         assert_eq!(
             sets,
             [

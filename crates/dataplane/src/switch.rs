@@ -228,13 +228,14 @@ impl Switch {
     /// unchanged stages are shared as `Arc` clones, and pure entry
     /// additions/removals patch the previous minimized form instead of
     /// re-running the O(n²) minimizer: a walk over the stage's entries,
-    /// the minimized list shared by the chunk, and the previous engine
-    /// spliced by the same edit. A stage replaced by another table
-    /// (one [`Table::new`](crate::table::Table::new) made, not a clone of
-    /// the old one) compiles from scratch, and so does every stage when
-    /// `prev` is absent or its stage count differs (stages were added or
-    /// removed). The parser, default port and vote configuration are
-    /// always taken fresh, so the snapshot never serves a stale program.
+    /// the minimized list patched with each kept row's box shared, and the
+    /// previous engine spliced by the same edit. A stage replaced by
+    /// another table (one [`Table::new`](crate::table::Table::new) made,
+    /// not a clone of the old one) compiles from scratch, and so does
+    /// every stage when `prev` is absent or its stage count differs
+    /// (stages were added or removed). The parser, default port and vote
+    /// configuration are always taken fresh, so the snapshot never serves a
+    /// stale program.
     pub fn read_pipeline_incremental(
         &self,
         version: u64,

@@ -23,10 +23,9 @@
 //!    `ControlPlane::replace_ruleset`: the published pipeline equals a
 //!    fresh control plane compiling the target in full, and the scan.
 //!
-//!    A patch itself is pinned against the per-entry walk it replaced:
-//!    along a chain of patches, the chunked list holds the very entries,
-//!    in order, and reports the very `Edit` the walk would, shares every
-//!    chunk the patch left whole and never copies or counts a kept entry.
+//!    A patch itself is pinned against the per-entry walk: along a chain
+//!    of patches, the patched list holds the very entries, in order, and
+//!    reports the very `Edit` the walk would.
 //!
 //! 3. **The two minimizers agree with the scan.** `RuleSet::optimize`
 //!    (the ternary form, `p4guard_rules::cube`) and lowering (the fold):
@@ -46,7 +45,7 @@ use p4guard_dataplane::action::Action;
 use p4guard_dataplane::compiled::{CompiledTable, LookupOutcome};
 use p4guard_dataplane::control::ControlPlane;
 use p4guard_dataplane::key::KeyLayout;
-use p4guard_dataplane::minimize::{minimize, Edit, MinEntries, MinEntry, MinimizedTable};
+use p4guard_dataplane::minimize::{minimize, Edit, MinEntry, MinimizedTable};
 use p4guard_dataplane::switch::SwitchCounters;
 use p4guard_dataplane::table::{MatchKind, MatchSpec, Table, TableEntry};
 use p4guard_dataplane::AclLayout;
@@ -190,13 +189,13 @@ fn clean_row(i: u16) -> MatchSpec {
     }
 }
 
-/// The patch as the per-entry walk made it, the reference for the chunked
-/// one: every minimized entry of `parent` visited in turn, the removed ones
-/// skipped, each added one (in table order) put before the first kept
-/// entry of lower priority, and each kept one recorded in the run it
-/// continues.
+/// The patch as the per-entry walk makes it, the reference for the
+/// patch's walk from change to change: every minimized entry of `parent`
+/// visited in turn, the removed ones skipped, each added one (in table
+/// order) put before the first kept entry of lower priority, and each kept
+/// one recorded in the run it continues.
 fn per_entry_patch(
-    parent: &MinEntries,
+    parent: &[MinEntry],
     removed: &HashSet<u64>,
     added: &[&TableEntry],
 ) -> (Vec<MinEntry>, Edit) {
@@ -225,18 +224,6 @@ fn per_entry_patch(
     (kept, edit)
 }
 
-/// The chunks of `list` with how many of its pieces each holds.
-fn piece_counts(list: &MinEntries) -> Vec<(Arc<[MinEntry]>, usize)> {
-    let mut counts: Vec<(Arc<[MinEntry]>, usize)> = Vec::new();
-    for (chunk, _) in list.pieces() {
-        match counts.iter_mut().find(|(c, _)| Arc::ptr_eq(c, chunk)) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((Arc::clone(chunk), 1)),
-        }
-    }
-    counts
-}
-
 /// One link of a patch chain, checked against the per-entry walk.
 fn check_link(parent: &MinimizedTable, table: &Table, removed: &HashSet<u64>) -> MinimizedTable {
     let known: HashSet<_> = parent.source.iter().map(|&(h, _)| h).collect();
@@ -245,90 +232,28 @@ fn check_link(parent: &MinimizedTable, table: &Table, removed: &HashSet<u64>) ->
         .iter()
         .filter(|e| !known.contains(&e.handle))
         .collect();
-    let (old, counts) = (&parent.entries, piece_counts(&parent.entries));
-    // What holds each chunk before the patch: the parent's pieces, and the
-    // list of counts just taken.
-    let before: Vec<usize> = counts.iter().map(|(c, _)| Arc::strong_count(c)).collect();
-
     let (child, edit) = parent.patch(table.entries()).expect("clean edits patch");
-    let (reference, reference_edit) = per_entry_patch(old, removed, &added);
-    let new = &child.entries;
-    assert_eq!(new.iter().cloned().collect::<Vec<_>>(), reference);
+    let (reference, reference_edit) = per_entry_patch(&parent.entries, removed, &added);
+    assert_eq!(child.entries, reference);
     assert_eq!(edit, reference_edit);
-    assert!(new.pieces().count() <= MinEntries::max_pieces(new.len()));
-    let pieces: Vec<_> = new.pieces().collect();
-    for pair in pieces.windows(2) {
-        let ((a, left), (b, right)) = (&pair[0], &pair[1]);
-        assert!(
-            !(Arc::ptr_eq(a, b) && left.end == right.start),
-            "two pieces meet in a chunk"
-        );
-    }
-
-    let kept: usize = edit.runs.iter().map(|&(_, _, len)| len).sum();
-    let shares = |chunk: &Arc<[MinEntry]>| new.pieces().any(|(c, _)| Arc::ptr_eq(c, chunk));
-    if kept > 0 && !counts.iter().any(|(c, _)| shares(c)) {
-        // Packed afresh: only where the cuts could have passed the bound.
-        let cuts = removed.len() + 2 * added.len();
-        assert!(old.pieces().count() + cuts > MinEntries::max_pieces(new.len()));
-        return child;
-    }
-    // Every kept entry is the parent's own, where it was.
-    for &(from, to, len) in &edit.runs {
-        for i in 0..len {
-            assert!(
-                std::ptr::eq(&old[from + i], &new[to + i]),
-                "rank {} copied",
-                from + i
-            );
-        }
-    }
-    // A piece inside one kept run is shared whole.
-    let mut start = 0;
-    for (chunk, range) in old.pieces() {
-        let ranks = start..start + range.len();
-        start = ranks.end;
-        if edit
-            .runs
-            .iter()
-            .any(|&(from, _, len)| from <= ranks.start && ranks.end <= from + len)
-        {
-            let whole = new.pieces().any(|(c, r)| {
-                Arc::ptr_eq(c, chunk) && r.start <= range.start && range.end <= r.end
-            });
-            assert!(whole, "untouched ranks {ranks:?} not shared");
-        }
-    }
-    // A chunk's count rose by the child's pieces over it: one count per
-    // piece, none per entry.
-    let child_counts = piece_counts(new);
-    for ((chunk, _), before) in counts.iter().zip(before) {
-        let pieces = child_counts
-            .iter()
-            .find(|(c, _)| Arc::ptr_eq(c, chunk))
-            .map_or(0, |&(_, n)| n);
-        // `child_counts` itself holds one more of each chunk it names.
-        let held = usize::from(pieces > 0);
-        assert_eq!(Arc::strong_count(chunk), before + pieces + held);
-    }
     child
 }
 
 proptest! {
-    /// The chunked patch against the per-entry walk, link by link along
-    /// chains of removals (a piece's first or last rank, or any) and
-    /// additions (at the end of a priority level, possibly a new one),
-    /// over lists of 0, 1, 63, 64, 65 and 200–260 entries: as many pieces
-    /// as the chain cuts, until the list is packed afresh.
+    /// The patch against the per-entry walk, link by link along chains of
+    /// removals (a priority level's first or last rank, or any) and
+    /// additions (at the end of a priority level, possibly a new one), over
+    /// lists of 0, 1, 63, 64, 65 and 200–260 entries, which put the edits
+    /// on both sides of the engine's 64-entry word.
     #[test]
-    fn a_chunked_patch_equals_the_per_entry_walk(
+    fn a_patch_equals_the_per_entry_walk(
         size in (0usize..6, 0usize..60),
         priorities in pvec(0i32..3, 260),
         chain in pvec((pvec(any::<u16>(), 0..6), pvec(0i32..4, 0..6)), 1..10),
     ) {
         let len = [0, 1, 63, 64, 65, 200 + size.1][size.0];
         let layout = KeyLayout::window(4);
-        let mut table = Table::new("chunks", MatchKind::Ternary, layout, 1024, Action::Drop);
+        let mut table = Table::new("walk", MatchKind::Ternary, layout, 1024, Action::Drop);
         let mut next = 0u16;
         let mut insert = |table: &mut Table, priority: i32| {
             next += 1;
@@ -341,15 +266,13 @@ proptest! {
         prop_assert_eq!(parent.entries.len(), len, "nothing merges or shadows");
         for (picks, added) in &chain {
             let list = &parent.entries;
-            let ends: Vec<usize> = list
-                .pieces()
-                .scan(0, |start, (_, range)| {
-                    let first = *start;
-                    *start += range.len();
-                    Some([first, *start - 1])
-                })
-                .flatten()
-                .collect();
+            // The first and last rank of each priority level.
+            let mut ends = Vec::new();
+            let mut start = 0;
+            for level in list.chunk_by(|a, b| a.priority == b.priority) {
+                ends.extend([start, start + level.len() - 1]);
+                start += level.len();
+            }
             let mut removed = HashSet::new();
             for &pick in picks {
                 if list.is_empty() {
