@@ -36,7 +36,7 @@ fn build_forest_control(trees: usize, vote: VoteStage) -> ControlPlane {
 /// Phased hot-swap schedule on a vote-mode pipeline: for every shard
 /// count, batched gateway totals (drained at each swap point) must equal
 /// a single mutable switch replaying the identical schedule per-frame —
-/// with the sound early exit active on both, so skipped lookups are
+/// with the sound early exit active on both, so early-decided votes are
 /// exercised while verdicts stay provably the full-majority ones.
 #[test]
 fn phased_forest_swaps_match_single_switch_replay() {

@@ -14,8 +14,8 @@
 //! budgeter admits against — and each forest is put through
 //! [`TableBudgeter::admit_forest`]/[`TableBudgeter::trim_forest`] to show
 //! whole-tree dropping under a fixed budget. A live phase serves batched
-//! frames through a gateway with a sound early exit (skipped lookups are
-//! counted, verdicts provably unchanged) and lands a one-tree delta
+//! frames through a gateway with a sound early exit (early-decided votes
+//! are counted, verdicts provably unchanged) and lands a one-tree delta
 //! republish mid-serve, which must re-lower exactly the edited stage.
 
 use crate::baselines::GuardDetector;

@@ -116,6 +116,17 @@ struct Partition {
     count: usize,
 }
 
+impl Partition {
+    /// Whether every class here lies inside one class of `coarser`.
+    fn cuts(&self, coarser: &Partition) -> bool {
+        let mut inside = [None; 256];
+        self.of
+            .iter()
+            .zip(&coarser.of)
+            .all(|(&class, &outer)| *inside[usize::from(class)].get_or_insert(outer) == outer)
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Engine {
     /// Exact: one hash probe on the raw key bytes.
@@ -231,6 +242,87 @@ impl Classes {
             }
         }
     }
+}
+
+/// The kept positions of `stage`, whose engine is `engine`, that read the
+/// frame byte at `offset`: each as (kept index, first row there).
+fn kept_at<'a>(
+    stage: &'a CompiledTable,
+    engine: &'a BitVector,
+    offset: usize,
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    let mut first = 0;
+    let kept = engine.positions.iter().zip(&engine.partitions).enumerate();
+    kept.filter_map(move |(i, (&pos, partition))| {
+        let row = first;
+        first += partition.count;
+        (stage.key.offsets()[pos] == offset).then_some((i, row))
+    })
+}
+
+/// ORs into `row`, a fused row's entry words, the ranks `ranks` of a stage
+/// whose engine is `engine`: each rank whose rows for `byte`'s class all
+/// hold it at the kept positions `kept` yields, as (kept index, first row
+/// there). A stage that keeps no position here holds every rank: bits past
+/// its ranks are never copied, so all ones stands for them. `picked` is
+/// scratch.
+fn fill(
+    row: &mut [u64],
+    ranks: std::ops::Range<usize>,
+    engine: &BitVector,
+    byte: u8,
+    kept: impl Iterator<Item = (usize, usize)>,
+    picked: &mut Vec<u64>,
+) {
+    let (to, len) = (ranks.start, ranks.len());
+    let rows = kept.map(|(i, first)| {
+        let class = usize::from(engine.partitions[i].of[usize::from(byte)]);
+        (first + class) * engine.stride() + engine.summary
+    });
+    if len == 0 {
+        return;
+    }
+    if engine.words == 1 {
+        // One word: shifted into place without a buffer.
+        let bits = rows.fold(u64::MAX, |acc, from| acc & engine.rows[from]);
+        let bits = bits & (u64::MAX >> (64 - len));
+        row[to / 64] |= bits << (to % 64);
+        if to % 64 + len > 64 {
+            row[to / 64 + 1] |= bits >> (64 - to % 64);
+        }
+        return;
+    }
+    picked.clear();
+    picked.resize(engine.words, u64::MAX);
+    for from in rows {
+        let words = &engine.rows[from..][..engine.words];
+        for (p, &word) in picked.iter_mut().zip(words) {
+            *p &= word;
+        }
+    }
+    or_bits(picked, 0, row, to, len);
+}
+
+/// Cuts the classes `cells` (the byte values of each) down to their common
+/// refinement with the classes `theirs`: the non-empty intersections of one
+/// of each. A cell stops meeting `theirs` once its pieces cover it. `met`
+/// is scratch.
+fn meet(cells: &mut Vec<ByteSet>, theirs: &[ByteSet], met: &mut Vec<ByteSet>) {
+    met.clear();
+    for &cell in cells.iter() {
+        let mut left = cell.len();
+        for &other in theirs {
+            let piece = cell.intersection(other);
+            if !piece.is_empty() {
+                met.push(piece);
+                left -= piece.len();
+                if left == 0 {
+                    break;
+                }
+            }
+        }
+    }
+    std::mem::swap(cells, met);
 }
 
 /// The distinct accepted sets of one key position, numbered in the order
@@ -481,22 +573,22 @@ impl BitVector {
         self.summary + self.words
     }
 
-    /// Appends key position `pos`, split into `classes`: a zeroed row per
-    /// class, its class map and its classes. Returns where its rows start
-    /// in `rows`.
-    fn push_position(&mut self, pos: usize, classes: &Classes) -> usize {
+    /// Appends key position `pos`, split into classes whose byte values
+    /// are `members`, `of` telling each byte's: a zeroed row per class, its
+    /// class map and its classes. Returns where its rows start in `rows`.
+    fn push_position(&mut self, pos: usize, of: &[u8; 256], members: &[ByteSet]) -> usize {
         let stride = self.stride();
         let base = self.rows.len();
-        self.rows.resize(base + classes.count() * stride, 0);
+        self.rows.resize(base + members.len() * stride, 0);
         // Every word offset fits `u32` while the rows do (2^32 words).
         u32::try_from(self.rows.len()).expect("rows under 2^32 words");
         let offset = |of: &u8| (base + usize::from(*of) * stride) as u32;
-        self.class.extend(classes.of.iter().map(offset));
+        self.class.extend(of.iter().map(offset));
         self.partitions.push(Partition {
-            of: classes.of,
-            count: classes.count(),
+            of: *of,
+            count: members.len(),
         });
-        self.members.extend_from_slice(&classes.members);
+        self.members.extend_from_slice(members);
         self.positions.push(pos);
         base
     }
@@ -556,7 +648,7 @@ impl BitVector {
             if classes.count() == 1 && (pos + 1 < width || !index.positions.is_empty()) {
                 continue;
             }
-            let base = index.push_position(pos, &classes);
+            let base = index.push_position(pos, &classes.of, &classes.members);
             let words = column.of.chunks(64).enumerate();
             let words = words.map(|(word, sets)| (word, sets.iter().copied().enumerate()));
             fill.run(&mut index, base, &column, &classes, words);
@@ -627,7 +719,7 @@ impl BitVector {
                     classes.refine(accept);
                 }
             }
-            let base = index.push_position(pos, &classes);
+            let base = index.push_position(pos, &classes.of, &classes.members);
             let new_rows = index.rows[base..].chunks_exact_mut(stride);
             for (id, (row, set)) in new_rows.zip(&classes.members).enumerate() {
                 let origin = if id < parents {
@@ -1012,6 +1104,497 @@ impl CompiledTable {
     pub fn peek(&self, key: &[u8]) -> Action {
         let mut probe = vec![0u8; self.key.width()];
         self.lookup(key, &mut probe)
+    }
+}
+
+/// One bit-vector over the rows of every stage of a vote pipeline, so one
+/// probe per key answers every stage's lookup. Its key is the union of the
+/// frame offsets the stages' engines keep, ascending (an offset no stage
+/// constrains would hold every rank of every stage, and no probe would
+/// read it); each stage's ranks are one contiguous range, in stage order,
+/// so a stage's first set bit in its range is its first match. At each
+/// fused position the classes are the common refinement of the classes
+/// the stages keep there, and a class's row holds each such stage's row
+/// shifted to the stage's base; a stage that does not key there
+/// contributes every rank of its range.
+#[derive(Debug, Clone)]
+pub(crate) struct VoteIndex {
+    /// The key and classes, shared by the indexes a delta publish
+    /// resplices from this one.
+    shape: Arc<FusedShape>,
+    /// The rows and class map. Its classes live in `shape`: it is never
+    /// spliced, so its own partitions and members stay empty.
+    index: BitVector,
+    stages: Vec<FusedStage>,
+    /// Stage by stage, each entry word a stage's ranks fall in, with the
+    /// mask of its ranks there: a stage's lookup reads only these.
+    segments: Vec<(usize, u64)>,
+}
+
+/// The union key of a [`VoteIndex`] and, per fused position, its classes:
+/// the class of each byte, and each class's byte values in row order.
+#[derive(Debug)]
+struct FusedShape {
+    key: KeyLayout,
+    partitions: Vec<Partition>,
+    members: Vec<ByteSet>,
+}
+
+/// Where one stage sits in a [`VoteIndex`].
+#[derive(Debug, Clone, PartialEq)]
+struct FusedStage {
+    /// Its first rank: a fused rank less this is the stage's own.
+    base: usize,
+    /// What its miss selects.
+    default: Action,
+    /// Its words in [`VoteIndex::segments`].
+    segments: std::ops::Range<usize>,
+}
+
+impl VoteIndex {
+    /// Derives the index from the stages' engines, not from their entries:
+    /// refining partitions and shifting rows is what makes it cheap enough
+    /// to run on every publish. A position whose partition equals the
+    /// refinement so far (every tree of a forest cut alike there) refines
+    /// nothing. An exact stage's hash is read as the bit-vector over its
+    /// one-byte boxes, where the lowest rank wins a duplicate key just as
+    /// the first occurrence does in the hash. `prev` is the index over the
+    /// previous snapshot's stages, and the new one is respliced from it
+    /// where that applies (see [`VoteIndex::respliced`]).
+    pub(crate) fn derive(
+        stages: &[Arc<CompiledTable>],
+        prev: Option<(&VoteIndex, &[Arc<CompiledTable>])>,
+    ) -> VoteIndex {
+        if let Some(index) = prev.and_then(|(index, old)| index.respliced(old, stages)) {
+            return index;
+        }
+        let exact: Vec<BitVector> = stages
+            .iter()
+            .filter(|stage| matches!(stage.engine, Engine::ExactHash(_)))
+            .map(|stage| BitVector::build(&stage.min.entries, stage.key.width()))
+            .collect();
+        // Each exact stage takes its build, in stage order.
+        let mut exact = exact.iter();
+        let engines: Vec<&BitVector> = stages
+            .iter()
+            .filter_map(|stage| match &stage.engine {
+                Engine::BitVector(index) => Some(index),
+                Engine::ExactHash(_) => exact.next(),
+            })
+            .collect();
+        let key = KeyLayout::union(stages.iter().zip(&engines).flat_map(|(stage, engine)| {
+            engine.positions.iter().map(|&pos| stage.key.offsets()[pos])
+        }));
+        let mut bases = Vec::with_capacity(engines.len() + 1);
+        bases.push(0);
+        let mut actions = Vec::new();
+        for engine in &engines {
+            actions.extend_from_slice(&engine.actions);
+            bases.push(actions.len());
+        }
+        let mut index = BitVector::empty(actions, key.width());
+        // Each stage's kept positions as (fused position, stage, kept
+        // index, first row), sorted, so each fused position's run lists
+        // its stages in order.
+        let mut kept = Vec::with_capacity(engines.iter().map(|e| e.positions.len()).sum());
+        for (s, (stage, engine)) in stages.iter().zip(&engines).enumerate() {
+            let mut row = 0;
+            for (i, (&pos, partition)) in
+                engine.positions.iter().zip(&engine.partitions).enumerate()
+            {
+                // The union holds every stage offset, so the search finds it.
+                let offset = stage.key.offsets()[pos];
+                let at = key.offsets().binary_search(&offset).unwrap_or_else(|at| at);
+                kept.push((at, s, i, row));
+                row += partition.count;
+            }
+        }
+        kept.sort_unstable();
+        let (stride, summary) = (index.stride(), index.summary);
+        let (mut cells, mut met, mut picked) = (Vec::new(), Vec::new(), Vec::new());
+        let mut of = [0; 256];
+        let mut left = &kept[..];
+        for at in 0..key.width() {
+            let (here, after) = left.split_at(left.partition_point(|k| k.0 == at));
+            left = after;
+            // The first stage's classes here, met with each further stage's
+            // that differ; the class of each byte is copied while no meet
+            // has cut them.
+            let mut loaded = None;
+            for (k, &(_, s, i, row)) in here.iter().enumerate() {
+                let partition = &engines[s].partitions[i];
+                let theirs = &engines[s].members[row..row + partition.count];
+                if k == 0 {
+                    cells.clear();
+                    cells.extend_from_slice(theirs);
+                    loaded = Some(&partition.of);
+                } else if cells[..] != *theirs {
+                    meet(&mut cells, theirs, &mut met);
+                    loaded = None;
+                }
+            }
+            match loaded {
+                Some(first) => of = *first,
+                None => {
+                    for (id, cell) in cells.iter().enumerate() {
+                        for byte in cell.bytes() {
+                            of[usize::from(byte)] = id as u8;
+                        }
+                    }
+                }
+            }
+            let base = index.push_position(at, &of, &cells);
+            let rows = index.rows[base..].chunks_exact_mut(stride);
+            for (row, cell) in rows.zip(&cells) {
+                let mut rest = here;
+                for (s, engine) in engines.iter().enumerate() {
+                    let (mine, after) = rest.split_at(rest.partition_point(|k| k.1 == s));
+                    rest = after;
+                    let kept = mine.iter().map(|&(_, _, i, first)| (i, first));
+                    let ranks = bases[s]..bases[s + 1];
+                    fill(
+                        &mut row[summary..],
+                        ranks,
+                        engine,
+                        cell.first(),
+                        kept,
+                        &mut picked,
+                    );
+                }
+            }
+            index.summarise(base);
+            if cells.len() == 1 && index.rows[base + summary..] == index.every_rank()[..] {
+                index.pop_position(base);
+            }
+        }
+        let shape = FusedShape {
+            key,
+            partitions: std::mem::take(&mut index.partitions),
+            members: std::mem::take(&mut index.members),
+        };
+        VoteIndex::assemble(Arc::new(shape), index, stages, &bases)
+    }
+
+    /// The index from its parts: `bases` holds where each stage's ranks
+    /// start, then their total.
+    fn assemble(
+        shape: Arc<FusedShape>,
+        index: BitVector,
+        stages: &[Arc<CompiledTable>],
+        bases: &[usize],
+    ) -> VoteIndex {
+        let mut segments = Vec::new();
+        let stages = stages.iter().zip(bases.windows(2)).map(|(stage, range)| {
+            let (lo, hi) = (range[0], range[1]);
+            let from = segments.len();
+            let words = if lo < hi {
+                lo / 64..hi.div_ceil(64)
+            } else {
+                0..0
+            };
+            for word in words {
+                let (start, end) = (lo.max(word * 64), hi.min(word * 64 + 64));
+                let mask = (u64::MAX >> (64 - (end - start))) << (start - word * 64);
+                segments.push((word, mask));
+            }
+            FusedStage {
+                base: lo,
+                default: stage.default_action,
+                segments: from..segments.len(),
+            }
+        });
+        VoteIndex {
+            shape,
+            index,
+            stages: stages.collect(),
+            segments,
+        }
+    }
+
+    /// The index over `stages` from this one, the index over `old`, when
+    /// each stage `stages` replaced keeps the key positions of the stage it
+    /// replaces, with the same classes or cuts of them — a delta publish's
+    /// patch only ever cuts classes. Each fused position starts from its
+    /// classes here, met with a replaced stage's cut ones; its rows take an
+    /// unchanged stage's bits from the row here of the class they were cut
+    /// from, and a replaced stage's from its engine. No unchanged stage is
+    /// read, which keeps a delta publish's cost that of its delta. `None`
+    /// where it does not apply: the rank total changes the rows' width, or
+    /// this index dropped a position every rank passes (its stages were
+    /// empty or matched everything there), which a replaced stage may now
+    /// constrain.
+    fn respliced(
+        &self,
+        old: &[Arc<CompiledTable>],
+        stages: &[Arc<CompiledTable>],
+    ) -> Option<VoteIndex> {
+        if old.len() != stages.len() || self.index.positions.len() != self.shape.key.width() {
+            return None;
+        }
+        let mut bases = Vec::with_capacity(stages.len() + 1);
+        bases.push(0);
+        let mut actions = Vec::with_capacity(self.index.actions.len());
+        // Whether a replaced stage cut any of its classes.
+        let mut cut = false;
+        for (s, (was, now)) in old.iter().zip(stages).enumerate() {
+            if Arc::ptr_eq(was, now) {
+                actions.extend_from_slice(&self.index.actions[self.ranks(s)]);
+            } else {
+                let (Engine::BitVector(a), Engine::BitVector(b)) = (&was.engine, &now.engine)
+                else {
+                    return None;
+                };
+                let pairs = a.partitions.iter().zip(&b.partitions);
+                if was.key != now.key
+                    || a.positions != b.positions
+                    || !pairs.clone().all(|(a, b)| a == b || b.cuts(a))
+                {
+                    return None;
+                }
+                cut |= pairs.into_iter().any(|(a, b)| a != b);
+                actions.extend_from_slice(&b.actions);
+            }
+            bases.push(actions.len());
+        }
+        let words = actions.len().div_ceil(64).max(1);
+        if words != self.index.words {
+            return None;
+        }
+        let (stride, summary) = (self.index.stride(), self.index.summary);
+        // Uncut, the positions, classes and class map stay as they are.
+        let mut index = BitVector {
+            positions: Vec::new(),
+            words,
+            summary,
+            class: Vec::new(),
+            rows: vec![0; self.index.rows.len()],
+            actions,
+            partitions: Vec::new(),
+            members: Vec::new(),
+        };
+        if cut {
+            index.class.reserve(self.index.class.len());
+            index.rows.clear();
+        } else {
+            index.positions.clone_from(&self.index.positions);
+            index.class.clone_from(&self.index.class);
+        }
+        let shape = &self.shape;
+        let (mut cells, mut met, mut picked) = (Vec::new(), Vec::new(), Vec::new());
+        let mut of = [0; 256];
+        let (mut members, mut old_rows) = (&shape.members[..], &self.index.rows[..]);
+        let mut uncut_base = 0;
+        for (&at, partition) in self.index.positions.iter().zip(&shape.partitions) {
+            let offset = shape.key.offsets()[at];
+            let (here, rest) = members.split_at(partition.count);
+            members = rest;
+            let (rows_here, rest) = old_rows.split_at(partition.count * stride);
+            old_rows = rest;
+            let (classes, base) = if cut {
+                cells.clear();
+                cells.extend_from_slice(here);
+                for (was, now) in old.iter().zip(stages) {
+                    let (Engine::BitVector(a), Engine::BitVector(b)) = (&was.engine, &now.engine)
+                    else {
+                        continue;
+                    };
+                    if Arc::ptr_eq(was, now) {
+                        continue;
+                    }
+                    for (i, first) in kept_at(now, b, offset) {
+                        if a.partitions[i] != b.partitions[i] {
+                            let theirs = &b.members[first..first + b.partitions[i].count];
+                            meet(&mut cells, theirs, &mut met);
+                        }
+                    }
+                }
+                for (id, cell) in cells.iter().enumerate() {
+                    for byte in cell.bytes() {
+                        of[usize::from(byte)] = id as u8;
+                    }
+                }
+                (&cells[..], index.push_position(at, &of, &cells))
+            } else {
+                let base = uncut_base;
+                uncut_base += here.len() * stride;
+                (here, base)
+            };
+            for (row, cell) in index.rows[base..].chunks_exact_mut(stride).zip(classes) {
+                // The row here of the class this one was cut from.
+                let was = usize::from(partition.of[usize::from(cell.first())]);
+                let old_row = &rows_here[was * stride..][..stride];
+                let mut s = 0;
+                while s < stages.len() {
+                    let now = &stages[s];
+                    if Arc::ptr_eq(&old[s], now) {
+                        // A run of unchanged stages moves in one piece.
+                        let from = s;
+                        while s < stages.len() && Arc::ptr_eq(&old[s], &stages[s]) {
+                            s += 1;
+                        }
+                        let (was, to) = (self.ranks(from).start, bases[from]);
+                        or_bits(
+                            &old_row[summary..],
+                            was,
+                            &mut row[summary..],
+                            to,
+                            bases[s] - to,
+                        );
+                        continue;
+                    }
+                    let Engine::BitVector(engine) = &now.engine else {
+                        return None;
+                    };
+                    let kept = kept_at(now, engine, offset);
+                    let ranks = bases[s]..bases[s + 1];
+                    fill(
+                        &mut row[summary..],
+                        ranks,
+                        engine,
+                        cell.first(),
+                        kept,
+                        &mut picked,
+                    );
+                    s += 1;
+                }
+            }
+            index.summarise(base);
+        }
+        let shape = if cut {
+            Arc::new(FusedShape {
+                key: shape.key.clone(),
+                partitions: std::mem::take(&mut index.partitions),
+                members: std::mem::take(&mut index.members),
+            })
+        } else {
+            Arc::clone(shape)
+        };
+        Some(VoteIndex::assemble(shape, index, stages, &bases))
+    }
+
+    /// The ranks of stage `stage`.
+    fn ranks(&self, stage: usize) -> std::ops::Range<usize> {
+        let end = self
+            .stages
+            .get(stage + 1)
+            .map_or(self.index.actions.len(), |next| next.base);
+        self.stages[stage].base..end
+    }
+
+    /// The union key every stage's lookup is answered from.
+    pub(crate) fn key(&self) -> &KeyLayout {
+        &self.shape.key
+    }
+
+    /// One probe per key of the `count` rows of `keys`, `key().width()`
+    /// bytes apart, then its stages' lookups in stage order: `visit(j,
+    /// stage, action, outcome)` gets key `j`'s, each exactly what that
+    /// stage's [`CompiledTable::lookup_traced`] answers, until it returns
+    /// `true` (the vote is decided). The fused words are read in rank
+    /// order, which is stage order, each at most once, and only as far as
+    /// the walk goes.
+    pub(crate) fn walk_batch(
+        &self,
+        keys: &[u8],
+        count: usize,
+        visit: impl FnMut(usize, usize, Action, LookupOutcome) -> bool,
+    ) {
+        // Rows of one word hold no offsets, as in `probe_batch`.
+        if self.index.stride() == 1 {
+            self.walk_with::<0>(keys, count, visit);
+        } else {
+            self.walk_with::<HELD>(keys, count, visit);
+        }
+    }
+
+    /// [`VoteIndex::walk_batch`] over each key's bytes read in place or
+    /// through the position list, as [`probe_batch`] reads them.
+    fn walk_with<const N: usize>(
+        &self,
+        keys: &[u8],
+        count: usize,
+        visit: impl FnMut(usize, usize, Action, LookupOutcome) -> bool,
+    ) {
+        let index = &self.index;
+        let kept = index.positions.len().min(HELD);
+        match index.run() {
+            Some(first) => self.walk_keys::<N, _>(keys, count, visit, |key| {
+                key[first..first + kept].iter().copied()
+            }),
+            None => self.walk_keys::<N, _>(keys, count, visit, |key| {
+                index.positions.iter().map(move |&pos| key[pos])
+            }),
+        }
+    }
+
+    fn walk_keys<'k, const N: usize, I: Iterator<Item = u8>>(
+        &self,
+        keys: &'k [u8],
+        count: usize,
+        mut visit: impl FnMut(usize, usize, Action, LookupOutcome) -> bool,
+        bytes: impl Fn(&'k [u8]) -> I,
+    ) {
+        let width = self.shape.key.width();
+        let mut at = [0; N];
+        for j in 0..count {
+            let key = &keys[j * width..][..width];
+            self.walk_key(key, bytes(key), &mut at, |stage, action, outcome| {
+                visit(j, stage, action, outcome)
+            });
+        }
+    }
+
+    /// The walk of one key: [`select`] reads each kept position's class
+    /// once; then, stage by stage, each entry word the stage's ranks fall
+    /// in whose summary bit survives is ANDed ([`walk_rows`]), lowest
+    /// first, until one holds a bit of the stage's — its hit — or none
+    /// does — its miss. The last entry word and summary word read are
+    /// kept, so stages sharing a word read it once.
+    #[inline(always)]
+    fn walk_key<const N: usize>(
+        &self,
+        key: &[u8],
+        bytes: impl Iterator<Item = u8>,
+        at: &mut [usize; N],
+        mut visit: impl FnMut(usize, Action, LookupOutcome) -> bool,
+    ) {
+        let index = &self.index;
+        let summary = index.summary;
+        let live = select(index, bytes, at);
+        let at = &*at;
+        // Without a summary, every entry word is live and `live` is the
+        // first; with one, `live` is the first summary word.
+        let (mut head, mut entry) = if summary == 0 {
+            ((0, u64::MAX), (0, live & index.rest(key, 0)))
+        } else {
+            ((0, live), (usize::MAX, 0))
+        };
+        for (stage, fused) in self.stages.iter().enumerate() {
+            let (mut action, mut outcome) = (fused.default, LookupOutcome::Miss);
+            for &(word, mask) in &self.segments[fused.segments.clone()] {
+                if entry.0 != word {
+                    if head.0 != word / 64 {
+                        head = (word / 64, walk_rows(index, at, word / 64));
+                    }
+                    entry.0 = word;
+                    entry.1 = if head.1 >> (word % 64) & 1 == 0 {
+                        0
+                    } else {
+                        walk_rows(index, at, summary + word) & index.rest(key, summary + word)
+                    };
+                }
+                let bits = entry.1 & mask;
+                if bits != 0 {
+                    let rank = word * 64 + bits.trailing_zeros() as usize;
+                    action = index.actions[rank];
+                    outcome = LookupOutcome::Hit((rank - fused.base) as Rank);
+                    break;
+                }
+            }
+            if visit(stage, action, outcome) {
+                return;
+            }
+        }
     }
 }
 
@@ -1703,6 +2286,104 @@ mod tests {
             prev = spliced(&prev, &t);
             assert_eq!(prev.minimized_len(), t.len());
         }
+    }
+
+    /// [`vote_form`]'s answer.
+    type VoteForm = (
+        KeyLayout,
+        Vec<usize>,
+        Vec<Vec<u64>>,
+        Vec<Action>,
+        Vec<FusedStage>,
+        Vec<(usize, u64)>,
+    );
+
+    /// What a fused index answers, whatever its classes' numbering: the
+    /// union key, the kept positions, the row each byte selects at each,
+    /// the action by rank and where each stage's ranks and words lie.
+    fn vote_form(vote: &VoteIndex) -> VoteForm {
+        let index = &vote.index;
+        let rows = index.class.iter();
+        let rows = rows.map(|&at| index.rows[at as usize..][..index.stride()].to_vec());
+        (
+            vote.shape.key.clone(),
+            index.positions.clone(),
+            rows.collect(),
+            index.actions.clone(),
+            vote.stages.clone(),
+            vote.segments.clone(),
+        )
+    }
+
+    /// A vote's delta publish: the ledger's churn on the first of three
+    /// stages (the last 1 % of a folded learned stage removed and re-added,
+    /// ten times), beside an unfolded stage of 2,000-odd rows, so the
+    /// fused rows carry summaries and the ranks after the churned stage
+    /// move. Each snapshot's fused index is respliced from the one before
+    /// — the first removal cuts the churned stage's classes, which the
+    /// resplice cuts the fused ones by — and every one answers as the index
+    /// derived afresh from the same stages does.
+    #[test]
+    fn a_vote_delta_publish_resplices_the_fused_index() {
+        let mut t = learned_stage(|_| 1);
+        let others = [learned_stage(|i| -(i as i32)), learned_stage(|_| 2)];
+        let mut stages: Vec<Arc<CompiledTable>> = std::iter::once(&t)
+            .chain(&others)
+            .map(|t| Arc::new(CompiledTable::compile(t)))
+            .collect();
+        let mut fused = VoteIndex::derive(&stages, None);
+        assert!(fused.index.summary > 0, "{} words", fused.index.words);
+        let take = t.len() / 100;
+        let mut delta: Vec<_> = t.entries()[t.len() - take..].to_vec();
+        let mut respliced = 0;
+        for round in 0..20 {
+            for e in &mut delta {
+                if round % 2 == 0 {
+                    t.remove(e.handle).unwrap();
+                } else {
+                    e.handle = t.insert(e.spec.clone(), e.action, e.priority).unwrap();
+                }
+            }
+            let mut next = stages.clone();
+            next[0] = CompiledTable::recompile(&stages[0], &t);
+            let fresh = vote_form(&VoteIndex::derive(&next, None));
+            if let Some(index) = fused.respliced(&stages, &next) {
+                assert_eq!(vote_form(&index), fresh, "round {round}");
+                respliced += 1;
+            }
+            fused = VoteIndex::derive(&next, Some((&fused, &stages)));
+            assert_eq!(vote_form(&fused), fresh, "round {round}");
+            stages = next;
+        }
+        assert_eq!(respliced, 20, "{respliced} of 20 respliced");
+    }
+
+    /// A vote whose stages start empty, the one fused position they key
+    /// dropped (every rank passes it), then filled: the next snapshot
+    /// derives afresh rather than resplicing a position that is gone.
+    #[test]
+    fn filling_empty_vote_stages_derives_afresh() {
+        let empty = || Arc::new(CompiledTable::compile(&table(MatchKind::Ternary, 1, 8)));
+        let stages = vec![empty(), empty()];
+        let fused = VoteIndex::derive(&stages, None);
+        assert!(fused.index.positions.is_empty());
+        let mut filled = table(MatchKind::Ternary, 1, 8);
+        let spec = MatchSpec::Ternary {
+            value: vec![0x80],
+            mask: vec![0x80],
+        };
+        filled.insert(spec, Action::Drop, 1).unwrap();
+        let next = vec![
+            CompiledTable::recompile(&stages[0], &filled),
+            Arc::clone(&stages[1]),
+        ];
+        assert!(fused.respliced(&stages, &next).is_none());
+        let index = VoteIndex::derive(&next, Some((&fused, &stages)));
+        assert_eq!(
+            vote_form(&index),
+            vote_form(&VoteIndex::derive(&next, None))
+        );
+        assert_eq!(index.index.positions, [0]);
     }
 
     /// The ledger's churn on a folded stage: the last 1 % of a learned

@@ -5,7 +5,8 @@
 //! tuple — exactly the capability the paper's stage 1 exploits.
 //!
 //! [`KeyLayout::gather_into`] is the one frame → key gather; the batch
-//! walker calls it once per stage with every alive frame, and
+//! walker calls it once per stage with every alive frame (once per batch
+//! with the union of a vote's layouts), and
 //! [`KeyLayout::build_key_into`] is its one-frame case.
 
 use serde::{Deserialize, Serialize};
@@ -71,6 +72,15 @@ impl KeyLayout {
             _ => None,
         };
         KeyLayout { offsets, run }
+    }
+
+    /// `offsets` ascending and once each: the one key a vote pipeline
+    /// gathers for all its stages (empty when there are none).
+    pub(crate) fn union(offsets: impl IntoIterator<Item = usize>) -> Self {
+        let mut offsets: Vec<usize> = offsets.into_iter().collect();
+        offsets.sort_unstable();
+        offsets.dedup();
+        KeyLayout::planned(offsets)
     }
 
     /// A contiguous window `[0, width)` — the stage-1 raw-bytes layout.

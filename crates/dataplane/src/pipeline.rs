@@ -14,7 +14,7 @@
 //! replay would have produced.
 
 use crate::action::{Action, Verdict};
-use crate::compiled::{CompiledTable, LookupOutcome};
+use crate::compiled::{CompiledTable, LookupOutcome, VoteIndex};
 use crate::parser::ParserSpec;
 use crate::switch::SwitchCounters;
 use crate::table::Table;
@@ -67,13 +67,18 @@ pub struct ReadPipeline {
     /// scratch once per packet instead of once per stage.
     max_key_width: usize,
     /// Per stage, whether its [`KeyLayout`](crate::key::KeyLayout) equals
-    /// the previous stage's — the trees of a forest match on the same
-    /// selected bytes — so the key that stage gathered is this stage's too.
+    /// the previous stage's, so the key that stage gathered is this
+    /// stage's too.
     key_shared: Vec<bool>,
     /// The combine policy over the stages: `None` is the sequential
     /// first-hit chain, `Some` makes them parallel per-tree lookups feeding
     /// a majority vote (see [`vote`]).
     vote: Option<VoteStage>,
+    /// Under a vote, every stage's rows in one index over the union of the
+    /// bytes they key on, derived from the stages when the snapshot is
+    /// built (respliced from the previous snapshot's on a delta publish):
+    /// the batched walker answers the whole vote from one probe per frame.
+    fused: Option<VoteIndex>,
 }
 
 impl ReadPipeline {
@@ -88,23 +93,27 @@ impl ReadPipeline {
             .iter()
             .map(|t| Arc::new(CompiledTable::compile(t)))
             .collect();
-        Self::from_compiled(parser, stages, default_port, version, vote)
+        Self::from_compiled(parser, stages, default_port, version, vote, None)
     }
 
     /// Assembles a snapshot from already-compiled stages (the delta
-    /// compilation path: unchanged stages arrive as `Arc` clones from the
-    /// previous snapshot, changed ones freshly lowered).
+    /// compilation path: unchanged stages arrive as `Arc` clones from
+    /// `prev`, the previous snapshot, changed ones freshly lowered; a vote's
+    /// fused index is respliced from `prev`'s where it can be).
     pub(crate) fn from_compiled(
         parser: ParserSpec,
         stages: Vec<Arc<CompiledTable>>,
         default_port: u16,
         version: u64,
         vote: Option<VoteStage>,
+        prev: Option<&ReadPipeline>,
     ) -> Self {
         let max_key_width = stages.iter().map(|s| s.key().width()).max().unwrap_or(0);
         let key_shared = (0..stages.len())
             .map(|i| i > 0 && stages[i].key() == stages[i - 1].key())
             .collect();
+        let prev = prev.and_then(|p| Some((p.fused.as_ref()?, &p.stages[..])));
+        let fused = vote.map(|_| VoteIndex::derive(&stages, prev));
         ReadPipeline {
             parser,
             stages,
@@ -113,12 +122,13 @@ impl ReadPipeline {
             max_key_width,
             key_shared,
             vote,
+            fused,
         }
     }
 
     /// Whether stage `stage` exists and reads the key the stage before it
-    /// gathered: both compiled walkers gather once per run of stages with
-    /// equal layouts.
+    /// gathered: the per-frame walker and the batched first-hit walker
+    /// gather once per run of stages with equal layouts.
     fn reuses_key(&self, stage: usize) -> bool {
         self.key_shared.get(stage) == Some(&true)
     }
@@ -222,13 +232,26 @@ impl ReadPipeline {
     }
 
     /// Processes a whole batch of frames (contiguous `data` + one
-    /// [`FrameSpan`] per frame) through tight staged loops: batch parse →
-    /// batch key-extract into a contiguous key matrix (once per run of
-    /// stages with equal key layouts — see [`BatchScratch::keys_built`]) →
-    /// batch lookup via [`CompiledTable::lookup_batch`] → combine — with
-    /// one verdict appended to `verdicts` per frame, in frame order. This
-    /// is the only hot path: every frame the gateway serves goes through
-    /// it.
+    /// [`FrameSpan`] per frame), appending one verdict per frame to
+    /// `verdicts`, in frame order. This is the only hot path: every frame
+    /// the gateway serves goes through it. After a batch parse:
+    ///
+    /// - **first-hit** stages run as tight staged loops: batch key-extract
+    ///   into a contiguous key matrix (once per run of stages with equal
+    ///   key layouts — see [`BatchScratch::keys_built`]) → batch lookup via
+    ///   [`CompiledTable::lookup_batch`] → combine. A frame leaves the alive
+    ///   set at the stage whose action drops it and costs nothing in the
+    ///   stages after.
+    /// - a **vote** is answered from one bit-vector over every stage's
+    ///   rows, derived when the snapshot is built: one gather of the union
+    ///   of the bytes the stages key on and one probe per parsed frame,
+    ///   whose stage
+    ///   outcomes replay through the combine in stage order. The
+    ///   [`EarlyExit`](crate::vote::EarlyExit) decides the verdict and the
+    ///   counts — the walk over the probe's words ends with the vote — but
+    ///   saves no lookup: the one probe answers every stage. Votes decided
+    ///   with at least one stage still ahead are counted in
+    ///   [`BatchScratch::vote_early_exits`].
     ///
     /// Results are **bit-identical** to calling
     /// [`ReadPipeline::process_with`] once per frame: counters — drop
@@ -237,12 +260,6 @@ impl ReadPipeline {
     /// reports are emitted in frame order (in a deferred pass after the
     /// staged loops) so positional samplers like the flight recorder
     /// observe the same stream.
-    ///
-    /// A frame leaves the alive set at stage *k* exactly when the per-frame
-    /// walk would stop there (a first-hit drop, or a decided vote — see
-    /// [`vote`]) and costs nothing in stages *k+1..*. Votes
-    /// decided with at least one stage still ahead are counted in
-    /// [`BatchScratch::vote_early_exits`].
     pub fn process_batch_with<S: TelemetrySink>(
         &self,
         data: &[u8],
@@ -271,79 +288,99 @@ impl ReadPipeline {
         }
         lap(&mut stamp, sink, StageKind::Parse, None, n as u64);
 
-        let last_stage = self.stages.len().saturating_sub(1);
-        for (stage, table) in self.stages.iter().enumerate() {
-            if scratch.alive.is_empty() {
-                break;
-            }
-            let width = table.key().width();
+        if let Some(fused) = &self.fused {
+            // A vote: one gather of the union key and one probe per parsed
+            // frame, whose stage outcomes replay through the combine in
+            // stage order until the vote is decided.
+            let width = fused.key().width();
             let alive_len = scratch.alive.len();
-            // Batch key extraction: one contiguous row per alive frame, so
-            // the extraction loop touches the key matrix strictly forward.
-            // A stage sharing the previous stage's layout finds its rows
-            // already there, compacted beside the alive set. The matrix
-            // and the lookup buffer only grow: every row and slot a stage
-            // reads is written first.
-            if !self.reuses_key(stage) {
-                grow(&mut scratch.keys, alive_len * width, 0);
-                table.key().gather_into(
-                    scratch.alive.iter().map(|&i| frame_of(&spans[i as usize])),
-                    &mut scratch.keys[..alive_len * width],
+            grow(&mut scratch.keys, alive_len * width, 0);
+            fused.key().gather_into(
+                scratch.alive.iter().map(|&i| frame_of(&spans[i as usize])),
+                &mut scratch.keys[..alive_len * width],
+            );
+            scratch.keys_built += alive_len as u64;
+            lap(
+                &mut stamp,
+                sink,
+                StageKind::KeyExtract,
+                None,
+                alive_len as u64,
+            );
+            self.vote_walk(fused, counters, scratch);
+            lap(&mut stamp, sink, StageKind::Lookup, None, alive_len as u64);
+        } else {
+            // First-hit: stage by stage over the frames still alive.
+            for (stage, table) in self.stages.iter().enumerate() {
+                if scratch.alive.is_empty() {
+                    break;
+                }
+                let width = table.key().width();
+                let alive_len = scratch.alive.len();
+                // Batch key extraction: one contiguous row per alive frame, so
+                // the extraction loop touches the key matrix strictly forward.
+                // A stage sharing the previous stage's layout finds its rows
+                // already there, compacted beside the alive set. The matrix
+                // and the lookup buffer only grow: every row and slot a stage
+                // reads is written first.
+                if !self.reuses_key(stage) {
+                    grow(&mut scratch.keys, alive_len * width, 0);
+                    table.key().gather_into(
+                        scratch.alive.iter().map(|&i| frame_of(&spans[i as usize])),
+                        &mut scratch.keys[..alive_len * width],
+                    );
+                    scratch.keys_built += alive_len as u64;
+                    lap(
+                        &mut stamp,
+                        sink,
+                        StageKind::KeyExtract,
+                        Some(stage),
+                        alive_len as u64,
+                    );
+                }
+                grow(
+                    &mut scratch.lookups,
+                    alive_len,
+                    (Action::NoOp, LookupOutcome::Miss),
                 );
-                scratch.keys_built += alive_len as u64;
+                let lookups = &mut scratch.lookups[..alive_len];
+                table.lookup_batch(&scratch.keys, width, &mut [], lookups);
                 lap(
                     &mut stamp,
                     sink,
-                    StageKind::KeyExtract,
+                    StageKind::Lookup,
+                    Some(stage),
+                    alive_len as u64,
+                );
+                let outcomes = lookups.iter().map(|&(_, outcome)| outcome);
+                Combine::count_lookups(counters, stage, outcomes);
+                // Combine, compacting the alive set in place — and the key
+                // rows with it, when the next stage will read them.
+                let keep_keys = self.reuses_key(stage + 1);
+                let mut kept = 0usize;
+                for (j, &(action, outcome)) in lookups.iter().enumerate() {
+                    let i = scratch.alive[j] as usize;
+                    let tally = &mut scratch.tally[i];
+                    if combine.stage(stage, action, outcome, tally, counters) {
+                        continue;
+                    }
+                    scratch.alive[kept] = i as u32;
+                    if keep_keys && kept != j {
+                        scratch
+                            .keys
+                            .copy_within(j * width..(j + 1) * width, kept * width);
+                    }
+                    kept += 1;
+                }
+                scratch.alive.truncate(kept);
+                lap(
+                    &mut stamp,
+                    sink,
+                    StageKind::Apply,
                     Some(stage),
                     alive_len as u64,
                 );
             }
-            grow(
-                &mut scratch.lookups,
-                alive_len,
-                (Action::NoOp, LookupOutcome::Miss),
-            );
-            let lookups = &mut scratch.lookups[..alive_len];
-            table.lookup_batch(&scratch.keys, width, &mut [], lookups);
-            lap(
-                &mut stamp,
-                sink,
-                StageKind::Lookup,
-                Some(stage),
-                alive_len as u64,
-            );
-            let outcomes = lookups.iter().map(|&(_, outcome)| outcome);
-            Combine::count_lookups(counters, stage, outcomes);
-            // Combine, compacting the alive set in place — and the key
-            // rows with it, when the next stage will read them.
-            let keep_keys = self.reuses_key(stage + 1);
-            let mut kept = 0usize;
-            for (j, &(action, outcome)) in lookups.iter().enumerate() {
-                let i = scratch.alive[j] as usize;
-                let tally = &mut scratch.tally[i];
-                if combine.stage(stage, action, outcome, tally, counters) {
-                    if stage < last_stage && !tally.is_dropped() {
-                        scratch.exited += 1;
-                    }
-                    continue;
-                }
-                scratch.alive[kept] = i as u32;
-                if keep_keys && kept != j {
-                    scratch
-                        .keys
-                        .copy_within(j * width..(j + 1) * width, kept * width);
-                }
-                kept += 1;
-            }
-            scratch.alive.truncate(kept);
-            lap(
-                &mut stamp,
-                sink,
-                StageKind::Apply,
-                Some(stage),
-                alive_len as u64,
-            );
         }
 
         // Deferred frame-order pass: form and count each verdict and emit
@@ -358,6 +395,41 @@ impl ReadPipeline {
             });
         }
         lap(&mut stamp, sink, StageKind::Report, None, n as u64);
+    }
+
+    /// The batched vote's probe and replay: each alive frame's key, gathered
+    /// into `scratch`, probed once through `fused`, its stage outcomes
+    /// counted and combined in stage order until the vote is decided. Out
+    /// of line, so the first-hit walker's loops compile as they would
+    /// alone.
+    #[inline(never)]
+    fn vote_walk(
+        &self,
+        fused: &VoteIndex,
+        counters: &mut SwitchCounters,
+        scratch: &mut BatchScratch,
+    ) {
+        let combine = Combine::of(self.vote);
+        let last_stage = self.stages.len().saturating_sub(1);
+        let BatchScratch {
+            keys,
+            alive,
+            tally,
+            exited,
+            ..
+        } = scratch;
+        fused.walk_batch(keys, alive.len(), |j, stage, action, outcome| {
+            Combine::count_lookups(counters, stage, std::iter::once(outcome));
+            let decided = combine.stage(
+                stage,
+                action,
+                outcome,
+                &mut tally[alive[j] as usize],
+                counters,
+            );
+            *exited += u64::from(decided && stage < last_stage);
+            decided
+        });
     }
 
     /// [`ReadPipeline::process_batch_with`] without telemetry.
@@ -397,8 +469,9 @@ fn grow<T: Clone>(buf: &mut Vec<T>, len: usize, fill: T) {
 /// scratch belongs to one worker; it carries no state across batches.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
-    /// Contiguous key matrix: a row of the current stage's key width per
-    /// alive frame (rows past `alive.len()` are stale).
+    /// Contiguous key matrix: a row of the current stage's key width — a
+    /// vote's union key — per alive frame (rows past `alive.len()` are
+    /// stale).
     keys: Vec<u8>,
     /// Per-alive-frame lookup results for the current stage (slots past
     /// the stage's alive count are stale).
@@ -422,18 +495,19 @@ impl BatchScratch {
         BatchScratch::default()
     }
 
-    /// Frames in the most recent batch whose ensemble vote early-exited
-    /// before the last stage — i.e. frames that actually skipped per-tree
-    /// lookups. Always 0 for pipelines without a
-    /// [`VoteStage`].
+    /// Frames in the most recent batch whose ensemble vote was decided by
+    /// the early exit before the last stage: their verdict and per-stage
+    /// counts stop there. No lookup is skipped — one probe answered every
+    /// stage — only the rest of the walk over its words. Always 0 for
+    /// pipelines without a [`VoteStage`].
     pub fn vote_early_exits(&self) -> u64 {
         self.exited
     }
 
-    /// Keys gathered from frame bytes in the most recent batch: one per
-    /// frame alive at the first stage of each run of stages with equal
-    /// key layouts — a forest whose trees share the selected bytes
-    /// gathers one key per parsed frame, however many trees vote.
+    /// Keys gathered from frame bytes in the most recent batch: under a
+    /// vote, one per parsed frame, however many trees vote; under
+    /// first-hit, one per frame alive at the first stage of each run of
+    /// stages with equal key layouts.
     pub fn keys_built(&self) -> u64 {
         self.keys_built
     }

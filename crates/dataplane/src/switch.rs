@@ -259,6 +259,7 @@ impl Switch {
             self.default_port,
             version,
             self.vote,
+            Some(prev),
         )
     }
 }

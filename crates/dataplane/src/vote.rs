@@ -20,8 +20,11 @@
 //! The optional [`EarlyExit`] is pForest-style certainty-based truncation
 //! and is part of the verdict *semantics*: every walker applies the
 //! identical stopping rule through `Combine::stage`, so they stay
-//! bit-identical; the batched walker additionally skips whole per-tree
-//! table lookups for frames that already exited.
+//! bit-identical — the verdict, the per-stage counts and the reported
+//! `(stage, rank)` stop where the vote is decided. It saves no lookup on
+//! the batched walker, which answers every tree from one probe per frame
+//! of an index fused over all the stages; it only ends that frame's walk
+//! over the probe's words. The per-frame walkers still stop looking up.
 
 use crate::action::{Action, Verdict};
 use crate::compiled::{LookupOutcome, Rank};
@@ -92,12 +95,6 @@ impl Tally {
             matched: None,
         }
     }
-
-    /// Whether a stage dropped the frame (as opposed to it leaving the
-    /// walk with its vote decided).
-    pub(crate) fn is_dropped(&self) -> bool {
-        self.dropped
-    }
 }
 
 impl Combine {
@@ -107,8 +104,9 @@ impl Combine {
 
     /// Counts the lookups of stage `stage` into `counters.stages[stage]`.
     /// Every walker reports each lookup it made exactly once: the per-frame
-    /// walkers one at a time, the batched walker a stage's whole alive set
-    /// at once — so the hits are summed here, not in its per-frame loop.
+    /// walkers and the batched vote walk one at a time, the batched
+    /// first-hit walker a stage's whole alive set at once — so the hits are
+    /// summed here, not in its per-frame loop.
     #[inline]
     pub(crate) fn count_lookups(
         counters: &mut SwitchCounters,

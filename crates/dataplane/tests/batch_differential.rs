@@ -6,9 +6,12 @@
 //! counts and per-stage hit counters are all fields of it), and the same
 //! frame-order verdict report stream as calling `process_with` once per
 //! frame. A fixed case beside it walks stages whose key layouts repeat —
-//! the two compiled walkers gather a key once per run of equal layouts —
-//! against the mutable switch, which gathers at every stage, and another
-//! walks stages at a learned guard's scale, whose rows carry a summary.
+//! the compiled walkers gather a key once per run of equal layouts, the
+//! batched one once per frame under a vote —
+//! against the mutable switch, which gathers at every stage, another
+//! walks stages at a learned guard's scale, whose rows carry a summary,
+//! and a last one votes over distinct trees with mixed key layouts, which
+//! the batched walker answers from one fused probe per frame.
 
 use p4guard_dataplane::action::{Action, Verdict};
 use p4guard_dataplane::key::KeyLayout;
@@ -215,15 +218,17 @@ proptest! {
     }
 }
 
-/// Stage layouts (A, A, B, A), A and B equally wide over different bytes:
-/// stage 1 reads the key stage 0 gathered — compacted beside the alive
-/// set when a first-hit drop took frames out at stage 0 — and stages 2
-/// and 3 gather afresh.
+/// Stage layouts (A, A, B, A), A and B equally wide over different bytes.
+/// Under first-hit, stage 1 reads the key stage 0 gathered — compacted
+/// beside the alive set when a drop took frames out at stage 0 — and
+/// stages 2 and 3 gather afresh; under a vote, the batched walker gathers
+/// the union of A and B once per parsed frame.
 /// Under first-hit, a full vote and an early-exit vote, over frames that
 /// include parser rejects and frames too short for every key byte, the
 /// batched walker, the per-frame walker and `Switch::process` (which
 /// gathers at every stage) agree on every verdict and on the counter
-/// block, and `keys_built` counts one key per lookup of stages 0, 2 and 3.
+/// block, and `keys_built` counts one key per lookup of stages 0, 2 and 3
+/// under first-hit, one per parsed frame under a vote.
 #[test]
 fn runs_of_equal_layouts_gather_one_key() {
     let a = KeyLayout::new(vec![0, 2]);
@@ -328,14 +333,19 @@ fn runs_of_equal_layouts_gather_one_key() {
             Some(VoteStage { early_exit: None }) => assert_eq!(lookups(3), lookups(0)),
             Some(_) => assert!(lookups(3) < lookups(0), "decided votes leave early"),
         }
-        assert_eq!(
-            batch_scratch.keys_built(),
-            lookups(0) + lookups(2) + lookups(3),
-            "one gather per run of equal layouts, vote {vote:?}"
-        );
-        if vote == Some(VoteStage::majority()) {
-            let parsed = batch_counters.received - batch_counters.parser_rejected;
-            assert_eq!(batch_scratch.keys_built(), parsed * 3);
+        let parsed = batch_counters.received - batch_counters.parser_rejected;
+        if vote.is_none() {
+            assert_eq!(
+                batch_scratch.keys_built(),
+                lookups(0) + lookups(2) + lookups(3),
+                "one gather per run of equal layouts"
+            );
+        } else {
+            assert_eq!(
+                batch_scratch.keys_built(),
+                parsed,
+                "one gather per parsed frame, vote {vote:?}"
+            );
         }
     }
 }
@@ -381,26 +391,34 @@ fn leaf_boxes(kept: &[usize], depth: usize, next: &mut impl FnMut() -> u8) -> Ve
     boxes
 }
 
-/// Installs `boxes` into a ternary table over an 8-byte window, each box
-/// lowered to the cross product of its per-position prefix covers under a
-/// priority of its own (so no two boxes' rows fold together, and
-/// minimization, over disjoint boxes, folds each box back into one row).
-/// `action` picks a box's action, `None` leaves it out.
+/// Installs `boxes` — over the key positions `kept` of `layout` — into a
+/// table of `kind`, each box under a priority of its own (so no two boxes'
+/// rows fold together). A range table takes a box as one entry; a ternary
+/// one takes the cross product of its per-position prefix covers, which
+/// minimization, over disjoint boxes, folds back into one row. `action`
+/// picks a box's action, `None` leaves it out.
 fn stage_of(
+    layout: &KeyLayout,
+    kind: MatchKind,
     kept: &[usize],
     boxes: &[Vec<(u8, u8)>],
     action: impl Fn(usize) -> Option<Action>,
 ) -> Table {
-    let mut table = Table::new(
-        "learned",
-        MatchKind::Ternary,
-        KeyLayout::window(8),
-        1 << 16,
-        Action::NoOp,
-    );
+    let width = layout.width();
+    let mut table = Table::new("learned", kind, layout.clone(), 1 << 16, Action::NoOp);
     for (j, leaf) in boxes.iter().enumerate() {
         let Some(action) = action(j) else { continue };
-        let mut rows = vec![(vec![0u8; 8], vec![0u8; 8])];
+        if kind == MatchKind::Range {
+            let (mut lo, mut hi) = (vec![0u8; width], vec![255u8; width]);
+            for (&pos, &(l, h)) in kept.iter().zip(leaf) {
+                (lo[pos], hi[pos]) = (l, h);
+            }
+            table
+                .insert(MatchSpec::Range { lo, hi }, action, -(j as i32))
+                .unwrap();
+            continue;
+        }
+        let mut rows = vec![(vec![0u8; width], vec![0u8; width])];
         for (&pos, &(lo, hi)) in kept.iter().zip(leaf) {
             rows = rows
                 .iter()
@@ -425,10 +443,15 @@ fn stage_of(
 /// The `(stage, rank)` the walkers report for `frame`, re-derived from the
 /// mutable switch's own scans: the last stage that hit before the walk
 /// stopped — at a drop under first-hit, once the vote is decided under a
-/// vote.
-fn scan_matched(sw: &Switch, frame: &[u8], vote: Option<VoteStage>) -> Option<(usize, u32)> {
+/// vote — and whether a vote was decided with a stage still ahead (an
+/// early exit). Frames under 8 bytes are parser rejects.
+fn scan_matched(
+    sw: &Switch,
+    frame: &[u8],
+    vote: Option<VoteStage>,
+) -> (Option<(usize, u32)>, bool) {
     if frame.len() < 8 {
-        return None;
+        return (None, false);
     }
     let (mut attack, mut benign, mut matched) = (0, 0, None);
     for stage in 0..sw.stage_count() {
@@ -443,10 +466,10 @@ fn scan_matched(sw: &Switch, frame: &[u8], vote: Option<VoteStage>) -> Option<(u
             Some(v) => v.early_exit.is_some_and(|e| e.decided(attack, benign)),
         };
         if stop {
-            break;
+            return (matched, vote.is_some() && stage + 1 < sw.stage_count());
         }
     }
-    matched
+    (matched, false)
 }
 
 /// Stages at a learned guard's scale: leaf boxes lowered to prefix cross
@@ -473,7 +496,9 @@ fn learned_scale_stages_on_the_batched_and_vote_paths() {
             let mut frames: Vec<Vec<u8>> = Vec::new();
             for _ in 0..if vote.is_some() { 5 } else { 2 } {
                 let boxes = leaf_boxes(kept, 7, &mut next);
-                let table = stage_of(kept, &boxes, |j| match (vote, j % 5) {
+                let layout = KeyLayout::window(8);
+                let kind = MatchKind::Ternary;
+                let table = stage_of(&layout, kind, kept, &boxes, |j| match (vote, j % 5) {
                     (None, 0 | 3) => Some(Action::Drop),
                     (None, 1) => Some(Action::Count(j as u32 % 3)),
                     (None, 2) => Some(Action::Forward(j as u16)),
@@ -528,7 +553,7 @@ fn learned_scale_stages_on_the_batched_and_vote_paths() {
             };
             let matched: Vec<_> = frames
                 .iter()
-                .map(|f| scan_matched(&sw, f, vote).map(scanned))
+                .map(|f| scan_matched(&sw, f, vote).0.map(scanned))
                 .collect();
             let oracle: Vec<Verdict> = frames.iter().map(|f| sw.process(f)).collect();
             assert!(oracle.contains(&Verdict::Drop));
@@ -582,6 +607,204 @@ fn learned_scale_stages_on_the_batched_and_vote_paths() {
                 matched,
                 "batched (stage, rank), {case}"
             );
+        }
+    }
+}
+
+/// A vote over trees that differ, on the batched walker's one probe per
+/// frame: five distinct trees — ternary and range, over five key layouts
+/// that are windows, strides, scattered and unsorted offsets, one offset
+/// read twice — whose rows total more than 256, so the fused rows carry
+/// summaries and a tree's ranks straddle words; the same trees with a
+/// benign-only (empty) stage and an exact stage among them; and a vote of
+/// no stages at all. Under `VoteStage::majority()` and
+/// `EarlyExit::sound_majority(5)`, over frames that hit each box's corners,
+/// frames too short for the deepest offsets (zero-padded) and parser
+/// rejects, the batched walker, the per-frame walker and `Switch::process`
+/// agree on every verdict, on the counter block (per-stage hits and misses
+/// included), on the early exits and on the `(stage, rank)` each frame
+/// reports, compared as the `(stage, priority, action)` it names.
+#[test]
+fn distinct_trees_vote_on_one_fused_probe() {
+    let trees: [(KeyLayout, MatchKind, &[usize]); 5] = [
+        (KeyLayout::window(8), MatchKind::Ternary, &[0, 1, 2, 3, 4]),
+        (
+            KeyLayout::new((2..10).collect()),
+            MatchKind::Range,
+            &[0, 2, 3, 5, 7],
+        ),
+        (
+            KeyLayout::new((0..16).step_by(2).collect()),
+            MatchKind::Ternary,
+            &[1, 2, 3, 4, 6],
+        ),
+        (
+            KeyLayout::new(vec![9, 1, 5, 3, 12, 1, 7, 11]),
+            MatchKind::Range,
+            &[0, 1, 3, 5, 6],
+        ),
+        (
+            KeyLayout::new(vec![15, 14, 13, 0]),
+            MatchKind::Range,
+            &[0, 1, 2, 3],
+        ),
+    ];
+    let mut next = stream(0x5eed_f0e5_7000_0005);
+    let mut frames: Vec<Vec<u8>> = Vec::new();
+    let tables: Vec<Table> = trees
+        .iter()
+        .enumerate()
+        .map(|(t, (layout, kind, kept))| {
+            let depth = if *kind == MatchKind::Ternary { 7 } else { 8 };
+            let boxes = leaf_boxes(kept, depth, &mut next);
+            for leaf in &boxes {
+                for corner in [0, 1] {
+                    let mut frame: Vec<u8> = (0..16).map(|_| next()).collect();
+                    for (&pos, &(lo, hi)) in kept.iter().zip(leaf) {
+                        frame[layout.offsets()[pos]] = if corner == 0 { lo } else { hi };
+                    }
+                    frames.push(frame);
+                }
+            }
+            // Each tree keeps its own share of its leaves as attack boxes.
+            stage_of(layout, *kind, kept, &boxes, |j| {
+                ((j + t) % 5 % 2 == 0).then_some(Action::Drop)
+            })
+        })
+        .collect();
+    let mut exact = Table::new(
+        "exact",
+        MatchKind::Exact,
+        KeyLayout::new(vec![3, 13]),
+        64,
+        Action::NoOp,
+    );
+    for k in 0..40u8 {
+        let key = vec![next(), next()];
+        let mut frame: Vec<u8> = (0..16).map(|_| next()).collect();
+        (frame[3], frame[13]) = (key[0], key[1]);
+        frames.push(frame);
+        exact
+            .insert(MatchSpec::Exact(key.clone()), Action::Drop, 1)
+            .unwrap();
+        if k % 8 == 0 {
+            // A shadowed duplicate: the first occurrence wins.
+            let spec = MatchSpec::Exact(key);
+            exact.insert(spec, Action::Forward(2), 0).unwrap();
+        }
+    }
+    frames.extend((0..300).map(|i| (0..[16, 12, 9, 8, 5][i % 5]).map(|_| next()).collect()));
+
+    let empty = || {
+        Table::new(
+            "benign",
+            MatchKind::Ternary,
+            KeyLayout::window(8),
+            8,
+            Action::NoOp,
+        )
+    };
+    let with_others = vec![
+        tables[0].clone(),
+        tables[1].clone(),
+        empty(),
+        tables[3].clone(),
+        exact,
+    ];
+    for (case, stages) in [
+        ("five trees", tables.clone()),
+        ("empty and exact", with_others),
+        ("no stages", vec![]),
+    ] {
+        for vote in [
+            VoteStage::majority(),
+            VoteStage::with_early_exit(EarlyExit::sound_majority(5)),
+        ] {
+            let mut sw = Switch::new("forest", ParserSpec::raw_window(16, 8), 9);
+            for table in &stages {
+                sw.add_stage(table.clone());
+            }
+            sw.set_vote(Some(vote));
+            let pipeline = sw.read_pipeline(1);
+            let rows: usize = pipeline.stages().iter().map(|s| s.minimized_len()).sum();
+            if case == "five trees" {
+                assert!(rows > 256, "{rows} rows");
+            }
+            let scanned = |(stage, rank): (usize, u32)| {
+                let entry = &sw.stage(stage).entries()[rank as usize];
+                (stage, Some(entry.priority), entry.action)
+            };
+            let compiled = |(stage, rank): (usize, u32)| {
+                let table = &pipeline.stages()[stage];
+                let action = table.minimized().entries[rank as usize].action;
+                (stage, table.rank_priority(rank), action)
+            };
+            let scans: Vec<_> = frames
+                .iter()
+                .map(|f| scan_matched(&sw, f, Some(vote)))
+                .collect();
+            let matched: Vec<_> = scans.iter().map(|(m, _)| m.map(scanned)).collect();
+            let exits = scans.iter().filter(|(_, exited)| *exited).count() as u64;
+            let oracle: Vec<Verdict> = frames.iter().map(|f| sw.process(f)).collect();
+
+            let mut per_counters = SwitchCounters::default();
+            let mut per_sink = RecordingSink::default();
+            let mut scratch = Vec::new();
+            let per_frame: Vec<Verdict> = frames
+                .iter()
+                .map(|f| pipeline.process_with(f, &mut per_counters, &mut scratch, &mut per_sink))
+                .collect();
+
+            let mut arena = FrameArena::new(1 << 16);
+            let mut batch_counters = SwitchCounters::default();
+            let mut batch_sink = RecordingSink::default();
+            let mut batch_scratch = BatchScratch::new();
+            let mut batched = Vec::new();
+            let mut batch_exits = 0;
+            for chunk in frames.chunks(256) {
+                for f in chunk {
+                    arena.push(f);
+                }
+                let batch = arena.seal_batch();
+                pipeline.process_batch_with(
+                    batch.data(),
+                    batch.spans(),
+                    &mut batch_counters,
+                    &mut batch_scratch,
+                    &mut batched,
+                    &mut batch_sink,
+                );
+                batch_exits += batch_scratch.vote_early_exits();
+            }
+            let case = format!("{case}, vote {vote:?}");
+            assert_eq!(per_frame, oracle, "per-frame walker, {case}");
+            assert_eq!(batched, oracle, "batched walker, {case}");
+            assert_eq!(&per_counters, sw.counters(), "per-frame counters, {case}");
+            assert_eq!(&batch_counters, sw.counters(), "batched counters, {case}");
+            assert_eq!(batch_exits, exits, "early exits, {case}");
+            let reported = |sink: &RecordingSink| -> Vec<_> {
+                sink.verdicts
+                    .iter()
+                    .map(|&(_, _, m)| m.map(compiled))
+                    .collect()
+            };
+            assert_eq!(
+                reported(&per_sink),
+                matched,
+                "per-frame (stage, rank), {case}"
+            );
+            assert_eq!(
+                reported(&batch_sink),
+                matched,
+                "batched (stage, rank), {case}"
+            );
+            if !stages.is_empty() {
+                assert!(oracle.contains(&Verdict::Drop), "{case}");
+                assert!(oracle.contains(&Verdict::Forward(9)), "{case}");
+            }
+            if vote.early_exit.is_some() && !stages.is_empty() {
+                assert!(exits > 0, "{case}");
+            }
         }
     }
 }

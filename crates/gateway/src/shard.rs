@@ -56,9 +56,10 @@ pub struct ShardStats {
     /// `p4guard_batch_fill` gauge: `processed / frame_batches`).
     #[serde(default)]
     pub frame_batches: u64,
-    /// Frames whose ensemble vote early-exited before the last per-tree
-    /// stage, skipping the remaining table lookups. Always 0 unless a
-    /// published pipeline carries a
+    /// Frames whose ensemble vote the early exit decided before the last
+    /// per-tree stage: their verdict and per-stage counts stop there (one
+    /// probe answered every tree, so no lookup is skipped). Always 0
+    /// unless a published pipeline carries a
     /// [`VoteStage`](p4guard_dataplane::vote::VoteStage) with an early
     /// exit.
     #[serde(default)]
