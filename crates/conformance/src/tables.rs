@@ -112,8 +112,8 @@ fn table_with<R: Rng>(rng: &mut R, kind: MatchKind, width: usize, specs: Vec<Mat
 /// Builds the `index`-th adversarial table.
 ///
 /// The first indices are fixed archetypes that guarantee every match kind
-/// and so every compiled strategy (`exact-hash`, `bit-vector` from range,
-/// ternary and LPM) appears in a run; later indices are fully randomized.
+/// appears in a run, each lowered to the one compiled strategy
+/// (`bit-vector`); later indices are fully randomized.
 pub fn adversarial_table<R: Rng>(rng: &mut R, index: usize) -> AdversarialTable {
     let table = match index {
         // Exact, with duplicate values (first insert must win ties).
@@ -266,7 +266,7 @@ mod tests {
             })
             .collect();
         for want in [
-            (MatchKind::Exact, "exact-hash"),
+            (MatchKind::Exact, "bit-vector"),
             (MatchKind::Lpm, "bit-vector"),
             (MatchKind::Range, "bit-vector"),
             (MatchKind::Ternary, "bit-vector"),

@@ -112,11 +112,9 @@ fn compiled_tables_agree_with_reference_scan() {
         failures.len(),
         failures.join("\n")
     );
-    // The generator must actually exercise every engine.
-    for want in ["exact-hash", "bit-vector"] {
-        assert!(
-            strategies.contains(want),
-            "strategy {want} never compiled; saw {strategies:?}"
-        );
-    }
+    // The generator must actually exercise the engine.
+    assert!(
+        strategies.contains("bit-vector"),
+        "strategy bit-vector never compiled; saw {strategies:?}"
+    );
 }

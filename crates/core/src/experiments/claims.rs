@@ -141,7 +141,7 @@ pub(super) const CLAIMS: &[(&str, &str, Holds)] = &[
     ("f16_forest", "early exits are at most the frames", |r| num(r, "live.vote_exits") <= num(r, "live.frames")),
     ("f17_lookup", "six series at five sizes", |r| rows(r, "points").len() == 30),
     ("f17_lookup", "every scan and compiled rate is positive", |r| all(r, "points", |p| num(p, "scan_pps") > 0.0 && num(p, "compiled_pps") > 0.0)),
-    ("f17_lookup", "exact tables compile to the hash index", |r| all(r, "points", |p| text(p, "series") != "exact" || text(p, "strategy") == "exact-hash")),
+    ("f17_lookup", "exact tables compile to the bit-vector", |r| all(r, "points", |p| text(p, "series") != "exact" || text(p, "strategy") == "bit-vector")),
     ("f17_lookup", "exact at 1,024 entries: > 2x the scan", |r| { let p = at(r, "points.3"); text(p, "series") == "exact" && num(p, "entries") == 1024.0 && num(p, "speedup") > 2.0 }),
     ("f18_adapt", "two recovery paths", |r| rows(r, "paths").len() == 2),
     ("f18_adapt", "the shifted regime is promoted fleet-wide", |r| text(r, "paths.path=promote.outcome") == "promoted" && yes(r, "paths.path=promote.fleet_converged")),

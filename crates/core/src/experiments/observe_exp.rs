@@ -52,9 +52,11 @@ pub struct TracedReplay {
     pub exemplar_spans: usize,
     /// Name of the slowest stage child in the exemplar tree.
     pub slow_stage: String,
-    /// Σ(stage child durations) / root frame-span duration. The stage
-    /// laps bracket the same interval the frame latency measures, so this
-    /// sits near 1; slack absorbs timer quantisation on fast batches.
+    /// Σ(stage child durations) / Σ(root frame-span durations) over every
+    /// sampled frame tree in the trace store. The stage laps bracket the
+    /// same interval the frame latency measures, so this sits near 1;
+    /// slack absorbs timer quantisation on fast batches and the queue and
+    /// preemption waits a root span holds and its laps do not.
     pub stage_sum_ratio: f64,
 }
 
@@ -175,16 +177,25 @@ fn traced_replay(seed: u64, shards: usize) -> TracedReplay {
         (Some(root), None) if root.name == "frame" => root.clone(),
         _ => panic!("exemplar must resolve to exactly one frame root span: {spans:?}"),
     };
-    let children: Vec<_> = spans
+    let slow_stage = spans
         .iter()
         .filter(|s| s.parent_id == Some(root.span_id))
-        .collect();
-    let slow_stage = children
-        .iter()
         .max_by_key(|s| s.duration_ns)
         .map(|s| s.name.clone())
         .unwrap_or_default();
-    let stage_sum: u64 = children.iter().map(|s| s.duration_ns).sum();
+    // Every frame tree the store holds, not one exemplar: a frame that
+    // waited between its laps reads far under 1 on a loaded box.
+    let stored = telemetry.traces.recent(usize::MAX);
+    let frames: std::collections::HashSet<u64> = stored
+        .iter()
+        .filter(|s| s.parent_id.is_none() && s.name == "frame")
+        .map(|s| s.span_id)
+        .collect();
+    let sum = |of: &dyn Fn(&p4guard_telemetry::SpanRecord) -> bool| -> u64 {
+        stored.iter().filter(|s| of(s)).map(|s| s.duration_ns).sum()
+    };
+    let root_sum = sum(&|s| frames.contains(&s.span_id));
+    let stage_sum = sum(&|s| s.parent_id.is_some_and(|p| frames.contains(&p)));
     TracedReplay {
         frames: live.snapshot.totals.received,
         traces: telemetry.traces.recent_trace_ids(usize::MAX).len(),
@@ -192,7 +203,7 @@ fn traced_replay(seed: u64, shards: usize) -> TracedReplay {
         exemplar_trace,
         exemplar_spans: spans.len(),
         slow_stage,
-        stage_sum_ratio: stage_sum as f64 / root.duration_ns.max(1) as f64,
+        stage_sum_ratio: stage_sum as f64 / root_sum.max(1) as f64,
     }
 }
 

@@ -1,5 +1,5 @@
-//! Compile-at-publish lookup engines: a frozen [`Table`] lowered into the
-//! data structure a real P4 target would use for its match kind.
+//! Compile-at-publish lookup engine: a frozen [`Table`] lowered into the
+//! data structure a real P4 target's TCAM stands for.
 //!
 //! The mutable [`Table`] keeps its priority-ordered linear scan — the
 //! control plane mutates it and scan is the simplest correct structure for
@@ -8,24 +8,25 @@
 //! arbitrary compile work at publish time is free under the RCU scheme,
 //! and the per-packet cost stops growing row by row with ruleset size:
 //!
-//! | match kind          | engine                        | per-lookup cost                   |
-//! |---------------------|-------------------------------|-----------------------------------|
-//! | exact               | hash index on the key bytes   | O(1)                              |
-//! | ternary, range, LPM | per-byte bit-vector intersect | O(kept × live words), early-exit  |
+//! | match kind                 | engine                        | per-lookup cost                   |
+//! |----------------------------|-------------------------------|-----------------------------------|
+//! | exact, ternary, range, LPM | per-byte bit-vector intersect | O(kept × live words), early-exit  |
 //!
-//! Ternary, range and LPM entries are all conjunctions of per-byte
-//! predicates — a prefix fixes the leading bits of the bytes it covers, and
-//! its priority is its length, so longest-first is the match order — and
-//! one engine serves every wildcard table: each key byte selects the
-//! bitmap of entries that accept it at that position, the bitmaps are
-//! ANDed 64 entries per word — a TCAM's parallel compare done in software
-//! (Lakshman & Stiliadis, SIGCOMM '98) — and the lowest set bit is the
-//! first match in priority order. A key reads each position's class once,
-//! into the offsets of the rows it selects. A bitmap of more than four
-//! words (256 entries) carries a summary, one bit per word telling
+//! Every entry is a conjunction of per-byte predicates — an exact key
+//! accepts one byte at each position, a prefix fixes the leading bits of
+//! the bytes it covers, and its priority is its length, so longest-first is
+//! the match order — and one engine serves every table: each key byte
+//! selects the bitmap of entries that accept it at that position, the
+//! bitmaps are ANDed 64 entries per word — a TCAM's parallel compare done
+//! in software (Lakshman & Stiliadis, SIGCOMM '98) — and the lowest set bit
+//! is the first match in priority order. A key reads each position's class
+//! once, into the offsets of the rows it selects. A bitmap of more than
+//! four words (256 entries) carries a summary, one bit per word telling
 //! whether it holds any bit at all, and the probe ANDs the summaries first
 //! and visits only the words left standing (Baboescu & Varghese's
-//! aggregated bit vector, SIGCOMM '01).
+//! aggregated bit vector, SIGCOMM '01). One walk, `probe_key`, answers a
+//! range of ranks: a table's lookup is the range of all its ranks, and a
+//! vote's fused index (`VoteIndex`) is walked one stage's range at a time.
 //!
 //! Semantics are pinned to [`Table::peek`]: the winning entry is the first
 //! match in priority order (insertion order among equal priorities), and a
@@ -38,7 +39,7 @@ use crate::byteset::{ByteSet, ByteSetMap};
 use crate::key::KeyLayout;
 use crate::minimize::{self, Edit, MinEntry, MinimizedTable};
 use crate::table::{MatchKind, Revision, Table, TableId};
-use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Rank of an entry in the frozen match order of the *minimized* entry
@@ -62,7 +63,7 @@ pub enum LookupOutcome {
     WrongWidth,
 }
 
-/// The wildcard engine behind every ternary, range and LPM table. Per key
+/// The engine behind every table, whatever its match kind. Per key
 /// position, the 256 byte values fall into *classes* no entry can tell
 /// apart there, and each class owns one row: a bitmap, by [`Rank`], of the
 /// entries that accept its bytes. A key selects one row per position; the
@@ -125,14 +126,6 @@ impl Partition {
             .zip(&coarser.of)
             .all(|(&class, &outer)| *inside[usize::from(class)].get_or_insert(outer) == outer)
     }
-}
-
-#[derive(Debug, Clone)]
-enum Engine {
-    /// Exact: one hash probe on the raw key bytes.
-    ExactHash(HashMap<Vec<u8>, (Rank, Action)>),
-    /// Ternary, range and LPM: per-byte bit-vector intersect.
-    BitVector(BitVector),
 }
 
 /// The partition of the 256 byte values at one key position into classes,
@@ -244,14 +237,11 @@ impl Classes {
     }
 }
 
-/// The kept positions of `stage`, whose engine is `engine`, that read the
-/// frame byte at `offset`: each as (kept index, first row there).
-fn kept_at<'a>(
-    stage: &'a CompiledTable,
-    engine: &'a BitVector,
-    offset: usize,
-) -> impl Iterator<Item = (usize, usize)> + 'a {
+/// The kept positions of `stage` that read the frame byte at `offset`:
+/// each as (kept index, first row there).
+fn kept_at(stage: &CompiledTable, offset: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
     let mut first = 0;
+    let engine = &stage.engine;
     let kept = engine.positions.iter().zip(&engine.partitions).enumerate();
     kept.filter_map(move |(i, (&pos, partition))| {
         let row = first;
@@ -757,7 +747,7 @@ impl BitVector {
     }
 }
 
-/// What a wildcard engine answers, whatever its classes and row layout:
+/// What an engine answers, whatever its classes and row layout:
 /// two engines over the same minimized entries have equal forms exactly
 /// when every key reads the same bits from them. For differential tests
 /// (see [`CompiledTable::wildcard_form`]).
@@ -788,17 +778,17 @@ pub struct CompiledTable {
     default_action: Action,
     len: usize,
     min: MinimizedTable,
-    engine: Engine,
+    engine: BitVector,
 }
 
 impl CompiledTable {
-    /// Lowers a frozen table into the lookup engine for its match kind,
-    /// minimizing the entry list first (see [`crate::minimize`]): the
-    /// engine indexes the minimized entries, while [`CompiledTable::len`]
-    /// keeps reporting the source entry count.
+    /// Lowers a frozen table into the bit-vector engine, minimizing the
+    /// entry list first (see [`crate::minimize`]): the engine indexes the
+    /// minimized entries, while [`CompiledTable::len`] keeps reporting the
+    /// source entry count.
     pub fn compile(table: &Table) -> Self {
         let min = minimize::minimize(table.kind(), table.entries());
-        let engine = Self::build_engine(table.kind(), &min.entries, table.key().width());
+        let engine = BitVector::build(&min.entries, table.key().width());
         CompiledTable {
             table: table.id(),
             revision: table.revision(),
@@ -821,9 +811,9 @@ impl CompiledTable {
     ///    `Arc` is returned as-is (structural sharing across pipeline
     ///    versions);
     /// 2. the same table, changed by additions and removals — the
-    ///    minimized list is patched ([`MinimizedTable::patch`]) and a
-    ///    wildcard engine is spliced from the previous one by the same
-    ///    edit rather than built. A removed
+    ///    minimized list is patched ([`MinimizedTable::patch`]) and the
+    ///    engine is spliced from the previous one by the same edit rather
+    ///    than built. A removed
     ///    [`SourceClass::Clean`](minimize::SourceClass::Clean) entry is
     ///    dropped, a removed
     ///    [`SourceClass::Eliminated`](minimize::SourceClass::Eliminated)
@@ -882,11 +872,7 @@ impl CompiledTable {
         let Some((min, edit)) = prev.min.patch(entries) else {
             return Arc::new(Self::compile(table));
         };
-        let width = prev.key.width();
-        let engine = match &prev.engine {
-            Engine::BitVector(index) => Engine::BitVector(index.splice(&min.entries, width, &edit)),
-            Engine::ExactHash(_) => Self::compile_exact(&min.entries),
-        };
+        let engine = prev.engine.splice(&min.entries, prev.key.width(), &edit);
         Arc::new(CompiledTable {
             table: prev.table,
             revision: table.revision(),
@@ -898,26 +884,6 @@ impl CompiledTable {
             min,
             engine,
         })
-    }
-
-    fn build_engine(kind: MatchKind, entries: &[MinEntry], width: usize) -> Engine {
-        match kind {
-            MatchKind::Exact => Self::compile_exact(entries),
-            MatchKind::Lpm | MatchKind::Range | MatchKind::Ternary => {
-                Engine::BitVector(BitVector::build(entries, width))
-            }
-        }
-    }
-
-    fn compile_exact(entries: &[MinEntry]) -> Engine {
-        let mut map = HashMap::with_capacity(entries.len());
-        for (rank, entry) in entries.iter().enumerate() {
-            // An exact key accepts one byte at each position. First
-            // occurrence in match order wins duplicates.
-            let key = entry.sets.iter().map(ByteSet::first).collect();
-            map.entry(key).or_insert((rank as Rank, entry.action));
-        }
-        Engine::ExactHash(map)
     }
 
     /// Table name (copied from the source table).
@@ -935,7 +901,7 @@ impl CompiledTable {
         &self.key
     }
 
-    /// Entries compiled in (counting duplicates shadowed by hashing).
+    /// Entries compiled in (counting those minimization folded or dropped).
     pub fn len(&self) -> usize {
         self.len
     }
@@ -970,12 +936,10 @@ impl CompiledTable {
         self.default_action
     }
 
-    /// The wildcard engine's [`WildcardForm`]; `None` for an exact table.
+    /// The engine's [`WildcardForm`].
     #[doc(hidden)]
-    pub fn wildcard_form(&self) -> Option<WildcardForm> {
-        let Engine::BitVector(index) = &self.engine else {
-            return None;
-        };
+    pub fn wildcard_form(&self) -> WildcardForm {
+        let index = &self.engine;
         let stride = index.stride();
         let mut every = vec![0; index.summary];
         every.extend(index.every_rank());
@@ -991,11 +955,11 @@ impl CompiledTable {
                 None => rows.extend(std::iter::repeat_n(&every, 256).cloned()),
             }
         }
-        Some(WildcardForm {
+        WildcardForm {
             positions: index.positions.clone(),
             rows,
             actions: index.actions.clone(),
-        })
+        }
     }
 
     /// This table with its engine built in full over its own minimized
@@ -1004,18 +968,15 @@ impl CompiledTable {
     #[doc(hidden)]
     pub fn rebuilt(&self) -> CompiledTable {
         CompiledTable {
-            engine: Self::build_engine(self.kind, &self.min.entries, self.key.width()),
+            engine: BitVector::build(&self.min.entries, self.key.width()),
             ..self.clone()
         }
     }
 
-    /// The engine behind this table's match kind: `"exact-hash"` or
-    /// `"bit-vector"` (ternary, range and LPM).
+    /// The engine behind this table: `"bit-vector"`, whatever its match
+    /// kind (reports and the benchmark's engine fixtures print it).
     pub fn strategy(&self) -> &'static str {
-        match &self.engine {
-            Engine::ExactHash(_) => "exact-hash",
-            Engine::BitVector(_) => "bit-vector",
-        }
+        "bit-vector"
     }
 
     /// Looks up `key`, returning the selected action (the default on miss).
@@ -1041,29 +1002,18 @@ impl CompiledTable {
         if key.len() != width {
             return (self.default_action, LookupOutcome::WrongWidth);
         }
-        let miss = (self.default_action, LookupOutcome::Miss);
-        match &self.engine {
-            Engine::ExactHash(map) => probe_exact(map, key, miss),
-            Engine::BitVector(index) => {
-                let mut out = [miss];
-                // One word a row is read once: a one-key probe of such a
-                // table holds no row offsets, so it zeroes none.
-                if index.stride() == 1 {
-                    probe_batch::<0>(index, key, width, miss, &mut out);
-                } else {
-                    probe_batch::<HELD>(index, key, width, miss, &mut out);
-                }
-                out[0]
-            }
-        }
+        let mut out = [(self.default_action, LookupOutcome::Miss)];
+        self.engine
+            .first_hits(key, width, self.default_action, &mut out);
+        out[0]
     }
 
     /// Looks up a whole batch of keys packed contiguously in `keys` with
     /// `stride` bytes per key, writing one `(action, outcome)` per key into
     /// `out` (`out.len()` keys are consumed). Results are identical to
     /// calling [`CompiledTable::lookup_traced`] per key — the batch form
-    /// exists so the engine dispatch is resolved **once per batch** and the
-    /// per-engine loop runs tight over the contiguous key matrix.
+    /// exists so the engine's shape is resolved **once per batch** and the
+    /// probe loop runs tight over the contiguous key matrix.
     ///
     /// A `stride` different from the compiled key width reports
     /// [`LookupOutcome::WrongWidth`] for every key, mirroring the
@@ -1088,15 +1038,8 @@ impl CompiledTable {
             out.fill((self.default_action, LookupOutcome::WrongWidth));
             return;
         }
-        let miss = (self.default_action, LookupOutcome::Miss);
-        match &self.engine {
-            Engine::ExactHash(map) => {
-                for (j, o) in out.iter_mut().enumerate() {
-                    *o = probe_exact(map, &keys[j * stride..][..width], miss);
-                }
-            }
-            Engine::BitVector(index) => probe_batch::<HELD>(index, keys, width, miss, out),
-        }
+        self.engine
+            .first_hits(keys, width, self.default_action, out);
     }
 
     /// Allocating convenience wrapper around [`CompiledTable::lookup`];
@@ -1126,9 +1069,6 @@ pub(crate) struct VoteIndex {
     /// spliced, so its own partitions and members stay empty.
     index: BitVector,
     stages: Vec<FusedStage>,
-    /// Stage by stage, each entry word a stage's ranks fall in, with the
-    /// mask of its ranks there: a stage's lookup reads only these.
-    segments: Vec<(usize, u64)>,
 }
 
 /// The union key of a [`VoteIndex`] and, per fused position, its classes:
@@ -1143,12 +1083,11 @@ struct FusedShape {
 /// Where one stage sits in a [`VoteIndex`].
 #[derive(Debug, Clone, PartialEq)]
 struct FusedStage {
-    /// Its first rank: a fused rank less this is the stage's own.
-    base: usize,
+    /// Its ranks, in stage order: a fused rank less their start is the
+    /// stage's own.
+    ranks: Range<usize>,
     /// What its miss selects.
     default: Action,
-    /// Its words in [`VoteIndex::segments`].
-    segments: std::ops::Range<usize>,
 }
 
 impl VoteIndex {
@@ -1156,10 +1095,7 @@ impl VoteIndex {
     /// refining partitions and shifting rows is what makes it cheap enough
     /// to run on every publish. A position whose partition equals the
     /// refinement so far (every tree of a forest cut alike there) refines
-    /// nothing. An exact stage's hash is read as the bit-vector over its
-    /// one-byte boxes, where the lowest rank wins a duplicate key just as
-    /// the first occurrence does in the hash. `prev` is the index over the
-    /// previous snapshot's stages, and the new one is respliced from it
+    /// nothing. `prev` is the index over the previous snapshot's stages, and the new one is respliced from it
     /// where that applies (see [`VoteIndex::respliced`]).
     pub(crate) fn derive(
         stages: &[Arc<CompiledTable>],
@@ -1168,20 +1104,7 @@ impl VoteIndex {
         if let Some(index) = prev.and_then(|(index, old)| index.respliced(old, stages)) {
             return index;
         }
-        let exact: Vec<BitVector> = stages
-            .iter()
-            .filter(|stage| matches!(stage.engine, Engine::ExactHash(_)))
-            .map(|stage| BitVector::build(&stage.min.entries, stage.key.width()))
-            .collect();
-        // Each exact stage takes its build, in stage order.
-        let mut exact = exact.iter();
-        let engines: Vec<&BitVector> = stages
-            .iter()
-            .filter_map(|stage| match &stage.engine {
-                Engine::BitVector(index) => Some(index),
-                Engine::ExactHash(_) => exact.next(),
-            })
-            .collect();
+        let engines: Vec<&BitVector> = stages.iter().map(|stage| &stage.engine).collect();
         let key = KeyLayout::union(stages.iter().zip(&engines).flat_map(|(stage, engine)| {
             engine.positions.iter().map(|&pos| stage.key.offsets()[pos])
         }));
@@ -1283,31 +1206,15 @@ impl VoteIndex {
         stages: &[Arc<CompiledTable>],
         bases: &[usize],
     ) -> VoteIndex {
-        let mut segments = Vec::new();
-        let stages = stages.iter().zip(bases.windows(2)).map(|(stage, range)| {
-            let (lo, hi) = (range[0], range[1]);
-            let from = segments.len();
-            let words = if lo < hi {
-                lo / 64..hi.div_ceil(64)
-            } else {
-                0..0
-            };
-            for word in words {
-                let (start, end) = (lo.max(word * 64), hi.min(word * 64 + 64));
-                let mask = (u64::MAX >> (64 - (end - start))) << (start - word * 64);
-                segments.push((word, mask));
-            }
-            FusedStage {
-                base: lo,
-                default: stage.default_action,
-                segments: from..segments.len(),
-            }
+        let stages = stages.iter().zip(bases.windows(2));
+        let stages = stages.map(|(stage, range)| FusedStage {
+            ranks: range[0]..range[1],
+            default: stage.default_action,
         });
         VoteIndex {
             shape,
             index,
             stages: stages.collect(),
-            segments,
         }
     }
 
@@ -1338,12 +1245,9 @@ impl VoteIndex {
         let mut cut = false;
         for (s, (was, now)) in old.iter().zip(stages).enumerate() {
             if Arc::ptr_eq(was, now) {
-                actions.extend_from_slice(&self.index.actions[self.ranks(s)]);
+                actions.extend_from_slice(&self.index.actions[self.stages[s].ranks.clone()]);
             } else {
-                let (Engine::BitVector(a), Engine::BitVector(b)) = (&was.engine, &now.engine)
-                else {
-                    return None;
-                };
+                let (a, b) = (&was.engine, &now.engine);
                 let pairs = a.partitions.iter().zip(&b.partitions);
                 if was.key != now.key
                     || a.positions != b.positions
@@ -1394,14 +1298,11 @@ impl VoteIndex {
                 cells.clear();
                 cells.extend_from_slice(here);
                 for (was, now) in old.iter().zip(stages) {
-                    let (Engine::BitVector(a), Engine::BitVector(b)) = (&was.engine, &now.engine)
-                    else {
-                        continue;
-                    };
                     if Arc::ptr_eq(was, now) {
                         continue;
                     }
-                    for (i, first) in kept_at(now, b, offset) {
+                    let (a, b) = (&was.engine, &now.engine);
+                    for (i, first) in kept_at(now, offset) {
                         if a.partitions[i] != b.partitions[i] {
                             let theirs = &b.members[first..first + b.partitions[i].count];
                             meet(&mut cells, theirs, &mut met);
@@ -1432,7 +1333,7 @@ impl VoteIndex {
                         while s < stages.len() && Arc::ptr_eq(&old[s], &stages[s]) {
                             s += 1;
                         }
-                        let (was, to) = (self.ranks(from).start, bases[from]);
+                        let (was, to) = (self.stages[from].ranks.start, bases[from]);
                         or_bits(
                             &old_row[summary..],
                             was,
@@ -1442,17 +1343,13 @@ impl VoteIndex {
                         );
                         continue;
                     }
-                    let Engine::BitVector(engine) = &now.engine else {
-                        return None;
-                    };
-                    let kept = kept_at(now, engine, offset);
                     let ranks = bases[s]..bases[s + 1];
                     fill(
                         &mut row[summary..],
                         ranks,
-                        engine,
+                        &now.engine,
                         cell.first(),
-                        kept,
+                        kept_at(now, offset),
                         &mut picked,
                     );
                     s += 1;
@@ -1472,139 +1369,78 @@ impl VoteIndex {
         Some(VoteIndex::assemble(shape, index, stages, &bases))
     }
 
-    /// The ranks of stage `stage`.
-    fn ranks(&self, stage: usize) -> std::ops::Range<usize> {
-        let end = self
-            .stages
-            .get(stage + 1)
-            .map_or(self.index.actions.len(), |next| next.base);
-        self.stages[stage].base..end
-    }
-
     /// The union key every stage's lookup is answered from.
     pub(crate) fn key(&self) -> &KeyLayout {
         &self.shape.key
     }
 
-    /// One probe per key of the `count` rows of `keys`, `key().width()`
-    /// bytes apart, then its stages' lookups in stage order: `visit(j,
-    /// stage, action, outcome)` gets key `j`'s, each exactly what that
-    /// stage's [`CompiledTable::lookup_traced`] answers, until it returns
-    /// `true` (the vote is decided). The fused words are read in rank
-    /// order, which is stage order, each at most once, and only as far as
-    /// the walk goes.
-    pub(crate) fn walk_batch(
+    /// Every stage's lookup of each key of the matrix, `key().width()`
+    /// bytes apart, one key per slot of `slots`: `visit(slot, stage,
+    /// action, outcome)` gets each, exactly what that stage's
+    /// [`CompiledTable::lookup_traced`] answers, in stage order until it
+    /// returns `true` (the vote is decided). A stage's lookup is the walk
+    /// over its ranks, [`probe_key`] over one range: the key's classes are
+    /// read once, and a word two stages share is ANDed once.
+    pub(crate) fn lookup_batch<T>(
         &self,
         keys: &[u8],
-        count: usize,
-        visit: impl FnMut(usize, usize, Action, LookupOutcome) -> bool,
+        slots: &mut [T],
+        mut visit: impl FnMut(&mut T, usize, Action, LookupOutcome) -> bool,
     ) {
-        // Rows of one word hold no offsets, as in `probe_batch`.
+        // A vote of no stages looks nothing up, and its key has no bytes.
+        if self.stages.is_empty() {
+            return;
+        }
+        let width = self.key().width();
+        // Rows of one word hold no offsets, as in a table's lookup. Each
+        // key's walk is inlined into the per-key loop, so the cursor stays
+        // in registers.
         if self.index.stride() == 1 {
-            self.walk_with::<0>(keys, count, visit);
+            probe_batch::<0, T>(
+                &self.index,
+                keys,
+                width,
+                slots,
+                #[inline(always)]
+                |key, cursor, slot| self.stage_lookups(key, cursor, slot, &mut visit),
+            );
         } else {
-            self.walk_with::<HELD>(keys, count, visit);
+            probe_batch::<HELD, T>(
+                &self.index,
+                keys,
+                width,
+                slots,
+                #[inline(always)]
+                |key, cursor, slot| self.stage_lookups(key, cursor, slot, &mut visit),
+            );
         }
     }
 
-    /// [`VoteIndex::walk_batch`] over each key's bytes read in place or
-    /// through the position list, as [`probe_batch`] reads them.
-    fn walk_with<const N: usize>(
-        &self,
-        keys: &[u8],
-        count: usize,
-        visit: impl FnMut(usize, usize, Action, LookupOutcome) -> bool,
-    ) {
-        let index = &self.index;
-        let kept = index.positions.len().min(HELD);
-        match index.run() {
-            Some(first) => self.walk_keys::<N, _>(keys, count, visit, |key| {
-                key[first..first + kept].iter().copied()
-            }),
-            None => self.walk_keys::<N, _>(keys, count, visit, |key| {
-                index.positions.iter().map(move |&pos| key[pos])
-            }),
-        }
-    }
-
-    fn walk_keys<'k, const N: usize, I: Iterator<Item = u8>>(
-        &self,
-        keys: &'k [u8],
-        count: usize,
-        mut visit: impl FnMut(usize, usize, Action, LookupOutcome) -> bool,
-        bytes: impl Fn(&'k [u8]) -> I,
-    ) {
-        let width = self.shape.key.width();
-        let mut at = [0; N];
-        for j in 0..count {
-            let key = &keys[j * width..][..width];
-            self.walk_key(key, bytes(key), &mut at, |stage, action, outcome| {
-                visit(j, stage, action, outcome)
-            });
-        }
-    }
-
-    /// The walk of one key: [`select`] reads each kept position's class
-    /// once; then, stage by stage, each entry word the stage's ranks fall
-    /// in whose summary bit survives is ANDed ([`walk_rows`]), lowest
-    /// first, until one holds a bit of the stage's — its hit — or none
-    /// does — its miss. The last entry word and summary word read are
-    /// kept, so stages sharing a word read it once.
+    /// Every stage's lookup of `key`, which [`select`] readied `cursor`
+    /// for, handed to `visit` in stage order until it returns `true`: the
+    /// walk over each stage's ranks in turn.
     #[inline(always)]
-    fn walk_key<const N: usize>(
+    fn stage_lookups<const N: usize, T>(
         &self,
         key: &[u8],
-        bytes: impl Iterator<Item = u8>,
-        at: &mut [usize; N],
-        mut visit: impl FnMut(usize, Action, LookupOutcome) -> bool,
+        cursor: &mut Cursor<N>,
+        slot: &mut T,
+        visit: &mut impl FnMut(&mut T, usize, Action, LookupOutcome) -> bool,
     ) {
         let index = &self.index;
-        let summary = index.summary;
-        let live = select(index, bytes, at);
-        let at = &*at;
-        // Without a summary, every entry word is live and `live` is the
-        // first; with one, `live` is the first summary word.
-        let (mut head, mut entry) = if summary == 0 {
-            ((0, u64::MAX), (0, live & index.rest(key, 0)))
-        } else {
-            ((0, live), (usize::MAX, 0))
-        };
         for (stage, fused) in self.stages.iter().enumerate() {
-            let (mut action, mut outcome) = (fused.default, LookupOutcome::Miss);
-            for &(word, mask) in &self.segments[fused.segments.clone()] {
-                if entry.0 != word {
-                    if head.0 != word / 64 {
-                        head = (word / 64, walk_rows(index, at, word / 64));
-                    }
-                    entry.0 = word;
-                    entry.1 = if head.1 >> (word % 64) & 1 == 0 {
-                        0
-                    } else {
-                        walk_rows(index, at, summary + word) & index.rest(key, summary + word)
-                    };
+            let (action, outcome) = match probe_key(index, key, cursor, fused.ranks.clone()) {
+                Some(rank) => {
+                    let own = (rank - fused.ranks.start) as Rank;
+                    (index.actions[rank], LookupOutcome::Hit(own))
                 }
-                let bits = entry.1 & mask;
-                if bits != 0 {
-                    let rank = word * 64 + bits.trailing_zeros() as usize;
-                    action = index.actions[rank];
-                    outcome = LookupOutcome::Hit((rank - fused.base) as Rank);
-                    break;
-                }
-            }
-            if visit(stage, action, outcome) {
+                None => (fused.default, LookupOutcome::Miss),
+            };
+            if visit(slot, stage, action, outcome) {
                 return;
             }
         }
     }
-}
-
-// Per-engine single-key probes, shared verbatim by the single-key and
-// batched lookup paths so their semantics cannot drift apart.
-
-#[inline]
-fn probe_exact(map: &HashMap<Vec<u8>, (Rank, Action)>, key: &[u8], miss: Probed) -> Probed {
-    map.get(key)
-        .map_or(miss, |&(rank, action)| (action, LookupOutcome::Hit(rank)))
 }
 
 /// Entry words a row may have and carry no summary: a table of up to 256
@@ -1621,132 +1457,173 @@ const HELD: usize = 64;
 /// What one key's lookup answers.
 type Probed = (Action, LookupOutcome);
 
-/// The bit-vector probe of every key of the matrix, `width` bytes apart —
-/// of one key, too, for the single-key lookup. A key's byte at each kept
-/// position is read in place when the kept positions are one run of the
-/// key (see [`BitVector::run`]), through the position list otherwise: one
-/// probe loop, compiled once per way of reading, because the position list
-/// read per key costs a table that keeps every byte (`gw_small`'s) an
-/// eighth of its lookup time.
+/// Where one key's probe stands: the word offset of the row the key
+/// selects at each of its first `N` kept positions, and the last summary
+/// word and the last entry word the walk ANDed, each as (word, bits). A
+/// walk over one range leaves them for the next range of the same key.
+struct Cursor<const N: usize> {
+    at: [usize; N],
+    head: (usize, u64),
+    entry: (usize, u64),
+}
+
+/// Every key of the matrix, `width` bytes apart, [`select`]ed into one
+/// cursor and handed with it to `answer`, beside its slot of `out` (one
+/// key per slot). A key's byte at each kept position is read in place when
+/// the kept positions are one run of the key (see [`BitVector::run`]),
+/// through the position list otherwise: one probe loop, compiled once per
+/// way of reading, because the position list read per key costs a table
+/// that keeps every byte (`gw_small`'s) an eighth of its lookup time.
 ///
-/// The probe holds the row offsets of the first `N` kept positions: `HELD`,
-/// or 0 for a table whose rows are one word ([`select`]'s only read of
-/// them), which then zeroes no offsets per call.
+/// The cursor holds the row offsets of the first `N` kept positions:
+/// `HELD`, or 0 for a table whose rows are one word ([`select`]'s only
+/// read of them), which then zeroes no offsets per call.
 #[inline(never)]
-fn probe_batch<const N: usize>(
+fn probe_batch<const N: usize, T>(
     index: &BitVector,
     keys: &[u8],
     width: usize,
-    miss: Probed,
-    out: &mut [Probed],
+    out: &mut [T],
+    answer: impl FnMut(&[u8], &mut Cursor<N>, &mut T),
 ) {
     let kept = index.positions.len().min(HELD);
     match index.run() {
-        Some(first) => probe_keys::<N, _>(index, keys, width, miss, out, |key| {
+        Some(first) => probe_keys(index, keys, width, out, answer, |key| {
             key[first..first + kept].iter().copied()
         }),
-        None => probe_keys::<N, _>(index, keys, width, miss, out, |key| {
+        None => probe_keys(index, keys, width, out, answer, |key| {
             index.positions.iter().map(move |&pos| key[pos])
         }),
     }
 }
 
-/// [`probe_key`] of every key, `bytes` giving each key's bytes at its
-/// first [`HELD`] kept positions. Out of line: inlined beside the hash
-/// engine's loop, the probe spills registers in the per-key loop (a
-/// 13-row table paid a third of its lookup time for it).
+/// [`probe_batch`]'s per-key loop, `bytes` giving each key's bytes at its
+/// first [`HELD`] kept positions. Out of line: inlined into its caller,
+/// the probe spills registers in the per-key loop (a 13-row table paid a
+/// third of its lookup time for it).
 #[inline(never)]
-fn probe_keys<'k, const N: usize, I: Iterator<Item = u8>>(
+fn probe_keys<'k, const N: usize, T, I: Iterator<Item = u8>>(
     index: &BitVector,
     keys: &'k [u8],
     width: usize,
-    miss: Probed,
-    out: &mut [Probed],
+    out: &mut [T],
+    mut answer: impl FnMut(&[u8], &mut Cursor<N>, &mut T),
     bytes: impl Fn(&'k [u8]) -> I,
 ) {
-    let mut at = [0; N];
+    let mut cursor = Cursor {
+        at: [0; N],
+        head: (0, 0),
+        entry: (0, 0),
+    };
     for (key, o) in keys.chunks_exact(width).zip(out) {
-        *o = probe_key(index, key, bytes(key), &mut at, miss);
+        select(index, key, bytes(key), &mut cursor);
+        answer(key, &mut cursor, o);
     }
 }
 
-/// The probe of one key. Each kept position's class is read once, into the
-/// word offset of the row the key selects there, while word 0 of every
-/// selected row is ANDed; the rest of the walk reuses the offsets. A row of
-/// at most [`UNSUMMARISED`] words is walked word by word, as far as it
-/// takes. Otherwise word 0 is the first summary word, and only the entry
-/// words whose bit survives the AND of the selected rows' summaries are
-/// walked, lowest first (a word whose bit is clear is all zero in some
-/// selected row, so nothing there can match), a second summary word only
-/// once the first one's words all came up empty. The first non-zero AND of
-/// entry words ends the walk: `rank = word * 64 + trailing_zeros` is the
-/// first match in priority order, since rank *is* the frozen match order.
+/// The walk of one key over the ranks `ranks`, which [`select`] readied
+/// `cursor` for: the first rank there whose entry matches the key, or
+/// `None`. A row of at most [`UNSUMMARISED`] words is walked word by word,
+/// as far as it takes. Otherwise only the entry words whose bit survives
+/// the AND of the selected rows' summary words are walked, lowest first (a
+/// word whose bit is clear is all zero in some selected row, so nothing
+/// there can match), a later summary word only once the earlier one's
+/// words all came up empty. Each word is ANDed through the row offsets the
+/// cursor holds ([`walk_rows`]), unless it is the last one the cursor
+/// ANDed, and masked to the range. The first non-zero AND ends the walk:
+/// `rank = word * 64 + trailing_zeros` is the first match in priority
+/// order, since rank *is* the frozen match order — past the range's end,
+/// no match in it.
 // Forced inline: the per-key loop resolves `index`'s shape once per batch
 // only if the probe is part of its body (out of line it is a call per key).
 #[inline(always)]
 fn probe_key<const N: usize>(
     index: &BitVector,
     key: &[u8],
-    bytes: impl Iterator<Item = u8>,
-    at: &mut [usize; N],
-    miss: Probed,
-) -> Probed {
+    cursor: &mut Cursor<N>,
+    ranks: Range<usize>,
+) -> Option<usize> {
+    let (lo, hi) = (ranks.start, ranks.end);
     let summary = index.summary;
-    let mut live = select(index, bytes, at);
+    // Word `word`'s bits of the ranks from `lo` on, once ANDed.
+    let entry = |cursor: &mut Cursor<N>, word: usize| {
+        if cursor.entry.0 != word {
+            let row_word = summary + word;
+            let bits = walk_rows(index, &cursor.at, row_word) & index.rest(key, row_word);
+            cursor.entry = (word, bits);
+        }
+        cursor.entry.1 & u64::MAX << lo.saturating_sub(word * 64)
+    };
     if summary == 0 {
-        for word in 0..index.words {
-            if word > 0 {
-                live = walk_rows(index, at, word);
-            }
-            let bits = live & index.rest(key, word);
+        for word in lo / 64..hi.div_ceil(64) {
+            let bits = entry(cursor, word);
             if bits != 0 {
-                return index.hit(word, bits);
+                let rank = word * 64 + bits.trailing_zeros() as usize;
+                return (rank < hi).then_some(rank);
             }
         }
-        return miss;
+        return None;
     }
-    for head in 0..summary {
-        if head > 0 {
-            live = walk_rows(index, at, head);
+    if lo >= hi {
+        return None;
+    }
+    let (first, last) = (lo / 64, (hi - 1) / 64);
+    for head in first / 64..=last / 64 {
+        if cursor.head.0 != head {
+            cursor.head = (head, walk_rows(index, &cursor.at, head));
+        }
+        let mut live = cursor.head.1 & u64::MAX << first.saturating_sub(head * 64);
+        if head == last / 64 {
+            live &= u64::MAX >> (63 - last % 64);
         }
         while live != 0 {
             let word = head * 64 + live.trailing_zeros() as usize;
-            let bits = walk_rows(index, at, summary + word) & index.rest(key, summary + word);
+            let bits = entry(cursor, word);
             if bits != 0 {
-                return index.hit(word, bits);
+                let rank = word * 64 + bits.trailing_zeros() as usize;
+                return (rank < hi).then_some(rank);
             }
             live &= live - 1;
         }
     }
-    miss
+    None
 }
 
-/// Reads the class of each of `bytes` — a key's bytes at its first
-/// [`HELD`] kept positions — into the word offset in `at` of the row it
-/// selects, and returns word 0 of those rows, ANDed. With no offsets to
-/// hold (`N` is 0: rows of one word), it ANDs the rows of all of `bytes`.
+/// Readies `cursor` for a walk of `key`: reads the class of each of
+/// `bytes` — the key's bytes at its first [`HELD`] kept positions — into
+/// the word offset of the row it selects, and keeps word 0 of those rows,
+/// ANDed, as the first summary word or, without a summary, the first entry
+/// word. With no offsets to hold (`N` is 0: rows of one word), it ANDs the
+/// rows of all of `bytes`.
 #[inline(always)]
 fn select<const N: usize>(
     index: &BitVector,
+    key: &[u8],
     bytes: impl Iterator<Item = u8>,
-    at: &mut [usize; N],
-) -> u64 {
+    cursor: &mut Cursor<N>,
+) {
     let mut acc = u64::MAX;
     if N == 0 {
         for (byte, class) in bytes.zip(index.class.chunks_exact(256)) {
             acc &= index.rows[class[usize::from(byte)] as usize];
         }
-        return acc;
-    }
-    for ((at, byte), class) in at.iter_mut().zip(bytes).zip(index.class.chunks_exact(256)) {
-        let row = class[usize::from(byte)] as usize;
-        // Rows of one word and no summary are never read again.
-        if index.stride() > 1 {
-            *at = row;
+    } else {
+        let classes = index.class.chunks_exact(256);
+        for ((at, byte), class) in cursor.at.iter_mut().zip(bytes).zip(classes) {
+            let row = class[usize::from(byte)] as usize;
+            // Rows of one word and no summary are never read again.
+            if index.stride() > 1 {
+                *at = row;
+            }
+            acc &= index.rows[row];
         }
-        acc &= index.rows[row];
     }
-    acc
+    if index.summary == 0 {
+        cursor.entry = (0, acc & index.rest(key, 0));
+    } else {
+        cursor.head = (0, acc);
+        cursor.entry = (usize::MAX, 0);
+    }
 }
 
 /// One step of the probe: word `word` of the rows the key selects at its
@@ -1769,12 +1646,47 @@ impl BitVector {
         (last - first + 1 == self.positions.len()).then_some(first)
     }
 
-    /// The first match in entry word `word`, whose bits the probe left
-    /// standing are `bits` (not zero).
+    /// A table's lookup of each key of the matrix, `width` bytes apart,
+    /// into its slot of `out`: the walk over every rank, and `default` on
+    /// a miss. Rows of one word hold no offsets: word 0 is read straight
+    /// from the pass that reads the classes, and no offsets are zeroed.
+    fn first_hits(&self, keys: &[u8], width: usize, default: Action, out: &mut [Probed]) {
+        // Each key's walk is inlined into the per-key loop, so the cursor
+        // stays in registers.
+        if self.stride() == 1 {
+            probe_batch::<0, Probed>(
+                self,
+                keys,
+                width,
+                out,
+                #[inline(always)]
+                |key, cursor, o| *o = self.first_hit(key, cursor, default),
+            );
+        } else {
+            probe_batch::<HELD, Probed>(
+                self,
+                keys,
+                width,
+                out,
+                #[inline(always)]
+                |key, cursor, o| *o = self.first_hit(key, cursor, default),
+            );
+        }
+    }
+
+    /// The first match of `key` over every rank, which [`select`] readied
+    /// `cursor` for, or `default` on a miss.
     #[inline(always)]
-    fn hit(&self, word: usize, bits: u64) -> Probed {
-        let rank = word * 64 + bits.trailing_zeros() as usize;
-        (self.actions[rank], LookupOutcome::Hit(rank as Rank))
+    fn first_hit<const N: usize>(
+        &self,
+        key: &[u8],
+        cursor: &mut Cursor<N>,
+        default: Action,
+    ) -> Probed {
+        match probe_key(self, key, cursor, 0..self.actions.len()) {
+            Some(rank) => (self.actions[rank], LookupOutcome::Hit(rank as Rank)),
+            None => (default, LookupOutcome::Miss),
+        }
     }
 
     /// Word `word` of the rows `key` selects at the kept positions past the
@@ -1806,7 +1718,7 @@ mod tests {
     }
 
     #[test]
-    fn exact_hash_lookup_and_duplicate_keys() {
+    fn exact_lookup_and_duplicate_keys() {
         let mut t = table(MatchKind::Exact, 2, 16);
         t.insert(MatchSpec::Exact(vec![1, 2]), Action::Drop, 5)
             .unwrap();
@@ -1816,7 +1728,7 @@ mod tests {
         t.insert(MatchSpec::Exact(vec![3, 4]), Action::Mirror(2), 0)
             .unwrap();
         let c = CompiledTable::compile(&t);
-        assert_eq!(c.strategy(), "exact-hash");
+        assert_eq!(c.strategy(), "bit-vector");
         assert_eq!(c.len(), 3);
         for key in [[1u8, 2], [3, 4], [9, 9]] {
             assert_eq!(c.peek(&key), t.peek(&key), "key {key:?}");
@@ -2162,13 +2074,6 @@ mod tests {
         engine_builds()
     }
 
-    fn bit_vector(compiled: &CompiledTable) -> &BitVector {
-        match &compiled.engine {
-            Engine::BitVector(index) => index,
-            _ => panic!("{} is not a wildcard engine", compiled.strategy()),
-        }
-    }
-
     /// `table` recompiled against `prev` through the patch path: no build,
     /// and an engine equal to a build over the same minimized entries.
     fn spliced(prev: &Arc<CompiledTable>, table: &Table) -> Arc<CompiledTable> {
@@ -2295,12 +2200,11 @@ mod tests {
         Vec<Vec<u64>>,
         Vec<Action>,
         Vec<FusedStage>,
-        Vec<(usize, u64)>,
     );
 
     /// What a fused index answers, whatever its classes' numbering: the
     /// union key, the kept positions, the row each byte selects at each,
-    /// the action by rank and where each stage's ranks and words lie.
+    /// the action by rank and where each stage's ranks lie.
     fn vote_form(vote: &VoteIndex) -> VoteForm {
         let index = &vote.index;
         let rows = index.class.iter();
@@ -2311,7 +2215,6 @@ mod tests {
             rows.collect(),
             index.actions.clone(),
             vote.stages.clone(),
-            vote.segments.clone(),
         )
     }
 
@@ -2451,13 +2354,13 @@ mod tests {
         assert_eq!(next.minimized_len(), cut);
     }
 
-    /// Exact keys of one action and priority added in one publish stay
-    /// one row each, as a fresh compile keeps them: the hash engine keys a
-    /// row by one byte per position, so a row folded from `[5]` and `[6]`
-    /// would lose `[6]` to the default. Removing one of them again drops
-    /// its row alone.
+    /// Exact keys of one action and priority added in one publish fold
+    /// among themselves into one row, as additions to any table do, and
+    /// answer every key as a fresh compile does, which folds the old key in
+    /// too. The old key's row was never folded, so the level is not known
+    /// disjoint, and removing one added key takes the full compile.
     #[test]
-    fn exact_keys_added_together_stay_a_row_each() {
+    fn exact_keys_added_together_fold_into_one_row() {
         let mut t = table(MatchKind::Exact, 1, 16);
         t.insert(MatchSpec::Exact(vec![1]), Action::Drop, 1)
             .unwrap();
@@ -2470,17 +2373,18 @@ mod tests {
             .collect();
         let next = spliced(&prev, &t);
         let fresh = CompiledTable::compile(&t);
-        assert_eq!(next.minimized_len(), fresh.minimized_len());
-        assert_eq!(next.minimized_len(), 5);
+        assert_eq!(next.minimized_len(), 2);
+        assert_eq!(fresh.minimized_len(), 1);
         for key in 0..=255u8 {
             assert_eq!(next.peek(&[key]), fresh.peek(&[key]), "key {key}");
         }
-        for &handle in &added {
-            assert_eq!(next.minimized().class_of(handle), Some(SourceClass::Clean));
-        }
+        assert_eq!(
+            next.minimized().class_of(added[1]),
+            Some(SourceClass::Merged)
+        );
         t.remove(added[1]).unwrap();
-        let next = spliced(&next, &t);
-        assert_eq!(next.minimized_len(), 4);
+        let next = fell_back(&next, &t);
+        assert_eq!(next.minimized_len(), 1);
         assert_eq!(next.peek(&[6]), Action::NoOp);
     }
 
@@ -2591,7 +2495,7 @@ mod tests {
             t.insert(spec([0x20, 0x00], [0x2f, 0xff]), Action::Drop, 1)
                 .unwrap();
             let next = spliced(&prev, &t);
-            let rows = |c: &CompiledTable| bit_vector(c).partitions[0].count;
+            let rows = |c: &CompiledTable| c.engine.partitions[0].count;
             assert!(rows(&next) > rows(&prev), "no class was cut");
             assert_eq!(next.peek(&[0x21, 0x00]), Action::Forward(1));
             assert_eq!(next.peek(&[0x90, 0x00]), Action::NoOp);
@@ -2620,16 +2524,16 @@ mod tests {
         };
         let handle = t.insert(last.clone(), Action::Drop, 0).unwrap();
         let mut prev = Arc::new(CompiledTable::compile(&t));
-        assert_eq!(bit_vector(&prev).positions, [0, 1, 2]);
+        assert_eq!(prev.engine.positions, [0, 1, 2]);
         t.remove(handle).unwrap();
         prev = spliced(&prev, &t);
-        assert_eq!(bit_vector(&prev).positions, [0, 1]);
+        assert_eq!(prev.engine.positions, [0, 1]);
         t.insert(last, Action::Drop, 0).unwrap();
         prev = spliced(&prev, &t);
-        assert_eq!(bit_vector(&prev).positions, [0, 1, 2]);
+        assert_eq!(prev.engine.positions, [0, 1, 2]);
         t.clear();
         prev = spliced(&prev, &t);
-        assert_eq!(bit_vector(&prev).positions, [2]);
+        assert_eq!(prev.engine.positions, [2]);
         assert_eq!(prev.peek(&[9, 0, 0x42]), Action::NoOp);
     }
 

@@ -9,9 +9,9 @@
 //! [`control::ControlPlane`] that installs, updates and publishes compiled
 //! rule sets, the [`acl::AclLayout`] builder every learned-guard
 //! deployment gets its switch from, and a [`compiled::CompiledTable`]
-//! layer that lowers frozen tables into lookup engines for the read path:
-//! a hash index for exact tables, or a per-byte bit-vector intersect that
-//! matches a ternary, range or LPM table 64 entries per word.
+//! layer that lowers frozen tables into a lookup engine for the read path:
+//! a per-byte bit-vector intersect that matches a table of any kind 64
+//! entries per word.
 //!
 //! The claims the model preserves from real hardware are the ones the
 //! paper's evaluation rests on: *expressiveness* (match keys are arbitrary

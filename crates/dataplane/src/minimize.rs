@@ -1,6 +1,6 @@
 //! Lowering-time table minimization: every entry becomes a box — one
-//! [`ByteSet`] per key position — each order-free priority level of a
-//! ternary, range or LPM table is folded, and subsumed entries are
+//! [`ByteSet`] per key position — each order-free priority level is
+//! folded, and subsumed entries are
 //! eliminated, when a frozen [`Table`](crate::table::Table) is compiled
 //! into a [`CompiledTable`](crate::compiled::CompiledTable).
 //!
@@ -10,7 +10,7 @@
 //! order breaking ties). Minimization rewrites the entry list without
 //! changing any lookup's `(action, winning priority)`:
 //!
-//! * **Fold** (wildcard kinds): within one priority level that is
+//! * **Fold** (all kinds): within one priority level that is
 //!   *order-free* (no two overlapping entries carry different actions),
 //!   same-action boxes equal at every position but one are exactly the
 //!   box whose set there is the union of theirs, so they collapse into it.
@@ -235,7 +235,8 @@ pub struct MinimizedTable {
     /// subtracts, since the table no longer holds it. 2,196 sources of an
     /// eight-byte key take 35 KB, where their sets would take 560 KB.
     boxes: Vec<[u8; 2]>,
-    /// The table's match kind: an exact table's entries never fold.
+    /// The table's match kind: a range table's boxes are kept as
+    /// intervals, every other kind's as masks.
     kind: MatchKind,
     /// The largest handle this form has known.
     newest: u64,
@@ -328,8 +329,7 @@ impl MinimizedTable {
     ///   subtraction; where the pieces would outnumber the level's
     ///   remaining sources, the full minimization folds it afresh;
     /// * the added entries are folded among themselves, run by run of the
-    ///   table (an exact table's stay a row each, as [`minimize`] keeps
-    ///   them), and each row goes before the first entry of lower
+    ///   table, and each row goes before the first entry of lower
     ///   priority. Where the level was known disjoint (or empty), it stays
     ///   so only if the rows meet none of its entries nor each other, and
     ///   each is as large as its sources together.
@@ -489,7 +489,7 @@ impl MinimizedTable {
         let mut rows = Vec::new();
         for run in added.chunk_by(|a, b| a + 1 == *b) {
             let run = run[0]..run[0] + run.len();
-            let folded = rows_of(self.kind, &entries[run.clone()]);
+            let folded = rows_of(&entries[run.clone()]);
             rows.extend(folded.into_iter().map(|mut k| {
                 k.sources.iter_mut().for_each(|at| *at += run.start);
                 k
@@ -798,12 +798,10 @@ fn fold(entries: &[TableEntry]) -> Vec<Kept<Action>> {
     rows
 }
 
-/// `entries` (frozen match order) as rows for a table of `kind`: each
-/// priority level of a wildcard kind folded, an exact table's entries one
-/// row each, since its engine hashes one key per row. A lone entry is a
-/// row of its own either way, as the fold would leave it.
-fn rows_of(kind: MatchKind, entries: &[TableEntry]) -> Vec<Kept<Action>> {
-    if kind != MatchKind::Exact && entries.len() > 1 {
+/// `entries` (frozen match order) as rows, each priority level folded. A
+/// lone entry is a row of its own, as the fold would leave it.
+fn rows_of(entries: &[TableEntry]) -> Vec<Kept<Action>> {
+    if entries.len() > 1 {
         return fold(entries);
     }
     let rows = entries.iter().enumerate().map(|(i, e)| {
@@ -820,13 +818,12 @@ fn rows_of(kind: MatchKind, entries: &[TableEntry]) -> Vec<Kept<Action>> {
 }
 
 /// Minimizes `entries` (in frozen match order) for a table of `kind`:
-/// each priority level of a wildcard kind folded, then subsumption over
-/// the folded entries. An exact table's keys do not fold: its engine
-/// hashes one key per entry. Each level that holds a folded entry is
+/// each priority level folded, then subsumption over the folded entries.
+/// Each level that holds a folded entry is
 /// checked for disjoint sources, and every source's box is kept, for a
 /// patch to subtract (see [`MinimizedTable::patch`]).
 pub fn minimize(kind: MatchKind, entries: &[TableEntry]) -> MinimizedTable {
-    let Reduced { kept, covering } = subsume(rows_of(kind, entries));
+    let Reduced { kept, covering } = subsume(rows_of(entries));
     let mut min = MinimizedTable::empty(kind, entries);
     // A source no kept entry stands for was eliminated.
     for e in entries {

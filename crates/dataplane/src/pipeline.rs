@@ -7,7 +7,7 @@
 //! threads without a write lock on the hot path. [`ReadPipeline`] splits
 //! that coupling: each table is lowered into its
 //! [`CompiledTable`] engine at snapshot
-//! time (hash index or bit-vector intersect — see
+//! time (a bit-vector intersect — see
 //! [`compiled`](crate::compiled)), while packet counters live in a
 //! caller-owned [`SwitchCounters`]. N shards can then share one snapshot
 //! through an `Arc` and their counters sum to exactly what a single switch
@@ -418,15 +418,9 @@ impl ReadPipeline {
             exited,
             ..
         } = scratch;
-        fused.walk_batch(keys, alive.len(), |j, stage, action, outcome| {
+        fused.lookup_batch(keys, alive, |&mut i, stage, action, outcome| {
             Combine::count_lookups(counters, stage, std::iter::once(outcome));
-            let decided = combine.stage(
-                stage,
-                action,
-                outcome,
-                &mut tally[alive[j] as usize],
-                counters,
-            );
+            let decided = combine.stage(stage, action, outcome, &mut tally[i as usize], counters);
             *exited += u64::from(decided && stage < last_stage);
             decided
         });

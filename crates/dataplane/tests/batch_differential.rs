@@ -14,6 +14,7 @@
 //! the batched walker answers from one fused probe per frame.
 
 use p4guard_dataplane::action::{Action, Verdict};
+use p4guard_dataplane::compiled::LookupOutcome;
 use p4guard_dataplane::key::KeyLayout;
 use p4guard_dataplane::parser::ParserSpec;
 use p4guard_dataplane::pipeline::BatchScratch;
@@ -526,7 +527,7 @@ fn learned_scale_stages_on_the_batched_and_vote_paths() {
             sw.set_vote(vote);
             let pipeline = sw.read_pipeline(1);
             for stage in pipeline.stages() {
-                let form = stage.wildcard_form().unwrap();
+                let form = stage.wildcard_form();
                 assert_eq!(
                     form.positions, kept,
                     "the kept positions are the boxes' own"
@@ -806,5 +807,155 @@ fn distinct_trees_vote_on_one_fused_probe() {
                 assert!(exits > 0, "{case}");
             }
         }
+    }
+}
+
+/// `n` point entries over a two-byte key, each at a priority of its own so
+/// nothing folds or shadows: rank `j` is the `j`-th entry, and
+/// `points[j]` its key.
+fn points(layout: KeyLayout, n: usize, action: impl Fn(usize) -> Action) -> (Table, Vec<[u8; 2]>) {
+    let mut table = Table::new("points", MatchKind::Range, layout, n, Action::NoOp);
+    let points: Vec<[u8; 2]> = (0..n)
+        .map(|j| ((j as u16).wrapping_mul(7919) ^ 0x5a5a).to_be_bytes())
+        .collect();
+    for (j, point) in points.iter().enumerate() {
+        let spec = MatchSpec::Range {
+            lo: point.to_vec(),
+            hi: point.to_vec(),
+        };
+        table.insert(spec, action(j), -(j as i32)).unwrap();
+    }
+    (table, points)
+}
+
+/// Checks that the batched walker, the per-frame walker and
+/// `Switch::process` agree on `frames` through `sw`: every verdict, the
+/// counter block and the `(stage, rank)` each frame reports.
+fn walkers_agree(sw: &Switch, frames: &[Vec<u8>], case: &str) {
+    let pipeline = sw.read_pipeline(1);
+    let mut reference = sw.clone();
+    let oracle: Vec<Verdict> = frames.iter().map(|f| reference.process(f)).collect();
+    let matched: Vec<_> = frames
+        .iter()
+        .map(|f| scan_matched(sw, f, sw.vote()).0)
+        .collect();
+    let mut per_counters = SwitchCounters::default();
+    let mut per_sink = RecordingSink::default();
+    let mut scratch = Vec::new();
+    let per_frame: Vec<Verdict> = frames
+        .iter()
+        .map(|f| pipeline.process_with(f, &mut per_counters, &mut scratch, &mut per_sink))
+        .collect();
+    let mut arena = FrameArena::new(1 << 16);
+    let mut batch_counters = SwitchCounters::default();
+    let mut batch_sink = RecordingSink::default();
+    let mut batch_scratch = BatchScratch::new();
+    let mut batched = Vec::new();
+    for chunk in frames.chunks(256) {
+        for f in chunk {
+            arena.push(f);
+        }
+        let batch = arena.seal_batch();
+        pipeline.process_batch_with(
+            batch.data(),
+            batch.spans(),
+            &mut batch_counters,
+            &mut batch_scratch,
+            &mut batched,
+            &mut batch_sink,
+        );
+    }
+    assert_eq!(per_frame, oracle, "per-frame walker, {case}");
+    assert_eq!(batched, oracle, "batched walker, {case}");
+    assert_eq!(
+        &per_counters,
+        reference.counters(),
+        "per-frame counters, {case}"
+    );
+    assert_eq!(
+        &batch_counters,
+        reference.counters(),
+        "batched counters, {case}"
+    );
+    let reported = |sink: &RecordingSink| -> Vec<_> { sink.verdicts.iter().map(|v| v.2).collect() };
+    assert_eq!(
+        reported(&per_sink),
+        matched,
+        "per-frame (stage, rank), {case}"
+    );
+    assert_eq!(
+        reported(&batch_sink),
+        matched,
+        "batched (stage, rank), {case}"
+    );
+}
+
+/// Rank ranges past one summary word, where nothing folds, so a rank is
+/// an entry: a vote of three stages of 1,500, 2,000 and 1,200 point
+/// entries — 4,700 fused ranks, two summary words; the second stage's
+/// range starts mid-word (rank 1,500), the third's starts mid-word (rank
+/// 3,500) and crosses the summary-word boundary at rank 4,096 — and a
+/// first-hit table of 4,500 rows. Frames hit the entries next to every
+/// range's ends, every seventh one between, and random keys. Under
+/// `VoteStage::majority()` and `EarlyExit::sound_majority(3)` for the
+/// vote, the batched walker, the per-frame walker and `Switch::process`
+/// agree on every verdict, the counters and the `(stage, rank)` each frame
+/// reports; the table's batched lookup agrees with `Table::peek`.
+#[test]
+fn rank_ranges_across_summary_words() {
+    let mut next = stream(0x0123_4567_89ab_cdef);
+    let mut frame_at = |layout: &KeyLayout, point: [u8; 2]| -> Vec<u8> {
+        let mut frame: Vec<u8> = (0..8).map(|_| next()).collect();
+        for (&at, byte) in layout.offsets().iter().zip(point) {
+            frame[at] = byte;
+        }
+        frame
+    };
+    let near_ends = |n: usize| (0..n).filter(move |&j| j < 70 || j + 70 >= n || j % 7 == 0);
+    // Frames of random bytes but for bytes 4 and 5, which no key reads.
+    let elsewhere = KeyLayout::new(vec![4, 5]);
+
+    let mut sw = Switch::new("ranges", ParserSpec::raw_window(8, 8), 9);
+    let mut frames = Vec::new();
+    for (n, offsets) in [(1500, [0, 1]), (2000, [1, 2]), (1200, [2, 3])] {
+        let layout = KeyLayout::new(offsets.to_vec());
+        let (table, points) = points(layout.clone(), n, |_| Action::Drop);
+        frames.extend(near_ends(n).map(|j| frame_at(&layout, points[j])));
+        sw.add_stage(table);
+    }
+    frames.extend((0..300).map(|_| frame_at(&elsewhere, [0, 0])));
+    frames.push(vec![1; 5]);
+    assert_eq!(sw.read_pipeline(1).minimized_entry_count(), 4700);
+    for vote in [
+        VoteStage::majority(),
+        VoteStage::with_early_exit(EarlyExit::sound_majority(3)),
+    ] {
+        sw.set_vote(Some(vote));
+        walkers_agree(&sw, &frames, &format!("vote {vote:?}"));
+    }
+
+    let layout = KeyLayout::new(vec![6, 2]);
+    let actions = [
+        Action::Drop,
+        Action::Forward(3),
+        Action::Count(1),
+        Action::NoOp,
+    ];
+    let (table, points) = points(layout.clone(), 4500, |j| actions[j % 4]);
+    let mut frames: Vec<Vec<u8>> = near_ends(4500)
+        .map(|j| frame_at(&layout, points[j]))
+        .collect();
+    frames.extend((0..300).map(|_| frame_at(&elsewhere, [0, 0])));
+    let mut sw = Switch::new("table", ParserSpec::raw_window(8, 8), 9);
+    sw.add_stage(table.clone());
+    walkers_agree(&sw, &frames, "first-hit table");
+    let pipeline = sw.read_pipeline(1);
+    let compiled = &pipeline.stages()[0];
+    assert_eq!(compiled.minimized_len(), 4500);
+    let keys: Vec<Vec<u8>> = frames.iter().map(|f| layout.build_key(f)).collect();
+    let mut out = vec![(Action::NoOp, LookupOutcome::Miss); keys.len()];
+    compiled.lookup_batch(&keys.concat(), 2, &mut [], &mut out);
+    for (key, (action, _)) in keys.iter().zip(&out) {
+        assert_eq!(*action, table.peek(key), "key {key:02x?}");
     }
 }

@@ -84,7 +84,7 @@ fn agrees(compiled: &CompiledTable, table: &Table, keys: &[Vec<u8>]) {
 /// Words per row `wildcard_form` reports for a table: summary words, then
 /// entry words.
 fn row_words(compiled: &CompiledTable) -> usize {
-    compiled.wildcard_form().expect("a wildcard table").rows[0].len()
+    compiled.wildcard_form().rows[0].len()
 }
 
 /// Row-length edges: `n` disjoint exact entries with distinct actions (so
@@ -379,7 +379,7 @@ fn a_key_keeping_more_positions_than_the_probe_holds() {
         .unwrap();
     }
     let compiled = check(&t, &keys);
-    assert_eq!(compiled.wildcard_form().unwrap().positions.len(), width);
+    assert_eq!(compiled.wildcard_form().positions.len(), width);
 }
 
 /// The learned shape: sixteen leaf boxes, each lowered to the cross
@@ -488,6 +488,7 @@ fn a_verbatim_row_beside_a_folded_one_keeps_its_own_set() {
 /// byte that is not whole).
 fn position_spec(kind: MatchKind, free: bool, a: u8, b: u8, sel: u8) -> (u8, u8) {
     match (kind, if free { 0 } else { sel % 4 }) {
+        (MatchKind::Exact, _) => (a, 0xff),
         (MatchKind::Range, 0) => (0, 255),
         (MatchKind::Range, 1) => (a, a),
         (MatchKind::Range, _) => (a.min(b), a.max(b)),
@@ -503,10 +504,12 @@ fn position_spec(kind: MatchKind, free: bool, a: u8, b: u8, sel: u8) -> (u8, u8)
 }
 
 /// The entry of `kind` that per-position pairs from [`position_spec`]
-/// describe: a ternary value and mask, a range's bounds, or the prefix the
-/// LPM masks spell, which stops at the first byte that is not whole.
+/// describe: an exact key, a ternary value and mask, a range's bounds, or
+/// the prefix the LPM masks spell, which stops at the first byte that is
+/// not whole.
 fn spec(kind: MatchKind, x: &[u8], y: &[u8]) -> MatchSpec {
     match kind {
+        MatchKind::Exact => MatchSpec::Exact(x.to_vec()),
         MatchKind::Range => range(x, y),
         MatchKind::Lpm => {
             let whole = y.iter().take_while(|&&m| m == 0xff).count();
@@ -591,7 +594,8 @@ proptest! {
 
 /// The spec that accepts `byte` at `pos` and every byte elsewhere — for
 /// LPM, which fixes every byte its prefix covers, the prefix through `pos`
-/// with zeros before `byte`.
+/// with zeros before `byte`, and for exact, which fixes every byte, the
+/// key of zeros but `byte` there.
 fn one_byte(kind: MatchKind, width: usize, pos: usize, byte: u8) -> MatchSpec {
     let ranges = kind == MatchKind::Range;
     let (mut x, mut y) = (vec![0; width], vec![if ranges { 255 } else { 0 }; width]);
@@ -608,13 +612,13 @@ fn constrains(spec: &MatchSpec, pos: usize) -> bool {
         MatchSpec::Ternary { mask, .. } => mask[pos] != 0,
         MatchSpec::Range { lo, hi } => (lo[pos], hi[pos]) != (0, 255),
         MatchSpec::Lpm { prefix_len, .. } => *prefix_len > 8 * pos,
-        MatchSpec::Exact(_) => unreachable!("wildcard tables only"),
+        MatchSpec::Exact(_) => true,
     }
 }
 
 proptest! {
-    /// `CompiledTable::recompile` derives a wildcard engine from the
-    /// previous one. Along a chain of deltas over ternary, range and LPM
+    /// `CompiledTable::recompile` derives the engine from the previous
+    /// one. Along a chain of deltas over exact, ternary, range and LPM
     /// tables of 0–300 entries in 1–3 priority levels and 1–9 key bytes — sized
     /// at random or next to 64 or 256 entries, so that chains cross a
     /// second row word and a summary both ways — every link's engine
@@ -626,11 +630,12 @@ proptest! {
     /// removes the entry at any rank; adds one at the end of any level;
     /// adds one that accepts a single byte at one position (for LPM, the
     /// prefix through it), cutting that byte's class; adds the first to
-    /// constrain a position the seeds leave free; removes every entry that constrains a position, the
+    /// constrain a position the seeds leave free (an exact key leaves
+    /// none); removes every entry that constrains a position, the
     /// last of them included; or removes everything.
     #[test]
     fn a_splice_equals_a_build_along_any_delta_chain(
-        kind in 0usize..3,
+        kind in 0usize..4,
         shape in (1usize..=9, 1i32..=3, pvec(any::<bool>(), 9), (0u8..3, 0usize..301)),
         rows in pvec(
             (pvec(any::<u8>(), 9), pvec(any::<u8>(), 9), pvec(any::<u8>(), 9), any::<i32>()),
@@ -646,7 +651,7 @@ proptest! {
         noise in pvec(pvec(any::<u8>(), 9), 8),
     ) {
         let (width, levels, free, (size, n)) = shape;
-        let kind = [MatchKind::Ternary, MatchKind::Range, MatchKind::Lpm][kind];
+        let kind = [MatchKind::Ternary, MatchKind::Range, MatchKind::Lpm, MatchKind::Exact][kind];
         let rows = &rows[..[n, 60 + n % 8, 252 + n % 8][usize::from(size)]];
         // A table sized next to a boundary keeps every seed: each is exact
         // on key bytes 0–1, at a value of its own, so none covers another.
@@ -678,7 +683,7 @@ proptest! {
                         value[..2].copy_from_slice(&own);
                         *prefix_len = (*prefix_len).max(16);
                     }
-                    _ => unreachable!(),
+                    MatchSpec::Exact(value) => value[..2].copy_from_slice(&own),
                 }
             }
             t.insert(spec, Action::Forward(port), level.rem_euclid(levels)).unwrap();
@@ -727,10 +732,10 @@ proptest! {
             prop_assert_eq!(compiled.wildcard_form(), built.wildcard_form());
             let mut keys: Vec<Vec<u8>> = noise.iter().map(|k| k[..width].to_vec()).collect();
             keys.extend(t.entries().iter().map(|e| match &e.spec {
-                MatchSpec::Ternary { value, .. }
+                MatchSpec::Exact(value)
+                | MatchSpec::Ternary { value, .. }
                 | MatchSpec::Range { lo: value, .. }
                 | MatchSpec::Lpm { value, .. } => value.clone(),
-                _ => unreachable!(),
             }));
             let mut probe = vec![0u8; width];
             for key in &keys {
