@@ -228,3 +228,12 @@ fn label_values_with_quotes_and_backslashes_round_trip() {
     );
     assert_eq!(s.value, 1.0);
 }
+
+mod golden;
+
+/// The renderer's exact bytes for the golden registry.
+#[test]
+fn the_golden_registry_renders_to_the_golden_text() {
+    let text = golden::registry().render_prometheus();
+    assert_eq!(text, golden::TEXT, "rendered:\n{text}");
+}
