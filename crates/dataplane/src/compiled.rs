@@ -2357,8 +2357,9 @@ mod tests {
     /// Exact keys of one action and priority added in one publish fold
     /// among themselves into one row, as additions to any table do, and
     /// answer every key as a fresh compile does, which folds the old key in
-    /// too. The old key's row was never folded, so the level is not known
-    /// disjoint, and removing one added key takes the full compile.
+    /// too. The old key's row was never folded, so the patch that folds the
+    /// added keys checks the whole level once, finds it disjoint, and
+    /// removing one added key subtracts it from its row.
     #[test]
     fn exact_keys_added_together_fold_into_one_row() {
         let mut t = table(MatchKind::Exact, 1, 16);
@@ -2383,8 +2384,8 @@ mod tests {
             Some(SourceClass::Merged)
         );
         t.remove(added[1]).unwrap();
-        let next = fell_back(&next, &t);
-        assert_eq!(next.minimized_len(), 1);
+        let next = spliced(&next, &t);
+        assert_eq!(next.minimized_len(), 2);
         assert_eq!(next.peek(&[6]), Action::NoOp);
     }
 

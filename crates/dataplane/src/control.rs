@@ -198,8 +198,10 @@ impl ControlPlane {
     }
 
     /// Applies a [`RuleSetDiff`] to stage `stage`: removes each `removed`
-    /// entry by spec + priority (in one pass, [`Table::remove_ternary`]),
-    /// then installs each `added` entry with `on_match`. Removals run first
+    /// entry by spec + priority (in one pass, [`Table::remove_ternary`],
+    /// which reads one stored fingerprint per installed entry and a spec
+    /// only where a fingerprint matches), then installs each `added` entry
+    /// with `on_match`, fingerprinting each as it goes in. Removals run first
     /// so capacity they free is available to the inserts. Returns
     /// `(removed, installed)` counts; a `removed` entry that is not present
     /// in the table is skipped, not an error (the diff may predate other

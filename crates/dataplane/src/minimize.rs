@@ -57,8 +57,10 @@
 //! [`SourceClass::Eliminated`] one, and subtracts a removed
 //! [`SourceClass::Merged`] one's box from the entries of its level it
 //! meets — exact while the level's sources are pairwise disjoint, which a
-//! full minimization checks for every level that holds a folded entry and
-//! a patch re-checks on every addition (see [`MinimizedTable::patch`]). A
+//! full minimization checks for every level that holds a folded entry, a
+//! patch re-checks on every addition, and the patch that first folds added
+//! entries into a level never checked checks once, whole (see
+//! [`MinimizedTable::patch`]). A
 //! removed [`SourceClass::Coverer`] handle, or a folded one in a level not
 //! known to be disjoint, takes the full minimization again. To subtract a
 //! box the table no longer holds, every source's box and priority are kept
@@ -170,11 +172,12 @@ struct Level {
     /// Sources its entries stand for: all of the level's but the
     /// eliminated ones.
     live: usize,
-    /// Its sources are known to be pairwise disjoint, and its entries
-    /// match exactly their keys: each entry a union of sources, or a piece
-    /// a subtraction left of one. Checked only for a level that holds a
-    /// folded entry, or is about to.
-    disjoint: bool,
+    /// Whether its sources are pairwise disjoint and its entries match
+    /// exactly their keys: each entry a union of sources, or a piece a
+    /// subtraction left of one. `None` (not known) until the level holds a
+    /// folded entry; checked when one is made, by the minimization or by
+    /// the patch that folds it in.
+    disjoint: Option<bool>,
 }
 
 /// The level of `priority` in `levels` (highest priority first).
@@ -332,7 +335,9 @@ impl MinimizedTable {
     ///   table, and each row goes before the first entry of lower
     ///   priority. Where the level was known disjoint (or empty), it stays
     ///   so only if the rows meet none of its entries nor each other, and
-    ///   each is as large as its sources together.
+    ///   each is as large as its sources together. A level never checked
+    ///   (none of its rows folded) is checked whole, once, when a folded
+    ///   row joins it, so removing one of that row's sources subtracts.
     ///
     /// The [`Edit`] beside the patched form says where every minimized
     /// entry went, so the engine can be patched the same way. A kept entry
@@ -422,7 +427,7 @@ impl MinimizedTable {
                 drops.extend(ranks);
                 continue;
             }
-            if !level.disjoint {
+            if level.disjoint != Some(true) {
                 return None;
             }
             let cut: Vec<&[ByteSet]> = cut.iter().map(|&(_, at)| &boxes[at..at + width]).collect();
@@ -504,26 +509,39 @@ impl MinimizedTable {
                     let empty = Level {
                         priority,
                         live: 0,
-                        disjoint: false,
+                        disjoint: None,
                     };
                     levels.insert(at, empty);
                     at
                 });
             let level = &mut levels[at];
             let merged = level_rows.iter().any(|k| k.sources.len() > 1);
-            let check = if level.live == 0 {
-                merged
+            // An empty level holds nothing to be disjoint from.
+            let checked = if level.live == 0 {
+                None
             } else {
                 level.disjoint
             };
-            level.disjoint = check && {
-                let ranks = self.level_ranks(priority);
-                let kept = ranks.filter(|rank| drops.binary_search(rank).is_err());
-                let kept = kept.map(|rank| &self.entries[rank].sets[..]);
-                let pieces = made.iter().filter(|(_, e)| e.priority == priority);
-                let known: Vec<&[ByteSet]> = kept.chain(pieces.map(|(_, e)| &e.sets[..])).collect();
-                let new: Vec<_> = level_rows.iter().map(|k| (&k.sets[..], k.volume)).collect();
-                disjoint(&known, &new)
+            level.disjoint = match checked {
+                Some(false) => Some(false),
+                None if !merged => None,
+                _ => {
+                    let ranks = self.level_ranks(priority);
+                    let kept = ranks.filter(|rank| drops.binary_search(rank).is_err());
+                    let kept = kept.map(|rank| &self.entries[rank].sets[..]);
+                    let pieces = made.iter().filter(|(_, e)| e.priority == priority);
+                    let old = kept.chain(pieces.map(|(_, e)| &e.sets[..]));
+                    let rows = level_rows.iter().map(|k| (&k.sets[..], k.volume));
+                    Some(if checked.is_some() {
+                        disjoint(&old.collect::<Vec<_>>(), &rows.collect::<Vec<_>>())
+                    } else {
+                        // Never checked: each of its rows is one source's
+                        // box, checked with the added ones.
+                        let own = |sets: &[ByteSet]| volume(sets.iter().map(ByteSet::len));
+                        let old = old.map(|sets| (sets, own(sets)));
+                        disjoint(&[], &old.chain(rows).collect::<Vec<_>>())
+                    })
+                }
             };
             level.live += level_rows.iter().map(|k| k.sources.len()).sum::<usize>();
             for k in level_rows.iter().filter(|k| k.sources.len() > 1) {
@@ -847,7 +865,7 @@ pub fn minimize(kind: MatchKind, entries: &[TableEntry]) -> MinimizedTable {
             Level {
                 priority: level[0].priority,
                 live: level.iter().map(|k| k.sources.len()).sum(),
-                disjoint: merged && disjoint(&[], &rows()),
+                disjoint: merged.then(|| disjoint(&[], &rows())),
             }
         })
         .collect();

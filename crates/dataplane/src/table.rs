@@ -167,6 +167,18 @@ pub(crate) fn prefix_mask(prefix_len: usize, pos: usize) -> u8 {
     (0xff00u16 >> prefix_len.saturating_sub(8 * pos).min(8)) as u8
 }
 
+/// The fingerprint of the ternary rule `(value, mask, priority)` over
+/// `(priority, mask, value & mask)`: two specs
+/// [`Table::remove_matching`] takes for one rule always share it, and two
+/// it tells apart rarely do.
+fn fingerprint(value: &[u8], mask: &[u8], priority: i32) -> u64 {
+    let seed = u64::from(priority as u32) | (value.len() as u64) << 32;
+    value.iter().zip(mask).fold(seed, |h, (&v, &m)| {
+        let pair = u64::from(u16::from_le_bytes([v & m, m]));
+        (h.rotate_left(5) ^ pair).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
+}
+
 /// Stable handle to an installed entry, unique within one table and its
 /// clones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -213,6 +225,17 @@ pub struct TableEntry {
     pub action: Action,
     /// Priority; higher wins (for LPM the prefix length is used instead).
     pub priority: i32,
+}
+
+impl TableEntry {
+    /// A ternary entry's [`fingerprint`]; 0 for every other kind, which
+    /// [`Table::remove_ternary`] never removes.
+    fn fingerprint(&self) -> u64 {
+        match &self.spec {
+            MatchSpec::Ternary { value, mask } => fingerprint(value, mask, self.priority),
+            _ => 0,
+        }
+    }
 }
 
 /// Errors returned by table operations.
@@ -287,6 +310,12 @@ pub struct Table {
     capacity: usize,
     default_action: Action,
     entries: Vec<TableEntry>,
+    /// Each entry's [`TableEntry::fingerprint`], in step with `entries`
+    /// after every edit, so [`Table::remove_ternary`] reads one `u64` per
+    /// entry instead of its heap-held value and mask. Not serialized: a
+    /// table read back has none, and its first edit rebuilds them.
+    #[serde(skip)]
+    fingerprints: Vec<u64>,
     next_handle: u64,
 }
 
@@ -308,7 +337,17 @@ impl Table {
             capacity,
             default_action,
             entries: Vec::new(),
+            fingerprints: Vec::new(),
             next_handle: 1,
+        }
+    }
+
+    /// Rebuilds the fingerprints where they are not in step with the
+    /// entries (a table read back from its serialized form): every edit
+    /// starts here.
+    fn sync_fingerprints(&mut self) {
+        if self.fingerprints.len() != self.entries.len() {
+            self.fingerprints = self.entries.iter().map(TableEntry::fingerprint).collect();
         }
     }
 
@@ -403,6 +442,8 @@ impl Table {
         let at = self
             .entries
             .partition_point(|e| e.priority >= effective_priority);
+        self.sync_fingerprints();
+        self.fingerprints.insert(at, entry.fingerprint());
         self.entries.insert(at, entry);
         self.revision = Revision::fresh();
         Ok(handle)
@@ -419,8 +460,15 @@ impl Table {
             .iter()
             .position(|e| e.handle == handle)
             .ok_or(TableError::NoSuchEntry(handle))?;
+        Ok(self.remove_at(idx))
+    }
+
+    /// Removes the entry at `idx` of the match order.
+    fn remove_at(&mut self, idx: usize) -> TableEntry {
+        self.sync_fingerprints();
+        self.fingerprints.remove(idx);
         self.revision = Revision::fresh();
-        Ok(self.entries.remove(idx))
+        self.entries.remove(idx)
     }
 
     /// Removes the first entry whose spec and effective priority equal the
@@ -459,8 +507,7 @@ impl Table {
             .entries
             .iter()
             .position(|e| e.priority == effective_priority && same_spec(&e.spec))?;
-        self.revision = Revision::fresh();
-        Some(self.entries.remove(idx).handle)
+        Some(self.remove_at(idx).handle)
     }
 
     /// Removes, in one pass, the ternary entries `rules` name as
@@ -469,26 +516,39 @@ impl Table {
     /// `(value & mask, mask, priority)`, the first `k` entries with it go,
     /// as `k` calls of `remove_matching` would take them. A rule no entry
     /// matches is skipped. Returns how many entries went.
+    ///
+    /// The pass reads each entry's stored fingerprint of
+    /// `(priority, mask, value & mask)` and reaches for its value and mask
+    /// only where that equals a rule's, so it costs one `u64` per entry
+    /// plus the rules' own comparisons, not a walk over every entry's
+    /// heap-held spec.
     pub fn remove_ternary<'a, I>(&mut self, rules: I) -> usize
     where
         I: IntoIterator<Item = (&'a [u8], &'a [u8], i32)>,
     {
-        // `(priority, mask, value & mask)` of one spec against another's,
-        // the values masked as they are read.
-        fn cmp(a: (i32, &[u8], &[u8]), b: (i32, &[u8], &[u8])) -> std::cmp::Ordering {
+        // `(fingerprint, (priority, mask, value & mask))` of one spec
+        // against another's, the values masked as they are read.
+        type Rule<'r> = (u64, (i32, &'r [u8], &'r [u8]));
+        fn cmp(a: Rule<'_>, b: Rule<'_>) -> std::cmp::Ordering {
+            let ((a_fp, a), (b_fp, b)) = (a, b);
             let a_masked = a.2.iter().zip(a.1).map(|(v, m)| v & m);
             let b_masked = b.2.iter().zip(b.1).map(|(v, m)| v & m);
-            a.0.cmp(&b.0)
+            a_fp.cmp(&b_fp)
+                .then_with(|| a.0.cmp(&b.0))
                 .then_with(|| a.1.cmp(b.1))
                 .then_with(|| a_masked.cmp(b_masked))
         }
-        // Each rule as `(priority, mask, value)`, sorted, with how many
-        // entries it still takes. An installed value is as wide as its
-        // mask, so no entry matches a rule whose value is not.
-        let mut wanted: Vec<_> = rules
+        // Each rule as its fingerprint and `(priority, mask, value)`,
+        // sorted, with how many entries it still takes. An installed value
+        // is as wide as its mask, so no entry matches a rule whose value is
+        // not.
+        let mut wanted: Vec<(Rule<'a>, usize)> = rules
             .into_iter()
             .filter(|(value, mask, _)| value.len() == mask.len())
-            .map(|(value, mask, priority)| ((priority, mask, value), 1))
+            .map(|(value, mask, priority)| {
+                let fp = fingerprint(value, mask, priority);
+                ((fp, (priority, mask, value)), 1)
+            })
             .collect();
         if wanted.is_empty() {
             return 0;
@@ -499,13 +559,21 @@ impl Table {
             kept.1 += usize::from(same);
             same
         });
-        self.remove_where(|e| {
+        self.remove_where(|e, fp| {
+            let from = wanted.partition_point(|&((rule_fp, _), _)| rule_fp < fp);
+            if wanted
+                .get(from)
+                .is_none_or(|&((rule_fp, _), _)| rule_fp != fp)
+            {
+                return false;
+            }
             let MatchSpec::Ternary { value, mask } = &e.spec else {
                 return false;
             };
-            let found = wanted.binary_search_by(|&(rule, _)| cmp(rule, (e.priority, mask, value)));
+            let entry = (fp, (e.priority, &mask[..], &value[..]));
+            let found = wanted[from..].binary_search_by(|&(rule, _)| cmp(rule, entry));
             found.is_ok_and(|at| {
-                let left = &mut wanted[at].1;
+                let left = &mut wanted[from + at].1;
                 let take = *left > 0;
                 *left -= usize::from(take);
                 take
@@ -523,7 +591,7 @@ impl Table {
         let mut wanted = handles.to_vec();
         wanted.sort_unstable();
         let mut found = vec![false; wanted.len()];
-        self.remove_where(|e| {
+        self.remove_where(|e, _| {
             wanted.binary_search(&e.handle).is_ok_and(|at| {
                 found[at] = true;
                 true
@@ -536,12 +604,26 @@ impl Table {
     }
 
     /// Removes every entry `pick` selects, in one pass over the entries in
-    /// match order (`pick` sees each once, first to last); returns how many
-    /// went.
-    fn remove_where(&mut self, mut pick: impl FnMut(&TableEntry) -> bool) -> usize {
+    /// match order (`pick` sees each once, first to last, with its
+    /// fingerprint); returns how many went. An entry `pick` keeps before
+    /// the first it removes is not moved.
+    fn remove_where(&mut self, mut pick: impl FnMut(&TableEntry, u64) -> bool) -> usize {
+        self.sync_fingerprints();
         let before = self.entries.len();
-        self.entries.retain(|e| !pick(e));
-        let removed = before - self.entries.len();
+        let mut kept = 0;
+        for at in 0..before {
+            if pick(&self.entries[at], self.fingerprints[at]) {
+                continue;
+            }
+            if kept != at {
+                self.entries.swap(kept, at);
+                self.fingerprints.swap(kept, at);
+            }
+            kept += 1;
+        }
+        self.entries.truncate(kept);
+        self.fingerprints.truncate(kept);
+        let removed = before - kept;
         if removed > 0 {
             self.revision = Revision::fresh();
         }
@@ -567,6 +649,7 @@ impl Table {
     /// Removes every entry.
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.fingerprints.clear();
         self.revision = Revision::fresh();
     }
 
@@ -601,6 +684,7 @@ impl PartialEq for Table {
             capacity,
             default_action,
             entries,
+            fingerprints: _,
             next_handle,
         } = self;
         *name == other.name
@@ -715,22 +799,99 @@ mod tests {
         assert_eq!(left, [other, third]);
     }
 
+    /// The fingerprint is taken under the mask: values that differ only
+    /// outside it remove each other, while an equal masked value under
+    /// another mask or priority stays.
+    #[test]
+    fn remove_ternary_compares_fingerprints_under_the_mask() {
+        let mut t = table(MatchKind::Ternary, 2);
+        let mut insert = |value: [u8; 2], mask: [u8; 2], priority: i32| {
+            let spec = MatchSpec::Ternary {
+                value: value.to_vec(),
+                mask: mask.to_vec(),
+            };
+            t.insert(spec, Action::Drop, priority).unwrap()
+        };
+        insert([0x5f, 0x01], [0xf0, 0xff], 3);
+        let other_mask = insert([0x50, 0x01], [0xff, 0xff], 3);
+        let other_priority = insert([0x50, 0x01], [0xf0, 0xff], 2);
+        let rule: (&[u8], &[u8], i32) = (&[0x53, 0x01], &[0xf0, 0xff], 3);
+        let fp = |(value, mask, priority): (&[u8], &[u8], i32)| fingerprint(value, mask, priority);
+        assert_eq!(t.fingerprints[0], fp(rule));
+        assert_ne!(t.fingerprints[1], fp(rule));
+        assert_ne!(t.fingerprints[2], fp(rule));
+        assert_eq!(t.remove_ternary([rule]), 1);
+        let left: Vec<_> = t.entries().iter().map(|e| e.handle).collect();
+        assert_eq!(left, [other_mask, other_priority]);
+        assert_eq!(t.remove_ternary([rule]), 0);
+    }
+
+    /// The fingerprint column holds each entry's own, in match order: what
+    /// every edit leaves.
+    fn in_step(t: &Table) -> bool {
+        t.fingerprints
+            .iter()
+            .copied()
+            .eq(t.entries.iter().map(TableEntry::fingerprint))
+    }
+
     proptest::proptest! {
         /// One `remove_ternary` pass leaves the table one
         /// `remove_matching` call per rule would, on random tables and rule
-        /// lists full of duplicates and differently encoded uncared bits.
+        /// lists full of duplicates and differently encoded uncared bits —
+        /// on a table read back from JSON (no fingerprints) and then edited
+        /// by every writer in turn, so the column is rebuilt once and then
+        /// kept in step by each, and on its clone.
         #[test]
         fn remove_ternary_equals_one_remove_matching_per_rule(
             installed in proptest::collection::vec((0u8..8, 0u8..3, 0i32..2), 0..16),
+            edits in proptest::collection::vec((0u8..10, (0u8..8, 0u8..3, 0i32..2)), 0..10),
             rules in proptest::collection::vec((0u8..8, 0u8..3, 0i32..2), 0..12),
         ) {
             let mask_of = |sel: u8| [0xff, 0xfe, 0xfc][usize::from(sel)];
-            let mut one_pass = table(MatchKind::Ternary, 1);
+            let spec = |value: u8, mask: u8| MatchSpec::Ternary {
+                value: vec![value],
+                mask: vec![mask_of(mask)],
+            };
+            let mut t = table(MatchKind::Ternary, 1);
             for &(value, mask, priority) in &installed {
-                let spec = MatchSpec::Ternary { value: vec![value], mask: vec![mask_of(mask)] };
-                one_pass.insert(spec, Action::Drop, priority).unwrap();
+                t.insert(spec(value, mask), Action::Drop, priority).unwrap();
             }
-            let mut per_rule = one_pass.clone();
+            let json = serde_json::to_string(&t).unwrap();
+            let mut t: Table = serde_json::from_str(&json).unwrap();
+            proptest::prop_assert!(t.fingerprints.is_empty());
+            for &(op, (value, mask, priority)) in &edits {
+                let revision = t.revision();
+                let nth = |t: &Table| t.entries().get(usize::from(value) % t.len().max(1)).map(|e| e.handle);
+                match op {
+                    0..=4 => {
+                        let _ = t.insert(spec(value, mask), Action::Drop, priority);
+                    }
+                    5 => {
+                        if let Some(h) = nth(&t) {
+                            t.remove(h).unwrap();
+                        }
+                    }
+                    6 => {
+                        t.remove_matching(&spec(value, mask), priority);
+                    }
+                    7 => {
+                        let handles: Vec<_> = nth(&t).into_iter().collect();
+                        t.remove_all(&handles).unwrap();
+                    }
+                    8 => {
+                        let rule: (&[u8], &[u8], i32) = (&[value], &[mask_of(mask)], priority);
+                        t.remove_ternary([rule]);
+                    }
+                    _ => t.clear(),
+                }
+                // A call that edits nothing (a miss) leaves the column as
+                // it was, in step or not yet rebuilt.
+                let edited = t.revision() != revision;
+                proptest::prop_assert!(in_step(&t) || !edited, "after edit {op}");
+            }
+            let mut one_pass = t.clone();
+            let mut per_rule = t;
             let rules: Vec<_> = rules
                 .iter()
                 .map(|&(value, mask, priority)| ([value], [mask_of(mask)], priority))
@@ -746,6 +907,7 @@ mod tests {
                 .count();
             proptest::prop_assert_eq!(removed, taken);
             proptest::prop_assert_eq!(one_pass.entries(), per_rule.entries());
+            proptest::prop_assert!(in_step(&one_pass) || removed == 0);
         }
     }
 

@@ -10,7 +10,8 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
 
-const BUCKETS: usize = 64;
+/// Buckets per histogram.
+pub(crate) const BUCKETS: usize = 64;
 
 /// A histogram of durations in power-of-two nanosecond buckets: bucket `b`
 /// counts samples with `nanos` in `[2^(b-1), 2^b)` (bucket 0 holds 0 ns,
@@ -33,6 +34,21 @@ impl Default for LatencyHistogram {
             max_nanos: 0,
         }
     }
+}
+
+/// The non-empty prefix of `counts` (one per bucket) as
+/// `(upper_bound_nanos, count)` pairs: what [`LatencyHistogram::buckets`]
+/// iterates.
+pub(crate) fn bounded(counts: &[u64]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    let last = counts.iter().rposition(|&n| n != 0).map_or(0, |i| i + 1);
+    counts[..last].iter().enumerate().map(|(b, &n)| {
+        let bound = match b {
+            0 => 0,
+            _ if b == BUCKETS - 1 => u64::MAX,
+            _ => 1u64 << b,
+        };
+        (bound, n)
+    })
 }
 
 impl LatencyHistogram {
@@ -102,22 +118,18 @@ impl LatencyHistogram {
 
     /// Iterates the non-empty prefix of buckets as
     /// `(upper_bound_nanos, count)` pairs, in increasing bound order — the
-    /// exposition-friendly view used by the Prometheus renderer. The last
+    /// view the Prometheus renderer writes, of a copy. The last
     /// bucket's bound is `u64::MAX` (it holds clamped samples).
     pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let last = self
-            .buckets
-            .iter()
-            .rposition(|&n| n != 0)
-            .map_or(0, |i| i + 1);
-        self.buckets[..last].iter().enumerate().map(|(b, &n)| {
-            let bound = match b {
-                0 => 0,
-                _ if b == BUCKETS - 1 => u64::MAX,
-                _ => 1u64 << b,
-            };
-            (bound, n)
-        })
+        bounded(&self.buckets)
+    }
+
+    /// Copies the bucket counts into `out` and returns the sample count
+    /// and sum: the whole histogram as plain values, so a caller holding
+    /// it under a lock copies it out without an allocation.
+    pub(crate) fn copy_into(&self, out: &mut [u64; BUCKETS]) -> (u64, u64) {
+        out.copy_from_slice(&self.buckets);
+        (self.count, self.sum_nanos)
     }
 
     /// Mean sample, or zero when empty.

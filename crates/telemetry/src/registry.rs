@@ -6,12 +6,16 @@
 //! `AtomicU64`s; histograms take an uncontended per-series mutex). The
 //! registry lock is only taken at registration and render time, never on
 //! the packet path.
+//!
+//! A Prometheus render writes every line in place into one `String`: its
+//! growth is all it allocates (`tests/render_allocs.rs` holds it to that),
+//! and a histogram's mutex is held only to copy its buckets out.
 
-use crate::histogram::LatencyHistogram;
+use crate::histogram::{bounded, LatencyHistogram, BUCKETS};
 use parking_lot::{Mutex, RwLock};
 use serde::Value;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -286,65 +290,45 @@ impl Registry {
     /// Renders every family in the Prometheus text exposition format
     /// (version 0.0.4): `# HELP` / `# TYPE` headers, one
     /// `name{labels} value` line per series, and `_bucket`/`_sum`/`_count`
-    /// triples (with `le` in seconds) for histograms.
+    /// triples (with `le` in seconds) for histograms. Everything is written
+    /// in place into the one returned `String`, so its growth is all a
+    /// render allocates; a histogram is copied out under its lock and
+    /// formatted after the lock is released, so a shard's flush never waits
+    /// on formatting.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
+        let mut counts = [0u64; BUCKETS];
         let families = self.families.read();
         for (name, family) in families.iter() {
-            let _ = writeln!(out, "# HELP {name} {}", escape_help(&family.help));
-            let _ = writeln!(out, "# TYPE {name} {}", family.kind.as_str());
+            for (header, text) in [("HELP", &family.help[..]), ("TYPE", family.kind.as_str())] {
+                let _ = write!(out, "# {header} {name} ");
+                push_escaped(&mut out, text, false);
+                out.push('\n');
+            }
             for (labels, series) in &family.series {
+                let sample = |out: &mut String, suffix, le, value: &dyn Display| {
+                    push_sample(out, (name, suffix), labels, le, value);
+                };
                 match series {
-                    Series::Int(v) => {
-                        let _ = writeln!(
-                            out,
-                            "{name}{} {}",
-                            render_labels(labels, None),
-                            v.load(Ordering::Relaxed)
-                        );
-                    }
+                    Series::Int(v) => sample(&mut out, "", None, &v.load(Ordering::Relaxed)),
                     Series::Float(v) => {
-                        let _ = writeln!(
-                            out,
-                            "{name}{} {}",
-                            render_labels(labels, None),
-                            fmt_f64(f64::from_bits(v.load(Ordering::Relaxed)))
-                        );
+                        let v = f64::from_bits(v.load(Ordering::Relaxed));
+                        sample(&mut out, "", None, &v);
                     }
                     Series::Histo(h) => {
-                        let h = h.lock().clone();
+                        let (count, sum_nanos) = h.lock().copy_into(&mut counts);
                         let mut cumulative = 0u64;
-                        for (bound_nanos, n) in h.buckets() {
+                        for (bound_nanos, n) in bounded(&counts) {
                             cumulative += n;
-                            let le = if bound_nanos == u64::MAX {
-                                "+Inf".to_string()
-                            } else {
-                                fmt_f64(bound_nanos as f64 / 1e9)
+                            let le = match bound_nanos {
+                                u64::MAX => f64::INFINITY,
+                                _ => bound_nanos as f64 / 1e9,
                             };
-                            let _ = writeln!(
-                                out,
-                                "{name}_bucket{} {cumulative}",
-                                render_labels(labels, Some(&le))
-                            );
+                            sample(&mut out, "_bucket", Some(le), &cumulative);
                         }
-                        let _ = writeln!(
-                            out,
-                            "{name}_bucket{} {}",
-                            render_labels(labels, Some("+Inf")),
-                            h.count()
-                        );
-                        let _ = writeln!(
-                            out,
-                            "{name}_sum{} {}",
-                            render_labels(labels, None),
-                            fmt_f64(h.sum_nanos() as f64 / 1e9)
-                        );
-                        let _ = writeln!(
-                            out,
-                            "{name}_count{} {}",
-                            render_labels(labels, None),
-                            h.count()
-                        );
+                        sample(&mut out, "_bucket", Some(f64::INFINITY), &count);
+                        sample(&mut out, "_sum", None, &(sum_nanos as f64 / 1e9));
+                        sample(&mut out, "_count", None, &count);
                     }
                 }
             }
@@ -406,40 +390,58 @@ impl Registry {
     }
 }
 
-/// Formats a float the way the exposition format expects: integral values
-/// without a fractional part, everything else via `{}` (shortest
-/// round-trip representation).
-fn fmt_f64(v: f64) -> String {
-    format!("{v}")
-}
-
-fn escape_help(help: &str) -> String {
-    help.replace('\\', "\\\\").replace('\n', "\\n")
-}
-
-/// Escapes a label value for the text exposition format (`\` → `\\`,
-/// `"` → `\"`, newline → `\n`).
-fn escape_label(value: &str) -> String {
-    value
-        .replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
-/// Renders `{k="v",…}` (with an optional trailing `le`), or the empty
-/// string when there are no labels at all.
-fn render_labels(labels: &Labels, le: Option<&str>) -> String {
-    if labels.is_empty() && le.is_none() {
-        return String::new();
+/// Appends one sample line: the family name and `suffix`, then
+/// `{k="v",…}` (with `le` last, in seconds, `+Inf` when infinite) unless
+/// there is no label at all, then `value` (a float as `{}` writes it, the
+/// shortest form that reads back).
+fn push_sample(
+    out: &mut String,
+    (name, suffix): (&str, &str),
+    labels: &Labels,
+    le: Option<f64>,
+    value: &dyn Display,
+) {
+    out.push_str(name);
+    out.push_str(suffix);
+    if !labels.is_empty() || le.is_some() {
+        let mut sep = '{';
+        for (k, v) in labels {
+            let _ = write!(out, "{sep}{k}=\"");
+            push_escaped(out, v, true);
+            out.push('"');
+            sep = ',';
+        }
+        match le {
+            Some(le) if le == f64::INFINITY => {
+                let _ = write!(out, "{sep}le=\"+Inf\"");
+            }
+            Some(le) => {
+                let _ = write!(out, "{sep}le=\"{le}\"");
+            }
+            None => {}
+        }
+        out.push('}');
     }
-    let mut parts: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
-        .collect();
-    if let Some(le) = le {
-        parts.push(format!("le=\"{le}\""));
+    let _ = writeln!(out, " {value}");
+}
+
+/// Appends `text` escaped for the exposition format: `\` → `\\` and
+/// newline → `\n`, and `"` → `\"` where `quoted` (a label value). The
+/// escaped bytes are ASCII, so every cut falls on a character boundary.
+fn push_escaped(out: &mut String, text: &str, quoted: bool) {
+    let mut run = 0;
+    for (at, byte) in text.bytes().enumerate() {
+        let escaped = match byte {
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'"' if quoted => "\\\"",
+            _ => continue,
+        };
+        out.push_str(&text[run..at]);
+        out.push_str(escaped);
+        run = at + 1;
     }
-    format!("{{{}}}", parts.join(","))
+    out.push_str(&text[run..]);
 }
 
 #[cfg(test)]
