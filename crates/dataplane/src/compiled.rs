@@ -27,6 +27,8 @@
 //! aggregated bit vector, SIGCOMM '01). One walk, `probe_key`, answers a
 //! range of ranks: a table's lookup is the range of all its ranks, and a
 //! vote's fused index (`VoteIndex`) is walked one stage's range at a time.
+//! That index is the same engine over every stage's rows, lifted onto the
+//! union of the stages' keys: built on a full publish, spliced on a delta.
 //!
 //! Semantics are pinned to [`Table::peek`]: the winning entry is the first
 //! match in priority order (insertion order among equal priorities), and a
@@ -117,53 +119,27 @@ struct Partition {
     count: usize,
 }
 
-impl Partition {
-    /// Whether every class here lies inside one class of `coarser`.
-    fn cuts(&self, coarser: &Partition) -> bool {
-        let mut inside = [None; 256];
-        self.of
-            .iter()
-            .zip(&coarser.of)
-            .all(|(&class, &outer)| *inside[usize::from(class)].get_or_insert(outer) == outer)
-    }
-}
-
 /// The partition of the 256 byte values at one key position into classes,
 /// refined one accepted set at a time. Beside the class of each byte it keeps
-/// each class's byte values as a set, so a member can stand for its class
-/// and neither a refinement nor a splice scans the 256 bytes. One value
-/// serves every position of a build or a splice, so refining allocates
-/// nothing per byte value or per accept set once the first position has
-/// grown the member list.
+/// each class's byte values as a set, so a class is cut by set algebra, a
+/// member can stand for its class, and neither a refinement nor a splice
+/// scans the 256 bytes. One value serves every position of a build or a
+/// splice, so refining allocates nothing once the first position has grown
+/// the member list.
 struct Classes {
     /// Class id of each byte value.
     of: [u8; 256],
-    /// Members of each class id in use.
-    size: [u16; 256],
     /// The byte values of each class id in use (1..=256 of them).
     members: Vec<ByteSet>,
-    /// Scratch for [`Classes::refine`], all zero between calls: accepted
-    /// members seen per class.
-    hits: [u16; 256],
-    /// Scratch: the classes an accepted set touched.
-    touched: [u8; 256],
-    /// Scratch: where a touched class's accepted members go.
-    target: [u8; 256],
 }
 
 impl Classes {
     /// One class holding every byte value.
     fn new() -> Classes {
-        let mut classes = Classes {
+        Classes {
             of: [0; 256],
-            size: [0; 256],
-            members: Vec::new(),
-            hits: [0; 256],
-            touched: [0; 256],
-            target: [0; 256],
-        };
-        classes.reset();
-        classes
+            members: vec![ByteSet::ANY],
+        }
     }
 
     /// Class ids in use.
@@ -174,7 +150,6 @@ impl Classes {
     /// Back to one class holding every byte value.
     fn reset(&mut self) {
         self.of = [0; 256];
-        self.size[0] = 256;
         self.members.clear();
         self.members.push(ByteSet::ANY);
     }
@@ -185,134 +160,47 @@ impl Classes {
         self.of = *of;
         self.members.clear();
         self.members.extend_from_slice(members);
-        for (size, set) in self.size.iter_mut().zip(members) {
-            *size = set.len() as u16;
-        }
     }
 
     /// Splits every class `accept` cuts through into the part it accepts
-    /// and the part it rejects, visiting only the bytes it accepts.
+    /// and the part it rejects, by set algebra on the class's byte values:
+    /// the smaller part takes a new id, so only its bytes are relabelled.
+    /// The classes cut are found through `accept`'s bytes when it has no
+    /// more than there are classes, among all of them otherwise.
     fn refine(&mut self, accept: ByteSet) {
-        let mut touched_len = 0;
-        for byte in accept.bytes() {
-            let class = self.of[usize::from(byte)];
-            if self.hits[usize::from(class)] == 0 {
-                self.touched[touched_len] = class;
-                touched_len += 1;
-            }
-            self.hits[usize::from(class)] += 1;
-        }
-        let mut split = false;
-        for &class in &self.touched[..touched_len] {
-            let c = usize::from(class);
-            let hits = std::mem::take(&mut self.hits[c]);
-            self.target[c] = class;
-            if hits < self.size[c] {
-                // A split leaves both parts non-empty, so `id <= 255`.
-                let id = self.count();
-                self.target[c] = id as u8;
-                self.size[id] = hits;
-                self.size[c] -= hits;
-                self.members.push(ByteSet([0; 4]));
-                split = true;
-            }
-        }
-        if split {
+        let count = self.count();
+        // The class ids `accept` meets, as a set of bytes.
+        let met = if accept.len() <= count {
+            let mut met = ByteSet([0; 4]);
             for byte in accept.bytes() {
-                let class = &mut self.of[usize::from(byte)];
-                *class = self.target[usize::from(*class)];
+                let class = self.of[usize::from(byte)];
+                met.0[usize::from(class / 64)] |= 1 << (class % 64);
             }
-            for &class in &self.touched[..touched_len] {
-                let (from, to) = (
-                    usize::from(class),
-                    usize::from(self.target[usize::from(class)]),
-                );
-                if to != from {
-                    let parent = self.members[from];
-                    self.members[to] = parent.intersection(accept);
-                    self.members[from] = parent.difference(accept);
-                }
+            met
+        } else {
+            ByteSet::ANY
+        };
+        for class in met.bytes().take_while(|&class| usize::from(class) < count) {
+            let class = usize::from(class);
+            let inside = self.members[class].intersection(accept);
+            let outside = self.members[class].difference(accept);
+            if inside.is_empty() || outside.is_empty() {
+                continue;
             }
-        }
-    }
-}
-
-/// The kept positions of `stage` that read the frame byte at `offset`:
-/// each as (kept index, first row there).
-fn kept_at(stage: &CompiledTable, offset: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-    let mut first = 0;
-    let engine = &stage.engine;
-    let kept = engine.positions.iter().zip(&engine.partitions).enumerate();
-    kept.filter_map(move |(i, (&pos, partition))| {
-        let row = first;
-        first += partition.count;
-        (stage.key.offsets()[pos] == offset).then_some((i, row))
-    })
-}
-
-/// ORs into `row`, a fused row's entry words, the ranks `ranks` of a stage
-/// whose engine is `engine`: each rank whose rows for `byte`'s class all
-/// hold it at the kept positions `kept` yields, as (kept index, first row
-/// there). A stage that keeps no position here holds every rank: bits past
-/// its ranks are never copied, so all ones stands for them. `picked` is
-/// scratch.
-fn fill(
-    row: &mut [u64],
-    ranks: std::ops::Range<usize>,
-    engine: &BitVector,
-    byte: u8,
-    kept: impl Iterator<Item = (usize, usize)>,
-    picked: &mut Vec<u64>,
-) {
-    let (to, len) = (ranks.start, ranks.len());
-    let rows = kept.map(|(i, first)| {
-        let class = usize::from(engine.partitions[i].of[usize::from(byte)]);
-        (first + class) * engine.stride() + engine.summary
-    });
-    if len == 0 {
-        return;
-    }
-    if engine.words == 1 {
-        // One word: shifted into place without a buffer.
-        let bits = rows.fold(u64::MAX, |acc, from| acc & engine.rows[from]);
-        let bits = bits & (u64::MAX >> (64 - len));
-        row[to / 64] |= bits << (to % 64);
-        if to % 64 + len > 64 {
-            row[to / 64 + 1] |= bits >> (64 - to % 64);
-        }
-        return;
-    }
-    picked.clear();
-    picked.resize(engine.words, u64::MAX);
-    for from in rows {
-        let words = &engine.rows[from..][..engine.words];
-        for (p, &word) in picked.iter_mut().zip(words) {
-            *p &= word;
-        }
-    }
-    or_bits(picked, 0, row, to, len);
-}
-
-/// Cuts the classes `cells` (the byte values of each) down to their common
-/// refinement with the classes `theirs`: the non-empty intersections of one
-/// of each. A cell stops meeting `theirs` once its pieces cover it. `met`
-/// is scratch.
-fn meet(cells: &mut Vec<ByteSet>, theirs: &[ByteSet], met: &mut Vec<ByteSet>) {
-    met.clear();
-    for &cell in cells.iter() {
-        let mut left = cell.len();
-        for &other in theirs {
-            let piece = cell.intersection(other);
-            if !piece.is_empty() {
-                met.push(piece);
-                left -= piece.len();
-                if left == 0 {
-                    break;
-                }
+            let (stay, moved) = if inside.len() < outside.len() {
+                (outside, inside)
+            } else {
+                (inside, outside)
+            };
+            // A split leaves both parts non-empty, so `id <= 255`.
+            let id = self.count() as u8;
+            self.members[class] = stay;
+            self.members.push(moved);
+            for byte in moved.bytes() {
+                self.of[usize::from(byte)] = id;
             }
         }
     }
-    std::mem::swap(cells, met);
 }
 
 /// The distinct accepted sets of one key position, numbered in the order
@@ -647,8 +535,9 @@ impl BitVector {
         index
     }
 
-    /// The engine over `entries` — the minimized list `edit` made from the
-    /// one this engine indexes — derived from this one instead of built.
+    /// The engine over the list `edit` made from the one this engine
+    /// indexes, derived from this one instead of built: `fresh` holds the
+    /// entries `edit` patched in, one per rank of `edit.fresh`, in order.
     ///
     /// Each position starts from its classes here (one class holding every
     /// byte where no entry constrained it), cut further by the fresh
@@ -662,22 +551,24 @@ impl BitVector {
     /// removal never merges classes that no remaining entry tells apart,
     /// so a position may keep more rows than a build would give it — at
     /// most 256, and the probe reads one a position whatever their count.
-    fn splice(&self, entries: &[MinEntry], width: usize, edit: &Edit) -> BitVector {
+    fn splice(&self, fresh: &[MinEntry], width: usize, edit: &Edit) -> BitVector {
         // Every rank is a kept entry's or a fresh one's; a kept entry's
         // action is read here, not from the entry.
-        let mut actions = vec![Action::NoOp; entries.len()];
+        let kept: usize = edit.runs.iter().map(|run| run.2).sum();
+        let mut actions = vec![Action::NoOp; kept + edit.fresh.len()];
         for &(from, to, len) in &edit.runs {
             actions[to..to + len].copy_from_slice(&self.actions[from..from + len]);
         }
-        for &rank in &edit.fresh {
-            actions[rank] = entries[rank].action;
+        for (&rank, entry) in edit.fresh.iter().zip(fresh) {
+            actions[rank] = entry.action;
         }
         let mut index = BitVector::empty(actions, width);
         let (stride, summary) = (index.stride(), index.summary);
         index.rows.reserve(self.members.len() * stride);
+        index.members.reserve(self.members.len());
         let old_stride = self.stride();
-        let fresh = edit.fresh.len();
-        let accepts = columns(edit.fresh.iter().map(|&rank| &entries[rank]), fresh, width);
+        let accepts = columns(fresh.iter(), fresh.len(), width);
+        let fresh = fresh.len();
         // The row of a position no entry constrained holds every old rank.
         let every_old = self.every_rank();
         let every = index.every_rank();
@@ -850,13 +741,23 @@ impl CompiledTable {
     /// never different verdicts. Verdict+priority equality with the
     /// from-scratch compile is pinned by the differential suite.
     pub fn recompile(prev: &Arc<CompiledTable>, table: &Table) -> Arc<CompiledTable> {
+        Self::recompile_with_edit(prev, table).0
+    }
+
+    /// [`CompiledTable::recompile`], with the [`Edit`] its patch made — what
+    /// a vote's fused index is spliced by — or `None` when `prev` came back
+    /// shared or the table was compiled afresh.
+    pub(crate) fn recompile_with_edit(
+        prev: &Arc<CompiledTable>,
+        table: &Table,
+    ) -> (Arc<CompiledTable>, Option<Edit>) {
         // A table's name, kind, key and default action are fixed at
         // `Table::new`, so its identity vouches for them.
         if prev.table != table.id() {
-            return Arc::new(Self::compile(table));
+            return (Arc::new(Self::compile(table)), None);
         }
         if prev.revision == table.revision() {
-            return Arc::clone(prev);
+            return (Arc::clone(prev), None);
         }
         let entries = table.entries();
         if prev.min.source.len() == entries.len()
@@ -867,13 +768,18 @@ impl CompiledTable {
                 .zip(entries)
                 .all(|(&(h, a), e)| h == e.handle && a == e.action)
         {
-            return Arc::clone(prev);
+            return (Arc::clone(prev), None);
         }
         let Some((min, edit)) = prev.min.patch(entries) else {
-            return Arc::new(Self::compile(table));
+            return (Arc::new(Self::compile(table)), None);
         };
-        let engine = prev.engine.splice(&min.entries, prev.key.width(), &edit);
-        Arc::new(CompiledTable {
+        let fresh: Vec<MinEntry> = edit
+            .fresh
+            .iter()
+            .map(|&rank| min.entries[rank].clone())
+            .collect();
+        let engine = prev.engine.splice(&fresh, prev.key.width(), &edit);
+        let next = CompiledTable {
             table: prev.table,
             revision: table.revision(),
             name: prev.name.clone(),
@@ -883,7 +789,8 @@ impl CompiledTable {
             len: entries.len(),
             min,
             engine,
-        })
+        };
+        (Arc::new(next), Some(edit))
     }
 
     /// Table name (copied from the source table).
@@ -1051,33 +958,17 @@ impl CompiledTable {
 }
 
 /// One bit-vector over the rows of every stage of a vote pipeline, so one
-/// probe per key answers every stage's lookup. Its key is the union of the
-/// frame offsets the stages' engines keep, ascending (an offset no stage
-/// constrains would hold every rank of every stage, and no probe would
-/// read it); each stage's ranks are one contiguous range, in stage order,
-/// so a stage's first set bit in its range is its first match. At each
-/// fused position the classes are the common refinement of the classes
-/// the stages keep there, and a class's row holds each such stage's row
-/// shifted to the stage's base; a stage that does not key there
-/// contributes every rank of its range.
+/// probe per key answers every stage's lookup: the table engine over every
+/// stage's minimized rows, concatenated in stage order and lifted onto one
+/// key (see [`lift`]). That key is the union of the frame offsets the
+/// stages' engines keep, ascending; each stage's ranks are one contiguous
+/// range, so a stage's first set bit in its range is its first match.
 #[derive(Debug, Clone)]
 pub(crate) struct VoteIndex {
-    /// The key and classes, shared by the indexes a delta publish
-    /// resplices from this one.
-    shape: Arc<FusedShape>,
-    /// The rows and class map. Its classes live in `shape`: it is never
-    /// spliced, so its own partitions and members stay empty.
+    /// The union key.
+    key: KeyLayout,
     index: BitVector,
     stages: Vec<FusedStage>,
-}
-
-/// The union key of a [`VoteIndex`] and, per fused position, its classes:
-/// the class of each byte, and each class's byte values in row order.
-#[derive(Debug)]
-struct FusedShape {
-    key: KeyLayout,
-    partitions: Vec<Partition>,
-    members: Vec<ByteSet>,
 }
 
 /// Where one stage sits in a [`VoteIndex`].
@@ -1090,288 +981,134 @@ struct FusedStage {
     default: Action,
 }
 
-impl VoteIndex {
-    /// Derives the index from the stages' engines, not from their entries:
-    /// refining partitions and shifting rows is what makes it cheap enough
-    /// to run on every publish. A position whose partition equals the
-    /// refinement so far (every tree of a forest cut alike there) refines
-    /// nothing. `prev` is the index over the previous snapshot's stages, and the new one is respliced from it
-    /// where that applies (see [`VoteIndex::respliced`]).
-    pub(crate) fn derive(
-        stages: &[Arc<CompiledTable>],
-        prev: Option<(&VoteIndex, &[Arc<CompiledTable>])>,
-    ) -> VoteIndex {
-        if let Some(index) = prev.and_then(|(index, old)| index.respliced(old, stages)) {
-            return index;
-        }
-        let engines: Vec<&BitVector> = stages.iter().map(|stage| &stage.engine).collect();
-        let key = KeyLayout::union(stages.iter().zip(&engines).flat_map(|(stage, engine)| {
-            engine.positions.iter().map(|&pos| stage.key.offsets()[pos])
-        }));
-        let mut bases = Vec::with_capacity(engines.len() + 1);
-        bases.push(0);
-        let mut actions = Vec::new();
-        for engine in &engines {
-            actions.extend_from_slice(&engine.actions);
-            bases.push(actions.len());
-        }
-        let mut index = BitVector::empty(actions, key.width());
-        // Each stage's kept positions as (fused position, stage, kept
-        // index, first row), sorted, so each fused position's run lists
-        // its stages in order.
-        let mut kept = Vec::with_capacity(engines.iter().map(|e| e.positions.len()).sum());
-        for (s, (stage, engine)) in stages.iter().zip(&engines).enumerate() {
-            let mut row = 0;
-            for (i, (&pos, partition)) in
-                engine.positions.iter().zip(&engine.partitions).enumerate()
-            {
-                // The union holds every stage offset, so the search finds it.
-                let offset = stage.key.offsets()[pos];
-                let at = key.offsets().binary_search(&offset).unwrap_or_else(|at| at);
-                kept.push((at, s, i, row));
-                row += partition.count;
-            }
-        }
-        kept.sort_unstable();
-        let (stride, summary) = (index.stride(), index.summary);
-        let (mut cells, mut met, mut picked) = (Vec::new(), Vec::new(), Vec::new());
-        let mut of = [0; 256];
-        let mut left = &kept[..];
-        for at in 0..key.width() {
-            let (here, after) = left.split_at(left.partition_point(|k| k.0 == at));
-            left = after;
-            // The first stage's classes here, met with each further stage's
-            // that differ; the class of each byte is copied while no meet
-            // has cut them.
-            let mut loaded = None;
-            for (k, &(_, s, i, row)) in here.iter().enumerate() {
-                let partition = &engines[s].partitions[i];
-                let theirs = &engines[s].members[row..row + partition.count];
-                if k == 0 {
-                    cells.clear();
-                    cells.extend_from_slice(theirs);
-                    loaded = Some(&partition.of);
-                } else if cells[..] != *theirs {
-                    meet(&mut cells, theirs, &mut met);
-                    loaded = None;
-                }
-            }
-            match loaded {
-                Some(first) => of = *first,
-                None => {
-                    for (id, cell) in cells.iter().enumerate() {
-                        for byte in cell.bytes() {
-                            of[usize::from(byte)] = id as u8;
-                        }
-                    }
-                }
-            }
-            let base = index.push_position(at, &of, &cells);
-            let rows = index.rows[base..].chunks_exact_mut(stride);
-            for (row, cell) in rows.zip(&cells) {
-                let mut rest = here;
-                for (s, engine) in engines.iter().enumerate() {
-                    let (mine, after) = rest.split_at(rest.partition_point(|k| k.1 == s));
-                    rest = after;
-                    let kept = mine.iter().map(|&(_, _, i, first)| (i, first));
-                    let ranks = bases[s]..bases[s + 1];
-                    fill(
-                        &mut row[summary..],
-                        ranks,
-                        engine,
-                        cell.first(),
-                        kept,
-                        &mut picked,
-                    );
-                }
-            }
-            index.summarise(base);
-            if cells.len() == 1 && index.rows[base + summary..] == index.every_rank()[..] {
-                index.pop_position(base);
-            }
-        }
-        let shape = FusedShape {
-            key,
-            partitions: std::mem::take(&mut index.partitions),
-            members: std::mem::take(&mut index.members),
-        };
-        VoteIndex::assemble(Arc::new(shape), index, stages, &bases)
-    }
+/// The union of the frame offsets the engines of `stages` keep: a vote's
+/// key.
+fn union_key(stages: &[Arc<CompiledTable>]) -> KeyLayout {
+    KeyLayout::union(stages.iter().flat_map(|stage| {
+        let offsets = stage.key.offsets();
+        stage.engine.positions.iter().map(|&pos| offsets[pos])
+    }))
+}
 
-    /// The index from its parts: `bases` holds where each stage's ranks
-    /// start, then their total.
-    fn assemble(
-        shape: Arc<FusedShape>,
-        index: BitVector,
-        stages: &[Arc<CompiledTable>],
-        bases: &[usize],
-    ) -> VoteIndex {
-        let stages = stages.iter().zip(bases.windows(2));
-        let stages = stages.map(|(stage, range)| FusedStage {
-            ranks: range[0]..range[1],
-            default: stage.default_action,
+/// `entry`, a row over the key `stage`, lifted onto `key`: at each offset
+/// of `key`, the intersection of what the row accepts at the positions of
+/// `stage` that read it, and every byte where none does. `key` holds every
+/// offset `stage`'s engine keeps, and at a position the engine does not
+/// keep the row accepts every byte, so the lifted row matches the frames
+/// the row does.
+fn lift(entry: &MinEntry, stage: &KeyLayout, key: &KeyLayout) -> MinEntry {
+    let reads = stage.offsets().iter().zip(entry.sets.iter());
+    let sets = key.offsets().iter().map(|offset| {
+        let here = reads.clone().filter(|&(at, _)| at == offset);
+        here.fold(ByteSet::ANY, |acc, (_, &set)| acc.intersection(set))
+    });
+    MinEntry {
+        sets: sets.collect(),
+        action: entry.action,
+        priority: entry.priority,
+        order: entry.order,
+    }
+}
+
+/// Appends the kept run `(from, to, len)` to `runs`, joined to the last
+/// run when it continues it on both sides.
+fn keep(runs: &mut Vec<(usize, usize, usize)>, (from, to, len): (usize, usize, usize)) {
+    match runs.last_mut() {
+        Some((at, into, run)) if *at + *run == from && *into + *run == to => *run += len,
+        _ if len > 0 => runs.push((from, to, len)),
+        _ => {}
+    }
+}
+
+/// The previous snapshot a [`VoteIndex`] is spliced from: its index, its
+/// stages, and the edit each stage's recompile made from its stage there
+/// ([`CompiledTable::recompile_with_edit`]).
+pub(crate) type Published<'a> = (&'a VoteIndex, &'a [Arc<CompiledTable>], &'a [Option<Edit>]);
+
+impl VoteIndex {
+    /// The index over `stages`: `prev`'s spliced by one [`Edit`] (see
+    /// [`VoteIndex::edit`]), or, without `prev` or where the edit does not
+    /// apply, [`BitVector::build`] over every stage's lifted rows.
+    pub(crate) fn new(stages: &[Arc<CompiledTable>], prev: Option<Published<'_>>) -> VoteIndex {
+        let spliced = prev.and_then(|(prev, old, edits)| {
+            let (edit, fresh) = prev.edit(old, stages, edits)?;
+            let index = prev.index.splice(&fresh, prev.key.width(), &edit);
+            Some((prev.key.clone(), index))
+        });
+        let (key, index) = spliced.unwrap_or_else(|| {
+            let key = union_key(stages);
+            let rows: Vec<MinEntry> = stages
+                .iter()
+                .flat_map(|stage| stage.min.entries.iter().map(|e| lift(e, &stage.key, &key)))
+                .collect();
+            let index = BitVector::build(&rows, key.width());
+            (key, index)
+        });
+        let mut start = 0;
+        let stages = stages.iter().map(|stage| {
+            let ranks = start..start + stage.minimized_len();
+            start = ranks.end;
+            FusedStage {
+                ranks,
+                default: stage.default_action,
+            }
         });
         VoteIndex {
-            shape,
+            key,
             index,
             stages: stages.collect(),
         }
     }
 
-    /// The index over `stages` from this one, the index over `old`, when
-    /// each stage `stages` replaced keeps the key positions of the stage it
-    /// replaces, with the same classes or cuts of them — a delta publish's
-    /// patch only ever cuts classes. Each fused position starts from its
-    /// classes here, met with a replaced stage's cut ones; its rows take an
-    /// unchanged stage's bits from the row here of the class they were cut
-    /// from, and a replaced stage's from its engine. No unchanged stage is
-    /// read, which keeps a delta publish's cost that of its delta. `None`
-    /// where it does not apply: the rank total changes the rows' width, or
-    /// this index dropped a position every rank passes (its stages were
-    /// empty or matched everything there), which a replaced stage may now
-    /// constrain.
-    fn respliced(
+    /// The edit that takes this index, over `old`, to the index over
+    /// `stages`, and the rows it adds, lifted: each stage that came back
+    /// shared keeps its ranks as one run, and each patched stage's `edits`
+    /// entry, shifted to its base, gives its runs and fresh ranks. `None`
+    /// where the index is to be built instead: a stage was compiled
+    /// afresh, the stage count changed, or the union key did (a fresh row
+    /// constrains an offset outside it, or no engine keeps one of its
+    /// offsets any more).
+    fn edit(
         &self,
         old: &[Arc<CompiledTable>],
         stages: &[Arc<CompiledTable>],
-    ) -> Option<VoteIndex> {
-        if old.len() != stages.len() || self.index.positions.len() != self.shape.key.width() {
+        edits: &[Option<Edit>],
+    ) -> Option<(Edit, Vec<MinEntry>)> {
+        if old.len() != stages.len() || edits.len() != stages.len() {
             return None;
         }
-        let mut bases = Vec::with_capacity(stages.len() + 1);
-        bases.push(0);
-        let mut actions = Vec::with_capacity(self.index.actions.len());
-        // Whether a replaced stage cut any of its classes.
-        let mut cut = false;
-        for (s, (was, now)) in old.iter().zip(stages).enumerate() {
+        // Only a patched stage that keeps other positions than before can
+        // move the union key.
+        let moved = old.iter().zip(stages).any(|(was, now)| {
+            !Arc::ptr_eq(was, now) && was.engine.positions != now.engine.positions
+        });
+        if moved && union_key(stages) != self.key {
+            return None;
+        }
+        let (mut edit, mut fresh) = (Edit::default(), Vec::new());
+        let mut base = 0;
+        for (((was, now), patch), fused) in old.iter().zip(stages).zip(edits).zip(&self.stages) {
+            let from = fused.ranks.start;
             if Arc::ptr_eq(was, now) {
-                actions.extend_from_slice(&self.index.actions[self.stages[s].ranks.clone()]);
+                keep(&mut edit.runs, (from, base, fused.ranks.len()));
             } else {
-                let (a, b) = (&was.engine, &now.engine);
-                let pairs = a.partitions.iter().zip(&b.partitions);
-                if was.key != now.key
-                    || a.positions != b.positions
-                    || !pairs.clone().all(|(a, b)| a == b || b.cuts(a))
-                {
-                    return None;
+                let patch = patch.as_ref()?;
+                for &(at, into, len) in &patch.runs {
+                    keep(&mut edit.runs, (from + at, base + into, len));
                 }
-                cut |= pairs.into_iter().any(|(a, b)| a != b);
-                actions.extend_from_slice(&b.actions);
-            }
-            bases.push(actions.len());
-        }
-        let words = actions.len().div_ceil(64).max(1);
-        if words != self.index.words {
-            return None;
-        }
-        let (stride, summary) = (self.index.stride(), self.index.summary);
-        // Uncut, the positions, classes and class map stay as they are.
-        let mut index = BitVector {
-            positions: Vec::new(),
-            words,
-            summary,
-            class: Vec::new(),
-            rows: vec![0; self.index.rows.len()],
-            actions,
-            partitions: Vec::new(),
-            members: Vec::new(),
-        };
-        if cut {
-            index.class.reserve(self.index.class.len());
-            index.rows.clear();
-        } else {
-            index.positions.clone_from(&self.index.positions);
-            index.class.clone_from(&self.index.class);
-        }
-        let shape = &self.shape;
-        let (mut cells, mut met, mut picked) = (Vec::new(), Vec::new(), Vec::new());
-        let mut of = [0; 256];
-        let (mut members, mut old_rows) = (&shape.members[..], &self.index.rows[..]);
-        let mut uncut_base = 0;
-        for (&at, partition) in self.index.positions.iter().zip(&shape.partitions) {
-            let offset = shape.key.offsets()[at];
-            let (here, rest) = members.split_at(partition.count);
-            members = rest;
-            let (rows_here, rest) = old_rows.split_at(partition.count * stride);
-            old_rows = rest;
-            let (classes, base) = if cut {
-                cells.clear();
-                cells.extend_from_slice(here);
-                for (was, now) in old.iter().zip(stages) {
-                    if Arc::ptr_eq(was, now) {
-                        continue;
-                    }
-                    let (a, b) = (&was.engine, &now.engine);
-                    for (i, first) in kept_at(now, offset) {
-                        if a.partitions[i] != b.partitions[i] {
-                            let theirs = &b.members[first..first + b.partitions[i].count];
-                            meet(&mut cells, theirs, &mut met);
-                        }
-                    }
-                }
-                for (id, cell) in cells.iter().enumerate() {
-                    for byte in cell.bytes() {
-                        of[usize::from(byte)] = id as u8;
-                    }
-                }
-                (&cells[..], index.push_position(at, &of, &cells))
-            } else {
-                let base = uncut_base;
-                uncut_base += here.len() * stride;
-                (here, base)
-            };
-            for (row, cell) in index.rows[base..].chunks_exact_mut(stride).zip(classes) {
-                // The row here of the class this one was cut from.
-                let was = usize::from(partition.of[usize::from(cell.first())]);
-                let old_row = &rows_here[was * stride..][..stride];
-                let mut s = 0;
-                while s < stages.len() {
-                    let now = &stages[s];
-                    if Arc::ptr_eq(&old[s], now) {
-                        // A run of unchanged stages moves in one piece.
-                        let from = s;
-                        while s < stages.len() && Arc::ptr_eq(&old[s], &stages[s]) {
-                            s += 1;
-                        }
-                        let (was, to) = (self.stages[from].ranks.start, bases[from]);
-                        or_bits(
-                            &old_row[summary..],
-                            was,
-                            &mut row[summary..],
-                            to,
-                            bases[s] - to,
-                        );
-                        continue;
-                    }
-                    let ranks = bases[s]..bases[s + 1];
-                    fill(
-                        &mut row[summary..],
-                        ranks,
-                        &now.engine,
-                        cell.first(),
-                        kept_at(now, offset),
-                        &mut picked,
-                    );
-                    s += 1;
+                for &rank in &patch.fresh {
+                    edit.fresh.push(base + rank);
+                    fresh.push(lift(&now.min.entries[rank], &now.key, &self.key));
                 }
             }
-            index.summarise(base);
+            base += now.minimized_len();
         }
-        let shape = if cut {
-            Arc::new(FusedShape {
-                key: shape.key.clone(),
-                partitions: std::mem::take(&mut index.partitions),
-                members: std::mem::take(&mut index.members),
-            })
-        } else {
-            Arc::clone(shape)
-        };
-        Some(VoteIndex::assemble(shape, index, stages, &bases))
+        Some((edit, fresh))
     }
 
     /// The union key every stage's lookup is answered from.
     pub(crate) fn key(&self) -> &KeyLayout {
-        &self.shape.key
+        &self.key
     }
 
     /// Every stage's lookup of each key of the matrix, `key().width()`
@@ -2210,7 +1947,7 @@ mod tests {
         let rows = index.class.iter();
         let rows = rows.map(|&at| index.rows[at as usize..][..index.stride()].to_vec());
         (
-            vote.shape.key.clone(),
+            vote.key.clone(),
             index.positions.clone(),
             rows.collect(),
             index.actions.clone(),
@@ -2218,27 +1955,53 @@ mod tests {
         )
     }
 
+    /// The fused index over `tables`, each compiled afresh.
+    fn vote_of(tables: &[&Table]) -> (VoteIndex, Vec<Arc<CompiledTable>>) {
+        let stages: Vec<_> = tables
+            .iter()
+            .map(|t| Arc::new(CompiledTable::compile(t)))
+            .collect();
+        (VoteIndex::new(&stages, None), stages)
+    }
+
+    /// A vote's delta publish: each of `tables` — the tables behind
+    /// `stages`, edited since — recompiled against its stage, then the
+    /// fused index taken from `fused`. Checks that it answers as the index
+    /// built afresh over the same stages, and returns it, the stages, and
+    /// the engine builds of the stages and of the fused index.
+    fn vote_publish(
+        fused: &VoteIndex,
+        stages: &[Arc<CompiledTable>],
+        tables: &[&Table],
+    ) -> (VoteIndex, Vec<Arc<CompiledTable>>, (u64, u64)) {
+        let before = builds();
+        let (next, edits): (Vec<_>, Vec<_>) = stages
+            .iter()
+            .zip(tables)
+            .map(|(stage, t)| CompiledTable::recompile_with_edit(stage, t))
+            .unzip();
+        let compiled = builds();
+        let index = VoteIndex::new(&next, Some((fused, stages, &edits)));
+        let built = (compiled - before, builds() - compiled);
+        assert_eq!(vote_form(&index), vote_form(&VoteIndex::new(&next, None)));
+        (index, next, built)
+    }
+
     /// A vote's delta publish: the ledger's churn on the first of three
     /// stages (the last 1 % of a folded learned stage removed and re-added,
     /// ten times), beside an unfolded stage of 2,000-odd rows, so the
     /// fused rows carry summaries and the ranks after the churned stage
-    /// move. Each snapshot's fused index is respliced from the one before
-    /// — the first removal cuts the churned stage's classes, which the
-    /// resplice cuts the fused ones by — and every one answers as the index
-    /// derived afresh from the same stages does.
+    /// move. Each snapshot's fused index is spliced from the one before —
+    /// the first removal cuts the churned stage's classes, and the splice
+    /// cuts the fused ones by its fresh rows — and none builds an engine.
     #[test]
-    fn a_vote_delta_publish_resplices_the_fused_index() {
+    fn a_vote_delta_publish_splices_the_fused_index() {
         let mut t = learned_stage(|_| 1);
         let others = [learned_stage(|i| -(i as i32)), learned_stage(|_| 2)];
-        let mut stages: Vec<Arc<CompiledTable>> = std::iter::once(&t)
-            .chain(&others)
-            .map(|t| Arc::new(CompiledTable::compile(t)))
-            .collect();
-        let mut fused = VoteIndex::derive(&stages, None);
+        let (mut fused, mut stages) = vote_of(&[&t, &others[0], &others[1]]);
         assert!(fused.index.summary > 0, "{} words", fused.index.words);
         let take = t.len() / 100;
         let mut delta: Vec<_> = t.entries()[t.len() - take..].to_vec();
-        let mut respliced = 0;
         for round in 0..20 {
             for e in &mut delta {
                 if round % 2 == 0 {
@@ -2247,45 +2010,93 @@ mod tests {
                     e.handle = t.insert(e.spec.clone(), e.action, e.priority).unwrap();
                 }
             }
-            let mut next = stages.clone();
-            next[0] = CompiledTable::recompile(&stages[0], &t);
-            let fresh = vote_form(&VoteIndex::derive(&next, None));
-            if let Some(index) = fused.respliced(&stages, &next) {
-                assert_eq!(vote_form(&index), fresh, "round {round}");
-                respliced += 1;
-            }
-            fused = VoteIndex::derive(&next, Some((&fused, &stages)));
-            assert_eq!(vote_form(&fused), fresh, "round {round}");
-            stages = next;
+            let built;
+            (fused, stages, built) = vote_publish(&fused, &stages, &[&t, &others[0], &others[1]]);
+            assert_eq!(built, (0, 0), "round {round}");
         }
-        assert_eq!(respliced, 20, "{respliced} of 20 respliced");
     }
 
-    /// A vote whose stages start empty, the one fused position they key
-    /// dropped (every rank passes it), then filled: the next snapshot
-    /// derives afresh rather than resplicing a position that is gone.
+    /// A delta whose fused rank total crosses a 64-rank word boundary, up
+    /// and back down: the splice lays the rows out one word wider or
+    /// narrower, without a build.
     #[test]
-    fn filling_empty_vote_stages_derives_afresh() {
-        let empty = || Arc::new(CompiledTable::compile(&table(MatchKind::Ternary, 1, 8)));
-        let stages = vec![empty(), empty()];
-        let fused = VoteIndex::derive(&stages, None);
-        assert!(fused.index.positions.is_empty());
+    fn a_vote_delta_across_a_word_boundary_never_builds() {
+        let spec = |byte: u8| MatchSpec::Ternary {
+            value: vec![byte, 0],
+            mask: vec![0xff, 0],
+        };
+        let mut t = table(MatchKind::Ternary, 2, 128);
+        for i in 0..60u8 {
+            t.insert(spec(i), Action::Forward(u16::from(i % 4)), -i32::from(i))
+                .unwrap();
+        }
+        let mut other = table(MatchKind::Ternary, 2, 8);
+        other.insert(spec(7), Action::Drop, 1).unwrap();
+        other.insert(spec(9), Action::Drop, 1).unwrap();
+        let (fused, stages) = vote_of(&[&t, &other]);
+        assert_eq!(fused.index.words, 1);
+        let added: Vec<_> = (60..66u8)
+            .map(|i| t.insert(spec(i), Action::Drop, -i32::from(i)).unwrap())
+            .collect();
+        let (fused, stages, built) = vote_publish(&fused, &stages, &[&t, &other]);
+        assert_eq!((fused.index.words, built), (2, (0, 0)));
+        for handle in added {
+            t.remove(handle).unwrap();
+        }
+        let (fused, _, built) = vote_publish(&fused, &stages, &[&t, &other]);
+        assert_eq!((fused.index.words, built), (1, (0, 0)));
+    }
+
+    /// A patched stage whose fresh row constrains a frame offset no stage
+    /// keyed on: the union key grows, so the fused index is built once,
+    /// while the stage itself is spliced. Removing the row again shrinks
+    /// the key back, and builds once more.
+    #[test]
+    fn a_fresh_row_outside_the_union_key_builds_the_fused_index() {
+        let spec = |value: [u8; 2], mask: [u8; 2]| MatchSpec::Ternary {
+            value: value.to_vec(),
+            mask: mask.to_vec(),
+        };
+        let mut t = table(MatchKind::Ternary, 2, 8);
+        t.insert(spec([1, 0], [0xff, 0]), Action::Drop, 1).unwrap();
+        let mut other = table(MatchKind::Ternary, 2, 8);
+        other
+            .insert(spec([2, 0], [0xff, 0]), Action::Forward(1), 1)
+            .unwrap();
+        let (fused, stages) = vote_of(&[&t, &other]);
+        assert_eq!(fused.key.offsets(), [0]);
+        let outside = t
+            .insert(spec([3, 4], [0xff, 0xff]), Action::Drop, 0)
+            .unwrap();
+        let (fused, stages, built) = vote_publish(&fused, &stages, &[&t, &other]);
+        assert_eq!(fused.key.offsets(), [0, 1]);
+        assert_eq!(built, (0, 1));
+        t.remove(outside).unwrap();
+        let (fused, _, built) = vote_publish(&fused, &stages, &[&t, &other]);
+        assert_eq!(fused.key.offsets(), [0]);
+        assert_eq!(built, (0, 1));
+    }
+
+    /// A vote whose stages start empty — each engine keeps the last
+    /// position of its key, which the fused index keeps too — and whose
+    /// first stage is then replaced by a new table: that stage compiles
+    /// afresh, and the fused index is built once.
+    #[test]
+    fn a_stage_replaced_by_a_new_table_builds_the_fused_index() {
+        let (empty, other) = (
+            table(MatchKind::Ternary, 1, 8),
+            table(MatchKind::Ternary, 1, 8),
+        );
+        let (fused, stages) = vote_of(&[&empty, &other]);
+        assert_eq!(fused.index.positions, [0]);
         let mut filled = table(MatchKind::Ternary, 1, 8);
         let spec = MatchSpec::Ternary {
             value: vec![0x80],
             mask: vec![0x80],
         };
         filled.insert(spec, Action::Drop, 1).unwrap();
-        let next = vec![
-            CompiledTable::recompile(&stages[0], &filled),
-            Arc::clone(&stages[1]),
-        ];
-        assert!(fused.respliced(&stages, &next).is_none());
-        let index = VoteIndex::derive(&next, Some((&fused, &stages)));
-        assert_eq!(
-            vote_form(&index),
-            vote_form(&VoteIndex::derive(&next, None))
-        );
+        let (index, _, built) = vote_publish(&fused, &stages, &[&filled, &other]);
+        assert_eq!(built, (1, 1));
         assert_eq!(index.index.positions, [0]);
     }
 

@@ -15,6 +15,7 @@
 
 use crate::action::{Action, Verdict};
 use crate::compiled::{CompiledTable, LookupOutcome, VoteIndex};
+use crate::minimize::Edit;
 use crate::parser::ParserSpec;
 use crate::switch::SwitchCounters;
 use crate::table::Table;
@@ -75,9 +76,10 @@ pub struct ReadPipeline {
     /// a majority vote (see [`vote`]).
     vote: Option<VoteStage>,
     /// Under a vote, every stage's rows in one index over the union of the
-    /// bytes they key on, derived from the stages when the snapshot is
-    /// built (respliced from the previous snapshot's on a delta publish):
-    /// the batched walker answers the whole vote from one probe per frame.
+    /// bytes they key on: the table engine built over the stages' rows
+    /// when the snapshot is built afresh, and spliced from the previous
+    /// snapshot's by the stages' edits on a delta publish. The batched
+    /// walker answers the whole vote from one probe per frame.
     fused: Option<VoteIndex>,
 }
 
@@ -98,22 +100,25 @@ impl ReadPipeline {
 
     /// Assembles a snapshot from already-compiled stages (the delta
     /// compilation path: unchanged stages arrive as `Arc` clones from
-    /// `prev`, the previous snapshot, changed ones freshly lowered; a vote's
-    /// fused index is respliced from `prev`'s where it can be).
+    /// `prev`'s snapshot, changed ones patched or freshly lowered). `prev`
+    /// is the previous snapshot and the edit each stage's patch made from
+    /// its stage there (`None` for a stage shared or compiled afresh): a
+    /// vote's fused index is spliced from `prev`'s by those edits where
+    /// they apply, and built otherwise (see `VoteIndex::new`).
     pub(crate) fn from_compiled(
         parser: ParserSpec,
         stages: Vec<Arc<CompiledTable>>,
         default_port: u16,
         version: u64,
         vote: Option<VoteStage>,
-        prev: Option<&ReadPipeline>,
+        prev: Option<(&ReadPipeline, &[Option<Edit>])>,
     ) -> Self {
         let max_key_width = stages.iter().map(|s| s.key().width()).max().unwrap_or(0);
         let key_shared = (0..stages.len())
             .map(|i| i > 0 && stages[i].key() == stages[i - 1].key())
             .collect();
-        let prev = prev.and_then(|p| Some((p.fused.as_ref()?, &p.stages[..])));
-        let fused = vote.map(|_| VoteIndex::derive(&stages, prev));
+        let prev = prev.and_then(|(p, edits)| Some((p.fused.as_ref()?, &p.stages[..], edits)));
+        let fused = vote.map(|_| VoteIndex::new(&stages, prev));
         ReadPipeline {
             parser,
             stages,

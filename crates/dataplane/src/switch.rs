@@ -229,7 +229,8 @@ impl Switch {
     /// additions/removals patch the previous minimized form instead of
     /// re-running the O(n²) minimizer: a walk over the stage's entries,
     /// the minimized list patched with each kept row's box shared, and the
-    /// previous engine spliced by the same edit. A stage replaced by
+    /// previous engine spliced by the same edit, and so is a vote's fused
+    /// index, by every patched stage's edit. A stage replaced by
     /// another table (one [`Table::new`](crate::table::Table::new) made,
     /// not a clone of the old one) compiles from scratch, and so does
     /// every stage when `prev` is absent or its stage count differs
@@ -247,19 +248,21 @@ impl Switch {
         if prev.stages().len() != self.stages.len() {
             return self.read_pipeline(version);
         }
-        let stages: Vec<std::sync::Arc<crate::compiled::CompiledTable>> = self
+        let (stages, edits): (Vec<_>, Vec<_>) = self
             .stages
             .iter()
             .zip(prev.stages())
-            .map(|(table, prev_stage)| crate::compiled::CompiledTable::recompile(prev_stage, table))
-            .collect();
+            .map(|(table, prev_stage)| {
+                crate::compiled::CompiledTable::recompile_with_edit(prev_stage, table)
+            })
+            .unzip();
         crate::pipeline::ReadPipeline::from_compiled(
             self.parser.clone(),
             stages,
             self.default_port,
             version,
             self.vote,
-            Some(prev),
+            Some((prev, &edits)),
         )
     }
 }

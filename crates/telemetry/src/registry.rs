@@ -311,19 +311,22 @@ impl Registry {
                 };
                 match series {
                     Series::Int(v) => sample(&mut out, "", None, &v.load(Ordering::Relaxed)),
-                    Series::Float(v) => {
-                        let v = f64::from_bits(v.load(Ordering::Relaxed));
-                        sample(&mut out, "", None, &v);
-                    }
+                    Series::Float(v) => match f64::from_bits(v.load(Ordering::Relaxed)) {
+                        f64::INFINITY => sample(&mut out, "", None, &"+Inf"),
+                        f64::NEG_INFINITY => sample(&mut out, "", None, &"-Inf"),
+                        v => sample(&mut out, "", None, &v),
+                    },
                     Series::Histo(h) => {
                         let (count, sum_nanos) = h.lock().copy_into(&mut counts);
                         let mut cumulative = 0u64;
+                        // The clamped bucket's bound, `u64::MAX`, is the
+                        // closing `+Inf` line's, which carries `count`.
                         for (bound_nanos, n) in bounded(&counts) {
+                            if bound_nanos == u64::MAX {
+                                break;
+                            }
                             cumulative += n;
-                            let le = match bound_nanos {
-                                u64::MAX => f64::INFINITY,
-                                _ => bound_nanos as f64 / 1e9,
-                            };
+                            let le = bound_nanos as f64 / 1e9;
                             sample(&mut out, "_bucket", Some(le), &cumulative);
                         }
                         sample(&mut out, "_bucket", Some(f64::INFINITY), &count);
@@ -393,7 +396,8 @@ impl Registry {
 /// Appends one sample line: the family name and `suffix`, then
 /// `{k="v",…}` (with `le` last, in seconds, `+Inf` when infinite) unless
 /// there is no label at all, then `value` (a float as `{}` writes it, the
-/// shortest form that reads back).
+/// shortest form that reads back; an infinite one comes as the format's
+/// `+Inf` or `-Inf`).
 fn push_sample(
     out: &mut String,
     (name, suffix): (&str, &str),

@@ -18,9 +18,11 @@ struct Sample {
 
 /// A deliberately strict parser for the subset of the exposition format
 /// the registry emits. Panics (failing the test) on anything malformed:
-/// unescaped quotes, missing values, label syntax errors.
+/// unescaped quotes, missing values, label syntax errors, a float the
+/// format does not spell (`inf` for `+Inf`), or two samples of one series
+/// (a histogram bucket `le` repeated).
 fn parse_exposition(text: &str) -> (Vec<Sample>, BTreeMap<String, String>) {
-    let mut samples = Vec::new();
+    let mut samples: Vec<Sample> = Vec::new();
     let mut types = BTreeMap::new();
     for line in text.lines() {
         if line.is_empty() {
@@ -39,17 +41,32 @@ fn parse_exposition(text: &str) -> (Vec<Sample>, BTreeMap<String, String>) {
             assert!(line.starts_with("# HELP "), "unexpected comment: {line}");
             continue;
         }
-        samples.push(parse_sample(line));
+        let sample = parse_sample(line);
+        assert!(
+            !samples
+                .iter()
+                .any(|s| s.name == sample.name && s.labels == sample.labels),
+            "a second sample of one series: {line}"
+        );
+        samples.push(sample);
     }
     (samples, types)
 }
 
 fn parse_sample(line: &str) -> Sample {
     let (head, value) = line.rsplit_once(' ').expect("sample has a value");
-    let value: f64 = if value == "+Inf" {
-        f64::INFINITY
-    } else {
-        value.parse().expect("numeric sample value")
+    let value: f64 = match value {
+        "+Inf" => f64::INFINITY,
+        "-Inf" => f64::NEG_INFINITY,
+        "NaN" => f64::NAN,
+        value => {
+            let parsed: f64 = value.parse().expect("numeric sample value");
+            assert!(
+                parsed.is_finite(),
+                "{value:?} is not how the format writes it"
+            );
+            parsed
+        }
     };
     let (name, labels) = match head.split_once('{') {
         None => (head.to_string(), BTreeMap::new()),
@@ -236,4 +253,34 @@ mod golden;
 fn the_golden_registry_renders_to_the_golden_text() {
     let text = golden::registry().render_prometheus();
     assert_eq!(text, golden::TEXT, "rendered:\n{text}");
+}
+
+/// The golden text passes the strict parser: one `+Inf` bucket for the
+/// histogram whose last sample was clamped, and the infinite gauges spelt
+/// `+Inf` and `-Inf`.
+#[test]
+fn the_golden_text_parses_strictly() {
+    let (samples, _) = parse_exposition(golden::TEXT);
+    let level = |case| find(&samples, "golden_level", &[("case", case)]).value;
+    assert_eq!(level("pos_inf"), f64::INFINITY);
+    assert_eq!(level("neg_inf"), f64::NEG_INFINITY);
+    assert!(level("nan").is_nan());
+    let inf = find(
+        &samples,
+        "golden_latency_seconds_bucket",
+        &[("shard", "1"), ("le", "+Inf")],
+    );
+    assert_eq!(inf.value, 3.0);
+}
+
+#[test]
+#[should_panic(expected = "a second sample of one series")]
+fn the_parser_rejects_a_repeated_le() {
+    parse_exposition("h_bucket{le=\"+Inf\"} 3\nh_bucket{le=\"+Inf\"} 3\n");
+}
+
+#[test]
+#[should_panic(expected = "is not how the format writes it")]
+fn the_parser_rejects_lowercase_inf() {
+    parse_exposition("g inf\n");
 }

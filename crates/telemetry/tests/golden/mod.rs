@@ -112,15 +112,14 @@ golden_latency_seconds_bucket{shard="1",le="1152921504.606847"} 2
 golden_latency_seconds_bucket{shard="1",le="2305843009.213694"} 2
 golden_latency_seconds_bucket{shard="1",le="4611686018.427388"} 2
 golden_latency_seconds_bucket{shard="1",le="+Inf"} 3
-golden_latency_seconds_bucket{shard="1",le="+Inf"} 3
 golden_latency_seconds_sum{shard="1"} 18446744073.709553
 golden_latency_seconds_count{shard="1"} 3
 # HELP golden_level Odd floats
 # TYPE golden_level gauge
 golden_level{case="nan"} NaN
-golden_level{case="neg_inf"} -inf
+golden_level{case="neg_inf"} -Inf
 golden_level{case="neg_zero"} -0
-golden_level{case="pos_inf"} inf
+golden_level{case="pos_inf"} +Inf
 golden_level{case="tiny"} 0.000000001
 # HELP golden_plain No labels
 # TYPE golden_plain gauge
