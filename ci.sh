@@ -386,7 +386,7 @@ rust_lines() {
 # Each "was" figure is the parent commit's, committed by the change that
 # last moved it so the log reads before -> after; the next change to move a
 # count replaces its figure with its parent's.
-echo "rust lines: $(rust_lines crates tests examples) (was 39381)"
+echo "rust lines: $(rust_lines crates tests examples) (was 39241)"
 EXPERIMENTS_LINES_MAX=3150
 EXPERIMENTS_LINES=$(rust_lines crates/core/src/experiments)
 echo "experiments lines: $EXPERIMENTS_LINES (was 3142)"
@@ -508,6 +508,16 @@ if [ -z "$PATCH_BODY" ] ||
    echo "$PATCH_BODY" | grep -nE 'minimize\(|(fold|rows_of)\(([a-z.]+, )?(&?entries|&entries\[\.\.\])\)' ||
    [ "$DIFFERENCES" != "1" ]; then
   echo "MinimizedTable::patch re-minimizes or folds the whole table (lines above), or is missing, or crates/dataplane/src has $DIFFERENCES box-difference helpers, expected 1" >&2
+  exit 1
+fi
+
+echo "==> one index column beside a table's entries (acceptance greps)"
+# Table keeps one per-entry column, (handle, action, fingerprint), kept in
+# step by every writer and rebuilt when a table is read back, and every
+# whole-table pass of a delta publish reads it: no second column beside it
+# and no edit that first syncs a column it may have lost.
+if grep -nE 'sync_fingerprints|\bfingerprints\s*[:.[]|\.fingerprints\b' crates/dataplane/src/table.rs; then
+  echo "Table's separate fingerprint column is back (lines above)" >&2
   exit 1
 fi
 

@@ -489,14 +489,17 @@ impl BitVector {
         }
     }
 
+    /// Entry word `w` of a row holding every rank.
+    fn every_word(&self, w: usize) -> u64 {
+        match self.actions.len().saturating_sub(w * 64) {
+            left if left >= 64 => u64::MAX,
+            left => (1 << left) - 1,
+        }
+    }
+
     /// The entry words of a row holding every rank.
     fn every_rank(&self) -> Vec<u64> {
-        (0..self.words)
-            .map(|w| match self.actions.len().saturating_sub(w * 64) {
-                left if left >= 64 => u64::MAX,
-                left => (1 << left) - 1,
-            })
-            .collect()
+        (0..self.words).map(|w| self.every_word(w)).collect()
     }
 
     /// Indexes `entries` (ternary, range or LPM specs over `width` key bytes):
@@ -551,6 +554,7 @@ impl BitVector {
     /// removal never merges classes that no remaining entry tells apart,
     /// so a position may keep more rows than a build would give it — at
     /// most 256, and the probe reads one a position whatever their count.
+    /// A splice that adds no entry numbers no sets and runs no fill.
     fn splice(&self, fresh: &[MinEntry], width: usize, edit: &Edit) -> BitVector {
         // Every rank is a kept entry's or a fresh one's; a kept entry's
         // action is read here, not from the entry.
@@ -569,9 +573,9 @@ impl BitVector {
         let old_stride = self.stride();
         let accepts = columns(fresh.iter(), fresh.len(), width);
         let fresh = fresh.len();
-        // The row of a position no entry constrained holds every old rank.
-        let every_old = self.every_rank();
-        let every = index.every_rank();
+        // The row of a position no entry constrained holds every old rank;
+        // made the first time a new position needs it.
+        let mut every_old = None;
         let mut column = AcceptSets::default();
         let mut fill = Fill::new();
         let mut classes = Classes::new();
@@ -579,7 +583,9 @@ impl BitVector {
         // Where the next old position's rows and member sets start.
         let (mut old_base, mut old_row) = (0, 0);
         for pos in 0..width {
-            column.number(&accepts[pos * fresh..][..fresh]);
+            if fresh > 0 {
+                column.number(&accepts[pos * fresh..][..fresh]);
+            }
             let constrained = column.sets.iter().any(|accept| !accept.is_any());
             let parent = old.next_if(|&(&at, _)| at == pos).map(|(_, partition)| {
                 let (at, row) = (old_base, old_row);
@@ -601,6 +607,10 @@ impl BitVector {
                 }
             }
             let base = index.push_position(pos, &classes.of, &classes.members);
+            let every: &[u64] = match parent {
+                Some(_) => &[],
+                None => every_old.get_or_insert_with(|| self.every_rank()),
+            };
             let new_rows = index.rows[base..].chunks_exact_mut(stride);
             for (id, (row, set)) in new_rows.zip(&classes.members).enumerate() {
                 let origin = if id < parents {
@@ -610,26 +620,29 @@ impl BitVector {
                 };
                 let src = match parent {
                     Some((at, _, _)) => &self.rows[at + origin * old_stride + self.summary..],
-                    None => &every_old[..],
+                    None => every,
                 };
                 for &(from, to, len) in &edit.runs {
                     or_bits(src, from, &mut row[summary..], to, len);
                 }
             }
-            // The fresh entries by word of ranks, each with its set.
-            let mut sets = &column.of[..];
-            let words = edit.fresh.chunk_by(|a, b| a / 64 == b / 64).map(|ranks| {
-                let (these, rest) = sets.split_at(ranks.len());
-                sets = rest;
-                let bits = ranks.iter().map(|rank| rank % 64);
-                (ranks[0] / 64, bits.zip(these.iter().copied()))
-            });
-            fill.run(&mut index, base, &column, &classes, words);
+            if fresh > 0 {
+                // The fresh entries by word of ranks, each with its set.
+                let mut sets = &column.of[..];
+                let words = edit.fresh.chunk_by(|a, b| a / 64 == b / 64).map(|ranks| {
+                    let (these, rest) = sets.split_at(ranks.len());
+                    sets = rest;
+                    let bits = ranks.iter().map(|rank| rank % 64);
+                    (ranks[0] / 64, bits.zip(these.iter().copied()))
+                });
+                fill.run(&mut index, base, &column, &classes, words);
+            }
             index.summarise(base);
             let free = !constrained
-                && index.rows[base..]
-                    .chunks_exact(stride)
-                    .all(|row| row[summary..] == every[..]);
+                && index.rows[base..].chunks_exact(stride).all(|row| {
+                    (row[summary..].iter().enumerate())
+                        .all(|(w, &word)| word == index.every_word(w))
+                });
             if free && (pos + 1 < width || index.positions.len() > 1) {
                 index.pop_position(base);
             }
@@ -725,8 +738,10 @@ impl CompiledTable {
     ///    table — handles restart in every new one, so only identity tells
     ///    two tables apart.
     ///
-    /// What a patch costs: one walk over the source entries, one over the
-    /// minimized list's priorities and order keys, a subtraction per row a
+    /// What a patch costs: one walk over the table's
+    /// [`index`](Table::index) column beside the previous source list (an
+    /// entry itself is read only where it was added, for its box), one over
+    /// the minimized list's priorities and order keys, a subtraction per row a
     /// removed folded box meets, a fold of the added entries alone, a
     /// pointer copied per kept row (its box stays shared with `prev`), and
     /// the engine's rows copied with the kept ranks' bits moved, the fresh
@@ -759,18 +774,18 @@ impl CompiledTable {
         if prev.revision == table.revision() {
             return (Arc::clone(prev), None);
         }
-        let entries = table.entries();
-        if prev.min.source.len() == entries.len()
+        let index = table.index();
+        if prev.min.source.len() == index.len()
             && prev
                 .min
                 .source
                 .iter()
-                .zip(entries)
-                .all(|(&(h, a), e)| h == e.handle && a == e.action)
+                .zip(index)
+                .all(|(&(h, a), i)| h == i.handle && a == i.action)
         {
             return (Arc::clone(prev), None);
         }
-        let Some((min, edit)) = prev.min.patch(entries) else {
+        let Some((min, edit)) = prev.min.patch(table.entries(), index) else {
             return (Arc::new(Self::compile(table)), None);
         };
         let fresh: Vec<MinEntry> = edit
@@ -786,7 +801,7 @@ impl CompiledTable {
             kind: prev.kind,
             key: prev.key.clone(),
             default_action: prev.default_action,
-            len: entries.len(),
+            len: index.len(),
             min,
             engine,
         };

@@ -68,7 +68,7 @@
 
 use crate::action::Action;
 use crate::byteset::{ByteSet, ByteSetMap};
-use crate::table::{EntryHandle, MatchKind, MatchSpec, TableEntry};
+use crate::table::{EntryHandle, EntryIndex, MatchKind, MatchSpec, TableEntry};
 use p4guard_rules::cube::{self, Cube};
 use std::cmp::Reverse;
 use std::ops::Range;
@@ -306,14 +306,17 @@ impl MinimizedTable {
     }
 
     /// The minimized form of `entries` — the same table's entries now, in
-    /// match order — patched from this one without re-minimizing, or
-    /// `None` where a patch would be unsound and only a full minimization
-    /// will do: an action modified in place, a removed handle whose entry
-    /// shadows an eliminated one ([`SourceClass::Coverer`]), or a removed
-    /// folded one in a level not known to be disjoint.
+    /// match order, with `index` their [`Table::index`](crate::table::Table::index)
+    /// column — patched from this one without re-minimizing, or `None`
+    /// where a patch would be unsound and only a full minimization will
+    /// do: an action modified in place, a removed handle whose entry
+    /// shadows an eliminated one ([`SourceClass::Coverer`]), a removed
+    /// folded one in a level not known to be disjoint, or an `index` not
+    /// as long as `entries`.
     ///
-    /// One walk over this form's source and `entries` tells survivors,
-    /// removals and additions apart, and makes the new source. It relies
+    /// One walk over this form's source and `index` tells survivors,
+    /// removals and additions apart, and makes the new source: it reads
+    /// an entry of `entries` only where one was added, for its box. It relies
     /// on three facts and returns `None` where it finds one broken: both
     /// lists are in match order, surviving entries keep their relative
     /// order, and a handle added since exceeds every handle this form
@@ -344,7 +347,14 @@ impl MinimizedTable {
     /// shares its box with this form: the patched list copies one pointer
     /// per kept row.
     #[doc(hidden)]
-    pub fn patch(&self, entries: &[TableEntry]) -> Option<(MinimizedTable, Edit)> {
+    pub fn patch(
+        &self,
+        entries: &[TableEntry],
+        index: &[EntryIndex],
+    ) -> Option<(MinimizedTable, Edit)> {
+        if index.len() != entries.len() {
+            return None;
+        }
         let mut patched = MinimizedTable::empty(self.kind, entries);
         patched.newest = self.newest;
         patched.levels = self.levels.clone();
@@ -354,7 +364,7 @@ impl MinimizedTable {
         // The next old source entry, and where the run of survivors that
         // ends before it began: survivors are copied a run at a time.
         let (mut next, mut run) = (0, 0);
-        for (i, e) in entries.iter().enumerate() {
+        for (i, e) in index.iter().enumerate() {
             if self.source.get(next) == Some(&(e.handle, e.action)) {
                 next += 1;
                 continue;
@@ -362,7 +372,7 @@ impl MinimizedTable {
             self.copy_sources(run..next, &mut patched);
             if e.handle.0 > self.newest {
                 added.push(i);
-                patched.push_source(e, SourceClass::Clean);
+                patched.push_source(&entries[i], SourceClass::Clean);
                 run = next;
                 continue;
             }

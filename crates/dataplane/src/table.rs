@@ -228,14 +228,32 @@ pub struct TableEntry {
 }
 
 impl TableEntry {
-    /// A ternary entry's [`fingerprint`]; 0 for every other kind, which
-    /// [`Table::remove_ternary`] never removes.
-    fn fingerprint(&self) -> u64 {
-        match &self.spec {
+    /// This entry's row of [`Table::index`]. A ternary entry's fingerprint
+    /// is [`fingerprint`]'s; every other kind's is 0, and
+    /// [`Table::remove_ternary`] never removes it.
+    fn index(&self) -> EntryIndex {
+        let fingerprint = match &self.spec {
             MatchSpec::Ternary { value, mask } => fingerprint(value, mask, self.priority),
             _ => 0,
+        };
+        EntryIndex {
+            handle: self.handle,
+            action: self.action,
+            fingerprint,
         }
     }
+}
+
+/// One entry's row of [`Table::index`]: what a delta publish reads of
+/// every entry, 24 bytes beside the entry's 72 (whose spec is on the heap).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntryIndex {
+    /// The entry's handle.
+    pub handle: EntryHandle,
+    /// The entry's action.
+    pub action: Action,
+    /// The fingerprint of the entry's `(priority, mask, value & mask)`.
+    fingerprint: u64,
 }
 
 /// Errors returned by table operations.
@@ -298,11 +316,11 @@ impl fmt::Display for TableError {
 impl Error for TableError {}
 
 /// A match-action table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Table {
-    #[serde(skip, default = "TableId::fresh")]
+    #[serde(skip)]
     id: TableId,
-    #[serde(skip, default = "Revision::fresh")]
+    #[serde(skip)]
     revision: Revision,
     name: String,
     kind: MatchKind,
@@ -310,13 +328,50 @@ pub struct Table {
     capacity: usize,
     default_action: Action,
     entries: Vec<TableEntry>,
-    /// Each entry's [`TableEntry::fingerprint`], in step with `entries`
-    /// after every edit, so [`Table::remove_ternary`] reads one `u64` per
-    /// entry instead of its heap-held value and mask. Not serialized: a
-    /// table read back has none, and its first edit rebuilds them.
+    /// Each entry's [`EntryIndex`], in step with `entries` after every
+    /// edit. Not serialized: a table read back rebuilds it.
     #[serde(skip)]
-    fingerprints: Vec<u64>,
+    index: Vec<EntryIndex>,
     next_handle: u64,
+}
+
+/// What a [`Table`] serializes. Read back, it takes a fresh identity and
+/// revision, and its index column is rebuilt from the entries.
+#[derive(Deserialize)]
+struct Stored {
+    name: String,
+    kind: MatchKind,
+    key: KeyLayout,
+    capacity: usize,
+    default_action: Action,
+    entries: Vec<TableEntry>,
+    next_handle: u64,
+}
+
+impl Deserialize for Table {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let Stored {
+            name,
+            kind,
+            key,
+            capacity,
+            default_action,
+            entries,
+            next_handle,
+        } = Stored::from_value(v)?;
+        Ok(Table {
+            id: TableId::fresh(),
+            revision: Revision::fresh(),
+            name,
+            kind,
+            key,
+            capacity,
+            default_action,
+            index: entries.iter().map(TableEntry::index).collect(),
+            entries,
+            next_handle,
+        })
+    }
 }
 
 impl Table {
@@ -337,17 +392,8 @@ impl Table {
             capacity,
             default_action,
             entries: Vec::new(),
-            fingerprints: Vec::new(),
+            index: Vec::new(),
             next_handle: 1,
-        }
-    }
-
-    /// Rebuilds the fingerprints where they are not in step with the
-    /// entries (a table read back from its serialized form): every edit
-    /// starts here.
-    fn sync_fingerprints(&mut self) {
-        if self.fingerprints.len() != self.entries.len() {
-            self.fingerprints = self.entries.iter().map(TableEntry::fingerprint).collect();
         }
     }
 
@@ -396,6 +442,12 @@ impl Table {
         &self.entries
     }
 
+    /// Each entry's handle, action and fingerprint, in match order: the
+    /// column a delta publish walks instead of the entries.
+    pub fn index(&self) -> &[EntryIndex] {
+        &self.index
+    }
+
     /// The default action.
     pub fn default_action(&self) -> Action {
         self.default_action
@@ -442,8 +494,7 @@ impl Table {
         let at = self
             .entries
             .partition_point(|e| e.priority >= effective_priority);
-        self.sync_fingerprints();
-        self.fingerprints.insert(at, entry.fingerprint());
+        self.index.insert(at, entry.index());
         self.entries.insert(at, entry);
         self.revision = Revision::fresh();
         Ok(handle)
@@ -455,18 +506,18 @@ impl Table {
     ///
     /// Returns [`TableError::NoSuchEntry`] for unknown handles.
     pub fn remove(&mut self, handle: EntryHandle) -> Result<TableEntry, TableError> {
-        let idx = self
-            .entries
-            .iter()
-            .position(|e| e.handle == handle)
-            .ok_or(TableError::NoSuchEntry(handle))?;
+        let idx = self.at(handle).ok_or(TableError::NoSuchEntry(handle))?;
         Ok(self.remove_at(idx))
+    }
+
+    /// Where the entry of `handle` sits in the match order.
+    fn at(&self, handle: EntryHandle) -> Option<usize> {
+        self.index.iter().position(|i| i.handle == handle)
     }
 
     /// Removes the entry at `idx` of the match order.
     fn remove_at(&mut self, idx: usize) -> TableEntry {
-        self.sync_fingerprints();
-        self.fingerprints.remove(idx);
+        self.index.remove(idx);
         self.revision = Revision::fresh();
         self.entries.remove(idx)
     }
@@ -517,11 +568,14 @@ impl Table {
     /// as `k` calls of `remove_matching` would take them. A rule no entry
     /// matches is skipped. Returns how many entries went.
     ///
-    /// The pass reads each entry's stored fingerprint of
-    /// `(priority, mask, value & mask)` and reaches for its value and mask
-    /// only where that equals a rule's, so it costs one `u64` per entry
-    /// plus the rules' own comparisons, not a walk over every entry's
-    /// heap-held spec.
+    /// The pass reads each entry's fingerprint of
+    /// `(priority, mask, value & mask)` from [`Table::index`] and tests it
+    /// against a 4,096-bit filter of the rules' fingerprints (one bit per
+    /// value of their low 12 bits); only a fingerprint whose bit is set is
+    /// searched for among the rules, and only one equal to a rule's reaches
+    /// for the entry's value and mask. So it costs one index row and one
+    /// bit test per entry plus the rules' own comparisons, not a walk over
+    /// the entries.
     pub fn remove_ternary<'a, I>(&mut self, rules: I) -> usize
     where
         I: IntoIterator<Item = (&'a [u8], &'a [u8], i32)>,
@@ -559,7 +613,17 @@ impl Table {
             kept.1 += usize::from(same);
             same
         });
-        self.remove_where(|e, fp| {
+        // Bit `fp % 4096` is set for each rule's fingerprint `fp`: an
+        // entry whose bit is clear matches no rule.
+        let mut filter = [0u64; 64];
+        for &((fp, _), _) in &wanted {
+            filter[(fp >> 6) as usize % 64] |= 1 << (fp % 64);
+        }
+        self.remove_where(|i, e| {
+            let fp = i.fingerprint;
+            if filter[(fp >> 6) as usize % 64] >> (fp % 64) & 1 == 0 {
+                return false;
+            }
             let from = wanted.partition_point(|&((rule_fp, _), _)| rule_fp < fp);
             if wanted
                 .get(from)
@@ -591,8 +655,8 @@ impl Table {
         let mut wanted = handles.to_vec();
         wanted.sort_unstable();
         let mut found = vec![false; wanted.len()];
-        self.remove_where(|e, _| {
-            wanted.binary_search(&e.handle).is_ok_and(|at| {
+        self.remove_where(|i, _| {
+            wanted.binary_search(&i.handle).is_ok_and(|at| {
                 found[at] = true;
                 true
             })
@@ -603,31 +667,22 @@ impl Table {
         }
     }
 
-    /// Removes every entry `pick` selects, in one pass over the entries in
-    /// match order (`pick` sees each once, first to last, with its
-    /// fingerprint); returns how many went. An entry `pick` keeps before
-    /// the first it removes is not moved.
-    fn remove_where(&mut self, mut pick: impl FnMut(&TableEntry, u64) -> bool) -> usize {
-        self.sync_fingerprints();
-        let before = self.entries.len();
-        let mut kept = 0;
-        for at in 0..before {
-            if pick(&self.entries[at], self.fingerprints[at]) {
-                continue;
-            }
-            if kept != at {
-                self.entries.swap(kept, at);
-                self.fingerprints.swap(kept, at);
-            }
-            kept += 1;
+    /// Removes every entry `pick` selects, in one pass over the index
+    /// column in match order (`pick` sees each entry once, first to last,
+    /// with its [`EntryIndex`], and reads the entry only if it must);
+    /// returns how many went. An entry `pick` keeps before the first it
+    /// removes is not moved.
+    fn remove_where(&mut self, mut pick: impl FnMut(&EntryIndex, &TableEntry) -> bool) -> usize {
+        let gone: Vec<usize> = (0..self.index.len())
+            .filter(|&at| pick(&self.index[at], &self.entries[at]))
+            .collect();
+        if gone.is_empty() {
+            return 0;
         }
-        self.entries.truncate(kept);
-        self.fingerprints.truncate(kept);
-        let removed = before - kept;
-        if removed > 0 {
-            self.revision = Revision::fresh();
-        }
-        removed
+        remove_at_each(&mut self.index, &gone);
+        remove_at_each(&mut self.entries, &gone);
+        self.revision = Revision::fresh();
+        gone.len()
     }
 
     /// Replaces the action of an existing entry.
@@ -636,12 +691,9 @@ impl Table {
     ///
     /// Returns [`TableError::NoSuchEntry`] for unknown handles.
     pub fn modify(&mut self, handle: EntryHandle, action: Action) -> Result<(), TableError> {
-        let entry = self
-            .entries
-            .iter_mut()
-            .find(|e| e.handle == handle)
-            .ok_or(TableError::NoSuchEntry(handle))?;
-        entry.action = action;
+        let at = self.at(handle).ok_or(TableError::NoSuchEntry(handle))?;
+        self.index[at].action = action;
+        self.entries[at].action = action;
         self.revision = Revision::fresh();
         Ok(())
     }
@@ -649,7 +701,7 @@ impl Table {
     /// Removes every entry.
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.fingerprints.clear();
+        self.index.clear();
         self.revision = Revision::fresh();
     }
 
@@ -684,7 +736,7 @@ impl PartialEq for Table {
             capacity,
             default_action,
             entries,
-            fingerprints: _,
+            index: _,
             next_handle,
         } = self;
         *name == other.name
@@ -695,6 +747,17 @@ impl PartialEq for Table {
             && *entries == other.entries
             && *next_handle == other.next_handle
     }
+}
+
+/// Removes the elements at the ascending indices `gone` from `list`,
+/// moving each kept one at most once.
+fn remove_at_each<T>(list: &mut Vec<T>, gone: &[usize]) {
+    let (mut at, mut gone) = (0, gone.iter().peekable());
+    list.retain(|_| {
+        let go = gone.next_if_eq(&&at).is_some();
+        at += 1;
+        !go
+    });
 }
 
 #[cfg(test)]
@@ -817,35 +880,68 @@ mod tests {
         let other_priority = insert([0x50, 0x01], [0xf0, 0xff], 2);
         let rule: (&[u8], &[u8], i32) = (&[0x53, 0x01], &[0xf0, 0xff], 3);
         let fp = |(value, mask, priority): (&[u8], &[u8], i32)| fingerprint(value, mask, priority);
-        assert_eq!(t.fingerprints[0], fp(rule));
-        assert_ne!(t.fingerprints[1], fp(rule));
-        assert_ne!(t.fingerprints[2], fp(rule));
+        assert_eq!(t.index[0].fingerprint, fp(rule));
+        assert_ne!(t.index[1].fingerprint, fp(rule));
+        assert_ne!(t.index[2].fingerprint, fp(rule));
         assert_eq!(t.remove_ternary([rule]), 1);
         let left: Vec<_> = t.entries().iter().map(|e| e.handle).collect();
         assert_eq!(left, [other_mask, other_priority]);
         assert_eq!(t.remove_ternary([rule]), 0);
     }
 
-    /// The fingerprint column holds each entry's own, in match order: what
-    /// every edit leaves.
+    /// The fingerprint filter only prunes: of two rules whose fingerprints
+    /// share a filter bit, the one not installed removes nothing, and both
+    /// together remove exactly the installed one.
+    #[test]
+    fn remove_ternary_removes_only_what_a_shared_filter_bit_names() {
+        const MASK: [u8; 2] = [0xff, 0xff];
+        let fp = |value: u16| fingerprint(&value.to_be_bytes(), &MASK, 0);
+        let mut bits = std::collections::HashMap::new();
+        let (installed, absent) = (0..=u16::MAX)
+            .find_map(|v| bits.insert(fp(v) % 4096, v).map(|first| (first, v)))
+            .unwrap();
+        assert_ne!(fp(installed), fp(absent));
+        let mut t = table(MatchKind::Ternary, 2);
+        let mut insert = |priority| {
+            let spec = MatchSpec::Ternary {
+                value: installed.to_be_bytes().to_vec(),
+                mask: MASK.to_vec(),
+            };
+            t.insert(spec, Action::Drop, priority).unwrap()
+        };
+        insert(0);
+        // The installed rule's value and mask at another priority stays.
+        let other = insert(1);
+        let (installed, absent) = (installed.to_be_bytes(), absent.to_be_bytes());
+        assert_eq!(t.remove_ternary([(&absent[..], &MASK[..], 0)]), 0);
+        assert_eq!(t.len(), 2);
+        let both = [(&absent[..], &MASK[..], 0), (&installed[..], &MASK[..], 0)];
+        assert_eq!(t.remove_ternary(both), 1);
+        let left: Vec<_> = t.entries().iter().map(|e| e.handle).collect();
+        assert_eq!(left, [other]);
+        assert!(in_step(&t));
+    }
+
+    /// The index column holds each entry's own `(handle, action,
+    /// fingerprint)`, in match order: what every edit leaves.
     fn in_step(t: &Table) -> bool {
-        t.fingerprints
+        t.index
             .iter()
             .copied()
-            .eq(t.entries.iter().map(TableEntry::fingerprint))
+            .eq(t.entries.iter().map(TableEntry::index))
     }
 
     proptest::proptest! {
         /// One `remove_ternary` pass leaves the table one
         /// `remove_matching` call per rule would, on random tables and rule
         /// lists full of duplicates and differently encoded uncared bits —
-        /// on a table read back from JSON (no fingerprints) and then edited
-        /// by every writer in turn, so the column is rebuilt once and then
-        /// kept in step by each, and on its clone.
+        /// on a table read back from JSON (which rebuilds the index column)
+        /// and then edited by every writer in turn, each keeping the column
+        /// in step, and on its clone.
         #[test]
         fn remove_ternary_equals_one_remove_matching_per_rule(
             installed in proptest::collection::vec((0u8..8, 0u8..3, 0i32..2), 0..16),
-            edits in proptest::collection::vec((0u8..10, (0u8..8, 0u8..3, 0i32..2)), 0..10),
+            edits in proptest::collection::vec((0u8..11, (0u8..8, 0u8..3, 0i32..2)), 0..10),
             rules in proptest::collection::vec((0u8..8, 0u8..3, 0i32..2), 0..12),
         ) {
             let mask_of = |sel: u8| [0xff, 0xfe, 0xfc][usize::from(sel)];
@@ -859,9 +955,8 @@ mod tests {
             }
             let json = serde_json::to_string(&t).unwrap();
             let mut t: Table = serde_json::from_str(&json).unwrap();
-            proptest::prop_assert!(t.fingerprints.is_empty());
+            proptest::prop_assert!(in_step(&t), "after the read-back");
             for &(op, (value, mask, priority)) in &edits {
-                let revision = t.revision();
                 let nth = |t: &Table| t.entries().get(usize::from(value) % t.len().max(1)).map(|e| e.handle);
                 match op {
                     0..=4 => {
@@ -883,12 +978,14 @@ mod tests {
                         let rule: (&[u8], &[u8], i32) = (&[value], &[mask_of(mask)], priority);
                         t.remove_ternary([rule]);
                     }
+                    9 => {
+                        if let Some(h) = nth(&t) {
+                            t.modify(h, Action::Forward(u16::from(mask))).unwrap();
+                        }
+                    }
                     _ => t.clear(),
                 }
-                // A call that edits nothing (a miss) leaves the column as
-                // it was, in step or not yet rebuilt.
-                let edited = t.revision() != revision;
-                proptest::prop_assert!(in_step(&t) || !edited, "after edit {op}");
+                proptest::prop_assert!(in_step(&t), "after edit {op}");
             }
             let mut one_pass = t.clone();
             let mut per_rule = t;
@@ -907,7 +1004,7 @@ mod tests {
                 .count();
             proptest::prop_assert_eq!(removed, taken);
             proptest::prop_assert_eq!(one_pass.entries(), per_rule.entries());
-            proptest::prop_assert!(in_step(&one_pass) || removed == 0);
+            proptest::prop_assert!(in_step(&one_pass) && in_step(&per_rule));
         }
     }
 

@@ -25,7 +25,8 @@
 //!
 //!    A patch itself is pinned against the per-entry walk: along a chain
 //!    of patches, the patched list holds the very entries, in order, and
-//!    reports the very `Edit` the walk would.
+//!    reports the very `Edit` the walk would. A table read back from JSON
+//!    and edited patches to the very form and `Edit` the live table does.
 //!
 //! 3. **The two minimizers agree with the scan.** `RuleSet::optimize`
 //!    (the ternary form, `p4guard_rules::cube`) and lowering (the fold):
@@ -232,7 +233,9 @@ fn check_link(parent: &MinimizedTable, table: &Table, removed: &HashSet<u64>) ->
         .iter()
         .filter(|e| !known.contains(&e.handle))
         .collect();
-    let (child, edit) = parent.patch(table.entries()).expect("clean edits patch");
+    let (child, edit) = parent
+        .patch(table.entries(), table.index())
+        .expect("clean edits patch");
     let (reference, reference_edit) = per_entry_patch(&parent.entries, removed, &added);
     assert_eq!(child.entries, reference);
     assert_eq!(edit, reference_edit);
@@ -293,6 +296,45 @@ proptest! {
             }
             parent = check_link(&parent, &table, &removed);
         }
+    }
+
+    /// A table read back from JSON (its index column rebuilt there) and
+    /// the live one, edited alike — removals, then additions to any
+    /// priority level — patch from the live table's form to the same
+    /// minimized entries, source and `Edit`, or both take the full
+    /// compile. Sibling values fold, so removals subtract as well as drop.
+    #[test]
+    fn a_read_back_table_patches_like_the_live_one(
+        rows in pvec((any::<u8>(), 0u8..3, 0i32..3), 1..80),
+        removals in pvec(any::<u8>(), 0..6),
+        additions in pvec((any::<u8>(), 0u8..3, 0i32..3), 0..6),
+    ) {
+        let spec = |(value, mask, _): (u8, u8, i32)| MatchSpec::Ternary {
+            value: vec![value, 0x10, !value, 7],
+            mask: vec![0xff, [0xff, 0xf0, 0][usize::from(mask)], 0xfe, 0xff],
+        };
+        let mut live = Table::new("back", MatchKind::Ternary, KeyLayout::window(4), 256, Action::Drop);
+        for &row in &rows {
+            live.insert(spec(row), action_for(row.0 >> 7), row.2).unwrap();
+        }
+        let parent = minimize(MatchKind::Ternary, live.entries());
+        let json = serde_json::to_string(&live).unwrap();
+        let mut back: Table = serde_json::from_str(&json).unwrap();
+        for table in [&mut live, &mut back] {
+            for &pick in &removals {
+                if let Some(e) = table.entries().get(usize::from(pick) % table.len().max(1)) {
+                    table.remove(e.handle).unwrap();
+                }
+            }
+            for &row in &additions {
+                table.insert(spec(row), action_for(row.0 >> 7), row.2).unwrap();
+            }
+        }
+        let patch = |t: &Table| {
+            let patched = parent.patch(t.entries(), t.index());
+            patched.map(|(min, edit)| (min.entries, min.source, edit))
+        };
+        prop_assert_eq!(patch(&back), patch(&live));
     }
 
     /// Invariant 1: verdict + winner-priority equality between the
